@@ -14,6 +14,7 @@ from .program import (
     TerminationResult,
     check_terminates,
     embed,
+    exit_projectors,
     extract,
     initial_cq,
     selector_successors,
@@ -44,6 +45,9 @@ from .checker import (
     check_always_eventually,
     check_always_until,
     check_eventually_always,
+    check_exit_almost_eventually,
+    check_exit_always,
+    check_exit_eventually,
     check_exit_formulas,
     check_invariance,
     check_next,

@@ -6,7 +6,8 @@ invariant plus its maximal extension decide "eventually always", and a loop
 refinement over union components decides "always eventually" whenever the
 relevant peripheral eigenvalue periods can be certified.  Reachability of
 the exit of a deterministic program runs through the stable/peripheral
-split of the one-step matrix representation and an exact resolvent.
+split of the one-step matrix representation on the block-diagonal
+classical-quantum space and two exact linear solves.
 
 Verdicts are three-valued: some fragments are equivalent to open problems
 in number theory, and the checker answers Unknown with a stated reason
@@ -16,8 +17,10 @@ rather than guess.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -25,19 +28,32 @@ from .errors import (
     BudgetExceeded,
     DimensionMismatch,
     NoExitLocation,
+    NotDeterministic,
     PreconditionViolated,
     QtlError,
     SingularMatrix,
     ToleranceAmbiguity,
 )
-from .linalg import CRat, Mat, invert, kernel_basis, kron, multiplicative_order, peripheral_split
+from .linalg import (
+    CRat,
+    Mat,
+    invert,
+    kernel_basis,
+    kron,
+    mat_sum,
+    multiplicative_order,
+    peripheral_split,
+    solve,
+    split_numeric,
+)
 from .subspace import Subspace, SubspaceUnion, independent_columns, satisfies, support
 from .superop import MatrixRep, SuperOp, unvec, vec
 from .program import (
+    CQState,
     QuantumAutomaton,
     SequentialProgram,
     embed,
-    initial_cq,
+    exit_projectors,
     simulate_deterministic,
     step_superop,
     to_automaton,
@@ -80,11 +96,21 @@ class Verdict:
 
 @dataclass
 class ReachabilityResult:
-    channel: SuperOp
+    """Exit reachability of a deterministic program.
+
+    ``channel`` (the reachability channel in Kraus form) is extracted by
+    ``build_channel`` on first access and cached.
+    """
+
     expected_steps: float
     almost_terminates: bool
     reach_state: Mat | None = None
     diagnostics: dict = field(default_factory=dict)
+    build_channel: Callable[[], SuperOp] | None = field(default=None, repr=False, compare=False)
+
+    @cached_property
+    def channel(self) -> SuperOp:
+        return self.build_channel()
 
 
 def _as_union(x) -> SubspaceUnion:
@@ -721,18 +747,65 @@ def check_always_almost_until(
 # reachability of the exit and the exit-shaped formulas
 
 
-def _exit_projectors(program: SequentialProgram):
-    if program.exit_location is None:
-        raise NoExitLocation("program has no exit location")
-    n_configs = len(program.configs())
-    e_idx = program.config_index(program.exit_location)
-    m0 = kron(Mat.eye(program.dim), Mat.unit(n_configs, e_idx, e_idx))
-    m1 = Mat.eye(program.dim * n_configs) - m0
-    return m0, m1
-
-
 def _trace_norm(a: np.ndarray) -> float:
     return float(np.sum(np.linalg.svd(a, compute_uv=False)))
+
+
+def _block_cut(program: SequentialProgram) -> Mat:
+    """Matrix representation of the exit-cut step on the block-diagonal space.
+
+    The step channel and the exit cut map states that are block-diagonal over
+    locations to such states, so only the d x d block of every location is
+    kept: index l*d^2 + k holds entry k of the row-major vec of location l's
+    block.  The d^2 x d^2 block (t, s) sums kron(M_j, conj(M_j)) times the
+    matrix representation of s's channel over the outcomes j leading from s
+    to t; the column of the exit location is zero.
+    """
+    if not program.deterministic:
+        raise NotDeterministic("reachability needs a deterministic program")
+    n_loc = len(program.locations)
+    terms = [Mat.zeros(n_loc * program.dim * program.dim)]
+    for s_idx, loc in enumerate(program.locations):
+        if loc == program.exit_location:
+            continue
+        a = program.act[loc]
+        for j, m_op in enumerate(a.measurement.operators):
+            if not m_op.is_zero():
+                t_idx = program.config_index(a.next[j][0])
+                block = kron(m_op, m_op.conj()) @ a.channel.matrix_rep()
+                terms.append(kron(Mat.unit(n_loc, t_idx, s_idx), block))
+    return mat_sum(terms)
+
+
+def _reach_channel(program: SequentialProgram, tolerance: float, kraus_tol: float) -> SuperOp:
+    """Kraus form of the reachability channel on the full embedded space.
+
+    Runs in floating point: the one-step representation, cut by the continue
+    projector, is split by the numeric core of the peripheral split (with all
+    its checks), and the Kraus operators come from the eigendecomposition of
+    the reshuffled (Choi) matrix of (M0 x M0)(I - N)^{-1}.
+    """
+    m0, m1 = exit_projectors(program)
+    d_emb = m0.rows
+    kraus_float = [k.to_complex() for k in step_superop(program).kraus]
+    step_float = sum(np.kron(k, k.conj()) for k in kraus_float)
+    keep = np.diag(m1.to_complex())
+    _, stable, _, _ = split_numeric(step_float * np.kron(keep, keep)[None, :], tolerance)
+    collect = np.diag(m0.to_complex())
+    f_rep_float = np.kron(collect, collect)[:, None] * np.linalg.inv(np.eye(d_emb * d_emb) - stable)
+    choi = f_rep_float.reshape(d_emb, d_emb, d_emb, d_emb).transpose(0, 2, 1, 3)
+    choi = choi.reshape(d_emb * d_emb, d_emb * d_emb)
+    choi = (choi + choi.conj().T) / 2
+    eigvals, eigvecs = np.linalg.eigh(choi)
+    scale = max(1.0, float(eigvals.max(initial=0.0)))
+    kraus = [
+        Mat.from_complex(np.sqrt(lam) * col.reshape(d_emb, d_emb))
+        for lam, col in zip(eigvals, eigvecs.T)
+        if lam > kraus_tol * scale
+    ]
+    if not kraus:
+        return SuperOp([Mat.zeros(d_emb)], validate=None)
+    return SuperOp(kraus, validate="tolerant", tol=1e-6)
 
 
 def reachability_superop(
@@ -744,66 +817,56 @@ def reachability_superop(
     """The channel collecting all mass that ever reaches the exit location.
 
     Its matrix representation is (M0 x M0) (I - N)^{-1}, with N the stable
-    part of the one-step representation cut by the continue projector; the
-    resolvent is inverted exactly on the rationalized stable part.  The
-    expected number of steps until the exit (in the program's own step
-    counting) comes from the squared resolvent, and the whole construction
-    is cross-checked against 64 steps of direct power iteration.
+    part of the one-step representation cut by the continue projector.
+    Program states are block-diagonal over locations, so everything runs on
+    the d^2*|L| block space (:func:`_block_cut`) instead of the (d*|L|)^2
+    embedded one: the reach vector w and w2 come from two exact
+    fraction-free solves (I - N) w = v0 and (I - N) w2 = w, the reach state
+    is the exit block of w, and the expected number of steps until the exit
+    (in the program's own step counting) is the trace of the exit block of
+    w2 - w.  The result is cross-checked against 64 steps of direct power
+    iteration.  ``channel`` is built on first access, in floating point on
+    the embedded space (see :func:`_reach_channel`).
     """
-    body = step_superop(program)
-    m0, m1 = _exit_projectors(program)
-    d_emb = m0.rows
-    step_rep = body.matrix_rep()
-    cut = step_rep @ kron(m1, m1)
+    if program.exit_location is None:
+        raise NoExitLocation("program has no exit location")
+    d = program.dim
+    d2 = d * d
+    e_idx = program.config_index(program.exit_location)
+    exit_rows = slice(e_idx * d2, (e_idx + 1) * d2)
+    cut = _block_cut(program)
     split = peripheral_split(cut, tolerance)
-    resolvent = invert(Mat.eye(d_emb * d_emb) - split.stable_part)
-    collect = kron(m0, m0)
-    sigma0 = embed(initial_cq(program), program)
-    v0 = vec(sigma0)
-    w = resolvent @ v0
-    f_sigma = unvec(collect @ w, d_emb)
-    reach_trace = float(f_sigma.trace().re)
+    lhs = Mat.eye(cut.rows) - split.stable_part
+    i_idx = program.config_index(program.initial_location)
+    at_initial = Mat.column([int(c == i_idx) for c in range(len(program.locations))])
+    v0 = kron(at_initial, vec(program.initial_state))
+    w = solve(lhs, v0)
+    reach_block = unvec(w[exit_rows, :], d)
+    reach_trace = float(reach_block.trace().re)
     almost = abs(reach_trace - 1.0) <= trace_tol
     if almost:
-        w2 = resolvent @ w
-        expected = float(unvec(collect @ (w2 - w), d_emb).trace().re)
+        w2 = solve(lhs, w)
+        expected = float(unvec((w2 - w)[exit_rows, :], d).trace().re)
     else:
         expected = math.inf
-    # power-iteration cross-check
-    step_float = step_rep.to_complex()
+    # power-iteration cross-check on the uncut step (the exit acts as identity)
+    step_float = cut.to_complex()
+    step_float[exit_rows, exit_rows] += np.eye(d2)
     vk = v0.to_complex().ravel()
     for _ in range(64):
         vk = step_float @ vk
-    collect_float = collect.to_complex()
-    exit64 = (collect_float @ vk).reshape(d_emb, d_emb)
-    residual = _trace_norm(exit64 - f_sigma.to_complex())
-    # Kraus extraction from the reshuffled (Choi) matrix of the full map
-    f_rep_float = (collect @ resolvent).to_complex().reshape(d_emb, d_emb, d_emb, d_emb)
-    choi = f_rep_float.transpose(0, 2, 1, 3).reshape(d_emb * d_emb, d_emb * d_emb)
-    choi = (choi + choi.conj().T) / 2
-    eigvals, eigvecs = np.linalg.eigh(choi)
-    scale = max(1.0, float(eigvals.max(initial=0.0)))
-    kraus = [
-        Mat.from_complex(np.sqrt(lam) * col.reshape(d_emb, d_emb))
-        for lam, col in zip(eigvals, eigvecs.T)
-        if lam > kraus_tol * scale
-    ]
-    channel = (
-        SuperOp(kraus, validate="tolerant", tol=1e-6)
-        if kraus
-        else SuperOp([Mat.zeros(d_emb)], validate=None)
-    )
+    residual = _trace_norm(vk[exit_rows].reshape(d, d) - reach_block.to_complex())
+    reach_state = embed(CQState(d, {program.exit_location: reach_block}, validate=False), program)
     return ReachabilityResult(
-        channel=channel,
         expected_steps=expected,
         almost_terminates=almost,
-        reach_state=f_sigma,
+        reach_state=reach_state,
         diagnostics={
             "reach_trace": reach_trace,
             "power_iteration_residual": residual,
-            "kraus_rank": len(kraus),
             "tolerance": tolerance,
         },
+        build_channel=lambda: _reach_channel(program, tolerance, kraus_tol),
     )
 
 
@@ -834,46 +897,47 @@ def partial_correctness_subspace(program: SequentialProgram, exit_subspace: Subs
     return atom_from_blocks("exit_partial", blocks, program).subspace
 
 
-def check_exit_formulas(
-    program: SequentialProgram,
-    exit_subspace: Subspace,
-    always_subspace: Subspace | None = None,
-    tolerance: float = 1e-9,
-    trace_tol: float = 1e-7,
-) -> ExitVerdicts:
-    """The three exit-shaped properties of a deterministic program with exit.
-
-    eventually: exact arrival inside the exit proposition within
-    dim*|L| - 1 steps (arrival later is impossible).  almost_eventually:
-    the reachability channel sends the initial state onto the exit
-    proposition with probability one, within the certified tolerance.
-    always: one exact satisfaction check on the running average of the
-    first dim*|L| iterates; the proposition defaults to "unconstrained off
-    the exit, `exit_subspace` at the exit".
-    """
+def _exit_trajectory(program: SequentialProgram) -> list:
+    """sigma_0 .. sigma_{dim*|L|-1}: every exit formula is decided on it."""
     if program.exit_location is None:
         raise NoExitLocation("program has no exit location")
-    bound = program.dim * len(program.locations)
-    trajectory = simulate_deterministic(program, bound - 1)
+    return simulate_deterministic(program, program.dim * len(program.locations) - 1)
 
-    eventually = Verdict.not_valid(
-        diagnostics={
-            "exit_trace_at_bound": float(trajectory[-1].trace_of(program.exit_location))
-        }
-    )
+
+def check_exit_eventually(program: SequentialProgram, exit_subspace: Subspace) -> Verdict:
+    """<> p: exact arrival inside the exit proposition within dim*|L| - 1
+    steps (arrival later is impossible)."""
+    trajectory = _exit_trajectory(program)
     for k, state in enumerate(trajectory):
         if any(c != program.exit_location for c in state.blocks):
             continue
         if satisfies(state.block(program.exit_location), exit_subspace):
-            eventually = Verdict.valid(diagnostics={"step": k})
-            break
+            return Verdict.valid(diagnostics={"step": k})
+    return Verdict.not_valid(
+        diagnostics={
+            "exit_trace_at_bound": float(trajectory[-1].trace_of(program.exit_location))
+        }
+    )
 
+
+def check_exit_almost_eventually(
+    program: SequentialProgram,
+    exit_subspace: Subspace,
+    tolerance: float = 1e-9,
+    trace_tol: float = 1e-7,
+) -> Verdict:
+    """<>~ p: the reachability channel sends the initial state onto the exit
+    proposition with probability one, within the certified tolerance."""
+    if exit_subspace.ambient_dim != program.dim:
+        raise DimensionMismatch("the exit proposition lives on the data space")
     reach = reachability_superop(program, tolerance=tolerance, trace_tol=trace_tol)
-    exit_atom = exit_atom_subspace(program, exit_subspace)
-    inside = float((exit_atom.projector @ reach.reach_state).trace().re)
+    n_configs = len(program.configs())
+    e_idx = program.config_index(program.exit_location)
+    exit_block = reach.reach_state[e_idx::n_configs, e_idx::n_configs]
+    inside = float((exit_subspace.projector @ exit_block).trace().re)
     leak = reach.diagnostics["reach_trace"] - inside
     almost_ok = reach.almost_terminates and abs(leak) <= max(trace_tol, tolerance * 10)
-    almost_eventually = Verdict(
+    return Verdict(
         VALID if almost_ok else NOT_VALID,
         diagnostics={
             "reach_trace": reach.diagnostics["reach_trace"],
@@ -882,21 +946,47 @@ def check_exit_formulas(
         },
     )
 
+
+def check_exit_always(
+    program: SequentialProgram,
+    exit_subspace: Subspace,
+    always_subspace: Subspace | None = None,
+) -> Verdict:
+    """[] p: one exact satisfaction check on the running average of the
+    first dim*|L| iterates; the proposition defaults to "unconstrained off
+    the exit, `exit_subspace` at the exit"."""
+    trajectory = _exit_trajectory(program)
     target = always_subspace if always_subspace is not None else partial_correctness_subspace(
         program, exit_subspace
     )
-    cesaro = Mat.zeros(program.dim * len(program.configs()))
-    for state in trajectory:
-        cesaro = cesaro + embed(state, program)
+    cesaro = mat_sum(embed(state, program) for state in trajectory)
+    diag = {"cesaro_steps": len(trajectory)}
     if satisfies(cesaro, target):
-        always = Verdict.valid(diagnostics={"cesaro_steps": bound})
-    else:
-        step = next(
-            (k for k, s in enumerate(trajectory) if not satisfies(embed(s, program), target)),
-            None,
-        )
-        always = Verdict.not_valid(witness={"step": step}, diagnostics={"cesaro_steps": bound})
-    return ExitVerdicts(eventually=eventually, almost_eventually=almost_eventually, always=always)
+        return Verdict.valid(diagnostics=diag)
+    step = next(
+        (k for k, s in enumerate(trajectory) if not satisfies(embed(s, program), target)),
+        None,
+    )
+    return Verdict.not_valid(witness={"step": step}, diagnostics=diag)
+
+
+def check_exit_formulas(
+    program: SequentialProgram,
+    exit_subspace: Subspace,
+    always_subspace: Subspace | None = None,
+    tolerance: float = 1e-9,
+    trace_tol: float = 1e-7,
+) -> ExitVerdicts:
+    """The three exit-shaped properties of a deterministic program with exit,
+    one per verdict function (:func:`check_exit_eventually`,
+    :func:`check_exit_almost_eventually`, :func:`check_exit_always`)."""
+    return ExitVerdicts(
+        eventually=check_exit_eventually(program, exit_subspace),
+        almost_eventually=check_exit_almost_eventually(
+            program, exit_subspace, tolerance=tolerance, trace_tol=trace_tol
+        ),
+        always=check_exit_always(program, exit_subspace, always_subspace),
+    )
 
 
 # ----------------------------------------------------------------------
@@ -964,8 +1054,11 @@ def hoare_check(
     for idx, col in enumerate(pre_sub.basis.column_vectors()):
         norm = (col.dagger() @ col).entry(0, 0)
         rho = (col @ col.dagger()) * (CRat(1) / norm)
-        verdicts = check_exit_formulas(program.with_initial_state(rho), post_sub, tolerance=tolerance)
-        verdict = verdicts.always if mode == "partial" else verdicts.almost_eventually
+        instance = program.with_initial_state(rho)
+        if mode == "partial":
+            verdict = check_exit_always(instance, post_sub)
+        else:
+            verdict = check_exit_almost_eventually(instance, post_sub, tolerance=tolerance)
         if verdict.status != VALID:
             verdict.witness = {"input_basis_index": idx, **(verdict.witness or {})}
             return verdict

@@ -62,7 +62,8 @@ from .checker import (
     check_always_eventually,
     check_always_until,
     check_eventually_always,
-    check_exit_formulas,
+    check_exit_almost_eventually,
+    check_exit_eventually,
     check_invariance,
     check_next,
     reachability_superop,
@@ -166,8 +167,7 @@ def _dispatch(formula, program, automaton, atoms, args) -> Verdict:
                 "eventually is decided only for exit-shaped atoms of deterministic "
                 "programs with exit (reducible to the termination problem otherwise)"
             )
-        verdicts = check_exit_formulas(program, sub, tolerance=args.tolerance)
-        return verdicts.eventually
+        return check_exit_eventually(program, sub)
     if isinstance(formula, AlmostEventually):
         sub = _exit_shaped(atoms[formula.atom].subspace, program)
         if sub is None:
@@ -175,8 +175,7 @@ def _dispatch(formula, program, automaton, atoms, args) -> Verdict:
                 "almost-eventually is decided only for exit-shaped atoms of "
                 "deterministic programs with exit"
             )
-        verdicts = check_exit_formulas(program, sub, tolerance=args.tolerance)
-        return verdicts.almost_eventually
+        return check_exit_almost_eventually(program, sub, tolerance=args.tolerance)
     raise QtlError(
         f"formula shape not in the decidable fragment table (see `qtl check --help`)"
     )
@@ -242,7 +241,7 @@ def cmd_reach(args) -> int:
         return EXIT_ERROR
     result = reachability_superop(program, tolerance=args.tolerance)
     report = {
-        "kraus_rank": result.diagnostics["kraus_rank"],
+        "kraus_rank": len(result.channel.kraus),
         "reach_trace": result.diagnostics["reach_trace"],
         "expected_steps": jsonio._plain(result.expected_steps),
         "almost_terminates": result.almost_terminates,

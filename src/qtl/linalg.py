@@ -3,15 +3,15 @@
 Everything that feeds the subspace lattice and the program semantics stays in
 exact arithmetic: a matrix is a pair of integer numerator grids (real and
 imaginary parts, numpy object arrays so the integers are unbounded) over a
-single positive denominator.  Rank, kernel and inverse run fraction-free
-(Bareiss) over the Gaussian integers, so no rounding ever happens on that
-path.
+single positive denominator.  Rank, kernel, inverse and solve run
+fraction-free (Bareiss) over the Gaussian integers, so no rounding ever
+happens on that path.
 
-The only numeric computation lives in :func:`peripheral_split`, which
-separates the eigenvalues of modulus (close to) one from the strictly
-contracting rest of a channel's matrix representation.  Its output is
-rationalized exactly (binary floats are rationals) so downstream consumers
-can keep computing exactly against it.
+The only numeric computation lives in :func:`split_numeric`, which separates
+the eigenvalues of modulus (close to) one from the strictly contracting rest
+of a channel's matrix representation.  :func:`peripheral_split` rationalizes
+its output exactly (binary floats are rationals) so downstream consumers can
+keep computing exactly against it.
 """
 
 from __future__ import annotations
@@ -110,6 +110,9 @@ class CRat:
             (self.re * other.re + self.im * other.im) / n,
             (self.im * other.re - self.re * other.im) / n,
         )
+
+    def __rtruediv__(self, other):
+        return CRat.coerce(other) / self
 
     def __neg__(self):
         return CRat(-self.re, -self.im)
@@ -477,15 +480,8 @@ def mat_sum(mats) -> Mat:
 # fraction-free elimination over the Gaussian integers
 
 
-def _rows_as_pairs(m: Mat, augment_identity=False):
-    rows = []
-    n = m.rows
-    for i in range(n):
-        row = [(m.num_re[i, j], m.num_im[i, j]) for j in range(m.cols)]
-        if augment_identity:
-            row.extend((m.den, 0) if j == i else (0, 0) for j in range(n))
-        rows.append(row)
-    return rows
+def _rows_as_pairs(m: Mat):
+    return [[(m.num_re[i, j], m.num_im[i, j]) for j in range(m.cols)] for i in range(m.rows)]
 
 
 def _echelon(rows, width):
@@ -591,33 +587,45 @@ def invert(m: Mat) -> Mat:
     """Exact inverse; raises SingularMatrix when the rank is deficient."""
     if not m.is_square():
         raise DimensionMismatch("only square matrices can be inverted")
-    n = m.rows
-    if n == 0:
-        return m
-    rows = _rows_as_pairs(m, augment_identity=True)
-    pivots = _echelon(rows, 2 * n)
-    if len(pivots) < n or any(c >= n for _, c in pivots):
-        raise SingularMatrix(f"matrix of rank {rank(m)} < {n}")
-    zero = CRat(0)
-    cols = []
-    for k in range(n):
-        x = [zero] * n
-        for r, c in reversed(pivots):
-            row = rows[r]
-            acc = _crat_from_pair(row[n + k])
-            for j in range(c + 1, n):
-                if not x[j].is_zero():
-                    e = row[j]
-                    if e[0] or e[1]:
-                        acc = acc - _crat_from_pair(e) * x[j]
-            x[c] = acc / _crat_from_pair(row[c])
-        cols.append(x)
-    return Mat.from_rows([[cols[k][i] for k in range(n)] for i in range(n)])
+    return solve(m, Mat.eye(m.rows))
 
 
 def solve(a: Mat, b: Mat) -> Mat:
-    """Exact solution of a x = b for square nonsingular a."""
-    return invert(a) @ b
+    """Exact solution of a x = b for square nonsingular a.
+
+    One Bareiss elimination of the augmented system [a | b] and a back
+    substitution per column of b; the inverse of a is never formed.
+    """
+    if not a.is_square():
+        raise DimensionMismatch("only square systems can be solved")
+    if b.rows != a.rows:
+        raise DimensionMismatch(f"right-hand side has {b.rows} rows, expected {a.rows}")
+    n, k = a.rows, b.cols
+    if n == 0:
+        return b
+    # a x = b  <=>  num(a) x = den(a) num(b) / den(b): eliminate on integers
+    rows = _rows_as_pairs(a)
+    for i, row in enumerate(rows):
+        row.extend((b.num_re[i, j] * a.den, b.num_im[i, j] * a.den) for j in range(k))
+    pivots = _echelon(rows, n + k)
+    if len(pivots) < n or any(c >= n for _, c in pivots[:n]):
+        raise SingularMatrix(f"matrix of rank {rank(a)} < {n}")
+    zero = CRat(0)
+    scale = CRat(Fraction(1, b.den))
+    cols = []
+    for j in range(k):
+        x = [zero] * n
+        for r, c in reversed(pivots):
+            row = rows[r]
+            acc = _crat_from_pair(row[n + j])
+            for t in range(c + 1, n):
+                if not x[t].is_zero():
+                    e = row[t]
+                    if e[0] or e[1]:
+                        acc = acc - _crat_from_pair(e) * x[t]
+            x[c] = acc / _crat_from_pair(row[c])
+        cols.append(x if b.den == 1 else [v * scale for v in x])
+    return Mat.from_rows([[cols[j][i] for j in range(k)] for i in range(n)])
 
 
 def is_psd(m: Mat) -> bool:
@@ -690,24 +698,20 @@ def _cluster_eigenvalues(values, tol=1e-7):
     return [(complex(rep), mult) for rep, mult in clusters]
 
 
-def peripheral_split(m: Mat, tolerance: float = 1e-9) -> SpectralSplit:
-    """Separate the modulus-one spectral component of a channel matrix.
+def split_numeric(a: np.ndarray, tolerance: float = 1e-9):
+    """The numeric core of :func:`peripheral_split` on a complex array.
 
-    The input must have spectral radius at most one (matrix representation of
-    a trace-non-increasing channel).  Classification happens at the given
-    tolerance; an eigenvalue modulus inside [1-2*tol, 1-tol/2] makes the
-    classification unsafe and raises ToleranceAmbiguity.
+    Returns ``(projector, stable, eigenvalues, k)``: the spectral projector
+    onto the k eigenvalues of modulus at least 1 - tolerance, the input with
+    that component removed, and the Schur diagonal.  Raises
+    PreconditionViolated for a spectral radius above one and
+    ToleranceAmbiguity for an eigenvalue modulus inside the unsafe band
+    [1-2*tol, 1-tol/2] or a projector failing its idempotency, commutation or
+    stable-radius check.
     """
-    if not m.is_square():
-        raise DimensionMismatch("peripheral_split needs a square matrix")
-    if tolerance <= 0:
-        raise ValueError("tolerance must be positive")
-    n = m.rows
-    if n == 0:
-        return SpectralSplit(m, m, tolerance, [])
-    a = m.to_complex()
+    n = a.shape[0]
     cut = 1.0 - tolerance
-    t, z, sdim = scipy.linalg.schur(a, output="complex", sort=lambda lam: abs(lam) >= cut)
+    t, z, k = scipy.linalg.schur(a, output="complex", sort=lambda lam: abs(lam) >= cut)
     eigs = np.diag(t)
     radius = max(abs(eigs))
     if radius > 1.0 + max(tolerance, 64 * np.finfo(float).eps * max(1.0, radius)):
@@ -720,10 +724,11 @@ def peripheral_split(m: Mat, tolerance: float = 1e-9) -> SpectralSplit:
             raise ToleranceAmbiguity(
                 f"eigenvalue modulus {abs(lam)} inside the unsafe band [{lo}, {hi}]"
             )
-    k = sdim
     if k == 0:
-        projector = np.zeros((n, n), dtype=complex)
-    elif k == n:
+        # nothing peripheral: the Schur diagonal above already bounds the
+        # stable radius below the band
+        return np.zeros((n, n), dtype=complex), a, eigs, 0
+    if k == n:
         projector = np.eye(n, dtype=complex)
     else:
         y = scipy.linalg.solve_sylvester(t[:k, :k], -t[k:, k:], t[:k, k:])
@@ -732,7 +737,6 @@ def peripheral_split(m: Mat, tolerance: float = 1e-9) -> SpectralSplit:
         r[:k, k:] = y
         projector = z @ r @ z.conj().T
     stable = a @ (np.eye(n) - projector)
-    # consistency of the numeric split before rationalizing it
     scale = max(1.0, float(np.max(np.abs(projector))))
     if np.max(np.abs(projector @ projector - projector)) > 1e-7 * scale * scale:
         raise ToleranceAmbiguity("spectral projector failed the idempotency check")
@@ -744,8 +748,32 @@ def peripheral_split(m: Mat, tolerance: float = 1e-9) -> SpectralSplit:
             raise ToleranceAmbiguity(
                 f"stable part kept spectral radius {stable_radius}"
             )
-    projector_mat = Mat.from_complex(projector)
-    stable_mat = m - m @ projector_mat
+    return projector, stable, eigs, k
+
+
+def peripheral_split(m: Mat, tolerance: float = 1e-9) -> SpectralSplit:
+    """Separate the modulus-one spectral component of a channel matrix.
+
+    The input must have spectral radius at most one (matrix representation of
+    a trace-non-increasing channel).  Classification happens at the given
+    tolerance; an eigenvalue modulus inside [1-2*tol, 1-tol/2] makes the
+    classification unsafe and raises ToleranceAmbiguity.  Without any
+    peripheral eigenvalue the projector is exactly zero and the stable part
+    is the input itself.
+    """
+    if not m.is_square():
+        raise DimensionMismatch("peripheral_split needs a square matrix")
+    if tolerance <= 0:
+        raise ValueError("tolerance must be positive")
+    n = m.rows
+    if n == 0:
+        return SpectralSplit(m, m, tolerance, [])
+    projector, _, eigs, k = split_numeric(m.to_complex(), tolerance)
+    if k == 0:
+        projector_mat, stable_mat = Mat.zeros(n), m
+    else:
+        projector_mat = Mat.from_complex(projector)
+        stable_mat = m - m @ projector_mat
     return SpectralSplit(
         peripheral_projector=projector_mat,
         stable_part=stable_mat,

@@ -456,6 +456,18 @@ def extract(m: Mat, program) -> CQState:
     return state
 
 
+def exit_projectors(program: SequentialProgram):
+    """The exit guard {M0, M1} on the embedded space: M0 projects onto the
+    exit location's block, M1 = I - M0 onto all other locations."""
+    if program.exit_location is None:
+        raise NoExitLocation("program has no exit location")
+    n_configs = len(program.configs())
+    e_idx = program.config_index(program.exit_location)
+    m0 = kron(Mat.eye(program.dim), Mat.unit(n_configs, e_idx, e_idx))
+    m1 = Mat.eye(program.dim * n_configs) - m0
+    return m0, m1
+
+
 def _selector_kraus(program, selector) -> list:
     """Kraus set of the one-step channel induced by a selector."""
     configs = program.configs()

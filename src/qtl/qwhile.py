@@ -37,7 +37,7 @@ from .errors import (
     UndeclaredOperator,
 )
 from .linalg import CRat, Mat, kron
-from .program import LocationAction, SequentialProgram, step_superop
+from .program import LocationAction, SequentialProgram, exit_projectors, step_superop
 from .superop import Measurement, SuperOp, vec, unvec
 
 
@@ -817,13 +817,6 @@ class WhileNormalForm:
 
 def bohm_jacopini(program: SequentialProgram) -> WhileNormalForm:
     """Normal form of a deterministic program with exit as a single while loop."""
-    from .errors import NoExitLocation
-
-    if program.exit_location is None:
-        raise NoExitLocation("normal form needs an exit location")
+    m0, m1 = exit_projectors(program)  # NoExitLocation without an exit
     body = step_superop(program)  # also rejects nondeterministic programs
-    n_configs = len(program.configs())
-    e = program.config_index(program.exit_location)
-    m0 = kron(Mat.eye(program.dim), Mat.unit(n_configs, e, e))
-    m1 = Mat.eye(program.dim * n_configs) - m0
     return WhileNormalForm(body_channel=body, m0=m0, m1=m1)

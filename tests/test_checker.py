@@ -8,13 +8,26 @@ from qtl.errors import BudgetExceeded, PreconditionViolated
 from qtl.linalg import CRat, Mat, kron
 from qtl.subspace import Subspace, SubspaceUnion, satisfies, support
 from qtl.superop import MatrixRep, SuperOp
-from qtl.program import QuantumAutomaton, embed, initial_cq, step_superop, to_automaton
+from qtl.program import (
+    CQState,
+    QuantumAutomaton,
+    check_terminates,
+    embed,
+    initial_cq,
+    simulate_deterministic,
+    step_superop,
+    to_automaton,
+)
 from qtl.qwhile import compile_source
 from qtl.checker import (
+    ExitVerdicts,
     check_always_almost_until,
     check_always_eventually,
     check_always_until,
     check_eventually_always,
+    check_exit_almost_eventually,
+    check_exit_always,
+    check_exit_eventually,
     check_exit_formulas,
     check_invariance,
     check_next,
@@ -36,6 +49,7 @@ from helpers import (
     EXAMPLE_LOOP_SRC,
     PAULI_X,
     random_automaton,
+    random_deterministic_program,
     basis_union,
     span,
     union,
@@ -54,9 +68,33 @@ def x_automaton():
     return QuantumAutomaton(2, {"x": X_CONJ}, KET0)
 
 
+# the 2-qubit member of the measure-Hadamard loop family: U = sqrt(1/2) (H x I) CX
+TWO_QUBIT_LOOP_SRC = """qubits 2;
+unitary U = sqrt(1/2) * [[1, 0, 0, 1], [0, 1, 1, 0], [1, 0, 0, -1], [0, 1, -1, 0]];
+measurement M = {[[1, 0], [0, 0]], [[0, 0], [0, 1]]};
+input [[1/2, 0, -1/2, 0], [0, 0, 0, 0], [-1/2, 0, 1/2, 0], [0, 0, 0, 0]];
+skip;
+while meas M(q0) == 1 { apply U to q0, q1 }
+"""
+
+
 @pytest.fixture(scope="module")
 def example_loop():
     return compile_source(EXAMPLE_LOOP_SRC)
+
+
+def _terminating_programs(seed, count):
+    """Seeded random deterministic programs that terminate exactly, with
+    their termination step."""
+    rng = random.Random(seed)
+    found = []
+    while len(found) < count:
+        dim = rng.choice([2, 2, 3])
+        prog = random_deterministic_program(rng, dim, rng.randint(1, 3))
+        result = check_terminates(prog)
+        if result.kind == "terminates":
+            found.append((prog, result.step))
+    return found
 
 
 class TestNext:
@@ -287,6 +325,34 @@ while meas M(q0) == 1 { apply X to q0; apply X to q0 }
             acc = acc + kf @ sigma0 @ kf.conj().T
         assert np.max(np.abs(acc - r.reach_state.to_complex())) < 1e-6
 
+    def test_two_qubit_loop_family(self):
+        prog = compile_source(TWO_QUBIT_LOOP_SRC)
+        r = reachability_superop(prog)
+        assert r.reach_state.trace() == CRat(1)
+        assert r.almost_terminates
+        assert r.expected_steps == 4
+        # every exit happens with q0 = 0: no mass on q0 = 1 at the exit
+        n_configs = len(prog.configs())
+        e_idx = prog.config_index(prog.exit_location)
+        block = r.reach_state[e_idx::n_configs, e_idx::n_configs]
+        q0_one = kron(KET1, Mat.eye(2))
+        assert (q0_one @ block).trace() == CRat(0)
+
+    def test_reach_state_of_terminating_programs_is_exact(self):
+        for prog, step in _terminating_programs(seed=31, count=12):
+            r = reachability_superop(prog)
+            final = simulate_deterministic(prog, step)[-1]
+            exit_only = CQState(prog.dim, {"exit": final.block("exit")}, validate=False)
+            assert r.reach_state == embed(exit_only, prog)
+            assert r.almost_terminates
+
+    def test_channel_is_built_on_first_access(self, example_loop):
+        r = reachability_superop(example_loop)
+        assert "channel" not in vars(r)
+        channel = r.channel
+        assert r.channel is channel
+        assert channel.dim_in == r.reach_state.rows
+
 
 class TestExitFormulas:
     def test_example_loop_triple(self, example_loop):
@@ -309,6 +375,31 @@ while meas M(q0) == 1 { skip }
     def test_zero_exit_subspace(self, example_loop):
         verdicts = check_exit_formulas(example_loop, Subspace.zero(2))
         assert verdicts.almost_eventually.status == "not_valid"
+
+    def test_triple_equals_per_verdict_functions(self):
+        rng = random.Random(32)
+        for prog, _ in _terminating_programs(seed=33, count=8):
+            k = rng.randrange(prog.dim)
+            sub = Subspace.from_vectors(prog.dim, [[int(i == k) for i in range(prog.dim)]])
+            assert check_exit_formulas(prog, sub) == ExitVerdicts(
+                eventually=check_exit_eventually(prog, sub),
+                almost_eventually=check_exit_almost_eventually(prog, sub),
+                always=check_exit_always(prog, sub),
+            )
+
+    def test_each_verdict_computes_only_its_own(self, example_loop, monkeypatch):
+        import qtl.checker as checker
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("computed a part of another verdict")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(checker, "reachability_superop", forbidden)
+            assert check_exit_eventually(example_loop, span((1, 0))).status == "not_valid"
+            assert check_exit_always(example_loop, span((1, 0))).is_valid
+        with monkeypatch.context() as patch:
+            patch.setattr(checker, "simulate_deterministic", forbidden)
+            assert check_exit_almost_eventually(example_loop, span((1, 0))).is_valid
 
 
 class TestKleene:
@@ -447,9 +538,9 @@ class TestRandomReachability:
             except ToleranceAmbiguity:
                 continue
             body_rep = step_superop(prog).matrix_rep()
-            from qtl.checker import _exit_projectors
+            from qtl.program import exit_projectors
 
-            m0, m1 = _exit_projectors(prog)
+            m0, m1 = exit_projectors(prog)
             split = peripheral_split(body_rep @ kron(m1, m1))
             radius = max(
                 (abs(lam) for lam, _ in split.eigenvalues if abs(lam) < 1 - 1e-9),

@@ -17,6 +17,7 @@ from qtl.linalg import (
     parse_rational,
     peripheral_split,
     rank,
+    solve,
 )
 
 from helpers import PAULI_X, random_matrix, random_tp_channel
@@ -37,6 +38,14 @@ class TestScalars:
         assert CRat.coerce([1, "1/2"]) == CRat(1, Fraction(1, 2))
         with pytest.raises(ZeroDivisionError):
             a / CRat(0)
+
+    def test_reflected_division(self):
+        assert 1 / CRat(2) == CRat(Fraction(1, 2))
+        assert Fraction(3, 4) / CRat(0, 1) == CRat(0, Fraction(-3, 4))
+        b = CRat(Fraction(-2, 5), Fraction(1, 7))
+        assert (1 / b) * b == CRat(1)
+        with pytest.raises(ZeroDivisionError):
+            1 / CRat(0)
 
 
 class TestMatBasics:
@@ -121,6 +130,28 @@ class TestInvert:
             invert(Mat.from_rows([[1, 1], [1, 1]]))
 
 
+class TestSolve:
+    def test_random_systems_exactly(self):
+        rng = random.Random(6)
+        found = 0
+        while found < 10:
+            a = random_matrix(rng, 4)
+            b = random_matrix(rng, 4, rng.randint(1, 3))
+            try:
+                x = solve(a, b)
+            except SingularMatrix:
+                continue
+            found += 1
+            assert a @ x == b
+            assert x == invert(a) @ b
+
+    def test_singular_raises(self):
+        with pytest.raises(SingularMatrix):
+            solve(Mat.from_rows([[1, 1], [1, 1]]), Mat.column([1, 2]))
+        with pytest.raises(SingularMatrix):
+            solve(Mat.from_rows([[1, 1], [1, 1]]), Mat.column([1, 1]))
+
+
 class TestPsd:
     def test_projector_is_psd(self):
         assert is_psd(Mat.from_rows([["1/2", "-1/2"], ["-1/2", "1/2"]]))
@@ -170,6 +201,13 @@ class TestPeripheralSplit:
         assert peripheral_mult == 4  # 2x2 exit block carries a 4-dim fixed operator space
         radius = np.abs(np.linalg.eigvals(split.stable_part.to_complex())).max()
         assert abs(radius - 2 ** -0.5) < 1e-9
+
+    def test_no_peripheral_eigenvalue_keeps_input(self):
+        m = Mat.from_rows([["1/2", 1], [0, "-1/3"]])
+        split = peripheral_split(m, 1e-9)
+        assert split.stable_part is m
+        assert split.peripheral_projector == Mat.zeros(2)
+        assert split.peripheral_eigenvalues == []
 
     def test_ambiguous_band_raises(self):
         m = Mat.from_rows([[Fraction(999999999, 1000000000)]])
