@@ -41,6 +41,7 @@ from .checker import (
     OracleResult,
     ReachabilityResult,
     Verdict,
+    check,
     check_always_almost_until,
     check_always_eventually,
     check_always_until,
@@ -53,7 +54,6 @@ from .checker import (
     check_next,
     exit_atom_subspace,
     hoare_check,
-    invariance_by_mixing,
     kleene_always,
     limit_states,
     maximal_extension,

@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
@@ -33,6 +32,7 @@ from .errors import (
     QtlError,
     SingularMatrix,
     ToleranceAmbiguity,
+    UnsupportedFormula,
 )
 from .linalg import (
     CRat,
@@ -58,7 +58,20 @@ from .program import (
     step_superop,
     to_automaton,
 )
-from .formula import Always, Atom, Eventually, FAtom, FFalse, FTrue, Next, Or, Until
+from .formula import (
+    AlmostEventually,
+    AlmostUntil,
+    Always,
+    Atom,
+    Eventually,
+    FAtom,
+    FFalse,
+    FTrue,
+    Next,
+    Or,
+    Until,
+    formula_to_str,
+)
 
 VALID = "valid"
 NOT_VALID = "not_valid"
@@ -312,29 +325,6 @@ def check_invariance(a: QuantumAutomaton, u) -> Verdict:
     return Verdict.not_valid(witness=witness, certificate=psi, diagnostics=diag)
 
 
-def invariance_by_mixing(a: QuantumAutomaton, p: Subspace) -> Verdict:
-    """Single-subspace invariance via the uniform mixture of the actions.
-
-    Checks the first dim(H) iterates of the averaged channel; agrees with
-    the chain on one-member unions and serves as an internal cross-check.
-    """
-    if p.ambient_dim != a.dim:
-        raise DimensionMismatch("proposition does not live on the automaton space")
-    reps = list(_reps(a).values())
-    weight = CRat(Fraction(1, len(reps)))
-    mixed = reps[0].m * weight
-    for rep in reps[1:]:
-        mixed = mixed + rep.m * weight
-    v = vec(a.initial_state)
-    for k in range(a.dim):
-        state = unvec(v, a.dim)
-        if not satisfies(state, p):
-            witness = _violation_word(a, SubspaceUnion(a.dim, [p]), k + a.dim)
-            return Verdict.not_valid(witness=witness, diagnostics={"mixing_step": k})
-        v = mixed @ v
-    return Verdict.valid(diagnostics={"mixing_steps": a.dim})
-
-
 # ----------------------------------------------------------------------
 # maximal invariant and maximal extension
 
@@ -502,11 +492,11 @@ class _UnknownVerdict(Exception):
         self.diagnostics = diagnostics or {}
 
 
-def _certified_period(loop_rep: Mat, period_bound: int, tolerance: float) -> int:
-    """lcm of the multiplicative orders of the loop channel's peripheral
-    eigenvalues, detected numerically up to the bound."""
+def _peripheral_period(m: Mat, period_bound: int, tolerance: float):
+    """The peripheral split of m and the lcm of the multiplicative orders of
+    its peripheral eigenvalues, detected numerically up to the bound."""
     try:
-        split = peripheral_split(loop_rep, tolerance)
+        split = peripheral_split(m, tolerance)
     except ToleranceAmbiguity as exc:
         raise _UnknownVerdict(f"peripheral classification ambiguous: {exc}")
     b = 1
@@ -516,7 +506,13 @@ def _certified_period(loop_rep: Mat, period_bound: int, tolerance: float) -> int
             raise _UnknownVerdict(
                 f"peripheral eigenvalue {lam} has no certified order up to {period_bound}"
             )
-        b = b * order // math.gcd(b, order)
+        b = math.lcm(b, order)
+    return split, b
+
+
+def _certified_period(loop_rep: Mat, period_bound: int, tolerance: float) -> int:
+    """The period of the loop channel's peripheral spectrum, capped."""
+    _, b = _peripheral_period(loop_rep, period_bound, tolerance)
     if b > max(period_bound, 4096):
         raise _UnknownVerdict(f"combined period {b} exceeds the configured bound")
     return b
@@ -678,19 +674,8 @@ def limit_states(e: SuperOp, sigma0: Mat, period_bound: int = 64, tolerance: flo
     exact rational matrix (the limit of the subsequence n = ub + c).
     """
     m = e.matrix_rep()
-    try:
-        split = peripheral_split(m, tolerance)
-    except ToleranceAmbiguity as exc:
-        raise _UnknownVerdict(f"peripheral classification ambiguous: {exc}")
+    split, b = _peripheral_period(m, period_bound, tolerance)
     peripheral_dim = sum(mult for lam, mult in split.peripheral_eigenvalues)
-    b = 1
-    for lam, _ in split.peripheral_eigenvalues:
-        order = multiplicative_order(lam, period_bound)
-        if order is None:
-            raise _UnknownVerdict(
-                f"peripheral eigenvalue {lam} has no certified order up to {period_bound}"
-            )
-        b = b * order // math.gcd(b, order)
     big = MatrixRep(m).power(b).m
     try:
         projector, rank_one = _eigenprojector_at_one(big)
@@ -907,7 +892,10 @@ def _exit_trajectory(program: SequentialProgram) -> list:
 def check_exit_eventually(program: SequentialProgram, exit_subspace: Subspace) -> Verdict:
     """<> p: exact arrival inside the exit proposition within dim*|L| - 1
     steps (arrival later is impossible)."""
-    trajectory = _exit_trajectory(program)
+    return _exit_eventually(program, exit_subspace, _exit_trajectory(program))
+
+
+def _exit_eventually(program, exit_subspace, trajectory) -> Verdict:
     for k, state in enumerate(trajectory):
         if any(c != program.exit_location for c in state.blocks):
             continue
@@ -955,7 +943,10 @@ def check_exit_always(
     """[] p: one exact satisfaction check on the running average of the
     first dim*|L| iterates; the proposition defaults to "unconstrained off
     the exit, `exit_subspace` at the exit"."""
-    trajectory = _exit_trajectory(program)
+    return _exit_always(program, exit_subspace, always_subspace, _exit_trajectory(program))
+
+
+def _exit_always(program, exit_subspace, always_subspace, trajectory) -> Verdict:
     target = always_subspace if always_subspace is not None else partial_correctness_subspace(
         program, exit_subspace
     )
@@ -978,14 +969,15 @@ def check_exit_formulas(
     trace_tol: float = 1e-7,
 ) -> ExitVerdicts:
     """The three exit-shaped properties of a deterministic program with exit,
-    one per verdict function (:func:`check_exit_eventually`,
-    :func:`check_exit_almost_eventually`, :func:`check_exit_always`)."""
+    as :func:`check_exit_eventually`, :func:`check_exit_almost_eventually`
+    and :func:`check_exit_always` decide them, on one shared trajectory."""
+    trajectory = _exit_trajectory(program)
     return ExitVerdicts(
-        eventually=check_exit_eventually(program, exit_subspace),
+        eventually=_exit_eventually(program, exit_subspace, trajectory),
         almost_eventually=check_exit_almost_eventually(
             program, exit_subspace, tolerance=tolerance, trace_tol=trace_tol
         ),
-        always=check_exit_always(program, exit_subspace, always_subspace),
+        always=_exit_always(program, exit_subspace, always_subspace, trajectory),
     )
 
 
@@ -1066,17 +1058,9 @@ def hoare_check(
 
 
 # ----------------------------------------------------------------------
-# brute-force oracle over the exact support graph
+# the formula table: one classifier for the checker and the oracle
 
-
-@dataclass
-class OracleResult:
-    status: str  # "holds" | "fails" | "inconclusive"
-    witness: dict | None = None
-    closed: bool = False
-
-    def __repr__(self):
-        return f"OracleResult({self.status})"
+_TABLE_POINTER = "see the decidable fragment table in `qtl check --help` or in qtl.check"
 
 
 def _formula_union(node, atoms: dict, ambient: int) -> SubspaceUnion:
@@ -1091,7 +1075,168 @@ def _formula_union(node, atoms: dict, ambient: int) -> SubspaceUnion:
         return _formula_union(node.left, atoms, ambient).union(
             _formula_union(node.right, atoms, ambient)
         )
-    raise ValueError(f"oracle expects unions of atoms, got {node!r}")
+    raise UnsupportedFormula(
+        f"operand {formula_to_str(node)} is not true, false, an atom or a || of them; "
+        + _TABLE_POINTER
+    )
+
+
+def _classify(formula, atoms: dict, ambient: int):
+    """The table entry of a formula: its shape, as written in the table of
+    :func:`check`, and its operands, converted to unions of subspaces (f, g)
+    or to atom subspaces (p, q).  Anything else raises UnsupportedFormula."""
+
+    def union(node):
+        return _formula_union(node, atoms, ambient)
+
+    match formula:
+        case FTrue() | FFalse() | FAtom() | Or():
+            return "f", (union(formula),)
+        case Next(body):
+            return "X f", (union(body),)
+        case Always(Eventually(body)):
+            return "[] <> f", (union(body),)
+        case Always(Until(left, right)):
+            return "[] (f U g)", (union(left), union(right))
+        case Always(AlmostUntil(left, right)):
+            return "[] (p U~ q)", (atoms[left].subspace, atoms[right].subspace)
+        case Always(body):
+            return "[] f", (union(body),)
+        case Eventually(Always(body)):
+            return "<> [] f", (union(body),)
+        case Eventually(body):
+            return "<> f", (union(body),)
+        case AlmostEventually(name):
+            return "<>~ p", (atoms[name].subspace,)
+        case Until(left, right):
+            return "f U g", (union(left), union(right))
+    raise UnsupportedFormula(
+        f"formula {formula_to_str(formula)} has no shape in the table; " + _TABLE_POINTER
+    )
+
+
+def _exit_shaped(proposition, target) -> Subspace | None:
+    """The data-space part of a one-member proposition supported only on the
+    exit location of a program with exit, or None."""
+    if isinstance(proposition, SubspaceUnion):
+        if len(proposition.members) != 1:
+            return None
+        (proposition,) = proposition.members
+    if not isinstance(target, SequentialProgram) or target.exit_location is None:
+        return None
+    n_configs = len(target.configs())
+    e_idx = target.config_index(target.exit_location)
+    cols = []
+    for col in proposition.basis.column_vectors():
+        reduced = []
+        for h in range(target.dim):
+            for c in range(n_configs):
+                entry = col.entry(h * n_configs + c, 0)
+                if c != e_idx and not entry.is_zero():
+                    return None
+                if c == e_idx:
+                    reduced.append(entry)
+        cols.append(Mat.column(reduced))
+    return Subspace.from_vectors(target.dim, cols)
+
+
+def check(
+    target,
+    formula,
+    atoms: dict,
+    *,
+    tolerance: float = 1e-9,
+    period_bound: int = 64,
+    depth: int = 12,
+) -> Verdict:
+    """Decide a parsed formula on a program or a quantum automaton.
+
+    ``atoms`` maps the atom names of the formula to :class:`Atom`.  The
+    decidable fragment is a fixed table of shapes; f and g stand for true,
+    false, an atom or a || of them, p and q for atoms:
+
+        f              satisfaction by the initial state
+        X f            one-step successors
+        [] f           invariance (pre-image chain)
+        [] <> f        recurrence (loop refinement; may be Unknown)
+        <> [] f        stabilization (maximal invariant + extension)
+        [] (f U g)     invariance conjunct plus recurrence conjunct
+                       (conservative: may refute what holds on every
+                       trace)
+        [] (p U~ q)    single-action systems only; limit-point analysis
+        <> f           deterministic programs with exit, f one exit-shaped
+                       atom; anything else is Unknown by construction
+        <>~ p          likewise with p; exact reachability of the exit
+        f U g          Unknown by construction (termination problem)
+
+    Every other shape raises :class:`UnsupportedFormula`.  ``tolerance``
+    and ``period_bound`` bound the peripheral-period certificates, ``depth``
+    the witness search of the limit shapes.  The automaton of a program is
+    built only for the shapes that run on it.
+    """
+    if isinstance(target, QuantumAutomaton):
+        ambient = target.dim
+    else:
+        ambient = target.dim * len(target.configs())
+    shape, operands = _classify(formula, atoms, ambient)
+    if shape == "f U g":
+        return Verdict.unknown(
+            "until is decided only as [] (f U g) (reducible to the termination problem otherwise)"
+        )
+    if shape == "<> f":
+        sub = _exit_shaped(operands[0], target)
+        if sub is None:
+            return Verdict.unknown(
+                "eventually is decided only for exit-shaped atoms of deterministic "
+                "programs with exit (reducible to the termination problem otherwise)"
+            )
+        return check_exit_eventually(target, sub)
+    if shape == "<>~ p":
+        sub = _exit_shaped(operands[0], target)
+        if sub is None:
+            return Verdict.unknown(
+                "almost-eventually is decided only for exit-shaped atoms of "
+                "deterministic programs with exit"
+            )
+        return check_exit_almost_eventually(target, sub, tolerance=tolerance)
+    a = target if isinstance(target, QuantumAutomaton) else to_automaton(target)
+    if shape == "f":
+        if operands[0].contains_subspace(_initial_support(a)):
+            return Verdict.valid()
+        return Verdict.not_valid(witness={"step": 0})
+    if shape == "X f":
+        return check_next(a, *operands)
+    if shape == "[] f":
+        return check_invariance(a, *operands)
+    if shape == "[] <> f":
+        return check_always_eventually(
+            a, *operands, period_bound=period_bound, tolerance=tolerance, witness_depth=depth
+        )
+    if shape == "<> [] f":
+        return check_eventually_always(a, *operands, witness_depth=depth)
+    if shape == "[] (f U g)":
+        return check_always_until(a, *operands, period_bound=period_bound, tolerance=tolerance)
+    # "[] (p U~ q)"
+    if len(a.actions) != 1:
+        return Verdict.unknown("almost-until needs a single action (deterministic system)")
+    (action,) = a.actions.values()
+    return check_always_almost_until(
+        action, a.initial_state, *operands, period_bound=period_bound, tolerance=tolerance
+    )
+
+
+# ----------------------------------------------------------------------
+# brute-force oracle over the exact support graph
+
+
+@dataclass
+class OracleResult:
+    status: str  # "holds" | "fails" | "inconclusive"
+    witness: dict | None = None
+    closed: bool = False
+
+    def __repr__(self):
+        return f"OracleResult({self.status})"
 
 
 def oracle_bfs(target, formula, atoms: dict, depth: int = 12, budget: int = 20000) -> OracleResult:
@@ -1101,86 +1246,78 @@ def oracle_bfs(target, formula, atoms: dict, depth: int = 12, budget: int = 2000
     witnesses of diamond-shaped ones are sound at any depth; exact
     recurrences (lassos) refute the limit formulas.  When the reachable
     support graph closes within depth and budget the answers are complete
-    for the supported shapes; otherwise Inconclusive.
+    for the shapes of the table of :func:`check` (with the trace semantics
+    of [] (f U g)) except the almost-surely ones; otherwise, and for shapes
+    outside the table, Inconclusive.
     """
     a = target if isinstance(target, QuantumAutomaton) else to_automaton(target)
-    graph = _SupportGraph(a, depth, budget)
-
-    def union_of(node):
-        return _formula_union(node, atoms, a.dim)
-
     try:
-        if isinstance(formula, (FTrue, FFalse, FAtom, Or)):
-            u = union_of(formula)
-            ok = u.contains_subspace(graph.nodes[0])
+        shape, operands = _classify(formula, atoms, a.dim)
+    except UnsupportedFormula:
+        return OracleResult("inconclusive")
+    if shape in ("<>~ p", "[] (p U~ q)"):
+        return OracleResult("inconclusive")
+    graph = _SupportGraph(a, depth, budget)
+    u = operands[0]
+    if shape == "f":
+        ok = u.contains_subspace(graph.nodes[0])
+        return OracleResult("holds" if ok else "fails", None if ok else {"word": [], "step": 0}, True)
+    if shape == "X f":
+        if not graph.expanded(0):
+            return OracleResult("inconclusive")
+        for name, j in graph.successors(0):
+            if not u.contains_subspace(graph.nodes[j]):
+                return OracleResult("fails", {"word": [name], "step": 1}, graph.closed)
+        return OracleResult("holds", None, True)
+    if shape == "[] <> f":
+        bad = [v for v in range(len(graph)) if not u.contains_subspace(graph.nodes[v])]
+        cycle = graph.find_cycle(bad)
+        if cycle:
             return OracleResult(
-                "holds" if ok else "fails", None if ok else {"word": [], "step": 0}, True
+                "fails",
+                {
+                    "prefix": graph.word_to(cycle[0][0]),
+                    "cycle": [name for _, name, _ in cycle],
+                },
+                graph.closed,
             )
-        if isinstance(formula, Next):
-            u = union_of(formula.body)
-            if not graph.expanded(0):
-                return OracleResult("inconclusive")
-            for name, j in graph.successors(0):
-                if not u.contains_subspace(graph.nodes[j]):
-                    return OracleResult("fails", {"word": [name], "step": 1}, graph.closed)
-            return OracleResult("holds", None, True)
-        if isinstance(formula, Always) and isinstance(formula.body, Eventually):
-            u = union_of(formula.body.body)
-            bad = [v for v in range(len(graph)) if not u.contains_subspace(graph.nodes[v])]
-            cycle = graph.find_cycle(bad)
-            if cycle:
+        return OracleResult("holds" if graph.closed else "inconclusive", None, graph.closed)
+    if shape == "<> [] f":
+        for v in range(len(graph)):
+            if not u.contains_subspace(graph.nodes[v]):
+                word = graph.cycle_through(v)
+                if word:
+                    return OracleResult(
+                        "fails", {"prefix": graph.word_to(v), "cycle": word}, graph.closed
+                    )
+        return OracleResult("holds" if graph.closed else "inconclusive", None, graph.closed)
+    if shape == "[] (f U g)":
+        worst = OracleResult("holds", None, graph.closed)
+        for v in range(len(graph)):
+            r = _oracle_until(graph, *operands, root=v)
+            if r.status == "fails":
+                prefix = graph.word_to(v)
+                witness = dict(r.witness or {})
+                witness["word"] = prefix + witness.get("word", witness.pop("prefix", []))
+                return OracleResult("fails", witness, graph.closed)
+            if r.status == "inconclusive":
+                worst = OracleResult("inconclusive")
+        if not graph.closed:
+            return OracleResult("inconclusive")
+        return worst
+    if shape == "[] f":
+        for i in range(len(graph)):
+            if not u.contains_subspace(graph.nodes[i]):
                 return OracleResult(
                     "fails",
-                    {
-                        "prefix": graph.word_to(cycle[0][0]),
-                        "cycle": [name for _, name, _ in cycle],
-                    },
+                    {"word": graph.word_to(i), "step": graph.depth[i]},
                     graph.closed,
                 )
-            return OracleResult("holds" if graph.closed else "inconclusive", None, graph.closed)
-        if isinstance(formula, Eventually) and isinstance(formula.body, Always):
-            u = union_of(formula.body.body)
-            for v in range(len(graph)):
-                if not u.contains_subspace(graph.nodes[v]):
-                    word = graph.cycle_through(v)
-                    if word:
-                        return OracleResult(
-                            "fails", {"prefix": graph.word_to(v), "cycle": word}, graph.closed
-                        )
-            return OracleResult("holds" if graph.closed else "inconclusive", None, graph.closed)
-        if isinstance(formula, Always) and isinstance(formula.body, Until):
-            phi = union_of(formula.body.left)
-            psi = union_of(formula.body.right)
-            worst = OracleResult("holds", None, graph.closed)
-            for v in range(len(graph)):
-                r = _oracle_until(graph, phi, psi, root=v)
-                if r.status == "fails":
-                    prefix = graph.word_to(v)
-                    witness = dict(r.witness or {})
-                    witness["word"] = prefix + witness.get("word", witness.pop("prefix", []))
-                    return OracleResult("fails", witness, graph.closed)
-                if r.status == "inconclusive":
-                    worst = OracleResult("inconclusive")
-            if not graph.closed:
-                return OracleResult("inconclusive")
-            return worst
-        if isinstance(formula, Always):
-            u = union_of(formula.body)
-            for i in range(len(graph)):
-                if not u.contains_subspace(graph.nodes[i]):
-                    return OracleResult(
-                        "fails",
-                        {"word": graph.word_to(i), "step": graph.depth[i]},
-                        graph.closed,
-                    )
-            return OracleResult("holds" if graph.closed else "inconclusive", None, graph.closed)
-        if isinstance(formula, Eventually):
-            return _oracle_until(graph, SubspaceUnion.full(a.dim), union_of(formula.body))
-        if isinstance(formula, Until):
-            return _oracle_until(graph, union_of(formula.left), union_of(formula.right))
-    except ValueError:
-        return OracleResult("inconclusive")
-    return OracleResult("inconclusive")
+        return OracleResult("holds" if graph.closed else "inconclusive", None, graph.closed)
+    if shape == "<> f":
+        return _oracle_until(graph, SubspaceUnion.full(a.dim), u)
+    # "f U g"
+    return _oracle_until(graph, *operands)
 
 
 def _oracle_until(graph: _SupportGraph, phi: SubspaceUnion, psi: SubspaceUnion, root: int = 0) -> OracleResult:

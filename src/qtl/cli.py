@@ -1,73 +1,25 @@
 """Command-line front end: check, compile, reach, simulate.
 
 Exit codes of ``qtl check``: 0 the property is valid, 1 it is refuted,
-2 the checker cannot decide (outside the decidable fragment, or a period
-certificate is missing), 3 input or usage error.
-
-Formula dispatch (atoms and || -combinations of atoms below each operator):
-
-    p, p || q          satisfaction by the initial state
-    X f                one-step successors
-    [] f               invariance (pre-image chain)
-    [] <> f            recurrence (loop refinement; may be Unknown)
-    <> [] f            stabilization (maximal invariant + extension)
-    [] (f U g)         invariance conjunct plus recurrence conjunct
-    [] (p U~ q)        single-action programs only; limit-point analysis
-    <> p, <>~ p        deterministic programs with exit, p an exit-shaped
-                       atom; anything else is Unknown by construction
-
-Other shapes exit with code 3 and a pointer to this table.
+2 the checker cannot decide (a period certificate is missing, or the shape
+is undecidable by construction), 3 input or usage error, including a
+formula outside the decidable fragment.
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import sys
 
 from .errors import QtlError
-from .linalg import Mat
 from . import jsonio
-from .formula import (
-    Always,
-    AlmostEventually,
-    AlmostUntil,
-    Eventually,
-    FAtom,
-    FFalse,
-    FTrue,
-    Next,
-    Or,
-    Until,
-    parse_formula,
-)
-from .program import (
-    QuantumAutomaton,
-    SequentialProgram,
-    initial_cq,
-    embed,
-    selector_successors,
-    to_automaton,
-)
+from .formula import parse_formula
+from .program import QuantumAutomaton, SequentialProgram, initial_cq, embed, selector_successors
 from .qwhile import bohm_jacopini, compile_qwhile, parse as parse_qwhile
-from .subspace import Subspace
-from . import checker
-from .checker import (
-    VALID,
-    NOT_VALID,
-    UNKNOWN,
-    Verdict,
-    check_always_almost_until,
-    check_always_eventually,
-    check_always_until,
-    check_eventually_always,
-    check_exit_almost_eventually,
-    check_exit_eventually,
-    check_invariance,
-    check_next,
-    reachability_superop,
-)
+from .checker import VALID, NOT_VALID, UNKNOWN, check, reachability_superop
 
 EXIT_VALID = 0
 EXIT_NOT_VALID = 1
@@ -84,116 +36,18 @@ def _load_program(path):
     return jsonio.program_from_json(_load_json(path))
 
 
-def _exit_shaped(atom_subspace, program):
-    """The data-space part of an atom supported only on the exit location,
-    or None when the atom touches other locations."""
-    if not isinstance(program, SequentialProgram) or program.exit_location is None:
-        return None
-    n_configs = len(program.configs())
-    e_idx = program.config_index(program.exit_location)
-    d = program.dim
-    cols = []
-    for col in atom_subspace.basis.column_vectors():
-        reduced = []
-        for h in range(d):
-            for c in range(n_configs):
-                entry = col.entry(h * n_configs + c, 0)
-                if c != e_idx and not entry.is_zero():
-                    return None
-                if c == e_idx:
-                    reduced.append(entry)
-        cols.append(Mat.column(reduced))
-    return Subspace.from_vectors(d, cols)
-
-
-def _union_of(node, atoms, ambient):
-    return checker._formula_union(node, atoms, ambient)
-
-
-def _dispatch(formula, program, automaton, atoms, args) -> Verdict:
-    ambient = automaton.dim
-
-    def union(node):
-        return _union_of(node, atoms, ambient)
-
-    if isinstance(formula, (FTrue, FFalse, FAtom, Or)):
-        u = union(formula)
-        from .subspace import support
-
-        ok = u.contains_subspace(support(automaton.initial_state, validate=False))
-        return Verdict.valid() if ok else Verdict.not_valid(witness={"step": 0})
-    if isinstance(formula, Next):
-        return check_next(automaton, union(formula.body))
-    if isinstance(formula, Always) and isinstance(formula.body, Eventually):
-        return check_always_eventually(
-            automaton,
-            union(formula.body.body),
-            period_bound=args.period_bound,
-            tolerance=args.tolerance,
-            witness_depth=args.depth,
-        )
-    if isinstance(formula, Always) and isinstance(formula.body, Until):
-        return check_always_until(
-            automaton,
-            union(formula.body.left),
-            union(formula.body.right),
-            period_bound=args.period_bound,
-            tolerance=args.tolerance,
-        )
-    if isinstance(formula, Always) and isinstance(formula.body, AlmostUntil):
-        if len(automaton.actions) != 1:
-            return Verdict.unknown("almost-until needs a single action (deterministic system)")
-        action = next(iter(automaton.actions.values()))
-        p = atoms[formula.body.left].subspace
-        q = atoms[formula.body.right].subspace
-        return check_always_almost_until(
-            action,
-            automaton.initial_state,
-            p,
-            q,
-            period_bound=args.period_bound,
-            tolerance=args.tolerance,
-        )
-    if isinstance(formula, Always):
-        return check_invariance(automaton, union(formula.body))
-    if isinstance(formula, Eventually) and isinstance(formula.body, Always):
-        return check_eventually_always(
-            automaton, union(formula.body.body), witness_depth=args.depth
-        )
-    if isinstance(formula, Eventually) and isinstance(formula.body, FAtom):
-        sub = _exit_shaped(atoms[formula.body.name].subspace, program)
-        if sub is None:
-            return Verdict.unknown(
-                "eventually is decided only for exit-shaped atoms of deterministic "
-                "programs with exit (reducible to the termination problem otherwise)"
-            )
-        return check_exit_eventually(program, sub)
-    if isinstance(formula, AlmostEventually):
-        sub = _exit_shaped(atoms[formula.atom].subspace, program)
-        if sub is None:
-            return Verdict.unknown(
-                "almost-eventually is decided only for exit-shaped atoms of "
-                "deterministic programs with exit"
-            )
-        return check_exit_almost_eventually(program, sub, tolerance=args.tolerance)
-    raise QtlError(
-        f"formula shape not in the decidable fragment table (see `qtl check --help`)"
-    )
-
-
 def cmd_check(args) -> int:
-    program = _load_program(args.program)
-    if isinstance(program, QuantumAutomaton):
-        automaton = program
-        base = None
-    else:
-        automaton = to_automaton(program)
-        base = program
-    atoms = {}
-    if args.atoms:
-        atoms = jsonio.atoms_from_json(_load_json(args.atoms), base if base is not None else automaton)
+    target = _load_program(args.program)
+    atoms = jsonio.atoms_from_json(_load_json(args.atoms), target) if args.atoms else {}
     formula = parse_formula(args.formula, atoms)
-    verdict = _dispatch(formula, base, automaton, atoms, args)
+    verdict = check(
+        target,
+        formula,
+        atoms,
+        tolerance=args.tolerance,
+        period_bound=args.period_bound,
+        depth=args.depth,
+    )
     report = jsonio.verdict_to_json(verdict)
     report["formula"] = args.formula
     if args.json:
@@ -331,7 +185,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_check = sub.add_parser("check", help="decide a temporal formula", description=__doc__)
+    p_check = sub.add_parser(
+        "check",
+        help="decide a temporal formula",
+        description=f"{__doc__}\n{inspect.getdoc(check)}",
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+    )
     p_check.add_argument("program", help="program / automaton JSON file")
     p_check.add_argument("--atoms", help="atom table JSON file")
     p_check.add_argument("-f", "--formula", required=True, help="formula text")

@@ -68,6 +68,10 @@ class UnknownAtom(QtlError):
     """A formula refers to an atom name missing from the atom table."""
 
 
+class UnsupportedFormula(QtlError):
+    """A formula shape or operand lies outside the table of decidable shapes."""
+
+
 class AlmostOperatorOnNonAtom(QtlError):
     """The almost-surely modalities accept atomic propositions only."""
 

@@ -243,23 +243,12 @@ class Mat:
         return Mat.from_rows([[e] for e in entries])
 
     @staticmethod
-    def from_complex(array, max_denominator=None) -> "Mat":
-        """Exactly rationalize a float/complex array (binary floats are rationals).
-
-        With ``max_denominator`` the entries are rounded to the nearest
-        rational of bounded denominator instead.
-        """
+    def from_complex(array) -> "Mat":
+        """Exactly rationalize a float/complex array (binary floats are rationals)."""
         array = np.asarray(array, dtype=complex)
-
-        def conv(x):
-            f = Fraction(x)
-            if max_denominator is not None:
-                f = f.limit_denominator(max_denominator)
-            return f
-
         rows = [
-            [CRat(conv(array[i, j].real), conv(array[i, j].imag)) for j in range(array.shape[1])]
-            for i in range(array.shape[0])
+            [CRat(Fraction(x.real), Fraction(x.imag)) for x in row]
+            for row in array
         ]
         return Mat.from_rows(rows)
 

@@ -385,16 +385,10 @@ def _check_state_fits(program, state: CQState):
 
 def successors(program, state: CQState, cap: int = DEFAULT_SELECTOR_CAP):
     """All one-step successors, one per selector, deduplicated by value."""
-    _check_state_fits(program, state)
-    seen = set()
-    result = []
-    for sel in _selector_assignments(program, cap):
-        nxt = _step_with_selector(program, state, sel)
-        k = nxt.key()
-        if k not in seen:
-            seen.add(k)
-            result.append(nxt)
-    return result
+    unique = {}
+    for nxt in selector_successors(program, state, cap):
+        unique.setdefault(nxt.key(), nxt)
+    return list(unique.values())
 
 
 def selector_successors(program, state: CQState, cap: int = DEFAULT_SELECTOR_CAP):

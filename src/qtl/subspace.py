@@ -273,19 +273,3 @@ def _canonical_members(ambient_dim, members):
         kept.append(m)
     return kept
 
-
-def union_canonicalize(u: SubspaceUnion) -> SubspaceUnion:
-    """Drop members contained in other members; extensionally the same set."""
-    return SubspaceUnion(u.ambient_dim, list(u.members))
-
-
-def union_meet(u: SubspaceUnion, v: SubspaceUnion) -> SubspaceUnion:
-    return u.meet(v)
-
-
-def union_contains(u: SubspaceUnion, s: Subspace) -> bool:
-    return u.contains_subspace(s)
-
-
-def union_equal(u: SubspaceUnion, v: SubspaceUnion) -> bool:
-    return u == v

@@ -232,7 +232,6 @@ def _four_squares(n: int):
     """Lagrange decomposition by bounded search; n is expected to be small."""
     if n == 0:
         return (0,)
-    best = None
     a = math.isqrt(n)
     for x in range(a, 0, -1):
         r1 = n - x * x
@@ -251,8 +250,6 @@ def _four_squares(n: int):
                 w = math.isqrt(r3)
                 if w * w == r3:
                     return (x, y, z, w)
-        if best:
-            break
     raise ArithmeticError(f"no four-square decomposition found for {n}")
 
 

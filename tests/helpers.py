@@ -9,9 +9,10 @@ which the period-detection paths of the checker can certify.
 
 from fractions import Fraction
 
-from qtl.linalg import CRat, Mat
-from qtl.subspace import Subspace, SubspaceUnion
-from qtl.superop import Measurement, SuperOp
+from qtl.checker import Verdict
+from qtl.linalg import CRat, Mat, mat_sum
+from qtl.subspace import Subspace, SubspaceUnion, satisfies
+from qtl.superop import Measurement, SuperOp, unvec, vec
 from qtl.program import LocationAction, QuantumAutomaton, SequentialProgram
 
 EXAMPLE_LOOP_SRC = """
@@ -30,6 +31,25 @@ PAULI_X = Mat.from_rows([[0, 1], [1, 0]])
 PAULI_Z = Mat.from_rows([[1, 0], [0, -1]])
 PAULI_Y = Mat.from_rows([[0, (0, -1)], [(0, 1), 0]])
 HADAMARD_DIRECTION = Mat.from_rows([[1, 1], [1, -1]])  # sqrt(1/2) * this
+
+
+# One example formula or more per shape of the table of qtl.check, over
+# atoms named p0, p1 and pp.
+SHAPE_EXAMPLES = {
+    "f": ["p0", "p0 || p1", "true"],
+    "X f": ["X p0", "X (p0 || pp)"],
+    "[] f": ["[] p0", "[] (p0 || p1)"],
+    "[] <> f": ["[] <> p0", "[] <> (p0 || pp)"],
+    "<> [] f": ["<> [] p0", "<> [] (p0 || p1)"],
+    "[] (f U g)": ["[] (p0 U p1)", "[] ((p0 || p1) U p1)"],
+    "[] (p U~ q)": ["[] (p0 U~ p1)", "[] (pp U~ p0)"],
+    "<> f": ["<> p0", "<> p1"],
+    "<>~ p": ["<>~ p0", "<>~ p1"],
+    "f U g": ["p0 U p1"],
+}
+
+# Shapes outside the table, over atoms named p and exit0.
+UNSUPPORTED_FORMULAS = ["[] X p", "[] (p && exit0)", "X X p", "<> [] <> p", "X (p U exit0)"]
 
 
 def span(*vectors):
@@ -204,6 +224,23 @@ def random_deterministic_program(rng, dim, n_locations, ensure_exit_reachable=Tr
         initial_location=labels[0],
         exit_location="exit",
     )
+
+
+def invariance_by_mixing(a: QuantumAutomaton, p: Subspace) -> Verdict:
+    """Single-subspace invariance via the uniform mixture of the actions.
+
+    Checks the first dim(H) iterates of the averaged channel; agrees with
+    the pre-image chain of check_invariance on one-member unions.
+    """
+    reps = [a.actions[name].matrix_rep() for name in sorted(a.actions)]
+    weight = CRat(Fraction(1, len(reps)))
+    mixed = mat_sum(rep * weight for rep in reps)
+    v = vec(a.initial_state)
+    for k in range(a.dim):
+        if not satisfies(unvec(v, a.dim), p):
+            return Verdict.not_valid(diagnostics={"mixing_step": k})
+        v = mixed @ v
+    return Verdict.valid(diagnostics={"mixing_steps": a.dim})
 
 
 # ----------------------------------------------------------------------

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from qtl.errors import BudgetExceeded, PreconditionViolated
+from qtl.errors import BudgetExceeded, PreconditionViolated, UnsupportedFormula
 from qtl.linalg import CRat, Mat, kron
 from qtl.subspace import Subspace, SubspaceUnion, satisfies, support
 from qtl.superop import MatrixRep, SuperOp
@@ -21,6 +21,8 @@ from qtl.program import (
 from qtl.qwhile import compile_source
 from qtl.checker import (
     ExitVerdicts,
+    _classify,
+    check,
     check_always_almost_until,
     check_always_eventually,
     check_always_until,
@@ -33,7 +35,6 @@ from qtl.checker import (
     check_next,
     exit_atom_subspace,
     hoare_check,
-    invariance_by_mixing,
     kleene_always,
     limit_states,
     maximal_extension,
@@ -43,11 +44,14 @@ from qtl.checker import (
     reachability_superop,
     replay_word,
 )
-from qtl.formula import Always, Atom, Eventually, FAtom, Or, Until
+from qtl.formula import Always, Atom, Eventually, FAtom, Or, Until, parse_formula
 
 from helpers import (
     EXAMPLE_LOOP_SRC,
     PAULI_X,
+    SHAPE_EXAMPLES,
+    UNSUPPORTED_FORMULAS,
+    invariance_by_mixing,
     random_automaton,
     random_deterministic_program,
     basis_union,
@@ -376,16 +380,29 @@ while meas M(q0) == 1 { skip }
         verdicts = check_exit_formulas(example_loop, Subspace.zero(2))
         assert verdicts.almost_eventually.status == "not_valid"
 
-    def test_triple_equals_per_verdict_functions(self):
+    def test_triple_equals_per_verdict_functions(self, monkeypatch):
+        import qtl.checker as checker
+
+        simulations = []
+
+        def counting(*args, **kwargs):
+            simulations.append(args)
+            return simulate_deterministic(*args, **kwargs)
+
         rng = random.Random(32)
         for prog, _ in _terminating_programs(seed=33, count=8):
             k = rng.randrange(prog.dim)
             sub = Subspace.from_vectors(prog.dim, [[int(i == k) for i in range(prog.dim)]])
-            assert check_exit_formulas(prog, sub) == ExitVerdicts(
+            expected = ExitVerdicts(
                 eventually=check_exit_eventually(prog, sub),
                 almost_eventually=check_exit_almost_eventually(prog, sub),
                 always=check_exit_always(prog, sub),
             )
+            simulations.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(checker, "simulate_deterministic", counting)
+                assert check_exit_formulas(prog, sub) == expected
+            assert len(simulations) == 1  # one trajectory serves <> and []
 
     def test_each_verdict_computes_only_its_own(self, example_loop, monkeypatch):
         import qtl.checker as checker
@@ -516,6 +533,74 @@ class TestOracle:
         states = replay_word(x_automaton, prefix + cycle)
         assert states[len(prefix)] == states[-1]  # exact recurrence
         assert not satisfies(states[len(prefix)], span((1, 0)))
+
+
+def _loop_atoms(loop):
+    """The atoms p and exit0 of the example loop, as in demos/example1_atoms.json."""
+    return {
+        "p": Atom("p", partial_correctness_subspace(loop, span((1, 0)))),
+        "exit0": Atom("exit0", exit_atom_subspace(loop, span((1, 0)))),
+    }
+
+
+class TestCheck:
+    def test_examples_name_their_shape(self):
+        atoms = {name: Atom(name, span((1, 0))) for name in ("p0", "p1", "pp")}
+        for shape, texts in SHAPE_EXAMPLES.items():
+            for text in texts:
+                assert _classify(parse_formula(text, atoms), atoms, 2)[0] == shape
+
+    @pytest.mark.parametrize("text", UNSUPPORTED_FORMULAS)
+    def test_unsupported_shape(self, example_loop, text):
+        atoms = _loop_atoms(example_loop)
+        node = parse_formula(text, atoms)
+        with pytest.raises(UnsupportedFormula, match="decidable fragment"):
+            check(example_loop, node, atoms)
+        assert oracle_bfs(example_loop, node, atoms).status == "inconclusive"
+
+    def test_matches_the_procedures(self, example_loop):
+        atoms = _loop_atoms(example_loop)
+        aut = to_automaton(example_loop)
+        p = atoms["p"].subspace
+
+        def run(text):
+            return check(example_loop, parse_formula(text, atoms), atoms)
+
+        assert run("[] p") == check_invariance(aut, p)
+        assert run("<> [] p") == check_eventually_always(aut, p)
+        assert run("<> exit0") == check_exit_eventually(example_loop, span((1, 0)))
+        assert run("<>~ exit0") == check_exit_almost_eventually(example_loop, span((1, 0)))
+        assert run("<> p").status == "unknown"
+        assert run("p U exit0").status == "unknown"
+
+    def test_agrees_with_oracle(self, x_automaton, example_loop):
+        # wherever the oracle decides, the checker does not contradict it;
+        # the conjunction semantics of [] (f U g) may refute what the trace
+        # semantics holds (test_always_until_conjunction_is_conservative)
+        lines = {"p0": span((1, 0)), "p1": span((0, 1)), "pp": span((1, 1))}
+        rng = random.Random(5)
+        targets = [(x_automaton, lines)]
+        targets += [(random_automaton(rng, 2, rng.randint(1, 3)), lines) for _ in range(10)]
+        # on the loop, p0 and pp are exit-shaped, p1 is partial correctness
+        targets.append((example_loop, {
+            "p0": exit_atom_subspace(example_loop, span((1, 0))),
+            "p1": partial_correctness_subspace(example_loop, span((1, 0))),
+            "pp": exit_atom_subspace(example_loop, span((0, 1))),
+        }))
+        decided = {shape: 0 for shape in SHAPE_EXAMPLES}
+        for target, subspaces in targets:
+            atoms = {name: Atom(name, sub) for name, sub in subspaces.items()}
+            for shape, texts in SHAPE_EXAMPLES.items():
+                for text in texts:
+                    node = parse_formula(text, atoms)
+                    verdict = check(target, node, atoms)
+                    oracle = oracle_bfs(target, node, atoms, depth=6).status
+                    if verdict.status == "valid":
+                        assert oracle != "fails", (target, text)
+                    elif verdict.status == "not_valid" and shape != "[] (f U g)":
+                        assert oracle != "holds", (target, text)
+                    decided[shape] += verdict.status != "unknown" and oracle != "inconclusive"
+        assert all(decided[shape] for shape in ("f", "X f", "[] f", "[] <> f", "<> [] f", "<> f"))
 
 
 class TestRandomReachability:

@@ -9,7 +9,14 @@ from qtl.program import QuantumAutomaton, to_automaton
 from qtl.qwhile import compile_source
 from qtl.cli import main
 
-from helpers import EXAMPLE_LOOP_SRC, random_automaton, random_deterministic_program, span
+from helpers import (
+    EXAMPLE_LOOP_SRC,
+    SHAPE_EXAMPLES,
+    UNSUPPORTED_FORMULAS,
+    random_automaton,
+    random_deterministic_program,
+    span,
+)
 
 
 @pytest.fixture()
@@ -123,6 +130,18 @@ class TestCheckCommand:
     def test_unsupported_shape_exit_three(self, workspace):
         _, prog, atoms, _ = workspace
         assert main(["check", prog, "--atoms", atoms, "-f", "<> X p"]) == 3
+
+    @pytest.mark.parametrize("text", UNSUPPORTED_FORMULAS)
+    def test_shape_outside_table_exit_three(self, workspace, capsys, text):
+        _, prog, atoms, _ = workspace
+        assert main(["check", prog, "--atoms", atoms, "-f", text]) == 3
+        assert "decidable fragment" in capsys.readouterr().err
+
+    def test_help_names_every_shape(self, capsys):
+        assert main(["check", "--help"]) == 0
+        text = capsys.readouterr().out
+        for shape in SHAPE_EXAMPLES:
+            assert f"\n    {shape} " in text
 
     def test_missing_file_exit_three(self, workspace):
         _, _, atoms, _ = workspace
