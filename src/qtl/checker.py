@@ -4,7 +4,11 @@ The workhorses are exact fixpoint computations on finite unions of
 subspaces: decreasing pre-image chains decide invariance, a maximal
 invariant plus its maximal extension decide "eventually always", and a loop
 refinement over union components decides "always eventually" whenever the
-relevant peripheral eigenvalue periods can be certified.  Reachability of
+relevant peripheral eigenvalue periods can be certified.  The fixpoints and
+the witness search take images and pre-images from the actions' Kraus
+operators; matrix representations are built only where a spectrum is
+needed (the loop channel of the refinement, limit states, reachability),
+and by the oracle, which keeps its own image path.  Reachability of
 the exit of a deterministic program runs through the stable/peripheral
 split of the one-step matrix representation on the block-diagonal
 classical-quantum space and two exact linear solves.
@@ -47,7 +51,7 @@ from .linalg import (
     split_numeric,
 )
 from .subspace import Subspace, SubspaceUnion, independent_columns, satisfies, support
-from .superop import MatrixRep, SuperOp, unvec, vec
+from .superop import MatrixRep, SuperOp, image, image_union, preimage_union, unvec, vec
 from .program import (
     CQState,
     QuantumAutomaton,
@@ -136,8 +140,9 @@ def _as_union(x) -> SubspaceUnion:
     raise TypeError(f"expected a subspace or union, got {x!r}")
 
 
-def _reps(a: QuantumAutomaton) -> dict:
-    return {name: MatrixRep(e.matrix_rep()) for name, e in sorted(a.actions.items())}
+def _actions(a: QuantumAutomaton) -> dict:
+    """The actions of the automaton in name order."""
+    return dict(sorted(a.actions.items()))
 
 
 def _initial_support(a: QuantumAutomaton) -> Subspace:
@@ -151,11 +156,16 @@ def _initial_support(a: QuantumAutomaton) -> Subspace:
 
 class _SupportGraph:
     """Reachable supports of an automaton: one node per distinct support,
-    one deterministic edge per action (the exact image)."""
+    one deterministic edge per action (the exact image).
 
-    def __init__(self, automaton: QuantumAutomaton, max_depth: int, budget: int):
-        reps = _reps(automaton)
-        self.action_names = sorted(reps)
+    ``image_of(channel, subspace)`` computes the images; by default the
+    Kraus-form :func:`superop.image`.
+    """
+
+    def __init__(self, automaton: QuantumAutomaton, max_depth: int, budget: int, image_of=None):
+        image_of = image if image_of is None else image_of
+        actions = _actions(automaton)
+        self.action_names = list(actions)
         root = _initial_support(automaton)
         self.nodes = [root]
         self.depth = [0]
@@ -177,7 +187,7 @@ class _SupportGraph:
                         f"support graph exceeded the budget of {budget} expansions"
                     )
                 for name in self.action_names:
-                    img = reps[name].image(self.nodes[i])
+                    img = image_of(actions[name], self.nodes[i])
                     key = img.key()
                     j = index.get(key)
                     if j is None:
@@ -289,14 +299,14 @@ def check_next(a: QuantumAutomaton, u) -> Verdict:
     return Verdict.valid()
 
 
-def _invariance_chain(reps: dict, u: SubspaceUnion):
+def _invariance_chain(actions: dict, u: SubspaceUnion):
     """Greatest fixpoint of Y -> Y meet all action pre-images of Y."""
     y = u
     depth = 0
     while True:
         y2 = y
-        for rep in reps.values():
-            y2 = y2.meet(rep.preimage_union(y))
+        for e in actions.values():
+            y2 = y2.meet(preimage_union(e, y))
         if y2 == y:
             return y, depth
         if not y2.subset_of(y):
@@ -314,8 +324,7 @@ def check_invariance(a: QuantumAutomaton, u) -> Verdict:
     u = _as_union(u)
     if u.ambient_dim != a.dim:
         raise DimensionMismatch("proposition does not live on the automaton space")
-    reps = _reps(a)
-    psi, depth = _invariance_chain(reps, u)
+    psi, depth = _invariance_chain(_actions(a), u)
     diag = {"chain_depth": depth}
     if psi.contains_subspace(_initial_support(a)):
         return Verdict.valid(certificate=psi, diagnostics=diag)
@@ -329,10 +338,10 @@ def check_invariance(a: QuantumAutomaton, u) -> Verdict:
 # maximal invariant and maximal extension
 
 
-def _joint_image(reps: dict, u: SubspaceUnion) -> SubspaceUnion:
+def _joint_image(actions: dict, u: SubspaceUnion) -> SubspaceUnion:
     joint = None
-    for rep in reps.values():
-        img = rep.image_union(u)
+    for e in actions.values():
+        img = image_union(e, u)
         joint = img if joint is None else joint.union(img)
     return joint
 
@@ -345,27 +354,27 @@ def maximal_invariant(a: QuantumAutomaton, r) -> SubspaceUnion:
     are re-checked on the result.
     """
     r = _as_union(r)
-    reps = _reps(a)
+    actions = _actions(a)
     z = r
     while True:
         z2 = z
-        for rep in reps.values():
-            z2 = z2.meet(rep.preimage_union(z))
-        z2 = z2.meet(_joint_image(reps, z))
+        for e in actions.values():
+            z2 = z2.meet(preimage_union(e, z))
+        z2 = z2.meet(_joint_image(actions, z))
         if z2 == z:
             break
         if not z2.subset_of(z):
             raise QtlError("maximal-invariant chain failed to decrease")
         z = z2
-    if not (_joint_image(reps, z) == z and z.subset_of(r)):
+    if not (_joint_image(actions, z) == z and z.subset_of(r)):
         raise QtlError("maximal invariant failed its defining properties")
     return z
 
 
-def _meet_of_preimages(reps: dict, u: SubspaceUnion) -> SubspaceUnion:
+def _meet_of_preimages(actions: dict, u: SubspaceUnion) -> SubspaceUnion:
     pre = None
-    for rep in reps.values():
-        q = rep.preimage_union(u)
+    for e in actions.values():
+        q = preimage_union(e, u)
         pre = q if pre is None else pre.meet(q)
     return pre
 
@@ -384,12 +393,12 @@ def maximal_extension(a: QuantumAutomaton, x, max_iterations: int = 200) -> Subs
     are re-checked on the result.
     """
     x = _as_union(x)
-    reps = _reps(a)
-    if not _joint_image(reps, x) == x:
+    actions = _actions(a)
+    if not _joint_image(actions, x) == x:
         raise PreconditionViolated("maximal_extension needs an invariant union")
     y = x
     for _ in range(max_iterations):
-        y2 = _meet_of_preimages(reps, y)
+        y2 = _meet_of_preimages(actions, y)
         if y2 == y:
             break
         if not y.subset_of(y2):
@@ -397,7 +406,7 @@ def maximal_extension(a: QuantumAutomaton, x, max_iterations: int = 200) -> Subs
         y = y2
     else:
         raise QtlError("pre-image chain did not stabilize within the iteration cap")
-    if not (x.subset_of(y) and _meet_of_preimages(reps, y) == y):
+    if not (x.subset_of(y) and _meet_of_preimages(actions, y) == y):
         raise QtlError("maximal extension failed its defining properties")
     return y
 
@@ -451,13 +460,13 @@ def _lasso_witness(a: QuantumAutomaton, u: SubspaceUnion, mode: str, depth: int,
 # always eventually (loop refinement over union components)
 
 
-def _member_edges(members, reps):
+def _member_edges(members, actions):
     """Directed edges i --action--> j where the image of member i is exactly
     member j; images that are no member give no edge."""
     edges = {}
     for i, m in enumerate(members):
-        for name, rep in reps.items():
-            img = rep.image(m)
+        for name, e in actions.items():
+            img = image(e, m)
             for j, other in enumerate(members):
                 if img == other:
                     edges[(i, name)] = j
@@ -518,13 +527,16 @@ def _certified_period(loop_rep: Mat, period_bound: int, tolerance: float) -> int
     return b
 
 
-def _p2_refine(members, cycle, u: SubspaceUnion, reps, period_bound, tolerance):
+def _p2_refine(members, cycle, u: SubspaceUnion, actions, period_bound, tolerance):
     """Shrink the first loop component to the states that keep landing in
-    the target union along the loop's periodic subsequences."""
-    nodes, actions = cycle
+    the target union along the loop's periodic subsequences.
+
+    The loop channel's peripheral spectrum is the one place of the lattice
+    procedures that needs the matrix representations of the actions."""
+    nodes, word = cycle
     j1 = nodes[0]
     dim = members[0].ambient_dim
-    ms = [reps[name].m for name in actions]
+    ms = [actions[name].matrix_rep() for name in word]
     k = len(ms)
     prefixes = [Mat.eye(dim * dim)]
     for m in ms:
@@ -580,7 +592,7 @@ def check_always_eventually(
     u = _as_union(u)
     if u.ambient_dim != a.dim:
         raise DimensionMismatch("proposition does not live on the automaton space")
-    reps = _reps(a)
+    actions = _actions(a)
     x = SubspaceUnion.full(a.dim)
     diag = {"refinements": 0, "periods": [], "period_bound": period_bound, "tolerance": tolerance}
     try:
@@ -589,15 +601,15 @@ def check_always_eventually(
             if x.is_zero():
                 break
             members = list(x.members)
-            edges = _member_edges(members, reps)
+            edges = _member_edges(members, actions)
             violating = None
-            for nodes, actions in _simple_cycles(len(members), edges):
+            for nodes, word in _simple_cycles(len(members), edges):
                 if not any(u.contains_subspace(members[j]) for j in nodes):
-                    violating = (nodes, actions)
+                    violating = (nodes, word)
                     break
             if violating is None:
                 break
-            x, period = _p2_refine(members, violating, u, reps, period_bound, tolerance)
+            x, period = _p2_refine(members, violating, u, actions, period_bound, tolerance)
             diag["refinements"] += 1
             diag["periods"].append(period)
         else:
@@ -1117,12 +1129,16 @@ def _classify(formula, atoms: dict, ambient: int):
 
 def _exit_shaped(proposition, target) -> Subspace | None:
     """The data-space part of a one-member proposition supported only on the
-    exit location of a program with exit, or None."""
+    exit location of a deterministic program with exit, or None."""
     if isinstance(proposition, SubspaceUnion):
         if len(proposition.members) != 1:
             return None
         (proposition,) = proposition.members
-    if not isinstance(target, SequentialProgram) or target.exit_location is None:
+    if (
+        not isinstance(target, SequentialProgram)
+        or target.exit_location is None
+        or not target.deterministic
+    ):
         return None
     n_configs = len(target.configs())
     e_idx = target.config_index(target.exit_location)
@@ -1257,7 +1273,7 @@ def oracle_bfs(target, formula, atoms: dict, depth: int = 12, budget: int = 2000
         return OracleResult("inconclusive")
     if shape in ("<>~ p", "[] (p U~ q)"):
         return OracleResult("inconclusive")
-    graph = _SupportGraph(a, depth, budget)
+    graph = _SupportGraph(a, depth, budget, _matrix_rep_image)
     u = operands[0]
     if shape == "f":
         ok = u.contains_subspace(graph.nodes[0])
@@ -1318,6 +1334,12 @@ def oracle_bfs(target, formula, atoms: dict, depth: int = 12, budget: int = 2000
         return _oracle_until(graph, SubspaceUnion.full(a.dim), u)
     # "f U g"
     return _oracle_until(graph, *operands)
+
+
+def _matrix_rep_image(e: SuperOp, s: Subspace) -> Subspace:
+    """The oracle's image, from the matrix representation: independent of the
+    Kraus-form lattice of the checker."""
+    return MatrixRep(e.matrix_rep()).image(s)
 
 
 def _oracle_until(graph: _SupportGraph, phi: SubspaceUnion, psi: SubspaceUnion, root: int = 0) -> OracleResult:

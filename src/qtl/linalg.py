@@ -317,8 +317,19 @@ class Mat:
             raise DimensionMismatch(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        re = np.dot(self.num_re, other.num_re) - np.dot(self.num_im, other.num_im)
-        im = np.dot(self.num_re, other.num_im) + np.dot(self.num_im, other.num_re)
+        # a real factor (common for projections, selectors and bases) saves
+        # half of the object-array products
+        a_real, b_real = not self.num_im.any(), not other.num_im.any()
+        re = np.dot(self.num_re, other.num_re)
+        if a_real and b_real:
+            im = np.zeros(re.shape, dtype=object)
+        elif b_real:
+            im = np.dot(self.num_im, other.num_re)
+        elif a_real:
+            im = np.dot(self.num_re, other.num_im)
+        else:
+            re = re - np.dot(self.num_im, other.num_im)
+            im = np.dot(self.num_re, other.num_im) + np.dot(self.num_im, other.num_re)
         return Mat(re, im, self.den * other.den)
 
     def dagger(self) -> "Mat":
@@ -470,20 +481,26 @@ def mat_sum(mats) -> Mat:
 
 
 def _rows_as_pairs(m: Mat):
-    return [[(m.num_re[i, j], m.num_im[i, j]) for j in range(m.cols)] for i in range(m.rows)]
+    return [list(zip(re, im)) for re, im in zip(m.num_re.tolist(), m.num_im.tolist())]
 
 
 def _echelon(rows, width):
     """In-place Bareiss elimination; returns the list of (row, col) pivots.
 
     Works over the Gaussian integers: every division in the update formula
-    is exact, so entries stay integer pairs with single-minor growth.
+    is exact, so entries stay integer pairs with single-minor growth.  Rows
+    that are or become zero can never hold a pivot and are dropped from the
+    list, and entries that are zero in both the pivot row and the updated
+    row are left untouched.
     """
+    rows[:] = [row for row in rows if row.count((0, 0)) != len(row)]
     pivots = []
     prev_re, prev_im = 1, 0
     r = 0
-    nrows = len(rows)
     for c in range(width):
+        nrows = len(rows)
+        if r == nrows:
+            break
         pr = None
         for i in range(r, nrows):
             e = rows[i][c]
@@ -494,34 +511,42 @@ def _echelon(rows, width):
             continue
         if pr != r:
             rows[r], rows[pr] = rows[pr], rows[r]
-        pre, pim = rows[r][c]
+        row_r = rows[r]
+        pre, pim = row_r[c]
         pn = prev_re * prev_re + prev_im * prev_im
+        divide = prev_re != 1 or prev_im != 0
+        kept = rows[: r + 1]
         for i in range(r + 1, nrows):
-            tre, tim = rows[i][c]
-            row_i, row_r = rows[i], rows[r]
-            for j in range(c, width):
+            row_i = rows[i]
+            tre, tim = row_i[c]
+            row_i[c] = (0, 0)
+            nonzero = False
+            for j in range(c + 1, width):
                 are, aim = row_i[j]
                 bre, bim = row_r[j]
                 # piv * a - t * b, then exact division by the previous pivot
-                nre = pre * are - pim * aim - (tre * bre - tim * bim)
-                nim = pre * aim + pim * are - (tre * bim + tim * bre)
-                if pn == 1:
-                    if prev_re == 1:
-                        row_i[j] = (nre, nim)
-                    else:  # previous pivot is a unit other than 1
-                        qre = nre * prev_re + nim * prev_im
-                        qim = nim * prev_re - nre * prev_im
-                        row_i[j] = (qre, qim)
+                if bre or bim:
+                    nre = pre * are - pim * aim - (tre * bre - tim * bim)
+                    nim = pre * aim + pim * are - (tre * bim + tim * bre)
+                elif are or aim:
+                    nre = pre * are - pim * aim
+                    nim = pre * aim + pim * are
                 else:
-                    qre = (nre * prev_re + nim * prev_im) // pn
-                    qim = (nim * prev_re - nre * prev_im) // pn
-                    row_i[j] = (qre, qim)
-            row_i[c] = (0, 0)
+                    continue
+                if divide:
+                    nre, nim = (
+                        (nre * prev_re + nim * prev_im) // pn,
+                        (nim * prev_re - nre * prev_im) // pn,
+                    )
+                row_i[j] = (nre, nim)
+                if nre or nim:
+                    nonzero = True
+            if nonzero:
+                kept.append(row_i)
+        rows[:] = kept
         pivots.append((r, c))
         prev_re, prev_im = pre, pim
         r += 1
-        if r == nrows:
-            break
     return pivots
 
 
@@ -532,43 +557,55 @@ def rank(m: Mat) -> int:
     return len(_echelon(rows, m.cols))
 
 
-def _crat_from_pair(pair):
-    return CRat(Fraction(pair[0]), Fraction(pair[1]))
+def _gauss_div(nre, nim, dre, dim_):
+    """Exact quotient of two Gaussian integers (the division must be exact)."""
+    dn = dre * dre + dim_ * dim_
+    if dn == 1:
+        return nre * dre + nim * dim_, nim * dre - nre * dim_
+    return (nre * dre + nim * dim_) // dn, (nim * dre - nre * dim_) // dn
 
 
 def kernel_basis(m: Mat):
     """Exact basis of the right null space, one column vector per free column.
 
-    Returns an empty list exactly when the matrix is injective.
+    The vector of free column f has v[f] = 1 and is found by a fraction-free
+    back substitution over the pivot rows left of f: the unknowns are scaled
+    by the last of those Bareiss pivots (the determinant of the leading
+    pivot minor, so every scaled unknown is a Cramer numerator and every
+    division is exact), and the one division by that pivot happens when the
+    column is built.  Returns an empty list exactly when the matrix is
+    injective.
     """
     n_cols = m.cols
-    if n_cols == 0:
-        return []
-    if m.rows == 0:
-        return [Mat.column([CRat(1) if j == f else CRat(0) for j in range(n_cols)]) for f in range(n_cols)]
     rows = _rows_as_pairs(m)
     pivots = _echelon(rows, n_cols)
-    pivot_cols = [c for _, c in pivots]
-    pivot_set = set(pivot_cols)
-    free_cols = [c for c in range(n_cols) if c not in pivot_set]
+    pivot_set = {c for _, c in pivots}
     basis = []
-    zero = CRat(0)
-    for f in free_cols:
-        v = [zero] * n_cols
-        v[f] = CRat(1)
-        for r, c in reversed(pivots):
-            if c > f:
-                continue
-            acc = zero
+    for f in range(n_cols):
+        if f in pivot_set:
+            continue
+        relevant = [(r, c) for r, c in pivots if c < f]
+        dre, dim_ = rows[relevant[-1][0]][relevant[-1][1]] if relevant else (1, 0)
+        w = [(0, 0)] * n_cols
+        w[f] = (dre, dim_)
+        for r, c in reversed(relevant):
             row = rows[r]
-            for j in range(c + 1, n_cols):
-                if v[j].is_zero():
-                    continue
-                e = row[j]
-                if e[0] or e[1]:
-                    acc = acc + _crat_from_pair(e) * v[j]
-            v[c] = -acc / _crat_from_pair(row[c])
-        basis.append(Mat.column(v))
+            are = aim = 0
+            for j in range(c + 1, f + 1):
+                wre, wim = w[j]
+                if wre or wim:
+                    ere, eim = row[j]
+                    if ere or eim:
+                        are -= ere * wre - eim * wim
+                        aim -= ere * wim + eim * wre
+            w[c] = _gauss_div(are, aim, *row[c])
+        # v = w / D = w conj(D) / |D|^2
+        num_re = np.empty((n_cols, 1), dtype=object)
+        num_im = np.empty((n_cols, 1), dtype=object)
+        for j, (wre, wim) in enumerate(w):
+            num_re[j, 0] = wre * dre + wim * dim_
+            num_im[j, 0] = wim * dre - wre * dim_
+        basis.append(Mat(num_re, num_im, dre * dre + dim_ * dim_))
     return basis
 
 
@@ -582,8 +619,12 @@ def invert(m: Mat) -> Mat:
 def solve(a: Mat, b: Mat) -> Mat:
     """Exact solution of a x = b for square nonsingular a.
 
-    One Bareiss elimination of the augmented system [a | b] and a back
-    substitution per column of b; the inverse of a is never formed.
+    One Bareiss elimination of the augmented system [a | b], then a
+    fraction-free back substitution for all columns of b at once: the
+    unknowns are scaled by the last pivot D (the determinant of the
+    row-permuted integer system), so they are Cramer numerators and every
+    step divides exactly in the Gaussian integers; the result is built once,
+    over the denominator |D|^2 den(b).  The inverse of a is never formed.
     """
     if not a.is_square():
         raise DimensionMismatch("only square systems can be solved")
@@ -599,22 +640,25 @@ def solve(a: Mat, b: Mat) -> Mat:
     pivots = _echelon(rows, n + k)
     if len(pivots) < n or any(c >= n for _, c in pivots[:n]):
         raise SingularMatrix(f"matrix of rank {rank(a)} < {n}")
-    zero = CRat(0)
-    scale = CRat(Fraction(1, b.den))
-    cols = []
-    for j in range(k):
-        x = [zero] * n
-        for r, c in reversed(pivots):
-            row = rows[r]
-            acc = _crat_from_pair(row[n + j])
-            for t in range(c + 1, n):
-                if not x[t].is_zero():
-                    e = row[t]
-                    if e[0] or e[1]:
-                        acc = acc - _crat_from_pair(e) * x[t]
-            x[c] = acc / _crat_from_pair(row[c])
-        cols.append(x if b.den == 1 else [v * scale for v in x])
-    return Mat.from_rows([[cols[j][i] for j in range(k)] for i in range(n)])
+    dre, dim_ = rows[n - 1][n - 1]
+    y_re = [None] * n
+    y_im = [None] * n
+    for r in range(n - 1, -1, -1):
+        row = rows[r]
+        bre = np.array([e[0] for e in row[n:]], dtype=object)
+        bim = np.array([e[1] for e in row[n:]], dtype=object)
+        are = bre * dre - bim * dim_
+        aim = bim * dre + bre * dim_
+        for t in range(r + 1, n):
+            ere, eim = row[t]
+            if ere or eim:
+                are = are - (y_re[t] * ere - y_im[t] * eim)
+                aim = aim - (y_im[t] * ere + y_re[t] * eim)
+        y_re[r], y_im[r] = _gauss_div(are, aim, *row[r])
+    y_re = np.vstack(y_re)
+    y_im = np.vstack(y_im)
+    # x = y / D / den(b) = y conj(D) / (|D|^2 den(b))
+    return Mat(y_re * dre + y_im * dim_, y_im * dre - y_re * dim_, (dre * dre + dim_ * dim_) * b.den)
 
 
 def is_psd(m: Mat) -> bool:

@@ -107,7 +107,7 @@ class SequentialProgram:
         _validate_density(initial_state, dim, "initial state")
         if exit_location is not None:
             e = padded[exit_location]
-            if e.channel.matrix_rep() != Mat.eye(dim * dim):
+            if not e.channel.is_identity():
                 raise PreconditionViolated("exit channel must be the identity channel")
             if e.measurement != Measurement.trivial(dim, n_outcomes):
                 raise PreconditionViolated("exit measurement must be {I, 0, ..., 0}")

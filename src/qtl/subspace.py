@@ -1,7 +1,8 @@
 """Closed subspaces as exact projections, and canonical finite unions of them.
 
 A subspace carries a (not necessarily orthonormal) rational basis together
-with the cached projector B (B†B)^-1 B†, which is the canonical
+with the cached projector B (B†B)^-1 B†, computed as B solve(B†B, B†) without
+forming the inverse of the Gram matrix, which is the canonical
 representative: two subspaces are equal exactly when their projectors are.
 Orthonormalization is deliberately avoided because it would leave the
 rational field.
@@ -17,12 +18,23 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionMismatch, NotPositive
-from .linalg import Mat, invert, kernel_basis, _echelon, _rows_as_pairs, is_psd
+from .linalg import Mat, kernel_basis, _echelon, _rows_as_pairs, is_psd, solve
 
 
 def _empty_basis(ambient_dim: int) -> Mat:
     z = np.zeros((ambient_dim, 0), dtype=object)
     return Mat(z, z.copy(), 1, _normalized=True)
+
+
+def _kernel_columns(m: Mat) -> Mat | None:
+    """The vectors of :func:`kernel_basis` side by side; None when m is injective."""
+    vectors = kernel_basis(m)
+    if not vectors:
+        return None
+    kernel = vectors[0]
+    for v in vectors[1:]:
+        kernel = kernel.hstack(v)
+    return kernel
 
 
 def independent_columns(m: Mat) -> list:
@@ -47,8 +59,8 @@ class Subspace:
             if basis.cols == 0:
                 projector = Mat.zeros(ambient_dim)
             else:
-                gram = basis.dagger() @ basis
-                projector = basis @ invert(gram) @ basis.dagger()
+                basis_dag = basis.dagger()
+                projector = basis @ solve(basis_dag @ basis, basis_dag)
         object.__setattr__(self, "projector", projector)
 
     def __setattr__(self, name, value):
@@ -71,22 +83,30 @@ class Subspace:
         stacked = cols[0]
         for c in cols[1:]:
             stacked = stacked.hstack(c)
-        keep = independent_columns(stacked)
-        basis = cols[keep[0]]
-        for idx in keep[1:]:
-            basis = basis.hstack(cols[idx])
-        return Subspace(ambient_dim, basis)
+        return Subspace.column_space(stacked)
+
+    @staticmethod
+    def column_space(m: Mat) -> "Subspace":
+        """Span of the columns of m; its leftmost independent columns are the basis."""
+        keep = independent_columns(m)
+        if not keep:
+            return Subspace.zero(m.rows)
+        return Subspace(m.rows, m[:, keep])
+
+    @staticmethod
+    def null_space(m: Mat) -> "Subspace":
+        """Right null space of m, with the vectors of :func:`kernel_basis` as basis."""
+        kernel = _kernel_columns(m)
+        if kernel is None:
+            return Subspace.zero(m.cols)
+        return Subspace(m.cols, kernel)
 
     @staticmethod
     def from_projector(projector: Mat) -> "Subspace":
-        n = projector.rows
         keep = independent_columns(projector)
         if not keep:
-            return Subspace.zero(n)
-        basis = projector[:, keep[0]]
-        for idx in keep[1:]:
-            basis = basis.hstack(projector[:, idx])
-        return Subspace(n, basis, projector)
+            return Subspace.zero(projector.rows)
+        return Subspace(projector.rows, projector[:, keep], projector)
 
     @staticmethod
     def zero(ambient_dim: int) -> "Subspace":
@@ -117,11 +137,17 @@ class Subspace:
         return (self.projector @ v) == v
 
     def meet(self, other: "Subspace") -> "Subspace":
-        """Intersection: the joint kernel of both complement projectors."""
+        """Intersection: B1 x for the kernel vectors (x, y) of [B1 | -B2]."""
         self._check_ambient(other)
-        eye = Mat.eye(self.ambient_dim)
-        stacked = (eye - self.projector).vstack(eye - other.projector)
-        return Subspace.from_vectors(self.ambient_dim, kernel_basis(stacked))
+        if self.dim == 0 or other.is_full():
+            return self
+        if other.dim == 0 or self.is_full():
+            return other
+        kernel = _kernel_columns(self.basis.hstack(-other.basis))
+        if kernel is None:
+            return Subspace.zero(self.ambient_dim)
+        # the kernel vectors are independent and B1 has full column rank
+        return Subspace(self.ambient_dim, self.basis @ kernel[: self.dim, :])
 
     def join(self, other: "Subspace") -> "Subspace":
         self._check_ambient(other)
@@ -137,7 +163,7 @@ class Subspace:
         """Orthocomplement: kernel of basis-dagger."""
         if self.dim == 0:
             return Subspace.full(self.ambient_dim)
-        return Subspace.from_vectors(self.ambient_dim, kernel_basis(self.basis.dagger()))
+        return Subspace.null_space(self.basis.dagger())
 
     def _check_ambient(self, other: "Subspace"):
         if self.ambient_dim != other.ambient_dim:
@@ -170,14 +196,7 @@ def support(rho: Mat, validate: bool = True) -> Subspace:
         raise DimensionMismatch("support needs a square matrix")
     if validate and not is_psd(rho):
         raise NotPositive("matrix has a negative direction or is not Hermitian")
-    n = rho.rows
-    if rho.is_zero():
-        return Subspace.zero(n)
-    keep = independent_columns(rho)
-    basis = rho[:, keep[0]]
-    for idx in keep[1:]:
-        basis = basis.hstack(rho[:, idx])
-    return Subspace(n, basis)
+    return Subspace.column_space(rho)
 
 
 def satisfies(rho: Mat, p: Subspace) -> bool:

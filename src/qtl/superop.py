@@ -1,10 +1,17 @@
 """Completely positive maps in Kraus form, duals, matrix representations,
 measurements, and the induced image/pre-image actions on subspaces.
 
+The lattice actions work on the Kraus operators alone: the image of p is
+the span of the K_i b_j over a basis b_j of p, and the pre-image
+E^-1(p) = (E*(p^perp))^perp is the joint kernel of the B† K_i over a basis B
+of p^perp, so no d^2 x d^2 object is formed.
+
 The matrix representation M = sum_i E_i (x) conj(E_i) linearizes a channel on
 row-major vectorized operators: vec(E(A)) = M vec(A).  It is the canonical
 object for channel equality and for composing or powering channels without
-multiplying out Kraus sets.
+multiplying out Kraus sets, and it is built where a spectrum is needed.
+:class:`MatrixRep` keeps the image and pre-image in that form as the
+reference the Kraus-form actions are tested against.
 """
 
 from __future__ import annotations
@@ -208,6 +215,14 @@ class SuperOp:
             object.__setattr__(self, "_trace_preserving", total == Mat.eye(self.dim_in))
         return self._trace_preserving
 
+    def is_identity(self) -> bool:
+        """Whether this is the identity channel: every Kraus set of it is
+        {c_i I} with sum |c_i|^2 = 1, so no matrix representation is needed."""
+        if self.dim_in != self.dim_out:
+            return False
+        eye = Mat.eye(self.dim_in)
+        return all(k == eye * k.entry(0, 0) for k in self.kraus) and self.is_trace_preserving()
+
     def __eq__(self, other):
         """Channel equality through the matrix representation."""
         if not isinstance(other, SuperOp):
@@ -260,26 +275,33 @@ def _four_squares(n: int):
 def preimage(e: SuperOp, p: Subspace) -> Subspace:
     """The exact inverse-satisfaction set {sigma : E(sigma) |= p}.
 
-    Computed as the orthocomplement of the dual channel applied to the
-    complement projector.
+    E(sigma) |= p exactly when every K_i maps the support of sigma into p,
+    so the pre-image (E*(p^perp))^perp is the joint kernel of the B† K_i,
+    with B a basis of the orthocomplement of p.
     """
     if p.ambient_dim != e.dim_out:
         raise DimensionMismatch("subspace does not live in the channel output space")
-    q_perp = p.complement().projector
-    pulled = Mat.zeros(e.dim_in)
-    for k in e.kraus:
-        pulled = pulled + k.dagger() @ q_perp @ k
-    return support(pulled, validate=False).complement()
+    perp = p.complement()
+    if perp.is_zero():
+        return Subspace.full(e.dim_in)
+    b_dag = perp.basis.dagger()
+    stacked = b_dag @ e.kraus[0]
+    for k in e.kraus[1:]:
+        stacked = stacked.vstack(b_dag @ k)
+    return Subspace.null_space(stacked)
 
 
 def image(e: SuperOp, p: Subspace) -> Subspace:
-    """Support of the channel applied to the normalized projector of p."""
+    """Support of the channel applied to any state with support p: the span
+    of the K_i b_j over the Kraus operators K_i and a basis b_j of p."""
     if p.ambient_dim != e.dim_in:
         raise DimensionMismatch("subspace does not live in the channel input space")
     if p.is_zero():
         return Subspace.zero(e.dim_out)
-    rho = p.projector * CRat(Fraction(1, p.dim))
-    return support(e.apply(rho), validate=False)
+    stacked = e.kraus[0] @ p.basis
+    for k in e.kraus[1:]:
+        stacked = stacked.hstack(k @ p.basis)
+    return Subspace.column_space(stacked)
 
 
 def preimage_union(e: SuperOp, u: SubspaceUnion) -> SubspaceUnion:
@@ -336,6 +358,3 @@ class MatrixRep:
 
     def preimage_union(self, u: SubspaceUnion) -> SubspaceUnion:
         return SubspaceUnion(self.dim, [self.preimage(m) for m in u.members])
-
-    def image_union(self, u: SubspaceUnion) -> SubspaceUnion:
-        return SubspaceUnion(self.dim, [self.image(m) for m in u.members])

@@ -43,6 +43,24 @@ def workspace(tmp_path):
     return tmp_path, str(program_path), str(atoms_path), str(source_path)
 
 
+def _write_nondeterministic_program(tmp_path):
+    """A two-location program whose location "a" may stay or exit on outcome 0."""
+    from qtl.program import LocationAction, SequentialProgram
+    from qtl.superop import Measurement, SuperOp
+
+    meas = Measurement([Mat.unit(2, 0, 0), Mat.unit(2, 1, 1)])
+    act = {
+        "a": LocationAction(SuperOp.identity(2), meas, {0: ("a", "e"), 1: ("a",)}),
+        "e": LocationAction(
+            SuperOp.identity(2), Measurement.trivial(2, 2), {0: ("e",), 1: ("e",)}
+        ),
+    }
+    prog = SequentialProgram(2, ("a", "e"), act, Mat.unit(2, 0, 0), "a", "e")
+    path = tmp_path / "nondet.json"
+    path.write_text(jsonio.dumps(jsonio.program_to_json(prog)))
+    return path
+
+
 class TestJsonRoundtrips:
     def test_matrix(self):
         m = Mat.from_rows([["1/2", (0, "-1/3")], [5, 0]])
@@ -122,6 +140,16 @@ class TestCheckCommand:
         _, prog, atoms, _ = workspace
         assert main(["check", prog, "--atoms", atoms, "-f", "<>~ exit0"]) == 0
 
+    def test_exit_formulas_unknown_on_nondeterministic_program(self, tmp_path, capsys):
+        path = _write_nondeterministic_program(tmp_path)
+        atoms = tmp_path / "nondet_atoms.json"
+        atoms.write_text(json.dumps([{"name": "at_exit", "blocks": {"e": {"dim": 2, "basis": [["1", "0"]]}}}]))
+        for formula in ("<> at_exit", "<>~ at_exit"):
+            assert main(["check", str(path), "--atoms", str(atoms), "-f", formula, "--json"]) == 2
+            out = json.loads(capsys.readouterr().out)
+            assert out["status"] == "unknown"
+            assert "deterministic" in out["diagnostics"]["reason"]
+
     def test_unknown_exit_two(self, workspace):
         _, prog, atoms, _ = workspace
         # "eventually p" is not exit-shaped (p covers non-exit locations)
@@ -191,19 +219,7 @@ class TestCompileCommand:
         assert m0 + m1 == Mat.eye(8)
 
     def test_normal_form_nondeterministic_exit_three(self, tmp_path, capsys):
-        from qtl.program import LocationAction, SequentialProgram
-        from qtl.superop import Measurement, SuperOp
-
-        meas = Measurement([Mat.unit(2, 0, 0), Mat.unit(2, 1, 1)])
-        act = {
-            "a": LocationAction(SuperOp.identity(2), meas, {0: ("a", "e"), 1: ("a",)}),
-            "e": LocationAction(
-                SuperOp.identity(2), Measurement.trivial(2, 2), {0: ("e",), 1: ("e",)}
-            ),
-        }
-        prog = SequentialProgram(2, ("a", "e"), act, Mat.unit(2, 0, 0), "a", "e")
-        path = tmp_path / "nondet.json"
-        path.write_text(jsonio.dumps(jsonio.program_to_json(prog)))
+        path = _write_nondeterministic_program(tmp_path)
         assert main(["compile", str(path), "--normal-form"]) == 3
         assert "NotDeterministic" in capsys.readouterr().err
 

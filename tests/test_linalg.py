@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from sympy import QQ, QQ_I
+from sympy.polys.matrices import DomainMatrix
 
 from qtl.errors import PreconditionViolated, SingularMatrix, ToleranceAmbiguity
 from qtl.linalg import (
@@ -150,6 +152,96 @@ class TestSolve:
             solve(Mat.from_rows([[1, 1], [1, 1]]), Mat.column([1, 2]))
         with pytest.raises(SingularMatrix):
             solve(Mat.from_rows([[1, 1], [1, 1]]), Mat.column([1, 1]))
+
+
+def _gaussian_rational(rng):
+    """A Gaussian rational with mixed denominators; a fifth of them are zero."""
+    if rng.random() < 0.2:
+        return CRat(0)
+    return CRat(
+        Fraction(rng.randint(-6, 6), rng.choice([1, 2, 3, 5, 9])),
+        Fraction(rng.randint(-6, 6), rng.choice([1, 2, 4, 7])),
+    )
+
+
+def _gaussian_matrix(rng, rows, cols, rank=None):
+    """A random rows x cols Gaussian-rational matrix, of the given rank if any."""
+    if rank == 0:
+        return Mat.zeros(rows, cols)
+    if rank is None:
+        return Mat.from_rows([[_gaussian_rational(rng) for _ in range(cols)] for _ in range(rows)])
+    return _gaussian_matrix(rng, rows, rank) @ _gaussian_matrix(rng, rank, cols)
+
+
+def _to_sympy(m: Mat) -> DomainMatrix:
+    def qq(x):
+        return QQ(x.numerator, x.denominator)
+
+    return DomainMatrix(
+        [[QQ_I(qq(e.re), qq(e.im)) for e in row] for row in m.entries()], (m.rows, m.cols), QQ_I
+    )
+
+
+def _from_sympy(rows) -> Mat:
+    def frac(x):
+        return Fraction(int(x.numerator), int(x.denominator))
+
+    return Mat.from_rows([[CRat(frac(e.x), frac(e.y)) for e in row] for row in rows])
+
+
+def _sympy_kernel(m: Mat) -> list:
+    """sympy's reduced row echelon form read as one kernel vector per free
+    column f: 1 at f, zero at the other free columns."""
+    reduced, pivots = _to_sympy(m).rref()
+    reduced = reduced.to_list()
+    vectors = []
+    for f in range(m.cols):
+        if f in pivots:
+            continue
+        v = [QQ_I(0, 0)] * m.cols
+        v[f] = QQ_I(1, 0)
+        for i, c in enumerate(pivots):
+            v[c] = -reduced[i][f]
+        vectors.append(_from_sympy([[x] for x in v]))
+    return vectors
+
+
+# (rows, cols, rank): full, singular and rank-deficient squares, wide, tall, zero
+SYMPY_SHAPES = [(4, 4, None), (5, 5, None), (4, 4, 3), (5, 5, 2), (3, 6, None), (2, 5, 1),
+                (6, 3, None), (5, 2, 1), (4, 6, 3), (3, 3, 0)]
+
+
+class TestAgainstSympy:
+    """rank, kernel_basis, solve and invert against sympy's exact
+    Gaussian-rational matrices (domain QQ_I), on seeded inputs with complex
+    non-unit pivots."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_rank_and_kernel(self, seed):
+        rng = random.Random(100 + seed)
+        for rows, cols, r in SYMPY_SHAPES:
+            m = _gaussian_matrix(rng, rows, cols, r)
+            assert rank(m) == _to_sympy(m).rank()
+            assert kernel_basis(m) == _sympy_kernel(m)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_solve_and_invert(self, seed):
+        rng = random.Random(200 + seed)
+        for rows, cols, r in SYMPY_SHAPES:
+            if rows != cols:
+                continue
+            a = _gaussian_matrix(rng, rows, cols, r)
+            b = _gaussian_matrix(rng, rows, rng.randint(1, 3))
+            assert b.den != 1
+            a_sym, b_sym = _to_sympy(a), _to_sympy(b)
+            if a_sym.rank() < rows:
+                with pytest.raises(SingularMatrix):
+                    solve(a, b)
+                with pytest.raises(SingularMatrix):
+                    invert(a)
+                continue
+            assert solve(a, b) == _from_sympy(a_sym.lu_solve(b_sym).to_list())
+            assert invert(a) == _from_sympy(a_sym.inv().to_list())
 
 
 class TestPsd:

@@ -24,6 +24,8 @@ from helpers import (
     PAULI_X,
     random_density,
     random_matrix,
+    random_projective_channel,
+    random_reset_channel,
     random_subspace,
     random_tp_channel,
     span,
@@ -36,6 +38,12 @@ DAMP = SuperOp(
 X_CONJ = SuperOp.from_unitary(PAULI_X)
 HADAMARD = SuperOp.from_scaled_unitary(HADAMARD_DIRECTION, Fraction(1, 2))
 KET0 = Mat.from_rows([[1, 0], [0, 0]])
+
+
+def _trace_decreasing(rng, n):
+    """A random channel with its last Kraus operator dropped and the rest halved."""
+    kraus = random_tp_channel(rng, n).kraus
+    return SuperOp([k * CRat(Fraction(1, 2)) for k in kraus[:-1] or kraus], validate="exact")
 
 
 class TestApply:
@@ -147,12 +155,22 @@ class TestPreimageImage:
             assert satisfies(e.apply(rho), p) == satisfies(rho, preimage(e, p))
 
     def test_image_preimage_adjunction(self):
+        # the Kraus-form image and pre-image are adjoint and agree with the
+        # reference computed from the matrix representation
         rng = random.Random(10)
-        for _ in range(30):
-            e = random_tp_channel(rng, 2)
-            s = random_subspace(rng, 2)
-            p = random_subspace(rng, 2)
-            assert p.contains(image(e, s)) == preimage(e, p).contains(s)
+        makers = [random_tp_channel, random_reset_channel, random_projective_channel, _trace_decreasing]
+        for n in (2, 3, 4):
+            for make in makers:
+                for _ in range(3):
+                    e = make(rng, n)
+                    ref = MatrixRep(e.matrix_rep())
+                    subspaces = [Subspace.zero(n), Subspace.full(n)]
+                    subspaces += [random_subspace(rng, n) for _ in range(2)]
+                    for s in subspaces:
+                        assert image(e, s) == ref.image(s)
+                        assert preimage(e, s) == ref.preimage(s)
+                        for p in subspaces:
+                            assert p.contains(image(e, s)) == preimage(e, p).contains(s)
 
     def test_union_versions_memberwise(self):
         rng = random.Random(11)
@@ -210,3 +228,19 @@ class TestChannelEquality:
         half = HADAMARD_DIRECTION * CRat(Fraction(1, 2))
         other = SuperOp([half, half * CRat(0, 1)], validate="exact")
         assert one == other
+
+    def test_identity_in_kraus_form(self):
+        # is_identity reads the Kraus set; == compares matrix representations
+        rng = random.Random(12)
+        three_fifths, four_fifths = CRat(Fraction(3, 5)), CRat(0, Fraction(4, 5))
+        channels = [
+            SuperOp.identity(2),
+            SuperOp([Mat.eye(2) * three_fifths, Mat.eye(2) * four_fifths]),
+            SuperOp([Mat.eye(2) * three_fifths]),
+            X_CONJ,
+            DAMP,
+        ]
+        channels += [random_tp_channel(rng, 2) for _ in range(10)]
+        verdicts = [e.is_identity() for e in channels]
+        assert verdicts == [e == SuperOp.identity(2) for e in channels]
+        assert verdicts[:5] == [True, True, False, False, False]
