@@ -14,7 +14,6 @@ from .program import (
     TerminationResult,
     check_terminates,
     embed,
-    exit_projectors,
     extract,
     initial_cq,
     selector_successors,

@@ -8,10 +8,12 @@ relevant peripheral eigenvalue periods can be certified.  The fixpoints and
 the witness search take images and pre-images from the actions' Kraus
 operators; matrix representations are built only where a spectrum is
 needed (the loop channel of the refinement, limit states, reachability),
-and by the oracle, which keeps its own image path.  Reachability of
-the exit of a deterministic program runs through the stable/peripheral
-split of the one-step matrix representation on the block-diagonal
-classical-quantum space and two exact linear solves.
+and by the oracle, which keeps its own image path.  Every exit question
+about a deterministic program is asked of its one exit loop
+(:class:`qwhile.WhileNormalForm`): reachability runs through the
+stable/peripheral split of the loop's cut body on the block-diagonal
+classical-quantum space and two exact linear solves, and the exact exit
+formulas read the loop's trajectory.
 
 Verdicts are three-valued: some fragments are equivalent to open problems
 in number theory, and the checker answers Unknown with a stated reason
@@ -30,8 +32,6 @@ import numpy as np
 from .errors import (
     BudgetExceeded,
     DimensionMismatch,
-    NoExitLocation,
-    NotDeterministic,
     PreconditionViolated,
     QtlError,
     SingularMatrix,
@@ -53,15 +53,13 @@ from .linalg import (
 from .subspace import Subspace, SubspaceUnion, independent_columns, satisfies, support
 from .superop import MatrixRep, SuperOp, image, image_union, preimage_union, unvec, vec
 from .program import (
-    CQState,
     QuantumAutomaton,
     SequentialProgram,
     embed,
-    exit_projectors,
-    simulate_deterministic,
-    step_superop,
+    initial_cq,
     to_automaton,
 )
+from .qwhile import WhileNormalForm, bohm_jacopini
 from .formula import (
     AlmostEventually,
     AlmostUntil,
@@ -80,6 +78,12 @@ from .formula import (
 VALID = "valid"
 NOT_VALID = "not_valid"
 UNKNOWN = "unknown"
+
+# Exit reachability: how close to one the reach trace must be for an almost
+# sure exit, and the relative cut below which a Choi eigenvalue of the
+# reachability channel carries no Kraus operator.
+_TRACE_TOL = 1e-7
+_KRAUS_TOL = 1e-10
 
 
 @dataclass
@@ -115,19 +119,30 @@ class Verdict:
 class ReachabilityResult:
     """Exit reachability of a deterministic program.
 
-    ``channel`` (the reachability channel in Kraus form) is extracted by
-    ``build_channel`` on first access and cached.
+    ``kraus_rank`` and ``channel`` (the reachability channel in Kraus form)
+    come from one eigendecomposition, run by ``choi_kraus`` on first access
+    and cached; ``kraus_rank`` builds no exact operators.
     """
 
     expected_steps: float
     almost_terminates: bool
     reach_state: Mat | None = None
     diagnostics: dict = field(default_factory=dict)
-    build_channel: Callable[[], SuperOp] | None = field(default=None, repr=False, compare=False)
+    choi_kraus: Callable[[], list] | None = field(default=None, repr=False, compare=False)
+
+    @cached_property
+    def _float_kraus(self) -> list:
+        return self.choi_kraus()
+
+    @cached_property
+    def kraus_rank(self) -> int:
+        return max(1, len(self._float_kraus))
 
     @cached_property
     def channel(self) -> SuperOp:
-        return self.build_channel()
+        if not self._float_kraus:
+            return SuperOp([Mat.zeros(self.reach_state.rows)], validate=None)
+        return SuperOp([Mat.from_complex(k) for k in self._float_kraus], validate="tolerant", tol=1e-6)
 
 
 def _as_union(x) -> SubspaceUnion:
@@ -748,122 +763,78 @@ def _trace_norm(a: np.ndarray) -> float:
     return float(np.sum(np.linalg.svd(a, compute_uv=False)))
 
 
-def _block_cut(program: SequentialProgram) -> Mat:
-    """Matrix representation of the exit-cut step on the block-diagonal space.
-
-    The step channel and the exit cut map states that are block-diagonal over
-    locations to such states, so only the d x d block of every location is
-    kept: index l*d^2 + k holds entry k of the row-major vec of location l's
-    block.  The d^2 x d^2 block (t, s) sums kron(M_j, conj(M_j)) times the
-    matrix representation of s's channel over the outcomes j leading from s
-    to t; the column of the exit location is zero.
-    """
-    if not program.deterministic:
-        raise NotDeterministic("reachability needs a deterministic program")
-    n_loc = len(program.locations)
-    terms = [Mat.zeros(n_loc * program.dim * program.dim)]
-    for s_idx, loc in enumerate(program.locations):
-        if loc == program.exit_location:
-            continue
-        a = program.act[loc]
-        for j, m_op in enumerate(a.measurement.operators):
-            if not m_op.is_zero():
-                t_idx = program.config_index(a.next[j][0])
-                block = kron(m_op, m_op.conj()) @ a.channel.matrix_rep()
-                terms.append(kron(Mat.unit(n_loc, t_idx, s_idx), block))
-    return mat_sum(terms)
-
-
-def _reach_channel(program: SequentialProgram, tolerance: float, kraus_tol: float) -> SuperOp:
-    """Kraus form of the reachability channel on the full embedded space.
-
-    Runs in floating point: the one-step representation, cut by the continue
-    projector, is split by the numeric core of the peripheral split (with all
-    its checks), and the Kraus operators come from the eigendecomposition of
-    the reshuffled (Choi) matrix of (M0 x M0)(I - N)^{-1}.
-    """
-    m0, m1 = exit_projectors(program)
-    d_emb = m0.rows
-    kraus_float = [k.to_complex() for k in step_superop(program).kraus]
+def _reach_kraus(loop: WhileNormalForm, tolerance: float) -> list:
+    """Float Kraus operators of the reachability channel on the embedded
+    space, one per Choi eigenvalue above the cut: the loop body's one-step
+    representation, cut by the guard, is split by the numeric core of the
+    peripheral split (with all its checks), and the eigendecomposition of
+    the reshuffled (Choi) matrix of (M0 x M0)(I - N)^{-1} gives the rest."""
+    d_emb = loop.m0.rows
+    kraus_float = [k.to_complex() for k in loop.body_channel.kraus]
     step_float = sum(np.kron(k, k.conj()) for k in kraus_float)
-    keep = np.diag(m1.to_complex())
+    keep = np.diag(loop.m1.to_complex())
     _, stable, _, _ = split_numeric(step_float * np.kron(keep, keep)[None, :], tolerance)
-    collect = np.diag(m0.to_complex())
+    collect = np.diag(loop.m0.to_complex())
     f_rep_float = np.kron(collect, collect)[:, None] * np.linalg.inv(np.eye(d_emb * d_emb) - stable)
     choi = f_rep_float.reshape(d_emb, d_emb, d_emb, d_emb).transpose(0, 2, 1, 3)
     choi = choi.reshape(d_emb * d_emb, d_emb * d_emb)
     choi = (choi + choi.conj().T) / 2
     eigvals, eigvecs = np.linalg.eigh(choi)
     scale = max(1.0, float(eigvals.max(initial=0.0)))
-    kraus = [
-        Mat.from_complex(np.sqrt(lam) * col.reshape(d_emb, d_emb))
+    return [
+        np.sqrt(lam) * col.reshape(d_emb, d_emb)
         for lam, col in zip(eigvals, eigvecs.T)
-        if lam > kraus_tol * scale
+        if lam > _KRAUS_TOL * scale
     ]
-    if not kraus:
-        return SuperOp([Mat.zeros(d_emb)], validate=None)
-    return SuperOp(kraus, validate="tolerant", tol=1e-6)
 
 
-def reachability_superop(
-    program: SequentialProgram,
-    tolerance: float = 1e-9,
-    trace_tol: float = 1e-7,
-    kraus_tol: float = 1e-10,
-) -> ReachabilityResult:
+def reachability_superop(program: SequentialProgram, tolerance: float = 1e-9) -> ReachabilityResult:
     """The channel collecting all mass that ever reaches the exit location.
 
     Its matrix representation is (M0 x M0) (I - N)^{-1}, with N the stable
-    part of the one-step representation cut by the continue projector.
-    Program states are block-diagonal over locations, so everything runs on
-    the d^2*|L| block space (:func:`_block_cut`) instead of the (d*|L|)^2
-    embedded one: the reach vector w and w2 come from two exact
-    fraction-free solves (I - N) w = v0 and (I - N) w2 = w, the reach state
-    is the exit block of w, and the expected number of steps until the exit
-    (in the program's own step counting) is the trace of the exit block of
-    w2 - w.  The result is cross-checked against 64 steps of direct power
-    iteration.  ``channel`` is built on first access, in floating point on
-    the embedded space (see :func:`_reach_channel`).
+    part of the cut body of the program's exit loop
+    (:func:`qwhile.bohm_jacopini`), on the loop's d^2*|L| block space: the
+    reach vector w and w2 come from two exact fraction-free solves
+    (I - N) w = v0 and (I - N) w2 = w, the reach state is the exit block of
+    w (an almost sure exit when its trace is within 1e-7 of one), and the
+    expected number of steps until the exit (in the program's own step
+    counting) is the trace of the exit block of w2 - w.  The result is
+    cross-checked against 64 steps of direct power iteration.
+    ``kraus_rank`` and ``channel`` are computed on first access, in
+    floating point on the embedded space (see :func:`_reach_kraus`).
     """
-    if program.exit_location is None:
-        raise NoExitLocation("program has no exit location")
+    loop = bohm_jacopini(program)
     d = program.dim
-    d2 = d * d
-    e_idx = program.config_index(program.exit_location)
-    exit_rows = slice(e_idx * d2, (e_idx + 1) * d2)
-    cut = _block_cut(program)
-    split = peripheral_split(cut, tolerance)
-    lhs = Mat.eye(cut.rows) - split.stable_part
-    i_idx = program.config_index(program.initial_location)
-    at_initial = Mat.column([int(c == i_idx) for c in range(len(program.locations))])
-    v0 = kron(at_initial, vec(program.initial_state))
+    rows = loop.exit_rows
+    split = peripheral_split(loop.cut, tolerance)
+    lhs = Mat.eye(loop.cut.rows) - split.stable_part
+    v0 = loop.block_vector(initial_cq(program))
     w = solve(lhs, v0)
-    reach_block = unvec(w[exit_rows, :], d)
+    reach_block = unvec(w[rows, :], d)
     reach_trace = float(reach_block.trace().re)
-    almost = abs(reach_trace - 1.0) <= trace_tol
+    almost = abs(reach_trace - 1.0) <= _TRACE_TOL
     if almost:
         w2 = solve(lhs, w)
-        expected = float(unvec((w2 - w)[exit_rows, :], d).trace().re)
+        expected = float(unvec((w2 - w)[rows, :], d).trace().re)
     else:
         expected = math.inf
     # power-iteration cross-check on the uncut step (the exit acts as identity)
-    step_float = cut.to_complex()
-    step_float[exit_rows, exit_rows] += np.eye(d2)
+    step_float = loop.cut.to_complex()
+    step_float[rows, rows] += np.eye(d * d)
     vk = v0.to_complex().ravel()
     for _ in range(64):
         vk = step_float @ vk
-    residual = _trace_norm(vk[exit_rows].reshape(d, d) - reach_block.to_complex())
-    reach_state = embed(CQState(d, {program.exit_location: reach_block}, validate=False), program)
+    residual = _trace_norm(vk[rows].reshape(d, d) - reach_block.to_complex())
     return ReachabilityResult(
         expected_steps=expected,
         almost_terminates=almost,
-        reach_state=reach_state,
+        reach_state=loop.exit_embedded(reach_block),
         diagnostics={
             "reach_trace": reach_trace,
             "power_iteration_residual": residual,
             "tolerance": tolerance,
         },
-        build_channel=lambda: _reach_channel(program, tolerance, kraus_tol),
+        choi_kraus=lambda: _reach_kraus(loop, tolerance),
     )
 
 
@@ -894,49 +865,38 @@ def partial_correctness_subspace(program: SequentialProgram, exit_subspace: Subs
     return atom_from_blocks("exit_partial", blocks, program).subspace
 
 
-def _exit_trajectory(program: SequentialProgram) -> list:
-    """sigma_0 .. sigma_{dim*|L|-1}: every exit formula is decided on it."""
-    if program.exit_location is None:
-        raise NoExitLocation("program has no exit location")
-    return simulate_deterministic(program, program.dim * len(program.locations) - 1)
-
-
 def check_exit_eventually(program: SequentialProgram, exit_subspace: Subspace) -> Verdict:
-    """<> p: exact arrival inside the exit proposition within dim*|L| - 1
-    steps (arrival later is impossible)."""
-    return _exit_eventually(program, exit_subspace, _exit_trajectory(program))
+    """<> p: exact arrival inside the exit proposition within the exit
+    loop's bound dim*|L| - 1 (arrival later is impossible)."""
+    return _exit_eventually(bohm_jacopini(program), exit_subspace)
 
 
-def _exit_eventually(program, exit_subspace, trajectory) -> Verdict:
-    for k, state in enumerate(trajectory):
-        if any(c != program.exit_location for c in state.blocks):
+def _exit_eventually(loop: WhileNormalForm, exit_subspace) -> Verdict:
+    exit_location = loop.program.exit_location
+    for k, state in enumerate(loop.trajectory):
+        if any(c != exit_location for c in state.blocks):
             continue
-        if satisfies(state.block(program.exit_location), exit_subspace):
+        if satisfies(state.block(exit_location), exit_subspace):
             return Verdict.valid(diagnostics={"step": k})
     return Verdict.not_valid(
-        diagnostics={
-            "exit_trace_at_bound": float(trajectory[-1].trace_of(program.exit_location))
-        }
+        diagnostics={"exit_trace_at_bound": float(loop.trajectory[-1].trace_of(exit_location))}
     )
 
 
 def check_exit_almost_eventually(
-    program: SequentialProgram,
-    exit_subspace: Subspace,
-    tolerance: float = 1e-9,
-    trace_tol: float = 1e-7,
+    program: SequentialProgram, exit_subspace: Subspace, tolerance: float = 1e-9
 ) -> Verdict:
     """<>~ p: the reachability channel sends the initial state onto the exit
     proposition with probability one, within the certified tolerance."""
     if exit_subspace.ambient_dim != program.dim:
         raise DimensionMismatch("the exit proposition lives on the data space")
-    reach = reachability_superop(program, tolerance=tolerance, trace_tol=trace_tol)
+    reach = reachability_superop(program, tolerance=tolerance)
     n_configs = len(program.configs())
     e_idx = program.config_index(program.exit_location)
     exit_block = reach.reach_state[e_idx::n_configs, e_idx::n_configs]
     inside = float((exit_subspace.projector @ exit_block).trace().re)
     leak = reach.diagnostics["reach_trace"] - inside
-    almost_ok = reach.almost_terminates and abs(leak) <= max(trace_tol, tolerance * 10)
+    almost_ok = reach.almost_terminates and abs(leak) <= max(_TRACE_TOL, tolerance * 10)
     return Verdict(
         VALID if almost_ok else NOT_VALID,
         diagnostics={
@@ -953,15 +913,17 @@ def check_exit_always(
     always_subspace: Subspace | None = None,
 ) -> Verdict:
     """[] p: one exact satisfaction check on the running average of the
-    first dim*|L| iterates; the proposition defaults to "unconstrained off
-    the exit, `exit_subspace` at the exit"."""
-    return _exit_always(program, exit_subspace, always_subspace, _exit_trajectory(program))
+    exit loop's trajectory (the first dim*|L| iterates); the proposition
+    defaults to "unconstrained off the exit, `exit_subspace` at the exit"."""
+    return _exit_always(bohm_jacopini(program), exit_subspace, always_subspace)
 
 
-def _exit_always(program, exit_subspace, always_subspace, trajectory) -> Verdict:
+def _exit_always(loop: WhileNormalForm, exit_subspace, always_subspace) -> Verdict:
+    program = loop.program
     target = always_subspace if always_subspace is not None else partial_correctness_subspace(
         program, exit_subspace
     )
+    trajectory = loop.trajectory
     cesaro = mat_sum(embed(state, program) for state in trajectory)
     diag = {"cesaro_steps": len(trajectory)}
     if satisfies(cesaro, target):
@@ -978,18 +940,16 @@ def check_exit_formulas(
     exit_subspace: Subspace,
     always_subspace: Subspace | None = None,
     tolerance: float = 1e-9,
-    trace_tol: float = 1e-7,
 ) -> ExitVerdicts:
     """The three exit-shaped properties of a deterministic program with exit,
     as :func:`check_exit_eventually`, :func:`check_exit_almost_eventually`
-    and :func:`check_exit_always` decide them, on one shared trajectory."""
-    trajectory = _exit_trajectory(program)
+    and :func:`check_exit_always` decide them, on one exit loop (one
+    trajectory)."""
+    loop = bohm_jacopini(program)
     return ExitVerdicts(
-        eventually=_exit_eventually(program, exit_subspace, trajectory),
-        almost_eventually=check_exit_almost_eventually(
-            program, exit_subspace, tolerance=tolerance, trace_tol=trace_tol
-        ),
-        always=_exit_always(program, exit_subspace, always_subspace, trajectory),
+        eventually=_exit_eventually(loop, exit_subspace),
+        almost_eventually=check_exit_almost_eventually(program, exit_subspace, tolerance=tolerance),
+        always=_exit_always(loop, exit_subspace, always_subspace),
     )
 
 
@@ -1140,20 +1100,11 @@ def _exit_shaped(proposition, target) -> Subspace | None:
         or not target.deterministic
     ):
         return None
-    n_configs = len(target.configs())
+    basis = proposition.basis
+    if bohm_jacopini(target).m0 @ basis != basis:
+        return None
     e_idx = target.config_index(target.exit_location)
-    cols = []
-    for col in proposition.basis.column_vectors():
-        reduced = []
-        for h in range(target.dim):
-            for c in range(n_configs):
-                entry = col.entry(h * n_configs + c, 0)
-                if c != e_idx and not entry.is_zero():
-                    return None
-                if c == e_idx:
-                    reduced.append(entry)
-        cols.append(Mat.column(reduced))
-    return Subspace.from_vectors(target.dim, cols)
+    return Subspace.column_space(basis[e_idx :: len(target.locations), :])
 
 
 def check(

@@ -95,7 +95,7 @@ def cmd_reach(args) -> int:
         return EXIT_ERROR
     result = reachability_superop(program, tolerance=args.tolerance)
     report = {
-        "kraus_rank": len(result.channel.kraus),
+        "kraus_rank": result.kraus_rank,
         "reach_trace": result.diagnostics["reach_trace"],
         "expected_steps": jsonio._plain(result.expected_steps),
         "almost_terminates": result.almost_terminates,

@@ -21,7 +21,6 @@ from fractions import Fraction
 from .errors import (
     DimensionMismatch,
     MalformedState,
-    NoExitLocation,
     NonClassicalCoherence,
     NotDeterministic,
     PreconditionViolated,
@@ -437,29 +436,11 @@ def extract(m: Mat, program) -> CQState:
     d = program.dim
     if m.rows != d * n_configs or m.cols != d * n_configs:
         raise DimensionMismatch("matrix does not match the embedded space")
-    blocks = {}
-    for c, config in enumerate(configs):
-        idx = [h * n_configs + c for h in range(d)]
-        rows = [[m.entry(i, j) for j in idx] for i in idx]
-        block = Mat.from_rows(rows)
-        if not block.is_zero():
-            blocks[config] = block
+    blocks = {config: m[c::n_configs, c::n_configs] for c, config in enumerate(configs)}
     state = CQState(program.dim, blocks, validate=False)
     if embed(state, program) != m:
         raise NonClassicalCoherence("matrix has coherences between configurations")
     return state
-
-
-def exit_projectors(program: SequentialProgram):
-    """The exit guard {M0, M1} on the embedded space: M0 projects onto the
-    exit location's block, M1 = I - M0 onto all other locations."""
-    if program.exit_location is None:
-        raise NoExitLocation("program has no exit location")
-    n_configs = len(program.configs())
-    e_idx = program.config_index(program.exit_location)
-    m0 = kron(Mat.eye(program.dim), Mat.unit(n_configs, e_idx, e_idx))
-    m1 = Mat.eye(program.dim * n_configs) - m0
-    return m0, m1
 
 
 def _selector_kraus(program, selector) -> list:
@@ -551,32 +532,25 @@ class TerminationResult:
 
 
 def check_terminates(program: SequentialProgram, horizon: int | None = None) -> TerminationResult:
-    """Exact termination within a horizon (default: dim times locations minus one).
+    """Exact termination within a horizon, read off the program's exit loop.
 
-    "terminates" carries the first step with exit mass exactly one.  If no
-    exit mass at all appears within the first dim*|L|-1 steps the program can
-    never reach the exit ("no"); otherwise the verdict is a candidate for
-    almost-termination, to be certified by reachability analysis.
+    The horizon defaults to, and is capped at, the loop's bound dim*|L| - 1:
+    the joint support of the off-exit states from step k on can only shrink
+    with k, and once it stops shrinking it never vanishes, so a program that
+    terminates exactly does so by step dim*(|L| - 1).  "terminates" carries
+    the first step with exit mass exactly one (0 for a program starting at
+    its exit).  No exit mass at all by the bound means none ever ("no");
+    otherwise the verdict is a candidate for almost-termination, to be
+    certified by reachability analysis.
     """
-    if program.exit_location is None:
-        raise NoExitLocation("program has no exit location")
-    if not program.deterministic:
-        raise NotDeterministic("termination analysis needs a deterministic program")
-    bound = program.dim * len(program.locations) - 1
-    if horizon is None:
-        horizon = bound
-    sel = _selector_assignments(program, 1)[0]
-    state = initial_cq(program)
-    exit_traces = [state.trace_of(program.exit_location)]
-    steps = max(horizon, 0)
-    for k in range(1, steps + 1):
-        state = _step_with_selector(program, state, sel)
-        tr = state.trace_of(program.exit_location)
-        exit_traces.append(tr)
-        if tr == 1:
-            return TerminationResult("terminates", k, tr)
-    if exit_traces[0] == 1:
-        return TerminationResult("terminates", 0, Fraction(1))
-    if horizon >= bound and all(t == 0 for t in exit_traces[: bound + 1]):
-        return TerminationResult("no", None, exit_traces[-1])
-    return TerminationResult("almost_candidate", None, exit_traces[-1])
+    from .qwhile import bohm_jacopini  # qwhile builds on this module
+
+    loop = bohm_jacopini(program)
+    horizon = loop.bound if horizon is None else min(max(horizon, 0), loop.bound)
+    traces = [s.trace_of(program.exit_location) for s in loop.trajectory[: horizon + 1]]
+    step = next((k for k, tr in enumerate(traces) if tr == 1), None)
+    if step is not None:
+        return TerminationResult("terminates", step, traces[step])
+    if horizon == loop.bound and not any(traces):
+        return TerminationResult("no", None, traces[-1])
+    return TerminationResult("almost_candidate", None, traces[-1])

@@ -27,17 +27,28 @@ independent of the measured branch.
 
 from __future__ import annotations
 
+import functools
 import re as _re
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
     ArityMismatch,
+    NoExitLocation,
+    NotDeterministic,
     ParseError,
     UndeclaredOperator,
 )
-from .linalg import CRat, Mat, kron
-from .program import LocationAction, SequentialProgram, exit_projectors, step_superop
+from .linalg import CRat, Mat, kron, mat_sum
+from .program import (
+    CQState,
+    LocationAction,
+    SequentialProgram,
+    embed,
+    extract,
+    simulate_deterministic,
+    step_superop,
+)
 from .superop import Measurement, SuperOp, vec, unvec
 
 
@@ -780,35 +791,94 @@ def compile_source(source: str, initial_state: Mat | None = None) -> SequentialP
 # single-while normal form
 
 
-@dataclass(frozen=True)
 class WhileNormalForm:
-    """A deterministic program recast as one while loop on the embedded space.
+    """The exit loop of a deterministic program with exit, as one while loop.
 
-    The loop guard measures {m0 = exit block, m1 = rest}; the body is the
-    program's one-step channel.  m0 + m1 = I and both are projections.
+    The guard measures {m0 = "at the exit", m1 = the rest} on the embedded
+    space H (x) locations (m0 + m1 = I, both projections) and the body is
+    the program's one-step channel.  Every exit question is asked of this
+    one object: the constructor checks the preconditions (an exit location,
+    then determinism), and each part is built on first use and cached: the
+    guard, the body (``body_channel``), the exit-cut body on the d^2*|L|
+    block space (``cut``), and the exact states sigma_0 .. sigma_bound
+    (``trajectory``), bound = dim*|L| - 1 being the horizon of every exact
+    exit question.  The block space keeps the d x d block of every location,
+    as program states are block-diagonal over locations: index l*d^2 + k
+    holds entry k of the row-major vec of location l's block.
     """
 
-    body_channel: SuperOp
-    m0: Mat
-    m1: Mat
+    def __init__(self, program: SequentialProgram):
+        if program.exit_location is None:
+            raise NoExitLocation("program has no exit location")
+        if not program.deterministic:
+            raise NotDeterministic("the exit loop needs a deterministic program")
+        self.program = program
+        self.bound = program.dim * len(program.locations) - 1
+        d2 = program.dim * program.dim
+        e_idx = program.config_index(program.exit_location)
+        self.exit_rows = slice(e_idx * d2, (e_idx + 1) * d2)
+
+    @functools.cached_property
+    def m0(self) -> Mat:
+        return self.exit_embedded(Mat.eye(self.program.dim))
+
+    @functools.cached_property
+    def m1(self) -> Mat:
+        return Mat.eye(self.m0.rows) - self.m0
+
+    @functools.cached_property
+    def body_channel(self) -> SuperOp:
+        return step_superop(self.program)
+
+    @functools.cached_property
+    def cut(self) -> Mat:
+        """Matrix representation of the exit-cut body on the block space:
+        block (t, s) sums kron(M_j, conj(M_j)) times s's channel over the
+        outcomes j leading from s to t; the exit location's column is zero."""
+        program = self.program
+        n_loc = len(program.locations)
+        terms = [Mat.zeros(n_loc * program.dim * program.dim)]
+        for s_idx, loc in enumerate(program.locations):
+            if loc == program.exit_location:
+                continue
+            a = program.act[loc]
+            for j, m_op in enumerate(a.measurement.operators):
+                if not m_op.is_zero():
+                    t_idx = program.config_index(a.next[j][0])
+                    block = kron(m_op, m_op.conj()) @ a.channel.matrix_rep()
+                    terms.append(kron(Mat.unit(n_loc, t_idx, s_idx), block))
+        return mat_sum(terms)
+
+    @functools.cached_property
+    def trajectory(self) -> list:
+        return simulate_deterministic(self.program, self.bound)
+
+    def block_vector(self, state: CQState) -> Mat:
+        """The block-space vector of a classical-quantum state."""
+        return functools.reduce(Mat.vstack, [vec(state.block(c)) for c in self.program.locations])
+
+    def exit_embedded(self, block: Mat) -> Mat:
+        """A d x d exit block as a state of the embedded space."""
+        program = self.program
+        return embed(CQState(program.dim, {program.exit_location: block}, validate=False), program)
 
     def exit_series(self, sigma0: Mat, steps: int) -> list:
         """Exit masses [after 0 rounds, ..., after ``steps`` rounds] in one pass.
 
-        Entry k equals the exit block of the original program at step k for
-        any coherence-free initial state.
+        Runs on the block space, collecting the exit block of every iterate
+        of the cut; entry k equals the exit block of the original program at
+        step k.  ``sigma0`` must be block-diagonal over locations, as every
+        classical-quantum state is (NonClassicalCoherence otherwise).
         """
-        rep = self.body_channel.matrix_rep() @ kron(self.m1, self.m1)
-        collect = kron(self.m0, self.m0)
-        d = self.m0.rows
-        v = vec(sigma0)
-        acc = collect @ v
-        series = [unvec(acc, d)]
+        d = self.program.dim
+        v = self.block_vector(extract(sigma0, self.program))
+        acc = v[self.exit_rows, :]
+        series = [acc]
         for _ in range(steps):
-            v = rep @ v
-            acc = acc + collect @ v
-            series.append(unvec(acc, d))
-        return series
+            v = self.cut @ v
+            acc = acc + v[self.exit_rows, :]
+            series.append(acc)
+        return [self.exit_embedded(unvec(a, d)) for a in series]
 
     def exit_after(self, sigma0: Mat, steps: int) -> Mat:
         """Exit mass accumulated after ``steps`` rounds of the loop."""
@@ -817,6 +887,4 @@ class WhileNormalForm:
 
 def bohm_jacopini(program: SequentialProgram) -> WhileNormalForm:
     """Normal form of a deterministic program with exit as a single while loop."""
-    m0, m1 = exit_projectors(program)  # NoExitLocation without an exit
-    body = step_superop(program)  # also rejects nondeterministic programs
-    return WhileNormalForm(body_channel=body, m0=m0, m1=m1)
+    return WhileNormalForm(program)

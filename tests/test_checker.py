@@ -350,6 +350,42 @@ while meas M(q0) == 1 { apply X to q0; apply X to q0 }
             assert r.reach_state == embed(exit_only, prog)
             assert r.almost_terminates
 
+    def test_kraus_rank_counts_the_channel_operators(self, example_loop):
+        from helpers import random_deterministic_program
+        from qtl.errors import ToleranceAmbiguity
+        from qtl.program import LocationAction, SequentialProgram
+        from qtl.superop import Measurement
+
+        never_exits = compile_source("""qubits 1;
+unitary X = [[0, 1], [1, 0]];
+measurement M = {[[1, 0], [0, 0]], [[0, 0], [0, 1]]};
+input [[0, 0], [0, 1]];
+while meas M(q0) == 1 { apply X to q0; apply X to q0 }
+""")
+        programs = [example_loop, compile_source(TWO_QUBIT_LOOP_SRC), never_exits]
+        rng = random.Random(41)
+        while len(programs) < 13:
+            programs.append(random_deterministic_program(rng, rng.choice([2, 3]), rng.randint(1, 3)))
+        ranks = []
+        for prog in programs:
+            try:
+                r = reachability_superop(prog)
+            except ToleranceAmbiguity:
+                continue
+            assert "channel" not in vars(r)
+            ranks.append(r.kraus_rank)
+            assert r.kraus_rank == len(r.channel.kraus)
+        assert len(ranks) >= 10 and max(ranks) > 1
+        # exit unreachable from every other location: only the exit's own
+        # mass, M0 rho M0, is collected
+        act = {
+            "a": LocationAction(SuperOp.identity(2), Measurement.trivial(2), {0: ("a",)}),
+            "e": LocationAction(SuperOp.identity(2), Measurement.trivial(2), {0: ("e",)}),
+        }
+        stuck = reachability_superop(SequentialProgram(2, ("a", "e"), act, KET0, "a", "e"))
+        assert stuck.diagnostics["reach_trace"] == 0.0
+        assert stuck.kraus_rank == len(stuck.channel.kraus) == 1
+
     def test_channel_is_built_on_first_access(self, example_loop):
         r = reachability_superop(example_loop)
         assert "channel" not in vars(r)
@@ -381,7 +417,7 @@ while meas M(q0) == 1 { skip }
         assert verdicts.almost_eventually.status == "not_valid"
 
     def test_triple_equals_per_verdict_functions(self, monkeypatch):
-        import qtl.checker as checker
+        import qtl.qwhile as qwhile
 
         simulations = []
 
@@ -400,12 +436,13 @@ while meas M(q0) == 1 { skip }
             )
             simulations.clear()
             with monkeypatch.context() as patch:
-                patch.setattr(checker, "simulate_deterministic", counting)
+                patch.setattr(qwhile, "simulate_deterministic", counting)
                 assert check_exit_formulas(prog, sub) == expected
             assert len(simulations) == 1  # one trajectory serves <> and []
 
     def test_each_verdict_computes_only_its_own(self, example_loop, monkeypatch):
         import qtl.checker as checker
+        import qtl.qwhile as qwhile
 
         def forbidden(*args, **kwargs):
             raise AssertionError("computed a part of another verdict")
@@ -415,7 +452,7 @@ while meas M(q0) == 1 { skip }
             assert check_exit_eventually(example_loop, span((1, 0))).status == "not_valid"
             assert check_exit_always(example_loop, span((1, 0))).is_valid
         with monkeypatch.context() as patch:
-            patch.setattr(checker, "simulate_deterministic", forbidden)
+            patch.setattr(qwhile, "simulate_deterministic", forbidden)
             assert check_exit_almost_eventually(example_loop, span((1, 0))).is_valid
 
 
@@ -623,9 +660,10 @@ class TestRandomReachability:
             except ToleranceAmbiguity:
                 continue
             body_rep = step_superop(prog).matrix_rep()
-            from qtl.program import exit_projectors
+            from qtl.qwhile import bohm_jacopini
 
-            m0, m1 = exit_projectors(prog)
+            nf = bohm_jacopini(prog)
+            m0, m1 = nf.m0, nf.m1
             split = peripheral_split(body_rep @ kron(m1, m1))
             radius = max(
                 (abs(lam) for lam, _ in split.eigenvalues if abs(lam) < 1 - 1e-9),

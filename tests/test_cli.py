@@ -240,6 +240,20 @@ class TestReachCommand:
         assert payload["kraus_rank"] >= 1
 
 
+    def test_kraus_rank_builds_no_channel(self, workspace, capsys, monkeypatch):
+        import qtl.checker as checker
+
+        _, prog, _, _ = workspace
+        expected = len(checker.reachability_superop(compile_source(EXAMPLE_LOOP_SRC)).channel.kraus)
+
+        def forbidden(result):
+            raise AssertionError("qtl reach built the Kraus operators")
+
+        monkeypatch.setattr(checker.ReachabilityResult, "channel", property(forbidden))
+        assert main(["reach", prog, "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["kraus_rank"] == expected
+
+
 class TestSimulateCommand:
     def test_exact_step_states(self, workspace, capsys):
         _, prog, atoms, _ = workspace

@@ -213,6 +213,23 @@ class TestTermination:
         result = check_terminates(prog)
         assert result.kind == "terminates" and result.step == 1
 
+    def test_program_starting_at_its_exit(self):
+        from qtl.checker import check_exit_eventually, reachability_superop
+        from qtl.subspace import Subspace
+
+        act = {
+            "a": LocationAction(SuperOp.identity(2), Measurement.trivial(2), {0: ("e",)}),
+            "e": LocationAction(SuperOp.identity(2), Measurement.trivial(2), {0: ("e",)}),
+        }
+        prog = SequentialProgram(2, ("a", "e"), act, KET_MINUS_DENSITY, "e", "e")
+        result = check_terminates(prog)
+        assert result.kind == "terminates" and result.step == 0
+        assert result.final_exit_trace == 1
+        # the horizon-0 call, reachability and <> agree on step 0
+        assert check_terminates(prog, horizon=0).step == 0
+        assert reachability_superop(prog).expected_steps == 0.0
+        assert check_exit_eventually(prog, Subspace.full(2)).diagnostics["step"] == 0
+
     def test_measure_to_exit_program(self):
         src = """qubits 1;
 measurement M = {[[1, 0], [0, 0]], [[0, 0], [0, 1]]};

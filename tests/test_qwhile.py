@@ -314,6 +314,36 @@ class TestNormalForm:
             acc = acc + collect @ v
             assert unvec(acc, 8) == nf.exit_after(sigma0, k + 1)
 
+    def test_exit_series_runs_on_the_block_space(self, monkeypatch):
+        from qtl.superop import SuperOp
+
+        prog = compile_source(EXAMPLE_LOOP_SRC)
+        nf = bohm_jacopini(prog)
+        sigma0 = embed(initial_cq(prog), prog)
+        expected = [nf.m0 @ embed(s, prog) @ nf.m0 for s in simulate_deterministic(prog, 12)]
+        d_emb = prog.dim * len(prog.locations)
+        original = SuperOp.matrix_rep
+
+        def data_space_only(channel):
+            if channel.dim_in == d_emb:
+                raise AssertionError("built a matrix representation on the embedded space")
+            return original(channel)
+
+        monkeypatch.setattr(SuperOp, "matrix_rep", data_space_only)
+        assert nf.exit_series(sigma0, 12) == expected
+
+    def test_exit_series_rejects_coherence_between_locations(self):
+        from qtl.errors import NonClassicalCoherence
+
+        prog = compile_source(EXAMPLE_LOOP_SRC)
+        nf = bohm_jacopini(prog)
+        # (|0, l1> + |0, l2>) / sqrt 2: embedded indices 0 and 1
+        d_emb = prog.dim * len(prog.locations)
+        units = [Mat.unit(d_emb, i, j) for i in (0, 1) for j in (0, 1)]
+        coherent = (units[0] + units[1] + units[2] + units[3]) * Fraction(1, 2)
+        with pytest.raises(NonClassicalCoherence):
+            nf.exit_series(coherent, 4)
+
     def test_requires_determinism(self):
         from qtl.program import LocationAction, SequentialProgram
         from qtl.superop import Measurement, SuperOp
