@@ -768,7 +768,10 @@ def _reach_kraus(loop: WhileNormalForm, tolerance: float) -> list:
     space, one per Choi eigenvalue above the cut: the loop body's one-step
     representation, cut by the guard, is split by the numeric core of the
     peripheral split (with all its checks), and the eigendecomposition of
-    the reshuffled (Choi) matrix of (M0 x M0)(I - N)^{-1} gives the rest."""
+    the reshuffled (Choi) matrix of (M0 x M0)(I - N)^{-1} gives the rest.
+    Only the Choi rows and columns (a, c) with a in the exit block can be
+    nonzero, so the eigendecomposition runs on that principal block of
+    d^2*|L| rows, and every Kraus operator is zero off the exit rows."""
     d_emb = loop.m0.rows
     kraus_float = [k.to_complex() for k in loop.body_channel.kraus]
     step_float = sum(np.kron(k, k.conj()) for k in kraus_float)
@@ -777,15 +780,18 @@ def _reach_kraus(loop: WhileNormalForm, tolerance: float) -> list:
     collect = np.diag(loop.m0.to_complex())
     f_rep_float = np.kron(collect, collect)[:, None] * np.linalg.inv(np.eye(d_emb * d_emb) - stable)
     choi = f_rep_float.reshape(d_emb, d_emb, d_emb, d_emb).transpose(0, 2, 1, 3)
-    choi = choi.reshape(d_emb * d_emb, d_emb * d_emb)
+    exit_rows = np.flatnonzero(collect)
+    choi = choi[exit_rows][:, :, exit_rows].reshape(len(exit_rows) * d_emb, len(exit_rows) * d_emb)
     choi = (choi + choi.conj().T) / 2
     eigvals, eigvecs = np.linalg.eigh(choi)
     scale = max(1.0, float(eigvals.max(initial=0.0)))
-    return [
-        np.sqrt(lam) * col.reshape(d_emb, d_emb)
-        for lam, col in zip(eigvals, eigvecs.T)
-        if lam > _KRAUS_TOL * scale
-    ]
+    kraus = []
+    for lam, col in zip(eigvals, eigvecs.T):
+        if lam > _KRAUS_TOL * scale:
+            k = np.zeros((d_emb, d_emb), dtype=complex)
+            k[exit_rows] = np.sqrt(lam) * col.reshape(len(exit_rows), d_emb)
+            kraus.append(k)
+    return kraus
 
 
 def reachability_superop(program: SequentialProgram, tolerance: float = 1e-9) -> ReachabilityResult:
@@ -1015,7 +1021,8 @@ def hoare_check(
         raise DimensionMismatch("pre and post conditions live on the data space")
     if pre_sub.is_zero():
         return Verdict.valid(diagnostics={"vacuous": True})
-    for idx, col in enumerate(pre_sub.basis.column_vectors()):
+    for idx in range(pre_sub.dim):
+        col = pre_sub.rref[idx : idx + 1, :].transpose()
         norm = (col.dagger() @ col).entry(0, 0)
         rho = (col @ col.dagger()) * (CRat(1) / norm)
         instance = program.with_initial_state(rho)
@@ -1100,11 +1107,11 @@ def _exit_shaped(proposition, target) -> Subspace | None:
         or not target.deterministic
     ):
         return None
-    basis = proposition.basis
-    if bohm_jacopini(target).m0 @ basis != basis:
+    rows = proposition.rref
+    if rows @ bohm_jacopini(target).m0.transpose() != rows:
         return None
     e_idx = target.config_index(target.exit_location)
-    return Subspace.column_space(basis[e_idx :: len(target.locations), :])
+    return Subspace(target.dim, rows[:, e_idx :: len(target.locations)])
 
 
 def check(

@@ -9,6 +9,7 @@ formula outside the decidable fragment.
 from __future__ import annotations
 
 import argparse
+import functools
 import inspect
 import json
 import os
@@ -198,19 +199,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--period-bound", type=int, default=64, dest="period_bound")
     p_check.add_argument("--depth", type=int, default=12)
     p_check.add_argument("--json", action="store_true")
-    p_check.set_defaults(func=cmd_check)
 
     p_compile = sub.add_parser("compile", help="compile .qw source to a program")
     p_compile.add_argument("source", help=".qw source (or program JSON with --normal-form)")
     p_compile.add_argument("-o", "--output", help="output path (default stdout)")
     p_compile.add_argument("--normal-form", action="store_true", dest="normal_form")
-    p_compile.set_defaults(func=cmd_compile)
 
     p_reach = sub.add_parser("reach", help="reachability of the exit location")
     p_reach.add_argument("program")
     p_reach.add_argument("--tolerance", type=float, default=1e-9)
     p_reach.add_argument("--json", action="store_true")
-    p_reach.set_defaults(func=cmd_reach)
 
     p_sim = sub.add_parser("simulate", help="exact step-by-step simulation")
     p_sim.add_argument("program")
@@ -218,14 +216,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--schedule", default="", help="comma-separated successor picks, or 'enumerate'")
     p_sim.add_argument("--atoms")
     p_sim.add_argument("--json", action="store_true")
-    p_sim.set_defaults(func=cmd_simulate)
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of :func:`main`, built once per process: parsing reads it
+    and leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage errors, which collides with "unknown"
         return EXIT_VALID if exc.code in (0, None) else EXIT_ERROR
@@ -236,7 +239,8 @@ def main(argv=None) -> int:
         print("error: --period-bound must be at least 1", file=sys.stderr)
         return EXIT_ERROR
     try:
-        return args.func(args)
+        # looked up when called, not kept in the parser built once per process
+        return globals()[f"cmd_{args.command}"](args)
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

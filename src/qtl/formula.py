@@ -24,7 +24,6 @@ from .errors import (
     UnknownAtom,
     UnknownConfiguration,
 )
-from .linalg import Mat
 from .subspace import Subspace, satisfies
 from .program import CQState, embed
 
@@ -120,14 +119,14 @@ def atom_from_blocks(name: str, blocks: dict, program) -> Atom:
         if sub.ambient_dim != d:
             raise DimensionMismatch(f"block for {label!r} must live in dimension {d}")
         by_index[index_of[key]] = sub
-    cols = []
+    vectors = []
     for idx, sub in sorted(by_index.items()):
-        for col in sub.basis.column_vectors():
+        for i in range(sub.dim):
             entries = [0] * (d * n_configs)
             for h in range(d):
-                entries[h * n_configs + idx] = col.entry(h, 0)
-            cols.append(Mat.column(entries))
-    return Atom(name, Subspace.from_vectors(d * n_configs, cols))
+                entries[h * n_configs + idx] = sub.rref.entry(i, h)
+            vectors.append(entries)
+    return Atom(name, Subspace.from_vectors(d * n_configs, vectors))
 
 
 # ----------------------------------------------------------------------

@@ -66,8 +66,8 @@ def subspace_to_json(s: Subspace):
     return {
         "dim": s.ambient_dim,
         "basis": [
-            [scalar_to_json(s.basis.entry(i, j)) for i in range(s.ambient_dim)]
-            for j in range(s.basis.cols)
+            [scalar_to_json(s.rref.entry(j, i)) for i in range(s.ambient_dim)]
+            for j in range(s.dim)
         ],
     }
 

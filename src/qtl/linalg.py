@@ -3,9 +3,9 @@
 Everything that feeds the subspace lattice and the program semantics stays in
 exact arithmetic: a matrix is a pair of integer numerator grids (real and
 imaginary parts, numpy object arrays so the integers are unbounded) over a
-single positive denominator.  Rank, kernel, inverse and solve run
-fraction-free (Bareiss) over the Gaussian integers, so no rounding ever
-happens on that path.
+single positive denominator.  Rank, kernel, reduced row echelon form,
+inverse and solve run fraction-free (Bareiss) over the Gaussian integers, so
+no rounding ever happens on that path.
 
 The only numeric computation lives in :func:`split_numeric`, which separates
 the eigenvalues of modulus (close to) one from the strictly contracting rest
@@ -484,7 +484,7 @@ def _rows_as_pairs(m: Mat):
     return [list(zip(re, im)) for re, im in zip(m.num_re.tolist(), m.num_im.tolist())]
 
 
-def _echelon(rows, width):
+def _echelon(rows, width, jordan=False):
     """In-place Bareiss elimination; returns the list of (row, col) pivots.
 
     Works over the Gaussian integers: every division in the update formula
@@ -492,6 +492,12 @@ def _echelon(rows, width):
     that are or become zero can never hold a pivot and are dropped from the
     list, and entries that are zero in both the pivot row and the updated
     row are left untouched.
+
+    With ``jordan`` the same update also runs on the rows above each pivot
+    (fraction-free Gauss-Jordan): every entry stays a minor, so the
+    divisions stay exact, and at the end each pivot row holds the last
+    pivot D at its own pivot column and zero at the others, i.e. the rows
+    are D times the reduced row echelon form.
     """
     rows[:] = [row for row in rows if row.count((0, 0)) != len(row)]
     pivots = []
@@ -515,12 +521,35 @@ def _echelon(rows, width):
         pre, pim = row_r[c]
         pn = prev_re * prev_re + prev_im * prev_im
         divide = prev_re != 1 or prev_im != 0
+        same = pre == prev_re and pim == prev_im
         kept = rows[: r + 1]
-        for i in range(r + 1, nrows):
+        targets = range(r + 1, nrows)
+        if jordan:
+            targets = list(targets) + list(range(r))
+        for i in targets:
             row_i = rows[i]
             tre, tim = row_i[c]
+            if same and not (tre or tim):
+                # piv / prev = 1 and nothing to subtract: the row stays as it is
+                if i > r:
+                    kept.append(row_i)
+                continue
             row_i[c] = (0, 0)
             nonzero = False
+            if i < r:
+                # a row above the pivot: the pivot row is zero left of c, so
+                # the update there is the scaling by piv / prev alone
+                for j in range(c):
+                    are, aim = row_i[j]
+                    if are or aim:
+                        nre = pre * are - pim * aim
+                        nim = pre * aim + pim * are
+                        if divide:
+                            nre, nim = (
+                                (nre * prev_re + nim * prev_im) // pn,
+                                (nim * prev_re - nre * prev_im) // pn,
+                            )
+                        row_i[j] = (nre, nim)
             for j in range(c + 1, width):
                 are, aim = row_i[j]
                 bre, bim = row_r[j]
@@ -541,13 +570,34 @@ def _echelon(rows, width):
                 row_i[j] = (nre, nim)
                 if nre or nim:
                     nonzero = True
-            if nonzero:
+            if nonzero and i > r:
                 kept.append(row_i)
         rows[:] = kept
         pivots.append((r, c))
         prev_re, prev_im = pre, pim
         r += 1
     return pivots
+
+
+def rref(m: Mat):
+    """Reduced row echelon form of m over Q(i), and its pivot columns.
+
+    One fraction-free Gauss-Jordan pass (:func:`_echelon` with ``jordan``)
+    leaves D times the reduced form, D the last pivot, on the Gaussian
+    integers; the one division by D happens when the result is built.  Zero
+    rows are dropped, so the result has one row per pivot.  The reduced
+    form is unique for the row space, and ``Mat`` normalizes its entries,
+    so equal row spaces give equal results.
+    """
+    rows = _rows_as_pairs(m)
+    pivots = _echelon(rows, m.cols, jordan=True)
+    if not pivots:
+        return Mat.zeros(0, m.cols), ()
+    dre, dim_ = rows[-1][pivots[-1][1]]
+    # rows / D = rows conj(D) / |D|^2
+    num_re = np.array([[a * dre + b * dim_ for a, b in row] for row in rows], dtype=object)
+    num_im = np.array([[b * dre - a * dim_ for a, b in row] for row in rows], dtype=object)
+    return Mat(num_re, num_im, dre * dre + dim_ * dim_), tuple(c for _, c in pivots)
 
 
 def rank(m: Mat) -> int:

@@ -1,11 +1,14 @@
-"""Closed subspaces as exact projections, and canonical finite unions of them.
+"""Closed subspaces in reduced row echelon form, and canonical finite unions
+of them.
 
-A subspace carries a (not necessarily orthonormal) rational basis together
-with the cached projector B (B†B)^-1 B†, computed as B solve(B†B, B†) without
-forming the inverse of the Gram matrix, which is the canonical
-representative: two subspaces are equal exactly when their projectors are.
-Orthonormalization is deliberately avoided because it would leave the
-rational field.
+A subspace of C^n is held as the reduced row echelon form (RREF) over Q(i)
+of a basis written as rows: its rows, read as column vectors, are a basis,
+and its pivot columns carry the identity.  The RREF of a subspace is
+unique, so it is the key, the hash and the equality.  Containment reduces
+the other basis against the pivot rows and the orthocomplement is read off
+the free columns, so no projector is formed; :attr:`Subspace.projector`
+builds one on first use for the callers that need an operator.
+Orthonormalization is avoided because it would leave the rational field.
 
 Unions are kept in a canonical form where no member contains another.  A
 subspace contained in a finite union of subspaces lies inside one of the
@@ -18,23 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionMismatch, NotPositive
-from .linalg import Mat, kernel_basis, _echelon, _rows_as_pairs, is_psd, solve
-
-
-def _empty_basis(ambient_dim: int) -> Mat:
-    z = np.zeros((ambient_dim, 0), dtype=object)
-    return Mat(z, z.copy(), 1, _normalized=True)
-
-
-def _kernel_columns(m: Mat) -> Mat | None:
-    """The vectors of :func:`kernel_basis` side by side; None when m is injective."""
-    vectors = kernel_basis(m)
-    if not vectors:
-        return None
-    kernel = vectors[0]
-    for v in vectors[1:]:
-        kernel = kernel.hstack(v)
-    return kernel
+from .linalg import Mat, _echelon, _rows_as_pairs, is_psd, rref, solve
 
 
 def independent_columns(m: Mat) -> list:
@@ -46,22 +33,22 @@ def independent_columns(m: Mat) -> list:
 
 
 class Subspace:
-    """A closed linear subspace of C^n, held as an exact basis + projector."""
+    """A closed linear subspace of C^n, held as the RREF of a basis."""
 
-    __slots__ = ("ambient_dim", "basis", "projector")
+    __slots__ = ("ambient_dim", "rref", "pivots", "_complement", "_projector")
 
-    def __init__(self, ambient_dim: int, basis: Mat, projector: Mat | None = None):
-        if basis.rows != ambient_dim:
+    def __init__(self, ambient_dim: int, rows: Mat, _pivots: tuple | None = None):
+        """The span of the rows of ``rows``, each read as a column vector;
+        with ``_pivots`` the rows are already the RREF with those pivots."""
+        if rows.cols != ambient_dim:
             raise DimensionMismatch("basis does not live in the stated ambient space")
+        if _pivots is None:
+            rows, _pivots = rref(rows)
         object.__setattr__(self, "ambient_dim", ambient_dim)
-        object.__setattr__(self, "basis", basis)
-        if projector is None:
-            if basis.cols == 0:
-                projector = Mat.zeros(ambient_dim)
-            else:
-                basis_dag = basis.dagger()
-                projector = basis @ solve(basis_dag @ basis, basis_dag)
-        object.__setattr__(self, "projector", projector)
+        object.__setattr__(self, "rref", rows)
+        object.__setattr__(self, "pivots", _pivots)
+        object.__setattr__(self, "_complement", None)
+        object.__setattr__(self, "_projector", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Subspace is immutable")
@@ -70,57 +57,40 @@ class Subspace:
 
     @staticmethod
     def from_vectors(ambient_dim: int, vectors) -> "Subspace":
-        """Span of the given column vectors, reduced to a full-rank basis."""
-        cols = []
+        """Span of the given column vectors (column ``Mat``s or entry lists)."""
+        rows = []
         for v in vectors:
-            col = v if isinstance(v, Mat) else Mat.column(v)
-            if col.rows != ambient_dim or col.cols != 1:
+            if isinstance(v, Mat):
+                v = [v.entry(i, 0) for i in range(v.rows)] if v.cols == 1 else None
+            if v is None or len(v) != ambient_dim:
                 raise DimensionMismatch("vector does not live in the ambient space")
-            if not col.is_zero():
-                cols.append(col)
-        if not cols:
+            rows.append(list(v))
+        if not rows:
             return Subspace.zero(ambient_dim)
-        stacked = cols[0]
-        for c in cols[1:]:
-            stacked = stacked.hstack(c)
-        return Subspace.column_space(stacked)
-
-    @staticmethod
-    def column_space(m: Mat) -> "Subspace":
-        """Span of the columns of m; its leftmost independent columns are the basis."""
-        keep = independent_columns(m)
-        if not keep:
-            return Subspace.zero(m.rows)
-        return Subspace(m.rows, m[:, keep])
-
-    @staticmethod
-    def null_space(m: Mat) -> "Subspace":
-        """Right null space of m, with the vectors of :func:`kernel_basis` as basis."""
-        kernel = _kernel_columns(m)
-        if kernel is None:
-            return Subspace.zero(m.cols)
-        return Subspace(m.cols, kernel)
-
-    @staticmethod
-    def from_projector(projector: Mat) -> "Subspace":
-        keep = independent_columns(projector)
-        if not keep:
-            return Subspace.zero(projector.rows)
-        return Subspace(projector.rows, projector[:, keep], projector)
+        return Subspace(ambient_dim, Mat.from_rows(rows))
 
     @staticmethod
     def zero(ambient_dim: int) -> "Subspace":
-        return Subspace(ambient_dim, _empty_basis(ambient_dim), Mat.zeros(ambient_dim))
+        return Subspace(ambient_dim, Mat.zeros(0, ambient_dim), ())
 
     @staticmethod
     def full(ambient_dim: int) -> "Subspace":
-        return Subspace(ambient_dim, Mat.eye(ambient_dim), Mat.eye(ambient_dim))
+        return Subspace(ambient_dim, Mat.eye(ambient_dim), tuple(range(ambient_dim)))
 
     # ------------------------------------------------------------------
 
     @property
     def dim(self) -> int:
-        return self.basis.cols
+        return len(self.pivots)
+
+    @property
+    def projector(self) -> Mat:
+        """The orthogonal projector B (B†B)^-1 B† with B = rref^T, computed
+        as B solve(B†B, B†) on first use and cached."""
+        if self._projector is None:
+            b, b_dag = self.rref.transpose(), self.rref.conj()
+            object.__setattr__(self, "_projector", b @ solve(b_dag @ b, b_dag))
+        return self._projector
 
     def is_zero(self) -> bool:
         return self.dim == 0
@@ -129,61 +99,93 @@ class Subspace:
         return self.dim == self.ambient_dim
 
     def contains(self, other: "Subspace") -> bool:
-        """Subspace inclusion other <= self, decided exactly."""
+        """Subspace inclusion other <= self, decided exactly; the pivots are
+        the leading columns of the vectors, so other's lie among self's."""
         self._check_ambient(other)
-        return (self.projector @ other.basis) == other.basis
+        if not set(other.pivots).issubset(self.pivots):
+            return False
+        if other.dim == self.dim:
+            return other.rref == self.rref
+        return self._spans(other.rref)
 
-    def contains_vector(self, v: Mat) -> bool:
-        return (self.projector @ v) == v
+    def _spans(self, rows: Mat) -> bool:
+        """Every row of ``rows``, read as a vector, lies in the subspace: it
+        equals its pivot-column entries times the RREF rows."""
+        return self.is_full() or rows[:, list(self.pivots)] @ self.rref == rows
 
     def meet(self, other: "Subspace") -> "Subspace":
-        """Intersection: B1 x for the kernel vectors (x, y) of [B1 | -B2]."""
+        """Intersection: the vectors y R of one side (R its RREF) orthogonal
+        to the other's complement C, i.e. y in the complement of the rows of
+        C R†.  With Y the RREF of those y, Y R is in RREF, with R's pivots."""
         self._check_ambient(other)
         if self.dim == 0 or other.is_full():
             return self
         if other.dim == 0 or self.is_full():
             return other
-        kernel = _kernel_columns(self.basis.hstack(-other.basis))
-        if kernel is None:
-            return Subspace.zero(self.ambient_dim)
-        # the kernel vectors are independent and B1 has full column rank
-        return Subspace(self.ambient_dim, self.basis @ kernel[: self.dim, :])
+        # b's complement is the one used: prefer a side that has it cached
+        a, b = (other, self) if other._complement is None and self._complement is not None else (self, other)
+        g = b.complement().rref @ a.rref.dagger()
+        if g.is_zero():
+            return a
+        y = Subspace(a.dim, _perp_rows(*rref(g)))
+        return Subspace(self.ambient_dim, y.rref @ a.rref, tuple(a.pivots[q] for q in y.pivots))
 
     def join(self, other: "Subspace") -> "Subspace":
+        """Span of both: the RREF of the stacked rows."""
         self._check_ambient(other)
-        if self.dim == 0:
+        if self.dim == 0 or other.is_full():
             return other
-        if other.dim == 0:
+        if other.dim == 0 or self.is_full():
             return self
-        return Subspace.from_vectors(
-            self.ambient_dim, self.basis.column_vectors() + other.basis.column_vectors()
-        )
+        return Subspace(self.ambient_dim, self.rref.vstack(other.rref))
 
     def complement(self) -> "Subspace":
-        """Orthocomplement: kernel of basis-dagger."""
-        if self.dim == 0:
-            return Subspace.full(self.ambient_dim)
-        return Subspace.null_space(self.basis.dagger())
+        """Orthocomplement, read off the free columns (:func:`_perp_rows`);
+        cached both ways, as the complement of the complement is self."""
+        if self._complement is None:
+            n = self.ambient_dim
+            if self.dim == 0:
+                perp = Subspace.full(n)
+            elif self.is_full():
+                perp = Subspace.zero(n)
+            else:
+                perp = Subspace(n, _perp_rows(self.rref, self.pivots))
+            object.__setattr__(perp, "_complement", self)
+            object.__setattr__(self, "_complement", perp)
+        return self._complement
 
     def _check_ambient(self, other: "Subspace"):
         if self.ambient_dim != other.ambient_dim:
-            raise DimensionMismatch(
-                f"ambient dimensions differ: {self.ambient_dim} vs {other.ambient_dim}"
-            )
+            raise DimensionMismatch(f"ambient dimensions differ: {self.ambient_dim} vs {other.ambient_dim}")
 
     def __eq__(self, other):
         if not isinstance(other, Subspace):
             return NotImplemented
-        return self.ambient_dim == other.ambient_dim and self.projector == other.projector
+        return self.ambient_dim == other.ambient_dim and self.rref == other.rref
 
     def __hash__(self):
-        return hash(self.projector.key())
+        return hash(self.key())
 
     def key(self):
-        return self.projector.key()
+        return self.rref.key()
 
     def __repr__(self):
         return f"Subspace(dim {self.dim} of C^{self.ambient_dim})"
+
+
+def _perp_rows(r: Mat, pivots: tuple) -> Mat:
+    """Rows spanning the orthocomplement of the span of the RREF rows r: the
+    row of free column f has 1 at f and -conj(r[i, f]) at the pivot of row i."""
+    n = r.cols
+    free = [j for j in range(n) if j not in pivots]
+    num_re = np.zeros((len(free), n), dtype=object)
+    num_im = np.zeros((len(free), n), dtype=object)
+    for row, f in enumerate(free):
+        num_re[row, f] = r.den
+        for i, p in enumerate(pivots):
+            num_re[row, p], num_im[row, p] = -r.num_re[i, f], r.num_im[i, f]
+    # normalized: the gcd of den and r's free-column numerators is one
+    return Mat(num_re, num_im, r.den, _normalized=True)
 
 
 def support(rho: Mat, validate: bool = True) -> Subspace:
@@ -196,14 +198,15 @@ def support(rho: Mat, validate: bool = True) -> Subspace:
         raise DimensionMismatch("support needs a square matrix")
     if validate and not is_psd(rho):
         raise NotPositive("matrix has a negative direction or is not Hermitian")
-    return Subspace.column_space(rho)
+    return Subspace(rho.rows, rho.transpose())
 
 
 def satisfies(rho: Mat, p: Subspace) -> bool:
-    """Exact satisfaction: the support of rho lies inside p, i.e. P rho = rho."""
+    """Exact satisfaction: the support of rho lies inside p, i.e. every
+    column of rho reduces to zero against the pivot rows of p."""
     if rho.rows != p.ambient_dim:
         raise DimensionMismatch("state and proposition live in different spaces")
-    return (p.projector @ rho) == rho
+    return p._spans(rho.transpose())
 
 
 class SubspaceUnion:
@@ -223,12 +226,6 @@ class SubspaceUnion:
 
     def __setattr__(self, name, value):
         raise AttributeError("SubspaceUnion is immutable")
-
-    @staticmethod
-    def of(*subspaces) -> "SubspaceUnion":
-        if not subspaces:
-            raise ValueError("need at least one subspace (use zero(ambient) for false)")
-        return SubspaceUnion(subspaces[0].ambient_dim, subspaces)
 
     @staticmethod
     def zero(ambient_dim: int) -> "SubspaceUnion":
@@ -263,13 +260,14 @@ class SubspaceUnion:
         return SubspaceUnion(self.ambient_dim, list(self.members) + list(other.members))
 
     def __eq__(self, other):
+        # the maximal subspaces inside a union are its canonical members,
+        # sorted by their unique keys, so equal unions have equal keys
         if not isinstance(other, SubspaceUnion):
             return NotImplemented
-        return self.subset_of(other) and other.subset_of(self)
+        return self.ambient_dim == other.ambient_dim and self.key() == other.key()
 
     def __hash__(self):
-        # canonical members sorted by key, so the hash is extensional
-        return hash(tuple(m.key() for m in self.members))
+        return hash(self.key())
 
     def key(self):
         return tuple(m.key() for m in self.members)

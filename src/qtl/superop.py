@@ -2,9 +2,10 @@
 measurements, and the induced image/pre-image actions on subspaces.
 
 The lattice actions work on the Kraus operators alone: the image of p is
-the span of the K_i b_j over a basis b_j of p, and the pre-image
-E^-1(p) = (E*(p^perp))^perp is the joint kernel of the B† K_i over a basis B
-of p^perp, so no d^2 x d^2 object is formed.
+the span of the K_i b_j over the RREF basis b_j of p (:mod:`qtl.subspace`),
+and the pre-image is E^-1(p) = (E*(p^perp))^perp, the orthocomplement of
+the dual image of p^perp.  Each is one product of the RREF rows with a
+Kraus stack cached on the channel, so no d^2 x d^2 object is formed.
 
 The matrix representation M = sum_i E_i (x) conj(E_i) linearizes a channel on
 row-major vectorized operators: vec(E(A)) = M vec(A).  It is the canonical
@@ -104,7 +105,7 @@ class SuperOp:
     (for channels reconstructed from numeric data), None skips it.
     """
 
-    __slots__ = ("kraus", "dim_in", "dim_out", "_trace_preserving", "_matrix_rep")
+    __slots__ = ("kraus", "dim_in", "dim_out", "_trace_preserving", "_matrix_rep", "_stack", "_dual")
 
     def __init__(self, kraus, validate: str | None = "exact", tol: float = 1e-9):
         kraus = tuple(kraus)
@@ -119,6 +120,8 @@ class SuperOp:
         object.__setattr__(self, "dim_in", dim_in)
         object.__setattr__(self, "dim_out", dim_out)
         object.__setattr__(self, "_matrix_rep", None)
+        object.__setattr__(self, "_stack", None)
+        object.__setattr__(self, "_dual", None)
         tp = None
         if validate == "exact":
             total = Mat.zeros(dim_in)
@@ -187,8 +190,26 @@ class SuperOp:
         return mat_sum(k @ rho @ k.dagger() for k in self.kraus)
 
     def dual(self) -> "SuperOp":
-        """Heisenberg-picture dual: Kraus set {E_k†}."""
-        return SuperOp([k.dagger() for k in self.kraus], validate=None)
+        """Heisenberg-picture dual: Kraus set {E_k†}; cached both ways."""
+        if self._dual is None:
+            dual = SuperOp([k.dagger() for k in self.kraus], validate=None)
+            object.__setattr__(dual, "_dual", self)
+            object.__setattr__(self, "_dual", dual)
+        return self._dual
+
+    def _image_rows(self, rows: Mat) -> Mat:
+        """The rows (K_i r)^T for every row r of ``rows`` and every Kraus
+        operator K_i: one product with the cached stack [K_1^T | ... | K_m^T],
+        whose result row r holds the m images side by side."""
+        if self._stack is None:
+            stack = self.kraus[0].transpose()
+            for k in self.kraus[1:]:
+                stack = stack.hstack(k.transpose())
+            object.__setattr__(self, "_stack", stack)
+        out = rows @ self._stack
+        return Mat(
+            out.num_re.reshape(-1, self.dim_out), out.num_im.reshape(-1, self.dim_out), out.den, _normalized=True
+        )
 
     def matrix_rep(self) -> Mat:
         """sum_i E_i (x) conj(E_i); cached."""
@@ -276,32 +297,25 @@ def preimage(e: SuperOp, p: Subspace) -> Subspace:
     """The exact inverse-satisfaction set {sigma : E(sigma) |= p}.
 
     E(sigma) |= p exactly when every K_i maps the support of sigma into p,
-    so the pre-image (E*(p^perp))^perp is the joint kernel of the B† K_i,
-    with B a basis of the orthocomplement of p.
+    so the pre-image is (E*(p^perp))^perp: the orthocomplement of the span
+    of the K_i† c over the RREF basis c of the orthocomplement of p.
     """
     if p.ambient_dim != e.dim_out:
         raise DimensionMismatch("subspace does not live in the channel output space")
     perp = p.complement()
     if perp.is_zero():
         return Subspace.full(e.dim_in)
-    b_dag = perp.basis.dagger()
-    stacked = b_dag @ e.kraus[0]
-    for k in e.kraus[1:]:
-        stacked = stacked.vstack(b_dag @ k)
-    return Subspace.null_space(stacked)
+    return Subspace(e.dim_in, e.dual()._image_rows(perp.rref)).complement()
 
 
 def image(e: SuperOp, p: Subspace) -> Subspace:
     """Support of the channel applied to any state with support p: the span
-    of the K_i b_j over the Kraus operators K_i and a basis b_j of p."""
+    of the K_i b_j over the Kraus operators K_i and the RREF basis b_j of p."""
     if p.ambient_dim != e.dim_in:
         raise DimensionMismatch("subspace does not live in the channel input space")
     if p.is_zero():
         return Subspace.zero(e.dim_out)
-    stacked = e.kraus[0] @ p.basis
-    for k in e.kraus[1:]:
-        stacked = stacked.hstack(k @ p.basis)
-    return Subspace.column_space(stacked)
+    return Subspace(e.dim_out, e._image_rows(p.rref))
 
 
 def preimage_union(e: SuperOp, u: SubspaceUnion) -> SubspaceUnion:

@@ -319,15 +319,19 @@ while meas M(q0) == 1 { apply X to q0; apply X to q0 }
         assert r.expected_steps == math.inf
 
     def test_channel_reproduces_exact_reach_state(self, example_loop):
-        r = reachability_superop(example_loop)
-        sigma0 = embed(initial_cq(example_loop), example_loop).to_complex()
+        # the Kraus operators come from the exit block of the Choi matrix;
+        # the ranks are those of the decomposition of the whole matrix
         import numpy as np
 
-        acc = 0
-        for k in r.channel.kraus:
-            kf = k.to_complex()
-            acc = acc + kf @ sigma0 @ kf.conj().T
-        assert np.max(np.abs(acc - r.reach_state.to_complex())) < 1e-6
+        for prog, rank in ((example_loop, 7), (compile_source(TWO_QUBIT_LOOP_SRC), 10)):
+            r = reachability_superop(prog)
+            assert r.kraus_rank == rank
+            sigma0 = embed(initial_cq(prog), prog).to_complex()
+            acc = 0
+            for k in r.channel.kraus:
+                kf = k.to_complex()
+                acc = acc + kf @ sigma0 @ kf.conj().T
+            assert np.max(np.abs(acc - r.reach_state.to_complex())) < 1e-6
 
     def test_two_qubit_loop_family(self):
         prog = compile_source(TWO_QUBIT_LOOP_SRC)

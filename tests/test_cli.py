@@ -182,6 +182,32 @@ class TestCheckCommand:
         assert main(["check", prog, "-f", "[] p", "--period-bound", "0"]) == 3
         capsys.readouterr()
 
+    def test_one_parser_serves_consecutive_calls(self, workspace, capsys, monkeypatch):
+        import qtl.cli as cli
+
+        _, prog, atoms, source = workspace
+        built = []
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+        cli._parser.cache_clear()
+        try:
+            codes = [main(["check", prog, "--atoms", atoms, "-f", "[] p", "--json"])]
+            assert json.loads(capsys.readouterr().out)["status"] == "valid"
+            codes += [
+                main(["check", prog]),  # missing -f
+                main(["reach", prog, "--json"]),
+                main(["check", "--help"]),
+                main(["compile", source, "--no-such-option"]),
+                main(["check", prog, "--atoms", atoms, "-f", "<> exit0"]),
+            ]
+            # no option of an earlier call leaks into a later one
+            assert "\nformula: <> exit0\nstatus: not_valid\n" in capsys.readouterr().out
+            codes.append(main(["simulate", prog, "--steps", "1", "--json"]))
+        finally:
+            cli._parser.cache_clear()
+        assert codes == [0, 3, 0, 0, 3, 1, 0]
+        assert built == [1]
+
     def test_json_report_schema(self, workspace, capsys):
         _, prog, atoms, _ = workspace
         assert main(["check", prog, "--atoms", atoms, "-f", "[] p", "--json"]) == 0

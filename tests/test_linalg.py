@@ -19,6 +19,7 @@ from qtl.linalg import (
     parse_rational,
     peripheral_split,
     rank,
+    rref,
     solve,
 )
 
@@ -212,7 +213,7 @@ SYMPY_SHAPES = [(4, 4, None), (5, 5, None), (4, 4, 3), (5, 5, 2), (3, 6, None), 
 
 
 class TestAgainstSympy:
-    """rank, kernel_basis, solve and invert against sympy's exact
+    """rank, kernel_basis, rref, solve and invert against sympy's exact
     Gaussian-rational matrices (domain QQ_I), on seeded inputs with complex
     non-unit pivots."""
 
@@ -223,6 +224,15 @@ class TestAgainstSympy:
             m = _gaussian_matrix(rng, rows, cols, r)
             assert rank(m) == _to_sympy(m).rank()
             assert kernel_basis(m) == _sympy_kernel(m)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_rref(self, seed):
+        rng = random.Random(300 + seed)
+        for rows, cols, r in SYMPY_SHAPES:
+            m = _gaussian_matrix(rng, rows, cols, r)
+            reduced, pivots = _to_sympy(m).rref()
+            expected = _from_sympy(reduced.to_list()[: len(pivots)]) if pivots else Mat.zeros(0, cols)
+            assert rref(m) == (expected, tuple(pivots))
 
     @pytest.mark.parametrize("seed", range(4))
     def test_solve_and_invert(self, seed):

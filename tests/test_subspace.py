@@ -2,6 +2,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
+from sympy import QQ, QQ_I
+from sympy.polys.matrices import DomainMatrix
 
 from qtl.errors import DimensionMismatch, NotPositive
 from qtl.linalg import CRat, Mat
@@ -12,7 +15,15 @@ from qtl.subspace import (
     support,
 )
 
-from helpers import KET_PLUS_DENSITY, random_density, random_subspace, span, union
+from helpers import (
+    KET_PLUS_DENSITY,
+    random_density,
+    random_scalar,
+    random_subspace,
+    random_vector,
+    span,
+    union,
+)
 
 
 class TestConstruction:
@@ -35,7 +46,7 @@ class TestConstruction:
             p = s.projector
             assert p == p.dagger()
             assert p @ p == p
-            assert p @ s.basis == s.basis
+            assert p @ s.rref.transpose() == s.rref.transpose()
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
@@ -180,7 +191,7 @@ class TestUnions:
                 coeffs = Mat.column(
                     [CRat(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(s.dim)]
                 )
-                v = s.basis @ coeffs
+                v = s.rref.transpose() @ coeffs
                 if not v.is_zero():
                     points.append(Subspace.from_vectors(n, [v]))
             if inside:
@@ -199,10 +210,144 @@ class TestUnions:
                 member = rng.choice(u.members + v.members + w.members)
                 if member.dim == 0:
                     continue
-                vec = member.basis @ Mat.column(
+                vec = member.rref.transpose() @ Mat.column(
                     [CRat(rng.randint(-2, 2), rng.randint(-2, 2)) for _ in range(member.dim)]
                 )
                 point = Subspace.from_vectors(3, [vec])
                 assert w.contains_subspace(point) == (
                     u.contains_subspace(point) and v.contains_subspace(point)
                 )
+
+
+# ----------------------------------------------------------------------
+# properties over the exact generators of helpers.py
+
+PROPERTY = settings(derandomize=True, max_examples=60, deadline=None)
+# a seeded source for the generators; hypothesis shrinks the seed
+RNGS = st.integers(0, 2**32 - 1).map(random.Random)
+
+
+@st.composite
+def spanning_sets(draw, max_dim=4):
+    """(n, vectors): up to n + 1 random vectors of C^n, so some are
+    dependent, and sometimes a vector that is a combination of the others."""
+    rng = draw(RNGS)
+    n = draw(st.integers(2, max_dim))
+    vectors = [random_vector(rng, n) for _ in range(draw(st.integers(1, n + 1)))]
+    if draw(st.booleans()):
+        vectors.append(_combination(rng, vectors))
+    if draw(st.booleans()):
+        vectors = [_coordinate_mask(rng, n) @ v for v in vectors]
+    return n, vectors
+
+
+@st.composite
+def subspace_pairs(draw):
+    """(a, b) in one ambient space; b lies inside a about half of the time."""
+    rng = draw(RNGS)
+    n = draw(st.integers(2, 4))
+    a = random_subspace(rng, n, draw(st.integers(1, n)))
+    if draw(st.booleans()):
+        a = Subspace(n, a.rref @ _coordinate_mask(rng, n))
+    if a.dim and draw(st.booleans()):
+        basis = a.rref.transpose().column_vectors()
+        b = Subspace.from_vectors(n, [_combination(rng, basis) for _ in range(rng.randint(1, a.dim))])
+    else:
+        b = random_subspace(rng, n, draw(st.integers(0, n)))
+    return a, b
+
+
+def _coordinate_mask(rng, n):
+    """A diagonal 0/1 matrix: zeroed coordinates move the pivots off the
+    leading columns, where random vectors put them."""
+    return Mat.from_rows([[int(i == j and rng.random() < 0.6) for j in range(n)] for i in range(n)])
+
+
+def _combination(rng, vectors):
+    total = vectors[0] * random_scalar(rng)
+    for v in vectors[1:]:
+        total = total + v * random_scalar(rng)
+    return total
+
+
+def _sympy_rref(n, vectors):
+    def qq(x):
+        return QQ(x.numerator, x.denominator)
+
+    rows = [[QQ_I(qq(v.entry(i, 0).re), qq(v.entry(i, 0).im)) for i in range(n)] for v in vectors]
+    reduced, pivots = DomainMatrix(rows, (len(rows), n), QQ_I).rref()
+    return [
+        [CRat(Fraction(int(e.x.numerator), int(e.x.denominator)), Fraction(int(e.y.numerator), int(e.y.denominator)))
+         for e in row]
+        for row in reduced.to_list()[: len(pivots)]
+    ], tuple(pivots)
+
+
+class TestProperties:
+    @PROPERTY
+    @given(spanning_sets())
+    def test_key_is_sympy_rref(self, case):
+        n, vectors = case
+        s = Subspace.from_vectors(n, vectors)
+        rows, pivots = _sympy_rref(n, vectors)
+        assert s.pivots == pivots
+        assert s.rref == (Mat.from_rows(rows) if rows else Mat.zeros(0, n))
+
+    @PROPERTY
+    @given(spanning_sets(), RNGS)
+    def test_bases_of_one_subspace_share_key_and_hash(self, case, rng):
+        n, vectors = case
+        # an invertible (triangular, nonzero diagonal) recombination, shuffled
+        other = [
+            v * CRat(rng.randint(1, 5), rng.randint(-2, 2)) + _combination(rng, vectors[i + 1:])
+            if i + 1 < len(vectors) else v * CRat(-3)
+            for i, v in enumerate(vectors)
+        ]
+        rng.shuffle(other)
+        a, b = Subspace.from_vectors(n, vectors), Subspace.from_vectors(n, other)
+        assert a == b and a.key() == b.key() and hash(a) == hash(b)
+
+    @PROPERTY
+    @given(RNGS, st.integers(2, 4))
+    def test_complement_is_involutive_and_orthogonal(self, rng, n):
+        a = random_subspace(rng, n)
+        perp = a.complement()
+        assert a.dim + perp.dim == n
+        assert (a.rref.conj() @ perp.rref.transpose()).is_zero()
+        # rebuilt without the cached back link, the complement's complement is a
+        assert Subspace(n, perp.rref).complement() == a
+
+    @PROPERTY
+    @given(subspace_pairs())
+    def test_containment_meet_and_join_agree(self, pair):
+        a, b = pair
+        contains = a.contains(b)
+        assert contains == (a.meet(b) == b) == (a.join(b) == a)
+        # results built from RREF rows without a new elimination are canonical
+        for s in (a.meet(b), b.meet(a), a.join(b), a.complement()):
+            again = Subspace(s.ambient_dim, s.rref)
+            assert (again.rref, again.pivots) == (s.rref, s.pivots)
+
+    @PROPERTY
+    @given(RNGS, st.integers(2, 4), st.booleans())
+    def test_satisfies_agrees_with_projector(self, rng, n, inside):
+        p = random_subspace(rng, n)
+        if inside and p.dim:
+            v = _combination(rng, p.rref.transpose().column_vectors())
+            rho = v @ v.dagger()
+        else:
+            rho = random_density(rng, n)
+        assert satisfies(rho, p) == (p.projector @ rho == rho)
+
+    @PROPERTY
+    @given(RNGS, st.integers(1, 3))
+    def test_union_equality_is_mutual_inclusion(self, rng, n):
+        members = [random_subspace(rng, n) for _ in range(rng.randint(1, 3))]
+        u = SubspaceUnion(n, members)
+        # the same set of states from redundant, reordered members
+        shuffled = members + [m.meet(random_subspace(rng, n)) for m in members]
+        rng.shuffle(shuffled)
+        v = SubspaceUnion(n, shuffled)
+        assert u == v and hash(u) == hash(v)
+        w = SubspaceUnion(n, [random_subspace(rng, n) for _ in range(rng.randint(1, 3))])
+        assert (u == w) == (u.subset_of(w) and w.subset_of(u))
