@@ -46,6 +46,13 @@ print("\neventually in |0> at the exit:     ", verdicts.eventually.status)
 print("almost surely eventually there:    ", verdicts.almost_eventually.status)
 print("always 'output is |0> if exited':  ", verdicts.always.status)
 
+# The almost-sure verdict is exact: the reachable subspace R of the exit
+# loop meets the never-exiting subspace T only in zero, and the exit
+# arrivals m0 R lie in |0>
+almost = verdicts.almost_eventually
+print("\nexact <>~ record:", almost.diagnostics)
+assert almost.diagnostics["trapped_dim"] == 0
+
 # Reachability: all mass reaches the exit, in 4 expected steps
 reach = reachability_superop(program)
 print("\nreachable exit mass:", reach.diagnostics["reach_trace"])

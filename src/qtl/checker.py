@@ -12,8 +12,9 @@ and by the oracle, which keeps its own image path.  Every exit question
 about a deterministic program is asked of its one exit loop
 (:class:`qwhile.WhileNormalForm`): reachability runs through the
 stable/peripheral split of the loop's cut body on the block-diagonal
-classical-quantum space and two exact linear solves, and the exact exit
-formulas read the loop's trajectory.
+classical-quantum space and two exact linear solves, the exact exit
+formulas read the loop's trajectory, and almost-sure exit is decided on the
+loop's subspace lattice.
 
 Verdicts are three-valued: some fragments are equivalent to open problems
 in number theory, and the checker answers Unknown with a stated reason
@@ -25,6 +26,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
@@ -39,18 +41,19 @@ from .errors import (
     UnsupportedFormula,
 )
 from .linalg import (
+    _perp_rows,
     CRat,
     Mat,
     invert,
-    kernel_basis,
     kron,
     mat_sum,
     multiplicative_order,
     peripheral_split,
+    rref,
     solve,
     split_numeric,
 )
-from .subspace import Subspace, SubspaceUnion, independent_columns, satisfies, support
+from .subspace import Subspace, SubspaceUnion, satisfies, support
 from .superop import MatrixRep, SuperOp, image, image_union, preimage_union, unvec, vec
 from .program import (
     QuantumAutomaton,
@@ -79,10 +82,8 @@ VALID = "valid"
 NOT_VALID = "not_valid"
 UNKNOWN = "unknown"
 
-# Exit reachability: how close to one the reach trace must be for an almost
-# sure exit, and the relative cut below which a Choi eigenvalue of the
-# reachability channel carries no Kraus operator.
-_TRACE_TOL = 1e-7
+# The relative cut below which a Choi eigenvalue of the reachability channel
+# carries no Kraus operator.
 _KRAUS_TOL = 1e-10
 
 
@@ -119,6 +120,9 @@ class Verdict:
 class ReachabilityResult:
     """Exit reachability of a deterministic program.
 
+    ``almost_terminates`` is exact: it is the exit loop's lattice test
+    (:attr:`qwhile.WhileNormalForm.exits_almost_surely`).  ``expected_steps``
+    and the ``reach_trace`` diagnostic are floats.
     ``kraus_rank`` and ``channel`` (the reachability channel in Kraus form)
     come from one eigendecomposition, run by ``choi_kraus`` on first access
     and cached; ``kraus_rank`` builds no exact operators.
@@ -571,16 +575,16 @@ def _p2_refine(members, cycle, u: SubspaceUnion, actions, period_bound, toleranc
             y = vec(p_s.complement().projector)
             for _ in range(b):  # c = 1 .. b
                 y = f_dag @ y
-                z_sub = Subspace.full(dim)
+                # the states orthogonal to every pulled-back support: the
+                # complement of their join, formed once
+                seen = Subspace.zero(dim)
                 w = y
                 for _ in range(dim * dim + 2):  # u = 0 .. d^2 + 1
-                    pulled = unvec(prefix_dag @ w, dim)
-                    constraint = support(pulled, validate=False).complement()
-                    z_sub = z_sub.meet(constraint)
-                    if z_sub.is_zero():
+                    seen = seen.join(support(unvec(prefix_dag @ w, dim), validate=False))
+                    if seen.is_full():
                         break
                     w = fb_dag @ w
-                piece = members[j1].meet(z_sub)
+                piece = members[j1].meet(seen.complement())
                 if not piece.is_zero():
                     pieces.append(piece)
     new_members = [m for i, m in enumerate(members) if i != j1] + pieces
@@ -672,18 +676,13 @@ def _eigenprojector_at_one(b: Mat):
     eigenvalue is semisimple: the projector onto ker(b - I) along im(b - I)."""
     n = b.rows
     a = b - Mat.eye(n)
-    ker = kernel_basis(a)
-    k = len(ker)
+    # one RREF gives the kernel (read off its free columns) and the pivot
+    # columns, a basis of the image
+    r, cols = rref(a)
+    k = n - len(cols)
     if k == 0:
         return Mat.zeros(n), 0
-    cols = independent_columns(a)
-    if k + len(cols) != n:
-        raise ArithmeticError("eigenvalue one is not semisimple")
-    t = ker[0]
-    for v in ker[1:]:
-        t = t.hstack(v)
-    for c in cols:
-        t = t.hstack(a[:, c])
+    t = _perp_rows(r.conj(), cols).transpose().hstack(a[:, list(cols)])
     t_inv = invert(t)  # SingularMatrix exactly when kernel and image overlap
     selector = Mat.zeros(n)
     for i in range(k):
@@ -706,7 +705,7 @@ def limit_states(e: SuperOp, sigma0: Mat, period_bound: int = 64, tolerance: flo
     big = MatrixRep(m).power(b).m
     try:
         projector, rank_one = _eigenprojector_at_one(big)
-    except (ArithmeticError, SingularMatrix) as exc:
+    except SingularMatrix as exc:
         raise _UnknownVerdict(f"limit projector unavailable: {exc}")
     if rank_one != peripheral_dim:
         raise _UnknownVerdict(
@@ -802,10 +801,12 @@ def reachability_superop(program: SequentialProgram, tolerance: float = 1e-9) ->
     (:func:`qwhile.bohm_jacopini`), on the loop's d^2*|L| block space: the
     reach vector w and w2 come from two exact fraction-free solves
     (I - N) w = v0 and (I - N) w2 = w, the reach state is the exit block of
-    w (an almost sure exit when its trace is within 1e-7 of one), and the
-    expected number of steps until the exit (in the program's own step
-    counting) is the trace of the exit block of w2 - w.  The result is
-    cross-checked against 64 steps of direct power iteration.
+    w, and the expected number of steps until the exit (in the program's own
+    step counting) is the trace of the exit block of w2 - w.  Whether the
+    exit is almost sure is the exit loop's exact lattice test; a float trace
+    more than ``tolerance`` from one under an almost sure exit raises
+    ToleranceAmbiguity.  The power-iteration residual against 64 direct
+    steps is a diagnostic.
     ``kraus_rank`` and ``channel`` are computed on first access, in
     floating point on the embedded space (see :func:`_reach_kraus`).
     """
@@ -818,7 +819,11 @@ def reachability_superop(program: SequentialProgram, tolerance: float = 1e-9) ->
     w = solve(lhs, v0)
     reach_block = unvec(w[rows, :], d)
     reach_trace = float(reach_block.trace().re)
-    almost = abs(reach_trace - 1.0) <= _TRACE_TOL
+    almost = loop.exits_almost_surely
+    if almost and abs(reach_trace - 1.0) > tolerance:
+        raise ToleranceAmbiguity(
+            f"the loop exits almost surely, but the reach trace of the split is {reach_trace}"
+        )
     if almost:
         w2 = solve(lhs, w)
         expected = float(unvec((w2 - w)[rows, :], d).trace().re)
@@ -889,27 +894,23 @@ def _exit_eventually(loop: WhileNormalForm, exit_subspace) -> Verdict:
     )
 
 
-def check_exit_almost_eventually(
-    program: SequentialProgram, exit_subspace: Subspace, tolerance: float = 1e-9
-) -> Verdict:
-    """<>~ p: the reachability channel sends the initial state onto the exit
-    proposition with probability one, within the certified tolerance."""
+def check_exit_almost_eventually(program: SequentialProgram, exit_subspace: Subspace) -> Verdict:
+    """<>~ p: the exit loop exits almost surely (R ^ T = 0) and every exit
+    arrival, spanned by m0 R, lies in p; exact, on the loop's lattice."""
+    return _exit_almost_eventually(bohm_jacopini(program), exit_subspace)
+
+
+def _exit_almost_eventually(loop: WhileNormalForm, exit_subspace) -> Verdict:
+    program = loop.program
     if exit_subspace.ambient_dim != program.dim:
         raise DimensionMismatch("the exit proposition lives on the data space")
-    reach = reachability_superop(program, tolerance=tolerance)
-    n_configs = len(program.configs())
+    # the exit-location coordinates of R are those of m0 R
     e_idx = program.config_index(program.exit_location)
-    exit_block = reach.reach_state[e_idx::n_configs, e_idx::n_configs]
-    inside = float((exit_subspace.projector @ exit_block).trace().re)
-    leak = reach.diagnostics["reach_trace"] - inside
-    almost_ok = reach.almost_terminates and abs(leak) <= max(_TRACE_TOL, tolerance * 10)
+    arrivals = Subspace(program.dim, loop.reachable.rref[:, e_idx :: len(program.locations)])
+    ok = loop.exits_almost_surely and exit_subspace.contains(arrivals)
     return Verdict(
-        VALID if almost_ok else NOT_VALID,
-        diagnostics={
-            "reach_trace": reach.diagnostics["reach_trace"],
-            "leak_outside": leak,
-            "power_iteration_residual": reach.diagnostics["power_iteration_residual"],
-        },
+        VALID if ok else NOT_VALID,
+        diagnostics={"reachable_dim": loop.reachable.dim, "trapped_dim": loop.trapped.dim},
     )
 
 
@@ -945,7 +946,6 @@ def check_exit_formulas(
     program: SequentialProgram,
     exit_subspace: Subspace,
     always_subspace: Subspace | None = None,
-    tolerance: float = 1e-9,
 ) -> ExitVerdicts:
     """The three exit-shaped properties of a deterministic program with exit,
     as :func:`check_exit_eventually`, :func:`check_exit_almost_eventually`
@@ -954,7 +954,7 @@ def check_exit_formulas(
     loop = bohm_jacopini(program)
     return ExitVerdicts(
         eventually=_exit_eventually(loop, exit_subspace),
-        almost_eventually=check_exit_almost_eventually(program, exit_subspace, tolerance=tolerance),
+        almost_eventually=_exit_almost_eventually(loop, exit_subspace),
         always=_exit_always(loop, exit_subspace, always_subspace),
     )
 
@@ -1006,14 +1006,15 @@ def hoare_check(
     pre_sub: Subspace,
     post_sub: Subspace,
     mode: str = "partial",
-    tolerance: float = 1e-9,
 ) -> Verdict:
     """Partial or total correctness of {pre} program {post}.
 
     Partial correctness is the invariance of "post at the exit,
     unconstrained elsewhere"; total correctness is almost-sure arrival in
-    "post at the exit".  The input quantification over the precondition is
-    discharged on a basis of it.
+    "post at the exit".  Both depend on the input only through its support,
+    and the supports of a mixture join, so the quantification over the
+    states of pre is discharged by one instance started in pre's projector
+    over dim pre.
     """
     if mode not in ("partial", "total"):
         raise ValueError("mode must be 'partial' or 'total'")
@@ -1021,19 +1022,10 @@ def hoare_check(
         raise DimensionMismatch("pre and post conditions live on the data space")
     if pre_sub.is_zero():
         return Verdict.valid(diagnostics={"vacuous": True})
-    for idx in range(pre_sub.dim):
-        col = pre_sub.rref[idx : idx + 1, :].transpose()
-        norm = (col.dagger() @ col).entry(0, 0)
-        rho = (col @ col.dagger()) * (CRat(1) / norm)
-        instance = program.with_initial_state(rho)
-        if mode == "partial":
-            verdict = check_exit_always(instance, post_sub)
-        else:
-            verdict = check_exit_almost_eventually(instance, post_sub, tolerance=tolerance)
-        if verdict.status != VALID:
-            verdict.witness = {"input_basis_index": idx, **(verdict.witness or {})}
-            return verdict
-    return Verdict.valid(diagnostics={"basis_states_checked": pre_sub.dim})
+    instance = program.with_initial_state(pre_sub.projector * CRat(Fraction(1, pre_sub.dim)))
+    if mode == "partial":
+        return check_exit_always(instance, post_sub)
+    return check_exit_almost_eventually(instance, post_sub)
 
 
 # ----------------------------------------------------------------------
@@ -1140,7 +1132,8 @@ def check(
         [] (p U~ q)    single-action systems only; limit-point analysis
         <> f           deterministic programs with exit, f one exit-shaped
                        atom; anything else is Unknown by construction
-        <>~ p          likewise with p; exact reachability of the exit
+        <>~ p          likewise with p; exact almost-sure exit on the exit
+                       loop's subspace lattice
         f U g          Unknown by construction (termination problem)
 
     Every other shape raises :class:`UnsupportedFormula`.  ``tolerance``
@@ -1172,7 +1165,7 @@ def check(
                 "almost-eventually is decided only for exit-shaped atoms of "
                 "deterministic programs with exit"
             )
-        return check_exit_almost_eventually(target, sub, tolerance=tolerance)
+        return check_exit_almost_eventually(target, sub)
     a = target if isinstance(target, QuantumAutomaton) else to_automaton(target)
     if shape == "f":
         if operands[0].contains_subspace(_initial_support(a)):

@@ -615,48 +615,33 @@ def _gauss_div(nre, nim, dre, dim_):
     return (nre * dre + nim * dim_) // dn, (nim * dre - nre * dim_) // dn
 
 
+def _perp_rows(r: Mat, pivots: tuple) -> Mat:
+    """Rows spanning the orthocomplement of the span of the RREF rows r: the
+    row of free column f has 1 at f and -conj(r[i, f]) at the pivot of row i."""
+    n = r.cols
+    free = [j for j in range(n) if j not in pivots]
+    num_re = np.zeros((len(free), n), dtype=object)
+    num_im = np.zeros((len(free), n), dtype=object)
+    for row, f in enumerate(free):
+        num_re[row, f] = r.den
+        for i, p in enumerate(pivots):
+            num_re[row, p], num_im[row, p] = -r.num_re[i, f], r.num_im[i, f]
+    # normalized: the gcd of den and r's free-column numerators is one
+    return Mat(num_re, num_im, r.den, _normalized=True)
+
+
 def kernel_basis(m: Mat):
     """Exact basis of the right null space, one column vector per free column.
 
-    The vector of free column f has v[f] = 1 and is found by a fraction-free
-    back substitution over the pivot rows left of f: the unknowns are scaled
-    by the last of those Bareiss pivots (the determinant of the leading
-    pivot minor, so every scaled unknown is a Cramer numerator and every
-    division is exact), and the one division by that pivot happens when the
-    column is built.  Returns an empty list exactly when the matrix is
-    injective.
+    The null space of m is the orthocomplement of the rows of conj(m), so
+    it is read off the free columns of the RREF of conj(m) (:func:`_perp_rows`):
+    the vector of free column f has 1 at f, zero at the other free columns
+    and minus entry f of row i of m's RREF at the pivot of row i.  Returns
+    an empty list exactly when the matrix is injective.
     """
-    n_cols = m.cols
-    rows = _rows_as_pairs(m)
-    pivots = _echelon(rows, n_cols)
-    pivot_set = {c for _, c in pivots}
-    basis = []
-    for f in range(n_cols):
-        if f in pivot_set:
-            continue
-        relevant = [(r, c) for r, c in pivots if c < f]
-        dre, dim_ = rows[relevant[-1][0]][relevant[-1][1]] if relevant else (1, 0)
-        w = [(0, 0)] * n_cols
-        w[f] = (dre, dim_)
-        for r, c in reversed(relevant):
-            row = rows[r]
-            are = aim = 0
-            for j in range(c + 1, f + 1):
-                wre, wim = w[j]
-                if wre or wim:
-                    ere, eim = row[j]
-                    if ere or eim:
-                        are -= ere * wre - eim * wim
-                        aim -= ere * wim + eim * wre
-            w[c] = _gauss_div(are, aim, *row[c])
-        # v = w / D = w conj(D) / |D|^2
-        num_re = np.empty((n_cols, 1), dtype=object)
-        num_im = np.empty((n_cols, 1), dtype=object)
-        for j, (wre, wim) in enumerate(w):
-            num_re[j, 0] = wre * dre + wim * dim_
-            num_im[j, 0] = wim * dre - wre * dim_
-        basis.append(Mat(num_re, num_im, dre * dre + dim_ * dim_))
-    return basis
+    r, pivots = rref(m.conj())
+    perp = _perp_rows(r, pivots)
+    return [perp[i : i + 1, :].transpose() for i in range(perp.rows)]
 
 
 def invert(m: Mat) -> Mat:

@@ -46,10 +46,12 @@ from .program import (
     SequentialProgram,
     embed,
     extract,
+    initial_cq,
     simulate_deterministic,
     step_superop,
 )
-from .superop import Measurement, SuperOp, vec, unvec
+from .subspace import Subspace, support
+from .superop import Measurement, SuperOp, image, preimage, vec, unvec
 
 
 # ----------------------------------------------------------------------
@@ -805,6 +807,15 @@ class WhileNormalForm:
     exit question.  The block space keeps the d x d block of every location,
     as program states are block-diagonal over locations: index l*d^2 + k
     holds entry k of the row-major vec of location l's block.
+
+    Almost-sure exit is a fact of the loop's subspace lattice, with N the
+    cut body in Kraus form (``cut_body``, operators K_i m1): ``reachable``
+    is R, the least fixpoint of X -> supp rho_0 v N(X), and ``trapped`` is
+    R ^ T, with T the greatest fixpoint of Y -> range(m1) ^ N^-1(Y), the
+    states that never reach the exit.  The loop exits with probability one
+    exactly when R ^ T = 0 (``exits_almost_surely``): a nonzero Cesaro limit
+    of N^n(rho_0) is a fixed point of N supported in R ^ T, and a state of
+    R ^ T is a part of some N^k(rho_0) that keeps its mass forever.
     """
 
     def __init__(self, program: SequentialProgram):
@@ -848,6 +859,39 @@ class WhileNormalForm:
                     block = kron(m_op, m_op.conj()) @ a.channel.matrix_rep()
                     terms.append(kron(Mat.unit(n_loc, t_idx, s_idx), block))
         return mat_sum(terms)
+
+    @functools.cached_property
+    def cut_body(self) -> SuperOp:
+        """N, the body after the guard's m1, on the embedded space."""
+        return SuperOp([k @ self.m1 for k in self.body_channel.kraus], validate=None)
+
+    @functools.cached_property
+    def reachable(self) -> Subspace:
+        """R: the span of the supports of every N^n(rho_0); the exit
+        arrivals span m0 R."""
+        r = support(embed(initial_cq(self.program), self.program), validate=False)
+        while True:
+            grown = r.join(image(self.cut_body, r))
+            if grown.dim == r.dim:
+                return r
+            r = grown
+
+    @functools.cached_property
+    def trapped(self) -> Subspace:
+        """R ^ T: the reachable states that never reach the exit.  As N maps
+        R into R, it is the greatest fixpoint of Y -> R ^ range(m1) ^ N^-1(Y),
+        iterated down from R ^ range(m1)."""
+        t = self.reachable.meet(support(self.m1, validate=False))
+        while not t.is_zero():
+            shrunk = t.meet(preimage(self.cut_body, t))
+            if shrunk.dim == t.dim:
+                break
+            t = shrunk
+        return t
+
+    @property
+    def exits_almost_surely(self) -> bool:
+        return self.trapped.is_zero()
 
     @functools.cached_property
     def trajectory(self) -> list:

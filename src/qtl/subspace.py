@@ -18,18 +18,8 @@ equality of unions decidable member-wise.
 
 from __future__ import annotations
 
-import numpy as np
-
 from .errors import DimensionMismatch, NotPositive
-from .linalg import Mat, _echelon, _rows_as_pairs, is_psd, rref, solve
-
-
-def independent_columns(m: Mat) -> list:
-    """Indices of a maximal linearly independent set of columns (leftmost)."""
-    if m.cols == 0 or m.rows == 0:
-        return []
-    rows = _rows_as_pairs(m)
-    return [c for _, c in _echelon(rows, m.cols)]
+from .linalg import Mat, _perp_rows, is_psd, rref, solve
 
 
 class Subspace:
@@ -171,21 +161,6 @@ class Subspace:
 
     def __repr__(self):
         return f"Subspace(dim {self.dim} of C^{self.ambient_dim})"
-
-
-def _perp_rows(r: Mat, pivots: tuple) -> Mat:
-    """Rows spanning the orthocomplement of the span of the RREF rows r: the
-    row of free column f has 1 at f and -conj(r[i, f]) at the pivot of row i."""
-    n = r.cols
-    free = [j for j in range(n) if j not in pivots]
-    num_re = np.zeros((len(free), n), dtype=object)
-    num_im = np.zeros((len(free), n), dtype=object)
-    for row, f in enumerate(free):
-        num_re[row, f] = r.den
-        for i, p in enumerate(pivots):
-            num_re[row, p], num_im[row, p] = -r.num_re[i, f], r.num_im[i, f]
-    # normalized: the gcd of den and r's free-column numerators is one
-    return Mat(num_re, num_im, r.den, _normalized=True)
 
 
 def support(rho: Mat, validate: bool = True) -> Subspace:

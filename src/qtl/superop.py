@@ -347,9 +347,6 @@ class MatrixRep:
         """The dual channel on operators: vec(E*(A)) = M† vec(A)."""
         return unvec(self.m.dagger() @ vec(a), self.dim)
 
-    def after(self, inner: "MatrixRep") -> "MatrixRep":
-        return MatrixRep(self.m @ inner.m)
-
     def power(self, k: int) -> "MatrixRep":
         result = Mat.eye(self.m.rows)
         base = self.m

@@ -7,13 +7,14 @@ restricts to constructions whose peripheral eigenvalues are roots of unity,
 which the period-detection paths of the checker can certify.
 """
 
+import random
 from fractions import Fraction
 
 from qtl.checker import Verdict
 from qtl.linalg import CRat, Mat, mat_sum
 from qtl.subspace import Subspace, SubspaceUnion, satisfies
 from qtl.superop import Measurement, SuperOp, unvec, vec
-from qtl.program import LocationAction, QuantumAutomaton, SequentialProgram
+from qtl.program import LocationAction, QuantumAutomaton, SequentialProgram, check_terminates
 
 EXAMPLE_LOOP_SRC = """
 qubits 1;
@@ -23,6 +24,49 @@ input [[1/2, -1/2], [-1/2, 1/2]];
 skip;
 while meas M(q0) == 1 { apply H to q0 }
 """
+
+# while q0 = 1, apply X twice: the input |1> never exits, the input I/2
+# exits with probability one half, and from |0> the trap is unreachable
+_TRAP_LOOP_SRC = """qubits 1;
+unitary X = [[0, 1], [1, 0]];
+measurement M = {{[[1, 0], [0, 0]], [[0, 0], [0, 1]]}};
+input {};
+while meas M(q0) == 1 {{ apply X to q0; apply X to q0 }}
+"""
+NEVER_EXITS_SRC = _TRAP_LOOP_SRC.format("[[0, 0], [0, 1]]")
+PARTIALLY_TRAPPED_SRC = _TRAP_LOOP_SRC.format("[[1/2, 0], [0, 1/2]]")
+UNREACHED_TRAP_SRC = _TRAP_LOOP_SRC.format("[[1, 0], [0, 0]]")
+
+
+def rotation_loop_src(n):
+    """while q0 = 1, rotate q0 by the rational rotation of t = 1/n, from |1>.
+
+    U = [[a, -b], [b, a]] with a = (n^2-1)/(n^2+1), b = 2n/(n^2+1).  The
+    cut body has spectral radius a^2 < 1, so the loop exits with
+    probability one; for n = 10^5 and 10^6, a^2 lies within 10^-9 of one.
+    """
+    a, b = f"{n * n - 1}/{n * n + 1}", f"{2 * n}/{n * n + 1}"
+    return f"""qubits 1;
+unitary U = [[{a}, -{b}], [{b}, {a}]];
+measurement M = {{[[1, 0], [0, 0]], [[0, 0], [0, 1]]}};
+input [[0, 0], [0, 1]];
+while meas M(q0) == 1 {{ apply U to q0 }}
+"""
+
+
+def rotation_loop_with_unreached_trap_src(n):
+    """The rotation loop of ``rotation_loop_src(n)`` with a second qubit q1
+    that selects the body: the rotation on q1 = 0, skip on q1 = 1.  From
+    q0 q1 = |10> the loop exits almost surely; |11> is a trap (eigenvalue
+    one of the cut) that the input never enters."""
+    a, b = f"{n * n - 1}/{n * n + 1}", f"{2 * n}/{n * n + 1}"
+    return f"""qubits 2;
+unitary U = [[{a}, -{b}], [{b}, {a}]];
+measurement M = {{[[1, 0], [0, 0]], [[0, 0], [0, 1]]}};
+input [[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 0]];
+while meas M(q0) == 1 {{ if meas M(q1) {{ 0 -> apply U to q0; 1 -> skip; }} }}
+"""
+
 
 KET_MINUS_DENSITY = Mat.from_rows([["1/2", "-1/2"], ["-1/2", "1/2"]])
 KET_PLUS_DENSITY = Mat.from_rows([["1/2", "1/2"], ["1/2", "1/2"]])
@@ -224,6 +268,20 @@ def random_deterministic_program(rng, dim, n_locations, ensure_exit_reachable=Tr
         initial_location=labels[0],
         exit_location="exit",
     )
+
+
+def terminating_programs(seed, count):
+    """Seeded random deterministic programs that terminate exactly, with
+    their termination step."""
+    rng = random.Random(seed)
+    found = []
+    while len(found) < count:
+        dim = rng.choice([2, 2, 3])
+        prog = random_deterministic_program(rng, dim, rng.randint(1, 3))
+        result = check_terminates(prog)
+        if result.kind == "terminates":
+            found.append((prog, result.step))
+    return found
 
 
 def invariance_by_mixing(a: QuantumAutomaton, p: Subspace) -> Verdict:

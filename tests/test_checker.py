@@ -3,22 +3,22 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from qtl.errors import BudgetExceeded, PreconditionViolated, UnsupportedFormula
-from qtl.linalg import CRat, Mat, kron
+from qtl.errors import BudgetExceeded, PreconditionViolated, ToleranceAmbiguity, UnsupportedFormula
+from qtl.linalg import CRat, Mat, kron, peripheral_split, solve
 from qtl.subspace import Subspace, SubspaceUnion, satisfies, support
-from qtl.superop import MatrixRep, SuperOp
+from qtl.superop import MatrixRep, SuperOp, unvec
 from qtl.program import (
     CQState,
     QuantumAutomaton,
-    check_terminates,
     embed,
     initial_cq,
     simulate_deterministic,
     step_superop,
     to_automaton,
 )
-from qtl.qwhile import compile_source
+from qtl.qwhile import bohm_jacopini, compile_source
 from qtl.checker import (
     ExitVerdicts,
     _classify,
@@ -48,14 +48,21 @@ from qtl.formula import Always, Atom, Eventually, FAtom, Or, Until, parse_formul
 
 from helpers import (
     EXAMPLE_LOOP_SRC,
+    NEVER_EXITS_SRC,
+    PARTIALLY_TRAPPED_SRC,
     PAULI_X,
     SHAPE_EXAMPLES,
+    UNREACHED_TRAP_SRC,
     UNSUPPORTED_FORMULAS,
     invariance_by_mixing,
     random_automaton,
     random_deterministic_program,
+    random_subspace,
     basis_union,
+    rotation_loop_src,
+    rotation_loop_with_unreached_trap_src,
     span,
+    terminating_programs,
     union,
 )
 
@@ -85,20 +92,6 @@ while meas M(q0) == 1 { apply U to q0, q1 }
 @pytest.fixture(scope="module")
 def example_loop():
     return compile_source(EXAMPLE_LOOP_SRC)
-
-
-def _terminating_programs(seed, count):
-    """Seeded random deterministic programs that terminate exactly, with
-    their termination step."""
-    rng = random.Random(seed)
-    found = []
-    while len(found) < count:
-        dim = rng.choice([2, 2, 3])
-        prog = random_deterministic_program(rng, dim, rng.randint(1, 3))
-        result = check_terminates(prog)
-        if result.kind == "terminates":
-            found.append((prog, result.step))
-    return found
 
 
 class TestNext:
@@ -306,17 +299,31 @@ class TestReachability:
         assert abs(r.expected_steps - 1.0) <= 1e-9
 
     def test_partially_trapped_loop(self):
-        src = """qubits 1;
-unitary X = [[0, 1], [1, 0]];
-measurement M = {[[1, 0], [0, 0]], [[0, 0], [0, 1]]};
-input [[1/2, 0], [0, 1/2]];
-while meas M(q0) == 1 { apply X to q0; apply X to q0 }
-"""
-        prog = compile_source(src)
+        prog = compile_source(PARTIALLY_TRAPPED_SRC)
         r = reachability_superop(prog)
         assert not r.almost_terminates
         assert abs(r.diagnostics["reach_trace"] - 0.5) <= 1e-9
         assert r.expected_steps == math.inf
+
+    def test_contradicting_split_raises(self):
+        # the cut's radius a^2 = 1 - 4e-10 + ... is split off as peripheral,
+        # so the float reach trace is about -4e-10 while the loop exits
+        # almost surely: no record may state both
+        with pytest.raises(ToleranceAmbiguity):
+            reachability_superop(compile_source(rotation_loop_src(10**5)))
+
+    def test_unreached_trap(self):
+        # the trap of the loop body keeps eigenvalue one in the cut, but the
+        # input never enters it; in the second loop the reachable part
+        # exits slowly (cut radius 1 - 4e-6) and the solve of the split
+        # still keeps the trace within the split's band
+        for src, steps in ((UNREACHED_TRAP_SRC, 1.0), (rotation_loop_with_unreached_trap_src(1000), 750002.5)):
+            prog = compile_source(src)
+            assert not peripheral_split(bohm_jacopini(prog).cut).peripheral_projector.is_zero()
+            r = reachability_superop(prog)
+            assert r.almost_terminates
+            assert abs(r.diagnostics["reach_trace"] - 1.0) <= 1e-9
+            assert abs(r.expected_steps - steps) <= 1e-9 * steps
 
     def test_channel_reproduces_exact_reach_state(self, example_loop):
         # the Kraus operators come from the exit block of the Choi matrix;
@@ -347,7 +354,7 @@ while meas M(q0) == 1 { apply X to q0; apply X to q0 }
         assert (q0_one @ block).trace() == CRat(0)
 
     def test_reach_state_of_terminating_programs_is_exact(self):
-        for prog, step in _terminating_programs(seed=31, count=12):
+        for prog, step in terminating_programs(seed=31, count=12):
             r = reachability_superop(prog)
             final = simulate_deterministic(prog, step)[-1]
             exit_only = CQState(prog.dim, {"exit": final.block("exit")}, validate=False)
@@ -360,12 +367,7 @@ while meas M(q0) == 1 { apply X to q0; apply X to q0 }
         from qtl.program import LocationAction, SequentialProgram
         from qtl.superop import Measurement
 
-        never_exits = compile_source("""qubits 1;
-unitary X = [[0, 1], [1, 0]];
-measurement M = {[[1, 0], [0, 0]], [[0, 0], [0, 1]]};
-input [[0, 0], [0, 1]];
-while meas M(q0) == 1 { apply X to q0; apply X to q0 }
-""")
+        never_exits = compile_source(NEVER_EXITS_SRC)
         programs = [example_loop, compile_source(TWO_QUBIT_LOOP_SRC), never_exits]
         rng = random.Random(41)
         while len(programs) < 13:
@@ -420,6 +422,25 @@ while meas M(q0) == 1 { skip }
         verdicts = check_exit_formulas(example_loop, Subspace.zero(2))
         assert verdicts.almost_eventually.status == "not_valid"
 
+    def test_almost_eventually_on_slow_rotation_loops(self):
+        # the loops exit almost surely, in |0>; a float split of their cut
+        # calls the radius 1 - 4e-10 (or 1 - 4e-12) peripheral
+        for n in (10**5, 10**6):
+            prog = compile_source(rotation_loop_src(n))
+            atoms = {"exit0": Atom("exit0", exit_atom_subspace(prog, span((1, 0))))}
+            v = check(prog, parse_formula("<>~ exit0", atoms), atoms)
+            assert v.is_valid
+            assert v.diagnostics == {"reachable_dim": 4, "trapped_dim": 0}
+            assert check_exit_almost_eventually(prog, span((0, 1))).status == "not_valid"
+
+    def test_almost_eventually_on_trapped_loops(self):
+        # |1> cycles through the guard and the two X locations forever
+        for src, trapped in ((NEVER_EXITS_SRC, 3), (PARTIALLY_TRAPPED_SRC, 3), (UNREACHED_TRAP_SRC, 0)):
+            prog = compile_source(src)
+            v = check_exit_almost_eventually(prog, Subspace.full(2))
+            assert v.diagnostics["trapped_dim"] == trapped
+            assert v.is_valid == (trapped == 0)
+
     def test_triple_equals_per_verdict_functions(self, monkeypatch):
         import qtl.qwhile as qwhile
 
@@ -430,7 +451,7 @@ while meas M(q0) == 1 { skip }
             return simulate_deterministic(*args, **kwargs)
 
         rng = random.Random(32)
-        for prog, _ in _terminating_programs(seed=33, count=8):
+        for prog, _ in terminating_programs(seed=33, count=8):
             k = rng.randrange(prog.dim)
             sub = Subspace.from_vectors(prog.dim, [[int(i == k) for i in range(prog.dim)]])
             expected = ExitVerdicts(
@@ -457,6 +478,8 @@ while meas M(q0) == 1 { skip }
             assert check_exit_always(example_loop, span((1, 0))).is_valid
         with monkeypatch.context() as patch:
             patch.setattr(qwhile, "simulate_deterministic", forbidden)
+            patch.setattr(checker, "reachability_superop", forbidden)
+            patch.setattr(checker, "peripheral_split", forbidden)
             assert check_exit_almost_eventually(example_loop, span((1, 0))).is_valid
 
 
@@ -509,6 +532,38 @@ class TestHoare:
         # the full-space precondition includes |1>, which also converges to |0>
         v = hoare_check(example_loop, Subspace.full(2), span((1, 0)), "total")
         assert v.is_valid
+
+    def test_one_instance_equals_the_basis_states(self):
+        def basis_verdicts(program, pre, post, mode):
+            decide = check_exit_always if mode == "partial" else check_exit_almost_eventually
+            verdicts = []
+            for idx in range(pre.dim):
+                col = pre.rref[idx : idx + 1, :].transpose()
+                rho = (col @ col.dagger()) * (CRat(1) / (col.dagger() @ col).entry(0, 0))
+                verdicts.append(decide(program.with_initial_state(rho), post).is_valid)
+            return verdicts
+
+        rng = random.Random(61)
+        seen = set()
+        for _ in range(30):
+            dim = rng.choice([2, 3])
+            prog = random_deterministic_program(rng, dim, rng.randint(1, 3))
+            pre = Subspace.full(dim) if rng.random() < 0.5 else random_subspace(rng, dim)
+            if rng.random() < 0.7:
+                kept = rng.sample(range(dim), rng.randrange(1, dim))
+                post = Subspace.from_vectors(dim, [[int(i == j) for i in range(dim)] for j in kept])
+            else:
+                post = random_subspace(rng, dim)
+            for mode in ("partial", "total"):
+                verdicts = basis_verdicts(prog, pre, post, mode)
+                status = hoare_check(prog, pre, post, mode).status
+                assert status == ("valid" if all(verdicts) else "not_valid")
+                seen.add((mode, status, len(set(verdicts))))
+        # both verdicts in both modes, and basis states that disagree
+        assert {(mode, status) for mode, status, _ in seen} == {
+            (mode, status) for mode in ("partial", "total") for status in ("valid", "not_valid")
+        }
+        assert {mode for mode, _, kinds in seen if kinds == 2} == {"partial", "total"}
 
 
 class TestOracle:
@@ -642,6 +697,44 @@ class TestCheck:
                         assert oracle != "holds", (target, text)
                     decided[shape] += verdict.status != "unknown" and oracle != "inconclusive"
         assert all(decided[shape] for shape in ("f", "X f", "[] f", "[] <> f", "<> [] f", "<> f"))
+
+
+PROPERTY = settings(derandomize=True, max_examples=60, deadline=None)
+
+
+class TestAlmostSureExit:
+    """The lattice test R ^ T = 0 of the exit loop against the solve of
+    the split cut: the exact trace where nothing is peripheral, and the
+    float trace (within 1e-7 of one) where the split is numeric."""
+
+    @staticmethod
+    def _agrees(prog):
+        loop = bohm_jacopini(prog)
+        try:
+            split = peripheral_split(loop.cut)
+        except ToleranceAmbiguity:
+            return None
+        w = solve(Mat.eye(loop.cut.rows) - split.stable_part, loop.block_vector(initial_cq(prog)))
+        trace = unvec(w[loop.exit_rows, :], prog.dim).trace()
+        exact = split.peripheral_projector.is_zero()
+        almost = trace == CRat(1) if exact else abs(float(trace.re) - 1.0) <= 1e-7
+        assert loop.exits_almost_surely == almost
+        return exact, almost
+
+    @PROPERTY
+    @given(st.integers(0, 2**32 - 1).map(random.Random))
+    def test_random_programs(self, rng):
+        dim = rng.choice([2, 3])
+        self._agrees(random_deterministic_program(rng, dim, rng.randint(1, 3), rng.random() < 0.7))
+
+    def test_terminating_and_trapped_programs(self):
+        programs = [prog for prog, _ in terminating_programs(seed=71, count=8)]
+        programs += [compile_source(src) for src in (NEVER_EXITS_SRC, PARTIALLY_TRAPPED_SRC, UNREACHED_TRAP_SRC)]
+        outcomes = [self._agrees(prog) for prog in programs]
+        # terminating: almost sure, whether or not an unreachable part of
+        # the cut is peripheral
+        assert all(almost for _, almost in outcomes[:8])
+        assert outcomes[8:] == [(False, False), (False, False), (False, True)]
 
 
 class TestRandomReachability:

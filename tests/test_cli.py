@@ -15,6 +15,7 @@ from helpers import (
     UNSUPPORTED_FORMULAS,
     random_automaton,
     random_deterministic_program,
+    rotation_loop_src,
     span,
 )
 
@@ -41,6 +42,17 @@ def workspace(tmp_path):
     atoms_path = tmp_path / "atoms.json"
     atoms_path.write_text(json.dumps(atoms))
     return tmp_path, str(program_path), str(atoms_path), str(source_path)
+
+
+def _write_rotation_loop(tmp_path, n):
+    """The rotation loop of t = 1/n and an atom "exit0" (|0> at the exit)."""
+    prog = compile_source(rotation_loop_src(n))
+    program_path = tmp_path / f"rotation{n}.json"
+    program_path.write_text(jsonio.dumps(jsonio.program_to_json(prog)))
+    atoms_path = tmp_path / f"rotation{n}_atoms.json"
+    atoms = [{"name": "exit0", "blocks": {prog.exit_location: {"dim": 2, "basis": [["1", "0"]]}}}]
+    atoms_path.write_text(json.dumps(atoms))
+    return str(program_path), str(atoms_path)
 
 
 def _write_nondeterministic_program(tmp_path):
@@ -139,6 +151,13 @@ class TestCheckCommand:
     def test_almost_eventually_valid(self, workspace):
         _, prog, atoms, _ = workspace
         assert main(["check", prog, "--atoms", atoms, "-f", "<>~ exit0"]) == 0
+
+    def test_almost_eventually_on_slow_rotation_loops(self, tmp_path, capsys):
+        for n in (10**5, 10**6):
+            prog, atoms = _write_rotation_loop(tmp_path, n)
+            assert main(["check", prog, "--atoms", atoms, "-f", "<>~ exit0", "--json"]) == 0
+            report = json.loads(capsys.readouterr().out)
+            assert report["diagnostics"] == {"reachable_dim": 4, "trapped_dim": 0}
 
     def test_exit_formulas_unknown_on_nondeterministic_program(self, tmp_path, capsys):
         path = _write_nondeterministic_program(tmp_path)
@@ -265,6 +284,11 @@ class TestReachCommand:
         assert abs(payload["expected_steps"] - 4.0) < 1e-6
         assert payload["kraus_rank"] >= 1
 
+    def test_contradicting_split_exit_three(self, tmp_path, capsys):
+        prog, _ = _write_rotation_loop(tmp_path, 10**5)
+        assert main(["reach", prog, "--json"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and "ToleranceAmbiguity" in captured.err
 
     def test_kraus_rank_builds_no_channel(self, workspace, capsys, monkeypatch):
         import qtl.checker as checker
