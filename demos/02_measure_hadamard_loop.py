@@ -57,4 +57,7 @@ assert almost.diagnostics["trapped_dim"] == 0
 reach = reachability_superop(program)
 print("\nreachable exit mass:", reach.diagnostics["reach_trace"])
 print("expected steps to the exit:", reach.expected_steps)
+# 64 direct steps leave 2^-32 of the mass in flight, which bounds the
+# distance of their exit block from the exact reach state
 print("64-step power iteration residual:", reach.diagnostics["power_iteration_residual"])
+print("mass still in flight after 64 steps:", reach.diagnostics["power_iteration_in_flight"])

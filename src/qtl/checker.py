@@ -806,7 +806,8 @@ def reachability_superop(program: SequentialProgram, tolerance: float = 1e-9) ->
     exit is almost sure is the exit loop's exact lattice test; a float trace
     more than ``tolerance`` from one under an almost sure exit raises
     ToleranceAmbiguity.  The power-iteration residual against 64 direct
-    steps is a diagnostic.
+    steps is a diagnostic, with the trace still away from the exit after
+    those steps (``power_iteration_in_flight``), which bounds it.
     ``kraus_rank`` and ``channel`` are computed on first access, in
     floating point on the embedded space (see :func:`_reach_kraus`).
     """
@@ -829,13 +830,17 @@ def reachability_superop(program: SequentialProgram, tolerance: float = 1e-9) ->
         expected = float(unvec((w2 - w)[rows, :], d).trace().re)
     else:
         expected = math.inf
-    # power-iteration cross-check on the uncut step (the exit acts as identity)
+    # power-iteration cross-check on the uncut step (the exit acts as identity):
+    # the reach block minus the exit block after 64 steps is what the mass
+    # still in flight will deliver, so the residual is at most that mass
     step_float = loop.cut.to_complex()
     step_float[rows, rows] += np.eye(d * d)
     vk = v0.to_complex().ravel()
     for _ in range(64):
         vk = step_float @ vk
     residual = _trace_norm(vk[rows].reshape(d, d) - reach_block.to_complex())
+    traces = np.einsum("lii->l", vk.reshape(-1, d, d)).real
+    in_flight = float(traces.sum() - traces[rows.start // (d * d)])
     return ReachabilityResult(
         expected_steps=expected,
         almost_terminates=almost,
@@ -843,6 +848,7 @@ def reachability_superop(program: SequentialProgram, tolerance: float = 1e-9) ->
         diagnostics={
             "reach_trace": reach_trace,
             "power_iteration_residual": residual,
+            "power_iteration_in_flight": in_flight,
             "tolerance": tolerance,
         },
         choi_kraus=lambda: _reach_kraus(loop, tolerance),

@@ -5,6 +5,10 @@ class QtlError(Exception):
     """Base class for every error raised by this package."""
 
 
+class MalformedInput(QtlError):
+    """Input data does not fit its format: a bad number literal or a missing key."""
+
+
 class DimensionMismatch(QtlError):
     """Operands live in incompatible spaces."""
 

@@ -14,8 +14,11 @@ connectives.
 
 from __future__ import annotations
 
+import functools
 import re as _re
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import (
     AlmostOperatorOnNonAtom,
@@ -24,6 +27,7 @@ from .errors import (
     UnknownAtom,
     UnknownConfiguration,
 )
+from .linalg import Mat
 from .subspace import Subspace, satisfies
 from .program import CQState, embed
 
@@ -119,14 +123,19 @@ def atom_from_blocks(name: str, blocks: dict, program) -> Atom:
         if sub.ambient_dim != d:
             raise DimensionMismatch(f"block for {label!r} must live in dimension {d}")
         by_index[index_of[key]] = sub
-    vectors = []
+    # entry h of a block vector at configuration idx sits at h * n_configs + idx
+    rows = []
     for idx, sub in sorted(by_index.items()):
-        for i in range(sub.dim):
-            entries = [0] * (d * n_configs)
-            for h in range(d):
-                entries[h * n_configs + idx] = sub.rref.entry(i, h)
-            vectors.append(entries)
-    return Atom(name, Subspace.from_vectors(d * n_configs, vectors))
+        if sub.is_zero():
+            continue
+        re = np.zeros((sub.dim, d * n_configs), dtype=object)
+        im = np.zeros((sub.dim, d * n_configs), dtype=object)
+        re[:, idx::n_configs] = sub.rref.num_re
+        im[:, idx::n_configs] = sub.rref.num_im
+        rows.append(Mat(re, im, sub.rref.den, _normalized=True))
+    if not rows:
+        return Atom(name, Subspace.zero(d * n_configs))
+    return Atom(name, Subspace(d * n_configs, functools.reduce(Mat.vstack, rows)))
 
 
 # ----------------------------------------------------------------------

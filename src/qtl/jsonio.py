@@ -3,7 +3,9 @@
 Numbers are exact: rationals are encoded as "p/q" strings (or bare
 integers), complex entries as two-element arrays [re, im] of rationals, and
 matrices as row-major nested arrays.  Real entries may be given directly as
-rational literals.
+rational literals.  Matrices are read straight into the integer grids of a
+``Mat`` (:meth:`Mat.from_rows`) and written from them; an entry that is no
+exact number, or a missing key, raises MalformedInput naming it.
 
 Program schema (sequential):
 
@@ -25,9 +27,10 @@ entries become ["location", scheduler].  An automaton is {"dimension",
 from __future__ import annotations
 
 import json
+import math
 
-from .errors import QtlError
-from .linalg import CRat, Mat, format_rational, parse_rational
+from .errors import MalformedInput, QtlError
+from .linalg import Mat
 from .subspace import Subspace, SubspaceUnion
 from .superop import Measurement, SuperOp
 from .program import (
@@ -40,42 +43,48 @@ from .program import (
 from .formula import Atom, atom_from_blocks
 
 
-def scalar_to_json(c: CRat):
-    if c.im == 0:
-        return format_rational(c.re)
-    return [format_rational(c.re), format_rational(c.im)]
+def _field(obj, key, what):
+    """obj[key], or MalformedInput naming the missing key."""
+    try:
+        return obj[key]
+    except (KeyError, TypeError, IndexError):
+        raise MalformedInput(f"{what} has no {key!r}") from None
 
 
-def scalar_from_json(obj) -> CRat:
-    if isinstance(obj, (list, tuple)):
-        if len(obj) != 2:
-            raise QtlError(f"complex entry must be [re, im], got {obj!r}")
-        return CRat(parse_rational(obj[0]), parse_rational(obj[1]))
-    return CRat(parse_rational(obj))
+def _ratio_literal(num: int, den: int) -> str:
+    """num/den in lowest terms: "p/q", or "p" for an integer."""
+    g = math.gcd(num, den)
+    if g == den:
+        return str(num // den)
+    return f"{num // g}/{den // g}"
 
 
 def mat_to_json(m: Mat):
-    return [[scalar_to_json(m.entry(i, j)) for j in range(m.cols)] for i in range(m.rows)]
+    """The entries of m as literals, read off its integer grids."""
+    den = m.den
+    return [
+        [_ratio_literal(re, den) if not im else [_ratio_literal(re, den), _ratio_literal(im, den)]
+         for re, im in zip(row_re, row_im)]
+        for row_re, row_im in zip(m.num_re.tolist(), m.num_im.tolist())
+    ]
 
 
 def mat_from_json(obj) -> Mat:
-    return Mat.from_rows([[scalar_from_json(e) for e in row] for row in obj])
+    if not isinstance(obj, list) or not all(isinstance(row, list) for row in obj):
+        raise MalformedInput(f"a matrix is a list of rows, got {obj!r}")
+    return Mat.from_rows(obj)
 
 
 def subspace_to_json(s: Subspace):
-    return {
-        "dim": s.ambient_dim,
-        "basis": [
-            [scalar_to_json(s.rref.entry(j, i)) for i in range(s.ambient_dim)]
-            for j in range(s.dim)
-        ],
-    }
+    return {"dim": s.ambient_dim, "basis": mat_to_json(s.rref)}
 
 
 def subspace_from_json(obj) -> Subspace:
-    dim = obj["dim"]
-    columns = [[scalar_from_json(e) for e in col] for col in obj.get("basis", [])]
-    return Subspace.from_vectors(dim, columns)
+    dim = _field(obj, "dim", "subspace")
+    basis = obj.get("basis", [])
+    if not isinstance(basis, list) or not all(isinstance(v, list) for v in basis):
+        raise MalformedInput(f"a subspace basis is a list of vectors, got {basis!r}")
+    return Subspace.from_vectors(dim, basis)
 
 
 def union_to_json(u: SubspaceUnion):
@@ -94,7 +103,7 @@ def channel_to_json(e: SuperOp):
 
 
 def channel_from_json(obj, validate="exact") -> SuperOp:
-    return SuperOp([mat_from_json(k) for k in obj["kraus"]], validate=validate)
+    return SuperOp([mat_from_json(k) for k in _field(obj, "kraus", "channel")], validate=validate)
 
 
 def measurement_to_json(m: Measurement):
@@ -102,7 +111,7 @@ def measurement_to_json(m: Measurement):
 
 
 def measurement_from_json(obj) -> Measurement:
-    ops = obj["operators"] if isinstance(obj, dict) else obj
+    ops = _field(obj, "operators", "measurement") if isinstance(obj, dict) else obj
     return Measurement([mat_from_json(op) for op in ops])
 
 
@@ -122,10 +131,12 @@ def _act_to_json(a: LocationAction, concurrent: bool):
 
 
 def _act_from_json(obj, concurrent: bool) -> LocationAction:
-    channel = SuperOp([mat_from_json(k) for k in obj["kraus"]], validate=None)
-    measurement = Measurement([mat_from_json(op) for op in obj["measurement"]], validate=False)
+    channel = SuperOp([mat_from_json(k) for k in _field(obj, "kraus", "location action")], validate=None)
+    measurement = Measurement(
+        [mat_from_json(op) for op in _field(obj, "measurement", "location action")], validate=False
+    )
     nxt = {}
-    for j, targets in obj["next"].items():
+    for j, targets in _field(obj, "next", "location action").items():
         parsed = []
         for t in targets:
             if concurrent:
@@ -174,31 +185,31 @@ def program_from_json(obj):
     concurrent program, otherwise sequential program."""
     if "actions" in obj:
         return QuantumAutomaton(
-            obj["dimension"],
+            _field(obj, "dimension", "automaton"),
             {name: channel_from_json(c) for name, c in obj["actions"].items()},
-            mat_from_json(obj["initial_state"]),
+            mat_from_json(_field(obj, "initial_state", "automaton")),
         )
     if "processes" in obj:
         processes = []
         initial_locations = []
         for proc in obj["processes"]:
-            act = {loc: _act_from_json(a, True) for loc, a in proc["act"].items()}
-            processes.append(ConcurrentProcess(proc["locations"], act))
-            initial_locations.append(proc["initial_location"])
+            act = {loc: _act_from_json(a, True) for loc, a in _field(proc, "act", "process").items()}
+            processes.append(ConcurrentProcess(_field(proc, "locations", "process"), act))
+            initial_locations.append(_field(proc, "initial_location", "process"))
         return ConcurrentProgram(
-            dim=obj["dimension"],
+            dim=_field(obj, "dimension", "program"),
             processes=processes,
-            initial_state=mat_from_json(obj["initial_state"]),
+            initial_state=mat_from_json(_field(obj, "initial_state", "program")),
             initial_locations=initial_locations,
-            initial_scheduler=obj["initial_scheduler"],
+            initial_scheduler=_field(obj, "initial_scheduler", "program"),
         )
-    act = {loc: _act_from_json(a, False) for loc, a in obj["act"].items()}
+    act = {loc: _act_from_json(a, False) for loc, a in _field(obj, "act", "program").items()}
     return SequentialProgram(
-        dim=obj["dimension"],
-        locations=obj["locations"],
+        dim=_field(obj, "dimension", "program"),
+        locations=_field(obj, "locations", "program"),
         act=act,
-        initial_state=mat_from_json(obj["initial_state"]),
-        initial_location=obj["initial_location"],
+        initial_state=mat_from_json(_field(obj, "initial_state", "program")),
+        initial_location=_field(obj, "initial_location", "program"),
         exit_location=obj.get("exit_location"),
     )
 
@@ -219,7 +230,7 @@ def atoms_from_json(obj, program) -> dict:
     {"name", "subspace": {...}} entries; blocks are per-configuration."""
     atoms = {}
     for entry in obj:
-        name = entry["name"]
+        name = _field(entry, "name", "atom")
         if "subspace" in entry:
             atoms[name] = Atom(name, subspace_from_json(entry["subspace"]))
         else:
@@ -229,7 +240,7 @@ def atoms_from_json(obj, program) -> dict:
                     "automata take a raw 'subspace' instead"
                 )
             blocks = {
-                label: subspace_from_json(sub) for label, sub in entry["blocks"].items()
+                label: subspace_from_json(sub) for label, sub in _field(entry, "blocks", "atom").items()
             }
             atoms[name] = atom_from_blocks(name, blocks, program)
     return atoms

@@ -17,6 +17,7 @@ keep computing exactly against it.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -25,6 +26,7 @@ import scipy.linalg
 
 from .errors import (
     DimensionMismatch,
+    MalformedInput,
     PreconditionViolated,
     SingularMatrix,
     ToleranceAmbiguity,
@@ -145,6 +147,78 @@ class CRat:
         return f"{format_rational(self.re)}{sign}{format_rational(abs(self.im))}i"
 
 
+# the shape of nearly every literal in a matrix file, an integer or an
+# integer ratio: read straight into a pair of integers, with no Fraction
+_RATIO = re.compile(r"([-+]?[0-9]+)(?:/([0-9]+))?")
+
+
+def _ratio(x) -> tuple:
+    """A real literal as (numerator, denominator), the denominator positive;
+    every form but a "p"/"p/q" string, an int, a Fraction or a float is
+    read by :func:`parse_rational`."""
+    t = type(x)
+    if t is str:
+        m = _RATIO.fullmatch(x)
+        if m is not None:
+            num, den = m.groups()
+            if den is None:
+                return int(num), 1
+            den = int(den)
+            if den:
+                return int(num), den
+            raise ZeroDivisionError(f"Fraction({num}, 0)")
+    elif t is int:
+        return x, 1
+    elif t is Fraction:
+        return x.numerator, x.denominator
+    elif t is float:
+        return x.as_integer_ratio()
+    f = parse_rational(x)
+    return f.numerator, f.denominator
+
+
+def _read_rows(rows):
+    """Real and imaginary parts of nested entries as grids of (numerator,
+    denominator) pairs, each entry read as :meth:`CRat.coerce` reads it."""
+    grid_re, grid_im = [], []
+    for row in rows:
+        row_re, row_im = [], []
+        for e in row:
+            t = type(e)
+            if t is str or t is int:
+                row_re.append(_ratio(e))
+                row_im.append((0, 1))
+            elif (t is list or t is tuple) and len(e) == 2:
+                row_re.append(_ratio(e[0]))
+                row_im.append(_ratio(e[1]))
+            else:
+                c = e if t is CRat else CRat.coerce(e)
+                row_re.append((c.re.numerator, c.re.denominator))
+                row_im.append((c.im.numerator, c.im.denominator))
+        grid_re.append(row_re)
+        grid_im.append(row_im)
+    return grid_re, grid_im
+
+
+def _from_ratios(grid_re, grid_im) -> "Mat":
+    """The Mat of two grids of (numerator, denominator) pairs, over the
+    least common denominator."""
+    nrows = len(grid_re)
+    ncols = len(grid_re[0]) if nrows else 0
+    if any(len(row) != ncols for row in grid_re):
+        raise DimensionMismatch("ragged rows")
+    if not nrows or not ncols:
+        return Mat.zeros(nrows, ncols)
+    den = math.lcm(*[d for row in grid_re for _, d in row], *[d for row in grid_im for _, d in row])
+    if den == 1:
+        num_re = [[n for n, _ in row] for row in grid_re]
+        num_im = [[n for n, _ in row] for row in grid_im]
+    else:
+        num_re = [[n * (den // d) for n, d in row] for row in grid_re]
+        num_im = [[n * (den // d) for n, d in row] for row in grid_im]
+    return Mat(np.array(num_re, dtype=object), np.array(num_im, dtype=object), den)
+
+
 def _gcd_reduce(num_re, num_im, den):
     """Divide out the gcd of all numerators and the denominator."""
     g = den
@@ -199,24 +273,23 @@ class Mat:
 
     @staticmethod
     def from_rows(rows) -> "Mat":
-        """Build from nested entries (ints, Fractions, "p/q", [re,im], CRat)."""
-        grid = [[CRat.coerce(entry) for entry in row] for row in rows]
-        nrows = len(grid)
-        ncols = len(grid[0]) if nrows else 0
-        if any(len(row) != ncols for row in grid):
-            raise DimensionMismatch("ragged rows")
-        den = 1
-        for row in grid:
-            for e in row:
-                den = den * e.re.denominator // math.gcd(den, e.re.denominator)
-                den = den * e.im.denominator // math.gcd(den, e.im.denominator)
-        num_re = np.empty((nrows, ncols), dtype=object)
-        num_im = np.empty((nrows, ncols), dtype=object)
-        for i, row in enumerate(grid):
-            for j, e in enumerate(row):
-                num_re[i, j] = int(e.re * den)
-                num_im[i, j] = int(e.im * den)
-        return Mat(num_re, num_im, den)
+        """Build from nested entries: ints, Fractions, CRats, floats, complex
+        numbers, rational strings ("p/q", "0.5", "1e-3", ...) and [re, im]
+        pairs of the real forms, exactly as :meth:`CRat.coerce` reads them.
+        An entry that does not read as a number raises MalformedInput."""
+        rows = [list(row) for row in rows]
+        try:
+            grids = _read_rows(rows)
+        except (ValueError, ZeroDivisionError, TypeError, OverflowError):
+            # find the first entry that does not read, to name it
+            for i, row in enumerate(rows):
+                for j, e in enumerate(row):
+                    try:
+                        _read_rows([[e]])
+                    except (ValueError, ZeroDivisionError, TypeError, OverflowError) as exc:
+                        raise MalformedInput(f"entry ({i}, {j}) = {e!r} is not an exact number: {exc}") from None
+            raise
+        return _from_ratios(*grids)
 
     @staticmethod
     def zeros(rows, cols=None) -> "Mat":
@@ -245,12 +318,11 @@ class Mat:
     @staticmethod
     def from_complex(array) -> "Mat":
         """Exactly rationalize a float/complex array (binary floats are rationals)."""
-        array = np.asarray(array, dtype=complex)
-        rows = [
-            [CRat(Fraction(x.real), Fraction(x.imag)) for x in row]
-            for row in array
-        ]
-        return Mat.from_rows(rows)
+        rows = np.asarray(array, dtype=complex).tolist()
+        return _from_ratios(
+            [[x.real.as_integer_ratio() for x in row] for row in rows],
+            [[x.imag.as_integer_ratio() for x in row] for row in rows],
+        )
 
     # ------------------------------------------------------------------
     # element access
@@ -699,33 +771,39 @@ def solve(a: Mat, b: Mat) -> Mat:
 def is_psd(m: Mat) -> bool:
     """Exact positive-semidefiniteness test for a Hermitian matrix.
 
-    Runs the Schur-complement (LDL-style) sweep in exact arithmetic: a zero
-    diagonal pivot forces its whole row to vanish, a negative one is a
-    certificate of failure.
+    A fraction-free symmetric Bareiss sweep on the integer grid (the Schur
+    complement sweep scaled by the last pivot, so every division is exact
+    and by a positive integer): a negative pivot is a certificate of
+    failure, and a zero pivot forces its whole row to vanish.
     """
     if not m.is_hermitian():
         return False
-    n = m.rows
-    a = [[m.entry(i, j) for j in range(n)] for i in range(n)]
+    rows = _rows_as_pairs(m)
+    n = len(rows)
+    prev = 1
     for k in range(n):
-        d = a[k][k]
-        if d.im != 0:
+        row_k = rows[k]
+        p = row_k[k][0]
+        if p < 0:
             return False
-        if d.re < 0:
-            return False
-        if d.re == 0:
-            for j in range(k + 1, n):
-                if not a[k][j].is_zero():
-                    return False
+        if p == 0:
+            if any(re or im for re, im in row_k[k + 1 :]):
+                return False
             continue
         for i in range(k + 1, n):
-            if a[i][k].is_zero():
+            row_i = rows[i]
+            # a_ik = conj(a_ki); the upper triangle is updated, a_ij for j >= i
+            cre, cim = row_k[i]
+            if p == prev and not (cre or cim):
                 continue
-            factor = a[i][k] / d
-            for j in range(k + 1, n):
-                a[i][j] = a[i][j] - factor * a[k][j]
-        for j in range(k + 1, n):
-            a[k][j] = CRat(0)
+            for j in range(i, n):
+                are, aim = row_i[j]
+                bre, bim = row_k[j]
+                row_i[j] = (
+                    (p * are - (cre * bre + cim * bim)) // prev,
+                    (p * aim - (cre * bim - cim * bre)) // prev,
+                )
+        prev = p
     return True
 
 

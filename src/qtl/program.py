@@ -26,7 +26,7 @@ from .errors import (
     PreconditionViolated,
     SelectorExplosion,
 )
-from .linalg import CRat, Mat, is_psd, kron, mat_sum
+from .linalg import Mat, is_psd, kron, mat_sum
 from .superop import Measurement, SuperOp
 
 DEFAULT_SELECTOR_CAP = 4096
@@ -46,7 +46,9 @@ def _validate_density(rho: Mat, dim: int, what: str):
         raise DimensionMismatch(f"{what} must be {dim}x{dim}")
     if not is_psd(rho):
         raise PreconditionViolated(f"{what} is not positive semidefinite")
-    if rho.trace() != CRat(1):
+    # trace one on the grid: the real diagonal numerators sum to the
+    # denominator (a Hermitian diagonal is real)
+    if sum(rho.num_re.diagonal().tolist()) != rho.den:
         raise PreconditionViolated(f"{what} must have trace one")
 
 

@@ -18,6 +18,8 @@ equality of unions decidable member-wise.
 
 from __future__ import annotations
 
+import functools
+
 from .errors import DimensionMismatch, NotPositive
 from .linalg import Mat, _perp_rows, is_psd, rref, solve
 
@@ -47,17 +49,17 @@ class Subspace:
 
     @staticmethod
     def from_vectors(ambient_dim: int, vectors) -> "Subspace":
-        """Span of the given column vectors (column ``Mat``s or entry lists)."""
-        rows = []
-        for v in vectors:
-            if isinstance(v, Mat):
-                v = [v.entry(i, 0) for i in range(v.rows)] if v.cols == 1 else None
-            if v is None or len(v) != ambient_dim:
-                raise DimensionMismatch("vector does not live in the ambient space")
-            rows.append(list(v))
+        """Span of the given column vectors (column ``Mat``s or entry lists);
+        the entry lists are read as the rows of one ``Mat.from_rows``."""
+        vectors = list(vectors)
+        columns = [v for v in vectors if isinstance(v, Mat)]
+        lists = [list(v) for v in vectors if not isinstance(v, Mat)]
+        rows = [v.transpose() for v in columns] + ([Mat.from_rows(lists)] if lists else [])
+        if any(v.cols != 1 for v in columns) or any(r.cols != ambient_dim for r in rows):
+            raise DimensionMismatch("vector does not live in the ambient space")
         if not rows:
             return Subspace.zero(ambient_dim)
-        return Subspace(ambient_dim, Mat.from_rows(rows))
+        return Subspace(ambient_dim, functools.reduce(Mat.vstack, rows))
 
     @staticmethod
     def zero(ambient_dim: int) -> "Subspace":

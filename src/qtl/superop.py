@@ -24,7 +24,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DimensionMismatch, PreconditionViolated
-from .linalg import CRat, Mat, kron, mat_sum
+from .linalg import CRat, Mat, is_psd, kron, mat_sum
 from .subspace import Subspace, SubspaceUnion, support
 
 
@@ -33,6 +33,28 @@ def vec(a: Mat) -> Mat:
     re = a.num_re.reshape(-1, 1).copy()
     im = a.num_im.reshape(-1, 1).copy()
     return Mat(re, im, a.den)
+
+
+def _gram(ops):
+    """sum K†K over the operators, on the integers: the grids (re, im) and
+    the denominator den of one product S†S, S the operators stacked over
+    their common denominator."""
+    den = math.lcm(*(k.den for k in ops))
+    s_re = np.vstack([k.num_re if k.den == den else k.num_re * (den // k.den) for k in ops])
+    s_im = np.vstack([k.num_im if k.den == den else k.num_im * (den // k.den) for k in ops])
+    re = np.dot(s_re.T, s_re)
+    if not s_im.any():
+        return re, np.zeros(re.shape, dtype=object), den * den
+    re = re + np.dot(s_im.T, s_im)
+    im = np.dot(s_re.T, s_im) - np.dot(s_im.T, s_re)
+    return re, im, den * den
+
+
+def _is_identity_gram(re, im, den) -> bool:
+    """Whether (re + i im) / den is the identity: den on the diagonal,
+    zero elsewhere."""
+    n = re.shape[0]
+    return not im.any() and np.count_nonzero(re) == n and all(re[i, i] == den for i in range(n))
 
 
 def unvec(v: Mat, rows: int, cols: int | None = None) -> Mat:
@@ -57,12 +79,8 @@ class Measurement:
         for op in operators:
             if op.cols != dim or op.rows != dim:
                 raise DimensionMismatch("measurement operators must be square and equal size")
-        if validate:
-            total = Mat.zeros(dim)
-            for op in operators:
-                total = total + op.dagger() @ op
-            if total != Mat.eye(dim):
-                raise PreconditionViolated("measurement operators do not sum to the identity")
+        if validate and not _is_identity_gram(*_gram(operators)):
+            raise PreconditionViolated("measurement operators do not sum to the identity")
         object.__setattr__(self, "operators", operators)
         object.__setattr__(self, "dim", dim)
 
@@ -124,15 +142,17 @@ class SuperOp:
         object.__setattr__(self, "_dual", None)
         tp = None
         if validate == "exact":
-            total = Mat.zeros(dim_in)
-            for k in kraus:
-                total = total + k.dagger() @ k
-            tp = total == Mat.eye(dim_in)
+            re, im, den = _gram(kraus)
+            tp = _is_identity_gram(re, im, den)
             if not tp:
-                from .linalg import is_psd
-
-                if not is_psd(Mat.eye(dim_in) - total):
-                    raise PreconditionViolated("Kraus operators exceed the identity: not trace-non-increasing")
+                # I - sum K†K, scaled by den > 0, must be positive semidefinite
+                gap = -re
+                for i in range(dim_in):
+                    gap[i, i] += den
+                if not is_psd(Mat(gap, -im, den)):
+                    raise PreconditionViolated(
+                        "Kraus operators exceed the identity: not trace-non-increasing"
+                    )
         elif validate == "tolerant":
             total = sum(
                 k.to_complex().conj().T @ k.to_complex() for k in kraus
@@ -230,10 +250,7 @@ class SuperOp:
 
     def is_trace_preserving(self) -> bool:
         if self._trace_preserving is None:
-            total = Mat.zeros(self.dim_in)
-            for k in self.kraus:
-                total = total + k.dagger() @ k
-            object.__setattr__(self, "_trace_preserving", total == Mat.eye(self.dim_in))
+            object.__setattr__(self, "_trace_preserving", _is_identity_gram(*_gram(self.kraus)))
         return self._trace_preserving
 
     def is_identity(self) -> bool:
@@ -241,8 +258,11 @@ class SuperOp:
         {c_i I} with sum |c_i|^2 = 1, so no matrix representation is needed."""
         if self.dim_in != self.dim_out:
             return False
-        eye = Mat.eye(self.dim_in)
-        return all(k == eye * k.entry(0, 0) for k in self.kraus) and self.is_trace_preserving()
+        eye = Mat.eye(self.dim_in).num_re
+        return all(
+            np.array_equal(k.num_re, eye * k.num_re[0, 0]) and np.array_equal(k.num_im, eye * k.num_im[0, 0])
+            for k in self.kraus
+        ) and self.is_trace_preserving()
 
     def __eq__(self, other):
         """Channel equality through the matrix representation."""

@@ -284,6 +284,14 @@ class TestAlmostUntil:
         assert np.max(np.abs(tau.to_complex() - r.reach_state.to_complex())) < 1e-9
 
 
+def _assert_residual_within_in_flight(r):
+    """The exact reach block minus the exit block after 64 direct steps is
+    what the mass still in flight will deliver, so the power-iteration
+    residual is at most that mass, up to float error."""
+    d = r.diagnostics
+    assert d["power_iteration_residual"] <= d["power_iteration_in_flight"] + 1e-12
+
+
 class TestReachability:
     def test_example_loop(self, example_loop):
         r = reachability_superop(example_loop)
@@ -291,6 +299,16 @@ class TestReachability:
         assert abs(r.diagnostics["reach_trace"] - 1.0) <= 1e-9
         assert abs(r.expected_steps - 4.0) <= 1e-6
         assert r.diagnostics["power_iteration_residual"] < 2**-24
+        _assert_residual_within_in_flight(r)
+
+    def test_power_iteration_residual_on_rotation_loops(self):
+        # 64 direct steps are far from the limit of the slow loop: the
+        # residual is near one, and so is the mass still in flight
+        for n, low in ((10, 0.2), (1000, 0.999)):
+            r = reachability_superop(compile_source(rotation_loop_src(n)))
+            assert r.diagnostics["reach_trace"] == pytest.approx(1.0)
+            assert r.diagnostics["power_iteration_in_flight"] > low
+            _assert_residual_within_in_flight(r)
 
     def test_instant_exit(self):
         prog = compile_source("qubits 1;\nskip")
@@ -346,6 +364,7 @@ class TestReachability:
         assert r.reach_state.trace() == CRat(1)
         assert r.almost_terminates
         assert r.expected_steps == 4
+        _assert_residual_within_in_flight(r)
         # every exit happens with q0 = 0: no mass on q0 = 1 at the exit
         n_configs = len(prog.configs())
         e_idx = prog.config_index(prog.exit_location)
@@ -360,6 +379,10 @@ class TestReachability:
             exit_only = CQState(prog.dim, {"exit": final.block("exit")}, validate=False)
             assert r.reach_state == embed(exit_only, prog)
             assert r.almost_terminates
+            # nothing is in flight after 64 steps of a program that
+            # terminated exactly at step 1 or 2
+            assert r.diagnostics["power_iteration_in_flight"] == 0.0
+            _assert_residual_within_in_flight(r)
 
     def test_kraus_rank_counts_the_channel_operators(self, example_loop):
         from helpers import random_deterministic_program

@@ -124,6 +124,28 @@ class TestJsonRoundtrips:
         assert back.initial_scheduler == 1
         assert back.processes[0].act["p"].next == p1.act["p"].next
 
+    def test_automaton_front_end_builds_no_fraction(self, monkeypatch):
+        # every entry is read into integer grids and validated on them: a
+        # Fraction built under any qtl module name raises
+        import qtl
+        from fractions import Fraction
+
+        class NoFraction(Fraction):
+            def __new__(cls, *args, **kwargs):
+                raise AssertionError("the front end built a Fraction")
+
+        aut = random_automaton(random.Random(3), 3, 3)
+        obj = jsonio.program_to_json(aut)
+        atoms = [{"name": "p", "subspace": jsonio.subspace_to_json(span((1, "1/2", (0, "-2/3")), (0, 1, 0)))}]
+        for name in ("linalg", "subspace", "superop", "program", "formula", "jsonio"):
+            monkeypatch.setattr(getattr(qtl, name), "Fraction", NoFraction, raising=False)
+        back = jsonio.program_from_json(obj)
+        table = jsonio.atoms_from_json(atoms, back)
+        monkeypatch.undo()
+        assert back.initial_state == aut.initial_state and len(back.actions) == 3
+        assert all(back.actions[n].kraus == aut.actions[n].kraus for n in aut.actions)
+        assert table["p"].subspace == span((1, "1/2", (0, "-2/3")), (0, 1, 0))
+
     def test_verdict_schema(self):
         from qtl.checker import check_invariance
         from qtl.subspace import SubspaceUnion
@@ -244,6 +266,32 @@ class TestCheckCommand:
         v = check_invariance(to_automaton(prog), atoms["p"].subspace)
         code = main(["check", prog_path, "--atoms", atoms_path, "-f", "[] p"])
         assert (code == 0) == v.is_valid
+
+
+class TestMalformedInput:
+    """A program file with an unreadable number or a missing key is an input
+    error (exit 3) that names the entry or key, in `qtl check` and `qtl reach`."""
+
+    @pytest.mark.parametrize("command", ["check", "reach"])
+    @pytest.mark.parametrize(
+        "entry, named",
+        [("1/0", "'1/0'"), ("x1", "'x1'"), (["1", "0", "0"], "['1', '0', '0']"), (None, "'initial_state'")],
+    )
+    def test_exit_three_naming_the_input(self, workspace, capsys, command, entry, named):
+        tmp_path, prog, atoms, _ = workspace
+        with open(prog, encoding="utf-8") as fh:
+            obj = json.load(fh)
+        if entry is None:
+            del obj["initial_state"]
+        else:
+            obj["initial_state"][0][0] = entry
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(obj))
+        argv = ["check", str(bad), "--atoms", atoms, "-f", "[] p"] if command == "check" else ["reach", str(bad)]
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "MalformedInput" in captured.err and named in captured.err
 
 
 class TestCompileCommand:

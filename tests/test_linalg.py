@@ -1,12 +1,14 @@
+import math
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from sympy import QQ, QQ_I
 from sympy.polys.matrices import DomainMatrix
 
-from qtl.errors import PreconditionViolated, SingularMatrix, ToleranceAmbiguity
+from qtl.errors import MalformedInput, PreconditionViolated, SingularMatrix, ToleranceAmbiguity
 from qtl.linalg import (
     CRat,
     Mat,
@@ -269,6 +271,187 @@ class TestPsd:
         v = Mat.column([1, (0, 1)])
         assert is_psd(v @ v.dagger())
         assert not is_psd(Mat.from_rows([[1, (0, 1)], [(0, 1), 1]]))  # not Hermitian
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_psd_of_every_rank(self, seed):
+        # B B† of rank r < n leaves zero pivots mid-sweep; a zero row and
+        # column inserted at a random place gives a zero pivot up front.
+        # Minus 10^-6 I the matrix stays PSD exactly when its least
+        # eigenvalue is at least 10^-6, so never when it is singular.
+        rng = random.Random(500 + seed)
+        for n in (1, 2, 3, 4, 5):
+            for r in range(n + 1):
+                b = _gaussian_matrix(rng, n, r) if r else Mat.zeros(n, 1)
+                a = b @ b.dagger()
+                assert is_psd(a) and _schur_psd(a)
+                eps = Mat.eye(n) * CRat(Fraction(1, 10**6))
+                assert is_psd(a - eps) == _schur_psd(a - eps)
+                assert is_psd(a - eps) == (r == n and np.linalg.eigvalsh(a.to_complex()).min() > 1e-6)
+                k = rng.randint(0, n)
+                padded = _insert_zero_row_and_column(a, k)
+                assert is_psd(padded)
+                assert not is_psd(padded - Mat.eye(n + 1) * CRat(Fraction(1, 10**6)))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_against_eigenvalues(self, seed):
+        # numpy decides away from zero, the CRat Schur sweep everywhere
+        rng = random.Random(600 + seed)
+        decided = 0
+        for _ in range(60):
+            n = rng.randint(1, 5)
+            c = _gaussian_matrix(rng, n, n)
+            h = c + c.dagger()
+            if rng.random() < 0.5:
+                h = h + Mat.eye(n) * CRat(rng.randint(0, 12))
+            assert is_psd(h) == _schur_psd(h)
+            low = np.linalg.eigvalsh(h.to_complex()).min()
+            if abs(low) > 1e-6:
+                assert is_psd(h) == (low > 0)
+                decided += 1
+        assert decided > 40
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_zero_pivot_with_nonzero_row_is_indefinite(self, seed):
+        # A = L Z L† with L unit lower triangular and Z = D + [[0, c], [c*, e]]
+        # at rows k, k+1: the sweep meets the zero pivot at k, and its row
+        # holds c
+        rng = random.Random(700 + seed)
+        for n in (2, 3, 4, 5):
+            k = rng.randint(0, n - 2)
+            z = [[CRat(0)] * n for _ in range(n)]
+            for i in range(n):
+                z[i][i] = CRat(Fraction(rng.randint(1, 9), rng.randint(1, 4)))
+            c = _gaussian_rational(rng)
+            while c.is_zero():
+                c = _gaussian_rational(rng)
+            z[k][k], z[k][k + 1], z[k + 1][k] = CRat(0), c, c.conjugate()
+            z[k + 1][k + 1] = CRat(rng.randint(-3, 3))
+            lower = [[_gaussian_rational(rng) if j < i else CRat(int(i == j)) for j in range(n)] for i in range(n)]
+            lo = Mat.from_rows(lower)
+            a = lo @ Mat.from_rows(z) @ lo.dagger()
+            assert a.is_hermitian()
+            assert np.linalg.eigvalsh(a.to_complex()).min() < -1e-9
+            assert not is_psd(a)
+
+    def test_non_hermitian_rejected(self):
+        rng = random.Random(800)
+        for n in (2, 3, 4):
+            b = _gaussian_matrix(rng, n, n)
+            a = b @ b.dagger() + Mat.eye(n)
+            skew = Mat.unit(n, 0, n - 1) * CRat(Fraction(1, 3))
+            assert is_psd(a)
+            assert not is_psd(a + skew)
+            assert not is_psd(a + Mat.eye(n) * CRat(0, 1))
+
+
+def _schur_psd(m: Mat) -> bool:
+    """The Schur-complement sweep in CRat arithmetic, as a reference: a
+    negative pivot refutes, a zero pivot needs a zero row."""
+    n = m.rows
+    a = [[m.entry(i, j) for j in range(n)] for i in range(n)]
+    for k in range(n):
+        d = a[k][k]
+        if d.im != 0 or d.re < 0:
+            return False
+        if d.re == 0:
+            if any(not a[k][j].is_zero() for j in range(k + 1, n)):
+                return False
+            continue
+        for i in range(k + 1, n):
+            factor = a[i][k] / d
+            for j in range(k + 1, n):
+                a[i][j] = a[i][j] - factor * a[k][j]
+    return True
+
+
+def _insert_zero_row_and_column(a: Mat, k: int) -> Mat:
+    re = np.insert(np.insert(a.num_re, k, 0, axis=0), k, 0, axis=1)
+    im = np.insert(np.insert(a.num_im, k, 0, axis=0), k, 0, axis=1)
+    return Mat(re, im, a.den)
+
+
+# ----------------------------------------------------------------------
+# the entry parser against the CRat.coerce reading
+
+
+def _reference_mat(rows) -> Mat:
+    """Mat.from_rows read entry by entry through CRat.coerce and Fraction."""
+    grid = [[CRat.coerce(e) for e in row] for row in rows]
+    den = math.lcm(*(x.denominator for row in grid for e in row for x in (e.re, e.im)))
+    num_re = np.array([[int(e.re * den) for e in row] for row in grid], dtype=object)
+    num_im = np.array([[int(e.im * den) for e in row] for row in grid], dtype=object)
+    return Mat(num_re, num_im, den)
+
+
+_digits = st.integers(0, 10**6).map(str)
+_literal_strings = st.one_of(
+    st.builds(lambda s, n: s + n, st.sampled_from(["", "-", "+"]), _digits),
+    st.builds(lambda s, n, d: f"{s}{n}/{d}", st.sampled_from(["", "-", "+"]), _digits, _digits),
+    st.builds(
+        lambda left, body, right: left + body + right,
+        st.sampled_from(["", " ", "\t"]),
+        st.sampled_from(["-3/4", "3 / 4", "3/ 4", "3/-4", "0.5", "-.25", "1e-3", "2E5", "1_000", "1__0",
+                         "1/0", "0/7", "6/4", "x1", "", "1/2/3", "+-1", "1.5/2", "inf", "nan"]),
+        st.sampled_from(["", " ", "\n"]),
+    ),
+    st.text(alphabet="0123456789+-/._eE x", max_size=8),
+)
+_reals = st.one_of(
+    _literal_strings,
+    st.integers(-10**30, 10**30),
+    st.booleans(),
+    st.fractions(max_denominator=10**12),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+_entries = st.one_of(
+    _reals,
+    st.builds(CRat, st.fractions(max_denominator=1000), st.fractions(max_denominator=1000)),
+    st.complex_numbers(allow_nan=False, allow_infinity=False),
+    st.lists(_reals, min_size=2, max_size=2),
+    st.tuples(_reals, _reals),
+    st.lists(_reals, min_size=3, max_size=3),
+)
+PARSER = settings(derandomize=True, max_examples=120, deadline=None)
+
+
+class TestEntryParser:
+    """Mat.from_rows and Mat.from_complex read every entry exactly as
+    CRat.coerce and Fraction do, and reject what they reject."""
+
+    @PARSER
+    @given(st.integers(1, 3).flatmap(lambda c: st.lists(st.lists(_entries, min_size=c, max_size=c), min_size=1, max_size=3)))
+    def test_from_rows_equals_reference(self, rows):
+        try:
+            expected = _reference_mat(rows)
+        except (ValueError, ZeroDivisionError, TypeError, OverflowError):
+            with pytest.raises(MalformedInput):
+                Mat.from_rows(rows)
+            return
+        assert Mat.from_rows(rows) == expected
+
+    @pytest.mark.parametrize("text", ["3/-4", "", "1/0", "3 / 4", "x1", "1__0", " ", "1/2/3"])
+    def test_rejects_what_fraction_rejects(self, text):
+        with pytest.raises((ValueError, ZeroDivisionError)):
+            Fraction(text)
+        with pytest.raises(MalformedInput, match=repr(text)):
+            Mat.from_rows([[1, text]])
+        with pytest.raises(MalformedInput):
+            Mat.from_rows([[[text, 0]]])
+
+    @pytest.mark.parametrize("text, value", [(" -3/4 ", Fraction(-3, 4)), ("0.5", Fraction(1, 2)),
+                                             ("1e-3", Fraction(1, 1000)), ("1_000", Fraction(1000)),
+                                             ("+6/4", Fraction(3, 2)), ("-0", Fraction(0))])
+    def test_accepts_what_fraction_accepts(self, text, value):
+        assert Mat.from_rows([[text]]) == Mat.from_rows([[value]])
+        assert Mat.from_rows([[[0, text]]]).entry(0, 0) == CRat(0, value)
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(st.integers(1, 3).flatmap(
+        lambda c: st.lists(st.lists(st.complex_numbers(allow_nan=False, allow_infinity=False), min_size=c, max_size=c),
+                           min_size=1, max_size=3)))
+    def test_from_complex_equals_fractions(self, rows):
+        expected = _reference_mat([[CRat(Fraction(x.real), Fraction(x.imag)) for x in row] for row in rows])
+        assert Mat.from_complex(np.array(rows, dtype=complex)) == expected
 
 
 class TestPeripheralSplit:
