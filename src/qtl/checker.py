@@ -10,11 +10,11 @@ operators; matrix representations are built only where a spectrum is
 needed (the loop channel of the refinement, limit states, reachability),
 and by the oracle, which keeps its own image path.  Every exit question
 about a deterministic program is asked of its one exit loop
-(:class:`qwhile.WhileNormalForm`): reachability runs through the
-stable/peripheral split of the loop's cut body on the block-diagonal
-classical-quantum space and two exact linear solves, the exact exit
-formulas read the loop's trajectory, and almost-sure exit is decided on the
-loop's subspace lattice.
+(:class:`qwhile.WhileNormalForm`): almost-sure exit is decided on the
+loop's subspace lattice, reachability runs two exact linear solves on the
+operators over the loop's reachable subspace modulo its trapped part (on
+the block-diagonal classical-quantum space, with no spectrum), and the
+exact exit formulas read the loop's trajectory.
 
 Verdicts are three-valued: some fragments are equivalent to open problems
 in number theory, and the checker answers Unknown with a stated reason
@@ -51,7 +51,6 @@ from .linalg import (
     peripheral_split,
     rref,
     solve,
-    split_numeric,
 )
 from .subspace import Subspace, SubspaceUnion, satisfies, support
 from .superop import MatrixRep, SuperOp, image, image_union, preimage_union, unvec, vec
@@ -121,11 +120,12 @@ class ReachabilityResult:
     """Exit reachability of a deterministic program.
 
     ``almost_terminates`` is exact: it is the exit loop's lattice test
-    (:attr:`qwhile.WhileNormalForm.exits_almost_surely`).  ``expected_steps``
-    and the ``reach_trace`` diagnostic are floats.
-    ``kraus_rank`` and ``channel`` (the reachability channel in Kraus form)
-    come from one eigendecomposition, run by ``choi_kraus`` on first access
-    and cached; ``kraus_rank`` builds no exact operators.
+    (:attr:`qwhile.WhileNormalForm.exits_almost_surely`).  ``reach_state``
+    is exact, and ``expected_steps`` and the ``reach_trace`` diagnostic are
+    the floats of exact rationals.  ``kraus_rank`` and ``channel`` (the
+    reachability channel in Kraus form) come from one floating-point
+    eigendecomposition, run by ``choi_kraus`` on first access and cached;
+    ``kraus_rank`` builds no exact operators.
     """
 
     expected_steps: float
@@ -762,25 +762,28 @@ def _trace_norm(a: np.ndarray) -> float:
     return float(np.sum(np.linalg.svd(a, compute_uv=False)))
 
 
-def _reach_kraus(loop: WhileNormalForm, tolerance: float) -> list:
+def _reach_kraus(loop: WhileNormalForm) -> list:
     """Float Kraus operators of the reachability channel on the embedded
-    space, one per Choi eigenvalue above the cut: the loop body's one-step
-    representation, cut by the guard, is split by the numeric core of the
-    peripheral split (with all its checks), and the eigendecomposition of
-    the reshuffled (Choi) matrix of (M0 x M0)(I - N)^{-1} gives the rest.
+    space, one per Choi eigenvalue above the cut.  With V spanning the
+    complement of T (``never_exiting``), L = (V^dag V)^-1 V^dag and the
+    compressed cut-body operators A_i = L K_i m1 V, the channel's
+    representation is (m0 V (x) conj m0 V) (I - Sum A_i (x) conj A_i)^-1
+    (L (x) conj L), for the reason given in :func:`reachability_superop`.
     Only the Choi rows and columns (a, c) with a in the exit block can be
-    nonzero, so the eigendecomposition runs on that principal block of
-    d^2*|L| rows, and every Kraus operator is zero off the exit rows."""
+    nonzero, so the eigendecomposition of the reshuffled (Choi) matrix runs
+    on that principal block of d^2*|L| rows, and every Kraus operator is
+    zero off the exit rows."""
     d_emb = loop.m0.rows
-    kraus_float = [k.to_complex() for k in loop.body_channel.kraus]
-    step_float = sum(np.kron(k, k.conj()) for k in kraus_float)
-    keep = np.diag(loop.m1.to_complex())
-    _, stable, _, _ = split_numeric(step_float * np.kron(keep, keep)[None, :], tolerance)
-    collect = np.diag(loop.m0.to_complex())
-    f_rep_float = np.kron(collect, collect)[:, None] * np.linalg.inv(np.eye(d_emb * d_emb) - stable)
-    choi = f_rep_float.reshape(d_emb, d_emb, d_emb, d_emb).transpose(0, 2, 1, 3)
-    exit_rows = np.flatnonzero(collect)
-    choi = choi[exit_rows][:, :, exit_rows].reshape(len(exit_rows) * d_emb, len(exit_rows) * d_emb)
+    exit_rows = np.flatnonzero(loop.m0.num_re.diagonal())
+    v = loop.never_exiting.complement().rref.transpose().to_complex()
+    left = np.linalg.solve(v.conj().T @ v, v.conj().T)
+    compressed = [left @ k.to_complex() @ v for k in loop.cut_body.kraus]
+    step = sum(np.kron(a, a.conj()) for a in compressed)
+    # the exit rows of the representation, with one solve against them
+    v_exit = np.kron(v[exit_rows], v[exit_rows].conj())
+    f_exit = np.linalg.solve((np.eye(len(step)) - step).T, v_exit.T).T @ np.kron(left, left.conj())
+    n = len(exit_rows)
+    choi = f_exit.reshape(n, n, d_emb, d_emb).transpose(0, 2, 1, 3).reshape(n * d_emb, n * d_emb)
     choi = (choi + choi.conj().T) / 2
     eigvals, eigvecs = np.linalg.eigh(choi)
     scale = max(1.0, float(eigvals.max(initial=0.0)))
@@ -793,43 +796,46 @@ def _reach_kraus(loop: WhileNormalForm, tolerance: float) -> list:
     return kraus
 
 
-def reachability_superop(program: SequentialProgram, tolerance: float = 1e-9) -> ReachabilityResult:
+def reachability_superop(program: SequentialProgram) -> ReachabilityResult:
     """The channel collecting all mass that ever reaches the exit location.
 
-    Its matrix representation is (M0 x M0) (I - N)^{-1}, with N the stable
-    part of the cut body of the program's exit loop
-    (:func:`qwhile.bohm_jacopini`), on the loop's d^2*|L| block space: the
-    reach vector w and w2 come from two exact fraction-free solves
-    (I - N) w = v0 and (I - N) w2 = w, the reach state is the exit block of
-    w, and the expected number of steps until the exit (in the program's own
-    step counting) is the trace of the exit block of w2 - w.  Whether the
-    exit is almost sure is the exit loop's exact lattice test; a float trace
-    more than ``tolerance`` from one under an almost sure exit raises
-    ToleranceAmbiguity.  The power-iteration residual against 64 direct
-    steps is a diagnostic, with the trace still away from the exit after
-    those steps (``power_iteration_in_flight``), which bounds it.
-    ``kraus_rank`` and ``channel`` are computed on first access, in
-    floating point on the embedded space (see :func:`_reach_kraus`).
+    With N the cut body of the program's exit loop
+    (:func:`qwhile.bohm_jacopini`), the reach state is Sum_n m0 N^n(rho_0) m0.
+    N maps B = R ^ T (``trapped``) into itself and m0 vanishes on B, so the
+    exit mass depends only on the compression of N onto C = R ^ B^perp, and
+    I - N is nonsingular on the operators over C: a fixed state there would
+    span, with B, a larger never-exiting invariant subspace than T.  So the
+    reach vector y and y2 come from two exact fraction-free solves
+    (I - A) y = Lt v0 and (I - A) y2 = y, A = Lt cut Rt the compressed cut on
+    the Sum_c k_c^2 coordinates of C (:meth:`WhileNormalForm.compression`),
+    with no spectrum and no tolerance.  The reach state is the exit block of
+    Rt y; under an almost sure exit (C = R, exact trace one, checked) the
+    expected number of steps until the exit, in the program's own step
+    counting, is the trace of the exit block of Rt (y2 - y), and infinite
+    otherwise.  The power-iteration residual against 64 direct steps is a
+    diagnostic, with the trace still away from the exit after those steps
+    (``power_iteration_in_flight``), which bounds it.  ``kraus_rank`` and
+    ``channel`` are computed on first access, in floating point on the
+    embedded space, by the same compression onto the complement of T
+    (:func:`_reach_kraus`).
     """
     loop = bohm_jacopini(program)
     d = program.dim
     rows = loop.exit_rows
-    split = peripheral_split(loop.cut, tolerance)
-    lhs = Mat.eye(loop.cut.rows) - split.stable_part
-    v0 = loop.block_vector(initial_cq(program))
-    w = solve(lhs, v0)
-    reach_block = unvec(w[rows, :], d)
-    reach_trace = float(reach_block.trace().re)
     almost = loop.exits_almost_surely
-    if almost and abs(reach_trace - 1.0) > tolerance:
-        raise ToleranceAmbiguity(
-            f"the loop exits almost surely, but the reach trace of the split is {reach_trace}"
-        )
+    right, left = loop.compression(
+        loop.reachable if almost else loop.reachable.meet(loop.trapped.complement())
+    )
+    lhs = Mat.eye(right.cols) - left @ loop.cut @ right
+    v0 = loop.block_vector(initial_cq(program))
+    to_exit = right[rows, :]
+    y = solve(lhs, left @ v0)
+    reach_block = unvec(to_exit @ y, d)
+    expected = math.inf
     if almost:
-        w2 = solve(lhs, w)
-        expected = float(unvec((w2 - w)[rows, :], d).trace().re)
-    else:
-        expected = math.inf
+        if reach_block.trace() != CRat(1):
+            raise QtlError(f"the loop exits almost surely, but the reach trace is {reach_block.trace()}")
+        expected = float(unvec(to_exit @ (solve(lhs, y) - y), d).trace().re)
     # power-iteration cross-check on the uncut step (the exit acts as identity):
     # the reach block minus the exit block after 64 steps is what the mass
     # still in flight will deliver, so the residual is at most that mass
@@ -846,12 +852,11 @@ def reachability_superop(program: SequentialProgram, tolerance: float = 1e-9) ->
         almost_terminates=almost,
         reach_state=loop.exit_embedded(reach_block),
         diagnostics={
-            "reach_trace": reach_trace,
+            "reach_trace": float(reach_block.trace().re),
             "power_iteration_residual": residual,
             "power_iteration_in_flight": in_flight,
-            "tolerance": tolerance,
         },
-        choi_kraus=lambda: _reach_kraus(loop, tolerance),
+        choi_kraus=lambda: _reach_kraus(loop),
     )
 
 

@@ -94,7 +94,7 @@ def cmd_reach(args) -> int:
     if not isinstance(program, SequentialProgram):
         print("error: reachability needs a sequential program", file=sys.stderr)
         return EXIT_ERROR
-    result = reachability_superop(program, tolerance=args.tolerance)
+    result = reachability_superop(program)
     report = {
         "kraus_rank": result.kraus_rank,
         "reach_trace": result.diagnostics["reach_trace"],
@@ -208,7 +208,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_reach = sub.add_parser("reach", help="reachability of the exit location")
     p_reach.add_argument("program")
-    p_reach.add_argument("--tolerance", type=float, default=1e-9)
     p_reach.add_argument("--json", action="store_true")
 
     p_sim = sub.add_parser("simulate", help="exact step-by-step simulation")

@@ -7,11 +7,12 @@ single positive denominator.  Rank, kernel, reduced row echelon form,
 inverse and solve run fraction-free (Bareiss) over the Gaussian integers, so
 no rounding ever happens on that path.
 
-The only numeric computation lives in :func:`split_numeric`, which separates
-the eigenvalues of modulus (close to) one from the strictly contracting rest
-of a channel's matrix representation.  :func:`peripheral_split` rationalizes
-its output exactly (binary floats are rationals) so downstream consumers can
-keep computing exactly against it.
+The only numeric computation lives in :func:`peripheral_split`, which
+separates the eigenvalues of modulus (close to) one from the strictly
+contracting rest of a channel's matrix representation, for the period
+certificates of the checker.  It rationalizes its output exactly (binary
+floats are rationals) so downstream consumers can keep computing exactly
+against it.
 """
 
 from __future__ import annotations
@@ -490,27 +491,15 @@ class Mat:
     # conversion
 
     def to_complex(self) -> np.ndarray:
+        """Complex floats: one division per grid where the numbers fit in
+        floats, the rounded exact quotient of every entry otherwise."""
         out = np.empty((self.rows, self.cols), dtype=complex)
-        den = self.den
-        # fast path: denominator and numerators fit in floats
-        if den < 2**500:
-            fd = float(den)
-            for i in range(self.rows):
-                for j in range(self.cols):
-                    re, im = self.num_re[i, j], self.num_im[i, j]
-                    if -(2**500) < re < 2**500 and -(2**500) < im < 2**500:
-                        out[i, j] = complex(re / fd, im / fd)
-                    else:
-                        out[i, j] = complex(
-                            float(Fraction(re, den)), float(Fraction(im, den))
-                        )
-            return out
-        for i in range(self.rows):
-            for j in range(self.cols):
-                out[i, j] = complex(
-                    float(Fraction(self.num_re[i, j], den)),
-                    float(Fraction(self.num_im[i, j], den)),
-                )
+        den, grids = self.den, (self.num_re, self.num_im)
+        if den < 2**500 and all(np.abs(g).max(initial=0) < 2**500 for g in grids):
+            out.real, out.imag = (g / float(den) for g in grids)
+        else:
+            to_float = np.vectorize(lambda x: float(Fraction(x, den)), otypes=[float])
+            out.real, out.imag = (to_float(g) for g in grids)
         return out
 
     def __repr__(self):
@@ -545,6 +534,15 @@ def mat_sum(mats) -> Mat:
         scale = den // m.den
         re = re + m.num_re * scale
         im = im + m.num_im * scale
+    return Mat(re, im, den)
+
+
+def block_diag(blocks) -> Mat:
+    """Exact block-diagonal matrix of the given blocks, rectangular or empty
+    ones included."""
+    den = math.lcm(*(b.den for b in blocks))
+    re = scipy.linalg.block_diag(*(b.num_re * (den // b.den) for b in blocks))
+    im = scipy.linalg.block_diag(*(b.num_im * (den // b.den) for b in blocks))
     return Mat(re, im, den)
 
 
@@ -844,18 +842,28 @@ def _cluster_eigenvalues(values, tol=1e-7):
     return [(complex(rep), mult) for rep, mult in clusters]
 
 
-def split_numeric(a: np.ndarray, tolerance: float = 1e-9):
-    """The numeric core of :func:`peripheral_split` on a complex array.
+def peripheral_split(m: Mat, tolerance: float = 1e-9) -> SpectralSplit:
+    """Separate the modulus-one spectral component of a channel matrix.
 
-    Returns ``(projector, stable, eigenvalues, k)``: the spectral projector
-    onto the k eigenvalues of modulus at least 1 - tolerance, the input with
-    that component removed, and the Schur diagonal.  Raises
-    PreconditionViolated for a spectral radius above one and
-    ToleranceAmbiguity for an eigenvalue modulus inside the unsafe band
-    [1-2*tol, 1-tol/2] or a projector failing its idempotency, commutation or
-    stable-radius check.
+    The input must have spectral radius at most one (matrix representation of
+    a trace-non-increasing channel); PreconditionViolated otherwise.  The
+    numeric core is a sorted complex Schur form: the spectral projector onto
+    the eigenvalues of modulus at least 1 - tolerance comes from one
+    Sylvester solve, and is rationalized exactly (binary floats are
+    rationals).  An eigenvalue modulus inside [1-2*tol, 1-tol/2], or a
+    projector failing its idempotency, commutation or stable-radius check,
+    makes the classification unsafe and raises ToleranceAmbiguity.  Without
+    any peripheral eigenvalue the projector is exactly zero and the stable
+    part is the input itself.
     """
-    n = a.shape[0]
+    if not m.is_square():
+        raise DimensionMismatch("peripheral_split needs a square matrix")
+    if tolerance <= 0:
+        raise ValueError("tolerance must be positive")
+    n = m.rows
+    if n == 0:
+        return SpectralSplit(m, m, tolerance, [])
+    a = m.to_complex()
     cut = 1.0 - tolerance
     t, z, k = scipy.linalg.schur(a, output="complex", sort=lambda lam: abs(lam) >= cut)
     eigs = np.diag(t)
@@ -870,10 +878,11 @@ def split_numeric(a: np.ndarray, tolerance: float = 1e-9):
             raise ToleranceAmbiguity(
                 f"eigenvalue modulus {abs(lam)} inside the unsafe band [{lo}, {hi}]"
             )
+    eigenvalues = _cluster_eigenvalues(list(eigs))
     if k == 0:
         # nothing peripheral: the Schur diagonal above already bounds the
         # stable radius below the band
-        return np.zeros((n, n), dtype=complex), a, eigs, 0
+        return SpectralSplit(Mat.zeros(n), m, tolerance, eigenvalues)
     if k == n:
         projector = np.eye(n, dtype=complex)
     else:
@@ -882,50 +891,19 @@ def split_numeric(a: np.ndarray, tolerance: float = 1e-9):
         r[:k, :k] = np.eye(k)
         r[:k, k:] = y
         projector = z @ r @ z.conj().T
-    stable = a @ (np.eye(n) - projector)
     scale = max(1.0, float(np.max(np.abs(projector))))
     if np.max(np.abs(projector @ projector - projector)) > 1e-7 * scale * scale:
         raise ToleranceAmbiguity("spectral projector failed the idempotency check")
     if np.max(np.abs(a @ projector - projector @ a)) > 1e-7 * scale:
         raise ToleranceAmbiguity("spectral projector does not commute with the input")
     if k < n:
-        stable_radius = max(abs(np.linalg.eigvals(stable)))
+        stable_radius = max(abs(np.linalg.eigvals(a @ (np.eye(n) - projector))))
         if stable_radius >= 1.0 - 0.5 * tolerance:
             raise ToleranceAmbiguity(
                 f"stable part kept spectral radius {stable_radius}"
             )
-    return projector, stable, eigs, k
-
-
-def peripheral_split(m: Mat, tolerance: float = 1e-9) -> SpectralSplit:
-    """Separate the modulus-one spectral component of a channel matrix.
-
-    The input must have spectral radius at most one (matrix representation of
-    a trace-non-increasing channel).  Classification happens at the given
-    tolerance; an eigenvalue modulus inside [1-2*tol, 1-tol/2] makes the
-    classification unsafe and raises ToleranceAmbiguity.  Without any
-    peripheral eigenvalue the projector is exactly zero and the stable part
-    is the input itself.
-    """
-    if not m.is_square():
-        raise DimensionMismatch("peripheral_split needs a square matrix")
-    if tolerance <= 0:
-        raise ValueError("tolerance must be positive")
-    n = m.rows
-    if n == 0:
-        return SpectralSplit(m, m, tolerance, [])
-    projector, _, eigs, k = split_numeric(m.to_complex(), tolerance)
-    if k == 0:
-        projector_mat, stable_mat = Mat.zeros(n), m
-    else:
-        projector_mat = Mat.from_complex(projector)
-        stable_mat = m - m @ projector_mat
-    return SpectralSplit(
-        peripheral_projector=projector_mat,
-        stable_part=stable_mat,
-        tolerance=tolerance,
-        eigenvalues=_cluster_eigenvalues(list(eigs)),
-    )
+    projector_mat = Mat.from_complex(projector)
+    return SpectralSplit(projector_mat, m - m @ projector_mat, tolerance, eigenvalues)
 
 
 def multiplicative_order(lam: complex, bound: int, tolerance: float = 1e-8):

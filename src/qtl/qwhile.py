@@ -39,7 +39,7 @@ from .errors import (
     ParseError,
     UndeclaredOperator,
 )
-from .linalg import CRat, Mat, kron, mat_sum
+from .linalg import CRat, Mat, block_diag, kron, mat_sum, solve
 from .program import (
     CQState,
     LocationAction,
@@ -815,7 +815,10 @@ class WhileNormalForm:
     states that never reach the exit.  The loop exits with probability one
     exactly when R ^ T = 0 (``exits_almost_surely``): a nonzero Cesaro limit
     of N^n(rho_0) is a fixed point of N supported in R ^ T, and a state of
-    R ^ T is a part of some N^k(rho_0) that keeps its mass forever.
+    R ^ T is a part of some N^k(rho_0) that keeps its mass forever.  T
+    itself (``never_exiting``) is the same fixpoint started from range(m1).
+    ``compression`` gives the coordinates of the operators over such a
+    subspace on the block space, where reachability solves.
     """
 
     def __init__(self, program: SequentialProgram):
@@ -876,18 +879,47 @@ class WhileNormalForm:
                 return r
             r = grown
 
-    @functools.cached_property
-    def trapped(self) -> Subspace:
-        """R ^ T: the reachable states that never reach the exit.  As N maps
-        R into R, it is the greatest fixpoint of Y -> R ^ range(m1) ^ N^-1(Y),
-        iterated down from R ^ range(m1)."""
-        t = self.reachable.meet(support(self.m1, validate=False))
+    def _trap_within(self, start: Subspace) -> Subspace:
+        """The greatest fixpoint of Y -> start ^ N^-1(Y), iterated down from
+        ``start``."""
+        t = start
         while not t.is_zero():
             shrunk = t.meet(preimage(self.cut_body, t))
             if shrunk.dim == t.dim:
                 break
             t = shrunk
         return t
+
+    @functools.cached_property
+    def never_exiting(self) -> Subspace:
+        """T: the greatest subspace of range(m1) that N maps into itself,
+        the states of the whole space that never reach the exit."""
+        return self._trap_within(support(self.m1, validate=False))
+
+    @functools.cached_property
+    def trapped(self) -> Subspace:
+        """R ^ T: the reachable states that never reach the exit.  As N maps
+        R into R, it is the greatest fixpoint of Y -> R ^ range(m1) ^ N^-1(Y),
+        iterated down from R ^ range(m1)."""
+        return self._trap_within(self.reachable.meet(support(self.m1, validate=False)))
+
+    def compression(self, sub: Subspace) -> tuple:
+        """(Rt, Lt) for a subspace that is a direct sum over locations (every
+        row of its RREF lives in the location of its pivot): with V_c the
+        rows of location c read on its coordinates (d x k_c) and L_c the left
+        inverse (V_c^dag V_c)^-1 V_c^dag, Rt = (+)_c V_c (x) conj V_c maps the
+        Sum k_c^2 coordinates of the operators over ``sub`` to the block
+        space, and Lt = (+)_c L_c (x) conj L_c maps a block-space operator X
+        to the coordinates of P X P, P the projector onto ``sub``."""
+        n_loc = len(self.program.locations)
+        right, left = [], []
+        for c in range(n_loc):
+            rows = [i for i, p in enumerate(sub.pivots) if p % n_loc == c]
+            v = sub.rref[rows, c::n_loc].transpose()
+            inv = solve(v.dagger() @ v, v.dagger())
+            right.append(kron(v, v.conj()))
+            left.append(kron(inv, inv.conj()))
+        return block_diag(right), block_diag(left)
 
     @property
     def exits_almost_surely(self) -> bool:

@@ -68,6 +68,21 @@ while meas M(q0) == 1 {{ if meas M(q1) {{ 0 -> apply U to q0; 1 -> skip; }} }}
 """
 
 
+def rotation_loop_with_minus_trap_src(n):
+    """The rotation loop of ``rotation_loop_src(n)`` with a second qubit q1
+    measured in the |+>, |-> basis: the rotation on |+>, skip on |->.  From
+    q0 q1 = |1+> the loop exits almost surely, after 3(n^2+1)^2/(4n^2) + 1
+    expected steps; |1-> is a trap that the input never enters."""
+    a, b = f"{n * n - 1}/{n * n + 1}", f"{2 * n}/{n * n + 1}"
+    return f"""qubits 2;
+unitary U = [[{a}, -{b}], [{b}, {a}]];
+measurement M = {{[[1, 0], [0, 0]], [[0, 0], [0, 1]]}};
+measurement S = {{[[1/2, 1/2], [1/2, 1/2]], [[1/2, -1/2], [-1/2, 1/2]]}};
+input [[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 1/2, 1/2], [0, 0, 1/2, 1/2]];
+while meas M(q0) == 1 {{ if meas S(q1) {{ 0 -> apply U to q0; 1 -> skip; }} }}
+"""
+
+
 KET_MINUS_DENSITY = Mat.from_rows([["1/2", "-1/2"], ["-1/2", "1/2"]])
 KET_PLUS_DENSITY = Mat.from_rows([["1/2", "1/2"], ["1/2", "1/2"]])
 

@@ -1,5 +1,6 @@
 import json
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -16,6 +17,7 @@ from helpers import (
     random_automaton,
     random_deterministic_program,
     rotation_loop_src,
+    rotation_loop_with_minus_trap_src,
     span,
 )
 
@@ -332,11 +334,27 @@ class TestReachCommand:
         assert abs(payload["expected_steps"] - 4.0) < 1e-6
         assert payload["kraus_rank"] >= 1
 
-    def test_contradicting_split_exit_three(self, tmp_path, capsys):
-        prog, _ = _write_rotation_loop(tmp_path, 10**5)
-        assert main(["reach", prog, "--json"]) == 3
-        captured = capsys.readouterr()
-        assert captured.out == "" and "ToleranceAmbiguity" in captured.err
+    def test_slowly_exiting_loops(self, tmp_path, capsys):
+        # cut radii within 1e-9 of one, and an unreached trap on |-> of a
+        # second qubit: exact trace one and the closed-form expected steps
+        cases = [
+            (_write_rotation_loop(tmp_path, n)[0], Fraction((n * n + 1) ** 2, 2 * n * n) + 1)
+            for n in (10**5, 10**6)
+        ]
+        minus_trap = compile_source(rotation_loop_with_minus_trap_src(10**4))
+        path = tmp_path / "minus_trap.json"
+        path.write_text(jsonio.dumps(jsonio.program_to_json(minus_trap)))
+        cases.append((str(path), Fraction(3 * (10**8 + 1) ** 2, 4 * 10**8) + 1))
+        for prog, steps in cases:
+            assert main(["reach", prog, "--json"]) == 0
+            payload = json.loads(capsys.readouterr().out)
+            assert payload["reach_trace"] == 1.0 and payload["almost_terminates"] is True
+            assert payload["expected_steps"] == float(steps)
+
+    def test_tolerance_is_no_reach_option(self, workspace, capsys):
+        _, prog, _, _ = workspace
+        assert main(["reach", prog, "--tolerance", "1e-9"]) == 3
+        assert "--tolerance" in capsys.readouterr().err
 
     def test_kraus_rank_builds_no_channel(self, workspace, capsys, monkeypatch):
         import qtl.checker as checker

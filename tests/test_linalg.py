@@ -453,6 +453,20 @@ class TestEntryParser:
         expected = _reference_mat([[CRat(Fraction(x.real), Fraction(x.imag)) for x in row] for row in rows])
         assert Mat.from_complex(np.array(rows, dtype=complex)) == expected
 
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(st.integers(1, 3).flatmap(
+        lambda c: st.lists(st.lists(st.complex_numbers(allow_nan=False, allow_infinity=False), min_size=c, max_size=c),
+                           min_size=1, max_size=3)))
+    def test_to_complex_inverts_from_complex(self, rows):
+        a = np.array(rows, dtype=complex)
+        assert np.array_equal(Mat.from_complex(a).to_complex(), a)
+
+    def test_to_complex_rounds_huge_entries(self):
+        # numerators beyond float range: every entry is its rounded quotient
+        big = Fraction(10**600 + 1, 3 * 10**600)
+        m = Mat.from_rows([[big, Fraction(1, 3)], [(0, Fraction(-2, 7)), 0]])
+        assert m.to_complex().tolist() == [[float(big), 1 / 3], [-2j / 7, 0]]
+
 
 class TestPeripheralSplit:
     def test_identity_channel_all_peripheral(self):
