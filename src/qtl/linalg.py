@@ -419,27 +419,32 @@ class Mat:
         tr_im = sum(self.num_im[i, i] for i in range(min(self.rows, self.cols)))
         return CRat(Fraction(tr_re, self.den), Fraction(tr_im, self.den))
 
-    def hstack(self, other: "Mat") -> "Mat":
-        if self.rows != other.rows:
-            raise DimensionMismatch("row mismatch in hstack")
+    def _stack_with(self, other: "Mat", join) -> "Mat":
+        """Both grids over the lcm self.den * ka of the denominators, joined
+        by ``join``.
+
+        Normalized with no gcd sweep: if a prime p divided the lcm and every
+        scaled numerator but not ka, it would divide every numerator of self
+        and self.den, which normalized self rules out; likewise for kb; so p
+        would divide both ka and kb, which are coprime."""
         g = math.gcd(self.den, other.den)
         ka, kb = other.den // g, self.den // g
         return Mat(
-            np.hstack([self.num_re * ka, other.num_re * kb]),
-            np.hstack([self.num_im * ka, other.num_im * kb]),
+            join([self.num_re * ka, other.num_re * kb]),
+            join([self.num_im * ka, other.num_im * kb]),
             self.den * ka,
+            _normalized=True,
         )
+
+    def hstack(self, other: "Mat") -> "Mat":
+        if self.rows != other.rows:
+            raise DimensionMismatch("row mismatch in hstack")
+        return self._stack_with(other, np.hstack)
 
     def vstack(self, other: "Mat") -> "Mat":
         if self.cols != other.cols:
             raise DimensionMismatch("column mismatch in vstack")
-        g = math.gcd(self.den, other.den)
-        ka, kb = other.den // g, self.den // g
-        return Mat(
-            np.vstack([self.num_re * ka, other.num_re * kb]),
-            np.vstack([self.num_im * ka, other.num_im * kb]),
-            self.den * ka,
-        )
+        return self._stack_with(other, np.vstack)
 
     # ------------------------------------------------------------------
     # predicates
@@ -509,10 +514,17 @@ class Mat:
         return f"Mat[{body}]"
 
 
+def _kron_grid(a, b):
+    """np.kron of two 2-d object grids, as one outer product laid out in
+    place: entry (i rb + k, j cb + l) is a[i, j] b[k, l]."""
+    (ra, ca), (rb, cb) = a.shape, b.shape
+    return np.multiply.outer(a, b).transpose(0, 2, 1, 3).reshape(ra * rb, ca * cb)
+
+
 def kron(a: Mat, b: Mat) -> Mat:
     """Exact Kronecker product."""
-    re = np.kron(a.num_re, b.num_re) - np.kron(a.num_im, b.num_im)
-    im = np.kron(a.num_re, b.num_im) + np.kron(a.num_im, b.num_re)
+    re = _kron_grid(a.num_re, b.num_re) - _kron_grid(a.num_im, b.num_im)
+    im = _kron_grid(a.num_re, b.num_im) + _kron_grid(a.num_im, b.num_re)
     return Mat(re, im, a.den * b.den)
 
 

@@ -4,8 +4,13 @@ measurements, and the induced image/pre-image actions on subspaces.
 The lattice actions work on the Kraus operators alone: the image of p is
 the span of the K_i b_j over the RREF basis b_j of p (:mod:`qtl.subspace`),
 and the pre-image is E^-1(p) = (E*(p^perp))^perp, the orthocomplement of
-the dual image of p^perp.  Each is one product of the RREF rows with a
-Kraus stack cached on the channel, so no d^2 x d^2 object is formed.
+the dual image of p^perp.  Each is one product of the RREF rows with the
+Kraus stack S = [K_1^T | ... | K_m^T] cached on the channel, so no
+d^2 x d^2 object is formed.  The stack is kept as its nonzero block
+S[R, C] (R its nonzero rows, C its nonzero columns): a program action maps
+one configuration's block to another's, so most of its stack is zero.  The
+product rows[:, R] @ S[R, C] is scattered back to the output coordinates,
+and only the nonzero image rows are handed to the elimination.
 
 The matrix representation M = sum_i E_i (x) conj(E_i) linearizes a channel on
 row-major vectorized operators: vec(E(A)) = M vec(A).  It is the canonical
@@ -115,6 +120,54 @@ class Measurement:
         return f"Measurement({len(self.operators)} outcomes on dim {self.dim})"
 
 
+class _Stack:
+    """The Kraus stack [K_1^T | ... | K_m^T] of a channel (dim_in rows,
+    m * dim_out columns), kept as its nonzero block: the indices ``rows``
+    (R) of its nonzero rows and ``cols`` (C) of its nonzero columns, and
+    ``block`` = S[R, C]; ``rows`` or ``cols`` is None where no row or no
+    column is zero, and ``block`` is None when the whole stack is.  The
+    columns of C fall into one run per Kraus operator that is not zero:
+    ``starts`` are the first columns of the runs, and column c of C is
+    output coordinate ``coord[c]`` of the ``block_of[c]``-th operator with
+    a run.
+
+    A program action maps one configuration's block to another's, so its
+    stack is mostly zero; a dense channel keeps its whole stack, with no
+    index taken."""
+
+    __slots__ = ("rows", "cols", "block", "starts", "block_of", "coord")
+
+    def __init__(self, kraus):
+        dim_out = kraus[0].rows
+        den = math.lcm(*(k.den for k in kraus))
+        re = np.concatenate([k.num_re.T if k.den == den else k.num_re.T * (den // k.den) for k in kraus], axis=1)
+        im = np.concatenate([k.num_im.T if k.den == den else k.num_im.T * (den // k.den) for k in kraus], axis=1)
+        nz = re.astype(bool)
+        nz |= im.astype(bool)
+        rows = np.logical_or.reduce(nz, axis=1).nonzero()[0]
+        cols = np.logical_or.reduce(nz, axis=0).nonzero()[0]
+        self.rows = rows if len(rows) < re.shape[0] else None
+        self.cols = cols if len(cols) < re.shape[1] else None
+        if self.rows is not None:
+            re, im = re[rows], im[rows]
+        if self.cols is None:
+            self.starts = np.arange(0, len(cols), dim_out)
+            self.block_of = self.coord = None
+        else:
+            re, im = re[:, cols], im[:, cols]
+            owner = cols // dim_out
+            first = np.ones(len(cols), dtype=bool)
+            first[1:] = owner[1:] != owner[:-1]
+            self.starts = first.nonzero()[0]
+            self.block_of = first.cumsum() - 1
+            self.coord = cols % dim_out
+        # normalized: a prime p dividing den and every scaled numerator would
+        # divide every numerator of an operator whose denominator holds the
+        # full power of p in den (den / k.den is then prime to p), and that
+        # denominator too; dropping zero rows and columns keeps the gcd
+        self.block = Mat(re, im, den, _normalized=True) if len(cols) else None
+
+
 class SuperOp:
     """A trace-non-increasing completely positive map, held as Kraus operators.
 
@@ -218,18 +271,39 @@ class SuperOp:
         return self._dual
 
     def _image_rows(self, rows: Mat) -> Mat:
-        """The rows (K_i r)^T for every row r of ``rows`` and every Kraus
-        operator K_i: one product with the cached stack [K_1^T | ... | K_m^T],
-        whose result row r holds the m images side by side."""
+        """The nonzero rows among (K_i r)^T, over every row r of ``rows``
+        and every Kraus operator K_i: one product of the columns R of
+        ``rows`` with the compressed stack S[R, C] (:class:`_Stack`), whose
+        result row r holds the nonzero entries of the m images, scattered
+        back to their output coordinates."""
         if self._stack is None:
-            stack = self.kraus[0].transpose()
-            for k in self.kraus[1:]:
-                stack = stack.hstack(k.transpose())
-            object.__setattr__(self, "_stack", stack)
-        out = rows @ self._stack
-        return Mat(
-            out.num_re.reshape(-1, self.dim_out), out.num_im.reshape(-1, self.dim_out), out.den, _normalized=True
-        )
+            object.__setattr__(self, "_stack", _Stack(self.kraus))
+        st = self._stack
+        if st.block is None:
+            return Mat.zeros(0, self.dim_out)
+        if st.rows is not None:
+            rows = Mat(rows.num_re[:, st.rows], rows.num_im[:, st.rows], rows.den)
+        prod = rows @ st.block
+        # output row (r, u) is nonzero where any of its columns in C is
+        nz = prod.num_re.astype(bool)
+        nz |= prod.num_im.astype(bool)
+        keep = np.logical_or.reduceat(nz, st.starts, axis=1).ravel()
+        kept = np.count_nonzero(keep)
+        if not kept:
+            return Mat.zeros(0, self.dim_out)
+        shape = (rows.rows * len(st.starts), self.dim_out)
+        if st.cols is None:
+            re, im = prod.num_re.reshape(shape), prod.num_im.reshape(shape)
+        else:
+            re = np.zeros((rows.rows, len(st.starts), self.dim_out), dtype=object)
+            im = np.zeros(re.shape, dtype=object)
+            re[:, st.block_of, st.coord] = prod.num_re
+            im[:, st.block_of, st.coord] = prod.num_im
+            re, im = re.reshape(shape), im.reshape(shape)
+        if kept < len(keep):
+            re, im = re[keep], im[keep]
+        # dropping zero rows keeps the gcd of the entries: still normalized
+        return Mat(re, im, prod.den, _normalized=True)
 
     def matrix_rep(self) -> Mat:
         """sum_i E_i (x) conj(E_i); cached."""

@@ -256,6 +256,45 @@ class TestAgainstSympy:
             assert invert(a) == _from_sympy(a_sym.inv().to_list())
 
 
+def _gaussian_or_empty(rng, rows, cols):
+    return _gaussian_matrix(rng, rows, cols) if rows and cols else Mat.zeros(rows, cols)
+
+
+class TestKronAndStacks:
+    """kron against its entrywise definition, and hstack/vstack (built with
+    no gcd sweep) against the normalized result, on seeded rectangular
+    Gaussian-rational matrices with mixed denominators."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_kron_entrywise(self, seed):
+        rng = random.Random(500 + seed)
+        shapes = [(2, 2), (1, 3), (3, 1), (2, 4), (0, 2), (2, 0), (0, 0)]
+        for sa in shapes:
+            for sb in rng.sample(shapes, 3):
+                a, b = _gaussian_or_empty(rng, *sa), _gaussian_or_empty(rng, *sb)
+                (ra, ca), (rb, cb) = sa, sb
+                k = kron(a, b)
+                assert (k.rows, k.cols) == (ra * rb, ca * cb)
+                for i in range(ra * rb):
+                    for j in range(ca * cb):
+                        assert k.entry(i, j) == a.entry(i // rb, j // cb) * b.entry(i % rb, j % cb)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_stacks_equal_normalized(self, seed):
+        rng = random.Random(600 + seed)
+        scales = [CRat(1), CRat(Fraction(3, 4)), CRat(Fraction(6, 5), 2), CRat(0, Fraction(1, 9))]
+        for _ in range(12):
+            rows, cols = rng.randint(1, 3), rng.randint(1, 3)
+            a = _gaussian_matrix(rng, rows, cols) * rng.choice(scales)
+            b = _gaussian_matrix(rng, rows, rng.randint(1, 3)) * rng.choice(scales)
+            c = _gaussian_matrix(rng, rng.randint(1, 3), cols) * rng.choice(scales)
+            ea, eb, ec = a.entries(), b.entries(), c.entries()
+            assert a.hstack(b) == Mat.from_rows([x + y for x, y in zip(ea, eb)])
+            assert a.vstack(c) == Mat.from_rows(ea + ec)
+            for m in (a.hstack(b), a.vstack(c)):
+                assert math.gcd(m.den, *m.num_re.flat, *m.num_im.flat) == 1
+
+
 class TestPsd:
     def test_projector_is_psd(self):
         assert is_psd(Mat.from_rows([["1/2", "-1/2"], ["-1/2", "1/2"]]))

@@ -1,10 +1,14 @@
+import pathlib
 import random
+import runpy
 from fractions import Fraction
 
 import pytest
 
 from qtl.errors import DimensionMismatch, PreconditionViolated
 from qtl.linalg import CRat, Mat, kron
+from qtl.program import to_automaton
+from qtl.qwhile import WhileNormalForm
 from qtl.subspace import Subspace, satisfies
 from qtl.superop import (
     Measurement,
@@ -23,6 +27,7 @@ from helpers import (
     KET_PLUS_DENSITY,
     PAULI_X,
     random_density,
+    random_deterministic_program,
     random_matrix,
     random_projective_channel,
     random_reset_channel,
@@ -171,6 +176,38 @@ class TestPreimageImage:
                         assert preimage(e, s) == ref.preimage(s)
                         for p in subspaces:
                             assert p.contains(image(e, s)) == preimage(e, p).contains(s)
+
+    def test_block_sparse_channels(self):
+        # program actions map one configuration's block to another's, so
+        # their Kraus stacks are mostly zero: the compressed stack must give
+        # the reference image and pre-image and hand on no zero row
+        rng = random.Random(12)
+        channels = []
+        for _ in range(4):
+            prog = random_deterministic_program(rng, rng.choice([2, 3]), rng.randint(1, 3))
+            channels += to_automaton(prog).actions.values()
+            channels.append(WhileNormalForm(prog).cut_body)
+        demo = pathlib.Path(__file__).resolve().parent.parent / "demos" / "05_concurrent_scheduler.py"
+        channels += to_automaton(runpy.run_path(str(demo))["program"]).actions.values()
+        kraus = random_tp_channel(rng, 3).kraus
+        channels.append(SuperOp([kraus[0], Mat.zeros(3), *kraus[1:]], validate="exact"))
+        channels.append(SuperOp([Mat.zeros(3), Mat.zeros(3)], validate="exact"))
+        for e in channels:
+            n = e.dim_in
+            ref = MatrixRep(e.matrix_rep())
+            picked = rng.sample(range(n), n // 2)
+            coordinates = Subspace.from_vectors(n, [[int(i == j) for i in range(n)] for j in picked])
+            subspaces = [Subspace.zero(n), Subspace.full(n), coordinates]
+            subspaces += [random_subspace(rng, n) for _ in range(2)]
+            for s in subspaces:
+                assert image(e, s) == ref.image(s)
+                assert preimage(e, s) == ref.preimage(s)
+                for side in (e, e.dual()):
+                    rows = side._image_rows(s.rref)
+                    assert rows.cols == n
+                    assert all(rows.num_re[i].any() or rows.num_im[i].any() for i in range(rows.rows))
+                for p in subspaces:
+                    assert p.contains(image(e, s)) == preimage(e, p).contains(s)
 
     def test_union_versions_memberwise(self):
         rng = random.Random(11)
