@@ -8,6 +8,7 @@
 from fractions import Fraction
 
 from qtl import (
+    Mat,
     Subspace,
     check_exit_formulas,
     compile_source,
@@ -57,7 +58,11 @@ assert almost.diagnostics["trapped_dim"] == 0
 reach = reachability_superop(program)
 print("\nreachable exit mass:", reach.diagnostics["reach_trace"])
 print("expected steps to the exit:", reach.expected_steps)
-# 64 direct steps leave 2^-32 of the mass in flight, which bounds the
-# distance of their exit block from the exact reach state
-print("64-step power iteration residual:", reach.diagnostics["power_iteration_residual"])
-print("mass still in flight after 64 steps:", reach.diagnostics["power_iteration_in_flight"])
+# The program's semantic function, solved exactly: every input leaves the
+# loop in |0>, so it has two Kraus operators (|0><0| and |0><1|), and it
+# takes the input |-> to the exit state |0><0|
+reach_block = reach.channel.apply(program.initial_state)
+print("Kraus rank of the semantic function:", reach.kraus_rank)
+print("semantic function applied to the input:", reach_block)
+assert reach.kraus_rank == 2
+assert reach_block == Mat.from_rows([[1, 0], [0, 0]])

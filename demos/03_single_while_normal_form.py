@@ -35,9 +35,10 @@ sigma0 = embed(initial_cq(program), program)
 trajectory = simulate_deterministic(program, 32)
 
 print("\nexit blocks agree exactly at every step:")
+series = nf.exit_series(sigma0, 32)
 for k in range(33):
     original = nf.m0 @ embed(trajectory[k], program) @ nf.m0
-    assert nf.exit_after(sigma0, k) == original
+    assert series[k] == original
 print("  checked k = 0 .. 32")
 
 print("\nexit mass over time:")

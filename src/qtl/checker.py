@@ -7,14 +7,16 @@ refinement over union components decides "always eventually" whenever the
 relevant peripheral eigenvalue periods can be certified.  The fixpoints and
 the witness search take images and pre-images from the actions' Kraus
 operators; matrix representations are built only where a spectrum is
-needed (the loop channel of the refinement, limit states, reachability),
-and by the oracle, which keeps its own image path.  Every exit question
-about a deterministic program is asked of its one exit loop
+needed (the loop channel of the refinement, limit states) and by the
+oracle, which keeps its own image path.  Every exit question about a
+deterministic program is asked of its one exit loop
 (:class:`qwhile.WhileNormalForm`): almost-sure exit is decided on the
-loop's subspace lattice, reachability runs two exact linear solves on the
-operators over the loop's reachable subspace modulo its trapped part (on
-the block-diagonal classical-quantum space, with no spectrum), and the
-exact exit formulas read the loop's trajectory.
+loop's subspace lattice; reachability solves exactly for the program's
+semantic function, the d^2 x d^2 matrix of the map from input states to
+exit states, on the operators over the loop's input-reachable subspace
+modulo its trapped part (block by block over the locations, with no
+spectrum), and reads every reach number off it; and the exact exit
+formulas read the loop's trajectory.
 
 Verdicts are three-valued: some fragments are equivalent to open problems
 in number theory, and the checker answers Unknown with a stated reason
@@ -23,13 +25,11 @@ rather than guess.
 
 from __future__ import annotations
 
+import itertools
 import math
-from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-
-import numpy as np
 
 from .errors import (
     BudgetExceeded,
@@ -49,6 +49,7 @@ from .linalg import (
     mat_sum,
     multiplicative_order,
     peripheral_split,
+    rank,
     rref,
     solve,
 )
@@ -58,7 +59,6 @@ from .program import (
     QuantumAutomaton,
     SequentialProgram,
     embed,
-    initial_cq,
     to_automaton,
 )
 from .qwhile import WhileNormalForm, bohm_jacopini
@@ -80,11 +80,6 @@ from .formula import (
 VALID = "valid"
 NOT_VALID = "not_valid"
 UNKNOWN = "unknown"
-
-# The relative cut below which a Choi eigenvalue of the reachability channel
-# carries no Kraus operator.
-_KRAUS_TOL = 1e-10
-
 
 @dataclass
 class Verdict:
@@ -117,36 +112,35 @@ class Verdict:
 
 @dataclass
 class ReachabilityResult:
-    """Exit reachability of a deterministic program.
+    """Exit reachability of a deterministic program, all of it exact.
 
-    ``almost_terminates`` is exact: it is the exit loop's lattice test
-    (:attr:`qwhile.WhileNormalForm.exits_almost_surely`).  ``reach_state``
-    is exact, and ``expected_steps`` and the ``reach_trace`` diagnostic are
-    the floats of exact rationals.  ``kraus_rank`` and ``channel`` (the
-    reachability channel in Kraus form) come from one floating-point
-    eigendecomposition, run by ``choi_kraus`` on first access and cached;
-    ``kraus_rank`` builds no exact operators.
+    ``channel`` is the program's semantic function from input states at
+    the initial location to exit states, as the matrix F of
+    vec(out) = F vec(rho) (d x d blocks on both sides), and ``reach_state``
+    is F applied to the initial state, embedded at the exit location.
+    ``almost_terminates`` is the exit loop's lattice test
+    (:attr:`qwhile.WhileNormalForm.exits_almost_surely`);
+    ``expected_steps`` and the ``reach_trace`` diagnostic are the floats
+    of exact rationals.  ``kraus_rank`` is the exact rank of F's Choi
+    matrix, the least number of Kraus operators of the semantic function
+    (0 when no input ever exits).
     """
 
     expected_steps: float
     almost_terminates: bool
-    reach_state: Mat | None = None
+    reach_state: Mat
+    channel: MatrixRep
     diagnostics: dict = field(default_factory=dict)
-    choi_kraus: Callable[[], list] | None = field(default=None, repr=False, compare=False)
-
-    @cached_property
-    def _float_kraus(self) -> list:
-        return self.choi_kraus()
 
     @cached_property
     def kraus_rank(self) -> int:
-        return max(1, len(self._float_kraus))
+        f, d = self.channel.m, self.channel.dim
 
-    @cached_property
-    def channel(self) -> SuperOp:
-        if not self._float_kraus:
-            return SuperOp([Mat.zeros(self.reach_state.rows)], validate=None)
-        return SuperOp([Mat.from_complex(k) for k in self._float_kraus], validate="tolerant", tol=1e-6)
+        def choi(grid):
+            # F[(i, j), (k, l)] -> C[(i, k), (j, l)]
+            return grid.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
+
+        return rank(Mat(choi(f.num_re), choi(f.num_im), f.den, _normalized=True))
 
 
 def _as_union(x) -> SubspaceUnion:
@@ -758,105 +752,60 @@ def check_always_almost_until(
 # reachability of the exit and the exit-shaped formulas
 
 
-def _trace_norm(a: np.ndarray) -> float:
-    return float(np.sum(np.linalg.svd(a, compute_uv=False)))
-
-
-def _reach_kraus(loop: WhileNormalForm) -> list:
-    """Float Kraus operators of the reachability channel on the embedded
-    space, one per Choi eigenvalue above the cut.  With V spanning the
-    complement of T (``never_exiting``), L = (V^dag V)^-1 V^dag and the
-    compressed cut-body operators A_i = L K_i m1 V, the channel's
-    representation is (m0 V (x) conj m0 V) (I - Sum A_i (x) conj A_i)^-1
-    (L (x) conj L), for the reason given in :func:`reachability_superop`.
-    Only the Choi rows and columns (a, c) with a in the exit block can be
-    nonzero, so the eigendecomposition of the reshuffled (Choi) matrix runs
-    on that principal block of d^2*|L| rows, and every Kraus operator is
-    zero off the exit rows."""
-    d_emb = loop.m0.rows
-    exit_rows = np.flatnonzero(loop.m0.num_re.diagonal())
-    v = loop.never_exiting.complement().rref.transpose().to_complex()
-    left = np.linalg.solve(v.conj().T @ v, v.conj().T)
-    compressed = [left @ k.to_complex() @ v for k in loop.cut_body.kraus]
-    step = sum(np.kron(a, a.conj()) for a in compressed)
-    # the exit rows of the representation, with one solve against them
-    v_exit = np.kron(v[exit_rows], v[exit_rows].conj())
-    f_exit = np.linalg.solve((np.eye(len(step)) - step).T, v_exit.T).T @ np.kron(left, left.conj())
-    n = len(exit_rows)
-    choi = f_exit.reshape(n, n, d_emb, d_emb).transpose(0, 2, 1, 3).reshape(n * d_emb, n * d_emb)
-    choi = (choi + choi.conj().T) / 2
-    eigvals, eigvecs = np.linalg.eigh(choi)
-    scale = max(1.0, float(eigvals.max(initial=0.0)))
-    kraus = []
-    for lam, col in zip(eigvals, eigvecs.T):
-        if lam > _KRAUS_TOL * scale:
-            k = np.zeros((d_emb, d_emb), dtype=complex)
-            k[exit_rows] = np.sqrt(lam) * col.reshape(len(exit_rows), d_emb)
-            kraus.append(k)
-    return kraus
-
-
 def reachability_superop(program: SequentialProgram) -> ReachabilityResult:
-    """The channel collecting all mass that ever reaches the exit location.
+    """The program's semantic function: all mass that ever reaches the exit.
 
     With N the cut body of the program's exit loop
-    (:func:`qwhile.bohm_jacopini`), the reach state is Sum_n m0 N^n(rho_0) m0.
-    N maps B = R ^ T (``trapped``) into itself and m0 vanishes on B, so the
-    exit mass depends only on the compression of N onto C = R ^ B^perp, and
-    I - N is nonsingular on the operators over C: a fixed state there would
-    span, with B, a larger never-exiting invariant subspace than T.  So the
-    reach vector y and y2 come from two exact fraction-free solves
-    (I - A) y = Lt v0 and (I - A) y2 = y, A = Lt cut Rt the compressed cut on
-    the Sum_c k_c^2 coordinates of C (:meth:`WhileNormalForm.compression`),
-    with no spectrum and no tolerance.  The reach state is the exit block of
-    Rt y; under an almost sure exit (C = R, exact trace one, checked) the
+    (:func:`qwhile.bohm_jacopini`), the reach state of an input rho at the
+    initial location is Sum_n m0 N^n(rho) m0.  N maps B = R_in ^ T
+    (``input_trapped``) into itself and m0 vanishes on B, so the exit mass
+    depends only on the compression A of N onto C = R_in ^ B^perp, and
+    I - A is nonsingular on the operators over C: a fixed state there would
+    span, with B, a larger never-exiting invariant subspace than T.  One
+    exact fraction-free solve (I - A) X = Lt, Lt the coordinates of the
+    initial location's block (:meth:`WhileNormalForm.compression`, with A
+    from :meth:`WhileNormalForm.compressed_cut`), gives the d^2 x d^2 matrix
+    F of the semantic function: its exit rows read through V_e (x) conj V_e.
+    There is no spectrum and no tolerance.  The reach state is the exit
+    block unvec(F vec rho_0); ``almost_terminates`` is R ^ T = R ^ B = 0,
+    under which the reach trace is checked to be exactly one, and the
     expected number of steps until the exit, in the program's own step
-    counting, is the trace of the exit block of Rt (y2 - y), and infinite
-    otherwise.  The power-iteration residual against 64 direct steps is a
-    diagnostic, with the trace still away from the exit after those steps
-    (``power_iteration_in_flight``), which bounds it.  ``kraus_rank`` and
-    ``channel`` are computed on first access, in floating point on the
-    embedded space, by the same compression onto the complement of T
-    (:func:`_reach_kraus`).
+    counting, is the trace of the exit block of y2 - y, y = X vec rho_0 and
+    (I - A) y2 = y; it is infinite otherwise.
     """
     loop = bohm_jacopini(program)
     d = program.dim
-    rows = loop.exit_rows
-    almost = loop.exits_almost_surely
-    right, left = loop.compression(
-        loop.reachable if almost else loop.reachable.meet(loop.trapped.complement())
+    start = program.config_index(program.initial_location)
+    stop = program.config_index(program.exit_location)
+    parts = loop.compression(loop.input_reachable.meet(loop.input_trapped.complement()))
+    offsets = list(itertools.accumulate((v.cols**2 for v, _ in parts), initial=0))
+    lhs = Mat.eye(offsets[-1]) - loop.compressed_cut(parts)
+    l_in = parts[start][1]
+    rhs = (
+        Mat.zeros(offsets[start], d * d)
+        .vstack(kron(l_in, l_in.conj()))
+        .vstack(Mat.zeros(offsets[-1] - offsets[start + 1], d * d))
     )
-    lhs = Mat.eye(right.cols) - left @ loop.cut @ right
-    v0 = loop.block_vector(initial_cq(program))
-    to_exit = right[rows, :]
-    y = solve(lhs, left @ v0)
-    reach_block = unvec(to_exit @ y, d)
+    x = solve(lhs, rhs)
+    v_out = parts[stop][0]
+    to_exit = kron(v_out, v_out.conj())
+    exit_rows = slice(offsets[stop], offsets[stop + 1])
+    semantics = to_exit @ x[exit_rows, :]
+    rho0 = vec(program.initial_state)
+    reach_block = unvec(semantics @ rho0, d)
+    almost = loop.reachable.meet(loop.input_trapped).is_zero()
     expected = math.inf
     if almost:
         if reach_block.trace() != CRat(1):
             raise QtlError(f"the loop exits almost surely, but the reach trace is {reach_block.trace()}")
-        expected = float(unvec(to_exit @ (solve(lhs, y) - y), d).trace().re)
-    # power-iteration cross-check on the uncut step (the exit acts as identity):
-    # the reach block minus the exit block after 64 steps is what the mass
-    # still in flight will deliver, so the residual is at most that mass
-    step_float = loop.cut.to_complex()
-    step_float[rows, rows] += np.eye(d * d)
-    vk = v0.to_complex().ravel()
-    for _ in range(64):
-        vk = step_float @ vk
-    residual = _trace_norm(vk[rows].reshape(d, d) - reach_block.to_complex())
-    traces = np.einsum("lii->l", vk.reshape(-1, d, d)).real
-    in_flight = float(traces.sum() - traces[rows.start // (d * d)])
+        y = x @ rho0
+        expected = float(unvec(to_exit @ (solve(lhs, y) - y)[exit_rows, :], d).trace().re)
     return ReachabilityResult(
         expected_steps=expected,
         almost_terminates=almost,
         reach_state=loop.exit_embedded(reach_block),
-        diagnostics={
-            "reach_trace": float(reach_block.trace().re),
-            "power_iteration_residual": residual,
-            "power_iteration_in_flight": in_flight,
-        },
-        choi_kraus=lambda: _reach_kraus(loop),
+        channel=MatrixRep(semantics),
+        diagnostics={"reach_trace": float(reach_block.trace().re)},
     )
 
 

@@ -100,8 +100,6 @@ def cmd_reach(args) -> int:
         "reach_trace": result.diagnostics["reach_trace"],
         "expected_steps": jsonio._plain(result.expected_steps),
         "almost_terminates": result.almost_terminates,
-        "power_iteration_residual": result.diagnostics["power_iteration_residual"],
-        "power_iteration_in_flight": result.diagnostics["power_iteration_in_flight"],
     }
     if args.json:
         print(jsonio.dumps(report))

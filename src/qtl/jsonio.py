@@ -102,17 +102,8 @@ def channel_to_json(e: SuperOp):
     return {"kraus": [mat_to_json(k) for k in e.kraus]}
 
 
-def channel_from_json(obj, validate="exact") -> SuperOp:
-    return SuperOp([mat_from_json(k) for k in _field(obj, "kraus", "channel")], validate=validate)
-
-
-def measurement_to_json(m: Measurement):
-    return {"operators": [mat_to_json(op) for op in m.operators]}
-
-
-def measurement_from_json(obj) -> Measurement:
-    ops = _field(obj, "operators", "measurement") if isinstance(obj, dict) else obj
-    return Measurement([mat_from_json(op) for op in ops])
+def channel_from_json(obj) -> SuperOp:
+    return SuperOp([mat_from_json(k) for k in _field(obj, "kraus", "channel")])
 
 
 # ----------------------------------------------------------------------
@@ -216,13 +207,6 @@ def program_from_json(obj):
 
 # ----------------------------------------------------------------------
 # atoms
-
-
-def atoms_to_json(atoms: dict, program=None):
-    out = []
-    for atom in atoms.values():
-        out.append({"name": atom.name, "subspace": subspace_to_json(atom.subspace)})
-    return out
 
 
 def atoms_from_json(obj, program) -> dict:

@@ -549,15 +549,6 @@ def mat_sum(mats) -> Mat:
     return Mat(re, im, den)
 
 
-def block_diag(blocks) -> Mat:
-    """Exact block-diagonal matrix of the given blocks, rectangular or empty
-    ones included."""
-    den = math.lcm(*(b.den for b in blocks))
-    re = scipy.linalg.block_diag(*(b.num_re * (den // b.den) for b in blocks))
-    im = scipy.linalg.block_diag(*(b.num_im * (den // b.den) for b in blocks))
-    return Mat(re, im, den)
-
-
 # ----------------------------------------------------------------------
 # fraction-free elimination over the Gaussian integers
 

@@ -39,7 +39,7 @@ from .errors import (
     ParseError,
     UndeclaredOperator,
 )
-from .linalg import CRat, Mat, block_diag, kron, mat_sum, solve
+from .linalg import CRat, Mat, kron, mat_sum, solve
 from .program import (
     CQState,
     LocationAction,
@@ -51,7 +51,7 @@ from .program import (
     step_superop,
 )
 from .subspace import Subspace, support
-from .superop import Measurement, SuperOp, image, preimage, vec, unvec
+from .superop import Measurement, SuperOp, image, preimage
 
 
 # ----------------------------------------------------------------------
@@ -801,24 +801,24 @@ class WhileNormalForm:
     the program's one-step channel.  Every exit question is asked of this
     one object: the constructor checks the preconditions (an exit location,
     then determinism), and each part is built on first use and cached: the
-    guard, the body (``body_channel``), the exit-cut body on the d^2*|L|
-    block space (``cut``), and the exact states sigma_0 .. sigma_bound
-    (``trajectory``), bound = dim*|L| - 1 being the horizon of every exact
-    exit question.  The block space keeps the d x d block of every location,
-    as program states are block-diagonal over locations: index l*d^2 + k
-    holds entry k of the row-major vec of location l's block.
+    guard, the body (``body_channel``), the cut body N in Kraus form
+    (``cut_body``, operators K_i m1), and the exact states sigma_0 ..
+    sigma_bound (``trajectory``), bound = dim*|L| - 1 being the horizon of
+    every exact exit question.
 
-    Almost-sure exit is a fact of the loop's subspace lattice, with N the
-    cut body in Kraus form (``cut_body``, operators K_i m1): ``reachable``
+    Almost-sure exit is a fact of the loop's subspace lattice: ``reachable``
     is R, the least fixpoint of X -> supp rho_0 v N(X), and ``trapped`` is
     R ^ T, with T the greatest fixpoint of Y -> range(m1) ^ N^-1(Y), the
     states that never reach the exit.  The loop exits with probability one
     exactly when R ^ T = 0 (``exits_almost_surely``): a nonzero Cesaro limit
     of N^n(rho_0) is a fixed point of N supported in R ^ T, and a state of
-    R ^ T is a part of some N^k(rho_0) that keeps its mass forever.  T
-    itself (``never_exiting``) is the same fixpoint started from range(m1).
-    ``compression`` gives the coordinates of the operators over such a
-    subspace on the block space, where reachability solves.
+    R ^ T is a part of some N^k(rho_0) that keeps its mass forever.  The
+    same two fixpoints started from the whole block of the initial location
+    give R_in (``input_reachable``) and R_in ^ T (``input_trapped``), the
+    lattice of every input state, on which the program's semantic function
+    is solved.  ``compression`` gives the coordinates of the operators over
+    a subspace that is a direct sum over locations, and ``compressed_cut``
+    the cut body on them.
     """
 
     def __init__(self, program: SequentialProgram):
@@ -828,9 +828,6 @@ class WhileNormalForm:
             raise NotDeterministic("the exit loop needs a deterministic program")
         self.program = program
         self.bound = program.dim * len(program.locations) - 1
-        d2 = program.dim * program.dim
-        e_idx = program.config_index(program.exit_location)
-        self.exit_rows = slice(e_idx * d2, (e_idx + 1) * d2)
 
     @functools.cached_property
     def m0(self) -> Mat:
@@ -845,34 +842,13 @@ class WhileNormalForm:
         return step_superop(self.program)
 
     @functools.cached_property
-    def cut(self) -> Mat:
-        """Matrix representation of the exit-cut body on the block space:
-        block (t, s) sums kron(M_j, conj(M_j)) times s's channel over the
-        outcomes j leading from s to t; the exit location's column is zero."""
-        program = self.program
-        n_loc = len(program.locations)
-        terms = [Mat.zeros(n_loc * program.dim * program.dim)]
-        for s_idx, loc in enumerate(program.locations):
-            if loc == program.exit_location:
-                continue
-            a = program.act[loc]
-            for j, m_op in enumerate(a.measurement.operators):
-                if not m_op.is_zero():
-                    t_idx = program.config_index(a.next[j][0])
-                    block = kron(m_op, m_op.conj()) @ a.channel.matrix_rep()
-                    terms.append(kron(Mat.unit(n_loc, t_idx, s_idx), block))
-        return mat_sum(terms)
-
-    @functools.cached_property
     def cut_body(self) -> SuperOp:
         """N, the body after the guard's m1, on the embedded space."""
         return SuperOp([k @ self.m1 for k in self.body_channel.kraus], validate=None)
 
-    @functools.cached_property
-    def reachable(self) -> Subspace:
-        """R: the span of the supports of every N^n(rho_0); the exit
-        arrivals span m0 R."""
-        r = support(embed(initial_cq(self.program), self.program), validate=False)
+    def _reach_from(self, start: Subspace) -> Subspace:
+        """The least fixpoint of X -> start v N(X), grown from ``start``."""
+        r = start
         while True:
             grown = r.join(image(self.cut_body, r))
             if grown.dim == r.dim:
@@ -891,10 +867,10 @@ class WhileNormalForm:
         return t
 
     @functools.cached_property
-    def never_exiting(self) -> Subspace:
-        """T: the greatest subspace of range(m1) that N maps into itself,
-        the states of the whole space that never reach the exit."""
-        return self._trap_within(support(self.m1, validate=False))
+    def reachable(self) -> Subspace:
+        """R: the span of the supports of every N^n(rho_0); the exit
+        arrivals span m0 R."""
+        return self._reach_from(support(embed(initial_cq(self.program), self.program), validate=False))
 
     @functools.cached_property
     def trapped(self) -> Subspace:
@@ -903,23 +879,64 @@ class WhileNormalForm:
         iterated down from R ^ range(m1)."""
         return self._trap_within(self.reachable.meet(support(self.m1, validate=False)))
 
-    def compression(self, sub: Subspace) -> tuple:
-        """(Rt, Lt) for a subspace that is a direct sum over locations (every
-        row of its RREF lives in the location of its pivot): with V_c the
-        rows of location c read on its coordinates (d x k_c) and L_c the left
-        inverse (V_c^dag V_c)^-1 V_c^dag, Rt = (+)_c V_c (x) conj V_c maps the
-        Sum k_c^2 coordinates of the operators over ``sub`` to the block
-        space, and Lt = (+)_c L_c (x) conj L_c maps a block-space operator X
-        to the coordinates of P X P, P the projector onto ``sub``."""
+    @functools.cached_property
+    def input_reachable(self) -> Subspace:
+        """R_in: R grown from the whole block of the initial location, so it
+        holds R for every input state."""
+        program = self.program
+        block = CQState(program.dim, {program.initial_location: Mat.eye(program.dim)}, validate=False)
+        return self._reach_from(support(embed(block, program), validate=False))
+
+    @functools.cached_property
+    def input_trapped(self) -> Subspace:
+        """R_in ^ T, as ``trapped`` is R ^ T; R ^ T = R ^ (R_in ^ T)."""
+        return self._trap_within(self.input_reachable.meet(support(self.m1, validate=False)))
+
+    def compression(self, sub: Subspace) -> list:
+        """[(V_c, L_c)] over the locations c, for a subspace that is a direct
+        sum over locations (every row of its RREF lives in the location of
+        its pivot): V_c holds the rows of location c read on its coordinates
+        (d x k_c) and L_c = (V_c^dag V_c)^-1 V_c^dag is its left inverse.  The
+        k_c^2 coordinates Y of an operator over ``sub`` at location c give
+        the block V_c Y V_c^dag, and a block X has the coordinates L_c X
+        L_c^dag of P X P, P the projector onto ``sub``; with vec, these are
+        V_c (x) conj V_c and L_c (x) conj L_c."""
         n_loc = len(self.program.locations)
-        right, left = [], []
+        parts = []
         for c in range(n_loc):
             rows = [i for i, p in enumerate(sub.pivots) if p % n_loc == c]
             v = sub.rref[rows, c::n_loc].transpose()
-            inv = solve(v.dagger() @ v, v.dagger())
-            right.append(kron(v, v.conj()))
-            left.append(kron(inv, inv.conj()))
-        return block_diag(right), block_diag(left)
+            parts.append((v, solve(v.dagger() @ v, v.dagger())))
+        return parts
+
+    def compressed_cut(self, parts: list) -> Mat:
+        """The cut body on the Sum_c k_c^2 coordinates of ``compression``,
+        location by location in order: block (t, s) sums
+        kron(E, conj E), E = L_t M_j K V_s, over the outcomes j that lead
+        from s to t and the Kraus operators K of s's channel.  The exit
+        location's columns are zero.  It is assembled from the per-edge
+        operators, so no d^2 x d^2 object is formed."""
+        program = self.program
+        terms = {}
+        for s, loc in enumerate(program.locations):
+            v_s = parts[s][0]
+            if loc == program.exit_location or not v_s.cols:
+                continue
+            a = program.act[loc]
+            for j, m_op in enumerate(a.measurement.operators):
+                t = program.config_index(a.next[j][0])
+                l_t = parts[t][1]
+                if m_op.is_zero() or not l_t.rows:
+                    continue
+                for k in a.channel.kraus:
+                    e = l_t @ m_op @ k @ v_s
+                    terms.setdefault((t, s), []).append(kron(e, e.conj()))
+        sizes = [v.cols**2 for v, _ in parts]
+        grid = [
+            [mat_sum(terms[t, s]) if (t, s) in terms else Mat.zeros(rows, cols) for s, cols in enumerate(sizes)]
+            for t, rows in enumerate(sizes)
+        ]
+        return functools.reduce(Mat.vstack, [functools.reduce(Mat.hstack, row) for row in grid])
 
     @property
     def exits_almost_surely(self) -> bool:
@@ -929,10 +946,6 @@ class WhileNormalForm:
     def trajectory(self) -> list:
         return simulate_deterministic(self.program, self.bound)
 
-    def block_vector(self, state: CQState) -> Mat:
-        """The block-space vector of a classical-quantum state."""
-        return functools.reduce(Mat.vstack, [vec(state.block(c)) for c in self.program.locations])
-
     def exit_embedded(self, block: Mat) -> Mat:
         """A d x d exit block as a state of the embedded space."""
         program = self.program
@@ -941,20 +954,20 @@ class WhileNormalForm:
     def exit_series(self, sigma0: Mat, steps: int) -> list:
         """Exit masses [after 0 rounds, ..., after ``steps`` rounds] in one pass.
 
-        Runs on the block space, collecting the exit block of every iterate
-        of the cut; entry k equals the exit block of the original program at
-        step k.  ``sigma0`` must be block-diagonal over locations, as every
+        Runs the loop itself: each round applies the cut body N and collects
+        m0 rho m0, so entry k equals the exit block of the original program
+        at step k.  ``sigma0`` must be block-diagonal over locations, as every
         classical-quantum state is (NonClassicalCoherence otherwise).
         """
-        d = self.program.dim
-        v = self.block_vector(extract(sigma0, self.program))
-        acc = v[self.exit_rows, :]
+        extract(sigma0, self.program)
+        rho = sigma0
+        acc = self.m0 @ rho @ self.m0
         series = [acc]
         for _ in range(steps):
-            v = self.cut @ v
-            acc = acc + v[self.exit_rows, :]
+            rho = self.cut_body.apply(rho)
+            acc = acc + self.m0 @ rho @ self.m0
             series.append(acc)
-        return [self.exit_embedded(unvec(a, d)) for a in series]
+        return series
 
     def exit_after(self, sigma0: Mat, steps: int) -> Mat:
         """Exit mass accumulated after ``steps`` rounds of the loop."""

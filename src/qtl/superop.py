@@ -172,13 +172,12 @@ class SuperOp:
     """A trace-non-increasing completely positive map, held as Kraus operators.
 
     ``validate`` controls the admissibility check of sum E†E against the
-    identity: "exact" demands it in exact arithmetic, "tolerant" numerically
-    (for channels reconstructed from numeric data), None skips it.
+    identity: "exact" demands it in exact arithmetic, None skips it.
     """
 
     __slots__ = ("kraus", "dim_in", "dim_out", "_trace_preserving", "_matrix_rep", "_stack", "_dual")
 
-    def __init__(self, kraus, validate: str | None = "exact", tol: float = 1e-9):
+    def __init__(self, kraus, validate: str | None = "exact"):
         kraus = tuple(kraus)
         if not kraus:
             raise PreconditionViolated("a channel needs at least one Kraus operator")
@@ -206,17 +205,6 @@ class SuperOp:
                     raise PreconditionViolated(
                         "Kraus operators exceed the identity: not trace-non-increasing"
                     )
-        elif validate == "tolerant":
-            total = sum(
-                k.to_complex().conj().T @ k.to_complex() for k in kraus
-            )
-            gap = np.eye(dim_in) - total
-            eigs = np.linalg.eigvalsh((gap + gap.conj().T) / 2)
-            if eigs.min() < -tol:
-                raise PreconditionViolated(
-                    f"Kraus operators exceed the identity beyond tolerance ({eigs.min()})"
-                )
-            tp = bool(np.max(np.abs(gap)) <= tol)
         object.__setattr__(self, "_trace_preserving", tp)
 
     def __setattr__(self, name, value):
@@ -249,10 +237,6 @@ class SuperOp:
             raise PreconditionViolated("scale * v†v is not the identity")
         coeffs = _rational_square_decomposition(scale)
         return SuperOp([v * CRat(c) for c in coeffs], validate=None)
-
-    @staticmethod
-    def from_measurement(m: Measurement) -> "SuperOp":
-        return SuperOp(list(m.operators), validate=None)
 
     # ------------------------------------------------------------------
 

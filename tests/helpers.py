@@ -7,11 +7,12 @@ restricts to constructions whose peripheral eigenvalues are roots of unity,
 which the period-detection paths of the checker can certify.
 """
 
+import functools
 import random
 from fractions import Fraction
 
 from qtl.checker import Verdict
-from qtl.linalg import CRat, Mat, mat_sum
+from qtl.linalg import CRat, Mat, kron, mat_sum
 from qtl.subspace import Subspace, SubspaceUnion, satisfies
 from qtl.superop import Measurement, SuperOp, unvec, vec
 from qtl.program import LocationAction, QuantumAutomaton, SequentialProgram, check_terminates
@@ -314,6 +315,35 @@ def invariance_by_mixing(a: QuantumAutomaton, p: Subspace) -> Verdict:
             return Verdict.not_valid(diagnostics={"mixing_step": k})
         v = mixed @ v
     return Verdict.valid(diagnostics={"mixing_steps": a.dim})
+
+
+# ----------------------------------------------------------------------
+# the exit loop on the block space (reference for the float split)
+
+
+def block_space_cut(program) -> Mat:
+    """Matrix representation of the exit-cut body on the d^2*|L| block
+    space, which keeps the d x d block of every location (index l*d^2 + k
+    holds entry k of the row-major vec of location l's block): block (t, s)
+    sums kron(M_j, conj(M_j)) times s's channel over the outcomes j leading
+    from s to t; the exit location's column is zero."""
+    n_loc = len(program.locations)
+    terms = [Mat.zeros(n_loc * program.dim * program.dim)]
+    for s_idx, loc in enumerate(program.locations):
+        if loc == program.exit_location:
+            continue
+        a = program.act[loc]
+        for j, m_op in enumerate(a.measurement.operators):
+            if not m_op.is_zero():
+                t_idx = program.config_index(a.next[j][0])
+                block = kron(m_op, m_op.conj()) @ a.channel.matrix_rep()
+                terms.append(kron(Mat.unit(n_loc, t_idx, s_idx), block))
+    return mat_sum(terms)
+
+
+def block_vector(program, state) -> Mat:
+    """The block-space vector of a classical-quantum state."""
+    return functools.reduce(Mat.vstack, [vec(state.block(c)) for c in program.locations])
 
 
 # ----------------------------------------------------------------------

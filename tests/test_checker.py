@@ -1,14 +1,17 @@
+import functools
 import math
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from sympy import QQ, QQ_I
+from sympy.polys.matrices import DomainMatrix
 
 from qtl.errors import BudgetExceeded, PreconditionViolated, ToleranceAmbiguity, UnsupportedFormula
 from qtl.linalg import CRat, Mat, kron, peripheral_split, solve
 from qtl.subspace import Subspace, SubspaceUnion, satisfies, support
-from qtl.superop import MatrixRep, SuperOp, unvec
+from qtl.superop import MatrixRep, SuperOp, unvec, vec
 from qtl.program import (
     CQState,
     QuantumAutomaton,
@@ -59,6 +62,9 @@ from helpers import (
     random_deterministic_program,
     random_subspace,
     basis_union,
+    block_space_cut,
+    block_vector,
+    random_qwhile_source,
     rotation_loop_src,
     rotation_loop_with_minus_trap_src,
     rotation_loop_with_unreached_trap_src,
@@ -294,12 +300,35 @@ class TestAlmostUntil:
         assert np.max(np.abs(tau.to_complex() - r.reach_state.to_complex())) < 1e-9
 
 
-def _assert_residual_within_in_flight(r):
-    """The exact reach block minus the exit block after 64 direct steps is
-    what the mass still in flight will deliver, so the power-iteration
-    residual is at most that mass, up to float error."""
-    d = r.diagnostics
-    assert d["power_iteration_residual"] <= d["power_iteration_in_flight"] + 1e-12
+def _reach_block(r, prog):
+    """The exit block of the reach state."""
+    n, e = len(prog.locations), prog.config_index(prog.exit_location)
+    return r.reach_state[e::n, e::n]
+
+
+def _assert_channel_gives_reach_block(r, prog):
+    """The semantic function applied to the input is the reach block."""
+    assert r.channel.apply(prog.initial_state) == _reach_block(r, prog)
+
+
+def _gaussian(m: Mat) -> DomainMatrix:
+    """m as a sympy matrix over Q(i)."""
+    return DomainMatrix(
+        [[QQ_I(QQ(e.re.numerator, e.re.denominator), QQ(e.im.numerator, e.im.denominator)) for e in row] for row in m.entries()],
+        (m.rows, m.cols),
+        QQ_I,
+    )
+
+
+def _choi_rank(f: DomainMatrix) -> int:
+    """sympy's rank of the Choi matrix C[(i, k), (j, l)] = F[(i, j), (k, l)]
+    of the matrix F of a map on d x d operators."""
+    entries = f.to_list()
+    d = math.isqrt(len(entries))
+    choi = [
+        [entries[(a // d) * d + b // d][(a % d) * d + b % d] for b in range(d * d)] for a in range(d * d)
+    ]
+    return DomainMatrix(choi, (d * d, d * d), QQ_I).rank()
 
 
 class TestReachability:
@@ -308,17 +337,21 @@ class TestReachability:
         assert r.almost_terminates
         assert abs(r.diagnostics["reach_trace"] - 1.0) <= 1e-9
         assert abs(r.expected_steps - 4.0) <= 1e-6
-        assert r.diagnostics["power_iteration_residual"] < 2**-24
-        _assert_residual_within_in_flight(r)
+        assert _reach_block(r, example_loop) == KET0
+        _assert_channel_gives_reach_block(r, example_loop)
 
-    def test_power_iteration_residual_on_rotation_loops(self):
-        # 64 direct steps are far from the limit of the slow loop: the
-        # residual is near one, and so is the mass still in flight
-        for n, low in ((10, 0.2), (1000, 0.999)):
-            r = reachability_superop(compile_source(rotation_loop_src(n)))
-            assert r.diagnostics["reach_trace"] == pytest.approx(1.0)
-            assert r.diagnostics["power_iteration_in_flight"] > low
-            _assert_residual_within_in_flight(r)
+    def test_channel_on_rotation_loops(self):
+        # the loops exit almost surely from every input, so the semantic
+        # function is trace preserving: tr F(|k><l|) = [k == l], exactly
+        for n in (10, 1000):
+            prog = compile_source(rotation_loop_src(n))
+            r = reachability_superop(prog)
+            assert r.reach_state.trace() == 1
+            _assert_channel_gives_reach_block(r, prog)
+            d = prog.dim
+            for k in range(d):
+                for l in range(d):
+                    assert r.channel.apply(Mat.unit(d, k, l)).trace() == (1 if k == l else 0)
 
     def test_instant_exit(self):
         prog = compile_source("qubits 1;\nskip")
@@ -349,7 +382,7 @@ class TestReachability:
         # part exits slowly (cut radius 1 - 4e-6)
         for src, steps in ((UNREACHED_TRAP_SRC, 1.0), (rotation_loop_with_unreached_trap_src(1000), 750002.5)):
             prog = compile_source(src)
-            assert not peripheral_split(bohm_jacopini(prog).cut).peripheral_projector.is_zero()
+            assert not peripheral_split(block_space_cut(prog)).peripheral_projector.is_zero()
             r = reachability_superop(prog)
             assert r.almost_terminates
             assert r.reach_state.trace() == 1
@@ -365,7 +398,9 @@ class TestReachability:
         assert r.expected_steps == float(Fraction(3 * (n * n + 1) ** 2, 4 * n * n) + 1)
 
     def test_three_qubit_loop_family(self, monkeypatch):
-        # R has dimension 7, so the exact solve has at most 7^2 unknowns
+        # R_in modulo its trapped part has dimension 24 (8 at the skip and
+        # at the guard, 4 at the body and 4 at the exit), so the exact
+        # solve has 2 * 8^2 + 2 * 4^2 = 160 unknowns
         import qtl.checker as checker
 
         sizes = []
@@ -374,23 +409,16 @@ class TestReachability:
         r = reachability_superop(compile_source(THREE_QUBIT_LOOP_SRC))
         assert r.reach_state.trace() == 1
         assert r.expected_steps == 4
-        assert r.kraus_rank == 10
-        assert sizes and max(sizes) <= 49
+        assert r.kraus_rank == 3
+        assert sizes and max(sizes) <= 160
 
     def test_channel_reproduces_exact_reach_state(self, example_loop):
-        # the Kraus operators come from the exit block of the Choi matrix;
-        # the ranks are those of the decomposition of the whole matrix
-        import numpy as np
-
-        for prog, rank in ((example_loop, 7), (compile_source(TWO_QUBIT_LOOP_SRC), 10)):
+        # the ranks count the Kraus operators of the semantic function from
+        # the initial location
+        for prog, rank in ((example_loop, 2), (compile_source(TWO_QUBIT_LOOP_SRC), 3)):
             r = reachability_superop(prog)
             assert r.kraus_rank == rank
-            sigma0 = embed(initial_cq(prog), prog).to_complex()
-            acc = 0
-            for k in r.channel.kraus:
-                kf = k.to_complex()
-                acc = acc + kf @ sigma0 @ kf.conj().T
-            assert np.max(np.abs(acc - r.reach_state.to_complex())) < 1e-6
+            _assert_channel_gives_reach_block(r, prog)
 
     def test_two_qubit_loop_family(self):
         prog = compile_source(TWO_QUBIT_LOOP_SRC)
@@ -398,7 +426,7 @@ class TestReachability:
         assert r.reach_state.trace() == CRat(1)
         assert r.almost_terminates
         assert r.expected_steps == 4
-        _assert_residual_within_in_flight(r)
+        _assert_channel_gives_reach_block(r, prog)
         # every exit happens with q0 = 0: no mass on q0 = 1 at the exit
         n_configs = len(prog.configs())
         e_idx = prog.config_index(prog.exit_location)
@@ -413,10 +441,7 @@ class TestReachability:
             exit_only = CQState(prog.dim, {"exit": final.block("exit")}, validate=False)
             assert r.reach_state == embed(exit_only, prog)
             assert r.almost_terminates
-            # nothing is in flight after 64 steps of a program that
-            # terminated exactly at step 1 or 2
-            assert r.diagnostics["power_iteration_in_flight"] == 0.0
-            _assert_residual_within_in_flight(r)
+            _assert_channel_gives_reach_block(r, prog)
 
     def test_kraus_rank_counts_the_channel_operators(self, example_loop):
         from helpers import random_deterministic_program
@@ -431,26 +456,54 @@ class TestReachability:
         ranks = []
         for prog in programs:
             r = reachability_superop(prog)
-            assert "channel" not in vars(r)
             ranks.append(r.kraus_rank)
-            assert r.kraus_rank == len(r.channel.kraus)
+            assert r.kraus_rank == _choi_rank(_gaussian(r.channel.m))
         assert max(ranks) > 1
-        # exit unreachable from every other location: only the exit's own
-        # mass, M0 rho M0, is collected
+        # the exit is unreachable from the initial location: no input ever
+        # exits, and the semantic function is zero
         act = {
             "a": LocationAction(SuperOp.identity(2), Measurement.trivial(2), {0: ("a",)}),
             "e": LocationAction(SuperOp.identity(2), Measurement.trivial(2), {0: ("e",)}),
         }
         stuck = reachability_superop(SequentialProgram(2, ("a", "e"), act, KET0, "a", "e"))
         assert stuck.diagnostics["reach_trace"] == 0.0
-        assert stuck.kraus_rank == len(stuck.channel.kraus) == 1
+        assert stuck.channel.m.is_zero()
+        assert stuck.kraus_rank == 0
 
-    def test_channel_is_built_on_first_access(self, example_loop):
-        r = reachability_superop(example_loop)
-        assert "channel" not in vars(r)
-        channel = r.channel
-        assert r.channel is channel
-        assert channel.dim_in == r.reach_state.rows
+    def test_bohm_jacopini_semantics(self):
+        # on Q-While programs that terminate exactly from every input, the
+        # solved semantic function equals the denotation, read off
+        # denote_steps on d^2 spanning inputs, and its Kraus rank is the
+        # rank of that map's Choi matrix
+        from qtl.program import check_terminates
+        from qtl.qwhile import compile_qwhile, denote_steps, parse
+
+        half = Fraction(1, 2)
+        inputs = [
+            Mat.from_rows([[1, 0], [0, 0]]),
+            Mat.from_rows([[0, 0], [0, 1]]),
+            Mat.from_rows([[half, half], [half, half]]),
+            Mat.from_rows([[half, CRat(0, -half)], [CRat(0, half), half]]),
+        ]
+        rng = random.Random(1111)
+        checked, loops, ranks = 0, 0, set()
+        while checked < 24:
+            source = random_qwhile_source(rng, max_loops=2, max_len=2)
+            ast = parse(source)
+            prog = compile_qwhile(ast)
+            if not all(check_terminates(prog.with_initial_state(rho)).kind == "terminates" for rho in inputs):
+                continue
+            checked += 1
+            loops += "while" in source
+            loop = bohm_jacopini(prog)
+            r = reachability_superop(prog)
+            outputs = [denote_steps(ast, rho, loop.bound) for rho in inputs]
+            for rho, out in zip(inputs, outputs):
+                assert r.channel.apply(rho) == out
+            ins, outs = (_gaussian(functools.reduce(Mat.hstack, [vec(m) for m in ms])) for ms in (inputs, outputs))
+            assert r.kraus_rank == _choi_rank(outs.matmul(ins.inv()))
+            ranks.add(r.kraus_rank)
+        assert loops and ranks == {1, 2}
 
 
 class TestExitFormulas:
@@ -757,21 +810,24 @@ PROPERTY = settings(derandomize=True, max_examples=60, deadline=None)
 
 class TestAlmostSureExit:
     """The lattice test R ^ T = 0 of the exit loop and the exact reach
-    state against the solve of the split cut: the exact trace and reach
-    state where nothing is peripheral, and the float trace (within 1e-7 of
-    one) where the split is numeric."""
+    state against the solve of the split cut on the block space: the exact
+    trace and reach state where nothing is peripheral, and the float trace
+    (within 1e-7 of one) where the split is numeric."""
 
     @staticmethod
     def _agrees(prog):
         loop = bohm_jacopini(prog)
         r = reachability_superop(prog)
         assert (r.reach_state.trace() == 1) == loop.exits_almost_surely == r.almost_terminates
+        _assert_channel_gives_reach_block(r, prog)
+        cut = block_space_cut(prog)
         try:
-            split = peripheral_split(loop.cut)
+            split = peripheral_split(cut)
         except ToleranceAmbiguity:
             return None
-        w = solve(Mat.eye(loop.cut.rows) - split.stable_part, loop.block_vector(initial_cq(prog)))
-        block = unvec(w[loop.exit_rows, :], prog.dim)
+        w = solve(Mat.eye(cut.rows) - split.stable_part, block_vector(prog, initial_cq(prog)))
+        d2, e = prog.dim**2, prog.config_index(prog.exit_location)
+        block = unvec(w[e * d2 : (e + 1) * d2, :], prog.dim)
         exact = split.peripheral_projector.is_zero()
         almost = block.trace() == CRat(1) if exact else abs(float(block.trace().re) - 1.0) <= 1e-7
         assert loop.exits_almost_surely == almost
@@ -797,9 +853,8 @@ class TestAlmostSureExit:
 
 class TestRandomReachability:
     def test_resolvent_matches_power_iteration(self):
-        # every reachability result stays within the mass in flight after 64
-        # steps; with a clear stable gap it stays within 2^-24 of 64 exact
-        # steps of the program itself
+        # with a clear stable gap the exact reach state stays within 2^-24
+        # of 64 exact steps of the program itself
         import numpy as np
         from helpers import random_deterministic_program
         from qtl.program import simulate_deterministic
@@ -809,7 +864,7 @@ class TestRandomReachability:
         while checked < 12:
             prog = random_deterministic_program(rng, 2, rng.randint(1, 3))
             r = reachability_superop(prog)
-            _assert_residual_within_in_flight(r)
+            _assert_channel_gives_reach_block(r, prog)
             m1 = bohm_jacopini(prog).m1
             moduli = np.abs(np.linalg.eigvals((step_superop(prog).matrix_rep() @ kron(m1, m1)).to_complex()))
             radius = max(moduli[moduli < 1 - 1e-9], default=0.0)

@@ -12,6 +12,7 @@ from qtl.cli import main
 
 from helpers import (
     EXAMPLE_LOOP_SRC,
+    PARTIALLY_TRAPPED_SRC,
     SHAPE_EXAMPLES,
     UNSUPPORTED_FORMULAS,
     random_automaton,
@@ -330,6 +331,7 @@ class TestReachCommand:
         _, prog, _, _ = workspace
         assert main(["reach", prog, "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
+        assert set(payload) == {"kraus_rank", "reach_trace", "expected_steps", "almost_terminates"}
         assert payload["almost_terminates"] is True
         assert abs(payload["expected_steps"] - 4.0) < 1e-6
         assert payload["kraus_rank"] >= 1
@@ -356,18 +358,45 @@ class TestReachCommand:
         assert main(["reach", prog, "--tolerance", "1e-9"]) == 3
         assert "--tolerance" in capsys.readouterr().err
 
-    def test_kraus_rank_builds_no_channel(self, workspace, capsys, monkeypatch):
-        import qtl.checker as checker
+    def test_kraus_rank_of_the_semantics(self, workspace, capsys):
+        # the printed rank is that of the semantic function from the
+        # initial location, whose matrix takes rho_0 to the reach block
+        from qtl.checker import reachability_superop
 
         _, prog, _, _ = workspace
-        expected = len(checker.reachability_superop(compile_source(EXAMPLE_LOOP_SRC)).channel.kraus)
-
-        def forbidden(result):
-            raise AssertionError("qtl reach built the Kraus operators")
-
-        monkeypatch.setattr(checker.ReachabilityResult, "channel", property(forbidden))
+        program = compile_source(EXAMPLE_LOOP_SRC)
+        r = reachability_superop(program)
+        e = program.config_index(program.exit_location)
+        n = len(program.locations)
+        assert r.channel.apply(program.initial_state) == r.reach_state[e::n, e::n]
         assert main(["reach", prog, "--json"]) == 0
-        assert json.loads(capsys.readouterr().out)["kraus_rank"] == expected
+        assert json.loads(capsys.readouterr().out)["kraus_rank"] == r.kraus_rank == 2
+
+    def test_reach_takes_no_float_step(self, workspace, tmp_path, capsys, monkeypatch):
+        # every number of the record comes from exact arithmetic: numpy's
+        # solve and spectral routines may not be called
+        import numpy as np
+
+        _, prog, _, _ = workspace
+        trapped = tmp_path / "partially_trapped.json"
+        trapped.write_text(jsonio.dumps(jsonio.program_to_json(compile_source(PARTIALLY_TRAPPED_SRC))))
+        programs = [prog, _write_rotation_loop(tmp_path, 10)[0], str(trapped)]
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("qtl reach took a float step")
+
+        for name in ("solve", "eigh", "svd", "eigvals"):
+            monkeypatch.setattr(np.linalg, name, forbidden)
+        records = []
+        for path in programs:
+            assert main(["reach", path, "--json"]) == 0
+            records.append(json.loads(capsys.readouterr().out))
+        assert [(r["reach_trace"], r["almost_terminates"]) for r in records] == [
+            (1.0, True),
+            (1.0, True),
+            (0.5, False),
+        ]
+        assert records[2]["expected_steps"] == "inf"
 
 
 class TestSimulateCommand:
