@@ -1,7 +1,7 @@
 """Temporal-logic verification of quantum programs over subspace propositions."""
 
 from . import errors
-from .linalg import CRat, Mat, Rational, SpectralSplit, invert, is_psd, kernel_basis, kron, peripheral_split, rank
+from .linalg import CRat, Mat, Rational, invert, is_psd, kernel_basis, kron, peripheral_period, rank
 from .subspace import Subspace, SubspaceUnion, satisfies, support
 from .superop import Measurement, MatrixRep, SuperOp, image, image_union, preimage, preimage_union
 from .program import (

@@ -37,7 +37,7 @@ from .errors import (
     PreconditionViolated,
     QtlError,
     SingularMatrix,
-    ToleranceAmbiguity,
+    UncertifiedPeriod,
     UnsupportedFormula,
 )
 from .linalg import (
@@ -47,8 +47,7 @@ from .linalg import (
     invert,
     kron,
     mat_sum,
-    multiplicative_order,
-    peripheral_split,
+    peripheral_period,
     rank,
     rref,
     solve,
@@ -507,45 +506,13 @@ def _simple_cycles(n_nodes, edges):
     return cycles
 
 
-class _UnknownVerdict(Exception):
-    def __init__(self, reason, diagnostics=None):
-        super().__init__(reason)
-        self.reason = reason
-        self.diagnostics = diagnostics or {}
-
-
-def _peripheral_period(m: Mat, period_bound: int, tolerance: float):
-    """The peripheral split of m and the lcm of the multiplicative orders of
-    its peripheral eigenvalues, detected numerically up to the bound."""
-    try:
-        split = peripheral_split(m, tolerance)
-    except ToleranceAmbiguity as exc:
-        raise _UnknownVerdict(f"peripheral classification ambiguous: {exc}")
-    b = 1
-    for lam, _ in split.peripheral_eigenvalues:
-        order = multiplicative_order(lam, period_bound)
-        if order is None:
-            raise _UnknownVerdict(
-                f"peripheral eigenvalue {lam} has no certified order up to {period_bound}"
-            )
-        b = math.lcm(b, order)
-    return split, b
-
-
-def _certified_period(loop_rep: Mat, period_bound: int, tolerance: float) -> int:
-    """The period of the loop channel's peripheral spectrum, capped."""
-    _, b = _peripheral_period(loop_rep, period_bound, tolerance)
-    if b > max(period_bound, 4096):
-        raise _UnknownVerdict(f"combined period {b} exceeds the configured bound")
-    return b
-
-
-def _p2_refine(members, cycle, u: SubspaceUnion, actions, period_bound, tolerance):
+def _p2_refine(members, cycle, u: SubspaceUnion, actions, period_bound):
     """Shrink the first loop component to the states that keep landing in
     the target union along the loop's periodic subsequences.
 
-    The loop channel's peripheral spectrum is the one place of the lattice
-    procedures that needs the matrix representations of the actions."""
+    The loop channel's peripheral period (:func:`linalg.peripheral_period`)
+    is the one place of the lattice procedures that needs the matrix
+    representations of the actions."""
     nodes, word = cycle
     j1 = nodes[0]
     dim = members[0].ambient_dim
@@ -558,7 +525,7 @@ def _p2_refine(members, cycle, u: SubspaceUnion, actions, period_bound, toleranc
     suffixes[k] = Mat.eye(dim * dim)
     for r in range(k - 1, -1, -1):
         suffixes[r] = suffixes[r + 1] @ ms[r]
-    b = _certified_period(prefixes[k], period_bound, tolerance)
+    _, b = peripheral_period(prefixes[k], period_bound)
     pieces = []
     for r in range(1, k + 1):
         f_rep = prefixes[r] @ suffixes[r]
@@ -592,22 +559,22 @@ def check_always_eventually(
     a: QuantumAutomaton,
     u,
     period_bound: int = 64,
-    tolerance: float = 1e-9,
     witness_depth: int = 12,
 ) -> Verdict:
     """Decide "the union is visited infinitely often on every path".
 
     Alternates the maximal-invariant chain with a refinement of simple
     loops of union components that avoid the target; the refinement uses
-    the certified period of the loop channel's peripheral spectrum and
-    returns Unknown when no period certificate exists within the bound.
+    the exact period of the loop channel's peripheral spectrum and returns
+    Unknown, with the reason, when some peripheral eigenvalue is not a root
+    of unity or the period exceeds the bound.
     """
     u = _as_union(u)
     if u.ambient_dim != a.dim:
         raise DimensionMismatch("proposition does not live on the automaton space")
     actions = _actions(a)
     x = SubspaceUnion.full(a.dim)
-    diag = {"refinements": 0, "periods": [], "period_bound": period_bound, "tolerance": tolerance}
+    diag = {"refinements": 0, "periods": [], "period_bound": period_bound}
     try:
         for _ in range(200):
             x = maximal_invariant(a, x)
@@ -622,15 +589,13 @@ def check_always_eventually(
                     break
             if violating is None:
                 break
-            x, period = _p2_refine(members, violating, u, actions, period_bound, tolerance)
+            x, period = _p2_refine(members, violating, u, actions, period_bound)
             diag["refinements"] += 1
             diag["periods"].append(period)
         else:
             raise QtlError("loop refinement did not converge")
-    except _UnknownVerdict as uv:
-        merged = dict(diag)
-        merged.update(uv.diagnostics)
-        return Verdict.unknown(uv.reason, merged)
+    except UncertifiedPeriod as exc:
+        return Verdict.unknown(str(exc), diag)
     psi = maximal_extension(a, x)
     diag["certificate_members"] = len(psi.members)
     if psi.contains_subspace(_initial_support(a)):
@@ -639,9 +604,7 @@ def check_always_eventually(
     return Verdict.not_valid(witness=witness, certificate=psi, diagnostics=diag)
 
 
-def check_always_until(
-    a: QuantumAutomaton, phi, psi, period_bound: int = 64, tolerance: float = 1e-9
-) -> Verdict:
+def check_always_until(a: QuantumAutomaton, phi, psi, period_bound: int = 64) -> Verdict:
     """Always (phi until psi) = invariance of phi plus always-eventually psi."""
     inv = check_invariance(a, phi)
     if inv.status == NOT_VALID:
@@ -650,7 +613,7 @@ def check_always_until(
             certificate=inv.certificate,
             diagnostics={"conjunct": "invariance"},
         )
-    ae = check_always_eventually(a, psi, period_bound=period_bound, tolerance=tolerance)
+    ae = check_always_eventually(a, psi, period_bound=period_bound)
     if ae.status == UNKNOWN:
         return ae
     if ae.status == NOT_VALID:
@@ -684,25 +647,27 @@ def _eigenprojector_at_one(b: Mat):
     return t @ selector @ t_inv, k
 
 
-def limit_states(e: SuperOp, sigma0: Mat, period_bound: int = 64, tolerance: float = 1e-9):
+def limit_states(e: SuperOp, sigma0: Mat, period_bound: int = 64):
     """Exact limit cycle [tau_0 .. tau_{b-1}] of sigma_n = E^n(sigma0).
 
-    Requires every peripheral eigenvalue of E's matrix representation to be
-    a root of unity with order detectable within the bound.  The period is
-    then certified exactly: the fixed space of E^b must have the same
-    dimension as the peripheral spectrum, after which each tau_c is an
-    exact rational matrix (the limit of the subsequence n = ub + c).
+    E must be trace preserving (PreconditionViolated otherwise), with
+    peripheral eigenvalues of a common order b within the bound
+    (:func:`linalg.peripheral_period`; UncertifiedPeriod otherwise).  The
+    fixed space of E^b must have the dimension of the peripheral spectrum,
+    after which each tau_c is an exact rational matrix (the limit of the
+    subsequence n = ub + c).
     """
+    if not e.is_trace_preserving():
+        raise PreconditionViolated("limit states need a trace-preserving channel")
     m = e.matrix_rep()
-    split, b = _peripheral_period(m, period_bound, tolerance)
-    peripheral_dim = sum(mult for lam, mult in split.peripheral_eigenvalues)
+    peripheral_dim, b = peripheral_period(m, period_bound)
     big = MatrixRep(m).power(b).m
     try:
         projector, rank_one = _eigenprojector_at_one(big)
     except SingularMatrix as exc:
-        raise _UnknownVerdict(f"limit projector unavailable: {exc}")
+        raise UncertifiedPeriod(f"limit projector unavailable: {exc}")
     if rank_one != peripheral_dim:
-        raise _UnknownVerdict(
+        raise UncertifiedPeriod(
             f"period {b} uncertified: fixed space rank {rank_one} "
             f"!= peripheral dimension {peripheral_dim}"
         )
@@ -720,7 +685,6 @@ def check_always_almost_until(
     p: Subspace,
     q: Subspace,
     period_bound: int = 64,
-    tolerance: float = 1e-9,
 ) -> Verdict:
     """Always (p almost-until q) for a single action from sigma0.
 
@@ -735,9 +699,9 @@ def check_always_almost_until(
         inv.diagnostics["conjunct"] = "invariance"
         return inv
     try:
-        states = limit_states(e, sigma0, period_bound=period_bound, tolerance=tolerance)
-    except _UnknownVerdict as uv:
-        return Verdict.unknown(uv.reason, uv.diagnostics)
+        states = limit_states(e, sigma0, period_bound=period_bound)
+    except UncertifiedPeriod as exc:
+        return Verdict.unknown(str(exc))
     limit_traces = [float((q.projector @ tau).trace().re) for tau in states]
     diag = {"period": len(states), "limit_traces": limit_traces}
     if any(satisfies(tau, q) for tau in states):
@@ -766,7 +730,7 @@ def reachability_superop(program: SequentialProgram) -> ReachabilityResult:
     initial location's block (:meth:`WhileNormalForm.compression`, with A
     from :meth:`WhileNormalForm.compressed_cut`), gives the d^2 x d^2 matrix
     F of the semantic function: its exit rows read through V_e (x) conj V_e.
-    There is no spectrum and no tolerance.  The reach state is the exit
+    There is no spectrum and no float.  The reach state is the exit
     block unvec(F vec rho_0); ``almost_terminates`` is R ^ T = R ^ B = 0,
     under which the reach trace is checked to be exactly one, and the
     expected number of steps until the exit, in the program's own step
@@ -1071,7 +1035,6 @@ def check(
     formula,
     atoms: dict,
     *,
-    tolerance: float = 1e-9,
     period_bound: int = 64,
     depth: int = 12,
 ) -> Verdict:
@@ -1096,10 +1059,14 @@ def check(
                        loop's subspace lattice
         f U g          Unknown by construction (termination problem)
 
-    Every other shape raises :class:`UnsupportedFormula`.  ``tolerance``
-    and ``period_bound`` bound the peripheral-period certificates, ``depth``
-    the witness search of the limit shapes.  The automaton of a program is
-    built only for the shapes that run on it.
+    Every other shape raises :class:`UnsupportedFormula`.  No float is on
+    any verdict path.  The periods of [] <> f, [] (f U g) and [] (p U~ q)
+    are exact: with p the characteristic polynomial of the loop channel,
+    the verdict is Unknown when g = gcd(p, z^n p(1/z)) is not in Z[z] (a
+    peripheral eigenvalue is not a root of unity) or when its roots have no
+    common order up to ``period_bound``.  ``depth`` bounds the witness
+    search of the limit shapes.  The automaton of a program is built only
+    for the shapes that run on it.
     """
     if isinstance(target, QuantumAutomaton):
         ambient = target.dim
@@ -1136,20 +1103,16 @@ def check(
     if shape == "[] f":
         return check_invariance(a, *operands)
     if shape == "[] <> f":
-        return check_always_eventually(
-            a, *operands, period_bound=period_bound, tolerance=tolerance, witness_depth=depth
-        )
+        return check_always_eventually(a, *operands, period_bound=period_bound, witness_depth=depth)
     if shape == "<> [] f":
         return check_eventually_always(a, *operands, witness_depth=depth)
     if shape == "[] (f U g)":
-        return check_always_until(a, *operands, period_bound=period_bound, tolerance=tolerance)
+        return check_always_until(a, *operands, period_bound=period_bound)
     # "[] (p U~ q)"
     if len(a.actions) != 1:
         return Verdict.unknown("almost-until needs a single action (deterministic system)")
     (action,) = a.actions.values()
-    return check_always_almost_until(
-        action, a.initial_state, *operands, period_bound=period_bound, tolerance=tolerance
-    )
+    return check_always_almost_until(action, a.initial_state, *operands, period_bound=period_bound)
 
 
 # ----------------------------------------------------------------------

@@ -17,8 +17,9 @@ class SingularMatrix(QtlError):
     """Exact inversion was requested for a rank-deficient matrix."""
 
 
-class ToleranceAmbiguity(QtlError):
-    """An eigenvalue modulus falls inside the unsafe classification band."""
+class UncertifiedPeriod(QtlError):
+    """No period certificate: a peripheral eigenvalue is not a root of unity,
+    or the peripheral eigenvalues have no common order within the bound."""
 
 
 class NotPositive(QtlError):

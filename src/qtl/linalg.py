@@ -1,36 +1,36 @@
-"""Exact complex-rational matrices plus the one numeric kernel of the package.
+"""Exact complex-rational matrices and polynomials: no float on any verdict path.
 
-Everything that feeds the subspace lattice and the program semantics stays in
-exact arithmetic: a matrix is a pair of integer numerator grids (real and
-imaginary parts, numpy object arrays so the integers are unbounded) over a
-single positive denominator.  Rank, kernel, reduced row echelon form,
-inverse and solve run fraction-free (Bareiss) over the Gaussian integers, so
-no rounding ever happens on that path.
+Everything that feeds the subspace lattice, the program semantics and the
+period certificates stays in exact arithmetic: a matrix is a pair of
+integer numerator grids (real and imaginary parts, numpy object arrays so
+the integers are unbounded) over a single positive denominator.  Rank,
+kernel, reduced row echelon form, inverse and solve run fraction-free
+(Bareiss) over the Gaussian integers, so no rounding ever happens on that
+path.
 
-The only numeric computation lives in :func:`peripheral_split`, which
-separates the eigenvalues of modulus (close to) one from the strictly
-contracting rest of a channel's matrix representation, for the period
-certificates of the checker.  It rationalizes its output exactly (binary
-floats are rationals) so downstream consumers can keep computing exactly
-against it.
+The peripheral spectrum of a channel is exact too
+(:func:`peripheral_period`): the characteristic polynomial p of its matrix
+representation (:func:`charpoly`) is real, its eigenvalues of modulus one
+are the roots of g = gcd(p, z^n p(1/z)), and the period is the least b
+with sqf(g) | z^b - 1.  It is uncertified, with the reason, when g is not
+in Z[z] (a peripheral eigenvalue is not a root of unity) or when no b
+within the bound exists.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     DimensionMismatch,
     MalformedInput,
     PreconditionViolated,
     SingularMatrix,
-    ToleranceAmbiguity,
+    UncertifiedPeriod,
 )
 
 Rational = Fraction
@@ -125,6 +125,9 @@ class CRat:
 
     def is_zero(self) -> bool:
         return self.re == 0 and self.im == 0
+
+    def __bool__(self):
+        return not self.is_zero()
 
     def __eq__(self, other):
         try:
@@ -809,113 +812,144 @@ def is_psd(m: Mat) -> bool:
 
 
 # ----------------------------------------------------------------------
-# peripheral spectrum splitting (the numeric regime)
+# the peripheral spectrum, exactly: the characteristic polynomial, gcds of
+# integer polynomials and the period of the roots of unity
+#
+# A polynomial is the list of its coefficients, that of z^k at index k.
 
 
-@dataclass(frozen=True)
-class SpectralSplit:
-    """Split of a (sub)stochastic channel matrix into peripheral and stable parts.
-
-    ``peripheral_projector`` projects onto the span of eigenspaces with
-    modulus within ``tolerance`` of one; ``stable_part`` is the input with
-    that component removed, so its spectral radius is strictly below one.
-    Both are exact rationalizations of the numeric computation.
-    """
-
-    peripheral_projector: Mat
-    stable_part: Mat
-    tolerance: float
-    eigenvalues: list  # [(complex estimate, algebraic multiplicity)]
-
-    @property
-    def peripheral_eigenvalues(self):
-        cut = 1.0 - self.tolerance
-        return [(lam, mult) for lam, mult in self.eigenvalues if abs(lam) >= cut]
-
-
-def _cluster_eigenvalues(values, tol=1e-7):
-    clusters = []
-    for lam in values:
-        for idx, (rep, mult) in enumerate(clusters):
-            if abs(lam - rep) <= tol:
-                clusters[idx] = ((rep * mult + lam) / (mult + 1), mult + 1)
-                break
-        else:
-            clusters.append((lam, 1))
-    return [(complex(rep), mult) for rep, mult in clusters]
-
-
-def peripheral_split(m: Mat, tolerance: float = 1e-9) -> SpectralSplit:
-    """Separate the modulus-one spectral component of a channel matrix.
-
-    The input must have spectral radius at most one (matrix representation of
-    a trace-non-increasing channel); PreconditionViolated otherwise.  The
-    numeric core is a sorted complex Schur form: the spectral projector onto
-    the eigenvalues of modulus at least 1 - tolerance comes from one
-    Sylvester solve, and is rationalized exactly (binary floats are
-    rationals).  An eigenvalue modulus inside [1-2*tol, 1-tol/2], or a
-    projector failing its idempotency, commutation or stable-radius check,
-    makes the classification unsafe and raises ToleranceAmbiguity.  Without
-    any peripheral eigenvalue the projector is exactly zero and the stable
-    part is the input itself.
+def charpoly(m: Mat) -> list:
+    """The coefficients [c_0, ..., c_n] of det(zI - m) = sum_k c_k z^k, as
+    CRats: a reduction to upper Hessenberg form H by elementary
+    similarities over Q(i) (over Q when m is real), skipping zero entries,
+    then p_k = (z - h_kk) p_{k-1} - sum_{i<k} h_ik h_{i+1,i} ... h_{k,k-1} p_{i-1}.
     """
     if not m.is_square():
-        raise DimensionMismatch("peripheral_split needs a square matrix")
-    if tolerance <= 0:
-        raise ValueError("tolerance must be positive")
+        raise DimensionMismatch("the characteristic polynomial needs a square matrix")
     n = m.rows
-    if n == 0:
-        return SpectralSplit(m, m, tolerance, [])
-    a = m.to_complex()
-    cut = 1.0 - tolerance
-    t, z, k = scipy.linalg.schur(a, output="complex", sort=lambda lam: abs(lam) >= cut)
-    eigs = np.diag(t)
-    radius = max(abs(eigs))
-    if radius > 1.0 + max(tolerance, 64 * np.finfo(float).eps * max(1.0, radius)):
-        raise PreconditionViolated(
-            f"spectral radius {radius} exceeds 1; not a trace-non-increasing channel"
-        )
-    lo, hi = 1.0 - 2.0 * tolerance, 1.0 - 0.5 * tolerance
-    for lam in eigs:
-        if lo <= abs(lam) <= hi:
-            raise ToleranceAmbiguity(
-                f"eigenvalue modulus {abs(lam)} inside the unsafe band [{lo}, {hi}]"
-            )
-    eigenvalues = _cluster_eigenvalues(list(eigs))
-    if k == 0:
-        # nothing peripheral: the Schur diagonal above already bounds the
-        # stable radius below the band
-        return SpectralSplit(Mat.zeros(n), m, tolerance, eigenvalues)
-    if k == n:
-        projector = np.eye(n, dtype=complex)
+    if m.num_im.any():
+        a, zero, one = m.entries(), CRat(0), CRat(1)
     else:
-        y = scipy.linalg.solve_sylvester(t[:k, :k], -t[k:, k:], t[:k, k:])
-        r = np.zeros((n, n), dtype=complex)
-        r[:k, :k] = np.eye(k)
-        r[:k, k:] = y
-        projector = z @ r @ z.conj().T
-    scale = max(1.0, float(np.max(np.abs(projector))))
-    if np.max(np.abs(projector @ projector - projector)) > 1e-7 * scale * scale:
-        raise ToleranceAmbiguity("spectral projector failed the idempotency check")
-    if np.max(np.abs(a @ projector - projector @ a)) > 1e-7 * scale:
-        raise ToleranceAmbiguity("spectral projector does not commute with the input")
-    if k < n:
-        stable_radius = max(abs(np.linalg.eigvals(a @ (np.eye(n) - projector))))
-        if stable_radius >= 1.0 - 0.5 * tolerance:
-            raise ToleranceAmbiguity(
-                f"stable part kept spectral radius {stable_radius}"
-            )
-    projector_mat = Mat.from_complex(projector)
-    return SpectralSplit(projector_mat, m - m @ projector_mat, tolerance, eigenvalues)
+        a = [[Fraction(x, m.den) for x in row] for row in m.num_re.tolist()]
+        zero, one = Fraction(0), Fraction(1)
+    for k in range(n - 2):
+        piv = next((i for i in range(k + 1, n) if a[i][k]), None)
+        if piv is None:
+            continue
+        if piv != k + 1:
+            a[piv], a[k + 1] = a[k + 1], a[piv]
+            for row in a:
+                row[piv], row[k + 1] = row[k + 1], row[piv]
+        row_p = a[k + 1]
+        for i in range(k + 2, n):
+            row_i = a[i]
+            if not row_i[k]:
+                continue
+            # row i -= u row k+1, then column k+1 += u column i
+            u = row_i[k] / row_p[k]
+            for j in range(k, n):
+                if row_p[j]:
+                    row_i[j] -= u * row_p[j]
+            for row in a:
+                if row[i]:
+                    row[k + 1] += u * row[i]
+    polys = [[one]]
+    for k in range(n):
+        new = [zero] + polys[k]
+        if a[k][k]:
+            for j, c in enumerate(polys[k]):
+                new[j] -= a[k][k] * c
+        t = one
+        for i in range(k - 1, -1, -1):
+            t = t * a[i + 1][i]
+            if not t:
+                break
+            if a[i][k]:
+                f = a[i][k] * t
+                for j, c in enumerate(polys[i]):
+                    new[j] -= f * c
+        polys.append(new)
+    return [CRat.coerce(c) for c in polys[n]]
 
 
-def multiplicative_order(lam: complex, bound: int, tolerance: float = 1e-8):
-    """Smallest k <= bound with lam**k == 1 within tolerance, else None."""
-    if abs(abs(lam) - 1.0) > tolerance:
-        return None
-    power = 1.0 + 0.0j
-    for k in range(1, bound + 1):
-        power *= lam
-        if abs(power - 1.0) <= tolerance:
-            return k
-    return None
+def _primitive(p: list) -> list:
+    """An integer polynomial divided by its content, with a positive
+    leading coefficient (trailing zeros dropped first)."""
+    while p and not p[-1]:
+        p.pop()
+    g = math.gcd(*p) if p else 1
+    g = g if p and p[-1] > 0 else -g
+    return [c // g for c in p]
+
+
+def _gcd(a: list, b: list) -> list:
+    """The primitive gcd of two integer polynomials: Euclid on primitive
+    pseudo-remainders, so every step stays on the integers.  By Gauss's
+    lemma it is the gcd over Q up to a rational factor."""
+    a, b = _primitive(list(a)), _primitive(list(b))
+    while b:
+        r, d = a, len(b) - 1
+        while len(r) > d:
+            # lc(b) r - c z^s b cancels the leading term c z^(s+d)
+            c = r[-1]
+            s = len(r) - 1 - d
+            r = [x * b[-1] for x in r[:-1]]
+            for k in range(d):
+                r[s + k] -= c * b[k]
+        a, b = b, _primitive(r)
+    return a
+
+
+def _quotient(a: list, b: list) -> list:
+    """a / b for an integer polynomial a and a monic integer divisor b."""
+    r, d = list(a), len(b) - 1
+    q = [0] * (len(r) - d)
+    while len(r) > d:
+        c = r.pop()
+        s = len(r) - d
+        q[s] = c
+        for k in range(d):
+            r[s + k] -= c * b[k]
+    return q
+
+
+def peripheral_period(m: Mat, bound: int) -> tuple:
+    """(k, b) for a channel's matrix representation m: the number k of its
+    eigenvalues of modulus one, with multiplicity, and the least b <=
+    ``bound`` with lambda^b = 1 for each of them, exactly.
+
+    The characteristic polynomial p of m is real, as m commutes with
+    X -> X† (PreconditionViolated otherwise), and the eigenvalues lie in the
+    closed unit disk, so g = gcd(p, z^n p(1/z)) has exactly the unimodular
+    ones as its roots: k = deg g.  If the monic g is not in Z[z], a root of
+    g is no algebraic integer, so no root of unity; otherwise every root is
+    one (Kronecker), and b is the least b with sqf(g) | z^b - 1.  Either
+    failure raises UncertifiedPeriod with its reason.
+    """
+    p = charpoly(m)
+    if any(c.im for c in p):
+        raise PreconditionViolated("characteristic polynomial is not real: not a channel's matrix representation")
+    p = [c.re for c in p]
+    den = math.lcm(*(c.denominator for c in p))
+    p = [int(c * den) for c in p]
+    g = _gcd(p, p[::-1])
+    if len(g) == 1:
+        return 0, 1
+    if g[-1] != 1:
+        raise UncertifiedPeriod(
+            f"a peripheral eigenvalue is not a root of unity and has no finite order: the factor of "
+            f"degree {len(g) - 1} of the characteristic polynomial over the unit circle is not in Z[z]"
+        )
+    h = _quotient(g, _gcd(g, [k * c for k, c in enumerate(g)][1:]))
+    # z^b mod h, until it is 1
+    r = [1]
+    for b in range(1, bound + 1):
+        r = [0] + r
+        if len(r) == len(h):
+            c = r.pop()
+            r = [x - c * y for x, y in zip(r, h)]
+            while r and not r[-1]:
+                r.pop()
+        if r == [1]:
+            return len(g) - 1, b
+    raise UncertifiedPeriod(f"the peripheral eigenvalues have no common order up to {bound}")

@@ -47,6 +47,7 @@ from .program import (
     embed,
     extract,
     initial_cq,
+    selector_successors,
     simulate_deterministic,
     step_superop,
 )
@@ -954,20 +955,25 @@ class WhileNormalForm:
     def exit_series(self, sigma0: Mat, steps: int) -> list:
         """Exit masses [after 0 rounds, ..., after ``steps`` rounds] in one pass.
 
-        Runs the loop itself: each round applies the cut body N and collects
-        m0 rho m0, so entry k equals the exit block of the original program
-        at step k.  ``sigma0`` must be block-diagonal over locations, as every
-        classical-quantum state is (NonClassicalCoherence otherwise).
+        Runs the loop itself, location block by location block: each round
+        applies the cut body N, whose operators K m1 each map one location's
+        block to one other's, as one program step of every block but the
+        exit's, and collects the exit block m0 rho m0, so entry k equals the
+        exit block of the original program at step k.  ``sigma0`` must be
+        block-diagonal over locations, as every classical-quantum state is
+        (NonClassicalCoherence otherwise).
         """
-        extract(sigma0, self.program)
-        rho = sigma0
-        acc = self.m0 @ rho @ self.m0
+        program = self.program
+        blocks = dict(extract(sigma0, program).blocks)
+        acc = blocks.pop(program.exit_location, Mat.zeros(program.dim))
         series = [acc]
         for _ in range(steps):
-            rho = self.cut_body.apply(rho)
-            acc = acc + self.m0 @ rho @ self.m0
+            (state,) = selector_successors(program, CQState(program.dim, blocks, validate=False))
+            blocks = dict(state.blocks)
+            if program.exit_location in blocks:
+                acc = acc + blocks.pop(program.exit_location)
             series.append(acc)
-        return series
+        return [self.exit_embedded(block) for block in series]
 
     def exit_after(self, sigma0: Mat, steps: int) -> Mat:
         """Exit mass accumulated after ``steps`` rounds of the loop."""

@@ -9,9 +9,14 @@ which the period-detection paths of the checker can certify.
 
 import functools
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+import scipy.linalg
+
 from qtl.checker import Verdict
+from qtl.errors import DimensionMismatch, PreconditionViolated
 from qtl.linalg import CRat, Mat, kron, mat_sum
 from qtl.subspace import Subspace, SubspaceUnion, satisfies
 from qtl.superop import Measurement, SuperOp, unvec, vec
@@ -318,7 +323,110 @@ def invariance_by_mixing(a: QuantumAutomaton, p: Subspace) -> Verdict:
 
 
 # ----------------------------------------------------------------------
-# the exit loop on the block space (reference for the float split)
+# the float split of a channel's peripheral spectrum and the exit loop on the
+# block space: a test-only reference for the exact reach numbers
+
+
+class ToleranceAmbiguity(Exception):
+    """An eigenvalue modulus falls inside the unsafe classification band."""
+
+
+@dataclass(frozen=True)
+class SpectralSplit:
+    """Split of a (sub)stochastic channel matrix into peripheral and stable parts.
+
+    ``peripheral_projector`` projects onto the span of eigenspaces with
+    modulus within ``tolerance`` of one; ``stable_part`` is the input with
+    that component removed, so its spectral radius is strictly below one.
+    Both are exact rationalizations of the numeric computation.
+    """
+
+    peripheral_projector: Mat
+    stable_part: Mat
+    tolerance: float
+    eigenvalues: list  # [(complex estimate, algebraic multiplicity)]
+
+    @property
+    def peripheral_eigenvalues(self):
+        cut = 1.0 - self.tolerance
+        return [(lam, mult) for lam, mult in self.eigenvalues if abs(lam) >= cut]
+
+
+def _cluster_eigenvalues(values, tol=1e-7):
+    clusters = []
+    for lam in values:
+        for idx, (rep, mult) in enumerate(clusters):
+            if abs(lam - rep) <= tol:
+                clusters[idx] = ((rep * mult + lam) / (mult + 1), mult + 1)
+                break
+        else:
+            clusters.append((lam, 1))
+    return [(complex(rep), mult) for rep, mult in clusters]
+
+
+def float_peripheral_split(m: Mat, tolerance: float = 1e-9) -> SpectralSplit:
+    """Separate the modulus-one spectral component of a channel matrix.
+
+    The input must have spectral radius at most one (matrix representation of
+    a trace-non-increasing channel); PreconditionViolated otherwise.  The
+    numeric core is a sorted complex Schur form: the spectral projector onto
+    the eigenvalues of modulus at least 1 - tolerance comes from one
+    Sylvester solve, and is rationalized exactly (binary floats are
+    rationals).  An eigenvalue modulus inside [1-2*tol, 1-tol/2], or a
+    projector failing its idempotency, commutation or stable-radius check,
+    makes the classification unsafe and raises ToleranceAmbiguity.  Without
+    any peripheral eigenvalue the projector is exactly zero and the stable
+    part is the input itself.
+    """
+    if not m.is_square():
+        raise DimensionMismatch("float_peripheral_split needs a square matrix")
+    if tolerance <= 0:
+        raise ValueError("tolerance must be positive")
+    n = m.rows
+    if n == 0:
+        return SpectralSplit(m, m, tolerance, [])
+    a = m.to_complex()
+    cut = 1.0 - tolerance
+    t, z, k = scipy.linalg.schur(a, output="complex", sort=lambda lam: abs(lam) >= cut)
+    eigs = np.diag(t)
+    radius = max(abs(eigs))
+    if radius > 1.0 + max(tolerance, 64 * np.finfo(float).eps * max(1.0, radius)):
+        raise PreconditionViolated(
+            f"spectral radius {radius} exceeds 1; not a trace-non-increasing channel"
+        )
+    lo, hi = 1.0 - 2.0 * tolerance, 1.0 - 0.5 * tolerance
+    for lam in eigs:
+        if lo <= abs(lam) <= hi:
+            raise ToleranceAmbiguity(
+                f"eigenvalue modulus {abs(lam)} inside the unsafe band [{lo}, {hi}]"
+            )
+    eigenvalues = _cluster_eigenvalues(list(eigs))
+    if k == 0:
+        # nothing peripheral: the Schur diagonal above already bounds the
+        # stable radius below the band
+        return SpectralSplit(Mat.zeros(n), m, tolerance, eigenvalues)
+    if k == n:
+        projector = np.eye(n, dtype=complex)
+    else:
+        y = scipy.linalg.solve_sylvester(t[:k, :k], -t[k:, k:], t[:k, k:])
+        r = np.zeros((n, n), dtype=complex)
+        r[:k, :k] = np.eye(k)
+        r[:k, k:] = y
+        projector = z @ r @ z.conj().T
+    scale = max(1.0, float(np.max(np.abs(projector))))
+    if np.max(np.abs(projector @ projector - projector)) > 1e-7 * scale * scale:
+        raise ToleranceAmbiguity("spectral projector failed the idempotency check")
+    if np.max(np.abs(a @ projector - projector @ a)) > 1e-7 * scale:
+        raise ToleranceAmbiguity("spectral projector does not commute with the input")
+    if k < n:
+        stable_radius = max(abs(np.linalg.eigvals(a @ (np.eye(n) - projector))))
+        if stable_radius >= 1.0 - 0.5 * tolerance:
+            raise ToleranceAmbiguity(
+                f"stable part kept spectral radius {stable_radius}"
+            )
+    projector_mat = Mat.from_complex(projector)
+    return SpectralSplit(projector_mat, m - m @ projector_mat, tolerance, eigenvalues)
+
 
 
 def block_space_cut(program) -> Mat:

@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 from sympy import QQ, QQ_I
 from sympy.polys.matrices import DomainMatrix
 
-from qtl.errors import BudgetExceeded, PreconditionViolated, ToleranceAmbiguity, UnsupportedFormula
-from qtl.linalg import CRat, Mat, kron, peripheral_split, solve
+from qtl.errors import BudgetExceeded, PreconditionViolated, UnsupportedFormula
+from qtl.linalg import CRat, Mat, kron, peripheral_period, solve
 from qtl.subspace import Subspace, SubspaceUnion, satisfies, support
 from qtl.superop import MatrixRep, SuperOp, unvec, vec
 from qtl.program import (
@@ -57,6 +57,8 @@ from helpers import (
     SHAPE_EXAMPLES,
     UNREACHED_TRAP_SRC,
     UNSUPPORTED_FORMULAS,
+    ToleranceAmbiguity,
+    float_peripheral_split,
     invariance_by_mixing,
     random_automaton,
     random_deterministic_program,
@@ -231,6 +233,23 @@ class TestAlwaysEventually:
         assert v.status == "unknown"
         assert "order" in v.diagnostics["reason"]
 
+    def test_rotation_near_identity_unknown(self):
+        # the rational rotation of t = 10^-9 turns by about 2e-9 per step:
+        # no root of unity, though a float spectrum cannot tell its
+        # eigenvalues e^(+-2i theta) from one.  Its characteristic polynomial
+        # is (z - 1)^2 (z^2 - 2 cos(2 theta) z + 1), all of it on the unit
+        # circle, and 2 cos(2 theta) = 4 a^2 - 2 is no integer
+        n = 10**9
+        a, b = Fraction(n * n - 1, n * n + 1), Fraction(2 * n, n * n + 1)
+        u = SuperOp.from_unitary(Mat.from_rows([[a, -b], [b, a]]))
+        v = check_always_eventually(QuantumAutomaton(2, {"u": u}, KET0), union(span((1, 0))))
+        assert v.status == "unknown"
+        assert v.diagnostics["reason"] == (
+            "a peripheral eigenvalue is not a root of unity and has no finite order: the factor of "
+            "degree 4 of the characteristic polynomial over the unit circle is not in Z[z]"
+        )
+        assert v.diagnostics["periods"] == []
+
     def test_damping_always_reaches_exit_line(self):
         damp = SuperOp(
             [Mat.from_rows([[1, 0], [0, 0]]), Mat.from_rows([[0, 1], [0, 0]])],
@@ -283,6 +302,13 @@ class TestAlmostUntil:
         states = limit_states(X_CONJ, KET0)
         assert len(states) == 2
         assert states[0] == KET0 and states[1] == KET1
+
+    def test_limit_states_need_a_trace_preserving_channel(self):
+        # the projection onto |0> loses the mass of |1>; twice the identity
+        # has spectral radius 2
+        for kraus in ([Mat.from_rows([[1, 0], [0, 0]])], [Mat.eye(2) * CRat(2)]):
+            with pytest.raises(PreconditionViolated, match="trace-preserving"):
+                limit_states(SuperOp(kraus, validate=None), KET0)
 
     def test_limit_state_agrees_with_reachability(self, example_loop):
         # two independent routes to the same limit: the exact eigenprojector
@@ -382,7 +408,8 @@ class TestReachability:
         # part exits slowly (cut radius 1 - 4e-6)
         for src, steps in ((UNREACHED_TRAP_SRC, 1.0), (rotation_loop_with_unreached_trap_src(1000), 750002.5)):
             prog = compile_source(src)
-            assert not peripheral_split(block_space_cut(prog)).peripheral_projector.is_zero()
+            peripheral_dim, _ = peripheral_period(block_space_cut(prog), 64)
+            assert peripheral_dim > 0
             r = reachability_superop(prog)
             assert r.almost_terminates
             assert r.reach_state.trace() == 1
@@ -585,7 +612,7 @@ while meas M(q0) == 1 { skip }
         with monkeypatch.context() as patch:
             patch.setattr(qwhile, "simulate_deterministic", forbidden)
             patch.setattr(checker, "reachability_superop", forbidden)
-            patch.setattr(checker, "peripheral_split", forbidden)
+            patch.setattr(checker, "peripheral_period", forbidden)
             assert check_exit_almost_eventually(example_loop, span((1, 0))).is_valid
 
 
@@ -822,7 +849,7 @@ class TestAlmostSureExit:
         _assert_channel_gives_reach_block(r, prog)
         cut = block_space_cut(prog)
         try:
-            split = peripheral_split(cut)
+            split = float_peripheral_split(cut)
         except ToleranceAmbiguity:
             return None
         w = solve(Mat.eye(cut.rows) - split.stable_part, block_vector(prog, initial_cq(prog)))

@@ -220,9 +220,11 @@ class TestCheckCommand:
         assert main(["check", "/nonexistent.json", "--atoms", atoms, "-f", "[] p"]) == 3
 
     def test_usage_errors_exit_three(self, workspace, capsys):
-        _, prog, _, _ = workspace
+        _, prog, atoms, _ = workspace
         assert main(["check", prog]) == 3  # missing -f
-        assert main(["check", prog, "-f", "[] p", "--tolerance", "0"]) == 3
+        # no such option: the period certificates are exact
+        assert main(["check", prog, "--atoms", atoms, "-f", "[] p", "--tolerance", "1e-9"]) == 3
+        assert "unrecognized arguments: --tolerance" in capsys.readouterr().err
         assert main(["check", prog, "-f", "[] p", "--period-bound", "0"]) == 3
         capsys.readouterr()
 
@@ -269,6 +271,38 @@ class TestCheckCommand:
         v = check_invariance(to_automaton(prog), atoms["p"].subspace)
         code = main(["check", prog_path, "--atoms", atoms_path, "-f", "[] p"])
         assert (code == 0) == v.is_valid
+
+    def test_period_shapes_take_no_float_step(self, workspace, tmp_path, capsys, monkeypatch):
+        # the period certificates of [] <> f, [] (f U g) and [] (p U~ q) are
+        # exact: numpy's spectral routines may not be called
+        import numpy as np
+        from qtl.superop import SuperOp
+
+        _, prog, atoms, _ = workspace
+        x_gate = QuantumAutomaton(2, {"x": SuperOp.from_unitary(Mat.from_rows([[0, 1], [1, 0]]))}, Mat.unit(2, 0, 0))
+        automaton = tmp_path / "x_gate.json"
+        automaton.write_text(jsonio.dumps(jsonio.program_to_json(x_gate)))
+        automaton_atoms = tmp_path / "x_gate_atoms.json"
+        automaton_atoms.write_text(json.dumps([
+            {"name": "zero", "subspace": jsonio.subspace_to_json(span((1, 0)))},
+            {"name": "all", "subspace": jsonio.subspace_to_json(span((1, 0), (0, 1)))},
+        ]))
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("qtl check took a float step")
+
+        for name in ("eig", "eigvals", "svd"):
+            monkeypatch.setattr(np.linalg, name, forbidden)
+        runs = [(prog, atoms, f"[] {f}") for f in ("<> exit0", "(p U exit0)", "(p U~ exit0)")]
+        runs += [(str(automaton), str(automaton_atoms), f"[] {f}") for f in ("<> zero", "(all U zero)", "(all U~ zero)")]
+        records = []
+        for path, atoms_path, formula in runs:
+            main(["check", path, "--atoms", atoms_path, "-f", formula, "--json"])
+            records.append(json.loads(capsys.readouterr().out))
+        assert [r["status"] for r in records] == ["not_valid", "not_valid", "valid", "valid", "valid", "valid"]
+        # the X gate alternates: period two, certified exactly
+        assert records[3]["diagnostics"]["periods"] == [2]
+        assert records[5]["diagnostics"]["period"] == 2
 
 
 class TestMalformedInput:

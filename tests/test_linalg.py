@@ -4,28 +4,31 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 from sympy import QQ, QQ_I
 from sympy.polys.matrices import DomainMatrix
 
-from qtl.errors import MalformedInput, PreconditionViolated, SingularMatrix, ToleranceAmbiguity
+from qtl.errors import DimensionMismatch, MalformedInput, PreconditionViolated, SingularMatrix, UncertifiedPeriod
 from qtl.linalg import (
     CRat,
     Mat,
+    charpoly,
     format_rational,
     invert,
     is_psd,
     kernel_basis,
     kron,
-    multiplicative_order,
     parse_rational,
-    peripheral_split,
+    peripheral_period,
     rank,
     rref,
     solve,
 )
 
-from helpers import PAULI_X, random_matrix, random_tp_channel
+from qtl.superop import SuperOp
+
+from helpers import PAULI_X, random_automaton, random_matrix, random_tp_channel
 
 
 class TestScalars:
@@ -507,74 +510,188 @@ class TestEntryParser:
         assert m.to_complex().tolist() == [[float(big), 1 / 3], [-2j / 7, 0]]
 
 
+class TestCharpoly:
+    """charpoly against sympy's characteristic polynomial over QQ_I."""
+
+    @staticmethod
+    def _expected(m: Mat) -> list:
+        def frac(x):
+            return Fraction(int(x.numerator), int(x.denominator))
+
+        return [CRat(frac(c.x), frac(c.y)) for c in reversed(_to_sympy(m).charpoly())]
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_gaussian_rational_matrices(self, seed):
+        rng = random.Random(400 + seed)
+        for n in range(7):
+            for r in (None, max(n - 2, 0)):
+                m = _gaussian_or_empty(rng, n, n) if r is None else _gaussian_matrix(rng, n, n, r)
+                assert charpoly(m) == self._expected(m)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_real_matrices(self, seed):
+        rng = random.Random(410 + seed)
+        for n in range(1, 8):
+            m = Mat.from_rows([[_gaussian_rational(rng).re for _ in range(n)] for _ in range(n)])
+            assert charpoly(m) == self._expected(m)
+
+    def test_empty_and_scalar(self):
+        assert charpoly(Mat.zeros(0)) == [CRat(1)]
+        assert charpoly(Mat.from_rows([[(Fraction(1, 2), 3)]])) == [CRat(Fraction(-1, 2), -3), CRat(1)]
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_nilpotent(self, seed):
+        # z^n, also when a similarity hides the strictly triangular form and
+        # the Hessenberg pivots must be searched for
+        rng = random.Random(420 + seed)
+        for n in range(1, 7):
+            rows = [[_gaussian_rational(rng) if j > i else 0 for j in range(n)] for i in range(n)]
+            upper = Mat.from_rows(rows)
+            s = _gaussian_matrix(rng, n, n)
+            while _to_sympy(s).rank() < n:
+                s = _gaussian_matrix(rng, n, n)
+            for m in (upper, upper.transpose(), s @ upper @ invert(s)):
+                assert charpoly(m) == [CRat(0)] * n + [CRat(1)]
+                assert charpoly(m) == self._expected(m)
+
+    def test_non_square_rejected(self):
+        with pytest.raises(DimensionMismatch):
+            charpoly(Mat.zeros(2, 3))
+
+
+def _sympy_period(m: Mat, bound: int):
+    """(k, b) of peripheral_period from sympy: the characteristic polynomial
+    factored over Q, its cyclotomic factors Phi_j counted with their degrees
+    and multiplicities, b the lcm of their j; or the start of the reason
+    when a factor that is not cyclotomic has a root of modulus one (found
+    numerically), or when b exceeds the bound."""
+    z = sympy.Symbol("z")
+    coeffs = _to_sympy(m).charpoly()
+    assert all(c.y == 0 for c in coeffs)
+    p = sympy.Poly([sympy.Rational(int(c.x.numerator), int(c.x.denominator)) for c in coeffs], z)
+    k, b = 0, 1
+    for f, mult in sympy.factor_list(p)[1]:
+        f = f.monic()
+        if f.is_cyclotomic:
+            deg = f.degree()
+            j = next(j for j in range(1, 4 * deg * deg + 3)
+                     if sympy.totient(j) == deg and sympy.cyclotomic_poly(j, z) == f.as_expr())
+            k, b = k + deg * mult, math.lcm(b, j)
+        elif any(abs(abs(root) - 1) < 1e-9 for root in f.nroots()):
+            return "a peripheral eigenvalue is not a root of unity"
+    return (k, b) if b <= bound else "the peripheral eigenvalues have no common order"
+
+
+def _rotation(n):
+    """The rational rotation of t = 1/n, [[a, -b], [b, a]]: a quarter turn
+    for n = 1 and of infinite order otherwise."""
+    a, b = Fraction(n * n - 1, n * n + 1), Fraction(2 * n, n * n + 1)
+    return Mat.from_rows([[a, -b], [b, a]])
+
+
+class TestPeripheralPeriod:
+    """peripheral_period against the sympy factorization of the
+    characteristic polynomial."""
+
+    @staticmethod
+    def _agrees(m, bound=64):
+        expected = _sympy_period(m, bound)
+        if isinstance(expected, tuple):
+            assert peripheral_period(m, bound) == expected
+        else:
+            with pytest.raises(UncertifiedPeriod, match=expected):
+                peripheral_period(m, bound)
+        return expected
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_loop_channels_of_finite_order_automata(self, seed):
+        rng = random.Random(430 + seed)
+        outcomes = []
+        for _ in range(10):
+            a = random_automaton(rng, rng.choice([2, 3]), rng.randint(1, 3), finite_order=True)
+            loop = Mat.eye(a.dim * a.dim)
+            for _ in range(rng.randint(1, 3)):
+                loop = a.actions[rng.choice(sorted(a.actions))].matrix_rep() @ loop
+            outcomes.append(self._agrees(loop))
+        # every word of finite-order channels is certified, some with b > 1
+        assert all(isinstance(o, tuple) for o in outcomes)
+        assert any(b > 1 for _, b in outcomes)
+
+    def test_rotation_family(self):
+        for n in (1, 2, 3, 7, 10**9):
+            u = _rotation(n)
+            m = kron(u, u.conj())
+            assert self._agrees(m) == ((4, 2) if n == 1 else "a peripheral eigenvalue is not a root of unity")
+            # beside a reset to |0>: the rotation's eigenvalues stay peripheral
+            reset = SuperOp([Mat.unit(2, 0, 0), Mat.unit(2, 0, 1)], validate=None).matrix_rep()
+            mixed = m * CRat(Fraction(9, 25)) + reset * CRat(Fraction(16, 25))
+            assert self._agrees(mixed) == (1, 1)
+
+    def test_period_bound(self):
+        # a cyclic shift of order 6 on C^6 (the order-6 part on its operators)
+        shift = SuperOp.from_unitary(Mat.from_rows([[1 if j == (i + 1) % 6 else 0 for j in range(6)] for i in range(6)]))
+        assert peripheral_period(shift.matrix_rep(), 6) == (36, 6)
+        with pytest.raises(UncertifiedPeriod, match="no common order up to 5"):
+            peripheral_period(shift.matrix_rep(), 5)
+
+    def test_not_hermitian_preserving(self):
+        # X -> i X does not map Hermitian operators to Hermitian operators
+        with pytest.raises(PreconditionViolated):
+            peripheral_period(Mat.eye(4) * CRat(0, 1), 64)
+
+    def test_band_decided_exactly(self):
+        # 1 - 10^-9, inside the band a float classification cannot decide
+        m = Mat.from_rows([[Fraction(999999999, 1000000000)]])
+        assert peripheral_period(m, 64) == (0, 1)
+
+
 class TestPeripheralSplit:
+    """The exact split of the spectrum: k eigenvalues on the unit circle,
+    all roots of unity of the common order b, and the strictly contracting
+    rest."""
+
     def test_identity_channel_all_peripheral(self):
-        split = peripheral_split(Mat.eye(4), 1e-9)
-        assert split.stable_part.is_zero()
-        assert split.peripheral_projector == Mat.eye(4)
-        assert split.eigenvalues == [(1 + 0j, 4)]
+        assert charpoly(Mat.eye(4)) == [CRat(1), CRat(-4), CRat(6), CRat(-4), CRat(1)]
+        assert peripheral_period(Mat.eye(4), 64) == (4, 1)
 
     def test_damping_channel(self):
         e0 = Mat.from_rows([[1, 0], [0, 0]])
         e1 = Mat.from_rows([[0, 1], [0, 0]])
         m = kron(e0, e0.conj()) + kron(e1, e1.conj())
-        split = peripheral_split(m, 1e-9)
-        mults = sorted((round(abs(lam), 9), mult) for lam, mult in split.eigenvalues)
-        assert mults == [(0.0, 3), (1.0, 1)]
-        radius = np.abs(np.linalg.eigvals(split.stable_part.to_complex())).max()
-        assert radius < 1e-9
+        # eigenvalues 0 (three times) and 1
+        assert charpoly(m) == [CRat(0), CRat(0), CRat(0), CRat(-1), CRat(1)]
+        assert peripheral_period(m, 64) == (1, 1)
 
     def test_measure_hadamard_step_channel_split(self):
-        # the loop's one-step channel: peripheral multiplicity equals the
-        # dimension of operators fixed on the exit block, and the stable
-        # part contracts at rate 1/sqrt(2)
+        # the loop's one-step channel: the peripheral multiplicity equals the
+        # dimension of operators fixed on the exit block, and the rest
+        # contracts at rate 1/sqrt(2)
         from qtl.qwhile import compile_source
         from qtl.program import step_superop
         from helpers import EXAMPLE_LOOP_SRC
 
         prog = compile_source(EXAMPLE_LOOP_SRC)
         m = step_superop(prog).matrix_rep()
-        split = peripheral_split(m, 1e-9)
-        peripheral_mult = sum(mult for lam, mult in split.peripheral_eigenvalues)
-        assert peripheral_mult == 4  # 2x2 exit block carries a 4-dim fixed operator space
-        radius = np.abs(np.linalg.eigvals(split.stable_part.to_complex())).max()
-        assert abs(radius - 2 ** -0.5) < 1e-9
+        assert peripheral_period(m, 64) == (4, 1)
+        eigs = np.linalg.eigvals(m.to_complex())
+        assert abs(max(abs(lam) for lam in eigs if abs(lam) < 0.99) - 2 ** -0.5) < 1e-9
 
     def test_no_peripheral_eigenvalue_keeps_input(self):
         m = Mat.from_rows([["1/2", 1], [0, "-1/3"]])
-        split = peripheral_split(m, 1e-9)
-        assert split.stable_part is m
-        assert split.peripheral_projector == Mat.zeros(2)
-        assert split.peripheral_eigenvalues == []
-
-    def test_ambiguous_band_raises(self):
-        m = Mat.from_rows([[Fraction(999999999, 1000000000)]])
-        with pytest.raises(ToleranceAmbiguity):
-            peripheral_split(m, 1e-9)
-
-    def test_spectral_radius_gate(self):
-        with pytest.raises(PreconditionViolated):
-            peripheral_split(Mat.from_rows([[2]]), 1e-9)
-
-    def test_split_reconstructs_input(self):
-        rng = random.Random(21)
-        for _ in range(5):
-            e = random_tp_channel(rng, 2)
-            m = e.matrix_rep()
-            split = peripheral_split(m, 1e-9)
-            assert m == split.stable_part + m @ split.peripheral_projector
+        assert peripheral_period(m, 64) == (0, 1)
 
     def test_power_consistency_at_64(self):
+        # the certificate of limit_states: M^b fixes exactly the k-dimensional
+        # peripheral space, and no smaller power fixes all of it
         rng = random.Random(22)
         for _ in range(5):
-            e = random_tp_channel(rng, 2)
-            m = e.matrix_rep().to_complex()
-            split = peripheral_split(e.matrix_rep(), 1e-9)
-            p = split.peripheral_projector.to_complex()
-            s = split.stable_part.to_complex()
-            direct = np.linalg.matrix_power(m, 64)
-            recomposed = np.linalg.matrix_power(m @ p, 64) + np.linalg.matrix_power(s, 64)
-            assert np.max(np.abs(direct - recomposed)) < 1e-7
+            m = random_tp_channel(rng, 2, finite_order=True).matrix_rep()
+            k, b = peripheral_period(m, 64)
+            power = Mat.eye(4)
+            for c in range(1, b + 1):
+                power = power @ m
+                fixed = len(kernel_basis(power - Mat.eye(4)))
+                assert fixed == k if c == b else fixed < k
 
     def test_trace_preserving_spectral_structure(self):
         # spectral radius at most one, peripheral eigenvalues semisimple
@@ -594,9 +711,14 @@ class TestPeripheralSplit:
 
 class TestOrders:
     def test_multiplicative_order(self):
-        assert multiplicative_order(1.0 + 0j, 8) == 1
-        assert multiplicative_order(-1.0 + 0j, 8) == 2
-        assert multiplicative_order(1j, 8) == 4
-        assert multiplicative_order(np.exp(2j * np.pi / 3), 8) == 3
-        assert multiplicative_order(np.exp(1j), 64) is None
-        assert multiplicative_order(0.5 + 0j, 8) is None
+        # companion matrices of z - 1, z + 1, z^2 + 1, z^2 + z + 1, of the
+        # rotation with cos = 3/5, and of z - 1/2
+        one, minus_one = Mat.from_rows([[1]]), Mat.from_rows([[-1]])
+        quarter, third = Mat.from_rows([[0, -1], [1, 0]]), Mat.from_rows([[0, -1], [1, -1]])
+        assert peripheral_period(one, 8) == (1, 1)
+        assert peripheral_period(minus_one, 8) == (1, 2)
+        assert peripheral_period(quarter, 8) == (2, 4)
+        assert peripheral_period(third, 8) == (2, 3)
+        with pytest.raises(UncertifiedPeriod, match="not a root of unity"):
+            peripheral_period(Mat.from_rows([["3/5", "-4/5"], ["4/5", "3/5"]]), 64)
+        assert peripheral_period(Mat.from_rows([["1/2"]]), 8) == (0, 1)
