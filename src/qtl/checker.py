@@ -518,17 +518,19 @@ def _p2_refine(members, cycle, u: SubspaceUnion, actions, period_bound):
     dim = members[0].ambient_dim
     ms = [actions[name].matrix_rep() for name in word]
     k = len(ms)
-    prefixes = [Mat.eye(dim * dim)]
-    for m in ms:
+    # prefixes[r] = ms[r-1] ... ms[0] for 1 <= r <= k, and
+    # suffixes[r] = ms[k-1] ... ms[r] for 1 <= r < k
+    prefixes = [None, ms[0]]
+    for m in ms[1:]:
         prefixes.append(m @ prefixes[-1])
-    suffixes = [None] * (k + 1)
-    suffixes[k] = Mat.eye(dim * dim)
-    for r in range(k - 1, -1, -1):
-        suffixes[r] = suffixes[r + 1] @ ms[r]
+    suffixes = [None] * k
+    for r in range(k - 1, 0, -1):
+        suffixes[r] = ms[r] if r == k - 1 else suffixes[r + 1] @ ms[r]
     _, b = peripheral_period(prefixes[k], period_bound)
     pieces = []
     for r in range(1, k + 1):
-        f_rep = prefixes[r] @ suffixes[r]
+        # the loop channel rotated to start after the r-th action
+        f_rep = prefixes[k] if r == k else prefixes[r] @ suffixes[r]
         f_dag = f_rep.dagger()
         fb_dag = MatrixRep(f_dag).power(b).m
         prefix_dag = prefixes[r].dagger()

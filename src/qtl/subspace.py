@@ -225,9 +225,15 @@ class SubspaceUnion:
         return all(other.contains_subspace(m) for m in self.members)
 
     def meet(self, other: "SubspaceUnion") -> "SubspaceUnion":
-        """Pointwise intersection: canonical union of pairwise meets."""
+        """Pointwise intersection: canonical union of pairwise meets, or the
+        operand that already lies inside the other (its canonical form is
+        that union's)."""
         if self.ambient_dim != other.ambient_dim:
             raise DimensionMismatch("union ambient mismatch")
+        if self.subset_of(other):
+            return self
+        if other.subset_of(self):
+            return other
         meets = [a.meet(b) for a in self.members for b in other.members]
         return SubspaceUnion(self.ambient_dim, meets)
 
@@ -260,10 +266,10 @@ def _canonical_members(ambient_dim, members):
         return [Subspace.zero(ambient_dim)]
     # dedupe, then deterministic order so the subsumption sweep is stable
     members = sorted(set(members), key=lambda m: (m.dim, m.key()))
-    kept = []
-    for i, m in enumerate(members):
-        if any(i != j and other.contains(m) for j, other in enumerate(members)):
-            continue
-        kept.append(m)
-    return kept
+    # distinct members of one dimension never contain each other, so each
+    # is tested against the larger ones only
+    return [
+        m for i, m in enumerate(members)
+        if not any(big.dim > m.dim and big.contains(m) for big in members[i + 1:])
+    ]
 

@@ -4,9 +4,13 @@ measurements, and the induced image/pre-image actions on subspaces.
 The lattice actions work on the Kraus operators alone: the image of p is
 the span of the K_i b_j over the RREF basis b_j of p (:mod:`qtl.subspace`),
 and the pre-image is E^-1(p) = (E*(p^perp))^perp, the orthocomplement of
-the dual image of p^perp.  Each is one product of the RREF rows with the
-Kraus stack S = [K_1^T | ... | K_m^T] cached on the channel, so no
-d^2 x d^2 object is formed.  The stack is kept as its nonzero block
+the image of p^perp under the dual channel.  An image is one product of the
+RREF rows with the Kraus stack S = [K_1^T | ... | K_m^T] cached on the
+channel, so no d^2 x d^2 object is formed.  Each channel memoizes its
+images by input subspace (subspaces hash and compare by their RREF), so a
+fixpoint chain that meets a subspace again, or asks again for the range
+E(I), looks its image up; a pre-image goes through the dual's memo and the
+complements cached on the subspaces.  The stack is kept as its nonzero block
 S[R, C] (R its nonzero rows, C its nonzero columns): a program action maps
 one configuration's block to another's, so most of its stack is zero.  The
 product rows[:, R] @ S[R, C] is scattered back to the output coordinates,
@@ -175,7 +179,7 @@ class SuperOp:
     identity: "exact" demands it in exact arithmetic, None skips it.
     """
 
-    __slots__ = ("kraus", "dim_in", "dim_out", "_trace_preserving", "_matrix_rep", "_stack", "_dual")
+    __slots__ = ("kraus", "dim_in", "dim_out", "_trace_preserving", "_matrix_rep", "_stack", "_dual", "_images")
 
     def __init__(self, kraus, validate: str | None = "exact"):
         kraus = tuple(kraus)
@@ -192,6 +196,7 @@ class SuperOp:
         object.__setattr__(self, "_matrix_rep", None)
         object.__setattr__(self, "_stack", None)
         object.__setattr__(self, "_dual", None)
+        object.__setattr__(self, "_images", {})
         tp = None
         if validate == "exact":
             re, im, den = _gram(kraus)
@@ -375,25 +380,23 @@ def preimage(e: SuperOp, p: Subspace) -> Subspace:
     """The exact inverse-satisfaction set {sigma : E(sigma) |= p}.
 
     E(sigma) |= p exactly when every K_i maps the support of sigma into p,
-    so the pre-image is (E*(p^perp))^perp: the orthocomplement of the span
-    of the K_i† c over the RREF basis c of the orthocomplement of p.
+    so the pre-image is (E*(p^perp))^perp: the orthocomplement of the dual
+    image of the orthocomplement of p.
     """
-    if p.ambient_dim != e.dim_out:
-        raise DimensionMismatch("subspace does not live in the channel output space")
-    perp = p.complement()
-    if perp.is_zero():
-        return Subspace.full(e.dim_in)
-    return Subspace(e.dim_in, e.dual()._image_rows(perp.rref)).complement()
+    return image(e.dual(), p.complement()).complement()
 
 
 def image(e: SuperOp, p: Subspace) -> Subspace:
     """Support of the channel applied to any state with support p: the span
-    of the K_i b_j over the Kraus operators K_i and the RREF basis b_j of p."""
+    of the K_i b_j over the Kraus operators K_i and the RREF basis b_j of p;
+    memoized on the channel."""
     if p.ambient_dim != e.dim_in:
-        raise DimensionMismatch("subspace does not live in the channel input space")
-    if p.is_zero():
-        return Subspace.zero(e.dim_out)
-    return Subspace(e.dim_out, e._image_rows(p.rref))
+        raise DimensionMismatch("subspace does not live in the space the channel acts on")
+    img = e._images.get(p)
+    if img is None:
+        img = Subspace.zero(e.dim_out) if p.is_zero() else Subspace(e.dim_out, e._image_rows(p.rref))
+        e._images[p] = img
+    return img
 
 
 def preimage_union(e: SuperOp, u: SubspaceUnion) -> SubspaceUnion:
@@ -426,15 +429,15 @@ class MatrixRep:
         return unvec(self.m.dagger() @ vec(a), self.dim)
 
     def power(self, k: int) -> "MatrixRep":
-        result = Mat.eye(self.m.rows)
+        result = None
         base = self.m
         while k:
             if k & 1:
-                result = result @ base
+                result = base if result is None else result @ base
             k >>= 1
             if k:
                 base = base @ base
-        return MatrixRep(result)
+        return MatrixRep(Mat.eye(self.m.rows) if result is None else result)
 
     def preimage(self, p: Subspace) -> Subspace:
         pulled = self.dual_apply(p.complement().projector)

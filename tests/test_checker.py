@@ -802,6 +802,33 @@ class TestCheck:
         assert run("<> p").status == "unknown"
         assert run("p U exit0").status == "unknown"
 
+    def test_repeated_queries_reuse_the_channel_images(self, monkeypatch):
+        # each action memoizes its images and (through its dual) pre-images,
+        # so asking the same questions of the same automaton again multiplies
+        # no Kraus stack and returns the same verdicts
+        # a depth-2 invariance chain; both verdicts are refuted with witnesses
+        rng = random.Random(28)
+        aut = random_automaton(rng, 3, 2)
+        atoms = {"u": Atom("u", random_subspace(rng, 3, 2))}
+        calls = []
+        image_rows = SuperOp._image_rows
+
+        def counted(e, rows):
+            calls.append(rows.rows)
+            return image_rows(e, rows)
+
+        monkeypatch.setattr(SuperOp, "_image_rows", counted)
+
+        def run():
+            return [check(aut, parse_formula(text, atoms), atoms) for text in ("[] u", "<> [] u")]
+
+        first = run()
+        made = len(calls)
+        second = run()
+        assert made > 0 and len(calls) == made
+        # verdicts compare status, witness, certificate and diagnostics
+        assert second == first
+
     def test_agrees_with_oracle(self, x_automaton, example_loop):
         # wherever the oracle decides, the checker does not contradict it;
         # the conjunction semantics of [] (f U g) may refute what the trace

@@ -11,6 +11,7 @@ from qtl.linalg import CRat, Mat
 from qtl.subspace import (
     Subspace,
     SubspaceUnion,
+    _canonical_members,
     satisfies,
     support,
 )
@@ -257,6 +258,27 @@ def subspace_pairs(draw):
     return a, b
 
 
+@st.composite
+def union_pairs(draw):
+    """(x, y) in one ambient space, with x inside y, y inside x, or neither
+    forced; some members repeat or lie inside others."""
+    rng = draw(RNGS)
+    n = draw(st.integers(2, 4))
+    members = [random_subspace(rng, n) for _ in range(draw(st.integers(1, 3)))]
+    x = SubspaceUnion(n, members + [m.meet(random_subspace(rng, n)) for m in members[:1]])
+    shape = draw(st.sampled_from(["x in y", "y in x", "free"]))
+    if shape == "x in y":
+        y = [m.join(random_subspace(rng, n)) for m in x.members]
+    elif shape == "y in x":
+        y = [m.meet(random_subspace(rng, n)) for m in x.members]
+    else:
+        y = []
+    y += [random_subspace(rng, n) for _ in range(draw(st.integers(0 if y else 1, 2)))]
+    if shape == "y in x":
+        y = [m for m in y if x.contains_subspace(m)] or [Subspace.zero(n)]
+    return x, SubspaceUnion(n, y)
+
+
 def _coordinate_mask(rng, n):
     """A diagonal 0/1 matrix: zeroed coordinates move the pivots off the
     leading columns, where random vectors put them."""
@@ -351,3 +373,26 @@ class TestProperties:
         assert u == v and hash(u) == hash(v)
         w = SubspaceUnion(n, [random_subspace(rng, n) for _ in range(rng.randint(1, 3))])
         assert (u == w) == (u.subset_of(w) and w.subset_of(u))
+
+    @PROPERTY
+    @given(union_pairs())
+    def test_union_meet_is_canonical_pairwise_meet(self, pair):
+        x, y = pair
+        pairwise = SubspaceUnion(x.ambient_dim, [a.meet(b) for a in x.members for b in y.members])
+        for left, right in ((x, y), (y, x)):
+            met = left.meet(right)
+            assert met == pairwise
+            assert (met.members, met.key()) == (pairwise.members, pairwise.key())
+            if left.subset_of(right):
+                assert met is left
+
+    @PROPERTY
+    @given(RNGS, st.integers(1, 4))
+    def test_canonical_members_are_an_antichain_covering_the_input(self, rng, n):
+        members = [random_subspace(rng, n) for _ in range(rng.randint(1, 4))]
+        members += [m.meet(random_subspace(rng, n)) for m in members] + members[:1]
+        rng.shuffle(members)
+        kept = _canonical_members(n, members)
+        assert all(not a.contains(b) for a in kept for b in kept if a is not b)
+        assert all(any(k.contains(m) for k in kept) for m in members)
+        assert len(set(kept)) == len(kept)

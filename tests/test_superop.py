@@ -209,6 +209,33 @@ class TestPreimageImage:
                 for p in subspaces:
                     assert p.contains(image(e, s)) == preimage(e, p).contains(s)
 
+    def test_memoized_images_match_the_matrix_rep(self):
+        # each channel keeps its images by input subspace, and a pre-image
+        # goes through its dual's: first and repeated calls must both give
+        # the reference, and a repeated call the very same object
+        rng = random.Random(13)
+        for n in (2, 3, 4):
+            for make in (random_tp_channel, random_projective_channel, random_reset_channel):
+                e = make(rng, n)
+                ref = MatrixRep(e.matrix_rep())
+                subspaces = [Subspace.zero(n), Subspace.full(n)]
+                subspaces += [random_subspace(rng, n) for _ in range(3)]
+                for s in subspaces:
+                    img, pre = image(e, s), preimage(e, s)
+                    assert img == ref.image(s) and pre == ref.preimage(s)
+                    # an equal subspace built anew finds the same entry
+                    again = Subspace(n, s.rref)
+                    assert image(e, again) is img and preimage(e, again) is pre
+
+    def test_matrixrep_power_is_repeated_product(self):
+        rng = random.Random(14)
+        for make in (random_tp_channel, random_projective_channel, random_reset_channel):
+            m = make(rng, 2).matrix_rep()
+            expected = Mat.eye(m.rows)
+            for k in range(6):
+                assert MatrixRep(m).power(k).m == expected
+                expected = expected @ m
+
     def test_union_versions_memberwise(self):
         rng = random.Random(11)
         e = random_tp_channel(rng, 2)
