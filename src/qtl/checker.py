@@ -171,14 +171,15 @@ class _SupportGraph:
     one deterministic edge per action (the exact image).
 
     ``image_of(channel, subspace)`` computes the images; by default the
-    Kraus-form :func:`superop.image`.
+    Kraus-form :func:`superop.image`.  ``root`` is the support of the
+    initial state where the caller already has it.
     """
 
-    def __init__(self, automaton: QuantumAutomaton, max_depth: int, budget: int, image_of=None):
+    def __init__(self, automaton: QuantumAutomaton, max_depth: int, budget: int, image_of=None, root=None):
         image_of = image if image_of is None else image_of
         actions = _actions(automaton)
         self.action_names = list(actions)
-        root = _initial_support(automaton)
+        root = _initial_support(automaton) if root is None else root
         self.nodes = [root]
         self.depth = [0]
         self.parent = [None]  # (node index, action name)
@@ -283,9 +284,10 @@ class _SupportGraph:
         return None
 
 
-def _violation_word(a: QuantumAutomaton, u: SubspaceUnion, depth: int, budget: int = 200000):
-    """Breadth-first search for the shallowest support escaping the union."""
-    graph = _SupportGraph(a, depth, budget)
+def _violation_word(a: QuantumAutomaton, u: SubspaceUnion, depth: int, root: Subspace, budget: int = 200000):
+    """Breadth-first search for the shallowest support escaping the union,
+    from the initial support ``root``."""
+    graph = _SupportGraph(a, depth, budget, root=root)
     order = sorted(range(len(graph)), key=lambda i: graph.depth[i])
     for i in order:
         if not u.contains_subspace(graph.nodes[i]):
@@ -338,9 +340,10 @@ def check_invariance(a: QuantumAutomaton, u) -> Verdict:
         raise DimensionMismatch("proposition does not live on the automaton space")
     psi, depth = _invariance_chain(_actions(a), u)
     diag = {"chain_depth": depth}
-    if psi.contains_subspace(_initial_support(a)):
+    root = _initial_support(a)
+    if psi.contains_subspace(root):
         return Verdict.valid(certificate=psi, diagnostics=diag)
-    witness = _violation_word(a, u, depth + a.dim)
+    witness = _violation_word(a, u, depth + a.dim, root)
     if witness is None:
         raise QtlError("refuted invariance but found no witness within the bound")
     return Verdict.not_valid(witness=witness, certificate=psi, diagnostics=diag)
@@ -435,17 +438,19 @@ def check_eventually_always(a: QuantumAutomaton, u, witness_depth: int = 12) -> 
     x = maximal_invariant(a, u)
     psi = maximal_extension(a, x)
     diag = {"invariant_members": len(x.members), "certificate_members": len(psi.members)}
-    if psi.contains_subspace(_initial_support(a)):
+    root = _initial_support(a)
+    if psi.contains_subspace(root):
         return Verdict.valid(certificate=psi, diagnostics=diag)
-    witness = _lasso_witness(a, u, mode="recurrent_violation", depth=witness_depth)
+    witness = _lasso_witness(a, u, root, mode="recurrent_violation", depth=witness_depth)
     return Verdict.not_valid(witness=witness, certificate=psi, diagnostics=diag)
 
 
-def _lasso_witness(a: QuantumAutomaton, u: SubspaceUnion, mode: str, depth: int, budget: int = 4000):
-    """Best-effort finite witness (prefix word + cycle word) for refuted
-    limit properties; None when the bounded search finds nothing."""
+def _lasso_witness(a: QuantumAutomaton, u: SubspaceUnion, root: Subspace, mode: str, depth: int, budget: int = 4000):
+    """Best-effort finite witness (prefix word + cycle word) from the
+    initial support ``root`` for refuted limit properties; None when the
+    bounded search finds nothing."""
     try:
-        graph = _SupportGraph(a, depth, budget)
+        graph = _SupportGraph(a, depth, budget, root=root)
     except BudgetExceeded:
         return None
     n = len(graph)
@@ -506,13 +511,43 @@ def _simple_cycles(n_nodes, edges):
     return cycles
 
 
+def _orbit_support(prefix_dag: Mat, fb_dag: Mat, y: Mat, dim: int) -> Subspace:
+    """The join over u = 0 .. dim^2 + 1 of the supports of
+    prefix†((F_b†)^u y), as the support of the one operator
+    prefix†(sum_u (F_b†)^u y).
+
+    y is the vec of a positive operator and F_b†, prefix† are matrix
+    representations of the duals of channels, which are completely
+    positive, so every term is positive semidefinite; for positive A and B,
+    ker(A + B) = ker A ^ ker B, so the support of a sum is the join of the
+    supports of its terms.  The running sum is tested after 1, 2, 4, 8, ...
+    terms and after the last, and the walk stops once its support is the
+    whole space: at most floor(log2(dim^2 + 2)) + 2 supports."""
+    terms = dim * dim + 2
+    total = w = y
+    for n in range(1, terms + 1):  # total holds the first n terms
+        if n & (n - 1) == 0 or n == terms:
+            seen = support(unvec(prefix_dag @ total, dim), validate=False)
+            if n == terms or seen.is_full():
+                return seen
+        w = fb_dag @ w
+        total = total + w
+
+
 def _p2_refine(members, cycle, u: SubspaceUnion, actions, period_bound):
     """Shrink the first loop component to the states that keep landing in
     the target union along the loop's periodic subsequences.
 
     The loop channel's peripheral period (:func:`linalg.peripheral_period`)
     is the one place of the lattice procedures that needs the matrix
-    representations of the actions."""
+    representations of the actions.  For each rotation r of the loop, each
+    target member and each phase c, the states that stay orthogonal to the
+    pulled-back complement of the member are the complement of one support
+    (:func:`_orbit_support`), that of the Krylov sum of the pulled-back
+    operators.  It is exactly the join of their supports: the complement's
+    projector is positive and the duals of channels are completely
+    positive, so every term is positive semidefinite, and for positive A
+    and B, ker(A + B) = ker A ^ ker B."""
     nodes, word = cycle
     j1 = nodes[0]
     dim = members[0].ambient_dim
@@ -540,14 +575,7 @@ def _p2_refine(members, cycle, u: SubspaceUnion, actions, period_bound):
                 y = f_dag @ y
                 # the states orthogonal to every pulled-back support: the
                 # complement of their join, formed once
-                seen = Subspace.zero(dim)
-                w = y
-                for _ in range(dim * dim + 2):  # u = 0 .. d^2 + 1
-                    seen = seen.join(support(unvec(prefix_dag @ w, dim), validate=False))
-                    if seen.is_full():
-                        break
-                    w = fb_dag @ w
-                piece = members[j1].meet(seen.complement())
+                piece = members[j1].meet(_orbit_support(prefix_dag, fb_dag, y, dim).complement())
                 if not piece.is_zero():
                     pieces.append(piece)
     new_members = [m for i, m in enumerate(members) if i != j1] + pieces
@@ -600,9 +628,10 @@ def check_always_eventually(
         return Verdict.unknown(str(exc), diag)
     psi = maximal_extension(a, x)
     diag["certificate_members"] = len(psi.members)
-    if psi.contains_subspace(_initial_support(a)):
+    root = _initial_support(a)
+    if psi.contains_subspace(root):
         return Verdict.valid(certificate=psi, diagnostics=diag)
-    witness = _lasso_witness(a, u, mode="avoiding_cycle", depth=witness_depth)
+    witness = _lasso_witness(a, u, root, mode="avoiding_cycle", depth=witness_depth)
     return Verdict.not_valid(witness=witness, certificate=psi, diagnostics=diag)
 
 

@@ -241,26 +241,37 @@ def _gcd_reduce(num_re, num_im, den):
     return num_re, num_im, den
 
 
+_OBJECT = np.dtype(object)
+
+
 class Mat:
     """Dense matrix with exact complex-rational entries.
 
     Stored as integer numerator grids over one positive denominator; all
     arithmetic is exact.  Instances are immutable by convention: no method
-    mutates ``self``.
+    mutates ``self``.  Whether the imaginary grid is zero is read once and
+    cached (:meth:`is_real`); operations whose operands decide it (products,
+    Kronecker products, sums and scalings of real matrices, and the
+    adjoint, transpose, conjugate, slices and stacks of real ones) set it at
+    construction.
     """
 
-    __slots__ = ("num_re", "num_im", "den", "rows", "cols", "_key")
+    __slots__ = ("num_re", "num_im", "den", "rows", "cols", "_key", "_real")
 
-    def __init__(self, num_re, num_im, den=1, _normalized=False):
-        num_re = np.asarray(num_re, dtype=object)
-        num_im = np.asarray(num_im, dtype=object)
+    def __init__(self, num_re, num_im, den=1, _normalized=False, _real=None):
+        """``_real``, where the caller knows it, says whether ``num_im`` is
+        zero; None leaves it to the first :meth:`is_real`."""
+        if type(num_re) is not np.ndarray or num_re.dtype is not _OBJECT:
+            num_re = np.asarray(num_re, dtype=object)
+        if type(num_im) is not np.ndarray or num_im.dtype is not _OBJECT:
+            num_im = np.asarray(num_im, dtype=object)
         if num_re.shape != num_im.shape or num_re.ndim != 2:
             raise DimensionMismatch("numerator grids must be equal 2-d shapes")
         if den <= 0:
             num_re, num_im, den = -num_re, -num_im, -den
         if den == 0:
             raise ZeroDivisionError("zero denominator")
-        if not _normalized:
+        if not _normalized and den != 1:
             num_re, num_im, den = _gcd_reduce(num_re, num_im, den)
         object.__setattr__(self, "num_re", num_re)
         object.__setattr__(self, "num_im", num_im)
@@ -268,6 +279,7 @@ class Mat:
         object.__setattr__(self, "rows", num_re.shape[0])
         object.__setattr__(self, "cols", num_re.shape[1])
         object.__setattr__(self, "_key", None)
+        object.__setattr__(self, "_real", _real)
 
     def __setattr__(self, name, value):
         raise AttributeError("Mat is immutable")
@@ -299,21 +311,21 @@ class Mat:
     def zeros(rows, cols=None) -> "Mat":
         cols = rows if cols is None else cols
         z = np.zeros((rows, cols), dtype=object)
-        return Mat(z, z.copy(), 1, _normalized=True)
+        return Mat(z, z.copy(), 1, _normalized=True, _real=True)
 
     @staticmethod
     def eye(n) -> "Mat":
         re = np.zeros((n, n), dtype=object)
         for i in range(n):
             re[i, i] = 1
-        return Mat(re, np.zeros((n, n), dtype=object), 1, _normalized=True)
+        return Mat(re, np.zeros((n, n), dtype=object), 1, _normalized=True, _real=True)
 
     @staticmethod
     def unit(n, i, j) -> "Mat":
         """The n x n matrix with a single 1 at (i, j)."""
         re = np.zeros((n, n), dtype=object)
         re[i, j] = 1
-        return Mat(re, np.zeros((n, n), dtype=object), 1, _normalized=True)
+        return Mat(re, np.zeros((n, n), dtype=object), 1, _normalized=True, _real=True)
 
     @staticmethod
     def column(entries) -> "Mat":
@@ -346,7 +358,7 @@ class Mat:
         if sub_re.ndim == 1:
             sub_re = sub_re.reshape(-1, 1)
             sub_im = sub_im.reshape(-1, 1)
-        return Mat(sub_re.copy(), sub_im.copy(), self.den)
+        return Mat(sub_re.copy(), sub_im.copy(), self.den, _real=self._real or None)
 
     # ------------------------------------------------------------------
     # arithmetic
@@ -365,13 +377,14 @@ class Mat:
             self.num_re * ka + other.num_re * kb,
             self.num_im * ka + other.num_im * kb,
             self.den * ka,
+            _real=self._real and other._real or None,
         )
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return Mat(-self.num_re, -self.num_im, self.den, _normalized=True)
+        return Mat(-self.num_re, -self.num_im, self.den, _normalized=True, _real=self._real)
 
     def __mul__(self, scalar):
         s = self._coerce_scalar(scalar)
@@ -382,6 +395,7 @@ class Mat:
             self.num_re * are - self.num_im * aim,
             self.num_re * aim + self.num_im * are,
             d,
+            _real=self._real and not aim or None,
         )
 
     __rmul__ = __mul__
@@ -395,10 +409,10 @@ class Mat:
             )
         # a real factor (common for projections, selectors and bases) saves
         # half of the object-array products
-        a_real, b_real = not self.num_im.any(), not other.num_im.any()
+        a_real, b_real = self.is_real(), other.is_real()
         re = np.dot(self.num_re, other.num_re)
         if a_real and b_real:
-            im = np.zeros(re.shape, dtype=object)
+            return Mat(re, np.zeros(re.shape, dtype=object), self.den * other.den, _real=True)
         elif b_real:
             im = np.dot(self.num_im, other.num_re)
         elif a_real:
@@ -409,13 +423,13 @@ class Mat:
         return Mat(re, im, self.den * other.den)
 
     def dagger(self) -> "Mat":
-        return Mat(self.num_re.T.copy(), -self.num_im.T.copy(), self.den, _normalized=True)
+        return Mat(self.num_re.T.copy(), -self.num_im.T.copy(), self.den, _normalized=True, _real=self._real)
 
     def conj(self) -> "Mat":
-        return Mat(self.num_re.copy(), -self.num_im.copy(), self.den, _normalized=True)
+        return Mat(self.num_re.copy(), -self.num_im.copy(), self.den, _normalized=True, _real=self._real)
 
     def transpose(self) -> "Mat":
-        return Mat(self.num_re.T.copy(), self.num_im.T.copy(), self.den, _normalized=True)
+        return Mat(self.num_re.T.copy(), self.num_im.T.copy(), self.den, _normalized=True, _real=self._real)
 
     def trace(self) -> CRat:
         tr_re = sum(self.num_re[i, i] for i in range(min(self.rows, self.cols)))
@@ -437,6 +451,7 @@ class Mat:
             join([self.num_im * ka, other.num_im * kb]),
             self.den * ka,
             _normalized=True,
+            _real=self._real and other._real or None,
         )
 
     def hstack(self, other: "Mat") -> "Mat":
@@ -452,8 +467,15 @@ class Mat:
     # ------------------------------------------------------------------
     # predicates
 
+    def is_real(self) -> bool:
+        """Whether every entry is real; the imaginary grid is read at most
+        once per matrix."""
+        if self._real is None:
+            object.__setattr__(self, "_real", not self.num_im.any())
+        return self._real
+
     def is_zero(self) -> bool:
-        return not (self.num_re.any() or self.num_im.any())
+        return not self.num_re.any() and self.is_real()
 
     def is_square(self) -> bool:
         return self.rows == self.cols
@@ -525,8 +547,11 @@ def _kron_grid(a, b):
 
 
 def kron(a: Mat, b: Mat) -> Mat:
-    """Exact Kronecker product."""
-    re = _kron_grid(a.num_re, b.num_re) - _kron_grid(a.num_im, b.num_im)
+    """Exact Kronecker product; one outer product when both factors are real."""
+    re = _kron_grid(a.num_re, b.num_re)
+    if a.is_real() and b.is_real():
+        return Mat(re, np.zeros(re.shape, dtype=object), a.den * b.den, _real=True)
+    re = re - _kron_grid(a.num_im, b.num_im)
     im = _kron_grid(a.num_re, b.num_im) + _kron_grid(a.num_im, b.num_re)
     return Mat(re, im, a.den * b.den)
 
@@ -549,7 +574,7 @@ def mat_sum(mats) -> Mat:
         scale = den // m.den
         re = re + m.num_re * scale
         im = im + m.num_im * scale
-    return Mat(re, im, den)
+    return Mat(re, im, den, _real=all(m._real for m in mats) or None)
 
 
 # ----------------------------------------------------------------------
@@ -673,7 +698,8 @@ def rref(m: Mat):
     # rows / D = rows conj(D) / |D|^2
     num_re = np.array([[a * dre + b * dim_ for a, b in row] for row in rows], dtype=object)
     num_im = np.array([[b * dre - a * dim_ for a, b in row] for row in rows], dtype=object)
-    return Mat(num_re, num_im, dre * dre + dim_ * dim_), tuple(c for _, c in pivots)
+    # a real m has real pivots and real reduced rows
+    return Mat(num_re, num_im, dre * dre + dim_ * dim_, _real=m._real or None), tuple(c for _, c in pivots)
 
 
 def rank(m: Mat) -> int:
@@ -703,7 +729,7 @@ def _perp_rows(r: Mat, pivots: tuple) -> Mat:
         for i, p in enumerate(pivots):
             num_re[row, p], num_im[row, p] = -r.num_re[i, f], r.num_im[i, f]
     # normalized: the gcd of den and r's free-column numerators is one
-    return Mat(num_re, num_im, r.den, _normalized=True)
+    return Mat(num_re, num_im, r.den, _normalized=True, _real=r._real)
 
 
 def kernel_basis(m: Mat):
@@ -827,7 +853,7 @@ def charpoly(m: Mat) -> list:
     if not m.is_square():
         raise DimensionMismatch("the characteristic polynomial needs a square matrix")
     n = m.rows
-    if m.num_im.any():
+    if not m.is_real():
         a, zero, one = m.entries(), CRat(0), CRat(1)
     else:
         a = [[Fraction(x, m.den) for x in row] for row in m.num_re.tolist()]

@@ -41,7 +41,7 @@ def vec(a: Mat) -> Mat:
     """Row-major vectorization as a column: vec(A)[(i,j)] = A[i,j]."""
     re = a.num_re.reshape(-1, 1).copy()
     im = a.num_im.reshape(-1, 1).copy()
-    return Mat(re, im, a.den)
+    return Mat(re, im, a.den, _normalized=True, _real=a._real)
 
 
 def _gram(ops):
@@ -72,7 +72,7 @@ def unvec(v: Mat, rows: int, cols: int | None = None) -> Mat:
         raise DimensionMismatch("vector length does not match the target shape")
     re = v.num_re.reshape(rows, cols).copy()
     im = v.num_im.reshape(rows, cols).copy()
-    return Mat(re, im, v.den)
+    return Mat(re, im, v.den, _normalized=True, _real=v._real)
 
 
 class Measurement:
@@ -271,7 +271,7 @@ class SuperOp:
         if st.block is None:
             return Mat.zeros(0, self.dim_out)
         if st.rows is not None:
-            rows = Mat(rows.num_re[:, st.rows], rows.num_im[:, st.rows], rows.den)
+            rows = Mat(rows.num_re[:, st.rows], rows.num_im[:, st.rows], rows.den, _real=rows._real or None)
         prod = rows @ st.block
         # output row (r, u) is nonzero where any of its columns in C is
         nz = prod.num_re.astype(bool)
@@ -291,8 +291,9 @@ class SuperOp:
             re, im = re.reshape(shape), im.reshape(shape)
         if kept < len(keep):
             re, im = re[keep], im[keep]
-        # dropping zero rows keeps the gcd of the entries: still normalized
-        return Mat(re, im, prod.den, _normalized=True)
+        # dropping zero rows keeps the gcd of the entries and every nonzero
+        # imaginary part: still normalized, and real exactly when prod is
+        return Mat(re, im, prod.den, _normalized=True, _real=prod._real)
 
     def matrix_rep(self) -> Mat:
         """sum_i E_i (x) conj(E_i); cached."""

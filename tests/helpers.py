@@ -16,10 +16,10 @@ import numpy as np
 import scipy.linalg
 
 from qtl.checker import Verdict
-from qtl.errors import DimensionMismatch, PreconditionViolated
-from qtl.linalg import CRat, Mat, kron, mat_sum
-from qtl.subspace import Subspace, SubspaceUnion, satisfies
-from qtl.superop import Measurement, SuperOp, unvec, vec
+from qtl.errors import DimensionMismatch, PreconditionViolated, QtlError
+from qtl.linalg import CRat, Mat, kron, mat_sum, peripheral_period
+from qtl.subspace import Subspace, SubspaceUnion, satisfies, support
+from qtl.superop import MatrixRep, Measurement, SuperOp, unvec, vec
 from qtl.program import LocationAction, QuantumAutomaton, SequentialProgram, check_terminates
 
 EXAMPLE_LOOP_SRC = """
@@ -320,6 +320,63 @@ def invariance_by_mixing(a: QuantumAutomaton, p: Subspace) -> Verdict:
             return Verdict.not_valid(diagnostics={"mixing_step": k})
         v = mixed @ v
     return Verdict.valid(diagnostics={"mixing_steps": a.dim})
+
+
+# ----------------------------------------------------------------------
+# the loop refinement of check_always_eventually as a walk that joins one
+# support per term: the reference for the one Krylov sum per target that
+# checker._p2_refine takes (same signature, a drop-in replacement)
+
+
+def p2_refine_by_joins(members, cycle, u: SubspaceUnion, actions, period_bound):
+    """Shrink the first loop component to the states that keep landing in
+    the target union along the loop's periodic subsequences.
+
+    The loop channel's peripheral period (:func:`linalg.peripheral_period`)
+    is the one place of the lattice procedures that needs the matrix
+    representations of the actions."""
+    nodes, word = cycle
+    j1 = nodes[0]
+    dim = members[0].ambient_dim
+    ms = [actions[name].matrix_rep() for name in word]
+    k = len(ms)
+    # prefixes[r] = ms[r-1] ... ms[0] for 1 <= r <= k, and
+    # suffixes[r] = ms[k-1] ... ms[r] for 1 <= r < k
+    prefixes = [None, ms[0]]
+    for m in ms[1:]:
+        prefixes.append(m @ prefixes[-1])
+    suffixes = [None] * k
+    for r in range(k - 1, 0, -1):
+        suffixes[r] = ms[r] if r == k - 1 else suffixes[r + 1] @ ms[r]
+    _, b = peripheral_period(prefixes[k], period_bound)
+    pieces = []
+    for r in range(1, k + 1):
+        # the loop channel rotated to start after the r-th action
+        f_rep = prefixes[k] if r == k else prefixes[r] @ suffixes[r]
+        f_dag = f_rep.dagger()
+        fb_dag = MatrixRep(f_dag).power(b).m
+        prefix_dag = prefixes[r].dagger()
+        for p_s in u.members:
+            y = vec(p_s.complement().projector)
+            for _ in range(b):  # c = 1 .. b
+                y = f_dag @ y
+                # the states orthogonal to every pulled-back support: the
+                # complement of their join, formed once
+                seen = Subspace.zero(dim)
+                w = y
+                for _ in range(dim * dim + 2):  # u = 0 .. d^2 + 1
+                    seen = seen.join(support(unvec(prefix_dag @ w, dim), validate=False))
+                    if seen.is_full():
+                        break
+                    w = fb_dag @ w
+                piece = members[j1].meet(seen.complement())
+                if not piece.is_zero():
+                    pieces.append(piece)
+    new_members = [m for i, m in enumerate(members) if i != j1] + pieces
+    refined = SubspaceUnion(dim, new_members)
+    if refined.contains_subspace(members[j1]):
+        raise QtlError("loop refinement failed to shrink the union")
+    return refined, b
 
 
 # ----------------------------------------------------------------------

@@ -2,9 +2,10 @@ import functools
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from sympy import QQ, QQ_I
 from sympy.polys.matrices import DomainMatrix
 
@@ -47,7 +48,8 @@ from qtl.checker import (
     reachability_superop,
     replay_word,
 )
-from qtl.formula import Always, Atom, Eventually, FAtom, Or, Until, parse_formula
+from qtl.formula import Always, Atom, Eventually, FAtom, Or, Until, atom_from_blocks, parse_formula
+import qtl.checker as checker
 
 from helpers import (
     EXAMPLE_LOOP_SRC,
@@ -60,9 +62,13 @@ from helpers import (
     ToleranceAmbiguity,
     float_peripheral_split,
     invariance_by_mixing,
+    p2_refine_by_joins,
     random_automaton,
     random_deterministic_program,
+    random_matrix,
     random_subspace,
+    random_tp_channel,
+    random_union,
     basis_union,
     block_space_cut,
     block_vector,
@@ -257,6 +263,110 @@ class TestAlwaysEventually:
         )
         aut = QuantumAutomaton(2, {"damp": damp}, KET1)
         assert check_always_eventually(aut, union(span((1, 0)))).is_valid
+
+
+LOOPS = settings(derandomize=True, max_examples=60, deadline=None)
+
+
+def _loop_instance(rng):
+    """A random automaton (d = 2-3, 1-2 actions, finite order or not) and a
+    target of one or two coordinate subspaces or one random subspace."""
+    dim = rng.choice([2, 3])
+    aut = random_automaton(rng, dim, rng.randint(1, 2), finite_order=rng.random() < 0.5)
+    u = basis_union(rng, dim) if rng.random() < 0.5 else random_union(rng, dim, max_members=1)
+    return aut, u
+
+
+def _exit_ok(prog):
+    """The target of the loop family's [] <> exit_ok: q0 = 0 at the exit."""
+    return union(atom_from_blocks("exit_ok", {prog.exit_location: span((1, 0))}, prog).subspace)
+
+
+class TestLoopRefinement:
+    """The refinement of [] <> f takes one support of a Krylov sum per
+    (rotation, target member, phase) where the reference in helpers.py
+    joins one support per term."""
+
+    @LOOPS
+    @given(st.integers(0, 2**32 - 1).map(random.Random))
+    def test_orbit_support_is_join_of_term_supports(self, rng):
+        # the pulled-back operators prefix†((F_b†)^u y) of positive y, for
+        # channels with transient parts (resets, measurements), so early
+        # terms can have supports that later ones lack
+        dim = rng.choice([2, 3])
+        fb_dag = random_tp_channel(rng, dim).matrix_rep().dagger()
+        prefix_dag = random_tp_channel(rng, dim).matrix_rep().dagger()
+        b = random_matrix(rng, dim, rng.randint(1, dim))
+        y = vec(b @ b.dagger())
+        joined, w = Subspace.zero(dim), y
+        for _ in range(dim * dim + 2):
+            joined = joined.join(support(unvec(prefix_dag @ w, dim)))
+            w = fb_dag @ w
+        assert checker._orbit_support(prefix_dag, fb_dag, y, dim) == joined
+
+    @LOOPS
+    @given(st.integers(0, 2**32 - 1).map(random.Random))
+    @example(random.Random(2513))  # the last term's support alone is not the join
+    def test_krylov_sum_agrees_with_join_walk_and_oracle(self, rng):
+        aut, u = _loop_instance(rng)
+        v = check_always_eventually(aut, u)
+        with mock.patch.object(checker, "_p2_refine", p2_refine_by_joins):
+            ref = check_always_eventually(aut, u)
+        assert v.status == ref.status
+        for key in ("periods", "refinements"):
+            assert v.diagnostics[key] == ref.diagnostics[key]
+        assert (v.certificate is None) == (ref.certificate is None)
+        if v.certificate is not None:
+            assert v.certificate.key() == ref.certificate.key()
+        atoms = {f"m{i}": Atom(f"m{i}", m) for i, m in enumerate(u.members)}
+        target = functools.reduce(Or, [FAtom(name) for name in atoms])
+        oracle = oracle_bfs(aut, Always(Eventually(target)), atoms, depth=8).status
+        if v.status == "valid":
+            assert oracle != "fails"
+        elif v.status == "not_valid":
+            assert oracle != "holds"
+
+    def test_support_count_per_target(self, monkeypatch, example_loop):
+        # at most floor(log2(D^2 + 2)) + 2 supports per (rotation, target
+        # member, phase): after 1, 2, 4, ... terms and after the last
+        counted = []
+        calls = [0]
+        exact_support, exact_refine = checker.support, checker._p2_refine
+
+        def counting_support(*args, **kwargs):
+            calls[0] += 1
+            return exact_support(*args, **kwargs)
+
+        def counting_refine(members, cycle, u, actions, period_bound):
+            before = calls[0]
+            refined, b = exact_refine(members, cycle, u, actions, period_bound)
+            dim = members[0].ambient_dim
+            per_target = (dim * dim + 2).bit_length() + 1  # floor(log2(D^2 + 2)) + 2
+            counted.append((calls[0] - before, per_target * len(cycle[1]) * len(u.members) * b))
+            return refined, b
+
+        monkeypatch.setattr(checker, "support", counting_support)
+        monkeypatch.setattr(checker, "_p2_refine", counting_refine)
+        check_always_eventually(to_automaton(example_loop), _exit_ok(example_loop))
+        # D = 8: 8 supports for the one rotation, member and phase
+        assert counted == [(8, 8)]
+        rng = random.Random(1401)
+        for _ in range(20):
+            check_always_eventually(*_loop_instance(rng))
+        assert len(counted) > 10
+        assert all(n <= bound for n, bound in counted)
+
+    def test_one_qubit_loop_family(self, example_loop):
+        # [] <> exit_ok on the measure-Hadamard loop: the exit probability
+        # tends to one but never reaches it, so the support of the state
+        # always keeps a part inside the loop and never lies inside
+        # exit_ok; one refinement, of period 1, refutes the recurrence
+        v = check_always_eventually(to_automaton(example_loop), _exit_ok(example_loop))
+        assert v.status == "not_valid"
+        assert v.diagnostics == {"refinements": 1, "periods": [1], "period_bound": 64, "certificate_members": 1}
+        assert v.witness == {"prefix": ["step", "step"], "cycle": ["step", "step"]}
+        e = [[1 if c == r else 0 for c in range(8)] for r in range(8)]
+        assert v.certificate == union(Subspace.from_vectors(8, [e[0], e[1], [0, 0, 1, 0, 0, 0, 1, 0], e[3]]))
 
 
 class TestAlwaysUntil:

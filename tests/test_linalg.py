@@ -19,6 +19,7 @@ from qtl.linalg import (
     is_psd,
     kernel_basis,
     kron,
+    mat_sum,
     parse_rational,
     peripheral_period,
     rank,
@@ -26,7 +27,7 @@ from qtl.linalg import (
     solve,
 )
 
-from qtl.superop import SuperOp
+from qtl.superop import SuperOp, unvec, vec
 
 from helpers import PAULI_X, random_automaton, random_matrix, random_tp_channel
 
@@ -263,6 +264,16 @@ def _gaussian_or_empty(rng, rows, cols):
     return _gaussian_matrix(rng, rows, cols) if rows and cols else Mat.zeros(rows, cols)
 
 
+def _real_part(m: Mat) -> Mat:
+    """m with its imaginary grid dropped, its realness not yet read."""
+    return Mat(m.num_re.copy(), np.zeros(m.num_im.shape, dtype=object), m.den)
+
+
+def _imaginary_part(m: Mat) -> Mat:
+    """i times the imaginary part of m: its products with itself are real."""
+    return Mat(np.zeros(m.num_re.shape, dtype=object), m.num_im.copy(), m.den)
+
+
 class TestKronAndStacks:
     """kron against its entrywise definition, and hstack/vstack (built with
     no gcd sweep) against the normalized result, on seeded rectangular
@@ -283,6 +294,22 @@ class TestKronAndStacks:
                         assert k.entry(i, j) == a.entry(i // rb, j // cb) * b.entry(i % rb, j % cb)
 
     @pytest.mark.parametrize("seed", range(3))
+    def test_kron_of_real_factors_entrywise(self, seed):
+        # one outer product, with a zero imaginary grid and the flag set
+        rng = random.Random(550 + seed)
+        shapes = [(2, 2), (1, 3), (3, 1), (2, 4), (0, 2)]
+        for sa in shapes:
+            for sb in rng.sample(shapes, 3):
+                a, b = _real_part(_gaussian_or_empty(rng, *sa)), _real_part(_gaussian_or_empty(rng, *sb))
+                (ra, ca), (rb, cb) = sa, sb
+                k = kron(a, b)
+                assert k._real is True and not k.num_im.any()
+                assert (k.rows, k.cols) == (ra * rb, ca * cb)
+                for i in range(ra * rb):
+                    for j in range(ca * cb):
+                        assert k.entry(i, j) == a.entry(i // rb, j // cb) * b.entry(i % rb, j % cb)
+
+    @pytest.mark.parametrize("seed", range(3))
     def test_stacks_equal_normalized(self, seed):
         rng = random.Random(600 + seed)
         scales = [CRat(1), CRat(Fraction(3, 4)), CRat(Fraction(6, 5), 2), CRat(0, Fraction(1, 9))]
@@ -296,6 +323,55 @@ class TestKronAndStacks:
             assert a.vstack(c) == Mat.from_rows(ea + ec)
             for m in (a.hstack(b), a.vstack(c)):
                 assert math.gcd(m.den, *m.num_re.flat, *m.num_im.flat) == 1
+
+
+class TestRealness:
+    """Mat.is_real, read from the imaginary grid at most once or set at
+    construction, against the grid itself: on seeded Gaussian-rational
+    matrices and on the results of every operation that sets the flag,
+    with real, complex and purely imaginary operands whose flags are read
+    or not yet read."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_flag_matches_imaginary_grid(self, seed):
+        rng = random.Random(800 + seed)
+        for _ in range(12):
+            a = _gaussian_matrix(rng, rng.randint(1, 3), rng.randint(1, 3))
+            for m in (a, _real_part(a), _imaginary_part(a), Mat.zeros(2, 3), Mat.eye(2)):
+                assert m.is_real() == (not m.num_im.any())
+                assert m._real is m.is_real()
+
+    @staticmethod
+    def _results(x, y):
+        yield x @ y
+        yield kron(x, y)
+        yield x + y
+        yield mat_sum([x, y, x])
+        yield x.hstack(y)
+        yield x.vstack(y)
+        yield -x
+        yield x * CRat(Fraction(-2, 3))
+        yield x * CRat(0, 1)
+        for m in (x.dagger(), x.transpose(), x.conj(), x[1:, :], x[:, 0], x[0:1, 1:], vec(x), unvec(vec(x), 3)):
+            yield m
+        yield rref(x)[0]
+        yield from kernel_basis(x)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_flag_survives_every_operation(self, seed):
+        rng = random.Random(900 + seed)
+        for _ in range(3):
+            a, b = _gaussian_matrix(rng, 3, 3, rng.randint(1, 3)), _gaussian_matrix(rng, 3, 3)
+            kinds = [a, _real_part(a), _imaginary_part(a), b, _real_part(b), _imaginary_part(b)]
+            for read in (False, True):
+                for x in kinds:
+                    for y in kinds:
+                        # fresh copies, so no flag is left over from an earlier round
+                        x2, y2 = (Mat(m.num_re, m.num_im, m.den) for m in (x, y))
+                        if read:
+                            x2.is_real(), y2.is_real()
+                        for m in self._results(x2, y2):
+                            assert m.is_real() == (not m.num_im.any())
 
 
 class TestPsd:

@@ -1,3 +1,4 @@
+import functools
 import random
 from fractions import Fraction
 
@@ -7,7 +8,7 @@ from sympy import QQ, QQ_I
 from sympy.polys.matrices import DomainMatrix
 
 from qtl.errors import DimensionMismatch, NotPositive
-from qtl.linalg import CRat, Mat
+from qtl.linalg import CRat, Mat, mat_sum
 from qtl.subspace import (
     Subspace,
     SubspaceUnion,
@@ -19,6 +20,7 @@ from qtl.subspace import (
 from helpers import (
     KET_PLUS_DENSITY,
     random_density,
+    random_matrix,
     random_scalar,
     random_subspace,
     random_vector,
@@ -360,6 +362,19 @@ class TestProperties:
         else:
             rho = random_density(rng, n)
         assert satisfies(rho, p) == (p.projector @ rho == rho)
+
+    @PROPERTY
+    @given(RNGS, st.integers(1, 4), st.integers(1, 4))
+    def test_support_of_psd_sum_is_join(self, rng, n, terms):
+        # ker(A + B) = ker A ^ ker B for positive A and B, which makes the
+        # one Krylov sum of the [] <> loop refinement exact
+        grams = []
+        for _ in range(terms):
+            rank = rng.randint(0, n)
+            b = random_matrix(rng, n, rank) if rank else Mat.zeros(n, 1)
+            grams.append(b @ b.dagger())
+        joined = functools.reduce(Subspace.join, [support(g) for g in grams])
+        assert support(mat_sum(grams)) == joined
 
     @PROPERTY
     @given(RNGS, st.integers(1, 3))
