@@ -166,27 +166,66 @@ def _initial_support(a: QuantumAutomaton) -> Subspace:
 # the brute-force oracle)
 
 
+def find_cycle(successors: dict, allowed) -> list | None:
+    """A cycle through ``allowed`` nodes only, as [(node, label, node), ...],
+    or None when there is none.
+
+    ``successors`` maps a node to its (label, node) out-edges in the order
+    they are tried; a node it lacks has none.  One depth-first pass runs
+    from each allowed node not yet reached, in sorted order, and the first
+    edge back to a node on the current path closes the cycle."""
+    allowed = set(allowed)
+    on_path = {}  # node -> True while on the path, False once finished
+    for start in sorted(allowed):
+        if start in on_path:
+            continue
+        on_path[start] = True
+        path = []  # the edges from start to the top of the stack
+        stack = [(start, iter(successors.get(start, ())))]
+        while stack:
+            v, edges = stack[-1]
+            for label, w in edges:
+                if w not in allowed:
+                    continue
+                if on_path.get(w):
+                    return list(itertools.dropwhile(lambda e: e[0] != w, path)) + [(v, label, w)]
+                if w not in on_path:
+                    on_path[w] = True
+                    path.append((v, label, w))
+                    stack.append((w, iter(successors.get(w, ()))))
+                    break
+            else:
+                on_path[v] = False
+                stack.pop()
+                if path:
+                    path.pop()
+    return None
+
+
 class _SupportGraph:
     """Reachable supports of an automaton: one node per distinct support,
     one deterministic edge per action (the exact image).
 
-    ``image_of(channel, subspace)`` computes the images; by default the
-    Kraus-form :func:`superop.image`.  ``root`` is the support of the
-    initial state where the caller already has it.
+    Nodes are numbered breadth first from the root, node 0.
+    ``successors`` maps every expanded node to its (action, node) edges in
+    action-name order.  ``image_of(channel, subspace)`` computes the
+    images; by default the Kraus-form :func:`superop.image`.  ``root`` is
+    the support of the initial state where the caller already has it.
+
+    Every search over the graph is a method here, shared by the checker's
+    witnesses and :func:`oracle_bfs`.
     """
 
     def __init__(self, automaton: QuantumAutomaton, max_depth: int, budget: int, image_of=None, root=None):
         image_of = image if image_of is None else image_of
         actions = _actions(automaton)
-        self.action_names = list(actions)
         root = _initial_support(automaton) if root is None else root
         self.nodes = [root]
         self.depth = [0]
         self.parent = [None]  # (node index, action name)
-        self.edges = {}  # (node, action) -> node
+        self.successors = {}
         index = {root.key(): 0}
         frontier = [0]
-        expanded = 0
         self.closed = True
         while frontier:
             nxt = []
@@ -194,13 +233,13 @@ class _SupportGraph:
                 if self.depth[i] >= max_depth:
                     self.closed = False
                     continue
-                expanded += 1
-                if expanded > budget:
+                if len(self.successors) >= budget:
                     raise BudgetExceeded(
                         f"support graph exceeded the budget of {budget} expansions"
                     )
-                for name in self.action_names:
-                    img = image_of(actions[name], self.nodes[i])
+                edges = self.successors[i] = []
+                for name, e in actions.items():
+                    img = image_of(e, self.nodes[i])
                     key = img.key()
                     j = index.get(key)
                     if j is None:
@@ -210,7 +249,7 @@ class _SupportGraph:
                         self.depth.append(self.depth[i] + 1)
                         self.parent.append((i, name))
                         nxt.append(j)
-                    self.edges[(i, name)] = j
+                    edges.append((name, j))
             frontier = nxt
 
     def __len__(self):
@@ -223,80 +262,45 @@ class _SupportGraph:
             word.append(name)
         return word[::-1]
 
-    def successors(self, i):
-        return [
-            (name, self.edges[(i, name)])
-            for name in self.action_names
-            if (i, name) in self.edges
-        ]
-
-    def expanded(self, i) -> bool:
-        return (i, self.action_names[0]) in self.edges
-
-    def find_cycle(self, allowed) -> list | None:
-        """A cycle with all nodes in ``allowed``, as [(node, action, node), ...]."""
-        allowed = set(allowed)
-        color = {}
-        path = []
-
-        def dfs(v):
-            color[v] = 1
-            for name, w in self.successors(v):
-                if w not in allowed:
-                    continue
-                if color.get(w) == 1:
-                    cycle = []
-                    for edge in path:
-                        if cycle or edge[0] == w:
-                            cycle.append(edge)
-                    cycle.append((v, name, w))
-                    return cycle
-                if color.get(w) is None:
-                    path.append((v, name, w))
-                    found = dfs(w)
-                    path.pop()
-                    if found:
-                        return found
-            color[v] = 2
-            return None
-
-        for v in sorted(allowed):
-            if color.get(v) is None:
-                found = dfs(v)
-                if found:
-                    return found
-        return None
-
-    def cycle_through(self, v: int) -> list | None:
-        """A word returning from v to v, if one exists among expanded nodes."""
-        best = {v: []}
-        frontier = [v]
+    def path(self, source: int, target: int, region=None) -> list | None:
+        """A shortest nonempty action word from source to target whose
+        intermediate nodes lie in ``region`` (anywhere when None), or None."""
+        best = {source: []}
+        frontier = [source]
         while frontier:
             nxt = []
             for i in frontier:
-                for name, j in self.successors(i):
-                    if j == v:
+                for name, j in self.successors.get(i, ()):
+                    if j == target:
                         return best[i] + [name]
-                    if j not in best:
+                    if j not in best and (region is None or j in region):
                         best[j] = best[i] + [name]
                         nxt.append(j)
             frontier = nxt
         return None
 
+    def escape(self, u: SubspaceUnion) -> int | None:
+        """The shallowest node whose support lies outside the union, or None."""
+        return next((i for i, s in enumerate(self.nodes) if not u.contains_subspace(s)), None)
 
-def _violation_word(a: QuantumAutomaton, u: SubspaceUnion, depth: int, root: Subspace, budget: int = 200000):
-    """Breadth-first search for the shallowest support escaping the union,
-    from the initial support ``root``."""
-    graph = _SupportGraph(a, depth, budget, root=root)
-    order = sorted(range(len(graph)), key=lambda i: graph.depth[i])
-    for i in order:
-        if not u.contains_subspace(graph.nodes[i]):
-            return {
-                "word": graph.word_to(i),
-                "step": graph.depth[i],
-                "support_dim": graph.nodes[i].dim,
-            }
-    return None
+    def recurrent_escape(self, u: SubspaceUnion) -> dict | None:
+        """A lasso {"prefix", "cycle"} whose cycle starts at a support
+        outside the union: the first such node that lies on a cycle."""
+        for v, s in enumerate(self.nodes):
+            if not u.contains_subspace(s):
+                cycle = self.path(v, v)
+                if cycle:
+                    return {"prefix": self.word_to(v), "cycle": cycle}
+        return None
+
+    def avoiding_lasso(self, u: SubspaceUnion) -> dict | None:
+        """A lasso {"prefix", "cycle"} whose whole cycle stays outside the
+        union."""
+        outside = [v for v, s in enumerate(self.nodes) if not u.contains_subspace(s)]
+        cycle = find_cycle(self.successors, outside)
+        if cycle is None:
+            return None
+        return {"prefix": self.word_to(cycle[0][0]), "cycle": [name for _, name, _ in cycle]}
 
 
 # ----------------------------------------------------------------------
@@ -343,9 +347,11 @@ def check_invariance(a: QuantumAutomaton, u) -> Verdict:
     root = _initial_support(a)
     if psi.contains_subspace(root):
         return Verdict.valid(certificate=psi, diagnostics=diag)
-    witness = _violation_word(a, u, depth + a.dim, root)
-    if witness is None:
+    graph = _SupportGraph(a, depth + a.dim, 200000, root=root)
+    i = graph.escape(u)
+    if i is None:
         raise QtlError("refuted invariance but found no witness within the bound")
+    witness = {"word": graph.word_to(i), "step": graph.depth[i], "support_dim": graph.nodes[i].dim}
     return Verdict.not_valid(witness=witness, certificate=psi, diagnostics=diag)
 
 
@@ -394,7 +400,11 @@ def _meet_of_preimages(actions: dict, u: SubspaceUnion) -> SubspaceUnion:
     return pre
 
 
-def maximal_extension(a: QuantumAutomaton, x, max_iterations: int = 200) -> SubspaceUnion:
+# the pre-image chain of maximal_extension raises QtlError past this many steps
+_EXTENSION_STEPS = 200
+
+
+def maximal_extension(a: QuantumAutomaton, x) -> SubspaceUnion:
     """Smallest union y containing x with y = intersection of its pre-images
     (i.e. the set of states all of whose evolutions eventually enter and
     stay in x).
@@ -412,7 +422,7 @@ def maximal_extension(a: QuantumAutomaton, x, max_iterations: int = 200) -> Subs
     if not _joint_image(actions, x) == x:
         raise PreconditionViolated("maximal_extension needs an invariant union")
     y = x
-    for _ in range(max_iterations):
+    for _ in range(_EXTENSION_STEPS):
         y2 = _meet_of_preimages(actions, y)
         if y2 == y:
             break
@@ -441,74 +451,38 @@ def check_eventually_always(a: QuantumAutomaton, u, witness_depth: int = 12) -> 
     root = _initial_support(a)
     if psi.contains_subspace(root):
         return Verdict.valid(certificate=psi, diagnostics=diag)
-    witness = _lasso_witness(a, u, root, mode="recurrent_violation", depth=witness_depth)
+    witness = _lasso_witness(a, u, root, witness_depth, _SupportGraph.recurrent_escape)
     return Verdict.not_valid(witness=witness, certificate=psi, diagnostics=diag)
 
 
-def _lasso_witness(a: QuantumAutomaton, u: SubspaceUnion, root: Subspace, mode: str, depth: int, budget: int = 4000):
+def _lasso_witness(a: QuantumAutomaton, u: SubspaceUnion, root: Subspace, depth: int, search, budget: int = 4000):
     """Best-effort finite witness (prefix word + cycle word) from the
-    initial support ``root`` for refuted limit properties; None when the
-    bounded search finds nothing."""
+    initial support ``root`` for refuted limit properties: ``search`` is
+    :meth:`_SupportGraph.recurrent_escape` or
+    :meth:`_SupportGraph.avoiding_lasso`; None when the bounded search finds
+    nothing."""
     try:
         graph = _SupportGraph(a, depth, budget, root=root)
     except BudgetExceeded:
         return None
-    n = len(graph)
-    if mode == "recurrent_violation":
-        # a reachable cycle through a support outside the union
-        for v in range(n):
-            if u.contains_subspace(graph.nodes[v]):
-                continue
-            cycle = graph.cycle_through(v)
-            if cycle:
-                return {"prefix": graph.word_to(v), "cycle": cycle}
-    elif mode == "avoiding_cycle":
-        bad = [v for v in range(n) if not u.contains_subspace(graph.nodes[v])]
-        cycle = graph.find_cycle(bad)
-        if cycle:
-            return {
-                "prefix": graph.word_to(cycle[0][0]),
-                "cycle": [name for _, name, _ in cycle],
-            }
-    return None
+    return search(graph, u)
 
 
 # ----------------------------------------------------------------------
 # always eventually (loop refinement over union components)
 
 
-def _member_edges(members, actions):
-    """Directed edges i --action--> j where the image of member i is exactly
-    member j; images that are no member give no edge."""
-    edges = {}
+def _member_successors(members, actions) -> dict:
+    """The successor map of the members: i --action--> j where the image of
+    member i is exactly member j; images that are no member give no edge."""
+    index = {m: j for j, m in enumerate(members)}
+    successors = {}
     for i, m in enumerate(members):
         for name, e in actions.items():
-            img = image(e, m)
-            for j, other in enumerate(members):
-                if img == other:
-                    edges[(i, name)] = j
-                    break
-    return edges
-
-
-def _simple_cycles(n_nodes, edges):
-    """All simple cycles (distinct nodes) as (node list, action list);
-    rotations are deduplicated by anchoring at the smallest node."""
-    adj = {}
-    for (i, name), j in edges.items():
-        adj.setdefault(i, []).append((name, j))
-    cycles = []
-
-    def dfs(start, node, path_nodes, path_actions):
-        for name, j in sorted(adj.get(node, [])):
-            if j == start:
-                cycles.append((path_nodes[:], path_actions + [name]))
-            elif j > start and j not in path_nodes:
-                dfs(start, j, path_nodes + [j], path_actions + [name])
-
-    for start in range(n_nodes):
-        dfs(start, start, [start], [])
-    return cycles
+            j = index.get(image(e, m))
+            if j is not None:
+                successors.setdefault(i, []).append((name, j))
+    return successors
 
 
 def _orbit_support(prefix_dag: Mat, fb_dag: Mat, y: Mat, dim: int) -> Subspace:
@@ -536,7 +510,8 @@ def _orbit_support(prefix_dag: Mat, fb_dag: Mat, y: Mat, dim: int) -> Subspace:
 
 def _p2_refine(members, cycle, u: SubspaceUnion, actions, period_bound):
     """Shrink the first loop component to the states that keep landing in
-    the target union along the loop's periodic subsequences.
+    the target union along the loop's periodic subsequences.  ``cycle`` is
+    the loop as :func:`find_cycle` returns it on the members.
 
     The loop channel's peripheral period (:func:`linalg.peripheral_period`)
     is the one place of the lattice procedures that needs the matrix
@@ -548,8 +523,8 @@ def _p2_refine(members, cycle, u: SubspaceUnion, actions, period_bound):
     projector is positive and the duals of channels are completely
     positive, so every term is positive semidefinite, and for positive A
     and B, ker(A + B) = ker A ^ ker B."""
-    nodes, word = cycle
-    j1 = nodes[0]
+    j1 = cycle[0][0]
+    word = [name for _, name, _ in cycle]
     dim = members[0].ambient_dim
     ms = [actions[name].matrix_rep() for name in word]
     k = len(ms)
@@ -611,12 +586,8 @@ def check_always_eventually(
             if x.is_zero():
                 break
             members = list(x.members)
-            edges = _member_edges(members, actions)
-            violating = None
-            for nodes, word in _simple_cycles(len(members), edges):
-                if not any(u.contains_subspace(members[j]) for j in nodes):
-                    violating = (nodes, word)
-                    break
+            outside = [j for j, m in enumerate(members) if not u.contains_subspace(m)]
+            violating = find_cycle(_member_successors(members, actions), outside)
             if violating is None:
                 break
             x, period = _p2_refine(members, violating, u, actions, period_bound)
@@ -631,7 +602,7 @@ def check_always_eventually(
     root = _initial_support(a)
     if psi.contains_subspace(root):
         return Verdict.valid(certificate=psi, diagnostics=diag)
-    witness = _lasso_witness(a, u, root, mode="avoiding_cycle", depth=witness_depth)
+    witness = _lasso_witness(a, u, root, witness_depth, _SupportGraph.avoiding_lasso)
     return Verdict.not_valid(witness=witness, certificate=psi, diagnostics=diag)
 
 
@@ -869,22 +840,16 @@ def _exit_almost_eventually(loop: WhileNormalForm, exit_subspace) -> Verdict:
     )
 
 
-def check_exit_always(
-    program: SequentialProgram,
-    exit_subspace: Subspace,
-    always_subspace: Subspace | None = None,
-) -> Verdict:
+def check_exit_always(program: SequentialProgram, exit_subspace: Subspace) -> Verdict:
     """[] p: one exact satisfaction check on the running average of the
-    exit loop's trajectory (the first dim*|L| iterates); the proposition
-    defaults to "unconstrained off the exit, `exit_subspace` at the exit"."""
-    return _exit_always(bohm_jacopini(program), exit_subspace, always_subspace)
+    exit loop's trajectory (the first dim*|L| iterates); the proposition is
+    "unconstrained off the exit, `exit_subspace` at the exit"."""
+    return _exit_always(bohm_jacopini(program), exit_subspace)
 
 
-def _exit_always(loop: WhileNormalForm, exit_subspace, always_subspace) -> Verdict:
+def _exit_always(loop: WhileNormalForm, exit_subspace) -> Verdict:
     program = loop.program
-    target = always_subspace if always_subspace is not None else partial_correctness_subspace(
-        program, exit_subspace
-    )
+    target = partial_correctness_subspace(program, exit_subspace)
     trajectory = loop.trajectory
     cesaro = mat_sum(embed(state, program) for state in trajectory)
     diag = {"cesaro_steps": len(trajectory)}
@@ -897,11 +862,7 @@ def _exit_always(loop: WhileNormalForm, exit_subspace, always_subspace) -> Verdi
     return Verdict.not_valid(witness={"step": step}, diagnostics=diag)
 
 
-def check_exit_formulas(
-    program: SequentialProgram,
-    exit_subspace: Subspace,
-    always_subspace: Subspace | None = None,
-) -> ExitVerdicts:
+def check_exit_formulas(program: SequentialProgram, exit_subspace: Subspace) -> ExitVerdicts:
     """The three exit-shaped properties of a deterministic program with exit,
     as :func:`check_exit_eventually`, :func:`check_exit_almost_eventually`
     and :func:`check_exit_always` decide them, on one exit loop (one
@@ -910,7 +871,7 @@ def check_exit_formulas(
     return ExitVerdicts(
         eventually=_exit_eventually(loop, exit_subspace),
         almost_eventually=_exit_almost_eventually(loop, exit_subspace),
-        always=_exit_always(loop, exit_subspace, always_subspace),
+        always=_exit_always(loop, exit_subspace),
     )
 
 
@@ -936,7 +897,7 @@ def kleene_always(e: SuperOp, rho_ab: Mat, p: Subspace, t: int | None = None) ->
         t = t_min
     elif t < t_min:
         raise ValueError(f"t may not be below the bound {t_min}")
-    lifted = SuperOp([kron(k, Mat.eye(d_env)) for k in e.kraus], validate=None)
+    lifted = SuperOp([kron(k, Mat.eye(d_env)) for k in e.kraus], validate=False)
     acc = Mat.zeros(rho_ab.rows)
     state = rho_ab
     for _ in range(t):
@@ -1184,33 +1145,22 @@ def oracle_bfs(target, formula, atoms: dict, depth: int = 12, budget: int = 2000
         ok = u.contains_subspace(graph.nodes[0])
         return OracleResult("holds" if ok else "fails", None if ok else {"word": [], "step": 0}, True)
     if shape == "X f":
-        if not graph.expanded(0):
+        if 0 not in graph.successors:
             return OracleResult("inconclusive")
-        for name, j in graph.successors(0):
+        for name, j in graph.successors[0]:
             if not u.contains_subspace(graph.nodes[j]):
                 return OracleResult("fails", {"word": [name], "step": 1}, graph.closed)
         return OracleResult("holds", None, True)
-    if shape == "[] <> f":
-        bad = [v for v in range(len(graph)) if not u.contains_subspace(graph.nodes[v])]
-        cycle = graph.find_cycle(bad)
-        if cycle:
-            return OracleResult(
-                "fails",
-                {
-                    "prefix": graph.word_to(cycle[0][0]),
-                    "cycle": [name for _, name, _ in cycle],
-                },
-                graph.closed,
-            )
-        return OracleResult("holds" if graph.closed else "inconclusive", None, graph.closed)
-    if shape == "<> [] f":
-        for v in range(len(graph)):
-            if not u.contains_subspace(graph.nodes[v]):
-                word = graph.cycle_through(v)
-                if word:
-                    return OracleResult(
-                        "fails", {"prefix": graph.word_to(v), "cycle": word}, graph.closed
-                    )
+    if shape in ("[] f", "<> [] f", "[] <> f"):
+        if shape == "[] f":
+            i = graph.escape(u)
+            witness = None if i is None else {"word": graph.word_to(i), "step": graph.depth[i]}
+        elif shape == "<> [] f":
+            witness = graph.recurrent_escape(u)
+        else:
+            witness = graph.avoiding_lasso(u)
+        if witness is not None:
+            return OracleResult("fails", witness, graph.closed)
         return OracleResult("holds" if graph.closed else "inconclusive", None, graph.closed)
     if shape == "[] (f U g)":
         worst = OracleResult("holds", None, graph.closed)
@@ -1226,15 +1176,6 @@ def oracle_bfs(target, formula, atoms: dict, depth: int = 12, budget: int = 2000
         if not graph.closed:
             return OracleResult("inconclusive")
         return worst
-    if shape == "[] f":
-        for i in range(len(graph)):
-            if not u.contains_subspace(graph.nodes[i]):
-                return OracleResult(
-                    "fails",
-                    {"word": graph.word_to(i), "step": graph.depth[i]},
-                    graph.closed,
-                )
-        return OracleResult("holds" if graph.closed else "inconclusive", None, graph.closed)
     if shape == "<> f":
         return _oracle_until(graph, SubspaceUnion.full(a.dim), u)
     # "f U g"
@@ -1254,6 +1195,10 @@ def _oracle_until(graph: _SupportGraph, phi: SubspaceUnion, psi: SubspaceUnion, 
     region = set()
     frontier = [root]
     cut = False
+
+    def word_from_root(i):
+        return graph.path(root, i, region) if i != root else []
+
     while frontier:
         nxt = []
         for i in frontier:
@@ -1263,22 +1208,22 @@ def _oracle_until(graph: _SupportGraph, phi: SubspaceUnion, psi: SubspaceUnion, 
             if not phi.contains_subspace(graph.nodes[i]):
                 return OracleResult(
                     "fails",
-                    {"word": _word_within(graph, region, root, i), "step": graph.depth[i]},
+                    {"word": word_from_root(i), "step": graph.depth[i]},
                     graph.closed,
                 )
-            if not graph.expanded(i):
+            if i not in graph.successors:
                 cut = True
                 continue
-            for name, j in graph.successors(i):
+            for name, j in graph.successors[i]:
                 if not psi.contains_subspace(graph.nodes[j]) and j not in region:
                     nxt.append(j)
         frontier = nxt
-    cycle = graph.find_cycle(region)
+    cycle = find_cycle(graph.successors, region)
     if cycle:
         return OracleResult(
             "fails",
             {
-                "prefix": _word_within(graph, region, root, cycle[0][0]),
+                "prefix": word_from_root(cycle[0][0]),
                 "cycle": [name for _, name, _ in cycle],
             },
             graph.closed,
@@ -1286,25 +1231,6 @@ def _oracle_until(graph: _SupportGraph, phi: SubspaceUnion, psi: SubspaceUnion, 
     if cut:
         return OracleResult("inconclusive")
     return OracleResult("holds", None, graph.closed)
-
-
-def _word_within(graph: _SupportGraph, region, source, target) -> list:
-    """A shortest action word from source to target through region nodes."""
-    if source == target:
-        return []
-    best = {source: []}
-    frontier = [source]
-    while frontier:
-        nxt = []
-        for i in frontier:
-            for name, j in graph.successors(i):
-                if j == target:
-                    return best[i] + [name]
-                if j in region and j not in best:
-                    best[j] = best[i] + [name]
-                    nxt.append(j)
-        frontier = nxt
-    return []
 
 
 def replay_word(a: QuantumAutomaton, word) -> list:

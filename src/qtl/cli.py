@@ -15,7 +15,7 @@ import json
 import os
 import sys
 
-from .errors import QtlError
+from .errors import MalformedInput, QtlError
 from . import jsonio
 from .formula import parse_formula
 from .program import QuantumAutomaton, SequentialProgram, initial_cq, embed, selector_successors
@@ -103,7 +103,11 @@ def cmd_reach(args) -> int:
 
 
 def _budget():
-    return int(os.environ.get("QTL_BUDGET", "4096"))
+    text = os.environ.get("QTL_BUDGET", "4096")
+    try:
+        return int(text)
+    except ValueError:
+        raise MalformedInput(f"QTL_BUDGET is an integer, got {text!r}") from None
 
 
 def cmd_simulate(args) -> int:

@@ -51,6 +51,18 @@ def _field(obj, key, what):
         raise MalformedInput(f"{what} has no {key!r}") from None
 
 
+_JSON_KINDS = {dict: "an object", list: "a list", int: "an integer"}
+
+
+def _typed(obj, key, what, kind: type):
+    """obj[key] as a JSON object, list or integer (kind dict, list or int),
+    or MalformedInput naming the key."""
+    value = _field(obj, key, what)
+    if not isinstance(value, kind):
+        raise MalformedInput(f"{what} {key!r} is {_JSON_KINDS[kind]}, got {value!r}")
+    return value
+
+
 def _ratio_literal(num: int, den: int) -> str:
     """num/den in lowest terms: "p/q", or "p" for an integer."""
     g = math.gcd(num, den)
@@ -103,7 +115,7 @@ def channel_to_json(e: SuperOp):
 
 
 def channel_from_json(obj) -> SuperOp:
-    return SuperOp([mat_from_json(k) for k in _field(obj, "kraus", "channel")])
+    return SuperOp([mat_from_json(k) for k in _typed(obj, "kraus", "channel", list)])
 
 
 # ----------------------------------------------------------------------
@@ -121,20 +133,31 @@ def _act_to_json(a: LocationAction, concurrent: bool):
     }
 
 
+def _targets(j, targets, concurrent: bool) -> tuple:
+    """The targets of outcome j: location labels, or [location, scheduler]
+    pairs in a concurrent process; MalformedInput otherwise."""
+    if isinstance(targets, list) and not concurrent:
+        return tuple(targets)
+    if isinstance(targets, list) and all(isinstance(t, list) and len(t) == 2 for t in targets):
+        try:
+            return tuple((t[0], int(t[1])) for t in targets)
+        except (TypeError, ValueError):
+            pass
+    shape = "[location, scheduler] pairs" if concurrent else "locations"
+    raise MalformedInput(f"next[{j!r}] is a list of {shape}, got {targets!r}")
+
+
 def _act_from_json(obj, concurrent: bool) -> LocationAction:
-    channel = SuperOp([mat_from_json(k) for k in _field(obj, "kraus", "location action")], validate=None)
-    measurement = Measurement(
-        [mat_from_json(op) for op in _field(obj, "measurement", "location action")], validate=False
-    )
+    # the program checks that the channel is trace preserving
+    channel = SuperOp([mat_from_json(k) for k in _typed(obj, "kraus", "location action", list)], validate=False)
+    measurement = Measurement([mat_from_json(op) for op in _typed(obj, "measurement", "location action", list)])
     nxt = {}
-    for j, targets in _field(obj, "next", "location action").items():
-        parsed = []
-        for t in targets:
-            if concurrent:
-                parsed.append((t[0], int(t[1])))
-            else:
-                parsed.append(t)
-        nxt[int(j)] = tuple(parsed)
+    for j, targets in _typed(obj, "next", "location action", dict).items():
+        try:
+            outcome = int(j)
+        except ValueError:
+            raise MalformedInput(f"an outcome of 'next' is an integer, got {j!r}") from None
+        nxt[outcome] = _targets(j, targets, concurrent)
     return LocationAction(channel, measurement, nxt)
 
 
@@ -177,27 +200,27 @@ def program_from_json(obj):
     if "actions" in obj:
         return QuantumAutomaton(
             _field(obj, "dimension", "automaton"),
-            {name: channel_from_json(c) for name, c in obj["actions"].items()},
+            {name: channel_from_json(c) for name, c in _typed(obj, "actions", "automaton", dict).items()},
             mat_from_json(_field(obj, "initial_state", "automaton")),
         )
     if "processes" in obj:
         processes = []
         initial_locations = []
-        for proc in obj["processes"]:
-            act = {loc: _act_from_json(a, True) for loc, a in _field(proc, "act", "process").items()}
-            processes.append(ConcurrentProcess(_field(proc, "locations", "process"), act))
+        for proc in _typed(obj, "processes", "program", list):
+            act = {loc: _act_from_json(a, True) for loc, a in _typed(proc, "act", "process", dict).items()}
+            processes.append(ConcurrentProcess(_typed(proc, "locations", "process", list), act))
             initial_locations.append(_field(proc, "initial_location", "process"))
         return ConcurrentProgram(
             dim=_field(obj, "dimension", "program"),
             processes=processes,
             initial_state=mat_from_json(_field(obj, "initial_state", "program")),
             initial_locations=initial_locations,
-            initial_scheduler=_field(obj, "initial_scheduler", "program"),
+            initial_scheduler=_typed(obj, "initial_scheduler", "program", int),
         )
-    act = {loc: _act_from_json(a, False) for loc, a in _field(obj, "act", "program").items()}
+    act = {loc: _act_from_json(a, False) for loc, a in _typed(obj, "act", "program", dict).items()}
     return SequentialProgram(
         dim=_field(obj, "dimension", "program"),
-        locations=_field(obj, "locations", "program"),
+        locations=_typed(obj, "locations", "program", list),
         act=act,
         initial_state=mat_from_json(_field(obj, "initial_state", "program")),
         initial_location=_field(obj, "initial_location", "program"),
@@ -224,7 +247,7 @@ def atoms_from_json(obj, program) -> dict:
                     "automata take a raw 'subspace' instead"
                 )
             blocks = {
-                label: subspace_from_json(sub) for label, sub in _field(entry, "blocks", "atom").items()
+                label: subspace_from_json(sub) for label, sub in _typed(entry, "blocks", "atom", dict).items()
             }
             atoms[name] = atom_from_blocks(name, blocks, program)
     return atoms

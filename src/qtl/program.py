@@ -313,9 +313,6 @@ class CQState:
         b = self.blocks.get(config)
         return b.trace().re if b is not None else Fraction(0)
 
-    def total_trace(self) -> Fraction:
-        return sum((b.trace().re for b in self.blocks.values()), Fraction(0))
-
     def key(self):
         return tuple(sorted((repr(c), b.key()) for c, b in self.blocks.items()))
 
@@ -467,7 +464,7 @@ def step_superop(program) -> SuperOp:
     if not program.deterministic:
         raise NotDeterministic("only deterministic programs step by one channel")
     sel = _selector_assignments(program, 1)[0]
-    return SuperOp(_selector_kraus(program, sel), validate=None)
+    return SuperOp(_selector_kraus(program, sel), validate=False)
 
 
 class QuantumAutomaton:
@@ -515,7 +512,7 @@ def to_automaton(program, cap: int = DEFAULT_SELECTOR_CAP) -> QuantumAutomaton:
     actions = {}
     for sel in selectors:
         name = _selector_name(program, sel)
-        actions[name] = SuperOp(_selector_kraus(program, sel), validate=None)
+        actions[name] = SuperOp(_selector_kraus(program, sel), validate=False)
     emb = embed(initial_cq(program), program)
     return QuantumAutomaton(
         program.dim * len(program.configs()), actions, emb, validate=False

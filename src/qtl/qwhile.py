@@ -528,7 +528,7 @@ def _unitary_channel(prog: QWhileProgram, name: str, qubits) -> SuperOp:
 def _init_channel(prog: QWhileProgram, qubit: int) -> SuperOp:
     to_zero = lift_operator(Mat.from_rows([[1, 0], [0, 0]]), (qubit,), prog.n_qubits)
     from_one = lift_operator(Mat.from_rows([[0, 1], [0, 0]]), (qubit,), prog.n_qubits)
-    return SuperOp([to_zero, from_one], validate=None)
+    return SuperOp([to_zero, from_one], validate=False)
 
 
 def _lifted_measurement(prog: QWhileProgram, name: str, qubits) -> Measurement:
@@ -845,7 +845,7 @@ class WhileNormalForm:
     @functools.cached_property
     def cut_body(self) -> SuperOp:
         """N, the body after the guard's m1, on the embedded space."""
-        return SuperOp([k @ self.m1 for k in self.body_channel.kraus], validate=None)
+        return SuperOp([k @ self.m1 for k in self.body_channel.kraus], validate=False)
 
     def _reach_from(self, start: Subspace) -> Subspace:
         """The least fixpoint of X -> start v N(X), grown from ``start``."""

@@ -175,13 +175,13 @@ class _Stack:
 class SuperOp:
     """A trace-non-increasing completely positive map, held as Kraus operators.
 
-    ``validate`` controls the admissibility check of sum E†E against the
-    identity: "exact" demands it in exact arithmetic, None skips it.
+    ``validate`` demands the admissibility check of sum E†E against the
+    identity, in exact arithmetic; False skips it.
     """
 
     __slots__ = ("kraus", "dim_in", "dim_out", "_trace_preserving", "_matrix_rep", "_stack", "_dual", "_images")
 
-    def __init__(self, kraus, validate: str | None = "exact"):
+    def __init__(self, kraus, validate: bool = True):
         kraus = tuple(kraus)
         if not kraus:
             raise PreconditionViolated("a channel needs at least one Kraus operator")
@@ -198,7 +198,7 @@ class SuperOp:
         object.__setattr__(self, "_dual", None)
         object.__setattr__(self, "_images", {})
         tp = None
-        if validate == "exact":
+        if validate:
             re, im, den = _gram(kraus)
             tp = _is_identity_gram(re, im, den)
             if not tp:
@@ -219,13 +219,13 @@ class SuperOp:
 
     @staticmethod
     def identity(dim: int) -> "SuperOp":
-        return SuperOp([Mat.eye(dim)], validate=None)
+        return SuperOp([Mat.eye(dim)], validate=False)
 
     @staticmethod
     def from_unitary(u: Mat) -> "SuperOp":
         if u.dagger() @ u != Mat.eye(u.cols):
             raise PreconditionViolated("matrix is not exactly unitary")
-        return SuperOp([u], validate=None)
+        return SuperOp([u], validate=False)
 
     @staticmethod
     def from_scaled_unitary(v: Mat, scale: Fraction) -> "SuperOp":
@@ -241,7 +241,7 @@ class SuperOp:
         if (v.dagger() @ v) * CRat(scale) != Mat.eye(v.cols):
             raise PreconditionViolated("scale * v†v is not the identity")
         coeffs = _rational_square_decomposition(scale)
-        return SuperOp([v * CRat(c) for c in coeffs], validate=None)
+        return SuperOp([v * CRat(c) for c in coeffs], validate=False)
 
     # ------------------------------------------------------------------
 
@@ -254,7 +254,7 @@ class SuperOp:
     def dual(self) -> "SuperOp":
         """Heisenberg-picture dual: Kraus set {E_k†}; cached both ways."""
         if self._dual is None:
-            dual = SuperOp([k.dagger() for k in self.kraus], validate=None)
+            dual = SuperOp([k.dagger() for k in self.kraus], validate=False)
             object.__setattr__(dual, "_dual", self)
             object.__setattr__(self, "_dual", dual)
         return self._dual
@@ -309,7 +309,7 @@ class SuperOp:
         if inner.dim_out != self.dim_in:
             raise DimensionMismatch("composition dimensions do not match")
         return SuperOp(
-            [a @ b for a in self.kraus for b in inner.kraus], validate=None
+            [a @ b for a in self.kraus for b in inner.kraus], validate=False
         )
 
     def is_trace_preserving(self) -> bool:

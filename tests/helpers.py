@@ -201,20 +201,20 @@ def random_projective_channel(rng, n):
         for idx in members:
             p = p + Mat.unit(n, idx, idx)
         kraus.append(p)
-    return SuperOp(kraus, validate=None)
+    return SuperOp(kraus, validate=False)
 
 
 def random_reset_channel(rng, n):
     """Everything is replaced by a random basis state."""
     target = rng.randint(0, n - 1)
-    return SuperOp([Mat.unit(n, target, k) for k in range(n)], validate=None)
+    return SuperOp([Mat.unit(n, target, k) for k in range(n)], validate=False)
 
 
 def _mixture(rng, e1: SuperOp, e2: SuperOp):
     a, b, c = rng.choice(_TRIPLES)
     w1, w2 = CRat(Fraction(a, c)), CRat(Fraction(b, c))
     return SuperOp(
-        [k * w1 for k in e1.kraus] + [k * w2 for k in e2.kraus], validate=None
+        [k * w1 for k in e1.kraus] + [k * w2 for k in e2.kraus], validate=False
     )
 
 
@@ -335,8 +335,8 @@ def p2_refine_by_joins(members, cycle, u: SubspaceUnion, actions, period_bound):
     The loop channel's peripheral period (:func:`linalg.peripheral_period`)
     is the one place of the lattice procedures that needs the matrix
     representations of the actions."""
-    nodes, word = cycle
-    j1 = nodes[0]
+    j1 = cycle[0][0]
+    word = [name for _, name, _ in cycle]
     dim = members[0].ambient_dim
     ms = [actions[name].matrix_rep() for name in word]
     k = len(ms)

@@ -142,7 +142,7 @@ def test_criterion_04_matrix_representation_identity():
         for trial in range(100):
             d = 2 if trial % 2 == 0 else 3
             e = SuperOp(
-                [random_matrix(rng, d) for _ in range(rng.randint(1, 3))], validate=None
+                [random_matrix(rng, d) for _ in range(rng.randint(1, 3))], validate=False
             )
             a = random_matrix(rng, d)
             phi = Mat.zeros(d * d, 1)
@@ -276,6 +276,35 @@ def test_criterion_07_fixpoints_against_oracle():
         assert time.time() - start < 300
 
 
+def test_criterion_07_lassos_of_checker_and_oracle_replay():
+    with criterion(7, "checker and oracle lassos replay, unions of up to three members"):
+        rng = random.Random(717)
+        replayed = {"checker": 0, "oracle": 0}
+        for trial in range(80):
+            d = rng.choice([2, 3])
+            aut = random_automaton(rng, d, rng.randint(1, 3), finite_order=trial % 2 == 0)
+            u = basis_union(rng, d, 3) if rng.random() < 0.5 else random_union(rng, d, 3)
+            atoms, node = _union_formula(u)
+            runs = [("recurrent", Eventually(Always(node)), check_eventually_always(aut, u))]
+            if trial % 2 == 0:
+                runs.append(("avoids", Always(Eventually(node)), check_always_eventually(aut, u)))
+            for mode, formula, verdict in runs:
+                r = oracle_bfs(aut, formula, atoms, depth=12)
+                if verdict.status == "valid":
+                    assert r.status != "fails" and r.witness is None
+                elif verdict.status == "not_valid":
+                    assert r.status != "holds"
+                for who, witness in (("checker", verdict.witness), ("oracle", r.witness)):
+                    if witness:
+                        _replay_lasso(aut, witness, u, mode)
+                        replayed[who] += 1
+                if verdict.witness and r.witness:
+                    # one search on one graph: the Kraus-form and the matrix
+                    # representation images give the same supports
+                    assert verdict.witness == r.witness
+        assert min(replayed.values()) >= 80
+
+
 def test_criterion_08_kleene_closure():
     with criterion(8, "averaged invariance with t = d^2-1 matches 200-step brute force"):
         rng = random.Random(808)
@@ -283,7 +312,7 @@ def test_criterion_08_kleene_closure():
             d_env = rng.choice([2, 3, 4])
             e = random_tp_channel(rng, 2)
             rho = random_density(rng, 2 * d_env)
-            lifted = SuperOp([kron(k, Mat.eye(d_env)) for k in e.kraus], validate=None)
+            lifted = SuperOp([kron(k, Mat.eye(d_env)) for k in e.kraus], validate=False)
             if trial % 2 == 0:
                 # propositions that actually contain the orbit show the valid side
                 acc = Mat.zeros(2 * d_env)

@@ -1,4 +1,5 @@
 import functools
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -38,6 +39,7 @@ from qtl.checker import (
     check_invariance,
     check_next,
     exit_atom_subspace,
+    find_cycle,
     hoare_check,
     kleene_always,
     limit_states,
@@ -199,7 +201,7 @@ class TestMaximalExtension:
         # everything that eventually falls into it
         damp = SuperOp(
             [Mat.from_rows([[1, 0], [0, 0]]), Mat.from_rows([[0, 1], [0, 0]])],
-            validate="exact",
+            validate=True,
         )
         aut = QuantumAutomaton(2, {"damp": damp}, KET1)
         ext = maximal_extension(aut, union(span((1, 0))))
@@ -259,7 +261,7 @@ class TestAlwaysEventually:
     def test_damping_always_reaches_exit_line(self):
         damp = SuperOp(
             [Mat.from_rows([[1, 0], [0, 0]]), Mat.from_rows([[0, 1], [0, 0]])],
-            validate="exact",
+            validate=True,
         )
         aut = QuantumAutomaton(2, {"damp": damp}, KET1)
         assert check_always_eventually(aut, union(span((1, 0)))).is_valid
@@ -342,7 +344,7 @@ class TestLoopRefinement:
             refined, b = exact_refine(members, cycle, u, actions, period_bound)
             dim = members[0].ambient_dim
             per_target = (dim * dim + 2).bit_length() + 1  # floor(log2(D^2 + 2)) + 2
-            counted.append((calls[0] - before, per_target * len(cycle[1]) * len(u.members) * b))
+            counted.append((calls[0] - before, per_target * len(cycle) * len(u.members) * b))
             return refined, b
 
         monkeypatch.setattr(checker, "support", counting_support)
@@ -418,7 +420,7 @@ class TestAlmostUntil:
         # has spectral radius 2
         for kraus in ([Mat.from_rows([[1, 0], [0, 0]])], [Mat.eye(2) * CRat(2)]):
             with pytest.raises(PreconditionViolated, match="trace-preserving"):
-                limit_states(SuperOp(kraus, validate=None), KET0)
+                limit_states(SuperOp(kraus, validate=False), KET0)
 
     def test_limit_state_agrees_with_reachability(self, example_loop):
         # two independent routes to the same limit: the exact eigenprojector
@@ -872,6 +874,43 @@ class TestOracle:
         states = replay_word(x_automaton, prefix + cycle)
         assert states[len(prefix)] == states[-1]  # exact recurrence
         assert not satisfies(states[len(prefix)], span((1, 0)))
+
+
+def _has_cycle_by_enumeration(successors, allowed):
+    """Some sequence of distinct allowed nodes v1 .. vk with edges
+    v1 -> v2 -> ... -> vk -> v1, found by trying every such sequence."""
+    targets = {v: {w for _, w in successors.get(v, ())} for v in allowed}
+    return any(
+        all(seq[(i + 1) % k] in targets[seq[i]] for i in range(k))
+        for k in range(1, len(allowed) + 1)
+        for seq in itertools.permutations(sorted(allowed), k)
+    )
+
+
+class TestFindCycle:
+    def test_agrees_with_enumeration_on_random_digraphs(self):
+        rng = random.Random(1515)
+        found = 0
+        for _ in range(600):
+            n = rng.randint(1, 6)
+            successors = {}
+            for v in range(n):
+                if rng.random() < 0.8:  # a node the map lacks has no edges
+                    labels = rng.sample("abc", rng.randint(0, 3))
+                    successors[v] = [(label, rng.randrange(n)) for label in labels]
+            allowed = {v for v in range(n) if rng.random() < 0.7}
+            cycle = find_cycle(successors, allowed)
+            if not _has_cycle_by_enumeration(successors, allowed):
+                assert cycle is None
+                continue
+            found += 1
+            assert cycle
+            sources = [v for v, _, _ in cycle]
+            assert set(sources) <= allowed and len(set(sources)) == len(sources)
+            for (v, label, w), (nxt, _, _) in zip(cycle, cycle[1:] + cycle[:1]):
+                assert (label, w) in successors[v]
+                assert w == nxt  # consecutive edges meet, and the last closes
+        assert found >= 150
 
 
 def _loop_atoms(loop):

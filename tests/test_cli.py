@@ -330,6 +330,85 @@ class TestMalformedInput:
         assert captured.out == ""
         assert "MalformedInput" in captured.err and named in captured.err
 
+    @staticmethod
+    def _run_mutated(workspace, capsys, command, mutate):
+        """Run `command` on the example program after `mutate` edits its JSON;
+        the exit code and stderr."""
+        tmp_path, prog, atoms, _ = workspace
+        with open(prog, encoding="utf-8") as fh:
+            obj = json.load(fh)
+        mutate(obj)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(obj))
+        argv = ["check", str(bad), "-f", "[] true"] if command == "check" else ["reach", str(bad)]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        return code, captured.err
+
+    @pytest.mark.parametrize("command", ["check", "reach"])
+    def test_incomplete_measurement_exit_three(self, workspace, capsys, command):
+        # {|0><0|} alone: M†M sums to |0><0|, not to the identity
+        def mutate(obj):
+            obj["act"]["l1"]["measurement"] = [[["1", "0"], ["0", "0"]]]
+
+        code, err = self._run_mutated(workspace, capsys, command, mutate)
+        assert code == 3
+        assert "PreconditionViolated" in err and "identity" in err
+
+    @pytest.mark.parametrize("command", ["check", "reach"])
+    def test_outcome_key_not_an_integer_exit_three(self, workspace, capsys, command):
+        def mutate(obj):
+            obj["act"]["l1"]["next"] = {"x": ["l2"], "1": ["l1"]}
+
+        code, err = self._run_mutated(workspace, capsys, command, mutate)
+        assert code == 3 and "MalformedInput" in err and "'x'" in err
+
+    @pytest.mark.parametrize("command", ["check", "reach"])
+    @pytest.mark.parametrize(
+        "path, value",
+        [(["act"], []), (["locations"], 5), (["act", "l1", "kraus"], 5), (["act", "l1", "next"], ["l2"])],
+    )
+    def test_field_of_wrong_type_exit_three(self, workspace, capsys, command, path, value):
+        def mutate(obj):
+            *parents, key = path
+            for name in parents:
+                obj = obj[name]
+            obj[key] = value
+
+        code, err = self._run_mutated(workspace, capsys, command, mutate)
+        assert code == 3 and "MalformedInput" in err and repr(path[-1]) in err
+
+    @pytest.mark.parametrize("command", ["check", "reach"])
+    def test_targets_not_a_list_exit_three(self, workspace, capsys, command):
+        # a bare string would otherwise be read as one target per character
+        def mutate(obj):
+            obj["act"]["l1"]["next"]["0"] = "l2"
+
+        code, err = self._run_mutated(workspace, capsys, command, mutate)
+        assert code == 3 and "MalformedInput" in err and "'l2'" in err
+
+    def test_scheduler_not_an_integer_exit_three(self, tmp_path, capsys):
+        from qtl.program import ConcurrentProcess, ConcurrentProgram, LocationAction
+        from qtl.superop import Measurement, SuperOp
+
+        act = LocationAction(SuperOp.identity(2), Measurement.trivial(2), {0: (("p", 1),)})
+        prog = ConcurrentProgram(2, (ConcurrentProcess(("p",), {"p": act}),), Mat.unit(2, 0, 0), ("p",), 1)
+        obj = jsonio.program_to_json(prog)
+        obj["initial_scheduler"] = "x"
+        path = tmp_path / "scheduler.json"
+        path.write_text(json.dumps(obj))
+        assert main(["check", str(path), "-f", "[] true"]) == 3
+        captured = capsys.readouterr()
+        assert "MalformedInput" in captured.err and "'initial_scheduler'" in captured.err
+
+    def test_budget_not_an_integer_exit_three(self, workspace, capsys, monkeypatch):
+        _, prog, _, _ = workspace
+        monkeypatch.setenv("QTL_BUDGET", "abc")
+        assert main(["simulate", prog]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and "QTL_BUDGET" in captured.err and "'abc'" in captured.err
+
 
 class TestCompileCommand:
     def test_compile_to_file(self, workspace, tmp_path):

@@ -699,7 +699,7 @@ class TestPeripheralPeriod:
             m = kron(u, u.conj())
             assert self._agrees(m) == ((4, 2) if n == 1 else "a peripheral eigenvalue is not a root of unity")
             # beside a reset to |0>: the rotation's eigenvalues stay peripheral
-            reset = SuperOp([Mat.unit(2, 0, 0), Mat.unit(2, 0, 1)], validate=None).matrix_rep()
+            reset = SuperOp([Mat.unit(2, 0, 0), Mat.unit(2, 0, 1)], validate=False).matrix_rep()
             mixed = m * CRat(Fraction(9, 25)) + reset * CRat(Fraction(16, 25))
             assert self._agrees(mixed) == (1, 1)
 

@@ -73,7 +73,7 @@ class TestSuccessors:
             state = initial_cq(prog)
             for _ in range(4):
                 (state,) = successors(prog, state)
-                assert state.total_trace() == 1
+                assert sum(state.trace_of(c) for c in prog.locations) == 1
                 revalidated = CQState(2, dict(state.blocks))  # validates PSD blocks
                 assert revalidated == state
 

@@ -38,7 +38,7 @@ from helpers import (
 )
 
 DAMP = SuperOp(
-    [Mat.from_rows([[1, 0], [0, 0]]), Mat.from_rows([[0, 1], [0, 0]])], validate="exact"
+    [Mat.from_rows([[1, 0], [0, 0]]), Mat.from_rows([[0, 1], [0, 0]])], validate=True
 )
 X_CONJ = SuperOp.from_unitary(PAULI_X)
 HADAMARD = SuperOp.from_scaled_unitary(HADAMARD_DIRECTION, Fraction(1, 2))
@@ -48,7 +48,7 @@ KET0 = Mat.from_rows([[1, 0], [0, 0]])
 def _trace_decreasing(rng, n):
     """A random channel with its last Kraus operator dropped and the rest halved."""
     kraus = random_tp_channel(rng, n).kraus
-    return SuperOp([k * CRat(Fraction(1, 2)) for k in kraus[:-1] or kraus], validate="exact")
+    return SuperOp([k * CRat(Fraction(1, 2)) for k in kraus[:-1] or kraus], validate=True)
 
 
 class TestApply:
@@ -103,7 +103,7 @@ class TestMatrixRep:
         rng = random.Random(3)
         for _ in range(20):
             dim = rng.choice([2, 3])
-            e = SuperOp([random_matrix(rng, dim) for _ in range(rng.randint(1, 3))], validate=None)
+            e = SuperOp([random_matrix(rng, dim) for _ in range(rng.randint(1, 3))], validate=False)
             a = random_matrix(rng, dim)
             assert vec(e.apply(a)) == e.matrix_rep() @ vec(a)
 
@@ -190,8 +190,8 @@ class TestPreimageImage:
         demo = pathlib.Path(__file__).resolve().parent.parent / "demos" / "05_concurrent_scheduler.py"
         channels += to_automaton(runpy.run_path(str(demo))["program"]).actions.values()
         kraus = random_tp_channel(rng, 3).kraus
-        channels.append(SuperOp([kraus[0], Mat.zeros(3), *kraus[1:]], validate="exact"))
-        channels.append(SuperOp([Mat.zeros(3), Mat.zeros(3)], validate="exact"))
+        channels.append(SuperOp([kraus[0], Mat.zeros(3), *kraus[1:]], validate=True))
+        channels.append(SuperOp([Mat.zeros(3), Mat.zeros(3)], validate=True))
         for e in channels:
             n = e.dim_in
             ref = MatrixRep(e.matrix_rep())
@@ -251,7 +251,7 @@ class TestTracePreservation:
         assert X_CONJ.is_trace_preserving()
 
     def test_half_identity_not(self):
-        half = SuperOp([Mat.eye(2) * CRat(Fraction(1, 2))], validate="exact")
+        half = SuperOp([Mat.eye(2) * CRat(Fraction(1, 2))], validate=True)
         assert not half.is_trace_preserving()
 
     def test_damp_preserving(self):
@@ -259,7 +259,7 @@ class TestTracePreservation:
 
     def test_exceeding_identity_rejected(self):
         with pytest.raises(PreconditionViolated):
-            SuperOp([Mat.eye(2), Mat.eye(2)], validate="exact")
+            SuperOp([Mat.eye(2), Mat.eye(2)], validate=True)
 
     def test_scaled_unitary_validation(self):
         with pytest.raises(PreconditionViolated):
@@ -290,7 +290,7 @@ class TestChannelEquality:
         # the same channel through different Kraus sets
         one = SuperOp.from_scaled_unitary(HADAMARD_DIRECTION, Fraction(1, 2))
         half = HADAMARD_DIRECTION * CRat(Fraction(1, 2))
-        other = SuperOp([half, half * CRat(0, 1)], validate="exact")
+        other = SuperOp([half, half * CRat(0, 1)], validate=True)
         assert one == other
 
     def test_identity_in_kraus_form(self):
