@@ -337,7 +337,9 @@ def check_invariance(a: QuantumAutomaton, u) -> Verdict:
     """Decide that every reachable state satisfies the union of subspaces.
 
     The certificate is the stabilized pre-image chain; a refuting action
-    word is recovered by breadth-first search bounded by the chain depth.
+    word is recovered by breadth-first search bounded by the chain depth,
+    or is the empty word, with no search, when the initial support already
+    lies outside the union.
     """
     u = _as_union(u)
     if u.ambient_dim != a.dim:
@@ -347,6 +349,10 @@ def check_invariance(a: QuantumAutomaton, u) -> Verdict:
     root = _initial_support(a)
     if psi.contains_subspace(root):
         return Verdict.valid(certificate=psi, diagnostics=diag)
+    if not u.contains_subspace(root):
+        # the initial support escapes: the graph's shallowest escape, node 0
+        witness = {"word": [], "step": 0, "support_dim": root.dim}
+        return Verdict.not_valid(witness=witness, certificate=psi, diagnostics=diag)
     graph = _SupportGraph(a, depth + a.dim, 200000, root=root)
     i = graph.escape(u)
     if i is None:
@@ -486,26 +492,31 @@ def _member_successors(members, actions) -> dict:
 
 
 def _orbit_support(prefix_dag: Mat, fb_dag: Mat, y: Mat, dim: int) -> Subspace:
-    """The join over u = 0 .. dim^2 + 1 of the supports of
-    prefix†((F_b†)^u y), as the support of the one operator
-    prefix†(sum_u (F_b†)^u y).
+    """The join over u >= 0 of the supports of prefix†((F_b†)^u y), as the
+    support of the one operator prefix†(sum_u (F_b†)^u y).
 
     y is the vec of a positive operator and F_b†, prefix† are matrix
     representations of the duals of channels, which are completely
     positive, so every term is positive semidefinite; for positive A and B,
     ker(A + B) = ker A ^ ker B, so the support of a sum is the join of the
-    supports of its terms.  The running sum is tested after 1, 2, 4, 8, ...
-    terms and after the last, and the walk stops once its support is the
-    whole space: at most floor(log2(dim^2 + 2)) + 2 supports."""
-    terms = dim * dim + 2
-    total = w = y
-    for n in range(1, terms + 1):  # total holds the first n terms
-        if n & (n - 1) == 0 or n == terms:
+    supports of its terms.  The terms span a Krylov space of C^(dim^2),
+    kept as a :class:`Subspace`, and the walk stops at the first dependent
+    term, one in the span of the earlier ones: every later term lies in
+    that span too, and a combination of the earlier terms has its support
+    under prefix† inside their join, so the partial sum's support is
+    already the answer.  The running sum is also tested after 1, 2, 4, 8,
+    ... terms, and the walk stops once its support is the whole space."""
+    span, total, w = Subspace.zero(dim * dim), Mat.zeros(dim * dim, 1), y
+    seen, n = None, 0
+    while not span._spans(w.transpose()):
+        span = span.join(Subspace(dim * dim, w.transpose()))
+        total, n, seen = total + w, n + 1, None
+        if n & (n - 1) == 0:  # total holds the first n terms
             seen = support(unvec(prefix_dag @ total, dim), validate=False)
-            if n == terms or seen.is_full():
+            if seen.is_full():
                 return seen
         w = fb_dag @ w
-        total = total + w
+    return seen if seen is not None else support(unvec(prefix_dag @ total, dim), validate=False)
 
 
 def _p2_refine(members, cycle, u: SubspaceUnion, actions, period_bound):

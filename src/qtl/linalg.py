@@ -853,11 +853,16 @@ def charpoly(m: Mat) -> list:
     if not m.is_square():
         raise DimensionMismatch("the characteristic polynomial needs a square matrix")
     n = m.rows
+    den = m.den
     if not m.is_real():
-        a, zero, one = m.entries(), CRat(0), CRat(1)
+        zero, one = CRat(0), CRat(1)
+        a = [
+            [CRat(Fraction(re, den), Fraction(im, den)) if re or im else zero for re, im in zip(row_re, row_im)]
+            for row_re, row_im in zip(m.num_re.tolist(), m.num_im.tolist())
+        ]
     else:
-        a = [[Fraction(x, m.den) for x in row] for row in m.num_re.tolist()]
         zero, one = Fraction(0), Fraction(1)
+        a = [[Fraction(x, den) if x else zero for x in row] for row in m.num_re.tolist()]
     for k in range(n - 2):
         piv = next((i for i in range(k + 1, n) if a[i][k]), None)
         if piv is None:

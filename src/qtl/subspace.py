@@ -225,17 +225,27 @@ class SubspaceUnion:
         return all(other.contains_subspace(m) for m in self.members)
 
     def meet(self, other: "SubspaceUnion") -> "SubspaceUnion":
-        """Pointwise intersection: canonical union of pairwise meets, or the
-        operand that already lies inside the other (its canonical form is
-        that union's)."""
+        """Pointwise intersection: the canonical union of the pairwise meets.
+
+        A member a of one side that lies inside a member b of the other is
+        its meet with b, and every other meet of a lies inside a, so a is
+        the one maximal meet of its row and enters the result as it is.
+        Only the pairs where neither member is so contained are met.  When
+        every member of one side is contained, that operand is the answer
+        (its canonical form is the union's)."""
         if self.ambient_dim != other.ambient_dim:
             raise DimensionMismatch("union ambient mismatch")
-        if self.subset_of(other):
+        inside_other = [other.contains_subspace(a) for a in self.members]
+        if all(inside_other):
             return self
-        if other.subset_of(self):
+        inside_self = [self.contains_subspace(b) for b in other.members]
+        if all(inside_self):
             return other
-        meets = [a.meet(b) for a in self.members for b in other.members]
-        return SubspaceUnion(self.ambient_dim, meets)
+        mine = [a for a, inside in zip(self.members, inside_other) if not inside]
+        theirs = [b for b, inside in zip(other.members, inside_self) if not inside]
+        kept = [a for a, inside in zip(self.members, inside_other) if inside]
+        kept += [b for b, inside in zip(other.members, inside_self) if inside]
+        return SubspaceUnion(self.ambient_dim, kept + [a.meet(b) for a in mine for b in theirs])
 
     def union(self, other: "SubspaceUnion") -> "SubspaceUnion":
         if self.ambient_dim != other.ambient_dim:

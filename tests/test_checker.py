@@ -11,7 +11,7 @@ from sympy import QQ, QQ_I
 from sympy.polys.matrices import DomainMatrix
 
 from qtl.errors import BudgetExceeded, PreconditionViolated, UnsupportedFormula
-from qtl.linalg import CRat, Mat, kron, peripheral_period, solve
+from qtl.linalg import CRat, Mat, kron, peripheral_period, rank, solve
 from qtl.subspace import Subspace, SubspaceUnion, satisfies, support
 from qtl.superop import MatrixRep, SuperOp, unvec, vec
 from qtl.program import (
@@ -161,6 +161,36 @@ class TestInvariance:
         assert psi.meet(rep.preimage_union(psi)) == psi
         assert psi.contains_subspace(support(x_automaton.initial_state, validate=False))
 
+    def test_escaping_root_builds_no_support_graph(self, monkeypatch, x_automaton):
+        def no_graph(*args, **kwargs):
+            raise AssertionError("support graph built for an escaping root")
+
+        monkeypatch.setattr(checker, "_SupportGraph", no_graph)
+        v = check_invariance(x_automaton, union(span((0, 1))))
+        assert v.status == "not_valid"
+        assert v.witness == {"word": [], "step": 0, "support_dim": 1}
+
+    def test_witness_is_the_support_graph_escape(self):
+        # both branches, the escaping root and the graph search, give the
+        # witness of the graph's shallowest escape
+        rng = random.Random(1603)
+        steps = []
+        for _ in range(60):
+            dim = rng.choice([2, 3])
+            aut = random_automaton(rng, dim, rng.randint(1, 3), finite_order=rng.random() < 0.5)
+            if rng.random() < 0.5:  # a basis state, whose support often stays inside u
+                k = rng.randrange(dim)
+                aut = QuantumAutomaton(dim, aut.actions, Mat.unit(dim, k, k))
+            u = basis_union(rng, dim) if rng.random() < 0.5 else random_union(rng, dim)
+            v = check_invariance(aut, u)
+            if v.status != "not_valid":
+                continue
+            graph = checker._SupportGraph(aut, v.diagnostics["chain_depth"] + dim, 200000)
+            i = graph.escape(u)
+            assert v.witness == {"word": graph.word_to(i), "step": graph.depth[i], "support_dim": graph.nodes[i].dim}
+            steps.append(graph.depth[i])
+        assert 0 in steps and any(steps)
+
     def test_mixing_shortcut_agrees(self):
         rng = random.Random(0)
         for _ in range(20):
@@ -291,6 +321,8 @@ class TestLoopRefinement:
 
     @LOOPS
     @given(st.integers(0, 2**32 - 1).map(random.Random))
+    @example(random.Random(272))  # rank-3 Krylov span, the 4th term stops the walk
+    @example(random.Random(413))  # rank 4: the support after 4 terms is the answer
     def test_orbit_support_is_join_of_term_supports(self, rng):
         # the pulled-back operators prefix†((F_b†)^u y) of positive y, for
         # channels with transient parts (resets, measurements), so early
@@ -328,9 +360,41 @@ class TestLoopRefinement:
         elif v.status == "not_valid":
             assert oracle != "holds"
 
+    def test_products_per_call_at_most_krylov_rank_plus_one(self, monkeypatch):
+        # the walk stops at its first dependent term, so it multiplies by
+        # F_b† at most once more than the rank of the whole term stack
+        rng = random.Random(1602)
+        exact_matmul = Mat.__matmul__
+        counted, ranks = [0], []
+
+        def counting_matmul(left, right):
+            counted[0] += left is fb_dag
+            return exact_matmul(left, right)
+
+        for _ in range(40):
+            dim = rng.choice([2, 3])
+            fb_dag = random_tp_channel(rng, dim).matrix_rep().dagger()
+            prefix_dag = random_tp_channel(rng, dim).matrix_rep().dagger()
+            b = random_matrix(rng, dim, rng.randint(1, dim))
+            y = vec(b @ b.dagger())
+            terms, w = [], y
+            for _ in range(dim * dim + 2):
+                terms.append(w.transpose())
+                w = fb_dag @ w
+            r = rank(functools.reduce(Mat.vstack, terms))
+            counted[0] = 0
+            with monkeypatch.context() as mp:
+                mp.setattr(Mat, "__matmul__", counting_matmul)
+                checker._orbit_support(prefix_dag, fb_dag, y, dim)
+            assert counted[0] <= r + 1
+            ranks.append(r)
+        # the full walk would take dim^2 + 1 products; most spans are smaller
+        assert sum(r < 4 for r in ranks) > 20
+
     def test_support_count_per_target(self, monkeypatch, example_loop):
         # at most floor(log2(D^2 + 2)) + 2 supports per (rotation, target
-        # member, phase): after 1, 2, 4, ... terms and after the last
+        # member, phase): after 1, 2, 4, ... terms and at the first
+        # dependent term
         counted = []
         calls = [0]
         exact_support, exact_refine = checker.support, checker._p2_refine
@@ -350,8 +414,9 @@ class TestLoopRefinement:
         monkeypatch.setattr(checker, "support", counting_support)
         monkeypatch.setattr(checker, "_p2_refine", counting_refine)
         check_always_eventually(to_automaton(example_loop), _exit_ok(example_loop))
-        # D = 8: 8 supports for the one rotation, member and phase
-        assert counted == [(8, 8)]
+        # D = 8: the terms span a space of rank 4, so the fifth term stops
+        # the walk after the supports of 1, 2 and 4 terms
+        assert counted == [(3, 8)]
         rng = random.Random(1401)
         for _ in range(20):
             check_always_eventually(*_loop_instance(rng))

@@ -611,6 +611,16 @@ class TestCharpoly:
             m = Mat.from_rows([[_gaussian_rational(rng).re for _ in range(n)] for _ in range(n)])
             assert charpoly(m) == self._expected(m)
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_sparse_matrices(self, seed):
+        # mostly zero grids, complex and real, where the reduction reads
+        # and skips many zero entries
+        rng = random.Random(430 + seed)
+        for n in range(1, 8):
+            rows = [[_gaussian_rational(rng) if rng.random() < 0.3 else CRat(0) for _ in range(n)] for _ in range(n)]
+            for m in (Mat.from_rows(rows), Mat.from_rows([[x.re for x in row] for row in rows])):
+                assert charpoly(m) == self._expected(m)
+
     def test_empty_and_scalar(self):
         assert charpoly(Mat.zeros(0)) == [CRat(1)]
         assert charpoly(Mat.from_rows([[(Fraction(1, 2), 3)]])) == [CRat(Fraction(-1, 2), -3), CRat(1)]

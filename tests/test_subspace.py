@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from sympy import QQ, QQ_I
 from sympy.polys.matrices import DomainMatrix
 
@@ -281,6 +281,28 @@ def union_pairs(draw):
     return x, SubspaceUnion(n, y)
 
 
+def _check_member_wise_meet(x, y):
+    """Both meets of x and y are the canonical union of all pairwise member
+    meets, formed with one Subspace.meet per pair of members that lie
+    inside no member of the other side."""
+    pairwise = SubspaceUnion(x.ambient_dim, [a.meet(b) for a in x.members for b in y.members])
+    for left, right in ((x, y), (y, x)):
+        mine = [a for a in left.members if not right.contains_subspace(a)]
+        theirs = [b for b in right.members if not left.contains_subspace(b)]
+        calls = [0]
+        exact_meet = Subspace.meet
+
+        def counting_meet(a, b):
+            calls[0] += 1
+            return exact_meet(a, b)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(Subspace, "meet", counting_meet)
+            met = left.meet(right)
+        assert calls[0] == len(mine) * len(theirs)
+        assert (met.members, met.key()) == (pairwise.members, pairwise.key())
+
+
 def _coordinate_mask(rng, n):
     """A diagonal 0/1 matrix: zeroed coordinates move the pivots off the
     leading columns, where random vectors put them."""
@@ -400,6 +422,26 @@ class TestProperties:
             assert (met.members, met.key()) == (pairwise.members, pairwise.key())
             if left.subset_of(right):
                 assert met is left
+
+    @PROPERTY
+    @given(union_pairs())
+    # e1 lies in a member of y, e2 and both members of y in no member of the
+    # other side: 2 meets where all pairs are 4
+    @example((union(span((1, 0, 0)), span((0, 1, 0))), union(span((1, 0, 0), (0, 0, 1)), span((0, 1, 1)))))
+    def test_union_meet_meets_only_uncontained_pairs(self, pair):
+        _check_member_wise_meet(*pair)
+
+    @PROPERTY
+    @given(RNGS, st.integers(3, 4))
+    def test_union_meet_of_partly_contained_unions(self, rng, n):
+        # three random lines, the first inside a plane of the other side
+        lines = [Subspace.from_vectors(n, [random_vector(rng, n)]) for _ in range(4)]
+        x = SubspaceUnion(n, lines[:3])
+        y = SubspaceUnion(n, [lines[0].join(lines[3]), Subspace.from_vectors(n, [random_vector(rng, n)])])
+        assume(len(x.members) == 3 and len(y.members) == 2)
+        marked = [y.contains_subspace(a) for a in x.members]
+        assume(any(marked) and not all(marked))
+        _check_member_wise_meet(x, y)
 
     @PROPERTY
     @given(RNGS, st.integers(1, 4))
