@@ -211,12 +211,15 @@ class _SupportGraph:
     action-name order.  ``image_of(channel, subspace)`` computes the
     images; by default the Kraus-form :func:`superop.image`.  ``root`` is
     the support of the initial state where the caller already has it.
+    With a union ``until``, the search stops at the first support outside
+    it, which is then the last node (its parent keeps only the edges before
+    it), and ``closed`` is False.
 
     Every search over the graph is a method here, shared by the checker's
     witnesses and :func:`oracle_bfs`.
     """
 
-    def __init__(self, automaton: QuantumAutomaton, max_depth: int, budget: int, image_of=None, root=None):
+    def __init__(self, automaton: QuantumAutomaton, max_depth: int, budget: int, image_of=None, root=None, until=None):
         image_of = image if image_of is None else image_of
         actions = _actions(automaton)
         root = _initial_support(automaton) if root is None else root
@@ -225,8 +228,8 @@ class _SupportGraph:
         self.parent = [None]  # (node index, action name)
         self.successors = {}
         index = {root.key(): 0}
-        frontier = [0]
-        self.closed = True
+        frontier = [] if until is not None and not until.contains_subspace(root) else [0]
+        self.closed = bool(frontier)
         while frontier:
             nxt = []
             for i in frontier:
@@ -249,6 +252,9 @@ class _SupportGraph:
                         self.depth.append(self.depth[i] + 1)
                         self.parent.append((i, name))
                         nxt.append(j)
+                        if until is not None and not until.contains_subspace(img):
+                            self.closed = False
+                            return
                     edges.append((name, j))
             frontier = nxt
 
@@ -338,8 +344,7 @@ def check_invariance(a: QuantumAutomaton, u) -> Verdict:
 
     The certificate is the stabilized pre-image chain; a refuting action
     word is recovered by breadth-first search bounded by the chain depth,
-    or is the empty word, with no search, when the initial support already
-    lies outside the union.
+    which stops at the first support outside the union.
     """
     u = _as_union(u)
     if u.ambient_dim != a.dim:
@@ -349,11 +354,7 @@ def check_invariance(a: QuantumAutomaton, u) -> Verdict:
     root = _initial_support(a)
     if psi.contains_subspace(root):
         return Verdict.valid(certificate=psi, diagnostics=diag)
-    if not u.contains_subspace(root):
-        # the initial support escapes: the graph's shallowest escape, node 0
-        witness = {"word": [], "step": 0, "support_dim": root.dim}
-        return Verdict.not_valid(witness=witness, certificate=psi, diagnostics=diag)
-    graph = _SupportGraph(a, depth + a.dim, 200000, root=root)
+    graph = _SupportGraph(a, depth + a.dim, 200000, root=root, until=u)
     i = graph.escape(u)
     if i is None:
         raise QtlError("refuted invariance but found no witness within the bound")
@@ -496,27 +497,32 @@ def _orbit_support(prefix_dag: Mat, fb_dag: Mat, y: Mat, dim: int) -> Subspace:
     support of the one operator prefix†(sum_u (F_b†)^u y).
 
     y is the vec of a positive operator and F_b†, prefix† are matrix
-    representations of the duals of channels, which are completely
-    positive, so every term is positive semidefinite; for positive A and B,
+    representations of the duals of channels, which are positive maps, so
+    every term is positive semidefinite; for positive A and B,
     ker(A + B) = ker A ^ ker B, so the support of a sum is the join of the
-    supports of its terms.  The terms span a Krylov space of C^(dim^2),
-    kept as a :class:`Subspace`, and the walk stops at the first dependent
-    term, one in the span of the earlier ones: every later term lies in
-    that span too, and a combination of the earlier terms has its support
-    under prefix† inside their join, so the partial sum's support is
-    already the answer.  The running sum is also tested after 1, 2, 4, 8,
-    ... terms, and the walk stops once its support is the whole space."""
-    span, total, w = Subspace.zero(dim * dim), Mat.zeros(dim * dim, 1), y
-    seen, n = None, 0
-    while not span._spans(w.transpose()):
-        span = span.join(Subspace(dim * dim, w.transpose()))
-        total, n, seen = total + w, n + 1, None
-        if n & (n - 1) == 0:  # total holds the first n terms
-            seen = support(unvec(prefix_dag @ total, dim), validate=False)
-            if seen.is_full():
-                return seen
-        w = fb_dag @ w
-    return seen if seen is not None else support(unvec(prefix_dag @ total, dim), validate=False)
+    supports of its terms.  A positive map takes positive operators of one
+    support to operators of one support (each is below a multiple of the
+    other), so the support S_n of the sum T_n of the first n terms fixes
+    the next: T_(n+1) = y + F_b†(T_n), S_(n+1) = supp y v supp F_b†(S_n).
+    The chain S_1 <= S_2 <= ... of subspaces of C^dim therefore stays put
+    from its first repeat on, which comes after at most dim terms, and so
+    does the support of prefix†(T_n).  S_n is taken for n = 1, 2, 4, 8,
+    ...; the walk stops when it is the whole space or equals the one
+    before (S_n = S_2n leaves no room to grow in between), at most
+    ceil(log2 dim) + 2 supports of sums and one of prefix†."""
+    total = w = y
+    seen = support(unvec(total, dim), validate=False)
+    n = 1  # total holds the first n terms
+    while not seen.is_full():
+        for _ in range(n):
+            w = fb_dag @ w
+            total = total + w
+        n *= 2
+        grown = support(unvec(total, dim), validate=False)
+        if grown.dim == seen.dim:  # seen <= grown
+            break
+        seen = grown
+    return support(unvec(prefix_dag @ total, dim), validate=False)
 
 
 def _p2_refine(members, cycle, u: SubspaceUnion, actions, period_bound):

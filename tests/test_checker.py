@@ -11,7 +11,7 @@ from sympy import QQ, QQ_I
 from sympy.polys.matrices import DomainMatrix
 
 from qtl.errors import BudgetExceeded, PreconditionViolated, UnsupportedFormula
-from qtl.linalg import CRat, Mat, kron, peripheral_period, rank, solve
+from qtl.linalg import CRat, Mat, kron, peripheral_period, solve
 from qtl.subspace import Subspace, SubspaceUnion, satisfies, support
 from qtl.superop import MatrixRep, SuperOp, unvec, vec
 from qtl.program import (
@@ -161,18 +161,18 @@ class TestInvariance:
         assert psi.meet(rep.preimage_union(psi)) == psi
         assert psi.contains_subspace(support(x_automaton.initial_state, validate=False))
 
-    def test_escaping_root_builds_no_support_graph(self, monkeypatch, x_automaton):
-        def no_graph(*args, **kwargs):
-            raise AssertionError("support graph built for an escaping root")
+    def test_escaping_root_expands_no_support(self, monkeypatch, x_automaton):
+        def no_image(*args, **kwargs):
+            raise AssertionError("image taken for an escaping root")
 
-        monkeypatch.setattr(checker, "_SupportGraph", no_graph)
+        monkeypatch.setattr(checker, "image", no_image)
         v = check_invariance(x_automaton, union(span((0, 1))))
         assert v.status == "not_valid"
         assert v.witness == {"word": [], "step": 0, "support_dim": 1}
 
     def test_witness_is_the_support_graph_escape(self):
-        # both branches, the escaping root and the graph search, give the
-        # witness of the graph's shallowest escape
+        # the search that stops at the first escape gives the witness of
+        # the whole graph's shallowest escape, at the root or deeper
         rng = random.Random(1603)
         steps = []
         for _ in range(60):
@@ -321,8 +321,10 @@ class TestLoopRefinement:
 
     @LOOPS
     @given(st.integers(0, 2**32 - 1).map(random.Random))
-    @example(random.Random(272))  # rank-3 Krylov span, the 4th term stops the walk
-    @example(random.Random(413))  # rank 4: the support after 4 terms is the answer
+    # the support chain grows once, S_1 < S_2 = S_4, to a support that is
+    # not full: the support of the first term alone is not the answer
+    @example(random.Random(272))
+    @example(random.Random(413))
     def test_orbit_support_is_join_of_term_supports(self, rng):
         # the pulled-back operators prefix†((F_b†)^u y) of positive y, for
         # channels with transient parts (resets, measurements), so early
@@ -360,12 +362,14 @@ class TestLoopRefinement:
         elif v.status == "not_valid":
             assert oracle != "holds"
 
-    def test_products_per_call_at_most_krylov_rank_plus_one(self, monkeypatch):
-        # the walk stops at its first dependent term, so it multiplies by
-        # F_b† at most once more than the rank of the whole term stack
+    def test_products_per_call_follow_the_support_chain(self, monkeypatch):
+        # the supports S_n of the first n terms' sums grow until the first
+        # n = m with S_m = S_(m+1) or S_m full; the walk takes them at
+        # n = 1, 2, 4, ... and stops by the power of two N >= m after that,
+        # so it multiplies by F_b† fewer than 2N times
         rng = random.Random(1602)
         exact_matmul = Mat.__matmul__
-        counted, ranks = [0], []
+        counted, chains = [0], []
 
         def counting_matmul(left, right):
             counted[0] += left is fb_dag
@@ -377,24 +381,37 @@ class TestLoopRefinement:
             prefix_dag = random_tp_channel(rng, dim).matrix_rep().dagger()
             b = random_matrix(rng, dim, rng.randint(1, dim))
             y = vec(b @ b.dagger())
-            terms, w = [], y
-            for _ in range(dim * dim + 2):
-                terms.append(w.transpose())
+            dims, total, w = [], y, y
+            for _ in range(dim + 1):
+                dims.append(support(unvec(total, dim)).dim)
                 w = fb_dag @ w
-            r = rank(functools.reduce(Mat.vstack, terms))
+                total = total + w
+            m = next(n for n in range(1, dim + 1) if dims[n - 1] in (dim, dims[n]))
             counted[0] = 0
             with monkeypatch.context() as mp:
                 mp.setattr(Mat, "__matmul__", counting_matmul)
                 checker._orbit_support(prefix_dag, fb_dag, y, dim)
-            assert counted[0] <= r + 1
-            ranks.append(r)
-        # the full walk would take dim^2 + 1 products; most spans are smaller
-        assert sum(r < 4 for r in ranks) > 20
+            assert counted[0] < 2 * (1 << (m - 1).bit_length())
+            chains.append(m)
+        # the full walk would take dim^2 + 1 products
+        assert max(chains) > 1 and sum(m == 1 for m in chains) > 20
+
+    def test_orbit_support_follows_a_slow_chain(self):
+        # F_b† takes |3><3| to |2><2| + |3><3|, |2><2| to |1><1| and |1><1|
+        # to zero: S_1 < S_2 < S_4 = S_8 = span(e1, e2, e3), so the walk
+        # must go past the supports of 1 and 2 terms
+        kets = [Mat.column([int(i == k) for k in range(4)]) for i in range(4)]
+        kraus = [kets[0] @ kets[0].dagger(), kets[2] @ kets[1].dagger(), kets[3] @ kets[2].dagger()]
+        kraus.append(kets[3] @ kets[3].dagger())
+        fb_dag = SuperOp(kraus).matrix_rep().dagger()
+        y = vec(kets[3] @ kets[3].dagger())
+        got = checker._orbit_support(Mat.eye(16), fb_dag, y, 4)
+        assert got == Subspace.from_vectors(4, kets[1:])
 
     def test_support_count_per_target(self, monkeypatch, example_loop):
-        # at most floor(log2(D^2 + 2)) + 2 supports per (rotation, target
-        # member, phase): after 1, 2, 4, ... terms and at the first
-        # dependent term
+        # at most ceil(log2 D) + 3 supports per (rotation, target member,
+        # phase): of the sums of 1, 2, 4, ... terms until the chain repeats
+        # or fills, and one of prefix†
         counted = []
         calls = [0]
         exact_support, exact_refine = checker.support, checker._p2_refine
@@ -407,16 +424,16 @@ class TestLoopRefinement:
             before = calls[0]
             refined, b = exact_refine(members, cycle, u, actions, period_bound)
             dim = members[0].ambient_dim
-            per_target = (dim * dim + 2).bit_length() + 1  # floor(log2(D^2 + 2)) + 2
+            per_target = (dim - 1).bit_length() + 3  # ceil(log2 D) + 3
             counted.append((calls[0] - before, per_target * len(cycle) * len(u.members) * b))
             return refined, b
 
         monkeypatch.setattr(checker, "support", counting_support)
         monkeypatch.setattr(checker, "_p2_refine", counting_refine)
         check_always_eventually(to_automaton(example_loop), _exit_ok(example_loop))
-        # D = 8: the terms span a space of rank 4, so the fifth term stops
-        # the walk after the supports of 1, 2 and 4 terms
-        assert counted == [(3, 8)]
+        # D = 8: the support of one term is already that of two, so the
+        # walk stops after the supports of 1 and 2 terms and one of prefix†
+        assert counted == [(3, 6)]
         rng = random.Random(1401)
         for _ in range(20):
             check_always_eventually(*_loop_instance(rng))
