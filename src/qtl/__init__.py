@@ -34,7 +34,7 @@ from .qwhile import (
     pretty_print,
     steps_for_depth,
 )
-from .formula import Atom, PrefixVerdict, atom_from_blocks, formula_to_str, holds_prefix, parse_formula
+from .formula import Atom, atom_from_blocks, formula_to_str, parse_formula
 from .checker import (
     ExitVerdicts,
     OracleResult,

@@ -28,8 +28,7 @@ from .errors import (
     UnknownConfiguration,
 )
 from .linalg import Mat
-from .subspace import Subspace, satisfies
-from .program import CQState, embed
+from .subspace import Subspace
 
 
 @dataclass(frozen=True)
@@ -294,118 +293,3 @@ def formula_to_str(node) -> str:
     if isinstance(node, Always):
         return f"[] {formula_to_str(node.body)}"
     raise TypeError(f"not a formula: {node!r}")
-
-
-# ----------------------------------------------------------------------
-# finite-prefix trace semantics
-
-
-HOLDS = "holds"
-FAILS = "fails"
-INCONCLUSIVE = "inconclusive"
-
-
-@dataclass(frozen=True)
-class PrefixVerdict:
-    status: str
-    step: int | None = None
-
-    def __bool__(self):
-        return self.status == HOLDS
-
-
-def holds_prefix(states, formula, atoms: dict, program=None, delta: float | None = None):
-    """Evaluate the trace-semantics clauses on a finite prefix of states.
-
-    ``states`` is a list of CQState (with ``program`` for the embedding) or
-    embedded matrices.  Clauses quantifying over infinite time return
-    Inconclusive when the prefix neither witnesses nor refutes them.  The
-    almost-surely modalities run in exact mode by default; with ``delta``
-    they report Holds as soon as the satisfaction probability exceeds
-    1 - delta somewhere on the prefix.
-    """
-    if not states:
-        raise DimensionMismatch("need a nonempty prefix")
-    mats = [embed(s, program) if isinstance(s, CQState) else s for s in states]
-    n = len(mats)
-
-    def sat(i, name) -> bool:
-        return satisfies(mats[i], atoms[name].subspace)
-
-    def prob(i, name) -> float:
-        sub = atoms[name].subspace
-        return float((sub.projector @ mats[i]).trace().re)
-
-    def ev(node, i) -> PrefixVerdict:
-        if isinstance(node, FTrue):
-            return PrefixVerdict(HOLDS, i)
-        if isinstance(node, FFalse):
-            return PrefixVerdict(FAILS, i)
-        if isinstance(node, FAtom):
-            if node.name not in atoms:
-                raise UnknownAtom(node.name)
-            return PrefixVerdict(HOLDS if sat(i, node.name) else FAILS, i)
-        if isinstance(node, And):
-            a, b = ev(node.left, i), ev(node.right, i)
-            if a.status == FAILS:
-                return a
-            if b.status == FAILS:
-                return b
-            if a.status == HOLDS and b.status == HOLDS:
-                return PrefixVerdict(HOLDS, i)
-            return PrefixVerdict(INCONCLUSIVE)
-        if isinstance(node, Or):
-            a, b = ev(node.left, i), ev(node.right, i)
-            if a.status == HOLDS or b.status == HOLDS:
-                return PrefixVerdict(HOLDS, i)
-            if a.status == FAILS and b.status == FAILS:
-                return PrefixVerdict(FAILS, i)
-            return PrefixVerdict(INCONCLUSIVE)
-        if isinstance(node, Next):
-            if i + 1 >= n:
-                return PrefixVerdict(INCONCLUSIVE)
-            return ev(node.body, i + 1)
-        if isinstance(node, Eventually):
-            return ev(Until(FTrue(), node.body), i)
-        if isinstance(node, Always):
-            for j in range(i, n):
-                v = ev(node.body, j)
-                if v.status == FAILS:
-                    return PrefixVerdict(FAILS, j)
-            return PrefixVerdict(INCONCLUSIVE)
-        if isinstance(node, Until):
-            blocked = None
-            for j in range(i, n):
-                r = ev(node.right, j)
-                if r.status == HOLDS:
-                    return PrefixVerdict(HOLDS, j)
-                l = ev(node.left, j)
-                if l.status == FAILS and r.status == FAILS:
-                    return PrefixVerdict(FAILS, j)
-                if l.status != HOLDS:
-                    blocked = j
-                    break
-            return PrefixVerdict(INCONCLUSIVE, blocked)
-        if isinstance(node, AlmostEventually):
-            for j in range(i, n):
-                if sat(j, node.atom):
-                    return PrefixVerdict(HOLDS, j)
-                if delta is not None and prob(j, node.atom) > 1.0 - delta:
-                    return PrefixVerdict(HOLDS, j)
-            return PrefixVerdict(INCONCLUSIVE)
-        if isinstance(node, AlmostUntil):
-            for j in range(i, n):
-                hit = sat(j, node.right) or (
-                    delta is not None and prob(j, node.right) > 1.0 - delta
-                )
-                if hit:
-                    return PrefixVerdict(HOLDS, j)
-                if not sat(j, node.left):
-                    # q broke before any exact hit: no i can serve every delta
-                    if delta is None:
-                        return PrefixVerdict(FAILS, j)
-                    return PrefixVerdict(INCONCLUSIVE, j)
-            return PrefixVerdict(INCONCLUSIVE)
-        raise TypeError(f"not a formula: {node!r}")
-
-    return ev(formula, 0)

@@ -5,8 +5,9 @@ period certificates stays in exact arithmetic: a matrix is a pair of
 integer numerator grids (real and imaginary parts, numpy object arrays so
 the integers are unbounded) over a single positive denominator.  Rank,
 kernel, reduced row echelon form, inverse and solve run fraction-free
-(Bareiss) over the Gaussian integers, so no rounding ever happens on that
-path.
+(Bareiss), so no rounding ever happens on that path: on plain integers
+when the matrix is real, on Gaussian-integer (re, im) pairs when it is
+complex, the choice read off :meth:`Mat.is_real`.
 
 The peripheral spectrum of a channel is exact too
 (:func:`peripheral_period`): the characteristic polynomial p of its matrix
@@ -19,6 +20,7 @@ within the bound exists.
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from fractions import Fraction
@@ -471,7 +473,7 @@ class Mat:
         """Whether every entry is real; the imaginary grid is read at most
         once per matrix."""
         if self._real is None:
-            object.__setattr__(self, "_real", not self.num_im.any())
+            object.__setattr__(self, "_real", not any(self.num_im.flat))
         return self._real
 
     def is_zero(self) -> bool:
@@ -578,7 +580,8 @@ def mat_sum(mats) -> Mat:
 
 
 # ----------------------------------------------------------------------
-# fraction-free elimination over the Gaussian integers
+# fraction-free elimination: over the integers for a real matrix, over the
+# Gaussian integers for a complex one
 
 
 def _rows_as_pairs(m: Mat):
@@ -588,11 +591,14 @@ def _rows_as_pairs(m: Mat):
 def _echelon(rows, width, jordan=False):
     """In-place Bareiss elimination; returns the list of (row, col) pivots.
 
-    Works over the Gaussian integers: every division in the update formula
-    is exact, so entries stay integer pairs with single-minor growth.  Rows
-    that are or become zero can never hold a pivot and are dropped from the
-    list, and entries that are zero in both the pivot row and the updated
-    row are left untouched.
+    Works over the Gaussian integers, on rows of (re, im) pairs: every
+    division in the update formula is exact, so entries stay integer pairs
+    with single-minor growth.  Rows that are or become zero can never hold
+    a pivot and are dropped from the list, and entries that are zero in
+    both the pivot row and the updated row are left untouched.  A real
+    matrix takes :func:`_echelon_int` instead, the same elimination on
+    plain integers; :func:`rref`, :func:`rank` and :func:`solve` choose by
+    :meth:`Mat.is_real`.
 
     With ``jordan`` the same update also runs on the rows above each pivot
     (fraction-free Gauss-Jordan): every entry stays a minor, so the
@@ -680,16 +686,102 @@ def _echelon(rows, width, jordan=False):
     return pivots
 
 
+def _echelon_int(rows, width, jordan=False):
+    """:func:`_echelon` on rows of plain integers, for a real matrix: the
+    same pivots, the same update (piv * a - t * b, divided exactly by the
+    previous pivot), the same skipped zeros and dropped rows, with one
+    product per term instead of four and no pair per entry.  On the rows
+    of a real matrix it returns the pivots that :func:`_echelon` returns on
+    their (x, 0) pairs and leaves the real parts of the rows it leaves."""
+    rows[:] = [row for row in rows if any(row)]
+    pivots = []
+    prev = 1
+    r = 0
+    for c in range(width):
+        nrows = len(rows)
+        if r == nrows:
+            break
+        pr = None
+        for i in range(r, nrows):
+            if rows[i][c]:
+                pr = i
+                break
+        if pr is None:
+            continue
+        if pr != r:
+            rows[r], rows[pr] = rows[pr], rows[r]
+        row_r = rows[r]
+        p = row_r[c]
+        divide = prev != 1
+        kept = rows[: r + 1]
+        targets = range(r + 1, nrows)
+        if jordan:
+            targets = list(targets) + list(range(r))
+        for i in targets:
+            row_i = rows[i]
+            t = row_i[c]
+            if not t and p == prev:
+                if i > r:
+                    kept.append(row_i)
+                continue
+            row_i[c] = 0
+            nonzero = False
+            if i < r:
+                for j in range(c):
+                    a = row_i[j]
+                    if a:
+                        row_i[j] = p * a // prev if divide else p * a
+            for j in range(c + 1, width):
+                a = row_i[j]
+                b = row_r[j]
+                if b:
+                    n = p * a - t * b
+                elif a:
+                    n = p * a
+                else:
+                    continue
+                if divide:
+                    n //= prev
+                row_i[j] = n
+                if n:
+                    nonzero = True
+            if nonzero and i > r:
+                kept.append(row_i)
+        rows[:] = kept
+        pivots.append((r, c))
+        prev = p
+        r += 1
+    return pivots
+
+
+def _real_over(rows, d) -> Mat:
+    """The real Mat of integer rows over the nonzero integer d, normalized
+    by one gcd of d and every entry (``Mat`` moves a sign of d into the
+    rows)."""
+    g = math.gcd(d, *itertools.chain.from_iterable(rows))
+    if g != 1:
+        rows = [[x // g for x in row] for row in rows]
+        d //= g
+    num_re = np.array(rows, dtype=object)
+    return Mat(num_re, np.zeros(num_re.shape, dtype=object), d, _normalized=True, _real=True)
+
+
 def rref(m: Mat):
     """Reduced row echelon form of m over Q(i), and its pivot columns.
 
-    One fraction-free Gauss-Jordan pass (:func:`_echelon` with ``jordan``)
-    leaves D times the reduced form, D the last pivot, on the Gaussian
-    integers; the one division by D happens when the result is built.  Zero
-    rows are dropped, so the result has one row per pivot.  The reduced
-    form is unique for the row space, and ``Mat`` normalizes its entries,
-    so equal row spaces give equal results.
+    One fraction-free Gauss-Jordan pass (:func:`_echelon_int` on a real m,
+    :func:`_echelon` otherwise, both with ``jordan``) leaves D times the
+    reduced form, D the last pivot; the one division by D happens when the
+    result is built.  Zero rows are dropped, so the result has one row per
+    pivot.  The reduced form is unique for the row space, and ``Mat``
+    normalizes its entries, so equal row spaces give equal results.
     """
+    if m.is_real():
+        rows = m.num_re.tolist()
+        pivots = _echelon_int(rows, m.cols, jordan=True)
+        if not pivots:
+            return Mat.zeros(0, m.cols), ()
+        return _real_over(rows, rows[-1][pivots[-1][1]]), tuple(c for _, c in pivots)
     rows = _rows_as_pairs(m)
     pivots = _echelon(rows, m.cols, jordan=True)
     if not pivots:
@@ -698,15 +790,15 @@ def rref(m: Mat):
     # rows / D = rows conj(D) / |D|^2
     num_re = np.array([[a * dre + b * dim_ for a, b in row] for row in rows], dtype=object)
     num_im = np.array([[b * dre - a * dim_ for a, b in row] for row in rows], dtype=object)
-    # a real m has real pivots and real reduced rows
-    return Mat(num_re, num_im, dre * dre + dim_ * dim_, _real=m._real or None), tuple(c for _, c in pivots)
+    return Mat(num_re, num_im, dre * dre + dim_ * dim_), tuple(c for _, c in pivots)
 
 
 def rank(m: Mat) -> int:
     if m.rows == 0 or m.cols == 0:
         return 0
-    rows = _rows_as_pairs(m)
-    return len(_echelon(rows, m.cols))
+    if m.is_real():
+        return len(_echelon_int(m.num_re.tolist(), m.cols))
+    return len(_echelon(_rows_as_pairs(m), m.cols))
 
 
 def _gauss_div(nre, nim, dre, dim_):
@@ -760,8 +852,10 @@ def solve(a: Mat, b: Mat) -> Mat:
     fraction-free back substitution for all columns of b at once: the
     unknowns are scaled by the last pivot D (the determinant of the
     row-permuted integer system), so they are Cramer numerators and every
-    step divides exactly in the Gaussian integers; the result is built once,
-    over the denominator |D|^2 den(b).  The inverse of a is never formed.
+    step divides exactly.  Both run on plain integers (:func:`_echelon_int`)
+    when a and b are real, and the result is built once over the
+    denominator D den(b); otherwise they run on Gaussian integers
+    (:func:`_echelon`), over |D|^2 den(b).  The inverse of a is never formed.
     """
     if not a.is_square():
         raise DimensionMismatch("only square systems can be solved")
@@ -771,12 +865,33 @@ def solve(a: Mat, b: Mat) -> Mat:
     if n == 0:
         return b
     # a x = b  <=>  num(a) x = den(a) num(b) / den(b): eliminate on integers
-    rows = _rows_as_pairs(a)
-    for i, row in enumerate(rows):
-        row.extend((b.num_re[i, j] * a.den, b.num_im[i, j] * a.den) for j in range(k))
-    pivots = _echelon(rows, n + k)
+    real = a.is_real() and b.is_real()
+    if real:
+        rows = a.num_re.tolist()
+        for row, rhs in zip(rows, (b.num_re * a.den).tolist()):
+            row.extend(rhs)
+        pivots = _echelon_int(rows, n + k)
+    else:
+        rows = _rows_as_pairs(a)
+        for i, row in enumerate(rows):
+            row.extend((b.num_re[i, j] * a.den, b.num_im[i, j] * a.den) for j in range(k))
+        pivots = _echelon(rows, n + k)
     if len(pivots) < n or any(c >= n for _, c in pivots[:n]):
         raise SingularMatrix(f"matrix of rank {rank(a)} < {n}")
+    if real:
+        d = rows[n - 1][n - 1]
+        y = [None] * n
+        for r in range(n - 1, -1, -1):
+            row = rows[r]
+            acc = [x * d for x in row[n:]]
+            for t in range(r + 1, n):
+                e = row[t]
+                if e:
+                    acc = [u - v * e for u, v in zip(acc, y[t])]
+            p = row[r]
+            y[r] = [u // p for u in acc]
+        # x = y / D / den(b)
+        return _real_over(y, d * b.den)
     dre, dim_ = rows[n - 1][n - 1]
     y_re = [None] * n
     y_im = [None] * n

@@ -126,7 +126,11 @@ def union(*subspaces):
     return SubspaceUnion(subspaces[0].ambient_dim, list(subspaces))
 
 
-def random_scalar(rng, bound=3):
+def random_scalar(rng, bound=3, real=False):
+    """A rational with numerator and denominator up to ``bound``; unless
+    ``real``, with a rational imaginary part 40% of the time."""
+    if real:
+        return CRat(Fraction(rng.randint(-bound, bound), rng.randint(1, bound)))
     return CRat(
         Fraction(rng.randint(-bound, bound), rng.randint(1, bound)),
         Fraction(rng.randint(-bound, bound), rng.randint(1, bound)) if rng.random() < 0.4 else 0,
@@ -147,19 +151,21 @@ def random_density(rng, n):
             return rho * CRat(Fraction(1, 1) / tr)
 
 
-def random_vector(rng, n, bound=3):
+def random_vector(rng, n, bound=3, real=False):
     while True:
-        v = Mat.column([random_scalar(rng, bound) for _ in range(n)])
+        v = Mat.column([random_scalar(rng, bound, real) for _ in range(n)])
         if not v.is_zero():
             return v
 
 
-def random_subspace(rng, n, dim=None):
+def random_subspace(rng, n, dim=None, real=False):
+    """The span of dim or dim + 1 random vectors of C^n, dim drawn when
+    None; ``real`` draws real vectors only."""
     if dim is None:
         dim = rng.randint(0, n)
     if dim == 0:
         return Subspace.zero(n)
-    return Subspace.from_vectors(n, [random_vector(rng, n) for _ in range(dim + rng.randint(0, 1))])
+    return Subspace.from_vectors(n, [random_vector(rng, n, real=real) for _ in range(dim + rng.randint(0, 1))])
 
 
 _PHASES = [CRat(1), CRat(-1), CRat(0, 1), CRat(0, -1)]

@@ -1135,6 +1135,19 @@ class TestAlmostSureExit:
         assert all(almost for _, almost in outcomes[:8])
         assert outcomes[8:] == [(False, False), (False, False), (False, True)]
 
+    @pytest.mark.parametrize("seed", [71, 72, 75, 77])
+    def test_expected_steps_against_the_exit_series(self, seed):
+        # a program that terminates exactly at step n exits with mass
+        # m_k - m_(k-1) at step k <= n, m_k the exact exit trace after k
+        # steps, and with none later: its expected number of steps is the
+        # finite sum of k (m_k - m_(k-1)), which checks the second solve
+        for prog, step in terminating_programs(seed=seed, count=8):
+            series = bohm_jacopini(prog).exit_series(embed(initial_cq(prog), prog), step + 2)
+            masses = [m.trace() for m in series]
+            assert all(m.im == 0 for m in masses) and masses[-1] == masses[step] == 1
+            brute = sum(k * (masses[k].re - masses[k - 1].re) for k in range(1, len(masses)))
+            assert reachability_superop(prog).expected_steps == float(brute)
+
 
 class TestRandomReachability:
     def test_resolvent_matches_power_iteration(self):

@@ -5,7 +5,7 @@ import pytest
 from qtl.errors import AlmostOperatorOnNonAtom, UnknownAtom, UnknownConfiguration
 from qtl.linalg import Mat
 from qtl.subspace import Subspace, satisfies
-from qtl.program import CQState, embed, simulate_deterministic
+from qtl.program import CQState, embed
 from qtl.qwhile import compile_source
 from qtl.formula import (
     Always,
@@ -19,7 +19,6 @@ from qtl.formula import (
     Until,
     atom_from_blocks,
     formula_to_str,
-    holds_prefix,
     parse_formula,
 )
 
@@ -121,76 +120,3 @@ class TestParser:
         for _ in range(40):
             f = random_formula(6)
             assert parse_formula(formula_to_str(f), atoms) == f
-
-
-class TestPrefixSemantics:
-    def test_true_holds(self, example_loop, atoms):
-        prefix = simulate_deterministic(example_loop, 2)
-        assert holds_prefix(prefix, FTrue(), atoms, example_loop).status == "holds"
-
-    def test_eventually_exit_inconclusive(self, example_loop, atoms):
-        prefix = simulate_deterministic(example_loop, 4)
-        v = holds_prefix(prefix, Eventually(FAtom("exit0")), atoms, example_loop)
-        assert v.status == "inconclusive"
-
-    def test_almost_eventually_bounded_holds(self, example_loop, atoms):
-        prefix = simulate_deterministic(example_loop, 4)
-        v = holds_prefix(
-            prefix, AlmostEventually("exit0"), atoms, example_loop, delta=0.3
-        )
-        assert v.status == "holds" and v.step == 4
-
-    def test_always_refuted_with_step(self, example_loop, atoms):
-        prefix = simulate_deterministic(example_loop, 4)
-        v = holds_prefix(prefix, Always(FAtom("exit0")), atoms, example_loop)
-        assert v.status == "fails" and v.step == 0
-
-    def test_always_never_confirmed(self, example_loop, atoms):
-        prefix = simulate_deterministic(example_loop, 6)
-        v = holds_prefix(prefix, Always(FAtom("p")), atoms, example_loop)
-        assert v.status == "inconclusive"
-
-    def test_monotonicity_under_extension(self, example_loop, atoms):
-        # a Holds verdict for eventually-style formulas never reverts,
-        # a Fails verdict for always never reverts
-        trajectory = simulate_deterministic(example_loop, 8)
-        f_ev = AlmostEventually("exit0")
-        f_box = Always(FAtom("exit0"))
-        held_at = None
-        failed_at = None
-        for n in range(1, 9):
-            prefix = trajectory[:n]
-            ev = holds_prefix(prefix, f_ev, atoms, example_loop, delta=0.6)
-            box = holds_prefix(prefix, f_box, atoms, example_loop)
-            if held_at is not None:
-                assert ev.status == "holds"
-            elif ev.status == "holds":
-                held_at = n
-            if failed_at is not None:
-                assert box.status == "fails"
-            elif box.status == "fails":
-                failed_at = n
-        assert held_at is not None and failed_at is not None
-
-    def test_next_and_until(self, example_loop, atoms):
-        trajectory = simulate_deterministic(example_loop, 3)
-        v = holds_prefix(trajectory, Next(FAtom("p")), atoms, example_loop)
-        assert v.status == "holds"
-        v = holds_prefix(trajectory[:1], Next(FAtom("p")), atoms, example_loop)
-        assert v.status == "inconclusive"
-        v = holds_prefix(trajectory, Until(FAtom("p"), FAtom("exit0")), atoms, example_loop)
-        assert v.status == "inconclusive"
-
-    def test_almost_until_refuted_when_left_breaks(self, example_loop, atoms):
-        from qtl.formula import AlmostUntil
-
-        trajectory = simulate_deterministic(example_loop, 4)
-        # exit0 fails immediately and no exact hit can rescue any delta
-        v = holds_prefix(trajectory, AlmostUntil("exit0", "exit0"), atoms, example_loop)
-        assert v.status == "fails" and v.step == 0
-        # with p on the left, the exact mode stays inconclusive (no exact hit)
-        v = holds_prefix(trajectory, AlmostUntil("p", "exit0"), atoms, example_loop)
-        assert v.status == "inconclusive"
-        # and the bounded mode finds an approximate hit
-        v = holds_prefix(trajectory, AlmostUntil("p", "exit0"), atoms, example_loop, delta=0.6)
-        assert v.status == "holds"

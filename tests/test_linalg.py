@@ -13,6 +13,9 @@ from qtl.errors import DimensionMismatch, MalformedInput, PreconditionViolated, 
 from qtl.linalg import (
     CRat,
     Mat,
+    _echelon,
+    _echelon_int,
+    _rows_as_pairs,
     charpoly,
     format_rational,
     invert,
@@ -171,42 +174,53 @@ def _gaussian_rational(rng):
     )
 
 
-def _gaussian_matrix(rng, rows, cols, rank=None):
-    """A random rows x cols Gaussian-rational matrix, of the given rank if any."""
+def _gaussian_matrix(rng, rows, cols, rank=None, real=False):
+    """A random rows x cols Gaussian-rational matrix, of the given rank if
+    any; with ``real``, the real parts of one."""
     if rank == 0:
         return Mat.zeros(rows, cols)
     if rank is None:
-        return Mat.from_rows([[_gaussian_rational(rng) for _ in range(cols)] for _ in range(rows)])
-    return _gaussian_matrix(rng, rows, rank) @ _gaussian_matrix(rng, rank, cols)
+        return Mat.from_rows(
+            [[_gaussian_rational(rng).re if real else _gaussian_rational(rng) for _ in range(cols)] for _ in range(rows)]
+        )
+    return _gaussian_matrix(rng, rows, rank, real=real) @ _gaussian_matrix(rng, rank, cols, real=real)
 
 
-def _to_sympy(m: Mat) -> DomainMatrix:
+def _to_sympy(m: Mat, domain=QQ_I) -> DomainMatrix:
+    """m over QQ_I, or over QQ (the real parts only) when domain is QQ."""
+
     def qq(x):
         return QQ(x.numerator, x.denominator)
 
+    if domain == QQ:
+        return DomainMatrix([[qq(e.re) for e in row] for row in m.entries()], (m.rows, m.cols), QQ)
     return DomainMatrix(
         [[QQ_I(qq(e.re), qq(e.im)) for e in row] for row in m.entries()], (m.rows, m.cols), QQ_I
     )
 
 
 def _from_sympy(rows) -> Mat:
+    """A Mat of sympy's QQ_I or QQ elements."""
+
     def frac(x):
         return Fraction(int(x.numerator), int(x.denominator))
 
-    return Mat.from_rows([[CRat(frac(e.x), frac(e.y)) for e in row] for row in rows])
+    return Mat.from_rows(
+        [[CRat(frac(e.x), frac(e.y)) if hasattr(e, "y") else CRat(frac(e)) for e in row] for row in rows]
+    )
 
 
-def _sympy_kernel(m: Mat) -> list:
+def _sympy_kernel(m: Mat, domain=QQ_I) -> list:
     """sympy's reduced row echelon form read as one kernel vector per free
     column f: 1 at f, zero at the other free columns."""
-    reduced, pivots = _to_sympy(m).rref()
+    reduced, pivots = _to_sympy(m, domain).rref()
     reduced = reduced.to_list()
     vectors = []
     for f in range(m.cols):
         if f in pivots:
             continue
-        v = [QQ_I(0, 0)] * m.cols
-        v[f] = QQ_I(1, 0)
+        v = [domain.zero] * m.cols
+        v[f] = domain.one
         for i, c in enumerate(pivots):
             v[c] = -reduced[i][f]
         vectors.append(_from_sympy([[x] for x in v]))
@@ -216,48 +230,115 @@ def _sympy_kernel(m: Mat) -> list:
 # (rows, cols, rank): full, singular and rank-deficient squares, wide, tall, zero
 SYMPY_SHAPES = [(4, 4, None), (5, 5, None), (4, 4, 3), (5, 5, 2), (3, 6, None), (2, 5, 1),
                 (6, 3, None), (5, 2, 1), (4, 6, 3), (3, 3, 0)]
+# Gaussian-rational matrices go to sympy over QQ_I, real ones over QQ
+DOMAINS = [(QQ_I, False), (QQ, True)]
+
+
+def _rank_inputs(seed, real):
+    rng = random.Random(100 + seed + 50 * real)
+    return [_gaussian_matrix(rng, rows, cols, r, real) for rows, cols, r in SYMPY_SHAPES]
+
+
+def _rref_inputs(seed, real):
+    rng = random.Random(300 + seed + 50 * real)
+    return [_gaussian_matrix(rng, rows, cols, r, real) for rows, cols, r in SYMPY_SHAPES]
+
+
+def _solve_inputs(seed, real):
+    """(a, b) square systems, singular ones included; b is scaled by 1/7,
+    so that den(b) != 1 also where its draws are integers."""
+    rng = random.Random(200 + seed + 50 * real)
+    return [
+        (_gaussian_matrix(rng, rows, cols, r, real),
+         _gaussian_matrix(rng, rows, rng.randint(1, 3), real=real) * CRat(Fraction(1, 7)))
+        for rows, cols, r in SYMPY_SHAPES
+        if rows == cols
+    ]
 
 
 class TestAgainstSympy:
     """rank, kernel_basis, rref, solve and invert against sympy's exact
-    Gaussian-rational matrices (domain QQ_I), on seeded inputs with complex
-    non-unit pivots."""
+    matrices, on seeded inputs: Gaussian-rational ones over QQ_I, with
+    complex non-unit pivots, and real ones over QQ, which take the integer
+    kernel, with negative and non-unit pivots."""
 
     @pytest.mark.parametrize("seed", range(4))
     def test_rank_and_kernel(self, seed):
-        rng = random.Random(100 + seed)
-        for rows, cols, r in SYMPY_SHAPES:
-            m = _gaussian_matrix(rng, rows, cols, r)
-            assert rank(m) == _to_sympy(m).rank()
-            assert kernel_basis(m) == _sympy_kernel(m)
+        for domain, real in DOMAINS:
+            for m in _rank_inputs(seed, real):
+                assert m.is_real() == real or m.is_zero()
+                assert rank(m) == _to_sympy(m, domain).rank()
+                assert kernel_basis(m) == _sympy_kernel(m, domain)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_rref(self, seed):
-        rng = random.Random(300 + seed)
-        for rows, cols, r in SYMPY_SHAPES:
-            m = _gaussian_matrix(rng, rows, cols, r)
-            reduced, pivots = _to_sympy(m).rref()
-            expected = _from_sympy(reduced.to_list()[: len(pivots)]) if pivots else Mat.zeros(0, cols)
-            assert rref(m) == (expected, tuple(pivots))
+        for domain, real in DOMAINS:
+            for m in _rref_inputs(seed, real):
+                reduced, pivots = _to_sympy(m, domain).rref()
+                expected = _from_sympy(reduced.to_list()[: len(pivots)]) if pivots else Mat.zeros(0, m.cols)
+                assert rref(m) == (expected, tuple(pivots))
 
     @pytest.mark.parametrize("seed", range(4))
     def test_solve_and_invert(self, seed):
-        rng = random.Random(200 + seed)
-        for rows, cols, r in SYMPY_SHAPES:
-            if rows != cols:
-                continue
-            a = _gaussian_matrix(rng, rows, cols, r)
-            b = _gaussian_matrix(rng, rows, rng.randint(1, 3))
-            assert b.den != 1
-            a_sym, b_sym = _to_sympy(a), _to_sympy(b)
-            if a_sym.rank() < rows:
-                with pytest.raises(SingularMatrix):
-                    solve(a, b)
-                with pytest.raises(SingularMatrix):
-                    invert(a)
-                continue
-            assert solve(a, b) == _from_sympy(a_sym.lu_solve(b_sym).to_list())
-            assert invert(a) == _from_sympy(a_sym.inv().to_list())
+        for domain, real in DOMAINS:
+            for a, b in _solve_inputs(seed, real):
+                assert b.den != 1
+                a_sym, b_sym = _to_sympy(a, domain), _to_sympy(b, domain)
+                if a_sym.rank() < a.rows:
+                    with pytest.raises(SingularMatrix):
+                        solve(a, b)
+                    with pytest.raises(SingularMatrix):
+                        invert(a)
+                    continue
+                assert solve(a, b) == _from_sympy(a_sym.lu_solve(b_sym).to_list())
+                assert invert(a) == _from_sympy(a_sym.inv().to_list())
+
+    def test_real_inputs_have_negative_and_non_unit_last_pivots(self):
+        # the last pivot D of the integer elimination divides every result,
+        # so a sign or a factor lost there would show
+        last = []
+        for seed in range(4):
+            mats = _rank_inputs(seed, True) + _rref_inputs(seed, True)
+            # the last pivot of a solve is that of its a
+            mats += [a for a, _ in _solve_inputs(seed, True)]
+            for m in mats:
+                rows = m.num_re.tolist()
+                pivots = _echelon_int(rows, m.cols, jordan=True)
+                if pivots:
+                    last.append(rows[-1][pivots[-1][1]])
+        assert any(d < 0 for d in last) and any(d > 1 for d in last) and any(d < -1 for d in last)
+
+
+# entries: often zero, so rows turn zero and pivots repeat (the skips of
+# the update), mostly small, some beyond 64 bits; products of a tall and a
+# wide factor give rank-deficient matrices
+_INTS = st.one_of(st.just(0), st.integers(-4, 4), st.integers(-(2**70), 2**70))
+
+
+@st.composite
+def integer_grids(draw):
+    rows, cols = draw(st.integers(0, 6)), draw(st.integers(0, 7))
+    if rows and cols and draw(st.booleans()):
+        k = draw(st.integers(1, min(rows, cols)))
+        left = np.array(draw(st.lists(st.lists(_INTS, min_size=k, max_size=k), min_size=rows, max_size=rows)), dtype=object)
+        right = np.array(draw(st.lists(st.lists(_INTS, min_size=cols, max_size=cols), min_size=k, max_size=k)), dtype=object)
+        return np.dot(left, right).tolist(), cols
+    return draw(st.lists(st.lists(_INTS, min_size=cols, max_size=cols), min_size=rows, max_size=rows)), cols
+
+
+class TestIntegerKernel:
+    """The integer Bareiss kernel that real matrices take, against the
+    Gaussian-integer one on the same rows as (x, 0) pairs: the same pivots
+    and the same rows left behind, with and without the Gauss-Jordan pass."""
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(integer_grids(), st.booleans())
+    def test_same_pivots_and_rows_as_pairs(self, grid, jordan):
+        rows, width = grid
+        ints = [list(row) for row in rows]
+        pairs = [[(x, 0) for x in row] for row in rows]
+        assert _echelon_int(ints, width, jordan) == _echelon(pairs, width, jordan)
+        assert pairs == [[(x, 0) for x in row] for row in ints]
 
 
 def _gaussian_or_empty(rng, rows, cols):

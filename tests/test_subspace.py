@@ -233,12 +233,14 @@ RNGS = st.integers(0, 2**32 - 1).map(random.Random)
 @st.composite
 def spanning_sets(draw, max_dim=4):
     """(n, vectors): up to n + 1 random vectors of C^n, so some are
-    dependent, and sometimes a vector that is a combination of the others."""
+    dependent, and sometimes a vector that is a combination of the others;
+    all real about half of the time."""
     rng = draw(RNGS)
+    real = draw(st.booleans())
     n = draw(st.integers(2, max_dim))
-    vectors = [random_vector(rng, n) for _ in range(draw(st.integers(1, n + 1)))]
+    vectors = [random_vector(rng, n, real=real) for _ in range(draw(st.integers(1, n + 1)))]
     if draw(st.booleans()):
-        vectors.append(_combination(rng, vectors))
+        vectors.append(_combination(rng, vectors, real))
     if draw(st.booleans()):
         vectors = [_coordinate_mask(rng, n) @ v for v in vectors]
     return n, vectors
@@ -246,17 +248,19 @@ def spanning_sets(draw, max_dim=4):
 
 @st.composite
 def subspace_pairs(draw):
-    """(a, b) in one ambient space; b lies inside a about half of the time."""
+    """(a, b) in one ambient space; b lies inside a about half of the time,
+    and both are real about half of the time."""
     rng = draw(RNGS)
+    real = draw(st.booleans())
     n = draw(st.integers(2, 4))
-    a = random_subspace(rng, n, draw(st.integers(1, n)))
+    a = random_subspace(rng, n, draw(st.integers(1, n)), real)
     if draw(st.booleans()):
         a = Subspace(n, a.rref @ _coordinate_mask(rng, n))
     if a.dim and draw(st.booleans()):
         basis = a.rref.transpose().column_vectors()
-        b = Subspace.from_vectors(n, [_combination(rng, basis) for _ in range(rng.randint(1, a.dim))])
+        b = Subspace.from_vectors(n, [_combination(rng, basis, real) for _ in range(rng.randint(1, a.dim))])
     else:
-        b = random_subspace(rng, n, draw(st.integers(0, n)))
+        b = random_subspace(rng, n, draw(st.integers(0, n)), real)
     return a, b
 
 
@@ -264,25 +268,36 @@ def subspace_pairs(draw):
 def union_pairs(draw):
     """(x, y) in one ambient space, with x inside y, y inside x, some
     members of each side inside the other ("partly"), or neither forced;
-    some members repeat or lie inside others."""
+    some members repeat or lie inside others.  x starts from 2-3 members
+    that are neither zero nor C^n, and every member is real about half of
+    the time."""
     rng = draw(RNGS)
+    real = draw(st.booleans())
     n = draw(st.integers(2, 4))
     shape = draw(st.sampled_from(["x in y", "y in x", "partly", "free"]))
+
+    def subspace(low=0, high=n):
+        # the span of k random vectors, k drawn by hypothesis: it spreads
+        # the dimensions over the derandomized examples, where a k drawn
+        # from rng made most members C^n or zero
+        k = draw(st.integers(low, high))
+        return Subspace.from_vectors(n, [random_vector(rng, n, real=real) for _ in range(k)])
+
     if shape == "partly":
         # l0 and l1 lie inside y, l1 inside x, l2 and l0 v l3 need not
         # (in C^2 the plane l0 v l3 would be everything)
         n = max(n, 3)
-        lines = [Subspace.from_vectors(n, [random_vector(rng, n)]) for _ in range(4)]
+        lines = [Subspace.from_vectors(n, [random_vector(rng, n, real=real)]) for _ in range(4)]
         return SubspaceUnion(n, lines[:3]), SubspaceUnion(n, [lines[0].join(lines[3]), lines[1]])
-    members = [random_subspace(rng, n) for _ in range(draw(st.integers(1, 3)))]
-    x = SubspaceUnion(n, members + [m.meet(random_subspace(rng, n)) for m in members[:1]])
+    members = [subspace(1, n - 1) for _ in range(draw(st.integers(2, 3)))]
+    x = SubspaceUnion(n, members + [m.meet(subspace()) for m in members[:1]])
     if shape == "x in y":
-        y = [m.join(random_subspace(rng, n)) for m in x.members]
+        y = [m.join(subspace()) for m in x.members]
     elif shape == "y in x":
-        y = [m.meet(random_subspace(rng, n)) for m in x.members]
+        y = [m.meet(subspace()) for m in x.members]
     else:
         y = []
-    y += [random_subspace(rng, n) for _ in range(draw(st.integers(0 if y else 1, 2)))]
+    y += [subspace() for _ in range(draw(st.integers(0 if y else 1, 2)))]
     if shape == "y in x":
         y = [m for m in y if x.contains_subspace(m)] or [Subspace.zero(n)]
     return x, SubspaceUnion(n, y)
@@ -294,10 +309,10 @@ def _coordinate_mask(rng, n):
     return Mat.from_rows([[int(i == j and rng.random() < 0.6) for j in range(n)] for i in range(n)])
 
 
-def _combination(rng, vectors):
-    total = vectors[0] * random_scalar(rng)
+def _combination(rng, vectors, real=False):
+    total = vectors[0] * random_scalar(rng, real=real)
     for v in vectors[1:]:
-        total = total + v * random_scalar(rng)
+        total = total + v * random_scalar(rng, real=real)
     return total
 
 
