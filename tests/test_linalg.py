@@ -15,7 +15,6 @@ from qtl.linalg import (
     Mat,
     _echelon,
     _echelon_int,
-    _rows_as_pairs,
     charpoly,
     format_rational,
     invert,
@@ -234,13 +233,8 @@ SYMPY_SHAPES = [(4, 4, None), (5, 5, None), (4, 4, 3), (5, 5, 2), (3, 6, None), 
 DOMAINS = [(QQ_I, False), (QQ, True)]
 
 
-def _rank_inputs(seed, real):
-    rng = random.Random(100 + seed + 50 * real)
-    return [_gaussian_matrix(rng, rows, cols, r, real) for rows, cols, r in SYMPY_SHAPES]
-
-
-def _rref_inputs(seed, real):
-    rng = random.Random(300 + seed + 50 * real)
+def _shaped_inputs(base, seed, real):
+    rng = random.Random(base + seed + 50 * real)
     return [_gaussian_matrix(rng, rows, cols, r, real) for rows, cols, r in SYMPY_SHAPES]
 
 
@@ -265,7 +259,7 @@ class TestAgainstSympy:
     @pytest.mark.parametrize("seed", range(4))
     def test_rank_and_kernel(self, seed):
         for domain, real in DOMAINS:
-            for m in _rank_inputs(seed, real):
+            for m in _shaped_inputs(100, seed, real):
                 assert m.is_real() == real or m.is_zero()
                 assert rank(m) == _to_sympy(m, domain).rank()
                 assert kernel_basis(m) == _sympy_kernel(m, domain)
@@ -273,7 +267,7 @@ class TestAgainstSympy:
     @pytest.mark.parametrize("seed", range(4))
     def test_rref(self, seed):
         for domain, real in DOMAINS:
-            for m in _rref_inputs(seed, real):
+            for m in _shaped_inputs(300, seed, real):
                 reduced, pivots = _to_sympy(m, domain).rref()
                 expected = _from_sympy(reduced.to_list()[: len(pivots)]) if pivots else Mat.zeros(0, m.cols)
                 assert rref(m) == (expected, tuple(pivots))
@@ -298,7 +292,7 @@ class TestAgainstSympy:
         # so a sign or a factor lost there would show
         last = []
         for seed in range(4):
-            mats = _rank_inputs(seed, True) + _rref_inputs(seed, True)
+            mats = _shaped_inputs(100, seed, True) + _shaped_inputs(300, seed, True)
             # the last pivot of a solve is that of its a
             mats += [a for a, _ in _solve_inputs(seed, True)]
             for m in mats:
