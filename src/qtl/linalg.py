@@ -333,15 +333,6 @@ class Mat:
     def column(entries) -> "Mat":
         return Mat.from_rows([[e] for e in entries])
 
-    @staticmethod
-    def from_complex(array) -> "Mat":
-        """Exactly rationalize a float/complex array (binary floats are rationals)."""
-        rows = np.asarray(array, dtype=complex).tolist()
-        return _from_ratios(
-            [[x.real.as_integer_ratio() for x in row] for row in rows],
-            [[x.imag.as_integer_ratio() for x in row] for row in rows],
-        )
-
     # ------------------------------------------------------------------
     # element access
 
@@ -812,14 +803,14 @@ def _gauss_div(nre, nim, dre, dim_):
 def _perp_rows(r: Mat, pivots: tuple) -> Mat:
     """Rows spanning the orthocomplement of the span of the RREF rows r: the
     row of free column f has 1 at f and -conj(r[i, f]) at the pivot of row i."""
-    n = r.cols
+    n, pivots = r.cols, list(pivots)
     free = [j for j in range(n) if j not in pivots]
     num_re = np.zeros((len(free), n), dtype=object)
     num_im = np.zeros((len(free), n), dtype=object)
-    for row, f in enumerate(free):
-        num_re[row, f] = r.den
-        for i, p in enumerate(pivots):
-            num_re[row, p], num_im[row, p] = -r.num_re[i, f], r.num_im[i, f]
+    num_re[np.arange(len(free)), free] = r.den
+    num_re[:, pivots] = -r.num_re[:, free].T
+    if not r.is_real():
+        num_im[:, pivots] = r.num_im[:, free].T
     # normalized: the gcd of den and r's free-column numerators is one
     return Mat(num_re, num_im, r.den, _normalized=True, _real=r._real)
 
@@ -834,8 +825,8 @@ def kernel_basis(m: Mat):
     an empty list exactly when the matrix is injective.
     """
     r, pivots = rref(m.conj())
-    perp = _perp_rows(r, pivots)
-    return [perp[i : i + 1, :].transpose() for i in range(perp.rows)]
+    perp = _perp_rows(r, pivots).transpose()
+    return [perp[:, j] for j in range(perp.cols)]
 
 
 def invert(m: Mat) -> Mat:

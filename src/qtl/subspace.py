@@ -4,9 +4,10 @@ of them.
 A subspace of C^n is held as the reduced row echelon form (RREF) over Q(i)
 of a basis written as rows: its rows, read as column vectors, are a basis,
 and its pivot columns carry the identity.  The RREF of a subspace is
-unique, so it is the key, the hash and the equality.  Containment reduces
-the other basis against the pivot rows and the orthocomplement is read off
-the free columns, so no projector is formed; :attr:`Subspace.projector`
+unique, so it is the key, the hash and the equality.  Containment compares
+each row of the other basis with its pivot-column combination of the RREF
+rows, on the integer grids, and the orthocomplement is read off the free
+columns, so no projector is formed; :attr:`Subspace.projector`
 builds one on first use for the callers that need an operator.
 Orthonormalization is avoided because it would leave the rational field.
 
@@ -102,8 +103,27 @@ class Subspace:
 
     def _spans(self, rows: Mat) -> bool:
         """Every row of ``rows``, read as a vector, lies in the subspace: it
-        equals its pivot-column entries times the RREF rows."""
-        return self.is_full() or rows[:, list(self.pivots)] @ self.rref == rows
+        equals its pivot-column entries times the RREF rows.  On the integer
+        grids, with M / e the RREF and p_k its pivots, that is
+        e n = sum_k n[p_k] M_k for each row n; it holds at the pivot columns,
+        so only the free columns are compared, row by row, up to the first
+        row that differs."""
+        if self.is_full():
+            return True
+        e, pivots = self.rref.den, self.pivots
+        free = [j for j in range(self.ambient_dim) if j not in pivots]
+        basis = list(zip(self.rref.num_re.tolist(), self.rref.num_im.tolist()))
+        for n_re, n_im in zip(rows.num_re.tolist(), rows.num_im.tolist()):
+            coefs = [(n_re[p], n_im[p], *m) for p, m in zip(pivots, basis) if n_re[p] or n_im[p]]
+            for j in free:
+                s_re, s_im = e * n_re[j], e * n_im[j]
+                for a, b, m_re, m_im in coefs:
+                    c, d = m_re[j], m_im[j]
+                    s_re -= a * c - b * d
+                    s_im -= a * d + b * c
+                if s_re or s_im:
+                    return False
+        return True
 
     def meet(self, other: "Subspace") -> "Subspace":
         """Intersection: the vectors y R of one side (R its RREF) orthogonal

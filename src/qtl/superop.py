@@ -4,17 +4,16 @@ measurements, and the induced image/pre-image actions on subspaces.
 The lattice actions work on the Kraus operators alone: the image of p is
 the span of the K_i b_j over the RREF basis b_j of p (:mod:`qtl.subspace`),
 and the pre-image is E^-1(p) = (E*(p^perp))^perp, the orthocomplement of
-the image of p^perp under the dual channel.  An image is one product of the
-RREF rows with the Kraus stack S = [K_1^T | ... | K_m^T] cached on the
-channel, so no d^2 x d^2 object is formed.  Each channel memoizes its
-images by input subspace (subspaces hash and compare by their RREF), so a
-fixpoint chain that meets a subspace again, or asks again for the range
-E(I), looks its image up; a pre-image goes through the dual's memo and the
-complements cached on the subspaces.  The stack is kept as its nonzero block
-S[R, C] (R its nonzero rows, C its nonzero columns): a program action maps
-one configuration's block to another's, so most of its stack is zero.  The
-product rows[:, R] @ S[R, C] is scattered back to the output coordinates,
-and only the nonzero image rows are handed to the elimination.
+the image of p^perp under the dual channel, so no d^2 x d^2 object is
+formed.  Each channel memoizes its images by input subspace (subspaces hash
+and compare by their RREF), so a fixpoint chain that meets a subspace
+again, or asks again for the range E(I), looks its image up; a pre-image
+goes through the dual's memo and the complements cached on the subspaces.
+An image multiplies nonzero entries only: the channel keeps the nonzero
+entries of its Kraus operators by input coordinate, and each nonzero entry
+of an RREF row meets the entries of its coordinate alone.  A program action
+maps one configuration's block to another's, so most of its entries are
+zero; only the nonzero image rows are handed to the elimination.
 
 The matrix representation M = sum_i E_i (x) conj(E_i) linearizes a channel on
 row-major vectorized operators: vec(E(A)) = M vec(A).  It is the canonical
@@ -125,51 +124,35 @@ class Measurement:
 
 
 class _Stack:
-    """The Kraus stack [K_1^T | ... | K_m^T] of a channel (dim_in rows,
-    m * dim_out columns), kept as its nonzero block: the indices ``rows``
-    (R) of its nonzero rows and ``cols`` (C) of its nonzero columns, and
-    ``block`` = S[R, C]; ``rows`` or ``cols`` is None where no row or no
-    column is zero, and ``block`` is None when the whole stack is.  The
-    columns of C fall into one run per Kraus operator that is not zero:
-    ``starts`` are the first columns of the runs, and column c of C is
-    output coordinate ``coord[c]`` of the ``block_of[c]``-th operator with
-    a run.
+    """The nonzero entries of a channel's Kraus operators K_1, ..., K_m over
+    their common denominator, by input coordinate: ``terms[v]`` holds one
+    triple (i, slot, c) per nonzero real or imaginary part c of an entry
+    (u, v) of K_i, with slot u for a real part and dim_out + u for an
+    imaginary one; ``turned[v]`` holds the same parts times the imaginary
+    unit (i re is imaginary, i (i im) = -im is real).  ``real`` says whether
+    every entry is real.
 
-    A program action maps one configuration's block to another's, so its
-    stack is mostly zero; a dense channel keeps its whole stack, with no
-    index taken."""
+    A program action maps one configuration's block to another's, so most
+    of its entries are zero and most coordinates have none."""
 
-    __slots__ = ("rows", "cols", "block", "starts", "block_of", "coord")
+    __slots__ = ("terms", "turned", "real")
 
     def __init__(self, kraus):
-        dim_out = kraus[0].rows
+        dim_out, dim_in = kraus[0].rows, kraus[0].cols
         den = math.lcm(*(k.den for k in kraus))
-        re = np.concatenate([k.num_re.T if k.den == den else k.num_re.T * (den // k.den) for k in kraus], axis=1)
-        im = np.concatenate([k.num_im.T if k.den == den else k.num_im.T * (den // k.den) for k in kraus], axis=1)
-        nz = re.astype(bool)
-        nz |= im.astype(bool)
-        rows = np.logical_or.reduce(nz, axis=1).nonzero()[0]
-        cols = np.logical_or.reduce(nz, axis=0).nonzero()[0]
-        self.rows = rows if len(rows) < re.shape[0] else None
-        self.cols = cols if len(cols) < re.shape[1] else None
-        if self.rows is not None:
-            re, im = re[rows], im[rows]
-        if self.cols is None:
-            self.starts = np.arange(0, len(cols), dim_out)
-            self.block_of = self.coord = None
-        else:
-            re, im = re[:, cols], im[:, cols]
-            owner = cols // dim_out
-            first = np.ones(len(cols), dtype=bool)
-            first[1:] = owner[1:] != owner[:-1]
-            self.starts = first.nonzero()[0]
-            self.block_of = first.cumsum() - 1
-            self.coord = cols % dim_out
-        # normalized: a prime p dividing den and every scaled numerator would
-        # divide every numerator of an operator whose denominator holds the
-        # full power of p in den (den / k.den is then prime to p), and that
-        # denominator too; dropping zero rows and columns keeps the gcd
-        self.block = Mat(re, im, den, _normalized=True) if len(cols) else None
+        self.terms = [[] for _ in range(dim_in)]
+        self.turned = [[] for _ in range(dim_in)]
+        self.real = all(k.is_real() for k in kraus)
+        for i, k in enumerate(kraus):
+            scale = den // k.den
+            # (grid, its slot, the slot and sign of the grid times i)
+            for grid, slot, turned_slot, sign in ((k.num_re, 0, dim_out, 1), (k.num_im, dim_out, 0, -1)):
+                for u, row in enumerate(grid.tolist()):
+                    if any(row):
+                        for v, c in enumerate(row):
+                            if c:
+                                self.terms[v].append((i, slot + u, c * scale))
+                                self.turned[v].append((i, turned_slot + u, sign * c * scale))
 
 
 class SuperOp:
@@ -261,39 +244,37 @@ class SuperOp:
 
     def _image_rows(self, rows: Mat) -> Mat:
         """The nonzero rows among (K_i r)^T, over every row r of ``rows``
-        and every Kraus operator K_i: one product of the columns R of
-        ``rows`` with the compressed stack S[R, C] (:class:`_Stack`), whose
-        result row r holds the nonzero entries of the m images, scattered
-        back to their output coordinates."""
+        and every Kraus operator K_i in that order, all scaled by one
+        positive integer (the denominators of ``rows`` and of the stack) and
+        given over denominator 1.  Only nonzero entries are multiplied: each
+        nonzero real or imaginary part x of entry v of r times the entries
+        of column v (:class:`_Stack`), summed per operator into its real
+        slots and, unless both sides are real, its imaginary slots."""
         if self._stack is None:
             object.__setattr__(self, "_stack", _Stack(self.kraus))
-        st = self._stack
-        if st.block is None:
-            return Mat.zeros(0, self.dim_out)
-        if st.rows is not None:
-            rows = Mat(rows.num_re[:, st.rows], rows.num_im[:, st.rows], rows.den, _real=rows._real or None)
-        prod = rows @ st.block
-        # output row (r, u) is nonzero where any of its columns in C is
-        nz = prod.num_re.astype(bool)
-        nz |= prod.num_im.astype(bool)
-        keep = np.logical_or.reduceat(nz, st.starts, axis=1).ravel()
-        kept = np.count_nonzero(keep)
-        if not kept:
-            return Mat.zeros(0, self.dim_out)
-        shape = (rows.rows * len(st.starts), self.dim_out)
-        if st.cols is None:
-            re, im = prod.num_re.reshape(shape), prod.num_im.reshape(shape)
-        else:
-            re = np.zeros((rows.rows, len(st.starts), self.dim_out), dtype=object)
-            im = np.zeros(re.shape, dtype=object)
-            re[:, st.block_of, st.coord] = prod.num_re
-            im[:, st.block_of, st.coord] = prod.num_im
-            re, im = re.reshape(shape), im.reshape(shape)
-        if kept < len(keep):
-            re, im = re[keep], im[keep]
-        # dropping zero rows keeps the gcd of the entries and every nonzero
-        # imaginary part: still normalized, and real exactly when prod is
-        return Mat(re, im, prod.den, _normalized=True, _real=prod._real)
+        st, n = self._stack, self.dim_out
+        rows_im = None if rows.is_real() else rows.num_im.tolist()
+        real = st.real and rows_im is None
+        zero = [0] * (n if real else 2 * n)
+        out = []
+        for k, r_re in enumerate(rows.num_re.tolist()):
+            acc = [None] * len(self.kraus)
+            parts = [(x, t) for x, t in zip(r_re, st.terms) if x]
+            if rows_im is not None:
+                parts += [(x, t) for x, t in zip(rows_im[k], st.turned) if x]
+            for x, terms in parts:
+                for i, slot, c in terms:
+                    a = acc[i]
+                    if a is None:
+                        a = acc[i] = zero.copy()
+                    a[slot] += x * c
+            out += [a for a in acc if a is not None and any(a)]
+        if not out:
+            return Mat.zeros(0, n)
+        grid = np.array(out, dtype=object)
+        if real:
+            return Mat(grid, np.zeros(grid.shape, dtype=object), 1, _normalized=True, _real=True)
+        return Mat(grid[:, :n], grid[:, n:], 1, _normalized=True)
 
     def matrix_rep(self) -> Mat:
         """sum_i E_i (x) conj(E_i); cached."""

@@ -17,7 +17,7 @@ import scipy.linalg
 
 from qtl.checker import Verdict
 from qtl.errors import DimensionMismatch, PreconditionViolated, QtlError
-from qtl.linalg import CRat, Mat, kron, mat_sum, peripheral_period
+from qtl.linalg import CRat, Mat, _from_ratios, kron, mat_sum, peripheral_period
 from qtl.subspace import Subspace, SubspaceUnion, satisfies, support
 from qtl.superop import MatrixRep, Measurement, SuperOp, unvec, vec
 from qtl.program import LocationAction, QuantumAutomaton, SequentialProgram, check_terminates
@@ -124,6 +124,15 @@ def span(*vectors):
 
 def union(*subspaces):
     return SubspaceUnion(subspaces[0].ambient_dim, list(subspaces))
+
+
+def mat_from_complex(array) -> Mat:
+    """Exactly rationalize a float/complex array (binary floats are rationals)."""
+    rows = np.asarray(array, dtype=complex).tolist()
+    return _from_ratios(
+        [[x.real.as_integer_ratio() for x in row] for row in rows],
+        [[x.imag.as_integer_ratio() for x in row] for row in rows],
+    )
 
 
 def random_scalar(rng, bound=3, real=False):
@@ -297,16 +306,17 @@ def random_deterministic_program(rng, dim, n_locations, ensure_exit_reachable=Tr
     )
 
 
-def terminating_programs(seed, count):
+def terminating_programs(seed, count, min_step=1):
     """Seeded random deterministic programs that terminate exactly, with
-    their termination step."""
+    their termination step, which is at least ``min_step``: most random
+    programs that terminate do so at their first step."""
     rng = random.Random(seed)
     found = []
     while len(found) < count:
         dim = rng.choice([2, 2, 3])
         prog = random_deterministic_program(rng, dim, rng.randint(1, 3))
         result = check_terminates(prog)
-        if result.kind == "terminates":
+        if result.kind == "terminates" and result.step >= min_step:
             found.append((prog, result.step))
     return found
 
@@ -487,7 +497,7 @@ def float_peripheral_split(m: Mat, tolerance: float = 1e-9) -> SpectralSplit:
             raise ToleranceAmbiguity(
                 f"stable part kept spectral radius {stable_radius}"
             )
-    projector_mat = Mat.from_complex(projector)
+    projector_mat = mat_from_complex(projector)
     return SpectralSplit(projector_mat, m - m @ projector_mat, tolerance, eigenvalues)
 
 

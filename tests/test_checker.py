@@ -656,7 +656,7 @@ class TestReachability:
         assert (q0_one @ block).trace() == CRat(0)
 
     def test_reach_state_of_terminating_programs_is_exact(self):
-        for prog, step in terminating_programs(seed=31, count=12):
+        for prog, step in terminating_programs(seed=31, count=12, min_step=2):
             r = reachability_superop(prog)
             final = simulate_deterministic(prog, step)[-1]
             exit_only = CQState(prog.dim, {"exit": final.block("exit")}, validate=False)
@@ -1141,7 +1141,7 @@ class TestAlmostSureExit:
         # m_k - m_(k-1) at step k <= n, m_k the exact exit trace after k
         # steps, and with none later: its expected number of steps is the
         # finite sum of k (m_k - m_(k-1)), which checks the second solve
-        for prog, step in terminating_programs(seed=seed, count=8):
+        for prog, step in terminating_programs(seed=seed, count=8, min_step=2):
             series = bohm_jacopini(prog).exit_series(embed(initial_cq(prog), prog), step + 2)
             masses = [m.trace() for m in series]
             assert all(m.im == 0 for m in masses) and masses[-1] == masses[step] == 1

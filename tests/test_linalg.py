@@ -31,7 +31,7 @@ from qtl.linalg import (
 
 from qtl.superop import SuperOp, unvec, vec
 
-from helpers import PAULI_X, random_automaton, random_matrix, random_tp_channel
+from helpers import PAULI_X, mat_from_complex, random_automaton, random_matrix, random_tp_channel
 
 
 class TestScalars:
@@ -608,8 +608,8 @@ PARSER = settings(derandomize=True, max_examples=120, deadline=None)
 
 
 class TestEntryParser:
-    """Mat.from_rows and Mat.from_complex read every entry exactly as
-    CRat.coerce and Fraction do, and reject what they reject."""
+    """Mat.from_rows and the test helper mat_from_complex read every entry
+    exactly as CRat.coerce and Fraction do, and reject what they reject."""
 
     @PARSER
     @given(st.integers(1, 3).flatmap(lambda c: st.lists(st.lists(_entries, min_size=c, max_size=c), min_size=1, max_size=3)))
@@ -644,7 +644,7 @@ class TestEntryParser:
                            min_size=1, max_size=3)))
     def test_from_complex_equals_fractions(self, rows):
         expected = _reference_mat([[CRat(Fraction(x.real), Fraction(x.imag)) for x in row] for row in rows])
-        assert Mat.from_complex(np.array(rows, dtype=complex)) == expected
+        assert mat_from_complex(np.array(rows, dtype=complex)) == expected
 
     @settings(derandomize=True, max_examples=40, deadline=None)
     @given(st.integers(1, 3).flatmap(
@@ -652,7 +652,7 @@ class TestEntryParser:
                            min_size=1, max_size=3)))
     def test_to_complex_inverts_from_complex(self, rows):
         a = np.array(rows, dtype=complex)
-        assert np.array_equal(Mat.from_complex(a).to_complex(), a)
+        assert np.array_equal(mat_from_complex(a).to_complex(), a)
 
     def test_to_complex_rounds_huge_entries(self):
         # numerators beyond float range: every entry is its rounded quotient

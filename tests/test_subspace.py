@@ -457,3 +457,69 @@ class TestProperties:
         assert all(not a.contains(b) for a in kept for b in kept if a is not b)
         assert all(any(k.contains(m) for k in kept) for m in members)
         assert len(set(kept)) == len(kept)
+
+
+def _sympy_rank(m: Mat) -> int:
+    """The rank of m over Q(i), by sympy: an oracle independent of the
+    elimination under test."""
+    def entry(i, j):
+        e = m.entry(i, j)
+        return QQ_I(QQ(e.re.numerator, e.re.denominator), QQ(e.im.numerator, e.im.denominator))
+
+    return DomainMatrix([[entry(i, j) for j in range(m.cols)] for i in range(m.rows)], (m.rows, m.cols), QQ_I).rank()
+
+
+def _scaled_rows(rng, rows, real):
+    """The rows of a Mat times scalars with denominators up to 7, so the
+    grids of the result carry a denominator other than one."""
+    scaled = [rows[i : i + 1, :] * CRat(Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(2, 7)),
+                                        0 if real else Fraction(rng.randint(-2, 2), rng.randint(2, 7)))
+              for i in range(rows.rows)]
+    return functools.reduce(Mat.vstack, scaled)
+
+
+class TestContainmentAgainstRank:
+    """contains, _spans and satisfies against the rank oracle: rows lie in
+    p exactly when stacking them under p's RREF keeps the rank at dim p."""
+
+    @PROPERTY
+    @given(subspace_pairs())
+    def test_contains(self, pair):
+        a, b = pair
+        stacked = a.rref.vstack(b.rref) if b.dim else a.rref
+        assert a.contains(b) == (_sympy_rank(stacked) == a.dim)
+
+    @PROPERTY
+    @given(RNGS, st.integers(2, 4), st.booleans(), st.sampled_from(["none", "first", "last", "all"]))
+    def test_rows_outside_first_or_last(self, rng, n, real, outside):
+        # in-span rows are combinations of p's basis over non-unit
+        # denominators; one row outside at the front or at the back pins
+        # both that every row is read and that the first miss decides
+        p = Subspace.from_vectors(n, [random_vector(rng, n, real=real) for _ in range(rng.randint(1, n - 1))])
+        basis = p.rref.transpose().column_vectors()
+        rows = [_combination(rng, basis, real).transpose() for _ in range(rng.randint(2, 3))]
+        miss = p.complement().rref[:1, :]
+        if outside == "first":
+            rows[0] = rows[0] + miss
+        elif outside == "last":
+            rows[-1] = rows[-1] + miss
+        elif outside == "all":
+            rows = [r + miss for r in rows]
+        m = _scaled_rows(rng, functools.reduce(Mat.vstack, rows), real)
+        expected = outside == "none"
+        assert (_sympy_rank(p.rref.vstack(m)) == p.dim) == expected
+        assert p._spans(m) == expected
+        assert satisfies(m.transpose(), p) == expected
+        assert p.contains(Subspace(n, m)) == expected
+
+    @PROPERTY
+    @given(RNGS, st.integers(2, 4), st.booleans())
+    def test_satisfies(self, rng, n, real):
+        p = random_subspace(rng, n, real=real)
+        rho = _scaled_rows(rng, random_matrix(rng, n) if not real else
+                           Mat.from_rows([[random_scalar(rng, real=True) for _ in range(n)] for _ in range(n)]), real)
+        if p.dim and rng.random() < 0.5:
+            # columns inside p: combinations of its basis
+            rho = functools.reduce(Mat.hstack, [_combination(rng, p.rref.transpose().column_vectors(), real) for _ in range(n)])
+        stacked = p.rref.vstack(rho.transpose()) if p.dim else rho.transpose()
+        assert satisfies(rho, p) == (_sympy_rank(stacked) == p.dim)

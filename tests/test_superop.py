@@ -1,3 +1,4 @@
+import functools
 import pathlib
 import random
 import runpy
@@ -26,11 +27,13 @@ from helpers import (
     HADAMARD_DIRECTION,
     KET_PLUS_DENSITY,
     PAULI_X,
+    PAULI_Y,
     random_density,
     random_deterministic_program,
     random_matrix,
     random_projective_channel,
     random_reset_channel,
+    random_scalar,
     random_subspace,
     random_tp_channel,
     span,
@@ -208,6 +211,80 @@ class TestPreimageImage:
                     assert all(rows.num_re[i].any() or rows.num_im[i].any() for i in range(rows.rows))
                 for p in subspaces:
                     assert p.contains(image(e, s)) == preimage(e, p).contains(s)
+
+    @staticmethod
+    def _kernel_channels(rng):
+        """Channels for the image kernel: complex Kraus operators over
+        unequal denominators (2, 3, 5 and 7), zero operators, program
+        actions, and the duals of all of them."""
+        third, fifth = CRat(Fraction(1, 3)), CRat(Fraction(2, 5), Fraction(-1, 7))
+        channels = []
+        for n in (2, 3, 4):
+            kraus = [random_matrix(rng, n) * third, random_matrix(rng, n) * fifth, Mat.zeros(n)]
+            channels.append(SuperOp([Mat.zeros(n), *kraus], validate=False))
+        channels.append(SuperOp([PAULI_Y * CRat(Fraction(1, 2)), HADAMARD_DIRECTION * CRat(0, Fraction(1, 3))], validate=False))
+        channels.append(SuperOp([Mat.zeros(3), Mat.zeros(3)], validate=True))
+        for _ in range(2):
+            prog = random_deterministic_program(rng, rng.choice([2, 3]), rng.randint(2, 3))
+            channels += to_automaton(prog).actions.values()
+        return channels + [e.dual() for e in channels]
+
+    def test_image_rows_are_the_nonzero_kraus_images(self):
+        # _image_rows returns every nonzero K_i r, row by row and operator by
+        # operator, times one positive scale per call, and its span is the
+        # reference image of the span of the input rows
+        rng = random.Random(15)
+        for e in self._kernel_channels(rng):
+            n = e.dim_in
+            ref = MatrixRep(e.matrix_rep()) if n == e.dim_out else None
+            inputs = [random_matrix(rng, k, n) * CRat(Fraction(1, rng.randint(2, 9))) for k in (1, 2, 3)]
+            inputs += [Mat.from_rows([[random_scalar(rng, real=True) for _ in range(n)] for _ in range(2)]), Mat.eye(n)]
+            for rows in inputs:
+                got = e._image_rows(rows)
+                expected = [
+                    image_row
+                    for i in range(rows.rows)
+                    for k in e.kraus
+                    if not (image_row := (k @ rows[i : i + 1, :].transpose()).transpose()).is_zero()
+                ]
+                assert got.rows == len(expected) and got.cols == e.dim_out
+                if not expected:
+                    continue
+                want = functools.reduce(Mat.vstack, expected)
+                # the scale is the ratio of any nonzero entry, and positive
+                i, j = next((i, j) for i in range(want.rows) for j in range(want.cols) if want.entry(i, j))
+                scale = got.entry(i, j) / want.entry(i, j)
+                assert scale.im == 0 and scale.re > 0
+                assert got == want * scale
+                if ref is not None:
+                    assert Subspace(n, got) == ref.image(Subspace(n, rows))
+
+    def test_kernels_build_no_matrices_beyond_their_result(self, monkeypatch):
+        # one _image_rows call builds its result and no other Mat, even the
+        # call that builds the channel's stack; a containment test builds none
+        rng = random.Random(16)
+        cases = [(e, random_subspace(rng, e.dim_in, dim=2)) for e in self._kernel_channels(rng)]
+        tests = []
+        for _ in range(10):
+            big = random_subspace(rng, 4, dim=3)
+            tests += [(big, big.rref[1:, :]), (big, random_matrix(rng, 2, 4)), (big, big.complement().rref)]
+        built = []
+        init = Mat.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Mat, "__init__", counted)
+        for e, p in cases:
+            for _ in range(2):
+                built.clear()
+                e._image_rows(p.rref)
+                assert len(built) == 1
+        for big, rows in tests:
+            built.clear()
+            big._spans(rows)
+            assert not built
 
     def test_memoized_images_match_the_matrix_rep(self):
         # each channel keeps its images by input subspace, and a pre-image
