@@ -317,10 +317,7 @@ class Mat:
 
     @staticmethod
     def eye(n) -> "Mat":
-        re = np.zeros((n, n), dtype=object)
-        for i in range(n):
-            re[i, i] = 1
-        return Mat(re, np.zeros((n, n), dtype=object), 1, _normalized=True, _real=True)
+        return _unit_rows(range(n), n)
 
     @staticmethod
     def unit(n, i, j) -> "Mat":
@@ -745,43 +742,88 @@ def _echelon_int(rows, width, jordan=False):
     return pivots
 
 
-def _real_over(rows, d) -> Mat:
-    """The real Mat of integer rows over the nonzero integer d, normalized
-    by one gcd of d and every entry (``Mat`` moves a sign of d into the
-    rows)."""
-    g = math.gcd(d, *itertools.chain.from_iterable(rows))
+def _rows_over(d, rows_re, rows_im=None) -> Mat:
+    """The Mat of integer rows over the nonzero integer d, real when
+    ``rows_im`` is None, normalized by one gcd of d and every entry
+    (``Mat`` moves a sign of d into the rows)."""
+    entries = itertools.chain.from_iterable(rows_re if rows_im is None else rows_re + rows_im)
+    g = math.gcd(d, *entries)
     if g != 1:
-        rows = [[x // g for x in row] for row in rows]
+        rows_re = [[x // g for x in row] for row in rows_re]
+        if rows_im is not None:
+            rows_im = [[x // g for x in row] for row in rows_im]
         d //= g
-    num_re = np.array(rows, dtype=object)
-    return Mat(num_re, np.zeros(num_re.shape, dtype=object), d, _normalized=True, _real=True)
+    num_re = np.array(rows_re, dtype=object)
+    if rows_im is None:
+        return Mat(num_re, np.zeros(num_re.shape, dtype=object), d, _normalized=True, _real=True)
+    return Mat(num_re, np.array(rows_im, dtype=object), d, _normalized=True)
+
+
+def _unit_columns(grids, width):
+    """The sorted distinct columns of the nonzero entries of the rows, when
+    every row holds at most one; None as soon as a row holds two.  The
+    grids are the row lists of the real part and, for a complex matrix,
+    of the imaginary part."""
+    cols = set()
+    for parts in zip(*grids):
+        col = None
+        for row in parts:
+            k = width - row.count(0)
+            if k > 1:
+                return None
+            if k:
+                j = row.index(next(filter(None, row)))
+                if col is not None and j != col:
+                    return None
+                col = j
+        if col is not None:
+            cols.add(col)
+    return sorted(cols)
+
+
+def _unit_rows(cols, width) -> Mat:
+    """The unit rows e_c of C^width, one per c in ``cols``, over
+    denominator 1: the RREF of the coordinate subspace on those columns
+    when they are sorted."""
+    num_re = np.zeros((len(cols), width), dtype=object)
+    for i, c in enumerate(cols):
+        num_re[i, c] = 1
+    return Mat(num_re, np.zeros(num_re.shape, dtype=object), 1, _normalized=True, _real=True)
 
 
 def rref(m: Mat):
     """Reduced row echelon form of m over Q(i), and its pivot columns.
 
-    One fraction-free Gauss-Jordan pass (:func:`_echelon_int` on a real m,
-    :func:`_echelon` otherwise, both with ``jordan``) leaves D times the
-    reduced form, D the last pivot; the one division by D happens when the
+    When every row holds at most one nonzero entry, real or complex, the
+    row space is spanned by the unit vectors e_j of the columns j of those
+    entries (span{c e_j} = span{e_j} for c != 0), so the result is the unit
+    rows of those columns, sorted, with them as pivots, and nothing is
+    eliminated; the reduced form is unique, so this is the form the
+    elimination would reach.  Otherwise one fraction-free Gauss-Jordan pass
+    (:func:`_echelon_int` on a real m, :func:`_echelon` otherwise, both
+    with ``jordan``) leaves D times the reduced form, D the last pivot; the
+    one division by D, and one gcd over the integer rows, happen when the
     result is built.  Zero rows are dropped, so the result has one row per
-    pivot.  The reduced form is unique for the row space, and ``Mat``
-    normalizes its entries, so equal row spaces give equal results.
+    pivot.  The reduced form is unique for the row space, and its entries
+    are normalized, so equal row spaces give equal results.
     """
-    if m.is_real():
-        rows = m.num_re.tolist()
+    real = m.is_real()
+    grids = (m.num_re.tolist(),) if real else (m.num_re.tolist(), m.num_im.tolist())
+    cols = _unit_columns(grids, m.cols)
+    if cols is not None:
+        return _unit_rows(cols, m.cols), tuple(cols)
+    # some row holds two nonzero entries, so there is at least one pivot
+    if real:
+        rows = grids[0]
         pivots = _echelon_int(rows, m.cols, jordan=True)
-        if not pivots:
-            return Mat.zeros(0, m.cols), ()
-        return _real_over(rows, rows[-1][pivots[-1][1]]), tuple(c for _, c in pivots)
-    rows = _rows_as_pairs(m)
+        return _rows_over(rows[-1][pivots[-1][1]], rows), tuple(c for _, c in pivots)
+    rows = [list(zip(re, im)) for re, im in zip(*grids)]
     pivots = _echelon(rows, m.cols, jordan=True)
-    if not pivots:
-        return Mat.zeros(0, m.cols), ()
     dre, dim_ = rows[-1][pivots[-1][1]]
     # rows / D = rows conj(D) / |D|^2
-    num_re = np.array([[a * dre + b * dim_ for a, b in row] for row in rows], dtype=object)
-    num_im = np.array([[b * dre - a * dim_ for a, b in row] for row in rows], dtype=object)
-    return Mat(num_re, num_im, dre * dre + dim_ * dim_), tuple(c for _, c in pivots)
+    rows_re = [[a * dre + b * dim_ for a, b in row] for row in rows]
+    rows_im = [[b * dre - a * dim_ for a, b in row] for row in rows]
+    return _rows_over(dre * dre + dim_ * dim_, rows_re, rows_im), tuple(c for _, c in pivots)
 
 
 def rank(m: Mat) -> int:
@@ -803,14 +845,20 @@ def _gauss_div(nre, nim, dre, dim_):
 def _perp_rows(r: Mat, pivots: tuple) -> Mat:
     """Rows spanning the orthocomplement of the span of the RREF rows r: the
     row of free column f has 1 at f and -conj(r[i, f]) at the pivot of row i."""
-    n, pivots = r.cols, list(pivots)
-    free = [j for j in range(n) if j not in pivots]
-    num_re = np.zeros((len(free), n), dtype=object)
-    num_im = np.zeros((len(free), n), dtype=object)
-    num_re[np.arange(len(free)), free] = r.den
-    num_re[:, pivots] = -r.num_re[:, free].T
-    if not r.is_real():
-        num_im[:, pivots] = r.num_im[:, free].T
+    n, taken = r.cols, set(pivots)
+    free = [j for j in range(n) if j not in taken]
+    basis = list(zip(pivots, r.num_re.tolist(), r.num_im.tolist()))
+    rows_re, rows_im = [], []
+    for f in free:
+        row_re, row_im = [0] * n, [0] * n
+        row_re[f] = r.den
+        for p, m_re, m_im in basis:
+            row_re[p], row_im[p] = -m_re[f], m_im[f]
+        rows_re.append(row_re)
+        rows_im.append(row_im)
+    shape = (len(free), n)
+    num_re = np.array(rows_re, dtype=object).reshape(shape)
+    num_im = np.array(rows_im, dtype=object).reshape(shape)
     # normalized: the gcd of den and r's free-column numerators is one
     return Mat(num_re, num_im, r.den, _normalized=True, _real=r._real)
 
@@ -882,7 +930,7 @@ def solve(a: Mat, b: Mat) -> Mat:
             p = row[r]
             y[r] = [u // p for u in acc]
         # x = y / D / den(b)
-        return _real_over(y, d * b.den)
+        return _rows_over(d * b.den, y)
     dre, dim_ = rows[n - 1][n - 1]
     y_re = [None] * n
     y_im = [None] * n

@@ -11,6 +11,16 @@ columns, so no projector is formed; :attr:`Subspace.projector`
 builds one on first use for the callers that need an operator.
 Orthonormalization is avoided because it would leave the rational field.
 
+Most subspaces a program builds are coordinate subspaces, spanned by unit
+vectors e_j.  The RREF of one is the unit rows e_p of its pivots p, and
+the RREF is unique, so the pivot set alone decides it, exactly: the
+complement is the unit rows of the free columns, two of them meet in the
+unit rows of their common pivots, and one contains another exactly when
+its pivots include the other's (:func:`rref` likewise returns unit rows,
+with no elimination, for rows that each hold one nonzero entry).
+:meth:`Subspace.is_coordinate` reads the denominator first, so a dense
+subspace pays next to nothing for the test.
+
 Unions are kept in a canonical form where no member contains another.  A
 subspace contained in a finite union of subspaces lies inside one of the
 members (the ambient field is infinite), which is what makes membership and
@@ -21,14 +31,16 @@ from __future__ import annotations
 
 import functools
 
+import numpy as np
+
 from .errors import DimensionMismatch, NotPositive
-from .linalg import Mat, _perp_rows, is_psd, rref, solve
+from .linalg import Mat, _perp_rows, _unit_rows, is_psd, rref, solve
 
 
 class Subspace:
     """A closed linear subspace of C^n, held as the RREF of a basis."""
 
-    __slots__ = ("ambient_dim", "rref", "pivots", "_complement", "_projector")
+    __slots__ = ("ambient_dim", "rref", "pivots", "_complement", "_projector", "_coordinate")
 
     def __init__(self, ambient_dim: int, rows: Mat, _pivots: tuple | None = None):
         """The span of the rows of ``rows``, each read as a column vector;
@@ -42,6 +54,7 @@ class Subspace:
         object.__setattr__(self, "pivots", _pivots)
         object.__setattr__(self, "_complement", None)
         object.__setattr__(self, "_projector", None)
+        object.__setattr__(self, "_coordinate", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Subspace is immutable")
@@ -91,12 +104,25 @@ class Subspace:
     def is_full(self) -> bool:
         return self.dim == self.ambient_dim
 
+    def is_coordinate(self) -> bool:
+        """Spanned by unit vectors e_p, i.e. the RREF is the unit rows of the
+        pivots: real, over denominator 1, and nonzero at the pivots only;
+        read on first use and cached."""
+        if self._coordinate is None:
+            r = self.rref
+            coordinate = r.den == 1 and r.is_real() and int(np.count_nonzero(r.num_re)) == self.dim
+            object.__setattr__(self, "_coordinate", coordinate)
+        return self._coordinate
+
     def contains(self, other: "Subspace") -> bool:
         """Subspace inclusion other <= self, decided exactly; the pivots are
-        the leading columns of the vectors, so other's lie among self's."""
+        the leading columns of the vectors, so other's lie among self's, and
+        for two coordinate subspaces that decides it."""
         self._check_ambient(other)
         if not set(other.pivots).issubset(self.pivots):
             return False
+        if self.is_coordinate() and other.is_coordinate():
+            return True
         if other.dim == self.dim:
             return other.rref == self.rref
         return self._spans(other.rref)
@@ -128,12 +154,23 @@ class Subspace:
     def meet(self, other: "Subspace") -> "Subspace":
         """Intersection: the vectors y R of one side (R its RREF) orthogonal
         to the other's complement C, i.e. y in the complement of the rows of
-        C R†.  With Y the RREF of those y, Y R is in RREF, with R's pivots."""
+        C R†.  With Y the RREF of those y, Y R is in RREF, with R's pivots.
+        Two coordinate subspaces meet in the unit rows of their common
+        pivots."""
         self._check_ambient(other)
         if self.dim == 0 or other.is_full():
             return self
         if other.dim == 0 or self.is_full():
             return other
+        if self.is_coordinate() and other.is_coordinate():
+            theirs = set(other.pivots)
+            common = tuple(p for p in self.pivots if p in theirs)
+            # a side that the other contains is the meet, caches and all
+            if common == self.pivots:
+                return self
+            if common == other.pivots:
+                return other
+            return Subspace(self.ambient_dim, _unit_rows(common, self.ambient_dim), common)
         # b's complement is the one used: prefer a side that has it cached
         a, b = (other, self) if other._complement is None and self._complement is not None else (self, other)
         g = b.complement().rref @ a.rref.dagger()
@@ -152,14 +189,16 @@ class Subspace:
         return Subspace(self.ambient_dim, self.rref.vstack(other.rref))
 
     def complement(self) -> "Subspace":
-        """Orthocomplement, read off the free columns (:func:`_perp_rows`);
-        cached both ways, as the complement of the complement is self."""
+        """Orthocomplement, read off the free columns (:func:`_perp_rows`), or
+        for a coordinate subspace (zero and C^n among them) the unit rows of
+        the free columns; cached both ways, as the complement of the
+        complement is self."""
         if self._complement is None:
             n = self.ambient_dim
-            if self.dim == 0:
-                perp = Subspace.full(n)
-            elif self.is_full():
-                perp = Subspace.zero(n)
+            if self.is_coordinate():
+                taken = set(self.pivots)
+                free = tuple(j for j in range(n) if j not in taken)
+                perp = Subspace(n, _unit_rows(free, n), free)
             else:
                 perp = Subspace(n, _perp_rows(self.rref, self.pivots))
             object.__setattr__(perp, "_complement", self)

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from sympy import QQ, QQ_I
 from sympy.polys.matrices import DomainMatrix
 
+import qtl.linalg as linalg
 from qtl.errors import DimensionMismatch, MalformedInput, PreconditionViolated, SingularMatrix, UncertifiedPeriod
 from qtl.linalg import (
     CRat,
@@ -250,11 +251,45 @@ def _solve_inputs(seed, real):
     ]
 
 
+def _unit_scalar(rng, real):
+    """A nonzero scalar: a real one, or with real and imaginary parts, or
+    purely imaginary."""
+    x = Fraction(rng.choice([-5, -2, -1, 1, 3, 7]), rng.choice([1, 2, 3, 9]))
+    if real:
+        return CRat(x)
+    return rng.choice([CRat(x), CRat(0, x), CRat(x, Fraction(rng.choice([-2, 1, 4]), rng.choice([1, 5])))])
+
+
+def _unit_row_inputs(seed, real):
+    """Matrices whose rows each hold at most one nonzero entry: scaled unit
+    rows in shuffled column order, zero rows, columns repeated by several
+    rows, an all-zero matrix and one with no rows; then the same with one
+    row given a second nonzero entry (in its imaginary part at another
+    column when complex), which must be eliminated."""
+    rng = random.Random(400 + seed + 50 * real)
+    units, near = [], []
+    for rows, cols in [(1, 1), (3, 4), (4, 4), (5, 3), (6, 6), (2, 7), (9, 9)]:
+        grid = [[CRat(0)] * cols for _ in range(rows)]
+        for row in grid:
+            if rng.random() < 0.8:
+                row[rng.randrange(cols)] = _unit_scalar(rng, real)
+        units.append(Mat.from_rows(grid))
+        if cols > 1:
+            i = rng.randrange(rows)
+            taken = [j for j, e in enumerate(grid[i]) if e] or [rng.randrange(cols)]
+            grid[i][taken[0]] = _unit_scalar(rng, real)
+            j = rng.choice([j for j in range(cols) if j != taken[0]])
+            grid[i][j] = _unit_scalar(rng, True) * (1 if real else CRat(0, 1))
+            near.append(Mat.from_rows(grid))
+    return units + [Mat.zeros(3, 4), Mat.zeros(0, 4)], near
+
+
 class TestAgainstSympy:
     """rank, kernel_basis, rref, solve and invert against sympy's exact
     matrices, on seeded inputs: Gaussian-rational ones over QQ_I, with
     complex non-unit pivots, and real ones over QQ, which take the integer
-    kernel, with negative and non-unit pivots."""
+    kernel, with negative and non-unit pivots; and rref on rows that each
+    hold at most one nonzero entry, which takes no elimination."""
 
     @pytest.mark.parametrize("seed", range(4))
     def test_rank_and_kernel(self, seed):
@@ -267,10 +302,26 @@ class TestAgainstSympy:
     @pytest.mark.parametrize("seed", range(4))
     def test_rref(self, seed):
         for domain, real in DOMAINS:
-            for m in _shaped_inputs(300, seed, real):
+            units, near = _unit_row_inputs(seed, real)
+            for m in _shaped_inputs(300, seed, real) + units + near:
                 reduced, pivots = _to_sympy(m, domain).rref()
                 expected = _from_sympy(reduced.to_list()[: len(pivots)]) if pivots else Mat.zeros(0, m.cols)
                 assert rref(m) == (expected, tuple(pivots))
+
+    def test_unit_rows_take_no_elimination(self, monkeypatch):
+        calls = []
+        for name in ("_echelon", "_echelon_int"):
+            exact = getattr(linalg, name)
+            monkeypatch.setattr(linalg, name, lambda *a, _exact=exact, _name=name, **k: calls.append(_name) or _exact(*a, **k))
+        for seed in range(2):
+            for real in (True, False):
+                for m in _unit_row_inputs(seed, real)[0]:
+                    rref(m)
+        assert calls == []
+        for real in (True, False):
+            for m in _unit_row_inputs(0, real)[1]:
+                rref(m)
+        assert set(calls) == {"_echelon_int", "_echelon"}
 
     @pytest.mark.parametrize("seed", range(4))
     def test_solve_and_invert(self, seed):

@@ -523,3 +523,94 @@ class TestContainmentAgainstRank:
             rho = functools.reduce(Mat.hstack, [_combination(rng, p.rref.transpose().column_vectors(), real) for _ in range(n)])
         stacked = p.rref.vstack(rho.transpose()) if p.dim else rho.transpose()
         assert satisfies(rho, p) == (_sympy_rank(stacked) == p.dim)
+
+
+def _nonzero_scalar(rng, real):
+    while True:
+        c = random_scalar(rng, real=real)
+        if c:
+            return c
+
+
+def _scaled_unit_span(rng, n, cols, coordinate, real):
+    """The span of rows c e_j, one per j in ``cols`` (c nonzero, rows
+    shuffled); unless ``coordinate``, some rows also get an entry at a
+    column outside ``cols``.  Such a span holds a vector with a nonzero
+    entry there but not the unit vector of that column (its entries at
+    ``cols`` fix the combination), so it is no coordinate subspace."""
+    rows = []
+    for j in cols:
+        row = [CRat(0)] * n
+        row[j] = _nonzero_scalar(rng, real)
+        rows.append(row)
+    outside = [j for j in range(n) if j not in cols]
+    if not coordinate and rows and outside:
+        for row in rng.sample(rows, rng.randint(1, len(rows))):
+            row[rng.choice(outside)] = _nonzero_scalar(rng, real)
+    rng.shuffle(rows)
+    return Subspace(n, Mat.from_rows(rows)) if rows else Subspace.zero(n)
+
+
+@st.composite
+def coordinate_pairs(draw):
+    """(a, b) in C^n, each a coordinate subspace, a span of scaled unit
+    vectors with entries outside their columns, or now and then a random
+    subspace; b's columns are drawn among a's half of the time, so that
+    pivot inclusion often holds where containment does not."""
+    rng = draw(RNGS)
+    real = draw(st.booleans())
+    n = draw(st.integers(2, 5))
+    a_cols = sorted(rng.sample(range(n), draw(st.integers(0, n))))
+    if a_cols and draw(st.booleans()):
+        b_cols = sorted(rng.sample(a_cols, draw(st.integers(1, len(a_cols)))))
+    else:
+        b_cols = sorted(rng.sample(range(n), draw(st.integers(0, n))))
+    kinds = st.sampled_from(["coordinate", "coordinate", "other", "random"])
+
+    def side(cols, kind):
+        if kind == "random":
+            return random_subspace(rng, n, real=real)
+        return _scaled_unit_span(rng, n, cols, kind == "coordinate", real)
+
+    return side(a_cols, draw(kinds)), side(b_cols, draw(kinds))
+
+
+def _rank_of(*subspaces) -> int:
+    return _sympy_rank(functools.reduce(Mat.vstack, [s.rref for s in subspaces]))
+
+
+class TestCoordinateSubspaces:
+    """Coordinate subspaces, spanned by unit vectors, are met, complemented
+    and compared by their pivots alone.  On pairs that mix them with other
+    subspaces, the results equal those of the general formulas (taken with
+    is_coordinate patched to False, on copies without a cached
+    complement) and the rank oracle."""
+
+    @PROPERTY
+    @given(coordinate_pairs())
+    # pivots (0,) inside (0, 2), but e0 + e1 is not in span{e0, e2}; and
+    # pivots equal, but e0 is not in span{e0 + e1}
+    @example((span((1, 0, 0), (0, 0, 1)), span((1, 1, 0))))
+    @example((span((1, 1)), span((1, 0))))
+    def test_pivot_decisions_equal_the_general_formulas(self, pair):
+        a, b = pair
+        n = a.ambient_dim
+        general = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(Subspace, "is_coordinate", lambda s: False)
+            for x, y in ((a, b), (b, a)):
+                x, y = Subspace(n, x.rref, x.pivots), Subspace(n, y.rref, y.pivots)
+                general.append((x.meet(y), x.contains(y), x.complement()))
+        for (x, y), (meet, contains, perp) in zip(((a, b), (b, a)), general):
+            unit_span = Subspace(n, Mat.from_rows([[int(j == p) for j in range(n)] for p in x.pivots]) if x.dim
+                                 else Mat.zeros(0, n))
+            assert x.is_coordinate() == (x == unit_span)
+            met = x.meet(y)
+            assert (met.rref, met.pivots) == (meet.rref, meet.pivots)
+            again = Subspace(n, met.rref)
+            assert (again.rref, again.pivots) == (met.rref, met.pivots)
+            assert met.dim == x.dim + y.dim - _rank_of(x, y)
+            assert _rank_of(x, met) == x.dim and _rank_of(y, met) == y.dim
+            assert x.contains(y) == contains == (_rank_of(x, y) == x.dim)
+            assert (x.complement().rref, x.complement().pivots) == (perp.rref, perp.pivots)
+            assert x.complement().complement() is x
