@@ -57,7 +57,6 @@ from .superop import MatrixRep, SuperOp, image, image_union, preimage_union, unv
 from .program import (
     QuantumAutomaton,
     SequentialProgram,
-    embed,
     to_automaton,
 )
 from .qwhile import WhileNormalForm, bohm_jacopini
@@ -409,6 +408,8 @@ def _meet_of_preimages(actions: dict, u: SubspaceUnion) -> SubspaceUnion:
 
 # the pre-image chain of maximal_extension raises QtlError past this many steps
 _EXTENSION_STEPS = 200
+# the witness search of refuted <>[] f and []<> f goes this many actions deep
+_WITNESS_DEPTH = 12
 
 
 def maximal_extension(a: QuantumAutomaton, x) -> SubspaceUnion:
@@ -443,7 +444,7 @@ def maximal_extension(a: QuantumAutomaton, x) -> SubspaceUnion:
     return y
 
 
-def check_eventually_always(a: QuantumAutomaton, u, witness_depth: int = 12) -> Verdict:
+def check_eventually_always(a: QuantumAutomaton, u) -> Verdict:
     """Decide "from some point on, every continuation satisfies the union".
 
     Valid exactly when the initial support lies in the maximal extension of
@@ -458,18 +459,18 @@ def check_eventually_always(a: QuantumAutomaton, u, witness_depth: int = 12) -> 
     root = _initial_support(a)
     if psi.contains_subspace(root):
         return Verdict.valid(certificate=psi, diagnostics=diag)
-    witness = _lasso_witness(a, u, root, witness_depth, _SupportGraph.recurrent_escape)
+    witness = _lasso_witness(a, u, root, _SupportGraph.recurrent_escape)
     return Verdict.not_valid(witness=witness, certificate=psi, diagnostics=diag)
 
 
-def _lasso_witness(a: QuantumAutomaton, u: SubspaceUnion, root: Subspace, depth: int, search, budget: int = 4000):
+def _lasso_witness(a: QuantumAutomaton, u: SubspaceUnion, root: Subspace, search, budget: int = 4000):
     """Best-effort finite witness (prefix word + cycle word) from the
     initial support ``root`` for refuted limit properties: ``search`` is
     :meth:`_SupportGraph.recurrent_escape` or
-    :meth:`_SupportGraph.avoiding_lasso`; None when the bounded search finds
-    nothing."""
+    :meth:`_SupportGraph.avoiding_lasso`; None when the search, bounded by
+    ``_WITNESS_DEPTH`` and ``budget``, finds nothing."""
     try:
-        graph = _SupportGraph(a, depth, budget, root=root)
+        graph = _SupportGraph(a, _WITNESS_DEPTH, budget, root=root)
     except BudgetExceeded:
         return None
     return search(graph, u)
@@ -577,12 +578,7 @@ def _p2_refine(members, cycle, u: SubspaceUnion, actions, period_bound):
     return refined, b
 
 
-def check_always_eventually(
-    a: QuantumAutomaton,
-    u,
-    period_bound: int = 64,
-    witness_depth: int = 12,
-) -> Verdict:
+def check_always_eventually(a: QuantumAutomaton, u, period_bound: int = 64) -> Verdict:
     """Decide "the union is visited infinitely often on every path".
 
     Alternates the maximal-invariant chain with a refinement of simple
@@ -619,12 +615,18 @@ def check_always_eventually(
     root = _initial_support(a)
     if psi.contains_subspace(root):
         return Verdict.valid(certificate=psi, diagnostics=diag)
-    witness = _lasso_witness(a, u, root, witness_depth, _SupportGraph.avoiding_lasso)
+    witness = _lasso_witness(a, u, root, _SupportGraph.avoiding_lasso)
     return Verdict.not_valid(witness=witness, certificate=psi, diagnostics=diag)
 
 
 def check_always_until(a: QuantumAutomaton, phi, psi, period_bound: int = 64) -> Verdict:
-    """Always (phi until psi) = invariance of phi plus always-eventually psi."""
+    """Always (phi until psi), tested by invariance of phi plus
+    always-eventually psi.
+
+    The conjunction is sufficient, not necessary: [] (phi U psi) needs only
+    invariance of phi || psi besides the recurrence of psi, so a refutation
+    may be wrong (the "conservative" row of the :func:`check` table).
+    """
     inv = check_invariance(a, phi)
     if inv.status == NOT_VALID:
         return Verdict.not_valid(
@@ -860,22 +862,20 @@ def _exit_almost_eventually(loop: WhileNormalForm, exit_subspace) -> Verdict:
 def check_exit_always(program: SequentialProgram, exit_subspace: Subspace) -> Verdict:
     """[] p: one exact satisfaction check on the running average of the
     exit loop's trajectory (the first dim*|L| iterates); the proposition is
-    "unconstrained off the exit, `exit_subspace` at the exit"."""
+    "unconstrained off the exit, `exit_subspace` at the exit", so only the
+    exit blocks of the iterates are checked."""
     return _exit_always(bohm_jacopini(program), exit_subspace)
 
 
 def _exit_always(loop: WhileNormalForm, exit_subspace) -> Verdict:
     program = loop.program
-    target = partial_correctness_subspace(program, exit_subspace)
-    trajectory = loop.trajectory
-    cesaro = mat_sum(embed(state, program) for state in trajectory)
-    diag = {"cesaro_steps": len(trajectory)}
-    if satisfies(cesaro, target):
+    if exit_subspace.ambient_dim != program.dim:
+        raise DimensionMismatch("the exit proposition lives on the data space")
+    exit_blocks = [state.block(program.exit_location) for state in loop.trajectory]
+    diag = {"cesaro_steps": len(exit_blocks)}
+    if satisfies(mat_sum(exit_blocks), exit_subspace):
         return Verdict.valid(diagnostics=diag)
-    step = next(
-        (k for k, s in enumerate(trajectory) if not satisfies(embed(s, program), target)),
-        None,
-    )
+    step = next((k for k, b in enumerate(exit_blocks) if not satisfies(b, exit_subspace)), None)
     return Verdict.not_valid(witness={"step": step}, diagnostics=diag)
 
 
@@ -1045,7 +1045,6 @@ def check(
     atoms: dict,
     *,
     period_bound: int = 64,
-    depth: int = 12,
 ) -> Verdict:
     """Decide a parsed formula on a program or a quantum automaton.
 
@@ -1073,8 +1072,8 @@ def check(
     are exact: with p the characteristic polynomial of the loop channel,
     the verdict is Unknown when g = gcd(p, z^n p(1/z)) is not in Z[z] (a
     peripheral eigenvalue is not a root of unity) or when its roots have no
-    common order up to ``period_bound``.  ``depth`` bounds the witness
-    search of the limit shapes.  The automaton of a program is built only
+    common order up to ``period_bound``.  The witness search of the limit
+    shapes goes 12 actions deep.  The automaton of a program is built only
     for the shapes that run on it.
     """
     if isinstance(target, QuantumAutomaton):
@@ -1112,9 +1111,9 @@ def check(
     if shape == "[] f":
         return check_invariance(a, *operands)
     if shape == "[] <> f":
-        return check_always_eventually(a, *operands, period_bound=period_bound, witness_depth=depth)
+        return check_always_eventually(a, *operands, period_bound=period_bound)
     if shape == "<> [] f":
-        return check_eventually_always(a, *operands, witness_depth=depth)
+        return check_eventually_always(a, *operands)
     if shape == "[] (f U g)":
         return check_always_until(a, *operands, period_bound=period_bound)
     # "[] (p U~ q)"

@@ -41,7 +41,7 @@ def cmd_check(args) -> int:
     target = _load_program(args.program)
     atoms = jsonio.atoms_from_json(_load_json(args.atoms), target) if args.atoms else {}
     formula = parse_formula(args.formula, atoms)
-    verdict = check(target, formula, atoms, period_bound=args.period_bound, depth=args.depth)
+    verdict = check(target, formula, atoms, period_bound=args.period_bound)
     report = jsonio.verdict_to_json(verdict)
     report["formula"] = args.formula
     if args.json:
@@ -192,7 +192,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--atoms", help="atom table JSON file")
     p_check.add_argument("-f", "--formula", required=True, help="formula text")
     p_check.add_argument("--period-bound", type=int, default=64, dest="period_bound")
-    p_check.add_argument("--depth", type=int, default=12)
     p_check.add_argument("--json", action="store_true")
 
     p_compile = sub.add_parser("compile", help="compile .qw source to a program")

@@ -4,10 +4,12 @@ Everything that feeds the subspace lattice, the program semantics and the
 period certificates stays in exact arithmetic: a matrix is a pair of
 integer numerator grids (real and imaginary parts, numpy object arrays so
 the integers are unbounded) over a single positive denominator.  Rank,
-kernel, reduced row echelon form, inverse and solve run fraction-free
-(Bareiss), so no rounding ever happens on that path: on plain integers
-when the matrix is real, on Gaussian-integer (re, im) pairs when it is
-complex, the choice read off :meth:`Mat.is_real`.
+kernel, reduced row echelon form, inverse, solve and the PSD test run
+fraction-free (Bareiss), so no rounding ever happens on that path, and on
+one kernel of plain integers: a complex matrix is eliminated on its
+realification C^n = R^2n, each row a + ib becoming the integer rows of
+a + ib and of i(a + ib), columns interleaved, whose reduced form holds the
+complex one in its even rows.
 
 The peripheral spectrum of a channel is exact too
 (:func:`peripheral_period`): the characteristic polynomial p of its matrix
@@ -353,9 +355,6 @@ class Mat:
     # ------------------------------------------------------------------
     # arithmetic
 
-    def _coerce_scalar(self, other):
-        return CRat.coerce(other)
-
     def __add__(self, other):
         if not isinstance(other, Mat):
             return NotImplemented
@@ -377,7 +376,7 @@ class Mat:
         return Mat(-self.num_re, -self.num_im, self.den, _normalized=True, _real=self._real)
 
     def __mul__(self, scalar):
-        s = self._coerce_scalar(scalar)
+        s = CRat.coerce(scalar)
         d = self.den * s.re.denominator * s.im.denominator
         are = s.re.numerator * s.im.denominator
         aim = s.im.numerator * s.re.denominator
@@ -568,119 +567,22 @@ def mat_sum(mats) -> Mat:
 
 
 # ----------------------------------------------------------------------
-# fraction-free elimination: over the integers for a real matrix, over the
-# Gaussian integers for a complex one
+# fraction-free elimination on plain integers: a complex matrix is
+# eliminated on the integer rows of its realification
 
 
-def _rows_as_pairs(m: Mat):
-    return [list(zip(re, im)) for re, im in zip(m.num_re.tolist(), m.num_im.tolist())]
+def _echelon_int(rows, width):
+    """In-place Bareiss elimination of integer rows; returns the list of
+    (row, col) pivots.
 
-
-def _echelon(rows, width, jordan=False):
-    """In-place Bareiss elimination; returns the list of (row, col) pivots.
-
-    Works over the Gaussian integers, on rows of (re, im) pairs: every
-    division in the update formula is exact, so entries stay integer pairs
-    with single-minor growth.  Rows that are or become zero can never hold
-    a pivot and are dropped from the list, and entries that are zero in
-    both the pivot row and the updated row are left untouched.  A real
-    matrix takes :func:`_echelon_int` instead, the same elimination on
-    plain integers; :func:`rref`, :func:`rank` and :func:`solve` choose by
-    :meth:`Mat.is_real`.
-
-    With ``jordan`` the same update also runs on the rows above each pivot
-    (fraction-free Gauss-Jordan): every entry stays a minor, so the
-    divisions stay exact, and at the end each pivot row holds the last
-    pivot D at its own pivot column and zero at the others, i.e. the rows
-    are D times the reduced row echelon form.
+    Every division in the update (piv * a - t * b, divided by the previous
+    pivot) is exact, so entries stay integers with single-minor growth.
+    Rows that are or become zero can never hold a pivot and are dropped
+    from the list, and entries that are zero in both the pivot row and the
+    updated row are left untouched.  A complex matrix takes this kernel on
+    its realified rows (:func:`_realified`).  :func:`_jordan_pass` finishes
+    the reduced form.
     """
-    rows[:] = [row for row in rows if row.count((0, 0)) != len(row)]
-    pivots = []
-    prev_re, prev_im = 1, 0
-    r = 0
-    for c in range(width):
-        nrows = len(rows)
-        if r == nrows:
-            break
-        pr = None
-        for i in range(r, nrows):
-            e = rows[i][c]
-            if e[0] or e[1]:
-                pr = i
-                break
-        if pr is None:
-            continue
-        if pr != r:
-            rows[r], rows[pr] = rows[pr], rows[r]
-        row_r = rows[r]
-        pre, pim = row_r[c]
-        pn = prev_re * prev_re + prev_im * prev_im
-        divide = prev_re != 1 or prev_im != 0
-        same = pre == prev_re and pim == prev_im
-        kept = rows[: r + 1]
-        targets = range(r + 1, nrows)
-        if jordan:
-            targets = list(targets) + list(range(r))
-        for i in targets:
-            row_i = rows[i]
-            tre, tim = row_i[c]
-            if same and not (tre or tim):
-                # piv / prev = 1 and nothing to subtract: the row stays as it is
-                if i > r:
-                    kept.append(row_i)
-                continue
-            row_i[c] = (0, 0)
-            nonzero = False
-            if i < r:
-                # a row above the pivot: the pivot row is zero left of c, so
-                # the update there is the scaling by piv / prev alone
-                for j in range(c):
-                    are, aim = row_i[j]
-                    if are or aim:
-                        nre = pre * are - pim * aim
-                        nim = pre * aim + pim * are
-                        if divide:
-                            nre, nim = (
-                                (nre * prev_re + nim * prev_im) // pn,
-                                (nim * prev_re - nre * prev_im) // pn,
-                            )
-                        row_i[j] = (nre, nim)
-            for j in range(c + 1, width):
-                are, aim = row_i[j]
-                bre, bim = row_r[j]
-                # piv * a - t * b, then exact division by the previous pivot
-                if bre or bim:
-                    nre = pre * are - pim * aim - (tre * bre - tim * bim)
-                    nim = pre * aim + pim * are - (tre * bim + tim * bre)
-                elif are or aim:
-                    nre = pre * are - pim * aim
-                    nim = pre * aim + pim * are
-                else:
-                    continue
-                if divide:
-                    nre, nim = (
-                        (nre * prev_re + nim * prev_im) // pn,
-                        (nim * prev_re - nre * prev_im) // pn,
-                    )
-                row_i[j] = (nre, nim)
-                if nre or nim:
-                    nonzero = True
-            if nonzero and i > r:
-                kept.append(row_i)
-        rows[:] = kept
-        pivots.append((r, c))
-        prev_re, prev_im = pre, pim
-        r += 1
-    return pivots
-
-
-def _echelon_int(rows, width, jordan=False):
-    """:func:`_echelon` on rows of plain integers, for a real matrix: the
-    same pivots, the same update (piv * a - t * b, divided exactly by the
-    previous pivot), the same skipped zeros and dropped rows, with one
-    product per term instead of four and no pair per entry.  On the rows
-    of a real matrix it returns the pivots that :func:`_echelon` returns on
-    their (x, 0) pairs and leaves the real parts of the rows it leaves."""
     rows[:] = [row for row in rows if any(row)]
     pivots = []
     prev = 1
@@ -702,23 +604,15 @@ def _echelon_int(rows, width, jordan=False):
         p = row_r[c]
         divide = prev != 1
         kept = rows[: r + 1]
-        targets = range(r + 1, nrows)
-        if jordan:
-            targets = list(targets) + list(range(r))
-        for i in targets:
+        for i in range(r + 1, nrows):
             row_i = rows[i]
             t = row_i[c]
             if not t and p == prev:
-                if i > r:
-                    kept.append(row_i)
+                # piv / prev = 1 and nothing to subtract: the row stays as it is
+                kept.append(row_i)
                 continue
             row_i[c] = 0
             nonzero = False
-            if i < r:
-                for j in range(c):
-                    a = row_i[j]
-                    if a:
-                        row_i[j] = p * a // prev if divide else p * a
             for j in range(c + 1, width):
                 a = row_i[j]
                 b = row_r[j]
@@ -733,13 +627,63 @@ def _echelon_int(rows, width, jordan=False):
                 row_i[j] = n
                 if n:
                     nonzero = True
-            if nonzero and i > r:
+            if nonzero:
                 kept.append(row_i)
         rows[:] = kept
         pivots.append((r, c))
         prev = p
         r += 1
     return pivots
+
+
+def _jordan_pass(rows, pivots):
+    """The rest of a fraction-free Gauss-Jordan elimination, in place, on
+    the rows and pivots that :func:`_echelon_int` left: pivot by pivot, the
+    same update on the rows above it.  A pivot row is final once its own
+    step is done, so this gives the rows of a Gauss-Jordan pass that
+    updates the rows above each pivot at its step: every entry stays a
+    minor, so the divisions stay exact, and each pivot row ends with the
+    last pivot D at its own pivot column and zero at the others, i.e. the
+    rows are D times the reduced row echelon form."""
+    prev = 1
+    for r, c in pivots:
+        row_r = rows[r]
+        p = row_r[c]
+        for row_i in rows[:r]:
+            t = row_i[c]
+            if not t and p == prev:
+                continue
+            # entry c becomes p t - t p = 0; left of c the pivot row is zero
+            for j in range(len(row_r)):
+                b = row_r[j]
+                if b:
+                    row_i[j] = (p * row_i[j] - t * b) // prev
+                else:
+                    a = row_i[j]
+                    if a:
+                        row_i[j] = p * a // prev
+        prev = p
+
+
+def _realified(rows_re, rows_im) -> list:
+    """The integer rows of the realification C^n = R^2n, columns
+    interleaved, of the complex rows a + ib: (a_0, b_0, a_1, b_1, ...) and
+    its i-multiple (-b_0, a_0, -b_1, a_1, ...), for each row.
+
+    Their real row space is the realification of the complex one.  If R_k
+    are the rows of the complex reduced form, with pivots p_k, then the
+    rows R_k and i R_k, with pivots 2 p_k and 2 p_k + 1, are a real reduced
+    form of that space, so they are its reduced form: the real rank is
+    twice the complex one, and the even rows of the real form are the
+    complex form, interleaved.  As an operator on R^2n the rows are the
+    real matrix of conj(a + ib)."""
+    out = []
+    for a, b in zip(rows_re, rows_im):
+        row, i_row = [0] * (2 * len(a)), [0] * (2 * len(a))
+        row[0::2], row[1::2] = a, b
+        i_row[0::2], i_row[1::2] = [-x for x in b], a
+        out += (row, i_row)
+    return out
 
 
 def _rows_over(d, rows_re, rows_im=None) -> Mat:
@@ -799,13 +743,16 @@ def rref(m: Mat):
     entries (span{c e_j} = span{e_j} for c != 0), so the result is the unit
     rows of those columns, sorted, with them as pivots, and nothing is
     eliminated; the reduced form is unique, so this is the form the
-    elimination would reach.  Otherwise one fraction-free Gauss-Jordan pass
-    (:func:`_echelon_int` on a real m, :func:`_echelon` otherwise, both
-    with ``jordan``) leaves D times the reduced form, D the last pivot; the
-    one division by D, and one gcd over the integer rows, happen when the
-    result is built.  Zero rows are dropped, so the result has one row per
-    pivot.  The reduced form is unique for the row space, and its entries
-    are normalized, so equal row spaces give equal results.
+    elimination would reach.  Otherwise the integer rows of a real m, or
+    the realified rows of a complex one (:func:`_realified`), take one
+    fraction-free forward pass (:func:`_echelon_int`).  A pivot in every
+    column means the reduced form is the identity; else the Gauss-Jordan
+    pass (:func:`_jordan_pass`) leaves D times the reduced form, D the last
+    pivot.  The one division by D, and one gcd over the integer rows, happen
+    when the result is built, and of realified rows the even ones are kept
+    and de-interleaved.  Zero rows are dropped, so the result has one row
+    per pivot.  The reduced form is unique for the row space, and its
+    entries are normalized, so equal row spaces give equal results.
     """
     real = m.is_real()
     grids = (m.num_re.tolist(),) if real else (m.num_re.tolist(), m.num_im.tolist())
@@ -814,16 +761,20 @@ def rref(m: Mat):
         return _unit_rows(cols, m.cols), tuple(cols)
     # some row holds two nonzero entries, so there is at least one pivot
     if real:
-        rows = grids[0]
-        pivots = _echelon_int(rows, m.cols, jordan=True)
-        return _rows_over(rows[-1][pivots[-1][1]], rows), tuple(c for _, c in pivots)
-    rows = [list(zip(re, im)) for re, im in zip(*grids)]
-    pivots = _echelon(rows, m.cols, jordan=True)
-    dre, dim_ = rows[-1][pivots[-1][1]]
-    # rows / D = rows conj(D) / |D|^2
-    rows_re = [[a * dre + b * dim_ for a, b in row] for row in rows]
-    rows_im = [[b * dre - a * dim_ for a, b in row] for row in rows]
-    return _rows_over(dre * dre + dim_ * dim_, rows_re, rows_im), tuple(c for _, c in pivots)
+        rows, width = grids[0], m.cols
+    else:
+        rows, width = _realified(*grids), 2 * m.cols
+    pivots = _echelon_int(rows, width)
+    if len(pivots) == width:
+        # a pivot in every column: the reduced form is the identity
+        return Mat.eye(m.cols), tuple(range(m.cols))
+    _jordan_pass(rows, pivots)
+    d = rows[-1][pivots[-1][1]]
+    if real:
+        return _rows_over(d, rows), tuple(c for _, c in pivots)
+    # the even rows are D R_k, R_k the rows of the complex reduced form
+    kept = rows[::2]
+    return _rows_over(d, [row[0::2] for row in kept], [row[1::2] for row in kept]), tuple(c // 2 for _, c in pivots[::2])
 
 
 def rank(m: Mat) -> int:
@@ -831,15 +782,7 @@ def rank(m: Mat) -> int:
         return 0
     if m.is_real():
         return len(_echelon_int(m.num_re.tolist(), m.cols))
-    return len(_echelon(_rows_as_pairs(m), m.cols))
-
-
-def _gauss_div(nre, nim, dre, dim_):
-    """Exact quotient of two Gaussian integers (the division must be exact)."""
-    dn = dre * dre + dim_ * dim_
-    if dn == 1:
-        return nre * dre + nim * dim_, nim * dre - nre * dim_
-    return (nre * dre + nim * dim_) // dn, (nim * dre - nre * dim_) // dn
+    return len(_echelon_int(_realified(m.num_re.tolist(), m.num_im.tolist()), 2 * m.cols)) // 2
 
 
 def _perp_rows(r: Mat, pivots: tuple) -> Mat:
@@ -887,14 +830,15 @@ def invert(m: Mat) -> Mat:
 def solve(a: Mat, b: Mat) -> Mat:
     """Exact solution of a x = b for square nonsingular a.
 
-    One Bareiss elimination of the augmented system [a | b], then a
-    fraction-free back substitution for all columns of b at once: the
-    unknowns are scaled by the last pivot D (the determinant of the
-    row-permuted integer system), so they are Cramer numerators and every
-    step divides exactly.  Both run on plain integers (:func:`_echelon_int`)
-    when a and b are real, and the result is built once over the
-    denominator D den(b); otherwise they run on Gaussian integers
-    (:func:`_echelon`), over |D|^2 den(b).  The inverse of a is never formed.
+    One Bareiss elimination (:func:`_echelon_int`) of the augmented integer
+    system [a | b], then a fraction-free back substitution for all columns
+    of b at once: the unknowns are scaled by the last pivot D (the
+    determinant of the row-permuted integer system), so they are Cramer
+    numerators and every step divides exactly, and the result is built
+    once over the denominator D den(b).  The inverse of a is never formed.
+    A complex system (P + iQ)(X + iY) = B + iC is solved as the real system
+    [[P, -Q], [Q, P]] on the unknowns X_0, Y_0, X_1, Y_1, ..., the realified
+    rows of P - iQ (:func:`_realified`) against the rows B_k, C_k.
     """
     if not a.is_square():
         raise DimensionMismatch("only square systems can be solved")
@@ -905,88 +849,69 @@ def solve(a: Mat, b: Mat) -> Mat:
         return b
     # a x = b  <=>  num(a) x = den(a) num(b) / den(b): eliminate on integers
     real = a.is_real() and b.is_real()
+    rhs = (b.num_re * a.den).tolist()
     if real:
         rows = a.num_re.tolist()
-        for row, rhs in zip(rows, (b.num_re * a.den).tolist()):
-            row.extend(rhs)
-        pivots = _echelon_int(rows, n + k)
     else:
-        rows = _rows_as_pairs(a)
-        for i, row in enumerate(rows):
-            row.extend((b.num_re[i, j] * a.den, b.num_im[i, j] * a.den) for j in range(k))
-        pivots = _echelon(rows, n + k)
-    if len(pivots) < n or any(c >= n for _, c in pivots[:n]):
+        rows = _realified(a.num_re.tolist(), (-a.num_im).tolist())
+        rhs = [r for pair in zip(rhs, (b.num_im * a.den).tolist()) for r in pair]
+    for row, r in zip(rows, rhs):
+        row.extend(r)
+    size = len(rows)
+    pivots = _echelon_int(rows, size + k)
+    if len(pivots) < size or any(c >= size for _, c in pivots[:size]):
         raise SingularMatrix(f"matrix of rank {rank(a)} < {n}")
-    if real:
-        d = rows[n - 1][n - 1]
-        y = [None] * n
-        for r in range(n - 1, -1, -1):
-            row = rows[r]
-            acc = [x * d for x in row[n:]]
-            for t in range(r + 1, n):
-                e = row[t]
-                if e:
-                    acc = [u - v * e for u, v in zip(acc, y[t])]
-            p = row[r]
-            y[r] = [u // p for u in acc]
-        # x = y / D / den(b)
-        return _rows_over(d * b.den, y)
-    dre, dim_ = rows[n - 1][n - 1]
-    y_re = [None] * n
-    y_im = [None] * n
-    for r in range(n - 1, -1, -1):
+    d = rows[size - 1][size - 1]
+    y = [None] * size
+    for r in range(size - 1, -1, -1):
         row = rows[r]
-        bre = np.array([e[0] for e in row[n:]], dtype=object)
-        bim = np.array([e[1] for e in row[n:]], dtype=object)
-        are = bre * dre - bim * dim_
-        aim = bim * dre + bre * dim_
-        for t in range(r + 1, n):
-            ere, eim = row[t]
-            if ere or eim:
-                are = are - (y_re[t] * ere - y_im[t] * eim)
-                aim = aim - (y_im[t] * ere + y_re[t] * eim)
-        y_re[r], y_im[r] = _gauss_div(are, aim, *row[r])
-    y_re = np.vstack(y_re)
-    y_im = np.vstack(y_im)
-    # x = y / D / den(b) = y conj(D) / (|D|^2 den(b))
-    return Mat(y_re * dre + y_im * dim_, y_im * dre - y_re * dim_, (dre * dre + dim_ * dim_) * b.den)
+        acc = [x * d for x in row[size:]]
+        for t in range(r + 1, size):
+            e = row[t]
+            if e:
+                acc = [u - v * e for u, v in zip(acc, y[t])]
+        p = row[r]
+        y[r] = [u // p for u in acc]
+    # x = y / D / den(b)
+    if real:
+        return _rows_over(d * b.den, y)
+    return _rows_over(d * b.den, y[0::2], y[1::2])
 
 
 def is_psd(m: Mat) -> bool:
     """Exact positive-semidefiniteness test for a Hermitian matrix.
 
-    A fraction-free symmetric Bareiss sweep on the integer grid (the Schur
-    complement sweep scaled by the last pivot, so every division is exact
-    and by a positive integer): a negative pivot is a certificate of
-    failure, and a zero pivot forces its whole row to vanish.
+    A fraction-free symmetric Bareiss sweep (the Schur complement sweep
+    scaled by the last pivot, so every division is exact and by a positive
+    integer): a negative pivot is a certificate of failure, and a zero
+    pivot forces its whole row to vanish.  It runs on the integer grid of a
+    real m, and on the realified rows of a complex m = X + iY
+    (:func:`_realified`): they are the real matrix of conj(m) = m^T on
+    R^2n, symmetric because X is symmetric and Y antisymmetric, and its
+    eigenvalues are those of m, each twice.
     """
     if not m.is_hermitian():
         return False
-    rows = _rows_as_pairs(m)
+    rows = m.num_re.tolist() if m.is_real() else _realified(m.num_re.tolist(), m.num_im.tolist())
     n = len(rows)
     prev = 1
     for k in range(n):
         row_k = rows[k]
-        p = row_k[k][0]
+        p = row_k[k]
         if p < 0:
             return False
         if p == 0:
-            if any(re or im for re, im in row_k[k + 1 :]):
+            if any(row_k[k + 1 :]):
                 return False
             continue
         for i in range(k + 1, n):
             row_i = rows[i]
-            # a_ik = conj(a_ki); the upper triangle is updated, a_ij for j >= i
-            cre, cim = row_k[i]
-            if p == prev and not (cre or cim):
+            # a_ik = a_ki; the upper triangle is updated, a_ij for j >= i
+            c = row_k[i]
+            if p == prev and not c:
                 continue
             for j in range(i, n):
-                are, aim = row_i[j]
-                bre, bim = row_k[j]
-                row_i[j] = (
-                    (p * are - (cre * bre + cim * bim)) // prev,
-                    (p * aim - (cre * bim - cim * bre)) // prev,
-                )
+                row_i[j] = (p * row_i[j] - c * row_k[j]) // prev
         prev = p
     return True
 

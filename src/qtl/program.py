@@ -490,9 +490,6 @@ class QuantumAutomaton:
     def __setattr__(self, name, value):
         raise AttributeError("QuantumAutomaton is immutable")
 
-    def action_names(self):
-        return sorted(self.actions)
-
     def __repr__(self):
         return f"QuantumAutomaton({len(self.actions)} actions on dim {self.dim})"
 

@@ -10,8 +10,8 @@ from hypothesis import example, given, settings, strategies as st
 from sympy import QQ, QQ_I
 from sympy.polys.matrices import DomainMatrix
 
-from qtl.errors import BudgetExceeded, PreconditionViolated, UnsupportedFormula
-from qtl.linalg import CRat, Mat, kron, peripheral_period, solve
+from qtl.errors import BudgetExceeded, DimensionMismatch, PreconditionViolated, UnsupportedFormula
+from qtl.linalg import CRat, Mat, kron, mat_sum, peripheral_period, solve
 from qtl.subspace import Subspace, SubspaceUnion, satisfies, support
 from qtl.superop import MatrixRep, SuperOp, unvec, vec
 from qtl.program import (
@@ -808,6 +808,29 @@ while meas M(q0) == 1 { skip }
             patch.setattr(checker, "reachability_superop", forbidden)
             patch.setattr(checker, "peripheral_period", forbidden)
             assert check_exit_almost_eventually(example_loop, span((1, 0))).is_valid
+
+
+    def test_always_equals_the_check_on_the_whole_space(self):
+        # [] p reads the exit blocks alone; on C^(d |L|) the proposition is
+        # C^d off the exit and p at the exit, and the embedded trajectory
+        # gives the same verdict and the same first failing step
+        rng = random.Random(71)
+        seen = set()
+        for _ in range(40):
+            dim = rng.choice([2, 3])
+            prog = random_deterministic_program(rng, dim, rng.randint(1, 3))
+            k = rng.randrange(dim)
+            sub = rng.choice([random_subspace(rng, dim), span(tuple(int(i == k) for i in range(dim)))])
+            target = partial_correctness_subspace(prog, sub)
+            trajectory = bohm_jacopini(prog).trajectory
+            holds = satisfies(mat_sum(embed(s, prog) for s in trajectory), target)
+            step = next((k for k, s in enumerate(trajectory) if not satisfies(embed(s, prog), target)), None)
+            v = check_exit_always(prog, sub)
+            assert (v.is_valid, v.witness) == (holds, None if holds else {"step": step})
+            seen.add(holds)
+        assert seen == {True, False}
+        with pytest.raises(DimensionMismatch):
+            check_exit_always(prog, Subspace.full(dim + 1))
 
 
 class TestKleene:

@@ -14,8 +14,9 @@ from qtl.errors import DimensionMismatch, MalformedInput, PreconditionViolated, 
 from qtl.linalg import (
     CRat,
     Mat,
-    _echelon,
     _echelon_int,
+    _jordan_pass,
+    _realified,
     charpoly,
     format_rational,
     invert,
@@ -309,19 +310,22 @@ class TestAgainstSympy:
                 assert rref(m) == (expected, tuple(pivots))
 
     def test_unit_rows_take_no_elimination(self, monkeypatch):
-        calls = []
-        for name in ("_echelon", "_echelon_int"):
-            exact = getattr(linalg, name)
-            monkeypatch.setattr(linalg, name, lambda *a, _exact=exact, _name=name, **k: calls.append(_name) or _exact(*a, **k))
+        # the one kernel: its width says whether it ran on the integer rows
+        # of a real matrix or on the realified rows of a complex one
+        widths = []
+        exact = linalg._echelon_int
+        monkeypatch.setattr(linalg, "_echelon_int", lambda rows, width: widths.append(width) or exact(rows, width))
         for seed in range(2):
             for real in (True, False):
                 for m in _unit_row_inputs(seed, real)[0]:
                     rref(m)
-        assert calls == []
+        assert widths == []
         for real in (True, False):
             for m in _unit_row_inputs(0, real)[1]:
+                widths.clear()
                 rref(m)
-        assert set(calls) == {"_echelon_int", "_echelon"}
+                assert m.is_real() == real
+                assert widths and set(widths) == {m.cols if real else 2 * m.cols}
 
     @pytest.mark.parametrize("seed", range(4))
     def test_solve_and_invert(self, seed):
@@ -340,18 +344,24 @@ class TestAgainstSympy:
 
     def test_real_inputs_have_negative_and_non_unit_last_pivots(self):
         # the last pivot D of the integer elimination divides every result,
-        # so a sign or a factor lost there would show
-        last = []
-        for seed in range(4):
-            mats = _shaped_inputs(100, seed, True) + _shaped_inputs(300, seed, True)
-            # the last pivot of a solve is that of its a
-            mats += [a for a, _ in _solve_inputs(seed, True)]
-            for m in mats:
-                rows = m.num_re.tolist()
-                pivots = _echelon_int(rows, m.cols, jordan=True)
-                if pivots:
-                    last.append(rows[-1][pivots[-1][1]])
-        assert any(d < 0 for d in last) and any(d > 1 for d in last) and any(d < -1 for d in last)
+        # so a sign or a factor lost there would show: on the integer rows
+        # of real matrices, and on the realified rows of complex ones
+        for real in (True, False):
+            last = []
+            for seed in range(4):
+                mats = _shaped_inputs(100, seed, real) + _shaped_inputs(300, seed, real)
+                # the last pivot of a solve is that of its a, whose
+                # realified rows are those of conj(a)
+                mats += [a if real else a.conj() for a, _ in _solve_inputs(seed, real)]
+                for m in mats:
+                    if real:
+                        rows, width = m.num_re.tolist(), m.cols
+                    else:
+                        rows, width = _realified(m.num_re.tolist(), m.num_im.tolist()), 2 * m.cols
+                    pivots = _echelon_int(rows, width)
+                    if pivots:
+                        last.append(rows[-1][pivots[-1][1]])
+            assert any(d < 0 for d in last) and any(d > 1 for d in last) and any(d < -1 for d in last)
 
 
 # entries: often zero, so rows turn zero and pivots repeat (the skips of
@@ -361,29 +371,82 @@ _INTS = st.one_of(st.just(0), st.integers(-4, 4), st.integers(-(2**70), 2**70))
 
 
 @st.composite
-def integer_grids(draw):
-    rows, cols = draw(st.integers(0, 6)), draw(st.integers(0, 7))
+def gaussian_grids(draw):
+    """(m, b): a Gaussian-integer matrix m, with real and imaginary parts
+    drawn from _INTS, half of the time the product of a tall and a wide
+    factor, and some rows zeroed; b a right-hand side over denominator 3
+    when m is square, else None."""
+    rows = draw(st.integers(0, 5))
+    cols = rows if draw(st.booleans()) else draw(st.integers(0, 5))
+
+    def grid(r, c):
+        parts = [np.array(draw(st.lists(st.lists(_INTS, min_size=c, max_size=c), min_size=r, max_size=r)),
+                          dtype=object).reshape(r, c) for _ in range(2)]
+        return Mat(*parts)
+
     if rows and cols and draw(st.booleans()):
         k = draw(st.integers(1, min(rows, cols)))
-        left = np.array(draw(st.lists(st.lists(_INTS, min_size=k, max_size=k), min_size=rows, max_size=rows)), dtype=object)
-        right = np.array(draw(st.lists(st.lists(_INTS, min_size=cols, max_size=cols), min_size=k, max_size=k)), dtype=object)
-        return np.dot(left, right).tolist(), cols
-    return draw(st.lists(st.lists(_INTS, min_size=cols, max_size=cols), min_size=rows, max_size=rows)), cols
+        m = grid(rows, k) @ grid(k, cols)
+    else:
+        m = grid(rows, cols)
+    zero = draw(st.lists(st.sampled_from([False, False, True]), min_size=rows, max_size=rows))
+    keep = np.array([[0 if z else 1] for z in zero], dtype=object).reshape(rows, 1)
+    m = Mat(m.num_re * keep, m.num_im * keep, m.den)
+    b = grid(rows, draw(st.integers(1, 2))) * CRat(Fraction(1, 3)) if rows == cols else None
+    return m, b
 
 
 class TestIntegerKernel:
-    """The integer Bareiss kernel that real matrices take, against the
-    Gaussian-integer one on the same rows as (x, 0) pairs: the same pivots
-    and the same rows left behind, with and without the Gauss-Jordan pass."""
+    """The one integer Bareiss kernel, which a complex matrix takes on its
+    realified rows: against sympy over QQ_I on Gaussian-integer grids, and
+    the forward pass alone on an input of full column rank."""
 
     @settings(derandomize=True, max_examples=150, deadline=None)
-    @given(integer_grids(), st.booleans())
-    def test_same_pivots_and_rows_as_pairs(self, grid, jordan):
-        rows, width = grid
-        ints = [list(row) for row in rows]
-        pairs = [[(x, 0) for x in row] for row in rows]
-        assert _echelon_int(ints, width, jordan) == _echelon(pairs, width, jordan)
-        assert pairs == [[(x, 0) for x in row] for row in ints]
+    @given(gaussian_grids())
+    def test_gaussian_grids_against_sympy(self, drawn):
+        m, b = drawn
+        m_sym = _to_sympy(m)
+        reduced, pivots = m_sym.rref()
+        expected = _from_sympy(reduced.to_list()[: len(pivots)]) if pivots else Mat.zeros(0, m.cols)
+        assert rref(m) == (expected, tuple(pivots))
+        assert rank(m) == len(pivots)
+        assert kernel_basis(m) == _sympy_kernel(m)
+        if b is None or not m.rows:
+            return
+        if len(pivots) < m.rows:
+            with pytest.raises(SingularMatrix):
+                solve(m, b)
+            with pytest.raises(SingularMatrix):
+                invert(m)
+            return
+        assert solve(m, b) == _from_sympy(m_sym.lu_solve(_to_sympy(b)).to_list())
+        assert invert(m) == _from_sympy(m_sym.inv().to_list())
+
+    def test_full_column_rank_input_takes_one_forward_pass(self, monkeypatch):
+        passes = []
+        for name in ("_echelon_int", "_jordan_pass"):
+            exact = getattr(linalg, name)
+            monkeypatch.setattr(linalg, name, lambda *a, _exact=exact, _name=name: passes.append(_name) or _exact(*a))
+        rng = random.Random(1000)
+        # (rows, cols, rank, real): an input with a pivot in every column
+        # takes the forward pass alone, any other one the Gauss-Jordan pass too
+        cases = [(2, 2, 2, False), (3, 2, 2, False), (5, 3, 3, False), (4, 4, 4, False), (4, 3, 3, True),
+                 (4, 3, 2, False), (3, 3, 2, False), (2, 4, None, False), (4, 3, 2, True), (2, 4, None, True)]
+        for rows, cols, r, real in cases:
+            m = _gaussian_matrix(rng, rows, cols, r, real)
+            reduced, pivots = _to_sympy(m, QQ if real else QQ_I).rref()
+            assert _unit_columns_of(m) is None and m.is_real() == real
+            passes.clear()
+            assert rref(m) == (_from_sympy(reduced.to_list()[: len(pivots)]), tuple(pivots))
+            full = pivots == tuple(range(cols))
+            assert full == (r == cols)
+            assert passes == (["_echelon_int"] if full else ["_echelon_int", "_jordan_pass"])
+
+
+def _unit_columns_of(m: Mat):
+    """The columns of the unit-row shortcut of rref, None where m takes the kernel."""
+    grids = (m.num_re.tolist(),) if m.is_real() else (m.num_re.tolist(), m.num_im.tolist())
+    return linalg._unit_columns(grids, m.cols)
 
 
 def _gaussian_or_empty(rng, rows, cols):

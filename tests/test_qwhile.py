@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import pytest
 
+from qtl.checker import reachability_superop
 from qtl.errors import ArityMismatch, NotDeterministic, ParseError, UndeclaredOperator
-from qtl.linalg import CRat, Mat
+from qtl.linalg import CRat, Mat, mat_sum
 from qtl.program import (
     embed,
     initial_cq,
@@ -27,6 +28,7 @@ from qtl.qwhile import (
     pretty_print,
     steps_for_depth,
 )
+from qtl.superop import SuperOp
 
 from helpers import EXAMPLE_LOOP_SRC, KET_MINUS_DENSITY, random_qwhile_source
 
@@ -100,6 +102,62 @@ class TestParser:
         with pytest.raises(ParseError) as err:
             parse("qubits 1;\nskip;\napply")
         assert err.value.line == 3
+
+
+# every scalar form of a matrix literal: i, -i, a+i, a-i, a+bi, a-bi, bi
+# and -bi, with integer and fractional parts; sqrt(1/3) and sqrt(1/7) are
+# sums of three and four rational squares, so A and B take 3 and 4 Kraus
+# operators
+COMPLEX_PRE = """qubits 1;
+unitary A = sqrt(1/3) * [[1, 1+i], [1-i, -1]];
+unitary B = sqrt(1/7) * [[2+i, -1+i], [1+i, 2-i]];
+unitary C = sqrt(1/25) * [[3+4i, 0], [0, 4-3i]];
+unitary D = sqrt(1/4) * [[2i, 0], [0, -2i]];
+unitary Y = [[0, -i], [i, 0]];
+unitary F = [[1/2+1/2i, 1/2-1/2i], [1/2-1/2i, 1/2+1/2i]];
+measurement M = {[[1, 0], [0, 0]], [[0, 0], [0, 1]]};
+"""
+COMPLEX_SOURCE = COMPLEX_PRE + (
+    "apply B to q0; apply C to q0; apply D to q0; apply Y to q0; apply F to q0; "
+    "while meas M(q0) == 1 { apply A to q0 }"
+)
+
+
+class TestComplexScalars:
+    def test_every_scalar_form_parses(self):
+        half = Fraction(1, 2)
+        expected = {
+            "A": ([[1, (1, 1)], [(1, -1), -1]], Fraction(1, 3)),
+            "B": ([[(2, 1), (-1, 1)], [(1, 1), (2, -1)]], Fraction(1, 7)),
+            "C": ([[(3, 4), 0], [0, (4, -3)]], Fraction(1, 25)),
+            "D": ([[(0, 2), 0], [0, (0, -2)]], Fraction(1, 4)),
+            "Y": ([[0, (0, -1)], [(0, 1), 0]], Fraction(1)),
+            "F": ([[(half, half), (half, -half)], [(half, -half), (half, half)]], Fraction(1)),
+        }
+        unitaries = parse(COMPLEX_SOURCE).unitaries
+        assert unitaries == {name: (Mat.from_rows(rows), scale) for name, (rows, scale) in expected.items()}
+
+    def test_kraus_counts_and_trace_preservation(self):
+        channels = {
+            name: SuperOp.from_scaled_unitary(mat, scale) for name, (mat, scale) in parse(COMPLEX_SOURCE).unitaries.items()
+        }
+        assert {name: len(e.kraus) for name, e in channels.items()} == {"A": 3, "B": 4, "C": 1, "D": 1, "Y": 1, "F": 1}
+        for e in channels.values():
+            assert e.is_trace_preserving()
+            assert mat_sum(k.dagger() @ k for k in e.kraus) == Mat.eye(2)
+
+    def test_round_trip(self):
+        prog = parse(COMPLEX_SOURCE)
+        again = parse(pretty_print(prog))
+        assert again.unitaries == prog.unitaries and again.body == prog.body
+
+    def test_loop_exits_almost_surely(self):
+        # A sends |1> to (1+i)/sqrt(3) |0> - 1/sqrt(3) |1>: the loop exits
+        # with probability 2/3 per round, so with probability one
+        result = reachability_superop(compile_source(COMPLEX_SOURCE))
+        assert result.almost_terminates
+        assert result.reach_state.trace() == CRat(1)
+        assert result.expected_steps > 0
 
 
 class TestLift:

@@ -15,6 +15,7 @@ from qtl.superop import (
     Measurement,
     MatrixRep,
     SuperOp,
+    _four_squares,
     image,
     image_union,
     preimage,
@@ -336,6 +337,16 @@ class TestTracePreservation:
     def test_exceeding_identity_rejected(self):
         with pytest.raises(PreconditionViolated):
             SuperOp([Mat.eye(2), Mat.eye(2)], validate=True)
+
+    def test_four_squares(self):
+        # one, two, three and four squares: 7 and 15 need four
+        assert _four_squares(9) == (3,)
+        assert _four_squares(5) == (2, 1)
+        assert _four_squares(3) == (1, 1, 1)
+        assert _four_squares(7) == (2, 1, 1, 1)
+        for n in range(200):
+            parts = _four_squares(n)
+            assert len(parts) <= 4 and sum(x * x for x in parts) == n
 
     def test_scaled_unitary_validation(self):
         with pytest.raises(PreconditionViolated):
