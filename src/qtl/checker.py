@@ -410,6 +410,9 @@ def _meet_of_preimages(actions: dict, u: SubspaceUnion) -> SubspaceUnion:
 _EXTENSION_STEPS = 200
 # the witness search of refuted <>[] f and []<> f goes this many actions deep
 _WITNESS_DEPTH = 12
+# the peripheral eigenvalues of [] <> f, [] (f U g) and [] (p U~ q) need a
+# common order up to this bound (UncertifiedPeriod otherwise)
+_PERIOD_BOUND = 64
 
 
 def maximal_extension(a: QuantumAutomaton, x) -> SubspaceUnion:
@@ -493,12 +496,13 @@ def _member_successors(members, actions) -> dict:
     return successors
 
 
-def _orbit_support(prefix_dag: Mat, fb_dag: Mat, y: Mat, dim: int) -> Subspace:
+def _orbit_support(prefix_dag, fb_dag, y: Mat, dim: int) -> Subspace:
     """The join over u >= 0 of the supports of prefix†((F_b†)^u y), as the
     support of the one operator prefix†(sum_u (F_b†)^u y).
 
-    y is the vec of a positive operator and F_b†, prefix† are matrix
-    representations of the duals of channels, which are positive maps, so
+    ``prefix_dag`` and ``fb_dag`` apply prefix† and F_b† to a vec.  y is
+    the vec of a positive operator and F_b†, prefix† are the duals of
+    channels, which are positive maps, so
     every term is positive semidefinite; for positive A and B,
     ker(A + B) = ker A ^ ker B, so the support of a sum is the join of the
     supports of its terms.  A positive map takes positive operators of one
@@ -516,26 +520,28 @@ def _orbit_support(prefix_dag: Mat, fb_dag: Mat, y: Mat, dim: int) -> Subspace:
     n = 1  # total holds the first n terms
     while not seen.is_full():
         for _ in range(n):
-            w = fb_dag @ w
+            w = fb_dag(w)
             total = total + w
         n *= 2
         grown = support(unvec(total, dim), validate=False)
         if grown.dim == seen.dim:  # seen <= grown
             break
         seen = grown
-    return support(unvec(prefix_dag @ total, dim), validate=False)
+    return support(unvec(prefix_dag(total), dim), validate=False)
 
 
-def _p2_refine(members, cycle, u: SubspaceUnion, actions, period_bound):
+def _p2_refine(members, cycle, u: SubspaceUnion, actions):
     """Shrink the first loop component to the states that keep landing in
     the target union along the loop's periodic subsequences.  ``cycle`` is
     the loop as :func:`find_cycle` returns it on the members.
 
     The loop channel's peripheral period (:func:`linalg.peripheral_period`)
-    is the one place of the lattice procedures that needs the matrix
-    representations of the actions.  For each rotation r of the loop, each
-    target member and each phase c, the states that stay orthogonal to the
-    pulled-back complement of the member are the complement of one support
+    is the one place of the lattice procedures that needs a spectrum, and
+    the loop matrix ms[k-1] ... ms[0] is the one product formed; every
+    other step pulls vecs back through the actions' daggers, one action at
+    a time.  For each rotation r of the loop, each target member and each
+    phase c, the states that stay orthogonal to the pulled-back complement
+    of the member are the complement of one support
     (:func:`_orbit_support`), that of the Krylov sum of the pulled-back
     operators.  It is exactly the join of their supports: the complement's
     projector is positive and the duals of channels are completely
@@ -546,26 +552,31 @@ def _p2_refine(members, cycle, u: SubspaceUnion, actions, period_bound):
     dim = members[0].ambient_dim
     ms = [actions[name].matrix_rep() for name in word]
     k = len(ms)
-    # prefixes[r] = ms[r-1] ... ms[0] for 1 <= r <= k, and
-    # suffixes[r] = ms[k-1] ... ms[r] for 1 <= r < k
-    prefixes = [None, ms[0]]
+    loop = ms[0]
     for m in ms[1:]:
-        prefixes.append(m @ prefixes[-1])
-    suffixes = [None] * k
-    for r in range(k - 1, 0, -1):
-        suffixes[r] = ms[r] if r == k - 1 else suffixes[r + 1] @ ms[r]
-    _, b = peripheral_period(prefixes[k], period_bound)
+        loop = m @ loop
+    _, b = peripheral_period(loop, _PERIOD_BOUND)
+    daggers = [m.dagger() for m in ms]
+
+    def pull_back(positions):
+        def apply(w):
+            for i in positions:
+                w = daggers[i] @ w
+            return w
+
+        return apply
+
     pieces = []
     for r in range(1, k + 1):
-        # the loop channel rotated to start after the r-th action
-        f_rep = prefixes[k] if r == k else prefixes[r] @ suffixes[r]
-        f_dag = f_rep.dagger()
-        fb_dag = MatrixRep(f_dag).power(b).m
-        prefix_dag = prefixes[r].dagger()
+        # prefix_r† and the dual of the loop rotated to start after the r-th
+        # action, as word positions in the order their daggers apply
+        prefix = list(range(r - 1, -1, -1))
+        rotation = prefix + list(range(k - 1, r - 1, -1))
+        f_dag, fb_dag, prefix_dag = pull_back(rotation), pull_back(rotation * b), pull_back(prefix)
         for p_s in u.members:
             y = vec(p_s.complement().projector)
             for _ in range(b):  # c = 1 .. b
-                y = f_dag @ y
+                y = f_dag(y)
                 # the states orthogonal to every pulled-back support: the
                 # complement of their join, formed once
                 piece = members[j1].meet(_orbit_support(prefix_dag, fb_dag, y, dim).complement())
@@ -578,21 +589,21 @@ def _p2_refine(members, cycle, u: SubspaceUnion, actions, period_bound):
     return refined, b
 
 
-def check_always_eventually(a: QuantumAutomaton, u, period_bound: int = 64) -> Verdict:
+def check_always_eventually(a: QuantumAutomaton, u) -> Verdict:
     """Decide "the union is visited infinitely often on every path".
 
     Alternates the maximal-invariant chain with a refinement of simple
     loops of union components that avoid the target; the refinement uses
     the exact period of the loop channel's peripheral spectrum and returns
     Unknown, with the reason, when some peripheral eigenvalue is not a root
-    of unity or the period exceeds the bound.
+    of unity or the period exceeds ``_PERIOD_BOUND``.
     """
     u = _as_union(u)
     if u.ambient_dim != a.dim:
         raise DimensionMismatch("proposition does not live on the automaton space")
     actions = _actions(a)
     x = SubspaceUnion.full(a.dim)
-    diag = {"refinements": 0, "periods": [], "period_bound": period_bound}
+    diag = {"refinements": 0, "periods": [], "period_bound": _PERIOD_BOUND}
     try:
         for _ in range(200):
             x = maximal_invariant(a, x)
@@ -603,7 +614,7 @@ def check_always_eventually(a: QuantumAutomaton, u, period_bound: int = 64) -> V
             violating = find_cycle(_member_successors(members, actions), outside)
             if violating is None:
                 break
-            x, period = _p2_refine(members, violating, u, actions, period_bound)
+            x, period = _p2_refine(members, violating, u, actions)
             diag["refinements"] += 1
             diag["periods"].append(period)
         else:
@@ -619,7 +630,7 @@ def check_always_eventually(a: QuantumAutomaton, u, period_bound: int = 64) -> V
     return Verdict.not_valid(witness=witness, certificate=psi, diagnostics=diag)
 
 
-def check_always_until(a: QuantumAutomaton, phi, psi, period_bound: int = 64) -> Verdict:
+def check_always_until(a: QuantumAutomaton, phi, psi) -> Verdict:
     """Always (phi until psi), tested by invariance of phi plus
     always-eventually psi.
 
@@ -634,7 +645,7 @@ def check_always_until(a: QuantumAutomaton, phi, psi, period_bound: int = 64) ->
             certificate=inv.certificate,
             diagnostics={"conjunct": "invariance"},
         )
-    ae = check_always_eventually(a, psi, period_bound=period_bound)
+    ae = check_always_eventually(a, psi)
     if ae.status == UNKNOWN:
         return ae
     if ae.status == NOT_VALID:
@@ -668,11 +679,11 @@ def _eigenprojector_at_one(b: Mat):
     return t @ selector @ t_inv, k
 
 
-def limit_states(e: SuperOp, sigma0: Mat, period_bound: int = 64):
+def limit_states(e: SuperOp, sigma0: Mat):
     """Exact limit cycle [tau_0 .. tau_{b-1}] of sigma_n = E^n(sigma0).
 
     E must be trace preserving (PreconditionViolated otherwise), with
-    peripheral eigenvalues of a common order b within the bound
+    peripheral eigenvalues of a common order b up to ``_PERIOD_BOUND``
     (:func:`linalg.peripheral_period`; UncertifiedPeriod otherwise).  The
     fixed space of E^b must have the dimension of the peripheral spectrum,
     after which each tau_c is an exact rational matrix (the limit of the
@@ -681,7 +692,7 @@ def limit_states(e: SuperOp, sigma0: Mat, period_bound: int = 64):
     if not e.is_trace_preserving():
         raise PreconditionViolated("limit states need a trace-preserving channel")
     m = e.matrix_rep()
-    peripheral_dim, b = peripheral_period(m, period_bound)
+    peripheral_dim, b = peripheral_period(m, _PERIOD_BOUND)
     big = MatrixRep(m).power(b).m
     try:
         projector, rank_one = _eigenprojector_at_one(big)
@@ -705,7 +716,6 @@ def check_always_almost_until(
     sigma0: Mat,
     p: Subspace,
     q: Subspace,
-    period_bound: int = 64,
 ) -> Verdict:
     """Always (p almost-until q) for a single action from sigma0.
 
@@ -720,7 +730,7 @@ def check_always_almost_until(
         inv.diagnostics["conjunct"] = "invariance"
         return inv
     try:
-        states = limit_states(e, sigma0, period_bound=period_bound)
+        states = limit_states(e, sigma0)
     except UncertifiedPeriod as exc:
         return Verdict.unknown(str(exc))
     limit_traces = [float((q.projector @ tau).trace().re) for tau in states]
@@ -1039,13 +1049,7 @@ def _exit_shaped(proposition, target) -> Subspace | None:
     return Subspace(target.dim, rows[:, e_idx :: len(target.locations)])
 
 
-def check(
-    target,
-    formula,
-    atoms: dict,
-    *,
-    period_bound: int = 64,
-) -> Verdict:
+def check(target, formula, atoms: dict) -> Verdict:
     """Decide a parsed formula on a program or a quantum automaton.
 
     ``atoms`` maps the atom names of the formula to :class:`Atom`.  The
@@ -1072,7 +1076,7 @@ def check(
     are exact: with p the characteristic polynomial of the loop channel,
     the verdict is Unknown when g = gcd(p, z^n p(1/z)) is not in Z[z] (a
     peripheral eigenvalue is not a root of unity) or when its roots have no
-    common order up to ``period_bound``.  The witness search of the limit
+    common order up to 64.  The witness search of the limit
     shapes goes 12 actions deep.  The automaton of a program is built only
     for the shapes that run on it.
     """
@@ -1111,16 +1115,16 @@ def check(
     if shape == "[] f":
         return check_invariance(a, *operands)
     if shape == "[] <> f":
-        return check_always_eventually(a, *operands, period_bound=period_bound)
+        return check_always_eventually(a, *operands)
     if shape == "<> [] f":
         return check_eventually_always(a, *operands)
     if shape == "[] (f U g)":
-        return check_always_until(a, *operands, period_bound=period_bound)
+        return check_always_until(a, *operands)
     # "[] (p U~ q)"
     if len(a.actions) != 1:
         return Verdict.unknown("almost-until needs a single action (deterministic system)")
     (action,) = a.actions.values()
-    return check_always_almost_until(action, a.initial_state, *operands, period_bound=period_bound)
+    return check_always_almost_until(action, a.initial_state, *operands)
 
 
 # ----------------------------------------------------------------------

@@ -41,7 +41,7 @@ def cmd_check(args) -> int:
     target = _load_program(args.program)
     atoms = jsonio.atoms_from_json(_load_json(args.atoms), target) if args.atoms else {}
     formula = parse_formula(args.formula, atoms)
-    verdict = check(target, formula, atoms, period_bound=args.period_bound)
+    verdict = check(target, formula, atoms)
     report = jsonio.verdict_to_json(verdict)
     report["formula"] = args.formula
     if args.json:
@@ -191,7 +191,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("program", help="program / automaton JSON file")
     p_check.add_argument("--atoms", help="atom table JSON file")
     p_check.add_argument("-f", "--formula", required=True, help="formula text")
-    p_check.add_argument("--period-bound", type=int, default=64, dest="period_bound")
     p_check.add_argument("--json", action="store_true")
 
     p_compile = sub.add_parser("compile", help="compile .qw source to a program")
@@ -225,9 +224,6 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on usage errors, which collides with "unknown"
         return EXIT_VALID if exc.code in (0, None) else EXIT_ERROR
-    if getattr(args, "period_bound", 1) < 1:
-        print("error: --period-bound must be at least 1", file=sys.stderr)
-        return EXIT_ERROR
     try:
         # looked up when called, not kept in the parser built once per process
         return globals()[f"cmd_{args.command}"](args)

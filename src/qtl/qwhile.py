@@ -975,10 +975,6 @@ class WhileNormalForm:
             series.append(acc)
         return [self.exit_embedded(block) for block in series]
 
-    def exit_after(self, sigma0: Mat, steps: int) -> Mat:
-        """Exit mass accumulated after ``steps`` rounds of the loop."""
-        return self.exit_series(sigma0, steps)[-1]
-
 
 def bohm_jacopini(program: SequentialProgram) -> WhileNormalForm:
     """Normal form of a deterministic program with exit as a single while loop."""

@@ -429,6 +429,3 @@ class MatrixRep:
         if p.is_zero():
             return Subspace.zero(self.dim)
         return support(self.apply(p.projector), validate=False)
-
-    def preimage_union(self, u: SubspaceUnion) -> SubspaceUnion:
-        return SubspaceUnion(self.dim, [self.preimage(m) for m in u.members])

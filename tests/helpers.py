@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 import scipy.linalg
 
-from qtl.checker import Verdict
+from qtl.checker import _PERIOD_BOUND, Verdict
 from qtl.errors import DimensionMismatch, PreconditionViolated, QtlError
 from qtl.linalg import CRat, Mat, _from_ratios, kron, mat_sum, peripheral_period
 from qtl.subspace import Subspace, SubspaceUnion, satisfies, support
@@ -344,7 +344,7 @@ def invariance_by_mixing(a: QuantumAutomaton, p: Subspace) -> Verdict:
 # checker._p2_refine takes (same signature, a drop-in replacement)
 
 
-def p2_refine_by_joins(members, cycle, u: SubspaceUnion, actions, period_bound):
+def p2_refine_by_joins(members, cycle, u: SubspaceUnion, actions):
     """Shrink the first loop component to the states that keep landing in
     the target union along the loop's periodic subsequences.
 
@@ -364,7 +364,7 @@ def p2_refine_by_joins(members, cycle, u: SubspaceUnion, actions, period_bound):
     suffixes = [None] * k
     for r in range(k - 1, 0, -1):
         suffixes[r] = ms[r] if r == k - 1 else suffixes[r + 1] @ ms[r]
-    _, b = peripheral_period(prefixes[k], period_bound)
+    _, b = peripheral_period(prefixes[k], _PERIOD_BOUND)
     pieces = []
     for r in range(1, k + 1):
         # the loop channel rotated to start after the r-th action

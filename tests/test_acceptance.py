@@ -262,7 +262,7 @@ def test_criterion_07_fixpoints_against_oracle():
                     _replay_lasso(aut, ea.witness, u, mode="recurrent")
 
             if finite:
-                ae = check_always_eventually(aut, u, period_bound=64)
+                ae = check_always_eventually(aut, u)
                 if ae.status != "unknown":
                     decided_recurrence += 1
                     r = oracle_bfs(aut, Always(Eventually(node)), atoms, depth=12)

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 from sympy import QQ, QQ_I
 from sympy.polys.matrices import DomainMatrix
 
-from qtl.errors import BudgetExceeded, DimensionMismatch, PreconditionViolated, UnsupportedFormula
+from qtl.errors import BudgetExceeded, DimensionMismatch, PreconditionViolated, QtlError, UnsupportedFormula
 from qtl.linalg import CRat, Mat, kron, mat_sum, peripheral_period, solve
 from qtl.subspace import Subspace, SubspaceUnion, satisfies, support
 from qtl.superop import MatrixRep, SuperOp, unvec, vec
@@ -66,6 +66,7 @@ from helpers import (
     invariance_by_mixing,
     p2_refine_by_joins,
     random_automaton,
+    random_density,
     random_deterministic_program,
     random_matrix,
     random_subspace,
@@ -158,7 +159,7 @@ class TestInvariance:
         v = check_invariance(x_automaton, u)
         psi = v.certificate
         rep = MatrixRep(X_CONJ.matrix_rep())
-        assert psi.meet(rep.preimage_union(psi)) == psi
+        assert psi.meet(SubspaceUnion(2, [rep.preimage(m) for m in psi.members])) == psi
         assert psi.contains_subspace(support(x_automaton.initial_state, validate=False))
 
     def test_escaping_root_expands_no_support(self, monkeypatch, x_automaton):
@@ -250,7 +251,7 @@ class TestEventuallyAlways:
         v = check_eventually_always(x_automaton, union(span((1, 0)), span((0, 1))))
         psi = v.certificate
         rep = MatrixRep(X_CONJ.matrix_rep())
-        assert rep.preimage_union(psi) == psi
+        assert SubspaceUnion(2, [rep.preimage(m) for m in psi.members]) == psi
 
 
 class TestAlwaysEventually:
@@ -309,6 +310,39 @@ def _loop_instance(rng):
     return aut, u
 
 
+def _block_loop(rng, k):
+    """A loop of k actions through the k blocks of C^2 in C^(2k): action c
+    takes block c to block c + 1 (mod k) through a random channel and
+    annihilates the other blocks.  Returns the actions, the blocks and the
+    cycle through all of them."""
+    dim, finite = 2 * k, rng.random() < 0.5
+    actions = {}
+    for c in range(k):
+        e = random_tp_channel(rng, 2, finite_order=finite)
+        actions[f"a{c}"] = SuperOp([kron(Mat.unit(k, (c + 1) % k, c), m) for m in e.kraus], validate=False)
+    blocks = [Subspace.from_vectors(dim, [[int(i == 2 * c + t) for i in range(dim)] for t in (0, 1)]) for c in range(k)]
+    return actions, blocks, [(c, f"a{c}", (c + 1) % k) for c in range(k)]
+
+
+def _block_automaton(rng, k):
+    """The loop of :func:`_block_loop` as an automaton: action c also moves
+    every other block to block c, and the initial state lies in block 0."""
+    actions, _, _ = _block_loop(rng, k)
+    for c, (name, e) in enumerate(actions.items()):
+        moves = [kron(Mat.unit(k, c, j), Mat.eye(2)) for j in range(k) if j != c]
+        actions[name] = SuperOp(list(e.kraus) + moves)
+    return QuantumAutomaton(2 * k, actions, kron(Mat.unit(k, 0, 0), random_density(rng, 2)))
+
+
+def _refine_outcome(refine, *args):
+    """The refined union's key and the period, or the exception raised."""
+    try:
+        refined, b = refine(*args)
+    except QtlError as exc:
+        return type(exc), str(exc)
+    return refined.key(), b
+
+
 def _exit_ok(prog):
     """The target of the loop family's [] <> exit_ok: q0 = 0 at the exit."""
     return union(atom_from_blocks("exit_ok", {prog.exit_location: span((1, 0))}, prog).subspace)
@@ -338,7 +372,7 @@ class TestLoopRefinement:
         for _ in range(dim * dim + 2):
             joined = joined.join(support(unvec(prefix_dag @ w, dim)))
             w = fb_dag @ w
-        assert checker._orbit_support(prefix_dag, fb_dag, y, dim) == joined
+        assert checker._orbit_support(prefix_dag.__matmul__, fb_dag.__matmul__, y, dim) == joined
 
     @LOOPS
     @given(st.integers(0, 2**32 - 1).map(random.Random))
@@ -362,18 +396,17 @@ class TestLoopRefinement:
         elif v.status == "not_valid":
             assert oracle != "holds"
 
-    def test_products_per_call_follow_the_support_chain(self, monkeypatch):
+    def test_products_per_call_follow_the_support_chain(self):
         # the supports S_n of the first n terms' sums grow until the first
         # n = m with S_m = S_(m+1) or S_m full; the walk takes them at
         # n = 1, 2, 4, ... and stops by the power of two N >= m after that,
-        # so it multiplies by F_b† fewer than 2N times
+        # so it applies F_b† fewer than 2N times
         rng = random.Random(1602)
-        exact_matmul = Mat.__matmul__
         counted, chains = [0], []
 
-        def counting_matmul(left, right):
-            counted[0] += left is fb_dag
-            return exact_matmul(left, right)
+        def counting_fb_dag(w):
+            counted[0] += 1
+            return fb_dag @ w
 
         for _ in range(40):
             dim = rng.choice([2, 3])
@@ -388,9 +421,7 @@ class TestLoopRefinement:
                 total = total + w
             m = next(n for n in range(1, dim + 1) if dims[n - 1] in (dim, dims[n]))
             counted[0] = 0
-            with monkeypatch.context() as mp:
-                mp.setattr(Mat, "__matmul__", counting_matmul)
-                checker._orbit_support(prefix_dag, fb_dag, y, dim)
+            checker._orbit_support(prefix_dag.__matmul__, counting_fb_dag, y, dim)
             assert counted[0] < 2 * (1 << (m - 1).bit_length())
             chains.append(m)
         # the full walk would take dim^2 + 1 products
@@ -405,7 +436,7 @@ class TestLoopRefinement:
         kraus.append(kets[3] @ kets[3].dagger())
         fb_dag = SuperOp(kraus).matrix_rep().dagger()
         y = vec(kets[3] @ kets[3].dagger())
-        got = checker._orbit_support(Mat.eye(16), fb_dag, y, 4)
+        got = checker._orbit_support(lambda w: w, fb_dag.__matmul__, y, 4)
         assert got == Subspace.from_vectors(4, kets[1:])
 
     def test_support_count_per_target(self, monkeypatch, example_loop):
@@ -420,9 +451,9 @@ class TestLoopRefinement:
             calls[0] += 1
             return exact_support(*args, **kwargs)
 
-        def counting_refine(members, cycle, u, actions, period_bound):
+        def counting_refine(members, cycle, u, actions):
             before = calls[0]
-            refined, b = exact_refine(members, cycle, u, actions, period_bound)
+            refined, b = exact_refine(members, cycle, u, actions)
             dim = members[0].ambient_dim
             per_target = (dim - 1).bit_length() + 3  # ceil(log2 D) + 3
             counted.append((calls[0] - before, per_target * len(cycle) * len(u.members) * b))
@@ -439,6 +470,56 @@ class TestLoopRefinement:
             check_always_eventually(*_loop_instance(rng))
         assert len(counted) > 10
         assert all(n <= bound for n, bound in counted)
+
+    def test_multi_action_loops_agree_with_the_dense_reference(self):
+        # every rotation r of a k-action loop pulls back through the actions
+        # in its own order; through the blocks, a wrong order lands in the
+        # wrong block
+        rng = random.Random(2103)
+        periods = set()
+        for _ in range(120):
+            k = rng.choice([2, 3])
+            actions, blocks, cycle = _block_loop(rng, k)
+            args = (blocks, cycle, random_union(rng, 2 * k), actions)
+            got = _refine_outcome(checker._p2_refine, *args)
+            assert got == _refine_outcome(p2_refine_by_joins, *args)
+            if isinstance(got[1], int):
+                periods.add((k, got[1]))
+        assert {k for k, b in periods if b >= 2} == {2, 3}
+
+    def test_refinement_forms_only_the_loop_matrix(self, monkeypatch, example_loop):
+        # no power of a matrix representation, and k - 1 products of
+        # D^2 x D^2 matrices per refinement of a k-action loop: those of the
+        # loop matrix ms[k-1] ... ms[0]
+        exact_matmul, exact_refine = Mat.__matmul__, checker._p2_refine
+        size, products, counted = [0], [0], []
+
+        def counting_matmul(left, right):
+            products[0] += left.rows == left.cols == right.rows == right.cols == size[0]
+            return exact_matmul(left, right)
+
+        def counting_refine(members, cycle, u, actions):
+            size[0], products[0] = members[0].ambient_dim**2, 0
+            try:
+                return exact_refine(members, cycle, u, actions)
+            finally:
+                counted.append((len(cycle), products[0]))
+
+        def no_power(*args):
+            raise AssertionError("MatrixRep.power called")
+
+        monkeypatch.setattr(Mat, "__matmul__", counting_matmul)
+        monkeypatch.setattr(checker, "_p2_refine", counting_refine)
+        monkeypatch.setattr(MatrixRep, "power", no_power)
+        check_always_eventually(to_automaton(example_loop), _exit_ok(example_loop))
+        rng = random.Random(2104)
+        for _ in range(20):
+            k = rng.choice([2, 3])
+            check_always_eventually(_block_automaton(rng, k), union(random_subspace(rng, 2 * k)))
+            actions, blocks, cycle = _block_loop(rng, k)
+            _refine_outcome(checker._p2_refine, blocks, cycle, random_union(rng, 2 * k), actions)
+        assert {k for k, _ in counted} == {1, 2, 3}
+        assert all(n == k - 1 for k, n in counted)
 
     def test_one_qubit_loop_family(self, example_loop):
         # [] <> exit_ok on the measure-Hadamard loop: the exit probability

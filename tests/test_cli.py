@@ -225,8 +225,11 @@ class TestCheckCommand:
         # no such option: the period certificates are exact
         assert main(["check", prog, "--atoms", atoms, "-f", "[] p", "--tolerance", "1e-9"]) == 3
         assert "unrecognized arguments: --tolerance" in capsys.readouterr().err
+        # nor this one: the period bound is a constant of the checker
         assert main(["check", prog, "-f", "[] p", "--period-bound", "0"]) == 3
-        capsys.readouterr()
+        assert "unrecognized arguments: --period-bound" in capsys.readouterr().err
+        assert main(["check", "--help"]) == 0
+        assert "--period-bound" not in capsys.readouterr().out
 
     def test_one_parser_serves_consecutive_calls(self, workspace, capsys, monkeypatch):
         import qtl.cli as cli

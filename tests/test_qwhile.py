@@ -351,8 +351,8 @@ class TestNormalForm:
         prog = compile_source("qubits 1;\nskip")
         nf = bohm_jacopini(prog)
         sigma0 = embed(initial_cq(prog), prog)
-        assert nf.exit_after(sigma0, 0).is_zero()
-        assert nf.exit_after(sigma0, 1).trace() == CRat(1)
+        assert nf.exit_series(sigma0, 0)[-1].is_zero()
+        assert nf.exit_series(sigma0, 1)[-1].trace() == CRat(1)
 
     def test_normal_form_idempotent_on_exit_blocks(self):
         # re-reading the normal form as "one while" does not change the exit mass
@@ -370,7 +370,7 @@ class TestNormalForm:
         for k in range(12):
             v = loop_rep @ v
             acc = acc + collect @ v
-            assert unvec(acc, 8) == nf.exit_after(sigma0, k + 1)
+            assert unvec(acc, 8) == nf.exit_series(sigma0, k + 1)[-1]
 
     def test_exit_series_runs_on_the_block_space(self, monkeypatch):
         from qtl.superop import SuperOp
