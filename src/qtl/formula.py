@@ -105,7 +105,8 @@ def atom_from_blocks(name: str, blocks: dict, program) -> Atom:
     """Assemble an atom from per-configuration subspaces of the data space.
 
     Missing configurations default to the zero subspace; the embedded
-    subspace is the direct sum over configurations.
+    subspace is the direct sum over configurations.  When every block is a
+    coordinate subspace, so is the sum, on the embedded pivots.
     """
     configs = program.configs()
     n_configs = len(configs)
@@ -123,6 +124,9 @@ def atom_from_blocks(name: str, blocks: dict, program) -> Atom:
             raise DimensionMismatch(f"block for {label!r} must live in dimension {d}")
         by_index[index_of[key]] = sub
     # entry h of a block vector at configuration idx sits at h * n_configs + idx
+    if all(sub.is_coordinate() for sub in by_index.values()):
+        pivots = sorted(h * n_configs + idx for idx, sub in by_index.items() for h in sub.pivots)
+        return Atom(name, Subspace(d * n_configs, None, tuple(pivots)))
     rows = []
     for idx, sub in sorted(by_index.items()):
         if sub.is_zero():

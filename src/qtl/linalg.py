@@ -735,6 +735,16 @@ def _unit_rows(cols, width) -> Mat:
     return Mat(num_re, np.zeros(num_re.shape, dtype=object), 1, _normalized=True, _real=True)
 
 
+def _one_row(a, b):
+    """The RREF of the one complex row a + ib: the row divided by its first
+    nonzero entry c = a_j + i b_j, i.e. times conj(c) over |c|^2."""
+    j = next(j for j, (x, y) in enumerate(zip(a, b)) if x or y)
+    cr, ci = a[j], b[j]
+    re = [x * cr + y * ci for x, y in zip(a, b)]
+    im = [y * cr - x * ci for x, y in zip(a, b)]
+    return _rows_over(cr * cr + ci * ci, [re], [im]), (j,)
+
+
 def rref(m: Mat):
     """Reduced row echelon form of m over Q(i), and its pivot columns.
 
@@ -743,12 +753,13 @@ def rref(m: Mat):
     entries (span{c e_j} = span{e_j} for c != 0), so the result is the unit
     rows of those columns, sorted, with them as pivots, and nothing is
     eliminated; the reduced form is unique, so this is the form the
-    elimination would reach.  Otherwise the integer rows of a real m, or
-    the realified rows of a complex one (:func:`_realified`), take one
-    fraction-free forward pass (:func:`_echelon_int`).  A pivot in every
-    column means the reduced form is the identity; else the Gauss-Jordan
-    pass (:func:`_jordan_pass`) leaves D times the reduced form, D the last
-    pivot.  The one division by D, and one gcd over the integer rows, happen
+    elimination would reach.  A complex m with one nonzero row reduces to
+    that row over its first nonzero entry (:func:`_one_row`).  Otherwise
+    the integer rows of a real m, or the realified rows of a complex one
+    (:func:`_realified`), take one fraction-free forward pass
+    (:func:`_echelon_int`).  A pivot in every column means the reduced
+    form is the identity; else the Gauss-Jordan pass (:func:`_jordan_pass`)
+    leaves D times the reduced form, D the last pivot.  The one division by D, and one gcd over the integer rows, happen
     when the result is built, and of realified rows the even ones are kept
     and de-interleaved.  Zero rows are dropped, so the result has one row
     per pivot.  The reduced form is unique for the row space, and its
@@ -763,6 +774,9 @@ def rref(m: Mat):
     if real:
         rows, width = grids[0], m.cols
     else:
+        live = [(a, b) for a, b in zip(*grids) if any(a) or any(b)]
+        if len(live) == 1:
+            return _one_row(*live[0])
         rows, width = _realified(*grids), 2 * m.cols
     pivots = _echelon_int(rows, width)
     if len(pivots) == width:

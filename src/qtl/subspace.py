@@ -4,7 +4,7 @@ of them.
 A subspace of C^n is held as the reduced row echelon form (RREF) over Q(i)
 of a basis written as rows: its rows, read as column vectors, are a basis,
 and its pivot columns carry the identity.  The RREF of a subspace is
-unique, so it is the key, the hash and the equality.  Containment compares
+unique, so it decides the key, the hash and the equality.  Containment compares
 each row of the other basis with its pivot-column combination of the RREF
 rows, on the integer grids, and the orthocomplement is read off the free
 columns, so no projector is formed; :attr:`Subspace.projector`
@@ -13,18 +13,23 @@ Orthonormalization is avoided because it would leave the rational field.
 
 Most subspaces a program builds are coordinate subspaces, spanned by unit
 vectors e_j.  The RREF of one is the unit rows e_p of its pivots p, and
-the RREF is unique, so the pivot set alone decides it, exactly: the
-complement is the unit rows of the free columns, two of them meet in the
-unit rows of their common pivots, and one contains another exactly when
-its pivots include the other's (:func:`rref` likewise returns unit rows,
-with no elimination, for rows that each hold one nonzero entry).
+the RREF is unique, so the pivot set alone decides it, exactly: a
+coordinate subspace is built from its pivots (rows None), its RREF is made
+only when read, and its key, hash and equality are its pivots, also for
+one reached by elimination.  Zero, the whole space, the complement (the
+free columns) and the meet (the common pivots) of coordinate subspaces
+are pivot sets again, and one contains another exactly when its pivots
+include the other's (:func:`rref` likewise returns unit rows, with no
+elimination, for rows that each hold one nonzero entry).
 :meth:`Subspace.is_coordinate` reads the denominator first, so a dense
 subspace pays next to nothing for the test.
 
 Unions are kept in a canonical form where no member contains another.  A
 subspace contained in a finite union of subspaces lies inside one of the
 members (the ambient field is infinite), which is what makes membership and
-equality of unions decidable member-wise.
+equality of unions decidable member-wise.  The members are sorted by
+dimension and RREF key, the key written from the pivots where no RREF was
+made.
 """
 
 from __future__ import annotations
@@ -38,23 +43,27 @@ from .linalg import Mat, _perp_rows, _unit_rows, is_psd, rref, solve
 
 
 class Subspace:
-    """A closed linear subspace of C^n, held as the RREF of a basis."""
+    """A closed linear subspace of C^n, held as the RREF of a basis, or, for
+    a coordinate subspace, as its pivots alone until the RREF is read."""
 
-    __slots__ = ("ambient_dim", "rref", "pivots", "_complement", "_projector", "_coordinate")
+    __slots__ = ("ambient_dim", "_rref", "pivots", "_complement", "_projector", "_coordinate")
 
-    def __init__(self, ambient_dim: int, rows: Mat, _pivots: tuple | None = None):
+    def __init__(self, ambient_dim: int, rows: Mat | None, _pivots: tuple | None = None):
         """The span of the rows of ``rows``, each read as a column vector;
-        with ``_pivots`` the rows are already the RREF with those pivots."""
-        if rows.cols != ambient_dim:
-            raise DimensionMismatch("basis does not live in the stated ambient space")
-        if _pivots is None:
-            rows, _pivots = rref(rows)
+        with ``_pivots`` the rows are already the RREF with those pivots,
+        and with rows None as well the subspace is the coordinate subspace
+        on those (sorted) pivots."""
+        if rows is not None:
+            if rows.cols != ambient_dim:
+                raise DimensionMismatch("basis does not live in the stated ambient space")
+            if _pivots is None:
+                rows, _pivots = rref(rows)
         object.__setattr__(self, "ambient_dim", ambient_dim)
-        object.__setattr__(self, "rref", rows)
+        object.__setattr__(self, "_rref", rows)
         object.__setattr__(self, "pivots", _pivots)
         object.__setattr__(self, "_complement", None)
         object.__setattr__(self, "_projector", None)
-        object.__setattr__(self, "_coordinate", None)
+        object.__setattr__(self, "_coordinate", True if rows is None else None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Subspace is immutable")
@@ -77,13 +86,21 @@ class Subspace:
 
     @staticmethod
     def zero(ambient_dim: int) -> "Subspace":
-        return Subspace(ambient_dim, Mat.zeros(0, ambient_dim), ())
+        return Subspace(ambient_dim, None, ())
 
     @staticmethod
     def full(ambient_dim: int) -> "Subspace":
-        return Subspace(ambient_dim, Mat.eye(ambient_dim), tuple(range(ambient_dim)))
+        return Subspace(ambient_dim, None, tuple(range(ambient_dim)))
 
     # ------------------------------------------------------------------
+
+    @property
+    def rref(self) -> Mat:
+        """The RREF rows; for a coordinate subspace built from its pivots,
+        the unit rows of the pivots, made on first use and cached."""
+        if self._rref is None:
+            object.__setattr__(self, "_rref", _unit_rows(self.pivots, self.ambient_dim))
+        return self._rref
 
     @property
     def dim(self) -> int:
@@ -170,7 +187,7 @@ class Subspace:
                 return self
             if common == other.pivots:
                 return other
-            return Subspace(self.ambient_dim, _unit_rows(common, self.ambient_dim), common)
+            return Subspace(self.ambient_dim, None, common)
         # b's complement is the one used: prefer a side that has it cached
         a, b = (other, self) if other._complement is None and self._complement is not None else (self, other)
         g = b.complement().rref @ a.rref.dagger()
@@ -198,7 +215,7 @@ class Subspace:
             if self.is_coordinate():
                 taken = set(self.pivots)
                 free = tuple(j for j in range(n) if j not in taken)
-                perp = Subspace(n, _unit_rows(free, n), free)
+                perp = Subspace(n, None, free)
             else:
                 perp = Subspace(n, _perp_rows(self.rref, self.pivots))
             object.__setattr__(perp, "_complement", self)
@@ -212,13 +229,33 @@ class Subspace:
     def __eq__(self, other):
         if not isinstance(other, Subspace):
             return NotImplemented
-        return self.ambient_dim == other.ambient_dim and self.rref == other.rref
+        if self.ambient_dim != other.ambient_dim or self.pivots != other.pivots:
+            return False
+        # the RREF is unique, so the pivots decide two coordinate subspaces
+        if self.is_coordinate() and other.is_coordinate():
+            return True
+        return self.rref == other.rref
 
     def __hash__(self):
         return hash(self.key())
 
     def key(self):
+        """The pivots of a coordinate subspace, else the key of the RREF:
+        unique to the subspace either way."""
+        if self.is_coordinate():
+            return self.ambient_dim, self.pivots
         return self.rref.key()
+
+    def _rref_key(self):
+        """The key of the RREF, written from the pivots for a coordinate
+        subspace whose RREF has not been made."""
+        if self._rref is not None:
+            return self._rref.key()
+        n, dim = self.ambient_dim, self.dim
+        flat = [0] * (dim * n)
+        for k, p in enumerate(self.pivots):
+            flat[k * n + p] = 1
+        return dim, n, 1, tuple(flat), (0,) * (dim * n)
 
     def __repr__(self):
         return f"Subspace(dim {self.dim} of C^{self.ambient_dim})"
@@ -334,7 +371,7 @@ def _canonical_members(ambient_dim, members):
     if not members:
         return [Subspace.zero(ambient_dim)]
     # dedupe, then deterministic order so the subsumption sweep is stable
-    members = sorted(set(members), key=lambda m: (m.dim, m.key()))
+    members = sorted(set(members), key=lambda m: (m.dim, m._rref_key()))
     # distinct members of one dimension never contain each other, so each
     # is tested against the larger ones only
     return [

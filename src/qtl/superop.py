@@ -13,12 +13,18 @@ An image multiplies nonzero entries only: the channel keeps the nonzero
 entries of its Kraus operators by input coordinate, and each nonzero entry
 of an RREF row meets the entries of its coordinate alone.  A program action
 maps one configuration's block to another's, so most of its entries are
-zero; only the nonzero image rows are handed to the elimination.
+zero; only the nonzero image rows are handed to the elimination.  Most of
+its columns hold at most one nonzero entry per operator, and the channel
+records the rows they hit: the image of a coordinate subspace whose pivots
+all have such columns is the coordinate subspace of the rows hit, with no
+image rows and no elimination.  The complement of a coordinate subspace is
+coordinate, so a pre-image takes the same path through the dual.
 
 The matrix representation M = sum_i E_i (x) conj(E_i) linearizes a channel on
 row-major vectorized operators: vec(E(A)) = M vec(A).  It is the canonical
 object for channel equality and for composing or powering channels without
-multiplying out Kraus sets, and it is built where a spectrum is needed.
+multiplying out Kraus sets, and it is built where a spectrum is needed,
+summed from the same nonzero entries with no Kronecker product.
 :class:`MatrixRep` keeps the image and pre-image in that form as the
 reference the Kraus-form actions are tested against.
 """
@@ -32,7 +38,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DimensionMismatch, PreconditionViolated
-from .linalg import CRat, Mat, is_psd, kron, mat_sum
+from .linalg import CRat, Mat, is_psd, mat_sum
 from .subspace import Subspace, SubspaceUnion, support
 
 
@@ -125,34 +131,63 @@ class Measurement:
 
 class _Stack:
     """The nonzero entries of a channel's Kraus operators K_1, ..., K_m over
-    their common denominator, by input coordinate: ``terms[v]`` holds one
-    triple (i, slot, c) per nonzero real or imaginary part c of an entry
-    (u, v) of K_i, with slot u for a real part and dim_out + u for an
+    their common denominator ``den``, by input coordinate: ``terms[v]``
+    holds one triple (i, slot, c) per nonzero real or imaginary part c of an
+    entry (u, v) of K_i, with slot u for a real part and dim_out + u for an
     imaginary one; ``turned[v]`` holds the same parts times the imaginary
     unit (i re is imaginary, i (i im) = -im is real).  ``real`` says whether
-    every entry is real.
+    every entry is real.  ``hits[v]`` is the sorted tuple of the rows u
+    where some K_i e_v is nonzero, when each K_i has at most one nonzero
+    row in column v (so K_i e_v is a multiple of a unit vector), and None
+    otherwise.
 
     A program action maps one configuration's block to another's, so most
     of its entries are zero and most coordinates have none."""
 
-    __slots__ = ("terms", "turned", "real")
+    __slots__ = ("terms", "turned", "real", "den", "hits")
 
     def __init__(self, kraus):
         dim_out, dim_in = kraus[0].rows, kraus[0].cols
         den = math.lcm(*(k.den for k in kraus))
+        self.den = den
         self.terms = [[] for _ in range(dim_in)]
         self.turned = [[] for _ in range(dim_in)]
         self.real = all(k.is_real() for k in kraus)
         for i, k in enumerate(kraus):
             scale = den // k.den
             # (grid, its slot, the slot and sign of the grid times i)
-            for grid, slot, turned_slot, sign in ((k.num_re, 0, dim_out, 1), (k.num_im, dim_out, 0, -1)):
+            grids = [(k.num_re, 0, dim_out, 1)] + ([] if k.is_real() else [(k.num_im, dim_out, 0, -1)])
+            for grid, slot, turned_slot, sign in grids:
                 for u, row in enumerate(grid.tolist()):
                     if any(row):
                         for v, c in enumerate(row):
                             if c:
                                 self.terms[v].append((i, slot + u, c * scale))
                                 self.turned[v].append((i, turned_slot + u, sign * c * scale))
+        self.hits = [_hit_rows(terms, dim_out) for terms in self.terms]
+
+    def coordinate_image(self, pivots):
+        """The sorted rows u of the unit vectors that span the image of the
+        coordinate subspace on ``pivots``, or None when some K_i e_v, v a
+        pivot, is not a multiple of a unit vector."""
+        out = set()
+        for v in pivots:
+            h = self.hits[v]
+            if h is None:
+                return None
+            out.update(h)
+        return tuple(sorted(out))
+
+
+def _hit_rows(terms, dim_out):
+    """The sorted rows of the triples (i, slot, c) of one column, or None
+    when one operator i has two rows there; a real slot u and an imaginary
+    slot dim_out + u are the same row u."""
+    row_of = {}
+    for i, slot, _ in terms:
+        if row_of.setdefault(i, slot % dim_out) != slot % dim_out:
+            return None
+    return tuple(sorted(set(row_of.values())))
 
 
 class SuperOp:
@@ -242,6 +277,24 @@ class SuperOp:
             object.__setattr__(self, "_dual", dual)
         return self._dual
 
+    def _stack_of(self) -> _Stack:
+        if self._stack is None:
+            object.__setattr__(self, "_stack", _Stack(self.kraus))
+        return self._stack
+
+    def _image(self, p: Subspace) -> Subspace:
+        """The image of p, unmemoized: for a coordinate subspace whose unit
+        vectors each go to multiples of unit vectors, the coordinate
+        subspace of the rows hit (:meth:`_Stack.coordinate_image`); else
+        the span of the image rows of its RREF."""
+        if p.is_zero():
+            return Subspace.zero(self.dim_out)
+        if p.is_coordinate():
+            hit = self._stack_of().coordinate_image(p.pivots)
+            if hit is not None:
+                return Subspace(self.dim_out, None, hit)
+        return Subspace(self.dim_out, self._image_rows(p.rref))
+
     def _image_rows(self, rows: Mat) -> Mat:
         """The nonzero rows among (K_i r)^T, over every row r of ``rows``
         and every Kraus operator K_i in that order, all scaled by one
@@ -250,9 +303,7 @@ class SuperOp:
         nonzero real or imaginary part x of entry v of r times the entries
         of column v (:class:`_Stack`), summed per operator into its real
         slots and, unless both sides are real, its imaginary slots."""
-        if self._stack is None:
-            object.__setattr__(self, "_stack", _Stack(self.kraus))
-        st, n = self._stack, self.dim_out
+        st, n = self._stack_of(), self.dim_out
         rows_im = None if rows.is_real() else rows.num_im.tolist()
         real = st.real and rows_im is None
         zero = [0] * (n if real else 2 * n)
@@ -277,12 +328,36 @@ class SuperOp:
         return Mat(grid[:, :n], grid[:, n:], 1, _normalized=True)
 
     def matrix_rep(self) -> Mat:
-        """sum_i E_i (x) conj(E_i); cached."""
+        """sum_i E_i (x) conj(E_i), cached: entry ((a, b), (v, w)) is
+        sum_i E_i[a, v] conj(E_i[b, w]), so each operator adds the products
+        of its nonzero entries in columns v and w (:class:`_Stack`), pair
+        by pair, over the square of the stack's denominator."""
         if self._matrix_rep is None:
             if self.dim_in != self.dim_out:
                 raise DimensionMismatch("matrix representation needs dim_in == dim_out")
-            acc = mat_sum(kron(k, k.conj()) for k in self.kraus)
-            object.__setattr__(self, "_matrix_rep", acc)
+            st, d = self._stack_of(), self.dim_in
+            # per operator, its nonzero entries (u, v) as [real, imaginary] parts
+            entries = [{} for _ in self.kraus]
+            for v, terms in enumerate(st.terms):
+                for i, slot, c in terms:
+                    u, part = (slot, 0) if slot < d else (slot - d, 1)
+                    entries[i].setdefault((u, v), [0, 0])[part] = c
+            acc = {}
+            for ops in entries:
+                ops = list(ops.items())
+                for (a, v), (ar, ai) in ops:
+                    for (b, w), (br, bi) in ops:
+                        s = acc.setdefault((a * d + b, v * d + w), [0, 0])
+                        s[0] += ar * br + ai * bi
+                        s[1] += ai * br - ar * bi
+            # one gcd over the nonzero entries, as the grids are mostly zero
+            g = math.gcd(st.den * st.den, *(x for s in acc.values() for x in s))
+            re = np.zeros((d * d, d * d), dtype=object)
+            im = np.zeros((d * d, d * d), dtype=object)
+            for (r, c), (x, y) in acc.items():
+                re[r, c], im[r, c] = x // g, y // g
+            rep = Mat(re, im, st.den * st.den // g, _normalized=True, _real=st.real or None)
+            object.__setattr__(self, "_matrix_rep", rep)
         return self._matrix_rep
 
     def compose(self, inner: "SuperOp") -> "SuperOp":
@@ -376,8 +451,7 @@ def image(e: SuperOp, p: Subspace) -> Subspace:
         raise DimensionMismatch("subspace does not live in the space the channel acts on")
     img = e._images.get(p)
     if img is None:
-        img = Subspace.zero(e.dim_out) if p.is_zero() else Subspace(e.dim_out, e._image_rows(p.rref))
-        e._images[p] = img
+        img = e._images[p] = e._image(p)
     return img
 
 

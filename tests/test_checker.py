@@ -1139,20 +1139,21 @@ class TestCheck:
 
     def test_repeated_queries_reuse_the_channel_images(self, monkeypatch):
         # each action memoizes its images and (through its dual) pre-images,
-        # so asking the same questions of the same automaton again multiplies
-        # no Kraus stack and returns the same verdicts
+        # so asking the same questions of the same automaton again computes
+        # no image, by the Kraus stack or by the coordinate read-off, and
+        # returns the same verdicts
         # a depth-2 invariance chain; both verdicts are refuted with witnesses
         rng = random.Random(28)
         aut = random_automaton(rng, 3, 2)
         atoms = {"u": Atom("u", random_subspace(rng, 3, 2))}
         calls = []
-        image_rows = SuperOp._image_rows
+        compute = SuperOp._image
 
-        def counted(e, rows):
-            calls.append(rows.rows)
-            return image_rows(e, rows)
+        def counted(e, p):
+            calls.append(p.dim)
+            return compute(e, p)
 
-        monkeypatch.setattr(SuperOp, "_image_rows", counted)
+        monkeypatch.setattr(SuperOp, "_image", counted)
 
         def run():
             return [check(aut, parse_formula(text, atoms), atoms) for text in ("[] u", "<> [] u")]

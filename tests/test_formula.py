@@ -3,7 +3,7 @@ import random
 import pytest
 
 from qtl.errors import AlmostOperatorOnNonAtom, UnknownAtom, UnknownConfiguration
-from qtl.linalg import Mat
+from qtl.linalg import CRat, Mat
 from qtl.subspace import Subspace, satisfies
 from qtl.program import CQState, embed
 from qtl.qwhile import compile_source
@@ -22,7 +22,7 @@ from qtl.formula import (
     parse_formula,
 )
 
-from helpers import EXAMPLE_LOOP_SRC, span
+from helpers import EXAMPLE_LOOP_SRC, random_deterministic_program, random_subspace, span
 
 
 @pytest.fixture(scope="module")
@@ -70,6 +70,52 @@ class TestAtoms:
             emb = embed(state, example_loop)
             expected = loc != "l4" or satisfies(state.block("l4"), sub)
             assert satisfies(emb, atoms["p"].subspace) == expected
+
+
+def _dense_atom(blocks: dict, program) -> Subspace:
+    """The direct sum of the blocks, assembled as the RREF of every block's
+    basis rows placed at the embedded coordinates h * |configs| + idx."""
+    configs = program.configs()
+    n = program.dim * len(configs)
+    rows = []
+    for config, sub in blocks.items():
+        idx = configs.index(config)
+        for r in range(sub.dim):
+            row = [CRat(0)] * n
+            for h in range(program.dim):
+                row[h * len(configs) + idx] = sub.rref.entry(r, h)
+            rows.append(row)
+    return Subspace(n, Mat.from_rows(rows)) if rows else Subspace.zero(n)
+
+
+class TestAtomAssembly:
+    def test_equals_the_dense_assembly(self):
+        # on seeded programs, blocks of every kind: built from pivots, by
+        # elimination of scaled unit vectors, random, zero and whole; the
+        # all-coordinate atoms take the pivot read-off
+        rng = random.Random(70)
+        coordinate = 0
+        for _ in range(60):
+            d = rng.choice([2, 3])
+            program = random_deterministic_program(rng, d, rng.randint(1, 4))
+            blocks = {}
+            for config in rng.sample(program.configs(), rng.randint(0, len(program.configs()))):
+                kind = rng.choice(["pivots", "pivots", "units", "random", "zero", "full"])
+                if kind == "pivots":
+                    blocks[config] = Subspace(d, None, tuple(sorted(rng.sample(range(d), rng.randint(1, d)))))
+                elif kind == "units":
+                    cols = rng.sample(range(d), rng.randint(1, d))
+                    blocks[config] = Subspace.from_vectors(d, [[rng.choice([2, -1, "1/3"]) if j == c else 0 for j in range(d)] for c in cols])
+                elif kind == "random":
+                    blocks[config] = random_subspace(rng, d)
+                else:
+                    blocks[config] = Subspace.zero(d) if kind == "zero" else Subspace.full(d)
+            got = atom_from_blocks("a", blocks, program).subspace
+            want = _dense_atom(blocks, program)
+            assert got == want and got.key() == want.key()
+            assert (got.rref, got.pivots) == (want.rref, want.pivots)
+            coordinate += got.is_coordinate()
+        assert 10 <= coordinate < 60
 
 
 class TestParser:

@@ -327,6 +327,31 @@ class TestAgainstSympy:
                 assert m.is_real() == real
                 assert widths and set(widths) == {m.cols if real else 2 * m.cols}
 
+    def test_one_complex_row_takes_no_elimination(self, monkeypatch):
+        # a complex input with one nonzero row, holding two nonzero entries
+        # or more, is that row over its first nonzero entry: neither
+        # realified nor eliminated, and equal to sympy's reduced form
+        calls = []
+        exact = linalg._echelon_int
+        monkeypatch.setattr(linalg, "_echelon_int", lambda rows, width: calls.append(width) or exact(rows, width))
+        rng = random.Random(450)
+        tested = 0
+        for rows, cols in [(1, 2), (1, 5), (3, 4), (4, 6), (2, 3)] * 6:
+            grid = [[CRat(0)] * cols for _ in range(rows)]
+            row = [_gaussian_rational(rng) for _ in range(cols)]
+            if rng.random() < 0.3:
+                # a complex multiple of a real row reduces to a real row
+                scale = _gaussian_rational(rng)
+                row = [CRat(x.re) * scale for x in row]
+            grid[rng.randrange(rows)] = row
+            m = Mat.from_rows(grid)
+            if m.is_real() or _unit_columns_of(m) is not None:
+                continue
+            tested += 1
+            reduced, pivots = _to_sympy(m).rref()
+            assert rref(m) == (_from_sympy(reduced.to_list()[:1]), tuple(pivots))
+        assert tested >= 20 and calls == []
+
     @pytest.mark.parametrize("seed", range(4))
     def test_solve_and_invert(self, seed):
         for domain, real in DOMAINS:

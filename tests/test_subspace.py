@@ -8,7 +8,7 @@ from sympy import QQ, QQ_I
 from sympy.polys.matrices import DomainMatrix
 
 from qtl.errors import DimensionMismatch, NotPositive
-from qtl.linalg import CRat, Mat, mat_sum
+from qtl.linalg import CRat, Mat, _unit_rows, mat_sum
 from qtl.subspace import (
     Subspace,
     SubspaceUnion,
@@ -614,3 +614,49 @@ class TestCoordinateSubspaces:
             assert x.contains(y) == contains == (_rank_of(x, y) == x.dim)
             assert (x.complement().rref, x.complement().pivots) == (perp.rref, perp.pivots)
             assert x.complement().complement() is x
+
+    def test_pivot_built_equals_unit_rows_built(self):
+        # a coordinate subspace built from its pivots alone equals the one
+        # built on the unit rows and the one reached by elimination: key,
+        # hash, equality, RREF and complement; and it equals no subspace
+        # that is not coordinate, among them ones with the same pivots
+        rng = random.Random(60)
+        same_pivots = 0
+        for _ in range(80):
+            n = rng.randint(1, 6)
+            real = rng.random() < 0.5
+            pivots = tuple(sorted(rng.sample(range(n), rng.randint(0, n))))
+            a = Subspace(n, None, pivots)
+            built = [Subspace(n, _unit_rows(pivots, n), pivots), _scaled_unit_span(rng, n, pivots, True, real)]
+            for b in built:
+                assert a == b and b == a and a.key() == b.key() and hash(a) == hash(b)
+                assert (a.rref, a.pivots) == (b.rref, b.pivots)
+                assert a.complement() == b.complement()
+                assert (a.complement().rref, a.complement().pivots) == (b.complement().rref, b.complement().pivots)
+            assert len({a, *built}) == 1
+            other = _scaled_unit_span(rng, n, pivots, False, real)
+            if not other.is_coordinate():
+                assert other != a and a != other
+                same_pivots += other.pivots == a.pivots
+        assert same_pivots >= 10
+
+    def test_union_members_sort_by_the_rref_key(self):
+        # canonical members keep the order of their RREF keys, whether
+        # they were built from pivots, on unit rows or by elimination
+        rng = random.Random(61)
+        for _ in range(80):
+            n = rng.randint(2, 6)
+            real = rng.random() < 0.5
+            members = []
+            for _ in range(rng.randint(2, 6)):
+                cols = sorted(rng.sample(range(n), rng.randint(1, n - 1)))
+                kind = rng.choice(["pivots", "pivots", "scaled", "other", "random"])
+                if kind == "pivots":
+                    members.append(Subspace(n, None, tuple(cols)))
+                elif kind == "random":
+                    members.append(random_subspace(rng, n, real=real))
+                else:
+                    members.append(_scaled_unit_span(rng, n, cols, kind == "scaled", real))
+            u = SubspaceUnion(n, members)
+            expected = sorted({m for m in members if m in u.members}, key=lambda m: (m.dim, m.rref.key()))
+            assert list(u.members) == expected

@@ -6,8 +6,11 @@ from fractions import Fraction
 
 import pytest
 
+import qtl.linalg as linalg
+import qtl.subspace as subspace
 from qtl.errors import DimensionMismatch, PreconditionViolated
-from qtl.linalg import CRat, Mat, kron
+from qtl.formula import atom_from_blocks
+from qtl.linalg import CRat, Mat, kron, mat_sum
 from qtl.program import to_automaton
 from qtl.qwhile import WhileNormalForm
 from qtl.subspace import Subspace, satisfies
@@ -395,3 +398,94 @@ class TestChannelEquality:
         verdicts = [e.is_identity() for e in channels]
         assert verdicts == [e == SuperOp.identity(2) for e in channels]
         assert verdicts[:5] == [True, True, False, False, False]
+
+
+def _monomial(rng, n, real):
+    """A matrix with at most one nonzero entry per column, some columns zero."""
+    rows = [[CRat(0)] * n for _ in range(n)]
+    for v in range(n):
+        if rng.random() < 0.8:
+            rows[rng.randrange(n)][v] = random_scalar(rng, real=real)
+    return Mat.from_rows(rows)
+
+
+def _coordinate_channels(rng):
+    """Seeded channels for the coordinate paths: random trace-preserving
+    ones, finite-order ones among them, on d = 2-4; monomial ones, real and
+    complex; selector-like block moves, dense within a block; and program
+    actions."""
+    channels = []
+    for n in (2, 3, 4):
+        for finite_order in (False, True):
+            channels += [random_tp_channel(rng, n, finite_order=finite_order) for _ in range(3)]
+        for real in (True, False):
+            channels.append(SuperOp([_monomial(rng, n, real) for _ in range(rng.randint(1, 3))], validate=False))
+    for k in (2, 3):
+        moves = [kron(Mat.unit(k, rng.randrange(k), j), random_matrix(rng, 2) if rng.random() < 0.5 else _monomial(rng, 2, False))
+                 for j in range(k)]
+        channels.append(SuperOp(moves, validate=False))
+    prog = random_deterministic_program(rng, 2, 2)
+    channels += to_automaton(prog).actions.values()
+    return channels
+
+
+def _coordinate_subspaces(rng, n):
+    """Zero, the whole space, and pivot-built coordinate subspaces."""
+    picks = [tuple(sorted(rng.sample(range(n), rng.randint(1, n - 1)))) for _ in range(3)]
+    return [Subspace.zero(n), Subspace.full(n)] + [Subspace(n, None, p) for p in picks]
+
+
+class TestCoordinatePaths:
+    """The image of a coordinate subspace read off the Kraus stack, and the
+    matrix representation summed from it, against the references: the
+    MatrixRep image and pre-image, and mat_sum(kron(k, conj k))."""
+
+    def test_images_equal_the_matrix_rep_reference(self):
+        rng = random.Random(23)
+        paths = set()
+        for e in _coordinate_channels(rng):
+            n = e.dim_in
+            ref = MatrixRep(e.matrix_rep())
+            for s in _coordinate_subspaces(rng, n) + [random_subspace(rng, n)]:
+                assert image(e, s) == ref.image(s)
+                assert preimage(e, s) == ref.preimage(s)
+                # the coordinate path and the elimination agree, key and all
+                rows_built = Subspace(n, e._image_rows(s.rref)) if s.dim else Subspace.zero(n)
+                assert image(e, s) == rows_built and image(e, s).key() == rows_built.key()
+                if s.is_coordinate():
+                    paths.add(e._stack.coordinate_image(s.pivots) is None)
+        # both paths are taken
+        assert paths == {True, False}
+
+    def test_matrix_rep_equals_the_kron_sum(self):
+        rng = random.Random(24)
+        channels = []
+        while len(channels) < 300:
+            channels += _coordinate_channels(rng)
+            prog = random_deterministic_program(rng, rng.choice([2, 3]), rng.randint(2, 4))
+            channels += to_automaton(prog).actions.values()
+        channels.append(SuperOp([Mat.zeros(3), Mat.zeros(3)], validate=False))
+        for e in channels:
+            assert e.matrix_rep() == mat_sum(kron(k, k.conj()) for k in e.kraus)
+
+    def test_unit_columns_take_no_elimination_or_kron(self, monkeypatch):
+        # demo 05's scheduler: every selector column holds at most one
+        # nonzero entry, so images and pre-images of coordinate subspaces,
+        # and of its atoms, multiply no image rows and eliminate nothing,
+        # and its matrix representations take no Kronecker product
+        demo = pathlib.Path(__file__).resolve().parent.parent / "demos" / "05_concurrent_scheduler.py"
+        program = runpy.run_path(str(demo))["program"]
+        rng = random.Random(25)
+        actions = list(to_automaton(program).actions.values())
+        n = actions[0].dim_in
+        blocks = {c: Subspace(2, None, (0,)) for c in program.configs()[::2]}
+        subspaces = _coordinate_subspaces(rng, n) + [atom_from_blocks("p", blocks, program).subspace]
+        calls = []
+        for owner, name in ((SuperOp, "_image_rows"), (linalg, "rref"), (subspace, "rref"), (linalg, "kron")):
+            exact = getattr(owner, name)
+            monkeypatch.setattr(owner, name, lambda *a, _exact=exact, _name=name: calls.append(_name) or _exact(*a))
+        for e in actions:
+            for s in subspaces:
+                image(e, s), preimage(e, s)
+            e.matrix_rep()
+        assert calls == []
