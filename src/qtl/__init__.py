@@ -11,8 +11,6 @@ from .program import (
     LocationAction,
     QuantumAutomaton,
     SequentialProgram,
-    TerminationResult,
-    check_terminates,
     embed,
     extract,
     initial_cq,
@@ -39,6 +37,7 @@ from .checker import (
     ExitVerdicts,
     OracleResult,
     ReachabilityResult,
+    TerminationResult,
     Verdict,
     check,
     check_always_almost_until,
@@ -51,6 +50,7 @@ from .checker import (
     check_exit_formulas,
     check_invariance,
     check_next,
+    check_terminates,
     exit_atom_subspace,
     hoare_check,
     kleene_always,

@@ -72,6 +72,7 @@ from .formula import (
     Next,
     Or,
     Until,
+    atom_from_blocks,
     formula_to_str,
 )
 
@@ -813,8 +814,6 @@ class ExitVerdicts:
 
 def exit_atom_subspace(program: SequentialProgram, exit_subspace: Subspace) -> Subspace:
     """The proposition "at the exit, inside the given subspace"."""
-    from .formula import atom_from_blocks
-
     return atom_from_blocks(
         "exit_only", {program.exit_location: exit_subspace}, program
     ).subspace
@@ -822,8 +821,6 @@ def exit_atom_subspace(program: SequentialProgram, exit_subspace: Subspace) -> S
 
 def partial_correctness_subspace(program: SequentialProgram, exit_subspace: Subspace) -> Subspace:
     """Unconstrained off the exit, the given subspace at the exit."""
-    from .formula import atom_from_blocks
-
     blocks = {
         loc: (exit_subspace if loc == program.exit_location else Subspace.full(program.dim))
         for loc in program.locations
@@ -900,6 +897,35 @@ def check_exit_formulas(program: SequentialProgram, exit_subspace: Subspace) -> 
         almost_eventually=_exit_almost_eventually(loop, exit_subspace),
         always=_exit_always(loop, exit_subspace),
     )
+
+
+@dataclass(frozen=True)
+class TerminationResult:
+    kind: str  # "terminates" | "almost_candidate" | "no"
+    step: int | None
+    final_exit_trace: Fraction
+
+
+def check_terminates(program: SequentialProgram) -> TerminationResult:
+    """Exact termination, read off the program's exit loop up to its bound.
+
+    The loop's bound dim*|L| - 1 is the horizon: the joint support of the
+    off-exit states from step k on can only shrink with k, and once it stops
+    shrinking it never vanishes, so a program that terminates exactly does
+    so by step dim*(|L| - 1).  "terminates" carries the first step with exit
+    mass exactly one (0 for a program starting at its exit).  No exit mass
+    at all by the bound means none ever ("no"); otherwise the verdict is a
+    candidate for almost-termination, to be certified by reachability
+    analysis.
+    """
+    loop = bohm_jacopini(program)
+    traces = [s.trace_of(program.exit_location) for s in loop.trajectory]
+    step = next((k for k, tr in enumerate(traces) if tr == 1), None)
+    if step is not None:
+        return TerminationResult("terminates", step, traces[step])
+    if not any(traces):
+        return TerminationResult("no", None, traces[-1])
+    return TerminationResult("almost_candidate", None, traces[-1])
 
 
 # ----------------------------------------------------------------------

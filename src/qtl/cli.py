@@ -137,7 +137,7 @@ def cmd_simulate(args) -> int:
         for k in range(args.steps):
             succ = selector_successors(program, state, cap=budget)
             pick = word[k] if k < len(word) else 0
-            if pick >= len(succ):
+            if not 0 <= pick < len(succ):
                 print(f"error: schedule index {pick} out of range at step {k}", file=sys.stderr)
                 return EXIT_ERROR
             state = succ[pick]

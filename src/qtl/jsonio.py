@@ -18,8 +18,11 @@ Program schema (sequential):
                     "measurement": [matrix, ...],
                     "next": {"0": ["l2"], "1": ["l1"]}}, ...}}
 
-The concurrent variant replaces locations/act by "processes" (each with its
-own locations, act and "initial_location") plus "initial_scheduler"; next
+Each location's "next" has one entry per outcome of that location's own
+measurement, "0" to "n-1"; the program rejects a missing or an extra one
+(measurements are not padded to a common outcome count).  The concurrent
+variant replaces locations/act by "processes" (each with its own
+locations, act and "initial_location") plus "initial_scheduler"; next
 entries become ["location", scheduler].  An automaton is {"dimension",
 "actions": {name: {"kraus": [...]}}, "initial_state"}.
 """

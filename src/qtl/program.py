@@ -4,7 +4,10 @@ A sequential program associates each location with a trace-preserving
 channel, a measurement, and a set-valued next-location map: one step applies
 the channel of the current location, measures, and relabels according to the
 outcome.  Concurrent programs carry one location register per process plus a
-scheduler register; the scheduled process acts, the others idle.
+scheduler register; the scheduled process acts, the others idle.  Each
+location's measurement keeps its own outcomes, and its next map names a
+nonempty set of targets for exactly those outcomes; both models check each
+location's action with the same helper.
 
 Nondeterminism is resolved by whole-step selectors: a selector fixes one
 choice for every (outcome, location) pair, and each selector induces one
@@ -52,16 +55,33 @@ def _validate_density(rho: Mat, dim: int, what: str):
         raise PreconditionViolated(f"{what} must have trace one")
 
 
-def _pad_act(act: LocationAction, n_outcomes: int, self_target) -> LocationAction:
-    measurement = act.measurement.padded(n_outcomes)
-    nxt = dict(act.next)
-    for j in range(n_outcomes):
-        if j not in nxt or not nxt[j]:
-            # padded outcomes carry no mass; park them on the location itself
-            nxt[j] = (self_target,)
-        else:
-            nxt[j] = tuple(nxt[j])
-    return LocationAction(act.channel, measurement, nxt)
+def _checked_act(act, dim: int, where: str, known_target) -> LocationAction:
+    """The action at a location, with each outcome's targets as a tuple in
+    outcome order, or the QtlError of the first check it fails.  The channel
+    and the measurement act on the d-dimensional register, the channel is
+    trace preserving, and ``next`` names, for exactly the outcomes of the
+    measurement, a nonempty tuple of targets that ``known_target`` accepts."""
+    if act is None:
+        raise PreconditionViolated(f"{where} has no action")
+    if act.channel.dim_in != dim or act.channel.dim_out != dim:
+        raise DimensionMismatch(f"channel at {where} has wrong dimension")
+    if not act.channel.is_trace_preserving():
+        raise PreconditionViolated(f"channel at {where} is not trace preserving")
+    if act.measurement.dim != dim:
+        raise DimensionMismatch(f"measurement at {where} has wrong dimension")
+    n = len(act.measurement)
+    for j in act.next:
+        if j not in range(n):
+            raise PreconditionViolated(f"next({j!r}, {where}) names no outcome of the {n}-outcome measurement")
+    nxt = {}
+    for j in range(n):
+        targets = nxt[j] = tuple(act.next.get(j, ()))
+        if not targets:
+            raise PreconditionViolated(f"next({j}, {where}) is missing or empty")
+        for t in targets:
+            if not known_target(t):
+                raise PreconditionViolated(f"next({j}, {where}) targets unknown {t}")
+    return LocationAction(act.channel, act.measurement, nxt)
 
 
 class SequentialProgram:
@@ -74,7 +94,6 @@ class SequentialProgram:
         "initial_state",
         "initial_location",
         "exit_location",
-        "n_outcomes",
     )
 
     def __init__(self, dim, locations, act, initial_state, initial_location, exit_location=None):
@@ -85,42 +104,25 @@ class SequentialProgram:
             raise PreconditionViolated("initial location is not a location")
         if exit_location is not None and exit_location not in locations:
             raise PreconditionViolated("exit location is not a location")
-        n_outcomes = max(len(a.measurement) for a in act.values())
-        padded = {}
-        for loc in locations:
-            if loc not in act:
-                raise PreconditionViolated(f"location {loc} has no action")
-            a = _pad_act(act[loc], n_outcomes, loc)
-            if a.channel.dim_in != dim or a.channel.dim_out != dim:
-                raise DimensionMismatch(f"channel at {loc} has wrong dimension")
-            if not a.channel.is_trace_preserving():
-                raise PreconditionViolated(f"channel at {loc} is not trace preserving")
-            if a.measurement.dim != dim:
-                raise DimensionMismatch(f"measurement at {loc} has wrong dimension")
-            for j in range(n_outcomes):
-                targets = a.next.get(j)
-                if not targets:
-                    raise PreconditionViolated(f"next({j}, {loc}) is empty")
-                for t in targets:
-                    if t not in locations:
-                        raise PreconditionViolated(f"next({j}, {loc}) targets unknown {t}")
-            padded[loc] = a
+        act = {
+            loc: _checked_act(act.get(loc), dim, f"location {loc}", locations.__contains__)
+            for loc in locations
+        }
         _validate_density(initial_state, dim, "initial state")
         if exit_location is not None:
-            e = padded[exit_location]
+            e = act[exit_location]
             if not e.channel.is_identity():
                 raise PreconditionViolated("exit channel must be the identity channel")
-            if e.measurement != Measurement.trivial(dim, n_outcomes):
+            if e.measurement != Measurement.trivial(dim, len(e.measurement)):
                 raise PreconditionViolated("exit measurement must be {I, 0, ..., 0}")
-            if any(e.next[j] != (exit_location,) for j in range(n_outcomes)):
+            if any(targets != (exit_location,) for targets in e.next.values()):
                 raise PreconditionViolated("exit location must loop to itself")
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "locations", locations)
-        object.__setattr__(self, "act", padded)
+        object.__setattr__(self, "act", act)
         object.__setattr__(self, "initial_state", initial_state)
         object.__setattr__(self, "initial_location", initial_location)
         object.__setattr__(self, "exit_location", exit_location)
-        object.__setattr__(self, "n_outcomes", n_outcomes)
 
     def __setattr__(self, name, value):
         raise AttributeError("SequentialProgram is immutable")
@@ -129,9 +131,7 @@ class SequentialProgram:
 
     @property
     def deterministic(self) -> bool:
-        return all(
-            len(targets) == 1 for a in self.act.values() for targets in a.next.values()
-        )
+        return all(len(choices) == 1 for _, choices in self._selector_domain())
 
     def configs(self):
         return list(self.locations)
@@ -148,11 +148,7 @@ class SequentialProgram:
         )
 
     def _selector_domain(self):
-        return [
-            ((j, loc), self.act[loc].next[j])
-            for loc in self.locations
-            for j in range(self.n_outcomes)
-        ]
+        return [((j, loc), targets) for loc in self.locations for j, targets in self.act[loc].next.items()]
 
     def _step_targets(self, config, selector):
         loc = config
@@ -160,20 +156,12 @@ class SequentialProgram:
         return a, lambda j: selector[(j, loc)]
 
 
+@dataclass(frozen=True)
 class ConcurrentProcess:
     """One process of a concurrent program: its locations and local actions."""
 
-    __slots__ = ("locations", "act")
-
-    def __init__(self, locations, act):
-        locations = tuple(locations)
-        if not locations or len(set(locations)) != len(locations):
-            raise PreconditionViolated("process locations must be nonempty and unique")
-        object.__setattr__(self, "locations", locations)
-        object.__setattr__(self, "act", dict(act))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ConcurrentProcess is immutable")
+    locations: tuple
+    act: dict  # location -> LocationAction, targets (label, scheduler)
 
 
 class ConcurrentProgram:
@@ -185,7 +173,6 @@ class ConcurrentProgram:
         "initial_state",
         "initial_locations",
         "initial_scheduler",
-        "n_outcomes",
     )
 
     def __init__(self, dim, processes, initial_state, initial_locations, initial_scheduler):
@@ -198,46 +185,35 @@ class ConcurrentProgram:
         initial_locations = tuple(initial_locations)
         if len(initial_locations) != m:
             raise PreconditionViolated("need one initial location per process")
-        n_outcomes = max(
-            len(p.act[loc].measurement) for p in processes for loc in p.locations
-        )
         validated = []
         for k, p in enumerate(processes):
-            if initial_locations[k] not in p.locations:
+            locations = tuple(p.locations)
+            if not locations or len(set(locations)) != len(locations):
+                raise PreconditionViolated(f"locations of process {k + 1} must be nonempty and unique")
+            if initial_locations[k] not in locations:
                 raise PreconditionViolated(f"initial location of process {k + 1} unknown")
-            acts = {}
-            for loc in p.locations:
-                a = _pad_act(p.act[loc], n_outcomes, (loc, k + 1))
-                if a.channel.dim_in != dim or a.channel.dim_out != dim:
-                    raise DimensionMismatch("process channel has wrong dimension")
-                if not a.channel.is_trace_preserving():
-                    raise PreconditionViolated("process channel is not trace preserving")
-                for j in range(n_outcomes):
-                    for t in a.next[j]:
-                        loc_t, sched_t = t
-                        if loc_t not in p.locations or not 1 <= sched_t <= m:
-                            raise PreconditionViolated(f"bad target {t} at {loc}")
-                acts[loc] = a
-            validated.append(ConcurrentProcess(p.locations, acts))
+
+            def known_target(t, locations=locations):
+                return isinstance(t, tuple) and len(t) == 2 and t[0] in locations and t[1] in range(1, m + 1)
+
+            acts = {
+                loc: _checked_act(p.act.get(loc), dim, f"location {loc} of process {k + 1}", known_target)
+                for loc in locations
+            }
+            validated.append(ConcurrentProcess(locations, acts))
         _validate_density(initial_state, dim, "initial state")
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "processes", tuple(validated))
         object.__setattr__(self, "initial_state", initial_state)
         object.__setattr__(self, "initial_locations", initial_locations)
         object.__setattr__(self, "initial_scheduler", initial_scheduler)
-        object.__setattr__(self, "n_outcomes", n_outcomes)
 
     def __setattr__(self, name, value):
         raise AttributeError("ConcurrentProgram is immutable")
 
     @property
     def deterministic(self) -> bool:
-        return all(
-            len(targets) == 1
-            for p in self.processes
-            for a in p.act.values()
-            for targets in a.next.values()
-        )
+        return all(len(choices) == 1 for _, choices in self._selector_domain())
 
     def configs(self):
         loc_axes = [p.locations for p in self.processes]
@@ -260,10 +236,10 @@ class ConcurrentProgram:
 
     def _selector_domain(self):
         return [
-            ((k, j, loc), self.processes[k].act[loc].next[j])
-            for k in range(len(self.processes))
-            for loc in self.processes[k].locations
-            for j in range(self.n_outcomes)
+            ((k, j, loc), targets)
+            for k, p in enumerate(self.processes)
+            for loc in p.locations
+            for j, targets in p.act[loc].next.items()
         ]
 
     def _step_targets(self, config, selector):
@@ -381,10 +357,10 @@ def _check_state_fits(program, state: CQState):
             raise MalformedState(f"unknown configuration {config}")
 
 
-def successors(program, state: CQState, cap: int = DEFAULT_SELECTOR_CAP):
+def successors(program, state: CQState):
     """All one-step successors, one per selector, deduplicated by value."""
     unique = {}
-    for nxt in selector_successors(program, state, cap):
+    for nxt in selector_successors(program, state, DEFAULT_SELECTOR_CAP):
         unique.setdefault(nxt.key(), nxt)
     return list(unique.values())
 
@@ -503,9 +479,9 @@ def _selector_name(program, selector):
     return "step" if not parts else ";".join(parts)
 
 
-def to_automaton(program, cap: int = DEFAULT_SELECTOR_CAP) -> QuantumAutomaton:
+def to_automaton(program) -> QuantumAutomaton:
     """One trace-preserving action per whole-step selector, on the embedded space."""
-    selectors = _selector_assignments(program, cap)
+    selectors = _selector_assignments(program, DEFAULT_SELECTOR_CAP)
     actions = {}
     for sel in selectors:
         name = _selector_name(program, sel)
@@ -514,39 +490,3 @@ def to_automaton(program, cap: int = DEFAULT_SELECTOR_CAP) -> QuantumAutomaton:
     return QuantumAutomaton(
         program.dim * len(program.configs()), actions, emb, validate=False
     )
-
-
-# ----------------------------------------------------------------------
-# termination
-
-
-@dataclass(frozen=True)
-class TerminationResult:
-    kind: str  # "terminates" | "almost_candidate" | "no"
-    step: int | None
-    final_exit_trace: Fraction
-
-
-def check_terminates(program: SequentialProgram, horizon: int | None = None) -> TerminationResult:
-    """Exact termination within a horizon, read off the program's exit loop.
-
-    The horizon defaults to, and is capped at, the loop's bound dim*|L| - 1:
-    the joint support of the off-exit states from step k on can only shrink
-    with k, and once it stops shrinking it never vanishes, so a program that
-    terminates exactly does so by step dim*(|L| - 1).  "terminates" carries
-    the first step with exit mass exactly one (0 for a program starting at
-    its exit).  No exit mass at all by the bound means none ever ("no");
-    otherwise the verdict is a candidate for almost-termination, to be
-    certified by reachability analysis.
-    """
-    from .qwhile import bohm_jacopini  # qwhile builds on this module
-
-    loop = bohm_jacopini(program)
-    horizon = loop.bound if horizon is None else min(max(horizon, 0), loop.bound)
-    traces = [s.trace_of(program.exit_location) for s in loop.trajectory[: horizon + 1]]
-    step = next((k for k, tr in enumerate(traces) if tr == 1), None)
-    if step is not None:
-        return TerminationResult("terminates", step, traces[step])
-    if horizon == loop.bound and not any(traces):
-        return TerminationResult("no", None, traces[-1])
-    return TerminationResult("almost_candidate", None, traces[-1])

@@ -445,7 +445,7 @@ def parse(source: str) -> QWhileProgram:
 # pretty printer (round-trips through parse)
 
 
-def pretty_print(node, top=True) -> str:
+def pretty_print(node) -> str:
     if isinstance(node, QWhileProgram):
         decls = [f"qubits {node.n_qubits};"]
         for name, (mat, scale) in node.unitaries.items():
@@ -464,16 +464,16 @@ def pretty_print(node, top=True) -> str:
     if isinstance(node, Apply):
         return f"apply {node.name} to " + ", ".join(f"q{q}" for q in node.qubits)
     if isinstance(node, Seq):
-        return f"{pretty_print(node.first, False)}; {pretty_print(node.second, False)}"
+        return f"{pretty_print(node.first)}; {pretty_print(node.second)}"
     if isinstance(node, Case):
         qs = ", ".join(f"q{q}" for q in node.qubits)
         arms = " ".join(
-            f"{m} -> {pretty_print(s, False)};" for m, s in enumerate(node.branches)
+            f"{m} -> {pretty_print(s)};" for m, s in enumerate(node.branches)
         )
         return f"if meas {node.name}({qs}) {{ {arms} }}"
     if isinstance(node, While):
         qs = ", ".join(f"q{q}" for q in node.qubits)
-        return f"while meas {node.name}({qs}) == 1 {{ {pretty_print(node.body, False)} }}"
+        return f"while meas {node.name}({qs}) == 1 {{ {pretty_print(node.body)} }}"
     raise TypeError(f"not a statement: {node!r}")
 
 
@@ -700,10 +700,11 @@ def _location_count(node) -> int:
     return 1
 
 
-def compile_qwhile(prog: QWhileProgram, initial_state: Mat | None = None) -> SequentialProgram:
+def compile_qwhile(prog: QWhileProgram) -> SequentialProgram:
     """Compile to a deterministic sequential program with a fresh exit location.
 
-    The initial state defaults to the declared ``input`` or |0...0><0...0|.
+    The initial state is the declared ``input``, or |0...0><0...0|; give the
+    program another one with ``with_initial_state``.
     """
     dim = prog.dim
     total = _location_count(prog.body)
@@ -770,12 +771,9 @@ def compile_qwhile(prog: QWhileProgram, initial_state: Mat | None = None) -> Seq
 
     emit(prog.body, 0, total)
     act[exit_label] = LocationAction(identity, trivial, {0: (exit_label,)})
+    initial_state = prog.input_state
     if initial_state is None:
-        initial_state = prog.input_state
-    if initial_state is None:
-        ground = Mat.zeros(dim)
-        ground = ground + Mat.unit(dim, 0, 0)
-        initial_state = ground
+        initial_state = Mat.unit(dim, 0, 0)
     return SequentialProgram(
         dim=dim,
         locations=labels,
@@ -786,8 +784,8 @@ def compile_qwhile(prog: QWhileProgram, initial_state: Mat | None = None) -> Seq
     )
 
 
-def compile_source(source: str, initial_state: Mat | None = None) -> SequentialProgram:
-    return compile_qwhile(parse(source), initial_state)
+def compile_source(source: str) -> SequentialProgram:
+    return compile_qwhile(parse(source))
 
 
 # ----------------------------------------------------------------------

@@ -71,12 +71,12 @@ def _is_identity_gram(re, im, den) -> bool:
     return not im.any() and np.count_nonzero(re) == n and all(re[i, i] == den for i in range(n))
 
 
-def unvec(v: Mat, rows: int, cols: int | None = None) -> Mat:
-    cols = rows if cols is None else cols
-    if v.rows != rows * cols or v.cols != 1:
+def unvec(v: Mat, rows: int) -> Mat:
+    """The rows x rows matrix whose row-major vectorization is v."""
+    if v.rows != rows * rows or v.cols != 1:
         raise DimensionMismatch("vector length does not match the target shape")
-    re = v.num_re.reshape(rows, cols).copy()
-    im = v.num_im.reshape(rows, cols).copy()
+    re = v.num_re.reshape(rows, rows).copy()
+    im = v.num_im.reshape(rows, rows).copy()
     return Mat(re, im, v.den, _normalized=True, _real=v._real)
 
 
@@ -104,17 +104,6 @@ class Measurement:
     @staticmethod
     def trivial(dim: int, n_outcomes: int = 1) -> "Measurement":
         ops = [Mat.eye(dim)] + [Mat.zeros(dim) for _ in range(n_outcomes - 1)]
-        return Measurement(ops, validate=False)
-
-    def padded(self, n_outcomes: int) -> "Measurement":
-        """Same measurement with zero operators appended up to n_outcomes."""
-        if n_outcomes < len(self.operators):
-            raise ValueError("cannot pad to fewer outcomes")
-        if n_outcomes == len(self.operators):
-            return self
-        ops = list(self.operators) + [
-            Mat.zeros(self.dim) for _ in range(n_outcomes - len(self.operators))
-        ]
         return Measurement(ops, validate=False)
 
     def __len__(self):

@@ -20,7 +20,8 @@ from qtl.errors import DimensionMismatch, PreconditionViolated, QtlError
 from qtl.linalg import CRat, Mat, _from_ratios, kron, mat_sum, peripheral_period
 from qtl.subspace import Subspace, SubspaceUnion, satisfies, support
 from qtl.superop import MatrixRep, Measurement, SuperOp, unvec, vec
-from qtl.program import LocationAction, QuantumAutomaton, SequentialProgram, check_terminates
+from qtl.checker import check_terminates
+from qtl.program import LocationAction, QuantumAutomaton, SequentialProgram
 
 EXAMPLE_LOOP_SRC = """
 qubits 1;

@@ -18,7 +18,6 @@ from qtl.linalg import CRat, Mat, is_psd, kron
 from qtl.subspace import SubspaceUnion, satisfies, support
 from qtl.superop import SuperOp, preimage
 from qtl.program import (
-    check_terminates,
     embed,
     initial_cq,
     simulate_deterministic,
@@ -37,6 +36,7 @@ from qtl.checker import (
     check_eventually_always,
     check_exit_formulas,
     check_invariance,
+    check_terminates,
     kleene_always,
     oracle_bfs,
     reachability_superop,
@@ -187,7 +187,7 @@ def test_criterion_06_termination_bound():
             first_hit = next(
                 (k for k, s in enumerate(trajectory) if s.trace_of("exit") == 1), None
             )
-            result = check_terminates(prog, horizon=bound)
+            result = check_terminates(prog)
             if first_hit is not None:
                 # nothing terminates after the bound without terminating by it
                 assert first_hit <= bound

@@ -777,7 +777,7 @@ class TestReachability:
         # solved semantic function equals the denotation, read off
         # denote_steps on d^2 spanning inputs, and its Kraus rank is the
         # rank of that map's Choi matrix
-        from qtl.program import check_terminates
+        from qtl.checker import check_terminates
         from qtl.qwhile import compile_qwhile, denote_steps, parse
 
         half = Fraction(1, 2)

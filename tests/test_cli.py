@@ -391,6 +391,40 @@ class TestMalformedInput:
         code, err = self._run_mutated(workspace, capsys, command, mutate)
         assert code == 3 and "MalformedInput" in err and "'l2'" in err
 
+    @pytest.mark.parametrize("command", ["check", "reach"])
+    def test_outcome_without_next_exit_three(self, workspace, capsys, command):
+        # the loop head's measurement has two outcomes; outcome 1 loses its
+        # targets and is not read as a self-loop
+        def mutate(obj):
+            del obj["act"]["l2"]["next"]["1"]
+
+        code, err = self._run_mutated(workspace, capsys, command, mutate)
+        assert code == 3 and "PreconditionViolated" in err and "next(1, location l2)" in err
+
+    @pytest.mark.parametrize("command", ["check", "reach"])
+    def test_next_beyond_the_outcomes_exit_three(self, workspace, capsys, command):
+        # skip at l1 measures one outcome; a target for outcome 1 is an error
+        def mutate(obj):
+            obj["act"]["l1"]["next"]["1"] = ["l1"]
+
+        code, err = self._run_mutated(workspace, capsys, command, mutate)
+        assert code == 3 and "PreconditionViolated" in err and "next(1, location l1)" in err
+
+    def test_process_location_without_action_exit_three(self, tmp_path, capsys):
+        from qtl.program import ConcurrentProcess, ConcurrentProgram, LocationAction
+        from qtl.superop import Measurement, SuperOp
+
+        act = LocationAction(SuperOp.identity(2), Measurement.trivial(2), {0: (("p", 1),)})
+        prog = ConcurrentProgram(2, (ConcurrentProcess(("p",), {"p": act}),), Mat.unit(2, 0, 0), ("p",), 1)
+        obj = jsonio.program_to_json(prog)
+        obj["processes"][0]["locations"].append("q")
+        path = tmp_path / "no_action.json"
+        path.write_text(json.dumps(obj))
+        assert main(["check", str(path), "-f", "[] true"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        assert "PreconditionViolated" in captured.err and "location q of process 1" in captured.err
+
     def test_scheduler_not_an_integer_exit_three(self, tmp_path, capsys):
         from qtl.program import ConcurrentProcess, ConcurrentProgram, LocationAction
         from qtl.superop import Measurement, SuperOp
@@ -532,6 +566,14 @@ class TestSimulateCommand:
         assert main(["simulate", prog, "--steps", "0", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert len(payload[0]["steps"]) == 1
+
+    @pytest.mark.parametrize("pick", ["-1", "5"])
+    def test_schedule_index_out_of_range_exit_three(self, workspace, capsys, pick):
+        # a negative pick is no index from the end
+        _, prog, _, _ = workspace
+        assert main(["simulate", prog, "--steps", "1", "--schedule", pick]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"schedule index {pick} out of range at step 0" in captured.err
 
     def test_enumerate_traces(self, tmp_path, capsys):
         from qtl.program import LocationAction, SequentialProgram

@@ -1,9 +1,11 @@
-"""No module of ``qtl`` imports sympy or scipy.
+"""No module of ``qtl`` imports sympy or scipy, or a layer above its own.
 
 Both serve the suite as independent oracles (exact ranks, reduced forms,
 characteristic polynomials, float spectra); a ``qtl`` module that used
-them would be checked against itself.  The imports are read off the
-syntax tree of every module, so an import inside a function counts too.
+them would be checked against itself.  The layers build on each other in
+the order of ``LAYERS``, so each module imports only the ones before it.
+The imports are read off the syntax tree of every module, so an import
+inside a function counts too.
 """
 
 import ast
@@ -13,6 +15,7 @@ import pytest
 
 ORACLES = {"sympy", "scipy"}
 MODULES = sorted((pathlib.Path(__file__).resolve().parent.parent / "src" / "qtl").glob("*.py"))
+LAYERS = ["errors", "linalg", "subspace", "superop", "program", "qwhile", "formula", "checker", "jsonio", "cli"]
 
 
 def _imported(tree) -> set:
@@ -38,3 +41,36 @@ def test_no_oracle_import(path):
 def test_guard_sees_every_import_form():
     source = "import numpy\ndef f():\n    from scipy import linalg\nimport sympy.polys as p\nfrom . import errors\n"
     assert _imported(ast.parse(source)) == {"numpy", "scipy", "sympy"}
+
+
+def _layers_imported(tree) -> set:
+    """The ``qtl`` modules that a module of the package imports, relative
+    (``from .program import x``, ``from . import jsonio``) or absolute."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 1 and module:
+                names.add(module.split(".")[0])
+            elif node.level == 1:
+                names.update(alias.name for alias in node.names)
+            elif module.startswith("qtl."):
+                names.add(module.split(".")[1])
+        elif isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[1] for alias in node.names if alias.name.startswith("qtl."))
+    return names
+
+
+def test_layers_cover_the_package():
+    assert {path.stem for path in MODULES} == set(LAYERS) | {"__init__"}
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.stem in LAYERS], ids=lambda p: p.name)
+def test_no_import_from_a_later_layer(path):
+    later = set(LAYERS[LAYERS.index(path.stem):])
+    assert not _layers_imported(ast.parse(path.read_text(), str(path))) & later
+
+
+def test_layer_guard_sees_every_import_form():
+    source = "from .program import x\ndef f():\n    from .qwhile import y\nfrom . import jsonio\nimport qtl.cli\nfrom qtl.formula import z\n"
+    assert _layers_imported(ast.parse(source)) == {"program", "qwhile", "jsonio", "cli", "formula"}

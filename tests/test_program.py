@@ -4,12 +4,15 @@ from fractions import Fraction
 import pytest
 
 from qtl.errors import (
+    DimensionMismatch,
     NonClassicalCoherence,
     NotDeterministic,
     NoExitLocation,
+    PreconditionViolated,
     SelectorExplosion,
 )
 from qtl.linalg import CRat, Mat, kron
+from qtl.subspace import Subspace
 from qtl.superop import Measurement, SuperOp
 from qtl.program import (
     CQState,
@@ -17,22 +20,25 @@ from qtl.program import (
     ConcurrentProgram,
     LocationAction,
     SequentialProgram,
-    check_terminates,
     embed,
     extract,
     initial_cq,
+    selector_successors,
     simulate_deterministic,
     step_superop,
     successors,
     to_automaton,
 )
 from qtl.qwhile import compile_source
+from qtl.checker import check_terminates
 
 from helpers import (
     EXAMPLE_LOOP_SRC,
     KET_MINUS_DENSITY,
     PAULI_X,
     random_deterministic_program,
+    random_qwhile_source,
+    random_subspace,
 )
 
 
@@ -191,15 +197,16 @@ class TestToAutomaton:
         prog = SequentialProgram(2, labels, act, KET_MINUS_DENSITY, "a")
         assert len(to_automaton(prog).actions) == expected
 
-    def test_selector_cap(self):
+    def test_selector_cap(self, monkeypatch):
         meas = Measurement([Mat.unit(2, 0, 0), Mat.unit(2, 1, 1)])
         act = {
             "a": LocationAction(SuperOp.identity(2), meas, {0: ("a", "b"), 1: ("a", "b")}),
             "b": LocationAction(SuperOp.identity(2), meas, {0: ("a", "b"), 1: ("a", "b")}),
         }
         prog = SequentialProgram(2, ("a", "b"), act, KET_MINUS_DENSITY, "a")
+        monkeypatch.setattr("qtl.program.DEFAULT_SELECTOR_CAP", 3)
         with pytest.raises(SelectorExplosion):
-            to_automaton(prog, cap=3)
+            to_automaton(prog)
 
 
 class TestTermination:
@@ -225,8 +232,7 @@ class TestTermination:
         result = check_terminates(prog)
         assert result.kind == "terminates" and result.step == 0
         assert result.final_exit_trace == 1
-        # the horizon-0 call, reachability and <> agree on step 0
-        assert check_terminates(prog, horizon=0).step == 0
+        # reachability and <> agree on step 0
         assert reachability_superop(prog).expected_steps == 0.0
         assert check_exit_eventually(prog, Subspace.full(2)).diagnostics["step"] == 0
 
@@ -316,3 +322,101 @@ class TestConcurrent:
         for _ in range(3):
             (state,) = successors(prog, state)
         assert extract(embed(state, prog), prog) == state
+
+
+class TestOwnOutcomes:
+    """Each location's measurement keeps its own outcomes, and ``next``
+    names targets for exactly those outcomes."""
+
+    def _act(self, meas, nxt):
+        return LocationAction(SuperOp.identity(2), meas, nxt)
+
+    def test_exit_may_measure_any_number_of_zero_outcomes(self):
+        act = {
+            "a": self._act(Measurement.trivial(2), {0: ("e",)}),
+            "e": self._act(Measurement.trivial(2, 3), {j: ("e",) for j in range(3)}),
+        }
+        prog = SequentialProgram(2, ("a", "e"), act, KET0, "a", "e")
+        assert len(prog.act["a"].measurement) == 1 and len(prog.act["e"].measurement) == 3
+        act["e"] = self._act(Measurement.trivial(2, 2), {0: ("e",), 1: ("a",)})
+        with pytest.raises(PreconditionViolated, match="loop to itself"):
+            SequentialProgram(2, ("a", "e"), act, KET0, "a", "e")
+
+    def test_process_measurement_of_wrong_dimension_is_rejected(self):
+        meas = Measurement([Mat.eye(3)])
+        p = ConcurrentProcess(("p",), {"p": self._act(meas, {0: (("p", 1),)})})
+        with pytest.raises(DimensionMismatch, match="measurement at location p of process 1"):
+            ConcurrentProgram(2, (p,), KET0, ("p",), 1)
+
+    def test_process_outcome_without_targets_is_rejected(self):
+        meas = Measurement([Mat.unit(2, 0, 0), Mat.unit(2, 1, 1)])
+        p = ConcurrentProcess(("p",), {"p": self._act(meas, {0: (("p", 1),)})})
+        with pytest.raises(PreconditionViolated, match=r"next\(1, location p of process 1\)"):
+            ConcurrentProgram(2, (p,), KET0, ("p",), 1)
+
+    @staticmethod
+    def _padded(prog):
+        """prog with every measurement padded by zero operators up to one
+        more than the largest outcome count, each padded outcome looping on
+        its location."""
+        n = max(len(a.measurement) for a in prog.act.values()) + 1
+        act = {}
+        for loc, a in prog.act.items():
+            ops = list(a.measurement.operators)
+            nxt = dict(a.next)
+            for j in range(len(ops), n):
+                ops.append(Mat.zeros(prog.dim))
+                nxt[j] = (loc,)
+            act[loc] = LocationAction(a.channel, Measurement(ops, validate=False), nxt)
+        return SequentialProgram(
+            prog.dim, prog.locations, act, prog.initial_state, prog.initial_location, prog.exit_location
+        )
+
+    @staticmethod
+    def _programs(rng):
+        for _ in range(6):
+            prog = random_deterministic_program(rng, rng.choice([2, 3]), rng.randint(1, 3))
+            yield prog
+            # a second target on one outcome makes the program branch
+            loc = rng.choice(prog.locations[:-1])
+            a = prog.act[loc]
+            act = dict(prog.act)
+            act[loc] = LocationAction(a.channel, a.measurement, {**a.next, 0: a.next[0] + (prog.exit_location,)})
+            yield SequentialProgram(
+                prog.dim, prog.locations, act, prog.initial_state, prog.initial_location, prog.exit_location
+            )
+        for _ in range(6):
+            yield compile_source(random_qwhile_source(rng, max_loops=1, max_len=2, max_locations=6))
+
+    def test_padding_changes_no_result(self):
+        # the zero operators of a padded measurement carry no mass: the
+        # actions, the step channel, the successors and every verdict are
+        # those of the program that keeps its own outcomes
+        from qtl.checker import check
+        from qtl.formula import atom_from_blocks, parse_formula
+        from qtl.jsonio import verdict_to_json
+
+        rng = random.Random(2424)
+        for prog in self._programs(rng):
+            padded = self._padded(prog)
+            a, b = to_automaton(prog), to_automaton(padded)
+            assert list(a.actions) == list(b.actions)
+            assert all(list(a.actions[name].kraus) == list(b.actions[name].kraus) for name in a.actions)
+            assert a.initial_state == b.initial_state
+            if prog.deterministic:
+                assert list(step_superop(prog).kraus) == list(step_superop(padded).kraus)
+            state = initial_cq(prog)
+            for _ in range(3):
+                succ = selector_successors(prog, state)
+                assert succ == selector_successors(padded, state)
+                state = succ[-1]
+            exit_sub = random_subspace(rng, prog.dim, real=True)
+            blocks = {loc: Subspace.full(prog.dim) for loc in prog.locations}
+            blocks[prog.exit_location] = exit_sub
+            atoms = {
+                "p": atom_from_blocks("p", blocks, prog),
+                "q": atom_from_blocks("q", {prog.exit_location: exit_sub}, prog),
+            }
+            for text in ("[] p", "<> q", "<>~ q", "<>[] p", "[]<> q", "[] (p U q)"):
+                formula = parse_formula(text, atoms)
+                assert verdict_to_json(check(prog, formula, atoms)) == verdict_to_json(check(padded, formula, atoms))

@@ -364,12 +364,6 @@ class TestMeasurement:
         with pytest.raises(PreconditionViolated):
             Measurement([Mat.from_rows([[1, 0], [0, 0]])])
 
-    def test_padding(self):
-        m = Measurement([Mat.unit(2, 0, 0), Mat.unit(2, 1, 1)])
-        padded = m.padded(4)
-        assert len(padded) == 4
-        assert padded.operators[2].is_zero() and padded.operators[3].is_zero()
-
     def test_dimension_check(self):
         with pytest.raises(DimensionMismatch):
             Measurement([Mat.eye(2), Mat.eye(3)])
