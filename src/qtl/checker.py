@@ -57,6 +57,7 @@ from .superop import MatrixRep, SuperOp, image, image_union, preimage_union, unv
 from .program import (
     QuantumAutomaton,
     SequentialProgram,
+    coordinates,
     to_automaton,
 )
 from .qwhile import WhileNormalForm, bohm_jacopini
@@ -857,8 +858,7 @@ def _exit_almost_eventually(loop: WhileNormalForm, exit_subspace) -> Verdict:
     if exit_subspace.ambient_dim != program.dim:
         raise DimensionMismatch("the exit proposition lives on the data space")
     # the exit-location coordinates of R are those of m0 R
-    e_idx = program.config_index(program.exit_location)
-    arrivals = Subspace(program.dim, loop.reachable.rref[:, e_idx :: len(program.locations)])
+    arrivals = Subspace(program.dim, loop.reachable.rref[:, coordinates(program, program.exit_location)])
     ok = loop.exits_almost_surely and exit_subspace.contains(arrivals)
     return Verdict(
         VALID if ok else NOT_VALID,
@@ -1062,17 +1062,12 @@ def _exit_shaped(proposition, target) -> Subspace | None:
         if len(proposition.members) != 1:
             return None
         (proposition,) = proposition.members
-    if (
-        not isinstance(target, SequentialProgram)
-        or target.exit_location is None
-        or not target.deterministic
-    ):
+    if not isinstance(target, SequentialProgram) or target.exit_location is None or not target.deterministic:
         return None
-    rows = proposition.rref
-    if rows @ bohm_jacopini(target).m0.transpose() != rows:
+    at_exit = coordinates(target, target.exit_location)
+    if not Subspace(proposition.ambient_dim, None, tuple(at_exit)).contains(proposition):
         return None
-    e_idx = target.config_index(target.exit_location)
-    return Subspace(target.dim, rows[:, e_idx :: len(target.locations)])
+    return Subspace(target.dim, proposition.rref[:, at_exit])
 
 
 def check(target, formula, atoms: dict) -> Verdict:

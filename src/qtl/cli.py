@@ -111,6 +111,9 @@ def _budget():
 
 
 def cmd_simulate(args) -> int:
+    if args.steps < 0:
+        print(f"error: --steps is a step count, got {args.steps}", file=sys.stderr)
+        return EXIT_ERROR
     program = _load_program(args.program)
     if isinstance(program, QuantumAutomaton):
         print("error: simulate needs a program, not an automaton", file=sys.stderr)

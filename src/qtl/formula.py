@@ -2,7 +2,9 @@
 
 Atoms name subspaces of the embedded classical-quantum space; they are built
 block-wise, one subspace of the data space per classical configuration, and
-the embedded subspace is the direct sum of the blocks.  Conjunction of atoms
+the embedded subspace is the direct sum of the blocks, each on its
+configuration's coordinates as :mod:`qtl.program` lays them out
+(``coordinates``, ``place_blocks``).  Conjunction of atoms
 is subspace intersection; disjunction of atoms leaves the atom lattice and
 is represented downstream as a finite union of subspaces.  Negation does not
 exist in this logic.
@@ -14,11 +16,8 @@ connectives.
 
 from __future__ import annotations
 
-import functools
 import re as _re
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import (
     AlmostOperatorOnNonAtom,
@@ -27,8 +26,8 @@ from .errors import (
     UnknownAtom,
     UnknownConfiguration,
 )
-from .linalg import Mat
-from .subspace import Subspace
+from .program import coordinates, place_blocks
+from .subspace import Subspace, support
 
 
 @dataclass(frozen=True)
@@ -105,40 +104,29 @@ def atom_from_blocks(name: str, blocks: dict, program) -> Atom:
     """Assemble an atom from per-configuration subspaces of the data space.
 
     Missing configurations default to the zero subspace; the embedded
-    subspace is the direct sum over configurations.  When every block is a
-    coordinate subspace, so is the sum, on the embedded pivots.
+    subspace is the direct sum over configurations, the support of the
+    block projectors placed on the embedded space.  When every block is a
+    coordinate subspace, so is the sum, on the embedded coordinates of the
+    blocks' pivots.
     """
     configs = program.configs()
-    n_configs = len(configs)
-    d = program.dim
-    index_of = {}
-    for i, c in enumerate(configs):
-        index_of[c] = i
-        index_of[repr(c)] = i
-    by_index = {}
+    ambient = program.dim * len(configs)
+    config_of = {}
+    for c in configs:
+        config_of[c] = config_of[repr(c)] = c
+    by_config = {}
     for label, sub in blocks.items():
-        key = label if label in index_of else repr(label)
-        if key not in index_of:
+        key = label if label in config_of else repr(label)
+        if key not in config_of:
             raise UnknownConfiguration(f"configuration {label!r} not in the program")
-        if sub.ambient_dim != d:
-            raise DimensionMismatch(f"block for {label!r} must live in dimension {d}")
-        by_index[index_of[key]] = sub
-    # entry h of a block vector at configuration idx sits at h * n_configs + idx
-    if all(sub.is_coordinate() for sub in by_index.values()):
-        pivots = sorted(h * n_configs + idx for idx, sub in by_index.items() for h in sub.pivots)
-        return Atom(name, Subspace(d * n_configs, None, tuple(pivots)))
-    rows = []
-    for idx, sub in sorted(by_index.items()):
-        if sub.is_zero():
-            continue
-        re = np.zeros((sub.dim, d * n_configs), dtype=object)
-        im = np.zeros((sub.dim, d * n_configs), dtype=object)
-        re[:, idx::n_configs] = sub.rref.num_re
-        im[:, idx::n_configs] = sub.rref.num_im
-        rows.append(Mat(re, im, sub.rref.den, _normalized=True))
-    if not rows:
-        return Atom(name, Subspace.zero(d * n_configs))
-    return Atom(name, Subspace(d * n_configs, functools.reduce(Mat.vstack, rows)))
+        if sub.ambient_dim != program.dim:
+            raise DimensionMismatch(f"block for {label!r} must live in dimension {program.dim}")
+        by_config[config_of[key]] = sub
+    if all(sub.is_coordinate() for sub in by_config.values()):
+        pivots = sorted(coordinates(program, c)[h] for c, sub in by_config.items() for h in sub.pivots)
+        return Atom(name, Subspace(ambient, None, tuple(pivots)))
+    projectors = {(c, c): sub.projector for c, sub in by_config.items() if not sub.is_zero()}
+    return Atom(name, support(place_blocks(program, projectors), validate=False))
 
 
 # ----------------------------------------------------------------------

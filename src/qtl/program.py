@@ -13,13 +13,19 @@ Nondeterminism is resolved by whole-step selectors: a selector fixes one
 choice for every (outcome, location) pair, and each selector induces one
 successor state (respectively one trace-preserving action of the derived
 automaton).
+
+States and actions embed in H (x) configurations, one d x d block per
+configuration; ``coordinates`` and ``place_blocks`` alone say where.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
 
 from .errors import (
     DimensionMismatch,
@@ -29,7 +35,7 @@ from .errors import (
     PreconditionViolated,
     SelectorExplosion,
 )
-from .linalg import Mat, is_psd, kron, mat_sum
+from .linalg import Mat, is_psd
 from .superop import Measurement, SuperOp
 
 DEFAULT_SELECTOR_CAP = 4096
@@ -84,6 +90,15 @@ def _checked_act(act, dim: int, where: str, known_target) -> LocationAction:
     return LocationAction(act.channel, act.measurement, nxt)
 
 
+def _checked_acts(act: dict, locations: tuple, dim: int, owner: str, known_target) -> dict:
+    """``_checked_act`` of each location, named "location <label><owner>", or
+    PreconditionViolated for an ``act`` entry whose label is no location."""
+    for label in act:
+        if label not in locations:
+            raise PreconditionViolated(f"act names {label!r}, which is not a location{owner}")
+    return {loc: _checked_act(act.get(loc), dim, f"location {loc}{owner}", known_target) for loc in locations}
+
+
 class SequentialProgram:
     """Locations, per-location dynamics and a set-valued control flow map."""
 
@@ -104,10 +119,7 @@ class SequentialProgram:
             raise PreconditionViolated("initial location is not a location")
         if exit_location is not None and exit_location not in locations:
             raise PreconditionViolated("exit location is not a location")
-        act = {
-            loc: _checked_act(act.get(loc), dim, f"location {loc}", locations.__contains__)
-            for loc in locations
-        }
+        act = _checked_acts(act, locations, dim, "", locations.__contains__)
         _validate_density(initial_state, dim, "initial state")
         if exit_location is not None:
             e = act[exit_location]
@@ -151,9 +163,7 @@ class SequentialProgram:
         return [((j, loc), targets) for loc in self.locations for j, targets in self.act[loc].next.items()]
 
     def _step_targets(self, config, selector):
-        loc = config
-        a = self.act[loc]
-        return a, lambda j: selector[(j, loc)]
+        return self.act[config], lambda j: selector[(j, config)]
 
 
 @dataclass(frozen=True)
@@ -196,10 +206,7 @@ class ConcurrentProgram:
             def known_target(t, locations=locations):
                 return isinstance(t, tuple) and len(t) == 2 and t[0] in locations and t[1] in range(1, m + 1)
 
-            acts = {
-                loc: _checked_act(p.act.get(loc), dim, f"location {loc} of process {k + 1}", known_target)
-                for loc in locations
-            }
+            acts = _checked_acts(p.act, locations, dim, f" of process {k + 1}", known_target)
             validated.append(ConcurrentProcess(locations, acts))
         _validate_density(initial_state, dim, "initial state")
         object.__setattr__(self, "dim", dim)
@@ -216,13 +223,8 @@ class ConcurrentProgram:
         return all(len(choices) == 1 for _, choices in self._selector_domain())
 
     def configs(self):
-        loc_axes = [p.locations for p in self.processes]
-        m = len(self.processes)
-        return [
-            (locs, s)
-            for locs in itertools.product(*loc_axes)
-            for s in range(1, m + 1)
-        ]
+        schedulers = range(1, len(self.processes) + 1)
+        return [(locs, s) for locs in itertools.product(*(p.locations for p in self.processes)) for s in schedulers]
 
     def config_index(self, config) -> int:
         locs, s = config
@@ -393,25 +395,39 @@ def simulate_deterministic(program, steps: int):
 # embedding into one big space H (x) configurations
 
 
+def coordinates(program, config) -> range:
+    """Where a configuration's block sits in the embedded space: entry h of
+    the block of configuration number c (``config_index``) at h |configs| + c."""
+    n_configs = len(program.configs())
+    return range(program.config_index(config), program.dim * n_configs, n_configs)
+
+
+def place_blocks(program, blocks: dict) -> Mat:
+    """The operator on the embedded space that maps the block of
+    configuration c to that of configuration s by ``blocks[s, c]`` (d x d)."""
+    size = program.dim * len(program.configs())
+    den = math.lcm(1, *(b.den for b in blocks.values()))
+    re, im = np.zeros((2, size, size), dtype=object)
+    for (s, c), block in blocks.items():
+        at = tuple(slice(r.start, r.stop, r.step) for r in (coordinates(program, s), coordinates(program, c)))
+        re[at] = block.num_re * (den // block.den)
+        im[at] = block.num_im * (den // block.den)
+    return Mat(re, im, den, _real=all(b.is_real() for b in blocks.values()))
+
+
 def embed(state: CQState, program) -> Mat:
-    """Block-diagonal embedding: the block of config c occupies stride c."""
-    configs = program.configs()
-    n_configs = len(configs)
-    pieces = [Mat.zeros(program.dim * n_configs)]
-    for config, block in state.blocks.items():
-        c = program.config_index(config)
-        pieces.append(kron(block, Mat.unit(n_configs, c, c)))
-    return mat_sum(pieces)
+    """Block-diagonal embedding: each configuration's block on its own
+    coordinates (``place_blocks``)."""
+    return place_blocks(program, {(config, config): block for config, block in state.blocks.items()})
 
 
 def extract(m: Mat, program) -> CQState:
     """Inverse of embed; raises NonClassicalCoherence on off-diagonal blocks."""
     configs = program.configs()
-    n_configs = len(configs)
-    d = program.dim
-    if m.rows != d * n_configs or m.cols != d * n_configs:
+    size = program.dim * len(configs)
+    if m.rows != size or m.cols != size:
         raise DimensionMismatch("matrix does not match the embedded space")
-    blocks = {config: m[c::n_configs, c::n_configs] for c, config in enumerate(configs)}
+    blocks = {c: m[np.ix_(coordinates(program, c), coordinates(program, c))] for c in configs}
     state = CQState(program.dim, blocks, validate=False)
     if embed(state, program) != m:
         raise NonClassicalCoherence("matrix has coherences between configurations")
@@ -419,19 +435,16 @@ def extract(m: Mat, program) -> CQState:
 
 
 def _selector_kraus(program, selector) -> list:
-    """Kraus set of the one-step channel induced by a selector."""
-    configs = program.configs()
-    n_configs = len(configs)
+    """Kraus set of the one-step channel induced by a selector: the block
+    M_j K from each configuration to the target of its outcome j."""
     kraus = []
-    for c, config in enumerate(configs):
+    for config in program.configs():
         a, target = program._step_targets(config, selector)
         for j, m_op in enumerate(a.measurement.operators):
             if m_op.is_zero():
                 continue
-            t = program.config_index(target(j))
-            shift = Mat.unit(n_configs, t, c)
             for body in a.channel.kraus:
-                kraus.append(kron(m_op @ body, shift))
+                kraus.append(place_blocks(program, {(target(j), config): m_op @ body}))
     return kraus
 
 
@@ -471,22 +484,16 @@ class QuantumAutomaton:
 
 
 def _selector_name(program, selector):
-    domain = program._selector_domain()
-    parts = []
-    for key, choices in domain:
-        if len(choices) > 1:
-            parts.append(f"{key}->{selector[key]}")
-    return "step" if not parts else ";".join(parts)
+    parts = [f"{key}->{selector[key]}" for key, choices in program._selector_domain() if len(choices) > 1]
+    return ";".join(parts) or "step"
 
 
 def to_automaton(program) -> QuantumAutomaton:
-    """One trace-preserving action per whole-step selector, on the embedded space."""
-    selectors = _selector_assignments(program, DEFAULT_SELECTOR_CAP)
-    actions = {}
-    for sel in selectors:
-        name = _selector_name(program, sel)
-        actions[name] = SuperOp(_selector_kraus(program, sel), validate=False)
+    """One trace-preserving action per whole-step selector, on the embedded
+    space; each Kraus operator is one placed d x d block (no D x D product)."""
+    actions = {
+        _selector_name(program, sel): SuperOp(_selector_kraus(program, sel), validate=False)
+        for sel in _selector_assignments(program, DEFAULT_SELECTOR_CAP)
+    }
     emb = embed(initial_cq(program), program)
-    return QuantumAutomaton(
-        program.dim * len(program.configs()), actions, emb, validate=False
-    )
+    return QuantumAutomaton(emb.rows, actions, emb, validate=False)

@@ -23,6 +23,9 @@ location per statement plus guard locations for branching, with a fresh
 exit location appended.  Branches of an ``if`` whose arms are loop-free are
 padded with skips to equal length, which keeps the step count of a path
 independent of the measured branch.
+
+The single-while normal form places and reads location blocks of the
+embedded space only through ``program.place_blocks`` and ``coordinates``.
 """
 
 from __future__ import annotations
@@ -44,9 +47,11 @@ from .program import (
     CQState,
     LocationAction,
     SequentialProgram,
+    coordinates,
     embed,
     extract,
     initial_cq,
+    place_blocks,
     selector_successors,
     simulate_deterministic,
     step_superop,
@@ -801,7 +806,8 @@ class WhileNormalForm:
     one object: the constructor checks the preconditions (an exit location,
     then determinism), and each part is built on first use and cached: the
     guard, the body (``body_channel``), the cut body N in Kraus form
-    (``cut_body``, operators K_i m1), and the exact states sigma_0 ..
+    (``cut_body``, the body's operators that leave a location other than
+    the exit), and the exact states sigma_0 ..
     sigma_bound (``trajectory``), bound = dim*|L| - 1 being the horizon of
     every exact exit question.
 
@@ -842,8 +848,12 @@ class WhileNormalForm:
 
     @functools.cached_property
     def cut_body(self) -> SuperOp:
-        """N, the body after the guard's m1, on the embedded space."""
-        return SuperOp([k @ self.m1 for k in self.body_channel.kraus], validate=False)
+        """N, the body after the guard's m1: each body operator K leaves one
+        location, and K m1 is K off the exit and 0 at the exit, so N keeps
+        the operators that vanish on the exit (the zero channel if none)."""
+        exit_coords = coordinates(self.program, self.program.exit_location)
+        kraus = [k for k in self.body_channel.kraus if k[:, exit_coords].is_zero()]
+        return SuperOp(kraus or [Mat.zeros(self.body_channel.dim_in)], validate=False)
 
     def _reach_from(self, start: Subspace) -> Subspace:
         """The least fixpoint of X -> start v N(X), grown from ``start``."""
@@ -882,9 +892,8 @@ class WhileNormalForm:
     def input_reachable(self) -> Subspace:
         """R_in: R grown from the whole block of the initial location, so it
         holds R for every input state."""
-        program = self.program
-        block = CQState(program.dim, {program.initial_location: Mat.eye(program.dim)}, validate=False)
-        return self._reach_from(support(embed(block, program), validate=False))
+        block = place_blocks(self.program, {(self.program.initial_location,) * 2: Mat.eye(self.program.dim)})
+        return self._reach_from(support(block, validate=False))
 
     @functools.cached_property
     def input_trapped(self) -> Subspace:
@@ -900,11 +909,10 @@ class WhileNormalForm:
         the block V_c Y V_c^dag, and a block X has the coordinates L_c X
         L_c^dag of P X P, P the projector onto ``sub``; with vec, these are
         V_c (x) conj V_c and L_c (x) conj L_c."""
-        n_loc = len(self.program.locations)
         parts = []
-        for c in range(n_loc):
-            rows = [i for i, p in enumerate(sub.pivots) if p % n_loc == c]
-            v = sub.rref[rows, c::n_loc].transpose()
+        for loc in self.program.locations:
+            at = coordinates(self.program, loc)
+            v = sub.rref[[i for i, p in enumerate(sub.pivots) if p in at]][:, at].transpose()
             parts.append((v, solve(v.dagger() @ v, v.dagger())))
         return parts
 
@@ -947,14 +955,13 @@ class WhileNormalForm:
 
     def exit_embedded(self, block: Mat) -> Mat:
         """A d x d exit block as a state of the embedded space."""
-        program = self.program
-        return embed(CQState(program.dim, {program.exit_location: block}, validate=False), program)
+        return place_blocks(self.program, {(self.program.exit_location,) * 2: block})
 
     def exit_series(self, sigma0: Mat, steps: int) -> list:
         """Exit masses [after 0 rounds, ..., after ``steps`` rounds] in one pass.
 
         Runs the loop itself, location block by location block: each round
-        applies the cut body N, whose operators K m1 each map one location's
+        applies the cut body N, whose operators each map one location's
         block to one other's, as one program step of every block but the
         exit's, and collects the exit block m0 rho m0, so entry k equals the
         exit block of the original program at step k.  ``sigma0`` must be

@@ -21,7 +21,14 @@ from qtl.linalg import CRat, Mat, _from_ratios, kron, mat_sum, peripheral_period
 from qtl.subspace import Subspace, SubspaceUnion, satisfies, support
 from qtl.superop import MatrixRep, Measurement, SuperOp, unvec, vec
 from qtl.checker import check_terminates
-from qtl.program import LocationAction, QuantumAutomaton, SequentialProgram
+from qtl.program import (
+    CQState,
+    ConcurrentProcess,
+    ConcurrentProgram,
+    LocationAction,
+    QuantumAutomaton,
+    SequentialProgram,
+)
 
 EXAMPLE_LOOP_SRC = """
 qubits 1;
@@ -307,6 +314,46 @@ def random_deterministic_program(rng, dim, n_locations, ensure_exit_reachable=Tr
     )
 
 
+def with_second_target(rng, prog):
+    """prog with the exit added as a second target of outcome 0 at one
+    random location other than the exit, so it branches."""
+    loc = rng.choice(prog.locations[:-1])
+    a = prog.act[loc]
+    act = dict(prog.act)
+    act[loc] = LocationAction(a.channel, a.measurement, {**a.next, 0: a.next[0] + (prog.exit_location,)})
+    return SequentialProgram(
+        prog.dim, prog.locations, act, prog.initial_state, prog.initial_location, prog.exit_location
+    )
+
+
+def random_concurrent_program(rng, dim, n_processes):
+    """A random concurrent program, exactly valid by construction: one or
+    two locations per process, random channels, basis or trivial
+    measurements, and for each outcome a target location and scheduled
+    process, sometimes two."""
+    basis_meas = Measurement([Mat.unit(dim, k, k) for k in range(dim)], validate=False)
+    processes = []
+    for k in range(n_processes):
+        labels = tuple(f"p{k}l{i}" for i in range(rng.randint(1, 2)))
+        act = {}
+        for loc in labels:
+            meas = basis_meas if rng.random() < 0.6 else Measurement.trivial(dim)
+            nxt = {}
+            targets = [(t, s) for t in labels for s in range(1, n_processes + 1)]
+            for j in range(len(meas)):
+                count = 2 if rng.random() < 0.15 and len(targets) > 1 else 1
+                nxt[j] = tuple(rng.sample(targets, count))
+            act[loc] = LocationAction(random_tp_channel(rng, dim), meas, nxt)
+        processes.append(ConcurrentProcess(labels, act))
+    return ConcurrentProgram(
+        dim,
+        processes,
+        random_density(rng, dim),
+        [p.locations[0] for p in processes],
+        rng.randint(1, n_processes),
+    )
+
+
 def terminating_programs(seed, count, min_step=1):
     """Seeded random deterministic programs that terminate exactly, with
     their termination step, which is at least ``min_step``: most random
@@ -572,3 +619,69 @@ def random_qwhile_source(rng, max_loops=2, max_len=3, max_locations=10):
         source = _QW_PREAMBLE + stmt(max_loops, max_len)
         if _location_count(parse(source).body) < max_locations:
             return source
+
+
+# ----------------------------------------------------------------------
+# Kronecker reference of the embedded layout: H (x) C^|configs|, the block
+# of configuration number c on the basis vectors e_h (x) e_c
+
+
+def _config_unit(program, config, row=True) -> Mat:
+    """<c| (a row) or |c> (a column) of the configuration register."""
+    n, c = len(program.configs()), program.config_index(config)
+    e = Mat.from_rows([[int(k == c) for k in range(n)]])
+    return e if row else e.transpose()
+
+
+def kron_embed(state, program) -> Mat:
+    """Sum over the configurations c of block_c (x) |c><c|."""
+    terms = [Mat.zeros(program.dim * len(program.configs()))]
+    for config, block in state.blocks.items():
+        terms.append(kron(block, _config_unit(program, config, False) @ _config_unit(program, config)))
+    return mat_sum(terms)
+
+
+def kron_extract(m: Mat, program) -> CQState:
+    """The blocks (I (x) <c|) m (I (x) |c>) of every configuration c."""
+    eye = Mat.eye(program.dim)
+    blocks = {
+        config: kron(eye, _config_unit(program, config)) @ m @ kron(eye, _config_unit(program, config, False))
+        for config in program.configs()
+    }
+    return CQState(program.dim, blocks, validate=False)
+
+
+def kron_step_kraus(program, selector) -> list:
+    """kron(M_j K, |t><c|) over the configurations c, outcomes j and Kraus
+    operators K, in the order of the one-step channel of a selector."""
+    kraus = []
+    for config in program.configs():
+        a, target = program._step_targets(config, selector)
+        for j, m_op in enumerate(a.measurement.operators):
+            if m_op.is_zero():
+                continue
+            shift = _config_unit(program, target(j), False) @ _config_unit(program, config)
+            kraus += [kron(m_op @ k, shift) for k in a.channel.kraus]
+    return kraus
+
+
+def kron_atom(blocks: dict, program) -> Subspace:
+    """The span of v (x) e_c over a basis v of each configuration's block."""
+    rows = [kron(sub.rref, _config_unit(program, config)) for config, sub in blocks.items() if not sub.is_zero()]
+    ambient = program.dim * len(program.configs())
+    return Subspace(ambient, functools.reduce(Mat.vstack, rows)) if rows else Subspace.zero(ambient)
+
+
+def kron_exit_guard(program) -> Mat:
+    """m0 = I (x) |exit><exit|, the guard's "at the exit" projection."""
+    e = program.exit_location
+    return kron(Mat.eye(program.dim), _config_unit(program, e, False) @ _config_unit(program, e))
+
+
+def kron_exit_shaped(proposition: Subspace, program):
+    """The exit block of a proposition whose RREF rows satisfy
+    rows m0^T = rows, read as rows (I (x) |exit>); None otherwise."""
+    rows = proposition.rref
+    if rows @ kron_exit_guard(program).transpose() != rows:
+        return None
+    return Subspace(program.dim, rows @ kron(Mat.eye(program.dim), _config_unit(program, program.exit_location, False)))

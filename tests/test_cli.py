@@ -410,6 +410,30 @@ class TestMalformedInput:
         code, err = self._run_mutated(workspace, capsys, command, mutate)
         assert code == 3 and "PreconditionViolated" in err and "next(1, location l1)" in err
 
+    @pytest.mark.parametrize("command", ["check", "reach"])
+    def test_action_for_no_location_exit_three(self, workspace, capsys, command):
+        # a misspelt location key is not dropped without a word
+        def mutate(obj):
+            obj["act"]["l9"] = obj["act"]["l1"]
+
+        code, err = self._run_mutated(workspace, capsys, command, mutate)
+        assert code == 3 and "PreconditionViolated" in err and "'l9'" in err
+
+    def test_process_action_for_no_location_exit_three(self, tmp_path, capsys):
+        from qtl.program import ConcurrentProcess, ConcurrentProgram, LocationAction
+        from qtl.superop import Measurement, SuperOp
+
+        act = LocationAction(SuperOp.identity(2), Measurement.trivial(2), {0: (("p", 1),)})
+        prog = ConcurrentProgram(2, (ConcurrentProcess(("p",), {"p": act}),), Mat.unit(2, 0, 0), ("p",), 1)
+        obj = jsonio.program_to_json(prog)
+        obj["processes"][0]["act"]["q"] = obj["processes"][0]["act"]["p"]
+        path = tmp_path / "extra_action.json"
+        path.write_text(json.dumps(obj))
+        assert main(["check", str(path), "-f", "[] true"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        assert "PreconditionViolated" in captured.err and "'q', which is not a location of process 1" in captured.err
+
     def test_process_location_without_action_exit_three(self, tmp_path, capsys):
         from qtl.program import ConcurrentProcess, ConcurrentProgram, LocationAction
         from qtl.superop import Measurement, SuperOp
@@ -566,6 +590,12 @@ class TestSimulateCommand:
         assert main(["simulate", prog, "--steps", "0", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert len(payload[0]["steps"]) == 1
+
+    def test_negative_steps_exit_three(self, workspace, capsys):
+        _, prog, _, _ = workspace
+        assert main(["simulate", prog, "--steps", "-1"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--steps" in captured.err and "-1" in captured.err
 
     @pytest.mark.parametrize("pick", ["-1", "5"])
     def test_schedule_index_out_of_range_exit_three(self, workspace, capsys, pick):

@@ -74,3 +74,36 @@ def test_no_import_from_a_later_layer(path):
 def test_layer_guard_sees_every_import_form():
     source = "from .program import x\ndef f():\n    from .qwhile import y\nfrom . import jsonio\nimport qtl.cli\nfrom qtl.formula import z\n"
     assert _layers_imported(ast.parse(source)) == {"program", "qwhile", "jsonio", "cli", "formula"}
+
+
+# The embedded layout (entry h of configuration c's block at coordinate
+# h * |configs| + c) is stated in ``program`` alone; ``linalg`` slices its
+# own grids.  Elsewhere a strided slice would restate the layout, so the
+# only step allowed is a negative constant (a reversal such as [::-1]).
+LAYOUT_OWNERS = {"program", "linalg"}
+
+
+def _strided_slices(tree) -> list:
+    """The line of every slice whose step is present and not a negative
+    constant."""
+    lines = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Slice) or node.step is None:
+            continue
+        step = node.step
+        if isinstance(step, ast.UnaryOp) and isinstance(step.op, ast.USub) and isinstance(step.operand, ast.Constant):
+            continue
+        if isinstance(step, ast.Constant) and isinstance(step.value, int) and step.value < 0:
+            continue
+        lines.append(node.lineno)
+    return sorted(lines)
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.stem not in LAYOUT_OWNERS], ids=lambda p: p.name)
+def test_no_strided_slice_outside_program(path):
+    assert _strided_slices(ast.parse(path.read_text(), str(path))) == []
+
+
+def test_slice_guard_sees_every_step():
+    source = "a = x[::-1]\nb = x[c::n]\nc = y[:, 1::2]\nd = x[1:3]\ne = x[::k]\nf = x[::-k]\n"
+    assert _strided_slices(ast.parse(source)) == [2, 3, 5, 6]

@@ -39,6 +39,7 @@ from helpers import (
     random_deterministic_program,
     random_qwhile_source,
     random_subspace,
+    with_second_target,
 )
 
 
@@ -377,14 +378,7 @@ class TestOwnOutcomes:
         for _ in range(6):
             prog = random_deterministic_program(rng, rng.choice([2, 3]), rng.randint(1, 3))
             yield prog
-            # a second target on one outcome makes the program branch
-            loc = rng.choice(prog.locations[:-1])
-            a = prog.act[loc]
-            act = dict(prog.act)
-            act[loc] = LocationAction(a.channel, a.measurement, {**a.next, 0: a.next[0] + (prog.exit_location,)})
-            yield SequentialProgram(
-                prog.dim, prog.locations, act, prog.initial_state, prog.initial_location, prog.exit_location
-            )
+            yield with_second_target(rng, prog)
         for _ in range(6):
             yield compile_source(random_qwhile_source(rng, max_loops=1, max_len=2, max_locations=6))
 
