@@ -34,11 +34,13 @@ print("guard projections:  m0 + m1 = I:", (nf.m0 + nf.m1).is_hermitian())
 sigma0 = embed(initial_cq(program), program)
 trajectory = simulate_deterministic(program, 32)
 
+# run the while loop itself: collect m0 sigma m0, apply the body to m1 sigma m1
 print("\nexit blocks agree exactly at every step:")
-series = nf.exit_series(sigma0, 32)
+sigma, collected = sigma0, nf.m0 @ sigma0 @ nf.m0
 for k in range(33):
-    original = nf.m0 @ embed(trajectory[k], program) @ nf.m0
-    assert series[k] == original
+    assert collected == nf.m0 @ embed(trajectory[k], program) @ nf.m0
+    sigma = nf.body_channel.apply(nf.m1 @ sigma @ nf.m1)
+    collected = collected + nf.m0 @ sigma @ nf.m0
 print("  checked k = 0 .. 32")
 
 print("\nexit mass over time:")

@@ -15,8 +15,8 @@ loop's subspace lattice; reachability solves exactly for the program's
 semantic function, the d^2 x d^2 matrix of the map from input states to
 exit states, on the operators over the loop's input-reachable subspace
 modulo its trapped part (block by block over the locations, with no
-spectrum), and reads every reach number off it; and the exact exit
-formulas read the loop's trajectory.
+spectrum), and reads every reach number off it; exact exit, <> p and
+<>~ p are read off the loop's lattice too.
 
 Verdicts are three-valued: some fragments are equivalent to open problems
 in number theory, and the checker answers Unknown with a stated reason
@@ -46,7 +46,6 @@ from .linalg import (
     Mat,
     invert,
     kron,
-    mat_sum,
     peripheral_period,
     rank,
     rref,
@@ -830,21 +829,19 @@ def partial_correctness_subspace(program: SequentialProgram, exit_subspace: Subs
 
 
 def check_exit_eventually(program: SequentialProgram, exit_subspace: Subspace) -> Verdict:
-    """<> p: exact arrival inside the exit proposition within the exit
-    loop's bound dim*|L| - 1 (arrival later is impossible)."""
+    """<> p: the exit loop exits exactly and every exit arrival lies in p;
+    exact, on the loop's lattice.  A valid verdict carries the exit step,
+    a refutation the conjunct that fails ("exact_exit" or "arrivals")."""
     return _exit_eventually(bohm_jacopini(program), exit_subspace)
 
 
 def _exit_eventually(loop: WhileNormalForm, exit_subspace) -> Verdict:
-    exit_location = loop.program.exit_location
-    for k, state in enumerate(loop.trajectory):
-        if any(c != exit_location for c in state.blocks):
-            continue
-        if satisfies(state.block(exit_location), exit_subspace):
-            return Verdict.valid(diagnostics={"step": k})
-    return Verdict.not_valid(
-        diagnostics={"exit_trace_at_bound": float(loop.trajectory[-1].trace_of(exit_location))}
-    )
+    within = exit_subspace.contains(loop.arrivals)  # DimensionMismatch off the data space
+    if loop.exit_step is None:
+        return Verdict.not_valid(diagnostics={"conjunct": "exact_exit"})
+    if not within:
+        return Verdict.not_valid(diagnostics={"conjunct": "arrivals"})
+    return Verdict.valid(diagnostics={"step": loop.exit_step})
 
 
 def check_exit_almost_eventually(program: SequentialProgram, exit_subspace: Subspace) -> Verdict:
@@ -854,12 +851,7 @@ def check_exit_almost_eventually(program: SequentialProgram, exit_subspace: Subs
 
 
 def _exit_almost_eventually(loop: WhileNormalForm, exit_subspace) -> Verdict:
-    program = loop.program
-    if exit_subspace.ambient_dim != program.dim:
-        raise DimensionMismatch("the exit proposition lives on the data space")
-    # the exit-location coordinates of R are those of m0 R
-    arrivals = Subspace(program.dim, loop.reachable.rref[:, coordinates(program, program.exit_location)])
-    ok = loop.exits_almost_surely and exit_subspace.contains(arrivals)
+    ok = exit_subspace.contains(loop.arrivals) and loop.exits_almost_surely
     return Verdict(
         VALID if ok else NOT_VALID,
         diagnostics={"reachable_dim": loop.reachable.dim, "trapped_dim": loop.trapped.dim},
@@ -867,35 +859,22 @@ def _exit_almost_eventually(loop: WhileNormalForm, exit_subspace) -> Verdict:
 
 
 def check_exit_always(program: SequentialProgram, exit_subspace: Subspace) -> Verdict:
-    """[] p: one exact satisfaction check on the running average of the
-    exit loop's trajectory (the first dim*|L| iterates); the proposition is
-    "unconstrained off the exit, `exit_subspace` at the exit", so only the
-    exit blocks of the iterates are checked."""
-    return _exit_always(bohm_jacopini(program), exit_subspace)
-
-
-def _exit_always(loop: WhileNormalForm, exit_subspace) -> Verdict:
-    program = loop.program
-    if exit_subspace.ambient_dim != program.dim:
-        raise DimensionMismatch("the exit proposition lives on the data space")
-    exit_blocks = [state.block(program.exit_location) for state in loop.trajectory]
-    diag = {"cesaro_steps": len(exit_blocks)}
-    if satisfies(mat_sum(exit_blocks), exit_subspace):
-        return Verdict.valid(diagnostics=diag)
-    step = next((k for k, b in enumerate(exit_blocks) if not satisfies(b, exit_subspace)), None)
-    return Verdict.not_valid(witness={"step": step}, diagnostics=diag)
+    """[] p: :func:`check_invariance` of :func:`partial_correctness_subspace`,
+    as for every [] f; the exit loop's constructor checks the preconditions."""
+    bohm_jacopini(program)
+    return check_invariance(to_automaton(program), partial_correctness_subspace(program, exit_subspace))
 
 
 def check_exit_formulas(program: SequentialProgram, exit_subspace: Subspace) -> ExitVerdicts:
     """The three exit-shaped properties of a deterministic program with exit,
     as :func:`check_exit_eventually`, :func:`check_exit_almost_eventually`
-    and :func:`check_exit_always` decide them, on one exit loop (one
-    trajectory)."""
+    and :func:`check_exit_always` decide them; <> p and <>~ p share one
+    exit loop."""
     loop = bohm_jacopini(program)
     return ExitVerdicts(
         eventually=_exit_eventually(loop, exit_subspace),
         almost_eventually=_exit_almost_eventually(loop, exit_subspace),
-        always=_exit_always(loop, exit_subspace),
+        always=check_exit_always(program, exit_subspace),
     )
 
 
@@ -903,29 +882,21 @@ def check_exit_formulas(program: SequentialProgram, exit_subspace: Subspace) -> 
 class TerminationResult:
     kind: str  # "terminates" | "almost_candidate" | "no"
     step: int | None
-    final_exit_trace: Fraction
 
 
 def check_terminates(program: SequentialProgram) -> TerminationResult:
-    """Exact termination, read off the program's exit loop up to its bound.
+    """Exact termination, read off the program's exit loop lattice.
 
-    The loop's bound dim*|L| - 1 is the horizon: the joint support of the
-    off-exit states from step k on can only shrink with k, and once it stops
-    shrinking it never vanishes, so a program that terminates exactly does
-    so by step dim*(|L| - 1).  "terminates" carries the first step with exit
-    mass exactly one (0 for a program starting at its exit).  No exit mass
-    at all by the bound means none ever ("no"); otherwise the verdict is a
-    candidate for almost-termination, to be certified by reachability
-    analysis.
+    "terminates" carries the loop's exit step, the first step with all mass
+    at the exit (0 for a program starting at its exit).  With no exit
+    arrivals (A = 0) no mass ever reaches the exit ("no"); otherwise the
+    verdict is a candidate for almost-termination, to be certified by
+    :func:`reachability_superop`, which also gives the exact reach trace.
     """
     loop = bohm_jacopini(program)
-    traces = [s.trace_of(program.exit_location) for s in loop.trajectory]
-    step = next((k for k, tr in enumerate(traces) if tr == 1), None)
-    if step is not None:
-        return TerminationResult("terminates", step, traces[step])
-    if not any(traces):
-        return TerminationResult("no", None, traces[-1])
-    return TerminationResult("almost_candidate", None, traces[-1])
+    if loop.exit_step is not None:
+        return TerminationResult("terminates", loop.exit_step)
+    return TerminationResult("no" if loop.arrivals.is_zero() else "almost_candidate", None)
 
 
 # ----------------------------------------------------------------------
@@ -1087,7 +1058,8 @@ def check(target, formula, atoms: dict) -> Verdict:
                        trace)
         [] (p U~ q)    single-action systems only; limit-point analysis
         <> f           deterministic programs with exit, f one exit-shaped
-                       atom; anything else is Unknown by construction
+                       atom; exact exit on the exit loop's subspace
+                       lattice; anything else is Unknown by construction
         <>~ p          likewise with p; exact almost-sure exit on the exit
                        loop's subspace lattice
         f U g          Unknown by construction (termination problem)

@@ -66,7 +66,8 @@ def _checked_act(act, dim: int, where: str, known_target) -> LocationAction:
     outcome order, or the QtlError of the first check it fails.  The channel
     and the measurement act on the d-dimensional register, the channel is
     trace preserving, and ``next`` names, for exactly the outcomes of the
-    measurement, a nonempty tuple of targets that ``known_target`` accepts."""
+    measurement, a nonempty tuple of distinct targets that ``known_target``
+    accepts."""
     if act is None:
         raise PreconditionViolated(f"{where} has no action")
     if act.channel.dim_in != dim or act.channel.dim_out != dim:
@@ -87,6 +88,8 @@ def _checked_act(act, dim: int, where: str, known_target) -> LocationAction:
         for t in targets:
             if not known_target(t):
                 raise PreconditionViolated(f"next({j}, {where}) targets unknown {t}")
+        if len(set(targets)) != len(targets):
+            raise PreconditionViolated(f"next({j}, {where}) names a target twice")
     return LocationAction(act.channel, act.measurement, nxt)
 
 
@@ -145,8 +148,8 @@ class SequentialProgram:
     def deterministic(self) -> bool:
         return all(len(choices) == 1 for _, choices in self._selector_domain())
 
-    def configs(self):
-        return list(self.locations)
+    def configs(self) -> tuple:
+        return self.locations
 
     def config_index(self, config) -> int:
         return self.locations.index(config)
@@ -183,6 +186,7 @@ class ConcurrentProgram:
         "initial_state",
         "initial_locations",
         "initial_scheduler",
+        "_configs",
     )
 
     def __init__(self, dim, processes, initial_state, initial_locations, initial_scheduler):
@@ -214,6 +218,8 @@ class ConcurrentProgram:
         object.__setattr__(self, "initial_state", initial_state)
         object.__setattr__(self, "initial_locations", initial_locations)
         object.__setattr__(self, "initial_scheduler", initial_scheduler)
+        products = itertools.product(*(p.locations for p in validated))
+        object.__setattr__(self, "_configs", tuple((locs, s) for locs in products for s in range(1, m + 1)))
 
     def __setattr__(self, name, value):
         raise AttributeError("ConcurrentProgram is immutable")
@@ -222,9 +228,8 @@ class ConcurrentProgram:
     def deterministic(self) -> bool:
         return all(len(choices) == 1 for _, choices in self._selector_domain())
 
-    def configs(self):
-        schedulers = range(1, len(self.processes) + 1)
-        return [(locs, s) for locs in itertools.product(*(p.locations for p in self.processes)) for s in schedulers]
+    def configs(self) -> tuple:
+        return self._configs
 
     def config_index(self, config) -> int:
         locs, s = config

@@ -44,16 +44,12 @@ from .errors import (
 )
 from .linalg import CRat, Mat, kron, mat_sum, solve
 from .program import (
-    CQState,
     LocationAction,
     SequentialProgram,
     coordinates,
     embed,
-    extract,
     initial_cq,
     place_blocks,
-    selector_successors,
-    simulate_deterministic,
     step_superop,
 )
 from .subspace import Subspace, support
@@ -805,18 +801,20 @@ class WhileNormalForm:
     the program's one-step channel.  Every exit question is asked of this
     one object: the constructor checks the preconditions (an exit location,
     then determinism), and each part is built on first use and cached: the
-    guard, the body (``body_channel``), the cut body N in Kraus form
+    guard, the body (``body_channel``) and the cut body N in Kraus form
     (``cut_body``, the body's operators that leave a location other than
-    the exit), and the exact states sigma_0 ..
-    sigma_bound (``trajectory``), bound = dim*|L| - 1 being the horizon of
-    every exact exit question.
+    the exit).
 
-    Almost-sure exit is a fact of the loop's subspace lattice: ``reachable``
-    is R, the least fixpoint of X -> supp rho_0 v N(X), and ``trapped`` is
-    R ^ T, with T the greatest fixpoint of Y -> range(m1) ^ N^-1(Y), the
-    states that never reach the exit.  The loop exits with probability one
-    exactly when R ^ T = 0 (``exits_almost_surely``): a nonzero Cesaro limit
-    of N^n(rho_0) is a fixed point of N supported in R ^ T, and a state of
+    The answers are facts of the loop's subspace lattice, since the support
+    of N(rho) depends only on the support of rho: ``reachable`` is
+    R, the least fixpoint of X -> supp rho_0 v N(X), ``arrivals`` is A, its
+    exit part, the support of all the mass that ever reaches the exit, and
+    ``exit_step`` is the first step with all mass at the exit, read off the
+    chain R >= N(R) >= N^2(R) >= ...  ``trapped`` is R ^ T, with T the
+    greatest fixpoint of Y -> range(m1) ^ N^-1(Y), the states that never
+    reach the exit.  The loop exits with probability one exactly when
+    R ^ T = 0 (``exits_almost_surely``): a nonzero Cesaro limit of
+    N^n(rho_0) is a fixed point of N supported in R ^ T, and a state of
     R ^ T is a part of some N^k(rho_0) that keeps its mass forever.  The
     same two fixpoints started from the whole block of the initial location
     give R_in (``input_reachable``) and R_in ^ T (``input_trapped``), the
@@ -832,7 +830,6 @@ class WhileNormalForm:
         if not program.deterministic:
             raise NotDeterministic("the exit loop needs a deterministic program")
         self.program = program
-        self.bound = program.dim * len(program.locations) - 1
 
     @functools.cached_property
     def m0(self) -> Mat:
@@ -950,35 +947,28 @@ class WhileNormalForm:
         return self.trapped.is_zero()
 
     @functools.cached_property
-    def trajectory(self) -> list:
-        return simulate_deterministic(self.program, self.bound)
+    def arrivals(self) -> Subspace:
+        """A: the span of every exit arrival, m0 R read on the exit's
+        coordinates, a subspace of the data space."""
+        return Subspace(self.program.dim, self.reachable.rref[:, coordinates(self.program, self.program.exit_location)])
+
+    @functools.cached_property
+    def exit_step(self) -> int | None:
+        """The first step with all mass at the exit, or None.  N^n(R) is the
+        join of the supports of N^k(rho_0), k >= n, so the chain R >= N(R) >=
+        N^2(R) >= ... shrinks strictly until it stops; the loop exits exactly
+        iff it reaches 0, and the exit step is the index of that 0 minus one."""
+        chain, n = self.reachable, 0
+        while not chain.is_zero():
+            shrunk = image(self.cut_body, chain)
+            if shrunk.dim == chain.dim:
+                return None
+            chain, n = shrunk, n + 1
+        return n - 1
 
     def exit_embedded(self, block: Mat) -> Mat:
         """A d x d exit block as a state of the embedded space."""
         return place_blocks(self.program, {(self.program.exit_location,) * 2: block})
-
-    def exit_series(self, sigma0: Mat, steps: int) -> list:
-        """Exit masses [after 0 rounds, ..., after ``steps`` rounds] in one pass.
-
-        Runs the loop itself, location block by location block: each round
-        applies the cut body N, whose operators each map one location's
-        block to one other's, as one program step of every block but the
-        exit's, and collects the exit block m0 rho m0, so entry k equals the
-        exit block of the original program at step k.  ``sigma0`` must be
-        block-diagonal over locations, as every classical-quantum state is
-        (NonClassicalCoherence otherwise).
-        """
-        program = self.program
-        blocks = dict(extract(sigma0, program).blocks)
-        acc = blocks.pop(program.exit_location, Mat.zeros(program.dim))
-        series = [acc]
-        for _ in range(steps):
-            (state,) = selector_successors(program, CQState(program.dim, blocks, validate=False))
-            blocks = dict(state.blocks)
-            if program.exit_location in blocks:
-                acc = acc + blocks.pop(program.exit_location)
-            series.append(acc)
-        return [self.exit_embedded(block) for block in series]
 
 
 def bohm_jacopini(program: SequentialProgram) -> WhileNormalForm:

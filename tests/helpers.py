@@ -20,7 +20,7 @@ from qtl.errors import DimensionMismatch, PreconditionViolated, QtlError
 from qtl.linalg import CRat, Mat, _from_ratios, kron, mat_sum, peripheral_period
 from qtl.subspace import Subspace, SubspaceUnion, satisfies, support
 from qtl.superop import MatrixRep, Measurement, SuperOp, unvec, vec
-from qtl.checker import check_terminates
+from qtl.checker import check_terminates, reachability_superop
 from qtl.program import (
     CQState,
     ConcurrentProcess,
@@ -28,6 +28,7 @@ from qtl.program import (
     LocationAction,
     QuantumAutomaton,
     SequentialProgram,
+    simulate_deterministic,
 )
 
 EXAMPLE_LOOP_SRC = """
@@ -315,12 +316,14 @@ def random_deterministic_program(rng, dim, n_locations, ensure_exit_reachable=Tr
 
 
 def with_second_target(rng, prog):
-    """prog with the exit added as a second target of outcome 0 at one
-    random location other than the exit, so it branches."""
+    """prog with a second target of outcome 0 at one random location other
+    than the exit, so it branches: the exit, or the first location if
+    outcome 0 already targets the exit."""
     loc = rng.choice(prog.locations[:-1])
     a = prog.act[loc]
+    extra = next(t for t in (prog.exit_location, *prog.locations) if t not in a.next[0])
     act = dict(prog.act)
-    act[loc] = LocationAction(a.channel, a.measurement, {**a.next, 0: a.next[0] + (prog.exit_location,)})
+    act[loc] = LocationAction(a.channel, a.measurement, {**a.next, 0: a.next[0] + (extra,)})
     return SequentialProgram(
         prog.dim, prog.locations, act, prog.initial_state, prog.initial_location, prog.exit_location
     )
@@ -367,6 +370,51 @@ def terminating_programs(seed, count, min_step=1):
         if result.kind == "terminates" and result.step >= min_step:
             found.append((prog, result.step))
     return found
+
+
+def simulated_exit_answers(program, exit_subspace: Subspace) -> dict:
+    """Reference answers to the exit questions of a deterministic program
+    with exit, read off its exact states sigma_0 .. sigma_(D-1) from
+    ``simulate_deterministic``, D = dim*|L|.  The span of the states up to
+    step n grows strictly until it settles, so within D - 1 steps every
+    exit arrival has happened at least once and an exact exit is complete;
+    the exit block's support only grows.  <>~ p also reads the exact reach
+    trace of ``reachability_superop``.  Keys: "terminates" (kind, step) as
+    ``check_terminates``; "<>" (status, step of a valid verdict or the
+    failing conjunct); "[]" (status, first failing step or None); "<>~"
+    the status."""
+    exit_location = program.exit_location
+    trajectory = simulate_deterministic(program, program.dim * len(program.locations) - 1)
+    traces = [s.trace_of(exit_location) for s in trajectory]
+    inside = [satisfies(s.block(exit_location), exit_subspace) for s in trajectory]
+    exited = next((k for k, t in enumerate(traces) if t == 1), None)
+    failing = next((k for k, ok in enumerate(inside) if not ok), None)
+    if exited is None:
+        terminates = ("no" if traces[-1] == 0 else "almost_candidate", None)
+        eventually = ("not_valid", "exact_exit")
+    else:
+        terminates = ("terminates", exited)
+        eventually = ("valid", exited) if inside[exited] else ("not_valid", "arrivals")
+    almost = reachability_superop(program).reach_state.trace() == CRat(1) and inside[-1]
+    return {
+        "terminates": terminates,
+        "<>": eventually,
+        "[]": ("valid", None) if failing is None else ("not_valid", failing),
+        "<>~": "valid" if almost else "not_valid",
+    }
+
+
+def normal_form_exit_series(loop, sigma0: Mat, steps: int) -> list:
+    """The exit blocks [after 0 rounds, ..., after ``steps`` rounds] of the
+    single while loop itself, on the embedded space: each round collects
+    m0 sigma m0 and runs the body on the rest, sigma <- body(m1 sigma m1).
+    It reads neither the program's locations nor its block stepping."""
+    sigma = sigma0
+    series = [loop.m0 @ sigma @ loop.m0]
+    for _ in range(steps):
+        sigma = loop.body_channel.apply(loop.m1 @ sigma @ loop.m1)
+        series.append(series[-1] + loop.m0 @ sigma @ loop.m0)
+    return series
 
 
 def invariance_by_mixing(a: QuantumAutomaton, p: Subspace) -> Verdict:

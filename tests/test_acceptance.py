@@ -47,6 +47,7 @@ from qtl.formula import Always, Atom, Eventually, FAtom, Or
 from helpers import (
     EXAMPLE_LOOP_SRC,
     basis_union,
+    normal_form_exit_series,
     random_automaton,
     random_density,
     random_deterministic_program,
@@ -346,7 +347,7 @@ def test_criterion_09_normal_form_soundness():
             nf = bohm_jacopini(prog)
             sigma0 = embed(initial_cq(prog), prog)
             trajectory = simulate_deterministic(prog, 64)
-            series = nf.exit_series(sigma0, 64)
+            series = normal_form_exit_series(nf, sigma0, 64)
             for k in range(65):
                 original = nf.m0 @ embed(trajectory[k], prog) @ nf.m0
                 assert series[k] == original

@@ -11,7 +11,7 @@ from sympy import QQ, QQ_I
 from sympy.polys.matrices import DomainMatrix
 
 from qtl.errors import BudgetExceeded, DimensionMismatch, PreconditionViolated, QtlError, UnsupportedFormula
-from qtl.linalg import CRat, Mat, kron, mat_sum, peripheral_period, solve
+from qtl.linalg import CRat, Mat, kron, peripheral_period, solve
 from qtl.subspace import Subspace, SubspaceUnion, satisfies, support
 from qtl.superop import MatrixRep, SuperOp, unvec, vec
 from qtl.program import (
@@ -38,6 +38,7 @@ from qtl.checker import (
     check_exit_formulas,
     check_invariance,
     check_next,
+    check_terminates,
     exit_atom_subspace,
     find_cycle,
     hoare_check,
@@ -79,6 +80,8 @@ from helpers import (
     rotation_loop_src,
     rotation_loop_with_minus_trap_src,
     rotation_loop_with_unreached_trap_src,
+    normal_form_exit_series,
+    simulated_exit_answers,
     span,
     terminating_programs,
     union,
@@ -777,7 +780,6 @@ class TestReachability:
         # solved semantic function equals the denotation, read off
         # denote_steps on d^2 spanning inputs, and its Kraus rank is the
         # rank of that map's Choi matrix
-        from qtl.checker import check_terminates
         from qtl.qwhile import compile_qwhile, denote_steps, parse
 
         half = Fraction(1, 2)
@@ -797,9 +799,8 @@ class TestReachability:
                 continue
             checked += 1
             loops += "while" in source
-            loop = bohm_jacopini(prog)
             r = reachability_superop(prog)
-            outputs = [denote_steps(ast, rho, loop.bound) for rho in inputs]
+            outputs = [denote_steps(ast, rho, prog.dim * len(prog.locations) - 1) for rho in inputs]
             for rho, out in zip(inputs, outputs):
                 assert r.channel.apply(rho) == out
             ins, outs = (_gaussian(functools.reduce(Mat.hstack, [vec(m) for m in ms])) for ms in (inputs, outputs))
@@ -830,6 +831,12 @@ while meas M(q0) == 1 { skip }
         verdicts = check_exit_formulas(example_loop, Subspace.zero(2))
         assert verdicts.almost_eventually.status == "not_valid"
 
+    def test_exit_proposition_off_the_data_space(self, example_loop):
+        # refused even where the loop does not exit exactly
+        for decide in (check_exit_eventually, check_exit_almost_eventually, check_exit_always):
+            with pytest.raises(DimensionMismatch):
+                decide(example_loop, Subspace.full(3))
+
     def test_almost_eventually_on_slow_rotation_loops(self):
         # the loops exit almost surely, in |0>; a float split of their cut
         # calls the radius 1 - 4e-10 (or 1 - 4e-12) peripheral
@@ -850,51 +857,80 @@ while meas M(q0) == 1 { skip }
             assert v.is_valid == (trapped == 0)
 
     def test_triple_equals_per_verdict_functions(self, monkeypatch):
-        import qtl.qwhile as qwhile
+        # no exit verdict simulates the program: the one-step block update
+        # behind simulate_deterministic and selector_successors is forbidden
+        import qtl.program as program
 
-        simulations = []
-
-        def counting(*args, **kwargs):
-            simulations.append(args)
-            return simulate_deterministic(*args, **kwargs)
+        def forbidden(*args, **kwargs):
+            raise AssertionError("simulated the program")
 
         rng = random.Random(32)
-        for prog, _ in terminating_programs(seed=33, count=8):
+        for prog, step in terminating_programs(seed=33, count=8):
             k = rng.randrange(prog.dim)
             sub = Subspace.from_vectors(prog.dim, [[int(i == k) for i in range(prog.dim)]])
-            expected = ExitVerdicts(
-                eventually=check_exit_eventually(prog, sub),
-                almost_eventually=check_exit_almost_eventually(prog, sub),
-                always=check_exit_always(prog, sub),
-            )
-            simulations.clear()
             with monkeypatch.context() as patch:
-                patch.setattr(qwhile, "simulate_deterministic", counting)
+                patch.setattr(program, "_step_with_selector", forbidden)
+                expected = ExitVerdicts(
+                    eventually=check_exit_eventually(prog, sub),
+                    almost_eventually=check_exit_almost_eventually(prog, sub),
+                    always=check_exit_always(prog, sub),
+                )
                 assert check_exit_formulas(prog, sub) == expected
-            assert len(simulations) == 1  # one trajectory serves <> and []
+                assert check_terminates(prog).step == step
+                assert hoare_check(prog, sub, sub, "partial").status in ("valid", "not_valid")
 
     def test_each_verdict_computes_only_its_own(self, example_loop, monkeypatch):
-        import qtl.checker as checker
-        import qtl.qwhile as qwhile
+        from qtl.qwhile import WhileNormalForm
 
         def forbidden(*args, **kwargs):
             raise AssertionError("computed a part of another verdict")
 
         with monkeypatch.context() as patch:
             patch.setattr(checker, "reachability_superop", forbidden)
+            patch.setattr(checker, "peripheral_period", forbidden)
+            patch.setattr(WhileNormalForm, "trapped", property(forbidden))
             assert check_exit_eventually(example_loop, span((1, 0))).status == "not_valid"
             assert check_exit_always(example_loop, span((1, 0))).is_valid
+            assert check_terminates(example_loop).kind == "almost_candidate"
         with monkeypatch.context() as patch:
-            patch.setattr(qwhile, "simulate_deterministic", forbidden)
             patch.setattr(checker, "reachability_superop", forbidden)
             patch.setattr(checker, "peripheral_period", forbidden)
+            patch.setattr(WhileNormalForm, "exit_step", property(forbidden))
             assert check_exit_almost_eventually(example_loop, span((1, 0))).is_valid
 
+    def test_lattice_answers_equal_the_simulation(self):
+        # <>, [], <>~ and check_terminates read the exit loop's lattice; the
+        # reference reads the program's exact states out to dim*|L| - 1
+        # steps.  The seeded programs reach every kind of termination, both
+        # failing conjuncts of <> and both statuses of [] and <>~
+        rng = random.Random(27)
+        programs = []
+        for _ in range(160):
+            dim = rng.choice([2, 3])
+            programs.append(random_deterministic_program(rng, dim, rng.randint(1, 4), rng.random() < 0.8))
+        programs += [compile_source(random_qwhile_source(rng, max_loops=2, max_len=2)) for _ in range(30)]
+        seen = set()
+        for prog in programs:
+            k = rng.randrange(prog.dim)
+            sub = rng.choice([random_subspace(rng, prog.dim), span(tuple(int(i == k) for i in range(prog.dim)))])
+            verdicts = check_exit_formulas(prog, sub)
+            result = check_terminates(prog)
+            eventually, always = verdicts.eventually.diagnostics, verdicts.always.witness
+            ref = simulated_exit_answers(prog, sub)
+            assert ref == {
+                "terminates": (result.kind, result.step),
+                "<>": (verdicts.eventually.status, eventually.get("step", eventually.get("conjunct"))),
+                "[]": (verdicts.always.status, always and always["step"]),
+                "<>~": verdicts.almost_eventually.status,
+            }
+            seen |= {ref["terminates"][0], ref["<>"][1], ("[]", ref["[]"][0]), ("<>~", ref["<>~"])}
+        assert {"terminates", "almost_candidate", "no", "exact_exit", "arrivals"} <= seen
+        assert {(shape, status) for shape in ("[]", "<>~") for status in ("valid", "not_valid")} <= seen
 
     def test_always_equals_the_check_on_the_whole_space(self):
-        # [] p reads the exit blocks alone; on C^(d |L|) the proposition is
-        # C^d off the exit and p at the exit, and the embedded trajectory
-        # gives the same verdict and the same first failing step
+        # [] p is the invariance of C^d off the exit and p at the exit on
+        # C^(d |L|); the simulated reference gives the same verdict and the
+        # same first failing step
         rng = random.Random(71)
         seen = set()
         for _ in range(40):
@@ -902,14 +938,12 @@ while meas M(q0) == 1 { skip }
             prog = random_deterministic_program(rng, dim, rng.randint(1, 3))
             k = rng.randrange(dim)
             sub = rng.choice([random_subspace(rng, dim), span(tuple(int(i == k) for i in range(dim)))])
-            target = partial_correctness_subspace(prog, sub)
-            trajectory = bohm_jacopini(prog).trajectory
-            holds = satisfies(mat_sum(embed(s, prog) for s in trajectory), target)
-            step = next((k for k, s in enumerate(trajectory) if not satisfies(embed(s, prog), target)), None)
+            status, step = simulated_exit_answers(prog, sub)["[]"]
             v = check_exit_always(prog, sub)
-            assert (v.is_valid, v.witness) == (holds, None if holds else {"step": step})
-            seen.add(holds)
-        assert seen == {True, False}
+            assert v == check_invariance(to_automaton(prog), partial_correctness_subspace(prog, sub))
+            assert (v.status, v.witness and v.witness["step"]) == (status, step)
+            seen.add(status)
+        assert seen == {"valid", "not_valid"}
         with pytest.raises(DimensionMismatch):
             check_exit_always(prog, Subspace.full(dim + 1))
 
@@ -1247,7 +1281,7 @@ class TestAlmostSureExit:
         # steps, and with none later: its expected number of steps is the
         # finite sum of k (m_k - m_(k-1)), which checks the second solve
         for prog, step in terminating_programs(seed=seed, count=8, min_step=2):
-            series = bohm_jacopini(prog).exit_series(embed(initial_cq(prog), prog), step + 2)
+            series = normal_form_exit_series(bohm_jacopini(prog), embed(initial_cq(prog), prog), step + 2)
             masses = [m.trace() for m in series]
             assert all(m.im == 0 for m in masses) and masses[-1] == masses[step] == 1
             brute = sum(k * (masses[k].re - masses[k - 1].re) for k in range(1, len(masses)))

@@ -411,6 +411,15 @@ class TestMalformedInput:
         assert code == 3 and "PreconditionViolated" in err and "next(1, location l1)" in err
 
     @pytest.mark.parametrize("command", ["check", "reach"])
+    def test_target_named_twice_exit_three(self, workspace, capsys, command):
+        # a target listed twice is not a second choice of where to go
+        def mutate(obj):
+            obj["act"]["l1"]["next"]["0"] *= 2
+
+        code, err = self._run_mutated(workspace, capsys, command, mutate)
+        assert code == 3 and "PreconditionViolated" in err and "next(0, location l1) names a target twice" in err
+
+    @pytest.mark.parametrize("command", ["check", "reach"])
     def test_action_for_no_location_exit_three(self, workspace, capsys, command):
         # a misspelt location key is not dropped without a word
         def mutate(obj):
@@ -448,6 +457,21 @@ class TestMalformedInput:
         captured = capsys.readouterr()
         assert captured.out == "" and "Traceback" not in captured.err
         assert "PreconditionViolated" in captured.err and "location q of process 1" in captured.err
+
+    def test_process_target_named_twice_exit_three(self, tmp_path, capsys):
+        from qtl.program import ConcurrentProcess, ConcurrentProgram, LocationAction
+        from qtl.superop import Measurement, SuperOp
+
+        act = LocationAction(SuperOp.identity(2), Measurement.trivial(2), {0: (("p", 1),)})
+        prog = ConcurrentProgram(2, (ConcurrentProcess(("p",), {"p": act}),), Mat.unit(2, 0, 0), ("p",), 1)
+        obj = jsonio.program_to_json(prog)
+        obj["processes"][0]["act"]["p"]["next"]["0"] *= 2
+        path = tmp_path / "twice.json"
+        path.write_text(json.dumps(obj))
+        assert main(["check", str(path), "-f", "[] true"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        assert "PreconditionViolated" in captured.err and "next(0, location p of process 1) names a target twice" in captured.err
 
     def test_scheduler_not_an_integer_exit_three(self, tmp_path, capsys):
         from qtl.program import ConcurrentProcess, ConcurrentProgram, LocationAction

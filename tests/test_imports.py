@@ -107,3 +107,29 @@ def test_no_strided_slice_outside_program(path):
 def test_slice_guard_sees_every_step():
     source = "a = x[::-1]\nb = x[c::n]\nc = y[:, 1::2]\nd = x[1:3]\ne = x[::k]\nf = x[::-k]\n"
     assert _strided_slices(ast.parse(source)) == [2, 3, 5, 6]
+
+
+# The exit loop answers every exit question on its subspace lattice, so
+# neither it nor the checker steps a program's blocks.
+SIMULATORS = {"simulate_deterministic", "selector_successors", "CQState"}
+
+
+def _names_used(tree) -> set:
+    """Every name imported with ``from ... import`` and every attribute read."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.stem in ("qwhile", "checker")], ids=lambda p: p.name)
+def test_exit_loop_uses_no_simulator(path):
+    assert not _names_used(ast.parse(path.read_text(), str(path))) & SIMULATORS
+
+
+def test_simulator_guard_sees_every_form():
+    source = "def f():\n    from .program import CQState\nimport qtl.program as p\nx = p.selector_successors\n"
+    assert _names_used(ast.parse(source)) & SIMULATORS == {"CQState", "selector_successors"}
