@@ -4,12 +4,13 @@ The workhorses are exact fixpoint computations on finite unions of
 subspaces: decreasing pre-image chains decide invariance, a maximal
 invariant plus its maximal extension decide "eventually always", and a loop
 refinement over union components decides "always eventually" whenever the
-relevant peripheral eigenvalue periods can be certified.  The fixpoints and
-the witness search take images and pre-images from the actions' Kraus
-operators; matrix representations are built only where a spectrum is
-needed (the loop channel of the refinement, limit states) and by the
-oracle, which keeps its own image path.  Every exit question about a
-deterministic program is asked of its one exit loop
+relevant peripheral eigenvalue periods can be certified.  The fixpoints,
+the loop refinement and the witness search take images and pre-images from
+the actions' Kraus operators (the refinement pulls subspaces back through
+the actions' duals); matrix representations are built only where a
+spectrum is needed (the period of the refinement's loop channel, limit
+states) and by the oracle, which keeps its own image path.  Every exit
+question about a deterministic program is asked of its one exit loop
 (:class:`qwhile.WhileNormalForm`): almost-sure exit is decided on the
 loop's subspace lattice; reachability solves exactly for the program's
 semantic function, the d^2 x d^2 matrix of the map from input states to
@@ -44,7 +45,6 @@ from .linalg import (
     _perp_rows,
     CRat,
     Mat,
-    invert,
     kron,
     peripheral_period,
     rank,
@@ -52,7 +52,7 @@ from .linalg import (
     solve,
 )
 from .subspace import Subspace, SubspaceUnion, satisfies, support
-from .superop import MatrixRep, SuperOp, image, image_union, preimage_union, unvec, vec
+from .superop import MatrixRep, SuperOp, image, image_union, least_fixpoint, preimage_union, unvec, vec
 from .program import (
     QuantumAutomaton,
     SequentialProgram,
@@ -497,40 +497,6 @@ def _member_successors(members, actions) -> dict:
     return successors
 
 
-def _orbit_support(prefix_dag, fb_dag, y: Mat, dim: int) -> Subspace:
-    """The join over u >= 0 of the supports of prefix†((F_b†)^u y), as the
-    support of the one operator prefix†(sum_u (F_b†)^u y).
-
-    ``prefix_dag`` and ``fb_dag`` apply prefix† and F_b† to a vec.  y is
-    the vec of a positive operator and F_b†, prefix† are the duals of
-    channels, which are positive maps, so
-    every term is positive semidefinite; for positive A and B,
-    ker(A + B) = ker A ^ ker B, so the support of a sum is the join of the
-    supports of its terms.  A positive map takes positive operators of one
-    support to operators of one support (each is below a multiple of the
-    other), so the support S_n of the sum T_n of the first n terms fixes
-    the next: T_(n+1) = y + F_b†(T_n), S_(n+1) = supp y v supp F_b†(S_n).
-    The chain S_1 <= S_2 <= ... of subspaces of C^dim therefore stays put
-    from its first repeat on, which comes after at most dim terms, and so
-    does the support of prefix†(T_n).  S_n is taken for n = 1, 2, 4, 8,
-    ...; the walk stops when it is the whole space or equals the one
-    before (S_n = S_2n leaves no room to grow in between), at most
-    ceil(log2 dim) + 2 supports of sums and one of prefix†."""
-    total = w = y
-    seen = support(unvec(total, dim), validate=False)
-    n = 1  # total holds the first n terms
-    while not seen.is_full():
-        for _ in range(n):
-            w = fb_dag(w)
-            total = total + w
-        n *= 2
-        grown = support(unvec(total, dim), validate=False)
-        if grown.dim == seen.dim:  # seen <= grown
-            break
-        seen = grown
-    return support(unvec(prefix_dag(total), dim), validate=False)
-
-
 def _p2_refine(members, cycle, u: SubspaceUnion, actions):
     """Shrink the first loop component to the states that keep landing in
     the target union along the loop's periodic subsequences.  ``cycle`` is
@@ -539,48 +505,45 @@ def _p2_refine(members, cycle, u: SubspaceUnion, actions):
     The loop channel's peripheral period (:func:`linalg.peripheral_period`)
     is the one place of the lattice procedures that needs a spectrum, and
     the loop matrix ms[k-1] ... ms[0] is the one product formed; every
-    other step pulls vecs back through the actions' daggers, one action at
-    a time.  For each rotation r of the loop, each target member and each
-    phase c, the states that stay orthogonal to the pulled-back complement
-    of the member are the complement of one support
-    (:func:`_orbit_support`), that of the Krylov sum of the pulled-back
-    operators.  It is exactly the join of their supports: the complement's
-    projector is positive and the duals of channels are completely
-    positive, so every term is positive semidefinite, and for positive A
-    and B, ker(A + B) = ker A ^ ker B."""
+    other step pulls subspaces back through the actions' duals in Kraus
+    form, one action at a time.  For a positive Y, supp E†(Y) is the span
+    of the K_i† v over v in supp Y, the image of supp Y under the dual, and
+    the support of a sum of positive operators is the join of their
+    supports.  So for each rotation r of the loop, each target member p_s
+    and each phase c, y is the complement of p_s pulled back c times
+    through the rotation's duals, the support of the Krylov sum
+    sum_u (F_b†)^u y is the least fixpoint of S -> y v F_b†(S)
+    (:func:`superop.least_fixpoint`), and the states that stay orthogonal
+    to it pulled back through the prefix's duals form the piece."""
     j1 = cycle[0][0]
     word = [name for _, name, _ in cycle]
     dim = members[0].ambient_dim
     ms = [actions[name].matrix_rep() for name in word]
-    k = len(ms)
     loop = ms[0]
     for m in ms[1:]:
         loop = m @ loop
     _, b = peripheral_period(loop, _PERIOD_BOUND)
-    daggers = [m.dagger() for m in ms]
+    duals = [actions[name].dual() for name in word]
+    k = len(word)
 
-    def pull_back(positions):
-        def apply(w):
-            for i in positions:
-                w = daggers[i] @ w
-            return w
-
-        return apply
+    def pull_back(s: Subspace, positions) -> Subspace:
+        for i in positions:
+            s = image(duals[i], s)
+        return s
 
     pieces = []
     for r in range(1, k + 1):
         # prefix_r† and the dual of the loop rotated to start after the r-th
-        # action, as word positions in the order their daggers apply
+        # action, as word positions in the order their duals apply
         prefix = list(range(r - 1, -1, -1))
         rotation = prefix + list(range(k - 1, r - 1, -1))
-        f_dag, fb_dag, prefix_dag = pull_back(rotation), pull_back(rotation * b), pull_back(prefix)
+        rotation_b = rotation * b
         for p_s in u.members:
-            y = vec(p_s.complement().projector)
+            y = p_s.complement()
             for _ in range(b):  # c = 1 .. b
-                y = f_dag(y)
-                # the states orthogonal to every pulled-back support: the
-                # complement of their join, formed once
-                piece = members[j1].meet(_orbit_support(prefix_dag, fb_dag, y, dim).complement())
+                y = pull_back(y, rotation)
+                orbit = least_fixpoint(y, lambda s: pull_back(s, rotation_b))
+                piece = members[j1].meet(pull_back(orbit, prefix).complement())
                 if not piece.is_zero():
                     pieces.append(piece)
     new_members = [m for i, m in enumerate(members) if i != j1] + pieces
@@ -661,9 +624,11 @@ def check_always_until(a: QuantumAutomaton, phi, psi) -> Verdict:
 # single-action almost-surely machinery (certified root-of-unity regime)
 
 
-def _eigenprojector_at_one(b: Mat):
-    """Exact spectral projector of b at eigenvalue one, assuming that
-    eigenvalue is semisimple: the projector onto ker(b - I) along im(b - I)."""
+def _fixed_part(b: Mat, v: Mat):
+    """(P v, k) for the exact spectral projector P of b at eigenvalue one,
+    assuming that eigenvalue is semisimple: the projector onto ker(b - I)
+    along im(b - I), of rank k.  With T = [kernel basis | image basis],
+    P = T diag(I_k, 0) T^-1, so P v = T[:, :k] (T^-1 v)[:k], one solve."""
     n = b.rows
     a = b - Mat.eye(n)
     # one RREF gives the kernel (read off its free columns) and the pivot
@@ -671,13 +636,10 @@ def _eigenprojector_at_one(b: Mat):
     r, cols = rref(a)
     k = n - len(cols)
     if k == 0:
-        return Mat.zeros(n), 0
+        return Mat.zeros(n, 1), 0
     t = _perp_rows(r.conj(), cols).transpose().hstack(a[:, list(cols)])
-    t_inv = invert(t)  # SingularMatrix exactly when kernel and image overlap
-    selector = Mat.zeros(n)
-    for i in range(k):
-        selector = selector + Mat.unit(n, i, i)
-    return t @ selector @ t_inv, k
+    coords = solve(t, v)  # SingularMatrix exactly when kernel and image overlap
+    return t[:, :k] @ coords[:k], k
 
 
 def limit_states(e: SuperOp, sigma0: Mat):
@@ -696,7 +658,7 @@ def limit_states(e: SuperOp, sigma0: Mat):
     peripheral_dim, b = peripheral_period(m, _PERIOD_BOUND)
     big = MatrixRep(m).power(b).m
     try:
-        projector, rank_one = _eigenprojector_at_one(big)
+        v, rank_one = _fixed_part(big, vec(sigma0))
     except SingularMatrix as exc:
         raise UncertifiedPeriod(f"limit projector unavailable: {exc}")
     if rank_one != peripheral_dim:
@@ -704,7 +666,6 @@ def limit_states(e: SuperOp, sigma0: Mat):
             f"period {b} uncertified: fixed space rank {rank_one} "
             f"!= peripheral dimension {peripheral_dim}"
         )
-    v = projector @ vec(sigma0)
     states = []
     for _ in range(b):
         states.append(unvec(v, e.dim_in))

@@ -53,7 +53,7 @@ from .program import (
     step_superop,
 )
 from .subspace import Subspace, support
-from .superop import Measurement, SuperOp, image, preimage
+from .superop import Measurement, SuperOp, image, least_fixpoint, preimage
 
 
 # ----------------------------------------------------------------------
@@ -852,15 +852,6 @@ class WhileNormalForm:
         kraus = [k for k in self.body_channel.kraus if k[:, exit_coords].is_zero()]
         return SuperOp(kraus or [Mat.zeros(self.body_channel.dim_in)], validate=False)
 
-    def _reach_from(self, start: Subspace) -> Subspace:
-        """The least fixpoint of X -> start v N(X), grown from ``start``."""
-        r = start
-        while True:
-            grown = r.join(image(self.cut_body, r))
-            if grown.dim == r.dim:
-                return r
-            r = grown
-
     def _trap_within(self, start: Subspace) -> Subspace:
         """The greatest fixpoint of Y -> start ^ N^-1(Y), iterated down from
         ``start``."""
@@ -876,7 +867,8 @@ class WhileNormalForm:
     def reachable(self) -> Subspace:
         """R: the span of the supports of every N^n(rho_0); the exit
         arrivals span m0 R."""
-        return self._reach_from(support(embed(initial_cq(self.program), self.program), validate=False))
+        start = support(embed(initial_cq(self.program), self.program), validate=False)
+        return least_fixpoint(start, functools.partial(image, self.cut_body))
 
     @functools.cached_property
     def trapped(self) -> Subspace:
@@ -890,7 +882,7 @@ class WhileNormalForm:
         """R_in: R grown from the whole block of the initial location, so it
         holds R for every input state."""
         block = place_blocks(self.program, {(self.program.initial_location,) * 2: Mat.eye(self.program.dim)})
-        return self._reach_from(support(block, validate=False))
+        return least_fixpoint(support(block, validate=False), functools.partial(image, self.cut_body))
 
     @functools.cached_property
     def input_trapped(self) -> Subspace:

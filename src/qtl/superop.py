@@ -444,6 +444,18 @@ def image(e: SuperOp, p: Subspace) -> Subspace:
     return img
 
 
+def least_fixpoint(start: Subspace, step) -> Subspace:
+    """The least fixpoint of X -> start v step(X) for a monotone ``step`` on
+    subspaces, grown from ``start`` by joins until the dimension stops
+    growing (at most ambient_dim joins)."""
+    x = start
+    while True:
+        grown = x.join(step(x))
+        if grown.dim == x.dim:
+            return x
+        x = grown
+
+
 def preimage_union(e: SuperOp, u: SubspaceUnion) -> SubspaceUnion:
     return SubspaceUnion(e.dim_in, [preimage(e, m) for m in u.members])
 

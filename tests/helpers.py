@@ -435,8 +435,9 @@ def invariance_by_mixing(a: QuantumAutomaton, p: Subspace) -> Verdict:
 
 
 # ----------------------------------------------------------------------
-# the loop refinement of check_always_eventually as a walk that joins one
-# support per term: the reference for the one Krylov sum per target that
+# the loop refinement of check_always_eventually as a walk that joins the
+# supports of the dense pulled-back operators term by term: the reference
+# for the least fixpoint on the Kraus-form lattice per target that
 # checker._p2_refine takes (same signature, a drop-in replacement)
 
 
@@ -444,9 +445,10 @@ def p2_refine_by_joins(members, cycle, u: SubspaceUnion, actions):
     """Shrink the first loop component to the states that keep landing in
     the target union along the loop's periodic subsequences.
 
-    The loop channel's peripheral period (:func:`linalg.peripheral_period`)
-    is the one place of the lattice procedures that needs the matrix
-    representations of the actions."""
+    Every pull-back applies the dagger of a dense D^2 x D^2 matrix
+    representation to a vec, and each piece is the complement of the join
+    of the supports of prefix†((F_b†)^u y) over u = 0 .. D^2 + 1, one
+    support per term, with no fixpoint argument."""
     j1 = cycle[0][0]
     word = [name for _, name, _ in cycle]
     dim = members[0].ambient_dim

@@ -13,7 +13,7 @@ from sympy.polys.matrices import DomainMatrix
 from qtl.errors import BudgetExceeded, DimensionMismatch, PreconditionViolated, QtlError, UnsupportedFormula
 from qtl.linalg import CRat, Mat, kron, peripheral_period, solve
 from qtl.subspace import Subspace, SubspaceUnion, satisfies, support
-from qtl.superop import MatrixRep, SuperOp, unvec, vec
+from qtl.superop import MatrixRep, SuperOp, image, least_fixpoint, unvec, vec
 from qtl.program import (
     CQState,
     QuantumAutomaton,
@@ -352,30 +352,61 @@ def _exit_ok(prog):
 
 
 class TestLoopRefinement:
-    """The refinement of [] <> f takes one support of a Krylov sum per
-    (rotation, target member, phase) where the reference in helpers.py
-    joins one support per term."""
+    """The refinement of [] <> f pulls subspaces back through the actions'
+    duals in Kraus form and takes one least fixpoint per (rotation, target
+    member, phase), where the reference in helpers.py joins the supports of
+    the dense pulled-back operators term by term."""
 
-    @LOOPS
-    @given(st.integers(0, 2**32 - 1).map(random.Random))
-    # the support chain grows once, S_1 < S_2 = S_4, to a support that is
-    # not full: the support of the first term alone is not the answer
-    @example(random.Random(272))
-    @example(random.Random(413))
-    def test_orbit_support_is_join_of_term_supports(self, rng):
-        # the pulled-back operators prefix†((F_b†)^u y) of positive y, for
-        # channels with transient parts (resets, measurements), so early
-        # terms can have supports that later ones lack
-        dim = rng.choice([2, 3])
-        fb_dag = random_tp_channel(rng, dim).matrix_rep().dagger()
-        prefix_dag = random_tp_channel(rng, dim).matrix_rep().dagger()
-        b = random_matrix(rng, dim, rng.randint(1, dim))
-        y = vec(b @ b.dagger())
-        joined, w = Subspace.zero(dim), y
-        for _ in range(dim * dim + 2):
-            joined = joined.join(support(unvec(prefix_dag @ w, dim)))
-            w = fb_dag @ w
-        assert checker._orbit_support(prefix_dag.__matmul__, fb_dag.__matmul__, y, dim) == joined
+    def test_pulled_back_fixpoint_is_join_of_term_supports(self):
+        # the supports of prefix†((F†)^u y) of a positive y, for channels
+        # with transient parts (resets, measurements), so early terms can
+        # have supports that later ones lack; their join is the least
+        # fixpoint of S -> supp y v F†(S) pulled back through prefix†
+        rng = random.Random(1602)
+        grew = partial = 0
+        for _ in range(60):
+            dim = rng.choice([2, 3, 4])
+            f, prefix = random_tp_channel(rng, dim), random_tp_channel(rng, dim)
+            f_dag, prefix_dag = f.matrix_rep().dagger(), prefix.matrix_rep().dagger()
+            b = random_matrix(rng, dim, rng.randint(1, dim - 1))
+            y = vec(b @ b.dagger())
+            joined, w = Subspace.zero(dim), y
+            for _ in range(dim * dim + 2):
+                joined = joined.join(support(unvec(prefix_dag @ w, dim)))
+                w = f_dag @ w
+            start, steps = support(unvec(y, dim)), []
+
+            def step(s):
+                steps.append(s.dim)
+                return image(f.dual(), s)
+
+            orbit = least_fixpoint(start, step)
+            assert image(prefix.dual(), orbit) == joined
+            # one step per strict growth of the chain and one to see it stop
+            assert steps == sorted(set(steps)) and steps[0] == start.dim and steps[-1] == orbit.dim
+            assert len(steps) <= dim - start.dim + 1
+            grew += orbit.dim > start.dim
+            partial += start.dim < orbit.dim < dim
+        # the first term's support alone is often not the answer, and the
+        # chain can stop short of the whole space
+        assert grew > 10 and partial > 0
+
+    def test_fixpoint_follows_a_slow_chain(self):
+        # F† takes |3><3| to |2><2| + |3><3|, |2><2| to |1><1| and |1><1|
+        # to zero: the chain span(e3) < span(e2, e3) < span(e1, e2, e3)
+        # grows twice before it stops
+        kets = [Mat.column([int(i == k) for k in range(4)]) for i in range(4)]
+        kraus = [kets[0] @ kets[0].dagger(), kets[2] @ kets[1].dagger(), kets[3] @ kets[2].dagger()]
+        kraus.append(kets[3] @ kets[3].dagger())
+        f = SuperOp(kraus)
+        steps = []
+
+        def step(s):
+            steps.append(s.dim)
+            return image(f.dual(), s)
+
+        assert least_fixpoint(Subspace.from_vectors(4, kets[3:]), step) == Subspace.from_vectors(4, kets[1:])
+        assert steps == [1, 2, 3]
 
     @LOOPS
     @given(st.integers(0, 2**32 - 1).map(random.Random))
@@ -399,81 +430,6 @@ class TestLoopRefinement:
         elif v.status == "not_valid":
             assert oracle != "holds"
 
-    def test_products_per_call_follow_the_support_chain(self):
-        # the supports S_n of the first n terms' sums grow until the first
-        # n = m with S_m = S_(m+1) or S_m full; the walk takes them at
-        # n = 1, 2, 4, ... and stops by the power of two N >= m after that,
-        # so it applies F_b† fewer than 2N times
-        rng = random.Random(1602)
-        counted, chains = [0], []
-
-        def counting_fb_dag(w):
-            counted[0] += 1
-            return fb_dag @ w
-
-        for _ in range(40):
-            dim = rng.choice([2, 3])
-            fb_dag = random_tp_channel(rng, dim).matrix_rep().dagger()
-            prefix_dag = random_tp_channel(rng, dim).matrix_rep().dagger()
-            b = random_matrix(rng, dim, rng.randint(1, dim))
-            y = vec(b @ b.dagger())
-            dims, total, w = [], y, y
-            for _ in range(dim + 1):
-                dims.append(support(unvec(total, dim)).dim)
-                w = fb_dag @ w
-                total = total + w
-            m = next(n for n in range(1, dim + 1) if dims[n - 1] in (dim, dims[n]))
-            counted[0] = 0
-            checker._orbit_support(prefix_dag.__matmul__, counting_fb_dag, y, dim)
-            assert counted[0] < 2 * (1 << (m - 1).bit_length())
-            chains.append(m)
-        # the full walk would take dim^2 + 1 products
-        assert max(chains) > 1 and sum(m == 1 for m in chains) > 20
-
-    def test_orbit_support_follows_a_slow_chain(self):
-        # F_b† takes |3><3| to |2><2| + |3><3|, |2><2| to |1><1| and |1><1|
-        # to zero: S_1 < S_2 < S_4 = S_8 = span(e1, e2, e3), so the walk
-        # must go past the supports of 1 and 2 terms
-        kets = [Mat.column([int(i == k) for k in range(4)]) for i in range(4)]
-        kraus = [kets[0] @ kets[0].dagger(), kets[2] @ kets[1].dagger(), kets[3] @ kets[2].dagger()]
-        kraus.append(kets[3] @ kets[3].dagger())
-        fb_dag = SuperOp(kraus).matrix_rep().dagger()
-        y = vec(kets[3] @ kets[3].dagger())
-        got = checker._orbit_support(lambda w: w, fb_dag.__matmul__, y, 4)
-        assert got == Subspace.from_vectors(4, kets[1:])
-
-    def test_support_count_per_target(self, monkeypatch, example_loop):
-        # at most ceil(log2 D) + 3 supports per (rotation, target member,
-        # phase): of the sums of 1, 2, 4, ... terms until the chain repeats
-        # or fills, and one of prefix†
-        counted = []
-        calls = [0]
-        exact_support, exact_refine = checker.support, checker._p2_refine
-
-        def counting_support(*args, **kwargs):
-            calls[0] += 1
-            return exact_support(*args, **kwargs)
-
-        def counting_refine(members, cycle, u, actions):
-            before = calls[0]
-            refined, b = exact_refine(members, cycle, u, actions)
-            dim = members[0].ambient_dim
-            per_target = (dim - 1).bit_length() + 3  # ceil(log2 D) + 3
-            counted.append((calls[0] - before, per_target * len(cycle) * len(u.members) * b))
-            return refined, b
-
-        monkeypatch.setattr(checker, "support", counting_support)
-        monkeypatch.setattr(checker, "_p2_refine", counting_refine)
-        check_always_eventually(to_automaton(example_loop), _exit_ok(example_loop))
-        # D = 8: the support of one term is already that of two, so the
-        # walk stops after the supports of 1 and 2 terms and one of prefix†
-        assert counted == [(3, 6)]
-        rng = random.Random(1401)
-        for _ in range(20):
-            check_always_eventually(*_loop_instance(rng))
-        assert len(counted) > 10
-        assert all(n <= bound for n, bound in counted)
-
     def test_multi_action_loops_agree_with_the_dense_reference(self):
         # every rotation r of a k-action loop pulls back through the actions
         # in its own order; through the blocks, a wrong order lands in the
@@ -490,28 +446,64 @@ class TestLoopRefinement:
                 periods.add((k, got[1]))
         assert {k for k, b in periods if b >= 2} == {2, 3}
 
+    def test_program_loops_agree_with_the_dense_reference(self, monkeypatch):
+        # the loops of [] <> f on programs, whose actions move blocks
+        # between configurations, against targets of random (mostly
+        # non-coordinate) blocks at some locations
+        exact_refine = checker._p2_refine
+        compared = []
+
+        def comparing_refine(*args):
+            got = _refine_outcome(exact_refine, *args)
+            assert got == _refine_outcome(p2_refine_by_joins, *args)
+            compared.append(got[1])
+            return exact_refine(*args)
+
+        monkeypatch.setattr(checker, "_p2_refine", comparing_refine)
+        rng = random.Random(2105)
+        for _ in range(40):
+            d = rng.choice([2, 3])
+            prog = random_deterministic_program(rng, d, rng.randint(1, 3 if d == 2 else 2))
+            locs = rng.sample(prog.locations, rng.randint(1, len(prog.locations)))
+            atom = atom_from_blocks("p", {loc: random_subspace(rng, d, dim=rng.randint(1, d - 1)) for loc in locs}, prog)
+            check_always_eventually(to_automaton(prog), union(atom.subspace))
+        # the period of the loop matrix is 1 on most of these, 2 on some
+        assert len(compared) > 20 and 2 in compared
+
     def test_refinement_forms_only_the_loop_matrix(self, monkeypatch, example_loop):
-        # no power of a matrix representation, and k - 1 products of
-        # D^2 x D^2 matrices per refinement of a k-action loop: those of the
-        # loop matrix ms[k-1] ... ms[0]
-        exact_matmul, exact_refine = Mat.__matmul__, checker._p2_refine
+        # no power of a matrix representation, no dagger of a D^2-row
+        # matrix and no support of an operator, and k - 1 products with a
+        # left operand of D^2 columns (matrix-vector products included) per
+        # refinement of a k-action loop: those of the loop matrix
+        # ms[k-1] ... ms[0]
+        exact_matmul, exact_dagger, exact_refine = Mat.__matmul__, Mat.dagger, checker._p2_refine
         size, products, counted = [0], [0], []
 
         def counting_matmul(left, right):
-            products[0] += left.rows == left.cols == right.rows == right.cols == size[0]
+            products[0] += left.cols == size[0]
             return exact_matmul(left, right)
+
+        def checked_dagger(m):
+            assert m.rows != size[0], "dagger of a D^2-row matrix in the refinement"
+            return exact_dagger(m)
+
+        def no_support(*args, **kwargs):
+            raise AssertionError("support called in the refinement")
 
         def counting_refine(members, cycle, u, actions):
             size[0], products[0] = members[0].ambient_dim**2, 0
             try:
-                return exact_refine(members, cycle, u, actions)
+                with mock.patch.object(checker, "support", no_support):
+                    return exact_refine(members, cycle, u, actions)
             finally:
                 counted.append((len(cycle), products[0]))
+                size[0] = 0
 
         def no_power(*args):
             raise AssertionError("MatrixRep.power called")
 
         monkeypatch.setattr(Mat, "__matmul__", counting_matmul)
+        monkeypatch.setattr(Mat, "dagger", checked_dagger)
         monkeypatch.setattr(checker, "_p2_refine", counting_refine)
         monkeypatch.setattr(MatrixRep, "power", no_power)
         check_always_eventually(to_automaton(example_loop), _exit_ok(example_loop))

@@ -133,3 +133,51 @@ def test_exit_loop_uses_no_simulator(path):
 def test_simulator_guard_sees_every_form():
     source = "def f():\n    from .program import CQState\nimport qtl.program as p\nx = p.selector_successors\n"
     assert _names_used(ast.parse(source)) & SIMULATORS == {"CQState", "selector_successors"}
+
+
+# The checker's lattice work runs on the actions' Kraus operators: a matrix
+# representation is formed only where a spectrum is needed (the loop
+# refinement's period, limit states) and by the oracle's own image path,
+# and no dagger of one, or of anything else, is formed.
+CHECKER = next(p for p in MODULES if p.stem == "checker")
+MATRIX_REP_CALLERS = {"_p2_refine", "limit_states", "_matrix_rep_image"}
+
+
+def _method_callers(tree, method) -> list:
+    """The outermost function around every call of ``.method()`` (None for
+    a call outside every function)."""
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            inner = owner
+            if owner is None and isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner = child.name
+            if isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute) and child.func.attr == method:
+                found.append(inner)
+            visit(child, inner)
+
+    visit(tree, None)
+    return found
+
+
+def test_checker_forms_matrix_reps_only_for_a_spectrum():
+    tree = ast.parse(CHECKER.read_text(), str(CHECKER))
+    assert set(_method_callers(tree, "matrix_rep")) <= MATRIX_REP_CALLERS
+    assert _method_callers(tree, "dagger") == []
+
+
+def test_method_guard_sees_every_caller():
+    source = (
+        "x = m.matrix_rep()\n"
+        "def _p2_refine(a):\n"
+        "    def pull(e):\n"
+        "        return e.matrix_rep().dagger()\n"
+        "    return a.dagger()\n"
+        "class C:\n"
+        "    def limit_states(self):\n"
+        "        return self.matrix_rep()\n"
+    )
+    tree = ast.parse(source)
+    assert _method_callers(tree, "matrix_rep") == [None, "_p2_refine", "limit_states"]
+    assert _method_callers(tree, "dagger") == ["_p2_refine", "_p2_refine"]
