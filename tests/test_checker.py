@@ -357,7 +357,7 @@ class TestLoopRefinement:
     member, phase), where the reference in helpers.py joins the supports of
     the dense pulled-back operators term by term."""
 
-    def test_pulled_back_fixpoint_is_join_of_term_supports(self):
+    def test_orbit_support_is_join_of_term_supports(self):
         # the supports of prefix†((F†)^u y) of a positive y, for channels
         # with transient parts (resets, measurements), so early terms can
         # have supports that later ones lack; their join is the least
@@ -374,22 +374,44 @@ class TestLoopRefinement:
             for _ in range(dim * dim + 2):
                 joined = joined.join(support(unvec(prefix_dag @ w, dim)))
                 w = f_dag @ w
-            start, steps = support(unvec(y, dim)), []
-
-            def step(s):
-                steps.append(s.dim)
-                return image(f.dual(), s)
-
-            orbit = least_fixpoint(start, step)
+            start = support(unvec(y, dim))
+            orbit = least_fixpoint(start, lambda s: image(f.dual(), s))
             assert image(prefix.dual(), orbit) == joined
-            # one step per strict growth of the chain and one to see it stop
-            assert steps == sorted(set(steps)) and steps[0] == start.dim and steps[-1] == orbit.dim
-            assert len(steps) <= dim - start.dim + 1
             grew += orbit.dim > start.dim
             partial += start.dim < orbit.dim < dim
         # the first term's support alone is often not the answer, and the
         # chain can stop short of the whole space
         assert grew > 10 and partial > 0
+
+    def test_products_per_call_follow_the_support_chain(self):
+        # the supports S_n of the first n terms' sums of (F†)^u y grow until
+        # the first n = m with S_m = S_(m+1); the fixpoint walks that chain,
+        # applying F† once per element S_1 .. S_m, so m times in all (the
+        # dense walk would take dim^2 + 1 products)
+        rng = random.Random(1602)
+        chains = []
+        for _ in range(60):
+            dim = rng.choice([2, 3, 4])
+            f = random_tp_channel(rng, dim)
+            f_dag = f.matrix_rep().dagger()
+            b = random_matrix(rng, dim, rng.randint(1, dim))
+            y = vec(b @ b.dagger())
+            dims, total, w = [], y, y
+            for _ in range(dim + 1):
+                dims.append(support(unvec(total, dim)).dim)
+                w = f_dag @ w
+                total = total + w
+            m = next(n for n in range(1, dim + 1) if dims[n - 1] == dims[n])
+            steps = []
+
+            def step(s):
+                steps.append(s.dim)
+                return image(f.dual(), s)
+
+            least_fixpoint(support(unvec(y, dim)), step)
+            assert steps == dims[:m]
+            chains.append(m)
+        assert max(chains) > 2 and sum(m == 1 for m in chains) > 10
 
     def test_fixpoint_follows_a_slow_chain(self):
         # F† takes |3><3| to |2><2| + |3><3|, |2><2| to |1><1| and |1><1|
@@ -469,6 +491,47 @@ class TestLoopRefinement:
             check_always_eventually(to_automaton(prog), union(atom.subspace))
         # the period of the loop matrix is 1 on most of these, 2 on some
         assert len(compared) > 20 and 2 in compared
+
+    def test_support_count_per_target(self, monkeypatch, example_loop):
+        # no support of an operator and one least fixpoint per (rotation,
+        # target member, phase), each applying the rotation's duals once per
+        # strict growth of its chain and once to see it stop
+        counted = []
+        calls, fixpoints = [0], [0]
+        exact_support, exact_fixpoint, exact_refine = checker.support, checker.least_fixpoint, checker._p2_refine
+
+        def counting_support(*args, **kwargs):
+            calls[0] += 1
+            return exact_support(*args, **kwargs)
+
+        def counting_fixpoint(start, step):
+            fixpoints[0] += 1
+            steps = []
+
+            def counting_step(s):
+                steps.append(s.dim)
+                return step(s)
+
+            got = exact_fixpoint(start, counting_step)
+            assert len(steps) <= start.ambient_dim - start.dim + 1
+            return got
+
+        def counting_refine(members, cycle, u, actions):
+            before, fixpoints[0] = calls[0], 0
+            refined, b = exact_refine(members, cycle, u, actions)
+            counted.append((calls[0] - before, fixpoints[0], len(cycle) * len(u.members) * b))
+            return refined, b
+
+        monkeypatch.setattr(checker, "support", counting_support)
+        monkeypatch.setattr(checker, "least_fixpoint", counting_fixpoint)
+        monkeypatch.setattr(checker, "_p2_refine", counting_refine)
+        check_always_eventually(to_automaton(example_loop), _exit_ok(example_loop))
+        assert counted == [(0, 1, 1)]
+        rng = random.Random(1401)
+        for _ in range(20):
+            check_always_eventually(*_loop_instance(rng))
+        assert len(counted) > 10
+        assert all(n == 0 and per_target == bound for n, per_target, bound in counted)
 
     def test_refinement_forms_only_the_loop_matrix(self, monkeypatch, example_loop):
         # no power of a matrix representation, no dagger of a D^2-row
