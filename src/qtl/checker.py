@@ -414,6 +414,10 @@ _WITNESS_DEPTH = 12
 # the peripheral eigenvalues of [] <> f, [] (f U g) and [] (p U~ q) need a
 # common order up to this bound (UncertifiedPeriod otherwise)
 _PERIOD_BOUND = 64
+# the loop refinement of [] <> f forms one D^2 x D^2 loop matrix on a space
+# of dimension D, and raises BudgetExceeded past this D instead: at D = 68,
+# the largest program measured, [] <> f peaks at about 900 MB
+_LOOP_DIM_MAX = 70
 
 
 def maximal_extension(a: QuantumAutomaton, x) -> SubspaceUnion:
@@ -518,6 +522,11 @@ def _p2_refine(members, cycle, u: SubspaceUnion, actions):
     j1 = cycle[0][0]
     word = [name for _, name, _ in cycle]
     dim = members[0].ambient_dim
+    if dim > _LOOP_DIM_MAX:
+        raise BudgetExceeded(
+            f"the loop refinement of [] <> needs a {dim * dim}x{dim * dim} matrix, past its limit for "
+            f"dimension {_LOOP_DIM_MAX}"
+        )
     ms = [actions[name].matrix_rep() for name in word]
     loop = ms[0]
     for m in ms[1:]:

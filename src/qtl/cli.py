@@ -14,6 +14,7 @@ import inspect
 import json
 import os
 import sys
+from fractions import Fraction
 
 from .errors import MalformedInput, QtlError
 from . import jsonio
@@ -29,8 +30,10 @@ EXIT_ERROR = 3
 
 
 def _load_json(path):
+    """The JSON document at path, its decimal numbers read exactly as
+    written (0.1 is 1/10, not the binary double nearest to it)."""
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        return json.load(fh, parse_float=Fraction)
 
 
 def _load_program(path):
@@ -230,8 +233,11 @@ def main(argv=None) -> int:
     try:
         # looked up when called, not kept in the parser built once per process
         return globals()[f"cmd_{args.command}"](args)
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
+    except UnicodeDecodeError as exc:
+        print(f"error: not UTF-8 text: {exc}", file=sys.stderr)
         return EXIT_ERROR
     except json.JSONDecodeError as exc:
         print(f"error: invalid JSON: {exc}", file=sys.stderr)

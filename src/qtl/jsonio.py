@@ -200,6 +200,8 @@ def program_to_json(p):
 def program_from_json(obj):
     """Detects the model by shape: actions -> automaton, processes ->
     concurrent program, otherwise sequential program."""
+    if not isinstance(obj, dict):
+        raise MalformedInput(f"a program is a JSON object, got {obj!r}")
     if "actions" in obj:
         return QuantumAutomaton(
             _field(obj, "dimension", "automaton"),
@@ -238,6 +240,8 @@ def program_from_json(obj):
 def atoms_from_json(obj, program) -> dict:
     """Atom table from a list of {"name", "blocks": {label: subspace}} or
     {"name", "subspace": {...}} entries; blocks are per-configuration."""
+    if not isinstance(obj, list):
+        raise MalformedInput(f"an atom table is a JSON list, got {obj!r}")
     atoms = {}
     for entry in obj:
         name = _field(entry, "name", "atom")

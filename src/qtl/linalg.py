@@ -185,46 +185,43 @@ def _ratio(x) -> tuple:
     return f.numerator, f.denominator
 
 
-def _read_rows(rows):
-    """Real and imaginary parts of nested entries as grids of (numerator,
-    denominator) pairs, each entry read as :meth:`CRat.coerce` reads it."""
-    grid_re, grid_im = [], []
+def _read_rows(rows) -> "Mat":
+    """The Mat of nested entries, each read as :meth:`CRat.coerce` reads it,
+    in one pass: the real and imaginary parts as (numerator, denominator)
+    pairs, one lcm of the denominators, then the integer grids."""
+    width = len(rows[0]) if rows else 0
+    nums, dens, imag = [], [], {}
     for row in rows:
-        row_re, row_im = [], []
         for e in row:
             t = type(e)
             if t is str or t is int:
-                row_re.append(_ratio(e))
-                row_im.append((0, 1))
+                n, d = _ratio(e)
             elif (t is list or t is tuple) and len(e) == 2:
-                row_re.append(_ratio(e[0]))
-                row_im.append(_ratio(e[1]))
+                n, d = _ratio(e[0])
+                im = _ratio(e[1])
+                if im[0]:
+                    imag[len(nums)] = im
             else:
                 c = e if t is CRat else CRat.coerce(e)
-                row_re.append((c.re.numerator, c.re.denominator))
-                row_im.append((c.im.numerator, c.im.denominator))
-        grid_re.append(row_re)
-        grid_im.append(row_im)
-    return grid_re, grid_im
-
-
-def _from_ratios(grid_re, grid_im) -> "Mat":
-    """The Mat of two grids of (numerator, denominator) pairs, over the
-    least common denominator."""
-    nrows = len(grid_re)
-    ncols = len(grid_re[0]) if nrows else 0
-    if any(len(row) != ncols for row in grid_re):
+                n, d = c.re.numerator, c.re.denominator
+                if c.im:
+                    imag[len(nums)] = c.im.numerator, c.im.denominator
+            nums.append(n)
+            dens.append(d)
+    if any(len(row) != width for row in rows):
         raise DimensionMismatch("ragged rows")
-    if not nrows or not ncols:
-        return Mat.zeros(nrows, ncols)
-    den = math.lcm(*[d for row in grid_re for _, d in row], *[d for row in grid_im for _, d in row])
-    if den == 1:
-        num_re = [[n for n, _ in row] for row in grid_re]
-        num_im = [[n for n, _ in row] for row in grid_im]
-    else:
-        num_re = [[n * (den // d) for n, d in row] for row in grid_re]
-        num_im = [[n * (den // d) for n, d in row] for row in grid_im]
-    return Mat(np.array(num_re, dtype=object), np.array(num_im, dtype=object), den)
+    if not nums:
+        return Mat.zeros(len(rows), width)
+    den = math.lcm(*dens, *[d for _, d in imag.values()])
+    if den != 1:
+        nums = [n * (den // d) for n, d in zip(nums, dens)]
+    shape = (len(rows), width)
+    num_im = np.zeros(shape, dtype=object)
+    if imag:
+        flat = num_im.reshape(-1)
+        for k, (n, d) in imag.items():
+            flat[k] = n * (den // d)
+    return Mat(np.array(nums, dtype=object).reshape(shape), num_im, den, _real=not imag)
 
 
 def _gcd_reduce(num_re, num_im, den):
@@ -277,13 +274,13 @@ class Mat:
             raise ZeroDivisionError("zero denominator")
         if not _normalized and den != 1:
             num_re, num_im, den = _gcd_reduce(num_re, num_im, den)
-        object.__setattr__(self, "num_re", num_re)
-        object.__setattr__(self, "num_im", num_im)
-        object.__setattr__(self, "den", den)
-        object.__setattr__(self, "rows", num_re.shape[0])
-        object.__setattr__(self, "cols", num_re.shape[1])
-        object.__setattr__(self, "_key", None)
-        object.__setattr__(self, "_real", _real)
+        _set_num_re(self, num_re)
+        _set_num_im(self, num_im)
+        _set_den(self, den)
+        _set_rows(self, num_re.shape[0])
+        _set_cols(self, num_re.shape[1])
+        _set_key(self, None)
+        _set_real(self, _real)
 
     def __setattr__(self, name, value):
         raise AttributeError("Mat is immutable")
@@ -299,7 +296,7 @@ class Mat:
         An entry that does not read as a number raises MalformedInput."""
         rows = [list(row) for row in rows]
         try:
-            grids = _read_rows(rows)
+            return _read_rows(rows)
         except (ValueError, ZeroDivisionError, TypeError, OverflowError):
             # find the first entry that does not read, to name it
             for i, row in enumerate(rows):
@@ -309,7 +306,6 @@ class Mat:
                     except (ValueError, ZeroDivisionError, TypeError, OverflowError) as exc:
                         raise MalformedInput(f"entry ({i}, {j}) = {e!r} is not an exact number: {exc}") from None
             raise
-        return _from_ratios(*grids)
 
     @staticmethod
     def zeros(rows, cols=None) -> "Mat":
@@ -460,7 +456,7 @@ class Mat:
         """Whether every entry is real; the imaginary grid is read at most
         once per matrix."""
         if self._real is None:
-            object.__setattr__(self, "_real", not any(self.num_im.flat))
+            _set_real(self, not any(self.num_im.flat))
         return self._real
 
     def is_zero(self) -> bool:
@@ -490,17 +486,7 @@ class Mat:
     def key(self):
         """Hashable canonical key (entries are normalized at construction)."""
         if self._key is None:
-            object.__setattr__(
-                self,
-                "_key",
-                (
-                    self.rows,
-                    self.cols,
-                    self.den,
-                    tuple(self.num_re.flat),
-                    tuple(self.num_im.flat),
-                ),
-            )
+            _set_key(self, (self.rows, self.cols, self.den, tuple(self.num_re.flat), tuple(self.num_im.flat)))
         return self._key
 
     def __hash__(self):
@@ -526,6 +512,13 @@ class Mat:
             " ".join(repr(self.entry(i, j)) for j in range(self.cols)) for i in range(self.rows)
         )
         return f"Mat[{body}]"
+
+
+# the slots' own descriptors set them past the guard of Mat.__setattr__, at
+# about half the cost of object.__setattr__
+_set_num_re, _set_num_im, _set_den, _set_rows, _set_cols, _set_key, _set_real = (
+    Mat.__dict__[name].__set__ for name in Mat.__slots__
+)
 
 
 def _kron_grid(a, b):
@@ -937,63 +930,219 @@ def is_psd(m: Mat) -> bool:
 # A polynomial is the list of its coefficients, that of z^k at index k.
 
 
-def charpoly(m: Mat) -> list:
-    """The coefficients [c_0, ..., c_n] of det(zI - m) = sum_k c_k z^k, as
-    CRats: a reduction to upper Hessenberg form H by elementary
-    similarities over Q(i) (over Q when m is real), skipping zero entries,
-    then p_k = (z - h_kk) p_{k-1} - sum_{i<k} h_ik h_{i+1,i} ... h_{k,k-1} p_{i-1}.
+def _hessenberg_int(a, d):
+    """Reduce the real matrix with entries a[i][j] / d[j] to a similar upper
+    Hessenberg one of the same form, in place: ``a`` is a list of integer
+    rows, ``d`` the positive column denominators.
+
+    Column k's pivot is its first nonzero entry below the diagonal, swapped
+    to row k + 1 (with column k + 1); each other nonzero entry t of the
+    column, in row i, is cleared by the similarity of row i -= (t/p) row
+    k + 1, column k + 1 += (t/p) column i, p the pivot, with t/p = w/q in
+    lowest terms (q > 0).  Followed by the diagonal similarity that scales
+    row i by q and column i by 1/q, the row operation is row i = q row i -
+    w row k + 1 on integers, the column's denominator becomes q d[i], and
+    the column operation becomes column k + 1 += w column i on the values
+    a[.][j] / d[j], done over the lcm of the two denominators.  So a step
+    touches only the rows it clears and column k + 1, as over Q, and no
+    rational is formed; zero entries are skipped as there."""
+    n = len(a)
+    for k in range(n - 2):
+        for piv in range(k + 1, n):
+            if a[piv][k]:
+                break
+        else:
+            continue
+        c = k + 1
+        if piv != c:
+            a[piv], a[c] = a[c], a[piv]
+            for row in a:
+                row[piv], row[c] = row[c], row[piv]
+            d[piv], d[c] = d[c], d[piv]
+        row_p = a[c]
+        p = row_p[k]
+        for i in range(k + 2, n):
+            row_i = a[i]
+            t = row_i[k]
+            if not t:
+                continue
+            g = math.gcd(p, t)
+            q, w = (p // g, t // g) if p > 0 else (-p // g, -t // g)
+            row_i[k] = 0
+            for j in range(c, n):
+                b = row_p[j]
+                if b:
+                    row_i[j] = q * row_i[j] - w * b
+                elif q != 1 and row_i[j]:
+                    row_i[j] *= q
+            di = d[i] = d[i] * q
+            dc = d[c]
+            g = math.gcd(dc, di)
+            sc, w = di // g, w * (dc // g)
+            d[c] = dc * sc
+            for row in a:
+                x = row[i]
+                if x:
+                    row[c] = row[c] * sc + w * x
+                elif sc != 1 and row[c]:
+                    row[c] *= sc
+
+
+def _hessenberg_gauss(ar, ai, d):
+    """:func:`_hessenberg_int` on Gaussian integers, the real parts in
+    ``ar`` and the imaginary parts in ``ai``: t/p = w/q with w = t conj(p)
+    and q = |p|^2, in lowest terms."""
+    n = len(ar)
+    for k in range(n - 2):
+        for piv in range(k + 1, n):
+            if ar[piv][k] or ai[piv][k]:
+                break
+        else:
+            continue
+        c = k + 1
+        if piv != c:
+            for a in (ar, ai):
+                a[piv], a[c] = a[c], a[piv]
+                for row in a:
+                    row[piv], row[c] = row[c], row[piv]
+            d[piv], d[c] = d[c], d[piv]
+        pr_row, pi_row = ar[c], ai[c]
+        pr, pi = pr_row[k], pi_row[k]
+        for i in range(k + 2, n):
+            rr, ri = ar[i], ai[i]
+            tr, ti = rr[k], ri[k]
+            if not (tr or ti):
+                continue
+            q, wr, wi = pr * pr + pi * pi, tr * pr + ti * pi, ti * pr - tr * pi
+            g = math.gcd(q, wr, wi)
+            q, wr, wi = q // g, wr // g, wi // g
+            rr[k] = ri[k] = 0
+            for j in range(c, n):
+                br, bi = pr_row[j], pi_row[j]
+                if br or bi:
+                    xr, xi = rr[j], ri[j]
+                    rr[j] = q * xr - wr * br + wi * bi
+                    ri[j] = q * xi - wr * bi - wi * br
+                elif q != 1:
+                    rr[j] *= q
+                    ri[j] *= q
+            di = d[i] = d[i] * q
+            dc = d[c]
+            g = math.gcd(dc, di)
+            sc, s = di // g, dc // g
+            wr, wi = wr * s, wi * s
+            d[c] = dc * sc
+            for row_r, row_i in zip(ar, ai):
+                xr, xi = row_r[i], row_i[i]
+                if xr or xi:
+                    row_r[c] = row_r[c] * sc + wr * xr - wi * xi
+                    row_i[c] = row_i[c] * sc + wr * xi + wi * xr
+                elif sc != 1:
+                    row_r[c] *= sc
+                    row_i[c] *= sc
+
+
+def _hessenberg_det_int(h, d) -> list:
+    """det(z diag(d) - h) for the real upper Hessenberg integer rows h, as
+    a primitive integer polynomial with a positive leading coefficient: a
+    positive integer multiple of the characteristic polynomial of the
+    matrix with entries h[i][j] / d[j].
+
+    Expanding along the last column gives p_{k+1} = (z d_k - h_kk) p_k -
+    sum_{i<k} h_ik h_{i+1,i} ... h_{k,k-1} p_i, on integers.  A zero
+    subdiagonal entry h_{s,s-1} cuts the sum off below s, so p_s is divided
+    by its content there and the recurrence goes on from it alone; a
+    diagonal block of one zero entry only adds a root 0, counted apart."""
+    n, zeros, s, polys = len(h), 0, 0, [[1]]
+    for k in range(n):
+        if k > s and not h[k][k - 1]:
+            p = polys[-1]
+            g = math.gcd(*p)
+            s, polys = k, [[y // g for y in p]]
+        x = h[k][k]
+        if k == s and not x and (k + 1 == n or not h[k + 1][k]):
+            zeros, s = zeros + 1, k + 1
+            continue
+        prev = polys[-1]
+        new = [0] + [d[k] * y for y in prev]
+        if x:
+            for j, y in enumerate(prev):
+                new[j] -= x * y
+        t = 1
+        for i in range(k - 1, s - 1, -1):
+            t *= h[i + 1][i]
+            x = h[i][k]
+            if x:
+                f = x * t
+                for j, y in enumerate(polys[i - s]):
+                    new[j] -= f * y
+        polys.append(new)
+    p = polys[-1]
+    g = math.gcd(*p)
+    return [0] * zeros + [y // g for y in p]
+
+
+def _hessenberg_det_gauss(hr, hi, d) -> tuple:
+    """:func:`_hessenberg_det_int` on Gaussian integers: the real and the
+    imaginary coefficient lists, divided by their common content."""
+    n, zeros, s, polys = len(hr), 0, 0, [([1], [0])]
+    for k in range(n):
+        if k > s and not (hr[k][k - 1] or hi[k][k - 1]):
+            pr, pi = polys[-1]
+            g = math.gcd(*pr, *pi)
+            s, polys = k, [([y // g for y in pr], [y // g for y in pi])]
+        xr, xi = hr[k][k], hi[k][k]
+        if k == s and not (xr or xi) and (k + 1 == n or not (hr[k + 1][k] or hi[k + 1][k])):
+            zeros, s = zeros + 1, k + 1
+            continue
+        pr, pi = polys[-1]
+        nr, ni = [0] + [d[k] * y for y in pr], [0] + [d[k] * y for y in pi]
+        terms = [(xr, xi, pr, pi)]
+        tr, ti = 1, 0
+        for i in range(k - 1, s - 1, -1):
+            ar, ai = hr[i + 1][i], hi[i + 1][i]
+            tr, ti = tr * ar - ti * ai, tr * ai + ti * ar
+            xr, xi = hr[i][k], hi[i][k]
+            if xr or xi:
+                terms.append((xr * tr - xi * ti, xr * ti + xi * tr, *polys[i - s]))
+        for fr, fi, qr, qi in terms:
+            if fr or fi:
+                for j in range(len(qr)):
+                    yr, yi = qr[j], qi[j]
+                    nr[j] -= fr * yr - fi * yi
+                    ni[j] -= fr * yi + fi * yr
+        polys.append((nr, ni))
+    pr, pi = polys[-1]
+    g = math.gcd(*pr, *pi)
+    pad = [0] * zeros
+    return pad + [y // g for y in pr], pad + [y // g for y in pi]
+
+
+def charpoly(m: Mat) -> Mat:
+    """The coefficients of det(zI - m) = sum_k c_k z^k, as the row Mat
+    [c_0 ... c_n], computed on integers alone.
+
+    m = N / den is taken as the matrix with entries N[i][j] / d[j], d = den
+    in every column, and reduced to an upper Hessenberg matrix H of that
+    shape (:func:`_hessenberg_int`; Gaussian-integer pairs for a complex m,
+    :func:`_hessenberg_gauss`).  As H = N_H diag(d)^-1, det(z diag(d) -
+    N_H) is prod(d) times the characteristic polynomial, and
+    :func:`_hessenberg_det_int` returns it divided by its content: an
+    integer polynomial P with positive leading coefficient and c_k =
+    P_k / P_n, which is the row over the denominator P_n in lowest terms.
     """
     if not m.is_square():
         raise DimensionMismatch("the characteristic polynomial needs a square matrix")
-    n = m.rows
-    den = m.den
-    if not m.is_real():
-        zero, one = CRat(0), CRat(1)
-        a = [
-            [CRat(Fraction(re, den), Fraction(im, den)) if re or im else zero for re, im in zip(row_re, row_im)]
-            for row_re, row_im in zip(m.num_re.tolist(), m.num_im.tolist())
-        ]
-    else:
-        zero, one = Fraction(0), Fraction(1)
-        a = [[Fraction(x, den) if x else zero for x in row] for row in m.num_re.tolist()]
-    for k in range(n - 2):
-        piv = next((i for i in range(k + 1, n) if a[i][k]), None)
-        if piv is None:
-            continue
-        if piv != k + 1:
-            a[piv], a[k + 1] = a[k + 1], a[piv]
-            for row in a:
-                row[piv], row[k + 1] = row[k + 1], row[piv]
-        row_p = a[k + 1]
-        for i in range(k + 2, n):
-            row_i = a[i]
-            if not row_i[k]:
-                continue
-            # row i -= u row k+1, then column k+1 += u column i
-            u = row_i[k] / row_p[k]
-            for j in range(k, n):
-                if row_p[j]:
-                    row_i[j] -= u * row_p[j]
-            for row in a:
-                if row[i]:
-                    row[k + 1] += u * row[i]
-    polys = [[one]]
-    for k in range(n):
-        new = [zero] + polys[k]
-        if a[k][k]:
-            for j, c in enumerate(polys[k]):
-                new[j] -= a[k][k] * c
-        t = one
-        for i in range(k - 1, -1, -1):
-            t = t * a[i + 1][i]
-            if not t:
-                break
-            if a[i][k]:
-                f = a[i][k] * t
-                for j, c in enumerate(polys[i]):
-                    new[j] -= f * c
-        polys.append(new)
-    return [CRat.coerce(c) for c in polys[n]]
+    d = [m.den] * m.rows
+    if m.is_real():
+        a = m.num_re.tolist()
+        _hessenberg_int(a, d)
+        num = np.array([_hessenberg_det_int(a, d)], dtype=object)
+        return Mat(num, np.zeros(num.shape, dtype=object), num[0, -1], _normalized=True, _real=True)
+    ar, ai = m.num_re.tolist(), m.num_im.tolist()
+    _hessenberg_gauss(ar, ai, d)
+    re, im = _hessenberg_det_gauss(ar, ai, d)
+    return Mat(np.array([re], dtype=object), np.array([im], dtype=object), re[-1], _normalized=True)
 
 
 def _primitive(p: list) -> list:
@@ -1051,12 +1200,12 @@ def peripheral_period(m: Mat, bound: int) -> tuple:
     failure raises UncertifiedPeriod with its reason.
     """
     p = charpoly(m)
-    if any(c.im for c in p):
+    if not p.is_real():
         raise PreconditionViolated("characteristic polynomial is not real: not a channel's matrix representation")
-    p = [c.re for c in p]
-    den = math.lcm(*(c.denominator for c in p))
-    p = [int(c * den) for c in p]
-    g = _gcd(p, p[::-1])
+    # p = z^s q with q(0) != 0, and gcd(p, z^n p(1/z)) = gcd(q, z^(n-s) q(1/z))
+    p = p.num_re[0].tolist()
+    q = p[next(s for s, c in enumerate(p) if c):]
+    g = _gcd(q, q[::-1])
     if len(g) == 1:
         return 0, 1
     if g[-1] != 1:

@@ -58,12 +58,12 @@ class Subspace:
                 raise DimensionMismatch("basis does not live in the stated ambient space")
             if _pivots is None:
                 rows, _pivots = rref(rows)
-        object.__setattr__(self, "ambient_dim", ambient_dim)
-        object.__setattr__(self, "_rref", rows)
-        object.__setattr__(self, "pivots", _pivots)
-        object.__setattr__(self, "_complement", None)
-        object.__setattr__(self, "_projector", None)
-        object.__setattr__(self, "_coordinate", True if rows is None else None)
+        _set_ambient_dim(self, ambient_dim)
+        _set_rref(self, rows)
+        _set_pivots(self, _pivots)
+        _set_complement(self, None)
+        _set_projector(self, None)
+        _set_coordinate(self, True if rows is None else None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Subspace is immutable")
@@ -99,7 +99,7 @@ class Subspace:
         """The RREF rows; for a coordinate subspace built from its pivots,
         the unit rows of the pivots, made on first use and cached."""
         if self._rref is None:
-            object.__setattr__(self, "_rref", _unit_rows(self.pivots, self.ambient_dim))
+            _set_rref(self, _unit_rows(self.pivots, self.ambient_dim))
         return self._rref
 
     @property
@@ -112,7 +112,7 @@ class Subspace:
         as B solve(B†B, B†) on first use and cached."""
         if self._projector is None:
             b, b_dag = self.rref.transpose(), self.rref.conj()
-            object.__setattr__(self, "_projector", b @ solve(b_dag @ b, b_dag))
+            _set_projector(self, b @ solve(b_dag @ b, b_dag))
         return self._projector
 
     def is_zero(self) -> bool:
@@ -128,7 +128,7 @@ class Subspace:
         if self._coordinate is None:
             r = self.rref
             coordinate = r.den == 1 and r.is_real() and int(np.count_nonzero(r.num_re)) == self.dim
-            object.__setattr__(self, "_coordinate", coordinate)
+            _set_coordinate(self, coordinate)
         return self._coordinate
 
     def contains(self, other: "Subspace") -> bool:
@@ -218,8 +218,8 @@ class Subspace:
                 perp = Subspace(n, None, free)
             else:
                 perp = Subspace(n, _perp_rows(self.rref, self.pivots))
-            object.__setattr__(perp, "_complement", self)
-            object.__setattr__(self, "_complement", perp)
+            _set_complement(perp, self)
+            _set_complement(self, perp)
         return self._complement
 
     def _check_ambient(self, other: "Subspace"):
@@ -261,6 +261,13 @@ class Subspace:
         return f"Subspace(dim {self.dim} of C^{self.ambient_dim})"
 
 
+# the slots' own descriptors set them past the guard of __setattr__, at
+# about half the cost of object.__setattr__
+_set_ambient_dim, _set_rref, _set_pivots, _set_complement, _set_projector, _set_coordinate = (
+    Subspace.__dict__[name].__set__ for name in Subspace.__slots__
+)
+
+
 def support(rho: Mat, validate: bool = True) -> Subspace:
     """Column space of a positive semidefinite matrix (its support).
 
@@ -294,8 +301,8 @@ class SubspaceUnion:
                 raise DimensionMismatch("union member in wrong ambient space")
         if not _canonical:
             members = _canonical_members(ambient_dim, members)
-        object.__setattr__(self, "ambient_dim", ambient_dim)
-        object.__setattr__(self, "members", tuple(members))
+        _set_union_dim(self, ambient_dim)
+        _set_members(self, tuple(members))
 
     def __setattr__(self, name, value):
         raise AttributeError("SubspaceUnion is immutable")
@@ -364,6 +371,9 @@ class SubspaceUnion:
     def __repr__(self):
         dims = ", ".join(str(m.dim) for m in self.members)
         return f"SubspaceUnion(dims [{dims}] in C^{self.ambient_dim})"
+
+
+_set_union_dim, _set_members = (SubspaceUnion.__dict__[name].__set__ for name in SubspaceUnion.__slots__)
 
 
 def _canonical_members(ambient_dim, members):

@@ -17,7 +17,7 @@ import scipy.linalg
 
 from qtl.checker import _PERIOD_BOUND, Verdict
 from qtl.errors import DimensionMismatch, PreconditionViolated, QtlError
-from qtl.linalg import CRat, Mat, _from_ratios, kron, mat_sum, peripheral_period
+from qtl.linalg import CRat, Mat, kron, mat_sum, peripheral_period
 from qtl.subspace import Subspace, SubspaceUnion, satisfies, support
 from qtl.superop import MatrixRep, Measurement, SuperOp, unvec, vec
 from qtl.checker import check_terminates, reachability_superop
@@ -138,10 +138,7 @@ def union(*subspaces):
 def mat_from_complex(array) -> Mat:
     """Exactly rationalize a float/complex array (binary floats are rationals)."""
     rows = np.asarray(array, dtype=complex).tolist()
-    return _from_ratios(
-        [[x.real.as_integer_ratio() for x in row] for row in rows],
-        [[x.imag.as_integer_ratio() for x in row] for row in rows],
-    )
+    return Mat.from_rows([[(x.real, x.imag) for x in row] for row in rows])
 
 
 def random_scalar(rng, bound=3, real=False):
@@ -491,6 +488,67 @@ def p2_refine_by_joins(members, cycle, u: SubspaceUnion, actions):
     if refined.contains_subspace(members[j1]):
         raise QtlError("loop refinement failed to shrink the union")
     return refined, b
+
+
+# ----------------------------------------------------------------------
+# the characteristic polynomial over Q(i): the reference for linalg.charpoly
+
+
+def reference_charpoly(m: Mat) -> list:
+    """The coefficients [c_0, ..., c_n] of det(zI - m) = sum_k c_k z^k, as
+    CRats: a reduction to upper Hessenberg form H by elementary
+    similarities over Q(i) (over Q when m is real), skipping zero entries,
+    then p_k = (z - h_kk) p_{k-1} - sum_{i<k} h_ik h_{i+1,i} ... h_{k,k-1} p_{i-1}.
+    """
+    n = m.rows
+    den = m.den
+    if not m.is_real():
+        zero, one = CRat(0), CRat(1)
+        a = [
+            [CRat(Fraction(re, den), Fraction(im, den)) if re or im else zero for re, im in zip(row_re, row_im)]
+            for row_re, row_im in zip(m.num_re.tolist(), m.num_im.tolist())
+        ]
+    else:
+        zero, one = Fraction(0), Fraction(1)
+        a = [[Fraction(x, den) if x else zero for x in row] for row in m.num_re.tolist()]
+    for k in range(n - 2):
+        piv = next((i for i in range(k + 1, n) if a[i][k]), None)
+        if piv is None:
+            continue
+        if piv != k + 1:
+            a[piv], a[k + 1] = a[k + 1], a[piv]
+            for row in a:
+                row[piv], row[k + 1] = row[k + 1], row[piv]
+        row_p = a[k + 1]
+        for i in range(k + 2, n):
+            row_i = a[i]
+            if not row_i[k]:
+                continue
+            # row i -= u row k+1, then column k+1 += u column i
+            u = row_i[k] / row_p[k]
+            for j in range(k, n):
+                if row_p[j]:
+                    row_i[j] -= u * row_p[j]
+            for row in a:
+                if row[i]:
+                    row[k + 1] += u * row[i]
+    polys = [[one]]
+    for k in range(n):
+        new = [zero] + polys[k]
+        if a[k][k]:
+            for j, c in enumerate(polys[k]):
+                new[j] -= a[k][k] * c
+        t = one
+        for i in range(k - 1, -1, -1):
+            t = t * a[i + 1][i]
+            if not t:
+                break
+            if a[i][k]:
+                f = a[i][k] * t
+                for j, c in enumerate(polys[i]):
+                    new[j] -= f * c
+        polys.append(new)
+    return [CRat.coerce(c) for c in polys[n]]
 
 
 # ----------------------------------------------------------------------

@@ -53,6 +53,8 @@ from qtl.checker import (
 )
 from qtl.formula import Always, Atom, Eventually, FAtom, Or, Until, atom_from_blocks, parse_formula
 import qtl.checker as checker
+from qtl import jsonio
+from qtl.cli import main as cli_main
 
 from helpers import (
     EXAMPLE_LOOP_SRC,
@@ -590,6 +592,64 @@ class TestLoopRefinement:
         assert v.witness == {"prefix": ["step", "step"], "cycle": ["step", "step"]}
         e = [[1 if c == r else 0 for c in range(8)] for r in range(8)]
         assert v.certificate == union(Subspace.from_vectors(8, [e[0], e[1], [0, 0, 1, 0, 0, 0, 1, 0], e[3]]))
+
+
+class TestLoopRefinementArithmetic:
+    def test_no_rational_is_formed(self, monkeypatch):
+        # [] <> f on seeded automata, loop refinements and periods included,
+        # runs on integers alone: no Fraction and no CRat is constructed
+        cases = []
+        for seed in range(12):
+            rng = random.Random(900 + seed)
+            a = random_automaton(rng, rng.choice([2, 3]), rng.randint(1, 3), finite_order=seed % 2 == 0)
+            cases.append((a, random_union(rng, a.dim, 1) if seed % 3 else basis_union(rng, a.dim)))
+        made = []
+        new = Fraction.__new__
+
+        def counted_new(cls, *args, **kwargs):
+            made.append(cls)
+            return new(cls, *args, **kwargs)
+
+        init = CRat.__init__
+
+        def counted_init(self, *args, **kwargs):
+            made.append(CRat)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", staticmethod(counted_new))
+        monkeypatch.setattr(CRat, "__init__", counted_init)
+        periods = []
+        for a, u in cases:
+            periods += check_always_eventually(a, u).diagnostics["periods"]
+        monkeypatch.undo()
+        assert made == []
+        # the refinement ran, with periods above one among them
+        assert len(periods) >= 8 and max(periods) > 1
+
+
+class TestLoopGuard:
+    def test_large_loop_raises_before_any_matrix_rep(self, monkeypatch, tmp_path, capsys):
+        # a cyclic shift on C^D, D past the limit, and the target span(e0):
+        # the one member C^D loops outside the target, so [] <> needs a
+        # refinement, whose D^2 x D^2 loop matrix is refused up front
+        dim = checker._LOOP_DIM_MAX + 1
+        shift = Mat.from_rows([[1 if i == (j + 1) % dim else 0 for j in range(dim)] for i in range(dim)])
+        a = QuantumAutomaton(dim, {"s": SuperOp.from_unitary(shift)}, Mat.unit(dim, 0, 0))
+        e0 = Subspace.from_vectors(dim, [[1] + [0] * (dim - 1)])
+        atoms = {"e0": Atom("e0", e0)}
+
+        def forbidden(self):
+            raise AssertionError("matrix_rep called")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(SuperOp, "matrix_rep", forbidden)
+            with pytest.raises(BudgetExceeded, match="loop refinement"):
+                check(a, parse_formula("[] <> e0", atoms), atoms)
+        program_path, atoms_path = tmp_path / "shift.json", tmp_path / "atoms.json"
+        program_path.write_text(jsonio.dumps(jsonio.program_to_json(a)))
+        atoms_path.write_text(jsonio.dumps([{"name": "e0", "subspace": jsonio.subspace_to_json(e0)}]))
+        assert cli_main(["check", str(program_path), "--atoms", str(atoms_path), "-f", "[] <> e0"]) == 3
+        assert "BudgetExceeded" in capsys.readouterr().err
 
 
 class TestAlwaysUntil:

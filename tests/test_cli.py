@@ -8,6 +8,7 @@ from qtl import jsonio
 from qtl.linalg import Mat
 from qtl.program import QuantumAutomaton, to_automaton
 from qtl.qwhile import compile_source
+from qtl import cli
 from qtl.cli import main
 
 from helpers import (
@@ -487,12 +488,80 @@ class TestMalformedInput:
         captured = capsys.readouterr()
         assert "MalformedInput" in captured.err and "'initial_scheduler'" in captured.err
 
+    @pytest.mark.parametrize("command", ["check", "reach", "compile", "simulate"])
+    @pytest.mark.parametrize(
+        "kind, content",
+        [("directory", None), ("not_utf8", b'{"dimension": "\xff"}'), ("null", b"null"), ("number", b"3"),
+         ("list", b"[]")],
+    )
+    def test_unreadable_program_exit_three(self, tmp_path, capsys, command, kind, content):
+        # a directory, bytes that are no UTF-8, and JSON that is no object
+        path = tmp_path / f"{kind}.json"
+        if content is None:
+            path.mkdir()
+        else:
+            path.write_bytes(content)
+        argv = {
+            "check": ["check", str(path), "-f", "[] true"],
+            "reach": ["reach", str(path)],
+            "compile": ["compile", str(path), "--normal-form"],
+            "simulate": ["simulate", str(path)],
+        }[command]
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ") and "Traceback" not in captured.err
+        if kind in ("null", "number", "list"):
+            assert "MalformedInput" in captured.err and "JSON object" in captured.err
+
+    def test_source_not_utf8_exit_three(self, tmp_path, capsys):
+        path = tmp_path / "latin1.qw"
+        path.write_bytes("qubits 1; // é\n".encode("latin-1"))
+        assert main(["compile", str(path)]) == 3
+        assert "UTF-8" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["check", "simulate"])
+    @pytest.mark.parametrize("content", [b"null", b"3", b'{"name": "p"}'])
+    def test_atom_table_not_a_list_exit_three(self, workspace, capsys, command, content):
+        tmp_path, prog, _, _ = workspace
+        atoms = tmp_path / "atoms_bad.json"
+        atoms.write_bytes(content)
+        argv = ["check", prog, "--atoms", str(atoms), "-f", "[] true"] if command == "check" else [
+            "simulate", prog, "--atoms", str(atoms)]
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and "MalformedInput" in captured.err and "JSON list" in captured.err
+
     def test_budget_not_an_integer_exit_three(self, workspace, capsys, monkeypatch):
         _, prog, _, _ = workspace
         monkeypatch.setenv("QTL_BUDGET", "abc")
         assert main(["simulate", prog]) == 3
         captured = capsys.readouterr()
         assert captured.out == "" and "QTL_BUDGET" in captured.err and "'abc'" in captured.err
+
+
+class TestDecimalNumbers:
+    """JSON numbers with a decimal point are read by their decimal text."""
+
+    def test_decimal_initial_state_checks(self, tmp_path, capsys):
+        # 0.1 and 0.9 as binary doubles do not sum to one
+        path = tmp_path / "decimal.json"
+        path.write_text(
+            '{"dimension": 2, "actions": {"a": {"kraus": [[[1, 0], [0, 1]]]}}, "initial_state": [[0.1, 0], [0, 0.9]]}'
+        )
+        assert main(["check", str(path), "-f", "[] true"]) == 0
+        assert "status: valid" in capsys.readouterr().out
+        assert jsonio.program_from_json(cli._load_json(path)).initial_state == Mat.from_rows([["1/10", 0], [0, "9/10"]])
+
+    def test_decimal_basis(self, tmp_path):
+        path = tmp_path / "atoms.json"
+        path.write_text('[{"name": "u", "subspace": {"dim": 2, "basis": [[0.1, 0.3]]}}, '
+                        '{"name": "v", "subspace": {"dim": 2, "basis": [[1e-1, 2.5E-1]]}}]')
+        atoms = jsonio.atoms_from_json(cli._load_json(path), None)
+        assert atoms["u"].subspace == span((1, 3))
+        assert atoms["v"].subspace == span((2, 5))
+
+    def test_in_process_floats_stay_binary(self):
+        assert Mat.from_rows([[0.1]]).entry(0, 0) == Fraction(0.1) != Fraction(1, 10)
 
 
 class TestCompileCommand:

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -33,7 +34,20 @@ from qtl.linalg import (
 
 from qtl.superop import SuperOp, unvec, vec
 
-from helpers import PAULI_X, mat_from_complex, random_automaton, random_matrix, random_tp_channel
+import qtl.checker as checker
+from qtl.checker import partial_correctness_subspace
+from qtl.program import to_automaton
+
+from helpers import (
+    PAULI_X,
+    mat_from_complex,
+    random_automaton,
+    random_deterministic_program,
+    random_matrix,
+    random_tp_channel,
+    reference_charpoly,
+    span,
+)
 
 
 class TestScalars:
@@ -68,6 +82,17 @@ class TestMatBasics:
         assert (a @ b) @ c == a @ (b @ c)
         assert (a + b) @ c == a @ c + b @ c
         assert a.dagger().dagger() == a
+
+    def test_immutable(self):
+        # the constructor sets the slots past the guard; assignment stays barred
+        m = Mat.from_rows([["1/2", 0], [0, (1, 1)]])
+        for name in ("num_re", "num_im", "den", "rows", "cols", "_key", "_real"):
+            before = getattr(m, name)
+            with pytest.raises(AttributeError):
+                setattr(m, name, 1)
+            assert getattr(m, name) is before
+        assert (m.den, m.rows, m.cols, m.is_real()) == (2, 2, 2, False)
+        assert m.key() == (2, 2, 2, (1, 0, 0, 2), (0, 0, 0, 2))
 
     def test_kron_identity(self):
         assert kron(Mat.eye(2), Mat.eye(2)) == Mat.eye(4)
@@ -777,6 +802,31 @@ class TestEntryParser:
         assert Mat.from_rows([[text]]) == Mat.from_rows([[value]])
         assert Mat.from_rows([[[0, text]]]).entry(0, 0) == CRat(0, value)
 
+    @pytest.mark.parametrize(
+        "entry",
+        ["+3", "007", "-0/5", "1/0", " 3", "1_0", "\u0663", "\u00b2", "-", "3/", Fraction(-3, 4),
+         CRat(Fraction(1, 2), -2), 0.1, -2.5e-3, True],
+    )
+    def test_literal_corpus(self, entry):
+        # strings near the "p"/"p/q" shape, and the other forms, alone, in a
+        # row, and as either part of a complex pair: read as Fraction and
+        # CRat.coerce read them ("\u0663", an Arabic-Indic three, is 3 to
+        # Fraction, the superscript two is no number to it)
+        cases = [[[entry]], [["1/2", entry, 0]]]
+        if not isinstance(entry, CRat):
+            cases += [[[[entry, "1/3"]]], [[["-1/6", entry], 2], [3, 4]]]
+        for rows in cases:
+            try:
+                expected = _reference_mat(rows)
+            except (ValueError, ZeroDivisionError, TypeError, OverflowError):
+                with pytest.raises(MalformedInput, match=re.escape(repr(entry))):
+                    Mat.from_rows(rows)
+                continue
+            assert Mat.from_rows(rows) == expected
+        assert Mat.from_rows([["\u0663"]]) == Mat.from_rows([[3]])
+        with pytest.raises(MalformedInput):
+            Mat.from_rows([["\u00b2"]])
+
     @settings(derandomize=True, max_examples=40, deadline=None)
     @given(st.integers(1, 3).flatmap(
         lambda c: st.lists(st.lists(st.complex_numbers(allow_nan=False, allow_infinity=False), min_size=c, max_size=c),
@@ -800,15 +850,21 @@ class TestEntryParser:
         assert m.to_complex().tolist() == [[float(big), 1 / 3], [-2j / 7, 0]]
 
 
+def _row(coeffs) -> Mat:
+    """The polynomial with the coefficients [c_0, ..., c_n] as the row Mat
+    that charpoly returns."""
+    return Mat.from_rows([list(coeffs)])
+
+
 class TestCharpoly:
     """charpoly against sympy's characteristic polynomial over QQ_I."""
 
     @staticmethod
-    def _expected(m: Mat) -> list:
+    def _expected(m: Mat) -> Mat:
         def frac(x):
             return Fraction(int(x.numerator), int(x.denominator))
 
-        return [CRat(frac(c.x), frac(c.y)) for c in reversed(_to_sympy(m).charpoly())]
+        return _row(CRat(frac(c.x), frac(c.y)) for c in reversed(_to_sympy(m).charpoly()))
 
     @pytest.mark.parametrize("seed", range(3))
     def test_gaussian_rational_matrices(self, seed):
@@ -836,8 +892,8 @@ class TestCharpoly:
                 assert charpoly(m) == self._expected(m)
 
     def test_empty_and_scalar(self):
-        assert charpoly(Mat.zeros(0)) == [CRat(1)]
-        assert charpoly(Mat.from_rows([[(Fraction(1, 2), 3)]])) == [CRat(Fraction(-1, 2), -3), CRat(1)]
+        assert charpoly(Mat.zeros(0)) == _row([1])
+        assert charpoly(Mat.from_rows([[(Fraction(1, 2), 3)]])) == _row([CRat(Fraction(-1, 2), -3), 1])
 
     @pytest.mark.parametrize("seed", range(3))
     def test_nilpotent(self, seed):
@@ -851,7 +907,7 @@ class TestCharpoly:
             while _to_sympy(s).rank() < n:
                 s = _gaussian_matrix(rng, n, n)
             for m in (upper, upper.transpose(), s @ upper @ invert(s)):
-                assert charpoly(m) == [CRat(0)] * n + [CRat(1)]
+                assert charpoly(m) == _row([0] * n + [1])
                 assert charpoly(m) == self._expected(m)
 
     def test_non_square_rejected(self):
@@ -917,6 +973,40 @@ class TestPeripheralPeriod:
         assert all(isinstance(o, tuple) for o in outcomes)
         assert any(b > 1 for _, b in outcomes)
 
+    def test_loop_matrices_up_to_dimension_four(self):
+        # the products of 1-3 matrix representations that the loop
+        # refinement of [] <> forms, at d = 2-4: charpoly and the period
+        # against sympy, on real and on complex loops
+        rng = random.Random(440)
+        realness = set()
+        for dim in (2, 2, 2, 3, 3, 3, 4, 4, 4, 4):
+            a = random_automaton(rng, dim, rng.randint(1, 3), finite_order=rng.random() < 0.5)
+            loop = Mat.eye(dim * dim)
+            for _ in range(rng.randint(1, 3)):
+                loop = a.actions[rng.choice(sorted(a.actions))].matrix_rep() @ loop
+            realness.add(loop.is_real())
+            assert charpoly(loop) == TestCharpoly._expected(loop)
+            self._agrees(loop)
+        assert realness == {True, False}
+
+    def test_program_loops_against_the_fraction_reduction(self, monkeypatch):
+        # the 784 x 784 and 729 x 729 loop matrices of [] <> on two programs
+        # with D = 28 and D = 27, against the Hessenberg reduction over Q(i)
+        loops = []
+
+        def record(m, bound):
+            loops.append(m)
+            return peripheral_period(m, bound)
+
+        monkeypatch.setattr(checker, "peripheral_period", record)
+        for seed, dim, locations in ((2, 4, 6), (0, 3, 8)):
+            prog = random_deterministic_program(random.Random(seed), dim, locations)
+            atom = partial_correctness_subspace(prog, span([1] + [0] * (dim - 1)))
+            checker.check_always_eventually(to_automaton(prog), atom)
+        assert [m.rows for m in loops] == [784, 729]
+        for m in loops:
+            assert charpoly(m) == Mat.from_rows([reference_charpoly(m)])
+
     def test_rotation_family(self):
         for n in (1, 2, 3, 7, 10**9):
             u = _rotation(n)
@@ -945,13 +1035,40 @@ class TestPeripheralPeriod:
         assert peripheral_period(m, 64) == (0, 1)
 
 
+def _poly_mul(a: list, b: list) -> list:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+class TestStrippedGcd:
+    """gcd(p, z^n p(1/z)) for p = z^m q is gcd(q, z^(n-m) q(1/z)), which is
+    what peripheral_period computes."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_equals_the_full_gcd(self, seed):
+        rng = random.Random(460 + seed)
+        cyclotomic = [[-1, 1], [1, 1], [1, 0, 1], [1, 1, 1], [1, -1, 1], [1, 0, 0, 1]]
+        for _ in range(30):
+            q = [rng.choice([-1, 1]) * rng.randint(1, 4)]
+            for _ in range(rng.randint(0, 3)):
+                q = _poly_mul(q, rng.choice(cyclotomic))
+            for _ in range(rng.randint(0, 2)):
+                inner = [rng.randint(-9, 9) for _ in range(rng.randint(0, 3))]
+                q = _poly_mul(q, [rng.choice([-1, 1]) * rng.randint(1, 9), *inner, rng.randint(1, 9)])
+            p = [0] * rng.randint(1, 40) + q
+            assert linalg._gcd(q, q[::-1]) == linalg._gcd(p, p[::-1])
+
+
 class TestPeripheralSplit:
     """The exact split of the spectrum: k eigenvalues on the unit circle,
     all roots of unity of the common order b, and the strictly contracting
     rest."""
 
     def test_identity_channel_all_peripheral(self):
-        assert charpoly(Mat.eye(4)) == [CRat(1), CRat(-4), CRat(6), CRat(-4), CRat(1)]
+        assert charpoly(Mat.eye(4)) == _row([1, -4, 6, -4, 1])
         assert peripheral_period(Mat.eye(4), 64) == (4, 1)
 
     def test_damping_channel(self):
@@ -959,7 +1076,7 @@ class TestPeripheralSplit:
         e1 = Mat.from_rows([[0, 1], [0, 0]])
         m = kron(e0, e0.conj()) + kron(e1, e1.conj())
         # eigenvalues 0 (three times) and 1
-        assert charpoly(m) == [CRat(0), CRat(0), CRat(0), CRat(-1), CRat(1)]
+        assert charpoly(m) == _row([0, 0, 0, -1, 1])
         assert peripheral_period(m, 64) == (1, 1)
 
     def test_measure_hadamard_step_channel_split(self):

@@ -55,6 +55,17 @@ class TestConstruction:
         with pytest.raises(DimensionMismatch):
             span((1, 0)).contains(span((1, 0, 0)))
 
+    def test_immutable(self):
+        # the constructors set the slots past the guard; assignment stays barred
+        s = span((1, 1))
+        u = SubspaceUnion(2, [s, span((1, 0))])
+        for obj, name in ((s, "pivots"), (s, "_rref"), (s, "ambient_dim"), (u, "members"), (u, "ambient_dim")):
+            before = getattr(obj, name)
+            with pytest.raises(AttributeError):
+                setattr(obj, name, None)
+            assert getattr(obj, name) is before
+        assert s.pivots == (0,) and u.ambient_dim == 2 and len(u.members) == 2
+
 
 class TestLattice:
     def test_contains(self):
