@@ -416,7 +416,7 @@ _WITNESS_DEPTH = 12
 _PERIOD_BOUND = 64
 # the loop refinement of [] <> f forms one D^2 x D^2 loop matrix on a space
 # of dimension D, and raises BudgetExceeded past this D instead: at D = 68,
-# the largest program measured, [] <> f peaks at about 900 MB
+# the largest program measured, [] <> f peaks at about 730 MB
 _LOOP_DIM_MAX = 70
 
 
@@ -524,8 +524,8 @@ def _p2_refine(members, cycle, u: SubspaceUnion, actions):
     dim = members[0].ambient_dim
     if dim > _LOOP_DIM_MAX:
         raise BudgetExceeded(
-            f"the loop refinement of [] <> needs a {dim * dim}x{dim * dim} matrix, past its limit for "
-            f"dimension {_LOOP_DIM_MAX}"
+            f"[] <> on a space of dimension {dim} needs a {dim * dim}x{dim * dim} loop matrix; "
+            f"the limit is dimension {_LOOP_DIM_MAX}"
         )
     ms = [actions[name].matrix_rep() for name in word]
     loop = ms[0]

@@ -12,12 +12,14 @@ a + ib and of i(a + ib), columns interleaved, whose reduced form holds the
 complex one in its even rows.
 
 The peripheral spectrum of a channel is exact too
-(:func:`peripheral_period`): the characteristic polynomial p of its matrix
-representation (:func:`charpoly`) is real, its eigenvalues of modulus one
-are the roots of g = gcd(p, z^n p(1/z)), and the period is the least b
-with sqf(g) | z^b - 1.  It is uncertified, with the reason, when g is not
-in Z[z] (a peripheral eigenvalue is not a root of unity) or when no b
-within the bound exists.
+(:func:`peripheral_period`), and runs on integers from end to end: the
+characteristic polynomial p of its matrix representation (:func:`charpoly`,
+a Hessenberg reduction on the integer numerator grids, Gaussian-integer
+pairs for complex input, with a denominator per column) is real, its
+eigenvalues of modulus one are the roots of g = gcd(p, z^n p(1/z)), and
+the period is the least b with sqf(g) | z^b - 1.  It is uncertified, with
+the reason, when g is not in Z[z] (a peripheral eigenvalue is not a root
+of unity) or when no b within the bound exists.
 """
 
 from __future__ import annotations
@@ -190,27 +192,39 @@ def _read_rows(rows) -> "Mat":
     in one pass: the real and imaginary parts as (numerator, denominator)
     pairs, one lcm of the denominators, then the integer grids."""
     width = len(rows[0]) if rows else 0
-    nums, dens, imag = [], [], {}
-    for row in rows:
-        for e in row:
-            t = type(e)
-            if t is str or t is int:
-                n, d = _ratio(e)
-            elif (t is list or t is tuple) and len(e) == 2:
-                n, d = _ratio(e[0])
-                im = _ratio(e[1])
-                if im[0]:
-                    imag[len(nums)] = im
-            else:
-                c = e if t is CRat else CRat.coerce(e)
-                n, d = c.re.numerator, c.re.denominator
-                if c.im:
-                    imag[len(nums)] = c.im.numerator, c.im.denominator
-            nums.append(n)
-            dens.append(d)
+    size = sum(map(len, rows))
+    nums, dens, imag = [0] * size, [1] * size, {}
+    match = _RATIO.fullmatch
+    for k, e in enumerate(itertools.chain.from_iterable(rows)):
+        t = type(e)
+        if t is str:
+            # zero, the most common entry, and "p" and "p/q" inline; the
+            # other strings, and a zero q (ZeroDivisionError), through _ratio
+            if e == "0":
+                continue
+            m = match(e)
+            if m is not None:
+                num, den = m.groups()
+                den = int(den) if den else 1
+                if den:
+                    nums[k], dens[k] = int(num), den
+                    continue
+            nums[k], dens[k] = _ratio(e)
+        elif t is int:
+            nums[k] = e
+        elif (t is list or t is tuple) and len(e) == 2:
+            nums[k], dens[k] = _ratio(e[0])
+            im = _ratio(e[1])
+            if im[0]:
+                imag[k] = im
+        else:
+            c = e if t is CRat else CRat.coerce(e)
+            nums[k], dens[k] = c.re.numerator, c.re.denominator
+            if c.im:
+                imag[k] = c.im.numerator, c.im.denominator
     if any(len(row) != width for row in rows):
         raise DimensionMismatch("ragged rows")
-    if not nums:
+    if not size:
         return Mat.zeros(len(rows), width)
     den = math.lcm(*dens, *[d for _, d in imag.values()])
     if den != 1:
@@ -930,6 +944,20 @@ def is_psd(m: Mat) -> bool:
 # A polynomial is the list of its coefficients, that of z^k at index k.
 
 
+def _to_column(a, d, i, h, a_im=None):
+    """After row i of the matrix with entries a[r][j] / d[j] (and imaginary
+    parts a_im[r][j] / d[j]) was divided by h: the rest of the diagonal
+    similarity, column i times h, taken from d[i] as far as h divides it."""
+    g = math.gcd(h, d[i])
+    d[i] //= g
+    f = h // g
+    if f > 1:
+        for grid in (a, a_im) if a_im is not None else (a,):
+            for row in grid:
+                if row[i]:
+                    row[i] *= f
+
+
 def _hessenberg_int(a, d):
     """Reduce the real matrix with entries a[i][j] / d[j] to a similar upper
     Hessenberg one of the same form, in place: ``a`` is a list of integer
@@ -945,7 +973,11 @@ def _hessenberg_int(a, d):
     the column operation becomes column k + 1 += w column i on the values
     a[.][j] / d[j], done over the lcm of the two denominators.  So a step
     touches only the rows it clears and column k + 1, as over Q, and no
-    rational is formed; zero entries are skipped as there."""
+    rational is formed; zero entries are skipped as there.  Unchecked, the
+    factors q pile up in the rows and the denominators and the integers
+    grow exponentially on dense input; so each cleared row is divided by
+    its content h, with the similarity's other half, column i times h,
+    taken out of d[i] (:func:`_to_column`)."""
     n = len(a)
     for k in range(n - 2):
         for piv in range(k + 1, n):
@@ -986,6 +1018,10 @@ def _hessenberg_int(a, d):
                     row[c] = row[c] * sc + w * x
                 elif sc != 1 and row[c]:
                     row[c] *= sc
+            h = math.gcd(*row_i)
+            if h > 1:
+                a[i] = [x // h for x in row_i]
+                _to_column(a, d, i, h)
 
 
 def _hessenberg_gauss(ar, ai, d):
@@ -1040,6 +1076,10 @@ def _hessenberg_gauss(ar, ai, d):
                 elif sc != 1:
                     row_r[c] *= sc
                     row_i[c] *= sc
+            h = math.gcd(*rr, *ri)
+            if h > 1:
+                ar[i], ai[i] = [x // h for x in rr], [x // h for x in ri]
+                _to_column(ar, d, i, h, ai)
 
 
 def _hessenberg_det_int(h, d) -> list:
@@ -1191,10 +1231,13 @@ def peripheral_period(m: Mat, bound: int) -> tuple:
     eigenvalues of modulus one, with multiplicity, and the least b <=
     ``bound`` with lambda^b = 1 for each of them, exactly.
 
-    The characteristic polynomial p of m is real, as m commutes with
-    X -> X† (PreconditionViolated otherwise), and the eigenvalues lie in the
-    closed unit disk, so g = gcd(p, z^n p(1/z)) has exactly the unimodular
-    ones as its roots: k = deg g.  If the monic g is not in Z[z], a root of
+    The characteristic polynomial p of m (:func:`charpoly`, read as its
+    integer numerators) is real, as m commutes with X -> X†
+    (PreconditionViolated otherwise), and the eigenvalues lie in the closed
+    unit disk, so g = gcd(p, z^n p(1/z)) has exactly the unimodular ones as
+    its roots: k = deg g.  For p = z^s q with q(0) != 0, z^n p(1/z) is
+    z^(n-s) q(1/z), which z does not divide, so g = gcd(q, z^(n-s) q(1/z)):
+    both gcds run on q, whose degree is at most the rank of m.  If the monic g is not in Z[z], a root of
     g is no algebraic integer, so no root of unity; otherwise every root is
     one (Kronecker), and b is the least b with sqf(g) | z^b - 1.  Either
     failure raises UncertifiedPeriod with its reason.
@@ -1202,7 +1245,6 @@ def peripheral_period(m: Mat, bound: int) -> tuple:
     p = charpoly(m)
     if not p.is_real():
         raise PreconditionViolated("characteristic polynomial is not real: not a channel's matrix representation")
-    # p = z^s q with q(0) != 0, and gcd(p, z^n p(1/z)) = gcd(q, z^(n-s) q(1/z))
     p = p.num_re[0].tolist()
     q = p[next(s for s, c in enumerate(p) if c):]
     g = _gcd(q, q[::-1])

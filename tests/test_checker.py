@@ -643,7 +643,7 @@ class TestLoopGuard:
 
         with monkeypatch.context() as patch:
             patch.setattr(SuperOp, "matrix_rep", forbidden)
-            with pytest.raises(BudgetExceeded, match="loop refinement"):
+            with pytest.raises(BudgetExceeded, match="loop matrix"):
                 check(a, parse_formula("[] <> e0", atoms), atoms)
         program_path, atoms_path = tmp_path / "shift.json", tmp_path / "atoms.json"
         program_path.write_text(jsonio.dumps(jsonio.program_to_json(a)))

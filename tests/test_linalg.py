@@ -891,6 +891,25 @@ class TestCharpoly:
             for m in (Mat.from_rows(rows), Mat.from_rows([[x.re for x in row] for row in rows])):
                 assert charpoly(m) == self._expected(m)
 
+    def test_dense_matrices_against_the_fraction_reduction(self):
+        # dense grids of rationals, real 16 x 16 and complex 12 x 12: every
+        # cleared row's content goes back into its column's denominator,
+        # and into the column's entries where it does not divide it
+        rng = random.Random(470)
+
+        def rational():
+            return Fraction(rng.randint(-20, 20), rng.randint(1, 12))
+
+        for n, real in ((16, True), (12, False)):
+            m = Mat.from_rows([[rational() if real else (rational(), rational()) for _ in range(n)] for _ in range(n)])
+            assert charpoly(m) == Mat.from_rows([reference_charpoly(m)])
+        # integer grids whose even rows are even: contents that the
+        # denominators do not absorb
+        for n in (6, 10):
+            rows = [[rng.randint(-5, 5) * (2 if i % 2 == 0 else 1) for _ in range(n)] for i in range(n)]
+            for m in (Mat.from_rows(rows), Mat.from_rows([[(x, y) for x, y in zip(r, reversed(r))] for r in rows])):
+                assert charpoly(m) == Mat.from_rows([reference_charpoly(m)])
+
     def test_empty_and_scalar(self):
         assert charpoly(Mat.zeros(0)) == _row([1])
         assert charpoly(Mat.from_rows([[(Fraction(1, 2), 3)]])) == _row([CRat(Fraction(-1, 2), -3), 1])
