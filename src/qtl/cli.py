@@ -29,11 +29,15 @@ EXIT_UNKNOWN = 2
 EXIT_ERROR = 3
 
 
+# reads a JSON number with a fraction or an exponent by its decimal text (0.1
+# is 1/10, not the binary double nearest to it); built once, as json.load
+# builds a new decoder on every call that passes parse_float
+_DECODER = json.JSONDecoder(parse_float=Fraction)
+
+
 def _load_json(path):
-    """The JSON document at path, its decimal numbers read exactly as
-    written (0.1 is 1/10, not the binary double nearest to it)."""
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh, parse_float=Fraction)
+        return _DECODER.decode(fh.read())
 
 
 def _load_program(path):
