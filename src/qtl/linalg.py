@@ -1027,7 +1027,9 @@ def _hessenberg_int(a, d):
 def _hessenberg_gauss(ar, ai, d):
     """:func:`_hessenberg_int` on Gaussian integers, the real parts in
     ``ar`` and the imaginary parts in ``ai``: t/p = w/q with w = t conj(p)
-    and q = |p|^2, in lowest terms."""
+    and q = |p|^2, in lowest terms.  Real input keeps its own kernel, which
+    takes about half the time of this one on the real loop matrices of the
+    lattice-small benchmark."""
     n = len(ar)
     for k in range(n - 2):
         for piv in range(k + 1, n):
