@@ -560,9 +560,6 @@ class TestDecimalNumbers:
         assert atoms["u"].subspace == span((1, 3))
         assert atoms["v"].subspace == span((2, 5))
 
-    def test_in_process_floats_stay_binary(self):
-        assert Mat.from_rows([[0.1]]).entry(0, 0) == Fraction(0.1) != Fraction(1, 10)
-
 
 class TestCompileCommand:
     def test_compile_to_file(self, workspace, tmp_path):
