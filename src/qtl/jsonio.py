@@ -106,13 +106,6 @@ def union_to_json(u: SubspaceUnion):
     return [subspace_to_json(m) for m in u.members]
 
 
-def union_from_json(obj) -> SubspaceUnion:
-    members = [subspace_from_json(s) for s in obj]
-    if not members:
-        raise QtlError("a union needs at least one subspace")
-    return SubspaceUnion(members[0].ambient_dim, members)
-
-
 def channel_to_json(e: SuperOp):
     return {"kraus": [mat_to_json(k) for k in e.kraus]}
 

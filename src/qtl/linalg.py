@@ -14,12 +14,13 @@ complex one in its even rows.
 The peripheral spectrum of a channel is exact too
 (:func:`peripheral_period`), and runs on integers from end to end: the
 characteristic polynomial p of its matrix representation (:func:`charpoly`,
-a Hessenberg reduction on the integer numerator grids, Gaussian-integer
-pairs for complex input, with a denominator per column) is real, its
-eigenvalues of modulus one are the roots of g = gcd(p, z^n p(1/z)), and
-the period is the least b with sqf(g) | z^b - 1.  It is uncertified, with
-the reason, when g is not in Z[z] (a peripheral eigenvalue is not a root
-of unity) or when no b within the bound exists.
+a Hessenberg reduction on the integer numerator grids with a denominator
+per column; a complex matrix is first made real in a Hermitian operator
+basis, which a channel maps to itself) is real, its eigenvalues of
+modulus one are the roots of g = gcd(p, z^n p(1/z)), and the period is the
+least b with sqf(g) | z^b - 1.  It is uncertified, with the reason, when g
+is not in Z[z] (a peripheral eigenvalue is not a root of unity) or when no
+b within the bound exists.
 """
 
 from __future__ import annotations
@@ -350,9 +351,6 @@ class Mat:
 
     def entries(self):
         return [[self.entry(i, j) for j in range(self.cols)] for i in range(self.rows)]
-
-    def column_vectors(self):
-        return [self[:, j] for j in range(self.cols)]
 
     def __getitem__(self, idx):
         sub_re = self.num_re[idx]
@@ -944,24 +942,25 @@ def is_psd(m: Mat) -> bool:
 # A polynomial is the list of its coefficients, that of z^k at index k.
 
 
-def _to_column(a, d, i, h, a_im=None):
-    """After row i of the matrix with entries a[r][j] / d[j] (and imaginary
-    parts a_im[r][j] / d[j]) was divided by h: the rest of the diagonal
-    similarity, column i times h, taken from d[i] as far as h divides it."""
+def _to_column(a, d, i, h):
+    """After row i of the matrix with entries a[r][j] / d[j] was divided by
+    h: the rest of the diagonal similarity, column i times h, taken from
+    d[i] as far as h divides it."""
     g = math.gcd(h, d[i])
     d[i] //= g
     f = h // g
     if f > 1:
-        for grid in (a, a_im) if a_im is not None else (a,):
-            for row in grid:
-                if row[i]:
-                    row[i] *= f
+        for row in a:
+            if row[i]:
+                row[i] *= f
 
 
 def _hessenberg_int(a, d):
     """Reduce the real matrix with entries a[i][j] / d[j] to a similar upper
     Hessenberg one of the same form, in place: ``a`` is a list of integer
-    rows, ``d`` the positive column denominators.
+    rows, ``d`` the positive column denominators.  A channel's complex
+    matrix representation comes here as its real matrix in a Hermitian
+    operator basis (:func:`_hermitian_rows`).
 
     Column k's pivot is its first nonzero entry below the diagonal, swapped
     to row k + 1 (with column k + 1); each other nonzero entry t of the
@@ -1024,66 +1023,6 @@ def _hessenberg_int(a, d):
                 _to_column(a, d, i, h)
 
 
-def _hessenberg_gauss(ar, ai, d):
-    """:func:`_hessenberg_int` on Gaussian integers, the real parts in
-    ``ar`` and the imaginary parts in ``ai``: t/p = w/q with w = t conj(p)
-    and q = |p|^2, in lowest terms.  Real input keeps its own kernel, which
-    takes about half the time of this one on the real loop matrices of the
-    lattice-small benchmark."""
-    n = len(ar)
-    for k in range(n - 2):
-        for piv in range(k + 1, n):
-            if ar[piv][k] or ai[piv][k]:
-                break
-        else:
-            continue
-        c = k + 1
-        if piv != c:
-            for a in (ar, ai):
-                a[piv], a[c] = a[c], a[piv]
-                for row in a:
-                    row[piv], row[c] = row[c], row[piv]
-            d[piv], d[c] = d[c], d[piv]
-        pr_row, pi_row = ar[c], ai[c]
-        pr, pi = pr_row[k], pi_row[k]
-        for i in range(k + 2, n):
-            rr, ri = ar[i], ai[i]
-            tr, ti = rr[k], ri[k]
-            if not (tr or ti):
-                continue
-            q, wr, wi = pr * pr + pi * pi, tr * pr + ti * pi, ti * pr - tr * pi
-            g = math.gcd(q, wr, wi)
-            q, wr, wi = q // g, wr // g, wi // g
-            rr[k] = ri[k] = 0
-            for j in range(c, n):
-                br, bi = pr_row[j], pi_row[j]
-                if br or bi:
-                    xr, xi = rr[j], ri[j]
-                    rr[j] = q * xr - wr * br + wi * bi
-                    ri[j] = q * xi - wr * bi - wi * br
-                elif q != 1:
-                    rr[j] *= q
-                    ri[j] *= q
-            di = d[i] = d[i] * q
-            dc = d[c]
-            g = math.gcd(dc, di)
-            sc, s = di // g, dc // g
-            wr, wi = wr * s, wi * s
-            d[c] = dc * sc
-            for row_r, row_i in zip(ar, ai):
-                xr, xi = row_r[i], row_i[i]
-                if xr or xi:
-                    row_r[c] = row_r[c] * sc + wr * xr - wi * xi
-                    row_i[c] = row_i[c] * sc + wr * xi + wi * xr
-                elif sc != 1:
-                    row_r[c] *= sc
-                    row_i[c] *= sc
-            h = math.gcd(*rr, *ri)
-            if h > 1:
-                ar[i], ai[i] = [x // h for x in rr], [x // h for x in ri]
-                _to_column(ar, d, i, h, ai)
-
-
 def _hessenberg_det_int(h, d) -> list:
     """det(z diag(d) - h) for the real upper Hessenberg integer rows h, as
     a primitive integer polynomial with a positive leading coefficient: a
@@ -1124,50 +1063,61 @@ def _hessenberg_det_int(h, d) -> list:
     return [0] * zeros + [y // g for y in p]
 
 
-def _hessenberg_det_gauss(hr, hi, d) -> tuple:
-    """:func:`_hessenberg_det_int` on Gaussian integers: the real and the
-    imaginary coefficient lists, divided by their common content."""
-    n, zeros, s, polys = len(hr), 0, 0, [([1], [0])]
-    for k in range(n):
-        if k > s and not (hr[k][k - 1] or hi[k][k - 1]):
-            pr, pi = polys[-1]
-            g = math.gcd(*pr, *pi)
-            s, polys = k, [([y // g for y in pr], [y // g for y in pi])]
-        xr, xi = hr[k][k], hi[k][k]
-        if k == s and not (xr or xi) and (k + 1 == n or not (hr[k + 1][k] or hi[k + 1][k])):
-            zeros, s = zeros + 1, k + 1
-            continue
-        pr, pi = polys[-1]
-        nr, ni = [0] + [d[k] * y for y in pr], [0] + [d[k] * y for y in pi]
-        terms = [(xr, xi, pr, pi)]
-        tr, ti = 1, 0
-        for i in range(k - 1, s - 1, -1):
-            ar, ai = hr[i + 1][i], hi[i + 1][i]
-            tr, ti = tr * ar - ti * ai, tr * ai + ti * ar
-            xr, xi = hr[i][k], hi[i][k]
-            if xr or xi:
-                terms.append((xr * tr - xi * ti, xr * ti + xi * tr, *polys[i - s]))
-        for fr, fi, qr, qi in terms:
-            if fr or fi:
-                for j in range(len(qr)):
-                    yr, yi = qr[j], qi[j]
-                    nr[j] -= fr * yr - fi * yi
-                    ni[j] -= fr * yi + fi * yr
-        polys.append((nr, ni))
-    pr, pi = polys[-1]
-    g = math.gcd(*pr, *pi)
-    pad = [0] * zeros
-    return pad + [y // g for y in pr], pad + [y // g for y in pi]
+def _hermitian_rows(m: Mat) -> list:
+    """The integer rows of 2 T^-1 N T, over the denominator 2 m.den, for the
+    complex n x n matrix m = N / m.den with n = d^2 and T the change to the
+    Hermitian operator basis {E_ii, E_ij + E_ji, i(E_ij - E_ji)} of the
+    row-major vec: for index a = i d + j and its mirror b = j d + i, i < j,
+    T's columns a and b are e_a + e_b and i(e_a - e_b), and 2 T^-1 takes
+    rows a and b to their sum and to -i times their difference, doubling
+    the diagonal rows i d + i.  The result has m's characteristic
+    polynomial, and is real exactly when m maps Hermitian operators to
+    Hermitian ones, as a channel's matrix representation does;
+    PreconditionViolated otherwise."""
+    n = m.rows
+    d = math.isqrt(n)
+    if d * d != n or m.cols != n:
+        raise PreconditionViolated(f"a {m.rows} x {m.cols} matrix is no matrix representation on operators")
+    re, im = m.num_re.tolist(), m.num_im.tolist()
+    pairs = [(i * d + j, j * d + i) for i in range(d) for j in range(i + 1, d)]
+    # columns: N T
+    for rr, ri in zip(re, im):
+        for a, b in pairs:
+            xr, xi, yr, yi = rr[a], ri[a], rr[b], ri[b]
+            rr[a], ri[a], rr[b], ri[b] = xr + yr, xi + yi, yi - xi, xr - yr
+    # rows: 2 T^-1 (N T)
+    for i in range(d):
+        a = i * d + i
+        re[a], im[a] = [2 * x for x in re[a]], [2 * x for x in im[a]]
+    for a, b in pairs:
+        ra, ia, rb, ib = re[a], im[a], re[b], im[b]
+        re[a], im[a] = [x + y for x, y in zip(ra, rb)], [x + y for x, y in zip(ia, ib)]
+        re[b], im[b] = [x - y for x, y in zip(ia, ib)], [y - x for x, y in zip(ra, rb)]
+    if any(any(row) for row in im):
+        raise PreconditionViolated(
+            "the matrix does not map Hermitian operators to Hermitian ones: not a channel's matrix representation"
+        )
+    return re
+
+
+def _charpoly_int(a, den) -> list:
+    """det(z den I - a) over its content, for the square integer rows a:
+    a positive integer multiple of the characteristic polynomial of a / den
+    with a positive leading coefficient.  ``a`` is reduced in place."""
+    d = [den] * len(a)
+    _hessenberg_int(a, d)
+    return _hessenberg_det_int(a, d)
 
 
 def charpoly(m: Mat) -> Mat:
-    """The coefficients of det(zI - m) = sum_k c_k z^k, as the row Mat
-    [c_0 ... c_n], computed on integers alone.
+    """The coefficients of det(zI - m) = sum_k c_k z^k for a real m, as the
+    row Mat [c_0 ... c_n], computed on integers alone; PreconditionViolated
+    for a complex m (a channel's complex matrix representation has the
+    characteristic polynomial of its real matrix :func:`_hermitian_rows`).
 
     m = N / den is taken as the matrix with entries N[i][j] / d[j], d = den
     in every column, and reduced to an upper Hessenberg matrix H of that
-    shape (:func:`_hessenberg_int`; Gaussian-integer pairs for a complex m,
-    :func:`_hessenberg_gauss`).  As H = N_H diag(d)^-1, det(z diag(d) -
+    shape (:func:`_hessenberg_int`).  As H = N_H diag(d)^-1, det(z diag(d) -
     N_H) is prod(d) times the characteristic polynomial, and
     :func:`_hessenberg_det_int` returns it divided by its content: an
     integer polynomial P with positive leading coefficient and c_k =
@@ -1175,16 +1125,10 @@ def charpoly(m: Mat) -> Mat:
     """
     if not m.is_square():
         raise DimensionMismatch("the characteristic polynomial needs a square matrix")
-    d = [m.den] * m.rows
-    if m.is_real():
-        a = m.num_re.tolist()
-        _hessenberg_int(a, d)
-        num = np.array([_hessenberg_det_int(a, d)], dtype=object)
-        return Mat(num, np.zeros(num.shape, dtype=object), num[0, -1], _normalized=True, _real=True)
-    ar, ai = m.num_re.tolist(), m.num_im.tolist()
-    _hessenberg_gauss(ar, ai, d)
-    re, im = _hessenberg_det_gauss(ar, ai, d)
-    return Mat(np.array([re], dtype=object), np.array([im], dtype=object), re[-1], _normalized=True)
+    if not m.is_real():
+        raise PreconditionViolated("charpoly takes a real matrix")
+    num = np.array([_charpoly_int(m.num_re.tolist(), m.den)], dtype=object)
+    return Mat(num, np.zeros(num.shape, dtype=object), num[0, -1], _normalized=True, _real=True)
 
 
 def _primitive(p: list) -> list:
@@ -1233,10 +1177,11 @@ def peripheral_period(m: Mat, bound: int) -> tuple:
     eigenvalues of modulus one, with multiplicity, and the least b <=
     ``bound`` with lambda^b = 1 for each of them, exactly.
 
-    The characteristic polynomial p of m (:func:`charpoly`, read as its
-    integer numerators) is real, as m commutes with X -> X†
-    (PreconditionViolated otherwise), and the eigenvalues lie in the closed
-    unit disk, so g = gcd(p, z^n p(1/z)) has exactly the unimodular ones as
+    The characteristic polynomial p of m (as :func:`charpoly` computes it,
+    read as its integer numerators; of the real matrix
+    :func:`_hermitian_rows` for a complex m, which raises
+    PreconditionViolated unless m commutes with X -> X†) is real, and the
+    eigenvalues lie in the closed unit disk, so g = gcd(p, z^n p(1/z)) has exactly the unimodular ones as
     its roots: k = deg g.  For p = z^s q with q(0) != 0, z^n p(1/z) is
     z^(n-s) q(1/z), which z does not divide, so g = gcd(q, z^(n-s) q(1/z)):
     both gcds run on q, whose degree is at most the rank of m.  If the monic g is not in Z[z], a root of
@@ -1244,10 +1189,10 @@ def peripheral_period(m: Mat, bound: int) -> tuple:
     one (Kronecker), and b is the least b with sqf(g) | z^b - 1.  Either
     failure raises UncertifiedPeriod with its reason.
     """
-    p = charpoly(m)
-    if not p.is_real():
-        raise PreconditionViolated("characteristic polynomial is not real: not a channel's matrix representation")
-    p = p.num_re[0].tolist()
+    if m.is_real():
+        p = charpoly(m).num_re[0].tolist()
+    else:
+        p = _charpoly_int(_hermitian_rows(m), 2 * m.den)
     q = p[next(s for s, c in enumerate(p) if c):]
     g = _gcd(q, q[::-1])
     if len(g) == 1:

@@ -856,8 +856,26 @@ def _row(coeffs) -> Mat:
     return Mat.from_rows([list(coeffs)])
 
 
+def _hermitian_basis_matrix(m: Mat) -> Mat:
+    """The real matrix of linalg._hermitian_rows(m) over its denominator."""
+    rows = np.array(linalg._hermitian_rows(m), dtype=object)
+    return Mat(rows, np.zeros(rows.shape, dtype=object), 2 * m.den)
+
+
+def _dense_tp_channel(rng, d) -> SuperOp:
+    """A trace-preserving channel on C^d with two dense complex Kraus
+    operators: the d x d blocks of the first d columns of the Cayley
+    unitary (I - iH)(I + iH)^-1 of a random Hermitian H on C^2d."""
+    b = random_matrix(rng, 2 * d, bound=2)
+    ih = (b + b.dagger()) * CRat(0, 1)
+    v = ((Mat.eye(2 * d) - ih) @ invert(Mat.eye(2 * d) + ih))[:, :d]
+    return SuperOp([v[:d, :], v[d:, :]])
+
+
 class TestCharpoly:
-    """charpoly against sympy's characteristic polynomial over QQ_I."""
+    """charpoly against sympy's characteristic polynomial over QQ_I; a
+    complex matrix is rejected, and a channel's complex matrix
+    representation is taken in the Hermitian operator basis."""
 
     @staticmethod
     def _expected(m: Mat) -> Mat:
@@ -872,7 +890,11 @@ class TestCharpoly:
         for n in range(7):
             for r in (None, max(n - 2, 0)):
                 m = _gaussian_or_empty(rng, n, n) if r is None else _gaussian_matrix(rng, n, n, r)
-                assert charpoly(m) == self._expected(m)
+                if m.is_real():
+                    assert charpoly(m) == self._expected(m)
+                else:
+                    with pytest.raises(PreconditionViolated):
+                        charpoly(m)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_real_matrices(self, seed):
@@ -888,13 +910,18 @@ class TestCharpoly:
         rng = random.Random(430 + seed)
         for n in range(1, 8):
             rows = [[_gaussian_rational(rng) if rng.random() < 0.3 else CRat(0) for _ in range(n)] for _ in range(n)]
-            for m in (Mat.from_rows(rows), Mat.from_rows([[x.re for x in row] for row in rows])):
-                assert charpoly(m) == self._expected(m)
+            m = Mat.from_rows(rows)
+            if not m.is_real():
+                with pytest.raises(PreconditionViolated):
+                    charpoly(m)
+            m = Mat.from_rows([[x.re for x in row] for row in rows])
+            assert charpoly(m) == self._expected(m)
 
     def test_dense_matrices_against_the_fraction_reduction(self):
-        # dense grids of rationals, real 16 x 16 and complex 12 x 12: every
-        # cleared row's content goes back into its column's denominator,
-        # and into the column's entries where it does not divide it
+        # dense grids of rationals, real 16 x 16 (complex 12 x 12 ones are
+        # rejected): every cleared row's content goes back into its
+        # column's denominator, and into the column's entries where it does
+        # not divide it
         rng = random.Random(470)
 
         def rational():
@@ -902,32 +929,73 @@ class TestCharpoly:
 
         for n, real in ((16, True), (12, False)):
             m = Mat.from_rows([[rational() if real else (rational(), rational()) for _ in range(n)] for _ in range(n)])
-            assert charpoly(m) == Mat.from_rows([reference_charpoly(m)])
+            if real:
+                assert charpoly(m) == Mat.from_rows([reference_charpoly(m)])
+            else:
+                with pytest.raises(PreconditionViolated):
+                    charpoly(m)
         # integer grids whose even rows are even: contents that the
         # denominators do not absorb
         for n in (6, 10):
             rows = [[rng.randint(-5, 5) * (2 if i % 2 == 0 else 1) for _ in range(n)] for i in range(n)]
-            for m in (Mat.from_rows(rows), Mat.from_rows([[(x, y) for x, y in zip(r, reversed(r))] for r in rows])):
-                assert charpoly(m) == Mat.from_rows([reference_charpoly(m)])
+            m = Mat.from_rows(rows)
+            assert charpoly(m) == Mat.from_rows([reference_charpoly(m)])
+            with pytest.raises(PreconditionViolated):
+                charpoly(Mat.from_rows([[(x, y) for x, y in zip(r, reversed(r))] for r in rows]))
 
     def test_empty_and_scalar(self):
         assert charpoly(Mat.zeros(0)) == _row([1])
-        assert charpoly(Mat.from_rows([[(Fraction(1, 2), 3)]])) == _row([CRat(Fraction(-1, 2), -3), 1])
+        assert charpoly(Mat.from_rows([[Fraction(1, 2)]])) == _row([Fraction(-1, 2), 1])
+        with pytest.raises(PreconditionViolated):
+            charpoly(Mat.from_rows([[(Fraction(1, 2), 3)]]))
 
     @pytest.mark.parametrize("seed", range(3))
     def test_nilpotent(self, seed):
         # z^n, also when a similarity hides the strictly triangular form and
-        # the Hessenberg pivots must be searched for
+        # the Hessenberg pivots must be searched for; on real entries, as
+        # the complex ones are rejected
         rng = random.Random(420 + seed)
         for n in range(1, 7):
             rows = [[_gaussian_rational(rng) if j > i else 0 for j in range(n)] for i in range(n)]
-            upper = Mat.from_rows(rows)
             s = _gaussian_matrix(rng, n, n)
             while _to_sympy(s).rank() < n:
                 s = _gaussian_matrix(rng, n, n)
+            s_re = _real_part(s)
+            while _to_sympy(s_re).rank() < n:
+                s_re = _gaussian_matrix(rng, n, n, real=True)
+            upper, upper_re = Mat.from_rows(rows), _real_part(Mat.from_rows(rows))
             for m in (upper, upper.transpose(), s @ upper @ invert(s)):
+                if not m.is_real():
+                    with pytest.raises(PreconditionViolated):
+                        charpoly(m)
+            for m in (upper_re, upper_re.transpose(), s_re @ upper_re @ invert(s_re)):
                 assert charpoly(m) == _row([0] * n + [1])
                 assert charpoly(m) == self._expected(m)
+
+    def test_complex_channel_matrices(self):
+        # a channel's complex matrix representation in the Hermitian
+        # operator basis: real, with the characteristic polynomial of the
+        # original over QQ_I; on random_automaton loops at d = 2-4, on
+        # X -> u X u† for complex rational u, and on dense complex channels
+        rng = random.Random(480)
+        mats = []
+        for dim in (2, 2, 3, 3, 4, 4):
+            a = random_automaton(rng, dim, rng.randint(1, 3))
+            loop = Mat.eye(dim * dim)
+            for _ in range(rng.randint(1, 3)):
+                loop = a.actions[rng.choice(sorted(a.actions))].matrix_rep() @ loop
+            mats.append(loop)
+        for dim in (2, 3):
+            u = _gaussian_matrix(rng, dim, dim)
+            mats.append(kron(u, u.conj()))
+        for dim in (3, 4):
+            mats.append(_dense_tp_channel(rng, dim).matrix_rep())
+        assert sum(not m.is_real() for m in mats) >= 3
+        for m in mats:
+            real = _hermitian_basis_matrix(m)
+            assert real.is_real()
+            assert charpoly(real) == self._expected(m)
+            assert charpoly(real) == Mat.from_rows([reference_charpoly(m)])
 
     def test_non_square_rejected(self):
         with pytest.raises(DimensionMismatch):
@@ -995,7 +1063,8 @@ class TestPeripheralPeriod:
     def test_loop_matrices_up_to_dimension_four(self):
         # the products of 1-3 matrix representations that the loop
         # refinement of [] <> forms, at d = 2-4: charpoly and the period
-        # against sympy, on real and on complex loops
+        # against sympy, on real and on complex loops (charpoly rejects a
+        # complex one, whose period comes from its Hermitian-basis matrix)
         rng = random.Random(440)
         realness = set()
         for dim in (2, 2, 2, 3, 3, 3, 4, 4, 4, 4):
@@ -1004,13 +1073,18 @@ class TestPeripheralPeriod:
             for _ in range(rng.randint(1, 3)):
                 loop = a.actions[rng.choice(sorted(a.actions))].matrix_rep() @ loop
             realness.add(loop.is_real())
-            assert charpoly(loop) == TestCharpoly._expected(loop)
+            if loop.is_real():
+                assert charpoly(loop) == TestCharpoly._expected(loop)
+            else:
+                with pytest.raises(PreconditionViolated):
+                    charpoly(loop)
             self._agrees(loop)
         assert realness == {True, False}
 
     def test_program_loops_against_the_fraction_reduction(self, monkeypatch):
         # the 784 x 784 and 729 x 729 loop matrices of [] <> on two programs
-        # with D = 28 and D = 27, against the Hessenberg reduction over Q(i)
+        # with D = 28 and D = 27, in the Hermitian operator basis where
+        # complex, against the Hessenberg reduction over Q(i)
         loops = []
 
         def record(m, bound):
@@ -1024,7 +1098,8 @@ class TestPeripheralPeriod:
             checker.check_always_eventually(to_automaton(prog), atom)
         assert [m.rows for m in loops] == [784, 729]
         for m in loops:
-            assert charpoly(m) == Mat.from_rows([reference_charpoly(m)])
+            real = m if m.is_real() else _hermitian_basis_matrix(m)
+            assert charpoly(real) == Mat.from_rows([reference_charpoly(m)])
 
     def test_rotation_family(self):
         for n in (1, 2, 3, 7, 10**9):
@@ -1047,6 +1122,17 @@ class TestPeripheralPeriod:
         # X -> i X does not map Hermitian operators to Hermitian operators
         with pytest.raises(PreconditionViolated):
             peripheral_period(Mat.eye(4) * CRat(0, 1), 64)
+
+    def test_complex_non_channel_matrices_rejected(self):
+        # real characteristic polynomials, but no channel's matrix
+        # representation: diag(i, -i, i, -i) does not preserve Hermiticity,
+        # and 3 x 3 is no operator space
+        i = CRat(0, 1)
+        for diagonal in ([i, -i, i, -i], [i, -i, CRat(1)]):
+            n = len(diagonal)
+            m = Mat.from_rows([[diagonal[r] if r == c else 0 for c in range(n)] for r in range(n)])
+            with pytest.raises(PreconditionViolated):
+                peripheral_period(m, 64)
 
     def test_band_decided_exactly(self):
         # 1 - 10^-9, inside the band a float classification cannot decide

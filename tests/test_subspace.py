@@ -268,7 +268,8 @@ def subspace_pairs(draw):
     if draw(st.booleans()):
         a = Subspace(n, a.rref @ _coordinate_mask(rng, n))
     if a.dim and draw(st.booleans()):
-        basis = a.rref.transpose().column_vectors()
+        t = a.rref.transpose()
+        basis = [t[:, j] for j in range(t.cols)]
         b = Subspace.from_vectors(n, [_combination(rng, basis, real) for _ in range(rng.randint(1, a.dim))])
     else:
         b = random_subspace(rng, n, draw(st.integers(0, n)), real)
@@ -390,7 +391,8 @@ class TestProperties:
     def test_satisfies_agrees_with_projector(self, rng, n, inside):
         p = random_subspace(rng, n)
         if inside and p.dim:
-            v = _combination(rng, p.rref.transpose().column_vectors())
+            t = p.rref.transpose()
+            v = _combination(rng, [t[:, j] for j in range(t.cols)])
             rho = v @ v.dagger()
         else:
             rho = random_density(rng, n)
@@ -507,7 +509,8 @@ class TestContainmentAgainstRank:
         # denominators; one row outside at the front or at the back pins
         # both that every row is read and that the first miss decides
         p = Subspace.from_vectors(n, [random_vector(rng, n, real=real) for _ in range(rng.randint(1, n - 1))])
-        basis = p.rref.transpose().column_vectors()
+        t = p.rref.transpose()
+        basis = [t[:, j] for j in range(t.cols)]
         rows = [_combination(rng, basis, real).transpose() for _ in range(rng.randint(2, 3))]
         miss = p.complement().rref[:1, :]
         if outside == "first":
@@ -531,7 +534,9 @@ class TestContainmentAgainstRank:
                            Mat.from_rows([[random_scalar(rng, real=True) for _ in range(n)] for _ in range(n)]), real)
         if p.dim and rng.random() < 0.5:
             # columns inside p: combinations of its basis
-            rho = functools.reduce(Mat.hstack, [_combination(rng, p.rref.transpose().column_vectors(), real) for _ in range(n)])
+            t = p.rref.transpose()
+            basis = [t[:, j] for j in range(t.cols)]
+            rho = functools.reduce(Mat.hstack, [_combination(rng, basis, real) for _ in range(n)])
         stacked = p.rref.vstack(rho.transpose()) if p.dim else rho.transpose()
         assert satisfies(rho, p) == (_sympy_rank(stacked) == p.dim)
 
