@@ -54,6 +54,7 @@ from .linalg import (
 from .subspace import Subspace, SubspaceUnion, satisfies, support
 from .superop import MatrixRep, SuperOp, image, image_union, least_fixpoint, preimage_union, unvec, vec
 from .program import (
+    ConcurrentProgram,
     QuantumAutomaton,
     SequentialProgram,
     coordinates,
@@ -158,7 +159,13 @@ def _actions(a: QuantumAutomaton) -> dict:
 
 
 def _initial_support(a: QuantumAutomaton) -> Subspace:
-    return support(a.initial_state, validate=False)
+    """The support of the automaton's initial state, computed once per
+    automaton: a validated state of full rank already gave the whole space
+    (its rank is a by-product of the positivity test), and otherwise the
+    first call eliminates and keeps the result on the automaton."""
+    if a._support is None:
+        object.__setattr__(a, "_support", support(a.initial_state, validate=False))
+    return a._support
 
 
 # ----------------------------------------------------------------------
@@ -1034,9 +1041,11 @@ def check(target, formula, atoms: dict) -> Verdict:
                        loop's subspace lattice
         f U g          Unknown by construction (termination problem)
 
-    Every other shape raises :class:`UnsupportedFormula`.  No float is on
-    any verdict path.  The periods of [] <> f, [] (f U g) and [] (p U~ q)
-    are exact: with p the characteristic polynomial of the loop channel,
+    Every other shape, and an object that is no parsed formula (formula
+    text, say), raises :class:`UnsupportedFormula`; a target that is
+    neither a program nor an automaton raises PreconditionViolated.  No
+    float is on any verdict path.  The periods of [] <> f, [] (f U g) and
+    [] (p U~ q) are exact: with p the characteristic polynomial of the loop channel,
     the verdict is Unknown when g = gcd(p, z^n p(1/z)) is not in Z[z] (a
     peripheral eigenvalue is not a root of unity) or when its roots have no
     common order up to 64.  The witness search of the limit
@@ -1045,8 +1054,10 @@ def check(target, formula, atoms: dict) -> Verdict:
     """
     if isinstance(target, QuantumAutomaton):
         ambient = target.dim
-    else:
+    elif isinstance(target, (SequentialProgram, ConcurrentProgram)):
         ambient = target.dim * len(target.configs())
+    else:
+        raise PreconditionViolated(f"check takes a program or a quantum automaton, got {target!r}")
     shape, operands = _classify(formula, atoms, ambient)
     if shape == "f U g":
         return Verdict.unknown(
@@ -1122,7 +1133,8 @@ def oracle_bfs(target, formula, atoms: dict, depth: int = 12, budget: int = 2000
         return OracleResult("inconclusive")
     if shape in ("<>~ p", "[] (p U~ q)"):
         return OracleResult("inconclusive")
-    graph = _SupportGraph(a, depth, budget, _matrix_rep_image)
+    # the oracle's own root, by elimination, not the checker's _initial_support
+    graph = _SupportGraph(a, depth, budget, _matrix_rep_image, root=support(a.initial_state, validate=False))
     u = operands[0]
     if shape == "f":
         ok = u.contains_subspace(graph.nodes[0])

@@ -228,9 +228,28 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _parse(argv: list) -> argparse.Namespace:
+    """``_parser().parse_args(argv)``, parsing argv once: when argv[0] names
+    a command, its sub-parser parses the rest, as argparse hands it over,
+    and the top-level parser reports what is left unrecognized; otherwise
+    (no command, ``--help``, an unknown command) the top-level parser parses
+    argv."""
+    parser = _parser()
+    # the name -> sub-parser table of the parser's one subparsers action
+    (commands,) = (a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    command = commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args, rest = command.parse_known_args(argv[1:])
+    if rest:
+        parser.error(f"unrecognized arguments: {' '.join(rest)}")
+    args.command = argv[0]
+    return args
+
+
 def main(argv=None) -> int:
     try:
-        args = _parser().parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else list(argv))
     except SystemExit as exc:
         # argparse exits 2 on usage errors, which collides with "unknown"
         return EXIT_VALID if exc.code in (0, None) else EXIT_ERROR

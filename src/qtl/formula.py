@@ -25,6 +25,7 @@ from .errors import (
     ParseError,
     UnknownAtom,
     UnknownConfiguration,
+    UnsupportedFormula,
 )
 from .program import coordinates, place_blocks
 from .subspace import Subspace, support
@@ -284,4 +285,4 @@ def formula_to_str(node) -> str:
         return f"<>~ {node.atom}"
     if isinstance(node, Always):
         return f"[] {formula_to_str(node.body)}"
-    raise TypeError(f"not a formula: {node!r}")
+    raise UnsupportedFormula(f"not a formula: {node!r}; formula text is parsed by parse_formula")

@@ -286,5 +286,6 @@ def _plain(value):
     return str(value)
 
 
-def dumps(obj, **kwargs) -> str:
-    return json.dumps(obj, indent=2, **kwargs)
+def dumps(obj) -> str:
+    """obj as one line of JSON: with no indent, ``json`` takes its C encoder."""
+    return json.dumps(obj)

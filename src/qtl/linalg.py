@@ -897,8 +897,9 @@ def solve(a: Mat, b: Mat) -> Mat:
     return _rows_over(d * b.den, y[0::2], y[1::2])
 
 
-def is_psd(m: Mat) -> bool:
-    """Exact positive-semidefiniteness test for a Hermitian matrix.
+def psd_rank(m: Mat) -> int | None:
+    """The rank of m when m is Hermitian positive semidefinite, else None;
+    exact.
 
     A fraction-free symmetric Bareiss sweep (the Schur complement sweep
     scaled by the last pivot, so every division is exact and by a positive
@@ -907,22 +908,28 @@ def is_psd(m: Mat) -> bool:
     real m, and on the realified rows of a complex m = X + iY
     (:func:`_realified`): they are the real matrix of conj(m) = m^T on
     R^2n, symmetric because X is symmetric and Y antisymmetric, and its
-    eigenvalues are those of m, each twice.
+    eigenvalues are those of m, each twice.  A positive pivot leaves the
+    Schur complement of a rank one lower, and a vanishing row drops out,
+    so the rank is the number of positive pivots, halved on realified
+    rows.
     """
     if not m.is_hermitian():
-        return False
-    rows = m.num_re.tolist() if m.is_real() else _realified(m.num_re.tolist(), m.num_im.tolist())
+        return None
+    real = m.is_real()
+    rows = m.num_re.tolist() if real else _realified(m.num_re.tolist(), m.num_im.tolist())
     n = len(rows)
     prev = 1
+    positive = 0
     for k in range(n):
         row_k = rows[k]
         p = row_k[k]
         if p < 0:
-            return False
+            return None
         if p == 0:
             if any(row_k[k + 1 :]):
-                return False
+                return None
             continue
+        positive += 1
         for i in range(k + 1, n):
             row_i = rows[i]
             # a_ik = a_ki; the upper triangle is updated, a_ij for j >= i
@@ -932,7 +939,13 @@ def is_psd(m: Mat) -> bool:
             for j in range(i, n):
                 row_i[j] = (p * row_i[j] - c * row_k[j]) // prev
         prev = p
-    return True
+    return positive if real else positive // 2
+
+
+def is_psd(m: Mat) -> bool:
+    """Exact positive-semidefiniteness test for a Hermitian matrix: the
+    sweep of :func:`psd_rank` meets no certificate of failure."""
+    return psd_rank(m) is not None
 
 
 # ----------------------------------------------------------------------
@@ -1063,6 +1076,33 @@ def _hessenberg_det_int(h, d) -> list:
     return [0] * zeros + [y // g for y in p]
 
 
+_NOT_HERMITIAN_PRESERVING = (
+    "the matrix does not map Hermitian operators to Hermitian ones: not a channel's matrix representation"
+)
+
+
+def _operator_side(m: Mat) -> int:
+    """d for an n x n matrix m with n = d^2, a map on the row-major vec of
+    d x d operators; PreconditionViolated otherwise."""
+    d = math.isqrt(m.rows)
+    if d * d != m.rows or m.cols != m.rows:
+        raise PreconditionViolated(f"a {m.rows} x {m.cols} matrix is no matrix representation on operators")
+    return d
+
+
+def _check_real_hermitian_preserving(m: Mat):
+    """PreconditionViolated unless the real matrix m maps Hermitian
+    operators to Hermitian ones.  For a real m, m vec(X†) = vec(m(X)†) for
+    every X exactly when m commutes with the swap S: vec(X) -> vec(X^T),
+    i.e. m[S a, S b] = m[a, b]; S is an involution, so comparing the
+    nonzero entries of m with their mirrors covers every pair."""
+    d = _operator_side(m)
+    swap = np.arange(d * d).reshape(d, d).T.reshape(-1)
+    rows, cols = np.nonzero(m.num_re)
+    if not np.array_equal(m.num_re[swap[rows], swap[cols]], m.num_re[rows, cols]):
+        raise PreconditionViolated(_NOT_HERMITIAN_PRESERVING)
+
+
 def _hermitian_rows(m: Mat) -> list:
     """The integer rows of 2 T^-1 N T, over the denominator 2 m.den, for the
     complex n x n matrix m = N / m.den with n = d^2 and T the change to the
@@ -1074,10 +1114,7 @@ def _hermitian_rows(m: Mat) -> list:
     polynomial, and is real exactly when m maps Hermitian operators to
     Hermitian ones, as a channel's matrix representation does;
     PreconditionViolated otherwise."""
-    n = m.rows
-    d = math.isqrt(n)
-    if d * d != n or m.cols != n:
-        raise PreconditionViolated(f"a {m.rows} x {m.cols} matrix is no matrix representation on operators")
+    d = _operator_side(m)
     re, im = m.num_re.tolist(), m.num_im.tolist()
     pairs = [(i * d + j, j * d + i) for i in range(d) for j in range(i + 1, d)]
     # columns: N T
@@ -1094,9 +1131,7 @@ def _hermitian_rows(m: Mat) -> list:
         re[a], im[a] = [x + y for x, y in zip(ra, rb)], [x + y for x, y in zip(ia, ib)]
         re[b], im[b] = [x - y for x, y in zip(ia, ib)], [y - x for x, y in zip(ra, rb)]
     if any(any(row) for row in im):
-        raise PreconditionViolated(
-            "the matrix does not map Hermitian operators to Hermitian ones: not a channel's matrix representation"
-        )
+        raise PreconditionViolated(_NOT_HERMITIAN_PRESERVING)
     return re
 
 
@@ -1179,17 +1214,20 @@ def peripheral_period(m: Mat, bound: int) -> tuple:
 
     The characteristic polynomial p of m (as :func:`charpoly` computes it,
     read as its integer numerators; of the real matrix
-    :func:`_hermitian_rows` for a complex m, which raises
-    PreconditionViolated unless m commutes with X -> X†) is real, and the
+    :func:`_hermitian_rows` for a complex m) is real, and the
     eigenvalues lie in the closed unit disk, so g = gcd(p, z^n p(1/z)) has exactly the unimodular ones as
     its roots: k = deg g.  For p = z^s q with q(0) != 0, z^n p(1/z) is
     z^(n-s) q(1/z), which z does not divide, so g = gcd(q, z^(n-s) q(1/z)):
     both gcds run on q, whose degree is at most the rank of m.  If the monic g is not in Z[z], a root of
     g is no algebraic integer, so no root of unity; otherwise every root is
     one (Kronecker), and b is the least b with sqf(g) | z^b - 1.  Either
-    failure raises UncertifiedPeriod with its reason.
+    failure raises UncertifiedPeriod with its reason.  A real or complex m
+    that does not map Hermitian operators to Hermitian ones is no
+    channel's and raises PreconditionViolated
+    (:func:`_check_real_hermitian_preserving`, :func:`_hermitian_rows`).
     """
     if m.is_real():
+        _check_real_hermitian_preserving(m)
         p = charpoly(m).num_re[0].tolist()
     else:
         p = _charpoly_int(_hermitian_rows(m), 2 * m.den)

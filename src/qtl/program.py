@@ -35,7 +35,8 @@ from .errors import (
     PreconditionViolated,
     SelectorExplosion,
 )
-from .linalg import Mat, is_psd
+from .linalg import Mat, is_psd, psd_rank
+from .subspace import Subspace
 from .superop import Measurement, SuperOp
 
 DEFAULT_SELECTOR_CAP = 4096
@@ -50,15 +51,20 @@ class LocationAction:
     next: dict  # outcome -> tuple of targets (labels, or (label, scheduler))
 
 
-def _validate_density(rho: Mat, dim: int, what: str):
+def _validate_density(rho: Mat, dim: int, what: str) -> int:
+    """The rank of rho (:func:`linalg.psd_rank`), or the QtlError of the
+    first check it fails: rho is dim x dim, positive semidefinite and of
+    trace one."""
     if rho.rows != dim or rho.cols != dim:
         raise DimensionMismatch(f"{what} must be {dim}x{dim}")
-    if not is_psd(rho):
+    rank = psd_rank(rho)
+    if rank is None:
         raise PreconditionViolated(f"{what} is not positive semidefinite")
     # trace one on the grid: the real diagonal numerators sum to the
     # denominator (a Hermitian diagonal is real)
     if sum(rho.num_re.diagonal().tolist()) != rho.den:
         raise PreconditionViolated(f"{what} must have trace one")
+    return rank
 
 
 def _checked_act(act, dim: int, where: str, known_target) -> LocationAction:
@@ -462,24 +468,31 @@ def step_superop(program) -> SuperOp:
 
 
 class QuantumAutomaton:
-    """Finitely many named trace-preserving actions plus an initial state."""
+    """Finitely many named trace-preserving actions plus an initial state.
 
-    __slots__ = ("dim", "actions", "initial_state")
+    ``_support`` holds the support of the initial state once it is known:
+    from the validation when the state has full rank, else from the first
+    query that needs it (``checker._initial_support``)."""
+
+    __slots__ = ("dim", "actions", "initial_state", "_support")
 
     def __init__(self, dim, actions, initial_state, validate: bool = True):
         actions = dict(actions)
         if not actions:
             raise PreconditionViolated("automaton needs at least one action")
+        support = None
         if validate:
             for name, e in actions.items():
                 if e.dim_in != dim or e.dim_out != dim:
                     raise DimensionMismatch(f"action {name} has wrong dimension")
                 if not e.is_trace_preserving():
                     raise PreconditionViolated(f"action {name} is not trace preserving")
-            _validate_density(initial_state, dim, "initial state")
+            if _validate_density(initial_state, dim, "initial state") == dim:
+                support = Subspace.full(dim)
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "actions", actions)
         object.__setattr__(self, "initial_state", initial_state)
+        object.__setattr__(self, "_support", support)
 
     def __setattr__(self, name, value):
         raise AttributeError("QuantumAutomaton is immutable")

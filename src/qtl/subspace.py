@@ -377,6 +377,9 @@ _set_union_dim, _set_members = (SubspaceUnion.__dict__[name].__set__ for name in
 
 
 def _canonical_members(ambient_dim, members):
+    if len(members) == 1 and not members[0].is_zero():
+        # one nonzero member is its own antichain: nothing to hash or sort
+        return members
     members = [m for m in members if not m.is_zero()]
     if not members:
         return [Subspace.zero(ambient_dim)]

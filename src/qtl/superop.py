@@ -52,7 +52,8 @@ def vec(a: Mat) -> Mat:
 def _gram(ops):
     """sum K†K over the operators, on the integers: the grids (re, im) and
     the denominator den of one product S†S, S the operators stacked over
-    their common denominator."""
+    their common denominator.  Dense; formed only for the positivity test
+    of a channel that is not trace preserving."""
     den = math.lcm(*(k.den for k in ops))
     s_re = np.vstack([k.num_re if k.den == den else k.num_re * (den // k.den) for k in ops])
     s_im = np.vstack([k.num_im if k.den == den else k.num_im * (den // k.den) for k in ops])
@@ -62,13 +63,6 @@ def _gram(ops):
     re = re + np.dot(s_im.T, s_im)
     im = np.dot(s_re.T, s_im) - np.dot(s_im.T, s_re)
     return re, im, den * den
-
-
-def _is_identity_gram(re, im, den) -> bool:
-    """Whether (re + i im) / den is the identity: den on the diagonal,
-    zero elsewhere."""
-    n = re.shape[0]
-    return not im.any() and np.count_nonzero(re) == n and all(re[i, i] == den for i in range(n))
 
 
 def unvec(v: Mat, rows: int) -> Mat:
@@ -81,7 +75,8 @@ def unvec(v: Mat, rows: int) -> Mat:
 
 
 class Measurement:
-    """A quantum measurement {M_m}; completeness sum M†M = I holds exactly."""
+    """A quantum measurement {M_m}; completeness sum M†M = I holds exactly,
+    tested on the nonzero entries of the operators (:meth:`_Stack.is_isometry`)."""
 
     __slots__ = ("operators", "dim")
 
@@ -93,7 +88,7 @@ class Measurement:
         for op in operators:
             if op.cols != dim or op.rows != dim:
                 raise DimensionMismatch("measurement operators must be square and equal size")
-        if validate and not _is_identity_gram(*_gram(operators)):
+        if validate and not _Stack(operators).is_isometry():
             raise PreconditionViolated("measurement operators do not sum to the identity")
         object.__setattr__(self, "operators", operators)
         object.__setattr__(self, "dim", dim)
@@ -131,14 +126,17 @@ class _Stack:
     otherwise.
 
     A program action maps one configuration's block to another's, so most
-    of its entries are zero and most coordinates have none."""
+    of its entries are zero and most coordinates have none.  The images,
+    the matrix representation and the trace-preservation test of a channel
+    all read its stack."""
 
-    __slots__ = ("terms", "turned", "real", "den", "hits")
+    __slots__ = ("terms", "turned", "real", "den", "hits", "dim_out")
 
     def __init__(self, kraus):
         dim_out, dim_in = kraus[0].rows, kraus[0].cols
         den = math.lcm(*(k.den for k in kraus))
         self.den = den
+        self.dim_out = dim_out
         self.terms = [[] for _ in range(dim_in)]
         self.turned = [[] for _ in range(dim_in)]
         self.real = all(k.is_real() for k in kraus)
@@ -154,6 +152,30 @@ class _Stack:
                                 self.terms[v].append((i, slot + u, c * scale))
                                 self.turned[v].append((i, turned_slot + u, sign * c * scale))
         self.hits = [_hit_rows(terms, dim_out) for terms in self.terms]
+
+    def is_isometry(self) -> bool:
+        """Whether sum_i K_i† K_i is the identity.  Entry (v, w) of the sum
+        is the sum of conj(K_i[u, v]) K_i[u, w] over the operators i and
+        rows u, so each row u of each K_i adds the products of its nonzero
+        entries, pair by pair, on the upper triangle w >= v (the sum is
+        Hermitian); the sum is then compared with den^2 on the diagonal and
+        zero elsewhere."""
+        rows = {}
+        for v, terms in enumerate(self.terms):
+            for i, slot, c in terms:
+                part, u = divmod(slot, self.dim_out)
+                rows.setdefault((i, u), {}).setdefault(v, [0, 0])[part] = c
+        acc = {}
+        for row in rows.values():
+            row = list(row.items())  # by column v, ascending
+            for k, (v, (vr, vi)) in enumerate(row):
+                for w, (wr, wi) in row[k:]:
+                    s = acc.setdefault((v, w), [0, 0])
+                    s[0] += vr * wr + vi * wi
+                    s[1] += vr * wi - vi * wr
+        one, zero = [self.den * self.den, 0], [0, 0]
+        diagonal = sum(v == w for v, w in acc)
+        return diagonal == len(self.terms) and all(s == (one if v == w else zero) for (v, w), s in acc.items())
 
     def coordinate_image(self, pivots):
         """The sorted rows u of the unit vectors that span the image of the
@@ -183,7 +205,12 @@ class SuperOp:
     """A trace-non-increasing completely positive map, held as Kraus operators.
 
     ``validate`` demands the admissibility check of sum E†E against the
-    identity, in exact arithmetic; False skips it.
+    identity, in exact arithmetic; False skips it.  Trace preservation,
+    sum E†E = I, is tested on the nonzero entries of the Kraus stack
+    (:meth:`_Stack.is_isometry`), which the images and the matrix
+    representation read too; only a channel that is not trace preserving
+    forms the dense sum, to test that I - sum E†E is positive
+    semidefinite.
     """
 
     __slots__ = ("kraus", "dim_in", "dim_out", "_trace_preserving", "_matrix_rep", "_stack", "_dual", "_images")
@@ -204,20 +231,17 @@ class SuperOp:
         object.__setattr__(self, "_stack", None)
         object.__setattr__(self, "_dual", None)
         object.__setattr__(self, "_images", {})
-        tp = None
-        if validate:
+        object.__setattr__(self, "_trace_preserving", None)
+        if validate and not self.is_trace_preserving():
+            # I - sum K†K, scaled by den > 0, must be positive semidefinite
             re, im, den = _gram(kraus)
-            tp = _is_identity_gram(re, im, den)
-            if not tp:
-                # I - sum K†K, scaled by den > 0, must be positive semidefinite
-                gap = -re
-                for i in range(dim_in):
-                    gap[i, i] += den
-                if not is_psd(Mat(gap, -im, den)):
-                    raise PreconditionViolated(
-                        "Kraus operators exceed the identity: not trace-non-increasing"
-                    )
-        object.__setattr__(self, "_trace_preserving", tp)
+            gap = -re
+            for i in range(dim_in):
+                gap[i, i] += den
+            if not is_psd(Mat(gap, -im, den)):
+                raise PreconditionViolated(
+                    "Kraus operators exceed the identity: not trace-non-increasing"
+                )
 
     def __setattr__(self, name, value):
         raise AttributeError("SuperOp is immutable")
@@ -358,8 +382,10 @@ class SuperOp:
         )
 
     def is_trace_preserving(self) -> bool:
+        """Whether sum E†E = I, tested once on the Kraus stack
+        (:meth:`_Stack.is_isometry`)."""
         if self._trace_preserving is None:
-            object.__setattr__(self, "_trace_preserving", _is_identity_gram(*_gram(self.kraus)))
+            object.__setattr__(self, "_trace_preserving", self._stack_of().is_isometry())
         return self._trace_preserving
 
     def is_identity(self) -> bool:

@@ -11,7 +11,7 @@ from sympy import QQ, QQ_I
 from sympy.polys.matrices import DomainMatrix
 
 from qtl.errors import BudgetExceeded, DimensionMismatch, PreconditionViolated, QtlError, UnsupportedFormula
-from qtl.linalg import CRat, Mat, kron, peripheral_period, solve
+from qtl.linalg import CRat, Mat, kron, rank, solve
 from qtl.subspace import Subspace, SubspaceUnion, satisfies, support
 from qtl.superop import MatrixRep, SuperOp, image, least_fixpoint, unvec, vec
 from qtl.program import (
@@ -801,8 +801,8 @@ class TestReachability:
         # part exits slowly (cut radius 1 - 4e-6)
         for src, steps in ((UNREACHED_TRAP_SRC, 1.0), (rotation_loop_with_unreached_trap_src(1000), 750002.5)):
             prog = compile_source(src)
-            peripheral_dim, _ = peripheral_period(block_space_cut(prog), 64)
-            assert peripheral_dim > 0
+            cut = block_space_cut(prog)
+            assert rank(cut - Mat.eye(cut.rows)) < cut.rows
             r = reachability_superop(prog)
             assert r.almost_terminates
             assert r.reach_state.trace() == 1
@@ -1248,6 +1248,36 @@ class TestFindCycle:
         assert found >= 150
 
 
+class TestInitialSupport:
+    """The root of every support graph and of the satisfaction shape: the
+    support of the initial state, known from validation at full rank."""
+
+    def test_full_rank_state_gives_the_full_coordinate_root(self):
+        rng = random.Random(3130)
+        full = 0
+        for _ in range(20):
+            dim = rng.choice([2, 3, 4])
+            a = random_automaton(rng, dim, 1)
+            expected = support(a.initial_state)
+            if a._support is not None:
+                full += 1
+                assert a._support == Subspace.full(dim) and a._support.is_coordinate()
+            root = checker._initial_support(a)
+            assert root == expected and checker._initial_support(a) is root
+        assert full >= 10
+
+    def test_low_rank_and_program_states_are_eliminated_once(self, example_loop, monkeypatch):
+        pure = QuantumAutomaton(2, {"x": X_CONJ}, Mat.from_rows([["1/2", "1/2"], ["1/2", "1/2"]]))
+        calls = []
+        monkeypatch.setattr(checker, "support", lambda *args, **kw: calls.append(1) or support(*args, **kw))
+        for a in (pure, to_automaton(example_loop)):
+            assert a._support is None
+            root = checker._initial_support(a)
+            assert root == support(a.initial_state) and root.dim == 1
+            assert checker._initial_support(a) is root
+        assert len(calls) == 2
+
+
 def _loop_atoms(loop):
     """The atoms p and exit0 of the example loop, as in demos/example1_atoms.json."""
     return {
@@ -1270,6 +1300,17 @@ class TestCheck:
         with pytest.raises(UnsupportedFormula, match="decidable fragment"):
             check(example_loop, node, atoms)
         assert oracle_bfs(example_loop, node, atoms).status == "inconclusive"
+
+    def test_bad_library_inputs_raise_qtl_errors(self, example_loop):
+        # formula text, or a formula with a non-formula inside, is no parsed
+        # formula; None is neither a program nor an automaton
+        atoms = _loop_atoms(example_loop)
+        for formula in ("[] <> p", Always(Eventually("p")), None):
+            with pytest.raises(UnsupportedFormula, match="not a formula"):
+                check(example_loop, formula, atoms)
+        for target in (None, "example1.json", to_automaton(example_loop).actions):
+            with pytest.raises(PreconditionViolated, match="program or a quantum automaton"):
+                check(target, parse_formula("[] p", atoms), atoms)
 
     def test_matches_the_procedures(self, example_loop):
         atoms = _loop_atoms(example_loop)

@@ -7,6 +7,7 @@ import pytest
 from qtl import jsonio
 from qtl.linalg import Mat
 from qtl.program import QuantumAutomaton, to_automaton
+from qtl.superop import SuperOp
 from qtl.qwhile import compile_source
 from qtl import cli
 from qtl.cli import main
@@ -257,6 +258,72 @@ class TestCheckCommand:
             cli._parser.cache_clear()
         assert codes == [0, 3, 0, 0, 3, 1, 0]
         assert built == [1]
+
+    def test_one_parse_agrees_with_argparse(self, workspace, capsys):
+        # the command's sub-parser on argv[1:], or the top-level parser when
+        # argv[0] names no command: the same namespace, exit code, stdout
+        # and stderr as argparse's two-level parse
+        _, prog, atoms, source = workspace
+        table = [
+            [],
+            ["--help"],
+            ["-h", "check"],
+            ["check", "--help"],
+            ["frobnicate", prog],
+            ["check", prog, "--atoms", atoms, "-f", "[] p", "--tolerance", "1e-9"],
+            ["check", prog, "-f", "[] p", "extra.json"],
+            ["check", prog],
+            ["check", prog, "--atoms", atoms, "-f", "[] p", "--json"],
+            ["check", "-f", "<> exit0", "--", prog],
+            ["compile", source, "-o", "out.json", "--normal-form"],
+            ["reach", prog, "--json"],
+            ["simulate", prog, "--steps", "x"],
+            ["simulate", prog, "--steps", "2", "--schedule", "0,1", "--atoms", atoms],
+        ]
+
+        def outcome(parse, argv):
+            try:
+                result = vars(parse(list(argv)))
+            except SystemExit as exc:
+                result = exc.code
+            out = capsys.readouterr()
+            return result, out.out, out.err
+
+        codes = []
+        for argv in table:
+            expected = outcome(cli._parser().parse_args, argv)
+            assert outcome(cli._parse, argv) == expected, argv
+            codes.append(expected[0] if isinstance(expected[0], int) else "parsed")
+        assert codes == [2, 0, 0, 0, 2, 2, 2, 2, "parsed", "parsed", "parsed", "parsed", 2, "parsed"]
+
+    def test_rewritten_files_are_read_again(self, tmp_path, capsys):
+        # each call reads its own files: no answer outlives the call
+        x_gate = SuperOp.from_unitary(Mat.from_rows([[0, 1], [1, 0]]))
+        automaton, atoms = tmp_path / "automaton.json", tmp_path / "atoms.json"
+
+        def write(action, basis):
+            a = QuantumAutomaton(2, {"a": action}, Mat.unit(2, 0, 0))
+            automaton.write_text(jsonio.dumps(jsonio.program_to_json(a)))
+            atoms.write_text(jsonio.dumps([{"name": "p", "subspace": jsonio.subspace_to_json(span(basis))}]))
+
+        def status():
+            main(["check", str(automaton), "--atoms", str(atoms), "-f", "[] p", "--json"])
+            return json.loads(capsys.readouterr().out)["status"]
+
+        write(x_gate, (1, 0))
+        assert status() == "not_valid"
+        write(SuperOp.identity(2), (1, 0))
+        assert status() == "valid"
+        write(SuperOp.identity(2), (0, 1))
+        assert status() == "not_valid"
+
+    def test_json_report_is_one_line(self, workspace, capsys):
+        _, prog, atoms, _ = workspace
+        for formula in ("[] p", "[] <> exit0", "<>~ exit0"):
+            main(["check", prog, "--atoms", atoms, "-f", formula, "--json"])
+            out = capsys.readouterr().out
+            assert out.count("\n") == 1 and out.endswith("\n")
+            assert json.loads(out)["formula"] == formula
 
     def test_json_report_schema(self, workspace, capsys):
         _, prog, atoms, _ = workspace

@@ -27,6 +27,7 @@ from qtl.linalg import (
     mat_sum,
     parse_rational,
     peripheral_period,
+    psd_rank,
     rank,
     rref,
     solve,
@@ -650,6 +651,31 @@ class TestPsd:
                 assert not is_psd(padded - Mat.eye(n + 1) * CRat(Fraction(1, 10**6)))
 
     @pytest.mark.parametrize("seed", range(3))
+    def test_rank_of_densities_of_every_rank(self, seed):
+        # the positive pivots of the sweep, halved on realified rows,
+        # against the elimination rank and sympy's rank over QQ_I; the
+        # indefinite and non-Hermitian matrices have none
+        rng = random.Random(3140 + seed)
+        seen = set()
+        for n in (1, 2, 3, 4, 5):
+            for r in range(n + 1):
+                real = rng.random() < 0.3
+                b = _gaussian_matrix(rng, n, r, rank=r, real=real) if r else Mat.zeros(n, 1)
+                a = b @ b.dagger()
+                if not a.is_zero():
+                    a = a * CRat(1 / a.trace().re)
+                k = rank(a)
+                assert psd_rank(a) == k == _to_sympy(a).rank()
+                seen.add((n, k))
+                padded = _insert_zero_row_and_column(a, rng.randint(0, n))
+                assert psd_rank(padded) == k
+                # a density's eigenvalues are at most one
+                assert psd_rank(a - Mat.eye(n) * CRat(2)) is None
+                if n > 1:
+                    assert psd_rank(a + Mat.unit(n, 0, n - 1) * CRat(Fraction(1, 3))) is None
+        assert len(seen) >= 18
+
+    @pytest.mark.parametrize("seed", range(3))
     def test_against_eigenvalues(self, seed):
         # numpy decides away from zero, the CRat Schur sweep everywhere
         rng = random.Random(600 + seed)
@@ -1134,6 +1160,16 @@ class TestPeripheralPeriod:
             with pytest.raises(PreconditionViolated):
                 peripheral_period(m, 64)
 
+    def test_real_non_channel_matrices_rejected(self):
+        # diag(1, 1, -1, 1) sends E_01 to E_01 and E_10 to -E_10, so not
+        # Hermitian X to Hermitian X, and a 2 x 2 matrix acts on no
+        # operator space; conjugation by Z, diag(1, -1, -1, 1), passes
+        for rows in ([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, -1, 0], [0, 0, 0, 1]], [[0, -1], [1, 0]]):
+            with pytest.raises(PreconditionViolated):
+                peripheral_period(Mat.from_rows(rows), 64)
+        mirrored = Mat.from_rows([[1, 0, 0, 0], [0, -1, 0, 0], [0, 0, -1, 0], [0, 0, 0, 1]])
+        assert peripheral_period(mirrored, 64) == (4, 2)
+
     def test_band_decided_exactly(self):
         # 1 - 10^-9, inside the band a float classification cannot decide
         m = Mat.from_rows([[Fraction(999999999, 1000000000)]])
@@ -1199,7 +1235,7 @@ class TestPeripheralSplit:
         assert abs(max(abs(lam) for lam in eigs if abs(lam) < 0.99) - 2 ** -0.5) < 1e-9
 
     def test_no_peripheral_eigenvalue_keeps_input(self):
-        m = Mat.from_rows([["1/2", 1], [0, "-1/3"]])
+        m = _on_diagonal(Mat.from_rows([["1/2", 1], [0, "-1/3"]]))
         assert peripheral_period(m, 64) == (0, 1)
 
     def test_power_consistency_at_64(self):
@@ -1231,16 +1267,31 @@ class TestPeripheralSplit:
                     assert alg == geo
 
 
+def _on_diagonal(m: Mat) -> Mat:
+    """The 4 x 4 real map that acts as the 2 x 2 matrix m on the diagonal
+    entries (E_00, E_11) of a 2 x 2 operator, vec coordinates 0 and 3, and
+    sends the off-diagonal ones to zero: it commutes with the transpose, so
+    it maps Hermitian operators to Hermitian ones, and its characteristic
+    polynomial is z^2 times m's."""
+    rows = [[0] * 4 for _ in range(4)]
+    for i, a in enumerate((0, 3)):
+        for j, b in enumerate((0, 3)):
+            rows[a][b] = m.entry(i, j).re
+    return Mat.from_rows(rows)
+
+
 class TestOrders:
     def test_multiplicative_order(self):
         # companion matrices of z - 1, z + 1, z^2 + 1, z^2 + z + 1, of the
-        # rotation with cos = 3/5, and of z - 1/2
+        # rotation with cos = 3/5, and of z - 1/2; the 2 x 2 ones act on the
+        # diagonal of a 2 x 2 operator
         one, minus_one = Mat.from_rows([[1]]), Mat.from_rows([[-1]])
-        quarter, third = Mat.from_rows([[0, -1], [1, 0]]), Mat.from_rows([[0, -1], [1, -1]])
+        quarter = _on_diagonal(Mat.from_rows([[0, -1], [1, 0]]))
+        third = _on_diagonal(Mat.from_rows([[0, -1], [1, -1]]))
         assert peripheral_period(one, 8) == (1, 1)
         assert peripheral_period(minus_one, 8) == (1, 2)
         assert peripheral_period(quarter, 8) == (2, 4)
         assert peripheral_period(third, 8) == (2, 3)
         with pytest.raises(UncertifiedPeriod, match="not a root of unity"):
-            peripheral_period(Mat.from_rows([["3/5", "-4/5"], ["4/5", "3/5"]]), 64)
+            peripheral_period(_on_diagonal(Mat.from_rows([["3/5", "-4/5"], ["4/5", "3/5"]])), 64)
         assert peripheral_period(Mat.from_rows([["1/2"]]), 8) == (0, 1)

@@ -35,6 +35,7 @@ from helpers import (
     random_density,
     random_deterministic_program,
     random_matrix,
+    random_phase_permutation,
     random_projective_channel,
     random_reset_channel,
     random_scalar,
@@ -357,6 +358,69 @@ class TestTracePreservation:
         assert HADAMARD.is_trace_preserving()
         rho = KET_PLUS_DENSITY
         assert HADAMARD.apply(HADAMARD.apply(rho)) == rho
+
+
+def _dense_isometry(ops) -> bool:
+    """sum K†K == I, by dense products: the reference for the stack test."""
+    return mat_sum(k.dagger() @ k for k in ops) == Mat.eye(ops[0].cols)
+
+
+class TestStackTracePreservation:
+    """The trace-preservation and completeness tests on the nonzero entries
+    of the Kraus stack against the dense sum of K†K."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_agrees_with_the_dense_sum(self, seed):
+        rng = random.Random(3100 + seed)
+        seen = set()
+        for _ in range(40):
+            n = rng.choice([1, 2, 3, 4])
+            kraus = list(random_tp_channel(rng, n).kraus)
+            roll = rng.random()
+            if roll < 0.3:
+                # every operator halved: sum K†K = I/4
+                kraus = [k * CRat(Fraction(1, 2)) for k in kraus]
+            elif roll < 0.5:
+                # one entry moved off its value
+                i, r, c = rng.randrange(len(kraus)), rng.randrange(n), rng.randrange(n)
+                kraus[i] = kraus[i] + Mat.unit(n, r, c) * random_scalar(rng)
+            elif roll < 0.6:
+                # the operators stacked into one isometry C^n -> C^(m n)
+                kraus = [functools.reduce(Mat.vstack, kraus)]
+            expected = _dense_isometry(kraus)
+            assert SuperOp(kraus, validate=False).is_trace_preserving() == expected
+            # validated: trace preserving, trace decreasing, or rejected
+            gap = Mat.eye(kraus[0].cols) - mat_sum(k.dagger() @ k for k in kraus)
+            if expected or linalg.is_psd(gap):
+                assert SuperOp(kraus).is_trace_preserving() == expected
+                seen.add(expected)
+            else:
+                with pytest.raises(PreconditionViolated, match="exceed the identity"):
+                    SuperOp(kraus)
+                seen.add("rejected")
+        assert seen == {True, False, "rejected"}
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_measurement_completeness_agrees(self, seed):
+        rng = random.Random(3120 + seed)
+        seen = set()
+        for _ in range(30):
+            n = rng.choice([2, 3, 4])
+            ops = list(random_projective_channel(rng, n).kraus)
+            if rng.random() < 0.5:
+                u = random_phase_permutation(rng, n)
+                ops = [u @ op for op in ops]
+            if rng.random() < 0.4:
+                i = rng.randrange(len(ops))
+                ops[i] = ops[i] * random_scalar(rng)
+            expected = _dense_isometry(ops)
+            seen.add(expected)
+            if expected:
+                assert Measurement(ops).operators == tuple(ops)
+            else:
+                with pytest.raises(PreconditionViolated, match="do not sum to the identity"):
+                    Measurement(ops)
+        assert seen == {True, False}
 
 
 class TestMeasurement:
