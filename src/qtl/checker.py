@@ -7,10 +7,11 @@ refinement over union components decides "always eventually" whenever the
 relevant peripheral eigenvalue periods can be certified.  The fixpoints,
 the loop refinement and the witness search take images and pre-images from
 the actions' Kraus operators (the refinement pulls subspaces back through
-the actions' duals); matrix representations are built only where a
-spectrum is needed (the period of the refinement's loop channel, limit
-states) and by the oracle, which keeps its own image path.  Every exit
-question about a deterministic program is asked of its one exit loop
+the actions' duals).  A channel's real matrix in a Hermitian operator
+basis is built only where a spectrum is needed (the period of the
+refinement's loop channel, limit states), and its complex matrix
+representation only by the oracle, which keeps its own image path.
+Every exit question about a deterministic program is asked of its one exit loop
 (:class:`qwhile.WhileNormalForm`): almost-sure exit is decided on the
 loop's subspace lattice; reachability solves exactly for the program's
 semantic function, the d^2 x d^2 matrix of the map from input states to
@@ -42,18 +43,21 @@ from .errors import (
     UnsupportedFormula,
 )
 from .linalg import (
+    _peripheral_period,
     _perp_rows,
     CRat,
     Mat,
+    format_rational,
     kron,
-    peripheral_period,
+    mat_power,
     rank,
     rref,
     solve,
 )
 from .subspace import Subspace, SubspaceUnion, satisfies, support
-from .superop import MatrixRep, SuperOp, image, image_union, least_fixpoint, preimage_union, unvec, vec
+from .superop import MatrixRep, SuperOp, hvec, image, image_union, least_fixpoint, preimage_union, unhvec, unvec, vec
 from .program import (
+    _validate_density,
     ConcurrentProgram,
     QuantumAutomaton,
     SequentialProgram,
@@ -513,11 +517,12 @@ def _p2_refine(members, cycle, u: SubspaceUnion, actions):
     the target union along the loop's periodic subsequences.  ``cycle`` is
     the loop as :func:`find_cycle` returns it on the members.
 
-    The loop channel's peripheral period (:func:`linalg.peripheral_period`)
+    The loop channel's peripheral period (:func:`linalg._peripheral_period`)
     is the one place of the lattice procedures that needs a spectrum, and
-    the loop matrix ms[k-1] ... ms[0] is the one product formed; every
-    other step pulls subspaces back through the actions' duals in Kraus
-    form, one action at a time.  For a positive Y, supp E†(Y) is the span
+    the loop matrix ms[k-1] ... ms[0] of the actions' real matrices in the
+    Hermitian operator basis (:meth:`SuperOp.hermitian_rep`) is the one
+    product formed; every other step pulls subspaces back through the
+    actions' duals in Kraus form, one action at a time.  For a positive Y, supp E†(Y) is the span
     of the K_i† v over v in supp Y, the image of supp Y under the dual, and
     the support of a sum of positive operators is the join of their
     supports.  So for each rotation r of the loop, each target member p_s
@@ -534,11 +539,11 @@ def _p2_refine(members, cycle, u: SubspaceUnion, actions):
             f"[] <> on a space of dimension {dim} needs a {dim * dim}x{dim * dim} loop matrix; "
             f"the limit is dimension {_LOOP_DIM_MAX}"
         )
-    ms = [actions[name].matrix_rep() for name in word]
+    ms = [actions[name].hermitian_rep() for name in word]
     loop = ms[0]
     for m in ms[1:]:
         loop = m @ loop
-    _, b = peripheral_period(loop, _PERIOD_BOUND)
+    _, b = _peripheral_period(loop, _PERIOD_BOUND)
     duals = [actions[name].dual() for name in word]
     k = len(word)
 
@@ -641,7 +646,7 @@ def check_always_until(a: QuantumAutomaton, phi, psi) -> Verdict:
 
 
 def _fixed_part(b: Mat, v: Mat):
-    """(P v, k) for the exact spectral projector P of b at eigenvalue one,
+    """(P v, k) for the exact spectral projector P of the real b at eigenvalue one,
     assuming that eigenvalue is semisimple: the projector onto ker(b - I)
     along im(b - I), of rank k.  With T = [kernel basis | image basis],
     P = T diag(I_k, 0) T^-1, so P v = T[:, :k] (T^-1 v)[:k], one solve."""
@@ -653,7 +658,7 @@ def _fixed_part(b: Mat, v: Mat):
     k = n - len(cols)
     if k == 0:
         return Mat.zeros(n, 1), 0
-    t = _perp_rows(r.conj(), cols).transpose().hstack(a[:, list(cols)])
+    t = _perp_rows(r, cols).transpose().hstack(a[:, list(cols)])
     coords = solve(t, v)  # SingularMatrix exactly when kernel and image overlap
     return t[:, :k] @ coords[:k], k
 
@@ -661,20 +666,22 @@ def _fixed_part(b: Mat, v: Mat):
 def limit_states(e: SuperOp, sigma0: Mat):
     """Exact limit cycle [tau_0 .. tau_{b-1}] of sigma_n = E^n(sigma0).
 
-    E must be trace preserving (PreconditionViolated otherwise), with
-    peripheral eigenvalues of a common order b up to ``_PERIOD_BOUND``
-    (:func:`linalg.peripheral_period`; UncertifiedPeriod otherwise).  The
-    fixed space of E^b must have the dimension of the peripheral spectrum,
-    after which each tau_c is an exact rational matrix (the limit of the
-    subsequence n = ub + c).
+    sigma0 must be a density matrix and E trace preserving
+    (PreconditionViolated otherwise), with peripheral eigenvalues of a
+    common order b up to ``_PERIOD_BOUND`` (:func:`linalg._peripheral_period`;
+    UncertifiedPeriod otherwise).  The fixed space of E^b must have the
+    dimension of the peripheral spectrum, after which each tau_c is an
+    exact rational matrix (the limit of the subsequence n = ub + c).  All of
+    it runs on E's real matrix in the Hermitian operator basis
+    (:meth:`SuperOp.hermitian_rep`), on the coordinates :func:`superop.hvec`.
     """
+    _validate_density(sigma0, e.dim_in, "initial state")
     if not e.is_trace_preserving():
         raise PreconditionViolated("limit states need a trace-preserving channel")
-    m = e.matrix_rep()
-    peripheral_dim, b = peripheral_period(m, _PERIOD_BOUND)
-    big = MatrixRep(m).power(b).m
+    m = e.hermitian_rep()
+    peripheral_dim, b = _peripheral_period(m, _PERIOD_BOUND)
     try:
-        v, rank_one = _fixed_part(big, vec(sigma0))
+        v, rank_one = _fixed_part(mat_power(m, b), hvec(sigma0))
     except SingularMatrix as exc:
         raise UncertifiedPeriod(f"limit projector unavailable: {exc}")
     if rank_one != peripheral_dim:
@@ -684,7 +691,7 @@ def limit_states(e: SuperOp, sigma0: Mat):
         )
     states = []
     for _ in range(b):
-        states.append(unvec(v, e.dim_in))
+        states.append(unhvec(v, e.dim_in))
         v = m @ v
     return states
 
@@ -695,13 +702,17 @@ def check_always_almost_until(
     p: Subspace,
     q: Subspace,
 ) -> Verdict:
-    """Always (p almost-until q) for a single action from sigma0.
+    """Always (p almost-until q) for a single action from the density
+    matrix sigma0.
 
     The invariance conjunct is exact.  The almost-surely conjunct asks that
     the satisfaction probability of q has limit point one; in the certified
     root-of-unity regime this reduces to exact satisfaction checks on the
-    finitely many limit states of the orbit, and is Unknown otherwise.
+    finitely many limit states of the orbit, and is Unknown otherwise.  The
+    ``limit_traces`` diagnostic holds the exact probabilities tr(q tau_c)
+    as rationals (:func:`linalg.format_rational`).
     """
+    _validate_density(sigma0, e.dim_in, "initial state")
     a = QuantumAutomaton(e.dim_in, {"step": e}, sigma0, validate=False)
     inv = check_invariance(a, p)
     if inv.status == NOT_VALID:
@@ -711,7 +722,7 @@ def check_always_almost_until(
         states = limit_states(e, sigma0)
     except UncertifiedPeriod as exc:
         return Verdict.unknown(str(exc))
-    limit_traces = [float((q.projector @ tau).trace().re) for tau in states]
+    limit_traces = [format_rational((q.projector @ tau).trace().re) for tau in states]
     diag = {"period": len(states), "limit_traces": limit_traces}
     if any(satisfies(tau, q) for tau in states):
         return Verdict.valid(certificate=inv.certificate, diagnostics=diag)

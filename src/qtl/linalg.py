@@ -12,11 +12,10 @@ a + ib and of i(a + ib), columns interleaved, whose reduced form holds the
 complex one in its even rows.
 
 The peripheral spectrum of a channel is exact too
-(:func:`peripheral_period`), and runs on integers from end to end: the
-characteristic polynomial p of its matrix representation (:func:`charpoly`,
-a Hessenberg reduction on the integer numerator grids with a denominator
-per column; a complex matrix is first made real in a Hermitian operator
-basis, which a channel maps to itself) is real, its eigenvalues of
+(:func:`_peripheral_period`), and runs on integers from end to end: the
+characteristic polynomial p of its real matrix in a Hermitian operator
+basis (:func:`_charpoly_int`, a Hessenberg reduction on the integer
+numerator grid with a denominator per column) is real, its eigenvalues of
 modulus one are the roots of g = gcd(p, z^n p(1/z)), and the period is the
 least b with sqf(g) | z^b - 1.  It is uncertified, with the reason, when g
 is not in Z[z] (a peripheral eigenvalue is not a root of unity) or when no
@@ -35,7 +34,6 @@ import numpy as np
 from .errors import (
     DimensionMismatch,
     MalformedInput,
-    PreconditionViolated,
     SingularMatrix,
     UncertifiedPeriod,
 )
@@ -571,6 +569,18 @@ def mat_sum(mats) -> Mat:
     return Mat(re, im, den, _real=all(m._real for m in mats) or None)
 
 
+def mat_power(m: Mat, k: int) -> Mat:
+    """m^k for a square m, by repeated squaring."""
+    result = None
+    while k:
+        if k & 1:
+            result = m if result is None else result @ m
+        k >>= 1
+        if k:
+            m = m @ m
+    return Mat.eye(m.rows) if result is None else result
+
+
 # ----------------------------------------------------------------------
 # fraction-free elimination on plain integers: a complex matrix is
 # eliminated on the integer rows of its realification
@@ -971,9 +981,9 @@ def _to_column(a, d, i, h):
 def _hessenberg_int(a, d):
     """Reduce the real matrix with entries a[i][j] / d[j] to a similar upper
     Hessenberg one of the same form, in place: ``a`` is a list of integer
-    rows, ``d`` the positive column denominators.  A channel's complex
-    matrix representation comes here as its real matrix in a Hermitian
-    operator basis (:func:`_hermitian_rows`).
+    rows, ``d`` the positive column denominators.  A channel, complex or
+    not, comes here as its real matrix in a Hermitian operator basis
+    (:meth:`superop.SuperOp.hermitian_rep`).
 
     Column k's pivot is its first nonzero entry below the diagonal, swapped
     to row k + 1 (with column k + 1); each other nonzero entry t of the
@@ -1076,94 +1086,16 @@ def _hessenberg_det_int(h, d) -> list:
     return [0] * zeros + [y // g for y in p]
 
 
-_NOT_HERMITIAN_PRESERVING = (
-    "the matrix does not map Hermitian operators to Hermitian ones: not a channel's matrix representation"
-)
-
-
-def _operator_side(m: Mat) -> int:
-    """d for an n x n matrix m with n = d^2, a map on the row-major vec of
-    d x d operators; PreconditionViolated otherwise."""
-    d = math.isqrt(m.rows)
-    if d * d != m.rows or m.cols != m.rows:
-        raise PreconditionViolated(f"a {m.rows} x {m.cols} matrix is no matrix representation on operators")
-    return d
-
-
-def _check_real_hermitian_preserving(m: Mat):
-    """PreconditionViolated unless the real matrix m maps Hermitian
-    operators to Hermitian ones.  For a real m, m vec(X†) = vec(m(X)†) for
-    every X exactly when m commutes with the swap S: vec(X) -> vec(X^T),
-    i.e. m[S a, S b] = m[a, b]; S is an involution, so comparing the
-    nonzero entries of m with their mirrors covers every pair."""
-    d = _operator_side(m)
-    swap = np.arange(d * d).reshape(d, d).T.reshape(-1)
-    rows, cols = np.nonzero(m.num_re)
-    if not np.array_equal(m.num_re[swap[rows], swap[cols]], m.num_re[rows, cols]):
-        raise PreconditionViolated(_NOT_HERMITIAN_PRESERVING)
-
-
-def _hermitian_rows(m: Mat) -> list:
-    """The integer rows of 2 T^-1 N T, over the denominator 2 m.den, for the
-    complex n x n matrix m = N / m.den with n = d^2 and T the change to the
-    Hermitian operator basis {E_ii, E_ij + E_ji, i(E_ij - E_ji)} of the
-    row-major vec: for index a = i d + j and its mirror b = j d + i, i < j,
-    T's columns a and b are e_a + e_b and i(e_a - e_b), and 2 T^-1 takes
-    rows a and b to their sum and to -i times their difference, doubling
-    the diagonal rows i d + i.  The result has m's characteristic
-    polynomial, and is real exactly when m maps Hermitian operators to
-    Hermitian ones, as a channel's matrix representation does;
-    PreconditionViolated otherwise."""
-    d = _operator_side(m)
-    re, im = m.num_re.tolist(), m.num_im.tolist()
-    pairs = [(i * d + j, j * d + i) for i in range(d) for j in range(i + 1, d)]
-    # columns: N T
-    for rr, ri in zip(re, im):
-        for a, b in pairs:
-            xr, xi, yr, yi = rr[a], ri[a], rr[b], ri[b]
-            rr[a], ri[a], rr[b], ri[b] = xr + yr, xi + yi, yi - xi, xr - yr
-    # rows: 2 T^-1 (N T)
-    for i in range(d):
-        a = i * d + i
-        re[a], im[a] = [2 * x for x in re[a]], [2 * x for x in im[a]]
-    for a, b in pairs:
-        ra, ia, rb, ib = re[a], im[a], re[b], im[b]
-        re[a], im[a] = [x + y for x, y in zip(ra, rb)], [x + y for x, y in zip(ia, ib)]
-        re[b], im[b] = [x - y for x, y in zip(ia, ib)], [y - x for x, y in zip(ra, rb)]
-    if any(any(row) for row in im):
-        raise PreconditionViolated(_NOT_HERMITIAN_PRESERVING)
-    return re
-
-
 def _charpoly_int(a, den) -> list:
     """det(z den I - a) over its content, for the square integer rows a:
     a positive integer multiple of the characteristic polynomial of a / den
-    with a positive leading coefficient.  ``a`` is reduced in place."""
+    with a positive leading coefficient.  ``a`` is reduced in place, as the
+    matrix with entries a[i][j] / d[j], d = den in every column, to an upper
+    Hessenberg H = N_H diag(d)^-1 (:func:`_hessenberg_int`), and
+    det(z diag(d) - N_H) is prod(d) times the characteristic polynomial."""
     d = [den] * len(a)
     _hessenberg_int(a, d)
     return _hessenberg_det_int(a, d)
-
-
-def charpoly(m: Mat) -> Mat:
-    """The coefficients of det(zI - m) = sum_k c_k z^k for a real m, as the
-    row Mat [c_0 ... c_n], computed on integers alone; PreconditionViolated
-    for a complex m (a channel's complex matrix representation has the
-    characteristic polynomial of its real matrix :func:`_hermitian_rows`).
-
-    m = N / den is taken as the matrix with entries N[i][j] / d[j], d = den
-    in every column, and reduced to an upper Hessenberg matrix H of that
-    shape (:func:`_hessenberg_int`).  As H = N_H diag(d)^-1, det(z diag(d) -
-    N_H) is prod(d) times the characteristic polynomial, and
-    :func:`_hessenberg_det_int` returns it divided by its content: an
-    integer polynomial P with positive leading coefficient and c_k =
-    P_k / P_n, which is the row over the denominator P_n in lowest terms.
-    """
-    if not m.is_square():
-        raise DimensionMismatch("the characteristic polynomial needs a square matrix")
-    if not m.is_real():
-        raise PreconditionViolated("charpoly takes a real matrix")
-    num = np.array([_charpoly_int(m.num_re.tolist(), m.den)], dtype=object)
-    return Mat(num, np.zeros(num.shape, dtype=object), num[0, -1], _normalized=True, _real=True)
 
 
 def _primitive(p: list) -> list:
@@ -1207,30 +1139,24 @@ def _quotient(a: list, b: list) -> list:
     return q
 
 
-def peripheral_period(m: Mat, bound: int) -> tuple:
-    """(k, b) for a channel's matrix representation m: the number k of its
-    eigenvalues of modulus one, with multiplicity, and the least b <=
-    ``bound`` with lambda^b = 1 for each of them, exactly.
+def _peripheral_period(m: Mat, bound: int) -> tuple:
+    """(k, b) for a channel's real matrix m in the Hermitian operator basis
+    (:meth:`superop.SuperOp.hermitian_rep`, or a product of them): the
+    number k of its eigenvalues of modulus one, with multiplicity, and the
+    least b <= ``bound`` with lambda^b = 1 for each of them, exactly.
 
-    The characteristic polynomial p of m (as :func:`charpoly` computes it,
-    read as its integer numerators; of the real matrix
-    :func:`_hermitian_rows` for a complex m) is real, and the
-    eigenvalues lie in the closed unit disk, so g = gcd(p, z^n p(1/z)) has exactly the unimodular ones as
-    its roots: k = deg g.  For p = z^s q with q(0) != 0, z^n p(1/z) is
-    z^(n-s) q(1/z), which z does not divide, so g = gcd(q, z^(n-s) q(1/z)):
-    both gcds run on q, whose degree is at most the rank of m.  If the monic g is not in Z[z], a root of
-    g is no algebraic integer, so no root of unity; otherwise every root is
-    one (Kronecker), and b is the least b with sqf(g) | z^b - 1.  Either
-    failure raises UncertifiedPeriod with its reason.  A real or complex m
-    that does not map Hermitian operators to Hermitian ones is no
-    channel's and raises PreconditionViolated
-    (:func:`_check_real_hermitian_preserving`, :func:`_hermitian_rows`).
+    The characteristic polynomial p of m, as the primitive integer
+    polynomial of :func:`_charpoly_int` on m's numerators, is real, and the
+    eigenvalues lie in the closed unit disk, so g = gcd(p, z^n p(1/z)) has
+    exactly the unimodular ones as its roots: k = deg g.  For p = z^s q with
+    q(0) != 0, z^n p(1/z) is z^(n-s) q(1/z), which z does not divide, so
+    g = gcd(q, z^(n-s) q(1/z)): both gcds run on q, whose degree is at most
+    the rank of m.  If the monic g is not in Z[z], a root of g is no
+    algebraic integer, so no root of unity; otherwise every root is one
+    (Kronecker), and b is the least b with sqf(g) | z^b - 1.  Either
+    failure raises UncertifiedPeriod with its reason.
     """
-    if m.is_real():
-        _check_real_hermitian_preserving(m)
-        p = charpoly(m).num_re[0].tolist()
-    else:
-        p = _charpoly_int(_hermitian_rows(m), 2 * m.den)
+    p = _charpoly_int(m.num_re.tolist(), m.den)
     q = p[next(s for s, c in enumerate(p) if c):]
     g = _gcd(q, q[::-1])
     if len(g) == 1:

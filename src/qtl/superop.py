@@ -22,15 +22,19 @@ coordinate, so a pre-image takes the same path through the dual.
 
 The matrix representation M = sum_i E_i (x) conj(E_i) linearizes a channel on
 row-major vectorized operators: vec(E(A)) = M vec(A).  It is the canonical
-object for channel equality and for composing or powering channels without
-multiplying out Kraus sets, and it is built where a spectrum is needed,
-summed from the same nonzero entries with no Kronecker product.
-:class:`MatrixRep` keeps the image and pre-image in that form as the
-reference the Kraus-form actions are tested against.
+object for channel equality, and :class:`MatrixRep` keeps the image and
+pre-image in that form for the oracle, as the reference the Kraus-form
+actions are tested against.  Where a spectrum is needed, the channel is
+written in the Hermitian operator basis {E_ii, E_ij + E_ji, i(E_ij - E_ji)}
+instead (:meth:`SuperOp.hermitian_rep`, with the coordinates :func:`hvec`):
+a channel maps Hermitian operators to Hermitian ones, so that matrix is real,
+with M's spectrum.  Both are summed from the nonzero entries of the Kraus
+operators, with no Kronecker product.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -38,7 +42,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DimensionMismatch, PreconditionViolated
-from .linalg import CRat, Mat, is_psd, mat_sum
+from .linalg import CRat, Mat, is_psd, mat_power, mat_sum
 from .subspace import Subspace, SubspaceUnion, support
 
 
@@ -72,6 +76,25 @@ def unvec(v: Mat, rows: int) -> Mat:
     re = v.num_re.reshape(rows, rows).copy()
     im = v.num_im.reshape(rows, rows).copy()
     return Mat(re, im, v.den, _normalized=True, _real=v._real)
+
+
+def hvec(a: Mat) -> Mat:
+    """The coordinates of a Hermitian a in the basis {E_ii, E_ij + E_ji,
+    i(E_ij - E_ji)}, i < j, as a real column: slot i d + i holds a_ii,
+    slot i d + j holds Re a_ij and slot j d + i holds Im a_ij.  vec(a) is
+    T hvec(a), T the basis as columns.  Only the real diagonal and the
+    upper triangle are read, so a non-Hermitian a is not recovered."""
+    grid = np.triu(a.num_re) + np.tril(a.num_im.T, -1)
+    return Mat(grid.reshape(-1, 1), np.zeros((grid.size, 1), dtype=object), a.den, _real=True)
+
+
+def unhvec(v: Mat, rows: int) -> Mat:
+    """The rows x rows Hermitian matrix whose coordinates are v (:func:`hvec`)."""
+    if v.rows != rows * rows or v.cols != 1:
+        raise DimensionMismatch("vector length does not match the target shape")
+    grid = v.num_re.reshape(rows, rows)
+    lower = np.tril(grid, -1)
+    return Mat(np.triu(grid) + np.triu(grid, 1).T, lower.T - lower, v.den, _normalized=True)
 
 
 class Measurement:
@@ -127,8 +150,8 @@ class _Stack:
 
     A program action maps one configuration's block to another's, so most
     of its entries are zero and most coordinates have none.  The images,
-    the matrix representation and the trace-preservation test of a channel
-    all read its stack."""
+    both matrix representations and the trace-preservation test of a
+    channel all read its stack."""
 
     __slots__ = ("terms", "turned", "real", "den", "hits", "dim_out")
 
@@ -177,6 +200,18 @@ class _Stack:
         diagonal = sum(v == w for v, w in acc)
         return diagonal == len(self.terms) and all(s == (one if v == w else zero) for (v, w), s in acc.items())
 
+    def entries(self, n_ops: int) -> list:
+        """Per operator i < n_ops, its nonzero entries (u, v) as [real,
+        imaginary] parts, for a matrix representation on square operators."""
+        if len(self.terms) != self.dim_out:
+            raise DimensionMismatch("matrix representation needs dim_in == dim_out")
+        out = [{} for _ in range(n_ops)]
+        for v, terms in enumerate(self.terms):
+            for i, slot, c in terms:
+                part, u = divmod(slot, self.dim_out)
+                out[i].setdefault((u, v), [0, 0])[part] = c
+        return out
+
     def coordinate_image(self, pivots):
         """The sorted rows u of the unit vectors that span the image of the
         coordinate subspace on ``pivots``, or None when some K_i e_v, v a
@@ -188,6 +223,18 @@ class _Stack:
                 return None
             out.update(h)
         return tuple(sorted(out))
+
+
+def _sparse_mat(n: int, den: int, acc: dict, real) -> Mat:
+    """The n x n Mat over den whose entry (r, c) has the integer parts
+    acc[(r, c)] (real, then imaginary) and is zero elsewhere, in lowest
+    terms: one gcd over the nonzero entries, as the grids are mostly zero."""
+    g = math.gcd(den, *(x for s in acc.values() for x in s))
+    grids = np.zeros((2, n, n), dtype=object)
+    for (r, c), s in acc.items():
+        for part, x in enumerate(s):
+            grids[part, r, c] = x // g
+    return Mat(grids[0], grids[1], den // g, _normalized=True, _real=real)
 
 
 def _hit_rows(terms, dim_out):
@@ -213,7 +260,9 @@ class SuperOp:
     semidefinite.
     """
 
-    __slots__ = ("kraus", "dim_in", "dim_out", "_trace_preserving", "_matrix_rep", "_stack", "_dual", "_images")
+    __slots__ = (
+        "kraus", "dim_in", "dim_out", "_trace_preserving", "_matrix_rep", "_hermitian_rep", "_stack", "_dual", "_images"
+    )
 
     def __init__(self, kraus, validate: bool = True):
         kraus = tuple(kraus)
@@ -228,6 +277,7 @@ class SuperOp:
         object.__setattr__(self, "dim_in", dim_in)
         object.__setattr__(self, "dim_out", dim_out)
         object.__setattr__(self, "_matrix_rep", None)
+        object.__setattr__(self, "_hermitian_rep", None)
         object.__setattr__(self, "_stack", None)
         object.__setattr__(self, "_dual", None)
         object.__setattr__(self, "_images", {})
@@ -346,32 +396,51 @@ class SuperOp:
         of its nonzero entries in columns v and w (:class:`_Stack`), pair
         by pair, over the square of the stack's denominator."""
         if self._matrix_rep is None:
-            if self.dim_in != self.dim_out:
-                raise DimensionMismatch("matrix representation needs dim_in == dim_out")
             st, d = self._stack_of(), self.dim_in
-            # per operator, its nonzero entries (u, v) as [real, imaginary] parts
-            entries = [{} for _ in self.kraus]
-            for v, terms in enumerate(st.terms):
-                for i, slot, c in terms:
-                    u, part = (slot, 0) if slot < d else (slot - d, 1)
-                    entries[i].setdefault((u, v), [0, 0])[part] = c
             acc = {}
-            for ops in entries:
+            for ops in st.entries(len(self.kraus)):
                 ops = list(ops.items())
                 for (a, v), (ar, ai) in ops:
                     for (b, w), (br, bi) in ops:
                         s = acc.setdefault((a * d + b, v * d + w), [0, 0])
                         s[0] += ar * br + ai * bi
                         s[1] += ai * br - ar * bi
-            # one gcd over the nonzero entries, as the grids are mostly zero
-            g = math.gcd(st.den * st.den, *(x for s in acc.values() for x in s))
-            re = np.zeros((d * d, d * d), dtype=object)
-            im = np.zeros((d * d, d * d), dtype=object)
-            for (r, c), (x, y) in acc.items():
-                re[r, c], im[r, c] = x // g, y // g
-            rep = Mat(re, im, st.den * st.den // g, _normalized=True, _real=st.real or None)
+            rep = _sparse_mat(d * d, st.den * st.den, acc, st.real or None)
             object.__setattr__(self, "_matrix_rep", rep)
         return self._matrix_rep
+
+    def hermitian_rep(self) -> Mat:
+        """T^-1 M T, cached, for the matrix representation M and the
+        Hermitian operator basis T (:func:`hvec`): real, as a channel maps
+        Hermitian operators to Hermitian ones, with M's spectrum.  Summed
+        from the nonzero entries of the Kraus stack, as M is: the product
+        p = E_i[a, v] conj(E_i[b, w]), M's entry ((a, b), (v, w)), adds
+        Re(conj(T[(a, b), r]) p T[(v, w), c]) to entry (r, c), halved in a
+        row r of a pair a != b (T^-1 = (T†T)^-1 T†).  Swapping the two
+        entries conjugates every factor, so each unordered pair is taken
+        once, twice over when its entries differ."""
+        if self._hermitian_rep is None:
+            st, d = self._stack_of(), self.dim_in
+            # row (x, y) of T: its nonzero entries as (column, real, imaginary)
+            t = {}
+            for x, y in itertools.product(range(d), repeat=2):
+                lo, hi = sorted((x, y))
+                t[x, y] = [(lo * d + hi, 1, 0)] + ([(hi * d + lo, 0, 1 if x < y else -1)] if x != y else [])
+            acc = {}
+            for ops in st.entries(len(self.kraus)):
+                ops = list(ops.items())
+                for k, ((a, v), (ar, ai)) in enumerate(ops):
+                    for l in range(k, len(ops)):
+                        (b, w), (br, bi) = ops[l]
+                        # over the denominator 2 den^2
+                        n = (2 if a == b else 1) * (1 if l == k else 2)
+                        pr, pi = n * (ar * br + ai * bi), n * (ai * br - ar * bi)
+                        for r, fr, fi in t[a, b]:
+                            for c, gr, gi in t[v, w]:
+                                acc.setdefault((r, c), [0])[0] += (fr * gr + fi * gi) * pr - (fr * gi - fi * gr) * pi
+            rep = _sparse_mat(d * d, 2 * st.den * st.den, acc, True)
+            object.__setattr__(self, "_hermitian_rep", rep)
+        return self._hermitian_rep
 
     def compose(self, inner: "SuperOp") -> "SuperOp":
         """self after inner; Kraus set is all products."""
@@ -512,15 +581,7 @@ class MatrixRep:
         return unvec(self.m.dagger() @ vec(a), self.dim)
 
     def power(self, k: int) -> "MatrixRep":
-        result = None
-        base = self.m
-        while k:
-            if k & 1:
-                result = base if result is None else result @ base
-            k >>= 1
-            if k:
-                base = base @ base
-        return MatrixRep(Mat.eye(self.m.rows) if result is None else result)
+        return MatrixRep(mat_power(self.m, k))
 
     def preimage(self, p: Subspace) -> Subspace:
         pulled = self.dual_apply(p.complement().projector)

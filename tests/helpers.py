@@ -17,7 +17,7 @@ import scipy.linalg
 
 from qtl.checker import _PERIOD_BOUND, Verdict
 from qtl.errors import DimensionMismatch, PreconditionViolated, QtlError
-from qtl.linalg import CRat, Mat, kron, mat_sum, peripheral_period
+from qtl.linalg import CRat, Mat, _peripheral_period, invert, kron, mat_sum
 from qtl.subspace import Subspace, SubspaceUnion, satisfies, support
 from qtl.superop import MatrixRep, Measurement, SuperOp, unvec, vec
 from qtl.checker import check_terminates, reachability_superop
@@ -155,6 +155,14 @@ def random_scalar(rng, bound=3, real=False):
 def random_matrix(rng, rows, cols=None, bound=3):
     cols = rows if cols is None else cols
     return Mat.from_rows([[random_scalar(rng, bound) for _ in range(cols)] for _ in range(rows)])
+
+
+def random_cayley_unitary(rng, n):
+    """The Cayley transform (I - iH)(I + iH)^-1 of a random Hermitian H on
+    C^n: exactly unitary, dense and complex."""
+    b = random_matrix(rng, n, bound=2)
+    ih = (b + b.dagger()) * CRat(0, 1)
+    return (Mat.eye(n) - ih) @ invert(Mat.eye(n) + ih)
 
 
 def random_density(rng, n):
@@ -459,7 +467,11 @@ def p2_refine_by_joins(members, cycle, u: SubspaceUnion, actions):
     suffixes = [None] * k
     for r in range(k - 1, 0, -1):
         suffixes[r] = ms[r] if r == k - 1 else suffixes[r + 1] @ ms[r]
-    _, b = peripheral_period(prefixes[k], _PERIOD_BOUND)
+    # the period from the loop's real matrix in the Hermitian operator basis
+    loop = actions[word[0]].hermitian_rep()
+    for name in word[1:]:
+        loop = actions[name].hermitian_rep() @ loop
+    _, b = _peripheral_period(loop, _PERIOD_BOUND)
     pieces = []
     for r in range(1, k + 1):
         # the loop channel rotated to start after the r-th action
@@ -491,7 +503,7 @@ def p2_refine_by_joins(members, cycle, u: SubspaceUnion, actions):
 
 
 # ----------------------------------------------------------------------
-# the characteristic polynomial over Q(i): the reference for linalg.charpoly
+# the characteristic polynomial over Q(i): the reference for linalg._charpoly_int
 
 
 def reference_charpoly(m: Mat) -> list:

@@ -135,17 +135,20 @@ def test_simulator_guard_sees_every_form():
     assert _names_used(ast.parse(source)) & SIMULATORS == {"CQState", "selector_successors"}
 
 
-# The checker's lattice work runs on the actions' Kraus operators: a matrix
-# representation is formed only where a spectrum is needed (the loop
-# refinement's period, limit states) and by the oracle's own image path,
-# and no dagger of one, or of anything else, is formed.
+# The checker's lattice work runs on the actions' Kraus operators.  A
+# channel's real matrix in the Hermitian operator basis is formed only where
+# a spectrum is needed (the loop refinement's period, limit states), and the
+# period test reads nothing else; the complex matrix representation serves
+# only the oracle's own image path, and no dagger of one, or of anything
+# else, is formed.
 CHECKER = next(p for p in MODULES if p.stem == "checker")
-MATRIX_REP_CALLERS = {"_p2_refine", "limit_states", "_matrix_rep_image"}
+MATRIX_REP_CALLERS = {"_matrix_rep_image"}
+SPECTRAL_CALLERS = {"_p2_refine", "limit_states"}
 
 
-def _method_callers(tree, method) -> list:
-    """The outermost function around every call of ``.method()`` (None for
-    a call outside every function)."""
+def _callers(tree, name) -> list:
+    """The outermost function around every call of ``name()`` or
+    ``.name()`` (None for a call outside every function)."""
     found = []
 
     def visit(node, owner):
@@ -153,7 +156,7 @@ def _method_callers(tree, method) -> list:
             inner = owner
             if owner is None and isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 inner = child.name
-            if isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute) and child.func.attr == method:
+            if isinstance(child, ast.Call) and name in (getattr(child.func, "attr", None), getattr(child.func, "id", None)):
                 found.append(inner)
             visit(child, inner)
 
@@ -163,8 +166,10 @@ def _method_callers(tree, method) -> list:
 
 def test_checker_forms_matrix_reps_only_for_a_spectrum():
     tree = ast.parse(CHECKER.read_text(), str(CHECKER))
-    assert set(_method_callers(tree, "matrix_rep")) <= MATRIX_REP_CALLERS
-    assert _method_callers(tree, "dagger") == []
+    assert set(_callers(tree, "matrix_rep")) == MATRIX_REP_CALLERS
+    assert set(_callers(tree, "hermitian_rep")) == SPECTRAL_CALLERS
+    assert set(_callers(tree, "_peripheral_period")) == SPECTRAL_CALLERS
+    assert _callers(tree, "dagger") == []
 
 
 def test_method_guard_sees_every_caller():
@@ -176,8 +181,9 @@ def test_method_guard_sees_every_caller():
         "    return a.dagger()\n"
         "class C:\n"
         "    def limit_states(self):\n"
-        "        return self.matrix_rep()\n"
+        "        return _peripheral_period(self.matrix_rep())\n"
     )
     tree = ast.parse(source)
-    assert _method_callers(tree, "matrix_rep") == [None, "_p2_refine", "limit_states"]
-    assert _method_callers(tree, "dagger") == ["_p2_refine", "_p2_refine"]
+    assert _callers(tree, "matrix_rep") == [None, "_p2_refine", "limit_states"]
+    assert _callers(tree, "dagger") == ["_p2_refine", "_p2_refine"]
+    assert _callers(tree, "_peripheral_period") == ["limit_states"]

@@ -1,4 +1,5 @@
 import functools
+import itertools
 import pathlib
 import random
 import runpy
@@ -19,10 +20,12 @@ from qtl.superop import (
     MatrixRep,
     SuperOp,
     _four_squares,
+    hvec,
     image,
     image_union,
     preimage,
     preimage_union,
+    unhvec,
     unvec,
     vec,
 )
@@ -32,6 +35,7 @@ from helpers import (
     KET_PLUS_DENSITY,
     PAULI_X,
     PAULI_Y,
+    random_cayley_unitary,
     random_density,
     random_deterministic_program,
     random_matrix,
@@ -137,6 +141,58 @@ class TestMatrixRep:
         rng = random.Random(6)
         a = random_matrix(rng, 3)
         assert unvec(vec(a), 3) == a
+
+
+def _hermitian_basis(d) -> list:
+    """The operators H_c of the slots c of hvec, in slot order: E_ii at
+    i d + i, E_ij + E_ji at i d + j and i(E_ij - E_ji) at j d + i, i < j."""
+    basis = {}
+    for i, j in itertools.product(range(d), repeat=2):
+        if i == j:
+            basis[i * d + i] = Mat.unit(d, i, i)
+        elif i < j:
+            basis[i * d + j] = Mat.unit(d, i, j) + Mat.unit(d, j, i)
+            basis[j * d + i] = (Mat.unit(d, i, j) - Mat.unit(d, j, i)) * CRat(0, 1)
+    return [basis[c] for c in range(d * d)]
+
+
+class TestHermitianRep:
+    """The channel in the Hermitian operator basis, checked column by
+    column against the channel applied to each basis operator: apply
+    multiplies the Kraus operators out, sharing no code with the builder."""
+
+    def test_columns_are_the_images_of_the_basis(self):
+        rng = random.Random(32)
+        channels = [_trace_decreasing(rng, 3)]
+        for d in (2, 3, 4):
+            channels += [random_tp_channel(rng, d) for _ in range(4)]
+            channels += [SuperOp.from_unitary(random_cayley_unitary(rng, d)) for _ in range(2)]
+        assert sum(not all(k.is_real() for k in e.kraus) for e in channels) >= 6
+        assert not channels[0].is_trace_preserving()
+        for e in channels:
+            h = e.hermitian_rep()
+            assert h.is_real()
+            for c, basis_op in enumerate(_hermitian_basis(e.dim_in)):
+                assert h[:, [c]] == hvec(e.apply(basis_op))
+
+    def test_square_operators_only(self):
+        e = SuperOp([Mat.from_rows([[1, 0]])], validate=False)
+        for rep in (e.matrix_rep, e.hermitian_rep):
+            with pytest.raises(DimensionMismatch):
+                rep()
+
+    def test_hvec_coordinates(self):
+        # a Hermitian x is the sum of its coordinates times the basis
+        # operators, and unhvec takes them back to x
+        rng = random.Random(33)
+        for d in (1, 2, 3, 4):
+            for _ in range(5):
+                b = random_matrix(rng, d)
+                x = b + b.dagger()
+                v = hvec(x)
+                assert v.is_real() and v.rows == d * d
+                assert mat_sum(op * v.entry(c, 0) for c, op in enumerate(_hermitian_basis(d))) == x
+                assert unhvec(v, d) == x
 
 
 class TestPreimageImage:
