@@ -302,21 +302,19 @@ class TestAlwaysEventually:
         aut = QuantumAutomaton(2, {"damp": damp}, KET1)
         assert check_always_eventually(aut, union(span((1, 0)))).is_valid
 
-
     @pytest.mark.xfail(strict=True, reason="the refinement takes the peripheral period b = 1, not the degeneracy index 2")
     def test_oscillation_in_decaying_eigenvalues(self):
         # basis A, B, C: the supports run {A}, {B}, {A, C}, {B, C}, {A, C},
         # ... so span{A, C} recurs.  The A-B block has the eigenvalues
         # +-3/5, whose ratio -1 has order 2, while the peripheral part has
         # period 1; the checker refutes with periods [1]
-        a_, b_, c_ = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
         step = SuperOp([
             Mat.from_rows([[0, 0, 0], [1, 0, 0], [0, 0, 1]]),
             Mat.from_rows([[0, "3/5", 0], [0, 0, 0], [0, 0, 0]]),
             Mat.from_rows([[0, 0, 0], [0, 0, 0], [0, "4/5", 0]]),
         ])
         aut = QuantumAutomaton(3, {"step": step}, Mat.unit(3, 0, 0))
-        atoms = {"p": Atom("p", span(a_, c_))}
+        atoms = {"p": Atom("p", span((1, 0, 0), (0, 0, 1)))}
         formula = parse_formula("[] <> p", atoms)
         assert oracle_bfs(aut, formula, atoms, depth=20).status == "holds"
         assert check(aut, formula, atoms).status == "valid"
@@ -330,9 +328,9 @@ class TestSpectralForm:
 
     @staticmethod
     def _answers():
-        """The answers of [] <>, [] (true U f), [] (true U~ q) and the limit
-        states on seeded instances, built afresh on each call so that no
-        channel holds a cached representation."""
+        """The answers of [] <> and [] (true U f) on seeded loops, and of
+        [] (true U~ q) and the limit states on single channels, built afresh
+        on each call so that no channel holds a cached representation."""
         rng = random.Random(3207)
         loops = [(_block_automaton(rng, k), None) for k in (2, 3)] + [_loop_instance(rng) for _ in range(12)]
         prog = compile_source(EXAMPLE_LOOP_SRC)
@@ -341,23 +339,22 @@ class TestSpectralForm:
             (step_superop(prog), embed(initial_cq(prog), prog)),
             (random_tp_channel(rng, 3, True), Mat.eye(3) * CRat(Fraction(1, 3))),
         ]
-        out = []
+        recurrence, limits = [], []
         for aut, u in loops:
             u = u or union(span([int(i == 0) for i in range(aut.dim)]))
             ae = check_always_eventually(aut, u)
-            out.append((ae.status, ae.diagnostics.get("periods")))
-            out.append(check_always_until(aut, SubspaceUnion.full(aut.dim), u).status)
+            until = check_always_until(aut, SubspaceUnion.full(aut.dim), u)
+            recurrence.append((ae.status, ae.diagnostics.get("periods"), until.status))
         for e, sigma0 in singles:
             d = e.dim_in
             v = check_always_almost_until(e, sigma0, Subspace.full(d), span([int(i == 0) for i in range(d)]))
-            out.append((v.status, v.diagnostics.get("limit_traces")))
-            out.append([tau.key() for tau in limit_states(e, sigma0)])
-        return out
+            limits.append((v.status, v.diagnostics.get("limit_traces"), [tau.key() for tau in limit_states(e, sigma0)]))
+        return recurrence, limits
 
     def test_verdicts_without_a_matrix_rep(self, monkeypatch):
         expected = self._answers()
-        # some loops are refined, with a period
-        assert any(isinstance(a, tuple) and a[1] for a in expected[:28])
+        # loops are refined, with periods above one among them
+        assert any(periods and max(periods) > 1 for _, periods, _ in expected[0])
 
         def forbidden(self):
             raise AssertionError("formed a complex matrix representation")
@@ -781,8 +778,8 @@ class TestAlmostUntil:
                 limit_states(X_CONJ, sigma0)
 
     def test_limit_traces_are_exact(self):
-        # the 3-4-5 rotation through |0> and |1> mixes to I/2, whose
-        # weight on |0> is the rational 1/2 (no float)
+        # a bit flip with probability 9/25 mixes |0> to I/2, whose weight
+        # on |0> is the rational 1/2 (no float)
         mix = SuperOp([PAULI_X * CRat(Fraction(3, 5)), Mat.eye(2) * CRat(Fraction(4, 5))])
         v = check_always_almost_until(mix, KET0, Subspace.full(2), span((1, 0)))
         assert v.status == "not_valid"
