@@ -429,6 +429,10 @@ _PERIOD_BOUND = 64
 # of dimension D, and raises BudgetExceeded past this D instead: at D = 68,
 # the largest program measured, [] <> f peaks at about 730 MB
 _LOOP_DIM_MAX = 70
+# reachability_superop raises BudgetExceeded past this many unknowns: the
+# 4-qubit loop family has 640 and takes 11-12 s on a 2-core host, the 3-qubit
+# one (the largest in tests and workloads) 160 and 0.23 s
+_REACH_UNKNOWNS_MAX = 640
 
 
 def maximal_extension(a: QuantumAutomaton, x) -> SubspaceUnion:
@@ -763,6 +767,10 @@ def reachability_superop(program: SequentialProgram) -> ReachabilityResult:
     stop = program.config_index(program.exit_location)
     parts = loop.compression(loop.input_reachable.meet(loop.input_trapped.complement()))
     offsets = list(itertools.accumulate((v.cols**2 for v, _ in parts), initial=0))
+    if offsets[-1] > _REACH_UNKNOWNS_MAX:
+        raise BudgetExceeded(
+            f"reachability needs an exact solve for {offsets[-1]} unknowns; the limit is {_REACH_UNKNOWNS_MAX}"
+        )
     lhs = Mat.eye(offsets[-1]) - loop.compressed_cut(parts)
     l_in = parts[start][1]
     rhs = (

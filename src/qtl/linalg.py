@@ -475,11 +475,13 @@ class Mat:
     def is_square(self) -> bool:
         return self.rows == self.cols
 
+    # grids compare as nested lists: on the small object grids of the
+    # lattice work tolist() and == cost a fifth of np.array_equal
     def is_hermitian(self) -> bool:
         return (
             self.is_square()
-            and np.array_equal(self.num_re, self.num_re.T)
-            and np.array_equal(self.num_im, -self.num_im.T)
+            and self.num_re.tolist() == self.num_re.T.tolist()
+            and self.num_im.tolist() == (-self.num_im.T).tolist()
         )
 
     def __eq__(self, other):
@@ -489,8 +491,8 @@ class Mat:
             self.den == other.den
             and self.rows == other.rows
             and self.cols == other.cols
-            and np.array_equal(self.num_re, other.num_re)
-            and np.array_equal(self.num_im, other.num_im)
+            and self.num_re.tolist() == other.num_re.tolist()
+            and self.num_im.tolist() == other.num_im.tolist()
         )
 
     def key(self):

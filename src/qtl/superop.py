@@ -18,7 +18,8 @@ its columns hold at most one nonzero entry per operator, and the channel
 records the rows they hit: the image of a coordinate subspace whose pivots
 all have such columns is the coordinate subspace of the rows hit, with no
 image rows and no elimination.  The complement of a coordinate subspace is
-coordinate, so a pre-image takes the same path through the dual.
+coordinate, so a pre-image takes the same path through the dual, whose
+entries are the channel's, transposed and conjugated: no dual scans a grid.
 
 The matrix representation M = sum_i E_i (x) conj(E_i) linearizes a channel on
 row-major vectorized operators: vec(E(A)) = M vec(A).  It is the canonical
@@ -99,7 +100,8 @@ def unhvec(v: Mat, rows: int) -> Mat:
 
 class Measurement:
     """A quantum measurement {M_m}; completeness sum M†M = I holds exactly,
-    tested on the nonzero entries of the operators (:meth:`_Stack.is_isometry`)."""
+    tested on the nonzero entries of the operators (:meth:`_Stack.is_isometry`)
+    with no image table built."""
 
     __slots__ = ("operators", "dim")
 
@@ -141,40 +143,67 @@ class _Stack:
     their common denominator ``den``, by input coordinate: ``terms[v]``
     holds one triple (i, slot, c) per nonzero real or imaginary part c of an
     entry (u, v) of K_i, with slot u for a real part and dim_out + u for an
-    imaginary one; ``turned[v]`` holds the same parts times the imaginary
-    unit (i re is imaginary, i (i im) = -im is real).  ``real`` says whether
-    every entry is real.  ``hits[v]`` is the sorted tuple of the rows u
-    where some K_i e_v is nonzero, when each K_i has at most one nonzero
-    row in column v (so K_i e_v is a multiple of a unit vector), and None
-    otherwise.
+    imaginary one.  ``real`` says whether every entry is real, and ``n_ops``
+    is m.  The constructor scans the Kraus grids; the stack of the adjoints
+    K_i† is this one transposed (:meth:`dagger`), with no grid read.
+
+    Only images read the two tables built from ``terms`` on their first
+    read: ``turned[v]`` holds the same parts times the imaginary unit (i re
+    is imaginary, i (i im) = -im is real), and ``hits[v]`` is the sorted
+    tuple of the rows u where some K_i e_v is nonzero, when each K_i has at
+    most one nonzero row in column v (so K_i e_v is a multiple of a unit
+    vector), and None otherwise; validation and the matrix representations
+    read ``terms`` alone.
 
     A program action maps one configuration's block to another's, so most
-    of its entries are zero and most coordinates have none.  The images,
-    both matrix representations and the trace-preservation test of a
-    channel all read its stack."""
+    of its entries are zero and most coordinates have none."""
 
-    __slots__ = ("terms", "turned", "real", "den", "hits", "dim_out")
+    __slots__ = ("terms", "real", "den", "dim_out", "n_ops", "_turned", "_hits")
 
     def __init__(self, kraus):
         dim_out, dim_in = kraus[0].rows, kraus[0].cols
         den = math.lcm(*(k.den for k in kraus))
-        self.den = den
-        self.dim_out = dim_out
+        self.den, self.dim_out, self.n_ops = den, dim_out, len(kraus)
+        self._turned = self._hits = None
         self.terms = [[] for _ in range(dim_in)]
-        self.turned = [[] for _ in range(dim_in)]
         self.real = all(k.is_real() for k in kraus)
         for i, k in enumerate(kraus):
             scale = den // k.den
-            # (grid, its slot, the slot and sign of the grid times i)
-            grids = [(k.num_re, 0, dim_out, 1)] + ([] if k.is_real() else [(k.num_im, dim_out, 0, -1)])
-            for grid, slot, turned_slot, sign in grids:
+            for grid, slot in [(k.num_re, 0)] + ([] if k.is_real() else [(k.num_im, dim_out)]):
                 for u, row in enumerate(grid.tolist()):
                     if any(row):
                         for v, c in enumerate(row):
                             if c:
                                 self.terms[v].append((i, slot + u, c * scale))
-                                self.turned[v].append((i, turned_slot + u, sign * c * scale))
-        self.hits = [_hit_rows(terms, dim_out) for terms in self.terms]
+
+    def dagger(self) -> "_Stack":
+        """The stack of K_1†, ..., K_m†: entry (u, v) of K_i is entry (v, u)
+        of K_i†, conjugated, over the same denominator."""
+        n, dim_in = self.dim_out, len(self.terms)
+        terms = [[] for _ in range(n)]
+        for v, column in enumerate(self.terms):
+            for i, slot, c in column:
+                if slot < n:
+                    terms[slot].append((i, v, c))
+                else:
+                    terms[slot - n].append((i, dim_in + v, -c))
+        out = _Stack.__new__(_Stack)
+        out.terms, out.real, out.den, out.dim_out, out.n_ops = terms, self.real, self.den, dim_in, self.n_ops
+        out._turned = out._hits = None
+        return out
+
+    @property
+    def turned(self) -> list:
+        n = self.dim_out
+        if self._turned is None:
+            self._turned = [[(i, s + n, c) if s < n else (i, s - n, -c) for i, s, c in col] for col in self.terms]
+        return self._turned
+
+    @property
+    def hits(self) -> list:
+        if self._hits is None:
+            self._hits = [_hit_rows(column, self.dim_out) for column in self.terms]
+        return self._hits
 
     def is_isometry(self) -> bool:
         """Whether sum_i K_i† K_i is the identity.  Entry (v, w) of the sum
@@ -200,12 +229,12 @@ class _Stack:
         diagonal = sum(v == w for v, w in acc)
         return diagonal == len(self.terms) and all(s == (one if v == w else zero) for (v, w), s in acc.items())
 
-    def entries(self, n_ops: int) -> list:
-        """Per operator i < n_ops, its nonzero entries (u, v) as [real,
-        imaginary] parts, for a matrix representation on square operators."""
+    def entries(self) -> list:
+        """Per operator, its nonzero entries (u, v) as [real, imaginary]
+        parts, for a matrix representation on square operators."""
         if len(self.terms) != self.dim_out:
             raise DimensionMismatch("matrix representation needs dim_in == dim_out")
-        out = [{} for _ in range(n_ops)]
+        out = [{} for _ in range(self.n_ops)]
         for v, terms in enumerate(self.terms):
             for i, slot, c in terms:
                 part, u = divmod(slot, self.dim_out)
@@ -255,13 +284,14 @@ class SuperOp:
     identity, in exact arithmetic; False skips it.  Trace preservation,
     sum E†E = I, is tested on the nonzero entries of the Kraus stack
     (:meth:`_Stack.is_isometry`), which the images and the matrix
-    representation read too; only a channel that is not trace preserving
+    representations read too; only a channel that is not trace preserving
     forms the dense sum, to test that I - sum E†E is positive
-    semidefinite.
+    semidefinite.  A channel's stack is built once from its Kraus grids,
+    and its dual's stack is that stack transposed (:meth:`dual`).
     """
 
     __slots__ = (
-        "kraus", "dim_in", "dim_out", "_trace_preserving", "_matrix_rep", "_hermitian_rep", "_stack", "_dual", "_images"
+        "_kraus", "dim_in", "dim_out", "_trace_preserving", "_matrix_rep", "_hermitian_rep", "_stack", "_dual", "_images"
     )
 
     def __init__(self, kraus, validate: bool = True):
@@ -273,15 +303,7 @@ class SuperOp:
         for k in kraus:
             if k.cols != dim_in or k.rows != dim_out:
                 raise DimensionMismatch("Kraus operators must share one shape")
-        object.__setattr__(self, "kraus", kraus)
-        object.__setattr__(self, "dim_in", dim_in)
-        object.__setattr__(self, "dim_out", dim_out)
-        object.__setattr__(self, "_matrix_rep", None)
-        object.__setattr__(self, "_hermitian_rep", None)
-        object.__setattr__(self, "_stack", None)
-        object.__setattr__(self, "_dual", None)
-        object.__setattr__(self, "_images", {})
-        object.__setattr__(self, "_trace_preserving", None)
+        self._set(kraus, dim_in, dim_out, None, None)
         if validate and not self.is_trace_preserving():
             # I - sum K†K, scaled by den > 0, must be positive semidefinite
             re, im, den = _gram(kraus)
@@ -292,6 +314,21 @@ class SuperOp:
                 raise PreconditionViolated(
                     "Kraus operators exceed the identity: not trace-non-increasing"
                 )
+
+    def _set(self, kraus, dim_in, dim_out, stack, dual):
+        for name, value in (
+            ("_kraus", kraus), ("dim_in", dim_in), ("dim_out", dim_out), ("_stack", stack), ("_dual", dual),
+            ("_matrix_rep", None), ("_hermitian_rep", None), ("_images", {}), ("_trace_preserving", None),
+        ):
+            object.__setattr__(self, name, value)
+
+    @property
+    def kraus(self) -> tuple:
+        """The Kraus operators; a dual forms the adjoints of its channel's
+        on the first read."""
+        if self._kraus is None:
+            object.__setattr__(self, "_kraus", tuple(k.dagger() for k in self._dual.kraus))
+        return self._kraus
 
     def __setattr__(self, name, value):
         raise AttributeError("SuperOp is immutable")
@@ -333,10 +370,12 @@ class SuperOp:
         return mat_sum(k @ rho @ k.dagger() for k in self.kraus)
 
     def dual(self) -> "SuperOp":
-        """Heisenberg-picture dual: Kraus set {E_k†}; cached both ways."""
+        """Heisenberg-picture dual: Kraus set {E_k†}; cached both ways.  Its
+        stack is this channel's transposed (:meth:`_Stack.dagger`); its
+        Kraus operators are formed only when read (:attr:`kraus`)."""
         if self._dual is None:
-            dual = SuperOp([k.dagger() for k in self.kraus], validate=False)
-            object.__setattr__(dual, "_dual", self)
+            dual = SuperOp.__new__(SuperOp)
+            dual._set(None, self.dim_out, self.dim_in, self._stack_of().dagger(), self)
             object.__setattr__(self, "_dual", dual)
         return self._dual
 
@@ -368,14 +407,15 @@ class SuperOp:
         slots and, unless both sides are real, its imaginary slots."""
         st, n = self._stack_of(), self.dim_out
         rows_im = None if rows.is_real() else rows.num_im.tolist()
+        turned = None if rows_im is None else st.turned
         real = st.real and rows_im is None
         zero = [0] * (n if real else 2 * n)
         out = []
         for k, r_re in enumerate(rows.num_re.tolist()):
-            acc = [None] * len(self.kraus)
+            acc = [None] * st.n_ops
             parts = [(x, t) for x, t in zip(r_re, st.terms) if x]
             if rows_im is not None:
-                parts += [(x, t) for x, t in zip(rows_im[k], st.turned) if x]
+                parts += [(x, t) for x, t in zip(rows_im[k], turned) if x]
             for x, terms in parts:
                 for i, slot, c in terms:
                     a = acc[i]
@@ -398,7 +438,7 @@ class SuperOp:
         if self._matrix_rep is None:
             st, d = self._stack_of(), self.dim_in
             acc = {}
-            for ops in st.entries(len(self.kraus)):
+            for ops in st.entries():
                 ops = list(ops.items())
                 for (a, v), (ar, ai) in ops:
                     for (b, w), (br, bi) in ops:
@@ -427,7 +467,7 @@ class SuperOp:
                 lo, hi = sorted((x, y))
                 t[x, y] = [(lo * d + hi, 1, 0)] + ([(hi * d + lo, 0, 1 if x < y else -1)] if x != y else [])
             acc = {}
-            for ops in st.entries(len(self.kraus)):
+            for ops in st.entries():
                 ops = list(ops.items())
                 for k, ((a, v), (ar, ai)) in enumerate(ops):
                     for l in range(k, len(ops)):
@@ -462,10 +502,9 @@ class SuperOp:
         {c_i I} with sum |c_i|^2 = 1, so no matrix representation is needed."""
         if self.dim_in != self.dim_out:
             return False
-        eye = Mat.eye(self.dim_in).num_re
-        return all(
-            np.array_equal(k.num_re, eye * k.num_re[0, 0]) and np.array_equal(k.num_im, eye * k.num_im[0, 0])
-            for k in self.kraus
+        eye = [[int(i == j) for j in range(self.dim_in)] for i in range(self.dim_in)]
+        return all(  # each grid g is g[0, 0] I, compared as lists
+            g.tolist() == [[x * g[0, 0] for x in row] for row in eye] for k in self.kraus for g in (k.num_re, k.num_im)
         ) and self.is_trace_preserving()
 
     def __eq__(self, other):

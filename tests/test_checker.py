@@ -2,6 +2,7 @@ import functools
 import itertools
 import math
 import random
+import time
 from fractions import Fraction
 from unittest import mock
 
@@ -913,6 +914,30 @@ class TestReachability:
         assert r.expected_steps == 4
         assert r.kraus_rank == 3
         assert sizes and max(sizes) <= 160
+
+    def test_solve_past_the_limit_is_refused(self, tmp_path, capsys):
+        # a Hadamard loop on q0 of five qubits from the maximally mixed
+        # state: the guard keeps all of C^32 and the body and the exit a
+        # 16-dimensional part each, so the solve would have 32^2 + 2 * 16^2
+        # = 1536 unknowns; it is refused before the cut is assembled, and
+        # `qtl reach` exits 3
+        n = 32
+        mixed = [[Fraction(int(i == j), n) for j in range(n)] for i in range(n)]
+        src = f"""qubits 5;
+unitary H = sqrt(1/2) * [[1, 1], [1, -1]];
+measurement M = {{[[1, 0], [0, 0]], [[0, 0], [0, 1]]}};
+input [{", ".join("[" + ", ".join(str(x) for x in row) + "]" for row in mixed)}];
+while meas M(q0) == 1 {{ apply H to q0 }}
+"""
+        prog = compile_source(src)
+        start = time.perf_counter()
+        with pytest.raises(BudgetExceeded, match=f"1536 unknowns; the limit is {checker._REACH_UNKNOWNS_MAX}"):
+            reachability_superop(prog)
+        assert time.perf_counter() - start < 1
+        path = tmp_path / "mixed.json"
+        path.write_text(jsonio.dumps(jsonio.program_to_json(prog)))
+        assert cli_main(["reach", str(path)]) == 3
+        assert "BudgetExceeded" in capsys.readouterr().err
 
     def test_channel_reproduces_exact_reach_state(self, example_loop):
         # the ranks count the Kraus operators of the semantic function from

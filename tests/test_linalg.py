@@ -117,6 +117,31 @@ class TestMatBasics:
         assert m.is_hermitian()
         assert m.trace() == CRat(3)
 
+    def test_equality_reads_shape_and_denominator(self):
+        # equal numerator grids over another denominator, or the same
+        # entries laid out in another shape, are different matrices
+        m = Mat.from_rows([["1/2", 0], [0, (1, "1/2")]])
+        assert m == Mat.from_rows([["1/2", 0], [0, (1, "1/2")]])
+        assert m != Mat(m.num_re, m.num_im, 3 * m.den, _normalized=True)
+        assert m.num_re.tolist() == [[1, 0], [0, 2]]
+        flat = Mat.from_rows([["1/2", 0, 0, (1, "1/2")]])
+        assert m != flat and flat != m and m.key() != flat.key()
+        assert Mat.zeros(2, 3) != Mat.zeros(3, 2) and Mat.zeros(0, 2) != Mat.zeros(0, 3)
+
+    def test_hermitian_cases(self):
+        # a non-square matrix is never Hermitian; a symmetric nonzero
+        # imaginary part is not anti-symmetric, so i S is not Hermitian
+        assert not Mat.zeros(2, 3).is_hermitian()
+        assert not Mat.from_rows([[1, (0, 1)], [(0, 1), 2]]).is_hermitian()
+        assert not Mat.from_rows([[(0, 1), 0], [0, 1]]).is_hermitian()
+        assert Mat.from_rows([[2, (1, "-1/3")], [(1, "1/3"), "1/2"]]).is_hermitian()
+        rng = random.Random(19)
+        for n in (1, 2, 3, 5):
+            b = random_matrix(rng, n)
+            h = b + b.dagger()
+            assert h.is_hermitian()
+            assert (h * CRat(0, 1)).is_hermitian() == h.is_zero()
+
 
 class TestKernel:
     def test_zero_matrix_kernel_spans_everything(self):

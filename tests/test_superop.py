@@ -1,5 +1,8 @@
+import collections
 import functools
 import itertools
+import json
+import math
 import pathlib
 import random
 import runpy
@@ -9,16 +12,19 @@ import pytest
 
 import qtl.linalg as linalg
 import qtl.subspace as subspace
+from qtl import jsonio
+from qtl.checker import check
 from qtl.errors import DimensionMismatch, PreconditionViolated
-from qtl.formula import atom_from_blocks
+from qtl.formula import Atom, atom_from_blocks, parse_formula
 from qtl.linalg import CRat, Mat, kron, mat_sum
 from qtl.program import to_automaton
 from qtl.qwhile import WhileNormalForm
-from qtl.subspace import Subspace, satisfies
+from qtl.subspace import Subspace, satisfies, support
 from qtl.superop import (
     Measurement,
     MatrixRep,
     SuperOp,
+    _Stack,
     _four_squares,
     hvec,
     image,
@@ -35,6 +41,7 @@ from helpers import (
     KET_PLUS_DENSITY,
     PAULI_X,
     PAULI_Y,
+    random_automaton,
     random_cayley_unitary,
     random_density,
     random_deterministic_program,
@@ -100,6 +107,130 @@ class TestDual:
             lhs = (a @ e.apply(rho)).trace()
             rhs = (e.dual().apply(a) @ rho).trace()
             assert lhs == rhs
+
+
+def _stack_channels(rng):
+    """Seeded channels for the stack tests: real and complex, square and
+    rectangular (dim_in != dim_out), over unequal denominators."""
+    third, fifth = CRat(Fraction(1, 3)), CRat(Fraction(2, 5), Fraction(-1, 7))
+
+    def real_matrix(rows, cols):
+        return Mat.from_rows([[random_scalar(rng, real=True) for _ in range(cols)] for _ in range(rows)])
+
+    channels = []
+    for n in (1, 2, 3, 4):
+        channels += [random_tp_channel(rng, n), random_projective_channel(rng, n)]
+        channels.append(SuperOp([random_matrix(rng, n) * third, random_matrix(rng, n) * fifth, Mat.zeros(n)], validate=False))
+    for rows, cols in ((2, 3), (3, 2), (1, 4), (4, 2)):
+        channels.append(SuperOp([random_matrix(rng, rows, cols) * third, random_matrix(rng, rows, cols) * fifth], validate=False))
+        channels.append(SuperOp([real_matrix(rows, cols), Mat.zeros(rows, cols), real_matrix(rows, cols) * third], validate=False))
+    return channels
+
+
+def _eager_tables(kraus):
+    """``turned`` and ``hits`` built at once from the Kraus grids: i (re + i
+    im) = -im + i re per entry, and the rows hit per column when no operator
+    has two rows there."""
+    n, den = kraus[0].rows, math.lcm(*(k.den for k in kraus))
+    turned, hits = [], []
+    for v in range(kraus[0].cols):
+        column, rows, single = [], set(), True
+        for i, k in enumerate(kraus):
+            hit = [u for u in range(n) if k.num_re[u, v] or k.num_im[u, v]]
+            single = single and len(hit) <= 1
+            rows.update(hit)
+            for u in hit:
+                scale = den // k.den
+                column += [(i, u, -k.num_im[u, v] * scale)] if k.num_im[u, v] else []
+                column += [(i, n + u, k.num_re[u, v] * scale)] if k.num_re[u, v] else []
+        turned.append(column)
+        hits.append(tuple(sorted(rows)) if single else None)
+    return turned, hits
+
+
+class TestStackByTransposition:
+    """The dual's stack is its channel's transposed, the image tables are
+    built on their first read, and neither changes an image."""
+
+    def test_dual_stack_is_the_daggered_stack(self):
+        rng = random.Random(3301)
+        for e in _stack_channels(rng):
+            daggers = [k.dagger() for k in e.kraus]
+            built, moved = _Stack(daggers), e.dual()._stack
+            assert (moved.den, moved.real, moved.dim_out, moved.n_ops) == (built.den, built.real, e.dim_in, len(e.kraus))
+            assert len(moved.terms) == len(built.terms) == e.dim_out
+            for got, want in zip(moved.terms, built.terms):
+                assert collections.Counter(got) == collections.Counter(want)
+            # the dual's Kraus operators are the adjoints, and dual twice is the channel
+            assert e.dual().kraus == tuple(daggers)
+            assert e.dual().dual() is e
+            assert e.dual().dual()._stack is e._stack
+
+    def test_lazy_tables_equal_the_eager_ones(self):
+        rng = random.Random(3302)
+        for e in _stack_channels(rng):
+            for side in (e, e.dual()):
+                st = side._stack_of()
+                assert st._turned is None and st._hits is None
+                turned, hits = _eager_tables(side.kraus)
+                assert [collections.Counter(t) for t in st.turned] == [collections.Counter(t) for t in turned]
+                assert st.hits == hits
+                assert st.turned is st.turned and st.hits is st.hits
+
+    def test_images_equal_the_dense_references(self):
+        # square channels against the matrix representation, rectangular
+        # ones against the support of the sum of K rho K† and of its dual
+        rng = random.Random(3303)
+        for e in _stack_channels(rng):
+            m, n = e.dim_in, e.dim_out
+            ref = MatrixRep(e.matrix_rep()) if m == n else None
+            for _ in range(3):
+                s, t = random_subspace(rng, m), random_subspace(rng, n)
+                if ref is not None:
+                    assert image(e, s) == ref.image(s) and preimage(e, t) == ref.preimage(t)
+                img = support(mat_sum(k @ s.projector @ k.dagger() for k in e.kraus), validate=False)
+                pulled = mat_sum(k.dagger() @ t.complement().projector @ k for k in e.kraus)
+                assert image(e, s) == (img if s.dim else Subspace.zero(n))
+                assert preimage(e, t) == support(pulled, validate=False).complement()
+
+    def test_loading_an_automaton_builds_no_image_table(self, monkeypatch):
+        # validation reads the entries alone: loading lattice-sized
+        # automata (d = 2-3, 1-3 actions) builds no turned or hits table
+        rng = random.Random(3304)
+        texts = [jsonio.dumps(jsonio.program_to_json(random_automaton(rng, rng.choice([2, 3]), rng.randint(1, 3))))
+                 for _ in range(20)]
+        read = []
+        for name in ("turned", "hits"):
+            table = getattr(_Stack, name)
+            monkeypatch.setattr(_Stack, name, property(lambda st, _name=name, _t=table: read.append(_name) or _t.fget(st)))
+        for text in texts:
+            a = jsonio.program_from_json(json.loads(text))
+            assert all(e._stack is not None and e._stack.terms is not None for e in a.actions.values())
+        assert read == []
+
+    def test_invariance_builds_one_stack_per_action(self, monkeypatch):
+        # [] u pulls back through the duals: each action's stack is built
+        # once from its Kraus grids and transposed for its dual, and no
+        # dual forms its Kraus operators
+        rng = random.Random(3305)
+        cases = []
+        for _ in range(12):
+            a = random_automaton(rng, rng.choice([2, 3]), rng.randint(1, 3))
+            u = random_subspace(rng, a.dim, dim=rng.randint(1, a.dim - 1))
+            cases.append((jsonio.dumps(jsonio.program_to_json(a)), {"u": Atom("u", u)}))
+        built, daggered = [], []
+        init, dagger = _Stack.__init__, Mat.dagger
+        monkeypatch.setattr(_Stack, "__init__", lambda st, kraus: built.append(kraus) or init(st, kraus))
+        monkeypatch.setattr(Mat, "dagger", lambda k: daggered.append(k) or dagger(k))
+        for text, atoms in cases:
+            built.clear(), daggered.clear()
+            a = jsonio.program_from_json(json.loads(text))
+            check(a, parse_formula("[] u", atoms), atoms)
+            actions = list(a.actions.values())
+            assert [id(k) for k in built] == [id(e.kraus) for e in actions]
+            assert all(e._dual is not None and e._dual._kraus is None for e in actions)
+            ops = {id(k) for e in actions for k in e.kraus}
+            assert not any(id(k) in ops for k in daggered)
 
 
 class TestMatrixRep:
@@ -509,9 +640,10 @@ class TestChannelEquality:
             DAMP,
         ]
         channels += [random_tp_channel(rng, 2) for _ in range(10)]
+        channels.append(SuperOp.from_unitary(Mat.from_rows([[1, 0], [0, -1]])))
         verdicts = [e.is_identity() for e in channels]
         assert verdicts == [e == SuperOp.identity(2) for e in channels]
-        assert verdicts[:5] == [True, True, False, False, False]
+        assert verdicts[:5] == [True, True, False, False, False] and verdicts[-1] is False
 
 
 def _monomial(rng, n, real):
