@@ -502,9 +502,9 @@ class SuperOp:
         {c_i I} with sum |c_i|^2 = 1, so no matrix representation is needed."""
         if self.dim_in != self.dim_out:
             return False
-        eye = [[int(i == j) for j in range(self.dim_in)] for i in range(self.dim_in)]
         return all(  # each grid g is g[0, 0] I, compared as lists
-            g.tolist() == [[x * g[0, 0] for x in row] for row in eye] for k in self.kraus for g in (k.num_re, k.num_im)
+            g.tolist() == [[g[0, 0] if i == j else 0 for j in range(self.dim_in)] for i in range(self.dim_in)]
+            for k in self.kraus for g in (k.num_re, k.num_im)
         ) and self.is_trace_preserving()
 
     def __eq__(self, other):
