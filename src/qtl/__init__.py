@@ -1,7 +1,7 @@
 """Temporal-logic verification of quantum programs over subspace propositions."""
 
 from . import errors
-from .linalg import CRat, Mat, Rational, invert, is_psd, kernel_basis, kron, rank
+from .linalg import CRat, Mat, Rational, is_psd, kron, rank
 from .subspace import Subspace, SubspaceUnion, satisfies, support
 from .superop import Measurement, MatrixRep, SuperOp, image, image_union, preimage, preimage_union
 from .program import (

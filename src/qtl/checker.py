@@ -125,9 +125,10 @@ class ReachabilityResult:
     ``almost_terminates`` is the exit loop's lattice test
     (:attr:`qwhile.WhileNormalForm.exits_almost_surely`);
     ``expected_steps`` and the ``reach_trace`` diagnostic are the floats
-    of exact rationals.  ``kraus_rank`` is the exact rank of F's Choi
-    matrix, the least number of Kraus operators of the semantic function
-    (0 when no input ever exits).
+    of exact rationals, both read off the one solve that gives F (the
+    expected steps are the time spent before the exit).  ``kraus_rank`` is
+    the exact rank of F's Choi matrix, the least number of Kraus operators
+    of the semantic function (0 when no input ever exits).
     """
 
     expected_steps: float
@@ -325,11 +326,13 @@ class _SupportGraph:
 
 
 def check_next(a: QuantumAutomaton, u) -> Verdict:
-    """Every one-step successor of the initial state satisfies the union."""
+    """Every one-step successor of the initial state satisfies the union;
+    a successor's support is the action's Kraus image of the initial
+    support."""
     u = _as_union(u)
+    root = _initial_support(a)
     for name in sorted(a.actions):
-        nxt = support(a.actions[name].apply(a.initial_state), validate=False)
-        if not u.contains_subspace(nxt):
+        if not u.contains_subspace(image(a.actions[name], root)):
             return Verdict.not_valid(witness={"action": name, "word": [name], "step": 1})
     return Verdict.valid()
 
@@ -430,8 +433,8 @@ _PERIOD_BOUND = 64
 # the largest program measured, [] <> f peaks at about 730 MB
 _LOOP_DIM_MAX = 70
 # reachability_superop raises BudgetExceeded past this many unknowns: the
-# 4-qubit loop family has 640 and takes 11-12 s on a 2-core host, the 3-qubit
-# one (the largest in tests and workloads) 160 and 0.23 s
+# 4-qubit loop family has 640 and takes about 9 s on a 2-core host, the
+# 3-qubit one (the largest in tests and workloads) 160 and 0.14 s
 _REACH_UNKNOWNS_MAX = 640
 
 
@@ -756,10 +759,15 @@ def reachability_superop(program: SequentialProgram) -> ReachabilityResult:
     F of the semantic function: its exit rows read through V_e (x) conj V_e.
     There is no spectrum and no float.  The reach state is the exit
     block unvec(F vec rho_0); ``almost_terminates`` is R ^ T = R ^ B = 0,
-    under which the reach trace is checked to be exactly one, and the
-    expected number of steps until the exit, in the program's own step
-    counting, is the trace of the exit block of y2 - y, y = X vec rho_0 and
-    (I - A) y2 = y; it is infinite otherwise.
+    under which the reach trace is checked to be exactly one.  The expected
+    number of steps until the exit, in the program's own step counting,
+    comes from the same solve: y = X vec rho_0 sums the compressed states
+    A^n b, b = Lt vec rho_0, so its trace off the exit, Sum_{c != exit}
+    tr(V_c Y_c V_c^dag), is Sum_n P(T > n) = E[T] (the fundamental matrix
+    of an absorbing chain, applied once).  The compression loses none of
+    that mass: N maps B into B, so the mass in B never decreases, and under
+    almost-sure exit it tends to zero.  Otherwise the expected steps are
+    infinite.
     """
     loop = bohm_jacopini(program)
     d = program.dim
@@ -780,9 +788,7 @@ def reachability_superop(program: SequentialProgram) -> ReachabilityResult:
     )
     x = solve(lhs, rhs)
     v_out = parts[stop][0]
-    to_exit = kron(v_out, v_out.conj())
-    exit_rows = slice(offsets[stop], offsets[stop + 1])
-    semantics = to_exit @ x[exit_rows, :]
+    semantics = kron(v_out, v_out.conj()) @ x[offsets[stop] : offsets[stop + 1], :]
     rho0 = vec(program.initial_state)
     reach_block = unvec(semantics @ rho0, d)
     almost = loop.reachable.meet(loop.input_trapped).is_zero()
@@ -790,8 +796,13 @@ def reachability_superop(program: SequentialProgram) -> ReachabilityResult:
     if almost:
         if reach_block.trace() != CRat(1):
             raise QtlError(f"the loop exits almost surely, but the reach trace is {reach_block.trace()}")
+        # y = Sum_n A^n b; its mass off the exit is Sum_n P(T > n) = E[T]
         y = x @ rho0
-        expected = float(unvec(to_exit @ (solve(lhs, y) - y)[exit_rows, :], d).trace().re)
+        off_exit = CRat(0)
+        for c, (v, _) in enumerate(parts):
+            if c != stop and v.cols:
+                off_exit += unvec(kron(v, v.conj()) @ y[offsets[c] : offsets[c + 1], :], d).trace()
+        expected = float(off_exit.re)
     return ReachabilityResult(
         expected_steps=expected,
         almost_terminates=almost,
@@ -904,9 +915,12 @@ def kleene_always(e: SuperOp, rho_ab: Mat, p: Subspace, t: int | None = None) ->
     decided by one satisfaction check of the running average over t steps.
 
     t defaults to d^2 - 1 for a d-dimensional action space and may only be
-    enlarged; the bound does not depend on the environment dimension.
+    enlarged (PreconditionViolated otherwise); the bound does not depend on
+    the environment dimension.  rho_ab must be a density matrix
+    (PreconditionViolated otherwise).
     """
     d = e.dim_in
+    _validate_density(rho_ab, rho_ab.rows, "joint state")
     if rho_ab.rows % d != 0:
         raise DimensionMismatch("joint state dimension is not a multiple of the action space")
     d_env = rho_ab.rows // d
@@ -916,7 +930,7 @@ def kleene_always(e: SuperOp, rho_ab: Mat, p: Subspace, t: int | None = None) ->
     if t is None:
         t = t_min
     elif t < t_min:
-        raise ValueError(f"t may not be below the bound {t_min}")
+        raise PreconditionViolated(f"t may not be below the bound {t_min}")
     lifted = SuperOp([kron(k, Mat.eye(d_env)) for k in e.kraus], validate=False)
     acc = Mat.zeros(rho_ab.rows)
     state = rho_ab
@@ -953,7 +967,7 @@ def hoare_check(
     over dim pre.
     """
     if mode not in ("partial", "total"):
-        raise ValueError("mode must be 'partial' or 'total'")
+        raise PreconditionViolated("mode must be 'partial' or 'total'")
     if pre_sub.ambient_dim != program.dim or post_sub.ambient_dim != program.dim:
         raise DimensionMismatch("pre and post conditions live on the data space")
     if pre_sub.is_zero():

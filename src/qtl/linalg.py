@@ -4,8 +4,8 @@ Everything that feeds the subspace lattice, the program semantics and the
 period certificates stays in exact arithmetic: a matrix is a pair of
 integer numerator grids (real and imaginary parts, numpy object arrays so
 the integers are unbounded) over a single positive denominator.  Rank,
-kernel, reduced row echelon form, inverse, solve and the PSD test run
-fraction-free (Bareiss), so no rounding ever happens on that path, and on
+reduced row echelon form, solve and the PSD test run fraction-free
+(Bareiss), so no rounding ever happens on that path, and on
 one kernel of plain integers: a complex matrix is eliminated on its
 realification C^n = R^2n, each row a + ib becoming the integer rows of
 a + ib and of i(a + ib), columns interleaved, whose reduced form holds the
@@ -835,27 +835,6 @@ def _perp_rows(r: Mat, pivots: tuple) -> Mat:
     num_im = np.array(rows_im, dtype=object).reshape(shape)
     # normalized: the gcd of den and r's free-column numerators is one
     return Mat(num_re, num_im, r.den, _normalized=True, _real=r._real)
-
-
-def kernel_basis(m: Mat):
-    """Exact basis of the right null space, one column vector per free column.
-
-    The null space of m is the orthocomplement of the rows of conj(m), so
-    it is read off the free columns of the RREF of conj(m) (:func:`_perp_rows`):
-    the vector of free column f has 1 at f, zero at the other free columns
-    and minus entry f of row i of m's RREF at the pivot of row i.  Returns
-    an empty list exactly when the matrix is injective.
-    """
-    r, pivots = rref(m.conj())
-    perp = _perp_rows(r, pivots).transpose()
-    return [perp[:, j] for j in range(perp.cols)]
-
-
-def invert(m: Mat) -> Mat:
-    """Exact inverse; raises SingularMatrix when the rank is deficient."""
-    if not m.is_square():
-        raise DimensionMismatch("only square matrices can be inverted")
-    return solve(m, Mat.eye(m.rows))
 
 
 def solve(a: Mat, b: Mat) -> Mat:

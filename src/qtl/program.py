@@ -28,6 +28,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import (
+    BudgetExceeded,
     DimensionMismatch,
     MalformedState,
     NonClassicalCoherence,
@@ -40,6 +41,12 @@ from .subspace import Subspace
 from .superop import Measurement, SuperOp
 
 DEFAULT_SELECTOR_CAP = 4096
+# step_superop and to_automaton hold every Kraus operator as a dense D x D
+# grid, and raise BudgetExceeded before placing any past this many grid
+# entries in all (grids times D^2): a chain of 160 skips (161 grids at
+# D = 322, 16.7 million entries) is at the limit, and `qtl check` of [] p
+# on it peaks at 290 MB; the largest in tests and workloads has 73,728
+_GRID_ENTRIES_MAX = 2**24
 
 
 @dataclass(frozen=True)
@@ -459,12 +466,30 @@ def _selector_kraus(program, selector) -> list:
     return kraus
 
 
+def _selector_channels(program, selectors) -> list:
+    """One channel per selector, of :func:`_selector_kraus`'s operators, or
+    BudgetExceeded before any block is placed when their dense grids would
+    hold more than ``_GRID_ENTRIES_MAX`` entries.  A selector fixes only
+    the targets, so every selector places equally many operators."""
+    size = program.dim * len(program.configs())
+    actions = (program._step_targets(config, selectors[0])[0] for config in program.configs())
+    per_selector = sum(
+        len(a.channel.kraus) * sum(not m_op.is_zero() for m_op in a.measurement.operators) for a in actions
+    )
+    grids = len(selectors) * per_selector
+    if grids * size * size > _GRID_ENTRIES_MAX:
+        raise BudgetExceeded(
+            f"the one-step channels need {grids} dense {size}x{size} Kraus operators "
+            f"({grids * size * size} entries); the limit is {_GRID_ENTRIES_MAX} entries"
+        )
+    return [SuperOp(_selector_kraus(program, sel), validate=False) for sel in selectors]
+
+
 def step_superop(program) -> SuperOp:
     """The single trace-preserving channel that advances a deterministic program."""
     if not program.deterministic:
         raise NotDeterministic("only deterministic programs step by one channel")
-    sel = _selector_assignments(program, 1)[0]
-    return SuperOp(_selector_kraus(program, sel), validate=False)
+    return _selector_channels(program, _selector_assignments(program, 1))[0]
 
 
 class QuantumAutomaton:
@@ -509,9 +534,8 @@ def _selector_name(program, selector):
 def to_automaton(program) -> QuantumAutomaton:
     """One trace-preserving action per whole-step selector, on the embedded
     space; each Kraus operator is one placed d x d block (no D x D product)."""
-    actions = {
-        _selector_name(program, sel): SuperOp(_selector_kraus(program, sel), validate=False)
-        for sel in _selector_assignments(program, DEFAULT_SELECTOR_CAP)
-    }
+    selectors = _selector_assignments(program, DEFAULT_SELECTOR_CAP)
+    channels = _selector_channels(program, selectors)
+    actions = {_selector_name(program, sel): e for sel, e in zip(selectors, channels)}
     emb = embed(initial_cq(program), program)
     return QuantumAutomaton(emb.rows, actions, emb, validate=False)

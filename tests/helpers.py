@@ -17,7 +17,7 @@ import scipy.linalg
 
 from qtl.checker import _PERIOD_BOUND, Verdict
 from qtl.errors import DimensionMismatch, PreconditionViolated, QtlError
-from qtl.linalg import CRat, Mat, _peripheral_period, invert, kron, mat_sum
+from qtl.linalg import CRat, Mat, _peripheral_period, kron, mat_sum, solve
 from qtl.subspace import Subspace, SubspaceUnion, satisfies, support
 from qtl.superop import MatrixRep, Measurement, SuperOp, unvec, vec
 from qtl.checker import check_terminates, reachability_superop
@@ -158,11 +158,11 @@ def random_matrix(rng, rows, cols=None, bound=3):
 
 
 def random_cayley_unitary(rng, n):
-    """The Cayley transform (I - iH)(I + iH)^-1 of a random Hermitian H on
-    C^n: exactly unitary, dense and complex."""
+    """The Cayley transform (I + iH)^-1 (I - iH) of a random Hermitian H on
+    C^n (the two factors commute): exactly unitary, dense and complex."""
     b = random_matrix(rng, n, bound=2)
     ih = (b + b.dagger()) * CRat(0, 1)
-    return (Mat.eye(n) - ih) @ invert(Mat.eye(n) + ih)
+    return solve(Mat.eye(n) + ih, Mat.eye(n) - ih)
 
 
 def random_density(rng, n):

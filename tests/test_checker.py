@@ -76,6 +76,7 @@ from helpers import (
     random_subspace,
     random_tp_channel,
     random_union,
+    random_vector,
     basis_union,
     block_space_cut,
     block_vector,
@@ -138,6 +139,34 @@ class TestNext:
 
     def test_full_space_always_valid(self, x_automaton):
         assert check_next(x_automaton, SubspaceUnion.full(2)).is_valid
+
+    def test_successors_without_applying_a_channel(self, monkeypatch):
+        # a successor's support is the Kraus image of the initial support,
+        # so `check` applies no channel to the initial state; the verdicts
+        # agree with the oracle, on mixed and on pure initial states
+        rng = random.Random(12)
+        cases = []
+        for _ in range(24):
+            aut = random_automaton(rng, rng.randint(2, 3), rng.randint(1, 3))
+            if rng.random() < 0.5:
+                v = random_vector(rng, aut.dim)
+                aut = QuantumAutomaton(aut.dim, aut.actions, (v @ v.dagger()) * CRat(1 / (v.dagger() @ v).trace().re))
+            atoms = {name: Atom(name, random_subspace(rng, aut.dim)) for name in ("p", "q")}
+            formula = parse_formula(rng.choice(["X p", "X (p || q)"]), atoms)
+            cases.append((aut, formula, atoms, oracle_bfs(aut, formula, atoms, depth=1).status))
+
+        def forbidden(self, rho):
+            raise AssertionError("X f applied a channel")
+
+        monkeypatch.setattr(SuperOp, "apply", forbidden)
+        statuses = set()
+        for aut, formula, atoms, oracle in cases:
+            v = check(aut, formula, atoms)
+            assert v.status == {"holds": "valid", "fails": "not_valid"}[oracle]
+            if v.status == "not_valid":
+                assert v.witness == {"action": v.witness["action"], "word": [v.witness["action"]], "step": 1}
+            statuses.add(v.status)
+        assert statuses == {"valid", "not_valid"}
 
 
 class TestInvariance:
@@ -915,6 +944,28 @@ class TestReachability:
         assert r.kraus_rank == 3
         assert sizes and max(sizes) <= 160
 
+    def test_one_elimination_per_reach(self, monkeypatch):
+        # the expected steps are read off the solve that gives F, so the
+        # Sum k_c^2-row system is eliminated once, also under almost-sure
+        # exit (the trapped loops have infinite expected steps)
+        import qtl.checker as checker
+
+        sizes = []
+        exact_solve = checker.solve
+        monkeypatch.setattr(checker, "solve", lambda a, b: sizes.append(a.rows) or exact_solve(a, b))
+        sources = [EXAMPLE_LOOP_SRC, TWO_QUBIT_LOOP_SRC, THREE_QUBIT_LOOP_SRC, UNREACHED_TRAP_SRC]
+        sources += [PARTIALLY_TRAPPED_SRC, rotation_loop_with_minus_trap_src(10)]
+        almost = []
+        for src in sources:
+            prog = compile_source(src)
+            loop = bohm_jacopini(prog)
+            parts = loop.compression(loop.input_reachable.meet(loop.input_trapped.complement()))
+            sizes.clear()
+            r = reachability_superop(prog)
+            assert sizes == [sum(v.cols**2 for v, _ in parts)]
+            almost.append(r.almost_terminates)
+        assert almost == [True, True, True, True, False, True]
+
     def test_solve_past_the_limit_is_refused(self, tmp_path, capsys):
         # a Hadamard loop on q0 of five qubits from the maximally mixed
         # state: the guard keeps all of C^32 and the body and the exit a
@@ -1193,9 +1244,20 @@ class TestKleene:
     def test_t_cannot_shrink(self):
         rho = kron(KET0, KET0)
         p = Subspace.full(4)
-        with pytest.raises(ValueError):
+        with pytest.raises(PreconditionViolated):
             kleene_always(X_CONJ, rho, p, t=1)
         assert kleene_always(X_CONJ, rho, p, t=7).is_valid
+
+    def test_joint_state_must_be_a_density_matrix(self):
+        def diag(*xs):
+            return Mat.from_rows([[x if i == j else 0 for j in range(4)] for i, x in enumerate(xs)])
+
+        p = Subspace.full(4)
+        for rho in (diag(1, -1, 1, 0), diag(1, 1, 0, 0)):
+            with pytest.raises(PreconditionViolated):
+                kleene_always(X_CONJ, rho, p)
+        with pytest.raises(DimensionMismatch):
+            kleene_always(X_CONJ, Mat.zeros(4, 2), p)
 
 
 class TestHoare:
@@ -1209,6 +1271,10 @@ class TestHoare:
         z = Subspace.zero(2)
         assert hoare_check(example_loop, z, Subspace.zero(2), "partial").is_valid
         assert hoare_check(example_loop, z, Subspace.zero(2), "total").is_valid
+
+    def test_unknown_mode_is_refused(self, example_loop):
+        with pytest.raises(PreconditionViolated, match="mode"):
+            hoare_check(example_loop, Subspace.full(2), Subspace.full(2), "strict")
 
     def test_zero_post_fails_total(self):
         prog = compile_source("qubits 1;\nskip")
@@ -1542,7 +1608,8 @@ class TestAlmostSureExit:
         # a program that terminates exactly at step n exits with mass
         # m_k - m_(k-1) at step k <= n, m_k the exact exit trace after k
         # steps, and with none later: its expected number of steps is the
-        # finite sum of k (m_k - m_(k-1)), which checks the second solve
+        # finite sum of k (m_k - m_(k-1)), which checks the tail sum that
+        # reachability_superop reads off its one solve, Sum_k P(T > k)
         for prog, step in terminating_programs(seed=seed, count=8, min_step=2):
             series = normal_form_exit_series(bohm_jacopini(prog), embed(initial_cq(prog), prog), step + 2)
             masses = [m.trace() for m in series]

@@ -1,5 +1,6 @@
 import json
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -728,6 +729,35 @@ class TestReachCommand:
             (0.5, False),
         ]
         assert records[2]["expected_steps"] == "inf"
+
+
+class TestGridLimit:
+    """A program whose one-step channels would hold too many dense grid
+    entries exits 3 at once, from `qtl reach` and from `qtl check`."""
+
+    def _skip_chain(self, tmp_path, n):
+        prog = compile_source("qubits 1;\n" + "skip;\n" * n)
+        program_path = tmp_path / f"skips{n}.json"
+        program_path.write_text(jsonio.dumps(jsonio.program_to_json(prog)))
+        atoms_path = tmp_path / f"skips{n}_atoms.json"
+        atoms = [{"name": "p", "blocks": {prog.exit_location: {"dim": 2, "basis": [["1", "0"]]}}}]
+        atoms_path.write_text(json.dumps(atoms))
+        return str(program_path), str(atoms_path)
+
+    def test_long_chain_fails_fast(self, tmp_path, capsys):
+        # 401 grids of 802 x 802, about 258 million entries
+        prog, atoms = self._skip_chain(tmp_path, 400)
+        for argv in (["reach", prog], ["check", prog, "--atoms", atoms, "-f", "[] p"]):
+            start = time.perf_counter()
+            assert main(argv) == 3
+            assert time.perf_counter() - start < 1
+            assert "BudgetExceeded" in capsys.readouterr().err
+
+    def test_chain_below_the_limit_answers(self, tmp_path, capsys):
+        # 151 grids of 302 x 302: p holds only at the exit
+        prog, atoms = self._skip_chain(tmp_path, 150)
+        assert main(["check", prog, "--atoms", atoms, "-f", "[] p", "--json"]) == 1
+        assert json.loads(capsys.readouterr().out)["status"] == "not_valid"
 
 
 class TestSimulateCommand:

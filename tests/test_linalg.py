@@ -21,9 +21,7 @@ from qtl.linalg import (
     _peripheral_period,
     _realified,
     format_rational,
-    invert,
     is_psd,
-    kernel_basis,
     kron,
     mat_sum,
     parse_rational,
@@ -33,6 +31,7 @@ from qtl.linalg import (
     solve,
 )
 
+from qtl.subspace import Subspace
 from qtl.superop import SuperOp, unvec, vec
 
 import qtl.checker as checker
@@ -145,15 +144,15 @@ class TestMatBasics:
 
 class TestKernel:
     def test_zero_matrix_kernel_spans_everything(self):
-        basis = kernel_basis(Mat.zeros(2))
+        basis = _kernel(Mat.zeros(2))
         assert len(basis) == 2
         assert rank(Mat.zeros(2)) == 0
 
     def test_identity_is_injective(self):
-        assert kernel_basis(Mat.eye(3)) == []
+        assert _kernel(Mat.eye(3)) == []
 
     def test_rank_one_kernel_direction(self):
-        basis = kernel_basis(Mat.from_rows([[1, 1], [1, 1]]))
+        basis = _kernel(Mat.from_rows([[1, 1], [1, 1]]))
         assert len(basis) == 1
         v = basis[0]
         # proportional to (1, -1)
@@ -165,17 +164,17 @@ class TestKernel:
         for _ in range(25):
             rows, cols = rng.randint(1, 4), rng.randint(1, 4)
             m = random_matrix(rng, rows, cols)
-            assert rank(m) + len(kernel_basis(m)) == cols
-            for v in kernel_basis(m):
+            assert rank(m) + len(_kernel(m)) == cols
+            for v in _kernel(m):
                 assert (m @ v).is_zero()
 
 
 class TestInvert:
     def test_identity(self):
-        assert invert(Mat.eye(4)) == Mat.eye(4)
+        assert _inverse(Mat.eye(4)) == Mat.eye(4)
 
     def test_diagonal(self):
-        assert invert(Mat.from_rows([["1/2", 0], [0, "1/3"]])) == Mat.from_rows([[2, 0], [0, 3]])
+        assert _inverse(Mat.from_rows([["1/2", 0], [0, "1/3"]])) == Mat.from_rows([[2, 0], [0, 3]])
 
     def test_random_residual_exactly_zero(self):
         rng = random.Random(5)
@@ -183,7 +182,7 @@ class TestInvert:
         while found < 10:
             m = random_matrix(rng, 3)
             try:
-                inv = invert(m)
+                inv = _inverse(m)
             except SingularMatrix:
                 continue
             found += 1
@@ -192,7 +191,7 @@ class TestInvert:
 
     def test_singular_raises(self):
         with pytest.raises(SingularMatrix):
-            invert(Mat.from_rows([[1, 1], [1, 1]]))
+            _inverse(Mat.from_rows([[1, 1], [1, 1]]))
 
 
 class TestSolve:
@@ -208,7 +207,7 @@ class TestSolve:
                 continue
             found += 1
             assert a @ x == b
-            assert x == invert(a) @ b
+            assert x == _inverse(a) @ b
 
     def test_singular_raises(self):
         with pytest.raises(SingularMatrix):
@@ -263,9 +262,22 @@ def _from_sympy(rows) -> Mat:
     )
 
 
+def _kernel(m: Mat) -> list:
+    """The right null space of m, the orthocomplement of the rows of
+    conj(m), as the rows of that complement's RREF, each read as a
+    column."""
+    perp = Subspace(m.cols, m.conj()).complement().rref
+    return [perp[i : i + 1, :].transpose() for i in range(perp.rows)]
+
+
+def _inverse(m: Mat) -> Mat:
+    return solve(m, Mat.eye(m.rows))
+
+
 def _sympy_kernel(m: Mat, domain=QQ_I) -> list:
-    """sympy's reduced row echelon form read as one kernel vector per free
-    column f: 1 at f, zero at the other free columns."""
+    """sympy's kernel of m as _kernel gives it: one vector per free column
+    f of sympy's RREF of m (1 at f, zero at the other free columns), and
+    those vectors brought to their own RREF by sympy."""
     reduced, pivots = _to_sympy(m, domain).rref()
     reduced = reduced.to_list()
     vectors = []
@@ -276,8 +288,11 @@ def _sympy_kernel(m: Mat, domain=QQ_I) -> list:
         v[f] = domain.one
         for i, c in enumerate(pivots):
             v[c] = -reduced[i][f]
-        vectors.append(_from_sympy([[x] for x in v]))
-    return vectors
+        vectors.append(v)
+    if not vectors:
+        return []
+    basis, _ = DomainMatrix(vectors, (len(vectors), m.cols), domain).rref()
+    return [_from_sympy([[x] for x in row]) for row in basis.to_list()]
 
 
 # (rows, cols, rank): full, singular and rank-deficient squares, wide, tall, zero
@@ -338,7 +353,7 @@ def _unit_row_inputs(seed, real):
 
 
 class TestAgainstSympy:
-    """rank, kernel_basis, rref, solve and invert against sympy's exact
+    """rank, the kernel, rref, solve and the inverse against sympy's exact
     matrices, on seeded inputs: Gaussian-rational ones over QQ_I, with
     complex non-unit pivots, and real ones over QQ, which take the integer
     kernel, with negative and non-unit pivots; and rref on rows that each
@@ -350,7 +365,7 @@ class TestAgainstSympy:
             for m in _shaped_inputs(100, seed, real):
                 assert m.is_real() == real or m.is_zero()
                 assert rank(m) == _to_sympy(m, domain).rank()
-                assert kernel_basis(m) == _sympy_kernel(m, domain)
+                assert _kernel(m) == _sympy_kernel(m, domain)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_rref(self, seed):
@@ -414,10 +429,10 @@ class TestAgainstSympy:
                     with pytest.raises(SingularMatrix):
                         solve(a, b)
                     with pytest.raises(SingularMatrix):
-                        invert(a)
+                        _inverse(a)
                     continue
                 assert solve(a, b) == _from_sympy(a_sym.lu_solve(b_sym).to_list())
-                assert invert(a) == _from_sympy(a_sym.inv().to_list())
+                assert _inverse(a) == _from_sympy(a_sym.inv().to_list())
 
     def test_real_inputs_have_negative_and_non_unit_last_pivots(self):
         # the last pivot D of the integer elimination divides every result,
@@ -487,17 +502,17 @@ class TestIntegerKernel:
         expected = _from_sympy(reduced.to_list()[: len(pivots)]) if pivots else Mat.zeros(0, m.cols)
         assert rref(m) == (expected, tuple(pivots))
         assert rank(m) == len(pivots)
-        assert kernel_basis(m) == _sympy_kernel(m)
+        assert _kernel(m) == _sympy_kernel(m)
         if b is None or not m.rows:
             return
         if len(pivots) < m.rows:
             with pytest.raises(SingularMatrix):
                 solve(m, b)
             with pytest.raises(SingularMatrix):
-                invert(m)
+                _inverse(m)
             return
         assert solve(m, b) == _from_sympy(m_sym.lu_solve(_to_sympy(b)).to_list())
-        assert invert(m) == _from_sympy(m_sym.inv().to_list())
+        assert _inverse(m) == _from_sympy(m_sym.inv().to_list())
 
     def test_full_column_rank_input_takes_one_forward_pass(self, monkeypatch):
         passes = []
@@ -621,7 +636,7 @@ class TestRealness:
         for m in (x.dagger(), x.transpose(), x.conj(), x[1:, :], x[:, 0], x[0:1, 1:], vec(x), unvec(vec(x), 3)):
             yield m
         yield rref(x)[0]
-        yield from kernel_basis(x)
+        yield from _kernel(x)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_flag_survives_every_operation(self, seed):
@@ -1010,7 +1025,7 @@ class TestCharpoly:
             while _to_sympy(s_re).rank() < n:
                 s_re = _gaussian_matrix(rng, n, n, real=True)
             upper = _real_part(Mat.from_rows(rows))
-            for m in (upper, upper.transpose(), s_re @ upper @ invert(s_re)):
+            for m in (upper, upper.transpose(), s_re @ upper @ _inverse(s_re)):
                 assert charpoly(m) == _row([0] * n + [1])
                 assert charpoly(m) == self._expected(m)
 
@@ -1229,7 +1244,7 @@ class TestPeripheralSplit:
             power = Mat.eye(4)
             for c in range(1, b + 1):
                 power = power @ m
-                fixed = len(kernel_basis(power - Mat.eye(4)))
+                fixed = len(_kernel(power - Mat.eye(4)))
                 assert fixed == k if c == b else fixed < k
 
     def test_trace_preserving_spectral_structure(self):

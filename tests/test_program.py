@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from qtl.errors import (
+    BudgetExceeded,
     DimensionMismatch,
     NonClassicalCoherence,
     NotDeterministic,
@@ -11,6 +12,7 @@ from qtl.errors import (
     PreconditionViolated,
     SelectorExplosion,
 )
+import qtl.program as program
 from qtl.linalg import CRat, Mat, kron
 from qtl.subspace import Subspace
 from qtl.superop import Measurement, SuperOp
@@ -36,6 +38,7 @@ from helpers import (
     EXAMPLE_LOOP_SRC,
     KET_MINUS_DENSITY,
     PAULI_X,
+    random_concurrent_program,
     random_deterministic_program,
     random_qwhile_source,
     random_subspace,
@@ -418,3 +421,32 @@ class TestOwnOutcomes:
             for text in ("[] p", "<> q", "<>~ q", "<>[] p", "[]<> q", "[] (p U q)"):
                 formula = parse_formula(text, atoms)
                 assert verdict_to_json(check(prog, formula, atoms)) == verdict_to_json(check(padded, formula, atoms))
+
+
+class TestGridGuard:
+    """step_superop and to_automaton refuse a program whose dense Kraus
+    grids would hold more than ``program._GRID_ENTRIES_MAX`` entries, before
+    they place any block."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_limit_counts_every_grid(self, seed, monkeypatch):
+        # the concurrent programs have several selectors, each placing its
+        # own grids
+        rng = random.Random(40 + seed)
+        progs = [random_concurrent_program(rng, 2, 2), random_deterministic_program(rng, 2, rng.randint(2, 4))]
+        for prog in progs:
+            a = to_automaton(prog)
+            assert (len(a.actions) > 1) == (not prog.deterministic)
+            entries = sum(len(e.kraus) for e in a.actions.values()) * a.dim**2
+            monkeypatch.setattr(program, "_GRID_ENTRIES_MAX", entries)
+            assert to_automaton(prog).actions.keys() == a.actions.keys()
+            monkeypatch.setattr(program, "_GRID_ENTRIES_MAX", entries - 1)
+            placed, exact = [], program.place_blocks
+            monkeypatch.setattr(program, "place_blocks", lambda p, blocks: placed.append(1) or exact(p, blocks))
+            with pytest.raises(BudgetExceeded, match=f"\\({entries} entries\\)"):
+                to_automaton(prog)
+            if prog.deterministic:
+                with pytest.raises(BudgetExceeded, match=f"\\({entries} entries\\)"):
+                    step_superop(prog)
+            assert placed == []
+            monkeypatch.undo()

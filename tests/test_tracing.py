@@ -17,7 +17,7 @@ from qtl.linalg import Mat
 
 TRACING = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 # named by the tracer, but gone from linalg
-UNRESOLVED = {"linalg.peripheral_split"}
+UNRESOLVED = {"linalg.peripheral_split", "linalg.kernel_basis", "linalg.invert"}
 
 
 def _load_tracing():
