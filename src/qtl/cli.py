@@ -36,8 +36,10 @@ _DECODER = json.JSONDecoder(parse_float=Fraction)
 
 
 def _load_json(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return _DECODER.decode(fh.read())
+    """The JSON document in the file: its bytes, read unbuffered in one
+    call and decoded as UTF-8 once."""
+    with open(path, "rb", buffering=0) as fh:
+        return _DECODER.decode(fh.readall().decode("utf-8"))
 
 
 def _load_program(path):

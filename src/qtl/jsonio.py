@@ -3,9 +3,15 @@
 Numbers are exact: rationals are encoded as "p/q" strings (or bare
 integers), complex entries as two-element arrays [re, im] of rationals, and
 matrices as row-major nested arrays.  Real entries may be given directly as
-rational literals.  Matrices are read straight into the integer grids of a
-``Mat`` (:meth:`Mat.from_rows`) and written from them; an entry that is no
-exact number, or a missing key, raises MalformedInput naming it.
+rational literals.  Each matrix is read once, into integer rows over one
+denominator (:func:`linalg._int_rows`), and handed straight to what reads
+it: the Kraus stack of a channel or a measurement (:meth:`SuperOp.from_grids`,
+:meth:`Measurement.from_grids`), whose ``Mat``s are formed only when read;
+the RREF kernel, or the pivot set of unit vectors, for a subspace
+(:meth:`Subspace.from_vectors`); a ``Mat`` (:meth:`Mat.from_rows`) for an
+initial state.  Matrices are written from the integer grids of a ``Mat``.
+An entry that is no exact number, or a missing key, raises MalformedInput
+naming it.
 
 Program schema (sequential):
 
@@ -33,7 +39,7 @@ import json
 import math
 
 from .errors import MalformedInput, QtlError
-from .linalg import Mat
+from .linalg import Mat, _int_rows
 from .subspace import Subspace, SubspaceUnion
 from .superop import Measurement, SuperOp
 from .program import (
@@ -75,8 +81,14 @@ def _ratio_literal(num: int, den: int) -> str:
 
 
 def mat_to_json(m: Mat):
-    """The entries of m as literals, read off its integer grids."""
+    """The entries of m as literals, read off its integer grids; over
+    denominator 1 each numerator is its own literal."""
     den = m.den
+    if den == 1:
+        return [
+            [str(re) if not im else [str(re), str(im)] for re, im in zip(row_re, row_im)]
+            for row_re, row_im in zip(m.num_re.tolist(), m.num_im.tolist())
+        ]
     return [
         [_ratio_literal(re, den) if not im else [_ratio_literal(re, den), _ratio_literal(im, den)]
          for re, im in zip(row_re, row_im)]
@@ -84,14 +96,30 @@ def mat_to_json(m: Mat):
     ]
 
 
-def mat_from_json(obj) -> Mat:
+def _matrix_rows(obj) -> list:
+    """obj, when it is a list of rows, else MalformedInput."""
     if not isinstance(obj, list) or not all(isinstance(row, list) for row in obj):
         raise MalformedInput(f"a matrix is a list of rows, got {obj!r}")
-    return Mat.from_rows(obj)
+    return obj
+
+
+def mat_from_json(obj) -> Mat:
+    return Mat.from_rows(_matrix_rows(obj))
+
+
+def _grids_from_json(objs) -> list:
+    """The integer grids (re, im, den) of a list of matrix literals, with no
+    ``Mat`` formed."""
+    return [_int_rows(_matrix_rows(obj)) for obj in objs]
 
 
 def subspace_to_json(s: Subspace):
-    return {"dim": s.ambient_dim, "basis": mat_to_json(s.rref)}
+    """The RREF rows as the basis; a coordinate subspace's unit rows are
+    written from its pivots, with no grid formed."""
+    n = s.ambient_dim
+    if s.is_coordinate():
+        return {"dim": n, "basis": [["1" if j == p else "0" for j in range(n)] for p in s.pivots]}
+    return {"dim": n, "basis": mat_to_json(s.rref)}
 
 
 def subspace_from_json(obj) -> Subspace:
@@ -111,7 +139,7 @@ def channel_to_json(e: SuperOp):
 
 
 def channel_from_json(obj) -> SuperOp:
-    return SuperOp([mat_from_json(k) for k in _typed(obj, "kraus", "channel", list)])
+    return SuperOp.from_grids(_grids_from_json(_typed(obj, "kraus", "channel", list)))
 
 
 # ----------------------------------------------------------------------
@@ -145,8 +173,8 @@ def _targets(j, targets, concurrent: bool) -> tuple:
 
 def _act_from_json(obj, concurrent: bool) -> LocationAction:
     # the program checks that the channel is trace preserving
-    channel = SuperOp([mat_from_json(k) for k in _typed(obj, "kraus", "location action", list)], validate=False)
-    measurement = Measurement([mat_from_json(op) for op in _typed(obj, "measurement", "location action", list)])
+    channel = SuperOp.from_grids(_grids_from_json(_typed(obj, "kraus", "location action", list)), validate=False)
+    measurement = Measurement.from_grids(_grids_from_json(_typed(obj, "measurement", "location action", list)))
     nxt = {}
     for j, targets in _typed(obj, "next", "location action", dict).items():
         try:

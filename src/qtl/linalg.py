@@ -5,11 +5,14 @@ period certificates stays in exact arithmetic: a matrix is a pair of
 integer numerator grids (real and imaginary parts, numpy object arrays so
 the integers are unbounded) over a single positive denominator.  Rank,
 reduced row echelon form, solve and the PSD test run fraction-free
-(Bareiss), so no rounding ever happens on that path, and on
-one kernel of plain integers: a complex matrix is eliminated on its
+(Bareiss), so no rounding ever happens on that path.  The first three run
+on one kernel of plain integers: a complex matrix is eliminated on its
 realification C^n = R^2n, each row a + ib becoming the integer rows of
 a + ib and of i(a + ib), columns interleaved, whose reduced form holds the
-complex one in its even rows.
+complex one in its even rows.  The PSD test sweeps a Hermitian matrix on
+its Gaussian integers, held as pairs of integer rows.  Matrix literals are
+read once into integer rows over one denominator (:func:`_int_rows`), the
+form these kernels and the Kraus stacks of :mod:`qtl.superop` take.
 
 The peripheral spectrum of a channel is exact too
 (:func:`_peripheral_period`), and runs on integers from end to end: the
@@ -162,9 +165,9 @@ _RATIO = re.compile(r"([-+]?[0-9]+)(?:/([0-9]+))?")
 
 
 def _ratio(x) -> tuple:
-    """A real literal as (numerator, denominator), the denominator positive;
-    every form but a "p"/"p/q" string, an int, a Fraction or a float is
-    read by :func:`parse_rational`."""
+    """A real literal as (numerator, denominator) in lowest terms, the
+    denominator positive; every form but a "p"/"p/q" string, an int, a
+    Fraction or a float is read by :func:`parse_rational`."""
     t = type(x)
     if t is str:
         m = _RATIO.fullmatch(x)
@@ -172,9 +175,10 @@ def _ratio(x) -> tuple:
             num, den = m.groups()
             if den is None:
                 return int(num), 1
-            den = int(den)
+            num, den = int(num), int(den)
             if den:
-                return int(num), den
+                g = math.gcd(num, den)
+                return num // g, den // g
             raise ZeroDivisionError(f"Fraction({num}, 0)")
     elif t is int:
         return x, 1
@@ -186,55 +190,117 @@ def _ratio(x) -> tuple:
     return f.numerator, f.denominator
 
 
-def _read_rows(rows) -> "Mat":
-    """The Mat of nested entries, each read as :meth:`CRat.coerce` reads it,
-    in one pass: the real and imaginary parts as (numerator, denominator)
-    pairs, one lcm of the denominators, then the integer grids."""
+_READ_ERRORS = (ValueError, ZeroDivisionError, TypeError, OverflowError)
+
+
+def _read_ints(rows, per_row=False) -> tuple:
+    """The nested entries, each read as :meth:`CRat.coerce` reads it, as
+    integer rows (re, im, den): the numerators of the real and imaginary
+    parts over the positive denominator den, im None when every entry is
+    real.  One pass reads each part in lowest terms (a "p/q" string by one
+    gcd) and notes the parts whose denominator is not 1; then every row is
+    scaled by the lcm of those denominators and each noted part divided by
+    its own.  The rows need no gcd sweep after that: a prime p dividing the
+    lcm divides it exactly as often as it divides some part's own
+    denominator, and that part's scaled numerator is then prime to p.
+    With ``per_row`` each row is scaled by the lcm of its own denominators
+    instead (a row read as a vector spans the same line at any scale), and
+    den is the list of them."""
+    n_rows = len(rows)
     width = len(rows[0]) if rows else 0
-    size = sum(map(len, rows))
-    nums, dens, imag = [0] * size, [1] * size, {}
-    match = _RATIO.fullmatch
-    for k, e in enumerate(itertools.chain.from_iterable(rows)):
-        t = type(e)
-        if t is str:
-            # zero, the most common entry, and "p" and "p/q" inline; the
-            # other strings, and a zero q (ZeroDivisionError), through _ratio
-            if e == "0":
-                continue
-            m = match(e)
-            if m is not None:
-                num, den = m.groups()
-                den = int(den) if den else 1
-                if den:
-                    nums[k], dens[k] = int(num), den
+    re, im = [], None
+    fracs = []  # (grid, i, j, d) of every part whose denominator d is not 1
+    match, gcd = _RATIO.fullmatch, math.gcd
+    for i, row in enumerate(rows):
+        out = [0] * len(row)
+        re.append(out)
+        if out and type(row[0]) is str and row.count("0") == len(out):
+            # a zero row of literals, common in Kraus operators of program
+            # actions (other entry types may compare slowly with a string)
+            continue
+        for j, e in enumerate(row):
+            t = type(e)
+            if t is str:
+                if e == "0":
                     continue
-            nums[k], dens[k] = _ratio(e)
-        elif t is int:
-            nums[k] = e
-        elif (t is list or t is tuple) and len(e) == 2:
-            nums[k], dens[k] = _ratio(e[0])
-            im = _ratio(e[1])
-            if im[0]:
-                imag[k] = im
-        else:
-            c = e if t is CRat else CRat.coerce(e)
-            nums[k], dens[k] = c.re.numerator, c.re.denominator
-            if c.im:
-                imag[k] = c.im.numerator, c.im.denominator
-    if any(len(row) != width for row in rows):
+                m = match(e)
+                if m is not None:
+                    num, den = m.groups()
+                    if den is None:
+                        out[j] = int(num)
+                        continue
+                    den = int(den)
+                    if den:
+                        num = int(num)
+                        g = gcd(num, den)
+                        if g != 1:
+                            num, den = num // g, den // g
+                        out[j] = num
+                        if den != 1:
+                            fracs.append((re, i, j, den))
+                        continue
+                n, d = _ratio(e)
+            elif t is int:
+                out[j] = e
+                continue
+            elif (t is list or t is tuple) and len(e) == 2:
+                a, b = e
+                n, d = (0, 1) if a == "0" else _ratio(a)
+                if b != "0":
+                    bn, bd = _ratio(b)
+                    if bn:
+                        if im is None:
+                            im = [[0] * len(r) for r in rows]
+                        im[i][j] = bn
+                        if bd != 1:
+                            fracs.append((im, i, j, bd))
+            else:
+                c = e if t is CRat else CRat.coerce(e)
+                n, d = c.re.numerator, c.re.denominator
+                if c.im:
+                    if im is None:
+                        im = [[0] * len(r) for r in rows]
+                    im[i][j] = c.im.numerator
+                    if c.im.denominator != 1:
+                        fracs.append((im, i, j, c.im.denominator))
+            out[j] = n
+            if d != 1:
+                fracs.append((re, i, j, d))
+    if len(set(map(len, rows))) > 1:
         raise DimensionMismatch("ragged rows")
-    if not size:
-        return Mat.zeros(len(rows), width)
-    den = math.lcm(*dens, *[d for _, d in imag.values()])
-    if den != 1:
-        nums = [n * (den // d) for n, d in zip(nums, dens)]
-    shape = (len(rows), width)
-    num_im = np.zeros(shape, dtype=object)
-    if imag:
-        flat = num_im.reshape(-1)
-        for k, (n, d) in imag.items():
-            flat[k] = n * (den // d)
-    return Mat(np.array(nums, dtype=object).reshape(shape), num_im, den, _real=not imag)
+    if not fracs:
+        return re, im, [1] * n_rows if per_row else 1
+    if per_row:
+        dens = [1] * n_rows
+        for _, i, _, d in fracs:
+            dens[i] = math.lcm(dens[i], d)
+        scale = dens
+    else:
+        den = math.lcm(*[f[3] for f in fracs])
+        scale = [den] * n_rows
+    for grid in (re, im) if im is not None else (re,):
+        for i, row in enumerate(grid):
+            s = scale[i]
+            if s != 1:
+                grid[i] = [x * s for x in row] if any(row) else row
+    for grid, i, j, d in fracs:
+        grid[i][j] //= d
+    return re, im, scale if per_row else den
+
+
+def _int_rows(rows, per_row=False) -> tuple:
+    """:func:`_read_ints` of a list of row lists, or MalformedInput naming
+    the first entry that does not read as a number."""
+    try:
+        return _read_ints(rows, per_row)
+    except _READ_ERRORS:
+        for i, row in enumerate(rows):
+            for j, e in enumerate(row):
+                try:
+                    _read_ints([[e]])
+                except _READ_ERRORS as exc:
+                    raise MalformedInput(f"entry ({i}, {j}) = {e!r} is not an exact number: {exc}") from None
+        raise
 
 
 def _gcd_reduce(num_re, num_im, den):
@@ -305,20 +371,13 @@ class Mat:
     def from_rows(rows) -> "Mat":
         """Build from nested entries: ints, Fractions, CRats, floats, complex
         numbers, rational strings ("p/q", "0.5", "1e-3", ...) and [re, im]
-        pairs of the real forms, exactly as :meth:`CRat.coerce` reads them.
-        An entry that does not read as a number raises MalformedInput."""
-        rows = [list(row) for row in rows]
-        try:
-            return _read_rows(rows)
-        except (ValueError, ZeroDivisionError, TypeError, OverflowError):
-            # find the first entry that does not read, to name it
-            for i, row in enumerate(rows):
-                for j, e in enumerate(row):
-                    try:
-                        _read_rows([[e]])
-                    except (ValueError, ZeroDivisionError, TypeError, OverflowError) as exc:
-                        raise MalformedInput(f"entry ({i}, {j}) = {e!r} is not an exact number: {exc}") from None
-            raise
+        pairs of the real forms, exactly as :meth:`CRat.coerce` reads them,
+        through the integer rows of :func:`_int_rows`.  An entry that does
+        not read as a number raises MalformedInput."""
+        re, im, den = _int_rows([list(row) for row in rows])
+        if not re or not re[0]:
+            return Mat.zeros(len(re), 0 if not re else len(re[0]))
+        return _rows_over(den, re, im, reduced=True)
 
     @staticmethod
     def zeros(rows, cols=None) -> "Mat":
@@ -703,12 +762,12 @@ def _realified(rows_re, rows_im) -> list:
     return out
 
 
-def _rows_over(d, rows_re, rows_im=None) -> Mat:
+def _rows_over(d, rows_re, rows_im=None, reduced=False) -> Mat:
     """The Mat of integer rows over the nonzero integer d, real when
-    ``rows_im`` is None, normalized by one gcd of d and every entry
-    (``Mat`` moves a sign of d into the rows)."""
-    entries = itertools.chain.from_iterable(rows_re if rows_im is None else rows_re + rows_im)
-    g = math.gcd(d, *entries)
+    ``rows_im`` is None, normalized by one gcd of d and every entry unless
+    the caller says they are ``reduced`` (``Mat`` moves a sign of d into
+    the rows)."""
+    g = 1 if reduced else math.gcd(d, *itertools.chain.from_iterable(rows_re if rows_im is None else rows_re + rows_im))
     if g != 1:
         rows_re = [[x // g for x in row] for row in rows_re]
         if rows_im is not None:
@@ -753,59 +812,72 @@ def _unit_rows(cols, width) -> Mat:
 
 
 def _one_row(a, b):
-    """The RREF of the one complex row a + ib: the row divided by its first
-    nonzero entry c = a_j + i b_j, i.e. times conj(c) over |c|^2."""
+    """The reduced form of the one complex row a + ib, as :func:`_rref_int`
+    gives it: the row divided by its first nonzero entry c = a_j + i b_j,
+    i.e. times conj(c) over |c|^2."""
     j = next(j for j, (x, y) in enumerate(zip(a, b)) if x or y)
     cr, ci = a[j], b[j]
     re = [x * cr + y * ci for x, y in zip(a, b)]
     im = [y * cr - x * ci for x, y in zip(a, b)]
-    return _rows_over(cr * cr + ci * ci, [re], [im]), (j,)
+    return (j,), (cr * cr + ci * ci, [re], [im])
 
 
-def rref(m: Mat):
-    """Reduced row echelon form of m over Q(i), and its pivot columns.
+def _rref_int(grids, width) -> tuple:
+    """The reduced row echelon form over Q(i) of the integer rows ``grids``
+    (the real rows, and for a complex matrix the imaginary ones too, each
+    row read up to scale) as (pivots, form): form is None when the reduced
+    form is the unit rows of the pivots, else (d, rows_re, rows_im) for
+    :func:`_rows_over`, rows_im None when real.  The rows are consumed.
 
     When every row holds at most one nonzero entry, real or complex, the
     row space is spanned by the unit vectors e_j of the columns j of those
-    entries (span{c e_j} = span{e_j} for c != 0), so the result is the unit
-    rows of those columns, sorted, with them as pivots, and nothing is
-    eliminated; the reduced form is unique, so this is the form the
-    elimination would reach.  A complex m with one nonzero row reduces to
-    that row over its first nonzero entry (:func:`_one_row`).  Otherwise
-    the integer rows of a real m, or the realified rows of a complex one
-    (:func:`_realified`), take one fraction-free forward pass
-    (:func:`_echelon_int`).  A pivot in every column means the reduced
-    form is the identity; else the Gauss-Jordan pass (:func:`_jordan_pass`)
-    leaves D times the reduced form, D the last pivot.  The one division by D, and one gcd over the integer rows, happen
-    when the result is built, and of realified rows the even ones are kept
-    and de-interleaved.  Zero rows are dropped, so the result has one row
-    per pivot.  The reduced form is unique for the row space, and its
-    entries are normalized, so equal row spaces give equal results.
-    """
-    real = m.is_real()
-    grids = (m.num_re.tolist(),) if real else (m.num_re.tolist(), m.num_im.tolist())
-    cols = _unit_columns(grids, m.cols)
+    entries (span{c e_j} = span{e_j} for c != 0), so the reduced form is
+    the unit rows of those columns, sorted, and nothing is eliminated; it
+    is unique, so this is the form the elimination would reach.  Complex
+    rows with one nonzero row reduce to that row over its first nonzero
+    entry (:func:`_one_row`).  Otherwise the real rows, or the realified
+    rows of complex ones (:func:`_realified`), take one fraction-free
+    forward pass (:func:`_echelon_int`).  A pivot in every column means the
+    reduced form is the identity; else the Gauss-Jordan pass
+    (:func:`_jordan_pass`) leaves D times the reduced form, D the last
+    pivot, and of realified rows the even ones are kept and
+    de-interleaved.  Zero rows are dropped, so the form has one row per
+    pivot."""
+    cols = _unit_columns(grids, width)
     if cols is not None:
-        return _unit_rows(cols, m.cols), tuple(cols)
+        return tuple(cols), None
     # some row holds two nonzero entries, so there is at least one pivot
+    real = len(grids) == 1
     if real:
-        rows, width = grids[0], m.cols
+        rows, w = grids[0], width
     else:
         live = [(a, b) for a, b in zip(*grids) if any(a) or any(b)]
         if len(live) == 1:
             return _one_row(*live[0])
-        rows, width = _realified(*grids), 2 * m.cols
-    pivots = _echelon_int(rows, width)
-    if len(pivots) == width:
+        rows, w = _realified(*grids), 2 * width
+    pivots = _echelon_int(rows, w)
+    if len(pivots) == w:
         # a pivot in every column: the reduced form is the identity
-        return Mat.eye(m.cols), tuple(range(m.cols))
+        return tuple(range(width)), None
     _jordan_pass(rows, pivots)
     d = rows[-1][pivots[-1][1]]
     if real:
-        return _rows_over(d, rows), tuple(c for _, c in pivots)
+        return tuple(c for _, c in pivots), (d, rows, None)
     # the even rows are D R_k, R_k the rows of the complex reduced form
     kept = rows[::2]
-    return _rows_over(d, [row[0::2] for row in kept], [row[1::2] for row in kept]), tuple(c // 2 for _, c in pivots[::2])
+    return tuple(c // 2 for _, c in pivots[::2]), (d, [row[0::2] for row in kept], [row[1::2] for row in kept])
+
+
+def rref(m: Mat):
+    """Reduced row echelon form of m over Q(i), and its pivot columns: the
+    integer kernel :func:`_rref_int` on m's numerator rows, its result
+    built as a Mat with one division by D and one gcd over the integer rows
+    (:func:`_rows_over`), or as the unit rows of the pivots.  The reduced
+    form is unique for the row space, and its entries are normalized, so
+    equal row spaces give equal results."""
+    grids = (m.num_re.tolist(),) if m.is_real() else (m.num_re.tolist(), m.num_im.tolist())
+    pivots, form = _rref_int(grids, m.cols)
+    return (_unit_rows(pivots, m.cols) if form is None else _rows_over(*form)), pivots
 
 
 def rank(m: Mat) -> int:
@@ -890,47 +962,67 @@ def solve(a: Mat, b: Mat) -> Mat:
 
 def psd_rank(m: Mat) -> int | None:
     """The rank of m when m is Hermitian positive semidefinite, else None;
-    exact.
+    exact: :func:`_psd_rank_rows` on m's numerator rows (the positive
+    denominator changes neither)."""
+    return _psd_rank_rows(m.num_re.tolist(), None if m.is_real() else m.num_im.tolist())
+
+
+def _psd_rank_rows(re, im) -> int | None:
+    """The rank of the integer matrix re + i im (im None when real) when it
+    is Hermitian positive semidefinite, else None; the rows are consumed.
 
     A fraction-free symmetric Bareiss sweep (the Schur complement sweep
     scaled by the last pivot, so every division is exact and by a positive
     integer): a negative pivot is a certificate of failure, and a zero
-    pivot forces its whole row to vanish.  It runs on the integer grid of a
-    real m, and on the realified rows of a complex m = X + iY
-    (:func:`_realified`): they are the real matrix of conj(m) = m^T on
-    R^2n, symmetric because X is symmetric and Y antisymmetric, and its
-    eigenvalues are those of m, each twice.  A positive pivot leaves the
-    Schur complement of a rank one lower, and a vanishing row drops out,
-    so the rank is the number of positive pivots, halved on realified
-    rows.
+    pivot forces its whole row to vanish.  It runs on the Gaussian integers
+    a + ib as pairs of integer rows: entry (i, j) becomes (p a_ij -
+    conj(a_ki) a_kj) / prev, a minor of the matrix, so a Gaussian integer,
+    and prev is a leading principal minor of a Hermitian matrix, so a real
+    integer that divides both parts.  The diagonal stays real.  A positive
+    pivot leaves the Schur complement of a rank one lower, and a vanishing
+    row drops out, so the rank is the number of positive pivots.  Only the
+    upper triangle is read and updated.
     """
-    if not m.is_hermitian():
+    if re != [list(col) for col in zip(*re)]:
         return None
-    real = m.is_real()
-    rows = m.num_re.tolist() if real else _realified(m.num_re.tolist(), m.num_im.tolist())
-    n = len(rows)
+    if im is not None and im != [[-x for x in col] for col in zip(*im)]:
+        return None
+    n = len(re)
     prev = 1
     positive = 0
     for k in range(n):
-        row_k = rows[k]
+        row_k = re[k]
         p = row_k[k]
         if p < 0:
             return None
         if p == 0:
-            if any(row_k[k + 1 :]):
+            if any(row_k[k + 1 :]) or im is not None and any(im[k][k + 1 :]):
                 return None
             continue
         positive += 1
-        for i in range(k + 1, n):
-            row_i = rows[i]
-            # a_ik = a_ki; the upper triangle is updated, a_ij for j >= i
-            c = row_k[i]
-            if p == prev and not c:
-                continue
-            for j in range(i, n):
-                row_i[j] = (p * row_i[j] - c * row_k[j]) // prev
+        if im is None:
+            for i in range(k + 1, n):
+                row_i = re[i]
+                # a_ik = a_ki; the upper triangle is updated, a_ij for j >= i
+                c = row_k[i]
+                if p == prev and not c:
+                    continue
+                for j in range(i, n):
+                    row_i[j] = (p * row_i[j] - c * row_k[j]) // prev
+        else:
+            imag_k = im[k]
+            for i in range(k + 1, n):
+                row_i, imag_i = re[i], im[i]
+                # conj(a_ki) = c + id
+                c, d = row_k[i], -imag_k[i]
+                if p == prev and not c and not d:
+                    continue
+                for j in range(i, n):
+                    a, b = row_k[j], imag_k[j]
+                    row_i[j] = (p * row_i[j] - c * a + d * b) // prev
+                    imag_i[j] = (p * imag_i[j] - c * b - d * a) // prev
         prev = p
-    return positive if real else positive // 2
+    return positive
 
 
 def is_psd(m: Mat) -> bool:

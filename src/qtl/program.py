@@ -36,7 +36,7 @@ from .errors import (
     PreconditionViolated,
     SelectorExplosion,
 )
-from .linalg import Mat, is_psd, psd_rank
+from .linalg import Mat, _psd_rank_rows, is_psd
 from .subspace import Subspace
 from .superop import Measurement, SuperOp
 
@@ -59,17 +59,20 @@ class LocationAction:
 
 
 def _validate_density(rho: Mat, dim: int, what: str) -> int:
-    """The rank of rho (:func:`linalg.psd_rank`), or the QtlError of the
-    first check it fails: rho is dim x dim, positive semidefinite and of
-    trace one."""
+    """The rank of rho, or the QtlError of the first check it fails: rho is
+    dim x dim, positive semidefinite and of trace one.  The grids are read
+    into lists once, for the trace and for the Hermiticity test and PSD
+    sweep of :func:`linalg._psd_rank_rows`."""
     if rho.rows != dim or rho.cols != dim:
         raise DimensionMismatch(f"{what} must be {dim}x{dim}")
-    rank = psd_rank(rho)
+    re = rho.num_re.tolist()
+    # trace one: the real diagonal numerators sum to the denominator (a
+    # Hermitian diagonal is real); summed before the sweep works in place
+    trace = sum(re[i][i] for i in range(dim))
+    rank = _psd_rank_rows(re, None if rho.is_real() else rho.num_im.tolist())
     if rank is None:
         raise PreconditionViolated(f"{what} is not positive semidefinite")
-    # trace one on the grid: the real diagonal numerators sum to the
-    # denominator (a Hermitian diagonal is real)
-    if sum(rho.num_re.diagonal().tolist()) != rho.den:
+    if trace != rho.den:
         raise PreconditionViolated(f"{what} must have trace one")
     return rank
 

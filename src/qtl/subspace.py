@@ -24,6 +24,11 @@ elimination, for rows that each hold one nonzero entry).
 :meth:`Subspace.is_coordinate` reads the denominator first, so a dense
 subspace pays next to nothing for the test.
 
+A subspace read from a file (:meth:`Subspace.from_vectors` on entry
+lists) goes from the integer rows of its vectors, each at its own scale,
+straight to the RREF kernel, or, when every vector holds one nonzero
+entry, to its pivot set, with no grid formed.
+
 Unions are kept in a canonical form where no member contains another.  A
 subspace contained in a finite union of subspaces lies inside one of the
 members (the ambient field is infinite), which is what makes membership and
@@ -34,12 +39,10 @@ made.
 
 from __future__ import annotations
 
-import functools
-
 import numpy as np
 
 from .errors import DimensionMismatch, NotPositive
-from .linalg import Mat, _perp_rows, _unit_rows, is_psd, rref, solve
+from .linalg import Mat, _int_rows, _perp_rows, _rows_over, _rref_int, _unit_rows, is_psd, rref, solve
 
 
 class Subspace:
@@ -72,17 +75,26 @@ class Subspace:
 
     @staticmethod
     def from_vectors(ambient_dim: int, vectors) -> "Subspace":
-        """Span of the given column vectors (column ``Mat``s or entry lists);
-        the entry lists are read as the rows of one ``Mat.from_rows``."""
+        """Span of the given column vectors (column ``Mat``s or entry
+        lists).  The entry lists are read as integer rows, each vector over
+        its own scale (:func:`linalg._int_rows`), and go with the
+        numerators of the columns to the RREF kernel (:func:`_rref_int`):
+        rows that each hold one nonzero entry give the coordinate subspace
+        of their columns, with no grid formed."""
         vectors = list(vectors)
         columns = [v for v in vectors if isinstance(v, Mat)]
-        lists = [list(v) for v in vectors if not isinstance(v, Mat)]
-        rows = [v.transpose() for v in columns] + ([Mat.from_rows(lists)] if lists else [])
-        if any(v.cols != 1 for v in columns) or any(r.cols != ambient_dim for r in rows):
+        re, im, _ = _int_rows([list(v) for v in vectors if not isinstance(v, Mat)], per_row=True)
+        if re and len(re[0]) != ambient_dim or any(v.cols != 1 or v.rows != ambient_dim for v in columns):
             raise DimensionMismatch("vector does not live in the ambient space")
-        if not rows:
+        if columns:
+            real = im is None and all(v.is_real() for v in columns)
+            if not real:
+                im = [v.num_im[:, 0].tolist() for v in columns] + (im or [[0] * ambient_dim for _ in re])
+            re = [v.num_re[:, 0].tolist() for v in columns] + re
+        if not re:
             return Subspace.zero(ambient_dim)
-        return Subspace(ambient_dim, functools.reduce(Mat.vstack, rows))
+        pivots, form = _rref_int((re,) if im is None else (re, im), ambient_dim)
+        return Subspace(ambient_dim, None if form is None else _rows_over(*form), pivots)
 
     @staticmethod
     def zero(ambient_dim: int) -> "Subspace":
@@ -333,9 +345,11 @@ class SubspaceUnion:
         A member a of one side that lies inside a member b of the other is
         its meet with b, and every other meet of a lies inside a, so a is
         the one maximal meet of its row and enters the result as it is.
-        Only the pairs where neither member is so contained are met.  When
-        every member of one side is contained, that operand is the answer
-        (its canonical form is the union's)."""
+        Only the pairs where neither member is so contained are met, and
+        of those not the pairs with a member a of dimension 1: its meet with
+        b is a or 0, and a lies in no b, so it is 0, which the canonical
+        form drops.  When every member of one side is contained, that
+        operand is the answer (its canonical form is the union's)."""
         if self.ambient_dim != other.ambient_dim:
             raise DimensionMismatch("union ambient mismatch")
         inside_other = [other.contains_subspace(a) for a in self.members]
@@ -344,8 +358,8 @@ class SubspaceUnion:
         inside_self = [self.contains_subspace(b) for b in other.members]
         if all(inside_self):
             return other
-        mine = [a for a, inside in zip(self.members, inside_other) if not inside]
-        theirs = [b for b, inside in zip(other.members, inside_self) if not inside]
+        mine = [a for a, inside in zip(self.members, inside_other) if not inside and a.dim > 1]
+        theirs = [b for b, inside in zip(other.members, inside_self) if not inside and b.dim > 1]
         kept = [a for a, inside in zip(self.members, inside_other) if inside]
         kept += [b for b, inside in zip(other.members, inside_self) if inside]
         return SubspaceUnion(self.ambient_dim, kept + [a.meet(b) for a in mine for b in theirs])

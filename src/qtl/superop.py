@@ -21,6 +21,15 @@ image rows and no elimination.  The complement of a coordinate subspace is
 coordinate, so a pre-image takes the same path through the dual, whose
 entries are the channel's, transposed and conjugated: no dual scans a grid.
 
+That table of nonzero entries, the Kraus stack, is the one form a channel
+is read into: a channel or a measurement read from a file builds it
+straight from the integer rows of the file's literals
+(:meth:`SuperOp.from_grids`, :meth:`Measurement.from_grids`), tests trace
+preservation or completeness on it, and forms its Kraus ``Mat``s from it
+only when some code reads them; a dual forms its own from its transposed
+stack.  A channel built from ``Mat``s (the compiler, the embeddings) keeps
+them and reads its stack off their grids.
+
 The matrix representation M = sum_i E_i (x) conj(E_i) linearizes a channel on
 row-major vectorized operators: vec(E(A)) = M vec(A).  It is the canonical
 object for channel equality, and :class:`MatrixRep` keeps the image and
@@ -43,7 +52,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DimensionMismatch, PreconditionViolated
-from .linalg import CRat, Mat, is_psd, mat_power, mat_sum
+from .linalg import CRat, Mat, _psd_rank_rows, _rows_over, mat_power, mat_sum
 from .subspace import Subspace, SubspaceUnion, support
 
 
@@ -52,22 +61,6 @@ def vec(a: Mat) -> Mat:
     re = a.num_re.reshape(-1, 1).copy()
     im = a.num_im.reshape(-1, 1).copy()
     return Mat(re, im, a.den, _normalized=True, _real=a._real)
-
-
-def _gram(ops):
-    """sum K†K over the operators, on the integers: the grids (re, im) and
-    the denominator den of one product S†S, S the operators stacked over
-    their common denominator.  Dense; formed only for the positivity test
-    of a channel that is not trace preserving."""
-    den = math.lcm(*(k.den for k in ops))
-    s_re = np.vstack([k.num_re if k.den == den else k.num_re * (den // k.den) for k in ops])
-    s_im = np.vstack([k.num_im if k.den == den else k.num_im * (den // k.den) for k in ops])
-    re = np.dot(s_re.T, s_re)
-    if not s_im.any():
-        return re, np.zeros(re.shape, dtype=object), den * den
-    re = re + np.dot(s_im.T, s_im)
-    im = np.dot(s_re.T, s_im) - np.dot(s_im.T, s_re)
-    return re, im, den * den
 
 
 def unvec(v: Mat, rows: int) -> Mat:
@@ -98,12 +91,26 @@ def unhvec(v: Mat, rows: int) -> Mat:
     return Mat(np.triu(grid) + np.triu(grid, 1).T, lower.T - lower, v.den, _normalized=True)
 
 
+def _grid_shape(grids, none: str, unequal: str) -> tuple:
+    """The common (rows, cols) of integer grids (re, im, den), or
+    PreconditionViolated ``none`` for no grid, DimensionMismatch
+    ``unequal`` for two shapes."""
+    if not grids:
+        raise PreconditionViolated(none)
+    shapes = {(len(re), len(re[0]) if re else 0) for re, _, _ in grids}
+    if len(shapes) != 1:
+        raise DimensionMismatch(unequal)
+    return shapes.pop()
+
+
 class Measurement:
     """A quantum measurement {M_m}; completeness sum M†M = I holds exactly,
     tested on the nonzero entries of the operators (:meth:`_Stack.is_isometry`)
-    with no image table built."""
+    with no image table built.  One read from integer grids
+    (:meth:`from_grids`) keeps their stack and forms its operators from it
+    when they are first read."""
 
-    __slots__ = ("operators", "dim")
+    __slots__ = ("_operators", "dim", "_stack")
 
     def __init__(self, operators, validate: bool = True):
         operators = tuple(operators)
@@ -113,10 +120,35 @@ class Measurement:
         for op in operators:
             if op.cols != dim or op.rows != dim:
                 raise DimensionMismatch("measurement operators must be square and equal size")
-        if validate and not _Stack(operators).is_isometry():
+        if validate and not _Stack.of(operators).is_isometry():
             raise PreconditionViolated("measurement operators do not sum to the identity")
-        object.__setattr__(self, "operators", operators)
-        object.__setattr__(self, "dim", dim)
+        _set_operators(self, operators)
+        _set_measurement_dim(self, dim)
+        _set_measurement_stack(self, None)
+
+    @staticmethod
+    def from_grids(grids, validate: bool = True) -> "Measurement":
+        """The measurement of the integer grids (re, im, den) of its
+        operators (:func:`linalg._int_rows`), with the checks of the
+        constructor, tested on their stack."""
+        rows, cols = _grid_shape(grids, "a measurement needs at least one operator",
+                                 "measurement operators must be square and equal size")
+        if rows != cols:
+            raise DimensionMismatch("measurement operators must be square and equal size")
+        stack = _Stack(grids, rows, cols)
+        if validate and not stack.is_isometry():
+            raise PreconditionViolated("measurement operators do not sum to the identity")
+        m = Measurement.__new__(Measurement)
+        _set_operators(m, None)
+        _set_measurement_dim(m, cols)
+        _set_measurement_stack(m, stack)
+        return m
+
+    @property
+    def operators(self) -> tuple:
+        if self._operators is None:
+            _set_operators(self, self._stack.mats())
+        return self._operators
 
     def __setattr__(self, name, value):
         raise AttributeError("Measurement is immutable")
@@ -127,7 +159,7 @@ class Measurement:
         return Measurement(ops, validate=False)
 
     def __len__(self):
-        return len(self.operators)
+        return len(self.operators) if self._stack is None else self._stack.n_ops
 
     def __eq__(self, other):
         if not isinstance(other, Measurement):
@@ -135,7 +167,12 @@ class Measurement:
         return self.operators == other.operators
 
     def __repr__(self):
-        return f"Measurement({len(self.operators)} outcomes on dim {self.dim})"
+        return f"Measurement({len(self)} outcomes on dim {self.dim})"
+
+
+_set_operators, _set_measurement_dim, _set_measurement_stack = (
+    Measurement.__dict__[name].__set__ for name in Measurement.__slots__
+)
 
 
 class _Stack:
@@ -144,37 +181,71 @@ class _Stack:
     holds one triple (i, slot, c) per nonzero real or imaginary part c of an
     entry (u, v) of K_i, with slot u for a real part and dim_out + u for an
     imaginary one.  ``real`` says whether every entry is real, and ``n_ops``
-    is m.  The constructor scans the Kraus grids; the stack of the adjoints
-    K_i† is this one transposed (:meth:`dagger`), with no grid read.
+    is m.  The one constructor scans integer grids, as a file's matrix
+    literals are read (:func:`linalg._int_rows`) or as :meth:`of` takes
+    them from Mats; :meth:`mats` forms the Mats back.  The stack of the
+    adjoints K_i† is this one transposed (:meth:`dagger`), with no grid
+    read.
 
-    Only images read the two tables built from ``terms`` on their first
-    read: ``turned[v]`` holds the same parts times the imaginary unit (i re
-    is imaginary, i (i im) = -im is real), and ``hits[v]`` is the sorted
-    tuple of the rows u where some K_i e_v is nonzero, when each K_i has at
-    most one nonzero row in column v (so K_i e_v is a multiple of a unit
-    vector), and None otherwise; validation and the matrix representations
-    read ``terms`` alone.
+    The scan also keeps ``rows``, the nonzero entries (v, re, im) of each
+    nonzero row of each K_i, which the isometry test reads; a transposed
+    stack builds them from ``terms`` when asked.  Only images read the two
+    tables built from ``terms`` on their first read: ``turned[v]`` holds
+    the same parts times the imaginary unit (i re is imaginary, i (i im) =
+    -im is real), and ``hits[v]`` is the sorted tuple of the rows u where
+    some K_i e_v is nonzero, when each K_i has at most one nonzero row in
+    column v (so K_i e_v is a multiple of a unit vector), and None
+    otherwise; validation and the matrix representations read ``terms``
+    alone.
 
     A program action maps one configuration's block to another's, so most
     of its entries are zero and most coordinates have none."""
 
-    __slots__ = ("terms", "real", "den", "dim_out", "n_ops", "_turned", "_hits")
+    __slots__ = ("terms", "real", "den", "dim_out", "n_ops", "_rows", "_turned", "_hits")
 
-    def __init__(self, kraus):
-        dim_out, dim_in = kraus[0].rows, kraus[0].cols
-        den = math.lcm(*(k.den for k in kraus))
-        self.den, self.dim_out, self.n_ops = den, dim_out, len(kraus)
+    def __init__(self, grids, dim_out, dim_in):
+        """The stack of the operators given as integer grids (re, im, den):
+        dim_out rows of dim_in numerators over den, im None when real."""
+        den = math.lcm(*(d for _, _, d in grids))
+        self.den, self.dim_out, self.n_ops = den, dim_out, len(grids)
         self._turned = self._hits = None
-        self.terms = [[] for _ in range(dim_in)]
-        self.real = all(k.is_real() for k in kraus)
-        for i, k in enumerate(kraus):
-            scale = den // k.den
-            for grid, slot in [(k.num_re, 0)] + ([] if k.is_real() else [(k.num_im, dim_out)]):
-                for u, row in enumerate(grid.tolist()):
+        terms = self.terms = [[] for _ in range(dim_in)]
+        rows = self._rows = []
+        self.real = all(im is None for _, im, _ in grids)
+        for i, (re, im, d) in enumerate(grids):
+            s = den // d
+            if im is None:
+                for u, row in enumerate(re):
                     if any(row):
-                        for v, c in enumerate(row):
-                            if c:
-                                self.terms[v].append((i, slot + u, c * scale))
+                        entries = [(v, c * s, 0) for v, c in enumerate(row) if c]
+                        rows.append(entries)
+                        for v, c, _ in entries:
+                            terms[v].append((i, u, c))
+                continue
+            for u, (row, row_im) in enumerate(zip(re, im)):
+                if any(row) or any(row_im):
+                    entries = [(v, a * s, b * s) for v, (a, b) in enumerate(zip(row, row_im)) if a or b]
+                    rows.append(entries)
+                    for v, a, b in entries:
+                        if a:
+                            terms[v].append((i, u, a))
+                        if b:
+                            terms[v].append((i, dim_out + u, b))
+
+    @staticmethod
+    def of(kraus) -> "_Stack":
+        """The stack of Kraus Mats of one shape, read from their grids."""
+        grids = [(k.num_re.tolist(), None if k.is_real() else k.num_im.tolist(), k.den) for k in kraus]
+        return _Stack(grids, kraus[0].rows, kraus[0].cols)
+
+    def mats(self) -> tuple:
+        """The operators as Mats, each over den in lowest terms."""
+        n, width = self.dim_out, len(self.terms)
+        grids = [[[0] * width for _ in range(2 * n)] for _ in range(self.n_ops)]
+        for v, column in enumerate(self.terms):
+            for i, slot, c in column:
+                grids[i][slot][v] = c
+        return tuple(_rows_over(self.den, g[:n], None if self.real else g[n:]) for g in grids)
 
     def dagger(self) -> "_Stack":
         """The stack of K_1†, ..., K_m†: entry (u, v) of K_i is entry (v, u)
@@ -189,8 +260,19 @@ class _Stack:
                     terms[slot - n].append((i, dim_in + v, -c))
         out = _Stack.__new__(_Stack)
         out.terms, out.real, out.den, out.dim_out, out.n_ops = terms, self.real, self.den, dim_in, self.n_ops
-        out._turned = out._hits = None
+        out._rows = out._turned = out._hits = None
         return out
+
+    @property
+    def rows(self) -> list:
+        if self._rows is None:
+            by_row = {}
+            for v, column in enumerate(self.terms):
+                for i, slot, c in column:
+                    part, u = divmod(slot, self.dim_out)
+                    by_row.setdefault((i, u), {}).setdefault(v, [0, 0])[part] = c
+            self._rows = [[(v, a, b) for v, (a, b) in row.items()] for row in by_row.values()]
+        return self._rows
 
     @property
     def turned(self) -> list:
@@ -205,29 +287,44 @@ class _Stack:
             self._hits = [_hit_rows(column, self.dim_out) for column in self.terms]
         return self._hits
 
-    def is_isometry(self) -> bool:
-        """Whether sum_i K_i† K_i is the identity.  Entry (v, w) of the sum
-        is the sum of conj(K_i[u, v]) K_i[u, w] over the operators i and
-        rows u, so each row u of each K_i adds the products of its nonzero
-        entries, pair by pair, on the upper triangle w >= v (the sum is
-        Hermitian); the sum is then compared with den^2 on the diagonal and
-        zero elsewhere."""
-        rows = {}
-        for v, terms in enumerate(self.terms):
-            for i, slot, c in terms:
-                part, u = divmod(slot, self.dim_out)
-                rows.setdefault((i, u), {}).setdefault(v, [0, 0])[part] = c
+    def gram(self) -> dict:
+        """sum_i K_i† K_i over den^2, on its upper triangle: entry (v, w),
+        w >= v, as integer [real, imaginary] parts, for the pairs (v, w)
+        that some row holds.  Entry (v, w) is the sum of conj(K_i[u, v])
+        K_i[u, w] over the operators i and rows u, so each nonzero row of
+        each K_i (:attr:`rows`) adds the products of its nonzero entries,
+        pair by pair; the sum is Hermitian."""
         acc = {}
-        for row in rows.values():
-            row = list(row.items())  # by column v, ascending
-            for k, (v, (vr, vi)) in enumerate(row):
-                for w, (wr, wi) in row[k:]:
+        for row in self.rows:  # by column v, ascending
+            for k, (v, vr, vi) in enumerate(row):
+                for w, wr, wi in row[k:]:
                     s = acc.setdefault((v, w), [0, 0])
                     s[0] += vr * wr + vi * wi
                     s[1] += vr * wi - vi * wr
+        return acc
+
+    def is_isometry(self) -> bool:
+        """Whether sum_i K_i† K_i is the identity: its :meth:`gram` is den^2
+        on the whole diagonal and zero elsewhere."""
+        acc = self.gram()
         one, zero = [self.den * self.den, 0], [0, 0]
         diagonal = sum(v == w for v, w in acc)
         return diagonal == len(self.terms) and all(s == (one if v == w else zero) for (v, w), s in acc.items())
+
+    def is_contraction(self) -> bool:
+        """Whether I - sum_i K_i† K_i is positive semidefinite: the exact
+        PSD sweep on den^2 I minus the :meth:`gram`, filled in below the
+        diagonal by conjugation."""
+        n, one = len(self.terms), self.den * self.den
+        re = [[one if v == w else 0 for w in range(n)] for v in range(n)]
+        im = [[0] * n for _ in range(n)]
+        for (v, w), (a, b) in self.gram().items():
+            re[v][w] -= a
+            im[v][w] -= b
+            if v != w:
+                re[w][v] -= a
+                im[w][v] += b
+        return _psd_rank_rows(re, im if any(map(any, im)) else None) is not None
 
     def entries(self) -> list:
         """Per operator, its nonzero entries (u, v) as [real, imaginary]
@@ -285,9 +382,15 @@ class SuperOp:
     sum E†E = I, is tested on the nonzero entries of the Kraus stack
     (:meth:`_Stack.is_isometry`), which the images and the matrix
     representations read too; only a channel that is not trace preserving
-    forms the dense sum, to test that I - sum E†E is positive
-    semidefinite.  A channel's stack is built once from its Kraus grids,
-    and its dual's stack is that stack transposed (:meth:`dual`).
+    fills that sum in below the diagonal, to test that I - sum E†E is
+    positive semidefinite (:meth:`_Stack.is_contraction`).  A channel
+    built from Kraus Mats (the compiler, the
+    embeddings) keeps them and builds its stack from them when first
+    needed; one read from a file (:meth:`from_grids`) builds its stack
+    from the file's integer rows and forms its Kraus Mats from the stack
+    only when read (:attr:`kraus`).  A dual's stack is its channel's
+    transposed (:meth:`dual`), and its Kraus Mats come from that stack the
+    same way.
     """
 
     __slots__ = (
@@ -304,30 +407,44 @@ class SuperOp:
             if k.cols != dim_in or k.rows != dim_out:
                 raise DimensionMismatch("Kraus operators must share one shape")
         self._set(kraus, dim_in, dim_out, None, None)
-        if validate and not self.is_trace_preserving():
-            # I - sum K†K, scaled by den > 0, must be positive semidefinite
-            re, im, den = _gram(kraus)
-            gap = -re
-            for i in range(dim_in):
-                gap[i, i] += den
-            if not is_psd(Mat(gap, -im, den)):
-                raise PreconditionViolated(
-                    "Kraus operators exceed the identity: not trace-non-increasing"
-                )
+        if validate:
+            self._check_admissible()
+
+    @staticmethod
+    def from_grids(grids, validate: bool = True) -> "SuperOp":
+        """The channel of the integer grids (re, im, den) of its Kraus
+        operators (:func:`linalg._int_rows`), with the checks of the
+        constructor: its stack is built from the grids, and no Kraus Mat is
+        formed until one is read."""
+        dim_out, dim_in = _grid_shape(grids, "a channel needs at least one Kraus operator",
+                                      "Kraus operators must share one shape")
+        e = SuperOp.__new__(SuperOp)
+        e._set(None, dim_in, dim_out, _Stack(grids, dim_out, dim_in), None)
+        if validate:
+            e._check_admissible()
+        return e
+
+    def _check_admissible(self):
+        if not self.is_trace_preserving() and not self._stack_of().is_contraction():
+            raise PreconditionViolated("Kraus operators exceed the identity: not trace-non-increasing")
 
     def _set(self, kraus, dim_in, dim_out, stack, dual):
-        for name, value in (
-            ("_kraus", kraus), ("dim_in", dim_in), ("dim_out", dim_out), ("_stack", stack), ("_dual", dual),
-            ("_matrix_rep", None), ("_hermitian_rep", None), ("_images", {}), ("_trace_preserving", None),
-        ):
-            object.__setattr__(self, name, value)
+        _set_kraus(self, kraus)
+        _set_dim_in(self, dim_in)
+        _set_dim_out(self, dim_out)
+        _set_trace_preserving(self, None)
+        _set_matrix_rep(self, None)
+        _set_hermitian_rep(self, None)
+        _set_stack(self, stack)
+        _set_dual(self, dual)
+        _set_images(self, {})
 
     @property
     def kraus(self) -> tuple:
-        """The Kraus operators; a dual forms the adjoints of its channel's
-        on the first read."""
+        """The Kraus operators; a channel read from grids, and a dual, form
+        them from the stack on the first read (:meth:`_Stack.mats`)."""
         if self._kraus is None:
-            object.__setattr__(self, "_kraus", tuple(k.dagger() for k in self._dual.kraus))
+            _set_kraus(self, self._stack.mats())
         return self._kraus
 
     def __setattr__(self, name, value):
@@ -376,12 +493,12 @@ class SuperOp:
         if self._dual is None:
             dual = SuperOp.__new__(SuperOp)
             dual._set(None, self.dim_out, self.dim_in, self._stack_of().dagger(), self)
-            object.__setattr__(self, "_dual", dual)
+            _set_dual(self, dual)
         return self._dual
 
     def _stack_of(self) -> _Stack:
         if self._stack is None:
-            object.__setattr__(self, "_stack", _Stack(self.kraus))
+            _set_stack(self, _Stack.of(self.kraus))
         return self._stack
 
     def _image(self, p: Subspace) -> Subspace:
@@ -446,7 +563,7 @@ class SuperOp:
                         s[0] += ar * br + ai * bi
                         s[1] += ai * br - ar * bi
             rep = _sparse_mat(d * d, st.den * st.den, acc, st.real or None)
-            object.__setattr__(self, "_matrix_rep", rep)
+            _set_matrix_rep(self, rep)
         return self._matrix_rep
 
     def hermitian_rep(self) -> Mat:
@@ -479,7 +596,7 @@ class SuperOp:
                             for c, gr, gi in t[v, w]:
                                 acc.setdefault((r, c), [0])[0] += (fr * gr + fi * gi) * pr - (fr * gi - fi * gr) * pi
             rep = _sparse_mat(d * d, 2 * st.den * st.den, acc, True)
-            object.__setattr__(self, "_hermitian_rep", rep)
+            _set_hermitian_rep(self, rep)
         return self._hermitian_rep
 
     def compose(self, inner: "SuperOp") -> "SuperOp":
@@ -494,18 +611,21 @@ class SuperOp:
         """Whether sum E†E = I, tested once on the Kraus stack
         (:meth:`_Stack.is_isometry`)."""
         if self._trace_preserving is None:
-            object.__setattr__(self, "_trace_preserving", self._stack_of().is_isometry())
+            _set_trace_preserving(self, self._stack_of().is_isometry())
         return self._trace_preserving
 
     def is_identity(self) -> bool:
         """Whether this is the identity channel: every Kraus set of it is
-        {c_i I} with sum |c_i|^2 = 1, so no matrix representation is needed."""
+        {c_i I} with sum |c_i|^2 = 1, so no matrix representation is needed.
+        Read on the stack: each operator's entries lie on the diagonal and,
+        unless it is zero, fill it with one value."""
         if self.dim_in != self.dim_out:
             return False
-        return all(  # each grid g is g[0, 0] I, compared as lists
-            g.tolist() == [[g[0, 0] if i == j else 0 for j in range(self.dim_in)] for i in range(self.dim_in)]
-            for k in self.kraus for g in (k.num_re, k.num_im)
-        ) and self.is_trace_preserving()
+        for entries in self._stack_of().entries():
+            values = {tuple(s) for s in entries.values()}
+            if any(u != v for u, v in entries) or (entries and (len(entries) != self.dim_in or len(values) != 1)):
+                return False
+        return self.is_trace_preserving()
 
     def __eq__(self, other):
         """Channel equality through the matrix representation."""
@@ -517,6 +637,13 @@ class SuperOp:
 
     def __repr__(self):
         return f"SuperOp({len(self.kraus)} Kraus, {self.dim_in}->{self.dim_out})"
+
+
+# the slots' own descriptors set them past the guard of __setattr__
+(
+    _set_kraus, _set_dim_in, _set_dim_out, _set_trace_preserving, _set_matrix_rep, _set_hermitian_rep, _set_stack,
+    _set_dual, _set_images,
+) = (SuperOp.__dict__[name].__set__ for name in SuperOp.__slots__)
 
 
 def _rational_square_decomposition(scale: Fraction):

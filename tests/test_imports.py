@@ -5,7 +5,8 @@ characteristic polynomials, float spectra); a ``qtl`` module that used
 them would be checked against itself.  The layers build on each other in
 the order of ``LAYERS``, so each module imports only the ones before it.
 The imports are read off the syntax tree of every module, so an import
-inside a function counts too.
+inside a function counts too.  No function imports at all: every import
+sits at module level, where it runs once.
 """
 
 import ast
@@ -41,6 +42,35 @@ def test_no_oracle_import(path):
 def test_guard_sees_every_import_form():
     source = "import numpy\ndef f():\n    from scipy import linalg\nimport sympy.polys as p\nfrom . import errors\n"
     assert _imported(ast.parse(source)) == {"numpy", "scipy", "sympy"}
+
+
+def _nested_imports(tree) -> list:
+    """(line, function name) of every import inside a function body: the
+    import statement runs on each call, and one on the literal read path
+    showed in the profile as thousands of ``importlib`` lookups."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            for inner in ast.walk(node):
+                if isinstance(inner, (ast.Import, ast.ImportFrom)):
+                    found.append((inner.lineno, getattr(node, "name", "<lambda>")))
+    return sorted(set(found))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_import_inside_a_function(path):
+    assert _nested_imports(ast.parse(path.read_text(), str(path))) == []
+
+
+def test_nested_import_guard_sees_every_form():
+    source = (
+        "import numpy\n"
+        "def f():\n    import json\n"
+        "class C:\n    def m(self):\n        from . import errors\n"
+        "    def n(self):\n        def inner():\n            from qtl.linalg import Mat\n"
+        "async def g():\n    import os\n"
+    )
+    assert _nested_imports(ast.parse(source)) == [(3, "f"), (6, "m"), (9, "inner"), (9, "n"), (11, "g")]
 
 
 def _layers_imported(tree) -> set:

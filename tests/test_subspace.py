@@ -426,6 +426,13 @@ class TestProperties:
 
     @PROPERTY
     @given(union_pairs())
+    # the shape of a []<> chain on a random 3-dimensional automaton: eight
+    # planes against lines, four of them inside a plane, four in none
+    @example((
+        union(*[span((1, 0, k), (0, 1, k + 1)) for k in range(8)]),
+        union(*[span((1, 1, 2 * k + 1)) for k in (0, 2, 4, 6)],
+              span((1, 2, 100)), span((1, -1, 50)), span((2, 1, 77)), span((1, 3, -5))),
+    ))
     def test_union_meet_is_canonical_pairwise_meet(self, pair):
         x, y = pair
         pairwise = SubspaceUnion(x.ambient_dim, [a.meet(b) for a in x.members for b in y.members])
@@ -439,15 +446,20 @@ class TestProperties:
     @PROPERTY
     @given(union_pairs())
     # e1 lies in a member of y, e2 and both members of y in no member of the
-    # other side: 2 meets where all pairs are 4
+    # other side, but e2 and span(e2 + e3) are lines: no meet where all
+    # pairs are 4
     @example((union(span((1, 0, 0)), span((0, 1, 0))), union(span((1, 0, 0), (0, 0, 1)), span((0, 1, 1)))))
+    # e3 lies in a member of y, the two planes in no member of the other
+    # side, and the line span(e2 + e3) is left out: 1 meet where all pairs are 4
+    @example((union(span((1, 0, 0), (0, 1, 0)), span((0, 0, 1))), union(span((1, 0, 0), (0, 0, 1)), span((0, 1, 1)))))
     def test_union_meet_meets_only_uncontained_pairs(self, pair):
         # one Subspace.meet per pair of members that lie inside no member
-        # of the other side
+        # of the other side and both have dimension above 1 (a line inside
+        # no member meets each of them in 0)
         x, y = pair
         for left, right in ((x, y), (y, x)):
-            mine = [a for a in left.members if not right.contains_subspace(a)]
-            theirs = [b for b in right.members if not left.contains_subspace(b)]
+            mine = [a for a in left.members if not right.contains_subspace(a) and a.dim > 1]
+            theirs = [b for b in right.members if not left.contains_subspace(b) and b.dim > 1]
             calls = [0]
             exact_meet = Subspace.meet
 

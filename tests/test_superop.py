@@ -9,6 +9,7 @@ import runpy
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import qtl.linalg as linalg
 import qtl.subspace as subspace
@@ -41,6 +42,7 @@ from helpers import (
     KET_PLUS_DENSITY,
     PAULI_X,
     PAULI_Y,
+    basis_union,
     random_automaton,
     random_cayley_unitary,
     random_density,
@@ -52,6 +54,7 @@ from helpers import (
     random_scalar,
     random_subspace,
     random_tp_channel,
+    random_union,
     span,
     union,
 )
@@ -156,7 +159,7 @@ class TestStackByTransposition:
         rng = random.Random(3301)
         for e in _stack_channels(rng):
             daggers = [k.dagger() for k in e.kraus]
-            built, moved = _Stack(daggers), e.dual()._stack
+            built, moved = _Stack.of(daggers), e.dual()._stack
             assert (moved.den, moved.real, moved.dim_out, moved.n_ops) == (built.den, built.real, e.dim_in, len(e.kraus))
             assert len(moved.terms) == len(built.terms) == e.dim_out
             for got, want in zip(moved.terms, built.terms):
@@ -210,27 +213,142 @@ class TestStackByTransposition:
 
     def test_invariance_builds_one_stack_per_action(self, monkeypatch):
         # [] u pulls back through the duals: each action's stack is built
-        # once from its Kraus grids and transposed for its dual, and no
-        # dual forms its Kraus operators
+        # once, from the integer rows of its Kraus literals, and transposed
+        # for its dual, and neither the channel nor its dual forms a Kraus Mat
         rng = random.Random(3305)
         cases = []
         for _ in range(12):
             a = random_automaton(rng, rng.choice([2, 3]), rng.randint(1, 3))
             u = random_subspace(rng, a.dim, dim=rng.randint(1, a.dim - 1))
             cases.append((jsonio.dumps(jsonio.program_to_json(a)), {"u": Atom("u", u)}))
-        built, daggered = [], []
-        init, dagger = _Stack.__init__, Mat.dagger
-        monkeypatch.setattr(_Stack, "__init__", lambda st, kraus: built.append(kraus) or init(st, kraus))
-        monkeypatch.setattr(Mat, "dagger", lambda k: daggered.append(k) or dagger(k))
+        built, formed = [], []
+        init, mats = _Stack.__init__, _Stack.mats
+        monkeypatch.setattr(_Stack, "__init__", lambda st, *args: built.append((st, args)) or init(st, *args))
+        monkeypatch.setattr(_Stack, "mats", lambda st: formed.append(st) or mats(st))
         for text, atoms in cases:
-            built.clear(), daggered.clear()
-            a = jsonio.program_from_json(json.loads(text))
+            built.clear(), formed.clear()
+            doc = json.loads(text)
+            a = jsonio.program_from_json(doc)
             check(a, parse_formula("[] u", atoms), atoms)
-            actions = list(a.actions.values())
-            assert [id(k) for k in built] == [id(e.kraus) for e in actions]
-            assert all(e._dual is not None and e._dual._kraus is None for e in actions)
-            ops = {id(k) for e in actions for k in e.kraus}
-            assert not any(id(k) in ops for k in daggered)
+            actions = [a.actions[name] for name in doc["actions"]]
+            assert [st for st, _ in built] == [e._stack for e in actions]
+            for (_, (grids, dim_out, dim_in)), name in zip(built, doc["actions"]):
+                assert grids == [linalg._int_rows(k) for k in doc["actions"][name]["kraus"]]
+                assert (dim_out, dim_in) == (a.dim, a.dim)
+            assert formed == []
+            assert all(e._kraus is None and e._dual is not None and e._dual._kraus is None for e in actions)
+
+
+def _read_path_kraus(rng, kind, n) -> list:
+    """Kraus operators of a trace-non-increasing channel of one kind: "real"
+    (rotations, projections, resets), "complex" (a trace-preserving channel
+    after a dense complex unitary), "tall" and "wide" (rectangular: zero
+    rows added, or each operator's rows split in two), "decreasing" (halved,
+    with a zero operator)."""
+    if kind == "real":
+        return list(random_tp_channel(rng, n, finite_order=rng.random() < 0.5).kraus)
+    v = random_cayley_unitary(rng, n)
+    kraus = [k @ v for k in random_tp_channel(rng, n).kraus]
+    if kind == "tall":
+        extra = rng.randint(1, 2)
+        return [k.vstack(Mat.zeros(extra, n)) for k in kraus]
+    if kind == "wide":
+        top = (n + 1) // 2
+        return [part for k in kraus for part in (k[:top, :], k[top:, :].vstack(Mat.zeros(2 * top - n, n)))]
+    if kind == "decreasing":
+        return [k * CRat(Fraction(1, 2)) for k in kraus] + [Mat.zeros(n)]
+    return kraus
+
+
+class TestReadPath:
+    """A channel read from JSON builds its stack from the file's integer
+    rows and forms its Kraus Mats, and its dual's, from the stacks."""
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(["real", "complex", "tall", "wide", "decreasing"]), st.integers(1, 4))
+    def test_round_trip(self, seed, kind, n):
+        rng = random.Random(seed)
+        literals = [jsonio.mat_to_json(k) for k in _read_path_kraus(rng, kind, n)]
+        text = jsonio.dumps({"kraus": literals})
+        expected = tuple(Mat.from_rows(k) for k in literals)
+        # the dual first: its Kraus Mats come from its own stack, and the
+        # validation (the PSD gap too) forms none
+        e = jsonio.channel_from_json(json.loads(text))
+        assert e._kraus is None
+        assert e.dual().kraus == tuple(k.dagger() for k in expected)
+        assert e._kraus is None
+        assert e.kraus == expected
+        assert e.is_trace_preserving() == (kind != "decreasing")
+        assert jsonio.dumps(jsonio.channel_to_json(e)) == text
+        assert jsonio.dumps(jsonio.channel_to_json(e.dual())) == jsonio.dumps(
+            {"kraus": [jsonio.mat_to_json(k.dagger()) for k in expected]}
+        )
+
+    def test_literals_in_any_form(self):
+        # unreduced ratios, decimals, bare integers and [re, im] pairs read
+        # as Mat.from_rows reads them, over the lcm of the denominators
+        literals = [
+            [["6/10", 0], ["0", "0.6"]],
+            [[["0", "8/10"], "0"], [0, ["-0", "-0.8"]]],
+            [["0", "0"], [["1/4", "1/4"], "-0.25"]],
+        ]
+        e = jsonio.channel_from_json({"kraus": literals[:2]})
+        assert e.kraus == tuple(Mat.from_rows(k) for k in literals[:2])
+        assert [k.den for k in e.kraus] == [5, 5] and e.is_trace_preserving()
+        e = jsonio.channel_from_json({"kraus": [literals[0], literals[2]]})
+        assert e.kraus == (Mat.from_rows(literals[0]), Mat.from_rows(literals[2]))
+        assert [k.den for k in e.kraus] == [5, 4] and not e.is_trace_preserving()
+
+    def test_measurements_read_from_json(self):
+        rng = random.Random(3310)
+        for _ in range(6):
+            prog = random_deterministic_program(rng, rng.choice([2, 3]), rng.randint(2, 4))
+            doc = json.loads(jsonio.dumps(jsonio.program_to_json(prog)))
+            loaded = jsonio.program_from_json(doc)
+            for loc, act in loaded.act.items():
+                literals = doc["act"][loc]["measurement"]
+                assert len(act.measurement) == len(literals)
+                assert act.measurement.operators == tuple(Mat.from_rows(m) for m in literals)
+                assert act.measurement == prog.act[loc].measurement
+        # completeness is tested on the stack of the rows
+        bad = {"kraus": [[["1", "0"], ["0", "1"]]], "measurement": [[["1", "0"], ["0", "0"]]], "next": {"0": ["l"]}}
+        with pytest.raises(PreconditionViolated, match="do not sum to the identity"):
+            jsonio._act_from_json(bad, False)
+        with pytest.raises(DimensionMismatch, match="square and equal size"):
+            jsonio._act_from_json(dict(bad, measurement=[[["1", "0"]]]), False)
+        with pytest.raises(PreconditionViolated, match="at least one operator"):
+            jsonio._act_from_json(dict(bad, measurement=[]), False)
+
+    def test_lattice_queries_form_no_kraus_mat(self, monkeypatch):
+        # loading an automaton and its atoms and deciding X, [], <>[] and
+        # []<> form no Kraus Mat, and read no atom through Mat.from_rows:
+        # the initial state is the one literal read as a Mat
+        rng = random.Random(3311)
+        cases = []
+        for k in range(24):
+            dim = 2 + k % 2
+            a = random_automaton(rng, dim, 1 + k % 3, finite_order=k % 4 < 2)
+            u = basis_union(rng, dim) if k % 2 else random_union(rng, dim, max_members=1)
+            atoms = [{"name": f"u{j}", "subspace": jsonio.subspace_to_json(m)} for j, m in enumerate(u.members)]
+            union_text = " || ".join(f"u{j}" for j in range(len(atoms)))
+            cases.append((jsonio.dumps(jsonio.program_to_json(a)), jsonio.dumps(atoms), f"({union_text})"))
+        formed, read = [], []
+        mats, from_rows = _Stack.mats, Mat.from_rows
+        monkeypatch.setattr(_Stack, "mats", lambda st: formed.append(st) or mats(st))
+        monkeypatch.setattr(Mat, "from_rows", staticmethod(lambda rows: read.append(rows) or from_rows(rows)))
+        coordinate = 0
+        for text, atoms_text, u in cases:
+            doc, atoms_doc = json.loads(text), json.loads(atoms_text)
+            read.clear()
+            a = jsonio.program_from_json(doc)
+            assert read == [doc["initial_state"]]
+            read.clear()
+            atoms = jsonio.atoms_from_json(atoms_doc, a)
+            coordinate += sum(atom.subspace.is_coordinate() for atom in atoms.values())
+            for formula in (f"X {u}", f"[] {u}", f"<>[] {u}", f"[]<> {u}"):
+                check(a, parse_formula(formula, atoms), atoms)
+            assert read == []
+        assert formed == [] and coordinate >= 12
 
 
 class TestMatrixRep:
@@ -468,9 +586,10 @@ class TestPreimageImage:
 
         monkeypatch.setattr(Mat, "__init__", counted)
         for e, p in cases:
+            rows = p.rref  # a coordinate subspace makes its unit rows on first read
             for _ in range(2):
                 built.clear()
-                e._image_rows(p.rref)
+                e._image_rows(rows)
                 assert len(built) == 1
         for big, rows in tests:
             built.clear()
