@@ -4,7 +4,9 @@ The workhorses are exact fixpoint computations on finite unions of
 subspaces: decreasing pre-image chains decide invariance, a maximal
 invariant plus its maximal extension decide "eventually always", and a loop
 refinement over union components decides "always eventually" whenever the
-relevant peripheral eigenvalue periods can be certified.  The fixpoints,
+relevant peripheral eigenvalue periods can be certified.  The limit shapes
+look for a refuting lasso on the support graph first and run their
+fixpoints only when none is at hand.  The fixpoints,
 the loop refinement and the witness search take images and pre-images from
 the actions' Kraus operators (the refinement pulls subspaces back through
 the actions' duals).  A channel's real matrix in a Hermitian operator
@@ -337,35 +339,47 @@ def check_next(a: QuantumAutomaton, u) -> Verdict:
     return Verdict.valid()
 
 
-def _invariance_chain(actions: dict, u: SubspaceUnion):
-    """Greatest fixpoint of Y -> Y meet all action pre-images of Y."""
+def _invariance_chain(actions: dict, u: SubspaceUnion, root: Subspace):
+    """The decreasing chain Y_0 = u, Y_{k+1} = Y_k meet all action pre-images
+    of Y_k, as (Y_k, k): run to its greatest fixpoint, or stopped at the
+    first Y_k that does not contain ``root``.  A subspace lies in Y_k
+    exactly when every action word of length <= k maps it into u, so the
+    chain stops at the depth of the shallowest escape of root."""
     y = u
     depth = 0
-    while True:
+    while y.contains_subspace(root):
         y2 = y
         for e in actions.values():
             y2 = y2.meet(preimage_union(e, y))
         if y2 == y:
-            return y, depth
+            break
         if not y2.subset_of(y):
             raise QtlError("invariance chain failed to decrease")
         y = y2
         depth += 1
+    return y, depth
+
+
+def _operand(a: QuantumAutomaton, u) -> SubspaceUnion:
+    u = _as_union(u)
+    if u.ambient_dim != a.dim:
+        raise DimensionMismatch("proposition does not live on the automaton space")
+    return u
 
 
 def check_invariance(a: QuantumAutomaton, u) -> Verdict:
     """Decide that every reachable state satisfies the union of subspaces.
 
-    The certificate is the stabilized pre-image chain; a refuting action
-    word is recovered by breadth-first search bounded by the chain depth,
-    which stops at the first support outside the union.
+    The certificate of a valid verdict is the stabilized pre-image chain.
+    The chain stops at the first round k that drops the initial support
+    (``chain_depth``), and the refuting action word is then recovered by
+    breadth-first search, which stops at the first support outside the
+    union: the shallowest escape, at depth k.
     """
-    u = _as_union(u)
-    if u.ambient_dim != a.dim:
-        raise DimensionMismatch("proposition does not live on the automaton space")
-    psi, depth = _invariance_chain(_actions(a), u)
-    diag = {"chain_depth": depth}
+    u = _operand(a, u)
     root = _initial_support(a)
+    psi, depth = _invariance_chain(_actions(a), u, root)
+    diag = {"chain_depth": depth}
     if psi.contains_subspace(root):
         return Verdict.valid(certificate=psi, diagnostics=diag)
     graph = _SupportGraph(a, depth + a.dim, 200000, root=root, until=u)
@@ -373,7 +387,7 @@ def check_invariance(a: QuantumAutomaton, u) -> Verdict:
     if i is None:
         raise QtlError("refuted invariance but found no witness within the bound")
     witness = {"word": graph.word_to(i), "step": graph.depth[i], "support_dim": graph.nodes[i].dim}
-    return Verdict.not_valid(witness=witness, certificate=psi, diagnostics=diag)
+    return Verdict.not_valid(witness=witness, diagnostics=diag)
 
 
 # ----------------------------------------------------------------------
@@ -473,33 +487,64 @@ def maximal_extension(a: QuantumAutomaton, x) -> SubspaceUnion:
 def check_eventually_always(a: QuantumAutomaton, u) -> Verdict:
     """Decide "from some point on, every continuation satisfies the union".
 
-    Valid exactly when the initial support lies in the maximal extension of
-    the maximal invariant of the union.
+    A lasso whose cycle starts at a support outside the union refutes it,
+    and one is looked for first (:func:`_search_first`).  Otherwise the
+    verdict is that of :func:`_eventually_always_by_fixpoints`.
     """
-    u = _as_union(u)
-    if u.ambient_dim != a.dim:
-        raise DimensionMismatch("proposition does not live on the automaton space")
+    u = _operand(a, u)
+    return _search_first(a, u, _SupportGraph.recurrent_escape) or _by_fixpoints(
+        _eventually_always_by_fixpoints(a, u)
+    )
+
+
+def _eventually_always_by_fixpoints(a: QuantumAutomaton, u) -> Verdict:
+    """<> [] on the lattice alone: valid exactly when the initial support
+    lies in the maximal extension of the maximal invariant of the union."""
+    u = _operand(a, u)
     x = maximal_invariant(a, u)
     psi = maximal_extension(a, x)
     diag = {"invariant_members": len(x.members), "certificate_members": len(psi.members)}
-    root = _initial_support(a)
-    if psi.contains_subspace(root):
+    if psi.contains_subspace(_initial_support(a)):
         return Verdict.valid(certificate=psi, diagnostics=diag)
-    witness = _lasso_witness(a, u, root, _SupportGraph.recurrent_escape)
+    witness, _ = _lasso_search(a, u, _SupportGraph.recurrent_escape)
     return Verdict.not_valid(witness=witness, certificate=psi, diagnostics=diag)
 
 
-def _lasso_witness(a: QuantumAutomaton, u: SubspaceUnion, root: Subspace, search, budget: int = 4000):
-    """Best-effort finite witness (prefix word + cycle word) from the
-    initial support ``root`` for refuted limit properties: ``search`` is
-    :meth:`_SupportGraph.recurrent_escape` or
-    :meth:`_SupportGraph.avoiding_lasso`; None when the search, bounded by
-    ``_WITNESS_DEPTH`` and ``budget``, finds nothing."""
+def _lasso_search(a: QuantumAutomaton, u: SubspaceUnion, search, budget: int = 4000):
+    """(lasso, nodes): a finite witness (prefix word + cycle word) from the
+    initial support for refuted limit properties, and the number of
+    supports searched.  ``search`` is :meth:`_SupportGraph.recurrent_escape`
+    or :meth:`_SupportGraph.avoiding_lasso`, run on the support graph
+    ``_WITNESS_DEPTH`` actions deep; the lasso is None when it finds
+    nothing, and (None, 0) when the graph needs more than ``budget``
+    expansions."""
     try:
-        graph = _SupportGraph(a, _WITNESS_DEPTH, budget, root=root)
+        graph = _SupportGraph(a, _WITNESS_DEPTH, budget)
     except BudgetExceeded:
+        return None, 0
+    return search(graph, u), len(graph)
+
+
+def _search_first(a: QuantumAutomaton, u: SubspaceUnion, search) -> Verdict | None:
+    """The refutation of a limit shape by a lasso, looked for before any
+    fixpoint runs, or None.  The search is that of :func:`_lasso_search`
+    with a budget of ``a.dim`` expansions, so it takes at most
+    |actions| * dim images; it gives up past the budget.  Every edge of the
+    graph is an exact Kraus image, so the lasso replays with
+    :func:`replay_word`."""
+    lasso, nodes = _lasso_search(a, u, search, a.dim)
+    if lasso is None:
         return None
-    return search(graph, u)
+    return Verdict.not_valid(witness=lasso, diagnostics={"search_nodes": nodes})
+
+
+def _by_fixpoints(v: Verdict) -> Verdict:
+    """A fixpoint procedure's verdict as the checker reports it: a
+    refutation is evidenced by its witness, so only a valid verdict keeps
+    its certificate."""
+    if v.status == NOT_VALID:
+        return Verdict.not_valid(witness=v.witness, diagnostics=v.diagnostics)
+    return v
 
 
 # ----------------------------------------------------------------------
@@ -584,15 +629,25 @@ def _p2_refine(members, cycle, u: SubspaceUnion, actions):
 def check_always_eventually(a: QuantumAutomaton, u) -> Verdict:
     """Decide "the union is visited infinitely often on every path".
 
-    Alternates the maximal-invariant chain with a refinement of simple
-    loops of union components that avoid the target; the refinement uses
-    the exact period of the loop channel's peripheral spectrum and returns
-    Unknown, with the reason, when some peripheral eigenvalue is not a root
-    of unity or the period exceeds ``_PERIOD_BOUND``.
+    A lasso whose whole cycle stays outside the union refutes it, and one
+    is looked for first (:func:`_search_first`).  Otherwise the verdict is
+    that of :func:`_always_eventually_by_fixpoints`.
     """
-    u = _as_union(u)
-    if u.ambient_dim != a.dim:
-        raise DimensionMismatch("proposition does not live on the automaton space")
+    u = _operand(a, u)
+    return _search_first(a, u, _SupportGraph.avoiding_lasso) or _by_fixpoints(
+        _always_eventually_by_fixpoints(a, u)
+    )
+
+
+def _always_eventually_by_fixpoints(a: QuantumAutomaton, u) -> Verdict:
+    """[] <> on the lattice alone: alternates the maximal-invariant chain
+    with a refinement of simple loops of union components that avoid the
+    target.  The refinement uses the exact period of the loop channel's
+    peripheral spectrum and returns Unknown, with the reason, when some
+    peripheral eigenvalue is not a root of unity or the period exceeds
+    ``_PERIOD_BOUND``.
+    """
+    u = _operand(a, u)
     actions = _actions(a)
     x = SubspaceUnion.full(a.dim)
     diag = {"refinements": 0, "periods": [], "period_bound": _PERIOD_BOUND}
@@ -615,16 +670,15 @@ def check_always_eventually(a: QuantumAutomaton, u) -> Verdict:
         return Verdict.unknown(str(exc), diag)
     psi = maximal_extension(a, x)
     diag["certificate_members"] = len(psi.members)
-    root = _initial_support(a)
-    if psi.contains_subspace(root):
+    if psi.contains_subspace(_initial_support(a)):
         return Verdict.valid(certificate=psi, diagnostics=diag)
-    witness = _lasso_witness(a, u, root, _SupportGraph.avoiding_lasso)
+    witness, _ = _lasso_search(a, u, _SupportGraph.avoiding_lasso)
     return Verdict.not_valid(witness=witness, certificate=psi, diagnostics=diag)
 
 
 def check_always_until(a: QuantumAutomaton, phi, psi) -> Verdict:
     """Always (phi until psi), tested by invariance of phi plus
-    always-eventually psi.
+    always-eventually psi; a refutation names its failing ``conjunct``.
 
     The conjunction is sufficient, not necessary: [] (phi U psi) needs only
     invariance of phi || psi besides the recurrence of psi, so a refutation
@@ -632,11 +686,7 @@ def check_always_until(a: QuantumAutomaton, phi, psi) -> Verdict:
     """
     inv = check_invariance(a, phi)
     if inv.status == NOT_VALID:
-        return Verdict.not_valid(
-            witness=inv.witness,
-            certificate=inv.certificate,
-            diagnostics={"conjunct": "invariance"},
-        )
+        return Verdict.not_valid(witness=inv.witness, diagnostics={"conjunct": "invariance", **inv.diagnostics})
     ae = check_always_eventually(a, psi)
     if ae.status == UNKNOWN:
         return ae
@@ -736,7 +786,7 @@ def check_always_almost_until(
     # no limit state reaches the target: the satisfaction probability is
     # bounded away from one along the whole orbit
     witness = {"conjunct": "limit_point", "limit_traces": limit_traces}
-    return Verdict.not_valid(witness=witness, certificate=inv.certificate, diagnostics=diag)
+    return Verdict.not_valid(witness=witness, diagnostics=diag)
 
 
 # ----------------------------------------------------------------------
@@ -1060,9 +1110,12 @@ def check(target, formula, atoms: dict) -> Verdict:
 
         f              satisfaction by the initial state
         X f            one-step successors
-        [] f           invariance (pre-image chain)
-        [] <> f        recurrence (loop refinement; may be Unknown)
-        <> [] f        stabilization (maximal invariant + extension)
+        [] f           invariance (pre-image chain, stopped at the first
+                       round that drops the initial support)
+        [] <> f        recurrence (lasso search, then loop refinement;
+                       may be Unknown)
+        <> [] f        stabilization (lasso search, then maximal
+                       invariant + extension)
         [] (f U g)     invariance conjunct plus recurrence conjunct
                        (conservative: may refute what holds on every
                        trace)
@@ -1081,9 +1134,19 @@ def check(target, formula, atoms: dict) -> Verdict:
     [] (p U~ q) are exact: with p the characteristic polynomial of the loop channel,
     the verdict is Unknown when g = gcd(p, z^n p(1/z)) is not in Z[z] (a
     peripheral eigenvalue is not a root of unity) or when its roots have no
-    common order up to 64.  The witness search of the limit
-    shapes goes 12 actions deep.  The automaton of a program is built only
+    common order up to 64.  The automaton of a program is built only
     for the shapes that run on it.
+
+    Validity comes from the fixpoints, and a valid verdict carries the
+    fixpoint as its certificate.  A refutation carries no certificate: the
+    evidence of a refuted [] f, <> [] f, [] <> f or [] (f U g) is its
+    witness, an action word or a lasso (prefix and cycle) that replays
+    exactly.  The limit shapes search the support graph for a
+    refuting lasso, 12 actions deep and within D expansions on a space of
+    dimension D, before any fixpoint runs; when their fixpoints refute, the
+    same search runs again within 4000 expansions.  A refutation's
+    diagnostics name the pass that refuted it: search_nodes for the search,
+    chain_depth for the [] chain, the fixpoint's own keys otherwise.
     """
     if isinstance(target, QuantumAutomaton):
         ambient = target.dim

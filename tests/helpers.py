@@ -275,6 +275,31 @@ def random_automaton(rng, dim, n_actions, finite_order=False):
     return QuantumAutomaton(dim, actions, random_density(rng, dim))
 
 
+def leaky_cycle_automaton(rng):
+    """A basis cycle of length 2-3 in C^3 or C^4 that keeps amplitude 3/5 at
+    one step and leaks 4/5 to a sink basis state, the basis states off the
+    cycle fixed; the oscillation sits in decaying eigenvalues.  30% of
+    them get a second, finite-order action.  Started in a cycle state or in
+    a random density matrix."""
+    dim = rng.choice([3, 4])
+    length = rng.randint(2, min(3, dim - 1))
+    leak, sink = rng.randrange(length), rng.randrange(length, dim)
+    keep = [[0] * dim for _ in range(dim)]
+    for i in range(dim):
+        if i < length:
+            keep[(i + 1) % length][i] = "3/5" if i == leak else 1
+        else:
+            keep[i][i] = 1
+    drain = [[0] * dim for _ in range(dim)]
+    drain[sink][leak] = "4/5"
+    actions = {"a0": SuperOp([Mat.from_rows(keep), Mat.from_rows(drain)], validate=True)}
+    if rng.random() < 0.3:
+        actions["a1"] = random_tp_channel(rng, dim, finite_order=True)
+    k = rng.randrange(length)
+    initial = Mat.unit(dim, k, k) if rng.random() < 0.5 else random_density(rng, dim)
+    return QuantumAutomaton(dim, actions, initial)
+
+
 def random_union(rng, dim, max_members=2):
     members = [random_subspace(rng, dim, dim=rng.randint(0, dim - 1)) for _ in range(rng.randint(1, max_members))]
     return SubspaceUnion(dim, members)

@@ -1,3 +1,4 @@
+import collections
 import functools
 import itertools
 import math
@@ -54,6 +55,7 @@ from qtl.checker import (
 )
 from qtl.formula import Always, Atom, Eventually, FAtom, Or, Until, atom_from_blocks, parse_formula
 import qtl.checker as checker
+import qtl.superop as superop
 from qtl import jsonio
 from qtl.cli import main as cli_main
 
@@ -68,6 +70,7 @@ from helpers import (
     ToleranceAmbiguity,
     float_peripheral_split,
     invariance_by_mixing,
+    leaky_cycle_automaton,
     p2_refine_by_joins,
     random_automaton,
     random_density,
@@ -81,6 +84,7 @@ from helpers import (
     block_space_cut,
     block_vector,
     random_qwhile_source,
+    random_rational_rotation,
     rotation_loop_src,
     rotation_loop_with_minus_trap_src,
     rotation_loop_with_unreached_trap_src,
@@ -372,7 +376,7 @@ class TestSpectralForm:
         recurrence, limits = [], []
         for aut, u in loops:
             u = u or union(span([int(i == 0) for i in range(aut.dim)]))
-            ae = check_always_eventually(aut, u)
+            ae = checker._always_eventually_by_fixpoints(aut, u)
             until = check_always_until(aut, SubspaceUnion.full(aut.dim), u)
             recurrence.append((ae.status, ae.diagnostics.get("periods"), until.status))
         for e, sigma0 in singles:
@@ -527,9 +531,9 @@ class TestLoopRefinement:
     @example(random.Random(2513))  # the last term's support alone is not the join
     def test_krylov_sum_agrees_with_join_walk_and_oracle(self, rng):
         aut, u = _loop_instance(rng)
-        v = check_always_eventually(aut, u)
+        v = checker._always_eventually_by_fixpoints(aut, u)
         with mock.patch.object(checker, "_p2_refine", p2_refine_by_joins):
-            ref = check_always_eventually(aut, u)
+            ref = checker._always_eventually_by_fixpoints(aut, u)
         assert v.status == ref.status
         for key in ("periods", "refinements"):
             assert v.diagnostics[key] == ref.diagnostics[key]
@@ -580,7 +584,7 @@ class TestLoopRefinement:
             prog = random_deterministic_program(rng, d, rng.randint(1, 3 if d == 2 else 2))
             locs = rng.sample(prog.locations, rng.randint(1, len(prog.locations)))
             atom = atom_from_blocks("p", {loc: random_subspace(rng, d, dim=rng.randint(1, d - 1)) for loc in locs}, prog)
-            check_always_eventually(to_automaton(prog), union(atom.subspace))
+            checker._always_eventually_by_fixpoints(to_automaton(prog), union(atom.subspace))
         # the period of the loop matrix is 1 on most of these, 2 on some
         assert len(compared) > 20 and 2 in compared
 
@@ -617,11 +621,11 @@ class TestLoopRefinement:
         monkeypatch.setattr(checker, "support", counting_support)
         monkeypatch.setattr(checker, "least_fixpoint", counting_fixpoint)
         monkeypatch.setattr(checker, "_p2_refine", counting_refine)
-        check_always_eventually(to_automaton(example_loop), _exit_ok(example_loop))
+        checker._always_eventually_by_fixpoints(to_automaton(example_loop), _exit_ok(example_loop))
         assert counted == [(0, 1, 1)]
         rng = random.Random(1401)
         for _ in range(20):
-            check_always_eventually(*_loop_instance(rng))
+            checker._always_eventually_by_fixpoints(*_loop_instance(rng))
         assert len(counted) > 10
         assert all(n == 0 and per_target == bound for n, per_target, bound in counted)
 
@@ -676,7 +680,7 @@ class TestLoopRefinement:
         # tends to one but never reaches it, so the support of the state
         # always keeps a part inside the loop and never lies inside
         # exit_ok; one refinement, of period 1, refutes the recurrence
-        v = check_always_eventually(to_automaton(example_loop), _exit_ok(example_loop))
+        v = checker._always_eventually_by_fixpoints(to_automaton(example_loop), _exit_ok(example_loop))
         assert v.status == "not_valid"
         assert v.diagnostics == {"refinements": 1, "periods": [1], "period_bound": 64, "certificate_members": 1}
         assert v.witness == {"prefix": ["step", "step"], "cycle": ["step", "step"]}
@@ -710,7 +714,7 @@ class TestLoopRefinementArithmetic:
         monkeypatch.setattr(CRat, "__init__", counted_init)
         periods = []
         for a, u in cases:
-            periods += check_always_eventually(a, u).diagnostics["periods"]
+            periods += checker._always_eventually_by_fixpoints(a, u).diagnostics["periods"]
         monkeypatch.undo()
         assert made == []
         # the refinement ran, with periods above one among them
@@ -755,6 +759,168 @@ class TestAlwaysUntil:
     def test_trivial(self, x_automaton):
         v = check_always_until(x_automaton, SubspaceUnion.full(2), SubspaceUnion.full(2))
         assert v.is_valid
+
+
+def _pure_state(rng, dim):
+    v = random_vector(rng, dim, real=rng.random() < 0.5)
+    rho = v @ v.dagger()
+    return rho * CRat(1 / rho.trace().re)
+
+
+def _refutation_instances(rng):
+    """(automaton, target union) pairs on which the checker's refute-first
+    procedures are compared with the fixpoint-only ones: random automata
+    (d = 2-4) with full-rank and pure initial states, automata of rational
+    rotations (infinite order) beside finite-order channels, the automata of
+    random deterministic programs, and leaky cycles."""
+    cases = []
+    for _ in range(24):
+        dim = rng.choice([2, 3, 4])
+        a = random_automaton(rng, dim, rng.randint(1, 2))
+        if rng.random() < 0.5:
+            a = QuantumAutomaton(dim, a.actions, _pure_state(rng, dim))
+        cases.append((a, basis_union(rng, dim) if rng.random() < 0.5 else random_union(rng, dim)))
+    for _ in range(12):
+        dim = rng.choice([2, 3, 4])
+        actions = {"r": SuperOp.from_unitary(random_rational_rotation(rng, dim))}
+        if rng.random() < 0.5:
+            actions["b"] = random_tp_channel(rng, dim, finite_order=True)
+        cases.append((QuantumAutomaton(dim, actions, _pure_state(rng, dim)), basis_union(rng, dim)))
+    for _ in range(8):
+        d = rng.choice([2, 3])
+        prog = random_deterministic_program(rng, d, rng.randint(1, 2))
+        locs = rng.sample(prog.locations, rng.randint(1, len(prog.locations)))
+        atom = atom_from_blocks("p", {loc: random_subspace(rng, d, dim=rng.randint(1, d - 1)) for loc in locs}, prog)
+        cases.append((to_automaton(prog), union(atom.subspace)))
+    for _ in range(12):
+        a = leaky_cycle_automaton(rng)
+        cases.append((a, basis_union(rng, a.dim)))
+    return cases
+
+
+def _lasso_replays(a, u, witness, shape) -> bool:
+    """Whether a lasso replays exactly as a refutation of "<> []" or
+    "[] <>" of the union: the cycle comes back to the support it starts at,
+    and that support ("<> []") or every support along the cycle ("[] <>")
+    lies outside the union."""
+    states = replay_word(a, witness["prefix"] + witness["cycle"])
+    loop = [support(s, validate=False) for s in states[len(witness["prefix"]):]]
+    outside = [not u.contains_subspace(s) for s in loop]
+    return loop[0] == loop[-1] and (all(outside) if shape == "[] <>" else outside[0])
+
+
+LIMIT_SHAPES = (
+    ("<> []", check_eventually_always, "_eventually_always_by_fixpoints", lambda body: Eventually(Always(body))),
+    ("[] <>", check_always_eventually, "_always_eventually_by_fixpoints", lambda body: Always(Eventually(body))),
+)
+
+
+class TestRefuteFirst:
+    def test_search_first_agrees_with_the_fixpoints(self):
+        # check gives the fixpoint-only status wherever that status is
+        # decided, every lasso replays, and a former unknown that is now
+        # refuted agrees with oracle_bfs wherever the oracle decides
+        counts = collections.Counter()
+        for a, u in _refutation_instances(random.Random(3801)):
+            atoms = {f"m{i}": Atom(f"m{i}", m) for i, m in enumerate(u.members)}
+            body = functools.reduce(Or, [FAtom(name) for name in atoms])
+            for shape, decide, by_fixpoints, formula in LIMIT_SHAPES:
+                got, ref = decide(a, u), getattr(checker, by_fixpoints)(a, u)
+                if ref.status != "unknown":
+                    assert got.status == ref.status
+                if got.status != "not_valid":
+                    continue
+                assert got.certificate is None
+                counts["search" if "search_nodes" in got.diagnostics else "fixpoints"] += 1
+                if got.witness is not None:
+                    assert _lasso_replays(a, u, got.witness, shape)
+                if ref.status == "unknown":
+                    counts["unknown refuted"] += 1
+                    assert oracle_bfs(a, formula(body), atoms).status != "holds"
+        assert counts["search"] > 20 and counts["fixpoints"] > 0 and counts["unknown refuted"] > 0
+
+    def test_invariance_chain_stops_at_the_escape(self, monkeypatch):
+        # the [] chain stops at the first round that drops the initial
+        # support, after |actions| pre-images per round, at the depth of the
+        # witness; the whole chain gives the same status
+        rounds = []
+        exact = checker.preimage_union
+        monkeypatch.setattr(checker, "preimage_union", lambda e, y: rounds.append(e) or exact(e, y))
+        stopped = 0
+        for a, u in _refutation_instances(random.Random(3802)):
+            root = checker._initial_support(a)
+            whole, whole_depth = checker._invariance_chain(checker._actions(a), u, Subspace.zero(a.dim))
+            rounds.clear()
+            v = check_invariance(a, u)
+            assert v.is_valid == whole.contains_subspace(root)
+            if v.is_valid:
+                assert v.certificate == whole
+                continue
+            depth = v.diagnostics["chain_depth"]
+            assert v.certificate is None and depth == v.witness["step"]
+            assert len(rounds) == depth * len(a.actions)
+            stopped += depth < whole_depth
+        assert stopped > 0
+
+    def test_implications_between_the_shapes(self):
+        # [] f valid => <> [] f valid => [] <> f not refuted (valid where
+        # decided), and the lasso of a refuted [] <> f, whose cycle stays
+        # outside f, replays as a refutation of <> [] f too
+        counts = collections.Counter()
+        for a, u in _refutation_instances(random.Random(3803)):
+            always, stable, recurs = check_invariance(a, u), check_eventually_always(a, u), check_always_eventually(a, u)
+            if always.is_valid:
+                assert stable.is_valid
+            if stable.is_valid:
+                assert recurs.status != "not_valid"
+                counts["stable"] += 1
+            if recurs.status == "not_valid":
+                assert stable.status == "not_valid"
+                if recurs.witness is not None:
+                    assert _lasso_replays(a, u, recurs.witness, "<> []")
+                    counts["lasso"] += 1
+        assert counts["stable"] > 5 and counts["lasso"] > 5
+
+    def test_first_pass_takes_at_most_dim_expansions(self, monkeypatch):
+        # a rotation of infinite order and a phase flip on span(e0, e1),
+        # both fixing e2, from |e0>: the supports are lines of span(e0, e1)
+        # that never repeat, so the support graph does not close, and
+        # <> [] span(e0, e1) is valid.  The search gives up after dim
+        # expansions, |actions| * dim images, before the fixpoints run
+        rotation = Mat.from_rows([["3/5", "-4/5", 0], ["4/5", "3/5", 0], [0, 0, 1]])
+        flip = Mat.from_rows([[1, 0, 0], [0, -1, 0], [0, 0, 1]])
+        a = QuantumAutomaton(3, {"r": SuperOp.from_unitary(rotation), "z": SuperOp.from_unitary(flip)}, Mat.unit(3, 0, 0))
+        u = union(span((1, 0, 0), (0, 1, 0)))
+        images, before = [0], []
+        exact_image, exact_fixpoints = superop.image, checker._eventually_always_by_fixpoints
+
+        def counting_image(e, s):
+            images[0] += 1
+            return exact_image(e, s)
+
+        def fixpoints(a, u):
+            before.append(images[0])
+            return exact_fixpoints(a, u)
+
+        monkeypatch.setattr(superop, "image", counting_image)
+        monkeypatch.setattr(checker, "image", counting_image)
+        monkeypatch.setattr(checker, "_eventually_always_by_fixpoints", fixpoints)
+        v = check_eventually_always(a, u)
+        assert v.is_valid and before == [len(a.actions) * a.dim]
+        monkeypatch.undo()
+        graph = checker._SupportGraph(a, checker._WITNESS_DEPTH, 4000)
+        assert not graph.closed and len(graph) > a.dim
+
+    def test_short_lasso_runs_no_fixpoint(self, monkeypatch, x_automaton):
+        def forbidden(*args):
+            raise AssertionError("a fixpoint ran")
+
+        monkeypatch.setattr(checker, "maximal_invariant", forbidden)
+        monkeypatch.setattr(checker, "_p2_refine", forbidden)
+        v = check_always_eventually(x_automaton, union(span((1, -1))))
+        assert v.status == "not_valid" and v.certificate is None
+        assert v.witness == {"prefix": [], "cycle": ["x", "x"]}
+        assert v.diagnostics == {"search_nodes": 2}
 
 
 class TestAlmostUntil:

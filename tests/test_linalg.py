@@ -1139,7 +1139,7 @@ class TestPeripheralPeriod:
         for seed, dim, locations in ((2, 4, 6), (0, 3, 8)):
             prog = random_deterministic_program(random.Random(seed), dim, locations)
             atom = partial_correctness_subspace(prog, span([1] + [0] * (dim - 1)))
-            checker.check_always_eventually(to_automaton(prog), atom)
+            checker._always_eventually_by_fixpoints(to_automaton(prog), atom)
         assert [m.rows for m, _ in loops] == [784, 729]
         for m, h in loops:
             assert charpoly(h) == Mat.from_rows([reference_charpoly(m)])

@@ -18,7 +18,7 @@ from qtl.checker import check
 from qtl.errors import DimensionMismatch, PreconditionViolated
 from qtl.formula import Atom, atom_from_blocks, parse_formula
 from qtl.linalg import CRat, Mat, kron, mat_sum
-from qtl.program import to_automaton
+from qtl.program import QuantumAutomaton, to_automaton
 from qtl.qwhile import WhileNormalForm
 from qtl.subspace import Subspace, satisfies, support
 from qtl.superop import (
@@ -214,12 +214,15 @@ class TestStackByTransposition:
     def test_invariance_builds_one_stack_per_action(self, monkeypatch):
         # [] u pulls back through the duals: each action's stack is built
         # once, from the integer rows of its Kraus literals, and transposed
-        # for its dual, and neither the channel nor its dual forms a Kraus Mat
+        # for its dual, and neither the channel nor its dual forms a Kraus Mat.
+        # The initial state spans u, so the pre-image chain runs at least
+        # one round
         rng = random.Random(3305)
         cases = []
         for _ in range(12):
             a = random_automaton(rng, rng.choice([2, 3]), rng.randint(1, 3))
             u = random_subspace(rng, a.dim, dim=rng.randint(1, a.dim - 1))
+            a = QuantumAutomaton(a.dim, a.actions, u.projector * CRat(Fraction(1, u.dim)))
             cases.append((jsonio.dumps(jsonio.program_to_json(a)), {"u": Atom("u", u)}))
         built, formed = [], []
         init, mats = _Stack.__init__, _Stack.mats
