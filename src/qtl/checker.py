@@ -225,15 +225,12 @@ class _SupportGraph:
     action-name order.  ``image_of(channel, subspace)`` computes the
     images; by default the Kraus-form :func:`superop.image`.  ``root`` is
     the support of the initial state where the caller already has it.
-    With a union ``until``, the search stops at the first support outside
-    it, which is then the last node (its parent keeps only the edges before
-    it), and ``closed`` is False.
 
     Every search over the graph is a method here, shared by the checker's
     witnesses and :func:`oracle_bfs`.
     """
 
-    def __init__(self, automaton: QuantumAutomaton, max_depth: int, budget: int, image_of=None, root=None, until=None):
+    def __init__(self, automaton: QuantumAutomaton, max_depth: int, budget: int, image_of=None, root=None):
         image_of = image if image_of is None else image_of
         actions = _actions(automaton)
         root = _initial_support(automaton) if root is None else root
@@ -242,8 +239,8 @@ class _SupportGraph:
         self.parent = [None]  # (node index, action name)
         self.successors = {}
         index = {root.key(): 0}
-        frontier = [] if until is not None and not until.contains_subspace(root) else [0]
-        self.closed = bool(frontier)
+        frontier = [0]
+        self.closed = True
         while frontier:
             nxt = []
             for i in frontier:
@@ -266,9 +263,6 @@ class _SupportGraph:
                         self.depth.append(self.depth[i] + 1)
                         self.parent.append((i, name))
                         nxt.append(j)
-                        if until is not None and not until.contains_subspace(img):
-                            self.closed = False
-                            return
                     edges.append((name, j))
             frontier = nxt
 
@@ -372,9 +366,9 @@ def check_invariance(a: QuantumAutomaton, u) -> Verdict:
 
     The certificate of a valid verdict is the stabilized pre-image chain.
     The chain stops at the first round k that drops the initial support
-    (``chain_depth``), and the refuting action word is then recovered by
-    breadth-first search, which stops at the first support outside the
-    union: the shallowest escape, at depth k.
+    (``chain_depth``), the depth of the shallowest escape, and the
+    refuting action word is then recovered by breadth-first search to
+    depth k.
     """
     u = _operand(a, u)
     root = _initial_support(a)
@@ -382,7 +376,7 @@ def check_invariance(a: QuantumAutomaton, u) -> Verdict:
     diag = {"chain_depth": depth}
     if psi.contains_subspace(root):
         return Verdict.valid(certificate=psi, diagnostics=diag)
-    graph = _SupportGraph(a, depth + a.dim, 200000, root=root, until=u)
+    graph = _SupportGraph(a, depth, 200000, root=root)
     i = graph.escape(u)
     if i is None:
         raise QtlError("refuted invariance but found no witness within the bound")
@@ -961,8 +955,9 @@ def check_terminates(program: SequentialProgram) -> TerminationResult:
 
 
 def kleene_always(e: SuperOp, rho_ab: Mat, p: Subspace, t: int | None = None) -> Verdict:
-    """Invariance of p under (E on the first factor) from a joint input,
-    decided by one satisfaction check of the running average over t steps.
+    """Invariance of p under (E on the first factor) from a joint input for
+    t steps: not valid at the first s < t whose support S_s (S_0 = supp
+    rho_ab, then Kraus images) leaves p; valid once their join stops growing.
 
     t defaults to d^2 - 1 for a d-dimensional action space and may only be
     enlarged (PreconditionViolated otherwise); the bound does not depend on
@@ -982,19 +977,15 @@ def kleene_always(e: SuperOp, rho_ab: Mat, p: Subspace, t: int | None = None) ->
     elif t < t_min:
         raise PreconditionViolated(f"t may not be below the bound {t_min}")
     lifted = SuperOp([kron(k, Mat.eye(d_env)) for k in e.kraus], validate=False)
-    acc = Mat.zeros(rho_ab.rows)
-    state = rho_ab
-    for _ in range(t):
-        acc = acc + state
-        state = lifted.apply(state)
-    if satisfies(acc, p):
-        return Verdict.valid(diagnostics={"steps_averaged": t})
-    step = 0
-    probe = rho_ab
-    while satisfies(probe, p):
-        probe = lifted.apply(probe)
-        step += 1
-    return Verdict.not_valid(witness={"step": step}, diagnostics={"steps_averaged": t})
+    diag = {"steps_averaged": t}
+    joined, s = Subspace.zero(rho_ab.rows), support(rho_ab, validate=False)
+    for step in range(t):
+        if not p.contains(s):
+            return Verdict.not_valid(witness={"step": step}, diagnostics=diag)
+        if joined.contains(s):
+            break
+        joined, s = joined.join(s), image(lifted, s)
+    return Verdict.valid(diagnostics=diag)
 
 
 # ----------------------------------------------------------------------

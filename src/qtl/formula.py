@@ -4,7 +4,7 @@ Atoms name subspaces of the embedded classical-quantum space; they are built
 block-wise, one subspace of the data space per classical configuration, and
 the embedded subspace is the direct sum of the blocks, each on its
 configuration's coordinates as :mod:`qtl.program` lays them out
-(``coordinates``, ``place_blocks``).  Conjunction of atoms
+(``place_subspaces``).  Conjunction of atoms
 is subspace intersection; disjunction of atoms leaves the atom lattice and
 is represented downstream as a finite union of subspaces.  Negation does not
 exist in this logic.
@@ -27,8 +27,8 @@ from .errors import (
     UnknownConfiguration,
     UnsupportedFormula,
 )
-from .program import coordinates, place_blocks
-from .subspace import Subspace, support
+from .program import place_subspaces
+from .subspace import Subspace
 
 
 @dataclass(frozen=True)
@@ -105,16 +105,10 @@ def atom_from_blocks(name: str, blocks: dict, program) -> Atom:
     """Assemble an atom from per-configuration subspaces of the data space.
 
     Missing configurations default to the zero subspace; the embedded
-    subspace is the direct sum over configurations, the support of the
-    block projectors placed on the embedded space.  When every block is a
-    coordinate subspace, so is the sum, on the embedded coordinates of the
-    blocks' pivots.
+    subspace is the direct sum over configurations, placed block by block
+    (:func:`program.place_subspaces`).
     """
-    configs = program.configs()
-    ambient = program.dim * len(configs)
-    config_of = {}
-    for c in configs:
-        config_of[c] = config_of[repr(c)] = c
+    config_of = {key: c for c in program.configs() for key in (c, repr(c))}
     by_config = {}
     for label, sub in blocks.items():
         key = label if label in config_of else repr(label)
@@ -123,11 +117,7 @@ def atom_from_blocks(name: str, blocks: dict, program) -> Atom:
         if sub.ambient_dim != program.dim:
             raise DimensionMismatch(f"block for {label!r} must live in dimension {program.dim}")
         by_config[config_of[key]] = sub
-    if all(sub.is_coordinate() for sub in by_config.values()):
-        pivots = sorted(coordinates(program, c)[h] for c, sub in by_config.items() for h in sub.pivots)
-        return Atom(name, Subspace(ambient, None, tuple(pivots)))
-    projectors = {(c, c): sub.projector for c, sub in by_config.items() if not sub.is_zero()}
-    return Atom(name, support(place_blocks(program, projectors), validate=False))
+    return Atom(name, place_subspaces(program, by_config))
 
 
 # ----------------------------------------------------------------------

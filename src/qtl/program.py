@@ -14,8 +14,8 @@ choice for every (outcome, location) pair, and each selector induces one
 successor state (respectively one trace-preserving action of the derived
 automaton).
 
-States and actions embed in H (x) configurations, one d x d block per
-configuration; ``coordinates`` and ``place_blocks`` alone say where.
+States, actions and subspaces embed in H (x) configurations, one block per
+configuration on its ``coordinates`` (``place_blocks``, ``place_subspaces``).
 """
 
 from __future__ import annotations
@@ -434,6 +434,25 @@ def place_blocks(program, blocks: dict) -> Mat:
         re[at] = block.num_re * (den // block.den)
         im[at] = block.num_im * (den // block.den)
     return Mat(re, im, den, _real=all(b.is_real() for b in blocks.values()))
+
+
+def place_subspaces(program, blocks: dict) -> Subspace:
+    """The direct sum of ``blocks`` (configuration -> subspace of C^d, zero
+    where missing) on the embedded space, with no elimination: placing keeps
+    a block's entry order and configurations share no coordinate, so the
+    placed RREF rows sorted by pivot are the RREF of the sum."""
+    size = program.dim * len(program.configs())
+    placed = [(coordinates(program, c), sub) for c, sub in blocks.items() if not sub.is_zero()]
+    pivots = sorted(at[h] for at, sub in placed for h in sub.pivots)
+    if all(sub.is_coordinate() for _, sub in placed):
+        return Subspace(size, None, tuple(pivots))
+    den = math.lcm(*(sub.rref.den for _, sub in placed))
+    re, im = np.zeros((2, len(pivots), size), dtype=object)
+    for at, sub in placed:
+        rows = np.ix_(np.searchsorted(pivots, [at[h] for h in sub.pivots]), at)
+        re[rows] = sub.rref.num_re * (den // sub.rref.den)
+        im[rows] = sub.rref.num_im * (den // sub.rref.den)
+    return Subspace(size, Mat(re, im, den, _real=all(sub.rref.is_real() for _, sub in placed)), tuple(pivots))
 
 
 def embed(state: CQState, program) -> Mat:

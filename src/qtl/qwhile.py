@@ -25,7 +25,7 @@ padded with skips to equal length, which keeps the step count of a path
 independent of the measured branch.
 
 The single-while normal form places and reads location blocks of the
-embedded space only through ``program.place_blocks`` and ``coordinates``.
+embedded space only through the layout functions of :mod:`qtl.program`.
 """
 
 from __future__ import annotations
@@ -47,9 +47,8 @@ from .program import (
     LocationAction,
     SequentialProgram,
     coordinates,
-    embed,
-    initial_cq,
     place_blocks,
+    place_subspaces,
     step_superop,
 )
 from .subspace import Subspace, support
@@ -806,22 +805,22 @@ class WhileNormalForm:
     the exit).
 
     The answers are facts of the loop's subspace lattice, since the support
-    of N(rho) depends only on the support of rho: ``reachable`` is
-    R, the least fixpoint of X -> supp rho_0 v N(X), ``arrivals`` is A, its
-    exit part, the support of all the mass that ever reaches the exit, and
+    of N(rho) depends only on the support of rho: ``reachable`` is R, the
+    least fixpoint of X -> supp rho_0 v N(X), ``arrivals`` is A, its exit
+    part, the support of all the mass that ever reaches the exit, and
     ``exit_step`` is the first step with all mass at the exit, read off the
     chain R >= N(R) >= N^2(R) >= ...  ``trapped`` is R ^ T, with T the
-    greatest fixpoint of Y -> range(m1) ^ N^-1(Y), the states that never
-    reach the exit.  The loop exits with probability one exactly when
-    R ^ T = 0 (``exits_almost_surely``): a nonzero Cesaro limit of
-    N^n(rho_0) is a fixed point of N supported in R ^ T, and a state of
-    R ^ T is a part of some N^k(rho_0) that keeps its mass forever.  The
-    same two fixpoints started from the whole block of the initial location
-    give R_in (``input_reachable``) and R_in ^ T (``input_trapped``), the
-    lattice of every input state, on which the program's semantic function
-    is solved.  ``compression`` gives the coordinates of the operators over
-    a subspace that is a direct sum over locations, and ``compressed_cut``
-    the cut body on them.
+    greatest fixpoint of Y -> O ^ N^-1(Y), O the off-exit coordinates, the
+    states that never reach the exit.  The loop exits with probability one
+    exactly when R ^ T = 0 (``exits_almost_surely``): a nonzero Cesaro
+    limit of N^n(rho_0) is a fixed point of N supported in R ^ T, and a
+    state of R ^ T is a part of some N^k(rho_0) that keeps its mass
+    forever.  The same two fixpoints started from the whole block of the
+    initial location give R_in (``input_reachable``) and R_in ^ T
+    (``input_trapped``), the lattice of every input state, on which the
+    program's semantic function is solved.  ``compression`` gives the
+    coordinates of the operators over a subspace that is a direct sum over
+    locations, and ``compressed_cut`` the cut body on them.
     """
 
     def __init__(self, program: SequentialProgram):
@@ -853,9 +852,10 @@ class WhileNormalForm:
         return SuperOp(kraus or [Mat.zeros(self.body_channel.dim_in)], validate=False)
 
     def _trap_within(self, start: Subspace) -> Subspace:
-        """The greatest fixpoint of Y -> start ^ N^-1(Y), iterated down from
-        ``start``."""
-        t = start
+        """The greatest fixpoint of Y -> start ^ O ^ N^-1(Y), O the off-exit
+        coordinates, iterated down from start ^ O."""
+        off_exit = [c for c in self.program.locations if c != self.program.exit_location]
+        t = start.meet(place_subspaces(self.program, dict.fromkeys(off_exit, Subspace.full(self.program.dim))))
         while not t.is_zero():
             shrunk = t.meet(preimage(self.cut_body, t))
             if shrunk.dim == t.dim:
@@ -867,27 +867,27 @@ class WhileNormalForm:
     def reachable(self) -> Subspace:
         """R: the span of the supports of every N^n(rho_0); the exit
         arrivals span m0 R."""
-        start = support(embed(initial_cq(self.program), self.program), validate=False)
-        return least_fixpoint(start, functools.partial(image, self.cut_body))
+        start = {self.program.initial_location: support(self.program.initial_state, validate=False)}
+        return least_fixpoint(place_subspaces(self.program, start), functools.partial(image, self.cut_body))
 
     @functools.cached_property
     def trapped(self) -> Subspace:
         """R ^ T: the reachable states that never reach the exit.  As N maps
-        R into R, it is the greatest fixpoint of Y -> R ^ range(m1) ^ N^-1(Y),
-        iterated down from R ^ range(m1)."""
-        return self._trap_within(self.reachable.meet(support(self.m1, validate=False)))
+        R into R, it is the greatest fixpoint of Y -> R ^ O ^ N^-1(Y), O the
+        off-exit coordinates, iterated down from R ^ O."""
+        return self._trap_within(self.reachable)
 
     @functools.cached_property
     def input_reachable(self) -> Subspace:
         """R_in: R grown from the whole block of the initial location, so it
         holds R for every input state."""
-        block = place_blocks(self.program, {(self.program.initial_location,) * 2: Mat.eye(self.program.dim)})
-        return least_fixpoint(support(block, validate=False), functools.partial(image, self.cut_body))
+        start = {self.program.initial_location: Subspace.full(self.program.dim)}
+        return least_fixpoint(place_subspaces(self.program, start), functools.partial(image, self.cut_body))
 
     @functools.cached_property
     def input_trapped(self) -> Subspace:
         """R_in ^ T, as ``trapped`` is R ^ T; R ^ T = R ^ (R_in ^ T)."""
-        return self._trap_within(self.input_reachable.meet(support(self.m1, validate=False)))
+        return self._trap_within(self.input_reachable)
 
     def compression(self, sub: Subspace) -> list:
         """[(V_c, L_c)] over the locations c, for a subspace that is a direct

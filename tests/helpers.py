@@ -464,6 +464,26 @@ def invariance_by_mixing(a: QuantumAutomaton, p: Subspace) -> Verdict:
     return Verdict.valid(diagnostics={"mixing_steps": a.dim})
 
 
+def kleene_always_by_average(e: SuperOp, rho_ab: Mat, p: Subspace, t: int) -> Verdict:
+    """The dense reference of checker.kleene_always on a validated input:
+    one satisfaction check of the running average of the first t states of
+    the lifted channel, and on a refutation the first state outside p."""
+    lifted = SuperOp([kron(k, Mat.eye(rho_ab.rows // e.dim_in)) for k in e.kraus], validate=False)
+    acc = Mat.zeros(rho_ab.rows)
+    state = rho_ab
+    for _ in range(t):
+        acc = acc + state
+        state = lifted.apply(state)
+    if satisfies(acc, p):
+        return Verdict.valid(diagnostics={"steps_averaged": t})
+    step = 0
+    probe = rho_ab
+    while satisfies(probe, p):
+        probe = lifted.apply(probe)
+        step += 1
+    return Verdict.not_valid(witness={"step": step}, diagnostics={"steps_averaged": t})
+
+
 # ----------------------------------------------------------------------
 # the loop refinement of check_always_eventually as a walk that joins the
 # supports of the dense pulled-back operators term by term: the reference

@@ -13,7 +13,7 @@ from sympy import QQ, QQ_I
 from sympy.polys.matrices import DomainMatrix
 
 from qtl.errors import BudgetExceeded, DimensionMismatch, PreconditionViolated, QtlError, UnsupportedFormula
-from qtl.linalg import CRat, Mat, kron, rank, solve
+from qtl.linalg import CRat, Mat, kron, mat_sum, rank, solve
 from qtl.subspace import Subspace, SubspaceUnion, satisfies, support
 from qtl.superop import MatrixRep, SuperOp, image, least_fixpoint, unvec, vec
 from qtl.program import (
@@ -70,12 +70,14 @@ from helpers import (
     ToleranceAmbiguity,
     float_peripheral_split,
     invariance_by_mixing,
+    kleene_always_by_average,
     leaky_cycle_automaton,
     p2_refine_by_joins,
     random_automaton,
     random_density,
     random_deterministic_program,
     random_matrix,
+    random_phase_permutation,
     random_subspace,
     random_tp_channel,
     random_union,
@@ -1413,6 +1415,33 @@ class TestKleene:
         with pytest.raises(PreconditionViolated):
             kleene_always(X_CONJ, rho, p, t=1)
         assert kleene_always(X_CONJ, rho, p, t=7).is_valid
+
+    def test_support_chain_matches_the_running_average(self):
+        """Seeded joint states of rank one or two, under random channels and
+        phase permutations, against propositions that hold a prefix of the
+        orbit or are random: the verdict, witness step and diagnostics of the
+        Kraus-image chain equal the dense running average's, for t at and
+        above the bound."""
+        rng = random.Random(3901)
+        seen = collections.Counter()
+        for trial in range(40):
+            d, d_env = rng.choice([(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (4, 1)])
+            n = d * d_env
+            e = random_tp_channel(rng, d) if trial % 2 else SuperOp.from_unitary(random_phase_permutation(rng, d))
+            vectors = [random_vector(rng, n) for _ in range(rng.randint(1, 2))]
+            rho = mat_sum(v @ v.dagger() for v in vectors)
+            rho = rho * CRat(1 / rho.trace().re)
+            lifted = SuperOp([kron(k, Mat.eye(d_env)) for k in e.kraus], validate=False)
+            orbit = [rho]
+            for _ in range(rng.randint(0, 2 * d)):
+                orbit.append(lifted.apply(orbit[-1]))
+            p = support(mat_sum(orbit), validate=False) if trial % 3 else random_subspace(rng, n)
+            for t in sorted({d * d - 1, d * d, d * d + 5, 3 * d * d}):
+                verdict = kleene_always(e, rho, p, t=t)
+                assert verdict == kleene_always_by_average(e, rho, p, t)
+                seen[verdict.status, (verdict.witness or {}).get("step")] += 1
+        assert {status for status, _ in seen} == {"valid", "not_valid"}
+        assert {step for status, step in seen if status == "not_valid"} == {0, 1, 2}
 
     def test_joint_state_must_be_a_density_matrix(self):
         def diag(*xs):

@@ -217,3 +217,16 @@ def test_method_guard_sees_every_caller():
     assert _callers(tree, "matrix_rep") == [None, "_p2_refine", "limit_states"]
     assert _callers(tree, "dagger") == ["_p2_refine", "_p2_refine"]
     assert _callers(tree, "_peripheral_period") == ["limit_states"]
+
+
+# An operator is placed on the embedded space only to act on states: the
+# one-step Kraus operators, embedded states and the exit loop's exit
+# blocks.  Subspaces are placed block by block (``place_subspaces``), so no
+# module builds a D x D operator only to take its support.
+PLACE_BLOCKS_CALLERS = {"program._selector_kraus", "program.embed", "qwhile.exit_embedded"}
+
+
+def test_operators_are_placed_only_to_act():
+    trees = {path.stem: ast.parse(path.read_text(), str(path)) for path in MODULES}
+    callers = {f"{stem}.{owner}" for stem, tree in trees.items() for owner in _callers(tree, "place_blocks")}
+    assert callers == PLACE_BLOCKS_CALLERS

@@ -2,15 +2,17 @@
 Kronecker-product definition (``helpers.kron_*``).
 
 Entry h of configuration c's block sits at h * |configs| + c: the block of
-c is block (x) |c><c| on H (x) C^|configs|.  ``program.coordinates`` and
-``program.place_blocks`` state the layout; every reader of it must agree
-with the Kronecker reference, and the operators they build must come out
-of d x d products only.
+c is block (x) |c><c| on H (x) C^|configs|.  ``program.coordinates``,
+``program.place_blocks`` and ``program.place_subspaces`` state the layout;
+every reader of it must agree with the Kronecker reference, the operators
+they build must come out of d x d products only, and subspaces are placed
+without placing an operator.
 """
 
 import pathlib
 import random
 import runpy
+import sys
 
 import pytest
 
@@ -116,16 +118,23 @@ class TestAgainstKronecker:
             self._check_program(prog)
 
     def test_atoms_with_non_coordinate_blocks(self, scheduler):
+        """Zero blocks, omitted configurations, and complex blocks mixed with
+        coordinate ones: the placed rows are the RREF of the Kronecker span."""
         rng = random.Random(2503)
         programs = list(_sequential(rng))[::2] + list(_concurrent(rng, scheduler))
         for prog in programs:
-            configs = prog.configs()
-            for _ in range(3):
-                picked = rng.sample(configs, rng.randint(1, len(configs)))
-                blocks = {c: random_subspace(rng, prog.dim, rng.randint(0, prog.dim)) for c in picked}
-                blocks[picked[0]] = random_subspace(rng, prog.dim, 1)
-                assert atom_from_blocks("a", blocks, prog).subspace == kron_atom(blocks, prog)
-                blocks = {c: Subspace.full(prog.dim) for c in picked}
+            configs, d = prog.configs(), prog.dim
+            for _ in range(4):
+                blocks = {}
+                for c in rng.sample(configs, rng.randint(0, len(configs))):
+                    kind = rng.choice(["zero", "coordinate", "real", "complex"])
+                    if kind == "coordinate":
+                        blocks[c] = Subspace(d, None, tuple(sorted(rng.sample(range(d), rng.randint(0, d)))))
+                    else:
+                        blocks[c] = random_subspace(rng, d, 0 if kind == "zero" else rng.randint(1, d), kind == "real")
+                atom, expected = atom_from_blocks("a", blocks, prog).subspace, kron_atom(blocks, prog)
+                assert atom.rref == expected.rref and atom.key() == expected.key()
+                blocks = {c: Subspace.full(d) for c in blocks}
                 assert atom_from_blocks("b", blocks, prog).subspace == kron_atom(blocks, prog)
 
     def test_cut_body_keeps_images_and_preimages(self):
@@ -190,6 +199,30 @@ class TestNoEmbeddedProducts:
         seen = self._count(monkeypatch, prog.dim * len(prog.configs()))
         to_automaton(prog)
         assert seen["all"] > 0 and seen["embedded"] == 0
+
+    def test_lattice_places_no_operator(self, monkeypatch, scheduler):
+        """Atoms and the exit loop's four lattice properties place subspaces
+        block by block: no module places an operator (``place_blocks``, and
+        through it ``embed``) or forms a block projector for them."""
+        rng = random.Random(2506)
+        loops = [WhileNormalForm(prog) for prog in _loops(rng)]
+        for loop in loops:
+            loop.cut_body  # the body's Kraus operators are placed blocks
+        atoms = [(prog, {c: random_subspace(rng, prog.dim, 1) for c in prog.configs()[::2]})
+                 for prog in [scheduler] + [loop.program for loop in loops]]
+        calls = []
+        for module in [m for name, m in sys.modules.items() if name.startswith("qtl.")]:
+            if hasattr(module, "place_blocks"):
+                placed = module.place_blocks
+                monkeypatch.setattr(module, "place_blocks", lambda *a, f=placed: calls.append("place_blocks") or f(*a))
+        projector = Subspace.projector
+        monkeypatch.setattr(Subspace, "projector", property(lambda s: calls.append("projector") or projector.fget(s)))
+        for prog, blocks in atoms:
+            assert atom_from_blocks("a", blocks, prog).subspace.dim == sum(s.dim for s in blocks.values())
+        for loop in loops:
+            for name in ("reachable", "trapped", "input_reachable", "input_trapped"):
+                assert isinstance(getattr(loop, name), Subspace)
+        assert calls == []
 
     def test_cut_body(self, monkeypatch):
         prog = compile_source(EXAMPLE_LOOP_SRC)
