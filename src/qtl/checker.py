@@ -796,14 +796,20 @@ def reachability_superop(program: SequentialProgram) -> ReachabilityResult:
     (``input_trapped``) into itself and m0 vanishes on B, so the exit mass
     depends only on the compression A of N onto C = R_in ^ B^perp, and
     I - A is nonsingular on the operators over C: a fixed state there would
-    span, with B, a larger never-exiting invariant subspace than T.  One
-    exact fraction-free solve (I - A) X = Lt, Lt the coordinates of the
-    initial location's block (:meth:`WhileNormalForm.compression`, with A
-    from :meth:`WhileNormalForm.compressed_cut`), gives the d^2 x d^2 matrix
-    F of the semantic function: its exit rows read through V_e (x) conj V_e.
-    There is no spectrum and no float.  The reach state is the exit
-    block unvec(F vec rho_0); ``almost_terminates`` is R ^ T = R ^ B = 0,
-    under which the reach trace is checked to be exactly one.  The expected
+    span, with B, a larger never-exiting invariant subspace than T.  All
+    three are direct sums of location blocks, and so is C: its block c is
+    R_in,c ^ B_c^perp, as the complement of a direct sum over disjoint
+    coordinate blocks is the sum of the blocks' complements.  The solve has
+    Sum_c dim(C_c)^2 unknowns; past ``_REACH_UNKNOWNS_MAX`` it is refused
+    (BudgetExceeded) before any operator over C is formed.  One exact
+    fraction-free solve (I - A) X = Lt, Lt the coordinates of the initial
+    location's block (:meth:`WhileNormalForm.compression`, with A from
+    :meth:`WhileNormalForm.compressed_cut`, both on the d x d edge
+    operators), gives the d^2 x d^2 matrix F of the semantic function: its
+    exit rows read through V_e (x) conj V_e.  There is no spectrum and no
+    float.  The reach state is the exit block unvec(F vec rho_0), placed on
+    the embedded space; ``almost_terminates`` is R ^ T = R ^ B = 0, under
+    which the reach trace is checked to be exactly one.  The expected
     number of steps until the exit, in the program's own step counting,
     comes from the same solve: y = X vec rho_0 sums the compressed states
     A^n b, b = Lt vec rho_0, so its trace off the exit, Sum_{c != exit}
@@ -817,25 +823,27 @@ def reachability_superop(program: SequentialProgram) -> ReachabilityResult:
     d = program.dim
     start = program.config_index(program.initial_location)
     stop = program.config_index(program.exit_location)
-    parts = loop.compression(loop.input_reachable.meet(loop.input_trapped.complement()))
-    offsets = list(itertools.accumulate((v.cols**2 for v, _ in parts), initial=0))
-    if offsets[-1] > _REACH_UNKNOWNS_MAX:
+    kept = {c: r.meet(loop.input_trapped[c].complement()) for c, r in loop.input_reachable.items()}
+    unknowns = sum(sub.dim**2 for sub in kept.values())
+    if unknowns > _REACH_UNKNOWNS_MAX:
         raise BudgetExceeded(
-            f"reachability needs an exact solve for {offsets[-1]} unknowns; the limit is {_REACH_UNKNOWNS_MAX}"
+            f"reachability needs an exact solve for {unknowns} unknowns; the limit is {_REACH_UNKNOWNS_MAX}"
         )
-    lhs = Mat.eye(offsets[-1]) - loop.compressed_cut(parts)
+    parts = loop.compression(kept)
+    offsets = list(itertools.accumulate((v.cols**2 for v, _ in parts), initial=0))
+    lhs = Mat.eye(unknowns) - loop.compressed_cut(parts)
     l_in = parts[start][1]
     rhs = (
         Mat.zeros(offsets[start], d * d)
         .vstack(kron(l_in, l_in.conj()))
-        .vstack(Mat.zeros(offsets[-1] - offsets[start + 1], d * d))
+        .vstack(Mat.zeros(unknowns - offsets[start + 1], d * d))
     )
     x = solve(lhs, rhs)
     v_out = parts[stop][0]
     semantics = kron(v_out, v_out.conj()) @ x[offsets[stop] : offsets[stop + 1], :]
     rho0 = vec(program.initial_state)
     reach_block = unvec(semantics @ rho0, d)
-    almost = loop.reachable.meet(loop.input_trapped).is_zero()
+    almost = loop.exits_almost_surely
     expected = math.inf
     if almost:
         if reach_block.trace() != CRat(1):
@@ -905,7 +913,10 @@ def _exit_almost_eventually(loop: WhileNormalForm, exit_subspace) -> Verdict:
     ok = exit_subspace.contains(loop.arrivals) and loop.exits_almost_surely
     return Verdict(
         VALID if ok else NOT_VALID,
-        diagnostics={"reachable_dim": loop.reachable.dim, "trapped_dim": loop.trapped.dim},
+        diagnostics={
+            "reachable_dim": sum(b.dim for b in loop.reachable.values()),
+            "trapped_dim": sum(b.dim for b in loop.trapped.values()),
+        },
     )
 
 

@@ -24,16 +24,21 @@ exit location appended.  Branches of an ``if`` whose arms are loop-free are
 padded with skips to equal length, which keeps the step count of a path
 independent of the measured branch.
 
-The single-while normal form places and reads location blocks of the
-embedded space only through the layout functions of :mod:`qtl.program`.
+The single-while normal form works on the location blocks of C^d, one
+d x d channel per edge of the control flow; it places the exit block and
+the guard on the embedded space through :func:`qtl.program.place_blocks`.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
+import math
 import re as _re
 from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
 
 from .errors import (
     ArityMismatch,
@@ -42,17 +47,10 @@ from .errors import (
     ParseError,
     UndeclaredOperator,
 )
-from .linalg import CRat, Mat, kron, mat_sum, solve
-from .program import (
-    LocationAction,
-    SequentialProgram,
-    coordinates,
-    place_blocks,
-    place_subspaces,
-    step_superop,
-)
+from .linalg import CRat, Mat, kron, solve
+from .program import LocationAction, SequentialProgram, place_blocks, step_superop
 from .subspace import Subspace, support
-from .superop import Measurement, SuperOp, image, least_fixpoint, preimage
+from .superop import Measurement, SuperOp, image, preimage
 
 
 # ----------------------------------------------------------------------
@@ -797,30 +795,38 @@ class WhileNormalForm:
 
     The guard measures {m0 = "at the exit", m1 = the rest} on the embedded
     space H (x) locations (m0 + m1 = I, both projections) and the body is
-    the program's one-step channel.  Every exit question is asked of this
-    one object: the constructor checks the preconditions (an exit location,
-    then determinism), and each part is built on first use and cached: the
-    guard, the body (``body_channel``) and the cut body N in Kraus form
-    (``cut_body``, the body's operators that leave a location other than
-    the exit).
+    the program's one-step channel; the cut body N is the body after m1.
+    Every exit question is asked of this one object: the constructor checks
+    the preconditions (an exit location, then determinism), and each part
+    is built on first use and cached.
+
+    N maps each location's block of the embedded space into blocks, so it
+    is held as its ``edges``: for each location s other than the exit and
+    each target t, the d x d channel of the operators M_j K, over the
+    outcomes j of s that lead to t (M_j != 0) and the Kraus operators K of
+    s's channel.  Every subspace of the loop is then a direct sum of blocks,
+    and is held as a dict {location: subspace of C^d}; images and pre-images
+    act on d-wide rows, edge by edge.  Only ``normal_form_to_json``
+    (``qtl compile --normal-form``) reads the embedded guard (``m0``, ``m1``)
+    and body (``body_channel``), and only the reach state is placed on the
+    embedded space (``exit_embedded``).
 
     The answers are facts of the loop's subspace lattice, since the support
     of N(rho) depends only on the support of rho: ``reachable`` is R, the
     least fixpoint of X -> supp rho_0 v N(X), ``arrivals`` is A, its exit
-    part, the support of all the mass that ever reaches the exit, and
+    block, the support of all the mass that ever reaches the exit, and
     ``exit_step`` is the first step with all mass at the exit, read off the
-    chain R >= N(R) >= N^2(R) >= ...  ``trapped`` is R ^ T, with T the
-    greatest fixpoint of Y -> O ^ N^-1(Y), O the off-exit coordinates, the
-    states that never reach the exit.  The loop exits with probability one
-    exactly when R ^ T = 0 (``exits_almost_surely``): a nonzero Cesaro
+    chain R >= N(R) >= N^2(R) >= ...  ``traps`` is T, the greatest fixpoint
+    of Y -> O ^ N^-1(Y), O the off-exit blocks, the states that never reach
+    the exit, and ``trapped`` is R ^ T.  The loop exits with probability
+    one exactly when R ^ T = 0 (``exits_almost_surely``): a nonzero Cesaro
     limit of N^n(rho_0) is a fixed point of N supported in R ^ T, and a
     state of R ^ T is a part of some N^k(rho_0) that keeps its mass
-    forever.  The same two fixpoints started from the whole block of the
-    initial location give R_in (``input_reachable``) and R_in ^ T
-    (``input_trapped``), the lattice of every input state, on which the
-    program's semantic function is solved.  ``compression`` gives the
-    coordinates of the operators over a subspace that is a direct sum over
-    locations, and ``compressed_cut`` the cut body on them.
+    forever.  R grown from the whole block of the initial location gives
+    R_in (``input_reachable``) and R_in ^ T (``input_trapped``), the
+    lattice of every input state, on which the program's semantic function
+    is solved.  ``compression`` gives the coordinates of the operators over
+    a direct sum of blocks, and ``compressed_cut`` the cut body on them.
     """
 
     def __init__(self, program: SequentialProgram):
@@ -843,106 +849,151 @@ class WhileNormalForm:
         return step_superop(self.program)
 
     @functools.cached_property
-    def cut_body(self) -> SuperOp:
-        """N, the body after the guard's m1: each body operator K leaves one
-        location, and K m1 is K off the exit and 0 at the exit, so N keeps
-        the operators that vanish on the exit (the zero channel if none)."""
-        exit_coords = coordinates(self.program, self.program.exit_location)
-        kraus = [k for k in self.body_channel.kraus if k[:, exit_coords].is_zero()]
-        return SuperOp(kraus or [Mat.zeros(self.body_channel.dim_in)], validate=False)
+    def edges(self) -> dict:
+        """{s: {t: channel}}: N edge by edge, over the locations s other than
+        the exit (the guard cuts the exit's own step), each edge's channel
+        of the d x d operators M_j K that lead from s to t."""
+        program, table = self.program, {}
+        for loc in program.locations:
+            if loc == program.exit_location:
+                continue
+            a, kraus = program.act[loc], {}
+            for j, m_op in enumerate(a.measurement.operators):
+                if not m_op.is_zero():
+                    kraus.setdefault(a.next[j][0], []).extend(m_op @ k for k in a.channel.kraus)
+            table[loc] = {t: SuperOp(ops, validate=False) for t, ops in kraus.items()}
+        return table
 
-    def _trap_within(self, start: Subspace) -> Subspace:
-        """The greatest fixpoint of Y -> start ^ O ^ N^-1(Y), O the off-exit
-        coordinates, iterated down from start ^ O."""
-        off_exit = [c for c in self.program.locations if c != self.program.exit_location]
-        t = start.meet(place_subspaces(self.program, dict.fromkeys(off_exit, Subspace.full(self.program.dim))))
-        while not t.is_zero():
-            shrunk = t.meet(preimage(self.cut_body, t))
-            if shrunk.dim == t.dim:
-                break
-            t = shrunk
-        return t
+    def _push(self, blocks: dict) -> dict:
+        """N(X) by blocks: block t joins the images of the blocks X_s along
+        the edges s -> t."""
+        out = dict.fromkeys(self.program.locations, Subspace.zero(self.program.dim))
+        for s, edges in self.edges.items():
+            if not blocks[s].is_zero():
+                for t, e in edges.items():
+                    out[t] = out[t].join(image(e, blocks[s]))
+        return out
+
+    def _pull(self, s, blocks: dict) -> Subspace:
+        """Block s of N^-1(Y): the meet of the pre-images of the blocks Y_t
+        along the edges s -> t."""
+        pulled = Subspace.full(self.program.dim)
+        for t, e in self.edges[s].items():
+            pulled = pulled.meet(preimage(e, blocks[t]))
+        return pulled
+
+    def _grow(self, start: dict) -> dict:
+        """The least fixpoint of X -> start v N(X) by blocks: a worklist of
+        locations, each joining its edges' images into their target blocks
+        and queueing the targets that grew."""
+        blocks = dict.fromkeys(self.program.locations, Subspace.zero(self.program.dim)) | start
+        work = dict.fromkeys(start)
+        while work:
+            s = next(iter(work))
+            del work[s]
+            for t, e in self.edges.get(s, {}).items():
+                img = image(e, blocks[s])
+                if not blocks[t].contains(img):
+                    blocks[t] = blocks[t].join(img)
+                    work[t] = None
+        return blocks
 
     @functools.cached_property
-    def reachable(self) -> Subspace:
-        """R: the span of the supports of every N^n(rho_0); the exit
-        arrivals span m0 R."""
-        start = {self.program.initial_location: support(self.program.initial_state, validate=False)}
-        return least_fixpoint(place_subspaces(self.program, start), functools.partial(image, self.cut_body))
+    def reachable(self) -> dict:
+        """R by blocks: the span of the supports of every N^n(rho_0)."""
+        return self._grow({self.program.initial_location: support(self.program.initial_state, validate=False)})
 
     @functools.cached_property
-    def trapped(self) -> Subspace:
-        """R ^ T: the reachable states that never reach the exit.  As N maps
-        R into R, it is the greatest fixpoint of Y -> R ^ O ^ N^-1(Y), O the
-        off-exit coordinates, iterated down from R ^ O."""
-        return self._trap_within(self.reachable)
+    def input_reachable(self) -> dict:
+        """R_in by blocks: R grown from the whole block of the initial
+        location, so it holds R for every input state."""
+        return self._grow({self.program.initial_location: Subspace.full(self.program.dim)})
 
     @functools.cached_property
-    def input_reachable(self) -> Subspace:
-        """R_in: R grown from the whole block of the initial location, so it
-        holds R for every input state."""
-        start = {self.program.initial_location: Subspace.full(self.program.dim)}
-        return least_fixpoint(place_subspaces(self.program, start), functools.partial(image, self.cut_body))
+    def traps(self) -> dict:
+        """T by blocks: the greatest fixpoint of Y -> O ^ N^-1(Y), from O
+        (every block but the exit's full) down: a worklist of locations,
+        each meeting its block with its pull and queueing the locations
+        with an edge into a block that shrank.  Only the blocks with an edge
+        into the exit can shrink first."""
+        program, d = self.program, self.program.dim
+        into = {loc: [] for loc in program.locations}
+        for s, edges in self.edges.items():
+            for t in edges:
+                into[t].append(s)
+        blocks = {loc: Subspace.full(d) for loc in program.locations}
+        blocks[program.exit_location] = Subspace.zero(d)
+        work = dict.fromkeys(into[program.exit_location])
+        while work:
+            s = next(iter(work))
+            del work[s]
+            shrunk = blocks[s].meet(self._pull(s, blocks))
+            if shrunk.dim < blocks[s].dim:
+                blocks[s] = shrunk
+                work.update(dict.fromkeys(into[s]))
+        return blocks
 
     @functools.cached_property
-    def input_trapped(self) -> Subspace:
-        """R_in ^ T, as ``trapped`` is R ^ T; R ^ T = R ^ (R_in ^ T)."""
-        return self._trap_within(self.input_reachable)
+    def trapped(self) -> dict:
+        """R ^ T by blocks: the reachable states that never reach the exit."""
+        return {loc: r.meet(self.traps[loc]) for loc, r in self.reachable.items()}
 
-    def compression(self, sub: Subspace) -> list:
-        """[(V_c, L_c)] over the locations c, for a subspace that is a direct
-        sum over locations (every row of its RREF lives in the location of
-        its pivot): V_c holds the rows of location c read on its coordinates
-        (d x k_c) and L_c = (V_c^dag V_c)^-1 V_c^dag is its left inverse.  The
-        k_c^2 coordinates Y of an operator over ``sub`` at location c give
-        the block V_c Y V_c^dag, and a block X has the coordinates L_c X
-        L_c^dag of P X P, P the projector onto ``sub``; with vec, these are
+    @functools.cached_property
+    def input_trapped(self) -> dict:
+        """R_in ^ T by blocks, as ``trapped`` is R ^ T; R ^ T = R ^ (R_in ^ T)."""
+        return {loc: r.meet(self.traps[loc]) for loc, r in self.input_reachable.items()}
+
+    def compression(self, blocks: dict) -> list:
+        """[(V_c, L_c)] over the locations c, for a direct sum of blocks:
+        V_c holds the RREF rows of block c as columns (d x k_c) and
+        L_c = (V_c^dag V_c)^-1 V_c^dag is its left inverse.  The k_c^2
+        coordinates Y of an operator over the sum at location c give the
+        block V_c Y V_c^dag, and a block X has the coordinates L_c X L_c^dag
+        of P X P, P the projector onto the sum; with vec, these are
         V_c (x) conj V_c and L_c (x) conj L_c."""
         parts = []
         for loc in self.program.locations:
-            at = coordinates(self.program, loc)
-            v = sub.rref[[i for i, p in enumerate(sub.pivots) if p in at]][:, at].transpose()
+            v = blocks[loc].rref.transpose()
             parts.append((v, solve(v.dagger() @ v, v.dagger())))
         return parts
 
     def compressed_cut(self, parts: list) -> Mat:
         """The cut body on the Sum_c k_c^2 coordinates of ``compression``,
-        location by location in order: block (t, s) sums
-        kron(E, conj E), E = L_t M_j K V_s, over the outcomes j that lead
-        from s to t and the Kraus operators K of s's channel.  The exit
-        location's columns are zero.  It is assembled from the per-edge
-        operators, so no d^2 x d^2 object is formed."""
-        program = self.program
-        terms = {}
-        for s, loc in enumerate(program.locations):
+        location by location in order: block (t, s) sums kron(E, conj E),
+        E = L_t M_j K V_s, over the operators M_j K of the edge s -> t.  The
+        exit location's columns are zero.  Each term is added into one
+        integer grid over the common denominator of all terms, so no
+        d^2 x d^2 object is formed and no partial grid is copied."""
+        index = {loc: c for c, loc in enumerate(self.program.locations)}
+        offsets = list(itertools.accumulate((v.cols**2 for v, _ in parts), initial=0))
+        terms = []
+        for s_loc, edges in self.edges.items():
+            s = index[s_loc]
             v_s = parts[s][0]
-            if loc == program.exit_location or not v_s.cols:
-                continue
-            a = program.act[loc]
-            for j, m_op in enumerate(a.measurement.operators):
-                t = program.config_index(a.next[j][0])
+            for t_loc, e in edges.items():
+                t = index[t_loc]
                 l_t = parts[t][1]
-                if m_op.is_zero() or not l_t.rows:
-                    continue
-                for k in a.channel.kraus:
-                    e = l_t @ m_op @ k @ v_s
-                    terms.setdefault((t, s), []).append(kron(e, e.conj()))
-        sizes = [v.cols**2 for v, _ in parts]
-        grid = [
-            [mat_sum(terms[t, s]) if (t, s) in terms else Mat.zeros(rows, cols) for s, cols in enumerate(sizes)]
-            for t, rows in enumerate(sizes)
-        ]
-        return functools.reduce(Mat.vstack, [functools.reduce(Mat.hstack, row) for row in grid])
+                if v_s.cols and l_t.rows:
+                    for op in e.kraus:
+                        x = l_t @ op @ v_s
+                        terms.append((t, s, kron(x, x.conj())))
+        den = math.lcm(1, *(term.den for _, _, term in terms))
+        re, im = np.zeros((2, offsets[-1], offsets[-1]), dtype=object)
+        for t, s, term in terms:
+            at = slice(offsets[t], offsets[t + 1]), slice(offsets[s], offsets[s + 1])
+            re[at] += term.num_re * (den // term.den)
+            im[at] += term.num_im * (den // term.den)
+        return Mat(re, im, den, _real=all(term.is_real() for _, _, term in terms))
 
     @property
     def exits_almost_surely(self) -> bool:
-        return self.trapped.is_zero()
+        return all(b.is_zero() for b in self.trapped.values())
 
-    @functools.cached_property
+    @property
     def arrivals(self) -> Subspace:
-        """A: the span of every exit arrival, m0 R read on the exit's
-        coordinates, a subspace of the data space."""
-        return Subspace(self.program.dim, self.reachable.rref[:, coordinates(self.program, self.program.exit_location)])
+        """A: the span of every exit arrival, R's exit block, a subspace of
+        the data space."""
+        return self.reachable[self.program.exit_location]
 
     @functools.cached_property
     def exit_step(self) -> int | None:
@@ -950,12 +1001,13 @@ class WhileNormalForm:
         join of the supports of N^k(rho_0), k >= n, so the chain R >= N(R) >=
         N^2(R) >= ... shrinks strictly until it stops; the loop exits exactly
         iff it reaches 0, and the exit step is the index of that 0 minus one."""
-        chain, n = self.reachable, 0
-        while not chain.is_zero():
-            shrunk = image(self.cut_body, chain)
-            if shrunk.dim == chain.dim:
+        chain, n, dim = self.reachable, 0, sum(b.dim for b in self.reachable.values())
+        while dim:
+            chain = self._push(chain)
+            shrunk = sum(b.dim for b in chain.values())
+            if shrunk == dim:
                 return None
-            chain, n = shrunk, n + 1
+            n, dim = n + 1, shrunk
         return n - 1
 
     def exit_embedded(self, block: Mat) -> Mat:

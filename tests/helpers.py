@@ -8,6 +8,7 @@ which the period-detection paths of the checker can certify.
 """
 
 import functools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -19,7 +20,7 @@ from qtl.checker import _PERIOD_BOUND, Verdict
 from qtl.errors import DimensionMismatch, PreconditionViolated, QtlError
 from qtl.linalg import CRat, Mat, _peripheral_period, kron, mat_sum, solve
 from qtl.subspace import Subspace, SubspaceUnion, satisfies, support
-from qtl.superop import MatrixRep, Measurement, SuperOp, unvec, vec
+from qtl.superop import MatrixRep, Measurement, SuperOp, image, least_fixpoint, preimage, unvec, vec
 from qtl.checker import check_terminates, reachability_superop
 from qtl.program import (
     CQState,
@@ -28,7 +29,10 @@ from qtl.program import (
     LocationAction,
     QuantumAutomaton,
     SequentialProgram,
+    coordinates,
+    place_subspaces,
     simulate_deterministic,
+    step_superop,
 )
 
 EXAMPLE_LOOP_SRC = """
@@ -51,6 +55,24 @@ while meas M(q0) == 1 {{ apply X to q0; apply X to q0 }}
 NEVER_EXITS_SRC = _TRAP_LOOP_SRC.format("[[0, 0], [0, 1]]")
 PARTIALLY_TRAPPED_SRC = _TRAP_LOOP_SRC.format("[[1/2, 0], [0, 1/2]]")
 UNREACHED_TRAP_SRC = _TRAP_LOOP_SRC.format("[[1, 0], [0, 0]]")
+
+# the 2-qubit member of the measure-Hadamard loop family: U = sqrt(1/2) (H x I) CX
+TWO_QUBIT_LOOP_SRC = """qubits 2;
+unitary U = sqrt(1/2) * [[1, 0, 0, 1], [0, 1, 1, 0], [1, 0, 0, -1], [0, 1, -1, 0]];
+measurement M = {[[1, 0], [0, 0]], [[0, 0], [0, 1]]};
+input [[1/2, 0, -1/2, 0], [0, 0, 0, 0], [-1/2, 0, 1/2, 0], [0, 0, 0, 0]];
+skip;
+while meas M(q0) == 1 { apply U to q0, q1 }
+"""
+
+# the 3-qubit member: U = sqrt(1/2) (H x I x I) (CX x I), input |-> x |00>
+THREE_QUBIT_LOOP_SRC = """qubits 3;
+unitary U = sqrt(1/2) * [[1, 0, 0, 0, 0, 0, 1, 0], [0, 1, 0, 0, 0, 0, 0, 1], [0, 0, 1, 0, 1, 0, 0, 0], [0, 0, 0, 1, 0, 1, 0, 0], [1, 0, 0, 0, 0, 0, -1, 0], [0, 1, 0, 0, 0, 0, 0, -1], [0, 0, 1, 0, -1, 0, 0, 0], [0, 0, 0, 1, 0, -1, 0, 0]];
+measurement M = {[[1, 0], [0, 0]], [[0, 0], [0, 1]]};
+input [[1/2, 0, 0, 0, -1/2, 0, 0, 0], [0, 0, 0, 0, 0, 0, 0, 0], [0, 0, 0, 0, 0, 0, 0, 0], [0, 0, 0, 0, 0, 0, 0, 0], [-1/2, 0, 0, 0, 1/2, 0, 0, 0], [0, 0, 0, 0, 0, 0, 0, 0], [0, 0, 0, 0, 0, 0, 0, 0], [0, 0, 0, 0, 0, 0, 0, 0]];
+skip;
+while meas M(q0) == 1 { apply U to q0, q1, q2 }
+"""
 
 
 def rotation_loop_src(n):
@@ -172,6 +194,13 @@ def random_density(rng, n):
         tr = rho.trace().re
         if tr != 0:
             return rho * CRat(Fraction(1, 1) / tr)
+
+
+def random_pure_state(rng, n):
+    """|v><v| / <v|v> for a random nonzero v, a rank-one density."""
+    v = random_vector(rng, n)
+    rho = v @ v.dagger()
+    return rho * CRat(1 / rho.trace().re)
 
 
 def random_vector(rng, n, bound=3, real=False):
@@ -738,6 +767,131 @@ def block_space_cut(program) -> Mat:
 def block_vector(program, state) -> Mat:
     """The block-space vector of a classical-quantum state."""
     return functools.reduce(Mat.vstack, [vec(state.block(c)) for c in program.locations])
+
+
+# ----------------------------------------------------------------------
+# the exit loop on the embedded space: the dense cut body and its
+# fixpoints on C^D, the references of the exit loop's location blocks
+
+
+def dense_cut_body(program) -> SuperOp:
+    """N on the embedded space: the one-step channel's Kraus operators that
+    vanish on the exit's coordinates (K m1 = K for those, 0 for the exit's),
+    or the zero channel if none is left."""
+    body = step_superop(program)
+    exit_coords = coordinates(program, program.exit_location)
+    kraus = [k for k in body.kraus if k[:, exit_coords].is_zero()]
+    return SuperOp(kraus or [Mat.zeros(body.dim_in)], validate=False)
+
+
+def dense_exit_lattice(program) -> dict:
+    """The exit loop's lattice on C^D with the dense cut body: R and R_in,
+    least fixpoints of X -> start v N(X) from the placed starts; R ^ T and
+    R_in ^ T, greatest fixpoints of Y -> start ^ O ^ N^-1(Y) (O the
+    off-exit coordinates) within R and R_in; the arrivals (R read on the
+    exit's coordinates) and the exit step off the chain R >= N(R) >= ..."""
+    cut, d = dense_cut_body(program), program.dim
+
+    def grow(start):
+        return least_fixpoint(place_subspaces(program, start), functools.partial(image, cut))
+
+    off_exit = place_subspaces(program, {c: Subspace.full(d) for c in program.locations if c != program.exit_location})
+
+    def trap_within(start):
+        t = start.meet(off_exit)
+        while not t.is_zero():
+            shrunk = t.meet(preimage(cut, t))
+            if shrunk.dim == t.dim:
+                break
+            t = shrunk
+        return t
+
+    reachable = grow({program.initial_location: support(program.initial_state, validate=False)})
+    input_reachable = grow({program.initial_location: Subspace.full(d)})
+    chain, step = reachable, 0
+    while not chain.is_zero():
+        shrunk = image(cut, chain)
+        if shrunk.dim == chain.dim:
+            step = None
+            break
+        chain, step = shrunk, step + 1
+    return {
+        "cut": cut,
+        "reachable": reachable,
+        "input_reachable": input_reachable,
+        "trapped": trap_within(reachable),
+        "input_trapped": trap_within(input_reachable),
+        "arrivals": Subspace(d, reachable.rref[:, coordinates(program, program.exit_location)]),
+        "exit_step": None if step is None else step - 1,
+    }
+
+
+def sliced_compression(program, sub: Subspace) -> list:
+    """[(V_c, L_c)] of a direct sum over locations held on C^D: V_c the
+    rows of ``sub``'s RREF whose pivot lies at location c, read on c's
+    coordinates, as columns."""
+    parts = []
+    for loc in program.locations:
+        at = coordinates(program, loc)
+        v = sub.rref[[i for i, p in enumerate(sub.pivots) if p in at]][:, at].transpose()
+        parts.append((v, solve(v.dagger() @ v, v.dagger())))
+    return parts
+
+
+def stacked_compressed_cut(program, parts: list) -> Mat:
+    """The compressed cut body assembled block by block: each block (t, s)
+    the mat_sum of its kron(E, conj E), E = L_t M_j K V_s, zero blocks
+    elsewhere, and the grid joined by hstack and vstack."""
+    terms = {}
+    for s, loc in enumerate(program.locations):
+        v_s = parts[s][0]
+        if loc == program.exit_location or not v_s.cols:
+            continue
+        a = program.act[loc]
+        for j, m_op in enumerate(a.measurement.operators):
+            t = program.config_index(a.next[j][0])
+            l_t = parts[t][1]
+            if m_op.is_zero() or not l_t.rows:
+                continue
+            for k in a.channel.kraus:
+                e = l_t @ m_op @ k @ v_s
+                terms.setdefault((t, s), []).append(kron(e, e.conj()))
+    sizes = [v.cols**2 for v, _ in parts]
+    grid = [
+        [mat_sum(terms[t, s]) if (t, s) in terms else Mat.zeros(rows, cols) for s, cols in enumerate(sizes)]
+        for t, rows in enumerate(sizes)
+    ]
+    return functools.reduce(Mat.vstack, [functools.reduce(Mat.hstack, row) for row in grid])
+
+
+def dense_reachability(program) -> tuple:
+    """(F, expected steps, almost-sure exit) by the solve of
+    ``reachability_superop`` on the dense lattice: C = R_in ^ (R_in ^ T)^perp
+    on C^D, sliced into location blocks, and the stacked compressed cut."""
+    lattice, d = dense_exit_lattice(program), program.dim
+    parts = sliced_compression(program, lattice["input_reachable"].meet(lattice["input_trapped"].complement()))
+    offsets = [0]
+    for v, _ in parts:
+        offsets.append(offsets[-1] + v.cols**2)
+    start, stop = program.config_index(program.initial_location), program.config_index(program.exit_location)
+    l_in = parts[start][1]
+    rhs = (
+        Mat.zeros(offsets[start], d * d)
+        .vstack(kron(l_in, l_in.conj()))
+        .vstack(Mat.zeros(offsets[-1] - offsets[start + 1], d * d))
+    )
+    x = solve(Mat.eye(offsets[-1]) - stacked_compressed_cut(program, parts), rhs)
+    v_out = parts[stop][0]
+    semantics = kron(v_out, v_out.conj()) @ x[offsets[stop] : offsets[stop + 1], :]
+    almost = lattice["reachable"].meet(lattice["input_trapped"]).is_zero()
+    if not almost:
+        return semantics, math.inf, almost
+    y = x @ vec(program.initial_state)
+    off_exit = CRat(0)
+    for c, (v, _) in enumerate(parts):
+        if c != stop and v.cols:
+            off_exit += unvec(kron(v, v.conj()) @ y[offsets[c] : offsets[c + 1], :], d).trace()
+    return semantics, float(off_exit.re), almost
 
 
 # ----------------------------------------------------------------------

@@ -15,10 +15,12 @@ from sympy.polys.matrices import DomainMatrix
 from qtl.errors import BudgetExceeded, DimensionMismatch, PreconditionViolated, QtlError, UnsupportedFormula
 from qtl.linalg import CRat, Mat, kron, mat_sum, rank, solve
 from qtl.subspace import Subspace, SubspaceUnion, satisfies, support
-from qtl.superop import MatrixRep, SuperOp, image, least_fixpoint, unvec, vec
+from qtl.superop import MatrixRep, Measurement, SuperOp, image, least_fixpoint, unvec, vec
 from qtl.program import (
     CQState,
+    LocationAction,
     QuantumAutomaton,
+    SequentialProgram,
     embed,
     initial_cq,
     simulate_deterministic,
@@ -65,6 +67,8 @@ from helpers import (
     PARTIALLY_TRAPPED_SRC,
     PAULI_X,
     SHAPE_EXAMPLES,
+    THREE_QUBIT_LOOP_SRC,
+    TWO_QUBIT_LOOP_SRC,
     UNREACHED_TRAP_SRC,
     UNSUPPORTED_FORMULAS,
     ToleranceAmbiguity,
@@ -78,6 +82,7 @@ from helpers import (
     random_deterministic_program,
     random_matrix,
     random_phase_permutation,
+    random_pure_state,
     random_subspace,
     random_tp_channel,
     random_union,
@@ -108,25 +113,6 @@ ROTATION = SuperOp.from_unitary(
 @pytest.fixture(scope="module")
 def x_automaton():
     return QuantumAutomaton(2, {"x": X_CONJ}, KET0)
-
-
-# the 2-qubit member of the measure-Hadamard loop family: U = sqrt(1/2) (H x I) CX
-TWO_QUBIT_LOOP_SRC = """qubits 2;
-unitary U = sqrt(1/2) * [[1, 0, 0, 1], [0, 1, 1, 0], [1, 0, 0, -1], [0, 1, -1, 0]];
-measurement M = {[[1, 0], [0, 0]], [[0, 0], [0, 1]]};
-input [[1/2, 0, -1/2, 0], [0, 0, 0, 0], [-1/2, 0, 1/2, 0], [0, 0, 0, 0]];
-skip;
-while meas M(q0) == 1 { apply U to q0, q1 }
-"""
-
-# the 3-qubit member: U = sqrt(1/2) (H x I x I) (CX x I), input |-> x |00>
-THREE_QUBIT_LOOP_SRC = """qubits 3;
-unitary U = sqrt(1/2) * [[1, 0, 0, 0, 0, 0, 1, 0], [0, 1, 0, 0, 0, 0, 0, 1], [0, 0, 1, 0, 1, 0, 0, 0], [0, 0, 0, 1, 0, 1, 0, 0], [1, 0, 0, 0, 0, 0, -1, 0], [0, 1, 0, 0, 0, 0, 0, -1], [0, 0, 1, 0, -1, 0, 0, 0], [0, 0, 0, 1, 0, -1, 0, 0]];
-measurement M = {[[1, 0], [0, 0]], [[0, 0], [0, 1]]};
-input [[1/2, 0, 0, 0, -1/2, 0, 0, 0], [0, 0, 0, 0, 0, 0, 0, 0], [0, 0, 0, 0, 0, 0, 0, 0], [0, 0, 0, 0, 0, 0, 0, 0], [-1/2, 0, 0, 0, 1/2, 0, 0, 0], [0, 0, 0, 0, 0, 0, 0, 0], [0, 0, 0, 0, 0, 0, 0, 0], [0, 0, 0, 0, 0, 0, 0, 0]];
-skip;
-while meas M(q0) == 1 { apply U to q0, q1, q2 }
-"""
 
 
 @pytest.fixture(scope="module")
@@ -1127,10 +1113,10 @@ class TestReachability:
         for src in sources:
             prog = compile_source(src)
             loop = bohm_jacopini(prog)
-            parts = loop.compression(loop.input_reachable.meet(loop.input_trapped.complement()))
+            kept = [r.meet(t.complement()) for r, t in zip(loop.input_reachable.values(), loop.input_trapped.values())]
             sizes.clear()
             r = reachability_superop(prog)
-            assert sizes == [sum(v.cols**2 for v, _ in parts)]
+            assert sizes == [sum(sub.dim**2 for sub in kept)]
             almost.append(r.almost_terminates)
         assert almost == [True, True, True, True, False, True]
 
@@ -1157,6 +1143,23 @@ while meas M(q0) == 1 {{ apply H to q0 }}
         path.write_text(jsonio.dumps(jsonio.program_to_json(prog)))
         assert cli_main(["reach", str(path)]) == 3
         assert "BudgetExceeded" in capsys.readouterr().err
+
+    def test_unknowns_are_counted_before_any_operator(self, monkeypatch):
+        # a chain of 400 skips keeps C^2 at each of its 401 locations, the
+        # exit included: 401 * 2^2 = 1604 unknowns, read off the location
+        # blocks; the one-step channels, whose dense grids the grid
+        # guard would refuse, are never built
+        import qtl.program as program
+
+        def no_grids(*args):
+            raise AssertionError("built the one-step channels")
+
+        prog = compile_source("qubits 1;\n" + ";\n".join(["skip"] * 400))
+        monkeypatch.setattr(program, "_selector_channels", no_grids)
+        start = time.perf_counter()
+        with pytest.raises(BudgetExceeded, match=f"1604 unknowns; the limit is {checker._REACH_UNKNOWNS_MAX}"):
+            reachability_superop(prog)
+        assert time.perf_counter() - start < 0.5
 
     def test_channel_reproduces_exact_reach_state(self, example_loop):
         # the ranks count the Kraus operators of the semantic function from
@@ -1250,7 +1253,61 @@ while meas M(q0) == 1 {{ apply H to q0 }}
         assert loops and ranks == {1, 2}
 
 
+def _relabelled(rng, prog):
+    """prog with its locations renamed and listed in a random order."""
+    names = {loc: f"m{k}" for k, loc in enumerate(rng.sample(prog.locations, len(prog.locations)))}
+    act = {
+        names[loc]: LocationAction(a.channel, a.measurement, {j: tuple(names[t] for t in ts) for j, ts in a.next.items()})
+        for loc, a in prog.act.items()
+    }
+    order = rng.sample(list(names.values()), len(names))
+    return SequentialProgram(prog.dim, order, act, prog.initial_state, names[prog.initial_location], names[prog.exit_location])
+
+
+def _with_unreached(rng, prog):
+    """prog with one more location, at a random place in the order, that
+    no location leads to and that leads to a random location."""
+    act = dict(prog.act)
+    act["unreached"] = LocationAction(
+        random_tp_channel(rng, prog.dim), Measurement.trivial(prog.dim), {0: (rng.choice(prog.locations),)}
+    )
+    order = list(prog.locations)
+    order.insert(rng.randint(0, len(order)), "unreached")
+    return SequentialProgram(prog.dim, order, act, prog.initial_state, prog.initial_location, prog.exit_location)
+
+
 class TestExitFormulas:
+    def test_location_rewrites_keep_every_exit_answer(self, tmp_path, capsys):
+        # renaming and reordering the locations, and adding one that the
+        # initial location cannot reach, change no exit verdict's status or
+        # diagnostics, no termination verdict and no `qtl reach --json`
+        # record: the exit loop indexes its blocks by location.  [] p runs
+        # the pre-image chain on the whole embedded space, so the depth at
+        # which a valid chain settles may count the unreached location's
+        # block: only its status is compared there
+        rng = random.Random(2509)
+
+        def answers(prog, exit_sub, always_depth=True):
+            verdicts = check_exit_formulas(prog, exit_sub)
+            path = tmp_path / "program.json"
+            path.write_text(jsonio.dumps(jsonio.program_to_json(prog)))
+            assert cli_main(["reach", str(path), "--json"]) == 0
+            always = verdicts.always
+            return (
+                [(v.status, v.diagnostics) for v in (verdicts.eventually, verdicts.almost_eventually)],
+                (always.status, always.diagnostics if always_depth else None),
+                check_terminates(prog),
+                capsys.readouterr().out,
+            )
+
+        for k in range(60):
+            prog = random_deterministic_program(rng, rng.choice([2, 3]), rng.randint(1, 4), rng.random() < 0.8)
+            if k % 2:
+                prog = prog.with_initial_state(random_pure_state(rng, prog.dim))
+            exit_sub = random_subspace(rng, prog.dim, rng.randint(0, prog.dim))
+            assert answers(_relabelled(rng, prog), exit_sub) == answers(prog, exit_sub)
+            assert answers(_with_unreached(rng, prog), exit_sub, False) == answers(prog, exit_sub, False)
+
     def test_example_loop_triple(self, example_loop):
         verdicts = check_exit_formulas(example_loop, span((1, 0)))
         assert verdicts.eventually.status == "not_valid"

@@ -6,7 +6,9 @@ c is block (x) |c><c| on H (x) C^|configs|.  ``program.coordinates``,
 ``program.place_blocks`` and ``program.place_subspaces`` state the layout;
 every reader of it must agree with the Kronecker reference, the operators
 they build must come out of d x d products only, and subspaces are placed
-without placing an operator.
+without placing an operator.  The exit loop's location blocks, placed,
+must equal the fixpoints of the dense cut body on the embedded space
+(``helpers.dense_*``).
 """
 
 import pathlib
@@ -16,7 +18,15 @@ import sys
 
 import pytest
 
-from qtl.checker import _exit_shaped, exit_atom_subspace, partial_correctness_subspace
+from qtl.checker import (
+    _exit_shaped,
+    check_exit_almost_eventually,
+    check_exit_eventually,
+    check_terminates,
+    exit_atom_subspace,
+    partial_correctness_subspace,
+    reachability_superop,
+)
 from qtl.formula import atom_from_blocks
 from qtl.linalg import Mat
 from qtl.program import (
@@ -27,6 +37,7 @@ from qtl.program import (
     embed,
     extract,
     initial_cq,
+    place_subspaces,
     selector_successors,
     step_superop,
     to_automaton,
@@ -37,6 +48,11 @@ from qtl.superop import Measurement, SuperOp, image, preimage
 
 from helpers import (
     EXAMPLE_LOOP_SRC,
+    THREE_QUBIT_LOOP_SRC,
+    TWO_QUBIT_LOOP_SRC,
+    dense_cut_body,
+    dense_exit_lattice,
+    dense_reachability,
     kron_atom,
     kron_embed,
     kron_exit_guard,
@@ -45,8 +61,11 @@ from helpers import (
     kron_step_kraus,
     random_concurrent_program,
     random_deterministic_program,
+    random_pure_state,
     random_qwhile_source,
     random_subspace,
+    sliced_compression,
+    stacked_compressed_cut,
     with_second_target,
 )
 
@@ -87,6 +106,10 @@ def _loops(rng):
         yield compile_source(random_qwhile_source(rng, max_loops=1, max_len=2, max_locations=6))
     yield compile_source(EXAMPLE_LOOP_SRC)
     yield _exit_only()
+
+
+def _loop_family():
+    return [compile_source(src) for src in (EXAMPLE_LOOP_SRC, TWO_QUBIT_LOOP_SRC, THREE_QUBIT_LOOP_SRC)]
 
 
 class TestAgainstKronecker:
@@ -138,26 +161,37 @@ class TestAgainstKronecker:
                 assert atom_from_blocks("b", blocks, prog).subspace == kron_atom(blocks, prog)
 
     def test_cut_body_keeps_images_and_preimages(self):
+        """The dense cut body (the test reference) is the body after m1, and
+        the exit loop's edge channels give its images and pre-images of
+        direct sums of location blocks, block by block."""
         rng = random.Random(2504)
         for prog in _loops(rng):
-            loop = WhileNormalForm(prog)
+            loop, cut = WhileNormalForm(prog), dense_cut_body(prog)
             m1 = Mat.eye(loop.m0.rows) - kron_exit_guard(prog)
             reference = SuperOp([k @ m1 for k in loop.body_channel.kraus], validate=False)
-            n = reference.dim_in
-            assert loop.cut_body.dim_in == loop.cut_body.dim_out == n
-            subspaces = [Subspace.zero(n), Subspace.full(n), loop.reachable]
+            n, d = reference.dim_in, prog.dim
+            assert cut.dim_in == cut.dim_out == n
+            subspaces = [Subspace.zero(n), Subspace.full(n), place_subspaces(prog, loop.reachable)]
             subspaces += [random_subspace(rng, n, rng.randint(1, n)) for _ in range(3)]
             for s in subspaces:
-                assert image(loop.cut_body, s) == image(reference, s)
-                assert preimage(loop.cut_body, s) == preimage(reference, s)
+                assert image(cut, s) == image(reference, s)
+                assert preimage(cut, s) == preimage(reference, s)
+            for _ in range(4):
+                blocks = {c: random_subspace(rng, d, rng.randint(0, d)) for c in prog.locations}
+                placed = place_subspaces(prog, blocks)
+                assert place_subspaces(prog, loop._push(blocks)) == image(cut, placed)
+                pulled = {c: loop._pull(c, blocks) if c in loop.edges else Subspace.full(d) for c in prog.locations}
+                assert place_subspaces(prog, pulled) == preimage(cut, placed)
 
     def test_exit_only_cut_body_is_the_zero_channel(self):
-        loop = WhileNormalForm(_exit_only(3))
-        assert [k.is_zero() for k in loop.cut_body.kraus] == [True]
-        assert loop.cut_body.dim_in == 3
-        assert image(loop.cut_body, Subspace.full(3)).is_zero()
-        assert preimage(loop.cut_body, Subspace.zero(3)).is_full()
-        assert loop.exits_almost_surely
+        prog = _exit_only(3)
+        cut, loop = dense_cut_body(prog), WhileNormalForm(prog)
+        assert [k.is_zero() for k in cut.kraus] == [True]
+        assert cut.dim_in == 3
+        assert image(cut, Subspace.full(3)).is_zero()
+        assert preimage(cut, Subspace.zero(3)).is_full()
+        assert loop.edges == {}
+        assert loop.exits_almost_surely and loop.exit_step == 0
 
     def test_exit_shaped_matches_the_guard_test(self):
         rng = random.Random(2505)
@@ -206,8 +240,6 @@ class TestNoEmbeddedProducts:
         through it ``embed``) or forms a block projector for them."""
         rng = random.Random(2506)
         loops = [WhileNormalForm(prog) for prog in _loops(rng)]
-        for loop in loops:
-            loop.cut_body  # the body's Kraus operators are placed blocks
         atoms = [(prog, {c: random_subspace(rng, prog.dim, 1) for c in prog.configs()[::2]})
                  for prog in [scheduler] + [loop.program for loop in loops]]
         calls = []
@@ -221,12 +253,109 @@ class TestNoEmbeddedProducts:
             assert atom_from_blocks("a", blocks, prog).subspace.dim == sum(s.dim for s in blocks.values())
         for loop in loops:
             for name in ("reachable", "trapped", "input_reachable", "input_trapped"):
-                assert isinstance(getattr(loop, name), Subspace)
+                blocks = getattr(loop, name)
+                assert list(blocks) == list(loop.program.locations)
+                assert all(isinstance(b, Subspace) and b.ambient_dim == loop.program.dim for b in blocks.values())
         assert calls == []
 
     def test_cut_body(self, monkeypatch):
+        """The cut body as edge channels, and the lattice read off it,
+        multiply d x d blocks only."""
         prog = compile_source(EXAMPLE_LOOP_SRC)
         loop = WhileNormalForm(prog)
         seen = self._count(monkeypatch, prog.dim * len(prog.locations))
-        loop.cut_body
-        assert seen["all"] > 0 and seen["embedded"] == 0
+        loop.edges
+        assert seen["all"] > 0
+        loop.input_trapped, loop.trapped, loop.exit_step
+        assert seen["embedded"] == 0
+
+    def test_exit_questions_stay_on_blocks(self, monkeypatch):
+        """The reach solve, the exit checks and termination build neither
+        the one-step channel nor the automaton, place nothing but the reach
+        state's exit block, and take images and pre-images of d x d
+        channels only."""
+        rng = random.Random(2507)
+        programs = list(_loops(rng)) + _loop_family()[1:]
+        placed, dims = [], []
+
+        def forbidden(*args):
+            raise AssertionError("built a channel on the embedded space")
+
+        for module in [m for name, m in sys.modules.items() if name.startswith("qtl.")]:
+            for name in ("step_superop", "to_automaton"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, forbidden)
+            if hasattr(module, "place_blocks"):
+                f = module.place_blocks
+                monkeypatch.setattr(module, "place_blocks", lambda prog, blocks, f=f: placed.append(set(blocks)) or f(prog, blocks))
+            for name in ("image", "preimage"):
+                if hasattr(module, name):
+                    f = getattr(module, name)
+                    monkeypatch.setattr(module, name, lambda e, p, f=f: dims.append(e.dim_in) or f(e, p))
+        for prog in programs:
+            exit_sub = random_subspace(rng, prog.dim, rng.randint(0, prog.dim))
+            check_exit_eventually(prog, exit_sub)
+            check_exit_almost_eventually(prog, exit_sub)
+            check_terminates(prog)
+            assert placed == []
+            reachability_superop(prog)
+            assert placed == [{(prog.exit_location, prog.exit_location)}]
+            assert set(dims) <= {prog.dim}
+            placed.clear(), dims.clear()
+
+
+class TestBlocksAgainstDense:
+    """The exit loop's location blocks and the reach solve on them against
+    the fixpoints of the dense cut body on C^D and the solve over their
+    sliced compression (``helpers.dense_exit_lattice``,
+    ``helpers.dense_reachability``): on the loop family (q = 1-3) and on
+    300 seeded programs, some with no guaranteed exit."""
+
+    @staticmethod
+    def _programs():
+        """Half of the random programs start from a pure state, so that
+        their blocks leave the coordinate lattice."""
+        rng = random.Random(2508)
+        programs = _loop_family()
+        for k in range(300):
+            prog = random_deterministic_program(rng, rng.choice([2, 3]), rng.randint(1, 4), rng.random() < 0.8)
+            programs.append(prog.with_initial_state(random_pure_state(rng, prog.dim)) if k % 2 else prog)
+        return rng, programs
+
+    def test_lattice_and_exit_answers(self):
+        rng, programs = self._programs()
+        for prog in programs:
+            loop, dense = WhileNormalForm(prog), dense_exit_lattice(prog)
+            for name in ("reachable", "input_reachable", "trapped", "input_trapped"):
+                assert place_subspaces(prog, getattr(loop, name)) == dense[name]
+            arrivals, step, trapped = dense["arrivals"], dense["exit_step"], dense["trapped"]
+            assert (loop.arrivals, loop.exit_step, loop.exits_almost_surely) == (arrivals, step, trapped.is_zero())
+            exit_sub = random_subspace(rng, prog.dim, rng.randint(0, prog.dim))
+            if step is None:
+                eventually = ("not_valid", {"conjunct": "exact_exit"})
+            elif not exit_sub.contains(arrivals):
+                eventually = ("not_valid", {"conjunct": "arrivals"})
+            else:
+                eventually = ("valid", {"step": step})
+            verdict = check_exit_eventually(prog, exit_sub)
+            assert (verdict.status, verdict.diagnostics, verdict.witness) == (*eventually, None)
+            almost = "valid" if exit_sub.contains(arrivals) and trapped.is_zero() else "not_valid"
+            dims = {"reachable_dim": dense["reachable"].dim, "trapped_dim": trapped.dim}
+            verdict = check_exit_almost_eventually(prog, exit_sub)
+            assert (verdict.status, verdict.diagnostics, verdict.witness) == (almost, dims, None)
+            kind = "terminates" if step is not None else "no" if arrivals.is_zero() else "almost_candidate"
+            assert (check_terminates(prog).kind, check_terminates(prog).step) == (kind, step)
+
+    def test_reach_solve(self):
+        """``compression`` reads the sliced blocks, ``compressed_cut``'s one
+        grid equals the block-by-block stacking exactly, and F, the expected
+        steps and almost-sure exit equal the dense path's."""
+        _, programs = self._programs()
+        for prog in programs:
+            loop = WhileNormalForm(prog)
+            kept = {c: r.meet(loop.input_trapped[c].complement()) for c, r in loop.input_reachable.items()}
+            parts = loop.compression(kept)
+            assert parts == sliced_compression(prog, place_subspaces(prog, kept))
+            assert loop.compressed_cut(parts) == stacked_compressed_cut(prog, parts)
+            r = reachability_superop(prog)
+            assert (r.channel.m, r.expected_steps, r.almost_terminates) == dense_reachability(prog)

@@ -389,7 +389,7 @@ class TestNormalForm:
 
         monkeypatch.setattr(SuperOp, "matrix_rep", data_space_only)
         nf = bohm_jacopini(prog)
-        assert (nf.exit_step, nf.arrivals.dim, nf.trapped.dim) == (None, 1, 0)
+        assert (nf.exit_step, nf.arrivals.dim, sum(b.dim for b in nf.trapped.values())) == (None, 1, 0)
 
     def test_requires_determinism(self):
         from qtl.program import LocationAction, SequentialProgram

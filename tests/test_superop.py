@@ -19,7 +19,6 @@ from qtl.errors import DimensionMismatch, PreconditionViolated
 from qtl.formula import Atom, atom_from_blocks, parse_formula
 from qtl.linalg import CRat, Mat, kron, mat_sum
 from qtl.program import QuantumAutomaton, to_automaton
-from qtl.qwhile import WhileNormalForm
 from qtl.subspace import Subspace, satisfies, support
 from qtl.superop import (
     Measurement,
@@ -43,6 +42,7 @@ from helpers import (
     PAULI_X,
     PAULI_Y,
     basis_union,
+    dense_cut_body,
     random_automaton,
     random_cayley_unitary,
     random_density,
@@ -502,7 +502,7 @@ class TestPreimageImage:
         for _ in range(4):
             prog = random_deterministic_program(rng, rng.choice([2, 3]), rng.randint(1, 3))
             channels += to_automaton(prog).actions.values()
-            channels.append(WhileNormalForm(prog).cut_body)
+            channels.append(dense_cut_body(prog))
         demo = pathlib.Path(__file__).resolve().parent.parent / "demos" / "05_concurrent_scheduler.py"
         channels += to_automaton(runpy.run_path(str(demo))["program"]).actions.values()
         kraus = random_tp_channel(rng, 3).kraus
