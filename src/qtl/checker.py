@@ -803,11 +803,11 @@ def reachability_superop(program: SequentialProgram) -> ReachabilityResult:
     Sum_c dim(C_c)^2 unknowns; past ``_REACH_UNKNOWNS_MAX`` it is refused
     (BudgetExceeded) before any operator over C is formed.  One exact
     fraction-free solve (I - A) X = Lt, Lt the coordinates of the initial
-    location's block (:meth:`WhileNormalForm.compression`, with A from
-    :meth:`WhileNormalForm.compressed_cut`, both on the d x d edge
-    operators), gives the d^2 x d^2 matrix F of the semantic function: its
-    exit rows read through V_e (x) conj V_e.  There is no spectrum and no
-    float.  The reach state is the exit block unvec(F vec rho_0), placed on
+    location's block (:meth:`WhileNormalForm.compression`, with I - A from
+    :meth:`WhileNormalForm.identity_minus_compressed_cut`, both on the
+    d x d edge operators), gives the d^2 x d^2 matrix F of the semantic
+    function: its exit rows read through V_e (x) conj V_e.  There is no
+    spectrum and no float.  The reach state is the exit block unvec(F vec rho_0), placed on
     the embedded space; ``almost_terminates`` is R ^ T = R ^ B = 0, under
     which the reach trace is checked to be exactly one.  The expected
     number of steps until the exit, in the program's own step counting,
@@ -831,7 +831,7 @@ def reachability_superop(program: SequentialProgram) -> ReachabilityResult:
         )
     parts = loop.compression(kept)
     offsets = list(itertools.accumulate((v.cols**2 for v, _ in parts), initial=0))
-    lhs = Mat.eye(unknowns) - loop.compressed_cut(parts)
+    lhs = loop.identity_minus_compressed_cut(parts)
     l_in = parts[start][1]
     rhs = (
         Mat.zeros(offsets[start], d * d)

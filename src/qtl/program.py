@@ -9,13 +9,14 @@ location's measurement keeps its own outcomes, and its next map names a
 nonempty set of targets for exactly those outcomes; both models check each
 location's action with the same helper.
 
-Nondeterminism is resolved by whole-step selectors: a selector fixes one
-choice for every (outcome, location) pair, and each selector induces one
-successor state (respectively one trace-preserving action of the derived
-automaton).
-
-States, actions and subspaces embed in H (x) configurations, one block per
-configuration on its ``coordinates`` (``place_blocks``, ``place_subspaces``).
+One step at a configuration is stated once, as its outcome channels M_j o E
+(``outcome_channels``).  Nondeterminism is resolved by whole-step
+selectors: a selector fixes one target for every (outcome, location) pair,
+and so induces one successor state and one trace-preserving action of the
+derived automaton, whose Kraus stack places those d x d channels from each
+configuration to its targets (``SuperOp.placed``).  States and subspaces
+embed in H (x) configurations, one block per configuration on its
+``coordinates`` (``place_blocks``, ``place_subspaces``).
 """
 
 from __future__ import annotations
@@ -41,11 +42,11 @@ from .subspace import Subspace
 from .superop import Measurement, SuperOp
 
 DEFAULT_SELECTOR_CAP = 4096
-# step_superop and to_automaton hold every Kraus operator as a dense D x D
-# grid, and raise BudgetExceeded before placing any past this many grid
-# entries in all (grids times D^2): a chain of 160 skips (161 grids at
-# D = 322, 16.7 million entries) is at the limit, and `qtl check` of [] p
-# on it peaks at 290 MB; the largest in tests and workloads has 73,728
+# step_superop and to_automaton place sparse Kraus stacks, but reading one
+# (`compile --normal-form`, SuperOp.apply, replay_word) forms each operator
+# as a dense D x D Mat: they raise BudgetExceeded before placing any past
+# this many entries in all (operators times D^2).  A chain of 160 skips
+# (161 operators at D = 322) is at the limit; tests and workloads reach 73,728
 _GRID_ENTRIES_MAX = 2**24
 
 
@@ -181,8 +182,11 @@ class SequentialProgram:
     def _selector_domain(self):
         return [((j, loc), targets) for loc in self.locations for j, targets in self.act[loc].next.items()]
 
-    def _step_targets(self, config, selector):
-        return self.act[config], lambda j: selector[(j, config)]
+    def _action(self, config) -> LocationAction:
+        return self.act[config]
+
+    def _target(self, config, selector, j):
+        return selector[(j, config)]
 
 
 @dataclass(frozen=True)
@@ -265,18 +269,16 @@ class ConcurrentProgram:
             for j, targets in p.act[loc].next.items()
         ]
 
-    def _step_targets(self, config, selector):
+    def _action(self, config) -> LocationAction:
+        """The action of the scheduled process at its location."""
         locs, s = config
-        k = s - 1
-        loc = locs[k]
-        a = self.processes[k].act[loc]
+        return self.processes[s - 1].act[locs[s - 1]]
 
-        def target(j):
-            loc_t, sched_t = selector[(k, j, loc)]
-            new_locs = locs[:k] + (loc_t,) + locs[k + 1 :]
-            return (new_locs, sched_t)
-
-        return a, target
+    def _target(self, config, selector, j):
+        """The scheduled process's move and the next scheduled process."""
+        locs, s = config
+        loc_t, sched_t = selector[(s - 1, j, locs[s - 1])]
+        return (locs[: s - 1] + (loc_t,) + locs[s:], sched_t)
 
 
 class CQState:
@@ -359,13 +361,13 @@ def _selector_assignments(program, cap):
 def _step_with_selector(program, state: CQState, selector) -> CQState:
     out = {}
     for config, rho in state.blocks.items():
-        a, target = program._step_targets(config, selector)
+        a = program._action(config)
         mid = a.channel.apply(rho)
         for j, m_op in enumerate(a.measurement.operators):
             piece = m_op @ mid @ m_op.dagger()
             if piece.is_zero():
                 continue
-            tgt = target(j)
+            tgt = program._target(config, selector, j)
             out[tgt] = out[tgt] + piece if tgt in out else piece
     return CQState(program.dim, out, validate=False)
 
@@ -424,13 +426,13 @@ def coordinates(program, config) -> range:
 
 
 def place_blocks(program, blocks: dict) -> Mat:
-    """The operator on the embedded space that maps the block of
-    configuration c to that of configuration s by ``blocks[s, c]`` (d x d)."""
+    """The block-diagonal operator on the embedded space with the d x d
+    block ``blocks[c]`` on the coordinates of configuration c."""
     size = program.dim * len(program.configs())
     den = math.lcm(1, *(b.den for b in blocks.values()))
     re, im = np.zeros((2, size, size), dtype=object)
-    for (s, c), block in blocks.items():
-        at = tuple(slice(r.start, r.stop, r.step) for r in (coordinates(program, s), coordinates(program, c)))
+    for config, block in blocks.items():
+        at = np.ix_(coordinates(program, config), coordinates(program, config))
         re[at] = block.num_re * (den // block.den)
         im[at] = block.num_im * (den // block.den)
     return Mat(re, im, den, _real=all(b.is_real() for b in blocks.values()))
@@ -458,7 +460,7 @@ def place_subspaces(program, blocks: dict) -> Subspace:
 def embed(state: CQState, program) -> Mat:
     """Block-diagonal embedding: each configuration's block on its own
     coordinates (``place_blocks``)."""
-    return place_blocks(program, {(config, config): block for config, block in state.blocks.items()})
+    return place_blocks(program, state.blocks)
 
 
 def extract(m: Mat, program) -> CQState:
@@ -474,37 +476,37 @@ def extract(m: Mat, program) -> CQState:
     return state
 
 
-def _selector_kraus(program, selector) -> list:
-    """Kraus set of the one-step channel induced by a selector: the block
-    M_j K from each configuration to the target of its outcome j."""
-    kraus = []
-    for config in program.configs():
-        a, target = program._step_targets(config, selector)
-        for j, m_op in enumerate(a.measurement.operators):
-            if m_op.is_zero():
-                continue
-            for body in a.channel.kraus:
-                kraus.append(place_blocks(program, {(target(j), config): m_op @ body}))
-    return kraus
+def outcome_channels(program, config) -> list:
+    """One step at a configuration: [(j, M_j o E)] in outcome order, over
+    the outcomes j with M_j != 0, each the d x d channel of the operators
+    M_j K over the Kraus operators K of the configuration's channel E."""
+    a = program._action(config)
+    return [
+        (j, SuperOp([m_op @ k for k in a.channel.kraus], validate=False))
+        for j, m_op in enumerate(a.measurement.operators)
+        if not m_op.is_zero()
+    ]
 
 
 def _selector_channels(program, selectors) -> list:
-    """One channel per selector, of :func:`_selector_kraus`'s operators, or
-    BudgetExceeded before any block is placed when their dense grids would
-    hold more than ``_GRID_ENTRIES_MAX`` entries.  A selector fixes only
-    the targets, so every selector places equally many operators."""
+    """One channel per selector: each configuration's
+    :func:`outcome_channels`, read once, placed from it to the selector's
+    target of each outcome; or BudgetExceeded before any is placed when
+    their Kraus operators would hold more than ``_GRID_ENTRIES_MAX``
+    entries as dense grids."""
     size = program.dim * len(program.configs())
-    actions = (program._step_targets(config, selectors[0])[0] for config in program.configs())
-    per_selector = sum(
-        len(a.channel.kraus) * sum(not m_op.is_zero() for m_op in a.measurement.operators) for a in actions
-    )
-    grids = len(selectors) * per_selector
+    table = [(c, outcome_channels(program, c)) for c in program.configs()]
+    grids = len(selectors) * sum(len(e.kraus) for _, row in table for _, e in row)
     if grids * size * size > _GRID_ENTRIES_MAX:
         raise BudgetExceeded(
             f"the one-step channels need {grids} dense {size}x{size} Kraus operators "
             f"({grids * size * size} entries); the limit is {_GRID_ENTRIES_MAX} entries"
         )
-    return [SuperOp(_selector_kraus(program, sel), validate=False) for sel in selectors]
+    at = {c: coordinates(program, c) for c, _ in table}
+    return [
+        SuperOp.placed(size, [(at[program._target(c, sel, j)], at[c], e) for c, row in table for j, e in row])
+        for sel in selectors
+    ]
 
 
 def step_superop(program) -> SuperOp:
@@ -555,7 +557,7 @@ def _selector_name(program, selector):
 
 def to_automaton(program) -> QuantumAutomaton:
     """One trace-preserving action per whole-step selector, on the embedded
-    space; each Kraus operator is one placed d x d block (no D x D product)."""
+    space, placed from d x d channels (no D x D product or grid)."""
     selectors = _selector_assignments(program, DEFAULT_SELECTOR_CAP)
     channels = _selector_channels(program, selectors)
     actions = {_selector_name(program, sel): e for sel, e in zip(selectors, channels)}

@@ -25,8 +25,8 @@ padded with skips to equal length, which keeps the step count of a path
 independent of the measured branch.
 
 The single-while normal form works on the location blocks of C^d, one
-d x d channel per edge of the control flow; it places the exit block and
-the guard on the embedded space through :func:`qtl.program.place_blocks`.
+d x d channel per outcome (:func:`qtl.program.outcome_channels`); it places
+the exit block and the guard on the embedded space (``place_blocks``).
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ from .errors import (
     UndeclaredOperator,
 )
 from .linalg import CRat, Mat, kron, solve
-from .program import LocationAction, SequentialProgram, place_blocks, step_superop
+from .program import LocationAction, SequentialProgram, outcome_channels, place_blocks, step_superop
 from .subspace import Subspace, support
 from .superop import Measurement, SuperOp, image, preimage
 
@@ -801,12 +801,10 @@ class WhileNormalForm:
     is built on first use and cached.
 
     N maps each location's block of the embedded space into blocks, so it
-    is held as its ``edges``: for each location s other than the exit and
-    each target t, the d x d channel of the operators M_j K, over the
-    outcomes j of s that lead to t (M_j != 0) and the Kraus operators K of
-    s's channel.  Every subspace of the loop is then a direct sum of blocks,
-    and is held as a dict {location: subspace of C^d}; images and pre-images
-    act on d-wide rows, edge by edge.  Only ``normal_form_to_json``
+    is held as its ``edges``: the outcome channels of each location but the
+    exit, with their targets.  Every subspace of the loop is then a direct
+    sum of blocks, held as a dict {location: subspace of C^d}; images and
+    pre-images act on d-wide rows, edge by edge.  Only ``normal_form_to_json``
     (``qtl compile --normal-form``) reads the embedded guard (``m0``, ``m1``)
     and body (``body_channel``), and only the reach state is placed on the
     embedded space (``exit_embedded``).
@@ -825,8 +823,8 @@ class WhileNormalForm:
     forever.  R grown from the whole block of the initial location gives
     R_in (``input_reachable``) and R_in ^ T (``input_trapped``), the
     lattice of every input state, on which the program's semantic function
-    is solved.  ``compression`` gives the coordinates of the operators over
-    a direct sum of blocks, and ``compressed_cut`` the cut body on them.
+    is solved, on the coordinates of a direct sum of blocks
+    (``compression``, ``identity_minus_compressed_cut``).
     """
 
     def __init__(self, program: SequentialProgram):
@@ -850,19 +848,14 @@ class WhileNormalForm:
 
     @functools.cached_property
     def edges(self) -> dict:
-        """{s: {t: channel}}: N edge by edge, over the locations s other than
-        the exit (the guard cuts the exit's own step), each edge's channel
-        of the d x d operators M_j K that lead from s to t."""
-        program, table = self.program, {}
-        for loc in program.locations:
-            if loc == program.exit_location:
-                continue
-            a, kraus = program.act[loc], {}
-            for j, m_op in enumerate(a.measurement.operators):
-                if not m_op.is_zero():
-                    kraus.setdefault(a.next[j][0], []).extend(m_op @ k for k in a.channel.kraus)
-            table[loc] = {t: SuperOp(ops, validate=False) for t, ops in kraus.items()}
-        return table
+        """{s: [(t, M_j o E_s)]}: N over the locations s but the exit (the
+        guard cuts its step), each outcome channel with its target t."""
+        program = self.program
+        return {
+            loc: [(program.act[loc].next[j][0], e) for j, e in outcome_channels(program, loc)]
+            for loc in program.locations
+            if loc != program.exit_location
+        }
 
     def _push(self, blocks: dict) -> dict:
         """N(X) by blocks: block t joins the images of the blocks X_s along
@@ -870,7 +863,7 @@ class WhileNormalForm:
         out = dict.fromkeys(self.program.locations, Subspace.zero(self.program.dim))
         for s, edges in self.edges.items():
             if not blocks[s].is_zero():
-                for t, e in edges.items():
+                for t, e in edges:
                     out[t] = out[t].join(image(e, blocks[s]))
         return out
 
@@ -878,7 +871,7 @@ class WhileNormalForm:
         """Block s of N^-1(Y): the meet of the pre-images of the blocks Y_t
         along the edges s -> t."""
         pulled = Subspace.full(self.program.dim)
-        for t, e in self.edges[s].items():
+        for t, e in self.edges[s]:
             pulled = pulled.meet(preimage(e, blocks[t]))
         return pulled
 
@@ -891,7 +884,7 @@ class WhileNormalForm:
         while work:
             s = next(iter(work))
             del work[s]
-            for t, e in self.edges.get(s, {}).items():
+            for t, e in self.edges.get(s, ()):
                 img = image(e, blocks[s])
                 if not blocks[t].contains(img):
                     blocks[t] = blocks[t].join(img)
@@ -919,7 +912,7 @@ class WhileNormalForm:
         program, d = self.program, self.program.dim
         into = {loc: [] for loc in program.locations}
         for s, edges in self.edges.items():
-            for t in edges:
+            for t, _ in edges:
                 into[t].append(s)
         blocks = {loc: Subspace.full(d) for loc in program.locations}
         blocks[program.exit_location] = Subspace.zero(d)
@@ -957,12 +950,12 @@ class WhileNormalForm:
             parts.append((v, solve(v.dagger() @ v, v.dagger())))
         return parts
 
-    def compressed_cut(self, parts: list) -> Mat:
-        """The cut body on the Sum_c k_c^2 coordinates of ``compression``,
-        location by location in order: block (t, s) sums kron(E, conj E),
-        E = L_t M_j K V_s, over the operators M_j K of the edge s -> t.  The
-        exit location's columns are zero.  Each term is added into one
-        integer grid over the common denominator of all terms, so no
+    def identity_minus_compressed_cut(self, parts: list) -> Mat:
+        """I - A, A the cut body on the Sum_c k_c^2 coordinates of
+        ``compression``, location by location: block (t, s) of A sums
+        kron(E, conj E), E = L_t M_j K V_s, over the edges s -> t, and the
+        exit's columns are zero.  Each term is subtracted from one integer
+        grid, the identity over the common denominator of all terms, so no
         d^2 x d^2 object is formed and no partial grid is copied."""
         index = {loc: c for c, loc in enumerate(self.program.locations)}
         offsets = list(itertools.accumulate((v.cols**2 for v, _ in parts), initial=0))
@@ -970,7 +963,7 @@ class WhileNormalForm:
         for s_loc, edges in self.edges.items():
             s = index[s_loc]
             v_s = parts[s][0]
-            for t_loc, e in edges.items():
+            for t_loc, e in edges:
                 t = index[t_loc]
                 l_t = parts[t][1]
                 if v_s.cols and l_t.rows:
@@ -979,10 +972,11 @@ class WhileNormalForm:
                         terms.append((t, s, kron(x, x.conj())))
         den = math.lcm(1, *(term.den for _, _, term in terms))
         re, im = np.zeros((2, offsets[-1], offsets[-1]), dtype=object)
+        np.fill_diagonal(re, den)
         for t, s, term in terms:
             at = slice(offsets[t], offsets[t + 1]), slice(offsets[s], offsets[s + 1])
-            re[at] += term.num_re * (den // term.den)
-            im[at] += term.num_im * (den // term.den)
+            re[at] -= term.num_re * (den // term.den)
+            im[at] -= term.num_im * (den // term.den)
         return Mat(re, im, den, _real=all(term.is_real() for _, _, term in terms))
 
     @property
@@ -1012,7 +1006,7 @@ class WhileNormalForm:
 
     def exit_embedded(self, block: Mat) -> Mat:
         """A d x d exit block as a state of the embedded space."""
-        return place_blocks(self.program, {(self.program.exit_location,) * 2: block})
+        return place_blocks(self.program, {self.program.exit_location: block})
 
 
 def bohm_jacopini(program: SequentialProgram) -> WhileNormalForm:

@@ -9,26 +9,24 @@ formed.  Each channel memoizes its images by input subspace (subspaces hash
 and compare by their RREF), so a fixpoint chain that meets a subspace
 again, or asks again for the range E(I), looks its image up; a pre-image
 goes through the dual's memo and the complements cached on the subspaces.
-An image multiplies nonzero entries only: the channel keeps the nonzero
-entries of its Kraus operators by input coordinate, and each nonzero entry
-of an RREF row meets the entries of its coordinate alone.  A program action
-maps one configuration's block to another's, so most of its entries are
-zero; only the nonzero image rows are handed to the elimination.  Most of
-its columns hold at most one nonzero entry per operator, and the channel
-records the rows they hit: the image of a coordinate subspace whose pivots
-all have such columns is the coordinate subspace of the rows hit, with no
-image rows and no elimination.  The complement of a coordinate subspace is
-coordinate, so a pre-image takes the same path through the dual, whose
-entries are the channel's, transposed and conjugated: no dual scans a grid.
+An image multiplies nonzero entries only (:class:`_Stack`), and hands only
+the nonzero image rows to the elimination: a program action maps one
+configuration's block to another's, so most of its entries are zero.  The
+image of a coordinate subspace whose unit vectors each go to multiples of
+unit vectors is the coordinate subspace of the rows hit, with no
+elimination; the complement of a coordinate subspace is coordinate, so a
+pre-image takes the same path through the dual, whose stack is the
+channel's, transposed and conjugated: no dual scans a grid.
 
 That table of nonzero entries, the Kraus stack, is the one form a channel
 is read into: a channel or a measurement read from a file builds it
 straight from the integer rows of the file's literals
 (:meth:`SuperOp.from_grids`, :meth:`Measurement.from_grids`), tests trace
 preservation or completeness on it, and forms its Kraus ``Mat``s from it
-only when some code reads them; a dual forms its own from its transposed
-stack.  A channel built from ``Mat``s (the compiler, the embeddings) keeps
-them and reads its stack off their grids.
+only when some code reads them.  A dual moves the entries of its channel's
+stack, and a program's embedded action those of its d x d outcome channels
+(:meth:`SuperOp.placed`).  A channel built from ``Mat``s (the compiler, an
+outcome channel) keeps them and reads its stack off their grids.
 
 The matrix representation M = sum_i E_i (x) conj(E_i) linearizes a channel on
 row-major vectorized operators: vec(E(A)) = M vec(A).  It is the canonical
@@ -181,25 +179,22 @@ class _Stack:
     holds one triple (i, slot, c) per nonzero real or imaginary part c of an
     entry (u, v) of K_i, with slot u for a real part and dim_out + u for an
     imaginary one.  ``real`` says whether every entry is real, and ``n_ops``
-    is m.  The one constructor scans integer grids, as a file's matrix
-    literals are read (:func:`linalg._int_rows`) or as :meth:`of` takes
-    them from Mats; :meth:`mats` forms the Mats back.  The stack of the
-    adjoints K_i† is this one transposed (:meth:`dagger`), with no grid
-    read.
+    is m.  The constructor scans integer grids, as a file's matrix literals
+    are read (:func:`linalg._int_rows`) or as :meth:`of` takes them from
+    Mats; :meth:`mats` forms the Mats back.  The adjoints' stack
+    (:meth:`dagger`) and a placed one (:meth:`SuperOp.placed`) move the
+    entries of another stack, with no grid read.
 
     The scan also keeps ``rows``, the nonzero entries (v, re, im) of each
-    nonzero row of each K_i, which the isometry test reads; a transposed
-    stack builds them from ``terms`` when asked.  Only images read the two
+    nonzero row of each K_i, which the isometry test reads; a moved stack
+    builds them from ``terms`` when asked.  Only images read the two
     tables built from ``terms`` on their first read: ``turned[v]`` holds
     the same parts times the imaginary unit (i re is imaginary, i (i im) =
     -im is real), and ``hits[v]`` is the sorted tuple of the rows u where
     some K_i e_v is nonzero, when each K_i has at most one nonzero row in
     column v (so K_i e_v is a multiple of a unit vector), and None
     otherwise; validation and the matrix representations read ``terms``
-    alone.
-
-    A program action maps one configuration's block to another's, so most
-    of its entries are zero and most coordinates have none."""
+    alone."""
 
     __slots__ = ("terms", "real", "den", "dim_out", "n_ops", "_rows", "_turned", "_hits")
 
@@ -384,13 +379,10 @@ class SuperOp:
     representations read too; only a channel that is not trace preserving
     fills that sum in below the diagonal, to test that I - sum E†E is
     positive semidefinite (:meth:`_Stack.is_contraction`).  A channel
-    built from Kraus Mats (the compiler, the
-    embeddings) keeps them and builds its stack from them when first
-    needed; one read from a file (:meth:`from_grids`) builds its stack
-    from the file's integer rows and forms its Kraus Mats from the stack
-    only when read (:attr:`kraus`).  A dual's stack is its channel's
-    transposed (:meth:`dual`), and its Kraus Mats come from that stack the
-    same way.
+    built from Kraus Mats keeps them and reads its stack off them when
+    first needed; one read from a file (:meth:`from_grids`), a placed one
+    (:meth:`placed`) and a dual (:meth:`dual`) start from a stack and form
+    their Kraus Mats from it only when read (:attr:`kraus`).
     """
 
     __slots__ = (
@@ -422,6 +414,28 @@ class SuperOp:
         e._set(None, dim_in, dim_out, _Stack(grids, dim_out, dim_in), None)
         if validate:
             e._check_admissible()
+        return e
+
+    @staticmethod
+    def placed(dim: int, blocks) -> "SuperOp":
+        """The channel on C^dim, unchecked, whose Kraus operators are those
+        of each channel of ``blocks`` [(rows_at, cols_at, channel)] in order,
+        entry (u, v) moved to (rows_at[u], cols_at[v]): the channels' stacks
+        with their entries moved, and no Kraus Mat formed until read."""
+        den = math.lcm(*(e._stack_of().den for _, _, e in blocks))
+        real = all(e._stack_of().real for _, _, e in blocks)
+        terms, offset = [[] for _ in range(dim)], 0
+        for rows_at, cols_at, e in blocks:
+            st = e._stack_of()
+            n, s = st.dim_out, den // st.den
+            for v, col in enumerate(st.terms):
+                terms[cols_at[v]] += [(offset + i, dim * (slot // n) + rows_at[slot % n], c * s) for i, slot, c in col]
+            offset += st.n_ops
+        stack = _Stack.__new__(_Stack)
+        stack.terms, stack.real, stack.den, stack.dim_out, stack.n_ops = terms, real, den, dim, offset
+        stack._rows = stack._turned = stack._hits = None
+        e = SuperOp.__new__(SuperOp)
+        e._set(None, dim, dim, stack, None)
         return e
 
     def _check_admissible(self):

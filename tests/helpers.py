@@ -975,11 +975,11 @@ def kron_step_kraus(program, selector) -> list:
     operators K, in the order of the one-step channel of a selector."""
     kraus = []
     for config in program.configs():
-        a, target = program._step_targets(config, selector)
+        a = program._action(config)
         for j, m_op in enumerate(a.measurement.operators):
             if m_op.is_zero():
                 continue
-            shift = _config_unit(program, target(j), False) @ _config_unit(program, config)
+            shift = _config_unit(program, program._target(config, selector, j), False) @ _config_unit(program, config)
             kraus += [kron(m_op @ k, shift) for k in a.channel.kraus]
     return kraus
 

@@ -220,13 +220,31 @@ def test_method_guard_sees_every_caller():
 
 
 # An operator is placed on the embedded space only to act on states: the
-# one-step Kraus operators, embedded states and the exit loop's exit
-# blocks.  Subspaces are placed block by block (``place_subspaces``), so no
-# module builds a D x D operator only to take its support.
-PLACE_BLOCKS_CALLERS = {"program._selector_kraus", "program.embed", "qwhile.exit_embedded"}
+# one-step channels, embedded states and the exit loop's exit blocks.  The
+# one-step channels are placed as Kraus stacks from the d x d channels of
+# one table (``program.outcome_channels``), which the exit loop reads too;
+# ``place_blocks`` places block-diagonal Mats only (states and exit
+# blocks).  Subspaces are placed block by block (``place_subspaces``), so
+# no module builds a D x D operator only to take its support.
+PLACE_BLOCKS_CALLERS = {"program.embed", "qwhile.exit_embedded"}
+PLACED_CALLERS = {"program._selector_channels"}
+OUTCOME_CHANNELS_CALLERS = {"program._selector_channels", "qwhile.edges"}
+
+
+def _module_callers(name) -> set:
+    """"module.function" of the outermost function around every call of
+    ``name`` in the modules of ``qtl``."""
+    trees = {path.stem: ast.parse(path.read_text(), str(path)) for path in MODULES}
+    return {f"{stem}.{owner}" for stem, tree in trees.items() for owner in _callers(tree, name)}
 
 
 def test_operators_are_placed_only_to_act():
-    trees = {path.stem: ast.parse(path.read_text(), str(path)) for path in MODULES}
-    callers = {f"{stem}.{owner}" for stem, tree in trees.items() for owner in _callers(tree, "place_blocks")}
-    assert callers == PLACE_BLOCKS_CALLERS
+    assert _module_callers("place_blocks") == PLACE_BLOCKS_CALLERS
+
+
+def test_only_the_one_step_channels_place_kraus_stacks():
+    assert _module_callers("placed") == PLACED_CALLERS
+
+
+def test_the_step_is_stated_once():
+    assert _module_callers("outcome_channels") == OUTCOME_CHANNELS_CALLERS

@@ -18,8 +18,10 @@ import sys
 
 import pytest
 
+import qtl.program as program
 from qtl.checker import (
     _exit_shaped,
+    check,
     check_exit_almost_eventually,
     check_exit_eventually,
     check_terminates,
@@ -27,7 +29,7 @@ from qtl.checker import (
     partial_correctness_subspace,
     reachability_superop,
 )
-from qtl.formula import atom_from_blocks
+from qtl.formula import atom_from_blocks, parse_formula
 from qtl.linalg import Mat
 from qtl.program import (
     LocationAction,
@@ -44,7 +46,7 @@ from qtl.program import (
 )
 from qtl.qwhile import WhileNormalForm, compile_source
 from qtl.subspace import Subspace, SubspaceUnion
-from qtl.superop import Measurement, SuperOp, image, preimage
+from qtl.superop import Measurement, SuperOp, _Stack, image, preimage
 
 from helpers import (
     EXAMPLE_LOOP_SRC,
@@ -234,6 +236,44 @@ class TestNoEmbeddedProducts:
         to_automaton(prog)
         assert seen["all"] > 0 and seen["embedded"] == 0
 
+    def test_one_outcome_table_read_per_configuration(self, monkeypatch, scheduler):
+        """``to_automaton`` reads each configuration's outcome channels
+        once, in configuration order, however many selectors place them."""
+        rng = random.Random(2509)
+        programs = [scheduler]
+        while len(programs) < 5:
+            prog = random_concurrent_program(rng, 2, 2)
+            if not prog.deterministic:
+                programs.append(prog)
+        rows, exact = [], program.outcome_channels
+        monkeypatch.setattr(program, "outcome_channels", lambda prog, c: rows.append(c) or exact(prog, c))
+        for prog in programs:
+            assert len(to_automaton(prog).actions) >= 2
+            assert rows == list(prog.configs())
+            rows.clear()
+
+    def test_checks_form_no_embedded_kraus_mat(self, monkeypatch, scheduler):
+        """``check`` of [] f, <>[] f and []<> f reads the actions' Kraus
+        stacks only: no D x D Kraus Mat is formed from a stack or scanned
+        into one, and the only placed Mat is the initial state."""
+        rng = random.Random(2510)
+        programs = [scheduler] + [random_concurrent_program(rng, 2, 2) for _ in range(3)]
+        programs += [random_deterministic_program(rng, rng.choice([2, 3]), rng.randint(1, 3)) for _ in range(4)]
+        widths, placed = [], []
+        mats, of, place = _Stack.mats, _Stack.of, program.place_blocks
+        monkeypatch.setattr(_Stack, "mats", lambda st: widths.append(st.dim_out) or mats(st))
+        monkeypatch.setattr(_Stack, "of", staticmethod(lambda kraus: widths.append(kraus[0].rows) or of(kraus)))
+        monkeypatch.setattr(program, "place_blocks", lambda prog, blocks: placed.append(set(blocks)) or place(prog, blocks))
+        for prog in programs:
+            size = prog.dim * len(prog.configs())
+            blocks = {c: random_subspace(rng, prog.dim, rng.randint(1, prog.dim)) for c in prog.configs()}
+            atoms = {"f": atom_from_blocks("f", blocks, prog)}
+            for text in ("[] f", "<>[] f", "[]<> f"):
+                check(prog, parse_formula(text, atoms), atoms)
+            assert size not in widths
+            assert placed and all(b == {prog.initial_config()} for b in placed)
+            widths.clear(), placed.clear()
+
     def test_lattice_places_no_operator(self, monkeypatch, scheduler):
         """Atoms and the exit loop's four lattice properties place subspaces
         block by block: no module places an operator (``place_blocks``, and
@@ -299,7 +339,7 @@ class TestNoEmbeddedProducts:
             check_terminates(prog)
             assert placed == []
             reachability_superop(prog)
-            assert placed == [{(prog.exit_location, prog.exit_location)}]
+            assert placed == [{prog.exit_location}]
             assert set(dims) <= {prog.dim}
             placed.clear(), dims.clear()
 
@@ -347,15 +387,17 @@ class TestBlocksAgainstDense:
             assert (check_terminates(prog).kind, check_terminates(prog).step) == (kind, step)
 
     def test_reach_solve(self):
-        """``compression`` reads the sliced blocks, ``compressed_cut``'s one
-        grid equals the block-by-block stacking exactly, and F, the expected
-        steps and almost-sure exit equal the dense path's."""
+        """``compression`` reads the sliced blocks, the one grid of
+        ``identity_minus_compressed_cut`` equals I minus the block-by-block
+        stacking exactly, and F, the expected steps and almost-sure exit
+        equal the dense path's."""
         _, programs = self._programs()
         for prog in programs:
             loop = WhileNormalForm(prog)
             kept = {c: r.meet(loop.input_trapped[c].complement()) for c, r in loop.input_reachable.items()}
             parts = loop.compression(kept)
             assert parts == sliced_compression(prog, place_subspaces(prog, kept))
-            assert loop.compressed_cut(parts) == stacked_compressed_cut(prog, parts)
+            n = sum(v.cols**2 for v, _ in parts)
+            assert loop.identity_minus_compressed_cut(parts) == Mat.eye(n) - stacked_compressed_cut(prog, parts)
             r = reachability_superop(prog)
             assert (r.channel.m, r.expected_steps, r.almost_terminates) == dense_reachability(prog)

@@ -424,25 +424,29 @@ class TestOwnOutcomes:
 
 
 class TestGridGuard:
-    """step_superop and to_automaton refuse a program whose dense Kraus
-    grids would hold more than ``program._GRID_ENTRIES_MAX`` entries, before
-    they place any block."""
+    """step_superop and to_automaton refuse a program whose Kraus
+    operators, formed as dense grids, would hold more than
+    ``program._GRID_ENTRIES_MAX`` entries, before they place any operator
+    (``SuperOp.placed``)."""
 
     @pytest.mark.parametrize("seed", range(4))
     def test_limit_counts_every_grid(self, seed, monkeypatch):
-        # the concurrent programs have several selectors, each placing its
-        # own grids
+        # the concurrent programs have two or more selectors, each placing
+        # its own operators
         rng = random.Random(40 + seed)
         progs = [random_concurrent_program(rng, 2, 2), random_deterministic_program(rng, 2, rng.randint(2, 4))]
+        assert len(to_automaton(progs[0]).actions) >= 2
         for prog in progs:
             a = to_automaton(prog)
             assert (len(a.actions) > 1) == (not prog.deterministic)
             entries = sum(len(e.kraus) for e in a.actions.values()) * a.dim**2
+            placed, exact = [], SuperOp.placed
+            monkeypatch.setattr(SuperOp, "placed", staticmethod(lambda dim, blocks: placed.append(dim) or exact(dim, blocks)))
             monkeypatch.setattr(program, "_GRID_ENTRIES_MAX", entries)
             assert to_automaton(prog).actions.keys() == a.actions.keys()
+            assert placed == [a.dim] * len(a.actions)
+            placed.clear()
             monkeypatch.setattr(program, "_GRID_ENTRIES_MAX", entries - 1)
-            placed, exact = [], program.place_blocks
-            monkeypatch.setattr(program, "place_blocks", lambda p, blocks: placed.append(1) or exact(p, blocks))
             with pytest.raises(BudgetExceeded, match=f"\\({entries} entries\\)"):
                 to_automaton(prog)
             if prog.deterministic:
