@@ -226,8 +226,12 @@ class _SupportGraph:
     images; by default the Kraus-form :func:`superop.image`.  ``root`` is
     the support of the initial state where the caller already has it.
 
-    Every search over the graph is a method here, shared by the checker's
-    witnesses and :func:`oracle_bfs`.
+    The walk stops expanding at depth ``max_depth`` and after ``budget``
+    expansions; ``closed`` is False when either stop left a node
+    unexpanded.  Every search over the graph is a method here, shared by
+    the checker's witnesses and :func:`oracle_bfs`, and reads the graph as
+    far as it was built: each edge is an exact image, so a word or lasso
+    found on a partial graph refutes as one found on a closed graph does.
     """
 
     def __init__(self, automaton: QuantumAutomaton, max_depth: int, budget: int, image_of=None, root=None):
@@ -244,13 +248,9 @@ class _SupportGraph:
         while frontier:
             nxt = []
             for i in frontier:
-                if self.depth[i] >= max_depth:
+                if self.depth[i] >= max_depth or len(self.successors) >= budget:
                     self.closed = False
                     continue
-                if len(self.successors) >= budget:
-                    raise BudgetExceeded(
-                        f"support graph exceeded the budget of {budget} expansions"
-                    )
                 edges = self.successors[i] = []
                 for name, e in actions.items():
                     img = image_of(e, self.nodes[i])
@@ -368,7 +368,8 @@ def check_invariance(a: QuantumAutomaton, u) -> Verdict:
     The chain stops at the first round k that drops the initial support
     (``chain_depth``), the depth of the shallowest escape, and the
     refuting action word is then recovered by breadth-first search to
-    depth k.
+    depth k, within 200,000 expansions (QtlError when the search stops
+    before the escape).
     """
     u = _operand(a, u)
     root = _initial_support(a)
@@ -429,7 +430,10 @@ def _meet_of_preimages(actions: dict, u: SubspaceUnion) -> SubspaceUnion:
     return pre
 
 
-# the pre-image chain of maximal_extension raises QtlError past this many steps
+# the pre-image chain of maximal_extension raises QtlError past this many
+# steps, or past D + 1 on a space of dimension D where that is more: a
+# strictly growing one-member chain of C^D takes up to D rounds, and one
+# more round shows it stable
 _EXTENSION_STEPS = 200
 # the witness search of refuted <>[] f and []<> f goes this many actions deep
 _WITNESS_DEPTH = 12
@@ -444,6 +448,11 @@ _LOOP_DIM_MAX = 70
 # 4-qubit loop family has 640 and takes about 9 s on a 2-core host, the
 # 3-qubit one (the largest in tests and workloads) 160 and 0.14 s
 _REACH_UNKNOWNS_MAX = 640
+# limit_states raises BudgetExceeded past this D: its exact projector
+# eliminates a D^2 x D^2 system, so the time grows as D^6; [] (p U~ q) on
+# the loop family took 1 s at D = 16 (2 qubits) and 61 s at D = 32 (3
+# qubits, the largest that answers) on a 2-core host
+_LIMIT_DIM_MAX = 32
 
 
 def maximal_extension(a: QuantumAutomaton, x) -> SubspaceUnion:
@@ -464,7 +473,7 @@ def maximal_extension(a: QuantumAutomaton, x) -> SubspaceUnion:
     if not _joint_image(actions, x) == x:
         raise PreconditionViolated("maximal_extension needs an invariant union")
     y = x
-    for _ in range(_EXTENSION_STEPS):
+    for _ in range(max(_EXTENSION_STEPS, a.dim + 1)):
         y2 = _meet_of_preimages(actions, y)
         if y2 == y:
             break
@@ -509,13 +518,9 @@ def _lasso_search(a: QuantumAutomaton, u: SubspaceUnion, search, budget: int = 4
     initial support for refuted limit properties, and the number of
     supports searched.  ``search`` is :meth:`_SupportGraph.recurrent_escape`
     or :meth:`_SupportGraph.avoiding_lasso`, run on the support graph
-    ``_WITNESS_DEPTH`` actions deep; the lasso is None when it finds
-    nothing, and (None, 0) when the graph needs more than ``budget``
-    expansions."""
-    try:
-        graph = _SupportGraph(a, _WITNESS_DEPTH, budget)
-    except BudgetExceeded:
-        return None, 0
+    ``_WITNESS_DEPTH`` actions deep and at most ``budget`` expansions
+    wide; the lasso is None when that graph holds none."""
+    graph = _SupportGraph(a, _WITNESS_DEPTH, budget)
     return search(graph, u), len(graph)
 
 
@@ -523,9 +528,9 @@ def _search_first(a: QuantumAutomaton, u: SubspaceUnion, search) -> Verdict | No
     """The refutation of a limit shape by a lasso, looked for before any
     fixpoint runs, or None.  The search is that of :func:`_lasso_search`
     with a budget of ``a.dim`` expansions, so it takes at most
-    |actions| * dim images; it gives up past the budget.  Every edge of the
-    graph is an exact Kraus image, so the lasso replays with
-    :func:`replay_word`."""
+    |actions| * dim images and searches the graph those images built.
+    Every edge of the graph is an exact Kraus image, so the lasso replays
+    with :func:`replay_word`."""
     lasso, nodes = _lasso_search(a, u, search, a.dim)
     if lasso is None:
         return None
@@ -718,17 +723,24 @@ def limit_states(e: SuperOp, sigma0: Mat):
     """Exact limit cycle [tau_0 .. tau_{b-1}] of sigma_n = E^n(sigma0).
 
     sigma0 must be a density matrix and E trace preserving
-    (PreconditionViolated otherwise), with peripheral eigenvalues of a
-    common order b up to ``_PERIOD_BOUND`` (:func:`linalg._peripheral_period`;
-    UncertifiedPeriod otherwise).  The fixed space of E^b must have the
-    dimension of the peripheral spectrum, after which each tau_c is an
-    exact rational matrix (the limit of the subsequence n = ub + c).  All of
-    it runs on E's real matrix in the Hermitian operator basis
-    (:meth:`SuperOp.hermitian_rep`), on the coordinates :func:`superop.hvec`.
+    (PreconditionViolated otherwise) on a space of dimension up to
+    ``_LIMIT_DIM_MAX`` (BudgetExceeded otherwise), with peripheral
+    eigenvalues of a common order b up to ``_PERIOD_BOUND``
+    (:func:`linalg._peripheral_period`; UncertifiedPeriod otherwise).  The
+    fixed space of E^b must have the dimension of the peripheral spectrum,
+    after which each tau_c is an exact rational matrix (the limit of the
+    subsequence n = ub + c).  All of it runs on E's real matrix in the
+    Hermitian operator basis (:meth:`SuperOp.hermitian_rep`), on the
+    coordinates :func:`superop.hvec`.
     """
     _validate_density(sigma0, e.dim_in, "initial state")
     if not e.is_trace_preserving():
         raise PreconditionViolated("limit states need a trace-preserving channel")
+    if e.dim_in > _LIMIT_DIM_MAX:
+        raise BudgetExceeded(
+            f"limit states on a space of dimension {e.dim_in} need a {e.dim_in**2}-row exact solve; "
+            f"the limit is dimension {_LIMIT_DIM_MAX}"
+        )
     m = e.hermitian_rep()
     peripheral_dim, b = _peripheral_period(m, _PERIOD_BOUND)
     try:
@@ -1144,9 +1156,10 @@ def check(target, formula, atoms: dict) -> Verdict:
     evidence of a refuted [] f, <> [] f, [] <> f or [] (f U g) is its
     witness, an action word or a lasso (prefix and cycle) that replays
     exactly.  The limit shapes search the support graph for a
-    refuting lasso, 12 actions deep and within D expansions on a space of
-    dimension D, before any fixpoint runs; when their fixpoints refute, the
-    same search runs again within 4000 expansions.  A refutation's
+    refuting lasso before any fixpoint runs, on the graph built 12 actions
+    deep or until D expansions on a space of dimension D, whichever stops
+    it first; when their fixpoints refute, the same search runs again on
+    the graph built until 4000 expansions.  A refutation's
     diagnostics name the pass that refuted it: search_nodes for the search,
     chain_depth for the [] chain, the fixpoint's own keys otherwise.
     """
@@ -1207,7 +1220,7 @@ def check(target, formula, atoms: dict) -> Verdict:
 class OracleResult:
     status: str  # "holds" | "fails" | "inconclusive"
     witness: dict | None = None
-    closed: bool = False
+    closed: bool = False  # the support graph closed within its depth and budget
 
     def __repr__(self):
         return f"OracleResult({self.status})"
@@ -1218,11 +1231,13 @@ def oracle_bfs(target, formula, atoms: dict, depth: int = 12, budget: int = 2000
 
     Refutations of box-shaped formulas (explicit violating words) and
     witnesses of diamond-shaped ones are sound at any depth; exact
-    recurrences (lassos) refute the limit formulas.  When the reachable
-    support graph closes within depth and budget the answers are complete
-    for the shapes of the table of :func:`check` (with the trace semantics
-    of [] (f U g)) except the almost-surely ones; otherwise, and for shapes
-    outside the table, Inconclusive.
+    recurrences (lassos) refute the limit formulas.  The graph stops at
+    ``depth`` and after ``budget`` expansions, and the refutations are
+    read off it as far as it was built.  When it closes within both the
+    answers are complete for the shapes of the table of :func:`check`
+    (with the trace semantics of [] (f U g)) except the almost-surely ones;
+    otherwise a formula with no refutation on the graph, or a shape
+    outside the table, is Inconclusive.
     """
     a = target if isinstance(target, QuantumAutomaton) else to_automaton(target)
     try:

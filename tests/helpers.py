@@ -75,6 +75,23 @@ while meas M(q0) == 1 { apply U to q0, q1, q2 }
 """
 
 
+def _qw_rows(rows) -> str:
+    return "[" + ", ".join("[" + ", ".join(str(x) for x in row) + "]" for row in rows) + "]"
+
+
+# the 4-qubit member (D = 64): U = sqrt(1/2) (H x I x I x I) (CX x I x I),
+# input |-> x |000>
+_U4 = np.kron([[1, 1], [1, -1]], np.eye(8, dtype=int)) @ np.kron(np.eye(4, dtype=int)[[0, 1, 3, 2]], np.eye(4, dtype=int))
+_RHO4 = np.kron([[Fraction(1, 2), Fraction(-1, 2)], [Fraction(-1, 2), Fraction(1, 2)]], np.diag([1] + [0] * 7))
+FOUR_QUBIT_LOOP_SRC = f"""qubits 4;
+unitary U = sqrt(1/2) * {_qw_rows(_U4.tolist())};
+measurement M = {{[[1, 0], [0, 0]], [[0, 0], [0, 1]]}};
+input {_qw_rows(_RHO4.tolist())};
+skip;
+while meas M(q0) == 1 {{ apply U to q0, q1, q2, q3 }}
+"""
+
+
 def rotation_loop_src(n):
     """while q0 = 1, rotate q0 by the rational rotation of t = 1/n, from |1>.
 

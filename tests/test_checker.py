@@ -63,6 +63,7 @@ from qtl.cli import main as cli_main
 
 from helpers import (
     EXAMPLE_LOOP_SRC,
+    FOUR_QUBIT_LOOP_SRC,
     NEVER_EXITS_SRC,
     PARTIALLY_TRAPPED_SRC,
     PAULI_X,
@@ -264,6 +265,22 @@ class TestMaximalExtension:
         aut = QuantumAutomaton(2, {"damp": damp}, KET1)
         ext = maximal_extension(aut, union(span((1, 0))))
         assert ext == SubspaceUnion.full(2)
+
+    def test_chain_runs_as_long_as_the_dimension_needs(self, monkeypatch):
+        # the shift |i> -> |i+1> on C^260 that stops at |259>: span(e259)
+        # is invariant, and its extension grows by one basis vector a
+        # round, so the chain needs 260 rounds, past the 200 of the floor
+        dim = 260
+        shift = Mat.from_rows([[int(r == c + 1) for c in range(dim)] for r in range(dim)])
+        stop = Mat.unit(dim, dim - 1, dim - 1)
+        a = QuantumAutomaton(dim, {"s": SuperOp([shift, stop])}, Mat.unit(dim, 0, 0))
+        u = union(Subspace.from_vectors(dim, [[int(r == dim - 1) for r in range(dim)]]))
+        rounds = []
+        exact = checker._meet_of_preimages
+        monkeypatch.setattr(checker, "_meet_of_preimages", lambda actions, y: rounds.append(y) or exact(actions, y))
+        assert check_eventually_always(a, u).is_valid
+        assert len(rounds) > checker._EXTENSION_STEPS
+        assert check_always_eventually(a, u).is_valid
 
 
 class TestEventuallyAlways:
@@ -653,7 +670,7 @@ class TestLoopRefinement:
         monkeypatch.setattr(Mat, "dagger", checked_dagger)
         monkeypatch.setattr(checker, "_p2_refine", counting_refine)
         monkeypatch.setattr(MatrixRep, "power", no_power)
-        check_always_eventually(to_automaton(example_loop), _exit_ok(example_loop))
+        checker._always_eventually_by_fixpoints(to_automaton(example_loop), _exit_ok(example_loop))
         rng = random.Random(2104)
         for _ in range(20):
             k = rng.choice([2, 3])
@@ -733,6 +750,30 @@ class TestLoopGuard:
         assert cli_main(["check", str(program_path), "--atoms", str(atoms_path), "-f", "[] <> e0"]) == 3
         assert "BudgetExceeded" in capsys.readouterr().err
 
+    def test_large_almost_until_raises_before_any_hermitian_rep(self, monkeypatch, tmp_path, capsys):
+        # the 4-qubit loop (D = 64) passes every other guard, but the
+        # projector of its limit states would eliminate a 4096-row system;
+        # [] (p U~ q) is refused up front, and `qtl check` exits 3 at once
+        prog = compile_source(FOUR_QUBIT_LOOP_SRC)
+        assert prog.dim * len(prog.locations) > checker._LIMIT_DIM_MAX
+        zero_q0 = Subspace.from_vectors(16, [[int(r == i) for r in range(16)] for i in range(8)])
+        atoms = [
+            {"name": "p", "subspace": jsonio.subspace_to_json(partial_correctness_subspace(prog, zero_q0))},
+            {"name": "q", "subspace": jsonio.subspace_to_json(exit_atom_subspace(prog, zero_q0))},
+        ]
+        program_path, atoms_path = tmp_path / "loop4.json", tmp_path / "atoms.json"
+        program_path.write_text(jsonio.dumps(jsonio.program_to_json(prog)))
+        atoms_path.write_text(jsonio.dumps(atoms))
+
+        def forbidden(self):
+            raise AssertionError("hermitian_rep called")
+
+        monkeypatch.setattr(SuperOp, "hermitian_rep", forbidden)
+        start = time.perf_counter()
+        assert cli_main(["check", str(program_path), "--atoms", str(atoms_path), "-f", "[] (p U~ q)"]) == 3
+        assert time.perf_counter() - start < 1
+        assert "limit states on a space of dimension 64" in capsys.readouterr().err
+
 
 class TestAlwaysUntil:
     def test_valid_conjunction(self, x_automaton):
@@ -807,11 +848,15 @@ class TestRefuteFirst:
     def test_search_first_agrees_with_the_fixpoints(self):
         # check gives the fixpoint-only status wherever that status is
         # decided, every lasso replays, and a former unknown that is now
-        # refuted agrees with oracle_bfs wherever the oracle decides
+        # refuted agrees with oracle_bfs wherever the oracle decides; a
+        # first graph stopped by its budget of dim expansions still yields
+        # the lassos it holds
         counts = collections.Counter()
         for a, u in _refutation_instances(random.Random(3801)):
             atoms = {f"m{i}": Atom(f"m{i}", m) for i, m in enumerate(u.members)}
             body = functools.reduce(Or, [FAtom(name) for name in atoms])
+            first = checker._SupportGraph(a, checker._WITNESS_DEPTH, a.dim)
+            cut = any(i not in first.successors and first.depth[i] < checker._WITNESS_DEPTH for i in range(len(first)))
             for shape, decide, by_fixpoints, formula in LIMIT_SHAPES:
                 got, ref = decide(a, u), getattr(checker, by_fixpoints)(a, u)
                 if ref.status != "unknown":
@@ -825,7 +870,11 @@ class TestRefuteFirst:
                 if ref.status == "unknown":
                     counts["unknown refuted"] += 1
                     assert oracle_bfs(a, formula(body), atoms).status != "holds"
+                if cut and "search_nodes" in got.diagnostics:
+                    assert len(first.successors) == a.dim and got.diagnostics["search_nodes"] == len(first)
+                    counts["cut refuted"] += 1
         assert counts["search"] > 20 and counts["fixpoints"] > 0 and counts["unknown refuted"] > 0
+        assert counts["cut refuted"] > 0
 
     def test_invariance_chain_stops_at_the_escape(self, monkeypatch):
         # the [] chain stops at the first round that drops the initial
@@ -873,7 +922,7 @@ class TestRefuteFirst:
         # a rotation of infinite order and a phase flip on span(e0, e1),
         # both fixing e2, from |e0>: the supports are lines of span(e0, e1)
         # that never repeat, so the support graph does not close, and
-        # <> [] span(e0, e1) is valid.  The search gives up after dim
+        # <> [] span(e0, e1) is valid.  The search stops after dim
         # expansions, |actions| * dim images, before the fixpoints run
         rotation = Mat.from_rows([["3/5", "-4/5", 0], ["4/5", "3/5", 0], [0, 0, 1]])
         flip = Mat.from_rows([[1, 0, 0], [0, -1, 0], [0, 0, 1]])
@@ -898,6 +947,16 @@ class TestRefuteFirst:
         monkeypatch.undo()
         graph = checker._SupportGraph(a, checker._WITNESS_DEPTH, 4000)
         assert not graph.closed and len(graph) > a.dim
+
+    def test_budget_stops_the_walk_as_the_depth_does(self, x_automaton):
+        # the X automaton's graph is |0> -> |1> -> |0>: cut after the root by
+        # its depth or by its budget, it is the same open graph with one
+        # expanded node, and with two expansions it closes
+        by_depth = checker._SupportGraph(x_automaton, 1, 4000)
+        by_budget = checker._SupportGraph(x_automaton, checker._WITNESS_DEPTH, 1)
+        for graph in (by_depth, by_budget):
+            assert not graph.closed and list(graph.successors) == [0] and len(graph) == 2
+        assert checker._SupportGraph(x_automaton, checker._WITNESS_DEPTH, 2).closed
 
     def test_short_lasso_runs_no_fixpoint(self, monkeypatch, x_automaton):
         def forbidden(*args):
@@ -1623,8 +1682,14 @@ class TestOracle:
         assert v.diagnostics["conjunct"] == "invariance"
 
     def test_budget_exceeded(self, x_automaton):
-        with pytest.raises(BudgetExceeded):
-            oracle_bfs(x_automaton, Always(FAtom("p0")), self._atoms(), depth=12, budget=1)
+        # the budget ends the walk as the depth does: the root alone is
+        # expanded, its X image refutes [] p0, and nothing refutes or
+        # proves [] (p0 || p1) on the graph built so far
+        atoms = self._atoms()
+        r = oracle_bfs(x_automaton, Always(FAtom("p0")), atoms, depth=12, budget=1)
+        assert r.status == "fails" and r.witness["word"] == ["x"] and not r.closed
+        r = oracle_bfs(x_automaton, Always(Or(FAtom("p0"), FAtom("p1"))), atoms, depth=12, budget=1)
+        assert r.status == "inconclusive" and not r.closed
 
     def test_lassos_replay(self, x_automaton):
         atoms = self._atoms()
