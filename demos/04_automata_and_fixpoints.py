@@ -8,9 +8,16 @@
 #   stabilization      maximal invariant, then its maximal extension
 #   recurrence         loop refinement over union components (needs the
 #                      peripheral periods of the loop channels)
+#
+# The two limit shapes first walk the support graph (one node per reachable
+# support, one edge per action).  A lasso there refutes them; when the graph
+# closes and holds none, it decides them valid and the fixpoints never run.
+# The bit-flip automaton's graph |0> -> |1> -> |0> closes, so its recurrence
+# is decided on the graph, and the loop refinement is called on its own below.
 
 from qtl import Mat, QuantumAutomaton, Subspace, SubspaceUnion, SuperOp
 from qtl.checker import (
+    _always_eventually_by_fixpoints,
     check_always_eventually,
     check_eventually_always,
     check_invariance,
@@ -43,7 +50,9 @@ print("  into the union:      ", check_eventually_always(automaton, both).status
 
 print("\nrecurrence (always eventually):")
 v = check_always_eventually(automaton, line)
-print("  returns to span|0>:", v.status, " loop periods used:", v.diagnostics["periods"])
+print("  returns to span|0>:", v.status, " support graph nodes:", v.diagnostics["graph_nodes"])
+v = _always_eventually_by_fixpoints(automaton, line)
+print("  the same by loop refinement:", v.status, " loop periods used:", v.diagnostics["periods"])
 minus = SubspaceUnion(2, [Subspace.from_vectors(2, [[1, -1]])])
 print("  reaches span|->:   ", check_always_eventually(automaton, minus).status)
 

@@ -5,8 +5,9 @@ subspaces: decreasing pre-image chains decide invariance, a maximal
 invariant plus its maximal extension decide "eventually always", and a loop
 refinement over union components decides "always eventually" whenever the
 relevant peripheral eigenvalue periods can be certified.  The limit shapes
-look for a refuting lasso on the support graph first and run their
-fixpoints only when none is at hand.  The fixpoints,
+search the support graph first: a lasso refutes them, a closed graph with
+none proves them, and their fixpoints run only when neither is at hand.
+The fixpoints,
 the loop refinement and the witness search take images and pre-images from
 the actions' Kraus operators (the refinement pulls subspaces back through
 the actions' duals).  A channel's real matrix in a Hermitian operator
@@ -491,8 +492,11 @@ def check_eventually_always(a: QuantumAutomaton, u) -> Verdict:
     """Decide "from some point on, every continuation satisfies the union".
 
     A lasso whose cycle starts at a support outside the union refutes it,
-    and one is looked for first (:func:`_search_first`).  Otherwise the
-    verdict is that of :func:`_eventually_always_by_fixpoints`.
+    and one is looked for first (:func:`_search_first`); when the support
+    graph of that search closed and holds none, no support outside the
+    union lies on a cycle and the union of the graph's nodes certifies the
+    valid verdict.  Otherwise the verdict is that of
+    :func:`_eventually_always_by_fixpoints`.
     """
     u = _operand(a, u)
     return _search_first(a, u, _SupportGraph.recurrent_escape) or _by_fixpoints(
@@ -514,27 +518,34 @@ def _eventually_always_by_fixpoints(a: QuantumAutomaton, u) -> Verdict:
 
 
 def _lasso_search(a: QuantumAutomaton, u: SubspaceUnion, search, budget: int = 4000):
-    """(lasso, nodes): a finite witness (prefix word + cycle word) from the
-    initial support for refuted limit properties, and the number of
-    supports searched.  ``search`` is :meth:`_SupportGraph.recurrent_escape`
-    or :meth:`_SupportGraph.avoiding_lasso`, run on the support graph
+    """(lasso, graph): a finite witness (prefix word + cycle word) from the
+    initial support for refuted limit properties, and the support graph
+    searched.  ``search`` is :meth:`_SupportGraph.recurrent_escape` or
+    :meth:`_SupportGraph.avoiding_lasso`, run on the support graph
     ``_WITNESS_DEPTH`` actions deep and at most ``budget`` expansions
     wide; the lasso is None when that graph holds none."""
     graph = _SupportGraph(a, _WITNESS_DEPTH, budget)
-    return search(graph, u), len(graph)
+    return search(graph, u), graph
 
 
 def _search_first(a: QuantumAutomaton, u: SubspaceUnion, search) -> Verdict | None:
-    """The refutation of a limit shape by a lasso, looked for before any
-    fixpoint runs, or None.  The search is that of :func:`_lasso_search`
-    with a budget of ``a.dim`` expansions, so it takes at most
-    |actions| * dim images and searches the graph those images built.
-    Every edge of the graph is an exact Kraus image, so the lasso replays
-    with :func:`replay_word`."""
-    lasso, nodes = _lasso_search(a, u, search, a.dim)
-    if lasso is None:
-        return None
-    return Verdict.not_valid(witness=lasso, diagnostics={"search_nodes": nodes})
+    """A limit shape decided on the support graph before any fixpoint runs,
+    or None.  The search is that of :func:`_lasso_search` with a budget of
+    ``a.dim`` expansions, so it takes at most |actions| * dim images and
+    searches the graph those images built.  Every edge of the graph is an
+    exact Kraus image, so a lasso refutes and replays with
+    :func:`replay_word`.  When there is none and the graph closed, its
+    paths are exactly the support sequences of all traces, and every
+    infinite path ends in cycles of the graph, none of which refutes: the
+    shape is valid, with the union of the nodes, an invariant union that
+    holds the initial support, as its certificate.  None means the graph
+    did not close and holds no lasso."""
+    lasso, graph = _lasso_search(a, u, search, a.dim)
+    if lasso is not None:
+        return Verdict.not_valid(witness=lasso, diagnostics={"search_nodes": len(graph)})
+    if graph.closed:
+        return Verdict.valid(certificate=SubspaceUnion(a.dim, graph.nodes), diagnostics={"graph_nodes": len(graph)})
+    return None
 
 
 def _by_fixpoints(v: Verdict) -> Verdict:
@@ -629,8 +640,10 @@ def check_always_eventually(a: QuantumAutomaton, u) -> Verdict:
     """Decide "the union is visited infinitely often on every path".
 
     A lasso whose whole cycle stays outside the union refutes it, and one
-    is looked for first (:func:`_search_first`).  Otherwise the verdict is
-    that of :func:`_always_eventually_by_fixpoints`.
+    is looked for first (:func:`_search_first`); when the support graph of
+    that search closed and holds none, every cycle meets the union and the
+    union of the graph's nodes certifies the valid verdict.  Otherwise the
+    verdict is that of :func:`_always_eventually_by_fixpoints`.
     """
     u = _operand(a, u)
     return _search_first(a, u, _SupportGraph.avoiding_lasso) or _by_fixpoints(
@@ -681,7 +694,10 @@ def check_always_until(a: QuantumAutomaton, phi, psi) -> Verdict:
 
     The conjunction is sufficient, not necessary: [] (phi U psi) needs only
     invariance of phi || psi besides the recurrence of psi, so a refutation
-    may be wrong (the "conservative" row of the :func:`check` table).
+    may be wrong (the "conservative" row of the :func:`check` table).  A
+    valid verdict carries the recurrence conjunct's certificate: the union
+    of the closed support graph's nodes, or the fixpoint of the loop
+    refinement.
     """
     inv = check_invariance(a, phi)
     if inv.status == NOT_VALID:
@@ -1126,9 +1142,11 @@ def check(target, formula, atoms: dict) -> Verdict:
         X f            one-step successors
         [] f           invariance (pre-image chain, stopped at the first
                        round that drops the initial support)
-        [] <> f        recurrence (lasso search, then loop refinement;
+        [] <> f        recurrence (lasso search, which also decides
+                       valid when its graph closes; then loop refinement,
                        may be Unknown)
-        <> [] f        stabilization (lasso search, then maximal
+        <> [] f        stabilization (lasso search, which also decides
+                       valid when its graph closes; then maximal
                        invariant + extension)
         [] (f U g)     invariance conjunct plus recurrence conjunct
                        (conservative: may refute what holds on every
@@ -1151,17 +1169,22 @@ def check(target, formula, atoms: dict) -> Verdict:
     common order up to 64.  The automaton of a program is built only
     for the shapes that run on it.
 
-    Validity comes from the fixpoints, and a valid verdict carries the
-    fixpoint as its certificate.  A refutation carries no certificate: the
-    evidence of a refuted [] f, <> [] f, [] <> f or [] (f U g) is its
-    witness, an action word or a lasso (prefix and cycle) that replays
-    exactly.  The limit shapes search the support graph for a
-    refuting lasso before any fixpoint runs, on the graph built 12 actions
-    deep or until D expansions on a space of dimension D, whichever stops
-    it first; when their fixpoints refute, the same search runs again on
-    the graph built until 4000 expansions.  A refutation's
-    diagnostics name the pass that refuted it: search_nodes for the search,
-    chain_depth for the [] chain, the fixpoint's own keys otherwise.
+    The limit shapes search the support graph before any fixpoint runs,
+    on the graph built 12 actions deep or until D expansions on a space of
+    dimension D, whichever stops it first.  A refuting lasso on it decides
+    not_valid.  When the graph closed (every node's action images are
+    nodes) and holds none, its paths are exactly the support sequences of
+    all traces, so the shape is valid: the certificate is the union of the
+    nodes, an invariant union that holds the initial support, and the
+    diagnostics give graph_nodes.  Everywhere else validity comes from the
+    fixpoints, and a valid verdict carries the fixpoint as its
+    certificate.  A refutation carries no certificate: the evidence of a
+    refuted [] f, <> [] f, [] <> f or [] (f U g) is its witness, an action
+    word or a lasso (prefix and cycle) that replays exactly; when the
+    fixpoints of a limit shape refute, the same search runs again on the
+    graph built until 4000 expansions.  A refutation's diagnostics name
+    the pass that refuted it: search_nodes for the search, chain_depth for
+    the [] chain, the fixpoint's own keys otherwise.
     """
     if isinstance(target, QuantumAutomaton):
         ambient = target.dim

@@ -1,7 +1,9 @@
 import collections
 import functools
+import importlib.util
 import itertools
 import math
+import pathlib
 import random
 import time
 from fractions import Fraction
@@ -298,6 +300,17 @@ class TestEventuallyAlways:
         assert SubspaceUnion(2, [rep.preimage(m) for m in psi.members]) == psi
 
 
+def _decaying_oscillation():
+    """Basis A, B, C and one action with Kraus operators |B><A| + |C><C|,
+    (3/5)|A><B| and (4/5)|C><B|, from |A><A|."""
+    step = SuperOp([
+        Mat.from_rows([[0, 0, 0], [1, 0, 0], [0, 0, 1]]),
+        Mat.from_rows([[0, "3/5", 0], [0, 0, 0], [0, 0, 0]]),
+        Mat.from_rows([[0, 0, 0], [0, 0, 0], [0, "4/5", 0]]),
+    ])
+    return QuantumAutomaton(3, {"step": step}, Mat.unit(3, 0, 0))
+
+
 class TestAlwaysEventually:
     def test_x_gate_returns_to_line(self, x_automaton):
         v = check_always_eventually(x_automaton, union(span((1, 0))))
@@ -346,13 +359,10 @@ class TestAlwaysEventually:
         # basis A, B, C: the supports run {A}, {B}, {A, C}, {B, C}, {A, C},
         # ... so span{A, C} recurs.  The A-B block has the eigenvalues
         # +-3/5, whose ratio -1 has order 2, while the peripheral part has
-        # period 1; the checker refutes with periods [1]
-        step = SuperOp([
-            Mat.from_rows([[0, 0, 0], [1, 0, 0], [0, 0, 1]]),
-            Mat.from_rows([[0, "3/5", 0], [0, 0, 0], [0, 0, 0]]),
-            Mat.from_rows([[0, 0, 0], [0, 0, 0], [0, "4/5", 0]]),
-        ])
-        aut = QuantumAutomaton(3, {"step": step}, Mat.unit(3, 0, 0))
+        # period 1; the checker refutes with periods [1].  The 4-node
+        # support graph would decide it, but the first graph is cut at
+        # D = 3 expansions, so the loop refinement runs
+        aut = _decaying_oscillation()
         atoms = {"p": Atom("p", span((1, 0, 0), (0, 0, 1)))}
         formula = parse_formula("[] <> p", atoms)
         assert oracle_bfs(aut, formula, atoms, depth=20).status == "holds"
@@ -968,6 +978,129 @@ class TestRefuteFirst:
         assert v.status == "not_valid" and v.certificate is None
         assert v.witness == {"prefix": [], "cycle": ["x", "x"]}
         assert v.diagnostics == {"search_nodes": 2}
+
+
+def _limit_case(family, seed):
+    """(automaton, union) of one seeded family: leaky cycles, programs of
+    2-5 locations on d = 2 or 3, or random automata of 1-2 actions on d = 2
+    or 3; the union is one coordinate subspace."""
+    rng = random.Random(seed)
+    if family == "leaky":
+        a = leaky_cycle_automaton(rng)
+    elif family == "program":
+        a = to_automaton(random_deterministic_program(rng, rng.choice([2, 3]), rng.randint(2, 5)))
+    else:
+        a = random_automaton(rng, rng.choice([2, 3]), rng.randint(1, 2), finite_order=rng.random() < 0.5)
+    return a, basis_union(rng, a.dim, 1)
+
+
+def _union_atoms(u):
+    atoms = {f"m{i}": Atom(f"m{i}", m) for i, m in enumerate(u.members)}
+    return atoms, functools.reduce(Or, [FAtom(name) for name in atoms])
+
+
+def _recheck_graph_certificate(a, certificate):
+    """The certificate of a limit shape decided on the closed support graph,
+    re-checked on dense matrix-rep images: it holds the support of the
+    initial state, and every member's image under every action lies in a
+    member."""
+    assert certificate.contains_subspace(support(a.initial_state, validate=False))
+    for e in a.actions.values():
+        rep = MatrixRep(e.matrix_rep())
+        for m in certificate.members:
+            assert certificate.contains_subspace(rep.image(m))
+
+
+def _benchmark_generators():
+    """perfbench/generators.py, which writes the benchmark's input files."""
+    path = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "generators.py"
+    spec = importlib.util.spec_from_file_location("perfbench_generators", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestClosedFirstGraph:
+    """A <> [] or [] <> with no lasso on a first support graph that closed
+    is valid, decided on the graph; the fixpoints run only where it did not
+    close."""
+
+    def test_graph_decided_valid_agrees_with_the_oracle(self):
+        # every graph-decided valid answer agrees with oracle_bfs (dense
+        # images, its own root) wherever the oracle decides, and its
+        # certificate passes the dense re-check
+        counts = collections.Counter()
+        for family in ("leaky", "program", "automaton"):
+            for seed in range(150):
+                a, u = _limit_case(family, seed)
+                atoms, body = _union_atoms(u)
+                first = checker._SupportGraph(a, checker._WITNESS_DEPTH, a.dim)
+                for _, decide, _, formula in LIMIT_SHAPES:
+                    v = decide(a, u)
+                    if "graph_nodes" not in v.diagnostics:
+                        continue
+                    assert v.is_valid and first.closed and v.diagnostics == {"graph_nodes": len(first)}
+                    _recheck_graph_certificate(a, v.certificate)
+                    oracle = oracle_bfs(a, formula(body), atoms, depth=64)
+                    assert oracle.status != "fails"
+                    counts[family, oracle.status] += 1
+        assert all(counts[family, "holds"] > 5 for family in ("leaky", "program", "automaton"))
+
+    # [] <> refutations by the loop refinement that the closed graph turns
+    # into valid answers: the oscillation sits in decaying eigenvalues, which
+    # the peripheral period misses, and oracle_bfs says holds on each
+    @pytest.mark.parametrize(
+        "family, seed",
+        [("leaky", s) for s in (4, 15, 23, 40, 54, 55, 71, 80, 93, 109, 112, 124)] + [("program", 82), ("program", 100)],
+    )
+    def test_former_wrong_refutations(self, family, seed):
+        a, u = _limit_case(family, seed)
+        atoms, body = _union_atoms(u)
+        v = check_always_eventually(a, u)
+        assert v.is_valid and "graph_nodes" in v.diagnostics
+        _recheck_graph_certificate(a, v.certificate)
+        assert oracle_bfs(a, Always(Eventually(body)), atoms, depth=64).status == "holds"
+
+    def test_closed_graph_runs_no_fixpoint(self, monkeypatch):
+        # the valid <> [] queries of the benchmark's lattice-large workload,
+        # on the 3-qubit loop (8 supports) and on the two-selector scheduler
+        # (3 supports from |0>, 6 from |1>), are decided on their closed
+        # graphs: no maximal invariant, no maximal extension, no loop
+        # matrix.  An automaton whose first graph stays open still reaches
+        # the fixpoints (test_first_pass_takes_at_most_dim_expansions)
+        loop = compile_source(THREE_QUBIT_LOOP_SRC)
+        zero_q0 = Subspace.from_vectors(8, [[int(r == i) for r in range(8)] for i in range(4)])
+        loop_atoms = {"partial_ok": Atom("partial_ok", partial_correctness_subspace(loop, zero_q0))}
+        cases = [(loop, "<> [] partial_ok", loop_atoms, 8)]
+        generators = _benchmark_generators()
+        for bit, nodes in ((0, 3), (1, 6)):
+            scheduler = jsonio.program_from_json(generators.scheduler_program_json(bit))
+            atoms = {
+                name: atom_from_blocks(name, {config: span(vector) for config in scheduler.configs()}, scheduler)
+                for name, vector in (("all0", (1, 0)), ("all1", (0, 1)))
+            }
+            cases.append((scheduler, "<> [] (all0 || all1)", atoms, nodes))
+
+        def forbidden(*args):
+            raise AssertionError("a fixpoint ran")
+
+        monkeypatch.setattr(checker, "maximal_invariant", forbidden)
+        monkeypatch.setattr(checker, "maximal_extension", forbidden)
+        monkeypatch.setattr(SuperOp, "hermitian_rep", forbidden)
+        for target, text, atoms, nodes in cases:
+            v = check(target, parse_formula(text, atoms), atoms)
+            assert v.is_valid and v.diagnostics == {"graph_nodes": nodes}
+
+    def test_decaying_oscillation_graph_is_cut(self):
+        # test_oscillation_in_decaying_eigenvalues keeps its strict xfail:
+        # its support graph {A}, {B}, {A, C}, {B, C} closes with 4 nodes,
+        # but the first graph stops after D = 3 expansions, so the loop
+        # refinement decides it
+        aut = _decaying_oscillation()
+        first = checker._SupportGraph(aut, checker._WITNESS_DEPTH, aut.dim)
+        assert not first.closed and len(first.successors) == aut.dim == 3
+        whole = checker._SupportGraph(aut, checker._WITNESS_DEPTH, 4000)
+        assert whole.closed and len(whole) == 4
 
 
 class TestAlmostUntil:
