@@ -4,9 +4,11 @@ The workhorses are exact fixpoint computations on finite unions of
 subspaces: decreasing pre-image chains decide invariance, a maximal
 invariant plus its maximal extension decide "eventually always", and a loop
 refinement over union components decides "always eventually" whenever the
-relevant peripheral eigenvalue periods can be certified.  The limit shapes
-search the support graph first: a lasso refutes them, a closed graph with
-none proves them, and their fixpoints run only when neither is at hand.
+relevant peripheral eigenvalue periods can be certified.  The limit shapes,
+"always until" and invariance of a union of two or more members search the
+support graph first: a lasso or an escape refutes them, a closed graph
+with none proves them, and their fixpoints or chains run only when neither
+is at hand.
 The fixpoints,
 the loop refinement and the witness search take images and pre-images from
 the actions' Kraus operators (the refinement pulls subspaces back through
@@ -365,25 +367,50 @@ def _operand(a: QuantumAutomaton, u) -> SubspaceUnion:
 def check_invariance(a: QuantumAutomaton, u) -> Verdict:
     """Decide that every reachable state satisfies the union of subspaces.
 
-    The certificate of a valid verdict is the stabilized pre-image chain.
-    The chain stops at the first round k that drops the initial support
-    (``chain_depth``), the depth of the shallowest escape, and the
-    refuting action word is then recovered by breadth-first search to
-    depth k, within 200,000 expansions (QtlError when the search stops
-    before the escape).
+    When the initial support lies in a union of two or more members, whose
+    pre-image chain multiplies its members round by round, the support
+    graph is searched first (:func:`_search_first`): its shallowest node
+    outside the union refutes, with the witness the chain would give, and
+    a closed graph with no such node proves it, with the union of the
+    nodes, an invariant union between the initial support and the union,
+    as its certificate.  One-member unions, whose chain is one kernel per
+    round and stops within D rounds, and the graphs that did not close get
+    the verdict of :func:`_invariance_by_chain`.
     """
+    u = _operand(a, u)
+    if len(u.members) > 1 and u.contains_subspace(_initial_support(a)):
+        v = _search_first(a, u, _escape_witness)
+        if v is not None:
+            return v
+    return _invariance_by_chain(a, u)
+
+
+def _invariance_by_chain(a: QuantumAutomaton, u) -> Verdict:
+    """[] on the lattice alone.  The certificate of a valid verdict is the
+    stabilized pre-image chain.  The chain stops at the first round k that
+    drops the initial support (``chain_depth``), the depth of the
+    shallowest escape, and the refuting action word is then recovered by
+    breadth-first search to depth k, within 200,000 expansions (QtlError
+    when the search stops before the escape)."""
     u = _operand(a, u)
     root = _initial_support(a)
     psi, depth = _invariance_chain(_actions(a), u, root)
     diag = {"chain_depth": depth}
     if psi.contains_subspace(root):
         return Verdict.valid(certificate=psi, diagnostics=diag)
-    graph = _SupportGraph(a, depth, 200000, root=root)
+    witness = _escape_witness(_SupportGraph(a, depth, 200000, root=root), u)
+    if witness is None:
+        raise QtlError("refuted invariance but found no witness within the bound")
+    return Verdict.not_valid(witness=witness, diagnostics=diag)
+
+
+def _escape_witness(graph: _SupportGraph, u: SubspaceUnion) -> dict | None:
+    """The graph's shallowest node outside the union as a refutation of
+    [] u, {"word", "step", "support_dim"}, or None."""
     i = graph.escape(u)
     if i is None:
-        raise QtlError("refuted invariance but found no witness within the bound")
-    witness = {"word": graph.word_to(i), "step": graph.depth[i], "support_dim": graph.nodes[i].dim}
-    return Verdict.not_valid(witness=witness, diagnostics=diag)
+        return None
+    return {"word": graph.word_to(i), "step": graph.depth[i], "support_dim": graph.nodes[i].dim}
 
 
 # ----------------------------------------------------------------------
@@ -518,31 +545,34 @@ def _eventually_always_by_fixpoints(a: QuantumAutomaton, u) -> Verdict:
 
 
 def _lasso_search(a: QuantumAutomaton, u: SubspaceUnion, search, budget: int = 4000):
-    """(lasso, graph): a finite witness (prefix word + cycle word) from the
-    initial support for refuted limit properties, and the support graph
-    searched.  ``search`` is :meth:`_SupportGraph.recurrent_escape` or
-    :meth:`_SupportGraph.avoiding_lasso`, run on the support graph
-    ``_WITNESS_DEPTH`` actions deep and at most ``budget`` expansions
-    wide; the lasso is None when that graph holds none."""
+    """(witness, graph): a finite witness from the initial support, a
+    lasso (prefix word + cycle word) for refuted limit properties or an
+    action word for refuted invariance, and the support graph searched.
+    ``search`` is :meth:`_SupportGraph.recurrent_escape`,
+    :meth:`_SupportGraph.avoiding_lasso` or :func:`_escape_witness`, run
+    on the support graph ``_WITNESS_DEPTH`` actions deep and at most
+    ``budget`` expansions wide; the witness is None when that graph holds
+    none."""
     graph = _SupportGraph(a, _WITNESS_DEPTH, budget)
     return search(graph, u), graph
 
 
 def _search_first(a: QuantumAutomaton, u: SubspaceUnion, search) -> Verdict | None:
-    """A limit shape decided on the support graph before any fixpoint runs,
-    or None.  The search is that of :func:`_lasso_search` with a budget of
-    ``a.dim`` expansions, so it takes at most |actions| * dim images and
-    searches the graph those images built.  Every edge of the graph is an
-    exact Kraus image, so a lasso refutes and replays with
+    """A shape decided on the support graph before any fixpoint or chain
+    runs, or None.  The search is that of :func:`_lasso_search` with a
+    budget of ``a.dim`` expansions, so it takes at most |actions| * dim
+    images and searches the graph those images built; it is one of the
+    lasso searches or :func:`_escape_witness`.  Every edge of the graph is
+    an exact Kraus image, so a lasso or an escape refutes and replays with
     :func:`replay_word`.  When there is none and the graph closed, its
     paths are exactly the support sequences of all traces, and every
     infinite path ends in cycles of the graph, none of which refutes: the
     shape is valid, with the union of the nodes, an invariant union that
     holds the initial support, as its certificate.  None means the graph
-    did not close and holds no lasso."""
-    lasso, graph = _lasso_search(a, u, search, a.dim)
-    if lasso is not None:
-        return Verdict.not_valid(witness=lasso, diagnostics={"search_nodes": len(graph)})
+    did not close and holds no refutation."""
+    witness, graph = _lasso_search(a, u, search, a.dim)
+    if witness is not None:
+        return Verdict.not_valid(witness=witness, diagnostics={"search_nodes": len(graph)})
     if graph.closed:
         return Verdict.valid(certificate=SubspaceUnion(a.dim, graph.nodes), diagnostics={"graph_nodes": len(graph)})
     return None
@@ -694,22 +724,44 @@ def check_always_until(a: QuantumAutomaton, phi, psi) -> Verdict:
 
     The conjunction is sufficient, not necessary: [] (phi U psi) needs only
     invariance of phi || psi besides the recurrence of psi, so a refutation
-    may be wrong (the "conservative" row of the :func:`check` table).  A
-    valid verdict carries the recurrence conjunct's certificate: the union
-    of the closed support graph's nodes, or the fixpoint of the loop
-    refinement.
+    may be wrong (the "conservative" row of the :func:`check` table).  Both
+    conjuncts are decided on one support graph, built as
+    :func:`_search_first` builds it, when the initial support lies in phi:
+    its shallowest node outside phi refutes the invariance conjunct, then a
+    lasso whose cycle avoids psi the recurrence conjunct, and when the
+    graph closed and holds neither, the verdict is valid with the union of
+    the nodes as its certificate and ``graph_nodes`` as its diagnostics.
+    Where the graph did not close, :func:`_invariance_by_chain` and then
+    :func:`_always_eventually_by_fixpoints` decide what the graph left
+    open, and a valid verdict carries the loop refinement's fixpoint, its
+    diagnostics and the ``invariance_chain_depth``.
     """
-    inv = check_invariance(a, phi)
-    if inv.status == NOT_VALID:
-        return Verdict.not_valid(witness=inv.witness, diagnostics={"conjunct": "invariance", **inv.diagnostics})
-    ae = check_always_eventually(a, psi)
+    phi, psi = _operand(a, phi), _operand(a, psi)
+    inv = graph = None  # with no graph the chain refutes at step 0
+    if phi.contains_subspace(_initial_support(a)):
+        graph = _SupportGraph(a, _WITNESS_DEPTH, a.dim)
+        escape = _escape_witness(graph, phi)
+        if escape is not None:
+            return Verdict.not_valid(witness=escape, diagnostics={"conjunct": "invariance", "search_nodes": len(graph)})
+    if graph is None or not graph.closed:
+        inv = _invariance_by_chain(a, phi)
+        if inv.status == NOT_VALID:
+            return Verdict.not_valid(witness=inv.witness, diagnostics={"conjunct": "invariance", **inv.diagnostics})
+    lasso = graph.avoiding_lasso(psi)
+    if lasso is not None:
+        return Verdict.not_valid(
+            witness=lasso, diagnostics={"search_nodes": len(graph), "conjunct": "always_eventually"}
+        )
+    if inv is None:
+        return Verdict.valid(certificate=SubspaceUnion(a.dim, graph.nodes), diagnostics={"graph_nodes": len(graph)})
+    ae = _always_eventually_by_fixpoints(a, psi)
     if ae.status == UNKNOWN:
         return ae
     if ae.status == NOT_VALID:
-        ae.diagnostics["conjunct"] = "always_eventually"
-        return ae
+        return Verdict.not_valid(witness=ae.witness, diagnostics={**ae.diagnostics, "conjunct": "always_eventually"})
     return Verdict.valid(
-        certificate=ae.certificate, diagnostics={"invariance_chain_depth": inv.diagnostics.get("chain_depth")}
+        certificate=ae.certificate,
+        diagnostics={"invariance_chain_depth": inv.diagnostics["chain_depth"], **ae.diagnostics},
     )
 
 
@@ -1140,17 +1192,22 @@ def check(target, formula, atoms: dict) -> Verdict:
 
         f              satisfaction by the initial state
         X f            one-step successors
-        [] f           invariance (pre-image chain, stopped at the first
-                       round that drops the initial support)
+        [] f           invariance (for two or more members, a search of
+                       the support graph, which also decides valid when
+                       the graph closes; then the pre-image chain,
+                       stopped at the first round that drops the initial
+                       support)
         [] <> f        recurrence (lasso search, which also decides
                        valid when its graph closes; then loop refinement,
                        may be Unknown)
         <> [] f        stabilization (lasso search, which also decides
                        valid when its graph closes; then maximal
                        invariant + extension)
-        [] (f U g)     invariance conjunct plus recurrence conjunct
-                       (conservative: may refute what holds on every
-                       trace)
+        [] (f U g)     invariance conjunct plus recurrence conjunct,
+                       both searched on one support graph, which also
+                       decides valid when it closes; then the chain and
+                       the loop refinement (conservative: may refute what
+                       holds on every trace)
         [] (p U~ q)    single-action systems only; limit-point analysis
         <> f           deterministic programs with exit, f one exit-shaped
                        atom; exact exit on the exit loop's subspace
@@ -1169,22 +1226,26 @@ def check(target, formula, atoms: dict) -> Verdict:
     common order up to 64.  The automaton of a program is built only
     for the shapes that run on it.
 
-    The limit shapes search the support graph before any fixpoint runs,
-    on the graph built 12 actions deep or until D expansions on a space of
-    dimension D, whichever stops it first.  A refuting lasso on it decides
-    not_valid.  When the graph closed (every node's action images are
-    nodes) and holds none, its paths are exactly the support sequences of
-    all traces, so the shape is valid: the certificate is the union of the
-    nodes, an invariant union that holds the initial support, and the
-    diagnostics give graph_nodes.  Everywhere else validity comes from the
-    fixpoints, and a valid verdict carries the fixpoint as its
-    certificate.  A refutation carries no certificate: the evidence of a
-    refuted [] f, <> [] f, [] <> f or [] (f U g) is its witness, an action
-    word or a lasso (prefix and cycle) that replays exactly; when the
-    fixpoints of a limit shape refute, the same search runs again on the
-    graph built until 4000 expansions.  A refutation's diagnostics name
-    the pass that refuted it: search_nodes for the search, chain_depth for
-    the [] chain, the fixpoint's own keys otherwise.
+    The limit shapes, [] (f U g), and [] f of two or more members whose
+    initial support lies in f, search the support graph before any
+    fixpoint or chain runs, on the graph built 12 actions deep or until D
+    expansions on a space of dimension D, whichever stops it first.  A
+    refuting lasso or escape on it decides not_valid.  When the graph
+    closed (every node's action images are nodes) and holds none, its
+    paths are exactly the support sequences of all traces, so the shape is
+    valid: the certificate is the union of the nodes, an invariant union
+    that holds the initial support, and the diagnostics give graph_nodes.
+    Everywhere else validity comes from the fixpoints or the chain, and a
+    valid verdict carries the fixpoint as its certificate and the pass's
+    own keys as its diagnostics: chain_depth for the [] chain, and for
+    [] (f U g) invariance_chain_depth beside the loop refinement's keys.
+    A refutation carries no certificate: the evidence of a refuted [] f,
+    <> [] f, [] <> f or [] (f U g) is its witness, an action word or a
+    lasso (prefix and cycle) that replays exactly; when the fixpoints of a
+    limit shape refute, the same search runs again on the graph built
+    until 4000 expansions.  A refutation's diagnostics name the pass that
+    refuted it: search_nodes for the search, chain_depth for the [] chain,
+    the fixpoint's own keys otherwise.
     """
     if isinstance(target, QuantumAutomaton):
         ambient = target.dim

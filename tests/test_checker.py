@@ -197,13 +197,14 @@ class TestInvariance:
             raise AssertionError("image taken for an escaping root")
 
         monkeypatch.setattr(checker, "image", no_image)
-        v = check_invariance(x_automaton, union(span((0, 1))))
-        assert v.status == "not_valid"
-        assert v.witness == {"word": [], "step": 0, "support_dim": 1}
+        for f in (union(span((0, 1))), union(span((0, 1)), span((1, 1)))):
+            for v in (check_invariance(x_automaton, f), check_always_until(x_automaton, f, f)):
+                assert v.status == "not_valid"
+                assert v.witness == {"word": [], "step": 0, "support_dim": 1}
 
     def test_witness_is_the_support_graph_escape(self):
-        # the search that stops at the first escape gives the witness of
-        # the whole graph's shallowest escape, at the root or deeper
+        # the chain that stops at the first escape gives the witness of the
+        # whole graph's shallowest escape, at the root or deeper
         rng = random.Random(1603)
         steps = []
         for _ in range(60):
@@ -213,7 +214,7 @@ class TestInvariance:
                 k = rng.randrange(dim)
                 aut = QuantumAutomaton(dim, aut.actions, Mat.unit(dim, k, k))
             u = basis_union(rng, dim) if rng.random() < 0.5 else random_union(rng, dim)
-            v = check_invariance(aut, u)
+            v = checker._invariance_by_chain(aut, u)
             if v.status != "not_valid":
                 continue
             graph = checker._SupportGraph(aut, v.diagnostics["chain_depth"] + dim, 200000)
@@ -898,7 +899,7 @@ class TestRefuteFirst:
             root = checker._initial_support(a)
             whole, whole_depth = checker._invariance_chain(checker._actions(a), u, Subspace.zero(a.dim))
             rounds.clear()
-            v = check_invariance(a, u)
+            v = checker._invariance_by_chain(a, u)
             assert v.is_valid == whole.contains_subspace(root)
             if v.is_valid:
                 assert v.certificate == whole
@@ -1020,6 +1021,27 @@ def _benchmark_generators():
     return module
 
 
+def _scheduler_cases():
+    """The lattice-large scheduler from both initial bits, as (program,
+    atoms all0 and all1, nodes of its support graph)."""
+    generators = _benchmark_generators()
+    for bit, nodes in ((0, 3), (1, 6)):
+        scheduler = jsonio.program_from_json(generators.scheduler_program_json(bit))
+        atoms = {
+            name: atom_from_blocks(name, {config: span(vector) for config in scheduler.configs()}, scheduler)
+            for name, vector in (("all0", (1, 0)), ("all1", (0, 1)))
+        }
+        yield scheduler, atoms, nodes
+
+
+def _three_qubit_loop():
+    """The lattice-large 3-qubit loop and its atom partial_ok (q0 = 0 at the
+    exit, anything elsewhere)."""
+    loop = compile_source(THREE_QUBIT_LOOP_SRC)
+    zero_q0 = Subspace.from_vectors(8, [[int(r == i) for r in range(8)] for i in range(4)])
+    return loop, {"partial_ok": Atom("partial_ok", partial_correctness_subspace(loop, zero_q0))}
+
+
 class TestClosedFirstGraph:
     """A <> [] or [] <> with no lasso on a first support graph that closed
     is valid, decided on the graph; the fixpoints run only where it did not
@@ -1068,17 +1090,9 @@ class TestClosedFirstGraph:
         # graphs: no maximal invariant, no maximal extension, no loop
         # matrix.  An automaton whose first graph stays open still reaches
         # the fixpoints (test_first_pass_takes_at_most_dim_expansions)
-        loop = compile_source(THREE_QUBIT_LOOP_SRC)
-        zero_q0 = Subspace.from_vectors(8, [[int(r == i) for r in range(8)] for i in range(4)])
-        loop_atoms = {"partial_ok": Atom("partial_ok", partial_correctness_subspace(loop, zero_q0))}
+        loop, loop_atoms = _three_qubit_loop()
         cases = [(loop, "<> [] partial_ok", loop_atoms, 8)]
-        generators = _benchmark_generators()
-        for bit, nodes in ((0, 3), (1, 6)):
-            scheduler = jsonio.program_from_json(generators.scheduler_program_json(bit))
-            atoms = {
-                name: atom_from_blocks(name, {config: span(vector) for config in scheduler.configs()}, scheduler)
-                for name, vector in (("all0", (1, 0)), ("all1", (0, 1)))
-            }
+        for scheduler, atoms, nodes in _scheduler_cases():
             cases.append((scheduler, "<> [] (all0 || all1)", atoms, nodes))
 
         def forbidden(*args):
@@ -1101,6 +1115,123 @@ class TestClosedFirstGraph:
         assert not first.closed and len(first.successors) == aut.dim == 3
         whole = checker._SupportGraph(aut, checker._WITNESS_DEPTH, 4000)
         assert whole.closed and len(whole) == 4
+
+
+def _pure_case(family, seed):
+    """(automaton, p, q) of one seeded family: leaky cycles with p, q one
+    coordinate subspace each; random automata of 1-2 actions on d = 2-4
+    from a pure state, p of 1-2 coordinate subspaces and q one random
+    subspace; programs of 2-5 locations on d = 2 or 3 from a pure state,
+    p, q one coordinate subspace each."""
+    rng = random.Random(seed)
+    if family == "leaky":
+        a = leaky_cycle_automaton(rng)
+        return a, basis_union(rng, a.dim, 1), basis_union(rng, a.dim, 1)
+    if family == "auto_pure":
+        d = rng.choice([2, 3, 4])
+        a = random_automaton(rng, d, rng.randint(1, 2), finite_order=rng.random() < 0.5)
+        a = QuantumAutomaton(d, a.actions, random_pure_state(rng, d))
+        return a, basis_union(rng, d, 2), random_union(rng, d, 1)
+    prog = random_deterministic_program(rng, rng.choice([2, 3]), rng.randint(2, 5))
+    a = to_automaton(prog.with_initial_state(random_pure_state(rng, prog.dim)))
+    return a, basis_union(rng, a.dim, 1), basis_union(rng, a.dim, 1)
+
+
+def _always_until_by_chain(a, f, g):
+    """[] (f U g) with the invariance conjunct decided by the pre-image
+    chain alone and then the recurrence conjunct by check_always_eventually."""
+    inv = checker._invariance_by_chain(a, f)
+    return inv if inv.status == "not_valid" else check_always_eventually(a, g)
+
+
+class TestGraphFirstInvariance:
+    """[] f with two or more members, and both conjuncts of [] (f U g), are
+    decided on the first support graph; the pre-image chain runs only where
+    that graph did not close, and for every one-member [] f."""
+
+    def test_agrees_with_the_chain(self):
+        # statuses and witnesses equal those of the chain-only procedures
+        # (the witness is the graph's shallowest escape either way), and
+        # every graph-decided valid certificate lies in f and passes the
+        # dense re-check
+        cases = [(a, u, basis_union(random.Random(i), a.dim, 1)) for i, (a, u) in enumerate(_refutation_instances(random.Random(3801)))]
+        for family in ("leaky", "auto_pure", "prog_pure"):
+            for seed in range(150):
+                a, p, q = _pure_case(family, seed)
+                cases += [(a, p, q), (a, p.union(q), q)]
+        counts = collections.Counter()
+        for a, f, g in cases:
+            for got, ref in (
+                (check_invariance(a, f), checker._invariance_by_chain(a, f)),
+                (check_always_until(a, f, g), _always_until_by_chain(a, f, g)),
+            ):
+                assert (got.status, got.witness) == (ref.status, ref.witness)
+                if "graph_nodes" in got.diagnostics:
+                    assert got.is_valid and got.certificate.subset_of(f)
+                    _recheck_graph_certificate(a, got.certificate)
+                passes = ("graph_nodes", "search_nodes", "chain_depth", "invariance_chain_depth", "refinements", "reason")
+                counts[got.status, next(k for k in passes if k in got.diagnostics)] += 1
+        assert counts["valid", "graph_nodes"] > 20 and counts["not_valid", "search_nodes"] > 20
+        assert counts["valid", "chain_depth"] > 0 and counts["valid", "invariance_chain_depth"] > 0
+
+    def test_scheduler_union_runs_no_chain(self, monkeypatch):
+        # the lattice-large scheduler's [] (all0 || all1), from both initial
+        # bits, is decided on its closed support graph
+        def forbidden(*args):
+            raise AssertionError("the pre-image chain ran")
+
+        monkeypatch.setattr(checker, "_invariance_chain", forbidden)
+        monkeypatch.setattr(checker, "preimage_union", forbidden)
+        for scheduler, atoms, nodes in _scheduler_cases():
+            v = check(scheduler, parse_formula("[] (all0 || all1)", atoms), atoms)
+            assert v.is_valid and v.diagnostics == {"graph_nodes": nodes}
+            _recheck_graph_certificate(to_automaton(scheduler), v.certificate)
+
+    def test_one_member_builds_no_graph(self, monkeypatch):
+        # the 3-qubit loop's [] partial_ok keeps the chain, which closes
+        # within D rounds of one kernel each
+        loop, atoms = _three_qubit_loop()
+
+        def forbidden(*args):
+            raise AssertionError("a support graph was built")
+
+        monkeypatch.setattr(checker, "_SupportGraph", forbidden)
+        v = check(loop, parse_formula("[] partial_ok", atoms), atoms)
+        assert v.is_valid and list(v.diagnostics) == ["chain_depth"]
+
+    def test_closed_until_builds_one_graph(self, monkeypatch, x_automaton):
+        # the X gate's [] ((zero || one) U zero): one graph of 2 nodes
+        # decides both conjuncts, and the diagnostics say so
+        built = []
+        graph_class = checker._SupportGraph
+
+        def counting(*args, **kwargs):
+            built.append(args)
+            return graph_class(*args, **kwargs)
+
+        monkeypatch.setattr(checker, "_SupportGraph", counting)
+        monkeypatch.setattr(checker, "_invariance_chain", lambda *args: pytest.fail("the pre-image chain ran"))
+        atoms = {"zero": Atom("zero", span((1, 0))), "one": Atom("one", span((0, 1)))}
+        v = check(x_automaton, parse_formula("[] ((zero || one) U zero)", atoms), atoms)
+        assert v.is_valid and v.diagnostics == {"graph_nodes": 2} and len(built) == 1
+        _recheck_graph_certificate(x_automaton, v.certificate)
+
+    def test_open_graph_until_reports_both_passes(self):
+        # a rotation of infinite order and a phase flip on span(e0, e1)
+        # from |e0>: the graph does not close, so the chain decides the
+        # invariance conjunct and the loop refinement the recurrence one
+        rotation = Mat.from_rows([["3/5", "-4/5", 0], ["4/5", "3/5", 0], [0, 0, 1]])
+        flip = Mat.from_rows([[1, 0, 0], [0, -1, 0], [0, 0, 1]])
+        a = QuantumAutomaton(3, {"r": SuperOp.from_unitary(rotation), "z": SuperOp.from_unitary(flip)}, Mat.unit(3, 0, 0))
+        v = check_always_until(a, union(span((1, 0, 0), (0, 1, 0))), SubspaceUnion.full(3))
+        assert v.is_valid and v.certificate == SubspaceUnion.full(3)
+        assert v.diagnostics == {
+            "invariance_chain_depth": 0,
+            "refinements": 0,
+            "periods": [],
+            "period_bound": checker._PERIOD_BOUND,
+            "certificate_members": 1,
+        }
 
 
 class TestAlmostUntil:
