@@ -10,13 +10,16 @@ nonempty set of targets for exactly those outcomes; both models check each
 location's action with the same helper.
 
 One step at a configuration is stated once, as its outcome channels M_j o E
-(``outcome_channels``).  Nondeterminism is resolved by whole-step
-selectors: a selector fixes one target for every (outcome, location) pair,
-and so induces one successor state and one trace-preserving action of the
-derived automaton, whose Kraus stack places those d x d channels from each
-configuration to its targets (``SuperOp.placed``).  States and subspaces
-embed in H (x) configurations, one block per configuration on its
-``coordinates`` (``place_blocks``, ``place_subspaces``).
+(``outcome_channels``), each composed on the Kraus stacks of the
+measurement's operator j and of the channel.  Nondeterminism is resolved by
+whole-step selectors: a selector fixes one target for every (outcome,
+location) pair, and so induces one successor state and one trace-preserving
+action of the derived automaton, whose Kraus stack places those d x d
+channels from each configuration to its targets (``SuperOp.placed``).  So
+the automaton is built from stacks alone, with no Kraus or measurement Mat
+and no Mat product.  States and subspaces embed in H (x) configurations,
+one block per configuration on its ``coordinates`` (``place_blocks``,
+``place_subspaces``).
 """
 
 from __future__ import annotations
@@ -145,7 +148,7 @@ class SequentialProgram:
             e = act[exit_location]
             if not e.channel.is_identity():
                 raise PreconditionViolated("exit channel must be the identity channel")
-            if e.measurement != Measurement.trivial(dim, len(e.measurement)):
+            if not e.measurement.is_trivial():
                 raise PreconditionViolated("exit measurement must be {I, 0, ..., 0}")
             if any(targets != (exit_location,) for targets in e.next.values()):
                 raise PreconditionViolated("exit location must loop to itself")
@@ -331,7 +334,8 @@ class CQState:
 
 
 def initial_cq(program) -> CQState:
-    return CQState(program.dim, {program.initial_config(): program.initial_state})
+    """The initial state, unchecked: the program's constructor checked it."""
+    return CQState(program.dim, {program.initial_config(): program.initial_state}, validate=False)
 
 
 # ----------------------------------------------------------------------
@@ -435,7 +439,11 @@ def place_blocks(program, blocks: dict) -> Mat:
         at = np.ix_(coordinates(program, config), coordinates(program, config))
         re[at] = block.num_re * (den // block.den)
         im[at] = block.num_im * (den // block.den)
-    return Mat(re, im, den, _real=all(b.is_real() for b in blocks.values()))
+    # in lowest terms, as each block is, with no gcd sweep: a prime p
+    # dividing den divides some block's denominator as often, so that
+    # block's scale den // block.den is prime to p, and its numerators,
+    # not all multiples of p, stay so
+    return Mat(re, im, den, _normalized=True, _real=all(b.is_real() for b in blocks.values()))
 
 
 def place_subspaces(program, blocks: dict) -> Subspace:
@@ -478,14 +486,13 @@ def extract(m: Mat, program) -> CQState:
 
 def outcome_channels(program, config) -> list:
     """One step at a configuration: [(j, M_j o E)] in outcome order, over
-    the outcomes j with M_j != 0, each the d x d channel of the operators
-    M_j K over the Kraus operators K of the configuration's channel E."""
+    the outcomes j with M_j != 0 (even where every M_j K is zero), each the
+    d x d channel of the operators M_j K_1, ..., M_j K_m over the Kraus
+    operators K of the configuration's channel E.  Each is composed on the
+    Kraus stacks (:meth:`SuperOp.compose`), of M_j split off the
+    measurement's and of E: no Kraus or measurement Mat is formed."""
     a = program._action(config)
-    return [
-        (j, SuperOp([m_op @ k for k in a.channel.kraus], validate=False))
-        for j, m_op in enumerate(a.measurement.operators)
-        if not m_op.is_zero()
-    ]
+    return [(j, m.compose(a.channel)) for j, m in a.measurement.operator_channels()]
 
 
 def _selector_channels(program, selectors) -> list:
@@ -493,10 +500,11 @@ def _selector_channels(program, selectors) -> list:
     :func:`outcome_channels`, read once, placed from it to the selector's
     target of each outcome; or BudgetExceeded before any is placed when
     their Kraus operators would hold more than ``_GRID_ENTRIES_MAX``
-    entries as dense grids."""
+    entries as dense grids.  The count reads the outcome channels' stacks,
+    so no Kraus Mat is formed for it."""
     size = program.dim * len(program.configs())
     table = [(c, outcome_channels(program, c)) for c in program.configs()]
-    grids = len(selectors) * sum(len(e.kraus) for _, row in table for _, e in row)
+    grids = len(selectors) * sum(e._stack_of().n_ops for _, row in table for _, e in row)
     if grids * size * size > _GRID_ENTRIES_MAX:
         raise BudgetExceeded(
             f"the one-step channels need {grids} dense {size}x{size} Kraus operators "

@@ -25,8 +25,10 @@ straight from the integer rows of the file's literals
 preservation or completeness on it, and forms its Kraus ``Mat``s from it
 only when some code reads them.  A dual moves the entries of its channel's
 stack, and a program's embedded action those of its d x d outcome channels
-(:meth:`SuperOp.placed`).  A channel built from ``Mat``s (the compiler, an
-outcome channel) keeps them and reads its stack off their grids.
+(:meth:`SuperOp.placed`); a composition, and so an outcome channel M_j o E,
+multiplies the entries of two stacks (:meth:`_Stack.product`).  A channel
+or a measurement built from ``Mat``s (the compiler, a test) keeps them and
+reads its stack off their grids.
 
 The matrix representation M = sum_i E_i (x) conj(E_i) linearizes a channel on
 row-major vectorized operators: vec(E(A)) = M vec(A).  It is the canonical
@@ -104,9 +106,10 @@ def _grid_shape(grids, none: str, unequal: str) -> tuple:
 class Measurement:
     """A quantum measurement {M_m}; completeness sum M†M = I holds exactly,
     tested on the nonzero entries of the operators (:meth:`_Stack.is_isometry`)
-    with no image table built.  One read from integer grids
-    (:meth:`from_grids`) keeps their stack and forms its operators from it
-    when they are first read."""
+    with no image table built.  Every measurement keeps the stack of its
+    operators: one built from Mats reads it off their grids once, and one
+    read from integer grids (:meth:`from_grids`) builds it from them and
+    forms its operators from it when they are first read."""
 
     __slots__ = ("_operators", "dim", "_stack")
 
@@ -118,11 +121,12 @@ class Measurement:
         for op in operators:
             if op.cols != dim or op.rows != dim:
                 raise DimensionMismatch("measurement operators must be square and equal size")
-        if validate and not _Stack.of(operators).is_isometry():
+        stack = _Stack.of(operators)
+        if validate and not stack.is_isometry():
             raise PreconditionViolated("measurement operators do not sum to the identity")
         _set_operators(self, operators)
         _set_measurement_dim(self, dim)
-        _set_measurement_stack(self, None)
+        _set_measurement_stack(self, stack)
 
     @staticmethod
     def from_grids(grids, validate: bool = True) -> "Measurement":
@@ -156,8 +160,21 @@ class Measurement:
         ops = [Mat.eye(dim)] + [Mat.zeros(dim) for _ in range(n_outcomes - 1)]
         return Measurement(ops, validate=False)
 
+    def operator_channels(self) -> list:
+        """[(j, rho -> M_j rho M_j†)] in outcome order over the nonzero
+        operators M_j: each the channel of the stack of M_j alone, split
+        off this measurement's (:meth:`_Stack.split`), with no Mat formed."""
+        return [(j, SuperOp._of_stack(st)) for j, st in enumerate(self._stack.split()) if st is not None]
+
+    def is_trivial(self) -> bool:
+        """Whether this is {I, 0, ..., 0}, read on the stack: operator 0
+        holds den on the whole diagonal and nothing else, and the other
+        operators hold nothing."""
+        st = self._stack
+        return all(column == [(0, v, st.den)] for v, column in enumerate(st.terms))
+
     def __len__(self):
-        return len(self.operators) if self._stack is None else self._stack.n_ops
+        return self._stack.n_ops
 
     def __eq__(self, other):
         if not isinstance(other, Measurement):
@@ -182,8 +199,10 @@ class _Stack:
     is m.  The constructor scans integer grids, as a file's matrix literals
     are read (:func:`linalg._int_rows`) or as :meth:`of` takes them from
     Mats; :meth:`mats` forms the Mats back.  The adjoints' stack
-    (:meth:`dagger`) and a placed one (:meth:`SuperOp.placed`) move the
-    entries of another stack, with no grid read.
+    (:meth:`dagger`), one operator's (:meth:`split`) and a placed one
+    (:meth:`SuperOp.placed`) move the entries of another stack, and the
+    stack of all products of two (:meth:`product`) multiplies theirs, with
+    no grid read.
 
     The scan also keeps ``rows``, the nonzero entries (v, re, im) of each
     nonzero row of each K_i, which the isometry test reads; a moved stack
@@ -242,6 +261,15 @@ class _Stack:
                 grids[i][slot][v] = c
         return tuple(_rows_over(self.den, g[:n], None if self.real else g[n:]) for g in grids)
 
+    @staticmethod
+    def _moved(terms, real, den, dim_out, n_ops) -> "_Stack":
+        """The stack of the given entries, with no grid read; its other
+        tables are built from ``terms`` when first read."""
+        out = _Stack.__new__(_Stack)
+        out.terms, out.real, out.den, out.dim_out, out.n_ops = terms, real, den, dim_out, n_ops
+        out._rows = out._turned = out._hits = None
+        return out
+
     def dagger(self) -> "_Stack":
         """The stack of K_1†, ..., K_m†: entry (u, v) of K_i is entry (v, u)
         of K_i†, conjugated, over the same denominator."""
@@ -253,10 +281,50 @@ class _Stack:
                     terms[slot].append((i, v, c))
                 else:
                     terms[slot - n].append((i, dim_in + v, -c))
-        out = _Stack.__new__(_Stack)
-        out.terms, out.real, out.den, out.dim_out, out.n_ops = terms, self.real, self.den, dim_in, self.n_ops
-        out._rows = out._turned = out._hits = None
-        return out
+        return _Stack._moved(terms, self.real, self.den, dim_in, self.n_ops)
+
+    def split(self) -> list:
+        """Per operator K_i, the stack of K_i alone over den, or None when
+        K_i is zero (has no entry)."""
+        n, parts = self.dim_out, [None] * self.n_ops
+        for v, column in enumerate(self.terms):
+            for i, slot, c in column:
+                if parts[i] is None:
+                    parts[i] = [[] for _ in self.terms]
+                parts[i][v].append((0, slot, c))
+        return [
+            None if t is None else _Stack._moved(t, self.real or all(s < n for c in t for _, s, _ in c), self.den, n, 1)
+            for t in parts
+        ]
+
+    def product(self, inner: "_Stack") -> "_Stack":
+        """The stack of the products A_a B_b of these operators A and the
+        operators B of ``inner``, a-major as ``[a @ b for a in A for b in
+        B]``; a zero product keeps its place.  Entry (u, w) of A_a B_b sums
+        A_a[u, v] B_b[v, w] over v, so column w reads each entry (v, w) of
+        each B_b and column v of each A_a: only nonzero entries are
+        multiplied.  The sums are over den_A den_B, with the gcd of it and
+        every sum divided out once, so the denominator is the lcm of the
+        products' own lowest ones, as the stack read off the product Mats
+        (:meth:`of`) has it."""
+        n, nb, m = self.dim_out, inner.dim_out, inner.n_ops
+        terms = []
+        for column in inner.terms:
+            acc = {}
+            for b, sv, x in column:
+                q, v = divmod(sv, nb)
+                for a, su, y in self.terms[v]:
+                    p, u = divmod(su, n)
+                    # (i^q x)(i^p y) = i^(p + q) x y, and i^2 = -1
+                    key = (a * m + b, u + n * (p ^ q))
+                    acc[key] = acc.get(key, 0) + (-x * y if p & q else x * y)
+            terms.append([(k, slot, c) for (k, slot), c in acc.items() if c])
+        den = self.den * inner.den
+        g = math.gcd(den, *(c for column in terms for _, _, c in column))
+        if g != 1:
+            terms = [[(k, slot, c // g) for k, slot, c in column] for column in terms]
+        real = self.real and inner.real or all(slot < n for column in terms for _, slot, _ in column)
+        return _Stack._moved(terms, real, den // g, n, self.n_ops * m)
 
     @property
     def rows(self) -> list:
@@ -381,8 +449,9 @@ class SuperOp:
     positive semidefinite (:meth:`_Stack.is_contraction`).  A channel
     built from Kraus Mats keeps them and reads its stack off them when
     first needed; one read from a file (:meth:`from_grids`), a placed one
-    (:meth:`placed`) and a dual (:meth:`dual`) start from a stack and form
-    their Kraus Mats from it only when read (:attr:`kraus`).
+    (:meth:`placed`), a composition (:meth:`compose`) and a dual
+    (:meth:`dual`) start from a stack and form their Kraus Mats from it
+    only when read (:attr:`kraus`).
     """
 
     __slots__ = (
@@ -410,8 +479,7 @@ class SuperOp:
         formed until one is read."""
         dim_out, dim_in = _grid_shape(grids, "a channel needs at least one Kraus operator",
                                       "Kraus operators must share one shape")
-        e = SuperOp.__new__(SuperOp)
-        e._set(None, dim_in, dim_out, _Stack(grids, dim_out, dim_in), None)
+        e = SuperOp._of_stack(_Stack(grids, dim_out, dim_in))
         if validate:
             e._check_admissible()
         return e
@@ -431,11 +499,14 @@ class SuperOp:
             for v, col in enumerate(st.terms):
                 terms[cols_at[v]] += [(offset + i, dim * (slot // n) + rows_at[slot % n], c * s) for i, slot, c in col]
             offset += st.n_ops
-        stack = _Stack.__new__(_Stack)
-        stack.terms, stack.real, stack.den, stack.dim_out, stack.n_ops = terms, real, den, dim, offset
-        stack._rows = stack._turned = stack._hits = None
+        return SuperOp._of_stack(_Stack._moved(terms, real, den, dim, offset))
+
+    @staticmethod
+    def _of_stack(stack: _Stack, dual=None) -> "SuperOp":
+        """The channel of a Kraus stack, unchecked; its Kraus Mats are
+        formed only when read."""
         e = SuperOp.__new__(SuperOp)
-        e._set(None, dim, dim, stack, None)
+        e._set(None, len(stack.terms), stack.dim_out, stack, dual)
         return e
 
     def _check_admissible(self):
@@ -505,9 +576,7 @@ class SuperOp:
         stack is this channel's transposed (:meth:`_Stack.dagger`); its
         Kraus operators are formed only when read (:attr:`kraus`)."""
         if self._dual is None:
-            dual = SuperOp.__new__(SuperOp)
-            dual._set(None, self.dim_out, self.dim_in, self._stack_of().dagger(), self)
-            _set_dual(self, dual)
+            _set_dual(self, SuperOp._of_stack(self._stack_of().dagger(), self))
         return self._dual
 
     def _stack_of(self) -> _Stack:
@@ -614,12 +683,12 @@ class SuperOp:
         return self._hermitian_rep
 
     def compose(self, inner: "SuperOp") -> "SuperOp":
-        """self after inner; Kraus set is all products."""
+        """self after inner, unchecked: its Kraus set is all products A_a
+        B_b, a-major, as the product of the two Kraus stacks
+        (:meth:`_Stack.product`), with no Kraus Mat formed until read."""
         if inner.dim_out != self.dim_in:
             raise DimensionMismatch("composition dimensions do not match")
-        return SuperOp(
-            [a @ b for a in self.kraus for b in inner.kraus], validate=False
-        )
+        return SuperOp._of_stack(self._stack_of().product(inner._stack_of()))
 
     def is_trace_preserving(self) -> bool:
         """Whether sum E†E = I, tested once on the Kraus stack

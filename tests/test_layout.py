@@ -5,12 +5,13 @@ Entry h of configuration c's block sits at h * |configs| + c: the block of
 c is block (x) |c><c| on H (x) C^|configs|.  ``program.coordinates``,
 ``program.place_blocks`` and ``program.place_subspaces`` state the layout;
 every reader of it must agree with the Kronecker reference, the operators
-they build must come out of d x d products only, and subspaces are placed
-without placing an operator.  The exit loop's location blocks, placed,
+they build must come out of d x d Kraus stacks with no Mat product, and
+subspaces are placed without placing an operator.  The exit loop's location blocks, placed,
 must equal the fixpoints of the dense cut body on the embedded space
 (``helpers.dense_*``).
 """
 
+import json
 import pathlib
 import random
 import runpy
@@ -19,6 +20,7 @@ import sys
 import pytest
 
 import qtl.program as program
+from qtl import jsonio
 from qtl.checker import (
     _exit_shaped,
     check,
@@ -213,8 +215,10 @@ class TestAgainstKronecker:
 
 
 class TestNoEmbeddedProducts:
-    """Building the automaton and the cut body multiplies d x d blocks
-    only, never an operand of the embedded dimension D."""
+    """Building the automaton and the cut body's edge channels multiplies
+    no Mat at all: their outcome channels are products of Kraus stacks.
+    The lattice read off the edges multiplies d x d blocks only, never an
+    operand of the embedded dimension D."""
 
     @staticmethod
     def _count(monkeypatch, dim):
@@ -234,7 +238,7 @@ class TestNoEmbeddedProducts:
         prog = scheduler if which == "scheduler" else compile_source(EXAMPLE_LOOP_SRC)
         seen = self._count(monkeypatch, prog.dim * len(prog.configs()))
         to_automaton(prog)
-        assert seen["all"] > 0 and seen["embedded"] == 0
+        assert seen["all"] == 0
 
     def test_one_outcome_table_read_per_configuration(self, monkeypatch, scheduler):
         """``to_automaton`` reads each configuration's outcome channels
@@ -298,14 +302,31 @@ class TestNoEmbeddedProducts:
                 assert all(isinstance(b, Subspace) and b.ambient_dim == loop.program.dim for b in blocks.values())
         assert calls == []
 
+    def test_to_automaton_forms_no_kraus_mat(self, monkeypatch, scheduler):
+        """``to_automaton`` of the scheduler and of the example loop, built
+        from Mats or read from a file, forms no Kraus or measurement Mat
+        (``_Stack.mats``), scans none into a stack (``_Stack.of``) and
+        multiplies no Mat."""
+        programs = []
+        for prog in (scheduler, compile_source(EXAMPLE_LOOP_SRC)):
+            programs += [prog, jsonio.program_from_json(json.loads(jsonio.dumps(jsonio.program_to_json(prog))))]
+        calls = []
+        mats, of = _Stack.mats, _Stack.of
+        monkeypatch.setattr(_Stack, "mats", lambda st: calls.append("mats") or mats(st))
+        monkeypatch.setattr(_Stack, "of", staticmethod(lambda kraus: calls.append("of") or of(kraus)))
+        seen = self._count(monkeypatch, None)
+        for prog in programs:
+            to_automaton(prog)
+        assert calls == [] and seen["all"] == 0
+
     def test_cut_body(self, monkeypatch):
-        """The cut body as edge channels, and the lattice read off it,
-        multiply d x d blocks only."""
+        """The cut body as edge channels multiplies no Mat, and the lattice
+        read off it d x d blocks only."""
         prog = compile_source(EXAMPLE_LOOP_SRC)
         loop = WhileNormalForm(prog)
         seen = self._count(monkeypatch, prog.dim * len(prog.locations))
         loop.edges
-        assert seen["all"] > 0
+        assert seen["all"] == 0
         loop.input_trapped, loop.trapped, loop.exit_step
         assert seen["embedded"] == 0
 

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -13,9 +14,10 @@ from qtl.errors import (
     SelectorExplosion,
 )
 import qtl.program as program
+from qtl import jsonio
 from qtl.linalg import CRat, Mat, kron
 from qtl.subspace import Subspace
-from qtl.superop import Measurement, SuperOp
+from qtl.superop import Measurement, SuperOp, _Stack
 from qtl.program import (
     CQState,
     ConcurrentProcess,
@@ -350,6 +352,30 @@ class TestOwnOutcomes:
         with pytest.raises(PreconditionViolated, match="loop to itself"):
             SequentialProgram(2, ("a", "e"), act, KET0, "a", "e")
 
+    def test_exit_measurement_must_be_trivial(self):
+        # read on the measurement's stack, built from Mats or from a file's
+        # integer rows: {I, 0, ...} passes, over any denominator, and a
+        # complete measurement that is not it is refused
+        z = Mat.from_rows([[1, 0], [0, -1]])
+        refused = [
+            Measurement([KET0, KET1]),
+            Measurement([KET1, KET0]),
+            Measurement([z]),
+            Measurement([Mat.eye(2) * CRat(0, 1)]),
+            Measurement.from_grids([([[0, 0], [0, 0]], None, 1), ([[1, 0], [0, 1]], None, 1)]),
+        ]
+        accepted = [Measurement.trivial(2, 2), Measurement.from_grids([([[3, 0], [0, 3]], None, 3), ([[0, 0], [0, 0]], None, 5)])]
+        for meas in refused + accepted:
+            act = {
+                "a": self._act(Measurement.trivial(2), {0: ("e",)}),
+                "e": self._act(meas, {j: ("e",) for j in range(len(meas))}),
+            }
+            if meas in accepted:
+                assert SequentialProgram(2, ("a", "e"), act, KET0, "a", "e").exit_location == "e"
+            else:
+                with pytest.raises(PreconditionViolated, match="exit measurement must be"):
+                    SequentialProgram(2, ("a", "e"), act, KET0, "a", "e")
+
     def test_process_measurement_of_wrong_dimension_is_rejected(self):
         meas = Measurement([Mat.eye(3)])
         p = ConcurrentProcess(("p",), {"p": self._act(meas, {0: (("p", 1),)})})
@@ -421,6 +447,70 @@ class TestOwnOutcomes:
             for text in ("[] p", "<> q", "<>~ q", "<>[] p", "[]<> q", "[] (p U q)"):
                 formula = parse_formula(text, atoms)
                 assert verdict_to_json(check(prog, formula, atoms)) == verdict_to_json(check(padded, formula, atoms))
+
+
+class TestOutcomeChannels:
+    """``outcome_channels`` multiplies the Kraus stacks of M_j and of the
+    channel: outcome for outcome, the Kraus Mats M_j K in order, and the
+    stack read off them, as the Mat products give them."""
+
+    @staticmethod
+    def _complex_program():
+        """Two locations with complex rational channels and measurements:
+        a mixture of a complex unitary and X, and the projectors on
+        (1, i) and (1, -i)."""
+        u = Mat.from_rows([["3/5", [0, "4/5"]], [[0, "4/5"], "3/5"]])
+        channel = SuperOp([u * CRat(Fraction(3, 5)), PAULI_X * CRat(Fraction(4, 5))])
+        plus_i = Mat.from_rows([["1/2", [0, "-1/2"]], [[0, "1/2"], "1/2"]])
+        meas = Measurement([plus_i, Mat.eye(2) - plus_i])
+        act = {
+            "a": LocationAction(channel, meas, {0: ("a",), 1: ("e",)}),
+            "e": LocationAction(SuperOp.identity(2), Measurement.trivial(2), {0: ("e",)}),
+        }
+        return SequentialProgram(2, ("a", "e"), act, KET0, "a", "e")
+
+    @staticmethod
+    def _programs(rng):
+        for _ in range(6):
+            yield random_deterministic_program(rng, rng.choice([2, 3]), rng.randint(1, 3))
+            yield random_concurrent_program(rng, rng.choice([2, 3]), rng.randint(1, 2))
+            yield compile_source(random_qwhile_source(rng, max_loops=1, max_len=2, max_locations=6))
+        yield TestOutcomeChannels._complex_program()
+
+    @staticmethod
+    def _mat_products(prog, config):
+        a = prog._action(config)
+        ops = a.measurement.operators
+        return [(j, [m @ k for k in a.channel.kraus]) for j, m in enumerate(ops) if not m.is_zero()]
+
+    def test_stacks_equal_the_mat_products(self):
+        rng = random.Random(4502)
+        complex_entries = 0
+        for prog in self._programs(rng):
+            # as built, and as read from a file (stacks from integer rows)
+            read = jsonio.program_from_json(json.loads(jsonio.dumps(jsonio.program_to_json(prog))))
+            for p in (prog, read):
+                for c in p.configs():
+                    got, want = program.outcome_channels(p, c), self._mat_products(p, c)
+                    assert [j for j, _ in got] == [j for j, _ in want]
+                    for (_, e), (_, kraus) in zip(got, want):
+                        st, ref = e._stack, _Stack.of(kraus)
+                        assert (st.den, st.real, st.n_ops) == (ref.den, ref.real, ref.n_ops)
+                        assert list(e.kraus) == kraus
+                        complex_entries += not st.real
+        assert complex_entries > 0
+
+    def test_outcome_with_only_zero_products_is_listed(self):
+        # M_1 = |1><1| is nonzero, but the reset maps everything to |0>, so
+        # both of its products are zero: outcome 1 keeps two zero operators
+        reset = SuperOp([Mat.unit(2, 0, 0), Mat.unit(2, 0, 1)])
+        meas = Measurement([Mat.unit(2, 0, 0), Mat.unit(2, 1, 1)])
+        prog = SequentialProgram(2, ("a",), {"a": LocationAction(reset, meas, {0: ("a",), 1: ("a",)})}, KET0, "a")
+        (j0, e0), (j1, e1) = program.outcome_channels(prog, "a")
+        assert (j0, j1) == (0, 1)
+        assert e0.kraus == (Mat.unit(2, 0, 0), Mat.unit(2, 0, 1))
+        assert e1.kraus == (Mat.zeros(2), Mat.zeros(2))
+        assert e1._stack.terms == [[], []] and e1._stack.den == 1
 
 
 class TestGridGuard:

@@ -263,6 +263,43 @@ def _read_path_kraus(rng, kind, n) -> list:
     return kraus
 
 
+class TestStackProduct:
+    """``SuperOp.compose`` multiplies the two Kraus stacks
+    (``_Stack.product``): the Kraus Mats of the Mat products, a-major, with
+    the stack read off them, and no Mat product formed."""
+
+    @staticmethod
+    def _pairs(rng):
+        channels = _stack_channels(rng)
+        for outer in channels:
+            for inner in channels:
+                if inner.dim_out == outer.dim_in and rng.random() < 0.5:
+                    yield outer, inner
+        i_eye = SuperOp([Mat.eye(2) * CRat(0, 1)], validate=False)
+        yield i_eye, i_eye  # i I times i I: complex factors, real product
+
+    def test_compose_equals_the_mat_products(self, monkeypatch):
+        rng = random.Random(4501)
+        pairs = list(self._pairs(rng))
+        assert len(pairs) > 20
+        for outer, inner in pairs:
+            outer._stack_of(), inner._stack_of()
+            products = [a @ b for a in outer.kraus for b in inner.kraus]
+            with monkeypatch.context() as m:
+                m.setattr(Mat, "__matmul__", lambda a, b: pytest.fail("formed a Mat product"))
+                composed = outer.compose(inner)
+            got, want = composed._stack, _Stack.of(products)
+            assert (got.den, got.real, got.dim_out, got.n_ops) == (want.den, want.real, want.dim_out, want.n_ops)
+            assert [collections.Counter(t) for t in got.terms] == [collections.Counter(t) for t in want.terms]
+            assert (composed.dim_in, composed.dim_out) == (inner.dim_in, outer.dim_out)
+            assert list(composed.kraus) == products
+        assert pairs[-1][0].compose(pairs[-1][1])._stack.real
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatch):
+            SuperOp.identity(2).compose(SuperOp.identity(3))
+
+
 class TestReadPath:
     """A channel read from JSON builds its stack from the file's integer
     rows and forms its Kraus Mats, and its dual's, from the stacks."""
