@@ -497,13 +497,23 @@ def outcome_channels(program, config) -> list:
 
 def _selector_channels(program, selectors) -> list:
     """One channel per selector: each configuration's
-    :func:`outcome_channels`, read once, placed from it to the selector's
-    target of each outcome; or BudgetExceeded before any is placed when
-    their Kraus operators would hold more than ``_GRID_ENTRIES_MAX``
-    entries as dense grids.  The count reads the outcome channels' stacks,
-    so no Kraus Mat is formed for it."""
+    :func:`outcome_channels`, placed from it to the selector's target of
+    each outcome; or BudgetExceeded before any is placed when their Kraus
+    operators would hold more than ``_GRID_ENTRIES_MAX`` entries as dense
+    grids.  The outcome channels depend on the configuration's action
+    alone, which configurations of a concurrent program share (those at
+    which the scheduled process sits at one location), so they are
+    computed once per distinct action, at its first configuration.  The
+    count reads the outcome channels' stacks, so no Kraus Mat is formed
+    for it."""
     size = program.dim * len(program.configs())
-    table = [(c, outcome_channels(program, c)) for c in program.configs()]
+    by_action = {}
+    table = []
+    for c in program.configs():
+        key = id(program._action(c))
+        if key not in by_action:
+            by_action[key] = outcome_channels(program, c)
+        table.append((c, by_action[key]))
     grids = len(selectors) * sum(e._stack_of().n_ops for _, row in table for _, e in row)
     if grids * size * size > _GRID_ENTRIES_MAX:
         raise BudgetExceeded(

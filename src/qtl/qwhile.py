@@ -18,6 +18,15 @@ Hadamard stay inside rational arithmetic; the declared operator is
 sqrt(r) * V and the induced conjugation channel has rational Kraus
 operators.
 
+The lexer is one regular-expression search over the source; a token's
+line and column are found only for an error.  The parser turns each matrix
+entry into the literal text a JSON program file holds for it, "p/q" or an
+[re, im] pair of those, and a matrix literal into a ``Mat`` through the
+reader of those files (:meth:`Mat.from_rows`), so both front ends read
+numbers one way.  A declared unitary (scale * V†V = I) and measurement
+(sum M†M = I) are checked on their Kraus stacks
+(:meth:`qtl.superop._Stack.is_isometry`), with no Mat product.
+
 Compilation targets the location-based sequential program model, one
 location per statement plus guard locations for branching, with a fresh
 exit location appended.  Branches of an ``if`` whose arms are loop-free are
@@ -35,6 +44,7 @@ import functools
 import itertools
 import math
 import re as _re
+import string
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -50,7 +60,7 @@ from .errors import (
 from .linalg import CRat, Mat, kron, solve
 from .program import LocationAction, SequentialProgram, outcome_channels, place_blocks, step_superop
 from .subspace import Subspace, support
-from .superop import Measurement, SuperOp, image, preimage
+from .superop import Measurement, SuperOp, _Stack, image, preimage
 
 
 # ----------------------------------------------------------------------
@@ -114,14 +124,10 @@ class QWhileProgram:
 
 _TOKEN_RE = _re.compile(
     r"""
-    (?P<ws>\s+|\#[^\n]*)
-  | (?P<ket0>\|0>)
-  | (?P<assign>:=)
-  | (?P<arrow>->)
-  | (?P<eqeq>==)
-  | (?P<int>\d+)
-  | (?P<name>[A-Za-z_][A-Za-z_0-9]*)
-  | (?P<sym>[;,/*()\[\]{}=+-])
+    \|0> | := | -> | == | [;,/*()\[\]{}=+-]
+  | \d+ | [A-Za-z_][A-Za-z_0-9]*
+  | \#[^\n]*
+  | \S
     """,
     _re.VERBOSE,
 )
@@ -141,124 +147,147 @@ _KEYWORDS = {
     "i",
 }
 
+# token kinds by text: operators and keywords are their own kinds, but for
+# the four named operators; "" is the end of the source
+_KINDS = {text: text for text in itertools.chain(";,/*()[]{}=+-", _KEYWORDS)}
+_KINDS.update({"|0>": "ket0", ":=": "assign", "->": "arrow", "==": "eqeq", "": "eof"})
+# ... and by first character, for the other tokens with an ASCII one
+_FIRST_KINDS = dict.fromkeys("0123456789", "int") | dict.fromkeys(string.ascii_letters + "_", "name")
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str
-    text: str
-    line: int
-    col: int
+
+def _lex(source: str) -> tuple:
+    """The tokens as two lists, their kinds and their texts, the last
+    token "eof".  One search finds every token, comment and character no
+    token starts with, and skips the whitespace between them; the offsets
+    of tokens are found again only for an error (:func:`_offset`)."""
+    texts = _TOKEN_RE.findall(source)
+    if "#" in source:
+        texts = [t for t in texts if t[0] != "#"]
+    texts.append("")
+    kind_of, first_kind = _KINDS.get, _FIRST_KINDS.get
+    # a token not known by its text or first character is an integer of
+    # non-ASCII digits (\d) or a character no token starts with
+    kinds = [kind_of(t) or first_kind(t[0]) or ("int" if t.isdecimal() else "bad") for t in texts]
+    if "bad" in kinds:
+        k = kinds.index("bad")
+        raise ParseError(f"unexpected character {texts[k]!r}", *_line_col(source, _offset(source, k)))
+    return kinds, texts
 
 
-def _lex(source: str):
-    tokens = []
-    pos = 0
-    line, col = 1, 1
-    while pos < len(source):
-        m = _TOKEN_RE.match(source, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {source[pos]!r}", line, col)
-        text = m.group(0)
-        kind = m.lastgroup
-        if kind != "ws":
-            if kind == "name" and text in _KEYWORDS:
-                kind = text
-            elif kind == "sym":
-                kind = text
-            tokens.append(_Token(kind, text, line, col))
-        newlines = text.count("\n")
-        if newlines:
-            line += newlines
-            col = len(text) - text.rfind("\n")
-        else:
-            col += len(text)
-        pos = m.end()
-    tokens.append(_Token("eof", "", line, col))
-    return tokens
+def _offset(source: str, k: int) -> int:
+    """The offset in ``source`` of token k of :func:`_lex`."""
+    starts = (m.start() for m in _TOKEN_RE.finditer(source) if m[0][0] != "#")
+    return next(itertools.islice(starts, k, None), len(source))
+
+
+def _line_col(source: str, pos: int) -> tuple:
+    """The 1-based line and column of offset ``pos``."""
+    return source.count("\n", 0, pos) + 1, pos - source.rfind("\n", 0, pos)
 
 
 # ----------------------------------------------------------------------
 # parser
 
 
+_ONE = Fraction(1)
+_QUBIT_RE = _re.compile(r"q(\d+)")
+
+
 class _Parser:
-    def __init__(self, tokens):
-        self.tokens = tokens
+    """Recursive descent over the token lists of :func:`_lex`; ``pos`` is
+    the index of the current token, and the last token is "eof", which no
+    rule steps past."""
+
+    def __init__(self, source: str):
+        self.source = source
+        self.kinds, self.texts = _lex(source)
         self.pos = 0
 
-    @property
-    def cur(self) -> _Token:
-        return self.tokens[self.pos]
+    def eat(self, kind) -> str:
+        """The text of the current token, which must be of ``kind``."""
+        pos = self.pos
+        if self.kinds[pos] != kind:
+            self.error(f"expected {kind!r}, found {self.texts[pos]!r}")
+        self.pos = pos + 1
+        return self.texts[pos]
 
-    def peek(self, ahead=1) -> _Token:
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
-
-    def eat(self, kind) -> _Token:
-        tok = self.cur
-        if tok.kind != kind:
-            raise ParseError(f"expected {kind!r}, found {tok.text!r}", tok.line, tok.col)
-        self.pos += 1
-        return tok
-
-    def error(self, message):
-        raise ParseError(message, self.cur.line, self.cur.col)
+    def error(self, message, at=None):
+        """ParseError at token ``at``, by default the current one."""
+        pos = self.pos if at is None else at
+        raise ParseError(message, *_line_col(self.source, _offset(self.source, pos)))
 
     # -- scalars -------------------------------------------------------
 
-    def rational(self) -> Fraction:
-        sign = 1
-        if self.cur.kind == "-":
-            self.eat("-")
-            sign = -1
-        num = int(self.eat("int").text)
-        if self.cur.kind == "/":
-            self.eat("/")
-            den = int(self.eat("int").text)
-            if den == 0:
-                self.error("zero denominator")
-            return Fraction(sign * num, den)
-        return Fraction(sign * num)
-
-    def scalar(self) -> CRat:
-        if self.cur.kind == "i":
-            self.eat("i")
-            return CRat(0, 1)
-        if self.cur.kind == "-" and self.peek().kind == "i":
-            self.eat("-")
-            self.eat("i")
-            return CRat(0, -1)
-        first = self.rational()
-        if self.cur.kind == "i":
-            self.eat("i")
-            return CRat(0, first)
-        if self.cur.kind in ("+", "-"):
-            sign = -1 if self.cur.kind == "-" else 1
+    def rational(self) -> str:
+        """[-]p[/q] as the text "p" or "p/q", signed as written."""
+        sign = ""
+        if self.kinds[self.pos] == "-":
             self.pos += 1
-            if self.cur.kind == "i":
-                self.eat("i")
-                return CRat(first, sign)
+            sign = "-"
+        num = self.eat("int")
+        if self.kinds[self.pos] != "/":
+            return sign + num
+        self.pos += 1
+        den = self.eat("int")
+        if int(den) == 0:
+            self.error("zero denominator")
+        return f"{sign}{num}/{den}"
+
+    def scalar(self):
+        """One matrix entry as the literal the JSON files hold: a real one
+        as "p/q", any other as its [re, im] pair."""
+        kinds = self.kinds
+        if kinds[self.pos] == "i":
+            self.pos += 1
+            return ["0", "1"]
+        if kinds[self.pos] == "-" and kinds[self.pos + 1] == "i":
+            self.pos += 2
+            return ["0", "-1"]
+        first = self.rational()
+        kind = kinds[self.pos]
+        if kind == "i":
+            self.pos += 1
+            return ["0", first]
+        if kind == "+" or kind == "-":
+            self.pos += 1
+            if kinds[self.pos] == "i":
+                self.pos += 1
+                return [first, "1" if kind == "+" else "-1"]
             second = self.rational()
             self.eat("i")
-            return CRat(first, sign * second)
-        return CRat(first)
+            if kind == "-":
+                second = second[1:] if second[0] == "-" else "-" + second
+            return [first, second]
+        return first
 
     def matrix(self) -> Mat:
+        """A matrix literal, read as the JSON files' are (:meth:`Mat.from_rows`)."""
         self.eat("[")
         rows = [self.row()]
-        while self.cur.kind == ",":
-            self.eat(",")
+        while self.kinds[self.pos] == ",":
+            self.pos += 1
             rows.append(self.row())
         self.eat("]")
         if any(len(r) != len(rows[0]) for r in rows):
             self.error("ragged matrix literal")
         return Mat.from_rows(rows)
 
-    def row(self):
+    def row(self) -> list:
+        kinds, texts = self.kinds, self.texts
         self.eat("[")
-        entries = [self.scalar()]
-        while self.cur.kind == ",":
-            self.eat(",")
-            entries.append(self.scalar())
+        entries = []
+        while True:
+            pos = self.pos
+            # a plain integer, signed or not, the usual entry, is its own text
+            at = pos + (kinds[pos] == "-")
+            if kinds[at] == "int" and kinds[at + 1] in (",", "]"):
+                entries.append(texts[at] if at == pos else "-" + texts[at])
+                self.pos = at + 1
+            else:
+                entries.append(self.scalar())
+            if kinds[self.pos] != ",":
+                break
+            self.pos += 1
         self.eat("]")
         return entries
 
@@ -269,45 +298,42 @@ class _Parser:
         unitaries = {}
         measurements = {}
         input_state = None
-        while self.cur.kind in ("qubits", "unitary", "measurement", "input"):
-            kind = self.cur.kind
+        while self.kinds[self.pos] in ("qubits", "unitary", "measurement", "input"):
+            kind = self.kinds[self.pos]
             self.pos += 1
             if kind == "qubits":
-                n_qubits = int(self.eat("int").text)
+                n_qubits = int(self.eat("int"))
                 if n_qubits < 1:
                     self.error("need at least one qubit")
             elif kind == "unitary":
-                name = self.eat("name").text
+                name = self.eat("name")
                 self.eat("=")
-                scale = Fraction(1)
-                if self.cur.kind == "sqrt":
-                    self.eat("sqrt")
+                scale = _ONE
+                if self.kinds[self.pos] == "sqrt":
+                    self.pos += 1
                     self.eat("(")
-                    scale = self.rational()
+                    scale = Fraction(self.rational())
                     self.eat(")")
                     self.eat("*")
                 mat = self.matrix()
                 if mat.rows != mat.cols or mat.rows & (mat.rows - 1):
                     self.error(f"unitary {name} must be square with power-of-two size")
-                if (mat.dagger() @ mat) * CRat(scale) != Mat.eye(mat.rows):
+                if not _Stack.of([mat]).is_isometry(scale):
                     self.error(f"declared operator {name} is not unitary")
                 unitaries[name] = (mat, scale)
             elif kind == "measurement":
-                name = self.eat("name").text
+                name = self.eat("name")
                 self.eat("=")
                 self.eat("{")
                 ops = [self.matrix()]
-                while self.cur.kind == ",":
-                    self.eat(",")
+                while self.kinds[self.pos] == ",":
+                    self.pos += 1
                     ops.append(self.matrix())
                 self.eat("}")
                 d = ops[0].rows
                 if any(o.rows != d or o.cols != d for o in ops) or d & (d - 1):
                     self.error(f"measurement {name} operators must share a power-of-two size")
-                total = Mat.zeros(d)
-                for o in ops:
-                    total = total + o.dagger() @ o
-                if total != Mat.eye(d):
+                if not _Stack.of(ops).is_isometry():
                     self.error(f"measurement {name} operators do not sum to the identity")
                 measurements[name] = tuple(ops)
             else:  # input
@@ -317,8 +343,8 @@ class _Parser:
         self._unitaries = unitaries
         self._measurements = measurements
         body = self.statement()
-        if self.cur.kind == ";":
-            self.eat(";")
+        if self.kinds[self.pos] == ";":
+            self.pos += 1
         self.eat("eof")
         dim = 1 << self._n_qubits
         if input_state is not None and (input_state.rows != dim or input_state.cols != dim):
@@ -337,24 +363,24 @@ class _Parser:
 
     def statement(self):
         node = self.basic()
-        while self.cur.kind == ";" and self.peek().kind in self._BASIC_STARTS:
-            self.eat(";")
+        while self.kinds[self.pos] == ";" and self.kinds[self.pos + 1] in self._BASIC_STARTS:
+            self.pos += 1
             node = Seq(node, self.basic())
         return node
 
     def basic(self):
-        tok = self.cur
-        if tok.kind == "skip":
-            self.eat("skip")
+        kind = self.kinds[self.pos]
+        if kind == "skip":
+            self.pos += 1
             return Skip()
-        if tok.kind == "name":
-            q = self.qubit(self.eat("name"))
+        if kind == "name":
+            q = self.qubit()
             self.eat("assign")
             self.eat("ket0")
             return Init(q)
-        if tok.kind == "apply":
-            self.eat("apply")
-            name = self.eat("name").text
+        if kind == "apply":
+            self.pos += 1
+            name = self.eat("name")
             if name not in self._unitaries:
                 raise UndeclaredOperator(f"unitary {name} is not declared")
             self.eat("to")
@@ -365,46 +391,45 @@ class _Parser:
                     f"unitary {name} acts on {mat.rows.bit_length() - 1} qubits, got {len(qs)}"
                 )
             return Apply(name, qs)
-        if tok.kind == "if":
-            self.eat("if")
+        if kind == "if":
+            self.pos += 1
             name, qs = self.guard()
             n_out = len(self._measurements[name])
             self.eat("{")
             branches = {}
-            while self.cur.kind != "}":
-                label = int(self.eat("int").text)
+            while self.kinds[self.pos] != "}":
+                label = int(self.eat("int"))
                 self.eat("arrow")
                 stmt = self.statement()
                 self.eat(";")
                 if label in branches:
                     self.error(f"duplicate branch {label}")
                 branches[label] = stmt
-            self.eat("}")
+            self.pos += 1
             if sorted(branches) != list(range(n_out)):
                 raise ArityMismatch(
                     f"if needs one branch per outcome 0..{n_out - 1}, got {sorted(branches)}"
                 )
             return Case(name, qs, tuple(branches[m] for m in range(n_out)))
-        if tok.kind == "while":
-            self.eat("while")
+        if kind == "while":
+            self.pos += 1
             name, qs = self.guard()
             if len(self._measurements[name]) != 2:
                 raise ArityMismatch(f"while guard {name} must have outcomes 0 and 1")
             self.eat("eqeq")
-            one = self.eat("int")
-            if one.text != "1":
-                raise ParseError("while guard must compare against 1", one.line, one.col)
+            if self.eat("int") != "1":
+                self.error("while guard must compare against 1", self.pos - 1)
             self.eat("{")
             body = self.statement()
-            if self.cur.kind == ";":
-                self.eat(";")
+            if self.kinds[self.pos] == ";":
+                self.pos += 1
             self.eat("}")
             return While(name, qs, body)
-        self.error(f"expected a statement, found {tok.text!r}")
+        self.error(f"expected a statement, found {self.texts[self.pos]!r}")
 
     def guard(self):
         self.eat("meas")
-        name = self.eat("name").text
+        name = self.eat("name")
         if name not in self._measurements:
             raise UndeclaredOperator(f"measurement {name} is not declared")
         self.eat("(")
@@ -416,27 +441,31 @@ class _Parser:
         return name, qs
 
     def qubit_list(self):
-        qs = [self.qubit(self.eat("name"))]
-        while self.cur.kind == ",":
-            self.eat(",")
-            qs.append(self.qubit(self.eat("name")))
+        qs = [self.qubit()]
+        while self.kinds[self.pos] == ",":
+            self.pos += 1
+            qs.append(self.qubit())
         if len(set(qs)) != len(qs):
             raise ArityMismatch("qubit list has repeats")
         return tuple(qs)
 
-    def qubit(self, tok: _Token) -> int:
-        m = _re.fullmatch(r"q(\d+)", tok.text)
+    def qubit(self) -> int:
+        """The index of the current token, a name q0..q(n-1)."""
+        at = self.pos
+        text = self.eat("name")
+        m = _QUBIT_RE.fullmatch(text)
         if not m:
-            raise ParseError(f"expected a qubit name q0..q{self._n_qubits - 1}", tok.line, tok.col)
+            self.error(f"expected a qubit name q0..q{self._n_qubits - 1}", at)
         idx = int(m.group(1))
         if idx >= self._n_qubits:
-            raise ParseError(f"qubit {tok.text} out of range", tok.line, tok.col)
+            self.error(f"qubit {text} out of range", at)
         return idx
+
 
 
 def parse(source: str) -> QWhileProgram:
     """Parse source text; positions in errors are 1-based line/column."""
-    return _Parser(_lex(source)).program()
+    return _Parser(source).program()
 
 
 # ----------------------------------------------------------------------
@@ -494,28 +523,29 @@ def lift_operator(op: Mat, targets, n_qubits: int) -> Mat:
     """Embed an operator on the listed qubits into the full register.
 
     Qubit 0 is the most significant bit of the computational basis index.
+    Entry (r, c) of the lift is entry (sub r, sub c) of ``op`` where r and c
+    agree on the other qubits, and zero elsewhere, sub r the target bits of
+    r in the listed order: the lift is op's integer grids taken at those
+    index maps, over op's denominator, in lowest terms since every entry of
+    op appears.  An operator on every qubit in order is its own lift.
     """
-    d = 1 << n_qubits
-    k = len(targets)
-    rest = [q for q in range(n_qubits) if q not in targets]
-    rows = [[CRat(0)] * d for _ in range(d)]
+    if tuple(targets) == tuple(range(n_qubits)):
+        return op
+    index = np.arange(1 << n_qubits)
 
-    def split(index):
-        sub = 0
-        for q in targets:
-            sub = (sub << 1) | ((index >> (n_qubits - 1 - q)) & 1)
-        ctx = 0
-        for q in rest:
-            ctx = (ctx << 1) | ((index >> (n_qubits - 1 - q)) & 1)
-        return sub, ctx
+    def bits(qubits):
+        out = np.zeros_like(index)
+        for q in qubits:
+            out = (out << 1) | ((index >> (n_qubits - 1 - q)) & 1)
+        return out
 
-    for r in range(d):
-        sub_r, ctx_r = split(r)
-        for c in range(d):
-            sub_c, ctx_c = split(c)
-            if ctx_r == ctx_c:
-                rows[r][c] = op.entry(sub_r, sub_c)
-    return Mat.from_rows(rows)
+    sub = bits(targets)
+    ctx = bits([q for q in range(n_qubits) if q not in targets])
+    at, same = (sub[:, None], sub), np.equal.outer(ctx, ctx)
+    re = np.where(same, op.num_re[at], 0)
+    if op.is_real():
+        return Mat(re, np.zeros(re.shape, dtype=object), op.den, _normalized=True, _real=True)
+    return Mat(re, np.where(same, op.num_im[at], 0), op.den, _normalized=True, _real=False)
 
 
 def _unitary_channel(prog: QWhileProgram, name: str, qubits) -> SuperOp:
@@ -523,10 +553,12 @@ def _unitary_channel(prog: QWhileProgram, name: str, qubits) -> SuperOp:
     return SuperOp.from_scaled_unitary(lift_operator(mat, qubits, prog.n_qubits), scale)
 
 
+# the Kraus operators |0><0| and |0><1| of the reset q := |0>
+_RESET = (Mat.from_rows([[1, 0], [0, 0]]), Mat.from_rows([[0, 1], [0, 0]]))
+
+
 def _init_channel(prog: QWhileProgram, qubit: int) -> SuperOp:
-    to_zero = lift_operator(Mat.from_rows([[1, 0], [0, 0]]), (qubit,), prog.n_qubits)
-    from_one = lift_operator(Mat.from_rows([[0, 1], [0, 0]]), (qubit,), prog.n_qubits)
-    return SuperOp([to_zero, from_one], validate=False)
+    return SuperOp([lift_operator(k, (qubit,), prog.n_qubits) for k in _RESET], validate=False)
 
 
 def _lifted_measurement(prog: QWhileProgram, name: str, qubits) -> Measurement:

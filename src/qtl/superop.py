@@ -366,11 +366,16 @@ class _Stack:
                     s[1] += vr * wi - vi * wr
         return acc
 
-    def is_isometry(self) -> bool:
-        """Whether sum_i K_i† K_i is the identity: its :meth:`gram` is den^2
-        on the whole diagonal and zero elsewhere."""
+    def is_isometry(self, scale=1) -> bool:
+        """Whether scale * sum_i K_i† K_i is the identity, for a rational
+        ``scale``: its :meth:`gram` is den^2 / scale on the whole diagonal
+        and zero elsewhere.  No integer is den^2 / scale when scale is not
+        positive or does not divide den^2, and then only an empty stack
+        passes."""
         acc = self.gram()
-        one, zero = [self.den * self.den, 0], [0, 0]
+        p, q = scale.numerator, scale.denominator
+        d2 = q * self.den * self.den
+        one, zero = [d2 // p, 0] if p > 0 and d2 % p == 0 else None, [0, 0]
         diagonal = sum(v == w for v, w in acc)
         return diagonal == len(self.terms) and all(s == (one if v == w else zero) for (v, w), s in acc.items())
 
@@ -543,9 +548,12 @@ class SuperOp:
 
     @staticmethod
     def from_unitary(u: Mat) -> "SuperOp":
-        if u.dagger() @ u != Mat.eye(u.cols):
+        """Channel rho -> u rho u† where u†u = I, as the trace preservation
+        of the channel (:meth:`is_trace_preserving`), which it keeps."""
+        e = SuperOp([u], validate=False)
+        if not e.is_trace_preserving():
             raise PreconditionViolated("matrix is not exactly unitary")
-        return SuperOp([u], validate=False)
+        return e
 
     @staticmethod
     def from_scaled_unitary(v: Mat, scale: Fraction) -> "SuperOp":
@@ -553,15 +561,17 @@ class SuperOp:
 
         The Kraus set is {c_j * v} with rational c_j, sum c_j^2 = scale, so
         irrational unitaries with a rational direction stay exactly
-        representable.
+        representable.  The sum of its E†E is scale * v†v, so scale * v†v
+        = I is the trace preservation of the channel
+        (:meth:`is_trace_preserving`), which it keeps.
         """
         scale = Fraction(scale)
         if scale <= 0:
             raise PreconditionViolated("scale must be positive")
-        if (v.dagger() @ v) * CRat(scale) != Mat.eye(v.cols):
+        e = SuperOp([v * CRat(c) for c in _rational_square_decomposition(scale)], validate=False)
+        if not e.is_trace_preserving():
             raise PreconditionViolated("scale * v†v is not the identity")
-        coeffs = _rational_square_decomposition(scale)
-        return SuperOp([v * CRat(c) for c in coeffs], validate=False)
+        return e
 
     # ------------------------------------------------------------------
 

@@ -16,10 +16,12 @@ import pathlib
 import random
 import runpy
 import sys
+from fractions import Fraction
 
 import pytest
 
 import qtl.program as program
+import qtl.qwhile as qwhile
 from qtl import jsonio
 from qtl.checker import (
     _exit_shaped,
@@ -32,7 +34,7 @@ from qtl.checker import (
     reachability_superop,
 )
 from qtl.formula import atom_from_blocks, parse_formula
-from qtl.linalg import Mat
+from qtl.linalg import CRat, Mat
 from qtl.program import (
     LocationAction,
     SequentialProgram,
@@ -46,7 +48,7 @@ from qtl.program import (
     step_superop,
     to_automaton,
 )
-from qtl.qwhile import WhileNormalForm, compile_source
+from qtl.qwhile import WhileNormalForm, compile_qwhile, compile_source, parse
 from qtl.subspace import Subspace, SubspaceUnion
 from qtl.superop import Measurement, SuperOp, _Stack, image, preimage
 
@@ -240,9 +242,11 @@ class TestNoEmbeddedProducts:
         to_automaton(prog)
         assert seen["all"] == 0
 
-    def test_one_outcome_table_read_per_configuration(self, monkeypatch, scheduler):
-        """``to_automaton`` reads each configuration's outcome channels
-        once, in configuration order, however many selectors place them."""
+    def test_one_outcome_table_read_per_action(self, monkeypatch, scheduler):
+        """``to_automaton`` reads the outcome channels of each distinct
+        action once, at its first configuration in configuration order,
+        however many configurations share it and however many selectors
+        place them."""
         rng = random.Random(2509)
         programs = [scheduler]
         while len(programs) < 5:
@@ -251,10 +255,16 @@ class TestNoEmbeddedProducts:
                 programs.append(prog)
         rows, exact = [], program.outcome_channels
         monkeypatch.setattr(program, "outcome_channels", lambda prog, c: rows.append(c) or exact(prog, c))
+        shared = 0
         for prog in programs:
             assert len(to_automaton(prog).actions) >= 2
-            assert rows == list(prog.configs())
+            first = {}
+            for c in prog.configs():
+                first.setdefault(id(prog._action(c)), c)
+            assert rows == list(first.values())
+            shared += len(first) < len(prog.configs())
             rows.clear()
+        assert shared
 
     def test_checks_form_no_embedded_kraus_mat(self, monkeypatch, scheduler):
         """``check`` of [] f, <>[] f and []<> f reads the actions' Kraus
@@ -363,6 +373,42 @@ class TestNoEmbeddedProducts:
             assert placed == [{prog.exit_location}]
             assert set(dims) <= {prog.dim}
             placed.clear(), dims.clear()
+
+
+class TestFrontEndCost:
+    """The Q-While front end reads matrix literals as text, as the JSON
+    reader reads a file's, and checks declarations on Kraus stacks:
+    parsing the 3-qubit loop multiplies no Mat and makes one Fraction per
+    sqrt(...) prefix and none per entry, and compiling it multiplies no Mat
+    and lifts its operators onto the register with no CRat."""
+
+    def test_parse(self, monkeypatch):
+        seen = TestNoEmbeddedProducts._count(monkeypatch, None)
+        made = []
+        new = Fraction.__new__
+        monkeypatch.setattr(Fraction, "__new__", staticmethod(lambda cls, *a, **k: made.append(a) or new(cls, *a, **k)))
+        prog = parse(THREE_QUBIT_LOOP_SRC)
+        assert seen["all"] == 0
+        assert len(made) <= THREE_QUBIT_LOOP_SRC.count("sqrt(") == 1
+        assert prog.dim == 8 and prog.unitaries["U"][1] == Fraction(1, 2)
+
+    def test_compile(self, monkeypatch):
+        ast = parse(THREE_QUBIT_LOOP_SRC)
+        seen = TestNoEmbeddedProducts._count(monkeypatch, None)
+        made, per_lift = [], []
+        init, lift = CRat.__init__, qwhile.lift_operator
+        monkeypatch.setattr(CRat, "__init__", lambda c, *a: made.append(a) or init(c, *a))
+
+        def counting(*args):
+            before = len(made)
+            out = lift(*args)
+            per_lift.append(len(made) - before)
+            return out
+
+        monkeypatch.setattr(qwhile, "lift_operator", counting)
+        compile_qwhile(ast)
+        assert seen["all"] == 0
+        assert per_lift and set(per_lift) == {0}
 
 
 class TestBlocksAgainstDense:

@@ -42,6 +42,33 @@ KET0 = Mat.from_rows([[1, 0], [0, 0]])
 KET1 = Mat.from_rows([[0, 0], [0, 1]])
 
 
+# malformed sources: the message, line and column of each ParseError (no
+# position for a check made after the whole source is read)
+BAD_SOURCES = [
+    # a character no token starts with, after comments
+    ("qubits 1; # one qubit\n# the body follows\nskip; $ skip", "unexpected character '$'", 3, 7),
+    ("qubits 1;\nskip;\n# a comment on line 3\n  @", "unexpected character '@'", 4, 3),
+    ("qubits 1;\r\nskip;\r\n  skip skip", "expected 'eof', found 'skip'", 3, 8),
+    (PRE + "apply H q0; skip", "expected 'to', found 'q0'", 5, 9),
+    (PRE + "apply H to q0, r1", "expected a qubit name q0..q0", 5, 16),
+    (PRE + "apply H to q5", "qubit q5 out of range", 5, 12),
+    (PRE + "input [[1/0, 0], [0, 1]];\nskip", "zero denominator", 5, 12),
+    ("qubits 1;\nunitary S = [[1, 0], [0, 1 + 2]];\nskip", "expected 'i', found ']'", 2, 31),
+    (PRE + "while meas M(q0) == 2 { skip }", "while guard must compare against 1", 5, 21),
+    (PRE + "if meas M(q0) { 0 -> skip; 0 -> skip; }", "duplicate branch 0", 5, 39),
+    (PRE + "input [[1, 0], [0]];\nskip", "ragged matrix literal", 5, 20),
+    ("qubits 1;\nunitary B = [[1, 1], [0, 1]];\napply B to q0", "declared operator B is not unitary", 2, 29),
+    ("qubits 1;\nunitary S = sqrt(1/3) * [[1, 1], [1, -1]];\nskip", "declared operator S is not unitary", 2, 42),
+    ("qubits 1;\nmeasurement N = {[[1, 0], [0, 0]]};\nskip", "measurement N operators do not sum to the identity", 2, 35),
+    (PRE + "input [[1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]];\nskip", "input state must be 2x2", None, None),
+    ("", "expected a statement, found ''", 1, 1),
+    # non-ASCII digits: a run of \d is an integer, read by its value
+    (PRE + "while meas M(q0) == ١ { skip }", "while guard must compare against 1", 5, 21),
+    (PRE + "input [[1/٠, 0], [0, 1]];\nskip", "zero denominator", 5, 12),
+    (PRE + "input [[¹, 0], [0, 0]];\nskip", "unexpected character '¹'", 5, 9),
+]
+
+
 class TestParser:
     def test_skip(self):
         assert parse("qubits 1;\nskip").body == Skip()
@@ -71,11 +98,18 @@ class TestParser:
         assert prog2.unitaries["W"][1] == Fraction(1, 2)
 
     def test_random_roundtrip(self):
+        """Printing and parsing again gives the same program: statements,
+        unitaries (direction and scale), measurements and input."""
         rng = random.Random(0)
-        for _ in range(25):
-            src = random_qwhile_source(rng)
+        sources = [random_qwhile_source(rng) for _ in range(25)] + [ROUNDTRIP_SOURCE]
+        for src in sources:
             prog = parse(src)
-            assert parse(pretty_print(prog)).body == prog.body
+            again = parse(pretty_print(prog))
+            assert again.body == prog.body
+            assert again.unitaries == prog.unitaries
+            assert all(type(scale) is Fraction for _, scale in again.unitaries.values())
+            assert again.measurements == prog.measurements
+            assert again.input_state == prog.input_state
 
     def test_errors(self):
         with pytest.raises(ParseError):
@@ -103,6 +137,26 @@ class TestParser:
             parse("qubits 1;\nskip;\napply")
         assert err.value.line == 3
 
+    @pytest.mark.parametrize("source, message, line, col", BAD_SOURCES)
+    def test_error_positions(self, source, message, line, col):
+        with pytest.raises(ParseError) as err:
+            parse(source)
+        assert (str(err.value), err.value.line, err.value.col) == (
+            message if line is None else f"{message} (line {line}, column {col})",
+            line,
+            col,
+        )
+
+    def test_non_ascii_digits(self):
+        """Integers are runs of Unicode decimal digits (``\\d``), read by
+        value wherever they stand; other digit-like characters are not."""
+        assert parse("qubits ٢;\nskip").n_qubits == 2
+        prog = parse("qubits 1;\nunitary X = [[٠, ١], [١, ٠]];\ninput [[١/٢, 0], [0, ３/６]];\napply X to q0")
+        assert prog.unitaries["X"] == (Mat.from_rows([[0, 1], [1, 0]]), 1)
+        assert prog.input_state == Mat.from_rows([["1/2", 0], [0, "1/2"]])
+        with pytest.raises(ParseError, match="unexpected character '²'"):
+            parse("qubits ²;\nskip")
+
 
 # every scalar form of a matrix literal: i, -i, a+i, a-i, a+bi, a-bi, bi
 # and -bi, with integer and fractional parts; sqrt(1/3) and sqrt(1/7) are
@@ -120,6 +174,16 @@ measurement M = {[[1, 0], [0, 0]], [[0, 0], [0, 1]]};
 COMPLEX_SOURCE = COMPLEX_PRE + (
     "apply B to q0; apply C to q0; apply D to q0; apply Y to q0; apply F to q0; "
     "while meas M(q0) == 1 { apply A to q0 }"
+)
+
+
+# every scalar form with a complex measurement and a complex input, for the
+# round trip through the printer
+ROUNDTRIP_SOURCE = COMPLEX_PRE + (
+    "measurement P = {[[1/2, -1/2i], [1/2i, 1/2]], [[1/2, 1/2i], [-1/2i, 1/2]]};\n"
+    "input [[1/2, -1/2i], [1/2i, 1/2]];\n"
+    "if meas P(q0) { 0 -> apply A to q0; 1 -> apply B to q0; }; apply C to q0; apply D to q0; "
+    "while meas M(q0) == 1 { apply F to q0; apply Y to q0 }"
 )
 
 
