@@ -44,7 +44,6 @@ import functools
 import itertools
 import math
 import re as _re
-import string
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -152,7 +151,9 @@ _KEYWORDS = {
 _KINDS = {text: text for text in itertools.chain(";,/*()[]{}=+-", _KEYWORDS)}
 _KINDS.update({"|0>": "ket0", ":=": "assign", "->": "arrow", "==": "eqeq", "": "eof"})
 # ... and by first character, for the other tokens with an ASCII one
-_FIRST_KINDS = dict.fromkeys("0123456789", "int") | dict.fromkeys(string.ascii_letters + "_", "name")
+_FIRST_KINDS = dict.fromkeys("0123456789", "int") | dict.fromkeys(
+    "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_", "name"
+)
 
 
 def _lex(source: str) -> tuple:
