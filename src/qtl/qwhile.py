@@ -56,7 +56,7 @@ from .errors import (
     ParseError,
     UndeclaredOperator,
 )
-from .linalg import CRat, Mat, kron, solve
+from .linalg import CRat, Mat, _rows_over, kron, solve
 from .program import LocationAction, SequentialProgram, outcome_channels, place_blocks, step_superop
 from .subspace import Subspace, support
 from .superop import Measurement, SuperOp, _Stack, image, preimage
@@ -532,21 +532,23 @@ def lift_operator(op: Mat, targets, n_qubits: int) -> Mat:
     """
     if tuple(targets) == tuple(range(n_qubits)):
         return op
-    index = np.arange(1 << n_qubits)
+    rest = [q for q in range(n_qubits) if q not in targets]
 
-    def bits(qubits):
-        out = np.zeros_like(index)
+    def bits(index, qubits):
+        out = 0
         for q in qubits:
             out = (out << 1) | ((index >> (n_qubits - 1 - q)) & 1)
         return out
 
-    sub = bits(targets)
-    ctx = bits([q for q in range(n_qubits) if q not in targets])
-    at, same = (sub[:, None], sub), np.equal.outer(ctx, ctx)
-    re = np.where(same, op.num_re[at], 0)
-    if op.is_real():
-        return Mat(re, np.zeros(re.shape, dtype=object), op.den, _normalized=True, _real=True)
-    return Mat(re, np.where(same, op.num_im[at], 0), op.den, _normalized=True, _real=False)
+    indices = range(1 << n_qubits)
+    sub = [bits(r, targets) for r in indices]
+    ctx = [bits(r, rest) for r in indices]
+
+    def lifted(grid):
+        g = grid.tolist()
+        return [[g[sub[r]][sub[c]] if ctx[r] == ctx[c] else 0 for c in indices] for r in indices]
+
+    return _rows_over(op.den, lifted(op.num_re), None if op.is_real() else lifted(op.num_im), reduced=True)
 
 
 def _unitary_channel(prog: QWhileProgram, name: str, qubits) -> SuperOp:

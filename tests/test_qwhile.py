@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -30,7 +31,7 @@ from qtl.qwhile import (
 )
 from qtl.superop import SuperOp
 
-from helpers import EXAMPLE_LOOP_SRC, KET_MINUS_DENSITY, normal_form_exit_series, random_qwhile_source
+from helpers import EXAMPLE_LOOP_SRC, KET_MINUS_DENSITY, normal_form_exit_series, random_matrix, random_qwhile_source
 
 PRE = """qubits 1;
 unitary H = sqrt(1/2) * [[1, 1], [1, -1]];
@@ -242,6 +243,30 @@ class TestLift:
         reversed_ = lift_operator(cnot, (1, 0), 2)
         assert forward == cnot
         assert forward != reversed_
+
+    def test_against_entrywise_definition(self):
+        """Entry (r, c) of the lift is op[sub r, sub c] where r and c agree
+        off the targets, else 0, for complex operators on every ordered
+        choice of targets among three qubits."""
+
+        def reference(op, targets, n):
+            def bits(index, qubits):
+                out = 0
+                for q in qubits:
+                    out = (out << 1) | ((index >> (n - 1 - q)) & 1)
+                return out
+
+            rest = [q for q in range(n) if q not in targets]
+            return Mat.from_rows([
+                [op.entry(bits(r, targets), bits(c, targets)) if bits(r, rest) == bits(c, rest) else 0 for c in range(1 << n)]
+                for r in range(1 << n)
+            ])
+
+        rng = random.Random(4601)
+        for k in (1, 2, 3):
+            for targets in itertools.permutations(range(3), k):
+                op = random_matrix(rng, 1 << k)
+                assert lift_operator(op, targets, 3) == reference(op, targets, 3)
 
 
 class TestDenotation:
