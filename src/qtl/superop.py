@@ -368,10 +368,10 @@ class _Stack:
 
     def is_isometry(self, scale=1) -> bool:
         """Whether scale * sum_i K_i† K_i is the identity, for a rational
-        ``scale``: its :meth:`gram` is den^2 / scale on the whole diagonal
-        and zero elsewhere.  No integer is den^2 / scale when scale is not
-        positive or does not divide den^2, and then only an empty stack
-        passes."""
+        ``scale`` = p/q: its :meth:`gram` is den^2 / scale = q den^2 / p on
+        the whole diagonal and zero elsewhere.  When p is not positive or
+        does not divide q den^2, no gram entry can be that, and only an
+        empty stack passes."""
         acc = self.gram()
         p, q = scale.numerator, scale.denominator
         d2 = q * self.den * self.den

@@ -50,6 +50,7 @@ from helpers import (
     random_matrix,
     random_phase_permutation,
     random_projective_channel,
+    random_rational_rotation,
     random_reset_channel,
     random_scalar,
     random_subspace,
@@ -766,6 +767,33 @@ class TestStackTracePreservation:
             else:
                 with pytest.raises(PreconditionViolated, match="do not sum to the identity"):
                     Measurement(ops)
+        assert seen == {True, False}
+
+    def test_scaled_isometry_agrees(self):
+        """scale * sum K†K = I on the stack against the dense product, for
+        scales that hold, that do not divide den^2, and that are zero or
+        negative; from_unitary and from_scaled_unitary answer the same."""
+        rng = random.Random(3130)
+        seen = set()
+        for _ in range(40):
+            n = rng.choice([2, 3, 4])
+            v = random_rational_rotation(rng, n) * CRat(rng.choice([1, 2, 3, Fraction(1, 2), Fraction(2, 3)]))
+            if rng.random() < 0.3:
+                v = v + Mat.unit(n, rng.randrange(n), rng.randrange(n)) * random_scalar(rng)
+            for scale in (Fraction(1), Fraction(1, 4), Fraction(1, 9), Fraction(4), Fraction(9, 4), Fraction(2, 7), Fraction(0), Fraction(-1, 4)):
+                expected = (v.dagger() @ v) * CRat(scale) == Mat.eye(n)
+                assert _Stack.of([v]).is_isometry(scale) == expected
+                seen.add(expected)
+                if scale > 0 and expected:
+                    assert SuperOp.from_scaled_unitary(v, scale).is_trace_preserving()
+                elif scale > 0:
+                    with pytest.raises(PreconditionViolated, match="is not the identity"):
+                        SuperOp.from_scaled_unitary(v, scale)
+            if _dense_isometry([v]):
+                assert SuperOp.from_unitary(v).kraus == (v,)
+            else:
+                with pytest.raises(PreconditionViolated, match="not exactly unitary"):
+                    SuperOp.from_unitary(v)
         assert seen == {True, False}
 
 
