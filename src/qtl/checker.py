@@ -8,14 +8,13 @@ relevant peripheral eigenvalue periods can be certified.  The limit shapes,
 "always until" and invariance of a union of two or more members search the
 support graph first: a lasso or an escape refutes them, a closed graph
 with none proves them, and their fixpoints or chains run only when neither
-is at hand.
-The fixpoints,
-the loop refinement and the witness search take images and pre-images from
-the actions' Kraus operators (the refinement pulls subspaces back through
-the actions' duals).  A channel's real matrix in a Hermitian operator
-basis is built only where a spectrum is needed (the period of the
-refinement's loop channel, limit states), and its complex matrix
-representation only by the oracle, which keeps its own image path.
+is at hand, growing the one graph of the call for a witness.  The
+fixpoints, the loop refinement and the witness search take images and
+pre-images from the actions' Kraus operators (the refinement pulls
+subspaces back through the actions' duals).  A channel's real matrix in a
+Hermitian operator basis is built only where a spectrum is needed (the
+period of the refinement's loop channel, limit states), and its complex
+matrix representation only by the oracle, which keeps its own image path.
 Every exit question about a deterministic program is asked of its one exit loop
 (:class:`qwhile.WhileNormalForm`): almost-sure exit is decided on the
 loop's subspace lattice; reachability solves exactly for the program's
@@ -229,45 +228,46 @@ class _SupportGraph:
     images; by default the Kraus-form :func:`superop.image`.  ``root`` is
     the support of the initial state where the caller already has it.
 
-    The walk stops expanding at depth ``max_depth`` and after ``budget``
-    expansions; ``closed`` is False when either stop left a node
-    unexpanded.  Every search over the graph is a method here, shared by
-    the checker's witnesses and :func:`oracle_bfs`, and reads the graph as
-    far as it was built: each edge is an exact image, so a word or lasso
-    found on a partial graph refutes as one found on a closed graph does.
+    The graph is the root, then :meth:`grow`.  Every search over it is a
+    method here, shared by the checker's witnesses and :func:`oracle_bfs`,
+    and reads the graph as far as it was built: each edge is an exact
+    image, so a word or lasso found on a partial graph refutes as one
+    found on a closed graph does.
     """
 
     def __init__(self, automaton: QuantumAutomaton, max_depth: int, budget: int, image_of=None, root=None):
-        image_of = image if image_of is None else image_of
-        actions = _actions(automaton)
+        self._image_of = image if image_of is None else image_of
+        self._actions = _actions(automaton)
         root = _initial_support(automaton) if root is None else root
         self.nodes = [root]
         self.depth = [0]
         self.parent = [None]  # (node index, action name)
         self.successors = {}
-        index = {root.key(): 0}
-        frontier = [0]
-        self.closed = True
-        while frontier:
-            nxt = []
-            for i in frontier:
-                if self.depth[i] >= max_depth or len(self.successors) >= budget:
-                    self.closed = False
-                    continue
-                edges = self.successors[i] = []
-                for name, e in actions.items():
-                    img = image_of(e, self.nodes[i])
-                    key = img.key()
-                    j = index.get(key)
-                    if j is None:
-                        j = len(self.nodes)
-                        index[key] = j
-                        self.nodes.append(img)
-                        self.depth.append(self.depth[i] + 1)
-                        self.parent.append((i, name))
-                        nxt.append(j)
-                    edges.append((name, j))
-            frontier = nxt
+        self._index = {root.key(): 0}
+        self.grow(max_depth, budget)
+
+    def grow(self, max_depth: int, budget: int):
+        """Expand the next node while fewer than ``budget`` are and its depth
+        is below ``max_depth``; return the graph, ``closed`` if every node is
+        expanded.  Depth never decreases with the index, so growing gives the
+        graph built to the larger limits, node for node."""
+        nodes, depth, parent, index, image_of = self.nodes, self.depth, self.parent, self._index, self._image_of
+        n = len(self.successors)
+        while n < len(nodes) and n < budget and depth[n] < max_depth:
+            edges = self.successors[n] = []
+            for name, e in self._actions.items():
+                img = image_of(e, nodes[n])
+                key = img.key()
+                j = index.get(key)
+                if j is None:
+                    j = index[key] = len(nodes)
+                    nodes.append(img)
+                    depth.append(depth[n] + 1)
+                    parent.append((n, name))
+                edges.append((name, j))
+            n += 1
+        self.closed = n == len(nodes)
+        return self
 
     def __len__(self):
         return len(self.nodes)
@@ -378,27 +378,29 @@ def check_invariance(a: QuantumAutomaton, u) -> Verdict:
     the verdict of :func:`_invariance_by_chain`.
     """
     u = _operand(a, u)
+    graph = None
     if len(u.members) > 1 and u.contains_subspace(_initial_support(a)):
-        v = _search_first(a, u, _escape_witness)
+        graph = _SupportGraph(a, _WITNESS_DEPTH, a.dim)
+        v = _search_first(graph, u, _escape_witness)
         if v is not None:
             return v
-    return _invariance_by_chain(a, u)
+    return _invariance_by_chain(a, u, graph)
 
 
-def _invariance_by_chain(a: QuantumAutomaton, u) -> Verdict:
+def _invariance_by_chain(a: QuantumAutomaton, u, graph=None) -> Verdict:
     """[] on the lattice alone.  The certificate of a valid verdict is the
     stabilized pre-image chain.  The chain stops at the first round k that
     drops the initial support (``chain_depth``), the depth of the
-    shallowest escape, and the refuting action word is then recovered by
-    breadth-first search to depth k, within 200,000 expansions (QtlError
-    when the search stops before the escape)."""
+    shallowest escape, and the refuting action word is read off the
+    caller's support graph grown to depth k and 200,000 expansions, or a new
+    one (QtlError when it stops before the escape)."""
     u = _operand(a, u)
     root = _initial_support(a)
     psi, depth = _invariance_chain(_actions(a), u, root)
     diag = {"chain_depth": depth}
     if psi.contains_subspace(root):
         return Verdict.valid(certificate=psi, diagnostics=diag)
-    witness = _escape_witness(_SupportGraph(a, depth, 200000, root=root), u)
+    witness = _escape_witness(_grown(a, graph, depth, 200000), u)
     if witness is None:
         raise QtlError("refuted invariance but found no witness within the bound")
     return Verdict.not_valid(witness=witness, diagnostics=diag)
@@ -525,65 +527,56 @@ def check_eventually_always(a: QuantumAutomaton, u) -> Verdict:
     valid verdict.  Otherwise the verdict is that of
     :func:`_eventually_always_by_fixpoints`.
     """
-    u = _operand(a, u)
-    return _search_first(a, u, _SupportGraph.recurrent_escape) or _by_fixpoints(
-        _eventually_always_by_fixpoints(a, u)
-    )
+    return _search_then_fixpoints(a, u, _SupportGraph.recurrent_escape, _eventually_always_by_fixpoints)
 
 
-def _eventually_always_by_fixpoints(a: QuantumAutomaton, u) -> Verdict:
+def _eventually_always_by_fixpoints(a: QuantumAutomaton, u, graph=None) -> Verdict:
     """<> [] on the lattice alone: valid exactly when the initial support
-    lies in the maximal extension of the maximal invariant of the union."""
+    lies in the maximal extension of the maximal invariant of the union.
+    A refutation's lasso (or None) is read off :func:`_grown`'s graph."""
     u = _operand(a, u)
     x = maximal_invariant(a, u)
     psi = maximal_extension(a, x)
     diag = {"invariant_members": len(x.members), "certificate_members": len(psi.members)}
     if psi.contains_subspace(_initial_support(a)):
         return Verdict.valid(certificate=psi, diagnostics=diag)
-    witness, _ = _lasso_search(a, u, _SupportGraph.recurrent_escape)
+    witness = _grown(a, graph, _WITNESS_DEPTH, 4000).recurrent_escape(u)
     return Verdict.not_valid(witness=witness, certificate=psi, diagnostics=diag)
 
 
-def _lasso_search(a: QuantumAutomaton, u: SubspaceUnion, search, budget: int = 4000):
-    """(witness, graph): a finite witness from the initial support, a
-    lasso (prefix word + cycle word) for refuted limit properties or an
-    action word for refuted invariance, and the support graph searched.
-    ``search`` is :meth:`_SupportGraph.recurrent_escape`,
-    :meth:`_SupportGraph.avoiding_lasso` or :func:`_escape_witness`, run
-    on the support graph ``_WITNESS_DEPTH`` actions deep and at most
-    ``budget`` expansions wide; the witness is None when that graph holds
-    none."""
-    graph = _SupportGraph(a, _WITNESS_DEPTH, budget)
-    return search(graph, u), graph
+def _grown(a: QuantumAutomaton, graph, max_depth: int, budget: int) -> _SupportGraph:
+    """The caller's support graph grown to the limits, or a new one built to them."""
+    return _SupportGraph(a, max_depth, budget) if graph is None else graph.grow(max_depth, budget)
 
 
-def _search_first(a: QuantumAutomaton, u: SubspaceUnion, search) -> Verdict | None:
-    """A shape decided on the support graph before any fixpoint or chain
-    runs, or None.  The search is that of :func:`_lasso_search` with a
-    budget of ``a.dim`` expansions, so it takes at most |actions| * dim
-    images and searches the graph those images built; it is one of the
-    lasso searches or :func:`_escape_witness`.  Every edge of the graph is
-    an exact Kraus image, so a lasso or an escape refutes and replays with
-    :func:`replay_word`.  When there is none and the graph closed, its
-    paths are exactly the support sequences of all traces, and every
-    infinite path ends in cycles of the graph, none of which refutes: the
-    shape is valid, with the union of the nodes, an invariant union that
-    holds the initial support, as its certificate.  None means the graph
-    did not close and holds no refutation."""
-    witness, graph = _lasso_search(a, u, search, a.dim)
+def _search_first(graph: _SupportGraph, u: SubspaceUnion, search) -> Verdict | None:
+    """A shape decided on the caller's support graph, built 12 actions deep
+    and D expansions wide on C^D, before any fixpoint or chain runs, or
+    None.  ``search`` is a lasso search or :func:`_escape_witness`.  Every
+    edge of the graph is an exact Kraus image, so a lasso or an escape
+    refutes and replays with :func:`replay_word`.  When there is none and
+    the graph closed, its paths are exactly the support sequences of all
+    traces, and every infinite path ends in cycles of the graph, none of
+    which refutes: the shape is valid, with the union of the nodes, an
+    invariant union that holds the initial support, as its certificate.
+    None means the graph did not close and holds no refutation."""
+    witness = search(graph, u)
     if witness is not None:
         return Verdict.not_valid(witness=witness, diagnostics={"search_nodes": len(graph)})
     if graph.closed:
-        return Verdict.valid(certificate=SubspaceUnion(a.dim, graph.nodes), diagnostics={"graph_nodes": len(graph)})
+        return Verdict.valid(certificate=SubspaceUnion(u.ambient_dim, graph.nodes), diagnostics={"graph_nodes": len(graph)})
     return None
 
 
-def _by_fixpoints(v: Verdict) -> Verdict:
-    """A fixpoint procedure's verdict as the checker reports it: a
-    refutation is evidenced by its witness, so only a valid verdict keeps
-    its certificate."""
+def _search_then_fixpoints(a: QuantumAutomaton, u, search, fixpoints) -> Verdict:
+    """The verdict of :func:`_search_first` on a new support graph, or else
+    that of the fixpoint procedure, which grows it for a witness; only a
+    valid verdict keeps its certificate, a refutation has its witness."""
+    u = _operand(a, u)
+    graph = _SupportGraph(a, _WITNESS_DEPTH, a.dim)
+    v = _search_first(graph, u, search) or fixpoints(a, u, graph)
     if v.status == NOT_VALID:
-        return Verdict.not_valid(witness=v.witness, diagnostics=v.diagnostics)
+        v.certificate = None
     return v
 
 
@@ -675,19 +668,16 @@ def check_always_eventually(a: QuantumAutomaton, u) -> Verdict:
     union of the graph's nodes certifies the valid verdict.  Otherwise the
     verdict is that of :func:`_always_eventually_by_fixpoints`.
     """
-    u = _operand(a, u)
-    return _search_first(a, u, _SupportGraph.avoiding_lasso) or _by_fixpoints(
-        _always_eventually_by_fixpoints(a, u)
-    )
+    return _search_then_fixpoints(a, u, _SupportGraph.avoiding_lasso, _always_eventually_by_fixpoints)
 
 
-def _always_eventually_by_fixpoints(a: QuantumAutomaton, u) -> Verdict:
+def _always_eventually_by_fixpoints(a: QuantumAutomaton, u, graph=None) -> Verdict:
     """[] <> on the lattice alone: alternates the maximal-invariant chain
     with a refinement of simple loops of union components that avoid the
     target.  The refinement uses the exact period of the loop channel's
     peripheral spectrum and returns Unknown, with the reason, when some
     peripheral eigenvalue is not a root of unity or the period exceeds
-    ``_PERIOD_BOUND``.
+    ``_PERIOD_BOUND``.  A refutation's lasso is read off :func:`_grown`'s graph.
     """
     u = _operand(a, u)
     actions = _actions(a)
@@ -714,7 +704,7 @@ def _always_eventually_by_fixpoints(a: QuantumAutomaton, u) -> Verdict:
     diag["certificate_members"] = len(psi.members)
     if psi.contains_subspace(_initial_support(a)):
         return Verdict.valid(certificate=psi, diagnostics=diag)
-    witness, _ = _lasso_search(a, u, _SupportGraph.avoiding_lasso)
+    witness = _grown(a, graph, _WITNESS_DEPTH, 4000).avoiding_lasso(u)
     return Verdict.not_valid(witness=witness, certificate=psi, diagnostics=diag)
 
 
@@ -725,16 +715,17 @@ def check_always_until(a: QuantumAutomaton, phi, psi) -> Verdict:
     The conjunction is sufficient, not necessary: [] (phi U psi) needs only
     invariance of phi || psi besides the recurrence of psi, so a refutation
     may be wrong (the "conservative" row of the :func:`check` table).  Both
-    conjuncts are decided on one support graph, built as
-    :func:`_search_first` builds it, when the initial support lies in phi:
-    its shallowest node outside phi refutes the invariance conjunct, then a
+    conjuncts are decided on one support graph, built as for
+    :func:`_search_first`, when the initial support lies in phi: its
+    shallowest node outside phi refutes the invariance conjunct, then a
     lasso whose cycle avoids psi the recurrence conjunct, and when the
     graph closed and holds neither, the verdict is valid with the union of
     the nodes as its certificate and ``graph_nodes`` as its diagnostics.
     Where the graph did not close, :func:`_invariance_by_chain` and then
     :func:`_always_eventually_by_fixpoints` decide what the graph left
-    open, and a valid verdict carries the loop refinement's fixpoint, its
-    diagnostics and the ``invariance_chain_depth``.
+    open, growing the same graph for a witness, and a valid verdict
+    carries the loop refinement's fixpoint, its diagnostics and the
+    ``invariance_chain_depth``.
     """
     phi, psi = _operand(a, phi), _operand(a, psi)
     inv = graph = None  # with no graph the chain refutes at step 0
@@ -744,17 +735,15 @@ def check_always_until(a: QuantumAutomaton, phi, psi) -> Verdict:
         if escape is not None:
             return Verdict.not_valid(witness=escape, diagnostics={"conjunct": "invariance", "search_nodes": len(graph)})
     if graph is None or not graph.closed:
-        inv = _invariance_by_chain(a, phi)
+        inv = _invariance_by_chain(a, phi, graph)
         if inv.status == NOT_VALID:
             return Verdict.not_valid(witness=inv.witness, diagnostics={"conjunct": "invariance", **inv.diagnostics})
     lasso = graph.avoiding_lasso(psi)
     if lasso is not None:
-        return Verdict.not_valid(
-            witness=lasso, diagnostics={"search_nodes": len(graph), "conjunct": "always_eventually"}
-        )
+        return Verdict.not_valid(witness=lasso, diagnostics={"search_nodes": len(graph), "conjunct": "always_eventually"})
     if inv is None:
         return Verdict.valid(certificate=SubspaceUnion(a.dim, graph.nodes), diagnostics={"graph_nodes": len(graph)})
-    ae = _always_eventually_by_fixpoints(a, psi)
+    ae = _always_eventually_by_fixpoints(a, psi, graph)
     if ae.status == UNKNOWN:
         return ae
     if ae.status == NOT_VALID:
@@ -1242,8 +1231,8 @@ def check(target, formula, atoms: dict) -> Verdict:
     A refutation carries no certificate: the evidence of a refuted [] f,
     <> [] f, [] <> f or [] (f U g) is its witness, an action word or a
     lasso (prefix and cycle) that replays exactly; when the fixpoints of a
-    limit shape refute, the same search runs again on the graph built
-    until 4000 expansions.  A refutation's diagnostics name the pass that
+    limit shape refute, the same search runs again on the same graph grown
+    to 4000 expansions.  A refutation's diagnostics name the pass that
     refuted it: search_nodes for the search, chain_depth for the [] chain,
     the fixpoint's own keys otherwise.
     """

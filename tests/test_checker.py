@@ -946,9 +946,9 @@ class TestRefuteFirst:
             images[0] += 1
             return exact_image(e, s)
 
-        def fixpoints(a, u):
+        def fixpoints(*args):
             before.append(images[0])
-            return exact_fixpoints(a, u)
+            return exact_fixpoints(*args)
 
         monkeypatch.setattr(superop, "image", counting_image)
         monkeypatch.setattr(checker, "image", counting_image)
@@ -1232,6 +1232,87 @@ class TestGraphFirstInvariance:
             "period_bound": checker._PERIOD_BOUND,
             "certificate_members": 1,
         }
+
+
+def _one_graph_cases():
+    """(automaton, f, g) of _refutation_instances of seeds 3801 and 3802,
+    each with g one coordinate subspace, and of the leaky, auto_pure and
+    prog_pure families, seeds 0-59."""
+    cases = [
+        (a, u, basis_union(random.Random(i), a.dim, 1))
+        for seed in (3801, 3802)
+        for i, (a, u) in enumerate(_refutation_instances(random.Random(seed)))
+    ]
+    for family in ("leaky", "auto_pure", "prog_pure"):
+        cases += [_pure_case(family, seed) for seed in range(60)]
+    return cases
+
+
+class TestOneGraphPerCall:
+    """Every pass of one check_* call reads the one support graph and grows
+    it; growing a graph gives the graph built to the larger limits."""
+
+    def test_growing_equals_building(self):
+        # the first graph grown to 4000 expansions is the fresh 4000-expansion
+        # graph, node for node; grown to depth k, below or above the first
+        # graph's depth, it gives the fresh depth-k graph's shallowest escape
+        def fields(graph):
+            return graph.nodes, graph.depth, graph.parent, graph.successors, graph.closed
+
+        depth, counts = checker._WITNESS_DEPTH, collections.Counter()
+        for a, f, _ in _one_graph_cases():
+            grown = checker._SupportGraph(a, depth, a.dim)
+            counts["open"] += not grown.closed
+            assert fields(grown.grow(depth, 4000)) == fields(checker._SupportGraph(a, depth, 4000))
+            for k in (3, depth + 1):
+                witness = checker._escape_witness(checker._SupportGraph(a, k, 200000), f)
+                if witness is not None:
+                    grown = checker._SupportGraph(a, depth, a.dim).grow(k, 200000)
+                    assert checker._escape_witness(grown, f) == witness
+                    counts["escape", k, witness["step"] > 0] += 1
+        assert counts["open"] > 50
+        assert all(counts["escape", k, True] > 10 for k in (3, depth + 1))
+
+    def test_one_graph_per_call(self, monkeypatch):
+        # each check_* call builds at most one support graph, and none for
+        # the 3-qubit loop's valid [] partial_ok; the witness of a
+        # refutation by the fixpoints or the chain is the one a fresh graph
+        # to the same limits gives
+        graph_class, built, counts = checker._SupportGraph, [], collections.Counter()
+
+        class Counting(graph_class):
+            def __init__(self, *args, **kwargs):
+                built.append(args)
+                super().__init__(*args, **kwargs)
+
+        def fresh(a, max_depth, budget):
+            return graph_class(a, max_depth, budget)
+
+        monkeypatch.setattr(checker, "_SupportGraph", Counting)
+        depth = checker._WITNESS_DEPTH
+        for a, f, g in _one_graph_cases():
+            for decide, by_fixpoints in (
+                (lambda: check_invariance(a, f), None),
+                (lambda: check_eventually_always(a, f), lambda: fresh(a, depth, 4000).recurrent_escape(f)),
+                (lambda: check_always_eventually(a, f), lambda: fresh(a, depth, 4000).avoiding_lasso(f)),
+                (lambda: check_always_until(a, f, g), lambda: fresh(a, depth, 4000).avoiding_lasso(g)),
+            ):
+                built.clear()
+                v = decide()
+                assert len(built) <= 1
+                if v.status != "not_valid" or "search_nodes" in v.diagnostics:
+                    continue
+                if "chain_depth" in v.diagnostics:
+                    k = v.diagnostics["chain_depth"]
+                    assert v.witness == checker._escape_witness(fresh(a, k, 200000), f)
+                    counts["chain", k > 0] += 1
+                else:
+                    assert v.witness == by_fixpoints()
+                    counts["fixpoints", v.witness is None] += 1
+        assert counts["chain", True] > 10 and counts["fixpoints", False] > 20 and counts["fixpoints", True] > 5
+        loop, atoms = _three_qubit_loop()
+        built.clear()
+        assert check(loop, parse_formula("[] partial_ok", atoms), atoms).is_valid and built == []
 
 
 class TestAlmostUntil:
