@@ -217,6 +217,14 @@ class _Parser:
         pos = self.pos if at is None else at
         raise ParseError(message, *_line_col(self.source, _offset(self.source, pos)))
 
+    def integer(self) -> int:
+        """The current token's value; ParseError past int()'s digit limit."""
+        text = self.eat("int")
+        try:
+            return int(text)
+        except ValueError:
+            self.error(f"integer of {len(text)} digits is too long", self.pos - 1)
+
     # -- scalars -------------------------------------------------------
 
     def rational(self) -> str:
@@ -225,12 +233,13 @@ class _Parser:
         if self.kinds[self.pos] == "-":
             self.pos += 1
             sign = "-"
-        num = self.eat("int")
+        num = self.texts[self.pos]
+        self.integer()
         if self.kinds[self.pos] != "/":
             return sign + num
         self.pos += 1
-        den = self.eat("int")
-        if int(den) == 0:
+        den = self.texts[self.pos]
+        if self.integer() == 0:
             self.error("zero denominator")
         return f"{sign}{num}/{den}"
 
@@ -303,7 +312,7 @@ class _Parser:
             kind = self.kinds[self.pos]
             self.pos += 1
             if kind == "qubits":
-                n_qubits = int(self.eat("int"))
+                n_qubits = self.integer()
                 if n_qubits < 1:
                     self.error("need at least one qubit")
             elif kind == "unitary":
@@ -399,7 +408,7 @@ class _Parser:
             self.eat("{")
             branches = {}
             while self.kinds[self.pos] != "}":
-                label = int(self.eat("int"))
+                label = self.integer()
                 self.eat("arrow")
                 stmt = self.statement()
                 self.eat(";")
@@ -457,7 +466,10 @@ class _Parser:
         m = _QUBIT_RE.fullmatch(text)
         if not m:
             self.error(f"expected a qubit name q0..q{self._n_qubits - 1}", at)
-        idx = int(m.group(1))
+        try:
+            idx = int(m.group(1))
+        except ValueError:  # more digits than int() reads, so out of range too
+            idx = self._n_qubits
         if idx >= self._n_qubits:
             self.error(f"qubit {text} out of range", at)
         return idx

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from qtl.checker import reachability_superop
+from qtl.cli import EXIT_ERROR, main
 from qtl.errors import ArityMismatch, NotDeterministic, ParseError, UndeclaredOperator
 from qtl.linalg import CRat, Mat, mat_sum
 from qtl.program import (
@@ -67,6 +68,18 @@ BAD_SOURCES = [
     (PRE + "while meas M(q0) == ١ { skip }", "while guard must compare against 1", 5, 21),
     (PRE + "input [[1/٠, 0], [0, 1]];\nskip", "zero denominator", 5, 12),
     (PRE + "input [[¹, 0], [0, 0]];\nskip", "unexpected character '¹'", 5, 9),
+]
+
+# an integer of more digits than int() reads (4,300 by default) at each
+# place the parser reads an integer's value: the message, line and column
+LONG = "9" * 5000
+TOO_LONG = "integer of 5000 digits is too long"
+LONG_INTEGERS = [
+    pytest.param(f"qubits {LONG};\nskip", TOO_LONG, 1, 8, id="qubits"),
+    pytest.param(f"qubits 1;\ninput [[1/{LONG}, 0], [0, 1]];\nskip", TOO_LONG, 2, 11, id="denominator"),
+    pytest.param(f"qubits 1;\nunitary H = sqrt({LONG}/9) * [[1, 1], [1, -1]];\nskip", TOO_LONG, 2, 18, id="sqrt"),
+    pytest.param(PRE + f"if meas M(q0) {{ {LONG} -> skip; 1 -> skip; }}", TOO_LONG, 5, 17, id="case"),
+    pytest.param(PRE + f"q{LONG} := |0>", f"qubit q{LONG} out of range", 5, 1, id="qubit"),
 ]
 
 
@@ -157,6 +170,19 @@ class TestParser:
         assert prog.input_state == Mat.from_rows([["1/2", 0], [0, "1/2"]])
         with pytest.raises(ParseError, match="unexpected character '²'"):
             parse("qubits ²;\nskip")
+
+    @pytest.mark.parametrize("source, message, line, col", LONG_INTEGERS)
+    def test_integer_too_long(self, tmp_path, capsys, source, message, line, col):
+        """A ParseError at the integer, which ``qtl compile`` reports as
+        an error line with no traceback."""
+        message = f"{message} (line {line}, column {col})"
+        with pytest.raises(ParseError) as err:
+            parse(source)
+        assert (str(err.value), err.value.line, err.value.col) == (message, line, col)
+        path = tmp_path / "long.qw"
+        path.write_text(source, encoding="utf-8")
+        assert main(["compile", str(path)]) == EXIT_ERROR
+        assert capsys.readouterr().err == f"error: ParseError: {message}\n"
 
 
 # every scalar form of a matrix literal: i, -i, a+i, a-i, a+bi, a-bi, bi
