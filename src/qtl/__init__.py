@@ -26,11 +26,9 @@ from .qwhile import (
     bohm_jacopini,
     compile_qwhile,
     compile_source,
-    denote_bounded,
     denote_steps,
     parse,
     pretty_print,
-    steps_for_depth,
 )
 from .formula import Atom, atom_from_blocks, formula_to_str, parse_formula
 from .checker import (
