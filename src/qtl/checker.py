@@ -321,6 +321,68 @@ class _SupportGraph:
 
 
 # ----------------------------------------------------------------------
+# the graph-first protocol
+
+
+def _first_graph(a: QuantumAutomaton) -> _SupportGraph:
+    """The support graph that a check_* call searches before any fixpoint
+    or chain runs: 12 actions deep and D expansions wide on C^D."""
+    return _SupportGraph(a, _WITNESS_DEPTH, a.dim)
+
+
+def _graph_first(a: QuantumAutomaton, u: SubspaceUnion, graph, search, lattice) -> Verdict:
+    """The verdict of one shape on ``u``: the graph-first protocol, and the
+    one place where a refutation gets its witness.
+
+    ``graph`` is the caller's first graph (:func:`_first_graph`), or None
+    to go straight to the lattice; ``search`` is the shape's refutation
+    search on a graph, :func:`_escape_witness` or a lasso search; and
+    ``lattice`` is the shape's lattice procedure.  Every edge of the graph
+    is an exact Kraus image, so a refutation found on it refutes and
+    replays with :func:`replay_word`, with ``search_nodes`` as its
+    diagnostics.  When there is none and the graph closed, its paths are
+    exactly the support sequences of all traces, and every infinite path
+    ends in cycles of the graph, none of which refutes: the shape is
+    valid, with the union of the nodes, an invariant union that holds the
+    initial support, as its certificate and ``graph_nodes`` as its
+    diagnostics.
+
+    Otherwise the lattice procedure decides.  When it refutes, the same
+    search on the same graph, grown (or built when there was none), gives
+    the witness, and the refutation keeps the procedure's diagnostics and
+    no certificate.  The [] chain grows it to its ``chain_depth``, the
+    depth of the shallowest escape, and 200,000 expansions, and raises
+    QtlError when the graph holds no escape; the fixpoints grow it to 12
+    actions and 4000 expansions, and their refutation has no witness when
+    the graph holds no lasso.
+    """
+    if graph is not None:
+        witness = search(graph, u)
+        if witness is not None:
+            return Verdict.not_valid(witness=witness, diagnostics={"search_nodes": len(graph)})
+        if graph.closed:
+            return Verdict.valid(certificate=SubspaceUnion(u.ambient_dim, graph.nodes), diagnostics={"graph_nodes": len(graph)})
+    v = lattice(a, u)
+    if v.status != NOT_VALID:
+        return v
+    depth = v.diagnostics.get("chain_depth")
+    limits = (_WITNESS_DEPTH, 4000) if depth is None else (depth, 200000)
+    witness = search(_SupportGraph(a, *limits) if graph is None else graph.grow(*limits), u)
+    if witness is None and depth is not None:
+        raise QtlError("refuted invariance but found no witness within the bound")
+    return Verdict.not_valid(witness=witness, diagnostics=v.diagnostics)
+
+
+def _escape_witness(graph: _SupportGraph, u: SubspaceUnion) -> dict | None:
+    """The graph's shallowest node outside the union as a refutation of
+    [] u, {"word", "step", "support_dim"}, or None."""
+    i = graph.escape(u)
+    if i is None:
+        return None
+    return {"word": graph.word_to(i), "step": graph.depth[i], "support_dim": graph.nodes[i].dim}
+
+
+# ----------------------------------------------------------------------
 # next and invariance
 
 
@@ -365,54 +427,33 @@ def _operand(a: QuantumAutomaton, u) -> SubspaceUnion:
 
 
 def check_invariance(a: QuantumAutomaton, u) -> Verdict:
-    """Decide that every reachable state satisfies the union of subspaces.
+    """Decide that every reachable state satisfies the union of subspaces,
+    by :func:`_graph_first` with the escape search and
+    :func:`_invariance_by_chain`.
 
-    When the initial support lies in a union of two or more members, whose
-    pre-image chain multiplies its members round by round, the support
-    graph is searched first (:func:`_search_first`): its shallowest node
-    outside the union refutes, with the witness the chain would give, and
-    a closed graph with no such node proves it, with the union of the
-    nodes, an invariant union between the initial support and the union,
-    as its certificate.  One-member unions, whose chain is one kernel per
-    round and stops within D rounds, and the graphs that did not close get
-    the verdict of :func:`_invariance_by_chain`.
+    Only a union of two or more members that holds the initial support,
+    whose pre-image chain multiplies its members round by round, gets a
+    first support graph.  A one-member union, whose chain is one kernel
+    per round and stops within D rounds, goes straight to the chain and
+    builds no graph unless the chain refutes.
     """
     u = _operand(a, u)
-    graph = None
-    if len(u.members) > 1 and u.contains_subspace(_initial_support(a)):
-        graph = _SupportGraph(a, _WITNESS_DEPTH, a.dim)
-        v = _search_first(graph, u, _escape_witness)
-        if v is not None:
-            return v
-    return _invariance_by_chain(a, u, graph)
+    graph = _first_graph(a) if len(u.members) > 1 and u.contains_subspace(_initial_support(a)) else None
+    return _graph_first(a, u, graph, _escape_witness, _invariance_by_chain)
 
 
-def _invariance_by_chain(a: QuantumAutomaton, u, graph=None) -> Verdict:
+def _invariance_by_chain(a: QuantumAutomaton, u) -> Verdict:
     """[] on the lattice alone.  The certificate of a valid verdict is the
     stabilized pre-image chain.  The chain stops at the first round k that
     drops the initial support (``chain_depth``), the depth of the
-    shallowest escape, and the refuting action word is read off the
-    caller's support graph grown to depth k and 200,000 expansions, or a new
-    one (QtlError when it stops before the escape)."""
+    shallowest escape, where :func:`_graph_first` finds the witness."""
     u = _operand(a, u)
     root = _initial_support(a)
     psi, depth = _invariance_chain(_actions(a), u, root)
     diag = {"chain_depth": depth}
     if psi.contains_subspace(root):
         return Verdict.valid(certificate=psi, diagnostics=diag)
-    witness = _escape_witness(_grown(a, graph, depth, 200000), u)
-    if witness is None:
-        raise QtlError("refuted invariance but found no witness within the bound")
-    return Verdict.not_valid(witness=witness, diagnostics=diag)
-
-
-def _escape_witness(graph: _SupportGraph, u: SubspaceUnion) -> dict | None:
-    """The graph's shallowest node outside the union as a refutation of
-    [] u, {"word", "step", "support_dim"}, or None."""
-    i = graph.escape(u)
-    if i is None:
-        return None
-    return {"word": graph.word_to(i), "step": graph.depth[i], "support_dim": graph.nodes[i].dim}
+    return Verdict.not_valid(diagnostics=diag)
 
 
 # ----------------------------------------------------------------------
@@ -465,7 +506,8 @@ def _meet_of_preimages(actions: dict, u: SubspaceUnion) -> SubspaceUnion:
 # strictly growing one-member chain of C^D takes up to D rounds, and one
 # more round shows it stable
 _EXTENSION_STEPS = 200
-# the witness search of refuted <>[] f and []<> f goes this many actions deep
+# the first support graph, and the witness search of refuted <>[] f and
+# []<> f, go this many actions deep
 _WITNESS_DEPTH = 12
 # the peripheral eigenvalues of [] <> f, [] (f U g) and [] (p U~ q) need a
 # common order up to this bound (UncertifiedPeriod otherwise)
@@ -518,66 +560,25 @@ def maximal_extension(a: QuantumAutomaton, x) -> SubspaceUnion:
 
 
 def check_eventually_always(a: QuantumAutomaton, u) -> Verdict:
-    """Decide "from some point on, every continuation satisfies the union".
-
-    A lasso whose cycle starts at a support outside the union refutes it,
-    and one is looked for first (:func:`_search_first`); when the support
-    graph of that search closed and holds none, no support outside the
-    union lies on a cycle and the union of the graph's nodes certifies the
-    valid verdict.  Otherwise the verdict is that of
-    :func:`_eventually_always_by_fixpoints`.
-    """
-    return _search_then_fixpoints(a, u, _SupportGraph.recurrent_escape, _eventually_always_by_fixpoints)
+    """Decide "from some point on, every continuation satisfies the union",
+    by :func:`_graph_first` with the search for a lasso whose cycle starts
+    at a support outside the union, and
+    :func:`_eventually_always_by_fixpoints`."""
+    u = _operand(a, u)
+    return _graph_first(a, u, _first_graph(a), _SupportGraph.recurrent_escape, _eventually_always_by_fixpoints)
 
 
-def _eventually_always_by_fixpoints(a: QuantumAutomaton, u, graph=None) -> Verdict:
+def _eventually_always_by_fixpoints(a: QuantumAutomaton, u) -> Verdict:
     """<> [] on the lattice alone: valid exactly when the initial support
-    lies in the maximal extension of the maximal invariant of the union.
-    A refutation's lasso (or None) is read off :func:`_grown`'s graph."""
+    lies in the maximal extension of the maximal invariant of the union,
+    which is the certificate either way."""
     u = _operand(a, u)
     x = maximal_invariant(a, u)
     psi = maximal_extension(a, x)
     diag = {"invariant_members": len(x.members), "certificate_members": len(psi.members)}
     if psi.contains_subspace(_initial_support(a)):
         return Verdict.valid(certificate=psi, diagnostics=diag)
-    witness = _grown(a, graph, _WITNESS_DEPTH, 4000).recurrent_escape(u)
-    return Verdict.not_valid(witness=witness, certificate=psi, diagnostics=diag)
-
-
-def _grown(a: QuantumAutomaton, graph, max_depth: int, budget: int) -> _SupportGraph:
-    """The caller's support graph grown to the limits, or a new one built to them."""
-    return _SupportGraph(a, max_depth, budget) if graph is None else graph.grow(max_depth, budget)
-
-
-def _search_first(graph: _SupportGraph, u: SubspaceUnion, search) -> Verdict | None:
-    """A shape decided on the caller's support graph, built 12 actions deep
-    and D expansions wide on C^D, before any fixpoint or chain runs, or
-    None.  ``search`` is a lasso search or :func:`_escape_witness`.  Every
-    edge of the graph is an exact Kraus image, so a lasso or an escape
-    refutes and replays with :func:`replay_word`.  When there is none and
-    the graph closed, its paths are exactly the support sequences of all
-    traces, and every infinite path ends in cycles of the graph, none of
-    which refutes: the shape is valid, with the union of the nodes, an
-    invariant union that holds the initial support, as its certificate.
-    None means the graph did not close and holds no refutation."""
-    witness = search(graph, u)
-    if witness is not None:
-        return Verdict.not_valid(witness=witness, diagnostics={"search_nodes": len(graph)})
-    if graph.closed:
-        return Verdict.valid(certificate=SubspaceUnion(u.ambient_dim, graph.nodes), diagnostics={"graph_nodes": len(graph)})
-    return None
-
-
-def _search_then_fixpoints(a: QuantumAutomaton, u, search, fixpoints) -> Verdict:
-    """The verdict of :func:`_search_first` on a new support graph, or else
-    that of the fixpoint procedure, which grows it for a witness; only a
-    valid verdict keeps its certificate, a refutation has its witness."""
-    u = _operand(a, u)
-    graph = _SupportGraph(a, _WITNESS_DEPTH, a.dim)
-    v = _search_first(graph, u, search) or fixpoints(a, u, graph)
-    if v.status == NOT_VALID:
-        v.certificate = None
-    return v
+    return Verdict.not_valid(certificate=psi, diagnostics=diag)
 
 
 # ----------------------------------------------------------------------
@@ -660,24 +661,21 @@ def _p2_refine(members, cycle, u: SubspaceUnion, actions):
 
 
 def check_always_eventually(a: QuantumAutomaton, u) -> Verdict:
-    """Decide "the union is visited infinitely often on every path".
-
-    A lasso whose whole cycle stays outside the union refutes it, and one
-    is looked for first (:func:`_search_first`); when the support graph of
-    that search closed and holds none, every cycle meets the union and the
-    union of the graph's nodes certifies the valid verdict.  Otherwise the
-    verdict is that of :func:`_always_eventually_by_fixpoints`.
-    """
-    return _search_then_fixpoints(a, u, _SupportGraph.avoiding_lasso, _always_eventually_by_fixpoints)
+    """Decide "the union is visited infinitely often on every path", by
+    :func:`_graph_first` with the search for a lasso whose whole cycle
+    stays outside the union, and :func:`_always_eventually_by_fixpoints`."""
+    u = _operand(a, u)
+    return _graph_first(a, u, _first_graph(a), _SupportGraph.avoiding_lasso, _always_eventually_by_fixpoints)
 
 
-def _always_eventually_by_fixpoints(a: QuantumAutomaton, u, graph=None) -> Verdict:
+def _always_eventually_by_fixpoints(a: QuantumAutomaton, u) -> Verdict:
     """[] <> on the lattice alone: alternates the maximal-invariant chain
     with a refinement of simple loops of union components that avoid the
     target.  The refinement uses the exact period of the loop channel's
     peripheral spectrum and returns Unknown, with the reason, when some
     peripheral eigenvalue is not a root of unity or the period exceeds
-    ``_PERIOD_BOUND``.  A refutation's lasso is read off :func:`_grown`'s graph.
+    ``_PERIOD_BOUND``.  The certificate, valid or not, is the maximal
+    extension of the refined invariant.
     """
     u = _operand(a, u)
     actions = _actions(a)
@@ -704,8 +702,7 @@ def _always_eventually_by_fixpoints(a: QuantumAutomaton, u, graph=None) -> Verdi
     diag["certificate_members"] = len(psi.members)
     if psi.contains_subspace(_initial_support(a)):
         return Verdict.valid(certificate=psi, diagnostics=diag)
-    witness = _grown(a, graph, _WITNESS_DEPTH, 4000).avoiding_lasso(u)
-    return Verdict.not_valid(witness=witness, certificate=psi, diagnostics=diag)
+    return Verdict.not_valid(certificate=psi, diagnostics=diag)
 
 
 def check_always_until(a: QuantumAutomaton, phi, psi) -> Verdict:
@@ -714,44 +711,28 @@ def check_always_until(a: QuantumAutomaton, phi, psi) -> Verdict:
 
     The conjunction is sufficient, not necessary: [] (phi U psi) needs only
     invariance of phi || psi besides the recurrence of psi, so a refutation
-    may be wrong (the "conservative" row of the :func:`check` table).  Both
-    conjuncts are decided on one support graph, built as for
-    :func:`_search_first`, when the initial support lies in phi: its
-    shallowest node outside phi refutes the invariance conjunct, then a
-    lasso whose cycle avoids psi the recurrence conjunct, and when the
-    graph closed and holds neither, the verdict is valid with the union of
-    the nodes as its certificate and ``graph_nodes`` as its diagnostics.
-    Where the graph did not close, :func:`_invariance_by_chain` and then
-    :func:`_always_eventually_by_fixpoints` decide what the graph left
-    open, growing the same graph for a witness, and a valid verdict
-    carries the loop refinement's fixpoint, its diagnostics and the
-    ``invariance_chain_depth``.
+    may be wrong (the "conservative" row of the :func:`check` table).  Each
+    conjunct is decided by :func:`_graph_first`, as :func:`check_invariance`
+    and :func:`check_always_eventually` decide it, on one support graph,
+    built when the initial support lies in phi (otherwise the chain
+    refutes at step 0).  When that graph closed, both conjuncts are
+    decided on it, and a valid verdict has the union of the nodes as its
+    certificate and ``graph_nodes`` as its diagnostics; otherwise a valid
+    verdict carries the loop refinement's fixpoint, its diagnostics and
+    the ``invariance_chain_depth``.
     """
     phi, psi = _operand(a, phi), _operand(a, psi)
-    inv = graph = None  # with no graph the chain refutes at step 0
-    if phi.contains_subspace(_initial_support(a)):
-        graph = _SupportGraph(a, _WITNESS_DEPTH, a.dim)
-        escape = _escape_witness(graph, phi)
-        if escape is not None:
-            return Verdict.not_valid(witness=escape, diagnostics={"conjunct": "invariance", "search_nodes": len(graph)})
-    if graph is None or not graph.closed:
-        inv = _invariance_by_chain(a, phi, graph)
-        if inv.status == NOT_VALID:
-            return Verdict.not_valid(witness=inv.witness, diagnostics={"conjunct": "invariance", **inv.diagnostics})
-    lasso = graph.avoiding_lasso(psi)
-    if lasso is not None:
-        return Verdict.not_valid(witness=lasso, diagnostics={"search_nodes": len(graph), "conjunct": "always_eventually"})
-    if inv is None:
-        return Verdict.valid(certificate=SubspaceUnion(a.dim, graph.nodes), diagnostics={"graph_nodes": len(graph)})
-    ae = _always_eventually_by_fixpoints(a, psi, graph)
-    if ae.status == UNKNOWN:
-        return ae
+    graph = _first_graph(a) if phi.contains_subspace(_initial_support(a)) else None
+    inv = _graph_first(a, phi, graph, _escape_witness, _invariance_by_chain)
+    if inv.status == NOT_VALID:
+        inv.diagnostics = {"conjunct": "invariance", **inv.diagnostics}
+        return inv
+    ae = _graph_first(a, psi, graph, _SupportGraph.avoiding_lasso, _always_eventually_by_fixpoints)
     if ae.status == NOT_VALID:
-        return Verdict.not_valid(witness=ae.witness, diagnostics={**ae.diagnostics, "conjunct": "always_eventually"})
-    return Verdict.valid(
-        certificate=ae.certificate,
-        diagnostics={"invariance_chain_depth": inv.diagnostics["chain_depth"], **ae.diagnostics},
-    )
+        ae.diagnostics["conjunct"] = "always_eventually"
+    elif ae.is_valid and "chain_depth" in inv.diagnostics:
+        ae.diagnostics = {"invariance_chain_depth": inv.diagnostics["chain_depth"], **ae.diagnostics}
+    return ae
 
 
 # ----------------------------------------------------------------------

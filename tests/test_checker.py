@@ -203,8 +203,8 @@ class TestInvariance:
                 assert v.witness == {"word": [], "step": 0, "support_dim": 1}
 
     def test_witness_is_the_support_graph_escape(self):
-        # the chain that stops at the first escape gives the witness of the
-        # whole graph's shallowest escape, at the root or deeper
+        # the chain stops at the depth of the whole graph's shallowest
+        # escape, at the root or deeper, and that escape is the witness
         rng = random.Random(1603)
         steps = []
         for _ in range(60):
@@ -219,7 +219,9 @@ class TestInvariance:
                 continue
             graph = checker._SupportGraph(aut, v.diagnostics["chain_depth"] + dim, 200000)
             i = graph.escape(u)
-            assert v.witness == {"word": graph.word_to(i), "step": graph.depth[i], "support_dim": graph.nodes[i].dim}
+            assert graph.depth[i] == v.diagnostics["chain_depth"]
+            witness = check_invariance(aut, u).witness
+            assert witness == {"word": graph.word_to(i), "step": graph.depth[i], "support_dim": graph.nodes[i].dim}
             steps.append(graph.depth[i])
         assert 0 in steps and any(steps)
 
@@ -695,11 +697,13 @@ class TestLoopRefinement:
         # [] <> exit_ok on the measure-Hadamard loop: the exit probability
         # tends to one but never reaches it, so the support of the state
         # always keeps a part inside the loop and never lies inside
-        # exit_ok; one refinement, of period 1, refutes the recurrence
-        v = checker._always_eventually_by_fixpoints(to_automaton(example_loop), _exit_ok(example_loop))
+        # exit_ok; one refinement, of period 1, refutes the recurrence, and
+        # the support graph holds its lasso
+        a = to_automaton(example_loop)
+        v = checker._always_eventually_by_fixpoints(a, _exit_ok(example_loop))
         assert v.status == "not_valid"
         assert v.diagnostics == {"refinements": 1, "periods": [1], "period_bound": 64, "certificate_members": 1}
-        assert v.witness == {"prefix": ["step", "step"], "cycle": ["step", "step"]}
+        assert check_always_eventually(a, _exit_ok(example_loop)).witness == {"prefix": ["step", "step"], "cycle": ["step", "step"]}
         e = [[1 if c == r else 0 for c in range(8)] for r in range(8)]
         assert v.certificate == union(Subspace.from_vectors(8, [e[0], e[1], [0, 0, 1, 0, 0, 0, 1, 0], e[3]]))
 
@@ -905,8 +909,8 @@ class TestRefuteFirst:
                 assert v.certificate == whole
                 continue
             depth = v.diagnostics["chain_depth"]
-            assert v.certificate is None and depth == v.witness["step"]
-            assert len(rounds) == depth * len(a.actions)
+            assert v.certificate is None and len(rounds) == depth * len(a.actions)
+            assert check_invariance(a, u).witness["step"] == depth
             stopped += depth < whole_depth
         assert stopped > 0
 
@@ -1137,10 +1141,19 @@ def _pure_case(family, seed):
     return a, basis_union(rng, a.dim, 1), basis_union(rng, a.dim, 1)
 
 
+def _invariance_by_chain(a, f):
+    """[] f decided by the pre-image chain alone, with the witness of a
+    refutation read off a fresh support graph to the chain's depth."""
+    v = checker._invariance_by_chain(a, f)
+    if v.status == "not_valid":
+        v.witness = checker._escape_witness(checker._SupportGraph(a, v.diagnostics["chain_depth"], 200000), f)
+    return v
+
+
 def _always_until_by_chain(a, f, g):
     """[] (f U g) with the invariance conjunct decided by the pre-image
     chain alone and then the recurrence conjunct by check_always_eventually."""
-    inv = checker._invariance_by_chain(a, f)
+    inv = _invariance_by_chain(a, f)
     return inv if inv.status == "not_valid" else check_always_eventually(a, g)
 
 
@@ -1162,7 +1175,7 @@ class TestGraphFirstInvariance:
         counts = collections.Counter()
         for a, f, g in cases:
             for got, ref in (
-                (check_invariance(a, f), checker._invariance_by_chain(a, f)),
+                (check_invariance(a, f), _invariance_by_chain(a, f)),
                 (check_always_until(a, f, g), _always_until_by_chain(a, f, g)),
             ):
                 assert (got.status, got.witness) == (ref.status, ref.witness)
@@ -1203,13 +1216,13 @@ class TestGraphFirstInvariance:
         # the X gate's [] ((zero || one) U zero): one graph of 2 nodes
         # decides both conjuncts, and the diagnostics say so
         built = []
-        graph_class = checker._SupportGraph
 
-        def counting(*args, **kwargs):
-            built.append(args)
-            return graph_class(*args, **kwargs)
+        class Counting(checker._SupportGraph):
+            def __init__(self, *args, **kwargs):
+                built.append(args)
+                super().__init__(*args, **kwargs)
 
-        monkeypatch.setattr(checker, "_SupportGraph", counting)
+        monkeypatch.setattr(checker, "_SupportGraph", Counting)
         monkeypatch.setattr(checker, "_invariance_chain", lambda *args: pytest.fail("the pre-image chain ran"))
         atoms = {"zero": Atom("zero", span((1, 0))), "one": Atom("one", span((0, 1)))}
         v = check(x_automaton, parse_formula("[] ((zero || one) U zero)", atoms), atoms)
