@@ -4,14 +4,17 @@ The workhorses are exact fixpoint computations on finite unions of
 subspaces: decreasing pre-image chains decide invariance, a maximal
 invariant plus its maximal extension decide "eventually always", and a loop
 refinement over union components decides "always eventually" whenever the
-relevant peripheral eigenvalue periods can be certified.  The limit shapes,
+relevant peripheral eigenvalue periods can be certified.  One function,
+:func:`_graph_first`, decides each of these shapes: the limit shapes,
 "always until" and invariance of a union of two or more members search the
-support graph first: a lasso or an escape refutes them, a closed graph
-with none proves them, and their fixpoints or chains run only when neither
-is at hand, growing the one graph of the call for a witness.  The
-fixpoints, the loop refinement and the witness search take images and
-pre-images from the actions' Kraus operators (the refinement pulls
-subspaces back through the actions' duals).  A channel's real matrix in a
+support graph first, where a lasso or an escape refutes them and a closed
+graph with none proves them; the lattice procedures, which return a
+verdict with no witness, run only when neither is at hand, and a
+refutation of theirs gets its witness from the same search on the one
+graph of the call, grown.  The fixpoints, the loop refinement and the
+witness search take images and pre-images from the actions' Kraus
+operators (the refinement pulls subspaces back through the actions'
+duals).  A channel's real matrix in a
 Hermitian operator basis is built only where a spectrum is needed (the
 period of the refinement's loop channel, limit states), and its complex
 matrix representation only by the oracle, which keeps its own image path.
@@ -331,30 +334,24 @@ def _first_graph(a: QuantumAutomaton) -> _SupportGraph:
 
 
 def _graph_first(a: QuantumAutomaton, u: SubspaceUnion, graph, search, lattice) -> Verdict:
-    """The verdict of one shape on ``u``: the graph-first protocol, and the
-    one place where a refutation gets its witness.
+    """One shape's verdict on ``u``, and the one place where a refutation
+    gets its witness.  ``graph`` is the caller's first graph, or None to go
+    straight to the lattice; ``search`` finds a refutation on a graph
+    (:func:`_escape_witness` or a lasso search); ``lattice`` is the shape's
+    lattice procedure.
 
-    ``graph`` is the caller's first graph (:func:`_first_graph`), or None
-    to go straight to the lattice; ``search`` is the shape's refutation
-    search on a graph, :func:`_escape_witness` or a lasso search; and
-    ``lattice`` is the shape's lattice procedure.  Every edge of the graph
-    is an exact Kraus image, so a refutation found on it refutes and
-    replays with :func:`replay_word`, with ``search_nodes`` as its
-    diagnostics.  When there is none and the graph closed, its paths are
-    exactly the support sequences of all traces, and every infinite path
-    ends in cycles of the graph, none of which refutes: the shape is
-    valid, with the union of the nodes, an invariant union that holds the
-    initial support, as its certificate and ``graph_nodes`` as its
-    diagnostics.
-
-    Otherwise the lattice procedure decides.  When it refutes, the same
-    search on the same graph, grown (or built when there was none), gives
-    the witness, and the refutation keeps the procedure's diagnostics and
-    no certificate.  The [] chain grows it to its ``chain_depth``, the
-    depth of the shallowest escape, and 200,000 expansions, and raises
-    QtlError when the graph holds no escape; the fixpoints grow it to 12
-    actions and 4000 expansions, and their refutation has no witness when
-    the graph holds no lasso.
+    A refutation on the graph decides not_valid (``search_nodes``): each
+    edge is an exact Kraus image, so it replays with :func:`replay_word`.
+    A closed graph with none decides valid (``graph_nodes``): its paths are
+    exactly the support sequences of all traces, and the union of its
+    nodes, an invariant union that holds the initial support, is the
+    certificate.  Otherwise the lattice procedure decides.  When it
+    refutes, the same search on the same graph, grown (or built when there
+    is none), gives the witness: to the chain's ``chain_depth``, the depth
+    of the shallowest escape, and 200,000 expansions (QtlError when the
+    graph holds no escape), or to 12 actions and 4000 expansions for the
+    fixpoints (no witness when it holds no lasso).  The refutation keeps
+    the procedure's diagnostics and no certificate.
     """
     if graph is not None:
         witness = search(graph, u)
@@ -1196,26 +1193,30 @@ def check(target, formula, atoms: dict) -> Verdict:
     common order up to 64.  The automaton of a program is built only
     for the shapes that run on it.
 
-    The limit shapes, [] (f U g), and [] f of two or more members whose
-    initial support lies in f, search the support graph before any
-    fixpoint or chain runs, on the graph built 12 actions deep or until D
-    expansions on a space of dimension D, whichever stops it first.  A
-    refuting lasso or escape on it decides not_valid.  When the graph
-    closed (every node's action images are nodes) and holds none, its
-    paths are exactly the support sequences of all traces, so the shape is
-    valid: the certificate is the union of the nodes, an invariant union
-    that holds the initial support, and the diagnostics give graph_nodes.
-    Everywhere else validity comes from the fixpoints or the chain, and a
-    valid verdict carries the fixpoint as its certificate and the pass's
-    own keys as its diagnostics: chain_depth for the [] chain, and for
-    [] (f U g) invariance_chain_depth beside the loop refinement's keys.
-    A refutation carries no certificate: the evidence of a refuted [] f,
-    <> [] f, [] <> f or [] (f U g) is its witness, an action word or a
-    lasso (prefix and cycle) that replays exactly; when the fixpoints of a
-    limit shape refute, the same search runs again on the same graph grown
-    to 4000 expansions.  A refutation's diagnostics name the pass that
-    refuted it: search_nodes for the search, chain_depth for the [] chain,
-    the fixpoint's own keys otherwise.
+    [] f, <> [] f, [] <> f and both conjuncts of [] (f U g) are decided by
+    one protocol.  The limit shapes, [] (f U g), and [] f of two or more
+    members whose initial support lies in f, search the support graph
+    before any fixpoint or chain runs, on the graph built 12 actions deep
+    or until D expansions on a space of dimension D, whichever stops it
+    first.  A refuting lasso or escape on it decides not_valid.  When the
+    graph closed (every node's action images are nodes) and holds none,
+    its paths are exactly the support sequences of all traces, so the
+    shape is valid: the certificate is the union of the nodes, an
+    invariant union that holds the initial support, and the diagnostics
+    give graph_nodes.  Everywhere else the fixpoints or the chain decide,
+    and a valid verdict carries the fixpoint as its certificate and the
+    pass's own keys as its diagnostics: chain_depth for the [] chain, and
+    for [] (f U g) invariance_chain_depth beside the loop refinement's
+    keys.  A refutation carries no certificate: the evidence of a refuted
+    [] f, <> [] f, [] <> f or [] (f U g) is its witness, an action word or
+    a lasso (prefix and cycle) that replays exactly.  When the chain or
+    the fixpoints refute, the same search runs again on the same graph,
+    grown to the chain's depth (that of the shallowest escape) and 200,000
+    expansions for the chain, and to 12 actions and 4000 expansions for
+    the fixpoints of a limit shape, whose refutation has no witness when
+    that graph holds no lasso.  A refutation's diagnostics name the pass
+    that refuted it: search_nodes for the search, chain_depth for the []
+    chain, the fixpoint's own keys otherwise.
     """
     if isinstance(target, QuantumAutomaton):
         ambient = target.dim

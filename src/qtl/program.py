@@ -116,8 +116,9 @@ def _checked_act(act, dim: int, where: str, known_target) -> LocationAction:
 def _checked_acts(act: dict, locations: tuple, dim: int, owner: str, known_target) -> dict:
     """``_checked_act`` of each location, named "location <label><owner>", or
     PreconditionViolated for an ``act`` entry whose label is no location."""
+    known = set(locations)
     for label in act:
-        if label not in locations:
+        if label not in known:
             raise PreconditionViolated(f"act names {label!r}, which is not a location{owner}")
     return {loc: _checked_act(act.get(loc), dim, f"location {loc}{owner}", known_target) for loc in locations}
 
@@ -142,7 +143,7 @@ class SequentialProgram:
             raise PreconditionViolated("initial location is not a location")
         if exit_location is not None and exit_location not in locations:
             raise PreconditionViolated("exit location is not a location")
-        act = _checked_acts(act, locations, dim, "", locations.__contains__)
+        act = _checked_acts(act, locations, dim, "", frozenset(locations).__contains__)
         _validate_density(initial_state, dim, "initial state")
         if exit_location is not None:
             e = act[exit_location]

@@ -84,8 +84,11 @@ class Apply:
 
 @dataclass(frozen=True)
 class Seq:
-    first: object
-    second: object
+    """Two or more statements run in order, none of them a Seq: the parser
+    reads a whole sequence into one node, so the passes over a program walk
+    its sequences in loops and recurse only into nested blocks."""
+
+    statements: tuple
 
 
 @dataclass(frozen=True)
@@ -192,6 +195,10 @@ def _line_col(source: str, pos: int) -> tuple:
 
 _ONE = Fraction(1)
 _QUBIT_RE = _re.compile(r"q(\d+)")
+# if and while blocks nest at most this deep (ParseError at the keyword of
+# the next one): the parser and the compiler recurse once or twice per
+# level, and this keeps them well inside Python's default recursion limit
+_NESTING_MAX = 200
 
 
 class _Parser:
@@ -203,6 +210,7 @@ class _Parser:
         self.source = source
         self.kinds, self.texts = _lex(source)
         self.pos = 0
+        self.depth = 0  # the if and while blocks around the current token
 
     def eat(self, kind) -> str:
         """The text of the current token, which must be of ``kind``."""
@@ -291,8 +299,9 @@ class _Parser:
             # a plain integer, signed or not, the usual entry, is its own text
             at = pos + (kinds[pos] == "-")
             if kinds[at] == "int" and kinds[at + 1] in (",", "]"):
+                self.pos = at
+                self.integer()  # a ParseError past int()'s digit limit
                 entries.append(texts[at] if at == pos else "-" + texts[at])
-                self.pos = at + 1
             else:
                 entries.append(self.scalar())
             if kinds[self.pos] != ",":
@@ -372,11 +381,11 @@ class _Parser:
     _BASIC_STARTS = ("skip", "name", "apply", "if", "while")
 
     def statement(self):
-        node = self.basic()
+        statements = [self.basic()]
         while self.kinds[self.pos] == ";" and self.kinds[self.pos + 1] in self._BASIC_STARTS:
             self.pos += 1
-            node = Seq(node, self.basic())
-        return node
+            statements.append(self.basic())
+        return statements[0] if len(statements) == 1 else Seq(tuple(statements))
 
     def basic(self):
         kind = self.kinds[self.pos]
@@ -401,41 +410,49 @@ class _Parser:
                     f"unitary {name} acts on {mat.rows.bit_length() - 1} qubits, got {len(qs)}"
                 )
             return Apply(name, qs)
-        if kind == "if":
+        if kind == "if" or kind == "while":
+            if self.depth == _NESTING_MAX:
+                self.error(f"blocks nested more than {_NESTING_MAX} deep")
+            self.depth += 1
             self.pos += 1
-            name, qs = self.guard()
-            n_out = len(self._measurements[name])
-            self.eat("{")
-            branches = {}
-            while self.kinds[self.pos] != "}":
-                label = self.integer()
-                self.eat("arrow")
-                stmt = self.statement()
-                self.eat(";")
-                if label in branches:
-                    self.error(f"duplicate branch {label}")
-                branches[label] = stmt
-            self.pos += 1
-            if sorted(branches) != list(range(n_out)):
-                raise ArityMismatch(
-                    f"if needs one branch per outcome 0..{n_out - 1}, got {sorted(branches)}"
-                )
-            return Case(name, qs, tuple(branches[m] for m in range(n_out)))
-        if kind == "while":
-            self.pos += 1
-            name, qs = self.guard()
-            if len(self._measurements[name]) != 2:
-                raise ArityMismatch(f"while guard {name} must have outcomes 0 and 1")
-            self.eat("eqeq")
-            if self.eat("int") != "1":
-                self.error("while guard must compare against 1", self.pos - 1)
-            self.eat("{")
-            body = self.statement()
-            if self.kinds[self.pos] == ";":
-                self.pos += 1
-            self.eat("}")
-            return While(name, qs, body)
+            node = self.case() if kind == "if" else self.loop()
+            self.depth -= 1
+            return node
         self.error(f"expected a statement, found {self.texts[self.pos]!r}")
+
+    def case(self):
+        name, qs = self.guard()
+        n_out = len(self._measurements[name])
+        self.eat("{")
+        branches = {}
+        while self.kinds[self.pos] != "}":
+            label = self.integer()
+            self.eat("arrow")
+            stmt = self.statement()
+            self.eat(";")
+            if label in branches:
+                self.error(f"duplicate branch {label}")
+            branches[label] = stmt
+        self.pos += 1
+        if sorted(branches) != list(range(n_out)):
+            raise ArityMismatch(
+                f"if needs one branch per outcome 0..{n_out - 1}, got {sorted(branches)}"
+            )
+        return Case(name, qs, tuple(branches[m] for m in range(n_out)))
+
+    def loop(self):
+        name, qs = self.guard()
+        if len(self._measurements[name]) != 2:
+            raise ArityMismatch(f"while guard {name} must have outcomes 0 and 1")
+        self.eat("eqeq")
+        if self.eat("int") != "1":
+            self.error("while guard must compare against 1", self.pos - 1)
+        self.eat("{")
+        body = self.statement()
+        if self.kinds[self.pos] == ";":
+            self.pos += 1
+        self.eat("}")
+        return While(name, qs, body)
 
     def guard(self):
         self.eat("meas")
@@ -477,7 +494,9 @@ class _Parser:
 
 
 def parse(source: str) -> QWhileProgram:
-    """Parse source text; positions in errors are 1-based line/column."""
+    """Parse source text; positions in errors are 1-based line/column.  A
+    sequence of statements is one :class:`Seq`, and if and while blocks nest
+    at most 200 deep (ParseError at the keyword of the next one)."""
     return _Parser(source).program()
 
 
@@ -504,7 +523,7 @@ def pretty_print(node) -> str:
     if isinstance(node, Apply):
         return f"apply {node.name} to " + ", ".join(f"q{q}" for q in node.qubits)
     if isinstance(node, Seq):
-        return f"{pretty_print(node.first)}; {pretty_print(node.second)}"
+        return "; ".join(pretty_print(s) for s in node.statements)
     if isinstance(node, Case):
         qs = ", ".join(f"q{q}" for q in node.qubits)
         arms = " ".join(
@@ -604,7 +623,9 @@ def denote_bounded(prog: QWhileProgram, rho: Mat, depth: int):
         if isinstance(node, Apply):
             return _unitary_channel(prog, node.name, node.qubits).apply(rho)
         if isinstance(node, Seq):
-            return ev(node.second, ev(node.first, rho))
+            for statement in node.statements:
+                rho = ev(statement, rho)
+            return rho
         if isinstance(node, Case):
             meas = _lifted_measurement(prog, node.name, node.qubits)
             out = Mat.zeros(prog.dim)
@@ -632,21 +653,25 @@ def denote_bounded(prog: QWhileProgram, rho: Mat, depth: int):
 
 
 def _loop_free(node) -> bool:
-    if isinstance(node, While):
-        return False
-    if isinstance(node, Seq):
-        return _loop_free(node.first) and _loop_free(node.second)
-    if isinstance(node, Case):
-        return all(_loop_free(b) for b in node.branches)
+    """No while anywhere in the statement (an explicit walk, no recursion)."""
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, While):
+            return False
+        if isinstance(node, Seq):
+            stack.extend(node.statements)
+        elif isinstance(node, Case):
+            stack.extend(node.branches)
     return True
 
 
 def _fixed_cost(node) -> int:
     """Step count of a loop-free statement under the compiled cost model."""
     if isinstance(node, Seq):
-        return _fixed_cost(node.first) + _fixed_cost(node.second)
+        return sum(map(_fixed_cost, node.statements))
     if isinstance(node, Case):
-        return 1 + max(_fixed_cost(b) for b in node.branches)
+        return 1 + max(map(_fixed_cost, node.branches))
     return 1
 
 
@@ -656,7 +681,7 @@ def steps_for_depth(node, depth: int) -> int:
     if isinstance(node, QWhileProgram):
         return steps_for_depth(node.body, depth)
     if isinstance(node, Seq):
-        return steps_for_depth(node.first, depth) + steps_for_depth(node.second, depth)
+        return sum(steps_for_depth(s, depth) for s in node.statements)
     if isinstance(node, Case):
         if _loop_free(node):
             return _fixed_cost(node)
@@ -681,11 +706,18 @@ def denote_steps(prog: QWhileProgram, rho: Mat, budget: int) -> Mat:
     def finish(r, left):
         acc[0] = acc[0] + r
 
+    def run_from(statements, i, rho, left, cont):
+        """Run statements[i:] in order, then ``cont``."""
+        if i == len(statements):
+            cont(rho, left)
+        else:
+            run(statements[i], rho, left, lambda r, l: run_from(statements, i + 1, r, l, cont))
+
     def run(node, rho, left, cont):
         if rho.is_zero():
             return
         if isinstance(node, Seq):
-            run(node.first, rho, left, lambda r, l: run(node.second, r, l, cont))
+            run_from(node.statements, 0, rho, left, cont)
             return
         if left < 1:
             return
@@ -731,15 +763,14 @@ def denote_steps(prog: QWhileProgram, rho: Mat, budget: int) -> Mat:
 
 def _location_count(node) -> int:
     if isinstance(node, Seq):
-        return _location_count(node.first) + _location_count(node.second)
+        return sum(map(_location_count, node.statements))
     if isinstance(node, Case):
+        count = 1 + sum(map(_location_count, node.branches))
         if _loop_free(node):
             # each branch is followed by skips up to the slowest branch
-            target = max(_fixed_cost(b) for b in node.branches)
-            return 1 + sum(
-                _location_count(b) + (target - _fixed_cost(b)) for b in node.branches
-            )
-        return 1 + sum(_location_count(b) for b in node.branches)
+            costs = list(map(_fixed_cost, node.branches))
+            count += len(costs) * max(costs) - sum(costs)
+        return count
     if isinstance(node, While):
         return 1 + _location_count(node.body)
     return 1
@@ -779,9 +810,12 @@ def compile_qwhile(prog: QWhileProgram) -> SequentialProgram:
             )
             return
         if isinstance(node, Seq):
-            mid = start + _location_count(node.first)
-            emit(node.first, start, mid)
-            emit(node.second, mid, cont)
+            *init, last = node.statements
+            for statement in init:
+                mid = start + _location_count(statement)
+                emit(statement, start, mid)
+                start = mid
+            emit(last, start, cont)
             return
         if isinstance(node, Case):
             meas = _lifted_measurement(prog, node.name, node.qubits)

@@ -729,7 +729,9 @@ class SuperOp:
         return self.matrix_rep() == other.matrix_rep()
 
     def __repr__(self):
-        return f"SuperOp({len(self.kraus)} Kraus, {self.dim_in}->{self.dim_out})"
+        # counted on the stack where there is one: reading .kraus would form every Kraus Mat
+        n_ops = len(self._kraus) if self._stack is None else self._stack.n_ops
+        return f"SuperOp({n_ops} Kraus, {self.dim_in}->{self.dim_out})"
 
 
 # the slots' own descriptors set them past the guard of __setattr__

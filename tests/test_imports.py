@@ -248,3 +248,30 @@ def test_only_the_one_step_channels_place_kraus_stacks():
 
 def test_the_step_is_stated_once():
     assert _module_callers("outcome_channels") == OUTCOME_CHANNELS_CALLERS
+
+
+# Every refutation witness of [] f, <> [] f, [] <> f and [] (f U g) is added
+# by one function, the graph-first protocol, which grows the one support
+# graph of the call; the lattice procedures return verdicts only.  The
+# oracle keeps its own dispatch over the same searches, and _escape_witness,
+# the [] f search the protocol is handed, reads the graph's escape.
+WITNESS_SEARCHES = ("grow", "escape", "recurrent_escape", "avoiding_lasso", "_escape_witness")
+WITNESS_CALLERS = {"_graph_first", "oracle_bfs"}
+
+
+def _module_functions(tree) -> ast.Module:
+    """The module-level functions of a syntax tree, with no class body."""
+    return ast.Module([node for node in tree.body if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))], [])
+
+
+def test_one_function_adds_every_witness():
+    functions = _module_functions(ast.parse(CHECKER.read_text(), str(CHECKER)))
+    for name in WITNESS_SEARCHES:
+        allowed = WITNESS_CALLERS | ({"_escape_witness"} if name == "escape" else set())
+        assert set(_callers(functions, name)) <= allowed, name
+    assert set(_callers(functions, "grow")) == {"_graph_first"}
+
+
+def test_module_functions_leave_out_class_bodies():
+    source = "class G:\n    def __init__(self):\n        self.grow(1)\ndef f(g):\n    return g.grow(2)\n"
+    assert _callers(_module_functions(ast.parse(source)), "grow") == ["f"]

@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -71,13 +72,16 @@ BAD_SOURCES = [
 ]
 
 # an integer of more digits than int() reads (4,300 by default) at each
-# place the parser reads an integer's value: the message, line and column
+# place the parser reads an integer's value, a plain matrix entry included:
+# the message, line and column
 LONG = "9" * 5000
 TOO_LONG = "integer of 5000 digits is too long"
 LONG_INTEGERS = [
     pytest.param(f"qubits {LONG};\nskip", TOO_LONG, 1, 8, id="qubits"),
     pytest.param(f"qubits 1;\ninput [[1/{LONG}, 0], [0, 1]];\nskip", TOO_LONG, 2, 11, id="denominator"),
     pytest.param(f"qubits 1;\nunitary H = sqrt({LONG}/9) * [[1, 1], [1, -1]];\nskip", TOO_LONG, 2, 18, id="sqrt"),
+    pytest.param(f"qubits 1;\ninput [[{LONG}, 0], [0, 1]];\nskip", TOO_LONG, 2, 9, id="entry"),
+    pytest.param(f"qubits 1;\ninput [[1, 0], [0, -{LONG}]];\nskip", TOO_LONG, 2, 21, id="negative_entry"),
     pytest.param(PRE + f"if meas M(q0) {{ {LONG} -> skip; 1 -> skip; }}", TOO_LONG, 5, 17, id="case"),
     pytest.param(PRE + f"q{LONG} := |0>", f"qubit q{LONG} out of range", 5, 1, id="qubit"),
 ]
@@ -89,7 +93,7 @@ class TestParser:
 
     def test_two_statement_program(self):
         prog = parse(PRE + "q0 := |0>; apply H to q0")
-        assert prog.body == Seq(Init(0), Apply("H", (0,)))
+        assert prog.body == Seq((Init(0), Apply("H", (0,))))
 
     def test_while_roundtrip(self):
         prog = parse(PRE + "while meas M(q0) == 1 { apply H to q0 }")
@@ -324,7 +328,40 @@ class TestDenotation:
             assert is_psd(deep - shallow)
 
 
+# the openings of a while block and of an if block whose branch 0 holds the
+# next block, for sources of blocks nested in one another on one line
+WHILE_OPEN = "while meas M(q0) == 1 { "
+IF_OPEN = "if meas M(q0) { 1 -> skip; 0 -> "
+
+
 class TestCompile:
+    def test_long_sequence(self, tmp_path):
+        # a sequence is one node, walked in a loop: 2,000 statements compile
+        # through qtl compile to 2,001 locations, the exit included
+        path, out = tmp_path / "long.qw", tmp_path / "long.json"
+        path.write_text("qubits 1;\n" + "; ".join(["skip"] * 2000), encoding="utf-8")
+        assert main(["compile", str(path), "-o", str(out)]) == 0
+        assert len(json.loads(out.read_text(encoding="utf-8"))["locations"]) == 2001
+
+    def test_nesting_limit(self):
+        # 200 nested loops compile: 200 guards, the skip and the exit
+        prog = compile_source(PRE + WHILE_OPEN * 200 + "skip" + " }" * 200)
+        assert len(prog.locations) == 202
+
+    @pytest.mark.parametrize("opening, closing", [(WHILE_OPEN, " }"), (IF_OPEN, "; }")], ids=["while", "if"])
+    def test_nested_too_deep(self, tmp_path, capsys, opening, closing):
+        # the 201st block is a ParseError at its keyword, which qtl compile
+        # reports as an error line with no traceback
+        source = PRE + opening * 600 + "skip" + closing * 600
+        message = f"blocks nested more than 200 deep (line 5, column {200 * len(opening) + 1})"
+        with pytest.raises(ParseError) as err:
+            parse(source)
+        assert str(err.value) == message
+        path = tmp_path / "deep.qw"
+        path.write_text(source, encoding="utf-8")
+        assert main(["compile", str(path)]) == EXIT_ERROR
+        assert capsys.readouterr().err == f"error: ParseError: {message}\n"
+
     def test_skip_two_locations(self):
         prog = compile_source("qubits 1;\nskip")
         assert len(prog.locations) == 2

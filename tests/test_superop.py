@@ -19,6 +19,7 @@ from qtl.errors import DimensionMismatch, PreconditionViolated
 from qtl.formula import Atom, atom_from_blocks, parse_formula
 from qtl.linalg import CRat, Mat, kron, mat_sum
 from qtl.program import QuantumAutomaton, to_automaton
+from qtl.qwhile import compile_source
 from qtl.subspace import Subspace, satisfies, support
 from qtl.superop import (
     Measurement,
@@ -299,6 +300,19 @@ class TestStackProduct:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             SuperOp.identity(2).compose(SuperOp.identity(3))
+
+
+class TestRepr:
+    def test_repr_forms_no_kraus_mat(self, monkeypatch):
+        # a stacked channel counts its operators on the stack: the one
+        # action of a 150-skip program, and a composition of two channels
+        step = next(iter(to_automaton(compile_source("qubits 1;\n" + "; ".join(["skip"] * 150))).actions.values()))
+        x, h = SuperOp.from_unitary(PAULI_X), SuperOp([HADAMARD_DIRECTION * CRat(Fraction(1, 2)), HADAMARD_DIRECTION * CRat(Fraction(1, 2))])
+        composed = x.compose(h)
+        monkeypatch.setattr(_Stack, "mats", lambda st: pytest.fail("formed the Kraus Mats"))
+        assert repr(step) == "SuperOp(151 Kraus, 302->302)"
+        assert repr(composed) == "SuperOp(2 Kraus, 2->2)"
+        assert repr(SuperOp.from_unitary(PAULI_Y)) == "SuperOp(1 Kraus, 2->2)"
 
 
 class TestReadPath:
