@@ -210,7 +210,9 @@ class _Parser:
         self.source = source
         self.kinds, self.texts = _lex(source)
         self.pos = 0
-        self.depth = 0  # the if and while blocks around the current token
+        # the statement lists open around the current token: the program's
+        # own, and one per if or while block it is nested in
+        self.depth = 0
 
     def eat(self, kind) -> str:
         """The text of the current token, which must be of ``kind``."""
@@ -381,10 +383,12 @@ class _Parser:
     _BASIC_STARTS = ("skip", "name", "apply", "if", "while")
 
     def statement(self):
+        self.depth += 1
         statements = [self.basic()]
         while self.kinds[self.pos] == ";" and self.kinds[self.pos + 1] in self._BASIC_STARTS:
             self.pos += 1
             statements.append(self.basic())
+        self.depth -= 1
         return statements[0] if len(statements) == 1 else Seq(tuple(statements))
 
     def basic(self):
@@ -410,49 +414,43 @@ class _Parser:
                     f"unitary {name} acts on {mat.rows.bit_length() - 1} qubits, got {len(qs)}"
                 )
             return Apply(name, qs)
-        if kind == "if" or kind == "while":
-            if self.depth == _NESTING_MAX:
-                self.error(f"blocks nested more than {_NESTING_MAX} deep")
-            self.depth += 1
+        if (kind == "if" or kind == "while") and self.depth > _NESTING_MAX:
+            self.error(f"blocks nested more than {_NESTING_MAX} deep")
+        if kind == "if":
             self.pos += 1
-            node = self.case() if kind == "if" else self.loop()
-            self.depth -= 1
-            return node
+            name, qs = self.guard()
+            n_out = len(self._measurements[name])
+            self.eat("{")
+            branches = {}
+            while self.kinds[self.pos] != "}":
+                label = self.integer()
+                self.eat("arrow")
+                stmt = self.statement()
+                self.eat(";")
+                if label in branches:
+                    self.error(f"duplicate branch {label}")
+                branches[label] = stmt
+            self.pos += 1
+            if sorted(branches) != list(range(n_out)):
+                raise ArityMismatch(
+                    f"if needs one branch per outcome 0..{n_out - 1}, got {sorted(branches)}"
+                )
+            return Case(name, qs, tuple(branches[m] for m in range(n_out)))
+        if kind == "while":
+            self.pos += 1
+            name, qs = self.guard()
+            if len(self._measurements[name]) != 2:
+                raise ArityMismatch(f"while guard {name} must have outcomes 0 and 1")
+            self.eat("eqeq")
+            if self.eat("int") != "1":
+                self.error("while guard must compare against 1", self.pos - 1)
+            self.eat("{")
+            body = self.statement()
+            if self.kinds[self.pos] == ";":
+                self.pos += 1
+            self.eat("}")
+            return While(name, qs, body)
         self.error(f"expected a statement, found {self.texts[self.pos]!r}")
-
-    def case(self):
-        name, qs = self.guard()
-        n_out = len(self._measurements[name])
-        self.eat("{")
-        branches = {}
-        while self.kinds[self.pos] != "}":
-            label = self.integer()
-            self.eat("arrow")
-            stmt = self.statement()
-            self.eat(";")
-            if label in branches:
-                self.error(f"duplicate branch {label}")
-            branches[label] = stmt
-        self.pos += 1
-        if sorted(branches) != list(range(n_out)):
-            raise ArityMismatch(
-                f"if needs one branch per outcome 0..{n_out - 1}, got {sorted(branches)}"
-            )
-        return Case(name, qs, tuple(branches[m] for m in range(n_out)))
-
-    def loop(self):
-        name, qs = self.guard()
-        if len(self._measurements[name]) != 2:
-            raise ArityMismatch(f"while guard {name} must have outcomes 0 and 1")
-        self.eat("eqeq")
-        if self.eat("int") != "1":
-            self.error("while guard must compare against 1", self.pos - 1)
-        self.eat("{")
-        body = self.statement()
-        if self.kinds[self.pos] == ";":
-            self.pos += 1
-        self.eat("}")
-        return While(name, qs, body)
 
     def guard(self):
         self.eat("meas")
