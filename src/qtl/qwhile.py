@@ -195,9 +195,9 @@ def _line_col(source: str, pos: int) -> tuple:
 
 _ONE = Fraction(1)
 _QUBIT_RE = _re.compile(r"q(\d+)")
-# if and while blocks nest at most this deep (ParseError at the keyword of
-# the next one): the parser and the compiler recurse once or twice per
-# level, and this keeps them well inside Python's default recursion limit
+# if and while blocks nest at most this deep (ParseError at the next one's
+# keyword): the parser and the compiler recurse up to twice per level, so
+# this keeps them well inside Python's default recursion limit of 1000
 _NESTING_MAX = 200
 
 
@@ -651,16 +651,12 @@ def denote_bounded(prog: QWhileProgram, rho: Mat, depth: int):
 
 
 def _loop_free(node) -> bool:
-    """No while anywhere in the statement (an explicit walk, no recursion)."""
-    stack = [node]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, While):
-            return False
-        if isinstance(node, Seq):
-            stack.extend(node.statements)
-        elif isinstance(node, Case):
-            stack.extend(node.branches)
+    if isinstance(node, While):
+        return False
+    if isinstance(node, Seq):
+        return all(map(_loop_free, node.statements))
+    if isinstance(node, Case):
+        return all(map(_loop_free, node.branches))
     return True
 
 
