@@ -143,7 +143,13 @@ def cmd_simulate(args) -> int:
                         return EXIT_ERROR
             traces = grown
     else:
-        word = [int(x) for x in args.schedule.split(",")] if args.schedule else []
+        word = []
+        for item in args.schedule.split(",") if args.schedule else []:
+            try:
+                word.append(int(item))
+            except ValueError:
+                print(f"error: schedule item {item!r} is not an integer", file=sys.stderr)
+                return EXIT_ERROR
         state = initial_cq(program)
         trace = [state]
         for k in range(args.steps):

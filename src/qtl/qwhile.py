@@ -31,7 +31,8 @@ Compilation targets the location-based sequential program model, one
 location per statement plus guard locations for branching, with a fresh
 exit location appended.  Branches of an ``if`` whose arms are loop-free are
 padded with skips to equal length, which keeps the step count of a path
-independent of the measured branch.
+independent of the measured branch.  Each node's location count and step
+cost are read off one table (``_node_facts``), built once per call.
 
 The single-while normal form works on the location blocks of C^d, one
 d x d channel per outcome (:func:`qtl.program.outcome_channels`); it places
@@ -51,13 +52,16 @@ import numpy as np
 
 from .errors import (
     ArityMismatch,
+    BudgetExceeded,
     NoExitLocation,
     NotDeterministic,
     ParseError,
     UndeclaredOperator,
 )
 from .linalg import CRat, Mat, _rows_over, kron, solve
-from .program import LocationAction, SequentialProgram, outcome_channels, place_blocks, step_superop
+from .program import (
+    _GRID_ENTRIES_MAX, LocationAction, SequentialProgram, outcome_channels, place_blocks, step_superop,
+)
 from .subspace import Subspace, support
 from .superop import Measurement, SuperOp, _Stack, image, preimage
 
@@ -196,8 +200,9 @@ def _line_col(source: str, pos: int) -> tuple:
 _ONE = Fraction(1)
 _QUBIT_RE = _re.compile(r"q(\d+)")
 # if and while blocks nest at most this deep (ParseError at the next one's
-# keyword): the parser and the compiler recurse up to twice per level, so
-# this keeps them well inside Python's default recursion limit of 1000
+# keyword): the parser, the pretty printer and denote_bounded recurse up to
+# twice per level, so this keeps them well inside Python's default
+# recursion limit of 1000
 _NESTING_MAX = 200
 
 
@@ -650,41 +655,62 @@ def denote_bounded(prog: QWhileProgram, rho: Mat, depth: int):
     return result, exhausted[0]
 
 
-def _loop_free(node) -> bool:
-    if isinstance(node, While):
-        return False
-    if isinstance(node, Seq):
-        return all(map(_loop_free, node.statements))
-    if isinstance(node, Case):
-        return all(map(_loop_free, node.branches))
-    return True
+def _bottom_up(root) -> list:
+    """Every statement of the tree at ``root``, children before parents."""
+    order = [root]
+    for node in order:
+        if isinstance(node, Seq):
+            order.extend(node.statements)
+        elif isinstance(node, Case):
+            order.extend(node.branches)
+        elif isinstance(node, While):
+            order.append(node.body)
+    order.reverse()
+    return order
 
 
-def _fixed_cost(node) -> int:
-    """Step count of a loop-free statement under the compiled cost model."""
-    if isinstance(node, Seq):
-        return sum(map(_fixed_cost, node.statements))
-    if isinstance(node, Case):
-        return 1 + max(map(_fixed_cost, node.branches))
-    return 1
+def _node_facts(root) -> dict:
+    """{id(node): (locations, cost)} over the tree at ``root``, in one pass
+    with children before parents: the node's compiled location count, and
+    its step count under the compiled cost model, or None when it holds a
+    loop.  Each branch of a loop-free ``Case`` is followed by skips up to
+    the slowest branch, which its count includes."""
+    facts = {}
+    for node in _bottom_up(root):
+        if isinstance(node, Seq):
+            counts, costs = zip(*(facts[id(s)] for s in node.statements))
+            facts[id(node)] = (sum(counts), None if None in costs else sum(costs))
+        elif isinstance(node, Case):
+            counts, costs = zip(*(facts[id(b)] for b in node.branches))
+            if None in costs:
+                facts[id(node)] = (1 + sum(counts), None)
+            else:
+                target = max(costs)
+                facts[id(node)] = (1 + sum(counts) + len(costs) * target - sum(costs), 1 + target)
+        elif isinstance(node, While):
+            facts[id(node)] = (1 + facts[id(node.body)][0], None)
+        else:
+            facts[id(node)] = (1, 1)
+    return facts
 
 
 def steps_for_depth(node, depth: int) -> int:
     """Compiled steps that cover every path using <= depth guard evaluations
     per loop entry (the step <-> depth map of the compiler)."""
     if isinstance(node, QWhileProgram):
-        return steps_for_depth(node.body, depth)
-    if isinstance(node, Seq):
-        return sum(steps_for_depth(s, depth) for s in node.statements)
-    if isinstance(node, Case):
-        if _loop_free(node):
-            return _fixed_cost(node)
-        return 1 + max(steps_for_depth(b, depth) for b in node.branches)
-    if isinstance(node, While):
-        if depth <= 0:
-            return 0
-        return depth + (depth - 1) * steps_for_depth(node.body, depth)
-    return 1
+        node = node.body
+    facts = _node_facts(node)
+    steps = {}
+    for n in _bottom_up(node):
+        if facts[id(n)][1] is not None:  # loop-free: its fixed cost
+            steps[id(n)] = facts[id(n)][1]
+        elif isinstance(n, Seq):
+            steps[id(n)] = sum(steps[id(s)] for s in n.statements)
+        elif isinstance(n, Case):
+            steps[id(n)] = 1 + max(steps[id(b)] for b in n.branches)
+        else:
+            steps[id(n)] = depth + (depth - 1) * steps[id(n.body)] if depth > 0 else 0
+    return steps[id(node)]
 
 
 def denote_steps(prog: QWhileProgram, rho: Mat, budget: int) -> Mat:
@@ -694,90 +720,83 @@ def denote_steps(prog: QWhileProgram, rho: Mat, budget: int) -> Mat:
     charging one step per basic statement or guard evaluation and the same
     branch padding the compiler applies.  Equals the exit block of the
     compiled program after ``budget`` steps, exactly.
+
+    One loop over a work list of (statement, state, steps left,
+    continuation), depth first.  A continuation is None, the program's end,
+    or a frame (statements, i, up): run ``statements[i:]``, then ``up``.
+    Entering a loop again is the frame ((loop,), 0, up), and a padded
+    branch's skips are (None, pad, up).  The statement None hands the state
+    and its steps left to the continuation.
     """
-    acc = [Mat.zeros(prog.dim)]
-
-    def finish(r, left):
-        acc[0] = acc[0] + r
-
-    def run_from(statements, i, rho, left, cont):
-        """Run statements[i:] in order, then ``cont``."""
-        if i == len(statements):
-            cont(rho, left)
-        else:
-            run(statements[i], rho, left, lambda r, l: run_from(statements, i + 1, r, l, cont))
-
-    def run(node, rho, left, cont):
+    facts = _node_facts(prog.body)
+    out = Mat.zeros(prog.dim)
+    work = [(prog.body, rho, budget, None)]
+    while work:
+        node, rho, left, cont = work.pop()
         if rho.is_zero():
-            return
+            continue
         if isinstance(node, Seq):
-            run_from(node.statements, 0, rho, left, cont)
-            return
+            node, cont = None, (node.statements, 0, cont)
+        if node is None:
+            if cont is None:
+                out = out + rho
+                continue
+            statements, i, up = cont
+            if statements is None:
+                if left >= i:
+                    work.append((None, rho, left - i, up))
+            else:
+                nxt = (statements, i + 1, up) if i + 1 < len(statements) else up
+                work.append((statements[i], rho, left, nxt))
+            continue
         if left < 1:
-            return
+            continue
+        left -= 1
         if isinstance(node, Skip):
-            cont(rho, left - 1)
+            work.append((None, rho, left, cont))
         elif isinstance(node, Init):
-            cont(_init_channel(prog, node.qubit).apply(rho), left - 1)
+            work.append((None, _init_channel(prog, node.qubit).apply(rho), left, cont))
         elif isinstance(node, Apply):
-            cont(_unitary_channel(prog, node.name, node.qubits).apply(rho), left - 1)
+            work.append((None, _unitary_channel(prog, node.name, node.qubits).apply(rho), left, cont))
         elif isinstance(node, Case):
             meas = _lifted_measurement(prog, node.name, node.qubits)
-            padded = _loop_free(node)
-            target = max(_fixed_cost(b) for b in node.branches) if padded else None
-
+            cost = facts[id(node)][1]
+            branches = []
             for m_op, branch in zip(meas.operators, node.branches):
-                pad = target - _fixed_cost(branch) if padded else 0
-
-                def padded_cont(r, l, pad=pad):
-                    if l >= pad:
-                        cont(r, l - pad)
-
-                run(branch, m_op @ rho @ m_op.dagger(), left - 1, padded_cont)
+                pad = 0 if cost is None else cost - 1 - facts[id(branch)][1]
+                branches.append((branch, m_op @ rho @ m_op.dagger(), left, (None, pad, cont) if pad else cont))
+            work.extend(reversed(branches))
         elif isinstance(node, While):
-            meas = _lifted_measurement(prog, node.name, node.qubits)
-            m0, m1 = meas.operators
-            cont(m0 @ rho @ m0.dagger(), left - 1)
-            run(
-                node.body,
-                m1 @ rho @ m1.dagger(),
-                left - 1,
-                lambda r, l: run(node, r, l, cont),
-            )
+            m0, m1 = _lifted_measurement(prog, node.name, node.qubits).operators
+            work.append((node.body, m1 @ rho @ m1.dagger(), left, ((node,), 0, cont)))
+            work.append((None, m0 @ rho @ m0.dagger(), left, cont))
         else:
             raise TypeError(f"not a statement: {node!r}")
-
-    run(prog.body, rho, budget, finish)
-    return acc[0]
+    return out
 
 
 # ----------------------------------------------------------------------
 # compilation to the sequential program model
 
 
-def _location_count(node) -> int:
-    if isinstance(node, Seq):
-        return sum(map(_location_count, node.statements))
-    if isinstance(node, Case):
-        count = 1 + sum(map(_location_count, node.branches))
-        if _loop_free(node):
-            # each branch is followed by skips up to the slowest branch
-            costs = list(map(_fixed_cost, node.branches))
-            count += len(costs) * max(costs) - sum(costs)
-        return count
-    if isinstance(node, While):
-        return 1 + _location_count(node.body)
-    return 1
-
-
 def compile_qwhile(prog: QWhileProgram) -> SequentialProgram:
     """Compile to a deterministic sequential program with a fresh exit location.
 
     The initial state is the declared ``input``, or |0...0><0...0|; give the
-    program another one with ``with_initial_state``.
+    program another one with ``with_initial_state``.  BudgetExceeded before
+    any operator is formed when a channel and a measurement per location,
+    and the input state, would hold more than ``_GRID_ENTRIES_MAX`` entries
+    as dense d x d grids.
     """
+    facts = _node_facts(prog.body)
+    total = facts[id(prog.body)][0]
+    grids, n = 2 * (total + 1) + 1, prog.n_qubits
+    if grids > _GRID_ENTRIES_MAX >> 2 * n:  # grids * 4^n entries, as no huge int
+        raise BudgetExceeded(
+            f"the {total + 1} compiled locations need {grids} dense 2^{n} x 2^{n} grids "
+            f"({grids} x 4^{n} entries); the limit is {_GRID_ENTRIES_MAX} entries"
+        )
     dim = prog.dim
-    total = _location_count(prog.body)
     labels = [f"l{i + 1}" for i in range(total + 1)]
     exit_label = labels[-1]
     act = {}
@@ -787,62 +806,49 @@ def compile_qwhile(prog: QWhileProgram) -> SequentialProgram:
     def goto(target_idx):
         return {0: (labels[target_idx],)}
 
-    def emit(node, start, cont):
-        """Emit locations for node into slots [start, start+count); control
-        proceeds to slot ``cont`` afterwards."""
+    # emit each statement into slots [start, start + count), with control
+    # proceeding to slot ``cont`` afterwards
+    work = [(prog.body, 0, total)]
+    while work:
+        node, start, cont = work.pop()
         if isinstance(node, Skip):
             act[labels[start]] = LocationAction(identity, trivial, goto(cont))
-            return
-        if isinstance(node, Init):
-            act[labels[start]] = LocationAction(
-                _init_channel(prog, node.qubit), trivial, goto(cont)
-            )
-            return
-        if isinstance(node, Apply):
+        elif isinstance(node, Init):
+            act[labels[start]] = LocationAction(_init_channel(prog, node.qubit), trivial, goto(cont))
+        elif isinstance(node, Apply):
             act[labels[start]] = LocationAction(
                 _unitary_channel(prog, node.name, node.qubits), trivial, goto(cont)
             )
-            return
-        if isinstance(node, Seq):
+        elif isinstance(node, Seq):
             *init, last = node.statements
             for statement in init:
-                mid = start + _location_count(statement)
-                emit(statement, start, mid)
+                mid = start + facts[id(statement)][0]
+                work.append((statement, start, mid))
                 start = mid
-            emit(last, start, cont)
-            return
-        if isinstance(node, Case):
-            meas = _lifted_measurement(prog, node.name, node.qubits)
-            padded = _loop_free(node)
-            target = max(_fixed_cost(b) for b in node.branches) if padded else None
+            work.append((last, start, cont))
+        elif isinstance(node, Case):
+            cost = facts[id(node)][1]
             nxt = {}
             slot = start + 1
             for m, branch in enumerate(node.branches):
                 nxt[m] = (labels[slot],)
-                body_size = _location_count(branch)
-                pad = (target - _fixed_cost(branch)) if padded else 0
-                if pad:
-                    emit(branch, slot, slot + body_size)
-                    for p in range(pad):
-                        tail = cont if p == pad - 1 else slot + body_size + p + 1
-                        act[labels[slot + body_size + p]] = LocationAction(
-                            identity, trivial, goto(tail)
-                        )
-                else:
-                    emit(branch, slot, cont)
+                body_size, branch_cost = facts[id(branch)]
+                pad = 0 if cost is None else cost - 1 - branch_cost
+                work.append((branch, slot, slot + body_size if pad else cont))
+                for p in range(pad):
+                    tail = cont if p == pad - 1 else slot + body_size + p + 1
+                    act[labels[slot + body_size + p]] = LocationAction(identity, trivial, goto(tail))
                 slot += body_size + pad
+            meas = _lifted_measurement(prog, node.name, node.qubits)
             act[labels[start]] = LocationAction(identity, meas, nxt)
-            return
-        if isinstance(node, While):
+        elif isinstance(node, While):
             meas = _lifted_measurement(prog, node.name, node.qubits)
             act[labels[start]] = LocationAction(
                 identity, meas, {0: (labels[cont],), 1: (labels[start + 1],)}
             )
-            emit(node.body, start + 1, start)
-            return
-        raise TypeError(f"not a statement: {node!r}")
-
-    emit(prog.body, 0, total)
+            work.append((node.body, start + 1, start))
+        else:
+            raise TypeError(f"not a statement: {node!r}")
     act[exit_label] = LocationAction(identity, trivial, {0: (exit_label,)})
     initial_state = prog.input_state
     if initial_state is None:

@@ -949,11 +949,12 @@ def random_qwhile_source(rng, max_loops=2, max_len=3, max_locations=10):
                 parts.append(f"if meas M(q0) {{ 0 -> {arms[0]}; 1 -> {arms[1]}; }}")
         return "; ".join(parts)
 
-    from qtl.qwhile import parse, _location_count
+    from qtl.qwhile import parse, _node_facts
 
     while True:
         source = _QW_PREAMBLE + stmt(max_loops, max_len)
-        if _location_count(parse(source).body) < max_locations:
+        body = parse(source).body
+        if _node_facts(body)[id(body)][0] < max_locations:
             return source
 
 

@@ -661,6 +661,24 @@ class TestCompileCommand:
         assert main(["compile", str(bad)]) == 3
         assert "line" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("n_qubits, statements", [(10, 7), (11, 1), (12, 1), (30, 1), (64, 1), (20000, 1)])
+    def test_too_large_to_emit_exit_three(self, tmp_path, capsys, n_qubits, statements):
+        # a channel and a measurement per location and the input state, as
+        # dense d x d grids, past 2^24 entries: refused before any is formed,
+        # with no integer of 2^20000 in the message (10 qubits and 6
+        # statements, 15 grids of 2^20 entries, compile)
+        path = tmp_path / "wide.qw"
+        path.write_text(f"qubits {n_qubits};\n" + "; ".join(["skip"] * statements), encoding="utf-8")
+        start = time.perf_counter()
+        assert main(["compile", str(path)]) == 3
+        assert time.perf_counter() - start < 1
+        captured = capsys.readouterr()
+        grids = 2 * (statements + 1) + 1
+        assert captured.out == "" and captured.err == (
+            f"error: BudgetExceeded: the {statements + 1} compiled locations need {grids} dense "
+            f"2^{n_qubits} x 2^{n_qubits} grids ({grids} x 4^{n_qubits} entries); the limit is 16777216 entries\n"
+        )
+
 
 class TestReachCommand:
     def test_report(self, workspace, capsys):
@@ -795,6 +813,13 @@ class TestSimulateCommand:
         assert main(["simulate", prog, "--steps", "1", "--schedule", pick]) == 3
         captured = capsys.readouterr()
         assert captured.out == "" and f"schedule index {pick} out of range at step 0" in captured.err
+
+    @pytest.mark.parametrize("schedule, item", [("a,b", "'a'"), (",1", "''")])
+    def test_schedule_item_not_an_integer_exit_three(self, workspace, capsys, schedule, item):
+        _, prog, _, _ = workspace
+        assert main(["simulate", prog, "--steps", "1", "--schedule", schedule]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"schedule item {item} is not an integer" in captured.err
 
     def test_enumerate_traces(self, tmp_path, capsys):
         from qtl.program import LocationAction, SequentialProgram

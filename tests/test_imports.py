@@ -275,3 +275,31 @@ def test_one_function_adds_every_witness():
 def test_module_functions_leave_out_class_bodies():
     source = "class G:\n    def __init__(self):\n        self.grow(1)\ndef f(g):\n    return g.grow(2)\n"
     assert _callers(_module_functions(ast.parse(source)), "grow") == ["f"]
+
+
+# The Q-While reference interpreter and the pass over each node's facts run
+# in loops over work lists, so no source the parser accepts can exhaust
+# Python's recursion limit in them.
+QWHILE = next(p for p in MODULES if p.stem == "qwhile")
+LOOP_ONLY = ("denote_steps", "_node_facts", "_bottom_up")
+
+
+def _nested_functions(function) -> list:
+    """The names of the functions and lambdas defined inside a function."""
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+    return [getattr(n, "name", "<lambda>") for n in ast.walk(function) if n is not function and isinstance(n, kinds)]
+
+
+def test_interpreter_and_facts_pass_do_not_recurse():
+    functions = _module_functions(ast.parse(QWHILE.read_text(), str(QWHILE)))
+    defined = {f.name: f for f in functions.body}
+    for name in LOOP_ONLY:
+        assert _nested_functions(defined[name]) == [], name
+        assert name not in _callers(functions, name), name
+
+
+def test_recursion_guard_sees_every_form():
+    source = "def f(x):\n    return f(x - 1)\ndef g():\n    def h():\n        pass\n    return lambda: 1\n"
+    functions = _module_functions(ast.parse(source))
+    assert _callers(functions, "f") == ["f"]
+    assert _nested_functions(functions.body[1]) == ["h", "<lambda>"]

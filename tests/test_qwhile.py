@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from qtl import qwhile
 from qtl.checker import reachability_superop
 from qtl.cli import EXIT_ERROR, main
 from qtl.errors import ArityMismatch, NotDeterministic, ParseError, UndeclaredOperator
@@ -436,6 +437,67 @@ if meas T(q0) { 0 -> skip; 1 -> skip; }
                 assert is_psd(exit_k - denoted)
                 wider, _ = denote_bounded(ast, prog.initial_state, k + 1)
                 assert is_psd(wider - exit_k)
+
+
+# a measurement in the |+>, |-> basis: guards that alternate M and P split
+# the mass at every level of a nest
+P_MEAS = "measurement P = {[[1/2, 1/2], [1/2, 1/2]], [[1/2, -1/2], [-1/2, 1/2]]};\n"
+BASIC = ("skip", "q0 := |0>", "apply H to q0", "apply X to q0")
+
+
+def _sequence(rng, n):
+    return "; ".join(rng.choice(BASIC) for _ in range(n))
+
+
+def _nested_ifs(rng, depth):
+    """``depth`` loop-free if blocks, each in branch 0 of the next, with a
+    random basic statement as branch 1; the guards alternate M and P."""
+    body = rng.choice(BASIC)
+    for level in range(depth):
+        body = f"if meas {'MP'[level % 2]}(q0) {{ 0 -> {body}; 1 -> {rng.choice(BASIC)}; }}"
+    return body
+
+
+def _nested_whiles(rng, depth):
+    body = rng.choice(BASIC)
+    for _ in range(depth):
+        body = f"while meas M(q0) == 1 {{ apply H to q0; {body} }}"
+    return "apply H to q0; " + body
+
+
+class TestLongSources:
+    """The compiler and the interpreter read one table of node facts per
+    call and recurse nowhere: long sequences and blocks nested to the cap
+    compile and interpret, and agree exactly."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [lambda rng: _sequence(rng, 2000), lambda rng: _nested_ifs(rng, 200), lambda rng: _nested_whiles(rng, 3)],
+        ids=["sequence", "nested_if", "nested_while"],
+    )
+    def test_interpreter_equals_exit_blocks(self, make):
+        ast = parse(PRE + P_MEAS + make(random.Random(5301)))
+        prog = compile_qwhile(ast)
+        n = len(prog.locations)
+        trajectory = simulate_deterministic(prog, n + 1)
+        for budget in (0, 1, n - 1, n, n + 1):
+            assert denote_steps(ast, prog.initial_state, budget) == trajectory[budget].block(prog.exit_location)
+
+    def test_long_sequence_interprets(self):
+        ast = parse(PRE + "; ".join(["skip"] * 5000))
+        assert denote_steps(ast, KET0, 4999).is_zero()
+        assert denote_steps(ast, KET0, 5000) == KET0
+
+    def test_one_facts_table_per_call(self, monkeypatch):
+        built = []
+        node_facts = qwhile._node_facts
+        monkeypatch.setattr(qwhile, "_node_facts", lambda root: built.append(root) or node_facts(root))
+        source = _nested_ifs(random.Random(1), 20) + "; " + _nested_whiles(random.Random(2), 3)
+        ast = parse(PRE + P_MEAS + source)
+        for call in (compile_qwhile, lambda a: denote_steps(a, KET0, 40), lambda a: steps_for_depth(a, 3)):
+            built.clear()
+            call(ast)
+            assert len(built) == 1 and built[0] is ast.body
 
 
 class TestTwoQubits:
