@@ -16,8 +16,8 @@ witness search take images and pre-images from the actions' Kraus
 operators (the refinement pulls subspaces back through the actions'
 duals).  A channel's real matrix in a
 Hermitian operator basis is built only where a spectrum is needed (the
-period of the refinement's loop channel, limit states), and its complex
-matrix representation only by the oracle, which keeps its own image path.
+period of the refinement's loop channel), and its complex matrix
+representation only by the oracle, which keeps its own image path.
 Every exit question about a deterministic program is asked of its one exit loop
 (:class:`qwhile.WhileNormalForm`): almost-sure exit is decided on the
 loop's subspace lattice; reachability solves exactly for the program's
@@ -40,29 +40,31 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
+import numpy as np
+
 from .errors import (
     BudgetExceeded,
     DimensionMismatch,
     PreconditionViolated,
     QtlError,
-    SingularMatrix,
     UncertifiedPeriod,
     UnsupportedFormula,
 )
 from .linalg import (
     _peripheral_period,
-    _perp_rows,
+    _polynomial_period,
+    _primitive,
+    _quotient,
     CRat,
     Mat,
     format_rational,
     kron,
-    mat_power,
+    mat_sum,
     rank,
-    rref,
     solve,
 )
 from .subspace import Subspace, SubspaceUnion, satisfies, support
-from .superop import MatrixRep, SuperOp, hvec, image, image_union, least_fixpoint, preimage_union, unhvec, unvec, vec
+from .superop import MatrixRep, SuperOp, hvec, image, image_union, least_fixpoint, preimage_union, unvec, vec
 from .program import (
     _validate_density,
     ConcurrentProgram,
@@ -517,11 +519,11 @@ _LOOP_DIM_MAX = 70
 # 4-qubit loop family has 640 and takes about 9 s on a 2-core host, the
 # 3-qubit one (the largest in tests and workloads) 160 and 0.14 s
 _REACH_UNKNOWNS_MAX = 640
-# limit_states raises BudgetExceeded past this D: its exact projector
-# eliminates a D^2 x D^2 system, so the time grows as D^6; [] (p U~ q) on
-# the loop family took 1 s at D = 16 (2 qubits) and 61 s at D = 32 (3
-# qubits, the largest that answers) on a 2-core host
-_LIMIT_DIM_MAX = 32
+# limit_states raises BudgetExceeded once an orbit spans more than this many
+# dimensions: on a 2-core host an orbit reaches it in 3 s at D = 64 (the
+# 4-qubit loop's dimension) and 16 s at D = 128, and every orbit at D <= 8
+# stays within it; the loop family's orbits span 4 to 6
+_ORBIT_DIM_MAX = 64
 
 
 def maximal_extension(a: QuantumAutomaton, x) -> SubspaceUnion:
@@ -736,62 +738,62 @@ def check_always_until(a: QuantumAutomaton, phi, psi) -> Verdict:
 # single-action almost-surely machinery (certified root-of-unity regime)
 
 
-def _fixed_part(b: Mat, v: Mat):
-    """(P v, k) for the exact spectral projector P of the real b at eigenvalue one,
-    assuming that eigenvalue is semisimple: the projector onto ker(b - I)
-    along im(b - I), of rank k.  With T = [kernel basis | image basis],
-    P = T diag(I_k, 0) T^-1, so P v = T[:, :k] (T^-1 v)[:k], one solve."""
-    n = b.rows
-    a = b - Mat.eye(n)
-    # one RREF gives the kernel (read off its free columns) and the pivot
-    # columns, a basis of the image
-    r, cols = rref(a)
-    k = n - len(cols)
-    if k == 0:
-        return Mat.zeros(n, 1), 0
-    t = _perp_rows(r, cols).transpose().hstack(a[:, list(cols)])
-    coords = solve(t, v)  # SingularMatrix exactly when kernel and image overlap
-    return t[:, :k] @ coords[:k], k
+def _orbit(step, start) -> tuple:
+    """(states, mu): start, step(start), ... up to the first state x_K
+    whose coordinates (:func:`superop.hvec`) depend on the earlier ones,
+    and the orbit's minimal polynomial mu, a primitive integer list, lowest
+    degree first; BudgetExceeded once the orbit spans more than
+    ``_ORBIT_DIM_MAX`` dimensions.  The row of x_k, its coordinates and then
+    the unit row of k, is reduced on integers against the earlier rows in
+    echelon form; x_K's reduces to zero coordinates, then mu's coefficients."""
+    states, echelon = [start], []  # (pivot, primitive integer row)
+    while True:
+        v = hvec(states[-1])
+        r = np.concatenate((v.num_re[:, 0], np.zeros(_ORBIT_DIM_MAX + 1, dtype=object)))
+        r[v.rows + len(echelon)] = v.den
+        for p, row in echelon:
+            if r[p]:
+                r = row[p] * r - r[p] * row
+        (nonzero,) = r[: v.rows].nonzero()
+        if not len(nonzero):
+            return states, _primitive(list(r[v.rows :]))
+        if len(echelon) == _ORBIT_DIM_MAX:
+            raise BudgetExceeded(f"the orbit spans more than {_ORBIT_DIM_MAX} dimensions, the limit")
+        echelon.append((nonzero[0], r // math.gcd(*r)))
+        states.append(step(states[-1]))
 
 
 def limit_states(e: SuperOp, sigma0: Mat):
-    """Exact limit cycle [tau_0 .. tau_{b-1}] of sigma_n = E^n(sigma0).
-
-    sigma0 must be a density matrix and E trace preserving
-    (PreconditionViolated otherwise) on a space of dimension up to
-    ``_LIMIT_DIM_MAX`` (BudgetExceeded otherwise), with peripheral
-    eigenvalues of a common order b up to ``_PERIOD_BOUND``
-    (:func:`linalg._peripheral_period`; UncertifiedPeriod otherwise).  The
-    fixed space of E^b must have the dimension of the peripheral spectrum,
-    after which each tau_c is an exact rational matrix (the limit of the
-    subsequence n = ub + c).  All of it runs on E's real matrix in the
-    Hermitian operator basis (:meth:`SuperOp.hermitian_rep`), on the
-    coordinates :func:`superop.hvec`.
+    """Exact limit cycle [tau_0 .. tau_{b-1}] of sigma_n = E^n(sigma0), for
+    a density matrix sigma0 and a trace-preserving E (PreconditionViolated
+    otherwise), from orbits alone (:func:`_orbit`).  b is the least order,
+    up to ``_PERIOD_BOUND``, of the unimodular roots of the orbit's minimal
+    polynomial (:func:`linalg._polynomial_period`; UncertifiedPeriod
+    otherwise), so it divides the channel's period.  Under F = E^b those
+    roots become one, so the orbit's minimal polynomial under F is
+    nu = (z - 1) s (nu(1) = 0 by trace preservation), every other root of
+    nu lies inside the unit disk, and s(1) != 0 as a channel's peripheral
+    eigenvalues are semisimple (UncertifiedPeriod otherwise): F^n sigma0
+    tends to tau_0 = s(F) sigma0 / s(1), and tau_c = E^c(tau_0).
     """
     _validate_density(sigma0, e.dim_in, "initial state")
     if not e.is_trace_preserving():
         raise PreconditionViolated("limit states need a trace-preserving channel")
-    if e.dim_in > _LIMIT_DIM_MAX:
-        raise BudgetExceeded(
-            f"limit states on a space of dimension {e.dim_in} need a {e.dim_in**2}-row exact solve; "
-            f"the limit is dimension {_LIMIT_DIM_MAX}"
-        )
-    m = e.hermitian_rep()
-    peripheral_dim, b = _peripheral_period(m, _PERIOD_BOUND)
-    try:
-        v, rank_one = _fixed_part(mat_power(m, b), hvec(sigma0))
-    except SingularMatrix as exc:
-        raise UncertifiedPeriod(f"limit projector unavailable: {exc}")
-    if rank_one != peripheral_dim:
-        raise UncertifiedPeriod(
-            f"period {b} uncertified: fixed space rank {rank_one} "
-            f"!= peripheral dimension {peripheral_dim}"
-        )
-    states = []
-    for _ in range(b):
-        states.append(unhvec(v, e.dim_in))
-        v = m @ v
-    return states
+    states, nu = _orbit(e.apply, sigma0)
+    _, b = _polynomial_period(nu, _PERIOD_BOUND)
+    if b > 1:
+        def step(x):
+            for _ in range(b):
+                x = e.apply(x)
+            return x
+        states, nu = _orbit(step, sigma0)
+    s = _quotient(nu, [-1, 1])
+    if not sum(s):
+        raise UncertifiedPeriod(f"period {b} uncertified: the orbit under E^{b} is not semisimple at one")
+    taus = [mat_sum(x * c for x, c in zip(states, s) if c) * Fraction(1, sum(s))]
+    for _ in range(b - 1):
+        taus.append(e.apply(taus[-1]))
+    return taus
 
 
 def check_always_almost_until(
@@ -806,9 +808,10 @@ def check_always_almost_until(
     The invariance conjunct is exact.  The almost-surely conjunct asks that
     the satisfaction probability of q has limit point one; in the certified
     root-of-unity regime this reduces to exact satisfaction checks on the
-    finitely many limit states of the orbit, and is Unknown otherwise.  The
-    ``limit_traces`` diagnostic holds the exact probabilities tr(q tau_c)
-    as rationals (:func:`linalg.format_rational`).
+    finitely many limit states of the orbit (:func:`limit_states`), and is
+    Unknown otherwise.  The ``period`` diagnostic is the orbit's own period,
+    which divides the channel's, and ``limit_traces`` holds the exact
+    probabilities tr(q tau_c) as rationals (:func:`linalg.format_rational`).
     """
     _validate_density(sigma0, e.dim_in, "initial state")
     a = QuantumAutomaton(e.dim_in, {"step": e}, sigma0, validate=False)
@@ -1176,6 +1179,8 @@ def check(target, formula, atoms: dict) -> Verdict:
                        the loop refinement (conservative: may refute what
                        holds on every trace)
         [] (p U~ q)    single-action systems only; limit-point analysis
+                       on the initial state's orbit, whose period (the
+                       period diagnostic) divides the channel's
         <> f           deterministic programs with exit, f one exit-shaped
                        atom; exact exit on the exit loop's subspace
                        lattice; anything else is Unknown by construction
@@ -1187,7 +1192,8 @@ def check(target, formula, atoms: dict) -> Verdict:
     text, say), raises :class:`UnsupportedFormula`; a target that is
     neither a program nor an automaton raises PreconditionViolated.  No
     float is on any verdict path.  The periods of [] <> f, [] (f U g) and
-    [] (p U~ q) are exact: with p the characteristic polynomial of the loop channel,
+    [] (p U~ q) are exact: with p the characteristic polynomial of the loop channel
+    (for [] (p U~ q), the minimal polynomial of the initial state's orbit),
     the verdict is Unknown when g = gcd(p, z^n p(1/z)) is not in Z[z] (a
     peripheral eigenvalue is not a root of unity) or when its roots have no
     common order up to 64.  The automaton of a program is built only

@@ -260,12 +260,15 @@ def program_from_json(obj):
 
 def atoms_from_json(obj, program) -> dict:
     """Atom table from a list of {"name", "blocks": {label: subspace}} or
-    {"name", "subspace": {...}} entries; blocks are per-configuration."""
+    {"name", "subspace": {...}} entries; blocks are per-configuration, and
+    a name given twice is MalformedInput."""
     if not isinstance(obj, list):
         raise MalformedInput(f"an atom table is a JSON list, got {obj!r}")
     atoms = {}
     for entry in obj:
         name = _field(entry, "name", "atom")
+        if name in atoms:
+            raise MalformedInput(f"atom {name!r} is named twice")
         if "subspace" in entry:
             atoms[name] = Atom(name, subspace_from_json(entry["subspace"]))
         else:

@@ -1229,7 +1229,13 @@ def _peripheral_period(m: Mat, bound: int) -> tuple:
     (Kronecker), and b is the least b with sqf(g) | z^b - 1.  Either
     failure raises UncertifiedPeriod with its reason.
     """
-    p = _charpoly_int(m.num_re.tolist(), m.den)
+    return _polynomial_period(_charpoly_int(m.num_re.tolist(), m.den), bound)
+
+
+def _polynomial_period(p: list, bound: int) -> tuple:
+    """(k, b) of :func:`_peripheral_period` for an integer polynomial p,
+    lowest degree first, with its roots in the closed unit disk: a channel's
+    characteristic polynomial, or the minimal polynomial of an orbit."""
     q = p[next(s for s, c in enumerate(p) if c):]
     g = _gcd(q, q[::-1])
     if len(g) == 1:
@@ -1237,7 +1243,7 @@ def _peripheral_period(m: Mat, bound: int) -> tuple:
     if g[-1] != 1:
         raise UncertifiedPeriod(
             f"a peripheral eigenvalue is not a root of unity and has no finite order: the factor of "
-            f"degree {len(g) - 1} of the characteristic polynomial over the unit circle is not in Z[z]"
+            f"degree {len(g) - 1} of the polynomial over the unit circle is not in Z[z]"
         )
     h = _quotient(g, _gcd(g, [k * c for k, c in enumerate(g)][1:]))
     # z^b mod h, until it is 1

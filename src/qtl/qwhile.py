@@ -372,8 +372,11 @@ class _Parser:
         if self.kinds[self.pos] == ";":
             self.pos += 1
         self.eat("eof")
-        dim = 1 << self._n_qubits
-        if input_state is not None and (input_state.rows != dim or input_state.cols != dim):
+        # 2^n x 2^n, read off the bit length: 2^n itself may be a huge integer
+        n = self._n_qubits
+        rows = None if input_state is None else input_state.rows
+        if rows is not None and (rows != input_state.cols or rows.bit_length() != n + 1 or rows & (rows - 1)):
+            dim = 1 << n if n < 64 else f"2^{n}"
             raise ParseError(f"input state must be {dim}x{dim}")
         return QWhileProgram(
             n_qubits=self._n_qubits,

@@ -82,15 +82,6 @@ def hvec(a: Mat) -> Mat:
     return Mat(grid.reshape(-1, 1), np.zeros((grid.size, 1), dtype=object), a.den, _real=True)
 
 
-def unhvec(v: Mat, rows: int) -> Mat:
-    """The rows x rows Hermitian matrix whose coordinates are v (:func:`hvec`)."""
-    if v.rows != rows * rows or v.cols != 1:
-        raise DimensionMismatch("vector length does not match the target shape")
-    grid = v.num_re.reshape(rows, rows)
-    lower = np.tril(grid, -1)
-    return Mat(np.triu(grid) + np.triu(grid, 1).T, lower.T - lower, v.den, _normalized=True)
-
-
 def _grid_shape(grids, none: str, unequal: str) -> tuple:
     """The common (rows, cols) of integer grids (re, im, den), or
     PreconditionViolated ``none`` for no grid, DimensionMismatch

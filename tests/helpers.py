@@ -17,10 +17,10 @@ import numpy as np
 import scipy.linalg
 
 from qtl.checker import _PERIOD_BOUND, Verdict
-from qtl.errors import DimensionMismatch, PreconditionViolated, QtlError
-from qtl.linalg import CRat, Mat, _peripheral_period, kron, mat_sum, solve
+from qtl.errors import DimensionMismatch, PreconditionViolated, QtlError, SingularMatrix, UncertifiedPeriod
+from qtl.linalg import CRat, Mat, _peripheral_period, _perp_rows, kron, mat_power, mat_sum, rref, solve
 from qtl.subspace import Subspace, SubspaceUnion, satisfies, support
-from qtl.superop import MatrixRep, Measurement, SuperOp, image, least_fixpoint, preimage, unvec, vec
+from qtl.superop import MatrixRep, Measurement, SuperOp, hvec, image, least_fixpoint, preimage, unvec, vec
 from qtl.checker import check_terminates, reachability_superop
 from qtl.program import (
     CQState,
@@ -591,6 +591,36 @@ def p2_refine_by_joins(members, cycle, u: SubspaceUnion, actions):
     if refined.contains_subspace(members[j1]):
         raise QtlError("loop refinement failed to shrink the union")
     return refined, b
+
+
+def projector_limit_coordinates(e: SuperOp, sigma0: Mat) -> list:
+    """The limit cycle of sigma_n = E^n(sigma0) by the channel's spectral
+    projector, as hvec coordinates: the period b of E's real matrix m in
+    the Hermitian operator basis (SuperOp.hermitian_rep), then P hvec(sigma0)
+    for the projector P of m^b at eigenvalue one, onto ker(m^b - I) along
+    im(m^b - I), and its images under m.  With T = [kernel basis | image
+    basis], P v = T[:, :k] (T^-1 v)[:k], one solve.  UncertifiedPeriod when
+    the period is uncertified, kernel and image overlap, or the kernel's
+    dimension k is not the peripheral one.  This forms D^2 x D^2 matrices;
+    the checker runs on the orbit alone."""
+    m = e.hermitian_rep()
+    peripheral_dim, b = _peripheral_period(m, _PERIOD_BOUND)
+    n = m.rows
+    a = mat_power(m, b) - Mat.eye(n)
+    r, cols = rref(a)
+    k = n - len(cols)
+    if k != peripheral_dim:
+        raise UncertifiedPeriod(f"fixed space rank {k} != peripheral dimension {peripheral_dim}")
+    t = _perp_rows(r, cols).transpose().hstack(a[:, list(cols)])
+    try:
+        v = t[:, :k] @ solve(t, hvec(sigma0))[:k]
+    except SingularMatrix as exc:
+        raise UncertifiedPeriod(f"limit projector unavailable: {exc}")
+    cycle = []
+    for _ in range(b):
+        cycle.append(v)
+        v = m @ v
+    return cycle
 
 
 # ----------------------------------------------------------------------

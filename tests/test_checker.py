@@ -2,6 +2,7 @@ import collections
 import functools
 import importlib.util
 import itertools
+import json
 import math
 import pathlib
 import random
@@ -14,10 +15,10 @@ from hypothesis import example, given, settings, strategies as st
 from sympy import QQ, QQ_I
 from sympy.polys.matrices import DomainMatrix
 
-from qtl.errors import BudgetExceeded, DimensionMismatch, PreconditionViolated, QtlError, UnsupportedFormula
-from qtl.linalg import CRat, Mat, kron, mat_sum, rank, solve
+from qtl.errors import BudgetExceeded, DimensionMismatch, PreconditionViolated, QtlError, UncertifiedPeriod, UnsupportedFormula
+from qtl.linalg import CRat, Mat, is_psd, kron, mat_sum, rank, solve
 from qtl.subspace import Subspace, SubspaceUnion, satisfies, support
-from qtl.superop import MatrixRep, Measurement, SuperOp, image, least_fixpoint, unvec, vec
+from qtl.superop import MatrixRep, Measurement, SuperOp, hvec, image, least_fixpoint, unvec, vec
 from qtl.program import (
     CQState,
     LocationAction,
@@ -80,6 +81,7 @@ from helpers import (
     kleene_always_by_average,
     leaky_cycle_automaton,
     p2_refine_by_joins,
+    projector_limit_coordinates,
     random_automaton,
     random_density,
     random_deterministic_program,
@@ -345,7 +347,7 @@ class TestAlwaysEventually:
         assert v.status == "unknown"
         assert v.diagnostics["reason"] == (
             "a peripheral eigenvalue is not a root of unity and has no finite order: the factor of "
-            "degree 4 of the characteristic polynomial over the unit circle is not in Z[z]"
+            "degree 4 of the polynomial over the unit circle is not in Z[z]"
         )
         assert v.diagnostics["periods"] == []
 
@@ -765,12 +767,12 @@ class TestLoopGuard:
         assert cli_main(["check", str(program_path), "--atoms", str(atoms_path), "-f", "[] <> e0"]) == 3
         assert "BudgetExceeded" in capsys.readouterr().err
 
-    def test_large_almost_until_raises_before_any_hermitian_rep(self, monkeypatch, tmp_path, capsys):
-        # the 4-qubit loop (D = 64) passes every other guard, but the
-        # projector of its limit states would eliminate a 4096-row system;
-        # [] (p U~ q) is refused up front, and `qtl check` exits 3 at once
+    def test_large_almost_until_answers_without_any_hermitian_rep(self, monkeypatch, tmp_path, capsys):
+        # the 4-qubit loop (D = 64): the limit states run on the orbit of
+        # the initial state, which spans a few dimensions, so [] (p U~ q)
+        # answers exactly with no D^2 x D^2 matrix formed
         prog = compile_source(FOUR_QUBIT_LOOP_SRC)
-        assert prog.dim * len(prog.locations) > checker._LIMIT_DIM_MAX
+        assert prog.dim * len(prog.locations) == 64
         zero_q0 = Subspace.from_vectors(16, [[int(r == i) for r in range(16)] for i in range(8)])
         atoms = [
             {"name": "p", "subspace": jsonio.subspace_to_json(partial_correctness_subspace(prog, zero_q0))},
@@ -784,10 +786,10 @@ class TestLoopGuard:
             raise AssertionError("hermitian_rep called")
 
         monkeypatch.setattr(SuperOp, "hermitian_rep", forbidden)
-        start = time.perf_counter()
-        assert cli_main(["check", str(program_path), "--atoms", str(atoms_path), "-f", "[] (p U~ q)"]) == 3
-        assert time.perf_counter() - start < 1
-        assert "limit states on a space of dimension 64" in capsys.readouterr().err
+        assert cli_main(["check", str(program_path), "--atoms", str(atoms_path), "-f", "[] (p U~ q)", "--json"]) == 0
+        record = json.loads(capsys.readouterr().out)
+        assert record["status"] == "valid"
+        assert record["diagnostics"]["limit_traces"] == ["1"]
 
 
 class TestAlwaysUntil:
@@ -1400,6 +1402,68 @@ class TestAlmostUntil:
         import numpy as np
 
         assert np.max(np.abs(tau.to_complex() - r.reach_state.to_complex())) < 1e-9
+
+
+class TestLimitStatesOnTheOrbit:
+    """limit_states against the channel's spectral projector
+    (helpers.projector_limit_coordinates), on hvec coordinates."""
+
+    @staticmethod
+    def _inputs():
+        rng = random.Random(5707)
+        inputs = []
+        for k in range(210):
+            d = (2, 3, 4)[k % 3]
+            e = random_tp_channel(rng, d, finite_order=rng.random() < 0.7)
+            sigma0 = random_pure_state(rng, d) if rng.random() < 0.5 else random_density(rng, d)
+            inputs.append((f"seed 5707 #{k}", e, sigma0))
+        for src in (EXAMPLE_LOOP_SRC, TWO_QUBIT_LOOP_SRC):
+            prog = compile_source(src)
+            inputs.append((src.split(";")[0], step_superop(prog), embed(initial_cq(prog), prog)))
+        return inputs
+
+    def test_the_orbit_gives_the_projector_cycle(self):
+        answered = shorter = 0
+        for name, e, sigma0 in self._inputs():
+            try:
+                reference = projector_limit_coordinates(e, sigma0)
+            except UncertifiedPeriod:
+                with pytest.raises(UncertifiedPeriod):
+                    limit_states(e, sigma0)
+                continue
+            taus = limit_states(e, sigma0)
+            b = len(taus)
+            assert len(reference) % b == 0, name
+            assert [hvec(taus[c % b]) for c in range(len(reference))] == reference, name
+            for c, tau in enumerate(taus):
+                assert tau.is_hermitian() and is_psd(tau) and tau.trace() == CRat(1), name
+                assert e.apply(tau) == taus[(c + 1) % b], name
+            answered += 1
+            shorter += b < len(reference)
+        # most inputs answer, and some orbits have a shorter period than
+        # their channel
+        assert answered >= 180 and shorter >= 1
+
+    def test_an_orbit_past_the_bound_is_refused_at_once(self, monkeypatch):
+        # a cyclic shift on C^8 moves |0><0| through 8 independent states;
+        # with the bound at 3 the fourth is refused before any further step
+        dim = 8
+        shift = SuperOp.from_unitary(Mat.from_rows([[int(i == (j + 1) % dim) for j in range(dim)] for i in range(dim)]))
+        steps = []
+
+        def step(x):
+            steps.append(x)
+            return shift.apply(x)
+
+        monkeypatch.setattr(checker, "_ORBIT_DIM_MAX", 3)
+        with pytest.raises(BudgetExceeded, match="more than 3 dimensions"):
+            checker._orbit(step, Mat.unit(dim, 0, 0))
+        assert len(steps) == 3
+        with pytest.raises(BudgetExceeded):
+            limit_states(shift, Mat.unit(dim, 0, 0))
+        monkeypatch.setattr(checker, "_ORBIT_DIM_MAX", 8)
+        states, mu = checker._orbit(shift.apply, Mat.unit(dim, 0, 0))
+        assert len(states) == 9 and mu == [-1] + [0] * 7 + [1]
 
 
 def _reach_block(r, prog):

@@ -603,6 +603,21 @@ class TestMalformedInput:
         captured = capsys.readouterr()
         assert captured.out == "" and "MalformedInput" in captured.err and "JSON list" in captured.err
 
+    def test_atom_named_twice_exit_three(self, workspace, capsys):
+        # a second "p" with exit0's blocks would turn [] p from valid into
+        # not_valid if the last entry won; the table is refused instead
+        tmp_path, prog, atoms, _ = workspace
+        assert main(["check", prog, "--atoms", atoms, "-f", "[] p"]) == 0
+        capsys.readouterr()
+        with open(atoms, encoding="utf-8") as fh:
+            table = json.load(fh)
+        table.append({"name": "p", "blocks": table[1]["blocks"]})
+        twice = tmp_path / "atoms_twice.json"
+        twice.write_text(json.dumps(table))
+        assert main(["check", prog, "--atoms", str(twice), "-f", "[] p"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and "MalformedInput" in captured.err and "'p' is named twice" in captured.err
+
     def test_budget_not_an_integer_exit_three(self, workspace, capsys, monkeypatch):
         _, prog, _, _ = workspace
         monkeypatch.setenv("QTL_BUDGET", "abc")

@@ -167,13 +167,16 @@ def test_simulator_guard_sees_every_form():
 
 # The checker's lattice work runs on the actions' Kraus operators.  A
 # channel's real matrix in the Hermitian operator basis is formed only where
-# a spectrum is needed (the loop refinement's period, limit states), and the
-# period test reads nothing else; the complex matrix representation serves
-# only the oracle's own image path, and no dagger of one, or of anything
-# else, is formed.
+# a spectrum is needed (the loop refinement's period), and the period test
+# reads nothing else; the complex matrix representation serves only the
+# oracle's own image path, and no dagger of one, or of anything else, is
+# formed.  Limit states run on the orbit of the initial state, with no
+# matrix of the channel and no power of one.
 CHECKER = next(p for p in MODULES if p.stem == "checker")
 MATRIX_REP_CALLERS = {"_matrix_rep_image"}
-SPECTRAL_CALLERS = {"_p2_refine", "limit_states"}
+SPECTRAL_CALLERS = {"_p2_refine"}
+ORBIT_ONLY = {"limit_states", "_orbit"}
+CHANNEL_MATRICES = ("hermitian_rep", "matrix_rep", "mat_power", "_peripheral_period")
 
 
 def _callers(tree, name) -> list:
@@ -202,6 +205,15 @@ def test_checker_forms_matrix_reps_only_for_a_spectrum():
     assert _callers(tree, "dagger") == []
 
 
+def _channel_matrices_in(tree, owners) -> set:
+    """The names of ``CHANNEL_MATRICES`` called inside the functions ``owners``."""
+    return {name for name in CHANNEL_MATRICES if owners & set(_callers(tree, name))}
+
+
+def test_limit_states_run_on_the_orbit_alone():
+    assert _channel_matrices_in(ast.parse(CHECKER.read_text(), str(CHECKER)), ORBIT_ONLY) == set()
+
+
 def test_method_guard_sees_every_caller():
     source = (
         "x = m.matrix_rep()\n"
@@ -217,6 +229,8 @@ def test_method_guard_sees_every_caller():
     assert _callers(tree, "matrix_rep") == [None, "_p2_refine", "limit_states"]
     assert _callers(tree, "dagger") == ["_p2_refine", "_p2_refine"]
     assert _callers(tree, "_peripheral_period") == ["limit_states"]
+    assert _channel_matrices_in(tree, ORBIT_ONLY) == {"matrix_rep", "_peripheral_period"}
+    assert _channel_matrices_in(ast.parse("def _orbit(m):\n    return mat_power(m, 2)\n"), ORBIT_ONLY) == {"mat_power"}
 
 
 # An operator is placed on the embedded space only to act on states: the

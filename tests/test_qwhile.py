@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -362,6 +363,26 @@ class TestCompile:
         path.write_text(source, encoding="utf-8")
         assert main(["compile", str(path)]) == EXIT_ERROR
         assert capsys.readouterr().err == f"error: ParseError: {message}\n"
+
+    @pytest.mark.parametrize(
+        "source, error",
+        [
+            ("qubits 20000; input [[1, 0], [0, 0]]; skip", "ParseError: input state must be 2^20000x2^20000"),
+            ("qubits 1000000000; skip", "BudgetExceeded: the 2 compiled locations need 5 dense 2^1000000000"),
+            ("qubits 2; input [[1, 0], [0, 0]]; skip", "ParseError: input state must be 4x4"),
+        ],
+        ids=["huge-input", "huge-register", "small-input"],
+    )
+    def test_huge_registers_are_refused_at_once(self, tmp_path, capsys, source, error):
+        # the register's dimension 2^n is never formed as an integer: the
+        # input's shape is read by bit length, and compile_qwhile's budget
+        # by shifts, so each is an error line within a second
+        path = tmp_path / "huge.qw"
+        path.write_text(source, encoding="utf-8")
+        start = time.perf_counter()
+        assert main(["compile", str(path)]) == EXIT_ERROR
+        assert time.perf_counter() - start < 1
+        assert capsys.readouterr().err.startswith(f"error: {error}")
 
     def test_skip_two_locations(self):
         prog = compile_source("qubits 1;\nskip")

@@ -32,7 +32,6 @@ from qtl.superop import (
     image_union,
     preimage,
     preimage_union,
-    unhvec,
     unvec,
     vec,
 )
@@ -487,7 +486,7 @@ class TestHermitianRep:
 
     def test_hvec_coordinates(self):
         # a Hermitian x is the sum of its coordinates times the basis
-        # operators, and unhvec takes them back to x
+        # operators
         rng = random.Random(33)
         for d in (1, 2, 3, 4):
             for _ in range(5):
@@ -496,7 +495,6 @@ class TestHermitianRep:
                 v = hvec(x)
                 assert v.is_real() and v.rows == d * d
                 assert mat_sum(op * v.entry(c, 0) for c, op in enumerate(_hermitian_basis(d))) == x
-                assert unhvec(v, d) == x
 
 
 class TestPreimageImage:
