@@ -3,15 +3,17 @@
 Numbers are exact: rationals are encoded as "p/q" strings (or bare
 integers), complex entries as two-element arrays [re, im] of rationals, and
 matrices as row-major nested arrays.  Real entries may be given directly as
-rational literals.  Each matrix is read once, into integer rows over one
-denominator (:func:`linalg._int_rows`), and handed straight to what reads
-it: the Kraus stack of a channel or a measurement (:meth:`SuperOp.from_grids`,
-:meth:`Measurement.from_grids`), whose ``Mat``s are formed only when read;
-the RREF kernel, or the pivot set of unit vectors, for a subspace
-(:meth:`Subspace.from_vectors`); a ``Mat`` (:meth:`Mat.from_rows`) for an
-initial state.  Matrices are written from the integer grids of a ``Mat``.
-An entry that is no exact number, or a missing key, raises MalformedInput
-naming it.
+rational literals; a boolean is no number.  Each matrix is read once: the
+operators of a channel or a measurement straight into their Kraus stack
+(:meth:`SuperOp.read`, :meth:`Measurement.read`), whose ``Mat``s are formed
+only when read; any other matrix into integer rows over one denominator
+(:func:`linalg._int_rows`), handed to the RREF kernel, or the pivot set of
+unit vectors, for a subspace (:meth:`Subspace.from_vectors`), or to a
+``Mat`` (:meth:`Mat.from_rows`) for an initial state.  Matrices are written
+from the integer grids of a ``Mat``.  A dimension ("dimension", a
+subspace's "dim") is a positive integer.  An entry that is no exact number,
+a dimension that is no positive integer, or a missing key, raises
+MalformedInput naming it.
 
 Program schema (sequential):
 
@@ -39,7 +41,7 @@ import json
 import math
 
 from .errors import MalformedInput, QtlError
-from .linalg import Mat, _int_rows
+from .linalg import Mat
 from .subspace import Subspace, SubspaceUnion
 from .superop import Measurement, SuperOp
 from .program import (
@@ -64,11 +66,19 @@ _JSON_KINDS = {dict: "an object", list: "a list", int: "an integer"}
 
 
 def _typed(obj, key, what, kind: type):
-    """obj[key] as a JSON object, list or integer (kind dict, list or int),
-    or MalformedInput naming the key."""
+    """obj[key] as a JSON object, list or integer (kind dict, list or int;
+    a boolean is no integer), or MalformedInput naming the key."""
     value = _field(obj, key, what)
-    if not isinstance(value, kind):
+    if not isinstance(value, kind) or isinstance(value, bool):
         raise MalformedInput(f"{what} {key!r} is {_JSON_KINDS[kind]}, got {value!r}")
+    return value
+
+
+def _dimension(obj, key, what) -> int:
+    """obj[key] as a positive JSON integer, or MalformedInput naming the key."""
+    value = _field(obj, key, what)
+    if type(value) is not int or value < 1:
+        raise MalformedInput(f"{what} {key!r} is a positive integer, got {value!r}")
     return value
 
 
@@ -107,12 +117,6 @@ def mat_from_json(obj) -> Mat:
     return Mat.from_rows(_matrix_rows(obj))
 
 
-def _grids_from_json(objs) -> list:
-    """The integer grids (re, im, den) of a list of matrix literals, with no
-    ``Mat`` formed."""
-    return [_int_rows(_matrix_rows(obj)) for obj in objs]
-
-
 def subspace_to_json(s: Subspace):
     """The RREF rows as the basis; a coordinate subspace's unit rows are
     written from its pivots, with no grid formed."""
@@ -123,7 +127,7 @@ def subspace_to_json(s: Subspace):
 
 
 def subspace_from_json(obj) -> Subspace:
-    dim = _field(obj, "dim", "subspace")
+    dim = _dimension(obj, "dim", "subspace")
     basis = obj.get("basis", [])
     if not isinstance(basis, list) or not all(isinstance(v, list) for v in basis):
         raise MalformedInput(f"a subspace basis is a list of vectors, got {basis!r}")
@@ -139,7 +143,7 @@ def channel_to_json(e: SuperOp):
 
 
 def channel_from_json(obj) -> SuperOp:
-    return SuperOp.from_grids(_grids_from_json(_typed(obj, "kraus", "channel", list)))
+    return SuperOp.read(list(map(_matrix_rows, _typed(obj, "kraus", "channel", list))))
 
 
 # ----------------------------------------------------------------------
@@ -173,8 +177,8 @@ def _targets(j, targets, concurrent: bool) -> tuple:
 
 def _act_from_json(obj, concurrent: bool) -> LocationAction:
     # the program checks that the channel is trace preserving
-    channel = SuperOp.from_grids(_grids_from_json(_typed(obj, "kraus", "location action", list)), validate=False)
-    measurement = Measurement.from_grids(_grids_from_json(_typed(obj, "measurement", "location action", list)))
+    channel = SuperOp.read(list(map(_matrix_rows, _typed(obj, "kraus", "location action", list))), validate=False)
+    measurement = Measurement.read(list(map(_matrix_rows, _typed(obj, "measurement", "location action", list))))
     nxt = {}
     for j, targets in _typed(obj, "next", "location action", dict).items():
         try:
@@ -225,7 +229,7 @@ def program_from_json(obj):
         raise MalformedInput(f"a program is a JSON object, got {obj!r}")
     if "actions" in obj:
         return QuantumAutomaton(
-            _field(obj, "dimension", "automaton"),
+            _dimension(obj, "dimension", "automaton"),
             {name: channel_from_json(c) for name, c in _typed(obj, "actions", "automaton", dict).items()},
             mat_from_json(_field(obj, "initial_state", "automaton")),
         )
@@ -237,7 +241,7 @@ def program_from_json(obj):
             processes.append(ConcurrentProcess(_typed(proc, "locations", "process", list), act))
             initial_locations.append(_field(proc, "initial_location", "process"))
         return ConcurrentProgram(
-            dim=_field(obj, "dimension", "program"),
+            dim=_dimension(obj, "dimension", "program"),
             processes=processes,
             initial_state=mat_from_json(_field(obj, "initial_state", "program")),
             initial_locations=initial_locations,
@@ -245,7 +249,7 @@ def program_from_json(obj):
         )
     act = {loc: _act_from_json(a, False) for loc, a in _typed(obj, "act", "program", dict).items()}
     return SequentialProgram(
-        dim=_field(obj, "dimension", "program"),
+        dim=_dimension(obj, "dimension", "program"),
         locations=_typed(obj, "locations", "program", list),
         act=act,
         initial_state=mat_from_json(_field(obj, "initial_state", "program")),

@@ -11,8 +11,10 @@ realification C^n = R^2n, each row a + ib becoming the integer rows of
 a + ib and of i(a + ib), columns interleaved, whose reduced form holds the
 complex one in its even rows.  The PSD test sweeps a Hermitian matrix on
 its Gaussian integers, held as pairs of integer rows.  Matrix literals are
-read once into integer rows over one denominator (:func:`_int_rows`), the
-form these kernels and the Kraus stacks of :mod:`qtl.superop` take.
+read once: into integer rows over one denominator (:func:`_int_rows`), the
+form these kernels take, or, for the operators of a channel or a
+measurement, into their nonzero entries over one denominator
+(:func:`_read_nonzero`), the form of a Kraus stack of :mod:`qtl.superop`.
 
 The peripheral spectrum of a channel is exact too
 (:func:`_peripheral_period`), and runs on integers from end to end: the
@@ -45,7 +47,10 @@ Rational = Fraction
 
 
 def parse_rational(text) -> Fraction:
-    """Parse "p/q" or "p" (also plain ints) into an exact rational."""
+    """Parse "p/q" or "p" (also plain ints) into an exact rational; a
+    boolean is no number."""
+    if isinstance(text, bool):
+        raise TypeError(f"cannot interpret {text!r} as a rational")
     if isinstance(text, Fraction):
         return text
     if isinstance(text, int):
@@ -75,10 +80,11 @@ class CRat:
 
     @staticmethod
     def coerce(value) -> "CRat":
-        """Accept CRat, int, Fraction, "p/q" strings, [re, im] pairs, complex."""
+        """Accept CRat, int, Fraction, "p/q" strings, [re, im] pairs, complex;
+        a boolean is no number."""
         if isinstance(value, CRat):
             return value
-        if isinstance(value, (int, Fraction)):
+        if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
             return CRat(value)
         if isinstance(value, str):
             return CRat(parse_rational(value))
@@ -301,6 +307,55 @@ def _int_rows(rows, per_row=False) -> tuple:
                 except _READ_ERRORS as exc:
                     raise MalformedInput(f"entry ({i}, {j}) = {e!r} is not an exact number: {exc}") from None
         raise
+
+
+def _read_nonzero(mats, dens=None) -> tuple:
+    """The nonzero entries of the matrices ``mats`` (lists of row lists),
+    each read as :func:`_read_ints` reads it, in one pass: (rows, den,
+    real, shapes).  ``rows`` holds (i, u, [(v, re, im), ...]) for each
+    nonzero row u of matrix i in order, re and im the integer numerators of
+    entry (u, v) over den, the lcm of every part's own denominator; ``real``
+    says whether every im is zero, and ``shapes`` is the set of the
+    matrices' (rows, cols).  A "0" entry is skipped unread.  With ``dens``
+    the entries of matrix i are numerators over dens[i], as a Mat's grids
+    hold them.  An entry that does not read as a number raises the
+    MalformedInput of :func:`_int_rows` naming it, and ragged rows
+    DimensionMismatch."""
+    raw, shapes, ds, real = [], set(), set(dens or ()), True
+    for i, rows in enumerate(mats):
+        dk = 1 if dens is None else dens[i]
+        try:
+            for u, row in enumerate(rows):
+                entries = []
+                for v, e in enumerate(row):
+                    t = type(e)
+                    if t is str or t is int:
+                        if e == "0" or e == 0:
+                            continue
+                        (n, d), (bn, bd) = _ratio(e), (0, 1)
+                    elif (t is list or t is tuple) and len(e) == 2:
+                        a, b = e
+                        n, d = (0, 1) if a == "0" else _ratio(a)
+                        bn, bd = (0, 1) if b == "0" else _ratio(b)
+                    else:
+                        c = e if t is CRat else CRat.coerce(e)
+                        n, d, bn, bd = c.re.numerator, c.re.denominator, c.im.numerator, c.im.denominator
+                    if n or bn:
+                        d, bd = d * dk, bd * dk
+                        ds.update((d, bd))
+                        real = real and not bn
+                        entries.append((v, n, d, bn, bd))
+                if entries:
+                    raw.append((i, u, entries))
+        except _READ_ERRORS:
+            _int_rows(rows)
+            raise
+        if len(set(map(len, rows))) > 1:
+            raise DimensionMismatch("ragged rows")
+        shapes.add((len(rows), len(rows[0]) if rows else 0))
+    den = math.lcm(*ds)
+    out = [(i, u, [(v, n * (den // d), bn * (den // bd)) for v, n, d, bn, bd in es]) for i, u, es in raw]
+    return out, den, real, shapes
 
 
 def _gcd_reduce(num_re, num_im, den):

@@ -515,7 +515,7 @@ def _selector_channels(program, selectors) -> list:
         if key not in by_action:
             by_action[key] = outcome_channels(program, c)
         table.append((c, by_action[key]))
-    grids = len(selectors) * sum(e._stack_of().n_ops for _, row in table for _, e in row)
+    grids = len(selectors) * sum(e._stack.n_ops for _, row in table for _, e in row)
     if grids * size * size > _GRID_ENTRIES_MAX:
         raise BudgetExceeded(
             f"the one-step channels need {grids} dense {size}x{size} Kraus operators "

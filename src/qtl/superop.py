@@ -19,16 +19,17 @@ pre-image takes the same path through the dual, whose stack is the
 channel's, transposed and conjugated: no dual scans a grid.
 
 That table of nonzero entries, the Kraus stack, is the one form a channel
-is read into: a channel or a measurement read from a file builds it
-straight from the integer rows of the file's literals
-(:meth:`SuperOp.from_grids`, :meth:`Measurement.from_grids`), tests trace
-preservation or completeness on it, and forms its Kraus ``Mat``s from it
-only when some code reads them.  A dual moves the entries of its channel's
-stack, and a program's embedded action those of its d x d outcome channels
-(:meth:`SuperOp.placed`); a composition, and so an outcome channel M_j o E,
-multiplies the entries of two stacks (:meth:`_Stack.product`).  A channel
-or a measurement built from ``Mat``s (the compiler, a test) keeps them and
-reads its stack off their grids.
+is read into: a channel or a measurement read from a file reads it in one
+pass from the file's literals, their nonzero entries over one denominator
+with no dense grid (:meth:`SuperOp.read`, :meth:`Measurement.read`, by
+:func:`linalg._read_nonzero`), tests trace preservation or completeness on
+it, and forms its Kraus ``Mat``s from it only when some code reads them.
+A dual moves the entries of its channel's stack, and a program's embedded
+action those of its d x d outcome channels (:meth:`SuperOp.placed`); a
+composition, and so an outcome channel M_j o E, multiplies the entries of
+two stacks (:meth:`_Stack.product`).  A channel or a measurement built
+from ``Mat``s (the compiler, a test) keeps them and reads its stack off
+their nonzero grid entries at construction, by the same reader.
 
 The matrix representation M = sum_i E_i (x) conj(E_i) linearizes a channel on
 row-major vectorized operators: vec(E(A)) = M vec(A).  It is the canonical
@@ -52,7 +53,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DimensionMismatch, PreconditionViolated
-from .linalg import CRat, Mat, _psd_rank_rows, _rows_over, mat_power, mat_sum
+from .linalg import CRat, Mat, _psd_rank_rows, _read_nonzero, _rows_over, mat_power, mat_sum
 from .subspace import Subspace, SubspaceUnion, support
 
 
@@ -82,60 +83,34 @@ def hvec(a: Mat) -> Mat:
     return Mat(grid.reshape(-1, 1), np.zeros((grid.size, 1), dtype=object), a.den, _real=True)
 
 
-def _grid_shape(grids, none: str, unequal: str) -> tuple:
-    """The common (rows, cols) of integer grids (re, im, den), or
-    PreconditionViolated ``none`` for no grid, DimensionMismatch
-    ``unequal`` for two shapes."""
-    if not grids:
-        raise PreconditionViolated(none)
-    shapes = {(len(re), len(re[0]) if re else 0) for re, _, _ in grids}
-    if len(shapes) != 1:
-        raise DimensionMismatch(unequal)
-    return shapes.pop()
-
-
 class Measurement:
     """A quantum measurement {M_m}; completeness sum M†M = I holds exactly,
     tested on the nonzero entries of the operators (:meth:`_Stack.is_isometry`)
     with no image table built.  Every measurement keeps the stack of its
     operators: one built from Mats reads it off their grids once, and one
-    read from integer grids (:meth:`from_grids`) builds it from them and
-    forms its operators from it when they are first read."""
+    read from matrix literals (:meth:`read`) reads it from them and forms
+    its operators from it when they are first read."""
 
     __slots__ = ("_operators", "dim", "_stack")
 
     def __init__(self, operators, validate: bool = True):
         operators = tuple(operators)
-        if not operators:
-            raise PreconditionViolated("a measurement needs at least one operator")
-        dim = operators[0].cols
-        for op in operators:
-            if op.cols != dim or op.rows != dim:
-                raise DimensionMismatch("measurement operators must be square and equal size")
-        stack = _Stack.of(operators)
+        self._set(operators, _Stack.of(operators, square=True), validate)
+
+    @staticmethod
+    def read(literals) -> "Measurement":
+        """The measurement of its operators' matrix literals, with the
+        checks of the constructor, tested on their stack."""
+        m = Measurement.__new__(Measurement)
+        m._set(None, _Stack(literals, square=True), True)
+        return m
+
+    def _set(self, operators, stack, validate):
         if validate and not stack.is_isometry():
             raise PreconditionViolated("measurement operators do not sum to the identity")
         _set_operators(self, operators)
-        _set_measurement_dim(self, dim)
+        _set_measurement_dim(self, stack.dim_out)
         _set_measurement_stack(self, stack)
-
-    @staticmethod
-    def from_grids(grids, validate: bool = True) -> "Measurement":
-        """The measurement of the integer grids (re, im, den) of its
-        operators (:func:`linalg._int_rows`), with the checks of the
-        constructor, tested on their stack."""
-        rows, cols = _grid_shape(grids, "a measurement needs at least one operator",
-                                 "measurement operators must be square and equal size")
-        if rows != cols:
-            raise DimensionMismatch("measurement operators must be square and equal size")
-        stack = _Stack(grids, rows, cols)
-        if validate and not stack.is_isometry():
-            raise PreconditionViolated("measurement operators do not sum to the identity")
-        m = Measurement.__new__(Measurement)
-        _set_operators(m, None)
-        _set_measurement_dim(m, cols)
-        _set_measurement_stack(m, stack)
-        return m
 
     @property
     def operators(self) -> tuple:
@@ -187,15 +162,15 @@ class _Stack:
     holds one triple (i, slot, c) per nonzero real or imaginary part c of an
     entry (u, v) of K_i, with slot u for a real part and dim_out + u for an
     imaginary one.  ``real`` says whether every entry is real, and ``n_ops``
-    is m.  The constructor scans integer grids, as a file's matrix literals
-    are read (:func:`linalg._int_rows`) or as :meth:`of` takes them from
+    is m.  The constructor reads the nonzero entries of matrix literals in
+    one pass (:func:`linalg._read_nonzero`), as :meth:`of` reads those of
     Mats; :meth:`mats` forms the Mats back.  The adjoints' stack
     (:meth:`dagger`), one operator's (:meth:`split`) and a placed one
     (:meth:`SuperOp.placed`) move the entries of another stack, and the
     stack of all products of two (:meth:`product`) multiplies theirs, with
     no grid read.
 
-    The scan also keeps ``rows``, the nonzero entries (v, re, im) of each
+    The reader also keeps ``rows``, the nonzero entries (v, re, im) of each
     nonzero row of each K_i, which the isometry test reads; a moved stack
     builds them from ``terms`` when asked.  Only images read the two
     tables built from ``terms`` on their first read: ``turned[v]`` holds
@@ -208,40 +183,36 @@ class _Stack:
 
     __slots__ = ("terms", "real", "den", "dim_out", "n_ops", "_rows", "_turned", "_hits")
 
-    def __init__(self, grids, dim_out, dim_in):
-        """The stack of the operators given as integer grids (re, im, den):
-        dim_out rows of dim_in numerators over den, im None when real."""
-        den = math.lcm(*(d for _, _, d in grids))
-        self.den, self.dim_out, self.n_ops = den, dim_out, len(grids)
-        self._turned = self._hits = None
+    def __init__(self, mats, dens=None, square=False):
+        """The stack of the operators given as matrix literals, or with
+        ``dens`` as a Mat's numerator rows over them; no operator is
+        PreconditionViolated, and two shapes, or with ``square`` (a
+        measurement) a non-square one, DimensionMismatch."""
+        rows, self.den, self.real, shapes = _read_nonzero(mats, dens)
+        if not mats:
+            raise PreconditionViolated("a measurement needs at least one operator" if square
+                                       else "a channel needs at least one Kraus operator")
+        (dim_out, dim_in), *more = shapes
+        if more or square and dim_out != dim_in:
+            raise DimensionMismatch("measurement operators must be square and equal size" if square
+                                    else "Kraus operators must share one shape")
+        self.dim_out, self.n_ops, self._turned, self._hits = dim_out, len(mats), None, None
+        self._rows = [entries for _, _, entries in rows]
         terms = self.terms = [[] for _ in range(dim_in)]
-        rows = self._rows = []
-        self.real = all(im is None for _, im, _ in grids)
-        for i, (re, im, d) in enumerate(grids):
-            s = den // d
-            if im is None:
-                for u, row in enumerate(re):
-                    if any(row):
-                        entries = [(v, c * s, 0) for v, c in enumerate(row) if c]
-                        rows.append(entries)
-                        for v, c, _ in entries:
-                            terms[v].append((i, u, c))
-                continue
-            for u, (row, row_im) in enumerate(zip(re, im)):
-                if any(row) or any(row_im):
-                    entries = [(v, a * s, b * s) for v, (a, b) in enumerate(zip(row, row_im)) if a or b]
-                    rows.append(entries)
-                    for v, a, b in entries:
-                        if a:
-                            terms[v].append((i, u, a))
-                        if b:
-                            terms[v].append((i, dim_out + u, b))
+        for i, u, entries in rows:
+            for v, a, b in entries:
+                if a:
+                    terms[v].append((i, u, a))
+                if b:
+                    terms[v].append((i, dim_out + u, b))
 
     @staticmethod
-    def of(kraus) -> "_Stack":
-        """The stack of Kraus Mats of one shape, read from their grids."""
-        grids = [(k.num_re.tolist(), None if k.is_real() else k.num_im.tolist(), k.den) for k in kraus]
-        return _Stack(grids, kraus[0].rows, kraus[0].cols)
+    def of(kraus, square=False) -> "_Stack":
+        """The stack of Mats, read from their nonzero grid entries:
+        numerators, or [re, im] pairs of them, over each Mat's den."""
+        rows = [k.num_re.tolist() if k.is_real() else
+                [list(zip(re, im)) for re, im in zip(k.num_re.tolist(), k.num_im.tolist())] for k in kraus]
+        return _Stack(rows, [k.den for k in kraus], square)
 
     def mats(self) -> tuple:
         """The operators as Mats, each over den in lowest terms."""
@@ -443,9 +414,9 @@ class SuperOp:
     representations read too; only a channel that is not trace preserving
     fills that sum in below the diagonal, to test that I - sum E†E is
     positive semidefinite (:meth:`_Stack.is_contraction`).  A channel
-    built from Kraus Mats keeps them and reads its stack off them when
-    first needed; one read from a file (:meth:`from_grids`), a placed one
-    (:meth:`placed`), a composition (:meth:`compose`) and a dual
+    built from Kraus Mats keeps them and reads its stack off them at
+    construction; one read from matrix literals (:meth:`read`), a placed
+    one (:meth:`placed`), a composition (:meth:`compose`) and a dual
     (:meth:`dual`) start from a stack and form their Kraus Mats from it
     only when read (:attr:`kraus`).
     """
@@ -456,26 +427,16 @@ class SuperOp:
 
     def __init__(self, kraus, validate: bool = True):
         kraus = tuple(kraus)
-        if not kraus:
-            raise PreconditionViolated("a channel needs at least one Kraus operator")
-        dim_in = kraus[0].cols
-        dim_out = kraus[0].rows
-        for k in kraus:
-            if k.cols != dim_in or k.rows != dim_out:
-                raise DimensionMismatch("Kraus operators must share one shape")
-        self._set(kraus, dim_in, dim_out, None, None)
+        self._set(kraus, _Stack.of(kraus), None)
         if validate:
             self._check_admissible()
 
     @staticmethod
-    def from_grids(grids, validate: bool = True) -> "SuperOp":
-        """The channel of the integer grids (re, im, den) of its Kraus
-        operators (:func:`linalg._int_rows`), with the checks of the
-        constructor: its stack is built from the grids, and no Kraus Mat is
-        formed until one is read."""
-        dim_out, dim_in = _grid_shape(grids, "a channel needs at least one Kraus operator",
-                                      "Kraus operators must share one shape")
-        e = SuperOp._of_stack(_Stack(grids, dim_out, dim_in))
+    def read(literals, validate: bool = True) -> "SuperOp":
+        """The channel of its Kraus operators' matrix literals, with the
+        checks of the constructor: its stack is read from them, and no Kraus
+        Mat is formed until one is read."""
+        e = SuperOp._of_stack(_Stack(literals))
         if validate:
             e._check_admissible()
         return e
@@ -486,11 +447,11 @@ class SuperOp:
         of each channel of ``blocks`` [(rows_at, cols_at, channel)] in order,
         entry (u, v) moved to (rows_at[u], cols_at[v]): the channels' stacks
         with their entries moved, and no Kraus Mat formed until read."""
-        den = math.lcm(*(e._stack_of().den for _, _, e in blocks))
-        real = all(e._stack_of().real for _, _, e in blocks)
+        den = math.lcm(*(e._stack.den for _, _, e in blocks))
+        real = all(e._stack.real for _, _, e in blocks)
         terms, offset = [[] for _ in range(dim)], 0
         for rows_at, cols_at, e in blocks:
-            st = e._stack_of()
+            st = e._stack
             n, s = st.dim_out, den // st.den
             for v, col in enumerate(st.terms):
                 terms[cols_at[v]] += [(offset + i, dim * (slot // n) + rows_at[slot % n], c * s) for i, slot, c in col]
@@ -502,17 +463,17 @@ class SuperOp:
         """The channel of a Kraus stack, unchecked; its Kraus Mats are
         formed only when read."""
         e = SuperOp.__new__(SuperOp)
-        e._set(None, len(stack.terms), stack.dim_out, stack, dual)
+        e._set(None, stack, dual)
         return e
 
     def _check_admissible(self):
-        if not self.is_trace_preserving() and not self._stack_of().is_contraction():
+        if not self.is_trace_preserving() and not self._stack.is_contraction():
             raise PreconditionViolated("Kraus operators exceed the identity: not trace-non-increasing")
 
-    def _set(self, kraus, dim_in, dim_out, stack, dual):
+    def _set(self, kraus, stack, dual):
         _set_kraus(self, kraus)
-        _set_dim_in(self, dim_in)
-        _set_dim_out(self, dim_out)
+        _set_dim_in(self, len(stack.terms))
+        _set_dim_out(self, stack.dim_out)
         _set_trace_preserving(self, None)
         _set_matrix_rep(self, None)
         _set_hermitian_rep(self, None)
@@ -522,8 +483,8 @@ class SuperOp:
 
     @property
     def kraus(self) -> tuple:
-        """The Kraus operators; a channel read from grids, and a dual, form
-        them from the stack on the first read (:meth:`_Stack.mats`)."""
+        """The Kraus operators; a channel read from literals, and a dual,
+        form them from the stack on the first read (:meth:`_Stack.mats`)."""
         if self._kraus is None:
             _set_kraus(self, self._stack.mats())
         return self._kraus
@@ -577,13 +538,8 @@ class SuperOp:
         stack is this channel's transposed (:meth:`_Stack.dagger`); its
         Kraus operators are formed only when read (:attr:`kraus`)."""
         if self._dual is None:
-            _set_dual(self, SuperOp._of_stack(self._stack_of().dagger(), self))
+            _set_dual(self, SuperOp._of_stack(self._stack.dagger(), self))
         return self._dual
-
-    def _stack_of(self) -> _Stack:
-        if self._stack is None:
-            _set_stack(self, _Stack.of(self.kraus))
-        return self._stack
 
     def _image(self, p: Subspace) -> Subspace:
         """The image of p, unmemoized: for a coordinate subspace whose unit
@@ -593,7 +549,7 @@ class SuperOp:
         if p.is_zero():
             return Subspace.zero(self.dim_out)
         if p.is_coordinate():
-            hit = self._stack_of().coordinate_image(p.pivots)
+            hit = self._stack.coordinate_image(p.pivots)
             if hit is not None:
                 return Subspace(self.dim_out, None, hit)
         return Subspace(self.dim_out, self._image_rows(p.rref))
@@ -606,7 +562,7 @@ class SuperOp:
         nonzero real or imaginary part x of entry v of r times the entries
         of column v (:class:`_Stack`), summed per operator into its real
         slots and, unless both sides are real, its imaginary slots."""
-        st, n = self._stack_of(), self.dim_out
+        st, n = self._stack, self.dim_out
         rows_im = None if rows.is_real() else rows.num_im.tolist()
         turned = None if rows_im is None else st.turned
         real = st.real and rows_im is None
@@ -637,7 +593,7 @@ class SuperOp:
         of its nonzero entries in columns v and w (:class:`_Stack`), pair
         by pair, over the square of the stack's denominator."""
         if self._matrix_rep is None:
-            st, d = self._stack_of(), self.dim_in
+            st, d = self._stack, self.dim_in
             acc = {}
             for ops in st.entries():
                 ops = list(ops.items())
@@ -661,7 +617,7 @@ class SuperOp:
         entries conjugates every factor, so each unordered pair is taken
         once, twice over when its entries differ."""
         if self._hermitian_rep is None:
-            st, d = self._stack_of(), self.dim_in
+            st, d = self._stack, self.dim_in
             # row (x, y) of T: its nonzero entries as (column, real, imaginary)
             t = {}
             for x, y in itertools.product(range(d), repeat=2):
@@ -689,13 +645,13 @@ class SuperOp:
         (:meth:`_Stack.product`), with no Kraus Mat formed until read."""
         if inner.dim_out != self.dim_in:
             raise DimensionMismatch("composition dimensions do not match")
-        return SuperOp._of_stack(self._stack_of().product(inner._stack_of()))
+        return SuperOp._of_stack(self._stack.product(inner._stack))
 
     def is_trace_preserving(self) -> bool:
         """Whether sum E†E = I, tested once on the Kraus stack
         (:meth:`_Stack.is_isometry`)."""
         if self._trace_preserving is None:
-            _set_trace_preserving(self, self._stack_of().is_isometry())
+            _set_trace_preserving(self, self._stack.is_isometry())
         return self._trace_preserving
 
     def is_identity(self) -> bool:
@@ -705,7 +661,7 @@ class SuperOp:
         unless it is zero, fill it with one value."""
         if self.dim_in != self.dim_out:
             return False
-        for entries in self._stack_of().entries():
+        for entries in self._stack.entries():
             values = {tuple(s) for s in entries.values()}
             if any(u != v for u, v in entries) or (entries and (len(entries) != self.dim_in or len(values) != 1)):
                 return False
@@ -720,9 +676,7 @@ class SuperOp:
         return self.matrix_rep() == other.matrix_rep()
 
     def __repr__(self):
-        # counted on the stack where there is one: reading .kraus would form every Kraus Mat
-        n_ops = len(self._kraus) if self._stack is None else self._stack.n_ops
-        return f"SuperOp({n_ops} Kraus, {self.dim_in}->{self.dim_out})"
+        return f"SuperOp({self._stack.n_ops} Kraus, {self.dim_in}->{self.dim_out})"
 
 
 # the slots' own descriptors set them past the guard of __setattr__

@@ -423,6 +423,134 @@ class TestMalformedInput:
         return code, captured.err
 
     @pytest.mark.parametrize("command", ["check", "reach"])
+    @pytest.mark.parametrize("location, operator", [("l3", "kraus"), ("l2", "measurement")])
+    @pytest.mark.parametrize(
+        "entry, named",
+        [("1/0", "'1/0'"), ("x1", "'x1'"), (["1", "0", "0"], "['1', '0', '0']"), (None, "None")],
+    )
+    def test_operator_entry_exit_three(self, workspace, capsys, command, location, operator, entry, named):
+        # entry (1, 0) of the second operator of the loop body's channel
+        # (l3) and of the loop head's measurement (l2)
+        def mutate(obj):
+            obj["act"][location][operator][1][1][0] = entry
+
+        code, err = self._run_mutated(workspace, capsys, command, mutate)
+        assert code == 3
+        assert err.startswith(f"error: MalformedInput: entry (1, 0) = {named} is not an exact number: ")
+
+    @pytest.mark.parametrize("command", ["check", "reach"])
+    @pytest.mark.parametrize(
+        "location, operator, value, error",
+        [
+            ("l3", "kraus", [[["1/2", "1/2"], ["1/2", "-1/2", "0"]]] * 2, "DimensionMismatch: ragged rows"),
+            ("l3", "kraus", [[["1/2", "1/2"], ["1/2", "-1/2"]], [["1/2", "1/2", "0"], ["1/2", "-1/2", "0"]]],
+             "DimensionMismatch: Kraus operators must share one shape"),
+            ("l3", "kraus", [], "PreconditionViolated: a channel needs at least one Kraus operator"),
+            ("l2", "measurement", [[["1", "0", "0"], ["0", "0", "0"]], [["0", "0", "0"], ["0", "1", "0"]]],
+             "DimensionMismatch: measurement operators must be square and equal size"),
+        ],
+        ids=["ragged-row", "two-shapes", "no-kraus", "non-square-measurement"],
+    )
+    def test_operator_shape_exit_three(self, workspace, capsys, command, location, operator, value, error):
+        def mutate(obj):
+            obj["act"][location][operator] = value
+
+        code, err = self._run_mutated(workspace, capsys, command, mutate)
+        assert (code, err) == (3, f"error: {error}\n")
+
+    @staticmethod
+    def _schema_doc(workspace, schema):
+        """A readable document of each schema: the example loop, a
+        one-action automaton and a one-process concurrent program."""
+        if schema == "sequential":
+            with open(workspace[1], encoding="utf-8") as fh:
+                return json.load(fh)
+        if schema == "automaton":
+            return {"dimension": 2, "actions": {"a": {"kraus": [[["1", "0"], ["0", "1"]]]}},
+                    "initial_state": [["1", "0"], ["0", "0"]]}
+        from qtl.program import ConcurrentProcess, ConcurrentProgram, LocationAction
+        from qtl.superop import Measurement, SuperOp
+
+        act = LocationAction(SuperOp.identity(2), Measurement.trivial(2), {0: (("p", 1),)})
+        prog = ConcurrentProgram(2, (ConcurrentProcess(("p",), {"p": act}),), Mat.unit(2, 0, 0), ("p",), 1)
+        return jsonio.program_to_json(prog)
+
+    def _run_doc(self, workspace, capsys, command, doc):
+        path = workspace[0] / "doc.json"
+        path.write_text(json.dumps(doc))
+        code = main(["check", str(path), "-f", "[] true"] if command == "check" else ["reach", str(path)])
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        return code, captured.err
+
+    @pytest.mark.parametrize("command", ["check", "reach"])
+    @pytest.mark.parametrize(
+        "schema, what", [("sequential", "program"), ("automaton", "automaton"), ("concurrent", "program")]
+    )
+    @pytest.mark.parametrize(
+        "value, shown",
+        [(2.0, "Fraction(2, 1)"), ("2", "'2'"), (0, "0"), (-1, "-1"), (True, "True")],
+        ids=["decimal", "string", "zero", "negative", "true"],
+    )
+    def test_dimension_not_a_positive_integer_exit_three(self, workspace, capsys, command, schema, what, value, shown):
+        # 2.0 is read as Fraction(2), which once ended in a TypeError
+        # traceback; the others as a channel of the wrong dimension
+        doc = self._schema_doc(workspace, schema)
+        doc["dimension"] = value
+        code, err = self._run_doc(workspace, capsys, command, doc)
+        assert (code, err) == (3, f"error: MalformedInput: {what} 'dimension' is a positive integer, got {shown}\n")
+
+    @pytest.mark.parametrize("command", ["check", "simulate"])
+    @pytest.mark.parametrize(
+        "value, shown",
+        [(2.0, "Fraction(2, 1)"), ("2", "'2'"), (0, "0"), (True, "True")],
+        ids=["decimal", "string", "zero", "true"],
+    )
+    def test_atom_dim_not_a_positive_integer_exit_three(self, workspace, capsys, command, value, shown):
+        tmp_path, prog, atoms, _ = workspace
+        with open(atoms, encoding="utf-8") as fh:
+            table = json.load(fh)
+        table[1]["blocks"]["l4"]["dim"] = value
+        bad = tmp_path / "atoms_dim.json"
+        bad.write_text(json.dumps(table))
+        argv = ["check", prog, "--atoms", str(bad), "-f", "[] p"] if command == "check" else [
+            "simulate", prog, "--atoms", str(bad)]
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: MalformedInput: subspace 'dim' is a positive integer, got {shown}\n"
+
+    @pytest.mark.parametrize("command", ["check", "reach"])
+    @pytest.mark.parametrize(
+        "schema, path, entry",
+        [
+            ("sequential", ["initial_state"], True),
+            ("sequential", ["act", "l1", "kraus", 0], True),
+            ("sequential", ["act", "l1", "measurement", 0], False),
+            ("sequential", ["act", "l1", "kraus", 0], [True, "0"]),
+            ("sequential", ["act", "l1", "kraus", 0], ["1", False]),
+            ("automaton", ["actions", "a", "kraus", 0], True),
+        ],
+        ids=["initial-state", "kraus", "measurement", "real-part", "imaginary-part", "automaton-kraus"],
+    )
+    def test_boolean_entry_exit_three(self, workspace, capsys, command, schema, path, entry):
+        # [[true, "0"], ["0", "1"]] was read as the identity
+        doc = self._schema_doc(workspace, schema)
+        matrix = doc
+        for key in path:
+            matrix = matrix[key]
+        matrix[0][0] = entry
+        code, err = self._run_doc(workspace, capsys, command, doc)
+        assert code == 3 and err.startswith(f"error: MalformedInput: entry (0, 0) = {entry!r} is not an exact number: ")
+
+    @pytest.mark.parametrize("command", ["check", "reach"])
+    def test_scheduler_a_boolean_exit_three(self, workspace, capsys, command):
+        doc = self._schema_doc(workspace, "concurrent")
+        doc["initial_scheduler"] = True
+        code, err = self._run_doc(workspace, capsys, command, doc)
+        assert (code, err) == (3, "error: MalformedInput: program 'initial_scheduler' is an integer, got True\n")
+
+    @pytest.mark.parametrize("command", ["check", "reach"])
     def test_incomplete_measurement_exit_three(self, workspace, capsys, command):
         # {|0><0|} alone: M†M sums to |0><0|, not to the identity
         def mutate(obj):

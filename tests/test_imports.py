@@ -317,3 +317,47 @@ def test_recursion_guard_sees_every_form():
     functions = _module_functions(ast.parse(source))
     assert _callers(functions, "f") == ["f"]
     assert _nested_functions(functions.body[1]) == ["h", "<lambda>"]
+
+
+# The rules that read a number literal (``_ratio``, its pattern and
+# ``parse_rational``) are stated in ``linalg`` alone; every other module
+# reads literals through its readers (``Mat.from_rows``, ``_int_rows``,
+# ``_read_nonzero``), so no second copy of the rules can drift from them.
+LITERAL_RULES = {"_ratio", "parse_rational", "_RATIO"}
+
+
+def _names_named(tree) -> set:
+    """Every name a syntax tree mentions: names, attributes, imported names
+    and their aliases, definitions, and string constants (as getattr takes
+    them)."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.update(n.split(".")[-1] for n in (node.name, node.asname) if n)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.add(node.value)
+    return names
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.stem != "linalg"], ids=lambda p: p.name)
+def test_literal_rules_live_in_linalg(path):
+    assert not _names_named(ast.parse(path.read_text(), str(path))) & LITERAL_RULES
+
+
+def test_literal_guard_sees_every_form():
+    source = (
+        "from .linalg import parse_rational as read\n"
+        "import qtl.linalg as la\n"
+        "def f(x):\n    return la._ratio(x)\n"
+        "g = getattr(la, '_RATIO')\n"
+        "def _ratio(x):\n    return x\n"
+    )
+    assert _names_named(ast.parse(source)) & LITERAL_RULES == LITERAL_RULES
+    assert _names_named(ast.parse("from .linalg import _RATIO\n")) & LITERAL_RULES == {"_RATIO"}
+    assert _names_named(ast.parse("x = ratio(parse_rational_text)\n")) & LITERAL_RULES == set()

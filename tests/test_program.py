@@ -354,7 +354,7 @@ class TestOwnOutcomes:
 
     def test_exit_measurement_must_be_trivial(self):
         # read on the measurement's stack, built from Mats or from a file's
-        # integer rows: {I, 0, ...} passes, over any denominator, and a
+        # literals: {I, 0, ...} passes, over any denominator, and a
         # complete measurement that is not it is refused
         z = Mat.from_rows([[1, 0], [0, -1]])
         refused = [
@@ -362,9 +362,10 @@ class TestOwnOutcomes:
             Measurement([KET1, KET0]),
             Measurement([z]),
             Measurement([Mat.eye(2) * CRat(0, 1)]),
-            Measurement.from_grids([([[0, 0], [0, 0]], None, 1), ([[1, 0], [0, 1]], None, 1)]),
+            Measurement.read(json.loads('[[["0", "0"], ["0", "0"]], [["1", "0"], ["0", "1"]]]')),
         ]
-        accepted = [Measurement.trivial(2, 2), Measurement.from_grids([([[3, 0], [0, 3]], None, 3), ([[0, 0], [0, 0]], None, 5)])]
+        over_3_and_5 = json.loads('[[["3/3", "0"], ["0", "3/3"]], [["0/5", "0/5"], ["0/5", "0/5"]]]')
+        accepted = [Measurement.trivial(2, 2), Measurement.read(over_3_and_5)]
         for meas in refused + accepted:
             act = {
                 "a": self._act(Measurement.trivial(2), {0: ("e",)}),

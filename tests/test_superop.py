@@ -41,10 +41,12 @@ from helpers import (
     KET_PLUS_DENSITY,
     PAULI_X,
     PAULI_Y,
+    THREE_QUBIT_LOOP_SRC,
     basis_union,
     dense_cut_body,
     random_automaton,
     random_cayley_unitary,
+    random_concurrent_program,
     random_density,
     random_deterministic_program,
     random_matrix,
@@ -174,7 +176,7 @@ class TestStackByTransposition:
         rng = random.Random(3302)
         for e in _stack_channels(rng):
             for side in (e, e.dual()):
-                st = side._stack_of()
+                st = side._stack
                 assert st._turned is None and st._hits is None
                 turned, hits = _eager_tables(side.kraus)
                 assert [collections.Counter(t) for t in st.turned] == [collections.Counter(t) for t in turned]
@@ -213,9 +215,10 @@ class TestStackByTransposition:
         assert read == []
 
     def test_invariance_builds_one_stack_per_action(self, monkeypatch):
-        # [] u pulls back through the duals: each action's stack is built
-        # once, from the integer rows of its Kraus literals, and transposed
-        # for its dual, and neither the channel nor its dual forms a Kraus Mat.
+        # [] u pulls back through the duals: each action's stack is read
+        # once, straight from its Kraus literals, with the entries of the
+        # stack of its Kraus Mats in their order, and transposed for its
+        # dual, and neither the channel nor its dual forms a Kraus Mat.
         # The initial state spans u, so the pre-image chain runs at least
         # one round
         rng = random.Random(3305)
@@ -227,18 +230,19 @@ class TestStackByTransposition:
             cases.append((jsonio.dumps(jsonio.program_to_json(a)), {"u": Atom("u", u)}))
         built, formed = [], []
         init, mats = _Stack.__init__, _Stack.mats
-        monkeypatch.setattr(_Stack, "__init__", lambda st, *args: built.append((st, args)) or init(st, *args))
-        monkeypatch.setattr(_Stack, "mats", lambda st: formed.append(st) or mats(st))
         for text, atoms in cases:
             built.clear(), formed.clear()
             doc = json.loads(text)
-            a = jsonio.program_from_json(doc)
-            check(a, parse_formula("[] u", atoms), atoms)
+            with monkeypatch.context() as m:
+                m.setattr(_Stack, "__init__", lambda st, *args: built.append(st) or init(st, *args))
+                m.setattr(_Stack, "mats", lambda st: formed.append(st) or mats(st))
+                a = jsonio.program_from_json(doc)
+                check(a, parse_formula("[] u", atoms), atoms)
             actions = [a.actions[name] for name in doc["actions"]]
-            assert [st for st, _ in built] == [e._stack for e in actions]
-            for (_, (grids, dim_out, dim_in)), name in zip(built, doc["actions"]):
-                assert grids == [linalg._int_rows(k) for k in doc["actions"][name]["kraus"]]
-                assert (dim_out, dim_in) == (a.dim, a.dim)
+            assert built == [e._stack for e in actions]
+            for e, name in zip(actions, doc["actions"]):
+                st, ref = e._stack, _Stack.of([Mat.from_rows(k) for k in doc["actions"][name]["kraus"]])
+                assert (st.terms, st.den, st.real, st.dim_out, st.n_ops) == (ref.terms, ref.den, ref.real, a.dim, ref.n_ops)
             assert formed == []
             assert all(e._kraus is None and e._dual is not None and e._dual._kraus is None for e in actions)
 
@@ -284,7 +288,6 @@ class TestStackProduct:
         pairs = list(self._pairs(rng))
         assert len(pairs) > 20
         for outer, inner in pairs:
-            outer._stack_of(), inner._stack_of()
             products = [a @ b for a in outer.kraus for b in inner.kraus]
             with monkeypatch.context() as m:
                 m.setattr(Mat, "__matmul__", lambda a, b: pytest.fail("formed a Mat product"))
@@ -315,8 +318,25 @@ class TestRepr:
 
 
 class TestReadPath:
-    """A channel read from JSON builds its stack from the file's integer
-    rows and forms its Kraus Mats, and its dual's, from the stacks."""
+    """A channel read from JSON reads its stack straight from the file's
+    literals and forms its Kraus Mats, and its dual's, from the stacks."""
+
+    def test_operator_literals_skip_the_grid_reader(self, monkeypatch):
+        # of automata, the 3-qubit loop and a concurrent program, only the
+        # initial state is read into integer grids (linalg._read_ints, under
+        # _int_rows); no Kraus or measurement literal is, and no operator
+        # Mat is formed
+        rng = random.Random(3312)
+        programs = [random_automaton(rng, 2 + k % 2, 1 + k % 3) for k in range(6)]
+        programs += [compile_source(THREE_QUBIT_LOOP_SRC), random_concurrent_program(rng, 2, 2)]
+        docs = [json.loads(jsonio.dumps(jsonio.program_to_json(p))) for p in programs]
+        read, read_ints = [], linalg._read_ints
+        monkeypatch.setattr(linalg, "_read_ints", lambda rows, per_row=False: read.append(rows) or read_ints(rows, per_row))
+        monkeypatch.setattr(_Stack, "mats", lambda st: pytest.fail("formed an operator Mat"))
+        for doc in docs:
+            read.clear()
+            jsonio.program_from_json(doc)
+            assert read == [doc["initial_state"]]
 
     @settings(derandomize=True, max_examples=40, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.sampled_from(["real", "complex", "tall", "wide", "decreasing"]), st.integers(1, 4))
